@@ -6,7 +6,7 @@
 //!     # defaults: BENCH_kernel.json, BENCH_gossip.json
 //! ```
 //!
-//! Covers the event-queue kernel (schedule/pop, cancellation), the
+//! Covers the event-queue kernel (schedule/pop), the
 //! no-alloc subscription-table matching path, per-hop event cloning,
 //! the in-tree RNG, and one miniature end-to-end scenario at the
 //! paper's Figure 2 defaults — plus one gossip-round benchmark per
@@ -32,7 +32,7 @@ use eps_pubsub::{
     ClientId, ClientRegistry, Dispatcher, DispatcherConfig, Event, EventId, Interface, LossRecord,
     PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
 };
-use eps_sim::{Engine, Rng, RngFactory, SimTime};
+use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_kernel.json");
@@ -77,7 +77,6 @@ fn main() -> ExitCode {
     let mut results = node_memory();
     results.extend([
         engine_schedule_pop(),
-        engine_cancel(),
         table_matching(),
         table_matching_dense(),
         detector_record(),
@@ -168,31 +167,16 @@ fn node_memory() -> Vec<BenchResult> {
 }
 
 /// Schedule N events at pseudo-random times, then pop them all: the
-/// simulator's single hottest loop.
+/// simulator's single hottest loop, on the queue and key shape the
+/// runner uses (`(class, to, from, per-sender sequence)`).
 fn engine_schedule_pop() -> BenchResult {
     const N: u64 = 10_000;
     let mut rng = Rng::from_seed(1);
     bench("engine_schedule_pop", 3, 15, 2 * N, || {
-        let mut engine: Engine<u64> = Engine::new();
+        let mut engine: KeyedEngine<(u8, u32, u32, u64), u64> = KeyedEngine::new();
         for i in 0..N {
-            engine.schedule(SimTime::from_nanos(rng.random_below(1 << 30)), i);
-        }
-        while engine.pop().is_some() {}
-    })
-}
-
-/// Schedule N events, cancel every other one, drain the rest: the
-/// tombstone path.
-fn engine_cancel() -> BenchResult {
-    const N: u64 = 10_000;
-    let mut rng = Rng::from_seed(2);
-    bench("engine_cancel_drain", 3, 15, 2 * N, || {
-        let mut engine: Engine<u64> = Engine::new();
-        let ids: Vec<_> = (0..N)
-            .map(|i| engine.schedule(SimTime::from_nanos(rng.random_below(1 << 30)), i))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            engine.cancel(*id);
+            let at = SimTime::from_nanos(rng.random_below(1 << 30));
+            engine.schedule_at(at, (2, (i % 100) as u32, (i % 97) as u32, i), i);
         }
         while engine.pop().is_some() {}
     })
@@ -709,7 +693,7 @@ fn scenario_mini() -> BenchResult {
 }
 
 /// Construction cost of each overlay builder at simulator scale: the
-/// setup the sharded runner's 10⁵-node runs pay before the first event
+/// setup a 10⁵-node run pays before the first event
 /// fires. One full build per iteration; a fresh seed each time so no
 /// run benefits from a warm layout.
 fn topology_build() -> Vec<BenchResult> {

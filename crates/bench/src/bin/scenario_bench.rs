@@ -14,7 +14,7 @@
 //! print to stderr and are written as JSON; `scripts/tier1.sh` diffs
 //! them against the committed baseline via `bench_compare`.
 //!
-//! `--large` additionally runs the sharded runner at 100 000
+//! `--large` additionally runs the runner at 100 000
 //! dispatchers (a dense Figure 2-style content model) for shard counts
 //! 1 and 4, reporting event-loop throughput (`events_per_sec`), peak
 //! memory (`peak_rss_bytes`) and wall-clock splits. Each large cell

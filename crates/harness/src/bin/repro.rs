@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Independent scenario cells run on `--jobs` worker threads (default:
-//! all cores); the output is byte-identical for every job count.
+//! all cores), each cell split across `--shards` threads (default 1);
+//! the output is byte-identical for every job and shard count.
 
 use std::process::ExitCode;
 
@@ -36,7 +37,7 @@ fn main() -> ExitCode {
             },
             "--shards" => match iter.next().and_then(|s| s.parse().ok()) {
                 Some(0) | None => return usage("--shards needs a positive integer"),
-                Some(shards) => opts.shards = Some(shards),
+                Some(shards) => opts.shards = shards,
             },
             "list" => {
                 for id in ALL_EXPERIMENTS {
@@ -96,8 +97,8 @@ fn usage(problem: &str) -> ExitCode {
     }
     eprintln!(
         "usage: repro <all | fig-id ...> [--quick|--full] [--seed S] [--out DIR] [--jobs N] [--shards K]\n\
-         --shards K routes every cell through the sharded runner (results are\n\
-         identical for every K, but differ bitwise from the serial runner)\n\
+         --shards K splits each cell across K worker threads (results are\n\
+         identical for every K)\n\
          experiments: {}",
         ALL_EXPERIMENTS.join(", ")
     );

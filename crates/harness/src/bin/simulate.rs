@@ -11,24 +11,23 @@
 //! `--jobs` worker threads (default: all cores); reports print in the
 //! requested order and are identical for every job count.
 //!
-//! `--shards K` runs each scenario through the sharded runner
-//! ([`run_scenario_sharded`]), partitioning the node population across
-//! `K` worker threads inside a single run — the way to push one
-//! scenario to 10⁵–10⁶ dispatchers. Results are identical for every
-//! `K` (including 1) but differ bitwise from the serial runner's.
+//! `--shards K` partitions each scenario's node population across `K`
+//! worker threads inside a single run ([`run_scenario_sharded`]) — the
+//! way to push one scenario to 10⁵–10⁶ dispatchers. Results are
+//! identical for every `K`; the default is 1.
 
 use std::process::ExitCode;
 
 use eps_gossip::Algorithm;
 use eps_harness::parallel::{default_jobs, par_map};
-use eps_harness::{run_scenario, run_scenario_sharded, AdaptiveGossip, ScenarioConfig};
+use eps_harness::{run_scenario_sharded, AdaptiveGossip, ScenarioConfig};
 use eps_sim::SimTime;
 
 fn main() -> ExitCode {
     let mut config = ScenarioConfig::default();
     let mut algorithms: Vec<Algorithm> = Vec::new();
     let mut jobs: Option<usize> = None;
-    let mut shards: Option<usize> = None;
+    let mut shards = 1usize;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -68,7 +67,7 @@ fn main() -> ExitCode {
                 "--jobs" | "-j" => jobs = Some(parse(&value()?)?),
                 "--shards" => match parse(&value()?)? {
                     0 => return Err("--shards needs a positive integer".to_owned()),
-                    k => shards = Some(k),
+                    k => shards = k,
                 },
                 "--help" | "-h" => {
                     print_usage();
@@ -104,14 +103,7 @@ fn main() -> ExitCode {
         .collect();
     let started = std::time::Instant::now();
     let worker_count = jobs.unwrap_or_else(default_jobs).max(1);
-    let results = match shards {
-        // The sharded runner is its own deterministic semantics: the
-        // result is identical for every shard count, but differs
-        // bitwise from the serial runner's (per-node RNG streams
-        // instead of shared ones).
-        Some(k) => par_map(worker_count, &configs, |c| run_scenario_sharded(c, k)),
-        None => par_map(worker_count, &configs, run_scenario),
-    };
+    let results = par_map(worker_count, &configs, |c| run_scenario_sharded(c, shards));
     let elapsed = started.elapsed().as_secs_f64();
     for (kind, r) in algorithms.iter().zip(results) {
         println!("== {} ==", kind.name());

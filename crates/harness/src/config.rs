@@ -2,7 +2,7 @@
 //! knobs the evaluation sweeps.
 
 use eps_gossip::{Algorithm, GossipConfig};
-use eps_overlay::{OutOfBandSpec, OverlayKind, BA_ATTACHMENTS};
+use eps_overlay::{LinkSpec, OutOfBandSpec, OverlayKind, BA_ATTACHMENTS};
 use eps_pubsub::EvictionPolicy;
 use eps_sim::SimTime;
 
@@ -232,6 +232,11 @@ impl ScenarioConfig {
             "link error rate out of range"
         );
         assert!(
+            self.link_spec().propagation.min(self.out_of_band.latency) > SimTime::ZERO,
+            "out_of_band.latency must be positive: the runner's lookahead window is \
+             min(link propagation, out_of_band.latency)"
+        );
+        assert!(
             self.gossip_interval > SimTime::ZERO,
             "gossip interval must be positive"
         );
@@ -262,6 +267,12 @@ impl ScenarioConfig {
                 "churn needs a spare pattern to swap in"
             );
         }
+    }
+
+    /// The overlay link model: the paper's 10 Mbit/s Ethernet-like
+    /// links at this run's error rate `ε`.
+    pub(crate) fn link_spec(&self) -> LinkSpec {
+        LinkSpec::ethernet_10mbps(self.link_error_rate)
     }
 
     /// The summary measurement window: events published in
@@ -329,6 +340,19 @@ mod tests {
             duration: SimTime::from_secs(3),
             warmup: SimTime::from_secs(2),
             cooldown: SimTime::from_secs(2),
+            ..ScenarioConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "out_of_band.latency must be positive")]
+    fn zero_delay_channel_is_rejected() {
+        ScenarioConfig {
+            out_of_band: OutOfBandSpec {
+                latency: SimTime::ZERO,
+                ..OutOfBandSpec::default()
+            },
             ..ScenarioConfig::default()
         }
         .validate();

@@ -9,7 +9,7 @@ use eps_sim::SimTime;
 use crate::config::ScenarioConfig;
 use crate::parallel::{default_jobs, par_map};
 use crate::result::ScenarioResult;
-use crate::scenario::run_scenario;
+use crate::sharded::run_scenario_sharded;
 
 /// Options shared by all experiments.
 #[derive(Clone, Debug)]
@@ -26,13 +26,10 @@ pub struct ExperimentOptions {
     /// "use the machine's available parallelism". Output is identical
     /// for every value (see [`crate::parallel`]).
     pub jobs: Option<usize>,
-    /// When set, every cell runs through
-    /// [`crate::run_scenario_sharded`] with this shard count instead
-    /// of the serial [`run_scenario`]. The sharded runner is its own
-    /// deterministic semantics (per-node RNG streams instead of shared
-    /// ones), so results differ bitwise from the serial runner — but
-    /// are identical for every shard count.
-    pub shards: Option<usize>,
+    /// Shards (worker threads) *inside* each cell; 1 runs a cell
+    /// inline on its `jobs` worker. Output is identical for every
+    /// value (see [`crate::run_scenario_sharded`]).
+    pub shards: usize,
 }
 
 impl Default for ExperimentOptions {
@@ -42,7 +39,7 @@ impl Default for ExperimentOptions {
             out_dir: PathBuf::from("results"),
             seed: 1,
             jobs: None,
-            shards: None,
+            shards: 1,
         }
     }
 }
@@ -60,12 +57,9 @@ impl ExperimentOptions {
 /// results in input order — so driver code that renders tables row by
 /// row produces the exact bytes the serial loop would.
 pub fn run_cells(opts: &ExperimentOptions, configs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
-    match opts.shards {
-        Some(shards) => par_map(opts.effective_jobs(), configs, |config| {
-            crate::run_scenario_sharded(config, shards)
-        }),
-        None => par_map(opts.effective_jobs(), configs, run_scenario),
-    }
+    par_map(opts.effective_jobs(), configs, |config| {
+        run_scenario_sharded(config, opts.shards)
+    })
 }
 
 /// What an experiment produced: named CSV tables (written by the

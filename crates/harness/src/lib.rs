@@ -9,9 +9,10 @@
 //!   Figure 2);
 //! - [`run_scenario`] — executes a run deterministically and returns a
 //!   [`ScenarioResult`];
-//! - [`run_scenario_sharded`] — the same scenario partitioned across
-//!   worker threads under a conservative time-window barrier;
-//!   bit-identical for every shard count, built for 10⁵–10⁶ nodes;
+//! - [`run_scenario_sharded`] — the same run with its node population
+//!   partitioned across worker threads under a conservative
+//!   time-window barrier; bit-identical to [`run_scenario`] for every
+//!   shard count, built for 10⁵–10⁶ nodes;
 //! - [`experiments`] — one driver per paper figure (3a, 3b, 4, 5, 6,
 //!   7, 8, 9, 10), each printing the series the paper plots and
 //!   writing CSVs under `results/`.
@@ -32,7 +33,6 @@ pub mod node;
 pub mod parallel;
 pub mod population;
 mod result;
-mod scenario;
 mod sharded;
 mod trace;
 
@@ -40,6 +40,8 @@ pub use config::{AdaptiveGossip, ScenarioConfig};
 pub use node::{routing_stats, NodeCtx, Outgoing, SimNode};
 pub use population::{build_population, Population};
 pub use result::{assemble, RoutingStats, ScenarioResult};
-pub use scenario::{run_scenario, run_scenario_traced};
-pub use sharded::{run_scenario_sharded, run_scenario_sharded_with_stats, ShardedRunStats};
+pub use sharded::{
+    run_scenario, run_scenario_sharded, run_scenario_sharded_with_stats, run_scenario_traced,
+    ShardedRunStats,
+};
 pub use trace::{ScenarioTrace, TraceRecord};

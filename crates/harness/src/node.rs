@@ -6,10 +6,10 @@
 //! A [`SimNode`] never touches the network or the event queue: it
 //! consumes an [`Envelope`] (or a timer tick) and returns the
 //! [`Outgoing`] messages it wants sent. Routing, delay, loss, and
-//! scheduling stay with the runner and its transport. Shared run-wide
+//! scheduling stay with the runner and its transport. Runner-held
 //! state a node needs while handling a message — the metrics sinks,
-//! the shared gossip RNG, the trace — is lent to it for the duration
-//! of one call as a [`NodeCtx`].
+//! its gossip-decision RNG stream, the trace — is lent to it for the
+//! duration of one call as a [`NodeCtx`].
 
 use eps_gossip::{Envelope, GossipAction, RecoveryAlgorithm};
 use eps_metrics::{DeliverySink, MessageCounters};
@@ -34,14 +34,11 @@ pub struct Outgoing {
     pub env: Envelope,
 }
 
-/// Run-wide state lent to a node for the duration of one call.
-///
-/// Everything here is shared between nodes (and therefore cannot live
-/// inside [`SimNode`]): the current virtual time and overlay
-/// neighborhood, the pattern space, the metrics sinks, the shared
-/// gossip RNG — shared so that the sequence of gossip decisions, not
-/// a per-node stream position, is what the seed pins down — and the
-/// optional trace.
+/// Runner-held state lent to a node for the duration of one call: the
+/// current virtual time and overlay neighborhood, the pattern space,
+/// the metrics sinks, the node's own gossip-decision RNG stream — one
+/// per node, so its draws follow from the node's own event sequence
+/// and not from how nodes interleave — and the optional trace.
 pub struct NodeCtx<'a> {
     /// Current virtual time.
     pub now: SimTime,
@@ -58,10 +55,10 @@ pub struct NodeCtx<'a> {
     /// Current client-subscriptions of each pattern, indexed by
     /// [`PatternId`]: sorted `(node, client)` pairs.
     pub subscribers_of: &'a [Vec<(NodeId, ClientId)>],
-    /// The shared gossip-decision RNG stream.
+    /// This node's gossip-decision RNG stream.
     pub gossip_rng: &'a mut Rng,
-    /// Delivery bookkeeping: the live tracker in the serial runner, a
-    /// per-shard [`eps_metrics::DeliveryLog`] in the sharded one.
+    /// Delivery bookkeeping: a per-shard [`eps_metrics::DeliveryLog`]
+    /// in the scenario runner, the live tracker in the socket runtime.
     pub tracker: &'a mut dyn DeliverySink,
     /// Message counting.
     pub counters: &'a mut MessageCounters,

@@ -8,7 +8,7 @@ use crate::config::ScenarioConfig;
 /// What one simulation run measured. All delivery rates are in
 /// `[0, 1]`; the headline [`ScenarioResult::delivery_rate`] is
 /// restricted to events published inside the measurement window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioResult {
     /// Delivery rate over the measurement window.
     pub delivery_rate: f64,
@@ -91,8 +91,8 @@ pub struct ScenarioResult {
     pub reply_wire_bits: u64,
 }
 
-/// End-of-run routing-state totals, sampled by each runner after its
-/// queue drains and handed to [`assemble`].
+/// End-of-run routing-state totals, sampled by the runner after its
+/// queues drain and handed to [`assemble`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoutingStats {
     /// Client subscriptions summed over dispatchers.

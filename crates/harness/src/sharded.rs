@@ -1,7 +1,9 @@
-//! The sharded scenario runner: one scenario's node population
-//! partitioned across worker threads under a conservative time-window
-//! barrier — the intra-run parallelism that takes single runs to
-//! 10⁵–10⁶ dispatchers on one machine.
+//! The scenario runner: one scenario's node population partitioned
+//! into shards that advance under a conservative time-window barrier.
+//! It is the only simulation runner — [`run_scenario`] is the
+//! one-shard case, executed inline — so the paper's N = 100 figures
+//! and a 10⁵-dispatcher scale run are the same experiment at different
+//! sizes and thread counts.
 //!
 //! # Architecture
 //!
@@ -18,11 +20,13 @@
 //! window can arrive before the window ends, so shards execute a
 //! window concurrently without ever seeing each other's in-window
 //! traffic; envelopes crossing shard boundaries are exchanged at the
-//! barrier.
+//! barrier. With one shard the windows run inline on the calling
+//! thread; with more, one worker thread per shard.
 //!
 //! # Determinism
 //!
-//! Results are bit-identical for every shard count, by construction:
+//! The same configuration (including seed) produces the same result,
+//! bit for bit, for every shard count, by construction:
 //!
 //! - Same-instant events are ordered by an event-derived key
 //!   (`(class, to, from, per-sender sequence)`), never by insertion
@@ -35,12 +39,7 @@
 //!   into one tracker in canonical sorted order after the run; message
 //!   counters are absorbed in shard-id order.
 //!
-//! The sharded runner is a second deterministic semantics, *not* a
-//! re-implementation of [`crate::run_scenario`]'s exact event
-//! interleaving: the serial runner uses shared RNG streams and FIFO
-//! tie-breaking, which are inherently partition-dependent, so its
-//! byte-level outputs are pinned separately. Shard-count invariance of
-//! this runner is pinned by the golden suite.
+//! The golden suite pins the bytes and their shard-count invariance.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -49,21 +48,63 @@ use eps_gossip::{Channel, Envelope};
 use eps_metrics::{DeliveryLog, DeliveryTracker, MessageCounters};
 use eps_overlay::{plan_reconnection, LinkSpec, NodeId, RoutingView, ShardTransport, Topology};
 use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace, PubSubMessage};
-use eps_sim::{Engine, KeyedEngine, Rng, RngFactory, SimTime};
+use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 use crate::config::ScenarioConfig;
 use crate::node::{routing_stats, NodeCtx, Outgoing, SimNode};
 use crate::population::{build_population, cross_targets_for, Population};
 use crate::result::{assemble, ScenarioResult};
-use crate::trace::ScenarioTrace;
+use crate::trace::{ScenarioTrace, TraceRecord};
+
+/// Runs one scenario to completion.
+///
+/// Deterministic: the same configuration (including seed) produces the
+/// same result, bit for bit. This is [`run_scenario_sharded`] at one
+/// shard: the windows run inline on the calling thread.
+///
+/// # Examples
+///
+/// ```
+/// use eps_harness::{run_scenario, ScenarioConfig};
+/// use eps_gossip::Algorithm;
+/// use eps_sim::SimTime;
+///
+/// let config = ScenarioConfig {
+///     nodes: 20,
+///     duration: SimTime::from_secs(3),
+///     warmup: SimTime::from_millis(500),
+///     cooldown: SimTime::from_millis(500),
+///     algorithm: Algorithm::push(),
+///     ..ScenarioConfig::default()
+/// };
+/// let result = run_scenario(&config);
+/// assert!(result.delivery_rate > 0.0 && result.delivery_rate <= 1.0);
+/// ```
+pub fn run_scenario(config: &ScenarioConfig) -> ScenarioResult {
+    run_scenario_sharded(config, 1)
+}
+
+/// Like [`run_scenario`], but also collects a bounded
+/// [`ScenarioTrace`] of publishes, deliveries, detections, and
+/// reconfigurations — for debugging and white-box tests. Runs at one
+/// shard, so node records and the coordinator's link records land in
+/// one log in occurrence order. Tracing does not perturb the
+/// simulation: the traced result equals the untraced one.
+pub fn run_scenario_traced(
+    config: &ScenarioConfig,
+    trace_capacity: usize,
+) -> (ScenarioResult, ScenarioTrace) {
+    let (result, _, trace) = run(config, 1, Some(ScenarioTrace::new(trace_capacity)));
+    (result, trace.expect("trace was installed"))
+}
 
 /// Runs one scenario split across `shards` worker shards.
 ///
 /// Deterministic: the same configuration produces the same result, bit
 /// for bit, **for every `shards` value** — `shards` only chooses how
-/// the work is executed. A value of 1 runs the windowed semantics
-/// inline without threads; larger values use one worker thread per
-/// shard. `shards` is clamped to the node count.
+/// the work is executed. A value of 1 runs the windows inline without
+/// threads; larger values use one worker thread per shard. `shards` is
+/// clamped to the node count.
 ///
 /// # Examples
 ///
@@ -78,15 +119,15 @@ use crate::trace::ScenarioTrace;
 ///     cooldown: SimTime::from_millis(500),
 ///     ..ScenarioConfig::default()
 /// };
-/// let serial = run_scenario_sharded(&config, 1);
+/// let inline = run_scenario_sharded(&config, 1);
 /// let split = run_scenario_sharded(&config, 2);
-/// assert_eq!(serial.delivery_rate.to_bits(), split.delivery_rate.to_bits());
+/// assert_eq!(inline, split);
 /// ```
 pub fn run_scenario_sharded(config: &ScenarioConfig, shards: usize) -> ScenarioResult {
     run_scenario_sharded_with_stats(config, shards).0
 }
 
-/// Execution statistics of one sharded run, for throughput reporting.
+/// Execution statistics of one run, for throughput reporting.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedRunStats {
     /// Node-level events processed, summed over shards.
@@ -108,6 +149,18 @@ pub fn run_scenario_sharded_with_stats(
     config: &ScenarioConfig,
     shards: usize,
 ) -> (ScenarioResult, ShardedRunStats) {
+    let (result, stats, _) = run(config, shards, None);
+    (result, stats)
+}
+
+/// The one world loop behind every entry point. A `trace`, when given,
+/// is lent to shard 0 for the run (callers pass one only with a single
+/// shard) and handed back at the end.
+fn run(
+    config: &ScenarioConfig,
+    shards: usize,
+    trace: Option<ScenarioTrace>,
+) -> (ScenarioResult, ShardedRunStats, Option<ScenarioTrace>) {
     config.validate();
     assert!(shards >= 1, "need at least one shard");
     let setup_started = std::time::Instant::now();
@@ -125,11 +178,7 @@ pub fn run_scenario_sharded_with_stats(
         setup_subscription_msgs,
     } = build_population(config);
 
-    let link = LinkSpec {
-        bandwidth_bps: 10_000_000,
-        propagation: SimTime::from_micros(50),
-        loss_rate: config.link_error_rate,
-    };
+    let link = config.link_spec();
 
     // Partition into contiguous ranges of ⌈N/K⌉ nodes; trailing shards
     // may be smaller (or elided entirely when K does not divide N).
@@ -146,27 +195,10 @@ pub fn run_scenario_sharded_with_stats(
         shard_list.push(Some(shard));
         base += count;
     }
-    let lookahead = shard_list[0]
-        .as_ref()
-        .expect("shard present")
-        .transport
-        .min_delay();
-    assert!(
-        lookahead > SimTime::ZERO,
-        "sharded runner needs a positive minimum channel delay for its lookahead window"
-    );
-
-    let mut global: Engine<GlobalEvent> = Engine::new();
-    if let Some(rho) = config.reconfig_interval {
-        if rho < config.duration {
-            global.schedule(rho, GlobalEvent::Break);
-        }
-    }
-    if let Some(churn) = config.churn_interval {
-        if churn < config.duration {
-            global.schedule(churn, GlobalEvent::ChurnTick);
-        }
-    }
+    let first = shard_list[0].as_mut().expect("shard present");
+    first.trace = trace;
+    // Positive by `ScenarioConfig::validate`.
+    let lookahead = first.transport.min_delay();
 
     let mut coord = Coordinator {
         config,
@@ -180,13 +212,24 @@ pub fn run_scenario_sharded_with_stats(
         shards: shard_list,
         per,
         lookahead,
-        global,
+        global: KeyedEngine::new(),
+        global_seq: 0,
         reconfig_rng: factory.stream("reconfig"),
         churn_rng: factory.stream("churn"),
         reconfigurations: 0,
         churn_events: 0,
         windows: 0,
     };
+    if let Some(rho) = config.reconfig_interval {
+        if rho < config.duration {
+            coord.schedule_global(rho, GlobalEvent::Break);
+        }
+    }
+    if let Some(churn) = config.churn_interval {
+        if churn < config.duration {
+            coord.schedule_global(churn, GlobalEvent::ChurnTick);
+        }
+    }
 
     let setup_wall = setup_started.elapsed();
     let loop_started = std::time::Instant::now();
@@ -259,11 +302,12 @@ pub fn run_scenario_sharded_with_stats(
 
     let loop_wall = loop_started.elapsed();
 
-    let shards_done: Vec<Box<Shard>> = coord
+    let mut shards_done: Vec<Box<Shard>> = coord
         .shards
         .into_iter()
         .map(|s| s.expect("all shards home after the run"))
         .collect();
+    let trace = shards_done[0].trace.take();
     let routing = routing_stats(
         shards_done.iter().flat_map(|s| s.nodes.iter()),
         setup_subscription_msgs,
@@ -309,7 +353,7 @@ pub fn run_scenario_sharded_with_stats(
         setup_wall,
         loop_wall,
     };
-    (result, stats)
+    (result, stats, trace)
 }
 
 /// Total order for same-instant events, a pure function of the event:
@@ -378,9 +422,9 @@ struct Shard {
     counters: MessageCounters,
     /// Deliveries destined for other shards, exchanged at the barrier.
     outbox: Vec<(SimTime, EvtKey, ShardEvent)>,
-    /// The sharded runner does not support tracing; `NodeCtx` wants a
-    /// place to look anyway.
-    no_trace: Option<ScenarioTrace>,
+    /// The run's trace, on shard 0 of a traced (one-shard) run;
+    /// `None` everywhere else.
+    trace: Option<ScenarioTrace>,
 }
 
 impl Shard {
@@ -409,7 +453,7 @@ impl Shard {
             log: DeliveryLog::new(),
             counters: MessageCounters::new(config.nodes),
             outbox: Vec::new(),
-            no_trace: None,
+            trace: None,
         }
     }
 
@@ -465,10 +509,11 @@ impl Shard {
                     self.send(to, t, out, shared, config);
                 }
                 ShardEvent::PublishTick(node) => {
-                    // Mirrors the serial runner: the workload ends at
-                    // `duration`, so a first tick scheduled past the
-                    // end (possible at very low publish rates) does
-                    // not fire.
+                    // The workload ends at `duration`. Renewals are
+                    // gated below, but at very low publish rates a
+                    // node's *first* tick can be scheduled past the
+                    // end — it must not fire either, or the run would
+                    // stretch far beyond its nominal length.
                     if t >= config.duration {
                         continue;
                     }
@@ -518,15 +563,16 @@ impl Shard {
             gossip_rng: &mut self.gossip_rngs[li],
             tracker: &mut self.log,
             counters: &mut self.counters,
-            trace: &mut self.no_trace,
+            trace: &mut self.trace,
         };
         f(&mut self.nodes[li], &mut ctx)
     }
 
-    /// Counts and transmits a node's outgoing messages, scheduling
-    /// arrivals locally or into the outbox. Mirrors the serial
-    /// runner's `Scenario::send`, with loss drawn from the *sender's*
-    /// stream.
+    /// Puts a node's outgoing messages on the wire: counts them,
+    /// routes tree traffic over existing overlay links only, asks the
+    /// transport when (and whether) each arrives — loss drawn from the
+    /// *sender's* stream — and schedules the arrival locally or into
+    /// the outbox.
     fn send(
         &mut self,
         from: NodeId,
@@ -546,9 +592,10 @@ impl Shard {
                         }
                         Envelope::PubSub(_) => self.counters.count_subscription(from),
                         // Gossip *messages* are counted at the action
-                        // level; their wire *bits* are charged here —
-                        // mirrors the serial runner: before link state,
-                        // a digest lost to a broken link was still sent.
+                        // level; their wire *bits* are charged here,
+                        // where the size is known — like the message
+                        // counts, before link state is consulted (a
+                        // digest lost to a broken link was still sent).
                         Envelope::Gossip(_) => self.counters.count_gossip_bits(bits),
                         _ => {}
                     }
@@ -610,7 +657,11 @@ struct Coordinator<'a> {
     shards: Vec<Option<Box<Shard>>>,
     per: usize,
     lookahead: SimTime,
-    global: Engine<GlobalEvent>,
+    /// Coordinator events, keyed by an insertion counter: same-instant
+    /// ones fire in scheduling order (all scheduling happens here, on
+    /// one thread, so that order is partition-independent).
+    global: KeyedEngine<u64, GlobalEvent>,
+    global_seq: u64,
     reconfig_rng: Rng,
     churn_rng: Rng,
     reconfigurations: u64,
@@ -625,6 +676,18 @@ impl Coordinator<'_> {
 
     fn shard_mut(&mut self, i: usize) -> &mut Shard {
         self.shards[i].as_mut().expect("shard home at the barrier")
+    }
+
+    fn schedule_global(&mut self, at: SimTime, event: GlobalEvent) {
+        self.global.schedule_at(at, self.global_seq, event);
+        self.global_seq += 1;
+    }
+
+    /// Appends a coordinator-level record to the run's trace, if any.
+    fn record(&mut self, record: TraceRecord) {
+        if let Some(trace) = &mut self.shard_mut(0).trace {
+            trace.push(record);
+        }
     }
 
     /// The main loop. Node windows run through `exec` (inline or
@@ -679,10 +742,10 @@ impl Coordinator<'_> {
     }
 
     fn run_global_event(&mut self) {
-        let (now, event) = self.global.pop().expect("a global event is pending");
+        let (now, _, event) = self.global.pop().expect("a global event is pending");
         match event {
             GlobalEvent::Break => self.handle_break(now),
-            GlobalEvent::Repair => self.handle_repair(),
+            GlobalEvent::Repair => self.handle_repair(now),
             GlobalEvent::ChurnTick => self.handle_churn(now),
         }
     }
@@ -716,17 +779,17 @@ impl Coordinator<'_> {
             self.shard_mut(sa).transport.reset_link(a, b);
             self.shard_mut(sb).transport.reset_link(a, b);
             self.reconfigurations += 1;
-            self.global
-                .schedule(self.config.repair_delay, GlobalEvent::Repair);
+            self.record(TraceRecord::LinkBroken { at: now, link });
+            self.schedule_global(now + self.config.repair_delay, GlobalEvent::Repair);
         }
         if let Some(rho) = self.config.reconfig_interval {
             if now + rho < self.config.duration {
-                self.global.schedule(rho, GlobalEvent::Break);
+                self.schedule_global(now + rho, GlobalEvent::Break);
             }
         }
     }
 
-    fn handle_repair(&mut self) {
+    fn handle_repair(&mut self, now: SimTime) {
         let shared = Arc::get_mut(&mut self.shared).expect("sole handle at a barrier");
         let reconnected = plan_reconnection(&shared.topology, &mut self.reconfig_rng);
         if let Some((x, y)) = reconnected {
@@ -753,7 +816,8 @@ impl Coordinator<'_> {
             // (no replacement link — the overlay thins gradually),
             // the view may have been using the vanished link.
             // Re-derive it, rebuild routes, and recompute every
-            // node's cross targets; mirrors the serial runner.
+            // node's cross targets against the fresh tree/graph
+            // split.
             shared.view = RoutingView::derive(&shared.topology);
             let mut hosts: Vec<&mut SimNode> = self
                 .shards
@@ -769,16 +833,19 @@ impl Coordinator<'_> {
                 host.set_cross_targets(targets);
             }
         }
+        if let Some((a, b)) = reconnected {
+            self.record(TraceRecord::LinkAdded { at: now, a, b });
+        }
     }
 
-    /// Subscription churn, mirroring the serial runner: a random
-    /// dispatcher swaps one subscription, and the (un)subscriptions
+    /// Subscription churn: a random dispatcher swaps one subscription
+    /// for a pattern it does not hold, and the (un)subscriptions
     /// travel as protocol messages via the owning shard's transport.
     fn handle_churn(&mut self, now: SimTime) {
         if now < self.config.duration {
             let node = NodeId::new(self.churn_rng.random_range(0..self.config.nodes as u32));
-            // Mirrors the serial runner: with one client per node no
-            // extra draw is consumed, keeping the churn stream
+            // With one client per node the client pick is determined,
+            // so no draw is consumed — the churn stream stays
             // byte-compatible with the pre-client-layer runner.
             let client = if self.config.clients_per_node > 1 {
                 ClientId::new(
@@ -845,7 +912,7 @@ impl Coordinator<'_> {
             }
             if let Some(churn) = self.config.churn_interval {
                 if now + churn < self.config.duration {
-                    self.global.schedule(churn, GlobalEvent::ChurnTick);
+                    self.schedule_global(now + churn, GlobalEvent::ChurnTick);
                 }
             }
         }
@@ -869,43 +936,14 @@ mod tests {
         }
     }
 
-    fn assert_bit_identical(a: &ScenarioResult, b: &ScenarioResult) {
-        assert_eq!(a.delivery_rate.to_bits(), b.delivery_rate.to_bits());
-        assert_eq!(
-            a.overall_delivery_rate.to_bits(),
-            b.overall_delivery_rate.to_bits()
-        );
-        assert_eq!(a.min_bin_rate.to_bits(), b.min_bin_rate.to_bits());
-        assert_eq!(a.events_published, b.events_published);
-        assert_eq!(a.event_msgs, b.event_msgs);
-        assert_eq!(a.gossip_msgs, b.gossip_msgs);
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.replies, b.replies);
-        assert_eq!(a.events_recovered, b.events_recovered);
-        assert_eq!(
-            a.recovery_latency_mean.to_bits(),
-            b.recovery_latency_mean.to_bits()
-        );
-        assert_eq!(a.outstanding_losses, b.outstanding_losses);
-        assert_eq!(a.subscription_msgs, b.subscription_msgs);
-        assert_eq!(a.gossip_wire_bits, b.gossip_wire_bits);
-        assert_eq!(a.request_wire_bits, b.request_wire_bits);
-        assert_eq!(a.reply_wire_bits, b.reply_wire_bits);
-        assert_eq!(a.series.len(), b.series.len());
-        for (x, y) in a.series.iter().zip(&b.series) {
-            assert_eq!(x.0.to_bits(), y.0.to_bits());
-            assert_eq!(x.1.to_bits(), y.1.to_bits());
-        }
-    }
-
     #[test]
     fn shard_count_does_not_change_the_result() {
         let config = small(Algorithm::push());
         let one = run_scenario_sharded(&config, 1);
         let two = run_scenario_sharded(&config, 2);
         let five = run_scenario_sharded(&config, 5);
-        assert_bit_identical(&one, &two);
-        assert_bit_identical(&one, &five);
+        assert_eq!(one, two);
+        assert_eq!(one, five);
         assert!(one.delivery_rate > 0.0 && one.delivery_rate <= 1.0);
     }
 
@@ -919,7 +957,7 @@ mod tests {
         };
         let one = run_scenario_sharded(&config, 1);
         let three = run_scenario_sharded(&config, 3);
-        assert_bit_identical(&one, &three);
+        assert_eq!(one, three);
         assert!(one.reconfigurations > 0);
         assert!(one.churn_events > 0);
     }
@@ -939,6 +977,6 @@ mod tests {
         assert!(stats.events_processed > 0);
         assert!(stats.windows > 0);
         let (baseline, _) = run_scenario_sharded_with_stats(&config, 1);
-        assert_bit_identical(&baseline, &result);
+        assert_eq!(baseline, result);
     }
 }

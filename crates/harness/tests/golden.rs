@@ -1,10 +1,14 @@
 //! Golden determinism tests: the full [`ScenarioResult`] and the
 //! fig3-style CSV bytes are pinned for all six algorithms at two
 //! seeds, plus reconfiguration, churn, and cyclic-overlay (BA/WS)
-//! variants. Any refactor of the
-//! runner must reproduce these bytes exactly — serially and under
-//! `par_map` — or consciously regenerate them with
+//! variants. Any refactor of the runner must reproduce these bytes
+//! exactly — from `run_scenario`, under `par_map`, and at every shard
+//! count — or consciously regenerate them with
 //! `UPDATE_GOLDEN=1 cargo test -p eps-harness --test golden`.
+//!
+//! The files carry `_sharded_` in their names because they were first
+//! pinned (PR 6) when the windowed runner sat beside a serial one;
+//! they have not moved a byte since.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -132,15 +136,29 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Renders one seed's cells: the canonical result dump and the
-/// fig3-style CSV over the six algorithm series.
-fn render(seed: u64, results: &[ScenarioResult]) -> (String, String) {
-    let labeled = cells(seed);
+type Cells = fn(u64) -> Vec<(String, ScenarioConfig)>;
+
+/// One `dump` block per cell, in cell order.
+fn report(
+    cells: Cells,
+    dump: fn(&str, &ScenarioResult) -> String,
+    seed: u64,
+    results: &[ScenarioResult],
+) -> String {
     let mut report = String::new();
-    for ((label, _), result) in labeled.iter().zip(results) {
+    for ((label, _), result) in cells(seed).iter().zip(results) {
         report.push_str(&dump(&format!("{label} seed={seed}"), result));
         report.push('\n');
     }
+    report
+}
+
+/// One seed of a cell family as `(golden file, bytes)` pairs.
+type Render = fn(u64, &[ScenarioResult]) -> Vec<(String, String)>;
+
+/// The canonical result dump plus the fig3-style CSV over the six
+/// algorithm series.
+fn render(seed: u64, results: &[ScenarioResult]) -> Vec<(String, String)> {
     let names: Vec<String> = Algorithm::paper()
         .iter()
         .map(|a| a.name().to_owned())
@@ -149,8 +167,16 @@ fn render(seed: u64, results: &[ScenarioResult]) -> (String, String) {
         .iter()
         .map(|r| r.series.clone())
         .collect();
-    let csv = time_series_table(&names, &series).to_csv();
-    (report, csv)
+    vec![
+        (
+            format!("results_sharded_seed{seed}.txt"),
+            report(cells, dump, seed, results),
+        ),
+        (
+            format!("fig3_sharded_seed{seed}.csv"),
+            time_series_table(&names, &series).to_csv(),
+        ),
+    ]
 }
 
 fn check_or_update(name: &str, actual: &str) {
@@ -171,6 +197,37 @@ fn check_or_update(name: &str, actual: &str) {
         "{name} drifted from the golden bytes; if the change is intended, \
          regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// One pass over a cell family, per seed: `run_scenario`'s bytes are
+/// the pinned ones, and `par_map` and every shard count (whose
+/// cross-shard traffic and coordinator events pass the barrier)
+/// reproduce them exactly.
+fn check_family(cells: Cells, render: Render) {
+    for seed in SEEDS {
+        let configs: Vec<ScenarioConfig> = cells(seed).into_iter().map(|(_, c)| c).collect();
+        let results: Vec<ScenarioResult> = configs.iter().map(run_scenario).collect();
+        let pinned = render(seed, &results);
+        for (file, bytes) in &pinned {
+            check_or_update(file, bytes);
+        }
+        assert_eq!(
+            pinned,
+            render(seed, &par_map(4, &configs, run_scenario)),
+            "par_map drifted from run_scenario"
+        );
+        for shards in [1, 2, 4] {
+            let results: Vec<ScenarioResult> = configs
+                .iter()
+                .map(|c| run_scenario_sharded(c, shards))
+                .collect();
+            assert_eq!(
+                pinned,
+                render(seed, &results),
+                "shards={shards} drifted from run_scenario"
+            );
+        }
+    }
 }
 
 /// The client-layer cells: multi-client populations (with and without
@@ -223,14 +280,11 @@ fn dump_with_routing(label: &str, result: &ScenarioResult) -> String {
     s
 }
 
-fn render_clients(seed: u64, results: &[ScenarioResult]) -> String {
-    let labeled = client_cells(seed);
-    let mut report = String::new();
-    for ((label, _), result) in labeled.iter().zip(results) {
-        report.push_str(&dump_with_routing(&format!("{label} seed={seed}"), result));
-        report.push('\n');
-    }
-    report
+fn render_clients(seed: u64, results: &[ScenarioResult]) -> Vec<(String, String)> {
+    vec![(
+        format!("results_clients_sharded_seed{seed}.txt"),
+        report(client_cells, dump_with_routing, seed, results),
+    )]
 }
 
 /// The summary-reconciliation cells: both hash-tree digest modes on
@@ -262,142 +316,30 @@ fn dump_with_wire_bits(label: &str, result: &ScenarioResult) -> String {
     s
 }
 
-fn render_summary(seed: u64, results: &[ScenarioResult]) -> String {
-    let labeled = summary_cells(seed);
-    let mut report = String::new();
-    for ((label, _), result) in labeled.iter().zip(results) {
-        report.push_str(&dump_with_wire_bits(
-            &format!("{label} seed={seed}"),
-            result,
-        ));
-        report.push('\n');
-    }
-    report
+fn render_summary(seed: u64, results: &[ScenarioResult]) -> Vec<(String, String)> {
+    vec![(
+        format!("results_summary_sharded_seed{seed}.txt"),
+        report(summary_cells, dump_with_wire_bits, seed, results),
+    )]
 }
 
+/// The base family; its reconfiguration and churn cells run global
+/// events on the coordinator between windows.
 #[test]
 fn scenario_output_matches_golden_bytes() {
-    for seed in SEEDS {
-        let configs: Vec<ScenarioConfig> = cells(seed).into_iter().map(|(_, c)| c).collect();
-        let serial: Vec<ScenarioResult> = configs.iter().map(run_scenario).collect();
-        let (report, csv) = render(seed, &serial);
-        check_or_update(&format!("results_seed{seed}.txt"), &report);
-        check_or_update(&format!("fig3_seed{seed}.csv"), &csv);
-
-        // The parallel runner must produce the same bytes as the
-        // serial loop, for any job count.
-        let parallel = par_map(4, &configs, run_scenario);
-        let (par_report, par_csv) = render(seed, &parallel);
-        assert_eq!(report, par_report, "par_map drifted from serial results");
-        assert_eq!(csv, par_csv, "par_map drifted from serial CSV");
-    }
+    check_family(cells, render);
 }
 
-/// The sharded runner's own golden bytes, pinned at `--shards 1`, plus
-/// the invariant the runner exists to guarantee: shard counts 2 and 4
-/// reproduce the identical report and fig3-style CSV byte-for-byte
-/// (including the reconfiguration and churn cells, whose global events
-/// run on the coordinator between windows).
-#[test]
-fn sharded_output_is_shard_count_invariant() {
-    for seed in SEEDS {
-        let configs: Vec<ScenarioConfig> = cells(seed).into_iter().map(|(_, c)| c).collect();
-        let baseline: Vec<ScenarioResult> =
-            configs.iter().map(|c| run_scenario_sharded(c, 1)).collect();
-        let (report, csv) = render(seed, &baseline);
-        check_or_update(&format!("results_sharded_seed{seed}.txt"), &report);
-        check_or_update(&format!("fig3_sharded_seed{seed}.csv"), &csv);
-
-        for shards in [2, 4] {
-            let results: Vec<ScenarioResult> = configs
-                .iter()
-                .map(|c| run_scenario_sharded(c, shards))
-                .collect();
-            let (sharded_report, sharded_csv) = render(seed, &results);
-            assert_eq!(
-                report, sharded_report,
-                "shards={shards} drifted from the shards=1 results"
-            );
-            assert_eq!(
-                csv, sharded_csv,
-                "shards={shards} drifted from the shards=1 CSV"
-            );
-        }
-    }
-}
-
-/// Multi-client golden bytes: the aggregation layer pinned serially
-/// (including under `par_map`) and through the sharded runner at shard
-/// counts 1, 2 and 4 — churn at client granularity crosses the
-/// coordinator barrier, so its invariance is the interesting part.
-/// Summary-reconciliation golden bytes: both digest modes pinned
-/// serially (including under `par_map`) and through the sharded runner
-/// at shard counts 1, 2 and 4 — the range-refinement requests cross
-/// shard boundaries at the barrier, so their invariance is the
-/// interesting part.
+/// Both digest modes; the range-refinement requests cross shard
+/// boundaries at the barrier.
 #[test]
 fn summary_reconciliation_output_matches_golden_bytes() {
-    for seed in SEEDS {
-        let configs: Vec<ScenarioConfig> =
-            summary_cells(seed).into_iter().map(|(_, c)| c).collect();
-        let serial: Vec<ScenarioResult> = configs.iter().map(run_scenario).collect();
-        let report = render_summary(seed, &serial);
-        check_or_update(&format!("results_summary_seed{seed}.txt"), &report);
-
-        let parallel = par_map(4, &configs, run_scenario);
-        let par_report = render_summary(seed, &parallel);
-        assert_eq!(report, par_report, "par_map drifted from serial results");
-
-        let baseline: Vec<ScenarioResult> =
-            configs.iter().map(|c| run_scenario_sharded(c, 1)).collect();
-        let sharded_report = render_summary(seed, &baseline);
-        check_or_update(
-            &format!("results_summary_sharded_seed{seed}.txt"),
-            &sharded_report,
-        );
-        for shards in [2, 4] {
-            let results: Vec<ScenarioResult> = configs
-                .iter()
-                .map(|c| run_scenario_sharded(c, shards))
-                .collect();
-            assert_eq!(
-                sharded_report,
-                render_summary(seed, &results),
-                "shards={shards} drifted from the shards=1 summary results"
-            );
-        }
-    }
+    check_family(summary_cells, render_summary);
 }
 
+/// The aggregation layer; churn at client granularity crosses the
+/// coordinator barrier.
 #[test]
 fn client_layer_output_matches_golden_bytes() {
-    for seed in SEEDS {
-        let configs: Vec<ScenarioConfig> = client_cells(seed).into_iter().map(|(_, c)| c).collect();
-        let serial: Vec<ScenarioResult> = configs.iter().map(run_scenario).collect();
-        let report = render_clients(seed, &serial);
-        check_or_update(&format!("results_clients_seed{seed}.txt"), &report);
-
-        let parallel = par_map(4, &configs, run_scenario);
-        let par_report = render_clients(seed, &parallel);
-        assert_eq!(report, par_report, "par_map drifted from serial results");
-
-        let baseline: Vec<ScenarioResult> =
-            configs.iter().map(|c| run_scenario_sharded(c, 1)).collect();
-        let sharded_report = render_clients(seed, &baseline);
-        check_or_update(
-            &format!("results_clients_sharded_seed{seed}.txt"),
-            &sharded_report,
-        );
-        for shards in [2, 4] {
-            let results: Vec<ScenarioResult> = configs
-                .iter()
-                .map(|c| run_scenario_sharded(c, shards))
-                .collect();
-            assert_eq!(
-                sharded_report,
-                render_clients(seed, &results),
-                "shards={shards} drifted from the shards=1 client-layer results"
-            );
-        }
-    }
+    check_family(client_cells, render_clients);
 }

@@ -11,7 +11,7 @@
 //!   vs. gossip vs. out-of-band requests/replies, per dispatcher and
 //!   system-wide (Figures 9–10);
 //! - [`DeliverySink`] / [`DeliveryLog`] — the recording abstraction
-//!   behind the sharded runner: shards journal delivery records and
+//!   behind the scenario runner: shards journal delivery records and
 //!   the logs replay into one tracker in canonical order;
 //! - [`NetCounters`] — socket-layer runtime counters (connect
 //!   retries, queue drops, decode errors) for the real-socket runtime;

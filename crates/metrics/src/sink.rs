@@ -1,14 +1,14 @@
 //! The delivery-sink abstraction: where delivery bookkeeping goes
 //! while a run executes.
 //!
-//! The serial runner feeds a [`DeliveryTracker`] directly. The sharded
-//! runner cannot — tracker state (running totals, the float latency
-//! sums) would make results depend on the order shards happen to
-//! interleave in. Each shard instead records into a [`DeliveryLog`],
-//! a plain append-only journal, and the logs are replayed into one
-//! tracker in a canonical order after the run
-//! ([`DeliveryLog::replay_into`]) — so the assembled statistics are
-//! bit-identical for every shard count.
+//! A single-threaded world (the socket runtime's per-node core) feeds
+//! a [`DeliveryTracker`] directly. The scenario runner cannot —
+//! tracker state (running totals, the float latency sums) would make
+//! results depend on the order shards happen to interleave in. Each
+//! shard instead records into a [`DeliveryLog`], a plain append-only
+//! journal, and the logs are replayed into one tracker in a canonical
+//! order after the run ([`DeliveryLog::replay_into`]) — so the
+//! assembled statistics are bit-identical for every shard count.
 
 use eps_overlay::NodeId;
 use eps_pubsub::{ClientId, EventId};
@@ -17,7 +17,7 @@ use eps_sim::SimTime;
 use crate::delivery::DeliveryTracker;
 
 /// Consumer of per-event delivery bookkeeping, implemented by the live
-/// [`DeliveryTracker`] and by the sharded runner's [`DeliveryLog`].
+/// [`DeliveryTracker`] and by the scenario runner's [`DeliveryLog`].
 ///
 /// Deliveries are accounted at *client-subscription* granularity: one
 /// record per `(node, client)` an event reaches. With one client per
@@ -49,17 +49,34 @@ impl DeliverySink for DeliveryTracker {
 ///
 /// Recording is cheap (three `Vec::push` paths, no hashing) and
 /// order-free: [`DeliveryLog::replay_into`] sorts every record class
-/// by `(time, event, node, client)` before applying it, so the merged
-/// tracker is a pure function of the record *multiset* — which is what
-/// the shard-count-invariance guarantee of the sharded runner rests
-/// on. With one client per dispatcher the client key is always `c0`,
-/// so the canonical order (and every replayed statistic) is identical
-/// to the pre-client-layer journal.
+/// by `(time, event, node)` before applying it, so the merged tracker
+/// is a pure function of the record *multiset* — which is what the
+/// shard-count-invariance guarantee of the scenario runner rests on.
+///
+/// An event reaching a dispatcher is delivered to all its matching
+/// local clients in one burst, and the tracker cannot tell those
+/// deliveries apart (same instant, event and node), so a burst is one
+/// journal record with a client count: the journal grows with
+/// dispatcher-level deliveries, not with the client population.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryLog {
     publishes: Vec<(SimTime, EventId, u32)>,
-    deliveries: Vec<(SimTime, EventId, NodeId, ClientId)>,
-    recoveries: Vec<(SimTime, EventId, NodeId, ClientId)>,
+    deliveries: Vec<Burst>,
+    recoveries: Vec<Burst>,
+}
+
+/// `(time, event, node, local clients reached)`.
+type Burst = (SimTime, EventId, NodeId, u32);
+
+/// Counts one more client into the burst being recorded, or starts a
+/// new one.
+fn record_burst(bursts: &mut Vec<Burst>, now: SimTime, id: EventId, node: NodeId) {
+    match bursts.last_mut() {
+        Some((at, event, at_node, clients)) if (*at, *event, *at_node) == (now, id, node) => {
+            *clients += 1
+        }
+        _ => bursts.push((now, id, node, 1)),
+    }
 }
 
 impl DeliveryLog {
@@ -100,11 +117,15 @@ impl DeliveryLog {
         for (at, id, expected) in publishes {
             DeliveryTracker::published(tracker, id, at, expected);
         }
-        for (_, id, node, _client) in deliveries {
-            DeliveryTracker::delivered(tracker, id, node);
+        for (_, id, node, clients) in deliveries {
+            for _ in 0..clients {
+                DeliveryTracker::delivered(tracker, id, node);
+            }
         }
-        for (at, id, node, _client) in recoveries {
-            DeliveryTracker::recovered(tracker, id, node, at);
+        for (at, id, node, clients) in recoveries {
+            for _ in 0..clients {
+                DeliveryTracker::recovered(tracker, id, node, at);
+            }
         }
     }
 }
@@ -113,11 +134,11 @@ impl DeliverySink for DeliveryLog {
     fn published(&mut self, id: EventId, at: SimTime, expected_recipients: u32) {
         self.publishes.push((at, id, expected_recipients));
     }
-    fn delivered(&mut self, id: EventId, node: NodeId, client: ClientId, now: SimTime) {
-        self.deliveries.push((now, id, node, client));
+    fn delivered(&mut self, id: EventId, node: NodeId, _client: ClientId, now: SimTime) {
+        record_burst(&mut self.deliveries, now, id, node);
     }
-    fn recovered(&mut self, id: EventId, node: NodeId, client: ClientId, now: SimTime) {
-        self.recoveries.push((now, id, node, client));
+    fn recovered(&mut self, id: EventId, node: NodeId, _client: ClientId, now: SimTime) {
+        record_burst(&mut self.recoveries, now, id, node);
     }
 }
 
@@ -135,7 +156,7 @@ mod tests {
         let mut log = DeliveryLog::new();
         let sinks: [&mut dyn DeliverySink; 2] = [&mut live, &mut log];
         for sink in sinks {
-            sink.published(id(0), SimTime::from_millis(10), 2);
+            sink.published(id(0), SimTime::from_millis(10), 3);
             sink.published(id(1), SimTime::from_millis(20), 1);
             sink.delivered(
                 id(0),
@@ -143,13 +164,17 @@ mod tests {
                 ClientId::new(0),
                 SimTime::from_millis(11),
             );
-            sink.recovered(
-                id(0),
-                NodeId::new(2),
-                ClientId::new(0),
-                SimTime::from_millis(30),
-            );
+            // One burst reaching two local clients of node 2.
+            for client in 0..2 {
+                sink.recovered(
+                    id(0),
+                    NodeId::new(2),
+                    ClientId::new(client),
+                    SimTime::from_millis(30),
+                );
+            }
         }
+        assert_eq!(log.len(), 4, "two publishes, a delivery, one burst");
         let mut merged = DeliveryTracker::new();
         DeliveryLog::replay_into(vec![log], &mut merged);
         assert_eq!(merged.event_count(), live.event_count());

@@ -114,9 +114,9 @@ pub(crate) struct NodeCore {
 
     /// Virtual time of the next publish tick (`None` = schedule
     /// exhausted). Mirrors the simulator: the first tick is one
-    /// workload-RNG draw after zero, each tick renews iff
-    /// `tick + delay < duration`, and the last scheduled tick fires
-    /// even past `duration`.
+    /// workload-RNG draw after zero, each tick renews after its own
+    /// delay draw, and a tick — first or renewed — exists only if it
+    /// lands before `duration`.
     publish_vnext: Option<SimTime>,
     publish_done_reported: bool,
     gossip_vnext: SimTime,
@@ -128,12 +128,12 @@ impl NodeCore {
         let id = node.id();
         // The simulator seeds each publish process with one delay draw
         // before anything else touches the workload stream; replay
-        // that exactly so the publication sequences coincide.
-        let publish_vnext = if params.publish_rate > 0.0 {
-            Some(node.next_publish_delay(params.publish_rate))
-        } else {
-            None
-        };
+        // that exactly so the publication sequences coincide. At very
+        // low rates the draw can land at or past `duration`: the
+        // workload is over by then, so that tick never fires.
+        let publish_vnext = (params.publish_rate > 0.0)
+            .then(|| node.next_publish_delay(params.publish_rate))
+            .filter(|&first| first < params.duration);
         let mut gossip_rng = setup.gossip_rng;
         // Stagger gossip phases uniformly over one interval, as the
         // simulator does (from this node's own stream — a documented

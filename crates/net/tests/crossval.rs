@@ -322,6 +322,35 @@ fn net_workload_is_seed_deterministic() {
     assert_eq!(a.result.events_published, sim.events_published);
 }
 
+/// The duration gate on *first* publish ticks: at one event per second
+/// over a 0.6 s run, about half the nodes draw a first publish instant
+/// past the end. Those ticks must fire in neither world, or the socket
+/// run publishes events the simulator never saw (and idles through the
+/// drain budget waiting for them).
+#[test]
+fn first_publish_ticks_past_the_end_fire_in_neither_world() {
+    let scenario = ScenarioConfig {
+        publish_rate: 1.0,
+        duration: SimTime::from_millis(600),
+        warmup: SimTime::from_millis(100),
+        cooldown: SimTime::from_millis(100),
+        ..crossval_scenario()
+    };
+    let sim = run_scenario(&scenario);
+    assert!(
+        sim.events_published > 0 && sim.events_published < scenario.nodes as u64,
+        "the cell must mix first draws inside the run and past it; sim published {}",
+        sim.events_published
+    );
+    let report = run_cluster(NetConfig {
+        scenario,
+        drain: Duration::from_secs(4),
+        ..NetConfig::default()
+    })
+    .expect("cluster boots");
+    assert_eq!(report.result.events_published, sim.events_published);
+}
+
 /// The byte-accounting half of the cross-validation, stated directly:
 /// for every message class, the codec's framed body is exactly
 /// `wire_bits / 8` bytes — the simulator's accounting IS the wire

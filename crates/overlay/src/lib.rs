@@ -51,5 +51,5 @@ pub use link::{LinkSpec, LinkTable, OutOfBandSpec, Transmission};
 pub use node::{LinkId, NodeId};
 pub use reconfig::{plan_reconfiguration, plan_reconnection, ReconfigPlan};
 pub use topology::{OverlayKind, Topology, TopologyError, BA_ATTACHMENTS, WS_BETA};
-pub use transport::{NetTransport, ShardTransport, Transport};
+pub use transport::ShardTransport;
 pub use view::RoutingView;

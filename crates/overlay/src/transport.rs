@@ -1,111 +1,29 @@
-//! The transport abstraction: one object owns every source of
-//! network delay and loss.
+//! The transport: one object owns every source of network delay and
+//! loss.
 //!
-//! A [`Transport`] answers exactly one question per send: *when does
-//! this message arrive, if at all?* Callers (the scenario runner)
+//! A [`ShardTransport`] answers exactly one question per send: *when
+//! does this message arrive, if at all?* Callers (the scenario runner)
 //! decide routing — which neighbor to hand a message to and whether
 //! the overlay still has that link — and schedule the returned arrival
-//! into their event queue. Keeping delay/loss/bandwidth behind this
-//! trait is what allows alternative backends (fault injection,
-//! recorded traces, a real network) without touching protocol logic.
-//!
-//! [`NetTransport`] is the default implementation, combining the
-//! paper's link model ([`LinkTable`] — FIFO serialization at
-//! 10 Mbit/s, propagation delay, Bernoulli loss) with the out-of-band
-//! unicast channel ([`OutOfBandSpec`]). It owns the two RNG streams
-//! that decide loss, so a given (spec, seed) pair always produces the
-//! same loss pattern regardless of who drives it.
+//! into their event queue. It combines the paper's link model
+//! ([`LinkTable`] — FIFO serialization at 10 Mbit/s, propagation
+//! delay, Bernoulli loss) with the out-of-band unicast channel
+//! ([`OutOfBandSpec`]).
 
 use eps_sim::{Rng, SimTime};
 
-use crate::link::{LinkSpec, LinkTable, OutOfBandSpec, Transmission};
+use crate::link::{LinkSpec, LinkTable, OutOfBandSpec};
 use crate::node::NodeId;
 
 /// Owner of delay, loss, and bandwidth for both message channels.
+/// Loss is decided by a *caller-supplied* RNG per send.
 ///
-/// Implementations must be deterministic: the same sequence of calls
-/// yields the same sequence of results.
-pub trait Transport {
-    /// Sends `bits` from `from` to `to` on their overlay link at time
-    /// `now`. Returns the absolute arrival time at `to`, or `None` if
-    /// the message was lost in transit (it still occupied the queue).
-    ///
-    /// The caller is responsible for routing: this must only be called
-    /// for links the caller believes exist.
-    fn send_link(&mut self, from: NodeId, to: NodeId, bits: u64, now: SimTime) -> Option<SimTime>;
-
-    /// Sends `bits` from `from` to `to` on the out-of-band unicast
-    /// channel at time `now`. Returns the absolute arrival time, or
-    /// `None` if lost.
-    fn send_oob(&mut self, from: NodeId, to: NodeId, bits: u64, now: SimTime) -> Option<SimTime>;
-
-    /// Discards queue state for both directions of the `a`–`b` link,
-    /// so a later replacement link starts fresh.
-    fn reset_link(&mut self, a: NodeId, b: NodeId);
-}
-
-/// The default transport: the paper's 10 Mbit/s FIFO links plus the
-/// direct out-of-band channel, with loss decided by two owned RNG
-/// streams.
-#[derive(Debug)]
-pub struct NetTransport {
-    spec: LinkSpec,
-    oob: OutOfBandSpec,
-    links: LinkTable,
-    loss_rng: Rng,
-    oob_rng: Rng,
-}
-
-impl NetTransport {
-    /// Creates a transport from the two channel specs and the RNG
-    /// streams deciding link loss and out-of-band loss.
-    pub fn new(spec: LinkSpec, oob: OutOfBandSpec, loss_rng: Rng, oob_rng: Rng) -> Self {
-        NetTransport {
-            spec,
-            oob,
-            links: LinkTable::new(),
-            loss_rng,
-            oob_rng,
-        }
-    }
-
-    /// The link-layer statistics (messages transmitted and lost).
-    pub fn links(&self) -> &LinkTable {
-        &self.links
-    }
-}
-
-impl Transport for NetTransport {
-    fn send_link(&mut self, from: NodeId, to: NodeId, bits: u64, now: SimTime) -> Option<SimTime> {
-        match self
-            .links
-            .transmit(&self.spec, from, to, bits, now, &mut self.loss_rng)
-        {
-            Transmission::Arrives(at) => Some(at),
-            Transmission::Lost => None,
-        }
-    }
-
-    fn send_oob(&mut self, from: NodeId, to: NodeId, bits: u64, now: SimTime) -> Option<SimTime> {
-        let _ = (from, to); // the direct channel has no per-pair state
-        self.oob.delay(bits, &mut self.oob_rng).map(|d| now + d)
-    }
-
-    fn reset_link(&mut self, a: NodeId, b: NodeId) {
-        self.links.reset_link(a, b);
-    }
-}
-
-/// The sharded runner's transport: the same link + out-of-band model
-/// as [`NetTransport`], but loss is decided by a *caller-supplied* RNG
-/// per send instead of two owned streams.
-///
-/// The sharded runner keeps one `ShardTransport` per shard and passes
-/// the sending node's own random stream into every call, so each
-/// node's loss draws depend only on that node's deterministic send
-/// order — never on how the population was partitioned into shards.
-/// Every directed link `(from, to)` is touched only by the shard that
-/// owns `from`, which is what makes per-shard link queues sound.
+/// The runner keeps one `ShardTransport` per shard and passes the
+/// sending node's own random stream into every call, so each node's
+/// loss draws depend only on that node's deterministic send order —
+/// never on how the population was partitioned into shards. Every
+/// directed link `(from, to)` is touched only by the shard that owns
+/// `from`, which is what makes per-shard link queues sound.
 #[derive(Clone, Debug)]
 pub struct ShardTransport {
     spec: LinkSpec,
@@ -130,7 +48,13 @@ impl ShardTransport {
         self.spec.propagation.min(self.oob.latency)
     }
 
-    /// As [`Transport::send_link`], drawing loss from `rng`.
+    /// Sends `bits` from `from` to `to` on their overlay link at time
+    /// `now`, drawing loss from `rng`. Returns the absolute arrival
+    /// time at `to`, or `None` if the message was lost in transit (it
+    /// still occupied the queue).
+    ///
+    /// The caller is responsible for routing: this must only be called
+    /// for links the caller believes exist.
     pub fn send_link(
         &mut self,
         from: NodeId,
@@ -144,7 +68,9 @@ impl ShardTransport {
             .arrival()
     }
 
-    /// As [`Transport::send_oob`], drawing loss from `rng`.
+    /// Sends `bits` from `from` to `to` on the out-of-band unicast
+    /// channel at time `now`, drawing loss from `rng`. Returns the
+    /// absolute arrival time, or `None` if lost.
     pub fn send_oob(
         &mut self,
         from: NodeId,
@@ -157,7 +83,8 @@ impl ShardTransport {
         self.oob.delay(bits, rng).map(|d| now + d)
     }
 
-    /// Discards queue state for both directions of the `a`–`b` link.
+    /// Discards queue state for both directions of the `a`–`b` link,
+    /// so a later replacement link starts fresh.
     pub fn reset_link(&mut self, a: NodeId, b: NodeId) {
         self.links.reset_link(a, b);
     }
@@ -174,28 +101,33 @@ mod tests {
 
     use super::*;
 
-    fn transport(loss_rate: f64) -> NetTransport {
-        let factory = RngFactory::new(1);
-        NetTransport::new(
+    fn transport(loss_rate: f64) -> ShardTransport {
+        ShardTransport::new(
             LinkSpec::ethernet_10mbps(loss_rate),
             OutOfBandSpec::default(),
-            factory.stream("loss"),
-            factory.stream("oob"),
         )
+    }
+
+    fn loss_rng() -> Rng {
+        RngFactory::new(1).stream("loss")
     }
 
     #[test]
     fn link_sends_match_the_raw_link_table() {
-        let mut t = transport(0.0);
+        // Same spec, same RNG stream → identical arrivals and losses.
+        let mut t = transport(0.1);
         let mut table = LinkTable::new();
-        let mut rng = RngFactory::new(1).stream("loss");
-        let spec = LinkSpec::ethernet_10mbps(0.0);
+        let (mut rng, mut table_rng) = (loss_rng(), loss_rng());
+        let spec = LinkSpec::ethernet_10mbps(0.1);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        for i in 0..10u64 {
-            let now = SimTime::from_micros(i * 7);
-            let expected = table.transmit(&spec, a, b, 1000, now, &mut rng).arrival();
-            assert_eq!(t.send_link(a, b, 1000, now), expected);
+        for i in 0..200u64 {
+            let now = SimTime::from_micros(i * 13);
+            let expected = table
+                .transmit(&spec, a, b, 1000, now, &mut table_rng)
+                .arrival();
+            assert_eq!(t.send_link(a, b, 1000, now, &mut rng), expected);
         }
+        assert_eq!(t.links().lost(), table.lost());
     }
 
     #[test]
@@ -203,7 +135,7 @@ mod tests {
         let mut t = transport(0.0);
         let now = SimTime::from_secs(2);
         let at = t
-            .send_oob(NodeId::new(0), NodeId::new(5), 10_000, now)
+            .send_oob(NodeId::new(0), NodeId::new(5), 10_000, now, &mut loss_rng())
             .unwrap();
         // 200 µs latency + 1 ms serialization at 10 Mbit/s.
         assert_eq!(at, now + SimTime::from_micros(1200));
@@ -212,33 +144,18 @@ mod tests {
     #[test]
     fn reset_link_restarts_the_queue() {
         let mut t = transport(0.0);
+        let mut rng = loss_rng();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        t.send_link(a, b, 1_000_000, SimTime::ZERO);
+        t.send_link(a, b, 1_000_000, SimTime::ZERO, &mut rng);
         t.reset_link(a, b);
         let spec = LinkSpec::ethernet_10mbps(0.0);
-        let at = t.send_link(a, b, 1000, SimTime::ZERO).unwrap();
+        let at = t.send_link(a, b, 1000, SimTime::ZERO, &mut rng).unwrap();
         assert_eq!(at, spec.serialization_delay(1000) + spec.propagation);
     }
 
     #[test]
-    fn shard_transport_matches_net_transport_for_the_same_draws() {
-        // Same specs, same RNG stream → identical arrival times.
-        let mut net = transport(0.1);
-        let mut shard =
-            ShardTransport::new(LinkSpec::ethernet_10mbps(0.1), OutOfBandSpec::default());
-        let mut rng = RngFactory::new(1).stream("loss");
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        for i in 0..200u64 {
-            let now = SimTime::from_micros(i * 13);
-            let expected = net.send_link(a, b, 1000, now);
-            assert_eq!(shard.send_link(a, b, 1000, now, &mut rng), expected);
-        }
-    }
-
-    #[test]
-    fn shard_transport_min_delay_is_the_lookahead() {
-        let shard = ShardTransport::new(LinkSpec::ethernet_10mbps(0.0), OutOfBandSpec::default());
-        assert_eq!(shard.min_delay(), SimTime::from_micros(50));
+    fn min_delay_is_the_lookahead() {
+        assert_eq!(transport(0.0).min_delay(), SimTime::from_micros(50));
         let slow_links = ShardTransport::new(
             LinkSpec {
                 propagation: SimTime::from_millis(5),
@@ -252,9 +169,10 @@ mod tests {
     #[test]
     fn certain_loss_drops_every_link_message() {
         let mut t = transport(1.0);
+        let mut rng = loss_rng();
         for _ in 0..100 {
             assert_eq!(
-                t.send_link(NodeId::new(0), NodeId::new(1), 100, SimTime::ZERO),
+                t.send_link(NodeId::new(0), NodeId::new(1), 100, SimTime::ZERO, &mut rng),
                 None
             );
         }

@@ -1,16 +1,21 @@
-//! A pending-event queue ordered by `(time, key)` instead of
-//! `(time, insertion order)` — the per-shard heap of the sharded
-//! (conservative parallel) runner.
+//! The discrete-event kernel: a virtual clock plus a pending-event
+//! queue ordered by `(time, key)`.
 //!
-//! The plain [`crate::Engine`] breaks same-instant ties by insertion
-//! order, which is exactly what a *sharded* simulation cannot use: two
-//! events arriving at one node from different shards would fire in an
-//! order that depends on how the population was partitioned. The
-//! [`KeyedEngine`] instead orders same-instant events by a
-//! caller-supplied key that is a pure function of the event itself
-//! (e.g. `(class, destination, sender, per-sender sequence)`), so the
-//! execution order is identical for every shard count — the
-//! determinism backbone of the windowed barrier runner.
+//! This is the substrate that replaces OMNeT++ in the reproduction. It
+//! is deliberately minimal: it knows nothing about networks or nodes.
+//! Higher layers schedule opaque messages of type `M` and interpret
+//! them when they fire. Payloads live inline in the heap slots, so
+//! scheduling an event is one heap push and popping it one heap pop.
+//!
+//! Same-instant events fire in the order of a caller-supplied key,
+//! never in insertion order. A *sharded* simulation cannot use
+//! insertion order: two events arriving at one node from different
+//! shards would fire in an order that depends on how the population
+//! was partitioned. With a key that is a pure function of the event
+//! itself (e.g. `(class, destination, sender, per-sender sequence)`)
+//! the execution order is identical for every shard count — the
+//! determinism backbone of the windowed barrier runner. A caller that
+//! does want FIFO ties uses an insertion counter as the key.
 //!
 //! Keys must be unique per instant for the order to be total; the
 //! queue makes no attempt to disambiguate equal `(time, key)` pairs.
@@ -174,7 +179,7 @@ mod tests {
     fn same_instant_ties_fire_in_key_order_not_insertion_order() {
         let t = SimTime::from_millis(5);
         // Two opposite insertion orders must produce the same firing
-        // order — the property the sharded runner rests on.
+        // order — the property shard-count invariance rests on.
         let mut a = KeyedEngine::new();
         let mut b = KeyedEngine::new();
         for key in 0..50u32 {
@@ -204,6 +209,19 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(1));
         assert_eq!(q.processed_total(), 1);
+    }
+
+    #[test]
+    fn len_tracks_pending() {
+        let mut q = KeyedEngine::new();
+        assert!(q.is_empty());
+        q.schedule_at(SimTime::from_secs(1), 0u8, ());
+        q.schedule_at(SimTime::from_secs(2), 1u8, ());
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! It provides exactly what the evaluation needs and nothing more:
 //!
 //! - [`SimTime`] — integer-nanosecond virtual time;
-//! - [`Engine`] — a cancellable pending-event queue with stable FIFO
-//!   tie-breaking (two events scheduled for the same instant fire in
-//!   scheduling order), generic over the message type;
-//! - [`KeyedEngine`] — the per-shard variant breaking same-instant
-//!   ties by an event-derived key instead of insertion order, so the
-//!   sharded runner's execution order is shard-count-invariant;
+//! - [`KeyedEngine`] — the pending-event queue, generic over the
+//!   message type: events fire in `(time, key)` order, the key being
+//!   supplied by the caller as a pure function of the event, so the
+//!   execution order never depends on scheduling order (and therefore
+//!   not on how a run is partitioned into shards);
 //! - [`Rng`] / [`RngFactory`] — an in-tree xoshiro256++ generator and
 //!   named, independent, seed-stable random streams, so parameter
 //!   sweeps do not perturb unrelated random choices (and the build
@@ -26,19 +25,20 @@
 //! A tiny two-node ping-pong simulation:
 //!
 //! ```
-//! use eps_sim::{Engine, SimTime};
+//! use eps_sim::{KeyedEngine, SimTime};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Msg { Ping, Pong }
 //!
-//! let mut engine = Engine::new();
-//! engine.schedule(SimTime::from_millis(1), Msg::Ping);
+//! // Keyed by a send counter: same-instant events fire in send order.
+//! let mut engine = KeyedEngine::new();
+//! engine.schedule_at(SimTime::from_millis(1), 0u64, Msg::Ping);
 //! let mut log = Vec::new();
-//! while let Some((t, msg)) = engine.pop() {
+//! while let Some((t, key, msg)) = engine.pop() {
 //!     log.push((t, format!("{msg:?}")));
 //!     if msg == Msg::Ping && t < SimTime::from_millis(3) {
-//!         engine.schedule(SimTime::from_millis(1), Msg::Pong);
-//!         engine.schedule(SimTime::from_millis(2), Msg::Ping);
+//!         engine.schedule_at(t + SimTime::from_millis(1), key + 1, Msg::Pong);
+//!         engine.schedule_at(t + SimTime::from_millis(2), key + 2, Msg::Ping);
 //!     }
 //! }
 //! assert_eq!(log.len(), 3); // Ping@1ms, Pong@2ms, Ping@3ms
@@ -47,13 +47,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod engine;
 mod keyed;
 mod rng;
 mod stats;
 mod time;
 
-pub use engine::{Engine, EventId};
 pub use keyed::KeyedEngine;
 pub use rng::{Rng, RngFactory, SampleRange, Zipf};
 pub use stats::{quantile, RatioBin, RatioSeries, Summary};

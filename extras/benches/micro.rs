@@ -9,7 +9,7 @@ use eps_pubsub::{
     Dispatcher, DispatcherConfig, Event, EventCache, EventId, Interface, LossDetector, PatternId,
     PatternSpace, SubscriptionTable,
 };
-use eps_sim::{Engine, RngFactory, SimTime};
+use eps_sim::{KeyedEngine, RngFactory, SimTime};
 
 fn event(seq: u64, patterns: &[u16]) -> Event {
     Event::new(
@@ -80,10 +80,10 @@ fn bench_detector(c: &mut Criterion) {
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine/schedule_pop_10k", |b| {
         b.iter_batched(
-            Engine::<u64>::new,
+            KeyedEngine::<u64, u64>::new,
             |mut engine| {
                 for i in 0..10_000u64 {
-                    engine.schedule_at(SimTime::from_nanos(i * 7919 % 1_000_000), i);
+                    engine.schedule_at(SimTime::from_nanos(i * 7919 % 1_000_000), i, i);
                 }
                 while engine.pop().is_some() {}
                 engine

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel.
 
-use eps_sim::{quantile, Engine, RatioSeries, SimTime, Summary};
+use eps_sim::{quantile, KeyedEngine, RatioSeries, SimTime, Summary};
 use proptest::prelude::*;
 
 proptest! {
@@ -8,13 +8,13 @@ proptest! {
     /// schedule, and every scheduled event comes out exactly once.
     #[test]
     fn pops_are_time_ordered_and_complete(delays in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut engine = Engine::new();
+        let mut engine = KeyedEngine::new();
         for (i, &d) in delays.iter().enumerate() {
-            engine.schedule_at(SimTime::from_nanos(d), i);
+            engine.schedule_at(SimTime::from_nanos(d), i, ());
         }
         let mut last = SimTime::ZERO;
         let mut seen = vec![false; delays.len()];
-        while let Some((t, i)) = engine.pop() {
+        while let Some((t, i, ())) = engine.pop() {
             prop_assert!(t >= last, "time went backwards");
             prop_assert_eq!(t, SimTime::from_nanos(delays[i]));
             prop_assert!(!seen[i], "event {} popped twice", i);
@@ -24,45 +24,21 @@ proptest! {
         prop_assert!(seen.iter().all(|&s| s), "some event never fired");
     }
 
-    /// Events scheduled for the same instant fire in scheduling order.
+    /// Events scheduled for the same instant fire in key order,
+    /// whatever order they were scheduled in.
     #[test]
-    fn ties_fire_in_fifo_order(
-        count in 1usize..100,
+    fn ties_fire_in_key_order(
+        keys in prop::collection::hash_set(any::<u32>(), 1..100),
         at in 0u64..1_000_000,
     ) {
-        let mut engine = Engine::new();
-        for i in 0..count {
-            engine.schedule_at(SimTime::from_nanos(at), i);
+        let mut engine = KeyedEngine::new();
+        for &key in &keys {
+            engine.schedule_at(SimTime::from_nanos(at), key, ());
         }
-        let order: Vec<usize> = std::iter::from_fn(|| engine.pop().map(|(_, i)| i)).collect();
-        prop_assert_eq!(order, (0..count).collect::<Vec<_>>());
-    }
-
-    /// Cancelling a subset removes exactly that subset.
-    #[test]
-    fn cancellation_is_exact(
-        delays in prop::collection::vec(0u64..1_000_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut engine = Engine::new();
-        let ids: Vec<_> = delays
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i, engine.schedule_at(SimTime::from_nanos(d), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids {
-            if cancel_mask.get(i).copied().unwrap_or(false) {
-                prop_assert!(engine.cancel(id));
-            } else {
-                expected.push(i);
-            }
-        }
-        let mut fired: Vec<usize> =
-            std::iter::from_fn(|| engine.pop().map(|(_, i)| i)).collect();
-        fired.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(fired, expected);
+        let order: Vec<u32> = std::iter::from_fn(|| engine.pop().map(|(_, key, ())| key)).collect();
+        let mut sorted: Vec<u32> = keys.into_iter().collect();
+        sorted.sort_unstable();
+        prop_assert_eq!(order, sorted);
     }
 
     /// The ratio series conserves totals: summing bin numerators and

@@ -168,6 +168,9 @@ echo "recovery control bits: linear=$linear_bits summary=$summary_bits;" \
 awk -v s="$summary_delivery" -v l="$linear_delivery" 'BEGIN {exit !(s >= l)}' \
     || { echo "FAIL: summary delivery fell below linear"; exit 1; }
 
+echo "== tier-1: end-to-end benchmark smoke (benchmark/, every workload once) =="
+bash benchmark/run.sh --smoke
+
 echo "== tier-1: extras (proptests; needs registry access) =="
 # The extras package pulls proptest/criterion from crates.io, so it
 # only builds where the registry is reachable (or vendored). When it
