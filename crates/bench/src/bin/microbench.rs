@@ -29,8 +29,8 @@ use eps_harness::{build_population, run_scenario, ScenarioConfig, SimNode};
 use eps_net::frame::{frame, FrameReader};
 use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
-    ClientId, ClientRegistry, Dispatcher, DispatcherConfig, Event, EventId, Interface, LossRecord,
-    PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
+    rebuild_subscription_routes, ClientId, ClientRegistry, Dispatcher, DispatcherConfig, Event,
+    EventId, Interface, LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
 };
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
@@ -86,7 +86,9 @@ fn main() -> ExitCode {
         scenario_mini(),
     ]);
     results.extend(topology_build());
+    results.push(subscription_flood());
     let mut gossip_results = gossip_rounds();
+    gossip_results.push(gossip_round_idle());
     gossip_results.extend(digest_scaling());
     gossip_results.extend(table_matching_aggregated());
     let net_results = vec![
@@ -412,6 +414,42 @@ fn gossip_rounds() -> Vec<BenchResult> {
         .collect()
 }
 
+/// The round almost every dispatcher runs almost every time at scale:
+/// push on an *empty* cache with a large table (5000 of Π = 8192
+/// patterns known, as after a subscription flood). It draws a pattern,
+/// finds nothing cached for it and emits nothing — so what it costs is
+/// the draw. `gossip_round/push` above cannot see that cost: its table
+/// knows four patterns.
+fn gossip_round_idle() -> BenchResult {
+    const ROUNDS: u64 = 1_000;
+    const UNIVERSE: usize = 8_192;
+    const KNOWN: usize = 5_000;
+    let mut node = Dispatcher::new(
+        NodeId::new(5),
+        DispatcherConfig {
+            pattern_universe: UNIVERSE,
+            degree_hint: 4,
+            ..DispatcherConfig::default()
+        },
+    );
+    for i in 0..KNOWN {
+        let pattern = PatternId::new((i * UNIVERSE / KNOWN) as u16);
+        node.on_subscribe(pattern, NodeId::new(1 + (i % 4) as u32), &[]);
+    }
+    assert_eq!(node.table().len(), KNOWN);
+    let neighbors: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
+    let mut strategy = Algorithm::push().build(GossipConfig::default());
+    let mut emitted = 0usize;
+    let result = bench("gossip_round_idle/push/pi8192", 2, 15, ROUNDS, || {
+        let mut rng = Rng::from_seed(7);
+        for _ in 0..ROUNDS {
+            emitted += strategy.on_round(&node, &neighbors, &mut rng).len();
+        }
+    });
+    assert_eq!(emitted, 0, "an empty cache has nothing to announce");
+    result
+}
+
 /// Cache sizes of the digest-cost sweep: 10²–10⁵ cached events, the
 /// axis the summary-reconciliation evaluation scales along (the
 /// paper's β = 1500 sits near the low end).
@@ -720,6 +758,29 @@ fn topology_build() -> Vec<BenchResult> {
         }
     }
     out
+}
+
+/// Installing the flooded routing state on 4000 dispatchers at
+/// Π = 8192 (about 2 × 10⁷ table entries and as many forwarding-memory
+/// marks): what a population of that shape pays in set-up after its
+/// tree is built. One [`rebuild_subscription_routes`] per iteration —
+/// reset every dispatcher's routing state, then the closed-form fill —
+/// on the same population, so no clone is timed.
+fn subscription_flood() -> BenchResult {
+    let mut population = build_population(&ScenarioConfig {
+        nodes: 4_000,
+        pattern_universe: 8_192,
+        ..ScenarioConfig::default()
+    });
+    let mut messages = 0u64;
+    let result = bench("subscription_flood/n4000_pi8192", 1, 5, 1, || {
+        messages = rebuild_subscription_routes(&mut population.nodes, population.view.tree());
+    });
+    assert_eq!(
+        messages, population.setup_subscription_msgs,
+        "rebuilding an unchanged tree repeats the set-up flood"
+    );
+    result
 }
 
 /// The wire codec's one-payload budget, matching the scenario default.

@@ -208,7 +208,7 @@ mod tests {
             "manual-mux",
             config,
             NegativeDigest::new(&config),
-            MuxSteering::new(SourceSteering::default(), PatternSteering::default()),
+            MuxSteering::new(SourceSteering, PatternSteering),
         );
 
         let node = pull_node();
@@ -253,7 +253,7 @@ mod tests {
             "test",
             GossipConfig::default(),
             NegativeDigest::new(&GossipConfig::default()),
-            PatternSteering::default(),
+            PatternSteering,
         );
         let missing = EventId::new(NodeId::new(9), 99);
         let actions = engine.on_request(&node, NodeId::new(2), &[cached, missing]);
@@ -279,7 +279,7 @@ mod tests {
             "test",
             config,
             NegativeDigest::new(&config),
-            PatternSteering::default(),
+            PatternSteering,
         );
         assert!(engine.is_idle());
         engine.on_losses(&[record(0, 1, 3)]);
@@ -297,12 +297,8 @@ mod tests {
     fn unknown_wire_forms_are_dropped() {
         let node = pull_node();
         let config = GossipConfig::default();
-        let mut engine = GossipEngine::new(
-            "test",
-            config,
-            NegativeDigest::new(&config),
-            SourceSteering::default(),
-        );
+        let mut engine =
+            GossipEngine::new("test", config, NegativeDigest::new(&config), SourceSteering);
         let mut rng = RngFactory::new(1).stream("gossip");
         // Source steering does not speak RandomPull.
         let msg = GossipMessage::RandomPull {

@@ -32,12 +32,14 @@ use eps_pubsub::{Event, LossRecord, PatternId};
 #[derive(Clone, Debug)]
 pub struct LostBuffer {
     entries: BTreeMap<LossRecord, Entry>,
-    /// Per-pattern secondary index over the outstanding entries,
-    /// dense-indexed by `PatternId::index()`. Each set iterates in
-    /// (source, seq) order — exactly the order a pattern-filtered walk
-    /// of `entries` (keyed (source, pattern, seq)) would expose — so
-    /// `for_pattern` and `patterns` need no full-buffer scan.
-    by_pattern: Vec<BTreeSet<(NodeId, u64)>>,
+    /// Per-pattern secondary index over the outstanding entries; a
+    /// pattern is a key only while it has entries, so the index costs
+    /// O(distinct lost patterns), not O(Π), to keep and to walk. Each
+    /// set iterates in (source, seq) order — exactly the order a
+    /// pattern-filtered walk of `entries` (keyed (source, pattern,
+    /// seq)) would expose — so `for_pattern` and `patterns` need no
+    /// full-buffer scan.
+    by_pattern: BTreeMap<PatternId, BTreeSet<(NodeId, u64)>>,
     /// Outstanding-entry count per source, so `sources` is
     /// O(#distinct sources) instead of a scan with sort + dedup.
     source_counts: BTreeMap<NodeId, usize>,
@@ -83,7 +85,7 @@ impl LostBuffer {
         assert!(capacity > 0, "capacity must be positive");
         LostBuffer {
             entries: BTreeMap::new(),
-            by_pattern: Vec::new(),
+            by_pattern: BTreeMap::new(),
             source_counts: BTreeMap::new(),
             order: VecDeque::new(),
             next_stamp: 0,
@@ -133,18 +135,24 @@ impl LostBuffer {
 
     /// Adds `record` to the secondary indexes.
     fn index_add(&mut self, record: &LossRecord) {
-        let idx = record.pattern.index();
-        if idx >= self.by_pattern.len() {
-            self.by_pattern.resize_with(idx + 1, BTreeSet::new);
-        }
-        self.by_pattern[idx].insert((record.source, record.seq));
+        self.by_pattern
+            .entry(record.pattern)
+            .or_default()
+            .insert((record.source, record.seq));
         *self.source_counts.entry(record.source).or_insert(0) += 1;
     }
 
     /// Removes `record` from the secondary indexes (it must have been
     /// indexed).
     fn index_remove(&mut self, record: &LossRecord) {
-        self.by_pattern[record.pattern.index()].remove(&(record.source, record.seq));
+        let of_pattern = self
+            .by_pattern
+            .get_mut(&record.pattern)
+            .expect("indexed record has a pattern set");
+        of_pattern.remove(&(record.source, record.seq));
+        if of_pattern.is_empty() {
+            self.by_pattern.remove(&record.pattern);
+        }
         let count = self
             .source_counts
             .get_mut(&record.source)
@@ -208,40 +216,14 @@ impl LostBuffer {
         self.entries.contains_key(record)
     }
 
-    /// The distinct patterns with outstanding entries, in order
-    /// (ascending pattern id — dense index order).
-    pub fn patterns(&self) -> Vec<PatternId> {
-        let mut out = Vec::new();
-        self.patterns_into(&mut out);
-        out
+    /// The distinct patterns with outstanding entries, ascending.
+    pub fn patterns(&self) -> impl ExactSizeIterator<Item = PatternId> + '_ {
+        self.by_pattern.keys().copied()
     }
 
-    /// Clears `out` and fills it with [`LostBuffer::patterns`] — the
-    /// allocation-free form the steering scratch buffers reuse every
-    /// gossip round.
-    pub fn patterns_into(&self, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(
-            self.by_pattern
-                .iter()
-                .enumerate()
-                .filter(|(_, set)| !set.is_empty())
-                .map(|(idx, _)| PatternId::new(idx as u16)),
-        );
-    }
-
-    /// The distinct sources with outstanding entries, in order
-    /// (ascending node id — `BTreeMap` key order).
-    pub fn sources(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.sources_into(&mut out);
-        out
-    }
-
-    /// Clears `out` and fills it with [`LostBuffer::sources`].
-    pub fn sources_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.source_counts.keys().copied());
+    /// The distinct sources with outstanding entries, ascending.
+    pub fn sources(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.source_counts.keys().copied()
     }
 
     /// Selects up to `limit` outstanding entries for `pattern`,
@@ -252,7 +234,7 @@ impl LostBuffer {
     pub fn for_pattern(&mut self, pattern: PatternId, limit: usize) -> Vec<LossRecord> {
         let keys: Vec<LossRecord> = self
             .by_pattern
-            .get(pattern.index())
+            .get(&pattern)
             .into_iter()
             .flatten()
             .take(limit)
@@ -328,6 +310,14 @@ mod tests {
         }
     }
 
+    fn patterns(lost: &LostBuffer) -> Vec<u16> {
+        lost.patterns().map(PatternId::value).collect()
+    }
+
+    fn sources(lost: &LostBuffer) -> Vec<usize> {
+        lost.sources().map(NodeId::index).collect()
+    }
+
     #[test]
     fn add_is_idempotent() {
         let mut lost = LostBuffer::new(10);
@@ -364,8 +354,8 @@ mod tests {
             vec![rec(0, 1, 0), rec(3, 1, 4)]
         );
         assert_eq!(lost.for_source(NodeId::new(3), 10), vec![rec(3, 1, 4)]);
-        assert_eq!(lost.patterns(), vec![PatternId::new(1), PatternId::new(2)]);
-        assert_eq!(lost.sources(), vec![NodeId::new(0), NodeId::new(3)]);
+        assert_eq!(patterns(&lost), [1, 2]);
+        assert_eq!(sources(&lost), [0, 3]);
     }
 
     #[test]
@@ -475,26 +465,20 @@ mod tests {
             lost.add(rec(s, p, q)); // 5th add evicts the oldest
         }
         assert_eq!(lost.evicted_total(), 1);
-        assert_eq!(
-            lost.patterns(),
-            vec![PatternId::new(1), PatternId::new(2), PatternId::new(3)]
-        );
-        assert_eq!(
-            lost.sources(),
-            vec![NodeId::new(0), NodeId::new(3), NodeId::new(5)]
-        );
+        assert_eq!(patterns(&lost), [1, 2, 3]);
+        assert_eq!(sources(&lost), [0, 3, 5]);
         // Recover one entry: its pattern had only that entry left.
         let event = Event::new(
             EventId::new(NodeId::new(3), 0),
             vec![(PatternId::new(3), 0)],
         );
         lost.clear_for_event(&event);
-        assert_eq!(lost.patterns(), vec![PatternId::new(1), PatternId::new(2)]);
+        assert_eq!(patterns(&lost), [1, 2]);
         // Abandon p2 entries via attempts (max_attempts = 2).
         lost.for_pattern(PatternId::new(2), 10);
         lost.for_pattern(PatternId::new(2), 10);
-        assert_eq!(lost.patterns(), vec![PatternId::new(1)]);
-        assert_eq!(lost.sources(), vec![NodeId::new(3)]);
+        assert_eq!(patterns(&lost), [1]);
+        assert_eq!(sources(&lost), [3]);
         assert_eq!(lost.for_source(NodeId::new(3), 10), vec![rec(3, 1, 4)]);
     }
 }

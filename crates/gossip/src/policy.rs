@@ -108,30 +108,19 @@ pub trait DigestPolicy: fmt::Debug + Send {
     /// steering stage runs (push's idle-streak accounting).
     fn begin_round(&mut self) {}
 
-    /// The patterns a pattern-steered round may be labelled with.
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId>;
+    /// Draws the pattern a pattern-steered round is labelled with,
+    /// uniformly from this policy's candidates in ascending pattern
+    /// order: one [`Rng::random_below`] draw over the candidate count,
+    /// and none at all (`None`) when there are no candidates.
+    fn draw_pattern(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId>;
 
-    /// Clears `out` and fills it with [`DigestPolicy::pattern_candidates`],
-    /// same contents in the same order. The steering policies call this
-    /// once per gossip round through a reused scratch buffer, so
-    /// implementations should override it to fill without allocating;
-    /// the default delegates to the allocating form.
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(self.pattern_candidates(node));
-    }
-
-    /// The sources a source-steered round may target.
-    fn source_candidates(&self) -> Vec<NodeId> {
-        Vec::new()
-    }
-
-    /// Clears `out` and fills it with [`DigestPolicy::source_candidates`]
-    /// (same per-round scratch-buffer contract as
-    /// [`DigestPolicy::pattern_candidates_into`]).
-    fn source_candidates_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.source_candidates());
+    /// Draws the source a source-steered round targets, uniformly from
+    /// the candidate sources `node` knows a route back to, in
+    /// ascending id order — same draw discipline as
+    /// [`DigestPolicy::draw_pattern`].
+    fn draw_source(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<NodeId> {
+        let _ = (node, rng);
+        None
     }
 
     /// Builds the digest for a round labelled with `pattern`, or
@@ -347,6 +336,21 @@ pub(crate) fn serve_from_cache(
     (found, remainder)
 }
 
+/// The proactive digests' pattern draw (paper: "p is selected by
+/// considering the whole subscription table"): uniform over every
+/// pattern the table knows, through its known-pattern index instead of
+/// a per-round copy of all of them.
+pub(crate) fn draw_known_pattern(node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
+    let table = node.table();
+    if table.is_empty() {
+        return None;
+    }
+    let k = rng.random_below(table.len() as u64) as usize;
+    let pattern = table.nth_known(k);
+    debug_assert_eq!(pattern, table.all_patterns().nth(k), "index vs scan");
+    pattern
+}
+
 // ---------------------------------------------------------------------------
 // Digest policies.
 // ---------------------------------------------------------------------------
@@ -383,13 +387,8 @@ impl DigestPolicy for PositiveDigest {
         self.requests_since_round = 0;
     }
 
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId> {
-        node.table().all_patterns().collect()
-    }
-
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(node.table().all_patterns());
+    fn draw_pattern(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
+        draw_known_pattern(node, rng)
     }
 
     fn build_for_pattern(
@@ -499,20 +498,27 @@ impl NegativeDigest {
 }
 
 impl DigestPolicy for NegativeDigest {
-    fn pattern_candidates(&self, _node: &Dispatcher) -> Vec<PatternId> {
-        self.lost.patterns()
+    fn draw_pattern(&mut self, _node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
+        let mut patterns = self.lost.patterns();
+        let n = patterns.len();
+        if n == 0 {
+            return None;
+        }
+        patterns.nth(rng.random_below(n as u64) as usize)
     }
 
-    fn pattern_candidates_into(&self, _node: &Dispatcher, out: &mut Vec<PatternId>) {
-        self.lost.patterns_into(out);
-    }
-
-    fn source_candidates(&self) -> Vec<NodeId> {
-        self.lost.sources()
-    }
-
-    fn source_candidates_into(&self, out: &mut Vec<NodeId>) {
-        self.lost.sources_into(out);
+    fn draw_source(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<NodeId> {
+        // Only sources we know a route back to are actionable.
+        let routable = || {
+            self.lost
+                .sources()
+                .filter(|&s| node.routes().route_from(s).is_some())
+        };
+        let n = routable().count();
+        if n == 0 {
+            return None;
+        }
+        routable().nth(rng.random_below(n as u64) as usize)
     }
 
     fn build_for_pattern(
@@ -640,35 +646,19 @@ impl DigestPolicy for AlternatingDigest {
         }
     }
 
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId> {
+    fn draw_pattern(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
         if self.positive_phase {
-            self.positive.pattern_candidates(node)
+            self.positive.draw_pattern(node, rng)
         } else {
-            self.negative.pattern_candidates(node)
+            self.negative.draw_pattern(node, rng)
         }
     }
 
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
+    fn draw_source(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<NodeId> {
         if self.positive_phase {
-            self.positive.pattern_candidates_into(node, out);
+            self.positive.draw_source(node, rng)
         } else {
-            self.negative.pattern_candidates_into(node, out);
-        }
-    }
-
-    fn source_candidates(&self) -> Vec<NodeId> {
-        if self.positive_phase {
-            self.positive.source_candidates()
-        } else {
-            self.negative.source_candidates()
-        }
-    }
-
-    fn source_candidates_into(&self, out: &mut Vec<NodeId>) {
-        if self.positive_phase {
-            self.positive.source_candidates_into(out);
-        } else {
-            self.negative.source_candidates_into(out);
+            self.negative.draw_source(node, rng)
         }
     }
 
@@ -761,13 +751,8 @@ impl DigestPolicy for AlternatingDigest {
 /// it were an event matching that pattern, except that each hop
 /// forwards it only to a random subset of the matching neighbors
 /// (`P_forward`). Used by push, subscriber-pull, and the hybrid.
-#[derive(Clone, Debug, Default)]
-pub struct PatternSteering {
-    /// Per-round candidate scratch, refilled via
-    /// [`DigestPolicy::pattern_candidates_into`] so the steady-state
-    /// round allocates nothing.
-    candidates: Vec<PatternId>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PatternSteering;
 
 impl SteeringPolicy for PatternSteering {
     fn round(
@@ -778,8 +763,7 @@ impl SteeringPolicy for PatternSteering {
         config: &GossipConfig,
         rng: &mut Rng,
     ) -> Vec<GossipAction> {
-        digest.pattern_candidates_into(node, &mut self.candidates);
-        let Some(&pattern) = rng.choose(&self.candidates) else {
+        let Some(pattern) = digest.draw_pattern(node, rng) else {
             return Vec::new(); // Nothing to gossip about: skip the round.
         };
         let Some(body) = digest.build_for_pattern(node, pattern, config.digest_max) else {
@@ -850,12 +834,8 @@ impl SteeringPolicy for PatternSteering {
 /// reconfiguration — the two paths "share at least the first portion
 /// or, in the worst case, the publisher" — so intermediate caches
 /// often short-circuit the recovery.
-#[derive(Clone, Debug, Default)]
-pub struct SourceSteering {
-    /// Per-round candidate scratch (same contract as
-    /// [`PatternSteering`]'s).
-    sources: Vec<NodeId>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SourceSteering;
 
 impl SteeringPolicy for SourceSteering {
     fn round(
@@ -866,13 +846,7 @@ impl SteeringPolicy for SourceSteering {
         config: &GossipConfig,
         rng: &mut Rng,
     ) -> Vec<GossipAction> {
-        digest.source_candidates_into(&mut self.sources);
-        // Only sources we know a route back to are actionable this
-        // round (in-place retain keeps the candidate order, so the RNG
-        // draw is the one the allocating path made).
-        self.sources
-            .retain(|&s| node.routes().route_to(s).is_some());
-        let Some(&source) = rng.choose(&self.sources) else {
+        let Some(source) = digest.draw_source(node, rng) else {
             return Vec::new();
         };
         let Some(DigestBody::Negative(entries)) =
@@ -883,7 +857,7 @@ impl SteeringPolicy for SourceSteering {
         let route = node
             .routes()
             .route_to(source)
-            .expect("source was filtered for a known route");
+            .expect("a source is only drawn with a known route");
         let (next, rest) = route
             .split_first()
             .expect("route_to never returns an empty route");
@@ -1214,7 +1188,8 @@ mod tests {
         node.subscribe_local(p, &[]);
         let (event, _) = node.publish(&[p]);
         let mut digest = PositiveDigest::new();
-        assert_eq!(digest.pattern_candidates(&node), vec![p]);
+        let mut rng = RngFactory::new(1).stream("gossip");
+        assert_eq!(digest.draw_pattern(&node, &mut rng), Some(p));
         match digest.build_for_pattern(&node, p, 128) {
             Some(DigestBody::Positive(ids)) => assert_eq!(*ids, vec![event.id()]),
             other => panic!("unexpected {other:?}"),
@@ -1274,8 +1249,8 @@ mod tests {
         let mut digest = NegativeDigest::new(&cfg());
         digest.on_losses(&[record(0, 1, 7), record(2, 3, 1)]);
         assert_eq!(digest.outstanding_losses(), 2);
-        assert_eq!(digest.pattern_candidates(&node).len(), 2);
-        assert_eq!(digest.source_candidates().len(), 2);
+        assert_eq!(digest.lost().patterns().len(), 2);
+        assert_eq!(digest.lost().sources().len(), 2);
         match digest.build_for_source(NodeId::new(2), 128) {
             Some(DigestBody::Negative(entries)) => assert_eq!(entries, vec![record(2, 3, 1)]),
             other => panic!("unexpected {other:?}"),
@@ -1376,7 +1351,11 @@ mod tests {
         ));
         digest.begin_round();
         assert!(!digest.in_positive_phase());
-        assert_eq!(digest.pattern_candidates(&node), vec![PatternId::new(2)]);
+        let mut rng = RngFactory::new(1).stream("gossip");
+        assert_eq!(
+            digest.draw_pattern(&node, &mut rng),
+            Some(PatternId::new(2))
+        );
         assert!(matches!(
             digest.build_for_pattern(&node, PatternId::new(2), 128),
             Some(DigestBody::Negative(_))
@@ -1407,7 +1386,7 @@ mod tests {
     fn pattern_steering_skips_round_without_candidates() {
         let node = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
         let mut digest = NegativeDigest::new(&cfg());
-        let mut steering = PatternSteering::default();
+        let mut steering = PatternSteering;
         let mut rng = RngFactory::new(3).stream("gossip");
         assert!(steering
             .round(&mut digest, &node, &[], &cfg(), &mut rng)
@@ -1422,7 +1401,7 @@ mod tests {
         node.on_subscribe(p, NodeId::new(2), &[]);
         let mut digest = NegativeDigest::new(&cfg());
         digest.on_losses(&[record(7, 1, 0)]);
-        let mut steering = PatternSteering::default();
+        let mut steering = PatternSteering;
         let mut rng = RngFactory::new(1).stream("gossip");
         let actions = steering.round(&mut digest, &node, &[], &cfg(), &mut rng);
         assert_eq!(actions.len(), 1);
@@ -1454,7 +1433,7 @@ mod tests {
         node.on_event(e, Some(NodeId::new(3)));
         let mut digest = NegativeDigest::new(&cfg());
         digest.on_losses(&[record(0, 1, 5)]);
-        let mut steering = SourceSteering::default();
+        let mut steering = SourceSteering;
         let mut rng = RngFactory::new(1).stream("gossip");
         let actions = steering.round(&mut digest, &node, &[], &cfg(), &mut rng);
         assert_eq!(actions.len(), 1);
@@ -1474,11 +1453,68 @@ mod tests {
     }
 
     #[test]
+    fn draws_are_choose_over_the_ascending_candidates() {
+        // Each draw must be the single `Rng::choose` draw over the
+        // candidate list in ascending order (what the golden files
+        // were recorded with), and leave the generator in that state.
+        let mut node = Dispatcher::new(
+            NodeId::new(5),
+            DispatcherConfig {
+                record_routes: true,
+                ..DispatcherConfig::default()
+            },
+        );
+        for p in [3u16, 70, 9, 64, 200] {
+            node.on_subscribe(PatternId::new(p), NodeId::new(1), &[]);
+        }
+        // Routes back to sources 2 and 6, none to 4.
+        for source in [6u32, 2] {
+            let mut e = Event::new(
+                EventId::new(NodeId::new(source), 0),
+                vec![(PatternId::new(3), 0)],
+            );
+            e.record_hop(NodeId::new(1));
+            node.on_event(e, Some(NodeId::new(1)));
+        }
+        let mut negative = NegativeDigest::new(&cfg());
+        negative.on_losses(&[
+            record(6, 9, 1),
+            record(2, 300, 1),
+            record(4, 9, 2),
+            record(2, 7, 1),
+        ]);
+        let known: Vec<PatternId> = node.table().all_patterns().collect();
+        let lost = [7u16, 9, 300].map(PatternId::new);
+        let routable = [2u32, 6].map(NodeId::new);
+        let mut rng = RngFactory::new(4).stream("gossip");
+        let mut reference = rng.clone();
+        for _ in 0..50 {
+            assert_eq!(
+                PositiveDigest::new().draw_pattern(&node, &mut rng),
+                reference.choose(&known).copied()
+            );
+            assert_eq!(
+                negative.draw_pattern(&node, &mut rng),
+                reference.choose(&lost).copied()
+            );
+            assert_eq!(
+                negative.draw_source(&node, &mut rng),
+                reference.choose(&routable).copied()
+            );
+        }
+        // No candidates, no draw.
+        let empty = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
+        assert_eq!(PositiveDigest::new().draw_pattern(&empty, &mut rng), None);
+        assert_eq!(negative.draw_source(&empty, &mut rng), None);
+        assert_eq!(rng, reference);
+    }
+
+    #[test]
     fn source_steering_skips_unroutable_sources() {
         let node = Dispatcher::new(NodeId::new(5), DispatcherConfig::default());
         let mut digest = NegativeDigest::new(&cfg());
         digest.on_losses(&[record(7, 1, 0)]);
-        let mut steering = SourceSteering::default();
+        let mut steering = SourceSteering;
         let mut rng = RngFactory::new(1).stream("gossip");
         assert!(steering
             .round(&mut digest, &node, &[], &cfg(), &mut rng)
@@ -1560,7 +1596,7 @@ mod tests {
             ..GossipConfig::default()
         };
         let mut digest = NegativeDigest::new(&config);
-        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering::default());
+        let mut mux = MuxSteering::new(SourceSteering, PatternSteering);
         let mut rng = RngFactory::new(9).stream("gossip");
         let (mut saw_pull, mut saw_source) = (false, false);
         for seq in 0..200u64 {
@@ -1597,7 +1633,7 @@ mod tests {
         };
         let mut digest = NegativeDigest::new(&config);
         digest.on_losses(&[record(0, 1, 5)]);
-        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering::default());
+        let mut mux = MuxSteering::new(SourceSteering, PatternSteering);
         let mut rng = RngFactory::new(9).stream("gossip");
         let actions = mux.round(&mut digest, &node, &[], &config, &mut rng);
         assert!(
@@ -1616,7 +1652,7 @@ mod tests {
     fn mux_steering_skips_round_without_work() {
         let node = Dispatcher::new(NodeId::new(5), DispatcherConfig::default());
         let mut digest = NegativeDigest::new(&cfg());
-        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering::default());
+        let mut mux = MuxSteering::new(SourceSteering, PatternSteering);
         let mut rng = RngFactory::new(9).stream("gossip");
         assert!(mux
             .round(&mut digest, &node, &[], &cfg(), &mut rng)

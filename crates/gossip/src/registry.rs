@@ -366,7 +366,7 @@ fn builtins() -> Vec<Algorithm> {
                 "push",
                 cfg,
                 PositiveDigest::new(),
-                PatternSteering::default(),
+                PatternSteering,
             ))
         }),
         def("subscriber-pull", &["sub-pull"], false, |cfg| {
@@ -374,7 +374,7 @@ fn builtins() -> Vec<Algorithm> {
                 "subscriber-pull",
                 cfg,
                 NegativeDigest::new(&cfg),
-                PatternSteering::default(),
+                PatternSteering,
             ))
         }),
         def("combined-pull", &["combined"], true, |cfg| {
@@ -382,7 +382,7 @@ fn builtins() -> Vec<Algorithm> {
                 "combined-pull",
                 cfg,
                 NegativeDigest::new(&cfg),
-                MuxSteering::new(SourceSteering::default(), PatternSteering::default()),
+                MuxSteering::new(SourceSteering, PatternSteering),
             ))
         }),
         def("publisher-pull", &["pub-pull"], true, |cfg| {
@@ -390,7 +390,7 @@ fn builtins() -> Vec<Algorithm> {
                 "publisher-pull",
                 cfg,
                 NegativeDigest::new(&cfg),
-                SourceSteering::default(),
+                SourceSteering,
             ))
         }),
         def("push-pull", &["hybrid"], false, |cfg| {
@@ -398,7 +398,7 @@ fn builtins() -> Vec<Algorithm> {
                 "push-pull",
                 cfg,
                 AlternatingDigest::new(&cfg),
-                PatternSteering::default(),
+                PatternSteering,
             ))
         }),
         summary_def("summary-push", &["merkle-push"], |cfg| {
@@ -406,7 +406,7 @@ fn builtins() -> Vec<Algorithm> {
                 "summary-push",
                 cfg,
                 SummaryDigestPolicy::push(&cfg),
-                PatternSteering::default(),
+                PatternSteering,
             ))
         }),
         summary_def("summary-pull", &["merkle-pull"], |cfg| {
@@ -414,7 +414,7 @@ fn builtins() -> Vec<Algorithm> {
                 "summary-pull",
                 cfg,
                 SummaryDigestPolicy::pull(&cfg),
-                PatternSteering::default(),
+                PatternSteering,
             ))
         }),
     ]

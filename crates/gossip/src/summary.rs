@@ -54,10 +54,11 @@ use std::sync::Arc;
 
 use eps_overlay::NodeId;
 use eps_pubsub::{Dispatcher, Event, EventId, PatternId, RangeDetail, RangeRef};
+use eps_sim::Rng;
 
 use crate::config::GossipConfig;
 use crate::message::GossipAction;
-use crate::policy::{Absorbed, DigestBody, DigestPolicy};
+use crate::policy::{draw_known_pattern, Absorbed, DigestBody, DigestPolicy};
 
 /// When a mismatching range holds at most this many ids, its
 /// refinement is the complete id list rather than children aggregates:
@@ -235,15 +236,10 @@ impl DigestPolicy for SummaryDigestPolicy {
         self.requests_since_round = 0;
     }
 
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId> {
+    fn draw_pattern(&mut self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
         // Proactive, like push: any pattern this dispatcher routes is
         // worth a round — being on the path to a subscriber is enough.
-        node.table().all_patterns().collect()
-    }
-
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(node.table().all_patterns());
+        draw_known_pattern(node, rng)
     }
 
     fn build_for_pattern(

@@ -79,14 +79,14 @@ fn summary_engine(pull: bool, mux: bool) -> Box<dyn RecoveryAlgorithm> {
             "summary-mux",
             config,
             digest,
-            MuxSteering::new(SourceSteering::default(), PatternSteering::default()),
+            MuxSteering::new(SourceSteering, PatternSteering),
         ))
     } else {
         Box::new(GossipEngine::new(
             "summary",
             config,
             digest,
-            PatternSteering::default(),
+            PatternSteering,
         ))
     }
 }

@@ -83,16 +83,21 @@ struct SentSet {
 }
 
 impl SentSet {
-    /// Marks (pattern, neighbor); returns `true` if newly marked.
-    fn insert(&mut self, pattern: PatternId, neighbor: NodeId) -> bool {
-        let slot = match self.slots.binary_search(&neighbor) {
+    /// The slot of `neighbor`, registered on first use.
+    fn slot_for(&mut self, neighbor: NodeId) -> usize {
+        match self.slots.binary_search(&neighbor) {
             Ok(slot) => slot,
             Err(slot) => {
                 self.slots.insert(slot, neighbor);
                 self.bits.insert(slot, Vec::new());
                 slot
             }
-        };
+        }
+    }
+
+    /// Marks (pattern, neighbor); returns `true` if newly marked.
+    fn insert(&mut self, pattern: PatternId, neighbor: NodeId) -> bool {
+        let slot = self.slot_for(neighbor);
         let idx = pattern.index();
         let words = &mut self.bits[slot];
         if words.len() <= idx / 64 {
@@ -102,6 +107,24 @@ impl SentSet {
         let new = words[idx / 64] & bit == 0;
         words[idx / 64] |= bit;
         new
+    }
+
+    /// Marks (pattern, neighbor) for every pattern whose bit is set in
+    /// `mask` (bit `i` of word `w` is pattern index `64·w + i`): one OR
+    /// per word. An all-zero mask changes nothing, as zero inserts
+    /// would not.
+    fn insert_mask(&mut self, neighbor: NodeId, mask: &[u64]) {
+        let Some(top) = mask.iter().rposition(|&w| w != 0) else {
+            return;
+        };
+        let slot = self.slot_for(neighbor);
+        let words = &mut self.bits[slot];
+        if words.len() <= top {
+            words.resize(top + 1, 0);
+        }
+        for (word, &m) in words.iter_mut().zip(mask) {
+            *word |= m;
+        }
     }
 
     fn contains(&self, pattern: PatternId, neighbor: NodeId) -> bool {
@@ -544,6 +567,18 @@ impl Dispatcher {
     /// memory that gates unsubscription propagation.
     pub(crate) fn mark_subscription_sent(&mut self, pattern: PatternId, to: NodeId) {
         self.subs_sent.insert(pattern, to);
+    }
+
+    /// [`Dispatcher::install_route`] for every pattern whose bit is set
+    /// in `mask` (bit `i` of word `w` is pattern index `64·w + i`).
+    pub(crate) fn install_routes(&mut self, mask: &[u64], from: NodeId) {
+        self.table.insert_mask(from, mask);
+    }
+
+    /// [`Dispatcher::mark_subscription_sent`] for every pattern whose
+    /// bit is set in `mask`.
+    pub(crate) fn mark_subscriptions_sent(&mut self, mask: &[u64], to: NodeId) {
+        self.subs_sent.insert_mask(to, mask);
     }
 
     /// All (pattern, neighbor) pairs currently marked as sent, sorted.

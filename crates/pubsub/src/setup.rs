@@ -116,14 +116,32 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
 /// (A dispatcher sends on an edge exactly when it has interest from
 /// any other interface, which on a tree means a subscriber on its side
 /// of that edge; the subscription-forwarding fixpoint follows by
-/// induction along each path.) This computes those predicates directly
-/// — `O(Π·N)` table installs instead of a message-at-a-time
-/// simulation, which is what makes 10⁵–10⁶-node populations build in
-/// seconds. The resulting per-dispatcher state (tables *and*
-/// unsubscription-gating forwarding memory) is identical to what
-/// [`flood_subscriptions`] produces, and the returned message count is
-/// the count the flood would have exchanged; the equivalence is pinned
-/// by tests and by the golden suite.
+/// induction along each path.) This computes those predicates directly,
+/// in two passes that follow how each one is distributed:
+///
+/// 1. *Upward, pattern-major.* `cnt(v) > 0` holds only on the paths
+///    from `p`'s subscribers to the root, so each pattern walks those
+///    paths (O(subscribers · depth), not O(N)), installs `u → v` and
+///    marks `v → u` as sent there, and notes the nodes with
+///    `cnt(v) = total` — every subscriber of `p` is at or below them.
+/// 2. *Downward, node-major.* `total − cnt(v) > 0` holds for every
+///    subscribed pattern except those just noted for `v` — a handful
+///    per node — so one bitset of all subscribed patterns, minus `v`'s
+///    exceptions, is ORed into `v`'s table rows for `u` and into `u`'s
+///    forwarding memory for `v`: a sequential sweep of one
+///    dispatcher's state per edge instead of one scattered write per
+///    (pattern, edge).
+///
+/// The order of the passes, and of the writes inside them, cannot show
+/// in the result: tables and forwarding memory are *sets* of (pattern,
+/// neighbor) pairs whose layout depends only on their contents (slots
+/// sorted by neighbor id, one bit per pattern index), and every pair
+/// is written by exactly one of the two predicates. The resulting
+/// per-dispatcher state (tables *and* unsubscription-gating forwarding
+/// memory) is identical to what [`flood_subscriptions`] produces, and
+/// the returned message count is the count the flood would have
+/// exchanged; the equivalence is pinned by tests and by the golden
+/// suite.
 ///
 /// Local subscriptions must already be recorded (e.g. via
 /// [`install_local_subscriptions`]); dispatcher `i` must correspond to
@@ -176,12 +194,22 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
         }
     }
 
-    // Scratch subtree counts, reset via the touched list so each
-    // pattern costs O(subscribers · depth), not O(N), to count.
+    // Pass 1, pattern-major, over each pattern's subscriber subtrees
+    // only: the upward half (`cnt(v) > 0`) of every edge, and the
+    // (node, pattern) pairs whose downward half is *missing*. Scratch
+    // subtree counts are reset via the touched list, so a pattern
+    // costs O(subscribers · depth), not O(N).
     let mut cnt: Vec<u32> = vec![0; n];
     let mut touched: Vec<usize> = Vec::new();
+    let words = subscribers
+        .keys()
+        .next_back()
+        .map_or(0, |p| p.index() / 64 + 1);
+    let mut subscribed: Vec<u64> = vec![0; words];
+    let mut enclosing: Vec<(usize, PatternId)> = Vec::new();
     let mut messages = 0u64;
     for (&p, subs) in &subscribers {
+        subscribed[p.index() / 64] |= 1u64 << (p.index() % 64);
         let total = subs.len() as u32;
         for &s in subs {
             let mut v = s;
@@ -196,29 +224,44 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
                 v = parent[v.index()];
             }
         }
-        // Apply the two per-direction predicates on every edge; each
-        // non-root node is the child endpoint of exactly one edge.
-        for i in 1..n {
-            let v = NodeId::new(i as u32);
-            let u = parent[i];
-            let below = cnt[i];
-            if below > 0 {
-                hosts[u.index()].dispatcher_mut().install_route(p, v);
-                hosts[i].dispatcher_mut().mark_subscription_sent(p, u);
-                messages += 1;
-            }
-            if total > below {
-                hosts[i].dispatcher_mut().install_route(p, u);
-                hosts[u.index()]
-                    .dispatcher_mut()
-                    .mark_subscription_sent(p, v);
-                messages += 1;
+        // Each non-root node is the child endpoint of exactly one edge.
+        for &i in touched.iter().filter(|&&i| i != root.index()) {
+            let (v, u) = (NodeId::new(i as u32), parent[i]);
+            hosts[u.index()].dispatcher_mut().install_route(p, v);
+            hosts[i].dispatcher_mut().mark_subscription_sent(p, u);
+            messages += 1;
+            if cnt[i] == total {
+                enclosing.push((i, p));
             }
         }
         for &i in &touched {
             cnt[i] = 0;
         }
         touched.clear();
+    }
+
+    // Pass 2, node-major: the downward half (`total − cnt(v) > 0`) of
+    // the edge above `v` holds for every subscribed pattern except the
+    // few whose subscribers all sit in `v`'s subtree, so it is the
+    // shared bitset minus those, ORed into `v`'s rows for its parent
+    // and into the parent's forwarding memory for `v`.
+    enclosing.sort_unstable();
+    let mut rest = enclosing.as_slice();
+    for (i, &u) in parent.iter().enumerate().skip(1) {
+        let here = rest.partition_point(|&(node, _)| node == i);
+        let (excluded, tail) = rest.split_at(here);
+        rest = tail;
+        for &(_, p) in excluded {
+            subscribed[p.index() / 64] &= !(1u64 << (p.index() % 64));
+        }
+        hosts[i].dispatcher_mut().install_routes(&subscribed, u);
+        hosts[u.index()]
+            .dispatcher_mut()
+            .mark_subscriptions_sent(&subscribed, NodeId::new(i as u32));
+        messages += (subscribers.len() - excluded.len()) as u64;
+        for &(_, p) in excluded {
+            subscribed[p.index() / 64] |= 1u64 << (p.index() % 64);
+        }
     }
     messages
 }
@@ -443,38 +486,126 @@ mod tests {
         }
     }
 
+    fn fresh(topo: &Topology) -> Vec<Dispatcher> {
+        topo.nodes()
+            .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
+            .collect()
+    }
+
+    /// Runs the direct fill over a copy of `installed` (local
+    /// subscriptions recorded, nothing propagated) and the
+    /// message-at-a-time flood over another, and requires the same
+    /// tables, the same forwarding memory and the same message count.
+    fn assert_equals_message_flood(case: &str, installed: &[Dispatcher], topo: &Topology) {
+        let mut flooded = installed.to_vec();
+        let mut filled = installed.to_vec();
+        let flood_msgs = flood_subscriptions(&mut flooded, topo);
+        let direct_msgs = flood_subscriptions_direct(&mut filled, topo);
+        assert_eq!(flood_msgs, direct_msgs, "{case}: message count");
+        for node in topo.nodes() {
+            let (f, d) = (&flooded[node.index()], &filled[node.index()]);
+            assert_eq!(f.table(), d.table(), "{case}: table of {node}");
+            assert_eq!(
+                f.sent_pairs(),
+                d.sent_pairs(),
+                "{case}: forwarding memory of {node}"
+            );
+        }
+    }
+
     #[test]
     fn direct_fill_equals_message_flood() {
-        // Across several random trees and subscription draws, the
-        // closed-form fill must reproduce the message flood exactly:
-        // same tables, same forwarding memory, same message count.
+        let space = crate::pattern::PatternSpace::new(12, 3);
+
+        // Random trees and subscription draws.
         for seed in 1..=6u64 {
             let factory = RngFactory::new(seed);
             let topo = Topology::random_tree(40, 4, &mut factory.stream("topology"));
-            let space = crate::pattern::PatternSpace::new(12, 3);
             let mut subs_rng = factory.stream("subscriptions");
-            let mut flooded: Vec<Dispatcher> = topo
-                .nodes()
-                .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
-                .collect();
-            for d in flooded.iter_mut() {
+            let mut ds = fresh(&topo);
+            for d in ds.iter_mut() {
                 for p in space.random_subscriptions(2, &mut subs_rng) {
                     d.subscribe_local(p, &[]);
                 }
             }
-            let mut direct = flooded.clone();
-            let flood_msgs = flood_subscriptions(&mut flooded, &topo);
-            let direct_msgs = flood_subscriptions_direct(&mut direct, &topo);
-            assert_eq!(flood_msgs, direct_msgs, "seed {seed}: message count");
-            for node in topo.nodes() {
-                let (f, d) = (&flooded[node.index()], &direct[node.index()]);
-                assert_eq!(f.table(), d.table(), "seed {seed}: table of {node}");
-                assert_eq!(
-                    f.sent_pairs(),
-                    d.sent_pairs(),
-                    "seed {seed}: forwarding memory of {node}"
-                );
+            assert_equals_message_flood(&format!("seed {seed}"), &ds, &topo);
+        }
+
+        // The edges the bulk pass must leave out: a pattern whose only
+        // subscriber is the root (no edge carries it upwards), one
+        // whose only subscriber is a leaf (no edge on the leaf's path
+        // carries it downwards), alone and beside a widely subscribed
+        // pattern — at word boundaries of the pattern bitset.
+        let factory = RngFactory::new(7);
+        let topo = Topology::random_tree(40, 4, &mut factory.stream("topology"));
+        let leaf = topo
+            .nodes()
+            .find(|&v| v.index() != 0 && topo.degree(v) == 1)
+            .expect("a tree has a leaf besides its root");
+        for with_crowd in [false, true] {
+            let mut ds = fresh(&topo);
+            ds[0].subscribe_local(PatternId::new(63), &[]);
+            ds[leaf.index()].subscribe_local(PatternId::new(64), &[]);
+            if with_crowd {
+                for d in ds.iter_mut().step_by(3) {
+                    d.subscribe_local(PatternId::new(130), &[]);
+                }
             }
+            assert_equals_message_flood(
+                &format!("root-only and leaf-only, crowd {with_crowd}"),
+                &ds,
+                &topo,
+            );
+        }
+
+        // A degree-12 tree: dispatchers 1 and 2 have twelve neighbors,
+        // so their tables use the wide row layout.
+        let mut wide = Topology::new(40, 12);
+        for i in 1..40u32 {
+            wide.add_link(NodeId::new((i - 1) / 11), NodeId::new(i))
+                .unwrap();
+        }
+        assert_eq!(wide.degree(NodeId::new(1)), 12);
+        let mut subs_rng = factory.stream("subscriptions");
+        let mut ds = fresh(&wide);
+        for d in ds.iter_mut() {
+            for p in space.random_subscriptions(2, &mut subs_rng) {
+                d.subscribe_local(p, &[]);
+            }
+        }
+        assert_equals_message_flood("degree 12", &ds, &wide);
+
+        // Several clients per dispatcher: the fill sees the aggregate.
+        let clients: Vec<Vec<Vec<PatternId>>> = (0..topo.len())
+            .map(|_| {
+                (0..5)
+                    .map(|_| space.random_subscriptions(2, &mut subs_rng))
+                    .collect()
+            })
+            .collect();
+        let mut ds = fresh(&topo);
+        install_client_subscriptions(&mut ds, &clients);
+        assert_equals_message_flood("five clients", &ds, &topo);
+
+        // Rebuilding after a link swap: dispatchers that carry the old
+        // tree's routes must end where a flood of the new tree does.
+        flood_subscriptions_direct(&mut ds, &topo);
+        let plan = eps_overlay::plan_reconfiguration(&topo, &mut factory.stream("reconfig"))
+            .expect("a 40-node tree has a link to swap");
+        let mut swapped = topo.clone();
+        swapped.remove_link(plan.broken).unwrap();
+        swapped
+            .add_link(plan.replacement.0, plan.replacement.1)
+            .unwrap();
+        let mut installed = fresh(&swapped);
+        install_client_subscriptions(&mut installed, &clients);
+        let mut flooded = installed;
+        let flood_msgs = flood_subscriptions(&mut flooded, &swapped);
+        assert_eq!(rebuild_subscription_routes(&mut ds, &swapped), flood_msgs);
+        for node in swapped.nodes() {
+            let (f, d) = (&flooded[node.index()], &ds[node.index()]);
+            assert_eq!(f.table(), d.table(), "rebuild: table of {node}");
+            assert_eq!(f.sent_pairs(), d.sent_pairs(), "rebuild: memory of {node}");
         }
     }
 

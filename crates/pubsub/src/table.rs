@@ -34,6 +34,24 @@
 //! bytes per pattern instead of the ~40 an array-of-structs row would,
 //! which is what makes 10⁵–10⁶-node populations fit in memory.
 //!
+//! # The known-pattern index
+//!
+//! Push and summary gossip label every round with one pattern drawn
+//! uniformly from the *whole* table, every 30 ms on every dispatcher.
+//! Enumerating the known patterns for that draw is a scan of all Π
+//! rows, so the table also keeps one bit per pattern index, set iff
+//! the entry is non-empty (`known_bits`, Π/8 bytes per table — 1 KB at
+//! Π = 8192 beside the 8 KB of narrow rows). It changes exactly where
+//! `len()` changes — [`SubscriptionTable::insert`],
+//! [`SubscriptionTable::remove`],
+//! [`SubscriptionTable::remove_neighbor`] and the bulk `insert_mask`
+//! of the direct subscription fill — and
+//! [`SubscriptionTable::nth_known`] answers "the k-th known pattern,
+//! ascending" by popcount-select over it: Π/64 word steps, no row
+//! touched. [`SubscriptionTable::all_patterns`] remains the row scan
+//! it always was; equality and the debug-build cross-check of every
+//! gossip draw use it as the reference the index must agree with.
+//!
 //! Every observable iteration order is preserved across layouts:
 //! neighbors enumerate in ascending id order (sorted slots), patterns
 //! in ascending pattern-id order (dense index order). The golden
@@ -137,6 +155,19 @@ struct SetBits<'a> {
     base: usize,
 }
 
+impl<'a> SetBits<'a> {
+    /// The set bits of `words`, bit `i` of word `w` counting as
+    /// `64·w + i`.
+    fn of(words: &'a [u64]) -> Self {
+        let (&word, rest) = words.split_first().unwrap_or((&0, &[]));
+        SetBits {
+            word,
+            rest: rest.iter(),
+            base: 0,
+        }
+    }
+}
+
 impl Iterator for SetBits<'_> {
     type Item = usize;
 
@@ -193,6 +224,10 @@ pub struct SubscriptionTable {
     patterns: usize,
     /// Number of non-empty pattern rows (`len()`).
     known: usize,
+    /// The known-pattern index: bit `idx` is set iff pattern `idx` has
+    /// any entry, so `known == popcount(known_bits)`. Sized with
+    /// `local`.
+    known_bits: Vec<u64>,
 }
 
 impl Default for SubscriptionTable {
@@ -203,6 +238,7 @@ impl Default for SubscriptionTable {
             rows: Rows::Narrow(Vec::new()),
             patterns: 0,
             known: 0,
+            known_bits: Vec::new(),
         }
     }
 }
@@ -230,6 +266,7 @@ impl SubscriptionTable {
             },
             patterns: universe,
             known: 0,
+            known_bits: vec![0; universe.div_ceil(64)],
         }
     }
 
@@ -239,6 +276,7 @@ impl SubscriptionTable {
             self.patterns = idx + 1;
             if self.local.len() * 64 < self.patterns {
                 self.local.resize(self.patterns.div_ceil(64), 0);
+                self.known_bits.resize(self.patterns.div_ceil(64), 0);
             }
             match &mut self.rows {
                 Rows::Narrow(rows) => rows.resize(idx + 1, 0),
@@ -382,8 +420,42 @@ impl SubscriptionTable {
         };
         if inserted && was_empty {
             self.known += 1;
+            self.known_bits[idx / 64] |= 1u64 << (idx % 64);
         }
         inserted
+    }
+
+    /// Records every pattern whose bit is set in `mask` (bit `i` of
+    /// word `w` is pattern index `64·w + i`) as subscribed via
+    /// `neighbor`: the final state of one [`SubscriptionTable::insert`]
+    /// per set bit, reached by one sequential sweep over the rows that
+    /// updates the known-pattern index a word at a time. An all-zero
+    /// mask changes nothing — it does not register `neighbor` either,
+    /// as zero inserts would not.
+    pub(crate) fn insert_mask(&mut self, neighbor: NodeId, mask: &[u64]) {
+        let Some(top) = mask.iter().rposition(|&w| w != 0) else {
+            return;
+        };
+        let mask = &mask[..=top];
+        self.ensure(top * 64 + 63 - mask[top].leading_zeros() as usize);
+        let slot = self.register(neighbor);
+        match &mut self.rows {
+            Rows::Narrow(rows) => {
+                let bit = 1u8 << slot;
+                for idx in SetBits::of(mask) {
+                    rows[idx] |= bit;
+                }
+            }
+            Rows::Wide(rows) => {
+                for idx in SetBits::of(mask) {
+                    rows[idx].set(slot);
+                }
+            }
+        }
+        for (known, &word) in self.known_bits.iter_mut().zip(mask) {
+            self.known += (word & !*known).count_ones() as usize;
+            *known |= word;
+        }
     }
 
     /// Removes a subscription entry. Returns `true` if it was present.
@@ -423,6 +495,7 @@ impl SubscriptionTable {
         };
         if removed && self.entry_is_empty(idx) {
             self.known -= 1;
+            self.known_bits[idx / 64] &= !(1u64 << (idx % 64));
         }
         removed
     }
@@ -444,6 +517,7 @@ impl SubscriptionTable {
                 affected.push(PatternId::new(idx as u16));
                 if self.entry_is_empty(idx) {
                     self.known -= 1;
+                    self.known_bits[idx / 64] &= !(1u64 << (idx % 64));
                 }
             }
         }
@@ -452,9 +526,11 @@ impl SubscriptionTable {
         self.slots.remove(slot);
         match &mut self.rows {
             Rows::Narrow(rows) => {
+                // Bits above `slot` move down one. Shifted in 16 bits:
+                // retiring slot 7 shifts by 8, which a `u8` cannot.
                 let low = (1u8 << slot) - 1;
                 for b in rows.iter_mut() {
-                    *b = (*b & low) | ((*b >> (slot + 1)) << slot);
+                    *b = (*b & low) | ((u16::from(*b) >> (slot + 1)) << slot) as u8;
                 }
             }
             Rows::Wide(rows) => {
@@ -591,21 +667,42 @@ impl SubscriptionTable {
 
     /// Patterns with a local subscription, in order.
     pub fn local_patterns(&self) -> impl Iterator<Item = PatternId> + '_ {
-        // Dense row order is ascending pattern-id order.
-        (0..self.patterns)
-            .filter(|&idx| self.local_test(idx))
-            .map(|idx| PatternId::new(idx as u16))
+        // Set-bit order is ascending pattern-id order.
+        SetBits::of(&self.local).map(|idx| PatternId::new(idx as u16))
     }
 
     /// Every pattern known to the table — locally subscribed or
     /// learned through forwarding. The push algorithm draws its gossip
     /// pattern from this set ("p is selected by considering the whole
-    /// subscription table").
+    /// subscription table") through [`SubscriptionTable::nth_known`];
+    /// this O(Π) row scan is the reference that index is checked
+    /// against.
     pub fn all_patterns(&self) -> impl Iterator<Item = PatternId> + '_ {
         // Dense row order is ascending pattern-id order.
         (0..self.patterns)
             .filter(|&idx| !self.entry_is_empty(idx))
             .map(|idx| PatternId::new(idx as u16))
+    }
+
+    /// The `k`-th known pattern in ascending pattern-id order — what
+    /// `all_patterns().nth(k)` returns — by popcount-select over the
+    /// known-pattern index: Π/64 word steps and no row is touched.
+    /// `None` when `k >= len()`.
+    pub fn nth_known(&self, k: usize) -> Option<PatternId> {
+        let mut k = k;
+        for (w, &word) in self.known_bits.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                let mut word = word;
+                for _ in 0..k {
+                    word &= word - 1;
+                }
+                let idx = w * 64 + word.trailing_zeros() as usize;
+                return Some(PatternId::new(idx as u16));
+            }
+            k -= ones;
+        }
+        None
     }
 
     /// Number of patterns known.
@@ -829,6 +926,77 @@ mod tests {
             }
         }
         assert_eq!(t, r);
+    }
+
+    /// The index invariants, checked against the row scan.
+    fn assert_index_matches_scan(t: &SubscriptionTable, step: usize) {
+        let scan: Vec<PatternId> = t.all_patterns().collect();
+        assert_eq!(t.len(), scan.len(), "step {step}: len vs scan");
+        for (k, &p) in scan.iter().enumerate() {
+            assert_eq!(t.nth_known(k), Some(p), "step {step}: nth_known({k})");
+        }
+        assert_eq!(t.nth_known(t.len()), None, "step {step}: past the end");
+    }
+
+    #[test]
+    fn known_index_tracks_the_scan_through_a_random_walk() {
+        // Every mutation that can change `known` — including the bulk
+        // `insert_mask`, mirrored bit by bit through `insert` on a twin
+        // table — on narrow rows, wide rows and rows that upgrade
+        // mid-walk, with patterns drawn past the `with_dims` universe.
+        const STEPS: usize = 10_000;
+        const PATTERNS: u64 = 150;
+        let layouts = [
+            (SubscriptionTable::with_dims(40, 4), 8u64, false),
+            (SubscriptionTable::with_dims(40, 12), 12, true),
+            (SubscriptionTable::new(), 12, true),
+        ];
+        for (seed, (mut table, neighbors, ends_wide)) in layouts.into_iter().enumerate() {
+            let mut twin = table.clone();
+            let mut rng = eps_sim::Rng::from_seed(seed as u64 + 1);
+            for step in 0..STEPS {
+                let pattern = PatternId::new(rng.random_below(PATTERNS) as u16);
+                let neighbor = NodeId::new(rng.random_below(neighbors) as u32);
+                let iface = if rng.random_below(4) == 0 {
+                    Interface::Local
+                } else {
+                    Interface::Neighbor(neighbor)
+                };
+                match rng.random_below(16) {
+                    0..=6 => {
+                        assert_eq!(table.insert(pattern, iface), twin.insert(pattern, iface));
+                    }
+                    7..=12 => {
+                        assert_eq!(table.remove(pattern, iface), twin.remove(pattern, iface));
+                    }
+                    13 => {
+                        assert_eq!(
+                            table.remove_neighbor(neighbor),
+                            twin.remove_neighbor(neighbor)
+                        );
+                    }
+                    _ => {
+                        // Sparse three-word masks, sometimes all-zero.
+                        let mask: Vec<u64> = (0..3)
+                            .map(|_| match rng.random_below(3) {
+                                0 => 0,
+                                _ => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                            })
+                            .collect();
+                        table.insert_mask(neighbor, &mask);
+                        for idx in SetBits::of(&mask) {
+                            twin.insert(PatternId::new(idx as u16), Interface::Neighbor(neighbor));
+                        }
+                        assert_eq!(table, twin, "step {step}: insert_mask vs insert");
+                        assert_eq!(table.slots, twin.slots, "step {step}: slot registry");
+                    }
+                }
+                assert_index_matches_scan(&table, step);
+            }
+            assert_eq!(table, twin);
+            assert_index_matches_scan(&twin, STEPS);
+            assert_eq!(matches!(table.rows, Rows::Wide(_)), ends_wide);
+        }
     }
 
     #[test]

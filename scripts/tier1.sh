@@ -43,12 +43,13 @@ echo "== tier-1: bench compare (kernel gated at 25%, rest advisory) =="
 # enough to gate hard with generous headroom. The gossip/scenario/net
 # files time whole protocol rounds and end-to-end runs, which are too
 # noisy on shared machines to fail CI; those stay advisory, as do the
-# one-build-per-iteration topology_build entries inside the kernel
-# file. Shared hosts occasionally time-slice the vCPU (steal),
+# one-build-per-iteration topology_build and subscription_flood
+# entries inside the kernel file. Shared hosts occasionally time-slice the vCPU (steal),
 # uniformly doubling every measurement — on a strict failure,
 # re-measure once before declaring a real regression.
 if ! cargo run --release -p eps-bench --bin bench_compare -- \
     --strict --threshold 25 --advisory-prefix topology_build \
+    --advisory-prefix subscription_flood \
     BENCH_kernel.json target/bench/BENCH_kernel.json; then
     echo "kernel bench regressed; re-measuring once (transient host steal?)"
     sleep 5
@@ -58,6 +59,7 @@ if ! cargo run --release -p eps-bench --bin bench_compare -- \
         --net-out target/bench/BENCH_net.json
     cargo run --release -p eps-bench --bin bench_compare -- \
         --strict --threshold 25 --advisory-prefix topology_build \
+        --advisory-prefix subscription_flood \
         BENCH_kernel.json target/bench/BENCH_kernel.json
 fi
 echo "== tier-1: net_load (reactor saturation at 1000 dispatchers) =="
@@ -113,6 +115,23 @@ echo "duplicates suppressed: tree=$tree_dups ba=$ba_dups ws=$ws_dups"
 [ "$tree_dups" -eq 0 ] || { echo "FAIL: tree overlay suppressed duplicates"; exit 1; }
 [ "$ba_dups" -gt 0 ] || { echo "FAIL: ba overlay suppressed no duplicates"; exit 1; }
 [ "$ws_dups" -gt 0 ] || { echo "FAIL: ws overlay suppressed no duplicates"; exit 1; }
+
+echo "== tier-1: mid-scale cell (N=4000, 8192 patterns: shards 1 vs 4, optimized) =="
+# The one place outside benchmark/ where the known-pattern index and
+# the bulk subscription fill run in a release build at a pattern
+# universe large enough to matter (128 index words, 8 KB of rows per
+# dispatcher). Result lines go to stdout and must not depend on the
+# shard count; the wall-time line goes to stderr and is not compared.
+midscale_cell() {
+    ./target/release/simulate -a push --nodes 4000 --patterns 8192 \
+        --publish-rate 2 --duration 0.3 --seed 1 --shards "$1" 2>/dev/null
+}
+midscale_1=$(midscale_cell 1)
+midscale_4=$(midscale_cell 4)
+echo "$midscale_1" | grep -E 'delivery rate \(whole\)|gossip messages|setup subscription msgs'
+[ "$midscale_1" = "$midscale_4" ] \
+    || { echo "FAIL: mid-scale cell differs between --shards 1 and --shards 4";
+         diff <(echo "$midscale_1") <(echo "$midscale_4"); exit 1; }
 
 echo "== tier-1: aggregation smoke (client layer, covering/merging) =="
 # One dispatcher population, 1 vs 100 clients per dispatcher. The
