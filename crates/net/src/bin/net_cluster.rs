@@ -3,8 +3,8 @@
 //! counters), so a spreadsheet can line a wire run up against a
 //! simulated one column-for-column.
 //!
-//! Single-process (default): boots the whole tree on loopback,
-//! one thread per dispatcher.
+//! Single-process (default): boots the whole tree on loopback, every
+//! dispatcher multiplexed onto `--workers` epoll threads (default 2).
 //!
 //! ```text
 //! net_cluster --nodes 8 --algorithm push --eps 0.05 --duration 1.2
@@ -12,8 +12,9 @@
 //!
 //! Multi-process: every process is given the *same* full peer list
 //! and derives the identical population from the shared seed; each
-//! one runs the node whose address it was told to listen on. Peers
-//! may start in any order — dialers retry with backoff.
+//! one runs the node whose address it was told to listen on, on one
+//! epoll thread. Peers may start in any order — dialers retry with
+//! backoff.
 //!
 //! ```text
 //! net_cluster --nodes 3 --peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
@@ -30,9 +31,7 @@ use std::time::Duration;
 use eps_gossip::Algorithm;
 use eps_harness::{AdaptiveGossip, ScenarioResult};
 use eps_metrics::NetCounters;
-use eps_net::{
-    run_cluster_as, run_process_node, Cluster, NetConfig, NodeAddrs, ReactorCluster, RuntimeKind,
-};
+use eps_net::{run_process_node, run_reactor_cluster, NetConfig, NodeAddrs, ReactorCluster};
 use eps_sim::SimTime;
 
 fn main() -> ExitCode {
@@ -51,7 +50,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let mut restarts: Vec<usize> = Vec::new();
     let mut peers: Vec<SocketAddr> = Vec::new();
     let mut listen: Option<SocketAddr> = None;
-    let mut runtime = RuntimeKind::Thread;
     let mut workers: Option<usize> = None;
 
     let mut iter = args.iter();
@@ -85,7 +83,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 }
             }
             "--listen" => listen = Some(parse(&value()?)?),
-            "--runtime" => runtime = value()?.parse()?,
             "--workers" => workers = Some(parse(&value()?)?),
             "--help" | "-h" => {
                 print_usage();
@@ -93,11 +90,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
-    }
-    match (&mut runtime, workers) {
-        (RuntimeKind::Reactor { workers: w }, Some(n)) => *w = n,
-        (RuntimeKind::Thread, Some(_)) => return Err("--workers requires --runtime reactor".into()),
-        _ => {}
     }
     // Short runs: shrink the default measurement margins so the
     // window stays non-empty (same rule as the `simulate` binary).
@@ -109,18 +101,19 @@ fn run(args: Vec<String>) -> Result<(), String> {
 
     let report = match (listen, peers.is_empty()) {
         (None, true) => {
+            let workers = workers.unwrap_or(2);
             if restarts.is_empty() {
-                run_cluster_as(config, runtime).map_err(|e| format!("cluster failed: {e}"))?
+                run_reactor_cluster(config, workers).map_err(|e| format!("cluster failed: {e}"))?
             } else {
-                run_with_restarts(config, &restarts, runtime)?
+                run_with_restarts(config, &restarts, workers)?
             }
         }
         (Some(listen), false) => {
             if !restarts.is_empty() {
                 return Err("--restart only applies to single-process runs".into());
             }
-            if runtime != RuntimeKind::Thread {
-                return Err("--runtime reactor only applies to single-process runs".into());
+            if workers.is_some() {
+                return Err("--workers only applies to single-process runs".into());
             }
             run_one_process(config, listen, peers)?
         }
@@ -143,7 +136,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
 fn run_with_restarts(
     config: NetConfig,
     restarts: &[usize],
-    runtime: RuntimeKind,
+    workers: usize,
 ) -> Result<eps_net::NetRunReport, String> {
     let nodes = config.scenario.nodes;
     for &index in restarts {
@@ -155,30 +148,15 @@ fn run_with_restarts(
     // Let the workload establish itself, then knock the nodes over one
     // at a time in the first half of the run, leaving the rest of the
     // duration plus the drain budget for recovery.
-    match runtime {
-        RuntimeKind::Thread => {
-            let mut cluster =
-                Cluster::launch(config).map_err(|e| format!("cluster failed: {e}"))?;
-            std::thread::sleep(wall.mul_f64(0.25));
-            for &index in restarts {
-                cluster
-                    .restart_node(index, Duration::from_millis(150))
-                    .map_err(|e| format!("restart of node {index} failed: {e}"))?;
-            }
-            Ok(cluster.finish())
-        }
-        RuntimeKind::Reactor { workers } => {
-            let mut cluster = ReactorCluster::launch(config, workers)
-                .map_err(|e| format!("reactor failed: {e}"))?;
-            std::thread::sleep(wall.mul_f64(0.25));
-            for &index in restarts {
-                cluster
-                    .restart_node(index, Duration::from_millis(150))
-                    .map_err(|e| format!("restart of node {index} failed: {e}"))?;
-            }
-            Ok(cluster.finish())
-        }
+    let mut cluster =
+        ReactorCluster::launch(config, workers).map_err(|e| format!("cluster failed: {e}"))?;
+    std::thread::sleep(wall.mul_f64(0.25));
+    for &index in restarts {
+        cluster
+            .restart_node(index, Duration::from_millis(150))
+            .map_err(|e| format!("restart of node {index} failed: {e}"))?;
     }
+    Ok(cluster.finish())
 }
 
 fn run_one_process(
@@ -230,8 +208,8 @@ fn print_usage() {
          \t[--beta B] [--pi-max P] [--pattern-universe U] [--publish-rate R]\n\
          \t[--gossip-interval T] [--duration D] [--adaptive] [--drain D]\n\
          \t[--queue-capacity Q] [--restart IDX]...\n\
-         \t[--runtime thread|reactor] [--workers W]   (reactor worker pool)\n\
-         \t[--peers A1,A2,... --listen ADDR]   (multi-process mode)\n\
+         \t[--workers W]   (epoll threads of a single-process run, default 2)\n\
+         \t[--peers A1,A2,... --listen ADDR]   (multi-process mode, one node)\n\
          algorithms (case-insensitive, aliases accepted): {}",
         Algorithm::all()
             .iter()

@@ -8,18 +8,14 @@
 //! the same seed as a simulator run boots the *identical* population —
 //! the basis of the sim-vs-wire cross-validation tests.
 //!
-//! Two runtimes execute that population: the thread-per-node
-//! [`Cluster`] here (the reference), and the epoll
-//! [`crate::ReactorCluster`] (thousands of dispatchers per process).
-//! Both boot through [`boot_population`] and report through
-//! [`aggregate_cores`], so a [`RuntimeKind`] choice changes scheduling
-//! and socket mechanics — never protocol state or accounting.
+//! The epoll [`crate::ReactorCluster`] executes that population: it
+//! boots through [`boot_population`] and reports through
+//! [`aggregate_cores`], so scheduling and socket mechanics stay out of
+//! protocol state and accounting.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use eps_harness::{
@@ -29,9 +25,17 @@ use eps_harness::{
 use eps_metrics::{DeliveryTracker, MessageCounters, NetCounters};
 use eps_sim::{Rng, RngFactory};
 
-use crate::core::{CoreSetup, NodeCore, NodeParams, RunEnv, Shared};
-pub use crate::runtime::NodeAddrs;
-use crate::runtime::{NodeRuntime, NodeSetup};
+use crate::core::{CoreSetup, NodeCore, NodeParams, Shared};
+
+/// Where one node listens: its TCP (tree links) and UDP (out-of-band)
+/// socket addresses.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeAddrs {
+    /// The tree-link listener.
+    pub tcp: SocketAddr,
+    /// The out-of-band datagram socket.
+    pub udp: SocketAddr,
+}
 
 /// One real-socket run: the simulator's scenario parameters plus the
 /// knobs only a socket runtime has.
@@ -88,33 +92,6 @@ impl NetConfig {
     }
 }
 
-/// Which runtime executes a cluster: the thread-per-node reference
-/// loop, or the epoll reactor multiplexing every socket onto a fixed
-/// worker pool. Same protocol cores either way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// One thread per dispatcher (`crate::Cluster`).
-    Thread,
-    /// The epoll reactor with this many worker threads
-    /// (`crate::ReactorCluster`); clamped to the node count.
-    Reactor {
-        /// Worker threads sharing the node slices.
-        workers: usize,
-    },
-}
-
-impl std::str::FromStr for RuntimeKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "thread" | "threads" => Ok(RuntimeKind::Thread),
-            "reactor" | "epoll" => Ok(RuntimeKind::Reactor { workers: 2 }),
-            other => Err(format!("unknown runtime '{other}' (thread | reactor)")),
-        }
-    }
-}
-
 /// End-to-end delivery latency over one run: publish-to-deliver wall
 /// time, sampled at every client delivery record (first copies and
 /// recoveries alike). The simulator has no wall clock, so this lives
@@ -148,7 +125,7 @@ pub struct NetRunReport {
 }
 
 /// One booted-but-not-running node: the protocol core plus its bound
-/// sockets and dial-jitter stream. Both runtimes consume these.
+/// sockets and dial-jitter stream.
 pub(crate) struct BootNode {
     pub core: NodeCore,
     pub listener: TcpListener,
@@ -156,18 +133,26 @@ pub(crate) struct BootNode {
     pub dial_rng: Rng,
 }
 
-/// A fully booted population: every socket bound (so the address
-/// registry is complete before the first dial), every core built.
+/// A booted population slice: every socket of the slice bound (so the
+/// address registry is complete before the first dial), every core
+/// built.
 pub(crate) struct Boot {
     pub registry: Vec<NodeAddrs>,
+    /// Global index of `nodes[0]`.
+    pub base: usize,
     pub nodes: Vec<BootNode>,
     pub setup_subscription_msgs: u64,
 }
 
-/// Builds the population and binds every node's sockets on ephemeral
-/// loopback ports. Shared by both runtimes: the cores a reactor run
-/// starts from are bit-identical to a thread run's.
-pub(crate) fn boot_population(config: &NetConfig) -> std::io::Result<Boot> {
+/// Builds the population and binds sockets for the slice this process
+/// runs: with `process = None` every node, on ephemeral loopback
+/// ports; with `Some((index, registry))` node `index` alone, on
+/// `registry[index]` — one process of a multi-process cluster, whose
+/// peers derive the identical population from the shared seed.
+pub(crate) fn boot_population(
+    config: &NetConfig,
+    process: Option<(usize, Vec<NodeAddrs>)>,
+) -> std::io::Result<Boot> {
     config.validate();
     let scenario = &config.scenario;
     let Population {
@@ -181,27 +166,33 @@ pub(crate) fn boot_population(config: &NetConfig) -> std::io::Result<Boot> {
         setup_subscription_msgs,
     } = build_population(scenario);
 
-    let mut listeners = Vec::with_capacity(scenario.nodes);
-    let mut udps = Vec::with_capacity(scenario.nodes);
-    let mut registry = Vec::with_capacity(scenario.nodes);
-    for _ in 0..scenario.nodes {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let udp = UdpSocket::bind("127.0.0.1:0")?;
-        registry.push(NodeAddrs {
-            tcp: listener.local_addr()?,
-            udp: udp.local_addr()?,
-        });
-        listeners.push(listener);
-        udps.push(udp);
-    }
+    let mut sockets = Vec::new();
+    let (base, registry) = match process {
+        Some((index, registry)) => {
+            sockets.push((
+                TcpListener::bind(registry[index].tcp)?,
+                UdpSocket::bind(registry[index].udp)?,
+            ));
+            (index, registry)
+        }
+        None => {
+            let mut registry = Vec::with_capacity(scenario.nodes);
+            for _ in 0..scenario.nodes {
+                let listener = TcpListener::bind("127.0.0.1:0")?;
+                let udp = UdpSocket::bind("127.0.0.1:0")?;
+                registry.push(NodeAddrs {
+                    tcp: listener.local_addr()?,
+                    udp: udp.local_addr()?,
+                });
+                sockets.push((listener, udp));
+            }
+            (0, registry)
+        }
+    };
 
     let factory = RngFactory::new(scenario.seed);
-    let mut boot_nodes = Vec::with_capacity(scenario.nodes);
-    for (i, (node, (listener, udp))) in nodes
-        .into_iter()
-        .zip(listeners.into_iter().zip(udps))
-        .enumerate()
-    {
+    let mut boot_nodes = Vec::with_capacity(sockets.len());
+    for ((i, node), (listener, udp)) in nodes.into_iter().enumerate().skip(base).zip(sockets) {
         let id = node.id();
         let core = NodeCore::new(
             CoreSetup {
@@ -231,119 +222,15 @@ pub(crate) fn boot_population(config: &NetConfig) -> std::io::Result<Boot> {
     }
     Ok(Boot {
         registry,
+        base,
         nodes: boot_nodes,
         setup_subscription_msgs,
     })
 }
 
-struct Slot {
-    handle: Option<JoinHandle<NodeRuntime>>,
-    control: Arc<AtomicBool>,
-}
-
-/// A running in-process cluster: one thread per dispatcher, loopback
-/// TCP tree links, loopback UDP out-of-band channel.
-pub struct Cluster {
-    config: NetConfig,
-    registry: Vec<NodeAddrs>,
-    shared: Arc<Shared>,
-    start: Instant,
-    slots: Vec<Slot>,
-    setup_subscription_msgs: u64,
-}
-
-impl Cluster {
-    /// Boots the full population and starts every node thread.
-    ///
-    /// Sockets are bound on ephemeral loopback ports before any thread
-    /// starts, so the address registry is complete from the first dial
-    /// (peers may still *connect* in any order, and reconnects after a
-    /// restart go through the retry/backoff path).
-    pub fn launch(config: NetConfig) -> std::io::Result<Cluster> {
-        let Boot {
-            registry,
-            nodes,
-            setup_subscription_msgs,
-        } = boot_population(&config)?;
-        let shared = Arc::new(Shared::default());
-        let start = Instant::now();
-        let mut slots = Vec::with_capacity(nodes.len());
-        for (i, boot) in nodes.into_iter().enumerate() {
-            let runtime = NodeRuntime::new(
-                boot.core,
-                NodeSetup {
-                    listener: boot.listener,
-                    udp: boot.udp,
-                    dial_rng: boot.dial_rng,
-                    registry_addrs: registry.clone(),
-                },
-            )?;
-            slots.push(spawn(runtime, &shared, start, i)?);
-        }
-        Ok(Cluster {
-            config,
-            registry,
-            shared,
-            start,
-            slots,
-            setup_subscription_msgs,
-        })
-    }
-
-    /// The bound addresses, indexed by node id.
-    pub fn addrs(&self) -> &[NodeAddrs] {
-        &self.registry
-    }
-
-    /// Stops node `index`, keeps it down for `pause`, then rebinds the
-    /// same addresses and relaunches it with its protocol state
-    /// intact — a forced restart. While the node is down, its peers'
-    /// dialers fail and back off; their retries show up in
-    /// [`NetCounters::connect_retries`].
-    pub fn restart_node(&mut self, index: usize, pause: Duration) -> std::io::Result<()> {
-        let slot = &mut self.slots[index];
-        slot.control.store(true, Ordering::Relaxed);
-        let mut runtime = slot
-            .handle
-            .take()
-            .expect("node is running")
-            .join()
-            .expect("node thread panicked");
-        runtime.prepare_restart();
-        std::thread::sleep(pause);
-        let addrs = self.registry[index];
-        let listener = bind_with_retry(|| TcpListener::bind(addrs.tcp))?;
-        let udp = bind_with_retry(|| UdpSocket::bind(addrs.udp))?;
-        runtime.rebind(listener, udp)?;
-        self.slots[index] = spawn(runtime, &self.shared, self.start, index)?;
-        Ok(())
-    }
-
-    /// Waits for the workload to finish and deliveries to converge
-    /// (bounded by the drain budget), stops every node, and assembles
-    /// the report.
-    pub fn finish(mut self) -> NetRunReport {
-        wait_for_convergence(&self.shared, &self.config, self.start);
-        self.shared.stop_all.store(true, Ordering::Relaxed);
-        let cores: Vec<NodeCore> = self
-            .slots
-            .drain(..)
-            .map(|mut s| {
-                s.handle
-                    .take()
-                    .expect("node is running")
-                    .join()
-                    .expect("node thread panicked")
-                    .core
-            })
-            .collect();
-        aggregate_cores(&self.config.scenario, &cores, self.setup_subscription_msgs)
-    }
-}
-
 /// Polls the shared progress counters until the workload has finished
 /// and every intended delivery has happened, or the drain budget runs
-/// out. Both runtimes' coordinators stop through this.
+/// out.
 pub(crate) fn wait_for_convergence(shared: &Shared, config: &NetConfig, start: Instant) {
     let n = config.scenario.nodes as u64;
     let wall = Duration::from_nanos(config.scenario.duration.as_nanos());
@@ -359,108 +246,6 @@ pub(crate) fn wait_for_convergence(shared: &Shared, config: &NetConfig, start: I
     }
 }
 
-/// Launches a cluster, lets it run to convergence, and reports —
-/// the one-call entry point tests and the binary use.
-pub fn run_cluster(config: NetConfig) -> std::io::Result<NetRunReport> {
-    Ok(Cluster::launch(config)?.finish())
-}
-
-/// [`run_cluster`] with an explicit runtime choice.
-pub fn run_cluster_as(config: NetConfig, kind: RuntimeKind) -> std::io::Result<NetRunReport> {
-    match kind {
-        RuntimeKind::Thread => run_cluster(config),
-        RuntimeKind::Reactor { workers } => crate::reactor::run_reactor_cluster(config, workers),
-    }
-}
-
-/// Runs node `index` of a *multi-process* cluster in the current
-/// process, binding the addresses `registry[index]` and dialing the
-/// rest. Every process derives the identical population from the
-/// shared seed; peers may start in any order (the dialers retry with
-/// backoff until their acceptors come up).
-///
-/// Runs for the scenario duration plus the full drain budget — with
-/// no shared memory there is no cross-process convergence signal —
-/// and reports this node's *local view*: its own publishes and
-/// deliveries, its own counters. Cluster-wide delivery rates require
-/// the single-process mode, where the coordinator sees every sink.
-pub fn run_process_node(
-    config: &NetConfig,
-    index: usize,
-    registry: Vec<NodeAddrs>,
-) -> std::io::Result<NetRunReport> {
-    config.validate();
-    assert_eq!(
-        registry.len(),
-        config.scenario.nodes,
-        "one address per dispatcher"
-    );
-    assert!(index < config.scenario.nodes, "node index out of range");
-    let Population {
-        topology,
-        view,
-        space,
-        nodes,
-        subscriptions: _,
-        client_subscriptions: _,
-        subscribers_of,
-        setup_subscription_msgs,
-    } = build_population(&config.scenario);
-    let node = nodes
-        .into_iter()
-        .nth(index)
-        .expect("index checked against nodes");
-    let listener = TcpListener::bind(registry[index].tcp)?;
-    let udp = UdpSocket::bind(registry[index].udp)?;
-    let factory = RngFactory::new(config.scenario.seed);
-    let id = node.id();
-    let core = NodeCore::new(
-        CoreSetup {
-            node,
-            // TCP tree links follow the routing view; see `launch`.
-            neighbors: view.neighbors(id).to_vec(),
-            graph_neighbors: topology.neighbors(id).to_vec(),
-            space,
-            subscribers_of,
-            gossip_rng: factory.indexed_stream("net-gossip", index as u64),
-            loss_rng: factory.indexed_stream("net-loss", index as u64),
-            counters_width: config.scenario.nodes,
-            trace_capacity: config.trace_capacity,
-        },
-        node_params(config),
-    );
-    let runtime = NodeRuntime::new(
-        core,
-        NodeSetup {
-            listener,
-            udp,
-            dial_rng: factory.indexed_stream("net-dial", index as u64),
-            registry_addrs: registry,
-        },
-    )?;
-    let shared = Arc::new(Shared::default());
-    let control = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let wall = Duration::from_nanos(config.scenario.duration.as_nanos()) + config.drain;
-    let timer_flag = Arc::clone(&control);
-    std::thread::Builder::new()
-        .name("eps-net-stop-timer".into())
-        .spawn(move || {
-            std::thread::sleep(wall);
-            timer_flag.store(true, Ordering::Relaxed);
-        })?;
-    let runtime = runtime.run(RunEnv {
-        shared,
-        control,
-        start,
-    });
-    Ok(aggregate_cores(
-        &config.scenario,
-        &[runtime.core],
-        setup_subscription_msgs,
-    ))
-}
-
 pub(crate) fn node_params(config: &NetConfig) -> NodeParams {
     let s = &config.scenario;
     NodeParams {
@@ -470,29 +255,7 @@ pub(crate) fn node_params(config: &NetConfig) -> NodeParams {
         gossip_interval: s.gossip_interval,
         adaptive: s.adaptive_gossip,
         duration: s.duration,
-        queue_capacity: config.queue_capacity,
     }
-}
-
-fn spawn(
-    runtime: NodeRuntime,
-    shared: &Arc<Shared>,
-    start: Instant,
-    index: usize,
-) -> std::io::Result<Slot> {
-    let control = Arc::new(AtomicBool::new(false));
-    let env = RunEnv {
-        shared: Arc::clone(shared),
-        control: Arc::clone(&control),
-        start,
-    };
-    let handle = std::thread::Builder::new()
-        .name(format!("eps-net-{index}"))
-        .spawn(move || runtime.run(env))?;
-    Ok(Slot {
-        handle: Some(handle),
-        control,
-    })
 }
 
 /// Rebinding a just-freed address can race the kernel's cleanup;
@@ -516,8 +279,7 @@ pub(crate) fn bind_with_retry<S>(
 /// Merges every node's sinks into one report, through the same
 /// `assemble` path the simulator uses: first all publishes (so the
 /// global tracker knows every event and its intended audience), then
-/// all deliveries. Runtime-agnostic: both the thread cluster and the
-/// reactor hand their finished cores here.
+/// all deliveries.
 pub(crate) fn aggregate_cores(
     scenario: &ScenarioConfig,
     cores: &[NodeCore],

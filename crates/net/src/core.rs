@@ -2,16 +2,13 @@
 //! [`SimNode`] plus its timers, RNG streams, and metrics sinks, driven
 //! by whoever owns the sockets.
 //!
-//! Both runtimes — the thread-per-node reference loop in `runtime.rs`
-//! and the epoll reactor in `reactor.rs` — wrap this same core, which
-//! is what makes their same-seed equivalence more than a test
-//! assertion: everything that touches protocol state, RNG draws, or
-//! byte accounting lives here, and the runtimes differ only in how
-//! bytes and wakeups reach it.
+//! Everything that touches protocol state, RNG draws, or byte
+//! accounting lives here; the epoll reactor in `reactor.rs` only
+//! decides how bytes and wakeups reach it, which is why a same-seed
+//! run publishes what the simulator publishes however the sockets
+//! behave.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use eps_gossip::codec;
 use eps_gossip::{Channel, Envelope};
@@ -25,7 +22,7 @@ use eps_sim::{Rng, SimTime};
 /// progress counters the coordinator polls.
 #[derive(Debug, Default)]
 pub(crate) struct Shared {
-    /// Set once by the coordinator; every node thread exits its loop.
+    /// Set once by the coordinator; every worker exits its loop.
     pub stop_all: AtomicBool,
     /// Intended deliveries, summed over all publishes so far.
     pub expected: AtomicU64,
@@ -33,17 +30,6 @@ pub(crate) struct Shared {
     pub delivered: AtomicU64,
     /// Nodes whose publish schedule is exhausted.
     pub publishers_done: AtomicU64,
-}
-
-/// Everything a node thread borrows from the cluster for one run.
-#[derive(Clone)]
-pub(crate) struct RunEnv {
-    pub shared: Arc<Shared>,
-    /// Per-node stop flag (restart support: stops one node only).
-    pub control: Arc<AtomicBool>,
-    /// The cluster's common time origin; wall time since `start` plays
-    /// the role of the simulator's virtual time.
-    pub start: Instant,
 }
 
 /// One message the core wants on the wire: the target, which channel
@@ -78,7 +64,6 @@ pub(crate) struct NodeParams {
     pub gossip_interval: SimTime,
     pub adaptive: Option<AdaptiveGossip>,
     pub duration: SimTime,
-    pub queue_capacity: usize,
 }
 
 /// The protocol state of one socket-mode node. Owns no sockets;
@@ -102,7 +87,6 @@ pub(crate) struct NodeCore {
     gossip_interval: SimTime,
     adaptive: Option<AdaptiveGossip>,
     duration: SimTime,
-    pub queue_capacity: usize,
 
     gossip_rng: Rng,
     loss_rng: Rng,
@@ -154,7 +138,6 @@ impl NodeCore {
             gossip_interval: params.gossip_interval,
             adaptive: params.adaptive,
             duration: params.duration,
-            queue_capacity: params.queue_capacity,
             gossip_rng,
             loss_rng: setup.loss_rng,
             tracker: DeliveryTracker::new(),
@@ -205,8 +188,6 @@ impl NodeCore {
 
     /// The earliest virtual time at which a timer is due: the next
     /// publish tick (if the schedule is live) or the next gossip round.
-    /// Both runtimes sleep/arm against this one helper, so neither can
-    /// drift into busy-polling or late ticks independently.
     pub(crate) fn next_deadline(&self) -> SimTime {
         match self.publish_vnext {
             Some(p) => p.min(self.gossip_vnext),
@@ -296,14 +277,11 @@ impl NodeCore {
     /// publish tick (renewal uses the *scheduled* time, exactly like
     /// the simulator's queue — wall-clock jitter must not change how
     /// many events a seed publishes) and as many gossip rounds as have
-    /// come due. Returns whether anything fired and the traffic it
-    /// produced.
-    pub(crate) fn tick_timers(&mut self, now: SimTime, shared: &Shared) -> (bool, Vec<Outbound>) {
-        let mut worked = false;
+    /// come due. Returns the traffic they produced.
+    pub(crate) fn tick_timers(&mut self, now: SimTime, shared: &Shared) -> Vec<Outbound> {
         let mut sends = Vec::new();
         if let Some(vnext) = self.publish_vnext {
             if now >= vnext {
-                worked = true;
                 let expected_before = self.tracker.expected_total();
                 let trace_before = self.trace_len();
                 let (out, delay) = {
@@ -342,7 +320,6 @@ impl NodeCore {
         // recovery needs rounds to finish the job. Documented as a
         // sim/net equivalence rule.
         while now >= self.gossip_vnext {
-            worked = true;
             let (out, next) = {
                 let mut ctx = NodeCtx {
                     now,
@@ -361,7 +338,7 @@ impl NodeCore {
             sends.extend(self.route(out));
             self.gossip_vnext += next;
         }
-        (worked, sends)
+        sends
     }
 
     /// Encodes one batch of node output, charging the send-layer
@@ -423,13 +400,4 @@ impl NodeCore {
         }
         sends
     }
-}
-
-/// Dial-retry backoff with jitter: the deterministic base doubles up
-/// to the cap, but each wait is scaled by a uniform draw in
-/// `[0.5, 1.5)` from the node's dial stream — so peers restarted
-/// together do not hammer an acceptor in lockstep. Shared by both
-/// runtimes.
-pub(crate) fn jittered_backoff(base: Duration, dial_rng: &mut Rng) -> Duration {
-    base.mul_f64(dial_rng.random_range(0.5..1.5))
 }

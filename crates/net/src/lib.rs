@@ -3,7 +3,8 @@
 //! Runs the reproduction's dispatcher + gossip stack (`eps-pubsub`,
 //! `eps-gossip`, the harness's `SimNode` actor) over real sockets:
 //! TCP tree links, a UDP out-of-band recovery channel, wall-clock
-//! timers — one thread per dispatcher, all on loopback by default.
+//! timers — every dispatcher of a process multiplexed onto a few
+//! epoll worker threads ([`reactor`]), all on loopback by default.
 //!
 //! Three properties make it more than a demo:
 //!
@@ -24,7 +25,7 @@
 //! # Examples
 //!
 //! ```no_run
-//! use eps_net::{run_cluster, NetConfig};
+//! use eps_net::{run_reactor_cluster, NetConfig};
 //! use eps_harness::ScenarioConfig;
 //! use eps_gossip::Algorithm;
 //! use eps_sim::SimTime;
@@ -41,7 +42,7 @@
 //!     },
 //!     ..NetConfig::default()
 //! };
-//! let report = run_cluster(config).expect("sockets available");
+//! let report = run_reactor_cluster(config, 2).expect("sockets available");
 //! println!("delivery rate: {}", report.result.overall_delivery_rate);
 //! ```
 
@@ -57,11 +58,7 @@ mod cluster;
 mod core;
 pub mod frame;
 pub mod reactor;
-mod runtime;
 mod syscalls;
 
-pub use cluster::{
-    run_cluster, run_cluster_as, run_process_node, Cluster, DeliveryLatency, NetConfig,
-    NetRunReport, NodeAddrs, RuntimeKind,
-};
-pub use reactor::{run_reactor_cluster, ReactorCluster};
+pub use cluster::{DeliveryLatency, NetConfig, NetRunReport, NodeAddrs};
+pub use reactor::{run_process_node, run_reactor_cluster, ReactorCluster};

@@ -1,41 +1,41 @@
-//! The epoll reactor runtime: thousands of dispatchers per process.
+//! The epoll reactor: the socket runtime, thousands of dispatchers
+//! per process.
 //!
-//! Where the reference runtime (`runtime.rs`) gives every dispatcher
-//! its own thread, the reactor multiplexes *all* TCP tree links and
-//! UDP out-of-band sockets onto a small fixed pool of worker threads,
-//! each owning a contiguous slice of nodes:
+//! All TCP tree links and UDP out-of-band sockets are multiplexed onto
+//! a small fixed pool of worker threads, each owning a contiguous
+//! slice of nodes (a multi-process deployment runs a one-node slice on
+//! one worker per process):
 //!
 //! ```text
 //!  worker 0 ───────────────┐   worker 1 ───────────────┐
 //!  │ nodes [0, n)          │   │ nodes [n, 2n)         │
 //!  │ epoll fd              │   │ epoll fd              │
-//!  │ timerfd ← timer wheel │   │ timerfd ← timer wheel │
+//!  │ timerfd ← timer queue │   │ timerfd ← timer queue │
 //!  │ eventfd ← coordinator │   │ eventfd ← coordinator │
 //!  └───────────────────────┘   └───────────────────────┘
 //!            └───── shared convergence counters ─────┘
 //! ```
 //!
-//! - **Timer wheel, not sleeps.** Every protocol deadline (publish
-//!   tick, gossip round, dial retry, restart resume) is an entry in a
-//!   hashed wheel; a single `timerfd` is armed to the wheel's next
-//!   deadline and `epoll_wait` blocks until either it fires or a
-//!   socket becomes ready. An idle worker costs zero CPU.
+//! - **One timer queue, not sleeps.** Every protocol deadline (publish
+//!   tick, gossip round, dial retry, restart resume) is an entry in
+//!   the simulator's own `eps_sim::KeyedEngine`; a single `timerfd` is
+//!   armed to the queue's head and `epoll_wait` blocks until either it
+//!   fires or a socket becomes ready. An idle worker costs zero CPU.
 //! - **Edge-triggered reads.** Every stream is registered `EPOLLET`
 //!   and drained to `EAGAIN` into the shared `frame.rs` decoder.
 //! - **Batched writes.** Outbound frames coalesce into one per-link
 //!   write buffer and are flushed once per readiness cycle — one
 //!   `write` syscall per link per batch instead of one per envelope.
 //!   A full buffer sheds new frames into `queue_drops`
-//!   (backpressure), exactly like the thread runtime's bounded outbox.
+//!   (backpressure).
 //! - **Connection state machines.** Dial retry/backoff (with jitter)
 //!   and forced-restart semantics live in per-link `Down →
 //!   Connecting → Up` state driven by epoll events, not thread state.
 //!
-//! The protocol state is the same `NodeCore` the thread runtime
-//! drives, booted by the same `boot_population`, reported through the
-//! same `aggregate_cores` — a `RuntimeKind` choice cannot change what
-//! a seed publishes or how bytes are accounted (pinned by the
-//! reactor-vs-thread crossval cell).
+//! The protocol state is the `NodeCore` of `core.rs`, booted by
+//! `boot_population`, reported through `aggregate_cores`; what a seed
+//! publishes and how bytes are accounted is decided there, not here
+//! (pinned against the simulator by `tests/crossval.rs`).
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -48,15 +48,14 @@ use std::time::{Duration, Instant};
 
 use eps_gossip::Channel;
 use eps_overlay::{LinkId, NodeId};
-use eps_sim::{Rng, SimTime};
+use eps_sim::{KeyedEngine, Rng, SimTime};
 
 use crate::cluster::{
-    aggregate_cores, bind_with_retry, boot_population, wait_for_convergence, Boot, NetConfig,
-    NetRunReport, NodeAddrs,
+    aggregate_cores, bind_with_retry, boot_population, wait_for_convergence, Boot, BootNode,
+    NetConfig, NetRunReport, NodeAddrs,
 };
-use crate::core::{jittered_backoff, NodeCore, Outbound, Shared};
+use crate::core::{NodeCore, Outbound, Shared};
 use crate::frame::FrameReader;
-use crate::runtime::{BACKOFF_CAP, BACKOFF_START};
 use crate::syscalls::{
     drain_counter, epoll_add, epoll_create, epoll_mod, epoll_wait, eventfd_create, eventfd_signal,
     take_socket_error, tcp_connect_start, timerfd_arm, timerfd_create, EpollEvent, OwnedFd,
@@ -65,18 +64,20 @@ use crate::syscalls::{
 
 /// Events drained per `epoll_wait` call.
 const EVENTS_PER_WAIT: usize = 1024;
-/// Timer-wheel slot width. Protocol timers are tens of milliseconds;
-/// 1 ms granularity keeps gossip cadence faithful without hot spins.
-const WHEEL_GRANULARITY_NS: u64 = 1_000_000;
-/// Timer-wheel slots: ~4 s of horizon before entries wrap. Entries
-/// beyond the horizon simply stay in their slot until their deadline
-/// actually passes (the fire check is against the real deadline, not
-/// the slot), so wrapping is a performance detail, not a correctness
-/// one.
-const WHEEL_SLOTS: usize = 4096;
-/// Fallback arm when the wheel is empty (cannot happen while any node
+/// Fallback arm when the queue is empty (cannot happen while any node
 /// is live, but the timerfd must never be left unarmed forever).
 const IDLE_ARM: Duration = Duration::from_millis(50);
+/// First dial-retry wait of a link; doubles per failed attempt.
+const BACKOFF_START: Duration = Duration::from_millis(10);
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+
+/// Dial-retry backoff with jitter: the deterministic base doubles up
+/// to the cap, but each wait is scaled by a uniform draw in
+/// `[0.5, 1.5)` from the node's dial stream — so peers restarted
+/// together do not hammer an acceptor in lockstep.
+fn jittered_backoff(base: Duration, dial_rng: &mut Rng) -> Duration {
+    base.mul_f64(dial_rng.random_range(0.5..1.5))
+}
 
 // ---- epoll token packing -------------------------------------------
 //
@@ -109,9 +110,9 @@ fn token_aux(t: u64) -> usize {
     ((t >> 32) & 0x1FFF_FFFF) as usize
 }
 
-// ---- timer wheel ---------------------------------------------------
+// ---- timers -------------------------------------------------------
 
-/// What a wheel entry wakes up: a node's next protocol deadline, a
+/// What a timer entry wakes up: a node's next protocol deadline, a
 /// dial retry for one link, or a restarted node's resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TimerToken {
@@ -120,73 +121,36 @@ pub(crate) enum TimerToken {
     Resume(usize),
 }
 
-/// A hashed timer wheel over nanoseconds-since-run-start. Entries
-/// land in `deadline / granularity % slots`; firing checks the real
-/// deadline, so entries beyond one revolution simply wait in place
-/// (the classic reinsert-if-not-due rule, with the reinsert implicit).
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<(u64, TimerToken)>>,
-    granularity: u64,
-    /// The slot tick processed through by the last `fire_due`.
-    last_tick: u64,
-    len: usize,
+/// A worker's pending timers over nanoseconds-since-run-start: the
+/// simulator's event queue, keyed by an insertion counter (equal
+/// deadlines fire in insertion order).
+#[derive(Default)]
+pub(crate) struct Timers {
+    queue: KeyedEngine<u64, TimerToken>,
+    inserted: u64,
 }
 
-impl TimerWheel {
-    pub(crate) fn new(slots: usize, granularity: u64) -> TimerWheel {
-        TimerWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            granularity,
-            last_tick: 0,
-            len: 0,
-        }
-    }
-
+impl Timers {
+    /// Files `token` at `deadline_ns`. The queue's clock is the last
+    /// deadline it fired, and a node that has fallen behind its
+    /// schedule asks for deadlines before that: those are already due,
+    /// so they are filed at the clock and come out of the next drain.
     pub(crate) fn insert(&mut self, deadline_ns: u64, token: TimerToken) {
-        let idx = ((deadline_ns / self.granularity) % self.slots.len() as u64) as usize;
-        self.slots[idx].push((deadline_ns, token));
-        self.len += 1;
+        let at = SimTime::from_nanos(deadline_ns).max(self.queue.now());
+        self.queue.schedule_at(at, self.inserted, token);
+        self.inserted += 1;
     }
 
-    /// Collects every entry due at `now_ns`, walking at most one full
-    /// revolution of slots since the previous call.
-    pub(crate) fn fire_due(&mut self, now_ns: u64, out: &mut Vec<TimerToken>) {
-        if self.len == 0 {
-            self.last_tick = now_ns / self.granularity;
-            return;
+    /// Moves every entry due at `now_ns` into `out`, in deadline order.
+    pub(crate) fn drain_due(&mut self, now_ns: u64, out: &mut Vec<TimerToken>) {
+        let horizon = SimTime::from_nanos(now_ns + 1);
+        while let Some((_, _, token)) = self.queue.pop_before(horizon) {
+            out.push(token);
         }
-        let now_tick = now_ns / self.granularity;
-        let span = (now_tick.saturating_sub(self.last_tick) + 1).min(self.slots.len() as u64);
-        for off in 0..span {
-            let idx = ((self.last_tick + off) % self.slots.len() as u64) as usize;
-            let slot = &mut self.slots[idx];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].0 <= now_ns {
-                    out.push(slot.swap_remove(i).1);
-                    self.len -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.last_tick = now_tick;
     }
 
-    /// The earliest deadline across every slot (a full scan; entry
-    /// counts are one per live node plus a few dials, so this is
-    /// cheaper than keeping a heap coherent under swap-removal).
     pub(crate) fn next_deadline(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut min = u64::MAX;
-        for slot in &self.slots {
-            for &(deadline, _) in slot {
-                min = min.min(deadline);
-            }
-        }
-        Some(min)
+        self.queue.peek_time().map(SimTime::as_nanos)
     }
 }
 
@@ -336,7 +300,7 @@ impl LinkBuf {
 // ---- connection state ----------------------------------------------
 
 enum LinkState {
-    /// No connection. A dialer gets here with a `Dial` wheel entry
+    /// No connection. A dialer gets here with a `Dial` timer entry
     /// pending; an acceptor waits for the peer to dial.
     Down,
     /// A nonblocking connect is in flight; `EPOLLOUT` delivers the
@@ -369,7 +333,7 @@ struct RNode {
     links: Vec<RLink>,
     /// Mid-restart: sockets closed, waiting for the `Resume` timer.
     down: bool,
-    /// A `Node` entry currently sits in the wheel (exactly one may).
+    /// A `Node` entry currently sits in the queue (exactly one may).
     timer_armed: bool,
 }
 
@@ -395,7 +359,7 @@ struct Worker {
     ep: OwnedFd,
     timer: OwnedFd,
     wake_fd: RawFd,
-    wheel: TimerWheel,
+    timers: Timers,
     registry: Vec<NodeAddrs>,
     shared: Arc<Shared>,
     start: Instant,
@@ -506,7 +470,7 @@ impl Worker {
     #[allow(clippy::too_many_arguments)]
     fn new(
         base: usize,
-        boots: Vec<crate::cluster::BootNode>,
+        boots: Vec<BootNode>,
         registry: Vec<NodeAddrs>,
         shared: Arc<Shared>,
         start: Instant,
@@ -566,7 +530,7 @@ impl Worker {
             ep,
             timer,
             wake_fd,
-            wheel: TimerWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY_NS),
+            timers: Timers::default(),
             registry,
             shared,
             start,
@@ -588,11 +552,11 @@ impl Worker {
         for ni in 0..self.nodes.len() {
             self.nodes[ni].core.bootstrap(&self.shared);
             let deadline = self.nodes[ni].core.next_deadline().as_nanos();
-            self.wheel.insert(deadline, TimerToken::Node(ni));
+            self.timers.insert(deadline, TimerToken::Node(ni));
             self.nodes[ni].timer_armed = true;
             for li in 0..self.nodes[ni].links.len() {
                 if self.nodes[ni].links[li].dialer {
-                    self.wheel
+                    self.timers
                         .insert(now, TimerToken::Dial { node: ni, link: li });
                 }
             }
@@ -623,7 +587,7 @@ impl Worker {
     // ---- timers --------------------------------------------------
 
     fn arm_timer(&self) {
-        let delay = match self.wheel.next_deadline() {
+        let delay = match self.timers.next_deadline() {
             Some(deadline) => Duration::from_nanos(deadline.saturating_sub(self.ns_now())),
             None => IDLE_ARM,
         };
@@ -633,7 +597,10 @@ impl Worker {
     fn fire_timers(&mut self) {
         let now = self.ns_now();
         let mut fired = std::mem::take(&mut self.fired);
-        self.wheel.fire_due(now, &mut fired);
+        // Drained in full before any is handled: a node behind its
+        // schedule re-files itself as already due, and must wait for
+        // the next pass — after the sockets — not be popped again here.
+        self.timers.drain_due(now, &mut fired);
         for tok in fired.drain(..) {
             match tok {
                 TimerToken::Node(ni) => self.fire_node_timer(ni),
@@ -650,7 +617,7 @@ impl Worker {
             shared,
             registry,
             dirty,
-            wheel,
+            timers,
             start,
             ..
         } = self;
@@ -661,9 +628,9 @@ impl Worker {
             return;
         }
         let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-        let (_, sends) = node.core.tick_timers(now, shared);
+        let sends = node.core.tick_timers(now, shared);
         dispatch_sends(node, ni, sends, registry, dirty);
-        wheel.insert(node.core.next_deadline().as_nanos(), TimerToken::Node(ni));
+        timers.insert(node.core.next_deadline().as_nanos(), TimerToken::Node(ni));
         node.timer_armed = true;
     }
 
@@ -702,7 +669,7 @@ impl Worker {
         let link = &mut node.links[li];
         let wait = jittered_backoff(link.backoff, &mut node.dial_rng);
         link.backoff = (link.backoff * 2).min(BACKOFF_CAP);
-        self.wheel.insert(
+        self.timers.insert(
             self.start.elapsed().as_nanos() as u64 + wait.as_nanos() as u64,
             TimerToken::Dial { node: ni, link: li },
         );
@@ -773,7 +740,7 @@ impl Worker {
         link.buf.on_disconnect();
         if link.dialer {
             // Immediate redial; the peer may just have restarted.
-            self.wheel
+            self.timers
                 .insert(self.ns_now(), TimerToken::Dial { node: ni, link: li });
         }
     }
@@ -1053,7 +1020,7 @@ impl Worker {
 
     /// Stops one node cold: sockets closed (peers see resets and fall
     /// into their dial-backoff machines), queued traffic discarded,
-    /// protocol state kept. The `Resume` wheel entry brings it back.
+    /// protocol state kept. The `Resume` timer entry brings it back.
     fn restart(&mut self, ni: usize, pause: Duration) {
         let node = &mut self.nodes[ni];
         if node.down {
@@ -1080,7 +1047,7 @@ impl Worker {
                 self.free_pending.push(slot);
             }
         }
-        self.wheel.insert(
+        self.timers.insert(
             self.ns_now() + pause.as_nanos() as u64,
             TimerToken::Resume(ni),
         );
@@ -1114,11 +1081,11 @@ impl Worker {
         if !node.timer_armed {
             node.timer_armed = true;
             let deadline = node.core.next_deadline().as_nanos();
-            self.wheel.insert(deadline, TimerToken::Node(ni));
+            self.timers.insert(deadline, TimerToken::Node(ni));
         }
         for li in 0..self.nodes[ni].links.len() {
             if self.nodes[ni].links[li].dialer {
-                self.wheel
+                self.timers
                     .insert(now, TimerToken::Dial { node: ni, link: li });
             }
         }
@@ -1136,8 +1103,7 @@ struct WorkerHandle {
 }
 
 /// A running reactor cluster: the whole population multiplexed onto a
-/// fixed pool of epoll worker threads. Same protocol, same seeds,
-/// same report schema as [`crate::Cluster`].
+/// fixed pool of epoll worker threads.
 pub struct ReactorCluster {
     config: NetConfig,
     registry: Vec<NodeAddrs>,
@@ -1154,11 +1120,23 @@ impl ReactorCluster {
     /// Boots the full population and starts `workers` reactor threads,
     /// each owning a contiguous slice of nodes.
     pub fn launch(config: NetConfig, workers: usize) -> std::io::Result<ReactorCluster> {
+        ReactorCluster::start(config, None, workers)
+    }
+
+    /// [`Self::launch`], or with `process = Some((index, registry))`
+    /// the one-node slice `[index, index + 1)` of a multi-process
+    /// cluster (see [`boot_population`]).
+    fn start(
+        config: NetConfig,
+        process: Option<(usize, Vec<NodeAddrs>)>,
+        workers: usize,
+    ) -> std::io::Result<ReactorCluster> {
         let Boot {
             registry,
+            mut base,
             nodes,
             setup_subscription_msgs,
-        } = boot_population(&config)?;
+        } = boot_population(&config, process)?;
         let n = nodes.len();
         let workers = workers.clamp(1, n.max(1));
         let shared = Arc::new(Shared::default());
@@ -1166,7 +1144,6 @@ impl ReactorCluster {
         let mut handles = Vec::with_capacity(workers);
         let mut wakes = Vec::with_capacity(workers);
         let mut boots = nodes.into_iter();
-        let mut base = 0;
         for w in 0..workers {
             // Contiguous slices, remainder spread over the first few.
             let len = n / workers + usize::from(w < n % workers);
@@ -1214,9 +1191,8 @@ impl ReactorCluster {
 
     /// Asks the owning worker to stop node `index`, keep it down for
     /// `pause`, then rebind and resume it with protocol state intact.
-    /// Unlike the thread cluster's restart this is asynchronous: the
-    /// request is queued and the call returns immediately (the worker
-    /// must keep serving its other nodes).
+    /// Asynchronous: the request is queued and the call returns
+    /// immediately (the worker must keep serving its other nodes).
     pub fn restart_node(&mut self, index: usize, pause: Duration) -> std::io::Result<()> {
         let worker = self
             .workers
@@ -1264,6 +1240,33 @@ pub fn run_reactor_cluster(config: NetConfig, workers: usize) -> std::io::Result
     Ok(ReactorCluster::launch(config, workers)?.finish())
 }
 
+/// Runs node `index` of a *multi-process* cluster in the current
+/// process, binding the addresses `registry[index]` and dialing the
+/// rest. Every process derives the identical population from the
+/// shared seed; peers may start in any order (the dialers retry with
+/// backoff until their acceptors come up).
+///
+/// Runs for the scenario duration plus the full drain budget — with
+/// no shared memory there is no cross-process convergence signal, so
+/// this process's one publisher never makes `finish` see the whole
+/// population done — and reports this node's *local view*: its own
+/// publishes and deliveries, its own counters. Cluster-wide delivery
+/// rates require the single-process mode, where the coordinator sees
+/// every sink.
+pub fn run_process_node(
+    config: &NetConfig,
+    index: usize,
+    registry: Vec<NodeAddrs>,
+) -> std::io::Result<NetRunReport> {
+    assert_eq!(
+        registry.len(),
+        config.scenario.nodes,
+        "one address per dispatcher"
+    );
+    assert!(index < config.scenario.nodes, "node index out of range");
+    Ok(ReactorCluster::start(config.clone(), Some((index, registry)), 1)?.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1278,43 +1281,26 @@ mod tests {
         (a, b)
     }
 
+    /// The defect the hashed wheel had: a deadline earlier than the
+    /// last one fired (a node behind its publish schedule) was filed
+    /// behind the cursor and waited a whole revolution. It is due, so
+    /// the very next drain must return it — ahead of later entries.
     #[test]
-    fn wheel_fires_in_deadline_order_within_granularity() {
-        let mut wheel = TimerWheel::new(16, 1_000_000);
-        wheel.insert(5_000_000, TimerToken::Node(5));
-        wheel.insert(2_000_000, TimerToken::Node(2));
-        wheel.insert(9_000_000, TimerToken::Node(9));
+    fn a_deadline_before_the_last_fired_one_comes_out_of_the_next_drain() {
+        let mut timers = Timers::default();
+        timers.insert(5_000_000, TimerToken::Node(5));
+        timers.insert(9_000_000, TimerToken::Node(9));
+        timers.insert(20_000_000, TimerToken::Node(20));
         let mut out = Vec::new();
-        wheel.fire_due(3_000_000, &mut out);
-        assert_eq!(out, vec![TimerToken::Node(2)]);
-        out.clear();
-        wheel.fire_due(9_000_000, &mut out);
-        out.sort_by_key(|t| match t {
-            TimerToken::Node(n) => *n,
-            _ => usize::MAX,
-        });
+        timers.drain_due(9_000_000, &mut out);
         assert_eq!(out, vec![TimerToken::Node(5), TimerToken::Node(9)]);
-        assert!(wheel.next_deadline().is_none());
-    }
 
-    /// Entries past one wheel revolution share slots with near ones;
-    /// they must stay parked (not fire early) until their real
-    /// deadline passes.
-    #[test]
-    fn wheel_entries_beyond_the_horizon_wait_in_place() {
-        let mut wheel = TimerWheel::new(8, 1_000_000);
-        // 2ms and 2ms + one full revolution (8ms): same slot.
-        wheel.insert(2_000_000, TimerToken::Node(1));
-        wheel.insert(10_000_000, TimerToken::Node(2));
-        let mut out = Vec::new();
-        wheel.fire_due(2_000_000, &mut out);
-        assert_eq!(out, vec![TimerToken::Node(1)]);
-        assert_eq!(wheel.next_deadline(), Some(10_000_000));
+        timers.insert(2_000_000, TimerToken::Node(2));
+        assert_eq!(timers.next_deadline(), Some(9_000_000), "filed as due now");
         out.clear();
-        wheel.fire_due(5_000_000, &mut out);
-        assert!(out.is_empty(), "horizon entry fired early");
-        wheel.fire_due(11_000_000, &mut out);
+        timers.drain_due(9_000_000, &mut out);
         assert_eq!(out, vec![TimerToken::Node(2)]);
+        assert_eq!(timers.next_deadline(), Some(20_000_000));
     }
 
     /// The satellite-4 partial-frame case: one frame arriving in

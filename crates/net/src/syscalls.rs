@@ -9,8 +9,8 @@
 //! reactor above is entirely safe code.
 //!
 //! Supported targets: `x86_64-linux` and `aarch64-linux`. Elsewhere
-//! every entry point returns `ENOSYS`-style errors at runtime (the
-//! thread runtime remains available), so the crate still compiles.
+//! the crate still compiles and every entry point returns `ENOSYS`
+//! (`io::ErrorKind::Unsupported`), so every launch fails with it.
 #![allow(unsafe_code)]
 
 use std::io;

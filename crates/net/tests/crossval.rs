@@ -11,7 +11,7 @@ use std::time::Duration;
 use eps_gossip::codec;
 use eps_gossip::{Algorithm, Envelope, GossipMessage};
 use eps_harness::{run_scenario, ScenarioConfig};
-use eps_net::{run_cluster, run_cluster_as, NetConfig, RuntimeKind};
+use eps_net::{run_reactor_cluster, NetConfig};
 use eps_overlay::{NodeId, OverlayKind};
 use eps_pubsub::{Event, EventId, LossRecord, PatternId, RangeDetail, RangeRef, RangeSummary};
 use eps_sim::SimTime;
@@ -63,11 +63,14 @@ fn sim_and_loopback_agree_on_workload_and_convergence() {
     );
     assert!(sim.events_recovered > 0, "sim recovery engaged");
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
+    let report = run_reactor_cluster(
+        NetConfig {
+            scenario: scenario.clone(),
+            drain: Duration::from_secs(4),
+            ..NetConfig::default()
+        },
+        2,
+    )
     .expect("cluster boots");
 
     assert_eq!(
@@ -108,11 +111,14 @@ fn sim_and_loopback_agree_on_a_barabasi_albert_graph() {
         "cross links carried duplicate copies in sim"
     );
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
+    let report = run_reactor_cluster(
+        NetConfig {
+            scenario: scenario.clone(),
+            drain: Duration::from_secs(4),
+            ..NetConfig::default()
+        },
+        2,
+    )
     .expect("cluster boots");
 
     assert_eq!(
@@ -154,11 +160,14 @@ fn sim_and_loopback_agree_with_multi_client_dispatchers() {
         sim.aggregate_patterns
     );
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
+    let report = run_reactor_cluster(
+        NetConfig {
+            scenario: scenario.clone(),
+            drain: Duration::from_secs(4),
+            ..NetConfig::default()
+        },
+        2,
+    )
     .expect("cluster boots");
 
     assert_eq!(
@@ -211,11 +220,14 @@ fn sim_and_loopback_agree_with_summary_reconciliation() {
     assert!(sim.events_recovered > 0, "sim recovery engaged");
     assert!(sim.gossip_wire_bits > 0, "sim accounted digest bits");
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
+    let report = run_reactor_cluster(
+        NetConfig {
+            scenario: scenario.clone(),
+            drain: Duration::from_secs(4),
+            ..NetConfig::default()
+        },
+        2,
+    )
     .expect("cluster boots");
 
     assert_eq!(
@@ -237,61 +249,50 @@ fn sim_and_loopback_agree_with_summary_reconciliation() {
     assert_eq!(report.trace_dropped, 0, "trace capacity sufficed");
 }
 
-/// The runtime-equivalence cell: the same seed through the simulator,
-/// the thread-per-node runtime, and the epoll reactor. The two socket
-/// runtimes share one protocol core (`NodeCore`), one population
-/// boot, and one aggregation path — so the workload identity and all
+/// The boot-equivalence cell: the same seed through the simulator and
+/// the epoll reactor. The reactor boots the population the simulator
+/// builds (`boot_population` → `build_population`) and reports through
+/// the simulator's `assemble`, so the workload identity and all
 /// boot-derived routing state must be *equal*, not merely close, and
-/// both must converge. This is the contract that lets the reactor
-/// replace thread-per-node without re-validating the protocol.
+/// the wire run must converge.
 #[test]
-fn reactor_and_thread_runtimes_agree_with_sim_on_the_same_seed() {
+fn reactor_agrees_with_sim_on_the_same_seed() {
     let scenario = crossval_scenario();
     let sim = run_scenario(&scenario);
 
-    let config = || NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    };
-    let thread = run_cluster_as(config(), RuntimeKind::Thread).expect("thread cluster boots");
-    let reactor =
-        run_cluster_as(config(), RuntimeKind::Reactor { workers: 2 }).expect("reactor boots");
+    let reactor = run_reactor_cluster(
+        NetConfig {
+            scenario: scenario.clone(),
+            drain: Duration::from_secs(4),
+            ..NetConfig::default()
+        },
+        2,
+    )
+    .expect("reactor boots");
 
-    for (name, report) in [("thread", &thread), ("reactor", &reactor)] {
-        assert_eq!(
-            report.result.events_published, sim.events_published,
-            "{name}: same seed must publish the same event sequence as sim"
-        );
-        assert_eq!(
-            report.result.overall_delivery_rate, 1.0,
-            "{name}: the wire run converges to 100%; got {:?}",
-            report.result
-        );
-        assert!(
-            report.net.injected_drops > 0,
-            "{name}: loss injection exercised"
-        );
-        assert_eq!(report.net.decode_errors, 0, "{name}: codec never misparses");
-        assert_eq!(report.trace_dropped, 0, "{name}: trace capacity sufficed");
-    }
-    // Boot-derived state is bit-identical across runtimes, not just
-    // statistically alike.
     assert_eq!(
-        reactor.result.routing_entries,
-        thread.result.routing_entries
+        reactor.result.events_published, sim.events_published,
+        "same seed must publish the same event sequence as sim"
     );
+    assert_eq!(
+        reactor.result.overall_delivery_rate, 1.0,
+        "the wire run converges to 100%; got {:?}",
+        reactor.result
+    );
+    assert!(reactor.net.injected_drops > 0, "loss injection exercised");
+    assert_eq!(reactor.net.decode_errors, 0, "codec never misparses");
+    assert_eq!(reactor.trace_dropped, 0, "trace capacity sufficed");
+    // Boot-derived state is bit-identical across worlds, not just
+    // statistically alike.
+    assert_eq!(reactor.result.routing_entries, sim.routing_entries);
     assert_eq!(
         reactor.result.client_subscriptions,
-        thread.result.client_subscriptions
+        sim.client_subscriptions
     );
-    assert_eq!(
-        reactor.result.aggregate_patterns,
-        thread.result.aggregate_patterns
-    );
+    assert_eq!(reactor.result.aggregate_patterns, sim.aggregate_patterns);
     assert_eq!(
         reactor.result.setup_subscription_msgs,
-        thread.result.setup_subscription_msgs
+        sim.setup_subscription_msgs
     );
 }
 
@@ -312,8 +313,8 @@ fn net_workload_is_seed_deterministic() {
         drain: Duration::from_secs(2),
         ..NetConfig::default()
     };
-    let a = run_cluster(config(21)).expect("cluster boots");
-    let b = run_cluster(config(21)).expect("cluster boots");
+    let a = run_reactor_cluster(config(21), 2).expect("cluster boots");
+    let b = run_reactor_cluster(config(21), 2).expect("cluster boots");
     let sim = run_scenario(&ScenarioConfig {
         seed: 21,
         ..scenario.clone()
@@ -342,11 +343,14 @@ fn first_publish_ticks_past_the_end_fire_in_neither_world() {
         "the cell must mix first draws inside the run and past it; sim published {}",
         sim.events_published
     );
-    let report = run_cluster(NetConfig {
-        scenario,
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
+    let report = run_reactor_cluster(
+        NetConfig {
+            scenario,
+            drain: Duration::from_secs(4),
+            ..NetConfig::default()
+        },
+        2,
+    )
     .expect("cluster boots");
     assert_eq!(report.result.events_published, sim.events_published);
 }

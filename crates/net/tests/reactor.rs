@@ -1,12 +1,13 @@
-//! Reactor-runtime integration tests: the same loopback scenarios the
-//! thread runtime answers for, executed by the epoll reactor — plus
-//! the scale case the reactor exists for: a thousand dispatchers in
-//! one process on a handful of worker threads.
+//! Reactor integration tests: small loopback clusters (real sockets,
+//! about a second of wall clock each) that must boot, converge and
+//! survive forced restarts — plus the scale case the reactor exists
+//! for: a thousand dispatchers in one process on a handful of worker
+//! threads.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eps_gossip::Algorithm;
-use eps_harness::ScenarioConfig;
+use eps_harness::{run_scenario, ScenarioConfig};
 use eps_net::{run_reactor_cluster, NetConfig, ReactorCluster};
 use eps_sim::SimTime;
 
@@ -62,9 +63,10 @@ fn combined_pull_converges_under_the_reactor() {
     let report = run_reactor_cluster(smoke_config(3, Algorithm::combined_pull(), 13), 2)
         .expect("reactor boots");
     assert!(report.result.events_published > 0, "workload ran");
-    // Same caveat as the thread-runtime twin: pull detects losses by
-    // sequence gaps, so the run-tail is structurally unrecoverable —
-    // the in-window rate is the convergence claim.
+    // Combined pull detects losses by sequence gaps, so an event that
+    // ends its (source, pattern) stream can never be pulled — the
+    // in-window rate must converge (streams keep flowing past the
+    // window), but the run-tail is structurally unrecoverable.
     assert_eq!(
         report.result.delivery_rate, 1.0,
         "combined pull must converge inside the measurement window; got {:?}",
@@ -108,8 +110,7 @@ fn sixteen_node_tree_survives_forced_restarts_under_the_reactor() {
 /// The scale acceptance: 1000 dispatchers in one process, two worker
 /// threads, every tree link live, full delivery. Loss injection is off
 /// so the run's byte budget stays test-sized; what this pins is the
-/// fd/timer/buffer machinery at three-plus thousand descriptors — far
-/// past anything a thread-per-node runtime answers for in CI.
+/// fd/timer/buffer machinery at three-plus thousand descriptors.
 #[test]
 fn thousand_dispatchers_converge_in_one_process() {
     let config = NetConfig {
@@ -144,4 +145,52 @@ fn thousand_dispatchers_converge_in_one_process() {
     );
     assert_eq!(report.net.decode_errors, 0, "codec never misparses");
     assert_eq!(report.trace_dropped, 0, "trace capacity sufficed");
+}
+
+/// A node behind its publish schedule must catch up at once. Every
+/// publish tick renews from its *scheduled* time, so under load the
+/// next deadline a node asks for is already in the past; a timer
+/// structure that parks such a deadline (the hashed wheel this reactor
+/// used to have filed it behind its cursor for a 4.1 s revolution)
+/// either publishes late or — when the tail outlives the drain — not
+/// at all. Lossless and without recovery, so the simulator's count is
+/// exact and nothing but the publish schedule decides the run time.
+#[test]
+fn a_node_behind_its_publish_schedule_catches_up_without_a_tail() {
+    let scenario = ScenarioConfig {
+        seed: 29,
+        nodes: 16,
+        max_degree: 3,
+        publish_rate: 200.0,
+        link_error_rate: 0.0,
+        pattern_universe: 8,
+        pi_max: 2,
+        duration: SimTime::from_millis(500),
+        warmup: SimTime::from_millis(100),
+        cooldown: SimTime::from_millis(100),
+        algorithm: Algorithm::no_recovery(),
+        ..ScenarioConfig::default()
+    };
+    let sim = run_scenario(&scenario);
+    let cluster = ReactorCluster::launch(
+        NetConfig {
+            scenario,
+            drain: Duration::from_secs(10),
+            ..NetConfig::default()
+        },
+        2,
+    )
+    .expect("reactor boots");
+    let started = Instant::now();
+    let report = cluster.finish();
+    let took = started.elapsed();
+    assert_eq!(
+        report.result.events_published, sim.events_published,
+        "every scheduled publish fired"
+    );
+    assert!(
+        took < Duration::from_millis(1500),
+        "the run ends with its schedule, not a timer revolution later; took {took:?}"
+    );
+    assert_eq!(report.net.decode_errors, 0, "codec never misparses");
 }

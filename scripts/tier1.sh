@@ -84,19 +84,13 @@ cargo run --release -p eps-bench --bin bench_compare -- \
     BENCH_scenario.json target/bench/BENCH_scenario.json \
     BENCH_net.json target/bench/BENCH_net.json
 
-echo "== tier-1: loopback smoke (3-node tree over real sockets) =="
-./target/release/net_cluster --nodes 3 --algorithm push --eps 0.05 \
-    --pattern-universe 6 --pi-max 2 --duration 0.8 --drain 2 --seed 11
-./target/release/net_cluster --nodes 3 --algorithm combined-pull --eps 0.05 \
-    --pattern-universe 6 --pi-max 2 --duration 0.8 --drain 2 --seed 13
-
 echo "== tier-1: reactor smoke (same scenarios on the epoll runtime) =="
 ./target/release/net_cluster --nodes 3 --algorithm push --eps 0.05 \
     --pattern-universe 6 --pi-max 2 --duration 0.8 --drain 2 --seed 11 \
-    --runtime reactor --workers 2
+    --workers 2
 ./target/release/net_cluster --nodes 3 --algorithm combined-pull --eps 0.05 \
     --pattern-universe 6 --pi-max 2 --duration 0.8 --drain 2 --seed 13 \
-    --runtime reactor --workers 2
+    --workers 2
 
 echo "== tier-1: overlay scenarios (duplicate-suppression invariant) =="
 # On a tree the routing view IS the physical graph: no cross links
