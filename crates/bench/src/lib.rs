@@ -17,8 +17,6 @@
 //! `BENCH_scenario.json`; `bench_compare` diffs fresh results against
 //! the committed baselines and flags regressions past a configurable
 //! threshold. `scripts/tier1.sh` chains all three in advisory mode.
-//! The criterion benches live in the workspace-excluded `extras/`
-//! package, since criterion needs registry access.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -699,6 +699,8 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use eps_pubsub::ROUTE_HOP_BITS;
+    use eps_sim::check::forall;
+    use eps_sim::Rng;
 
     use super::*;
 
@@ -1026,6 +1028,202 @@ mod tests {
         assert_eq!(
             decode(&buf, P).unwrap_err(),
             CodecError::Malformed("event patterns not strictly sorted")
+        );
+    }
+
+    // ---- properties over random envelopes -------------------------
+
+    fn random_id(rng: &mut Rng) -> EventId {
+        EventId::new(
+            NodeId::new(rng.random_range(0..64u32)),
+            rng.random_below(100_000),
+        )
+    }
+
+    fn random_loss(rng: &mut Rng) -> LossRecord {
+        LossRecord {
+            source: NodeId::new(rng.random_range(0..64u32)),
+            pattern: PatternId::new(rng.random_range(0..70u16)),
+            seq: rng.random_below(100_000),
+        }
+    }
+
+    fn random_list<T>(
+        rng: &mut Rng,
+        max_len: usize,
+        mut item: impl FnMut(&mut Rng) -> T,
+    ) -> Vec<T> {
+        (0..rng.random_range(0..max_len + 1))
+            .map(|_| item(rng))
+            .collect()
+    }
+
+    /// Up to a max-degree route (the widest overlay the scenarios use
+    /// has degree 16), or none.
+    fn random_route(rng: &mut Rng) -> Vec<NodeId> {
+        random_list(rng, 16, |rng| NodeId::new(rng.random_range(0..64u32)))
+    }
+
+    fn random_event(rng: &mut Rng) -> Event {
+        let mut pattern_seqs: Vec<(PatternId, u64)> = (0..rng.random_range(1..4usize))
+            .map(|_| {
+                let pattern = PatternId::new(rng.random_range(0..70u16));
+                (pattern, rng.random_below(100_000))
+            })
+            .collect();
+        pattern_seqs.sort_unstable();
+        pattern_seqs.dedup_by_key(|&mut (pattern, _)| pattern);
+        let mut event = Event::new(random_id(rng), pattern_seqs);
+        for hop in random_route(rng) {
+            event.record_hop(hop);
+        }
+        event
+    }
+
+    fn random_range_ref(rng: &mut Rng) -> RangeRef {
+        let level = rng.random_range(0..u32::from(LEAF_LEVEL) + 1);
+        RangeRef::new(level as u8, rng.random_below(1 << (4 * level)) as u32)
+    }
+
+    /// An envelope of any of the twelve wire kinds. List sizes start at
+    /// zero on purpose: empty digests must frame and round-trip like
+    /// any other body.
+    fn random_envelope(rng: &mut Rng) -> Envelope {
+        let gossiper = NodeId::new(rng.random_range(0..64u32));
+        let pattern = PatternId::new(rng.random_range(0..70u16));
+        match T_SUBSCRIBE + rng.random_below(u64::from(T_RANGE_REQUEST)) as u8 {
+            T_SUBSCRIBE => Envelope::PubSub(PubSubMessage::Subscribe(pattern)),
+            T_UNSUBSCRIBE => Envelope::PubSub(PubSubMessage::Unsubscribe(pattern)),
+            T_EVENT => Envelope::PubSub(PubSubMessage::Event(random_event(rng))),
+            T_CROSS_EVENT => Envelope::CrossEvent(random_event(rng)),
+            T_PUSH => Envelope::Gossip(GossipMessage::PushDigest {
+                gossiper,
+                pattern,
+                ids: Arc::new(random_list(rng, 40, random_id)),
+            }),
+            T_PULL => Envelope::Gossip(GossipMessage::PullDigest {
+                gossiper,
+                pattern,
+                lost: random_list(rng, 40, random_loss),
+            }),
+            T_SOURCE_PULL => Envelope::Gossip(GossipMessage::SourcePull {
+                gossiper,
+                source: NodeId::new(rng.random_range(0..64u32)),
+                lost: random_list(rng, 40, random_loss),
+                route: random_route(rng),
+            }),
+            T_RANDOM_PULL => Envelope::Gossip(GossipMessage::RandomPull {
+                gossiper,
+                lost: random_list(rng, 40, random_loss),
+                ttl: rng.random_range(0..8u32),
+            }),
+            T_REQUEST => Envelope::Request(random_list(rng, 40, random_id)),
+            T_REPLY => Envelope::Reply(random_list(rng, 3, random_event)),
+            // Root-only, with refinements, with and without details.
+            T_SUMMARY => Envelope::Gossip(GossipMessage::SummaryDigest {
+                gossiper,
+                pattern,
+                ranges: Arc::new(random_list(rng, 20, |rng| RangeSummary {
+                    range: if rng.random_bool(0.3) {
+                        RangeRef::ROOT
+                    } else {
+                        random_range_ref(rng)
+                    },
+                    count: rng.random_below(1500),
+                    hash: rng.next_u64(),
+                })),
+                details: Arc::new(random_list(rng, 3, |rng| RangeDetail {
+                    range: random_range_ref(rng),
+                    ids: random_list(rng, 10, random_id),
+                })),
+            }),
+            T_RANGE_REQUEST => Envelope::RangeRequest {
+                pattern,
+                ranges: random_list(rng, 20, random_range_ref),
+            },
+            tag => unreachable!("no wire kind {tag}"),
+        }
+    }
+
+    /// A byte-aligned payload size (the codec rejects anything else).
+    fn random_payload_bits(rng: &mut Rng) -> u64 {
+        rng.random_range(64..512u64) * 8
+    }
+
+    fn is_digest(env: &Envelope) -> bool {
+        matches!(
+            env,
+            Envelope::Gossip(
+                GossipMessage::PushDigest { .. }
+                    | GossipMessage::PullDigest { .. }
+                    | GossipMessage::SourcePull { .. }
+                    | GossipMessage::RandomPull { .. }
+            )
+        )
+    }
+
+    #[test]
+    fn decode_inverts_encode_on_every_fitted_envelope() {
+        forall("decode_inverts_encode", 512, |rng| {
+            let env = random_envelope(rng);
+            let payload_bits = random_payload_bits(rng);
+            let (fitted, dropped) = fit(env.clone(), payload_bits);
+            assert!(dropped == 0 || is_digest(&env), "only digests are trimmed");
+            match encode(&fitted, payload_bits) {
+                Ok(bytes) => {
+                    assert_eq!(bytes.len() as u64 * 8, fitted.wire_bits(payload_bits));
+                    assert_eq!(decode(&bytes, payload_bits), Ok(fitted));
+                }
+                // Only non-digest bodies may stay oversized after
+                // fitting (fit cannot shrink an event or a reply).
+                Err(CodecError::Overflow { .. }) => assert!(!is_digest(&fitted) || dropped > 0),
+                Err(other) => panic!("unexpected encode error: {other:?}"),
+            }
+        });
+    }
+
+    /// Every frame `encode` accepts, with the payload size it was
+    /// encoded at, over `cases` random envelopes.
+    fn for_every_valid_frame(name: &str, cases: u64, mut check: impl FnMut(&mut Rng, &[u8], u64)) {
+        forall(name, cases, |rng| {
+            let payload_bits = random_payload_bits(rng);
+            let (fitted, _) = fit(random_envelope(rng), payload_bits);
+            // An oversized non-digest body has no frame to damage.
+            if let Ok(bytes) = encode(&fitted, payload_bits) {
+                check(rng, &bytes, payload_bits);
+            }
+        });
+    }
+
+    #[test]
+    fn encode_inverts_decode_on_every_canonical_frame() {
+        // The codec admits exactly one byte representation per envelope.
+        for_every_valid_frame("encode_inverts_decode", 512, |_, bytes, payload_bits| {
+            let back = decode(bytes, payload_bits).expect("valid frame decodes");
+            assert_eq!(encode(&back, payload_bits).as_deref(), Ok(bytes));
+        });
+    }
+
+    #[test]
+    fn damaged_frames_are_rejected_or_decoded_but_never_panic() {
+        for_every_valid_frame(
+            "damaged_frames_never_panic",
+            2000,
+            |rng, bytes, payload_bits| {
+                // No strict prefix of a frame is a frame.
+                let cut = rng.random_range(0..bytes.len());
+                assert!(decode(&bytes[..cut], payload_bits).is_err());
+                assert!(decode(&bytes[..bytes.len() - 1], payload_bits).is_err());
+                // A few flipped bits may still be a frame; decode must say
+                // which, by returning.
+                let mut flipped = bytes.to_vec();
+                for _ in 0..rng.random_range(1..9usize) {
+                    let bit = rng.random_range(0..flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let _ = decode(&flipped, payload_bits);
+                    let _ = decode(&flipped[..rng.random_range(0..flipped.len())], payload_bits);
+                }
+            },
         );
     }
 }

@@ -301,6 +301,7 @@ impl LostBuffer {
 mod tests {
     use super::*;
     use eps_pubsub::EventId;
+    use eps_sim::check::forall;
 
     fn rec(source: u32, pattern: u16, seq: u64) -> LossRecord {
         LossRecord {
@@ -308,6 +309,17 @@ mod tests {
             pattern: PatternId::new(pattern),
             seq,
         }
+    }
+
+    /// A record over `ids` sources and patterns, seqs below `seqs`.
+    fn random_rec(rng: &mut eps_sim::Rng, ids: u32, seqs: u64) -> LossRecord {
+        let (source, pattern) = (rng.random_range(0..ids), rng.random_range(0..ids));
+        rec(source, pattern as u16, rng.random_below(seqs))
+    }
+
+    /// The single-pattern event whose arrival recovers `r`.
+    fn event_for(r: LossRecord) -> Event {
+        Event::new(EventId::new(r.source, r.seq), vec![(r.pattern, r.seq)])
     }
 
     fn patterns(lost: &LostBuffer) -> Vec<u16> {
@@ -370,17 +382,22 @@ mod tests {
 
     #[test]
     fn entries_are_abandoned_after_max_attempts() {
-        let mut lost = LostBuffer::new(3);
-        lost.add(rec(0, 1, 0));
-        for _ in 0..2 {
-            assert_eq!(lost.for_pattern(PatternId::new(1), 10).len(), 1);
-            assert_eq!(lost.len(), 1);
-        }
-        // Third attempt exhausts the budget: entry still returned but
-        // dropped afterwards.
-        assert_eq!(lost.for_pattern(PatternId::new(1), 10).len(), 1);
-        assert!(lost.is_empty());
-        assert_eq!(lost.abandoned_total(), 1);
+        // Every entry is selectable exactly `max_attempts` times: the
+        // last attempt still returns it, then drops it.
+        forall("entries_are_abandoned_after_max_attempts", 256, |rng| {
+            let max_attempts = rng.random_range(1..6u32);
+            let mut lost = LostBuffer::new(max_attempts);
+            for _ in 0..rng.random_range(1..40usize) {
+                lost.add(random_rec(rng, 4, 20));
+            }
+            let entries = lost.len();
+            for attempt in 1..=max_attempts {
+                assert_eq!(lost.len(), entries, "dropped before attempt {attempt}");
+                assert_eq!(lost.any(entries).len(), entries);
+            }
+            assert!(lost.is_empty());
+            assert_eq!(lost.abandoned_total(), entries as u64);
+        });
     }
 
     #[test]
@@ -480,5 +497,58 @@ mod tests {
         assert_eq!(patterns(&lost), [1]);
         assert_eq!(sources(&lost), [3]);
         assert_eq!(lost.for_source(NodeId::new(3), 10), vec![rec(3, 1, 4)]);
+    }
+
+    #[test]
+    fn outstanding_is_added_minus_cleared() {
+        forall("outstanding_is_added_minus_cleared", 256, |rng| {
+            let mut lost = LostBuffer::new(u32::MAX);
+            let mut model = std::collections::BTreeSet::new();
+            for _ in 0..rng.random_range(0..100usize) {
+                let r = random_rec(rng, 5, 10);
+                lost.add(r);
+                model.insert(r);
+            }
+            for _ in 0..rng.random_range(0..100usize) {
+                let r = random_rec(rng, 5, 10);
+                lost.clear_for_event(&event_for(r));
+                model.remove(&r);
+            }
+            assert_eq!(lost.len(), model.len());
+            assert!(model.iter().all(|r| lost.contains(r)));
+        });
+    }
+
+    #[test]
+    fn capacity_holds_and_every_add_is_accounted_for() {
+        // The bound is an invariant, not a hint: under any interleaving
+        // of adds, event-driven clears and selections the buffer never
+        // holds more than `cap`, and each added record is outstanding,
+        // recovered, abandoned, or evicted.
+        forall(
+            "capacity_holds_and_every_add_is_accounted_for",
+            256,
+            |rng| {
+                let cap = rng.random_range(1..12usize);
+                let mut lost = LostBuffer::with_capacity(rng.random_range(1..4u32), cap);
+                for _ in 0..rng.random_range(0..200usize) {
+                    let r = random_rec(rng, 3, 30);
+                    match rng.random_below(3) {
+                        0 => lost.add(r),
+                        1 => lost.clear_for_event(&event_for(r)),
+                        _ => drop(lost.any(3)),
+                    }
+                    assert!(lost.len() <= cap, "len {} exceeds {cap}", lost.len());
+                }
+                assert_eq!(lost.capacity(), cap);
+                assert_eq!(
+                    lost.added_total(),
+                    lost.len() as u64
+                        + lost.recovered_total()
+                        + lost.abandoned_total()
+                        + lost.evicted_total()
+                );
+            },
+        );
     }
 }

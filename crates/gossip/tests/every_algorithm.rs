@@ -1,0 +1,125 @@
+//! Properties every registered recovery strategy must satisfy, checked
+//! over [`Algorithm::all`] — the paper's six and the extensions alike.
+//! (An integration test, so no unit test's `Algorithm::register` call
+//! can change what `all()` returns mid-run.)
+
+use eps_gossip::{Algorithm, GossipAction, GossipConfig, GossipMessage};
+use eps_overlay::NodeId;
+use eps_pubsub::{Dispatcher, DispatcherConfig, Event, EventId, LossRecord, PatternId};
+use eps_sim::check::forall;
+use eps_sim::Rng;
+
+fn any_algorithm(rng: &mut Rng) -> Algorithm {
+    rng.choose(&Algorithm::all()).unwrap().clone()
+}
+
+/// A dispatcher provisioned the way the harness provisions one for
+/// `kind` (the summary strategies read the cache's summary index).
+fn dispatcher_for(kind: &Algorithm, id: u32) -> Dispatcher {
+    Dispatcher::new(
+        NodeId::new(id),
+        DispatcherConfig {
+            summary_index: kind.needs_summary_index(),
+            ..DispatcherConfig::default()
+        },
+    )
+}
+
+fn record(source: u32, pattern: u16, seq: u64) -> LossRecord {
+    LossRecord {
+        source: NodeId::new(source),
+        pattern: PatternId::new(pattern),
+        seq,
+    }
+}
+
+/// Feeding losses and then the matching events returns the outstanding
+/// count to zero, and with nothing outstanding and an empty cache a
+/// round emits nothing.
+#[test]
+fn losses_reconcile_for_every_algorithm() {
+    forall("losses_reconcile_for_every_algorithm", 256, |rng| {
+        let kind = any_algorithm(rng);
+        let mut algo = kind.build(GossipConfig::default());
+        let mut losses: Vec<LossRecord> = (0..rng.random_range(1..30usize))
+            .map(|_| {
+                let (source, pattern) = (rng.random_range(0..4u32), rng.random_range(0..4u16));
+                record(source, pattern, rng.random_below(20))
+            })
+            .collect();
+        losses.sort();
+        losses.dedup();
+        algo.on_losses(&losses);
+        // Only negative digests keep a Lost buffer to announce from.
+        let positive = ["no-recovery", "push", "summary-push", "summary-pull"];
+        if !positive.contains(&kind.name()) {
+            assert_eq!(algo.outstanding_losses(), losses.len(), "{kind}");
+        }
+        for rec in &losses {
+            let event = Event::new(
+                EventId::new(rec.source, rec.seq),
+                vec![(rec.pattern, rec.seq)],
+            );
+            algo.on_event_received(&event);
+        }
+        assert_eq!(algo.outstanding_losses(), 0, "{kind}");
+        let node = dispatcher_for(&kind, 9);
+        let actions = algo.on_round(&node, &[NodeId::new(1)], rng);
+        assert!(actions.is_empty(), "{kind}: unexpected {actions:?}");
+    });
+}
+
+/// Gossip actions never target the node itself, and replies carry only
+/// events the node actually has cached.
+#[test]
+fn actions_are_well_formed() {
+    forall("actions_are_well_formed", 256, |rng| {
+        let kind = any_algorithm(rng);
+        let p = PatternId::new(1);
+        let me = NodeId::new(2);
+        let mut node = dispatcher_for(&kind, 2);
+        node.subscribe_local(p, &[]);
+        node.on_subscribe(p, NodeId::new(3), &[]);
+        // An ascending random subset of seqs 0..30, as tree deliveries.
+        for seq in (0..30).filter(|_| rng.random_bool(0.35)) {
+            node.on_event(
+                Event::new(EventId::new(NodeId::new(0), seq), vec![(p, seq)]),
+                Some(NodeId::new(1)),
+            );
+        }
+        let mut algo = kind.build(GossipConfig::default());
+        let mut lost: Vec<LossRecord> = (0..rng.random_range(1..20usize))
+            .map(|_| record(0, 1, 100 + rng.random_below(30)))
+            .collect();
+        lost.sort();
+        lost.dedup();
+        algo.on_losses(&lost);
+        let neighbors = [NodeId::new(1), NodeId::new(3)];
+        let mut actions = algo.on_round(&node, &neighbors, rng);
+        // Also exercise the digest-handling path with a foreign pull
+        // digest covering the cached range.
+        let digest = GossipMessage::PullDigest {
+            gossiper: NodeId::new(7),
+            pattern: p,
+            lost: (0..30).map(|seq| record(0, 1, seq)).collect(),
+        };
+        actions.extend(algo.on_gossip(&node, NodeId::new(1), digest, &neighbors, rng));
+        for action in &actions {
+            let to = match action {
+                GossipAction::Forward { to, .. }
+                | GossipAction::Request { to, .. }
+                | GossipAction::RequestDetail { to, .. } => to,
+                GossipAction::Reply { to, events } => {
+                    for e in events {
+                        assert!(
+                            node.cache().contains(e.id()),
+                            "{kind} replied with an uncached event"
+                        );
+                    }
+                    to
+                }
+            };
+            assert_ne!(*to, me, "{kind} addressed itself");
+        }
+    });
+}

@@ -2,11 +2,6 @@
 //! rounds between randomly diverged caches, checked against a
 //! `BTreeSet` set-difference reference.
 //!
-//! This is the offline twin of
-//! `extras/tests/summary_reconciliation_proptests.rs` — same pump,
-//! same properties, pinned seeds instead of proptest strategies, so
-//! the invariants run in the no-network workspace test pass.
-//!
 //! Properties:
 //!
 //! 1. For every steering a summary digest composes with (pattern,
@@ -30,6 +25,7 @@ use eps_gossip::{
 use eps_overlay::NodeId;
 use eps_pubsub::summary::LEVEL_COUNT;
 use eps_pubsub::{Dispatcher, DispatcherConfig, Event, EventId, PatternId, RangeRef};
+use eps_sim::check::forall;
 use eps_sim::Rng;
 
 /// Every event in these tests comes from one publisher stream, so
@@ -190,42 +186,38 @@ fn subset(universe: u64, p: f64, rng: &mut Rng) -> Vec<u64> {
 
 #[test]
 fn diverged_caches_converge_to_union_for_every_steering() {
-    for seed in [1u64, 2, 42] {
-        for pull in [false, true] {
-            for mux in [false, true] {
-                let mut draws = Rng::from_seed(seed);
-                let in_a = subset(200, 0.7, &mut draws);
-                let in_b = subset(200, 0.7, &mut draws);
+    forall("diverged_caches_converge_to_union", 64, |rng| {
+        let (pull, mux) = (rng.random_bool(0.5), rng.random_bool(0.5));
+        let density = rng.random_range(0.2..0.95);
+        let in_a = subset(200, density, rng);
+        let in_b = subset(200, density, rng);
 
-                // The BTreeSet reference the caches must converge to.
-                let sa: BTreeSet<u64> = in_a.iter().copied().collect();
-                let sb: BTreeSet<u64> = in_b.iter().copied().collect();
-                let union: BTreeSet<EventId> = sa
-                    .union(&sb)
-                    .map(|&seq| EventId::new(NodeId::new(SOURCE), seq))
-                    .collect();
-                let delta = sa.symmetric_difference(&sb).count();
+        // The BTreeSet reference the caches must converge to.
+        let sa: BTreeSet<u64> = in_a.iter().copied().collect();
+        let sb: BTreeSet<u64> = in_b.iter().copied().collect();
+        let union: BTreeSet<EventId> = sa
+            .union(&sb)
+            .map(|&seq| EventId::new(NodeId::new(SOURCE), seq))
+            .collect();
+        let delta = sa.symmetric_difference(&sb).count();
 
-                let mut a = peer(0, 1, 1500, summary_engine(pull, mux));
-                let mut b = peer(1, 0, 1500, summary_engine(pull, mux));
-                feed(&mut a.node, in_a.iter().copied());
-                feed(&mut b.node, in_b.iter().copied());
+        let mut a = peer(0, 1, 1500, summary_engine(pull, mux));
+        let mut b = peer(1, 0, 1500, summary_engine(pull, mux));
+        feed(&mut a.node, in_a);
+        feed(&mut b.node, in_b);
 
-                let bound = round_bound(delta, GossipConfig::default().digest_max);
-                let mut rng = Rng::from_seed(seed ^ 0x5eed);
-                let rounds = reconcile(&mut a, &mut b, &mut rng, bound);
-                let label = format!("seed={seed} pull={pull} mux={mux} delta={delta}");
-                assert!(rounds.is_some(), "no convergence within {bound}: {label}");
-                assert_eq!(live_ids(&a.node), union, "{label}");
-                assert_eq!(live_ids(&b.node), union, "{label}");
-                assert_eq!(
-                    a.node.cache().summary_index().root(pattern()),
-                    b.node.cache().summary_index().root(pattern()),
-                    "{label}"
-                );
-            }
-        }
-    }
+        let bound = round_bound(delta, GossipConfig::default().digest_max);
+        let rounds = reconcile(&mut a, &mut b, rng, bound);
+        let label = format!("pull={pull} mux={mux} delta={delta}");
+        assert!(rounds.is_some(), "no convergence within {bound}: {label}");
+        assert_eq!(live_ids(&a.node), union, "{label}");
+        assert_eq!(live_ids(&b.node), union, "{label}");
+        assert_eq!(
+            a.node.cache().summary_index().root(pattern()),
+            b.node.cache().summary_index().root(pattern()),
+            "{label}"
+        );
+    });
 }
 
 #[test]
@@ -236,46 +228,46 @@ fn eviction_churn_leaves_no_unseen_deficits() {
     // unreachable by design; the property that must survive is that
     // every id still live on one side has been *seen* by the other.
     const CAPACITY: usize = 64;
-    for seed in [3u64, 8, 21] {
-        for pull in [false, true] {
-            let mut draws = Rng::from_seed(seed);
-            let in_a = subset(96, 0.8, &mut draws);
-            let in_b = subset(96, 0.8, &mut draws);
+    forall("eviction_churn_leaves_no_unseen_deficits", 64, |rng| {
+        let pull = rng.random_bool(0.5);
+        let density = rng.random_range(0.3..0.95);
+        let mut a = peer(0, 1, CAPACITY, summary_engine(pull, false));
+        let mut b = peer(1, 0, CAPACITY, summary_engine(pull, false));
+        feed(&mut a.node, subset(96, density, rng));
+        feed(&mut b.node, subset(96, density, rng));
 
-            let mut a = peer(0, 1, CAPACITY, summary_engine(pull, false));
-            let mut b = peer(1, 0, CAPACITY, summary_engine(pull, false));
-            feed(&mut a.node, in_a);
-            feed(&mut b.node, in_b);
+        // A few rounds into the reconciliation, new events land on
+        // each side (fresh streams, so they are pure divergence).
+        reconcile(&mut a, &mut b, rng, 4);
+        feed(&mut a.node, 1_000..1_000 + rng.random_range(1..24u64));
+        feed(&mut b.node, 2_000..2_000 + rng.random_range(1..24u64));
 
-            let mut rng = Rng::from_seed(seed ^ 0x5eed);
-            // A few rounds into the reconciliation, new events land on
-            // each side (fresh streams, so they are pure divergence).
-            reconcile(&mut a, &mut b, &mut rng, 4);
-            feed(&mut a.node, 1_000..1_016);
-            feed(&mut b.node, 2_000..2_012);
-
-            // Eviction tombstones keep pull from re-serving surplus a
-            // peer has already seen, but ids evicted before the other
-            // side ever saw them leave a permanent seen-set divergence
-            // that keeps refinement traffic alive — so run to the
-            // bound and check coverage rather than quiescence.
-            let bound = round_bound(128, GossipConfig::default().digest_max);
-            for _ in 0..bound {
-                let opening = a.algo.on_round(&a.node, &[b.node.id()], &mut rng);
-                apply(&mut a, &mut b, opening, &mut rng);
-                let reply_round = b.algo.on_round(&b.node, &[a.node.id()], &mut rng);
-                apply(&mut b, &mut a, reply_round, &mut rng);
-            }
-
-            let label = format!("seed={seed} pull={pull}");
-            for &id in &live_ids(&a.node) {
-                assert!(b.node.has_seen(id), "unseen deficit at b: {id:?} ({label})");
-            }
-            for &id in &live_ids(&b.node) {
-                assert!(a.node.has_seen(id), "unseen deficit at a: {id:?} ({label})");
-            }
+        // Eviction tombstones keep pull from re-serving surplus a
+        // peer has already seen, but ids evicted before the other
+        // side ever saw them leave a permanent seen-set divergence
+        // that keeps refinement traffic alive — so run to the
+        // bound and check coverage rather than quiescence.
+        let bound = round_bound(128, GossipConfig::default().digest_max);
+        for _ in 0..bound {
+            let opening = a.algo.on_round(&a.node, &[b.node.id()], rng);
+            apply(&mut a, &mut b, opening, rng);
+            let reply_round = b.algo.on_round(&b.node, &[a.node.id()], rng);
+            apply(&mut b, &mut a, reply_round, rng);
         }
-    }
+
+        for &id in &live_ids(&a.node) {
+            assert!(
+                b.node.has_seen(id),
+                "unseen deficit at b: {id:?} (pull={pull})"
+            );
+        }
+        for &id in &live_ids(&b.node) {
+            assert!(
+                a.node.has_seen(id),
+                "unseen deficit at a: {id:?} (pull={pull})"
+            );
+        }
+    });
 }
 
 #[test]
@@ -317,35 +309,33 @@ fn pull_goes_quiet_once_evicted_surplus_is_seen() {
 fn random_steering_is_inert_for_summary_digests() {
     // Summary digests are pattern-labelled only: random steering's
     // build_any finds nothing to send and its absorb path rejects the
-    // wire form, so the composition is a safe no-op, never a panic.
-    let config = GossipConfig::default();
-    let mut a = peer(
-        0,
-        1,
-        1500,
-        Box::new(GossipEngine::new(
-            "summary-random",
-            config,
-            SummaryDigestPolicy::push(&config),
-            RandomSteering,
-        )),
-    );
-    feed(&mut a.node, 0..50);
-    let mut rng = Rng::from_seed(9);
-    for _ in 0..5 {
-        let actions = a.algo.on_round(&a.node, &[NodeId::new(1)], &mut rng);
-        assert!(actions.is_empty(), "random steering sent a summary digest");
-    }
-    // An incoming summary digest is foreign to random steering too.
-    let index = a.node.cache().summary_index();
-    let msg = GossipMessage::SummaryDigest {
-        gossiper: NodeId::new(1),
-        pattern: pattern(),
-        ranges: Arc::new(vec![index.root(pattern())]),
-        details: Arc::new(vec![]),
-    };
-    let from = NodeId::new(1);
-    let reactions = a.algo.on_gossip(&a.node, from, msg, &[from], &mut rng);
-    assert!(reactions.is_empty(), "random steering absorbed a summary");
-    assert_eq!(a.algo.outstanding_losses(), 0);
+    // wire form, so the composition is a safe no-op for arbitrary
+    // cache contents, never a panic.
+    forall("random_steering_is_inert_for_summary_digests", 64, |rng| {
+        let config = GossipConfig::default();
+        let digest = if rng.random_bool(0.5) {
+            SummaryDigestPolicy::pull(&config)
+        } else {
+            SummaryDigestPolicy::push(&config)
+        };
+        let engine = GossipEngine::new("summary-random", config, digest, RandomSteering);
+        let mut a = peer(0, 1, 1500, Box::new(engine));
+        feed(&mut a.node, subset(50, 0.5, rng));
+        for _ in 0..5 {
+            let actions = a.algo.on_round(&a.node, &[NodeId::new(1)], rng);
+            assert!(actions.is_empty(), "random steering sent a summary digest");
+        }
+        // An incoming summary digest is foreign to random steering too.
+        let index = a.node.cache().summary_index();
+        let msg = GossipMessage::SummaryDigest {
+            gossiper: NodeId::new(1),
+            pattern: pattern(),
+            ranges: Arc::new(vec![index.root(pattern())]),
+            details: Arc::new(vec![]),
+        };
+        let from = NodeId::new(1);
+        let reactions = a.algo.on_gossip(&a.node, from, msg, &[from], rng);
+        assert!(reactions.is_empty(), "random steering absorbed a summary");
+        assert_eq!(a.algo.outstanding_losses(), 0);
+    });
 }

@@ -3,7 +3,7 @@
 //! [`SimNode`] actors with their subscriptions installed and flooded,
 //! and the pattern → subscribers index.
 //!
-//! Hoisted out of the simulator's `Scenario` so the real-socket
+//! Hoisted out of the simulation runner so the real-socket
 //! runtime (`eps-net`) boots the *identical* population for the same
 //! [`ScenarioConfig`]: same seed → same topology, same subscriptions,
 //! same per-node workload streams — which is what makes sim-vs-wire

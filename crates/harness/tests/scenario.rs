@@ -4,6 +4,7 @@
 
 use eps_gossip::Algorithm;
 use eps_harness::{run_scenario, ScenarioConfig};
+use eps_sim::check::forall;
 use eps_sim::SimTime;
 
 fn small(algorithm: Algorithm) -> ScenarioConfig {
@@ -18,20 +19,33 @@ fn small(algorithm: Algorithm) -> ScenarioConfig {
     }
 }
 
+/// Zero loss and no reconfiguration means perfect delivery under
+/// every registered algorithm: recovery never *breaks* dispatching.
 #[test]
 fn lossless_network_delivers_everything() {
-    let config = ScenarioConfig {
-        link_error_rate: 0.0,
-        ..small(Algorithm::no_recovery())
-    };
-    let result = run_scenario(&config);
-    assert!(
-        result.delivery_rate > 0.999,
-        "lossless delivery was {}",
-        result.delivery_rate
-    );
-    assert_eq!(result.gossip_msgs, 0);
-    assert_eq!(result.requests, 0);
+    forall("lossless_network_delivers_everything", 32, |rng| {
+        let kind = rng.choose(&Algorithm::all()).unwrap().clone();
+        let config = ScenarioConfig {
+            seed: rng.random_below(1000),
+            nodes: rng.random_range(2..30usize),
+            link_error_rate: 0.0,
+            publish_rate: 10.0,
+            duration: SimTime::from_secs(2),
+            warmup: SimTime::from_millis(200),
+            cooldown: SimTime::from_millis(500),
+            ..small(kind.clone())
+        };
+        let result = run_scenario(&config);
+        assert!(
+            result.delivery_rate > 0.999,
+            "lossless delivery was {} under {kind}",
+            result.delivery_rate
+        );
+        if kind == Algorithm::no_recovery() {
+            assert_eq!(result.gossip_msgs, 0);
+            assert_eq!(result.requests, 0);
+        }
+    });
 }
 
 #[test]

@@ -202,30 +202,51 @@ impl OutOfBandSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eps_sim::check::forall;
     use eps_sim::RngFactory;
 
     #[test]
     fn serialization_delay_scales_with_size() {
         let spec = LinkSpec::ethernet_10mbps(0.0);
-        assert_eq!(
-            spec.serialization_delay(10_000_000).as_nanos(),
-            1_000_000_000
-        );
         assert_eq!(spec.serialization_delay(0), SimTime::ZERO);
+        // 100 ns per bit at 10 Mbit/s; at any bandwidth the delay is
+        // additive in message size up to the integer division, which
+        // rounds each part down by < 1 ns.
+        forall("serialization_delay_scales_with_size", 256, |rng| {
+            let (x, y) = (rng.random_below(1_000_000), rng.random_below(1_000_000));
+            assert_eq!(spec.serialization_delay(x).as_nanos(), 100 * x);
+            let odd = LinkSpec {
+                bandwidth_bps: rng.random_range(1_000..1_000_000_000u64),
+                ..spec
+            };
+            let parts = odd.serialization_delay(x) + odd.serialization_delay(y);
+            let whole = odd.serialization_delay(x + y);
+            assert!(whole >= parts);
+            assert!(whole.as_nanos() - parts.as_nanos() <= 2);
+        });
     }
 
     #[test]
     fn fifo_queueing_serializes_back_to_back_sends() {
-        let spec = LinkSpec::ethernet_10mbps(0.0);
-        let mut table = LinkTable::new();
-        let mut rng = RngFactory::new(1).stream("loss");
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let t0 = SimTime::ZERO;
-        let first = table.transmit(&spec, a, b, 1000, t0, &mut rng);
-        let second = table.transmit(&spec, a, b, 1000, t0, &mut rng);
-        let d = spec.serialization_delay(1000);
-        assert_eq!(first.arrival().unwrap(), d + spec.propagation);
-        assert_eq!(second.arrival().unwrap(), d + d + spec.propagation);
+        // Sends queued at one instant in one direction arrive each one
+        // serialization delay after its predecessor (so in FIFO order,
+        // and never before `now` + propagation).
+        forall("fifo_queueing_serializes_back_to_back_sends", 256, |rng| {
+            let spec = LinkSpec::ethernet_10mbps(0.0);
+            let mut table = LinkTable::new();
+            let (a, b) = (NodeId::new(0), NodeId::new(1));
+            let now = SimTime::from_nanos(rng.random_below(1_000_000));
+            let sends = rng.random_range(1..50u64);
+            let mut clocked = now;
+            for _ in 0..sends {
+                let bits = rng.random_range(1..100_000u64);
+                let t = table.transmit(&spec, a, b, bits, now, rng).arrival();
+                clocked += spec.serialization_delay(bits);
+                assert_eq!(t, Some(clocked + spec.propagation));
+            }
+            assert_eq!(table.transmitted(), sends);
+            assert_eq!(table.lost(), 0);
+        });
     }
 
     #[test]

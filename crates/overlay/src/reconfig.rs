@@ -119,6 +119,7 @@ pub fn plan_reconnection(topo: &Topology, rng: &mut Rng) -> Option<(NodeId, Node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eps_sim::check::forall;
     use eps_sim::RngFactory;
 
     #[test]
@@ -130,20 +131,25 @@ mod tests {
 
     #[test]
     fn reconnection_repairs_multi_break() {
-        let mut rng = RngFactory::new(22).stream("reconfig");
-        let mut topo = Topology::random_tree(60, 4, &mut rng);
-        // Break three links before any repair (overlapping scenario).
-        for _ in 0..3 {
-            let link = rng.choose_iter(topo.links()).unwrap();
-            topo.remove_link(link).unwrap();
-        }
-        assert!(!topo.is_connected());
-        // Three repairs restore a tree.
-        for _ in 0..3 {
-            let (x, y) = plan_reconnection(&topo, &mut rng).unwrap();
-            topo.add_link(x, y).unwrap();
-        }
-        assert!(topo.is_tree());
+        // Overlapping breaks followed by as many reconnections always
+        // converge back to a tree.
+        forall("reconnection_repairs_multi_break", 256, |rng| {
+            let mut topo = Topology::random_tree(rng.random_range(3..80usize), 4, rng);
+            let mut broken = 0;
+            for _ in 0..rng.random_range(1..6usize) {
+                let Some(link) = rng.choose_iter(topo.links()) else {
+                    break;
+                };
+                topo.remove_link(link).unwrap();
+                broken += 1;
+            }
+            assert!(!topo.is_connected());
+            for _ in 0..broken {
+                let (x, y) = plan_reconnection(&topo, rng).unwrap();
+                topo.add_link(x, y).unwrap();
+            }
+            assert!(topo.is_tree());
+        });
     }
 
     #[test]
@@ -192,15 +198,17 @@ mod tests {
 
     #[test]
     fn repeated_reconfigurations_keep_invariants() {
-        let mut rng = RngFactory::new(15).stream("reconfig");
-        let mut topo = Topology::random_tree(100, 4, &mut rng);
-        for _ in 0..500 {
-            let plan = plan_reconfiguration(&topo, &mut rng).unwrap();
-            topo.remove_link(plan.broken).unwrap();
-            topo.add_link(plan.replacement.0, plan.replacement.1)
-                .unwrap();
-        }
-        assert!(topo.is_tree());
-        assert!(topo.nodes().all(|n| topo.degree(n) <= 4));
+        // A storm of any length leaves a degree-bounded tree behind.
+        forall("repeated_reconfigurations_keep_invariants", 256, |rng| {
+            let mut topo = Topology::random_tree(rng.random_range(2..100usize), 4, rng);
+            for _ in 0..rng.random_range(0..500usize) {
+                let plan = plan_reconfiguration(&topo, rng).unwrap();
+                topo.remove_link(plan.broken).unwrap();
+                topo.add_link(plan.replacement.0, plan.replacement.1)
+                    .unwrap();
+            }
+            assert!(topo.is_tree());
+            assert!(topo.nodes().all(|n| topo.degree(n) <= 4));
+        });
     }
 }

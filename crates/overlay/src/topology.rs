@@ -650,19 +650,49 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eps_sim::check::forall;
     use eps_sim::RngFactory;
 
     fn rng() -> Rng {
         RngFactory::new(42).stream("topology-test")
     }
 
+    impl OverlayKind {
+        /// A kind drawn uniformly, a size up to `n_extra` nodes above
+        /// the smallest its builder admits, and the smallest admissible
+        /// degree bound: BA needs room for `2 * BA_ATTACHMENTS` links
+        /// per node, WS the ring lattice (degree 4) plus one spare for
+        /// rewiring.
+        pub(crate) fn draw(rng: &mut Rng, n_extra: usize) -> (OverlayKind, usize, usize) {
+            let kind = *rng.choose(&OverlayKind::all()).unwrap();
+            let (n_floor, degree_floor) = match kind {
+                OverlayKind::Tree => (1, 2),
+                OverlayKind::BarabasiAlbert => (BA_ATTACHMENTS + 1, 2 * BA_ATTACHMENTS),
+                OverlayKind::WattsStrogatz => (5, 5),
+            };
+            (kind, n_floor + rng.random_range(0..n_extra), degree_floor)
+        }
+    }
+
+    fn assert_links_are_symmetric(topo: &Topology) {
+        for link in topo.links() {
+            assert!(topo.neighbors(link.a()).contains(&link.b()));
+            assert!(topo.neighbors(link.b()).contains(&link.a()));
+        }
+    }
+
     #[test]
     fn random_tree_is_a_degree_bounded_tree() {
-        let topo = Topology::random_tree(100, 4, &mut rng());
-        assert_eq!(topo.len(), 100);
-        assert_eq!(topo.link_count(), 99);
-        assert!(topo.is_tree());
-        assert!(topo.nodes().all(|n| topo.degree(n) <= 4));
+        forall("random_tree_is_a_degree_bounded_tree", 256, |rng| {
+            let n = rng.random_range(1..300usize);
+            let max_degree = rng.random_range(2..8usize);
+            let topo = Topology::random_tree(n, max_degree, rng);
+            assert_eq!(topo.len(), n);
+            assert_eq!(topo.link_count(), n - 1);
+            assert!(topo.is_tree());
+            assert!(topo.nodes().all(|v| topo.degree(v) <= max_degree));
+            assert_links_are_symmetric(&topo);
+        });
     }
 
     #[test]
@@ -710,15 +740,27 @@ mod tests {
 
     #[test]
     fn path_endpoints_and_adjacency() {
-        let t = Topology::random_tree(50, 4, &mut rng());
-        let a = NodeId::new(3);
-        let b = NodeId::new(47);
-        let path = t.path(a, b).unwrap();
-        assert_eq!(*path.first().unwrap(), a);
-        assert_eq!(*path.last().unwrap(), b);
-        for w in path.windows(2) {
-            assert!(t.has_link(w[0], w[1]));
-        }
+        // Tree paths run hop by hop between their endpoints, visit no
+        // node twice, and read the same in both directions.
+        forall("path_endpoints_and_adjacency", 256, |rng| {
+            let n = rng.random_range(2..150usize);
+            let t = Topology::random_tree(n, 4, rng);
+            let a = NodeId::new(rng.random_below(n as u64) as u32);
+            let b = NodeId::new(rng.random_below(n as u64) as u32);
+            let path = t.path(a, b).unwrap();
+            assert_eq!(*path.first().unwrap(), a);
+            assert_eq!(*path.last().unwrap(), b);
+            for w in path.windows(2) {
+                assert!(t.has_link(w[0], w[1]));
+            }
+            let mut distinct = path.clone();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), path.len());
+            let mut reverse = t.path(b, a).unwrap();
+            reverse.reverse();
+            assert_eq!(reverse, path);
+        });
     }
 
     #[test]
@@ -758,13 +800,21 @@ mod tests {
     }
 
     #[test]
-    fn barabasi_albert_is_connected_degree_capped_and_cyclic() {
-        for n in [5, 50, 200] {
-            let topo = Topology::barabasi_albert(n, 4, &mut rng());
-            assert!(topo.is_connected(), "n={n}");
-            assert!(topo.nodes().all(|x| topo.degree(x) <= 4), "n={n}");
-            assert!(topo.link_count() > n - 1, "n={n} has cycles");
-        }
+    fn every_builder_is_connected_degree_capped_and_cyclic_unless_a_tree() {
+        forall("every_builder_is_connected_and_degree_capped", 256, |rng| {
+            let (kind, n, degree_floor) = OverlayKind::draw(rng, 200);
+            let max_degree = degree_floor + rng.random_range(0..5usize);
+            let topo = Topology::build(kind, n, max_degree, rng);
+            assert_eq!(topo.len(), n, "{kind}");
+            assert!(topo.is_connected(), "{kind} n={n}");
+            assert!(
+                topo.nodes().all(|x| topo.degree(x) <= max_degree),
+                "{kind} n={n}"
+            );
+            assert_eq!(topo.is_tree(), kind.is_tree(), "{kind} n={n}");
+            assert_eq!(topo.link_count() > n - 1, !kind.is_tree(), "{kind} n={n}");
+            assert_links_are_symmetric(&topo);
+        });
     }
 
     #[test]
@@ -800,13 +850,20 @@ mod tests {
 
     #[test]
     fn builders_are_seed_deterministic() {
-        for kind in OverlayKind::all() {
-            let a = Topology::build(kind, 64, 6, &mut rng());
-            let b = Topology::build(kind, 64, 6, &mut rng());
+        // A pure function of (kind, n, max_degree, seed): the same link
+        // set and the same neighbor order.
+        forall("builders_are_seed_deterministic", 128, |rng| {
+            let (kind, n, degree_floor) = OverlayKind::draw(rng, 120);
+            let seed = rng.next_u64();
+            let build = || Topology::build(kind, n, degree_floor + 1, &mut Rng::from_seed(seed));
+            let (a, b) = (build(), build());
             let links_a: Vec<LinkId> = a.links().collect();
             let links_b: Vec<LinkId> = b.links().collect();
             assert_eq!(links_a, links_b, "{kind}");
-        }
+            for v in a.nodes() {
+                assert_eq!(a.neighbors(v), b.neighbors(v), "{kind}");
+            }
+        });
     }
 
     #[test]

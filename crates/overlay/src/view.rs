@@ -122,6 +122,7 @@ impl RoutingView {
 mod tests {
     use super::*;
     use crate::topology::OverlayKind;
+    use eps_sim::check::forall;
     use eps_sim::RngFactory;
 
     fn stream(name: &str) -> eps_sim::Rng {
@@ -130,23 +131,30 @@ mod tests {
 
     #[test]
     fn view_of_a_tree_is_a_verbatim_clone() {
-        let tree = Topology::random_tree(60, 4, &mut stream("t"));
-        let view = RoutingView::derive(&tree);
-        assert!(view.is_identity());
-        for n in tree.nodes() {
-            assert_eq!(view.neighbors(n), tree.neighbors(n), "order preserved");
-            assert!(view.cross_neighbors(&tree, n).is_empty());
-        }
+        forall("view_of_a_tree_is_a_verbatim_clone", 128, |rng| {
+            let n = rng.random_range(1..120usize);
+            let tree = Topology::random_tree(n, rng.random_range(2..6usize), rng);
+            let view = RoutingView::derive(&tree);
+            assert!(view.is_identity());
+            assert_eq!(view.tree().link_count(), tree.link_count());
+            for n in tree.nodes() {
+                assert_eq!(view.neighbors(n), tree.neighbors(n), "order preserved");
+                assert!(view.cross_neighbors(&tree, n).is_empty());
+            }
+        });
     }
 
     #[test]
     fn view_of_a_cyclic_graph_is_a_spanning_tree_of_its_links() {
-        for kind in [OverlayKind::BarabasiAlbert, OverlayKind::WattsStrogatz] {
-            let graph = Topology::build(kind, 80, 6, &mut stream("g"));
-            assert!(!graph.is_tree(), "{kind} is cyclic");
+        // For every builder: the view is a spanning tree, the identity
+        // exactly when the graph already is one.
+        forall("view_is_a_spanning_tree_of_the_graph", 256, |rng| {
+            let (kind, n, degree_floor) = OverlayKind::draw(rng, 120);
+            let graph = Topology::build(kind, n, degree_floor + 1, rng);
             let view = RoutingView::derive(&graph);
-            assert!(!view.is_identity());
+            assert_eq!(view.is_identity(), graph.is_tree(), "{kind}");
             assert!(view.tree().is_tree());
+            assert_eq!(view.tree().len(), n);
             assert!(view.tree().links().all(|l| graph.has_link(l.a(), l.b())));
             // Chords + tree links partition the physical adjacency.
             for n in graph.nodes() {
@@ -154,7 +162,7 @@ mod tests {
                 assert_eq!(cross.len() + view.neighbors(n).len(), graph.degree(n));
                 assert!(cross.iter().all(|&m| !view.tree().has_link(n, m)));
             }
-        }
+        });
     }
 
     #[test]

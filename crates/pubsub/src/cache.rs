@@ -572,6 +572,7 @@ impl EventCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eps_sim::check::forall;
 
     fn ev(source: u32, seq: u64, patterns: &[(u16, u64)]) -> Event {
         Event::new(
@@ -585,16 +586,23 @@ mod tests {
 
     #[test]
     fn fifo_eviction_order() {
-        let mut c = EventCache::new(3);
-        for seq in 0..5 {
-            c.insert(ev(0, seq, &[(1, seq)]));
-        }
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.evicted_total(), 2);
-        assert!(!c.contains(EventId::new(NodeId::new(0), 0)));
-        assert!(!c.contains(EventId::new(NodeId::new(0), 1)));
-        assert!(c.contains(EventId::new(NodeId::new(0), 2)));
-        assert!(c.contains(EventId::new(NodeId::new(0), 4)));
+        // Never over capacity, and always exactly the newest events.
+        forall("fifo_eviction_order", 256, |rng| {
+            let capacity = rng.random_range(1..50usize);
+            let count = rng.random_range(1..200u64);
+            let mut c = EventCache::new(capacity);
+            for seq in 0..count {
+                c.insert(ev(0, seq, &[((seq % 70) as u16, seq)]));
+                assert!(c.len() <= capacity);
+            }
+            let first_kept = count.saturating_sub(capacity as u64);
+            assert_eq!(c.len() as u64, count - first_kept);
+            assert_eq!(c.evicted_total(), first_kept);
+            for seq in 0..count {
+                let id = EventId::new(NodeId::new(0), seq);
+                assert_eq!(c.contains(id), seq >= first_kept);
+            }
+        });
     }
 
     #[test]
@@ -610,18 +618,25 @@ mod tests {
 
     #[test]
     fn pattern_seq_index_tracks_eviction() {
-        let mut c = EventCache::new(1);
-        c.insert(ev(3, 0, &[(7, 42)]));
-        assert!(c
-            .get_by_pattern_seq(NodeId::new(3), PatternId::new(7), 42)
-            .is_some());
-        c.insert(ev(3, 1, &[(7, 43)]));
-        assert!(c
-            .get_by_pattern_seq(NodeId::new(3), PatternId::new(7), 42)
-            .is_none());
-        assert!(c
-            .get_by_pattern_seq(NodeId::new(3), PatternId::new(7), 43)
-            .is_some());
+        // The (source, pattern, seq) index finds exactly the resident
+        // events, whatever order their pattern seqs arrive in.
+        forall("pattern_seq_index_tracks_eviction", 256, |rng| {
+            let capacity = rng.random_range(1..30usize);
+            let pattern_seqs: Vec<u64> = (0..rng.random_range(1..100u64))
+                .map(|i| rng.random_below(100) * 1000 + i)
+                .collect();
+            let mut c = EventCache::new(capacity);
+            for (i, &ps) in pattern_seqs.iter().enumerate() {
+                c.insert(ev(3, i as u64, &[(7, ps)]));
+            }
+            let first_kept = pattern_seqs.len().saturating_sub(capacity);
+            for (i, &ps) in pattern_seqs.iter().enumerate() {
+                let found = c.get_by_pattern_seq(NodeId::new(3), PatternId::new(7), ps);
+                let resident = (i >= first_kept).then(|| EventId::new(NodeId::new(3), i as u64));
+                assert_eq!(found.map(Event::id), resident);
+            }
+            assert_eq!(c.iter().count(), pattern_seqs.len() - first_kept);
+        });
     }
 
     #[test]

@@ -289,6 +289,7 @@ impl LossDetector {
 mod tests {
     use super::*;
     use crate::event::EventId;
+    use eps_sim::check::forall;
 
     fn ev(source: u32, id_seq: u64, patterns: &[(u16, u64)]) -> Event {
         Event::new(
@@ -313,12 +314,27 @@ mod tests {
 
     #[test]
     fn gap_detects_each_missing_seq() {
-        let mut det = LossDetector::new();
-        det.observe(&ev(0, 0, &[(1, 0)]), |_| true);
-        let losses = det.observe(&ev(0, 4, &[(1, 4)]), |_| true);
-        let seqs: Vec<u64> = losses.iter().map(|l| l.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
-        assert_eq!(det.detected_total(), 3);
+        // A stream with arbitrary gaps reports exactly the missing
+        // sequence numbers below the highest delivered one.
+        forall("gap_detects_each_missing_seq", 256, |rng| {
+            let delivered: Vec<bool> = (0..rng.random_range(1..100usize))
+                .map(|_| rng.random_bool(0.5))
+                .collect();
+            let mut det = LossDetector::new();
+            let mut reported = Vec::new();
+            for seq in (0..delivered.len() as u64).filter(|&s| delivered[s as usize]) {
+                let losses = det.observe(&ev(3, seq, &[(5, seq)]), |_| true);
+                reported.extend(losses.iter().map(|l| l.seq));
+            }
+            let last = delivered.iter().rposition(|&kept| kept).unwrap_or(0);
+            let missing: Vec<u64> = (0..last as u64)
+                .filter(|&s| !delivered[s as usize])
+                .collect();
+            // Each gap is reported once, when the next delivery closes
+            // it, so the reports arrive already ascending.
+            assert_eq!(reported, missing);
+            assert_eq!(det.detected_total(), missing.len() as u64);
+        });
     }
 
     #[test]

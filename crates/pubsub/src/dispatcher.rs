@@ -773,6 +773,8 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternSpace;
+    use eps_sim::check::forall;
 
     fn cfg() -> DispatcherConfig {
         DispatcherConfig::default()
@@ -804,15 +806,23 @@ mod tests {
 
     #[test]
     fn publish_assigns_per_pattern_sequences() {
-        let mut d = Dispatcher::new(NodeId::new(0), cfg());
-        let (p, q) = (PatternId::new(1), PatternId::new(2));
-        let (e1, _) = d.publish(&[p]);
-        let (e2, _) = d.publish(&[p, q]);
-        assert_eq!(e1.seq_for(p), Some(0));
-        assert_eq!(e2.seq_for(p), Some(1));
-        assert_eq!(e2.seq_for(q), Some(0));
-        assert_ne!(e1.id(), e2.id());
-        assert_eq!(d.published_total(), 2);
+        // Globally unique ids, dense per-pattern sequence numbers.
+        forall("publish_assigns_per_pattern_sequences", 256, |rng| {
+            let space = PatternSpace::new(20, 3);
+            let mut d = Dispatcher::new(NodeId::new(0), cfg());
+            let mut next_seq = [0u64; 20];
+            let mut ids = HashSet::new();
+            let publishes = rng.random_range(1..100u64);
+            for _ in 0..publishes {
+                let (event, _) = d.publish(&space.random_content(rng));
+                assert!(ids.insert(event.id()), "duplicate event id");
+                for &(p, seq) in event.pattern_seqs() {
+                    assert_eq!(seq, next_seq[p.index()], "non-dense sequence for {p}");
+                    next_seq[p.index()] += 1;
+                }
+            }
+            assert_eq!(d.published_total(), publishes);
+        });
     }
 
     #[test]

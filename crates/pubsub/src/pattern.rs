@@ -232,6 +232,7 @@ impl PatternSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eps_sim::check::forall;
     use eps_sim::RngFactory;
 
     #[test]
@@ -245,14 +246,17 @@ mod tests {
 
     #[test]
     fn content_is_sorted_distinct_and_bounded() {
-        let s = PatternSpace::paper_default();
-        let mut rng = RngFactory::new(3).stream("content");
-        for _ in 0..1000 {
-            let c = s.random_content(&mut rng);
-            assert!((1..=3).contains(&c.len()));
-            assert!(c.windows(2).all(|w| w[0] < w[1]));
-            assert!(c.iter().all(|p| p.value() < 70));
-        }
+        forall("content_is_sorted_distinct_and_bounded", 256, |rng| {
+            let universe = rng.random_range(1..200u16);
+            let max_per_event = rng.random_range(1..6usize);
+            let s = PatternSpace::new(universe, max_per_event);
+            for _ in 0..50 {
+                let c = s.random_content(rng);
+                assert!((1..=max_per_event).contains(&c.len()));
+                assert!(c.windows(2).all(|w| w[0] < w[1]));
+                assert!(c.iter().all(|p| p.value() < universe));
+            }
+        });
     }
 
     #[test]

@@ -346,9 +346,12 @@ pub fn intended_recipients<H: DispatcherHost>(hosts: &[H], content: &[PatternId]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatcher::DispatcherConfig;
+    use crate::dispatcher::{DispatcherConfig, EventReceipt};
     use crate::event::Event;
-    use eps_sim::RngFactory;
+    use crate::pattern::PatternSpace;
+    use eps_sim::check::forall;
+    use eps_sim::{Rng, RngFactory};
+    use std::collections::BTreeSet;
 
     fn build(n: usize, seed: u64) -> (Vec<Dispatcher>, Topology) {
         let factory = RngFactory::new(seed);
@@ -360,20 +363,81 @@ mod tests {
         (dispatchers, topo)
     }
 
-    /// After flooding, every dispatcher on the path from any node to a
-    /// subscriber must know the pattern, pointing towards it.
+    /// Dispatchers over `topo` holding `subs`, flooded to quiescence.
+    fn flooded(
+        topo: &Topology,
+        subs: &[Vec<PatternId>],
+        config: DispatcherConfig,
+    ) -> Vec<Dispatcher> {
+        let mut ds: Vec<Dispatcher> = topo.nodes().map(|id| Dispatcher::new(id, config)).collect();
+        install_local_subscriptions(&mut ds, subs);
+        flood_subscriptions(&mut ds, topo);
+        ds
+    }
+
+    fn random_subs(rng: &mut Rng, n: usize, pi_max: usize) -> Vec<Vec<PatternId>> {
+        let space = PatternSpace::paper_default();
+        (0..n)
+            .map(|_| space.random_subscriptions(pi_max, rng))
+            .collect()
+    }
+
+    /// Publishes `content` at `publisher` and hand-routes the event
+    /// over the tree with no loss; returns it with the set of
+    /// dispatchers that delivered it.
+    fn publish_and_route(
+        ds: &mut [Dispatcher],
+        publisher: NodeId,
+        content: &[PatternId],
+    ) -> (Event, BTreeSet<NodeId>) {
+        let (event, receipt) = ds[publisher.index()].publish(content);
+        let mut delivered = BTreeSet::new();
+        let mut queue = VecDeque::new();
+        let mut absorb = |at: NodeId, receipt: EventReceipt, queue: &mut VecDeque<_>| {
+            if receipt.delivered {
+                delivered.insert(at);
+            }
+            for f in receipt.forwards {
+                match f.msg {
+                    PubSubMessage::Event(e) => queue.push_back((f.to, at, e)),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        };
+        absorb(publisher, receipt, &mut queue);
+        let mut hops = 0;
+        while let Some((to, from, e)) = queue.pop_front() {
+            hops += 1;
+            assert!(hops <= 4 * ds.len(), "routing does not terminate");
+            let receipt = ds[to.index()].on_event(e, Some(from));
+            absorb(to, receipt, &mut queue);
+        }
+        (event, delivered)
+    }
+
+    /// After flooding, every dispatcher knows every pattern subscribed
+    /// anywhere, and reports as local exactly its own subscriptions.
     #[test]
     fn flood_reaches_every_dispatcher() {
-        let (mut ds, topo) = build(30, 1);
-        let p = PatternId::new(5);
-        ds[7].subscribe_local(p, &[]);
-        flood_subscriptions(&mut ds, &topo);
-        for node in topo.nodes() {
-            assert!(
-                ds[node.index()].table().knows(p),
-                "dispatcher {node} does not know {p}"
-            );
-        }
+        forall("flood_reaches_every_dispatcher", 128, |rng| {
+            let n = rng.random_range(2..50usize);
+            let topo = Topology::random_tree(n, 4, rng);
+            let pi_max = rng.random_range(1..5usize);
+            let subs = random_subs(rng, n, pi_max);
+            let ds = flooded(&topo, &subs, DispatcherConfig::default());
+            let subscribed_anywhere: BTreeSet<PatternId> = subs.iter().flatten().copied().collect();
+            for (d, own) in ds.iter().zip(&subs) {
+                for &p in &subscribed_anywhere {
+                    assert!(
+                        d.table().knows(p),
+                        "dispatcher {} does not know {p}",
+                        d.id()
+                    );
+                }
+                let locals: Vec<PatternId> = d.table().local_patterns().collect();
+                assert_eq!(&locals, own);
+            }
+        });
     }
 
     #[test]
@@ -406,42 +470,50 @@ mod tests {
 
     #[test]
     fn event_from_any_node_reaches_all_subscribers() {
-        let (mut ds, topo) = build(40, 3);
-        let p = PatternId::new(9);
-        let subscribers = [NodeId::new(3), NodeId::new(17), NodeId::new(31)];
-        for s in subscribers {
-            ds[s.index()].subscribe_local(p, &[]);
-        }
-        flood_subscriptions(&mut ds, &topo);
-
-        // Publish at node 0 and deliver breadth-first with no loss.
-        let (event, receipt) = ds[0].publish(&[p]);
-        let mut queue: VecDeque<(NodeId, NodeId, Event)> = receipt
-            .forwards
-            .into_iter()
-            .map(|f| match f.msg {
-                PubSubMessage::Event(e) => (f.to, NodeId::new(0), e),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        while let Some((to, from, e)) = queue.pop_front() {
-            let r = ds[to.index()].on_event(e, Some(from));
-            for f in r.forwards {
-                match f.msg {
-                    PubSubMessage::Event(e) => queue.push_back((f.to, to, e)),
-                    other => panic!("unexpected {other:?}"),
-                }
+        // ... and nobody else: an event delivers at exactly the
+        // dispatchers subscribed to one of its patterns, once each.
+        forall("event_from_any_node_reaches_all_subscribers", 128, |rng| {
+            let n = rng.random_range(2..40usize);
+            let topo = Topology::random_tree(n, 4, rng);
+            let subs = random_subs(rng, n, 2);
+            let mut ds = flooded(&topo, &subs, DispatcherConfig::default());
+            let publisher = NodeId::new(rng.random_below(n as u64) as u32);
+            let content = PatternSpace::paper_default().random_content(rng);
+            let (event, delivered) = publish_and_route(&mut ds, publisher, &content);
+            let expected: BTreeSet<NodeId> = topo
+                .nodes()
+                .filter(|node| subs[node.index()].iter().any(|p| content.contains(p)))
+                .collect();
+            assert_eq!(delivered, expected, "event {} mis-routed", event.id());
+            for d in &ds {
+                let subscribed = expected.contains(&d.id());
+                assert_eq!(d.delivered_total(), u64::from(subscribed));
+                assert!(!subscribed || d.has_seen(event.id()));
             }
-        }
-        for s in subscribers {
-            assert!(
-                ds[s.index()].has_seen(event.id()),
-                "subscriber {s} missed the event"
-            );
-            assert_eq!(ds[s.index()].delivered_total(), 1);
-        }
-        // Non-subscribers deliver nothing.
-        assert_eq!(ds[1].delivered_total(), 0);
+        });
+    }
+
+    #[test]
+    fn recorded_routes_match_tree_paths() {
+        // Everyone subscribes to one pattern, so an event floods the
+        // tree; the route each receiver recorded is the tree path.
+        forall("recorded_routes_match_tree_paths", 128, |rng| {
+            let n = rng.random_range(2..40usize);
+            let topo = Topology::random_tree(n, 4, rng);
+            let config = DispatcherConfig {
+                record_routes: true,
+                ..DispatcherConfig::default()
+            };
+            let p = PatternId::new(0);
+            let mut ds = flooded(&topo, &vec![vec![p]; n], config);
+            let publisher = NodeId::new(rng.random_below(n as u64) as u32);
+            publish_and_route(&mut ds, publisher, &[p]);
+            for node in topo.nodes().filter(|&node| node != publisher) {
+                let recorded = ds[node.index()].routes().route_from(publisher);
+                let expected = topo.path(publisher, node).unwrap();
+                assert_eq!(recorded, Some(&expected[..]));
+            }
+        });
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Seeded model-equivalence test of the client layer, runnable in the
-//! offline workspace (the proptest twin with shrinking lives in
-//! `extras/tests/client_aggregation_proptests.rs`, which needs
-//! registry access). A long random sequence of client subscribes,
-//! unsubscribes, and deliveries drives the flat sorted
-//! [`ClientRegistry`] and a naive per-client reference model, and
-//! every observable must agree op-for-op:
+//! Model-equivalence test of the client layer. A long random sequence
+//! of client subscribes, unsubscribes, and deliveries drives the flat
+//! sorted [`ClientRegistry`] and a naive per-client reference model
+//! (`BTreeMap<ClientId, BTreeSet<PatternId>>`), and every observable
+//! must agree op-for-op:
 //!
 //! - covering never loses a delivery — fan-out equals the clients
 //!   whose own subscription sets match the event;
@@ -18,6 +16,7 @@ use eps_overlay::NodeId;
 use eps_pubsub::{
     ClientId, ClientRegistry, Dispatcher, DispatcherConfig, Event, EventId, PatternId,
 };
+use eps_sim::check::forall;
 use eps_sim::Rng;
 
 const CLIENTS: u64 = 8;
@@ -95,8 +94,7 @@ fn random_event(rng: &mut Rng, seq: u64) -> Event {
 
 #[test]
 fn registry_and_dispatcher_match_per_client_reference_model() {
-    for seed in [3, 17, 4242] {
-        let mut rng = Rng::from_seed(seed);
+    forall("registry_and_dispatcher_match_reference_model", 12, |rng| {
         let mut registry = ClientRegistry::new();
         let mut node = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
         let mut model = Model::default();
@@ -109,14 +107,14 @@ fn registry_and_dispatcher_match_per_client_reference_model() {
                     assert_eq!(
                         registry.subscribe(client, pattern),
                         grew,
-                        "seed {seed} step {step}: aggregate-grew transition disagrees"
+                        "step {step}: aggregate-grew transition disagrees"
                     );
                     // Covered subscriptions must propagate nothing.
                     let forwards = node.client_subscribe(client, pattern, &[]);
                     if !grew {
                         assert!(
                             forwards.is_empty(),
-                            "seed {seed} step {step}: covered subscription propagated"
+                            "step {step}: covered subscription propagated"
                         );
                     }
                 }
@@ -125,45 +123,41 @@ fn registry_and_dispatcher_match_per_client_reference_model() {
                     assert_eq!(
                         registry.unsubscribe(client, pattern),
                         shrank,
-                        "seed {seed} step {step}: aggregate-shrank transition disagrees"
+                        "step {step}: aggregate-shrank transition disagrees"
                     );
                     node.client_unsubscribe(client, pattern, &[]);
                 }
                 _ => {
-                    let event = random_event(&mut rng, step);
+                    let event = random_event(rng, step);
                     let mut out = Vec::new();
                     registry.matching_clients_into(&event, &mut out);
                     assert_eq!(
                         out,
                         model.matching_clients(&event),
-                        "seed {seed} step {step}: covering changed delivery semantics"
+                        "step {step}: covering changed delivery semantics"
                     );
                 }
             }
-            assert_eq!(registry.len(), model.len(), "seed {seed} step {step}");
+            assert_eq!(registry.len(), model.len(), "step {step}");
+            let expected = model.aggregate();
             let aggregate: Vec<PatternId> = registry.aggregate_patterns().collect();
-            assert_eq!(
-                aggregate,
-                model.aggregate(),
-                "seed {seed} step {step}: aggregate filter drifted"
-            );
+            assert_eq!(aggregate, expected, "step {step}: aggregate filter drifted");
             // The dispatcher's routing state is exactly the aggregate:
             // nothing strands after the last local client drops a
             // pattern, nothing retracts while a holder remains.
             let local: Vec<PatternId> = node.table().local_patterns().collect();
             assert_eq!(
-                local,
-                model.aggregate(),
-                "seed {seed} step {step}: routing state drifted from the aggregate"
+                local, expected,
+                "step {step}: routing state drifted from the aggregate"
             );
+            for p in 0..PATTERNS {
+                let pattern = PatternId::new(p as u16);
+                assert_eq!(registry.covers(pattern), model.covers(pattern));
+                assert_eq!(registry.refcount(pattern), model.refcount(pattern));
+            }
         }
         // Exercised both regimes: the run must have covered and
         // refcounted, not just mirrored single subscriptions.
         assert!(registry.len() > registry.aggregate_len());
-        for p in 0..PATTERNS {
-            let pattern = PatternId::new(p as u16);
-            assert_eq!(registry.covers(pattern), model.covers(pattern));
-            assert_eq!(registry.refcount(pattern), model.refcount(pattern));
-        }
-    }
+    });
 }

@@ -11,10 +11,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use eps_overlay::NodeId;
 use eps_pubsub::{Event, EventId, Interface, PatternId, SubscriptionTable};
-use proptest::prelude::*;
+use eps_sim::check::forall;
+use eps_sim::Rng;
 
 /// One randomly generated table operation.
-#[derive(Clone, Debug)]
 enum Op {
     InsertLocal(u16),
     InsertNeighbor(u16, u32),
@@ -90,19 +90,30 @@ impl Model {
     }
 }
 
-fn op_strategy(universe: u16, nodes: u32) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..universe).prop_map(Op::InsertLocal),
-        3 => (0..universe, 0..nodes).prop_map(|(p, n)| Op::InsertNeighbor(p, n)),
-        (0..universe).prop_map(Op::RemoveLocal),
-        (0..universe, 0..nodes).prop_map(|(p, n)| Op::RemoveNeighbor(p, n)),
-        (0..nodes).prop_map(Op::DropNeighbor),
-        (
-            prop::collection::btree_set(0..universe, 1..=3),
-            prop::option::of(0..nodes),
-        )
-            .prop_map(|(ps, f)| Op::Match(ps, f)),
-    ]
+/// One random op over `universe` patterns and `nodes` neighbors;
+/// neighbor inserts are three times as likely as any other kind.
+fn random_op(rng: &mut Rng, universe: u16, nodes: u32) -> Op {
+    let p = rng.random_range(0..universe);
+    let n = rng.random_range(0..nodes);
+    match rng.random_below(8) {
+        0 => Op::InsertLocal(p),
+        1..=3 => Op::InsertNeighbor(p, n),
+        4 => Op::RemoveLocal(p),
+        5 => Op::RemoveNeighbor(p, n),
+        6 => Op::DropNeighbor(n),
+        _ => Op::Match(
+            (0..rng.random_range(1..4u16))
+                .map(|_| rng.random_range(0..universe))
+                .collect(),
+            rng.random_bool(0.5).then_some(n),
+        ),
+    }
+}
+
+fn random_ops(rng: &mut Rng, max_len: usize, universe: u16, nodes: u32) -> Vec<Op> {
+    (0..rng.random_range(1..max_len))
+        .map(|_| random_op(rng, universe, nodes))
+        .collect()
 }
 
 /// Checks every observable the rest of the stack reads, including
@@ -173,10 +184,8 @@ fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) -> Subscript
             }
             Op::Match(patterns, from) => {
                 seq += 1;
-                let content: Vec<(PatternId, u64)> = patterns
-                    .iter()
-                    .map(|&v| (PatternId::new(v), seq))
-                    .collect();
+                let content: Vec<(PatternId, u64)> =
+                    patterns.iter().map(|&v| (PatternId::new(v), seq)).collect();
                 let event = Event::new(EventId::new(NodeId::new(0), seq), content);
                 let from = from.map(NodeId::new);
                 assert_eq!(
@@ -191,34 +200,33 @@ fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) -> Subscript
     table
 }
 
-proptest! {
-    /// A grow-on-demand table tracks the model exactly, op for op.
-    #[test]
-    fn dense_table_matches_btreemap_model(
-        ops in prop::collection::vec(op_strategy(24, 40), 1..120),
-    ) {
-        run_ops(SubscriptionTable::new(), &ops, 24);
-    }
+/// A grow-on-demand table tracks the model exactly, op for op.
+#[test]
+fn dense_table_matches_btreemap_model() {
+    forall("dense_table_matches_btreemap_model", 256, |rng| {
+        run_ops(SubscriptionTable::new(), &random_ops(rng, 120, 24, 40), 24);
+    });
+}
 
-    /// A preallocated table behaves identically to a grow-on-demand
-    /// one over the same ops, and the two end up semantically equal —
-    /// capacity hints must never change observable behavior.
-    #[test]
-    fn preallocated_table_matches_model_and_grown_twin(
-        ops in prop::collection::vec(op_strategy(24, 40), 1..120),
-    ) {
+/// A preallocated table behaves identically to a grow-on-demand one
+/// over the same ops, and the two end up semantically equal — capacity
+/// hints must never change observable behavior.
+#[test]
+fn preallocated_table_matches_model_and_grown_twin() {
+    forall("preallocated_table_matches_grown_twin", 256, |rng| {
+        let ops = random_ops(rng, 120, 24, 40);
         let grown = run_ops(SubscriptionTable::new(), &ops, 24);
         let sized = run_ops(SubscriptionTable::with_dims(24, 40), &ops, 24);
-        prop_assert_eq!(grown, sized);
-    }
+        assert_eq!(grown, sized);
+    });
+}
 
-    /// Neighbor populations past 64 force the bitset into spill words;
-    /// the model must still be tracked exactly (ordering across word
-    /// boundaries, slot renumbering on removal).
-    #[test]
-    fn wide_neighborhoods_spill_correctly(
-        ops in prop::collection::vec(op_strategy(8, 200), 1..150),
-    ) {
-        run_ops(SubscriptionTable::new(), &ops, 8);
-    }
+/// Neighbor populations past 64 force the bitset into spill words; the
+/// model must still be tracked exactly (ordering across word
+/// boundaries, slot renumbering on removal).
+#[test]
+fn wide_neighborhoods_spill_correctly() {
+    forall("wide_neighborhoods_spill_correctly", 256, |rng| {
+        run_ops(SubscriptionTable::new(), &random_ops(rng, 150, 8, 200), 8);
+    });
 }

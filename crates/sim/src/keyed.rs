@@ -164,32 +164,59 @@ impl<K, M> std::fmt::Debug for KeyedEngine<K, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::forall;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = KeyedEngine::new();
-        q.schedule_at(SimTime::from_millis(30), 0u8, 3u32);
-        q.schedule_at(SimTime::from_millis(10), 9, 1);
-        q.schedule_at(SimTime::from_millis(20), 5, 2);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, m)| m)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        // Whatever the schedule, pops never go back in time and every
+        // scheduled event comes out exactly once.
+        forall("pops_in_time_order", 256, |rng| {
+            let delays: Vec<u64> = (0..rng.random_range(1..200usize))
+                .map(|_| rng.random_below(1_000_000))
+                .collect();
+            let mut q = KeyedEngine::new();
+            for (i, &d) in delays.iter().enumerate() {
+                q.schedule_at(SimTime::from_nanos(d), i, ());
+            }
+            let mut last = SimTime::ZERO;
+            let mut seen = vec![false; delays.len()];
+            while let Some((t, i, ())) = q.pop() {
+                assert!(t >= last, "time went backwards");
+                assert_eq!(t, SimTime::from_nanos(delays[i]));
+                assert!(!seen[i], "event {i} popped twice");
+                seen[i] = true;
+                last = t;
+            }
+            assert!(seen.iter().all(|&s| s), "some event never fired");
+        });
     }
 
     #[test]
     fn same_instant_ties_fire_in_key_order_not_insertion_order() {
-        let t = SimTime::from_millis(5);
-        // Two opposite insertion orders must produce the same firing
-        // order — the property shard-count invariance rests on.
-        let mut a = KeyedEngine::new();
-        let mut b = KeyedEngine::new();
-        for key in 0..50u32 {
-            a.schedule_at(t, key, key);
-            b.schedule_at(t, 49 - key, 49 - key);
-        }
-        let fa: Vec<u32> = std::iter::from_fn(|| a.pop().map(|(_, _, m)| m)).collect();
-        let fb: Vec<u32> = std::iter::from_fn(|| b.pop().map(|(_, _, m)| m)).collect();
-        assert_eq!(fa, fb);
-        assert_eq!(fa, (0..50).collect::<Vec<_>>());
+        // Two opposite insertion orders of arbitrary distinct keys must
+        // produce the same firing order — ascending key — the property
+        // shard-count invariance rests on.
+        forall("same_instant_ties_fire_in_key_order", 256, |rng| {
+            let t = SimTime::from_nanos(rng.random_below(1_000_000));
+            let mut keys: Vec<u32> = Vec::new();
+            for _ in 0..rng.random_range(1..100usize) {
+                let key = rng.next_u64() as u32;
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+            let mut a = KeyedEngine::new();
+            let mut b = KeyedEngine::new();
+            for (&fwd, &rev) in keys.iter().zip(keys.iter().rev()) {
+                a.schedule_at(t, fwd, fwd);
+                b.schedule_at(t, rev, rev);
+            }
+            let fa: Vec<u32> = std::iter::from_fn(|| a.pop().map(|(_, _, m)| m)).collect();
+            let fb: Vec<u32> = std::iter::from_fn(|| b.pop().map(|(_, _, m)| m)).collect();
+            assert_eq!(fa, fb);
+            keys.sort_unstable();
+            assert_eq!(fa, keys);
+        });
     }
 
     #[test]

@@ -238,6 +238,7 @@ impl RatioSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::forall;
 
     #[test]
     fn summary_mean_and_variance() {
@@ -262,17 +263,26 @@ mod tests {
 
     #[test]
     fn summary_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        data.iter().for_each(|&x| whole.record(x));
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        data[..37].iter().for_each(|&x| a.record(x));
-        data[37..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
+        // For any data, magnitude and split point.
+        forall("summary_merge_matches_sequential", 256, |rng| {
+            let scale = [1.0, 10.0, 1e3, 1e6][rng.random_below(4) as usize];
+            let data: Vec<f64> = (0..rng.random_range(2..200usize))
+                .map(|_| rng.random_range(-scale..scale))
+                .collect();
+            let split = rng.random_range(0..data.len() + 1);
+            let mut whole = Summary::new();
+            data.iter().for_each(|&x| whole.record(x));
+            let mut a = Summary::new();
+            let mut b = Summary::new();
+            data[..split].iter().for_each(|&x| a.record(x));
+            data[split..].iter().for_each(|&x| b.record(x));
+            a.merge(&b);
+            assert_eq!(a.count(), whole.count());
+            assert!((a.mean() - whole.mean()).abs() < 1e-11 * scale);
+            assert!((a.variance() - whole.variance()).abs() < 1e-11 * scale * scale);
+            assert_eq!(a.min(), whole.min());
+            assert_eq!(a.max(), whole.max());
+        });
     }
 
     #[test]
@@ -302,5 +312,44 @@ mod tests {
         s.add(SimTime::from_millis(1100), 2.0, 10.0);
         assert!((s.total_ratio() - 0.5).abs() < 1e-12);
         assert!((s.min_ratio().unwrap() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quantiles_are_bounded_by_the_extremes_and_monotone_in_q() {
+        forall("quantiles_are_bounded_and_monotone", 256, |rng| {
+            let data: Vec<f64> = (0..rng.random_range(1..100usize))
+                .map(|_| rng.random_range(-1e6..1e6))
+                .collect();
+            let (q1, q2) = (rng.random_f64(), rng.random_f64());
+            let v_lo = quantile(&data, q1.min(q2)).unwrap();
+            let v_hi = quantile(&data, q1.max(q2)).unwrap();
+            let min = data.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert!(v_lo >= min - 1e-9 && v_hi <= max + 1e-9);
+            assert!(v_lo <= v_hi + 1e-9);
+        });
+    }
+
+    #[test]
+    fn ratio_series_conserves_mass() {
+        // Summing bin numerators and denominators reproduces the inputs.
+        forall("ratio_series_conserves_mass", 256, |rng| {
+            let mut series = RatioSeries::new(SimTime::from_millis(100));
+            let (mut num_total, mut den_total) = (0.0, 0.0);
+            for _ in 0..rng.random_range(1..200usize) {
+                let at = SimTime::from_nanos(rng.random_below(10_000_000));
+                let den = rng.random_range(1..50u32) as f64;
+                let num = (rng.random_below(50) as f64).min(den);
+                series.add(at, num, den);
+                num_total += num;
+                den_total += den;
+            }
+            let bins_num: f64 = series.bins().iter().map(|b| b.numerator).sum();
+            let bins_den: f64 = series.bins().iter().map(|b| b.denominator).sum();
+            assert_eq!(bins_num, num_total);
+            assert_eq!(bins_den, den_total);
+            assert!((0.0..=1.0).contains(&series.total_ratio()));
+            assert!(series.min_ratio().unwrap() <= series.total_ratio() + 1e-12);
+        });
     }
 }

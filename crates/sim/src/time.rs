@@ -157,6 +157,7 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::forall;
 
     #[test]
     fn constructors_agree() {
@@ -167,24 +168,43 @@ mod tests {
 
     #[test]
     fn float_roundtrip() {
-        let t = SimTime::from_secs_f64(12.345678901);
-        assert!((t.as_secs_f64() - 12.345678901).abs() < 1e-9);
+        forall("float_roundtrip", 256, |rng| {
+            let secs = rng.random_range(0.0..1e6);
+            let t = SimTime::from_secs_f64(secs);
+            assert!((t.as_secs_f64() - secs).abs() < 1e-9);
+            // And from the integer side, over the whole clock range:
+            // f64 has 52 mantissa bits, so allow proportional rounding.
+            let nanos = rng.random_below(u64::MAX / 4);
+            let secs = SimTime::from_nanos(nanos).as_secs_f64();
+            if secs < 1e9 {
+                let back = SimTime::from_secs_f64(secs).as_nanos();
+                assert!(back.abs_diff(nanos) as f64 <= 1.0 + nanos as f64 * 1e-15);
+            }
+        });
     }
 
     #[test]
     fn ordering_is_total() {
-        let a = SimTime::from_millis(5);
-        let b = SimTime::from_millis(6);
-        assert!(a < b);
-        assert_eq!(a.max(b), b);
+        forall("ordering_is_total", 256, |rng| {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let (ta, tb) = (SimTime::from_nanos(a), SimTime::from_nanos(b));
+            assert_eq!(ta.cmp(&tb), a.cmp(&b));
+            assert_eq!(ta.max(tb), SimTime::from_nanos(a.max(b)));
+        });
     }
 
     #[test]
     fn sub_saturates() {
-        let a = SimTime::from_secs(1);
-        let b = SimTime::from_secs(2);
-        assert_eq!(a - b, SimTime::ZERO);
-        assert_eq!(a.saturating_sub(b), SimTime::ZERO);
+        forall("sub_saturates", 256, |rng| {
+            let (a, b) = (
+                rng.random_below(u64::MAX / 4),
+                rng.random_below(u64::MAX / 4),
+            );
+            let (ta, tb) = (SimTime::from_nanos(a), SimTime::from_nanos(b));
+            assert_eq!((ta - tb).as_nanos(), a.saturating_sub(b));
+            assert_eq!(ta.saturating_sub(tb).as_nanos(), a.saturating_sub(b));
+            assert_eq!((ta + tb).as_nanos(), a + b);
+        });
     }
 
     #[test]

@@ -21,9 +21,6 @@ echo "== tier-1: release build =="
 # need the whole workspace.
 cargo build --workspace --release
 
-echo "== tier-1: tests =="
-cargo test -q
-
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
@@ -183,22 +180,6 @@ awk -v s="$summary_delivery" -v l="$linear_delivery" 'BEGIN {exit !(s >= l)}' \
 
 echo "== tier-1: end-to-end benchmark smoke (benchmark/, every workload once) =="
 bash benchmark/run.sh --smoke
-
-echo "== tier-1: extras (proptests; needs registry access) =="
-# The extras package pulls proptest/criterion from crates.io, so it
-# only builds where the registry is reachable (or vendored). When it
-# resolves, run the proptest suites -- including the client-layer
-# model equivalence (client_aggregation_proptests) and the summary
-# reconciliation properties (summary_reconciliation_proptests).
-# Offline hosts still run the in-workspace twins
-# (crates/pubsub/tests/client_model.rs,
-# crates/gossip/tests/summary_model.rs) in the workspace test pass
-# above.
-if cargo metadata --manifest-path extras/Cargo.toml --offline >/dev/null 2>&1; then
-    cargo test --manifest-path extras/Cargo.toml -q
-else
-    echo "extras dependencies unavailable offline; skipping (in-workspace model twins cover the client and summary layers)"
-fi
 
 echo "== tier-1: docs build =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -2,7 +2,11 @@
 //! facade, checking the paper's qualitative claims on reduced scales.
 
 use epidemic_pubsub::gossip::Algorithm;
-use epidemic_pubsub::harness::{run_scenario, ScenarioConfig, ScenarioResult};
+use epidemic_pubsub::harness::{
+    run_scenario, run_scenario_sharded, ScenarioConfig, ScenarioResult,
+};
+use epidemic_pubsub::overlay::OverlayKind;
+use epidemic_pubsub::sim::check::forall;
 use epidemic_pubsub::sim::SimTime;
 
 fn small() -> ScenarioConfig {
@@ -21,25 +25,65 @@ fn run(kind: Algorithm) -> ScenarioResult {
     run_scenario(&small().with_algorithm(kind))
 }
 
+/// Whatever the configuration — any registered algorithm on any
+/// overlay, with or without reconfiguration and churn — a run completes
+/// and reports consistent numbers; and (one case in four) the same
+/// numbers for any shard count.
 #[test]
 fn all_algorithms_complete_and_report_sane_numbers() {
-    for kind in Algorithm::paper() {
-        let r = run(kind.clone());
-        assert!(
-            (0.0..=1.0).contains(&r.delivery_rate),
-            "{kind}: rate {}",
-            r.delivery_rate
-        );
-        assert!(
-            (0.0..=1.0).contains(&r.min_bin_rate),
-            "{kind}: min bin {}",
-            r.min_bin_rate
-        );
-        assert!(r.min_bin_rate <= 1.0 && r.min_bin_rate <= r.delivery_rate + 0.5);
-        assert!(r.events_published > 0, "{kind} published nothing");
-        assert!(r.event_msgs > 0, "{kind} forwarded nothing");
-        assert!(!r.series.is_empty(), "{kind} produced no series");
-    }
+    forall(
+        "all_algorithms_complete_and_report_sane_numbers",
+        96,
+        |rng| {
+            let overlay = *rng.choose(&OverlayKind::all()).unwrap();
+            // Watts–Strogatz needs its ring lattice: five nodes.
+            let nodes = rng.random_range(if overlay.is_tree() { 2 } else { 5 }..40usize);
+            // Each on in half the cases, at a drawn interval.
+            let reconfig_ms = rng.random_bool(0.5).then(|| rng.random_range(100..1000u64));
+            let churn_ms = rng.random_bool(0.5).then(|| rng.random_range(20..500u64));
+            let config = ScenarioConfig {
+                seed: rng.random_below(1000),
+                nodes,
+                overlay,
+                max_degree: if overlay.is_tree() { 4 } else { 6 },
+                clients_per_node: rng.random_range(1..4usize),
+                link_error_rate: rng.random_range(0.0..0.3),
+                buffer_size: rng.random_range(0..3000usize),
+                publish_rate: 10.0,
+                duration: SimTime::from_secs(2),
+                warmup: SimTime::from_millis(200),
+                cooldown: SimTime::from_millis(500),
+                reconfig_interval: reconfig_ms.map(SimTime::from_millis),
+                churn_interval: churn_ms.map(SimTime::from_millis),
+                algorithm: rng.choose(&Algorithm::all()).unwrap().clone(),
+                ..ScenarioConfig::default()
+            };
+            let kind = &config.algorithm;
+            let r = run_scenario(&config);
+            for rate in [r.delivery_rate, r.overall_delivery_rate, r.min_bin_rate] {
+                assert!((0.0..=1.0).contains(&rate), "{kind}: rate {rate}");
+            }
+            assert!(r.min_bin_rate <= r.delivery_rate + 0.5);
+            assert!(r
+                .series
+                .iter()
+                .all(|&(_, rate)| (0.0..=1.0).contains(&rate)));
+            assert!(!r.series.is_empty(), "{kind} produced no series");
+            assert!(r.events_published > 0, "{kind} published nothing");
+            assert!(r.events_retransmitted >= r.events_recovered);
+            assert!(r.receivers_per_event <= nodes as f64);
+            if *kind == Algorithm::no_recovery() {
+                assert_eq!(r.gossip_msgs, 0);
+            }
+            if nodes >= 10 {
+                assert!(r.event_msgs > 0, "{kind} forwarded nothing");
+            }
+            if rng.random_below(4) == 0 {
+                let shards = rng.random_range(2..5usize);
+                assert_eq!(run_scenario_sharded(&config, shards), r, "{shards} shards");
+            }
+        },
+    );
 }
 
 #[test]
