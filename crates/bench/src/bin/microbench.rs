@@ -32,6 +32,7 @@ use eps_pubsub::{
     rebuild_subscription_routes, ClientId, ClientRegistry, Dispatcher, DispatcherConfig, Event,
     EventId, Interface, LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
 };
+use eps_sim::hash::IdMap;
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 fn main() -> ExitCode {
@@ -81,6 +82,9 @@ fn main() -> ExitCode {
         table_matching_dense(),
         detector_record(),
         cache_digest_build(),
+        cache_insert_evict(),
+        seen_insert(),
+        idmap_event_id_probe(),
         event_clone_hop(),
         rng_throughput(),
         scenario_mini(),
@@ -304,6 +308,72 @@ fn cache_digest_build() -> BenchResult {
         }
     });
     assert!(sink > 0, "a full cache yields non-empty digests");
+    result
+}
+
+/// Steady-state insert into a full FIFO cache at β = 1500: every
+/// insert evicts the oldest event, which sits at the head of both
+/// per-pattern lists it is on (≈ 750 ids each, as at a Fig. 2
+/// subscriber of two patterns).
+fn cache_insert_evict() -> BenchResult {
+    const N: u64 = 10_000;
+    // Each event matches one of patterns {0, 1} and one of {2, 3}.
+    let events: Vec<Event> = (0..N)
+        .map(|i| {
+            let patterns = [(i % 2) as u16, 2 + (i / 2 % 2) as u16];
+            let seqs = patterns.map(|p| (PatternId::new(p), i));
+            Event::new(EventId::new(NodeId::new((i % 10) as u32), i), seqs.to_vec())
+        })
+        .collect();
+    let mut cache = eps_pubsub::EventCache::new(1_500);
+    // N > β: by the time an id comes round again it is long evicted.
+    let result = bench("cache_insert_evict/beta1500", 3, 25, N, || {
+        for event in &events {
+            cache.insert(event.clone());
+        }
+    });
+    assert_eq!(cache.len(), 1_500);
+    assert_eq!(cache.ids_matching(PatternId::new(0)).len(), 750);
+    result
+}
+
+/// Duplicate suppression on first sight: `Dispatcher::on_event` at a
+/// dispatcher with no subscriptions and no neighbors, so marking the
+/// id seen is all the work there is. 100 sources, dense per-source
+/// sequence numbers, interleaved — the Fig. 2 arrival pattern.
+fn seen_insert() -> BenchResult {
+    const N: u64 = 10_000;
+    let events: Vec<Event> = (0..N)
+        .map(|i| {
+            let id = EventId::new(NodeId::new((i % 100) as u32), i / 100);
+            Event::new(id, vec![(PatternId::new(1), i / 100)])
+        })
+        .collect();
+    let mut fresh = 0usize;
+    let result = bench("seen_insert", 3, 25, N, || {
+        let mut node = Dispatcher::new(NodeId::new(100), DispatcherConfig::default());
+        for event in &events {
+            fresh += usize::from(!node.on_event(event.clone(), None).duplicate);
+        }
+    });
+    assert_eq!(fresh as u64 % N, 0, "every id is new to a new dispatcher");
+    result
+}
+
+/// One successful probe of an `IdMap` keyed by `EventId` at cache
+/// size: the lookup under `EventCache::get`, `DeliveryTracker` and the
+/// digest policies' in-flight sets.
+fn idmap_event_id_probe() -> BenchResult {
+    const N: u64 = 10_000;
+    let id = |i: u64| EventId::new(NodeId::new((i % 100) as u32), i / 100);
+    let map: IdMap<EventId, u64> = (0..1_500).map(|i| (id(i), i)).collect();
+    let mut sink = 0u64;
+    let result = bench("idmap_event_id_probe", 3, 25, N, || {
+        for i in 0..N {
+            sink += map[&id(i % 1_500)];
+        }
+    });
+    assert!(sink > 0);
     result
 }
 

@@ -23,7 +23,6 @@
 //! and preserve their RNG draw order exactly (the harness golden tests
 //! pin this bit-for-bit).
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,6 +30,7 @@ use eps_overlay::NodeId;
 use eps_pubsub::{
     Dispatcher, Event, EventId, LossRecord, PatternId, RangeDetail, RangeRef, RangeSummary,
 };
+use eps_sim::hash::IdSet;
 use eps_sim::Rng;
 
 use crate::config::GossipConfig;
@@ -363,9 +363,9 @@ pub(crate) fn draw_known_pattern(node: &Dispatcher, rng: &mut Rng) -> Option<Pat
 /// requests the missing events from the gossiper out-of-band.
 #[derive(Clone, Debug, Default)]
 pub struct PositiveDigest {
-    /// Membership checks only — never iterated, so the HashSet's
+    /// Membership checks only — never iterated, so the set's
     /// arbitrary ordering can't leak into any output.
-    requested: HashSet<EventId>,
+    requested: IdSet<EventId>,
     requests_since_round: u64,
     idle_rounds: u32,
 }

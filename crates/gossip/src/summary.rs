@@ -48,12 +48,13 @@
 //! empty tombstone set, making the seen view bit-identical to the live
 //! one — the pre-tombstone wire behavior.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
 use eps_pubsub::{Dispatcher, Event, EventId, PatternId, RangeDetail, RangeRef};
+use eps_sim::hash::IdSet;
 use eps_sim::Rng;
 
 use crate::config::GossipConfig;
@@ -101,8 +102,8 @@ pub struct SummaryDigestPolicy {
     queued: usize,
     /// Push mode: ids already requested and still in flight, so one id
     /// is never requested twice concurrently. Membership checks only —
-    /// never iterated, so HashSet ordering cannot leak into output.
-    requested: HashSet<EventId>,
+    /// never iterated, so the set's ordering cannot leak into output.
+    requested: IdSet<EventId>,
     /// Pull mode: cap on events served per absorbed digest
     /// (`digest_max`, mirroring the entry bound of negative digests).
     serve_cap: usize,
@@ -126,7 +127,7 @@ impl SummaryDigestPolicy {
             mode,
             detail_out: BTreeMap::new(),
             queued: 0,
-            requested: HashSet::new(),
+            requested: IdSet::default(),
             serve_cap: config.digest_max,
             requests_since_round: 0,
             idle_rounds: 0,

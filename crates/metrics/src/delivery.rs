@@ -1,10 +1,9 @@
 //! Delivery accounting: who should have received each event, who did,
 //! and when — the source of every delivery-rate figure in the paper.
 
-use std::collections::HashMap;
-
 use eps_overlay::NodeId;
 use eps_pubsub::EventId;
+use eps_sim::hash::IdMap;
 use eps_sim::{quantile, RatioSeries, SimTime, Summary};
 
 #[derive(Clone, Debug)]
@@ -43,9 +42,9 @@ struct EventRecord {
 pub struct DeliveryTracker {
     // Records in publication order; the map is only an index. Stable
     // iteration keeps every derived statistic bit-for-bit
-    // reproducible (HashMap order varies across processes).
+    // reproducible (hash-map order varies across processes).
     records: Vec<EventRecord>,
-    index: HashMap<EventId, usize>,
+    index: IdMap<EventId, usize>,
     expected_total: u64,
     delivered_total: u64,
     unexpected_total: u64,

@@ -1,8 +1,7 @@
 //! The link model: 10 Mbit/s store-and-forward links with FIFO
 //! serialization, propagation delay, and Bernoulli message loss.
 
-use std::collections::HashMap;
-
+use eps_sim::hash::IdMap;
 use eps_sim::{Rng, SimTime};
 
 use crate::node::NodeId;
@@ -93,9 +92,9 @@ impl Transmission {
 /// direction is busy starts serializing when the previous one ends.
 #[derive(Clone, Debug, Default)]
 pub struct LinkTable {
-    /// Keyed lookups only — never iterated, so the HashMap's
+    /// Keyed lookups only — never iterated, so the map's
     /// arbitrary ordering can't leak into any output.
-    busy_until: HashMap<(NodeId, NodeId), SimTime>,
+    busy_until: IdMap<(NodeId, NodeId), SimTime>,
     transmitted: u64,
     lost: u64,
 }

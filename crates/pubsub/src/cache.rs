@@ -16,9 +16,10 @@
 //!   for self-published events, which only the publisher can serve to
 //!   publisher-bound gossip; received events compete for the rest.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use eps_overlay::NodeId;
+use eps_sim::hash::IdMap;
 use eps_sim::Rng;
 
 use crate::event::{Event, EventId};
@@ -65,10 +66,10 @@ enum PolicyState {
     },
     Random {
         live: Vec<EventId>,
-        /// Keyed lookups only — never iterated, so the HashMap's
+        /// Keyed lookups only — never iterated, so the map's
         /// arbitrary ordering can't leak into any output (victims are
         /// drawn from `live` by RNG index).
-        pos: HashMap<EventId, usize>,
+        pos: IdMap<EventId, usize>,
         rng: Rng,
     },
     SourceBiased {
@@ -86,7 +87,7 @@ impl PolicyState {
             },
             EvictionPolicy::Random { seed } => PolicyState::Random {
                 live: Vec::new(),
-                pos: HashMap::new(),
+                pos: IdMap::default(),
                 rng: Rng::from_seed(seed),
             },
             EvictionPolicy::SourceBiased { own_permille } => {
@@ -173,19 +174,17 @@ pub struct EventCache {
     capacity: usize,
     owner: Option<NodeId>,
     policy: PolicyState,
-    // Insertion order for iteration; may contain evicted ids, which
-    // are skipped and compacted away amortized. This deque — not the
-    // `events` HashMap — is the only iteration order ever exposed.
-    insertion: VecDeque<EventId>,
-    // Keyed lookups only (iteration goes through `insertion`), so the
-    // HashMap's arbitrary ordering can't leak into any output.
-    events: HashMap<EventId, Event>,
+    // Each cached event beside its insertion stamp (`inserted_total`
+    // when it was admitted, so unique and increasing). Keyed lookups
+    // only: the one walk over this map, `iter`, sorts by stamp, so the
+    // map's arbitrary ordering can't leak into any output.
+    events: IdMap<EventId, (u64, Event)>,
     // Keyed lookups only — never iterated (see `events`).
-    by_pattern_seq: HashMap<(NodeId, PatternId, u64), EventId>,
+    by_pattern_seq: IdMap<(NodeId, PatternId, u64), EventId>,
     // Per-pattern index over the live cache contents, kept exact
     // (updated on insert and eviction), each list in insertion order:
-    // `ids_matching` — the digest-construction hot path — is a slice
-    // copy instead of a scan of the whole cache.
+    // `ids_matching` — the digest-construction hot path — is a copy of
+    // one list instead of a scan of the whole cache.
     by_pattern: PatternIndex,
     // Hash-range summary forest over the cached ids, maintained
     // incrementally on insert/evict (O(log C) per operation — never
@@ -217,14 +216,26 @@ pub struct EventCache {
 /// output; within a pattern, ids keep insertion order in both layouts.
 #[derive(Clone)]
 enum PatternIndex {
-    Dense(Vec<Vec<EventId>>),
-    Sparse(HashMap<u16, Vec<EventId>>),
+    Dense(Vec<VecDeque<EventId>>),
+    Sparse(IdMap<u16, VecDeque<EventId>>),
+}
+
+/// Drops `id` from one pattern's list. Under FIFO eviction the victim
+/// is the oldest entry of every list it is on, so this is a pop, not a
+/// shift of the ≈ β/2 ids behind it; the other policies can pick from
+/// the middle of a list and pay for the search.
+fn unlist(list: &mut VecDeque<EventId>, id: EventId) {
+    if list.front() == Some(&id) {
+        list.pop_front();
+    } else {
+        list.retain(|&x| x != id);
+    }
 }
 
 impl PatternIndex {
     fn new(universe: usize) -> Self {
         if universe > DENSE_UNIVERSE_MAX {
-            PatternIndex::Sparse(HashMap::new())
+            PatternIndex::Sparse(IdMap::default())
         } else {
             PatternIndex::Dense(Vec::new())
         }
@@ -235,11 +246,11 @@ impl PatternIndex {
             PatternIndex::Dense(lists) => {
                 let idx = pattern.index();
                 if idx >= lists.len() {
-                    lists.resize_with(idx + 1, Vec::new);
+                    lists.resize_with(idx + 1, VecDeque::new);
                 }
-                lists[idx].push(id);
+                lists[idx].push_back(id);
             }
-            PatternIndex::Sparse(lists) => lists.entry(pattern.value()).or_default().push(id),
+            PatternIndex::Sparse(lists) => lists.entry(pattern.value()).or_default().push_back(id),
         }
     }
 
@@ -247,12 +258,12 @@ impl PatternIndex {
         match self {
             PatternIndex::Dense(lists) => {
                 if let Some(list) = lists.get_mut(pattern.index()) {
-                    list.retain(|&x| x != id);
+                    unlist(list, id);
                 }
             }
             PatternIndex::Sparse(lists) => {
                 if let Some(list) = lists.get_mut(&pattern.value()) {
-                    list.retain(|&x| x != id);
+                    unlist(list, id);
                     if list.is_empty() {
                         lists.remove(&pattern.value());
                     }
@@ -261,7 +272,7 @@ impl PatternIndex {
         }
     }
 
-    fn get(&self, pattern: PatternId) -> Option<&Vec<EventId>> {
+    fn get(&self, pattern: PatternId) -> Option<&VecDeque<EventId>> {
         match self {
             PatternIndex::Dense(lists) => lists.get(pattern.index()),
             PatternIndex::Sparse(lists) => lists.get(&pattern.value()),
@@ -306,7 +317,6 @@ impl Clone for EventCache {
             capacity: self.capacity,
             owner: self.owner,
             policy,
-            insertion: self.insertion.clone(),
             events: self.events.clone(),
             by_pattern_seq: self.by_pattern_seq.clone(),
             by_pattern: self.by_pattern.clone(),
@@ -355,9 +365,8 @@ impl EventCache {
             capacity,
             owner,
             policy: PolicyState::new(policy, capacity),
-            insertion: VecDeque::new(),
-            events: HashMap::new(),
-            by_pattern_seq: HashMap::new(),
+            events: IdMap::default(),
+            by_pattern_seq: IdMap::default(),
             by_pattern: PatternIndex::new(universe),
             summary: None,
             tombstones: None,
@@ -418,22 +427,12 @@ impl EventCache {
         }
         let is_own = self.owner == Some(id.source());
         self.policy.note_insert(id, is_own);
-        self.insertion.push_back(id);
-        self.events.insert(id, event);
+        self.events.insert(id, (self.inserted_total, event));
         self.inserted_total += 1;
-        self.compact();
-    }
-
-    /// Drops stale iteration entries once they dominate, keeping
-    /// iteration amortized O(live).
-    fn compact(&mut self) {
-        if self.insertion.len() > 2 * self.events.len().max(16) {
-            self.insertion.retain(|id| self.events.contains_key(id));
-        }
     }
 
     fn forget(&mut self, id: EventId) {
-        if let Some(event) = self.events.remove(&id) {
+        if let Some((_, event)) = self.events.remove(&id) {
             for &(p, seq) in event.pattern_seqs() {
                 self.by_pattern_seq.remove(&(id.source(), p, seq));
                 self.by_pattern.remove(p, id);
@@ -449,7 +448,7 @@ impl EventCache {
 
     /// Looks up an event by id.
     pub fn get(&self, id: EventId) -> Option<&Event> {
-        self.events.get(&id)
+        self.events.get(&id).map(|(_, event)| event)
     }
 
     /// `true` if the event is cached.
@@ -468,7 +467,7 @@ impl EventCache {
     ) -> Option<&Event> {
         self.by_pattern_seq
             .get(&(source, pattern, seq))
-            .and_then(|id| self.events.get(id))
+            .and_then(|&id| self.get(id))
     }
 
     /// Ids of all cached events matching `pattern`, in insertion order
@@ -476,12 +475,20 @@ impl EventCache {
     /// from the exact per-pattern index: a copy of the live id list,
     /// not a scan of the whole cache.
     pub fn ids_matching(&self, pattern: PatternId) -> Vec<EventId> {
-        self.by_pattern.get(pattern).cloned().unwrap_or_default()
+        self.by_pattern.get(pattern).map_or_else(Vec::new, |list| {
+            let (older, newer) = list.as_slices();
+            [older, newer].concat()
+        })
     }
 
-    /// Iterates over cached events in insertion order.
+    /// Iterates over cached events in insertion order (a re-admitted
+    /// event takes the place of its latest admission). Sorts the live
+    /// entries on every call: for tests and one-off index builds, not
+    /// for the event path.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.insertion.iter().filter_map(|id| self.events.get(id))
+        let mut live: Vec<&(u64, Event)> = self.events.values().collect();
+        live.sort_unstable_by_key(|(stamp, _)| *stamp);
+        live.into_iter().map(|(_, event)| event)
     }
 
     /// Turns on the hash-range summary index (see
@@ -490,7 +497,7 @@ impl EventCache {
     /// cached are indexed now, once — there is no per-round rebuild.
     pub fn enable_summary_index(&mut self) {
         let mut index = SummaryIndex::new();
-        for event in self.insertion.iter().filter_map(|id| self.events.get(id)) {
+        for event in self.iter() {
             for &(p, _) in event.pattern_seqs() {
                 index.add(p, event.id());
             }
@@ -789,15 +796,92 @@ mod tests {
             EventCache::with_policy(10, EvictionPolicy::SourceBiased { own_permille: 500 }, None);
     }
 
-    #[test]
-    fn compaction_keeps_iteration_correct() {
-        let mut c = EventCache::with_policy(4, EvictionPolicy::Random { seed: 1 }, None);
-        for seq in 0..1000 {
-            c.insert(ev(0, seq, &[(1, seq)]));
+    /// Inserts `event` and keeps `model` — the live ids, oldest
+    /// admission first — in step, by asking the cache what it evicted.
+    fn insert_modelled(c: &mut EventCache, model: &mut Vec<EventId>, event: Event) {
+        let id = event.id();
+        if !c.contains(id) {
+            c.insert(event);
+            model.retain(|&m| c.contains(m));
+            model.push(id);
         }
-        let live: Vec<EventId> = c.iter().map(|e| e.id()).collect();
-        assert_eq!(live.len(), 4);
-        assert!(live.iter().all(|&id| c.contains(id)));
+        let live: Vec<EventId> = c.iter().map(Event::id).collect();
+        assert_eq!(&live, model);
+        assert_eq!(c.len(), model.len());
+    }
+
+    #[test]
+    fn a_readmitted_event_iterates_once_at_its_new_place() {
+        let id = |seq| EventId::new(NodeId::new(0), seq);
+        for policy in [
+            EvictionPolicy::Fifo,
+            EvictionPolicy::Random { seed: 7 },
+            EvictionPolicy::SourceBiased { own_permille: 300 },
+        ] {
+            let mut c = EventCache::with_policy(2, policy, Some(NodeId::new(9)));
+            let mut model = Vec::new();
+            // 2 evicts 0, then 0 comes back and evicts 1 (oldest-first
+            // policies; random eviction picks its own victims).
+            for seq in [0, 1, 2, 0] {
+                insert_modelled(&mut c, &mut model, ev(0, seq, &[(1, seq)]));
+            }
+            if !matches!(policy, EvictionPolicy::Random { .. }) {
+                assert_eq!(model, vec![id(2), id(0)], "{policy}");
+            }
+            // Whatever was evicted so far, one of these re-admits it.
+            for seq in [1, 2, 0] {
+                insert_modelled(&mut c, &mut model, ev(0, seq, &[(1, seq)]));
+            }
+            // The summary index is built from the same walk.
+            c.enable_summary_index();
+            assert_eq!(c.summary_index().root(PatternId::new(1)).count, 2);
+        }
+    }
+
+    #[test]
+    fn indexes_agree_with_iteration_on_random_walks() {
+        forall("cache_indexes_agree_with_iteration", 128, |rng| {
+            let owner = NodeId::new(0);
+            let policy = match rng.random_below(3) {
+                0 => EvictionPolicy::Fifo,
+                1 => EvictionPolicy::Random {
+                    seed: rng.next_u64(),
+                },
+                _ => EvictionPolicy::SourceBiased { own_permille: 400 },
+            };
+            let universe = [8, DENSE_UNIVERSE_MAX + 1][rng.random_below(2) as usize];
+            let capacity = rng.random_range(1..12usize);
+            let mut c = EventCache::with_policy_sized(capacity, policy, Some(owner), universe);
+            // An event's content is a function of its id, as on the
+            // wire; few ids, so evicted ones keep coming back.
+            let event = |source: u32, seq: u64| {
+                let own = ((seq % 5) as u16, seq);
+                match seq % 2 {
+                    0 => ev(source, seq, &[own]),
+                    _ => ev(source, seq, &[own, (5, seq)]),
+                }
+            };
+            let mut model = Vec::new();
+            for _ in 0..rng.random_range(1..100u32) {
+                let arrival = event(rng.random_below(3) as u32, rng.random_below(16));
+                insert_modelled(&mut c, &mut model, arrival);
+                assert!(c.len() <= capacity);
+                let live: Vec<&Event> = c.iter().collect();
+                for p in (0..7).map(PatternId::new) {
+                    let listed = live.iter().filter(|e| e.matches(p));
+                    let listed: Vec<EventId> = listed.map(|e| e.id()).collect();
+                    assert_eq!(c.ids_matching(p), listed, "{policy} {p}");
+                    for (source, seq) in (0..3).flat_map(|s| (0..16).map(move |q| (s, q))) {
+                        let source = NodeId::new(source);
+                        let found = c.get_by_pattern_seq(source, p, seq);
+                        let scanned = live
+                            .iter()
+                            .find(|e| e.source() == source && e.seq_for(p) == Some(seq));
+                        assert_eq!(found.map(Event::id), scanned.map(|e| e.id()));
+                    }
+                }
+            }
+        });
     }
 
     #[test]

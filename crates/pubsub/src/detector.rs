@@ -18,9 +18,8 @@
 //! [`LossDetector::expected`] keeps its "zero if nothing received"
 //! contract for free.
 
-use std::collections::HashMap;
-
 use eps_overlay::NodeId;
+use eps_sim::hash::IdMap;
 
 use crate::event::Event;
 use crate::pattern::{PatternId, DENSE_UNIVERSE_MAX};
@@ -73,8 +72,8 @@ pub struct LossDetector {
     /// docs).
     rows: Vec<Row>,
     /// Source → row slot. Lookup-only (never iterated), so the
-    /// HashMap's arbitrary ordering can't leak into any output.
-    source_slots: HashMap<NodeId, usize>,
+    /// map's arbitrary ordering can't leak into any output.
+    source_slots: IdMap<NodeId, usize>,
     /// Number of occupied cells across all rows (`stream_count`).
     streams: usize,
     detected_total: u64,

@@ -7,9 +7,8 @@
 //! harness maps those onto links; the epidemic recovery algorithms
 //! (crate `eps-gossip`) plug in on top via the state accessors.
 
-use std::collections::{HashMap, HashSet};
-
 use eps_overlay::NodeId;
+use eps_sim::hash::{IdMap, IdSet};
 
 use crate::cache::{EventCache, EvictionPolicy};
 use crate::clients::{ClientId, ClientRegistry};
@@ -29,13 +28,13 @@ use crate::table::{Interface, SubscriptionTable};
 #[derive(Clone, Debug)]
 enum SeqCounters {
     Dense(Vec<u64>),
-    Sparse(HashMap<u16, u64>),
+    Sparse(IdMap<u16, u64>),
 }
 
 impl SeqCounters {
     fn new(universe: usize) -> Self {
         if universe > DENSE_UNIVERSE_MAX {
-            SeqCounters::Sparse(HashMap::new())
+            SeqCounters::Sparse(IdMap::default())
         } else {
             SeqCounters::Dense(vec![0; universe])
         }
@@ -253,16 +252,19 @@ pub struct EventReceipt {
 /// events (the `Routes` buffer of publisher-based pull).
 #[derive(Clone, Debug, Default)]
 pub struct RouteBook {
-    /// Keyed lookups only — this map is never iterated, so the
-    /// HashMap's arbitrary ordering can't leak into any output.
-    routes: HashMap<NodeId, Vec<NodeId>>,
+    /// Keyed lookups only — this map is never iterated, so its
+    /// arbitrary ordering can't leak into any output.
+    routes: IdMap<NodeId, Vec<NodeId>>,
 }
 
 impl RouteBook {
     /// Stores the route of the most recently received event from
-    /// `source` (path from the source to this dispatcher, inclusive).
-    pub fn record(&mut self, source: NodeId, route: Vec<NodeId>) {
-        self.routes.insert(source, route);
+    /// `source` (path from the source to this dispatcher, inclusive),
+    /// overwriting the previous one in place.
+    pub fn record(&mut self, source: NodeId, route: &[NodeId]) {
+        let stored = self.routes.entry(source).or_default();
+        stored.clear();
+        stored.extend_from_slice(route);
     }
 
     /// The last known route *from* `source` to this dispatcher.
@@ -292,6 +294,42 @@ impl RouteBook {
     /// `true` if no routes are known.
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
+    }
+}
+
+/// The ids a dispatcher has received or published, for duplicate
+/// suppression: one bit per event, 64 events of one source to a word.
+///
+/// A source numbers its events densely from zero (`next_event_seq`),
+/// so where traffic is dense this holds 64× fewer entries than a set
+/// of ids, and where it is sparse, one 24-byte entry per event instead
+/// of 16. One map for all sources, not a bit vector per source: that
+/// would be one heap block per (dispatcher, source) pair, which at
+/// N = 4000 costs more than the map saves. Membership only — never
+/// iterated.
+#[derive(Clone, Debug, Default)]
+struct SeenSet {
+    words: IdMap<(NodeId, u64), u64>,
+}
+
+impl SeenSet {
+    /// The key of the word holding `id`'s bit, and the bit.
+    fn locate(id: EventId) -> ((NodeId, u64), u64) {
+        ((id.source(), id.seq() >> 6), 1 << (id.seq() & 63))
+    }
+
+    /// Marks `id`; returns `true` if it was not marked before.
+    fn insert(&mut self, id: EventId) -> bool {
+        let (key, bit) = Self::locate(id);
+        let word = self.words.entry(key).or_insert(0);
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
+    }
+
+    fn contains(&self, id: EventId) -> bool {
+        let (key, bit) = Self::locate(id);
+        self.words.get(&key).is_some_and(|word| word & bit != 0)
     }
 }
 
@@ -333,16 +371,15 @@ pub struct Dispatcher {
     cache: EventCache,
     detector: LossDetector,
     routes: RouteBook,
-    /// Membership checks only — never iterated, so the HashSet's
-    /// arbitrary ordering can't leak into any output.
-    seen: HashSet<EventId>,
+    seen: SeenSet,
     next_event_seq: u64,
     /// Per-pattern publication sequence counters.
     pattern_counters: SeqCounters,
     /// Membership checks only — never iterated.
     subs_sent: SentSet,
-    /// Membership checks only — never iterated (see `seen`).
-    late_patterns: HashSet<PatternId>,
+    /// Membership checks only — never iterated, so the set's
+    /// arbitrary ordering can't leak into any output.
+    late_patterns: IdSet<PatternId>,
     delivered_total: u64,
     published_total: u64,
     /// Reusable buffer for match results, so the per-event forwarding
@@ -370,11 +407,11 @@ impl Dispatcher {
             cache,
             detector: LossDetector::with_universe(config.pattern_universe),
             routes: RouteBook::default(),
-            seen: HashSet::new(),
+            seen: SeenSet::default(),
             next_event_seq: 0,
             pattern_counters: SeqCounters::new(config.pattern_universe),
             subs_sent: SentSet::default(),
-            late_patterns: HashSet::new(),
+            late_patterns: IdSet::default(),
             delivered_total: 0,
             published_total: 0,
             match_scratch: Vec::new(),
@@ -418,7 +455,7 @@ impl Dispatcher {
 
     /// `true` if the event id has been received or published here.
     pub fn has_seen(&self, id: EventId) -> bool {
-        self.seen.contains(&id)
+        self.seen.contains(id)
     }
 
     /// Total events delivered to local clients.
@@ -697,7 +734,7 @@ impl Dispatcher {
     pub fn on_event(&mut self, mut event: Event, from: Option<NodeId>) -> EventReceipt {
         if self.config.record_routes {
             event.record_hop(self.id);
-            self.routes.record(event.source(), event.route().to_vec());
+            self.routes.record(event.source(), event.route());
         }
         if !self.seen.insert(event.id()) {
             return EventReceipt {
@@ -775,6 +812,7 @@ mod tests {
     use super::*;
     use crate::pattern::PatternSpace;
     use eps_sim::check::forall;
+    use std::collections::BTreeSet;
 
     fn cfg() -> DispatcherConfig {
         DispatcherConfig::default()
@@ -811,7 +849,7 @@ mod tests {
             let space = PatternSpace::new(20, 3);
             let mut d = Dispatcher::new(NodeId::new(0), cfg());
             let mut next_seq = [0u64; 20];
-            let mut ids = HashSet::new();
+            let mut ids = BTreeSet::new();
             let publishes = rng.random_range(1..100u64);
             for _ in 0..publishes {
                 let (event, _) = d.publish(&space.random_content(rng));
@@ -879,6 +917,27 @@ mod tests {
         assert!(first.delivered && !first.duplicate);
         assert!(second.duplicate && !second.delivered);
         assert_eq!(d.delivered_total(), 1);
+    }
+
+    #[test]
+    fn seen_set_answers_like_a_set_of_ids() {
+        forall("seen_set_mirrors_btreeset", 128, |rng| {
+            let mut seen = SeenSet::default();
+            let mut model = BTreeSet::new();
+            // Seqs around the 64-event word boundaries of a few
+            // sources, in any order, with repeats.
+            let base = 64 * rng.random_below(1 << 20);
+            let draw_id = |rng: &mut eps_sim::Rng| -> EventId {
+                let seq = base + rng.random_below(200);
+                EventId::new(NodeId::new(rng.random_below(3) as u32), seq)
+            };
+            for _ in 0..rng.random_range(1..300u32) {
+                let id = draw_id(rng);
+                assert_eq!(seen.insert(id), model.insert(id), "{id}");
+                let probe = draw_id(rng);
+                assert_eq!(seen.contains(probe), model.contains(&probe), "{probe}");
+            }
+        });
     }
 
     #[test]

@@ -433,7 +433,7 @@ mod tests {
         assert_ne!(a, c);
         // Sequential ids from one source should land in different
         // top-level ranges often enough to keep the tree balanced.
-        let top: std::collections::HashSet<u32> = (0..64)
+        let top: std::collections::BTreeSet<u32> = (0..64)
             .map(|s| index_at(mix_event_id(id(7, s)), 1))
             .collect();
         assert!(top.len() > 8, "mixer clusters sequential seqs: {top:?}");

@@ -19,6 +19,10 @@
 //! - [`Summary`], [`RatioSeries`], [`quantile`] — the statistics
 //!   helpers used to build the paper's delivery-rate and overhead
 //!   figures;
+//! - [`hash::IdMap`] / [`hash::IdSet`] — hash tables on a seeded
+//!   one-multiply integer hasher, for the maps the event path probes
+//!   but never iterates (on such keys std's SipHash costs more than
+//!   the rest of the probe);
 //! - [`check::forall`] / [`check::replay`] — the workspace's property
 //!   harness: a test closure run over seeded [`Rng`] streams, the
 //!   failing seed printed for replay.
@@ -70,6 +74,7 @@
 #![forbid(unsafe_code)]
 
 pub mod check;
+pub mod hash;
 mod keyed;
 mod rng;
 mod stats;

@@ -15,6 +15,10 @@ else
     echo "rustfmt not installed; skipping format check"
 fi
 
+echo "== tier-1: no SipHash table on the event path =="
+! grep -rnE 'collections::(\{[^}]*)?Hash(Map|Set)' crates/{overlay,pubsub,gossip,metrics}/src \
+    || { echo "FAIL: use eps_sim::hash::{IdMap, IdSet}, or a BTreeMap where order is output"; exit 1; }
+
 echo "== tier-1: release build =="
 # --workspace: the root package makes a bare `cargo build` compile only
 # itself (+ member libs); the member *binaries* (net_cluster below)
