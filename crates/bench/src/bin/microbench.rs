@@ -145,8 +145,8 @@ fn measured(name: &str, value: f64) -> BenchResult {
 
 /// Per-node memory at setup: the exact `size_of::<SimNode>()` plus the
 /// resident-set growth per node while building a 10 000-dispatcher
-/// population at the Figure 2 content model — the number the sharded
-/// runner's 10⁵–10⁶-node ambitions scale with. Values are **bytes**,
+/// population at the Figure 2 content model — the number a 10⁵–10⁶
+/// dispatcher run's memory scales with. Values are **bytes**,
 /// not nanoseconds (the names carry the unit); the JSON shape is the
 /// common `{name, median_ns}` one so `bench_compare` tracks them
 /// across commits like any other entry.

@@ -15,11 +15,11 @@
 //! them against the committed baseline via `bench_compare`.
 //!
 //! `--large` additionally runs the runner at 100 000
-//! dispatchers (a dense Figure 2-style content model) for shard counts
-//! 1 and 4, reporting event-loop throughput (`events_per_sec`), peak
-//! memory (`peak_rss_bytes`) and wall-clock splits. Each large cell
-//! executes in a re-exec'd subprocess so its `VmHWM` reading is that
-//! run's own high-water mark, not an earlier cell's. These entries use
+//! dispatchers (a dense Figure 2-style content model), reporting
+//! event-loop throughput (`events_per_sec`), peak memory
+//! (`peak_rss_bytes`) and wall-clock splits. The large cell executes
+//! in a re-exec'd subprocess so its `VmHWM` reading is that run's own
+//! high-water mark, not the small cells'. These entries use
 //! the shared `{name, median_ns}` JSON shape with unit-bearing names;
 //! they are recorded once per machine and compared advisorily.
 
@@ -28,17 +28,12 @@ use std::process::{Command, ExitCode};
 use eps_bench::timing::{bench, to_json, BenchResult};
 use eps_bench::{mini, mini_reconfig};
 use eps_gossip::Algorithm;
-use eps_harness::{run_scenario, run_scenario_sharded_with_stats, ScenarioConfig};
+use eps_harness::{run_scenario, run_scenario_with_stats, ScenarioConfig};
 use eps_sim::SimTime;
 
 /// The large-mode population size: the ISSUE's "one machine, 10⁵
 /// dispatchers" floor.
 const LARGE_NODES: usize = 100_000;
-
-/// Shard counts the large mode compares. On a multi-core host K > 1
-/// should beat K = 1 on `loop_wall`; the numbers record what this
-/// machine actually did either way.
-const LARGE_SHARDS: [usize; 2] = [1, 4];
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_scenario.json");
@@ -59,14 +54,11 @@ fn main() -> ExitCode {
             // its raw measurements to stdout (used via re-exec so the
             // peak-RSS reading belongs to this cell alone).
             "--one-large" => {
-                let (Some(nodes), Some(shards)) = (
-                    iter.next().and_then(|s| s.parse().ok()),
-                    iter.next().and_then(|s| s.parse().ok()),
-                ) else {
-                    eprintln!("error: --one-large needs NODES and SHARDS");
+                let Some(nodes) = iter.next().and_then(|s| s.parse().ok()) else {
+                    eprintln!("error: --one-large needs NODES");
                     return ExitCode::FAILURE;
                 };
-                return run_one_large(nodes, shards);
+                return run_one_large(nodes);
             }
             other => {
                 eprintln!("usage: scenario_bench [--out FILE] [--large]   (unknown arg '{other}')");
@@ -89,13 +81,11 @@ fn main() -> ExitCode {
         ));
     }
     if large {
-        for shards in LARGE_SHARDS {
-            match large_cell(LARGE_NODES, shards) {
-                Ok(mut cell) => results.append(&mut cell),
-                Err(e) => {
-                    eprintln!("error: large cell n{LARGE_NODES}/shards{shards}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        match large_cell(LARGE_NODES) {
+            Ok(mut cell) => results.append(&mut cell),
+            Err(e) => {
+                eprintln!("error: large cell n{LARGE_NODES}: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -153,12 +143,12 @@ fn peak_rss_bytes() -> Option<f64> {
     Some(kb * 1024.0)
 }
 
-/// Child mode: one sharded run, raw measurements on stdout as
+/// Child mode: one large run, raw measurements on stdout as
 /// `events_processed loop_seconds setup_seconds peak_rss_bytes
 /// delivery_rate`.
-fn run_one_large(nodes: usize, shards: usize) -> ExitCode {
+fn run_one_large(nodes: usize) -> ExitCode {
     let config = large_config(nodes);
-    let (result, stats) = run_scenario_sharded_with_stats(&config, shards);
+    let (result, stats) = run_scenario_with_stats(&config);
     let peak = peak_rss_bytes().unwrap_or(0.0);
     println!(
         "{} {} {} {} {}",
@@ -184,13 +174,13 @@ fn measured(name: String, value: f64) -> BenchResult {
     }
 }
 
-/// Runs one `(nodes, shards)` large cell in a fresh subprocess and
-/// turns its raw line into bench entries.
-fn large_cell(nodes: usize, shards: usize) -> Result<Vec<BenchResult>, String> {
+/// Runs the large cell in a fresh subprocess and turns its raw line
+/// into bench entries.
+fn large_cell(nodes: usize) -> Result<Vec<BenchResult>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    eprintln!("large cell: n{nodes} shards{shards} (subprocess)...");
+    eprintln!("large cell: n{nodes} (subprocess)...");
     let output = Command::new(exe)
-        .args(["--one-large", &nodes.to_string(), &shards.to_string()])
+        .args(["--one-large", &nodes.to_string()])
         .output()
         .map_err(|e| format!("spawning subprocess: {e}"))?;
     if !output.status.success() {
@@ -208,7 +198,7 @@ fn large_cell(nodes: usize, shards: usize) -> Result<Vec<BenchResult>, String> {
         return Err(format!("expected 5 fields, got: {line:?}"));
     };
     assert!(delivery > 0.0, "large run delivered nothing");
-    let prefix = format!("large_fig2/n{nodes}/shards{shards}");
+    let prefix = format!("large_fig2/n{nodes}");
     Ok(vec![
         measured(format!("{prefix}/events_per_sec"), events / loop_s),
         measured(format!("{prefix}/loop_wall_ns"), loop_s * 1e9),

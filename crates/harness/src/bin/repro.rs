@@ -1,14 +1,13 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro all [--quick|--full] [--seed S] [--out DIR] [--jobs N] [--shards K]
+//! repro all [--quick|--full] [--seed S] [--out DIR] [--jobs N]
 //! repro fig3a fig9b ...      # specific figures
 //! repro list                 # available experiment ids
 //! ```
 //!
 //! Independent scenario cells run on `--jobs` worker threads (default:
-//! all cores), each cell split across `--shards` threads (default 1);
-//! the output is byte-identical for every job and shard count.
+//! all cores); the output is byte-identical for every job count.
 
 use std::process::ExitCode;
 
@@ -34,10 +33,6 @@ fn main() -> ExitCode {
             "--jobs" | "-j" => match iter.next().and_then(|s| s.parse().ok()) {
                 Some(jobs) => opts.jobs = Some(jobs),
                 None => return usage("--jobs needs an integer"),
-            },
-            "--shards" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(0) | None => return usage("--shards needs a positive integer"),
-                Some(shards) => opts.shards = shards,
             },
             "list" => {
                 for id in ALL_EXPERIMENTS {
@@ -96,9 +91,7 @@ fn usage(problem: &str) -> ExitCode {
         eprintln!("error: {problem}");
     }
     eprintln!(
-        "usage: repro <all | fig-id ...> [--quick|--full] [--seed S] [--out DIR] [--jobs N] [--shards K]\n\
-         --shards K splits each cell across K worker threads (results are\n\
-         identical for every K)\n\
+        "usage: repro <all | fig-id ...> [--quick|--full] [--seed S] [--out DIR] [--jobs N]\n\
          experiments: {}",
         ALL_EXPERIMENTS.join(", ")
     );

@@ -9,25 +9,21 @@
 //!
 //! With several `--algorithm` flags the runs execute in parallel on
 //! `--jobs` worker threads (default: all cores); reports print in the
-//! requested order and are identical for every job count.
-//!
-//! `--shards K` partitions each scenario's node population across `K`
-//! worker threads inside a single run ([`run_scenario_sharded`]) — the
-//! way to push one scenario to 10⁵–10⁶ dispatchers. Results are
-//! identical for every `K`; the default is 1.
+//! requested order and are identical for every job count. A single
+//! run uses one thread.
 
 use std::process::ExitCode;
 
 use eps_gossip::Algorithm;
 use eps_harness::parallel::{default_jobs, par_map};
-use eps_harness::{run_scenario_sharded, AdaptiveGossip, ScenarioConfig};
+use eps_harness::{run_scenario, AdaptiveGossip, ScenarioConfig};
 use eps_sim::SimTime;
 
 fn main() -> ExitCode {
     let mut config = ScenarioConfig::default();
     let mut algorithms: Vec<Algorithm> = Vec::new();
     let mut jobs: Option<usize> = None;
-    let mut shards = 1usize;
+    let mut adaptive = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -58,17 +54,11 @@ fn main() -> ExitCode {
                 "--payload-bits" => config.event_payload_bits = parse(&value()?)?,
                 "--p-forward" => config.gossip.p_forward = parse(&value()?)?,
                 "--p-source" => config.gossip.p_source = parse(&value()?)?,
-                "--adaptive" => {
-                    config.adaptive_gossip = Some(AdaptiveGossip::around(config.gossip_interval))
-                }
+                "--adaptive" => adaptive = true,
                 "--churn" => {
                     config.churn_interval = Some(SimTime::from_secs_f64(parse(&value()?)?))
                 }
                 "--jobs" | "-j" => jobs = Some(parse(&value()?)?),
-                "--shards" => match parse(&value()?)? {
-                    0 => return Err("--shards needs a positive integer".to_owned()),
-                    k => shards = k,
-                },
                 "--help" | "-h" => {
                     print_usage();
                     std::process::exit(0);
@@ -85,6 +75,11 @@ fn main() -> ExitCode {
     }
     if algorithms.is_empty() {
         algorithms.push(Algorithm::combined_pull());
+    }
+    if adaptive {
+        // Built after the loop so the back-off brackets the interval
+        // the run uses, wherever `--gossip-interval` stood.
+        config.adaptive_gossip = Some(AdaptiveGossip::around(config.gossip_interval));
     }
     // Short runs: shrink the default measurement margins so the
     // window stays non-empty.
@@ -103,7 +98,7 @@ fn main() -> ExitCode {
         .collect();
     let started = std::time::Instant::now();
     let worker_count = jobs.unwrap_or_else(default_jobs).max(1);
-    let results = par_map(worker_count, &configs, |c| run_scenario_sharded(c, shards));
+    let results = par_map(worker_count, &configs, run_scenario);
     let elapsed = started.elapsed().as_secs_f64();
     for (kind, r) in algorithms.iter().zip(results) {
         println!("== {} ==", kind.name());
@@ -166,7 +161,7 @@ fn print_usage() {
          \t[--rho RHO] [--churn C] [--p-forward P] [--p-source P] [--seed S] [--adaptive]\n\
          \t[--payload-bits P]\n\
          \t[--patterns PI] [--patterns-per-node P] [--clients C] [--zipf S]\n\
-         \t[--jobs N] [--shards K]\n\
+         \t[--jobs N]\n\
          --overlay picks the physical graph builder: tree (acyclic, the paper's\n\
          topology), ba (Barabasi-Albert scale-free), ws (Watts-Strogatz\n\
          small-world); events route on the BFS view, cross links carry\n\
@@ -177,8 +172,6 @@ fn print_usage() {
          each client draws its own pi-max subscriptions and the dispatcher\n\
          routes on the aggregated (covering/merged) filter\n\
          --zipf skews pattern popularity with exponent S (0 = uniform)\n\
-         --shards K runs the scenario partitioned across K worker threads\n\
-         (identical results for every K; built for 10^5-10^6 nodes)\n\
          algorithms (case-insensitive, aliases accepted): {}",
         Algorithm::all()
             .iter()

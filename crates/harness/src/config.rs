@@ -233,8 +233,8 @@ impl ScenarioConfig {
         );
         assert!(
             self.link_spec().propagation.min(self.out_of_band.latency) > SimTime::ZERO,
-            "out_of_band.latency must be positive: the runner's lookahead window is \
-             min(link propagation, out_of_band.latency)"
+            "out_of_band.latency must be positive: a message arrives strictly after it \
+             was sent, or same-instant key order could run an effect before its cause"
         );
         assert!(
             self.gossip_interval > SimTime::ZERO,

@@ -9,7 +9,7 @@ use eps_sim::SimTime;
 use crate::config::ScenarioConfig;
 use crate::parallel::{default_jobs, par_map};
 use crate::result::ScenarioResult;
-use crate::sharded::run_scenario_sharded;
+use crate::runner::run_scenario;
 
 /// Options shared by all experiments.
 #[derive(Clone, Debug)]
@@ -26,10 +26,6 @@ pub struct ExperimentOptions {
     /// "use the machine's available parallelism". Output is identical
     /// for every value (see [`crate::parallel`]).
     pub jobs: Option<usize>,
-    /// Shards (worker threads) *inside* each cell; 1 runs a cell
-    /// inline on its `jobs` worker. Output is identical for every
-    /// value (see [`crate::run_scenario_sharded`]).
-    pub shards: usize,
 }
 
 impl Default for ExperimentOptions {
@@ -39,7 +35,6 @@ impl Default for ExperimentOptions {
             out_dir: PathBuf::from("results"),
             seed: 1,
             jobs: None,
-            shards: 1,
         }
     }
 }
@@ -57,9 +52,7 @@ impl ExperimentOptions {
 /// results in input order — so driver code that renders tables row by
 /// row produces the exact bytes the serial loop would.
 pub fn run_cells(opts: &ExperimentOptions, configs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
-    par_map(opts.effective_jobs(), configs, |config| {
-        run_scenario_sharded(config, opts.shards)
-    })
+    par_map(opts.effective_jobs(), configs, run_scenario)
 }
 
 /// What an experiment produced: named CSV tables (written by the

@@ -57,7 +57,7 @@ pub struct NodeCtx<'a> {
     pub subscribers_of: &'a [Vec<(NodeId, ClientId)>],
     /// This node's gossip-decision RNG stream.
     pub gossip_rng: &'a mut Rng,
-    /// Delivery bookkeeping: a per-shard [`eps_metrics::DeliveryLog`]
+    /// Delivery bookkeeping: the run's [`eps_metrics::DeliveryLog`]
     /// in the scenario runner, the live tracker in the socket runtime.
     pub tracker: &'a mut dyn DeliverySink,
     /// Message counting.

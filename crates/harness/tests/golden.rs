@@ -2,13 +2,14 @@
 //! fig3-style CSV bytes are pinned for all six algorithms at two
 //! seeds, plus reconfiguration, churn, and cyclic-overlay (BA/WS)
 //! variants. Any refactor of the runner must reproduce these bytes
-//! exactly — from `run_scenario`, under `par_map`, and at every shard
-//! count — or consciously regenerate them with
+//! exactly — from `run_scenario` and under `par_map` — or consciously
+//! regenerate them with
 //! `UPDATE_GOLDEN=1 cargo test -p eps-harness --test golden`.
 //!
 //! The files carry `_sharded_` in their names because they were first
-//! pinned (PR 6) when the windowed runner sat beside a serial one;
-//! they have not moved a byte since.
+//! pinned (PR 6) by a windowed multi-thread runner that sat beside a
+//! serial one. Both are gone (PRs 12 and 23); the names stay so that
+//! `git log` shows the bytes have not moved since.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -16,7 +17,7 @@ use std::path::PathBuf;
 use eps_gossip::Algorithm;
 use eps_harness::experiments::time_series_table;
 use eps_harness::parallel::par_map;
-use eps_harness::{run_scenario, run_scenario_sharded, ScenarioConfig, ScenarioResult};
+use eps_harness::{run_scenario, ScenarioConfig, ScenarioResult};
 use eps_overlay::OverlayKind;
 use eps_sim::SimTime;
 
@@ -200,9 +201,7 @@ fn check_or_update(name: &str, actual: &str) {
 }
 
 /// One pass over a cell family, per seed: `run_scenario`'s bytes are
-/// the pinned ones, and `par_map` and every shard count (whose
-/// cross-shard traffic and coordinator events pass the barrier)
-/// reproduce them exactly.
+/// the pinned ones, and `par_map` reproduces them exactly.
 fn check_family(cells: Cells, render: Render) {
     for seed in SEEDS {
         let configs: Vec<ScenarioConfig> = cells(seed).into_iter().map(|(_, c)| c).collect();
@@ -216,17 +215,6 @@ fn check_family(cells: Cells, render: Render) {
             render(seed, &par_map(4, &configs, run_scenario)),
             "par_map drifted from run_scenario"
         );
-        for shards in [1, 2, 4] {
-            let results: Vec<ScenarioResult> = configs
-                .iter()
-                .map(|c| run_scenario_sharded(c, shards))
-                .collect();
-            assert_eq!(
-                pinned,
-                render(seed, &results),
-                "shards={shards} drifted from run_scenario"
-            );
-        }
     }
 }
 
@@ -323,22 +311,20 @@ fn render_summary(seed: u64, results: &[ScenarioResult]) -> Vec<(String, String)
     )]
 }
 
-/// The base family; its reconfiguration and churn cells run global
-/// events on the coordinator between windows.
+/// The base family; its reconfiguration and churn cells run
+/// coordinator events between node events.
 #[test]
 fn scenario_output_matches_golden_bytes() {
     check_family(cells, render);
 }
 
-/// Both digest modes; the range-refinement requests cross shard
-/// boundaries at the barrier.
+/// Both digest modes, range-refinement requests included.
 #[test]
 fn summary_reconciliation_output_matches_golden_bytes() {
     check_family(summary_cells, render_summary);
 }
 
-/// The aggregation layer; churn at client granularity crosses the
-/// coordinator barrier.
+/// The aggregation layer, with churn at client granularity.
 #[test]
 fn client_layer_output_matches_golden_bytes() {
     check_family(client_cells, render_clients);

@@ -56,21 +56,20 @@ fn parallel_cells_match_serial_cells() {
 }
 
 /// End-to-end through `run_experiment`: CSV files on disk are
-/// byte-identical for every job and shard count, across two master
-/// seeds (fig2 in quick mode).
+/// byte-identical for every job count, across two master seeds (fig2
+/// in quick mode).
 #[test]
-fn experiment_csvs_identical_across_job_and_shard_counts() {
+fn experiment_csvs_identical_across_job_counts() {
     let base = std::env::temp_dir().join(format!("eps-par-det-{}", std::process::id()));
     for seed in [1u64, 2] {
         let mut outputs = Vec::new();
-        for (jobs, shards) in [(1usize, 1usize), (4, 2)] {
-            let out_dir = base.join(format!("s{seed}-j{jobs}-k{shards}"));
+        for jobs in [1usize, 4] {
+            let out_dir = base.join(format!("s{seed}-j{jobs}"));
             let opts = ExperimentOptions {
                 quick: true,
                 out_dir: out_dir.clone(),
                 seed,
                 jobs: Some(jobs),
-                shards,
             };
             let output = run_experiment("fig2", &opts).expect("fig2 runs");
             let csv =

@@ -11,8 +11,8 @@
 //!   vs. gossip vs. out-of-band requests/replies, per dispatcher and
 //!   system-wide (Figures 9–10);
 //! - [`DeliverySink`] / [`DeliveryLog`] — the recording abstraction
-//!   behind the scenario runner: shards journal delivery records and
-//!   the logs replay into one tracker in canonical order;
+//!   behind the scenario runner: the run's journal of delivery
+//!   records, replayed sorted so float sums have one order;
 //! - [`NetCounters`] — socket-layer runtime counters (connect
 //!   retries, queue drops, decode errors) for the real-socket runtime;
 //! - [`CsvTable`] / [`ascii_chart`] — result export for the harness.

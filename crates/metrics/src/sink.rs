@@ -1,14 +1,13 @@
 //! The delivery-sink abstraction: where delivery bookkeeping goes
 //! while a run executes.
 //!
-//! A single-threaded world (the socket runtime's per-node core) feeds
-//! a [`DeliveryTracker`] directly. The scenario runner cannot —
-//! tracker state (running totals, the float latency sums) would make
-//! results depend on the order shards happen to interleave in. Each
-//! shard instead records into a [`DeliveryLog`], a plain append-only
-//! journal, and the logs are replayed into one tracker in a canonical
-//! order after the run ([`DeliveryLog::replay_into`]) — so the
-//! assembled statistics are bit-identical for every shard count.
+//! The socket runtime's per-node core feeds a [`DeliveryTracker`]
+//! directly. The scenario runner records into a [`DeliveryLog`] — the
+//! run's journal, a plain append-only record — and replays it sorted
+//! into the tracker after the run ([`DeliveryLog::replay_into`]), so
+//! float sums (the rate series, the recovery latencies) have one
+//! order: that of the records' `(time, event, node)`, not that of the
+//! calls that happened to produce them.
 
 use eps_overlay::NodeId;
 use eps_pubsub::{ClientId, EventId};
@@ -45,13 +44,12 @@ impl DeliverySink for DeliveryTracker {
     }
 }
 
-/// An append-only journal of delivery bookkeeping, one per shard.
+/// An append-only journal of delivery bookkeeping, one per run.
 ///
 /// Recording is cheap (three `Vec::push` paths, no hashing) and
 /// order-free: [`DeliveryLog::replay_into`] sorts every record class
-/// by `(time, event, node)` before applying it, so the merged tracker
-/// is a pure function of the record *multiset* — which is what the
-/// shard-count-invariance guarantee of the scenario runner rests on.
+/// by `(time, event, node)` before applying it, so the replayed
+/// tracker is a pure function of the record *multiset*.
 ///
 /// An event reaching a dispatcher is delivered to all its matching
 /// local clients in one burst, and the tracker cannot tell those
@@ -95,22 +93,19 @@ impl DeliveryLog {
         self.len() == 0
     }
 
-    /// Replays a set of per-shard logs into one tracker in canonical
-    /// order: all publications sorted by `(time, event)`, then all
-    /// forwarding deliveries sorted by `(time, event, node)`, then all
-    /// recovered deliveries likewise. Registering every publication
-    /// first is safe because virtual time already orders any delivery
-    /// after its publication; sorting fixes the float summation order
-    /// of the rate series and recovery latencies.
-    pub fn replay_into(logs: Vec<DeliveryLog>, tracker: &mut DeliveryTracker) {
-        let mut publishes = Vec::new();
-        let mut deliveries = Vec::new();
-        let mut recoveries = Vec::new();
-        for log in logs {
-            publishes.extend(log.publishes);
-            deliveries.extend(log.deliveries);
-            recoveries.extend(log.recoveries);
-        }
+    /// Replays the log into a tracker in canonical order: all
+    /// publications sorted by `(time, event)`, then all forwarding
+    /// deliveries sorted by `(time, event, node)`, then all recovered
+    /// deliveries likewise. Registering every publication first is
+    /// safe because virtual time already orders any delivery after its
+    /// publication; sorting fixes the float summation order of the
+    /// rate series and recovery latencies.
+    pub fn replay_into(self, tracker: &mut DeliveryTracker) {
+        let DeliveryLog {
+            mut publishes,
+            mut deliveries,
+            mut recoveries,
+        } = self;
         publishes.sort_unstable();
         deliveries.sort_unstable();
         recoveries.sort_unstable();
@@ -176,7 +171,7 @@ mod tests {
         }
         assert_eq!(log.len(), 4, "two publishes, a delivery, one burst");
         let mut merged = DeliveryTracker::new();
-        DeliveryLog::replay_into(vec![log], &mut merged);
+        log.replay_into(&mut merged);
         assert_eq!(merged.event_count(), live.event_count());
         assert_eq!(merged.delivered_total(), live.delivered_total());
         assert_eq!(merged.expected_total(), live.expected_total());
@@ -187,17 +182,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_order_invariant_across_logs() {
-        // The same records split across shards in two different ways
-        // must produce bit-identical trackers.
+    fn replay_is_order_invariant() {
+        // Recording the same bursts in two different orders replays to
+        // bit-equal trackers.
         let records: Vec<(SimTime, EventId, u32)> = (0..10)
             .map(|i| (SimTime::from_millis(100 + i), id(i), 2))
             .collect();
-        let build = |split: usize| {
-            let mut a = DeliveryLog::new();
-            let mut b = DeliveryLog::new();
-            for (i, &(at, eid, exp)) in records.iter().enumerate() {
-                let log = if i < split { &mut a } else { &mut b };
+        let build = |order: &[(SimTime, EventId, u32)]| {
+            let mut log = DeliveryLog::new();
+            for &(at, eid, exp) in order {
                 log.published(eid, at, exp);
                 log.delivered(
                     eid,
@@ -213,11 +206,12 @@ mod tests {
                 );
             }
             let mut tracker = DeliveryTracker::new();
-            DeliveryLog::replay_into(vec![a, b], &mut tracker);
+            log.replay_into(&mut tracker);
             tracker
         };
-        let x = build(3);
-        let y = build(8);
+        let reversed: Vec<_> = records.iter().rev().copied().collect();
+        let x = build(&records);
+        let y = build(&reversed);
         assert_eq!(x.delivered_total(), y.delivered_total());
         assert_eq!(
             x.recovery_latency().mean().to_bits(),

@@ -342,12 +342,12 @@ impl NodeCore {
     }
 
     /// Encodes one batch of node output, charging the send-layer
-    /// counters exactly as the simulator's `Shard::send` does.
+    /// counters exactly as the simulator's `World::send` does.
     fn route(&mut self, out: Vec<Outgoing>) -> Vec<Outbound> {
         let mut sends = Vec::with_capacity(out.len());
         for Outgoing { to, env: msg } in out {
             // Event and subscription traffic is counted at the send
-            // layer, mirroring the simulator's `Shard::send` (gossip
+            // layer, mirroring the simulator's `World::send` (gossip
             // classes are counted inside the node when the action is
             // decided).
             match &msg {

@@ -18,12 +18,11 @@ use crate::node::NodeId;
 /// Owner of delay, loss, and bandwidth for both message channels.
 /// Loss is decided by a *caller-supplied* RNG per send.
 ///
-/// The runner keeps one `ShardTransport` per shard and passes the
+/// The runner keeps one `ShardTransport` per run and passes the
 /// sending node's own random stream into every call, so each node's
 /// loss draws depend only on that node's deterministic send order —
-/// never on how the population was partitioned into shards. Every
-/// directed link `(from, to)` is touched only by the shard that owns
-/// `from`, which is what makes per-shard link queues sound.
+/// never on how other nodes' sends interleave with it. (The name
+/// dates from a runner that kept one transport per worker thread.)
 #[derive(Clone, Debug)]
 pub struct ShardTransport {
     spec: LinkSpec,
@@ -39,13 +38,6 @@ impl ShardTransport {
             oob,
             links: LinkTable::new(),
         }
-    }
-
-    /// The smallest delay either channel can add to a message — the
-    /// conservative lookahead of the windowed barrier: no send made at
-    /// time `t` can arrive anywhere before `t + min_delay()`.
-    pub fn min_delay(&self) -> SimTime {
-        self.spec.propagation.min(self.oob.latency)
     }
 
     /// Sends `bits` from `from` to `to` on their overlay link at time
@@ -151,19 +143,6 @@ mod tests {
         let spec = LinkSpec::ethernet_10mbps(0.0);
         let at = t.send_link(a, b, 1000, SimTime::ZERO, &mut rng).unwrap();
         assert_eq!(at, spec.serialization_delay(1000) + spec.propagation);
-    }
-
-    #[test]
-    fn min_delay_is_the_lookahead() {
-        assert_eq!(transport(0.0).min_delay(), SimTime::from_micros(50));
-        let slow_links = ShardTransport::new(
-            LinkSpec {
-                propagation: SimTime::from_millis(5),
-                ..LinkSpec::ethernet_10mbps(0.0)
-            },
-            OutOfBandSpec::default(),
-        );
-        assert_eq!(slow_links.min_delay(), SimTime::from_micros(200));
     }
 
     #[test]

@@ -36,18 +36,6 @@ impl DispatcherHost for Dispatcher {
     }
 }
 
-/// A mutable reference to a host is itself a host, so the assembly
-/// helpers can run over a `Vec<&mut Node>` gathered from nodes that
-/// live in separate per-shard containers.
-impl<H: DispatcherHost + ?Sized> DispatcherHost for &mut H {
-    fn dispatcher(&self) -> &Dispatcher {
-        (**self).dispatcher()
-    }
-    fn dispatcher_mut(&mut self) -> &mut Dispatcher {
-        (**self).dispatcher_mut()
-    }
-}
-
 /// Runs the subscription-forwarding protocol to quiescence: every
 /// dispatcher's *local* subscriptions are propagated through the tree
 /// until no new table entries appear.
@@ -678,19 +666,6 @@ mod tests {
             let (f, d) = (&flooded[node.index()], &ds[node.index()]);
             assert_eq!(f.table(), d.table(), "rebuild: table of {node}");
             assert_eq!(f.sent_pairs(), d.sent_pairs(), "rebuild: memory of {node}");
-        }
-    }
-
-    #[test]
-    fn direct_fill_runs_over_mutable_reference_hosts() {
-        // The &mut H blanket impl lets the helpers run over refs
-        // gathered from separate containers (per-shard node storage).
-        let (mut ds, topo) = build(10, 7);
-        ds[3].subscribe_local(PatternId::new(5), &[]);
-        let mut refs: Vec<&mut Dispatcher> = ds.iter_mut().collect();
-        flood_subscriptions_direct(&mut refs, &topo);
-        for node in topo.nodes() {
-            assert!(ds[node.index()].table().knows(PatternId::new(5)));
         }
     }
 

@@ -8,14 +8,14 @@
 //! scheduling an event is one heap push and popping it one heap pop.
 //!
 //! Same-instant events fire in the order of a caller-supplied key,
-//! never in insertion order. A *sharded* simulation cannot use
-//! insertion order: two events arriving at one node from different
-//! shards would fire in an order that depends on how the population
-//! was partitioned. With a key that is a pure function of the event
-//! itself (e.g. `(class, destination, sender, per-sender sequence)`)
-//! the execution order is identical for every shard count — the
-//! determinism backbone of the windowed barrier runner. A caller that
-//! does want FIFO ties uses an insertion counter as the key.
+//! never in insertion order. Insertion order is an accident of
+//! which code path happened to schedule first: process two senders in
+//! the other order and their same-instant arrivals at a third node
+//! would swap. With a key that is a pure function of the event itself
+//! (e.g. `(class, destination, sender, per-sender sequence)`) the
+//! execution order follows from the events alone — the determinism
+//! backbone of the scenario runner. A caller that does want FIFO ties
+//! uses an insertion counter as the key.
 //!
 //! Keys must be unique per instant for the order to be total; the
 //! queue makes no attempt to disambiguate equal `(time, key)` pairs.
@@ -140,9 +140,10 @@ impl<K: Ord, M> KeyedEngine<K, M> {
     }
 
     /// Like [`KeyedEngine::pop`] but only if the next event fires
-    /// strictly before `horizon` — the window-local drain of the
-    /// barrier runner, which must not touch events at or past the next
-    /// barrier. Does not advance the clock when nothing qualifies.
+    /// strictly before `horizon` — for draining up to a boundary
+    /// (the scenario runner's next coordinator event, the reactor's
+    /// current instant) without touching events at or past it. Does
+    /// not advance the clock when nothing qualifies.
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, K, M)> {
         match self.peek_time() {
             Some(t) if t < horizon => self.pop(),
@@ -195,7 +196,7 @@ mod tests {
     fn same_instant_ties_fire_in_key_order_not_insertion_order() {
         // Two opposite insertion orders of arbitrary distinct keys must
         // produce the same firing order — ascending key — the property
-        // shard-count invariance rests on.
+        // the runner's determinism rests on.
         forall("same_instant_ties_fire_in_key_order", 256, |rng| {
             let t = SimTime::from_nanos(rng.random_below(1_000_000));
             let mut keys: Vec<u32> = Vec::new();

@@ -10,8 +10,7 @@
 //! - [`KeyedEngine`] — the pending-event queue, generic over the
 //!   message type: events fire in `(time, key)` order, the key being
 //!   supplied by the caller as a pure function of the event, so the
-//!   execution order never depends on scheduling order (and therefore
-//!   not on how a run is partitioned into shards);
+//!   execution order never depends on scheduling order;
 //! - [`Rng`] / [`RngFactory`] — an in-tree xoshiro256++ generator and
 //!   named, independent, seed-stable random streams, so parameter
 //!   sweeps do not perturb unrelated random choices (and the build

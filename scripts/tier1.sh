@@ -111,22 +111,37 @@ echo "duplicates suppressed: tree=$tree_dups ba=$ba_dups ws=$ws_dups"
 [ "$ba_dups" -gt 0 ] || { echo "FAIL: ba overlay suppressed no duplicates"; exit 1; }
 [ "$ws_dups" -gt 0 ] || { echo "FAIL: ws overlay suppressed no duplicates"; exit 1; }
 
-echo "== tier-1: mid-scale cell (N=4000, 8192 patterns: shards 1 vs 4, optimized) =="
+echo "== tier-1: mid-scale cell (N=4000, 8192 patterns: two processes, one output) =="
 # The one place outside benchmark/ where the known-pattern index and
 # the bulk subscription fill run in a release build at a pattern
 # universe large enough to matter (128 index words, 8 KB of rows per
-# dispatcher). Result lines go to stdout and must not depend on the
-# shard count; the wall-time line goes to stderr and is not compared.
+# dispatcher). The same command runs in two processes and must print
+# the same result lines: the lookup-only maps are seeded per process
+# (eps_sim::hash), and this is the check that the seed never reaches
+# the output. The wall-time line goes to stderr and is not compared.
 midscale_cell() {
     ./target/release/simulate -a push --nodes 4000 --patterns 8192 \
-        --publish-rate 2 --duration 0.3 --seed 1 --shards "$1" 2>/dev/null
+        --publish-rate 2 --duration 0.3 --seed 1 2>/dev/null
 }
-midscale_1=$(midscale_cell 1)
-midscale_4=$(midscale_cell 4)
-echo "$midscale_1" | grep -E 'delivery rate \(whole\)|gossip messages|setup subscription msgs'
-[ "$midscale_1" = "$midscale_4" ] \
-    || { echo "FAIL: mid-scale cell differs between --shards 1 and --shards 4";
-         diff <(echo "$midscale_1") <(echo "$midscale_4"); exit 1; }
+midscale_a=$(midscale_cell)
+midscale_b=$(midscale_cell)
+echo "$midscale_a" | grep -E 'delivery rate \(whole\)|gossip messages|setup subscription msgs'
+[ "$midscale_a" = "$midscale_b" ] \
+    || { echo "FAIL: mid-scale cell differs between two runs of the same command";
+         diff <(echo "$midscale_a") <(echo "$midscale_b"); exit 1; }
+
+echo "== tier-1: flag order (--adaptive backs off around the interval the run uses) =="
+# --adaptive brackets --gossip-interval wherever the two flags stand on
+# the command line: both orders must print the same report.
+adaptive_cell() {
+    ./target/release/simulate -a push --nodes 30 --duration 2 "$@" 2>/dev/null
+}
+adaptive_first=$(adaptive_cell --adaptive --gossip-interval 0.1)
+adaptive_last=$(adaptive_cell --gossip-interval 0.1 --adaptive)
+echo "$adaptive_first" | grep -E 'gossip messages'
+[ "$adaptive_first" = "$adaptive_last" ] \
+    || { echo "FAIL: --adaptive depends on where --gossip-interval stands";
+         diff <(echo "$adaptive_first") <(echo "$adaptive_last"); exit 1; }
 
 echo "== tier-1: aggregation smoke (client layer, covering/merging) =="
 # One dispatcher population, 1 vs 100 clients per dispatcher. The

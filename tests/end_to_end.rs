@@ -2,9 +2,7 @@
 //! facade, checking the paper's qualitative claims on reduced scales.
 
 use epidemic_pubsub::gossip::Algorithm;
-use epidemic_pubsub::harness::{
-    run_scenario, run_scenario_sharded, ScenarioConfig, ScenarioResult,
-};
+use epidemic_pubsub::harness::{run_scenario, ScenarioConfig, ScenarioResult};
 use epidemic_pubsub::overlay::OverlayKind;
 use epidemic_pubsub::sim::check::forall;
 use epidemic_pubsub::sim::SimTime;
@@ -27,8 +25,7 @@ fn run(kind: Algorithm) -> ScenarioResult {
 
 /// Whatever the configuration — any registered algorithm on any
 /// overlay, with or without reconfiguration and churn — a run completes
-/// and reports consistent numbers; and (one case in four) the same
-/// numbers for any shard count.
+/// and reports consistent numbers.
 #[test]
 fn all_algorithms_complete_and_report_sane_numbers() {
     forall(
@@ -77,10 +74,6 @@ fn all_algorithms_complete_and_report_sane_numbers() {
             }
             if nodes >= 10 {
                 assert!(r.event_msgs > 0, "{kind} forwarded nothing");
-            }
-            if rng.random_below(4) == 0 {
-                let shards = rng.random_range(2..5usize);
-                assert_eq!(run_scenario_sharded(&config, shards), r, "{shards} shards");
             }
         },
     );
