@@ -29,8 +29,9 @@ use eps_harness::{build_population, run_scenario, ScenarioConfig, SimNode};
 use eps_net::frame::{frame, FrameReader};
 use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
-    rebuild_subscription_routes, ClientId, ClientRegistry, Dispatcher, DispatcherConfig, Event,
-    EventId, Interface, LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
+    rebuild_subscription_routes, ClientId, ClientRegistry, Dispatcher, DispatcherConfig,
+    DispatcherHost, Event, EventId, Interface, LossRecord, PatternId, PubSubMessage,
+    SubscriptionTable, SummaryIndex,
 };
 use eps_sim::hash::IdMap;
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
@@ -80,6 +81,7 @@ fn main() -> ExitCode {
         engine_schedule_pop(),
         table_matching(),
         table_matching_dense(),
+        table_matching_filled(),
         detector_record(),
         cache_digest_build(),
         cache_insert_evict(),
@@ -144,30 +146,45 @@ fn measured(name: &str, value: f64) -> BenchResult {
 }
 
 /// Per-node memory at setup: the exact `size_of::<SimNode>()` plus the
-/// resident-set growth per node while building a 10 000-dispatcher
-/// population at the Figure 2 content model — the number a 10⁵–10⁶
-/// dispatcher run's memory scales with. Values are **bytes**,
-/// not nanoseconds (the names carry the unit); the JSON shape is the
-/// common `{name, median_ns}` one so `bench_compare` tracks them
-/// across commits like any other entry.
+/// resident-set growth per node while building a population — 10 000
+/// dispatchers at the Figure 2 content model, and 4000 at Π = 8192,
+/// the `sim_scale` content model, where routing state is most of it.
+/// These are the numbers a 10⁵–10⁶ dispatcher run's memory scales
+/// with. Values are **bytes**, not nanoseconds (the names carry the
+/// unit); the JSON shape is the common `{name, median_ns}` one so
+/// `bench_compare` tracks them across commits like any other entry.
 fn node_memory() -> Vec<BenchResult> {
-    const N: usize = 10_000;
     let mut out = vec![measured(
         "simnode_size_of_bytes",
         std::mem::size_of::<SimNode>() as f64,
     )];
-    let before = resident_bytes();
-    let population = build_population(&ScenarioConfig {
-        nodes: N,
-        ..ScenarioConfig::default()
-    });
-    let after = resident_bytes();
-    assert_eq!(population.nodes.len(), N, "population built at full size");
-    if let (Some(before), Some(after)) = (before, after) {
-        out.push(measured(
-            "population_heap_bytes_per_node/n10000",
-            (after - before).max(0.0) / N as f64,
-        ));
+    let cells = [
+        ("n10000", 10_000, ScenarioConfig::default().pattern_universe),
+        ("n4000_pi8192", 4_000, 8_192),
+    ];
+    // Every population stays alive until the end, so no build reuses
+    // pages an earlier one freed.
+    let mut built = Vec::new();
+    for (label, nodes, pattern_universe) in cells {
+        let before = resident_bytes();
+        let population = build_population(&ScenarioConfig {
+            nodes,
+            pattern_universe,
+            ..ScenarioConfig::default()
+        });
+        let after = resident_bytes();
+        assert_eq!(
+            population.nodes.len(),
+            nodes,
+            "population built at full size"
+        );
+        if let (Some(before), Some(after)) = (before, after) {
+            out.push(measured(
+                &format!("population_heap_bytes_per_node/{label}"),
+                (after - before).max(0.0) / nodes as f64,
+            ));
+        }
+        built.push(population);
     }
     out
 }
@@ -236,17 +253,62 @@ fn table_matching() -> BenchResult {
     result
 }
 
-/// Same workload as `table_matching`, but with the table pre-sized
-/// from the universe and degree as the harness setup path does —
-/// tracks the fully dense configuration explicitly.
+/// Same table as `table_matching`, rebuilt in descending pattern
+/// order, so every row lands in front of the rows already packed:
+/// matching must not depend on how the table was built.
 fn table_matching_dense() -> BenchResult {
-    let mut table = SubscriptionTable::with_dims(70, 10);
-    let events = matching_workload(&mut table);
+    let mut built = SubscriptionTable::new();
+    let events = matching_workload(&mut built);
+    let mut table = SubscriptionTable::new();
+    for p in built.all_patterns().collect::<Vec<_>>().into_iter().rev() {
+        for n in built.neighbors_for_iter(p, None) {
+            table.insert(p, Interface::Neighbor(n));
+        }
+        if built.has_local(p) {
+            table.insert(p, Interface::Local);
+        }
+    }
+    assert_eq!(table, built);
     let mut scratch = Vec::new();
     let mut total = 0usize;
     let result = bench("table_matching_dense", 3, 25, events.len() as u64, || {
         for event in &events {
             table.matching_neighbors_into(event, Some(NodeId::new(1)), &mut scratch);
+            total += scratch.len();
+        }
+    });
+    assert!(total > 0, "matching produced no forwards");
+    result
+}
+
+/// Matching on a table the bulk fill built: one mid-tree dispatcher of
+/// a 4000-dispatcher population at Π = 8192 (the `sim_scale` content
+/// model), against 1000 events drawn from that content model. Nearly
+/// every pattern resolves through the shared default route, not an
+/// explicit row.
+fn table_matching_filled() -> BenchResult {
+    const EVENTS: u64 = 1_000;
+    let population = build_population(&ScenarioConfig {
+        nodes: 4_000,
+        pattern_universe: 8_192,
+        ..ScenarioConfig::default()
+    });
+    let table = population.nodes[2_000].dispatcher().table();
+    let mut rng = Rng::from_seed(8);
+    let events: Vec<Event> = (0..EVENTS)
+        .map(|i| {
+            let content = population.space.random_content(&mut rng);
+            Event::new(
+                EventId::new(NodeId::new(0), i),
+                content.into_iter().map(|p| (p, i)).collect(),
+            )
+        })
+        .collect();
+    let mut scratch = Vec::new();
+    let mut total = 0usize;
+    let result = bench("table_matching_filled", 3, 25, EVENTS, || {
+        for event in &events {
+            table.matching_neighbors_into(event, None, &mut scratch);
             total += scratch.len();
         }
     });
@@ -498,7 +560,6 @@ fn gossip_round_idle() -> BenchResult {
         NodeId::new(5),
         DispatcherConfig {
             pattern_universe: UNIVERSE,
-            degree_hint: 4,
             ..DispatcherConfig::default()
         },
     );
@@ -741,7 +802,7 @@ fn table_matching_aggregated() -> Vec<BenchResult> {
 
         // The routing layer sees only the aggregate: one Local bit per
         // aggregate filter, plus the usual neighbor state.
-        let mut table = SubscriptionTable::with_dims(UNIVERSE as usize, 10);
+        let mut table = SubscriptionTable::new();
         for p in registry.aggregate_patterns() {
             table.insert(p, Interface::Local);
         }

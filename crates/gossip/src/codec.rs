@@ -66,6 +66,7 @@ use eps_overlay::NodeId;
 use eps_pubsub::summary::LEAF_LEVEL;
 use eps_pubsub::{
     Event, EventId, LossRecord, PatternId, PubSubMessage, RangeDetail, RangeRef, RangeSummary,
+    ROUTE_HOP_BITS,
 };
 
 use crate::envelope::Envelope;
@@ -174,6 +175,10 @@ const T_RANGE_REQUEST: u8 = 12;
 /// Upper bound on decoded list lengths (routes, digests, replies):
 /// rejects garbage that would otherwise ask for absurd allocations.
 const MAX_LIST: u64 = 1 << 20;
+
+/// Fewest bits an event body can take: one-byte seq, route length and
+/// pattern count, one hop, one (pattern, seq) pair.
+const EVENT_BODY_MIN_BITS: u64 = 3 * 8 + ROUTE_HOP_BITS + 2 * 8;
 
 /// The exact encoded size of `env` in bytes — by construction equal
 /// to [`Envelope::wire_bits`]` / 8`.
@@ -368,7 +373,8 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             let gossiper = cur.node()?;
             let pattern = cur.pattern()?;
             let n = cur.list_len()?;
-            let mut ids = Vec::with_capacity(n);
+            // Two varints: at least two bytes per id.
+            let mut ids = Vec::with_capacity(cur.capacity(n, 16));
             for _ in 0..n {
                 let source = cur.node()?;
                 let seq = cur.varint()?;
@@ -395,7 +401,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             let source = cur.node()?;
             let lost = cur.losses()?;
             let hops = cur.list_len()?;
-            let mut route = Vec::with_capacity(hops);
+            let mut route = Vec::with_capacity(cur.capacity(hops, ROUTE_HOP_BITS));
             for _ in 0..hops {
                 route.push(NodeId::new(cur.u32_le()?));
             }
@@ -421,7 +427,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
         }
         T_REQUEST => {
             let n = cur.list_len()?;
-            let mut ids = Vec::with_capacity(n);
+            let mut ids = Vec::with_capacity(cur.capacity(n, EVENT_ID_BITS));
             for _ in 0..n {
                 let source = NodeId::new(cur.u32_le()?);
                 let seq = cur.u64_le()?;
@@ -431,7 +437,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
         }
         T_REPLY => {
             let n = cur.list_len()?;
-            let mut events = Vec::with_capacity(n);
+            let mut events = Vec::with_capacity(cur.capacity(n, EVENT_BODY_MIN_BITS));
             for _ in 0..n {
                 events.push(cur.event_body()?);
             }
@@ -441,7 +447,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             let gossiper = cur.node()?;
             let pattern = cur.pattern()?;
             let nranges = cur.list_len()?;
-            let mut ranges = Vec::with_capacity(nranges);
+            let mut ranges = Vec::with_capacity(cur.capacity(nranges, SUMMARY_RANGE_BITS));
             for _ in 0..nranges {
                 let range = cur.range_ref()?;
                 let count = cur.u64_le()?;
@@ -449,14 +455,14 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
                 ranges.push(RangeSummary { range, count, hash });
             }
             let ndetails = cur.list_len()?;
-            let mut details = Vec::with_capacity(ndetails);
+            let mut details = Vec::with_capacity(cur.capacity(ndetails, SUMMARY_DETAIL_BITS));
             for _ in 0..ndetails {
                 let range = cur.range_ref()?;
                 let nids = cur.u32_le()?;
                 if u64::from(nids) > MAX_LIST {
                     return Err(CodecError::Malformed("list length is implausible"));
                 }
-                let mut ids = Vec::with_capacity(nids as usize);
+                let mut ids = Vec::with_capacity(cur.capacity(nids as usize, EVENT_ID_BITS));
                 for _ in 0..nids {
                     let source = NodeId::new(cur.u32_le()?);
                     let seq = cur.u64_le()?;
@@ -474,7 +480,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
         T_RANGE_REQUEST => {
             let pattern = cur.pattern()?;
             let n = cur.list_len()?;
-            let mut ranges = Vec::with_capacity(n);
+            let mut ranges = Vec::with_capacity(cur.capacity(n, RANGE_REF_BITS));
             for _ in 0..n {
                 ranges.push(cur.range_ref()?);
             }
@@ -626,6 +632,17 @@ impl Cursor<'_> {
         Ok(PatternId::new(raw as u16))
     }
 
+    /// The capacity a list of `n` claimed items, each at least
+    /// `item_bits` long on the wire, may reserve: no more items than
+    /// the rest of the buffer can hold. A damaged count then costs at
+    /// most a few bytes of allocation per input byte; the decode loop
+    /// still fails with [`CodecError::Truncated`] where the items run
+    /// out.
+    fn capacity(&self, n: usize, item_bits: u64) -> usize {
+        let fit = (self.buf.len() - self.pos) as u64 * 8 / item_bits;
+        n.min(fit as usize)
+    }
+
     fn list_len(&mut self) -> Result<usize, CodecError> {
         let n = self.varint()?;
         if n > MAX_LIST {
@@ -648,7 +665,8 @@ impl Cursor<'_> {
 
     fn losses(&mut self) -> Result<Vec<LossRecord>, CodecError> {
         let n = self.list_len()?;
-        let mut lost = Vec::with_capacity(n);
+        // Three varints: at least three bytes per record.
+        let mut lost = Vec::with_capacity(self.capacity(n, 24));
         for _ in 0..n {
             let source = self.node()?;
             let pattern = self.pattern()?;
@@ -668,7 +686,7 @@ impl Cursor<'_> {
         if hops == 0 {
             return Err(CodecError::Malformed("event route is empty"));
         }
-        let mut route = Vec::with_capacity(hops);
+        let mut route = Vec::with_capacity(self.capacity(hops, ROUTE_HOP_BITS));
         for _ in 0..hops {
             route.push(NodeId::new(self.u32_le()?));
         }
@@ -676,7 +694,7 @@ impl Cursor<'_> {
         if npat == 0 {
             return Err(CodecError::Malformed("event matches no pattern"));
         }
-        let mut pattern_seqs = Vec::with_capacity(npat);
+        let mut pattern_seqs = Vec::with_capacity(self.capacity(npat, 16));
         for _ in 0..npat {
             let pattern = self.pattern()?;
             let pseq = self.varint()?;
@@ -698,7 +716,6 @@ impl Cursor<'_> {
 
 #[cfg(test)]
 mod tests {
-    use eps_pubsub::ROUTE_HOP_BITS;
     use eps_sim::check::forall;
     use eps_sim::Rng;
 

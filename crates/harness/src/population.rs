@@ -100,11 +100,10 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
         record_routes: config.algorithm.needs_route_recording(),
         summary_index: config.algorithm.needs_summary_index(),
         eviction: config.eviction,
-        // Size the dense per-pattern tables and neighbor-slot
-        // registries from the scenario's pattern space and overlay
-        // degree — never from hardcoded paper constants.
+        // Lay out the per-pattern cache and loss-detector state for the
+        // scenario's pattern space — never for hardcoded paper
+        // constants.
         pattern_universe: space.universe() as usize,
-        degree_hint: config.max_degree,
     };
 
     // Tie the `Lost` capacity bound to the event-buffer size β

@@ -7,6 +7,8 @@
 //! harness maps those onto links; the epidemic recovery algorithms
 //! (crate `eps-gossip`) plug in on top via the state accessors.
 
+use std::sync::Arc;
+
 use eps_overlay::NodeId;
 use eps_sim::hash::{IdMap, IdSet};
 
@@ -14,155 +16,143 @@ use crate::cache::{EventCache, EvictionPolicy};
 use crate::clients::{ClientId, ClientRegistry};
 use crate::detector::{LossDetector, LossRecord};
 use crate::event::{Event, EventId};
-use crate::pattern::{PatternId, DENSE_UNIVERSE_MAX};
-use crate::table::{Interface, SubscriptionTable};
-
-/// Per-pattern publication sequence counters.
-///
-/// Small universes (the paper's Π = 70) use a dense array indexed by
-/// [`PatternId::index`]; past [`DENSE_UNIVERSE_MAX`] the per-node cost
-/// of `Π × 8` bytes starts to matter at 10⁵–10⁶-node populations, so a
-/// map holding only the patterns this node has actually published is
-/// used instead. Keyed lookups only — never iterated, so the switch
-/// cannot change any observable output.
-#[derive(Clone, Debug)]
-enum SeqCounters {
-    Dense(Vec<u64>),
-    Sparse(IdMap<u16, u64>),
-}
-
-impl SeqCounters {
-    fn new(universe: usize) -> Self {
-        if universe > DENSE_UNIVERSE_MAX {
-            SeqCounters::Sparse(IdMap::default())
-        } else {
-            SeqCounters::Dense(vec![0; universe])
-        }
-    }
-
-    /// Returns the next sequence number for `pattern` and advances it.
-    fn next(&mut self, pattern: PatternId) -> u64 {
-        match self {
-            SeqCounters::Dense(counters) => {
-                let idx = pattern.index();
-                if idx >= counters.len() {
-                    counters.resize(idx + 1, 0);
-                }
-                let seq = counters[idx];
-                counters[idx] += 1;
-                seq
-            }
-            SeqCounters::Sparse(counters) => {
-                let slot = counters.entry(pattern.value()).or_insert(0);
-                let seq = *slot;
-                *slot += 1;
-                seq
-            }
-        }
-    }
-}
+use crate::pattern::PatternId;
+use crate::table::{set_bits, test_bit, Interface, SubscriptionTable};
 
 /// The subscription-forwarding memory: which (pattern, neighbor) pairs
 /// a `Subscribe` has been sent for and not retracted.
 ///
-/// Subscription flooding makes this set dense — on a quiescent tree a
-/// dispatcher has sent almost every subscribed pattern to almost every
-/// neighbor — so it is stored as one pattern bitset per neighbor
-/// (Π/8 bytes each) instead of a hash set of pairs (~50 bytes per
-/// pair), a ~100× saving that the 10⁵–10⁶-node populations need.
-/// Membership operations only — never iterated, so the layout cannot
-/// change any observable output.
+/// On a quiescent tree a dispatcher has sent almost every subscribed
+/// pattern to every child, so each neighbor's marks are a *base* — the
+/// bulk fill's shared bitset of all subscribed patterns, the same `Arc`
+/// the tables' default routes hold — plus the few patterns whose mark
+/// differs from it. Membership operations only — never iterated, so
+/// the layout cannot change any observable output.
 #[derive(Clone, Debug, Default)]
 struct SentSet {
-    /// Neighbors with at least one mark, sorted by id.
-    slots: Vec<NodeId>,
-    /// Per-neighbor pattern bitsets, parallel to `slots`, grown on
-    /// demand.
-    bits: Vec<Vec<u64>>,
+    /// One entry per neighbor ever marked, sorted by id.
+    marks: Vec<SentMarks>,
+}
+
+/// The marks for one neighbor.
+#[derive(Clone, Debug)]
+struct SentMarks {
+    neighbor: NodeId,
+    /// Patterns marked unless flipped; `None` is the empty set.
+    base: Option<Arc<[u64]>>,
+    /// Patterns whose mark differs from `base`, ascending.
+    flipped: Vec<PatternId>,
+}
+
+impl SentMarks {
+    fn in_base(&self, pattern: PatternId) -> bool {
+        self.base
+            .as_deref()
+            .is_some_and(|base| test_bit(base, pattern.index()))
+    }
+
+    fn contains(&self, pattern: PatternId) -> bool {
+        self.in_base(pattern) != self.flipped.binary_search(&pattern).is_ok()
+    }
+
+    /// Sets the mark of `pattern` to `on`; returns `true` if it changed.
+    fn set(&mut self, pattern: PatternId, on: bool) -> bool {
+        let in_base = self.in_base(pattern);
+        match self.flipped.binary_search(&pattern) {
+            Ok(i) if in_base == on => {
+                self.flipped.remove(i);
+                true
+            }
+            Err(i) if in_base != on => {
+                self.flipped.insert(i, pattern);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 impl SentSet {
-    /// The slot of `neighbor`, registered on first use.
-    fn slot_for(&mut self, neighbor: NodeId) -> usize {
-        match self.slots.binary_search(&neighbor) {
-            Ok(slot) => slot,
-            Err(slot) => {
-                self.slots.insert(slot, neighbor);
-                self.bits.insert(slot, Vec::new());
-                slot
+    /// The marks of `neighbor`, registered on first use.
+    fn marks_for(&mut self, neighbor: NodeId) -> &mut SentMarks {
+        let i = match self.marks.binary_search_by_key(&neighbor, |m| m.neighbor) {
+            Ok(i) => i,
+            Err(i) => {
+                self.marks.insert(
+                    i,
+                    SentMarks {
+                        neighbor,
+                        base: None,
+                        flipped: Vec::new(),
+                    },
+                );
+                i
             }
-        }
+        };
+        &mut self.marks[i]
     }
 
     /// Marks (pattern, neighbor); returns `true` if newly marked.
     fn insert(&mut self, pattern: PatternId, neighbor: NodeId) -> bool {
-        let slot = self.slot_for(neighbor);
-        let idx = pattern.index();
-        let words = &mut self.bits[slot];
-        if words.len() <= idx / 64 {
-            words.resize(idx / 64 + 1, 0);
-        }
-        let bit = 1u64 << (idx % 64);
-        let new = words[idx / 64] & bit == 0;
-        words[idx / 64] |= bit;
-        new
+        self.marks_for(neighbor).set(pattern, true)
     }
 
-    /// Marks (pattern, neighbor) for every pattern whose bit is set in
-    /// `mask` (bit `i` of word `w` is pattern index `64·w + i`): one OR
-    /// per word. An all-zero mask changes nothing, as zero inserts
-    /// would not.
-    fn insert_mask(&mut self, neighbor: NodeId, mask: &[u64]) {
-        let Some(top) = mask.iter().rposition(|&w| w != 0) else {
+    /// Marks (pattern, neighbor) for every pattern set in `patterns`
+    /// (bit `i` of word `w` is pattern index `64·w + i`) but those in
+    /// `except` (ascending): for a neighbor with no marks yet, by
+    /// keeping the `Arc` as its base and `except` as its flips. An
+    /// all-zero bitset changes nothing.
+    fn insert_shared(&mut self, neighbor: NodeId, patterns: Arc<[u64]>, except: &[PatternId]) {
+        if patterns.iter().all(|&w| w == 0) {
             return;
-        };
-        let slot = self.slot_for(neighbor);
-        let words = &mut self.bits[slot];
-        if words.len() <= top {
-            words.resize(top + 1, 0);
         }
-        for (word, &m) in words.iter_mut().zip(mask) {
-            *word |= m;
-        }
-    }
-
-    fn contains(&self, pattern: PatternId, neighbor: NodeId) -> bool {
-        let Ok(slot) = self.slots.binary_search(&neighbor) else {
-            return false;
-        };
-        let idx = pattern.index();
-        self.bits[slot]
-            .get(idx / 64)
-            .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
-    }
-
-    fn remove(&mut self, pattern: PatternId, neighbor: NodeId) {
-        if let Ok(slot) = self.slots.binary_search(&neighbor) {
-            let idx = pattern.index();
-            if let Some(w) = self.bits[slot].get_mut(idx / 64) {
-                *w &= !(1u64 << (idx % 64));
+        let marks = self.marks_for(neighbor);
+        if marks.base.is_none() && marks.flipped.is_empty() {
+            marks.flipped = except
+                .iter()
+                .copied()
+                .filter(|p| test_bit(&patterns, p.index()))
+                .collect();
+            marks.base = Some(patterns);
+        } else {
+            for idx in set_bits(&patterns) {
+                let p = PatternId::new(idx as u16);
+                if except.binary_search(&p).is_err() {
+                    marks.set(p, true);
+                }
             }
         }
     }
 
+    fn contains(&self, pattern: PatternId, neighbor: NodeId) -> bool {
+        self.marks
+            .binary_search_by_key(&neighbor, |m| m.neighbor)
+            .is_ok_and(|i| self.marks[i].contains(pattern))
+    }
+
+    fn remove(&mut self, pattern: PatternId, neighbor: NodeId) {
+        if let Ok(i) = self.marks.binary_search_by_key(&neighbor, |m| m.neighbor) {
+            self.marks[i].set(pattern, false);
+        }
+    }
+
     fn clear(&mut self) {
-        self.slots.clear();
-        self.bits.clear();
+        self.marks.clear();
     }
 
     /// All marked pairs, sorted. Test-only introspection.
     #[cfg(test)]
     fn pairs(&self) -> Vec<(PatternId, NodeId)> {
         let mut out = Vec::new();
-        for (slot, words) in self.bits.iter().enumerate() {
-            for (wi, &w) in words.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    out.push((PatternId::new((wi * 64 + b) as u16), self.slots[slot]));
-                }
-            }
+        for m in &self.marks {
+            let base = m.base.as_deref().unwrap_or(&[]);
+            let candidates = set_bits(base).map(|idx| PatternId::new(idx as u16));
+            out.extend(
+                candidates
+                    .chain(m.flipped.iter().copied())
+                    .filter(|&p| m.contains(p))
+                    .map(|p| (p, m.neighbor)),
+            );
         }
         out.sort_unstable();
         out
@@ -185,13 +175,10 @@ pub struct DispatcherConfig {
     /// investigation).
     pub eviction: EvictionPolicy,
     /// Pattern-universe size (Π, from
-    /// [`crate::PatternSpace::universe`]): pre-sizes the dense
-    /// per-pattern tables. `0` means "unknown, grow on demand" —
+    /// [`crate::PatternSpace::universe`]): picks the event cache's and
+    /// the loss detector's per-pattern layouts. `0` means "unknown" —
     /// behavior is identical either way.
     pub pattern_universe: usize,
-    /// Expected overlay degree: pre-sizes the neighbor-slot registry.
-    /// `0` means "unknown, grow on demand".
-    pub degree_hint: usize,
     /// Whether the event cache maintains the incremental hash-range
     /// summary index (required by the summary-reconciliation digests;
     /// costs O(log C) per insert/evict and per-event tree memory, so
@@ -207,7 +194,6 @@ impl Default for DispatcherConfig {
             record_routes: false,
             eviction: EvictionPolicy::Fifo,
             pattern_universe: 0,
-            degree_hint: 0,
             summary_index: false,
         }
     }
@@ -373,8 +359,9 @@ pub struct Dispatcher {
     routes: RouteBook,
     seen: SeenSet,
     next_event_seq: u64,
-    /// Per-pattern publication sequence counters.
-    pattern_counters: SeqCounters,
+    /// Publication sequence counters of the patterns this dispatcher
+    /// has published on. Keyed lookups only — never iterated.
+    pattern_counters: IdMap<u16, u64>,
     /// Membership checks only — never iterated.
     subs_sent: SentSet,
     /// Membership checks only — never iterated, so the set's
@@ -402,14 +389,14 @@ impl Dispatcher {
         Dispatcher {
             id,
             config,
-            table: SubscriptionTable::with_dims(config.pattern_universe, config.degree_hint),
+            table: SubscriptionTable::new(),
             clients: ClientRegistry::new(),
             cache,
             detector: LossDetector::with_universe(config.pattern_universe),
             routes: RouteBook::default(),
             seen: SeenSet::default(),
             next_event_seq: 0,
-            pattern_counters: SeqCounters::new(config.pattern_universe),
+            pattern_counters: IdMap::default(),
             subs_sent: SentSet::default(),
             late_patterns: IdSet::default(),
             delivered_total: 0,
@@ -607,15 +594,28 @@ impl Dispatcher {
     }
 
     /// [`Dispatcher::install_route`] for every pattern whose bit is set
-    /// in `mask` (bit `i` of word `w` is pattern index `64·w + i`).
-    pub(crate) fn install_routes(&mut self, mask: &[u64], from: NodeId) {
-        self.table.insert_mask(from, mask);
+    /// in `patterns` (bit `i` of word `w` is pattern index `64·w + i`)
+    /// but those in `except` (ascending, each already routed some
+    /// other way), keeping the `Arc` as the table's default route.
+    pub(crate) fn install_shared_routes(
+        &mut self,
+        patterns: Arc<[u64]>,
+        except: &[PatternId],
+        from: NodeId,
+    ) {
+        self.table.insert_shared(from, patterns, except);
     }
 
     /// [`Dispatcher::mark_subscription_sent`] for every pattern whose
-    /// bit is set in `mask`.
-    pub(crate) fn mark_subscriptions_sent(&mut self, mask: &[u64], to: NodeId) {
-        self.subs_sent.insert_mask(to, mask);
+    /// bit is set in `patterns` but those in `except` (ascending),
+    /// keeping the `Arc` as `to`'s base.
+    pub(crate) fn mark_shared_sent(
+        &mut self,
+        patterns: Arc<[u64]>,
+        except: &[PatternId],
+        to: NodeId,
+    ) {
+        self.subs_sent.insert_shared(to, patterns, except);
     }
 
     /// All (pattern, neighbor) pairs currently marked as sent, sorted.
@@ -675,8 +675,7 @@ impl Dispatcher {
     /// reconfigured and subscription routes must be rebuilt.
     pub fn reset_routing_state(&mut self) {
         let locals: Vec<PatternId> = self.table.local_patterns().collect();
-        self.table =
-            SubscriptionTable::with_dims(self.config.pattern_universe, self.config.degree_hint);
+        self.table = SubscriptionTable::new();
         for p in locals {
             self.table.insert(p, Interface::Local);
         }
@@ -698,7 +697,11 @@ impl Dispatcher {
     pub fn publish(&mut self, content: &[PatternId]) -> (Event, EventReceipt) {
         let pattern_seqs: Vec<(PatternId, u64)> = content
             .iter()
-            .map(|&p| (p, self.pattern_counters.next(p)))
+            .map(|&p| {
+                let counter = self.pattern_counters.entry(p.value()).or_insert(0);
+                *counter += 1;
+                (p, *counter - 1)
+            })
             .collect();
         let id = EventId::new(self.id, self.next_event_seq);
         self.next_event_seq += 1;
@@ -712,14 +715,13 @@ impl Dispatcher {
         let late = &self.late_patterns;
         self.detector
             .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
-        let delivered = self.table.matches_locally(&event);
+        let (forwards, delivered) = self.forwards_for(&event, None);
         if delivered {
             self.delivered_total += 1;
         }
         if delivered || self.config.cache_own_published {
             self.cache.insert(event.clone());
         }
-        let forwards = self.forwards_for(&event, None);
         let receipt = EventReceipt {
             delivered,
             duplicate: false,
@@ -747,12 +749,11 @@ impl Dispatcher {
         let losses =
             self.detector
                 .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
-        let delivered = self.table.matches_locally(&event);
+        let (forwards, delivered) = self.forwards_for(&event, from);
         if delivered {
             self.delivered_total += 1;
             self.cache.insert(event.clone());
         }
-        let forwards = self.forwards_for(&event, from);
         EventReceipt {
             delivered,
             duplicate: false,
@@ -790,9 +791,12 @@ impl Dispatcher {
         }
     }
 
-    fn forwards_for(&mut self, event: &Event, from: Option<NodeId>) -> Vec<Forward> {
+    /// The copies of `event` to forward, and whether it matches a local
+    /// subscription.
+    fn forwards_for(&mut self, event: &Event, from: Option<NodeId>) -> (Vec<Forward>, bool) {
         let mut scratch = std::mem::take(&mut self.match_scratch);
-        self.table
+        let local = self
+            .table
             .matching_neighbors_into(event, from, &mut scratch);
         let out = scratch
             .iter()
@@ -803,7 +807,7 @@ impl Dispatcher {
             })
             .collect();
         self.match_scratch = scratch;
-        out
+        (out, local)
     }
 }
 

@@ -8,6 +8,7 @@
 //! topological reconfiguration completes.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use eps_overlay::{NodeId, Topology};
 
@@ -114,22 +115,24 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
 ///    `cnt(v) = total` — every subscriber of `p` is at or below them.
 /// 2. *Downward, node-major.* `total − cnt(v) > 0` holds for every
 ///    subscribed pattern except those just noted for `v` — a handful
-///    per node — so one bitset of all subscribed patterns, minus `v`'s
-///    exceptions, is ORed into `v`'s table rows for `u` and into `u`'s
-///    forwarding memory for `v`: a sequential sweep of one
-///    dispatcher's state per edge instead of one scattered write per
-///    (pattern, edge).
+///    per node — so it is one bitset of all subscribed patterns, built
+///    once and shared as one `Arc`, minus `v`'s exceptions: the default
+///    route of `v`'s table towards `u` and `u`'s forwarding memory for
+///    `v`, an `Arc` clone each instead of Π/64 words ORed into every
+///    dispatcher's state.
 ///
 /// The order of the passes, and of the writes inside them, cannot show
 /// in the result: tables and forwarding memory are *sets* of (pattern,
-/// neighbor) pairs whose layout depends only on their contents (slots
-/// sorted by neighbor id, one bit per pattern index), and every pair
-/// is written by exactly one of the two predicates. The resulting
+/// neighbor) pairs, read and compared only through their contents
+/// (neighbors in id order, patterns in index order), and every pair is
+/// written by exactly one of the two predicates. The resulting
 /// per-dispatcher state (tables *and* unsubscription-gating forwarding
 /// memory) is identical to what [`flood_subscriptions`] produces, and
 /// the returned message count is the count the flood would have
 /// exchanged; the equivalence is pinned by tests and by the golden
-/// suite.
+/// suite. Only the layout differs: a table keeps explicit rows just
+/// where its dispatcher lies on a pattern's subscriber subtree (see
+/// [`crate::SubscriptionTable`]).
 ///
 /// Local subscriptions must already be recorded (e.g. via
 /// [`install_local_subscriptions`]); dispatcher `i` must correspond to
@@ -231,25 +234,26 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
     // Pass 2, node-major: the downward half (`total − cnt(v) > 0`) of
     // the edge above `v` holds for every subscribed pattern except the
     // few whose subscribers all sit in `v`'s subtree, so it is the
-    // shared bitset minus those, ORed into `v`'s rows for its parent
-    // and into the parent's forwarding memory for `v`.
+    // shared bitset minus those: `v`'s default route towards its parent
+    // and the parent's forwarding memory for `v`.
+    let subscribed: Arc<[u64]> = subscribed.into();
     enclosing.sort_unstable();
     let mut rest = enclosing.as_slice();
+    let mut excluded: Vec<PatternId> = Vec::new();
     for (i, &u) in parent.iter().enumerate().skip(1) {
         let here = rest.partition_point(|&(node, _)| node == i);
-        let (excluded, tail) = rest.split_at(here);
-        rest = tail;
-        for &(_, p) in excluded {
-            subscribed[p.index() / 64] &= !(1u64 << (p.index() % 64));
-        }
-        hosts[i].dispatcher_mut().install_routes(&subscribed, u);
-        hosts[u.index()]
+        excluded.clear();
+        excluded.extend(rest[..here].iter().map(|&(_, p)| p));
+        rest = &rest[here..];
+        hosts[i]
             .dispatcher_mut()
-            .mark_subscriptions_sent(&subscribed, NodeId::new(i as u32));
+            .install_shared_routes(Arc::clone(&subscribed), &excluded, u);
+        hosts[u.index()].dispatcher_mut().mark_shared_sent(
+            Arc::clone(&subscribed),
+            &excluded,
+            NodeId::new(i as u32),
+        );
         messages += (subscribers.len() - excluded.len()) as u64;
-        for &(_, p) in excluded {
-            subscribed[p.index() / 64] |= 1u64 << (p.index() % 64);
-        }
     }
     messages
 }
@@ -555,21 +559,25 @@ mod tests {
     /// Runs the direct fill over a copy of `installed` (local
     /// subscriptions recorded, nothing propagated) and the
     /// message-at-a-time flood over another, and requires the same
-    /// tables, the same forwarding memory and the same message count.
+    /// tables, the same forwarding memory and the same message count —
+    /// and the same again after a second fill over the filled state,
+    /// which must change nothing.
     fn assert_equals_message_flood(case: &str, installed: &[Dispatcher], topo: &Topology) {
         let mut flooded = installed.to_vec();
         let mut filled = installed.to_vec();
         let flood_msgs = flood_subscriptions(&mut flooded, topo);
-        let direct_msgs = flood_subscriptions_direct(&mut filled, topo);
-        assert_eq!(flood_msgs, direct_msgs, "{case}: message count");
-        for node in topo.nodes() {
-            let (f, d) = (&flooded[node.index()], &filled[node.index()]);
-            assert_eq!(f.table(), d.table(), "{case}: table of {node}");
-            assert_eq!(
-                f.sent_pairs(),
-                d.sent_pairs(),
-                "{case}: forwarding memory of {node}"
-            );
+        for round in ["fill", "second fill"] {
+            let direct_msgs = flood_subscriptions_direct(&mut filled, topo);
+            assert_eq!(flood_msgs, direct_msgs, "{case}, {round}: message count");
+            for node in topo.nodes() {
+                let (f, d) = (&flooded[node.index()], &filled[node.index()]);
+                assert_eq!(f.table(), d.table(), "{case}, {round}: table of {node}");
+                assert_eq!(
+                    f.sent_pairs(),
+                    d.sent_pairs(),
+                    "{case}, {round}: forwarding memory of {node}"
+                );
+            }
         }
     }
 

@@ -8,54 +8,66 @@
 //! except the one they arrived from — laying event routes on the
 //! reverse paths of subscription propagation.
 //!
-//! # Dense layout
-//!
-//! The paper's workload is a dense, small universe (Π = 70 patterns,
-//! ≤ 3 patterns per event, overlay degree ≤ 10), and matching an event
-//! against the table is the per-hop hot path of the whole simulator.
-//! The table is therefore *slot-indexed* rather than tree-shaped:
-//!
-//! - each neighboring dispatcher gets a *slot* in a per-table registry
-//!   kept sorted by [`NodeId`], so slot order **is** id order;
-//! - the local-subscriber flags live in one bitset over the dense
-//!   [`PatternId::index`] space;
-//! - the per-pattern neighbor sets are stored structure-of-arrays: one
-//!   byte per pattern while the table has at most eight neighbor slots
-//!   ([`Rows::Narrow`] — the paper's trees have degree ≤ 4), upgraded
-//!   in place to a vector of multi-word bitsets ([`NeighborMask`])
-//!   the first time a ninth slot registers;
-//! - matching an event is an OR of at most `max_patterns_per_event`
-//!   rows followed by set-bit iteration — no tree walk, no sort, no
-//!   dedup, no allocation.
+//! # Layout: one shared default, a few explicit rows
 //!
 //! Subscription forwarding floods every subscribed pattern to every
-//! dispatcher of the tree, so at large pattern universes the table is
-//! the dominant per-node allocation: the narrow layout costs ~1.14
-//! bytes per pattern instead of the ~40 an array-of-structs row would,
-//! which is what makes 10⁵–10⁶-node populations fit in memory.
+//! dispatcher of the tree, so every table knows nearly every pattern —
+//! but almost all of those entries are the same route. A dispatcher off
+//! the subtree spanned by a pattern's subscribers routes that pattern
+//! one way only: towards the subtree, which, with the tree rooted where
+//! the bulk fill roots it, is its parent. The table therefore keeps two
+//! parts:
+//!
+//! - the **shared default**: one neighbor slot and an `Arc` bitset of
+//!   the patterns it applies to. The bulk fill
+//!   ([`crate::flood_subscriptions_direct`]) builds the bitset of all
+//!   subscribed patterns once and hands the same allocation to every
+//!   dispatcher, so a pattern in it with no explicit row costs a table
+//!   nothing;
+//! - **explicit rows**, only where the entry is something else: a local
+//!   subscriber, a route towards a child, no route to the default. On a
+//!   filled tree that is the dispatcher's share of each pattern's
+//!   subscriber subtree — 20 rows per dispatcher on average at
+//!   N = 4000, Π = 8192. A table built one
+//!   [`SubscriptionTable::insert`] at a time (the message-at-a-time
+//!   flood) has no default and holds every entry as a row.
+//!
+//! A row is a bitset over the interfaces: bit 0 is the local flag and
+//! bit `s + 1` neighbor slot `s`, `stride` words long (one until a 64th
+//! neighbor registers). Each neighbor's slot lives in a registry kept
+//! sorted by [`NodeId`], so slot order **is** id order. Rows are packed
+//! in pattern order behind a Π-bit map of the patterns that have one,
+//! with the count of rows before each map word, so finding a pattern's
+//! row is a bit test and a popcount. Matching an event is an OR of at
+//! most `max_patterns_per_event` rows followed by set-bit iteration —
+//! no tree walk, no sort, no dedup, no allocation.
 //!
 //! # The known-pattern index
 //!
 //! Push and summary gossip label every round with one pattern drawn
 //! uniformly from the *whole* table, every 30 ms on every dispatcher.
-//! Enumerating the known patterns for that draw is a scan of all Π
-//! rows, so the table also keeps one bit per pattern index, set iff
-//! the entry is non-empty (`known_bits`, Π/8 bytes per table — 1 KB at
-//! Π = 8192 beside the 8 KB of narrow rows). It changes exactly where
-//! `len()` changes — [`SubscriptionTable::insert`],
-//! [`SubscriptionTable::remove`],
-//! [`SubscriptionTable::remove_neighbor`] and the bulk `insert_mask`
-//! of the direct subscription fill — and
 //! [`SubscriptionTable::nth_known`] answers "the k-th known pattern,
-//! ascending" by popcount-select over it: Π/64 word steps, no row
-//! touched. [`SubscriptionTable::all_patterns`] remains the row scan
-//! it always was; equality and the debug-build cross-check of every
-//! gossip draw use it as the reference the index must agree with.
+//! ascending" by popcount-select. Where the known set *is* the shared
+//! bitset — no explicit row lies outside it and none inside it is
+//! empty, which is how the fill leaves every dispatcher but the root —
+//! the select runs over that one bitset, the same cache-hot copy for
+//! every dispatcher; on a table without a default and without empty
+//! rows (the root, a message-flooded table) it runs over the
+//! explicit-row map. Otherwise it runs over the exact merge: shared
+//! bits, plus the explicit-row map, minus the empty rows, at Π/64 word
+//! steps plus one row check per empty row. Two counters — explicit
+//! rows outside the shared set, empty explicit rows inside it — say
+//! which case holds, and give [`SubscriptionTable::len`] in O(1).
+//! [`SubscriptionTable::all_patterns`] is the per-pattern scan that
+//! equality and the debug-build cross-check of every gossip draw use as
+//! the reference the index must agree with.
 //!
-//! Every observable iteration order is preserved across layouts:
-//! neighbors enumerate in ascending id order (sorted slots), patterns
-//! in ascending pattern-id order (dense index order). The golden
-//! determinism suite pins this bit-for-bit.
+//! Every observable iteration order is preserved: neighbors enumerate
+//! in ascending id order (sorted slots), patterns in ascending
+//! pattern-id order (map and row order). The golden determinism suite
+//! pins this bit-for-bit.
+
+use std::sync::Arc;
 
 use eps_overlay::NodeId;
 
@@ -72,130 +84,95 @@ pub enum Interface {
     Neighbor(NodeId),
 }
 
-/// Number of neighbor slots the narrow (one byte per pattern) row
-/// layout can hold before upgrading to [`NeighborMask`] rows.
-const NARROW_SLOTS: usize = 8;
+/// Row bit of [`Interface::Local`]; neighbor slot `s` is bit `s + 1`.
+const LOCAL: u64 = 1;
 
-/// A bitset over the neighbor slots of one [`SubscriptionTable`], used
-/// by the wide row layout.
-///
-/// The first 64 slots live in an inline word (`w0`) — the common case
-/// — and slots beyond that spill into a vector of further words, so
-/// any degree is handled without a hardcoded 64-neighbor assumption.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct NeighborMask {
-    w0: u64,
-    rest: Vec<u64>,
+/// Word and mask of neighbor slot `slot` in a row.
+fn slot_bit(slot: usize) -> (usize, u64) {
+    let bit = slot + 1;
+    (bit / 64, 1 << (bit % 64))
 }
 
-impl NeighborMask {
-    fn set(&mut self, bit: usize) {
-        if bit < 64 {
-            self.w0 |= 1u64 << bit;
-        } else {
-            let word = bit / 64 - 1;
-            if word >= self.rest.len() {
-                self.rest.resize(word + 1, 0);
+/// Bit `idx` of a bitset (bit `i` of word `w` is `64·w + i`); `false`
+/// past its end.
+pub(crate) fn test_bit(words: &[u64], idx: usize) -> bool {
+    words
+        .get(idx / 64)
+        .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
+}
+
+/// The `k`-th set bit (from 0) of a bitset given word by word, as a
+/// pattern id: popcount-select, one step per word.
+fn select(words: impl Iterator<Item = u64>, mut k: usize) -> Option<PatternId> {
+    for (w, word) in words.enumerate() {
+        let ones = word.count_ones() as usize;
+        if k < ones {
+            let mut word = word;
+            for _ in 0..k {
+                word &= word - 1;
             }
-            self.rest[word] |= 1u64 << (bit % 64);
+            return Some(PatternId::new(
+                (w * 64 + word.trailing_zeros() as usize) as u16,
+            ));
         }
+        k -= ones;
     }
+    None
+}
 
-    fn clear(&mut self, bit: usize) {
-        if bit < 64 {
-            self.w0 &= !(1u64 << bit);
-        } else if let Some(word) = self.rest.get_mut(bit / 64 - 1) {
-            *word &= !(1u64 << (bit % 64));
-        }
+/// Opens a zero at bit `bit` of a row: the bits at and above it move up
+/// one. The row's top bit must be clear.
+fn insert_zero_bit(row: &mut [u64], bit: usize) {
+    let (k, low) = (bit / 64, (1u64 << (bit % 64)) - 1);
+    for i in (k + 1..row.len()).rev() {
+        row[i] = (row[i] << 1) | (row[i - 1] >> 63);
     }
+    row[k] = (row[k] & low) | ((row[k] & !low) << 1);
+}
 
-    fn test(&self, bit: usize) -> bool {
-        if bit < 64 {
-            self.w0 & (1u64 << bit) != 0
-        } else {
-            self.rest
-                .get(bit / 64 - 1)
-                .is_some_and(|w| w & (1u64 << (bit % 64)) != 0)
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.w0 == 0 && self.rest.iter().all(|&w| w == 0)
-    }
-
-    /// Set bits in ascending order. Since slots are kept sorted by
-    /// node id, this is ascending-[`NodeId`] order.
-    fn iter(&self) -> SetBits<'_> {
-        SetBits {
-            word: self.w0,
-            rest: self.rest.iter(),
-            base: 0,
-        }
-    }
-
-    /// Rebuilds the mask, sending each set bit `b` to `f(b)` (`None`
-    /// drops it). Used only when the slot registry is renumbered — a
-    /// setup or reconfiguration event, never the per-event hot path.
-    fn remap<F: Fn(usize) -> Option<usize>>(&mut self, f: F) {
-        let bits: Vec<usize> = self.iter().collect();
-        self.w0 = 0;
-        self.rest.clear();
-        for b in bits {
-            if let Some(nb) = f(b) {
-                self.set(nb);
-            }
-        }
+/// Deletes bit `bit` of a row: the bits above it move down one.
+fn delete_bit(row: &mut [u64], bit: usize) {
+    let (k, low) = (bit / 64, (1u64 << (bit % 64)) - 1);
+    row[k] = (row[k] & low) | ((row[k] >> 1) & !low);
+    for i in k + 1..row.len() {
+        row[i - 1] |= row[i] << 63;
+        row[i] >>= 1;
     }
 }
 
-/// Iterator over the set bits of a word sequence, ascending.
-struct SetBits<'a> {
-    word: u64,
-    rest: std::slice::Iter<'a, u64>,
-    base: usize,
+/// The set bits of `word`, ascending, each offset by `base`.
+fn bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            base + bit
+        })
+    })
 }
 
-impl<'a> SetBits<'a> {
-    /// The set bits of `words`, bit `i` of word `w` counting as
-    /// `64·w + i`.
-    fn of(words: &'a [u64]) -> Self {
-        let (&word, rest) = words.split_first().unwrap_or((&0, &[]));
-        SetBits {
-            word,
-            rest: rest.iter(),
-            base: 0,
-        }
-    }
+/// The set bits of a bitset, ascending (bit `i` of word `w` is
+/// `64·w + i`).
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| bits(word, 64 * w))
 }
 
-impl Iterator for SetBits<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.word != 0 {
-                let bit = self.word.trailing_zeros() as usize;
-                self.word &= self.word - 1;
-                return Some(self.base + bit);
-            }
-            self.word = *self.rest.next()?;
-            self.base += 64;
-        }
-    }
-}
-
-/// The per-pattern neighbor sets, structure-of-arrays.
+/// The shared default route of a table (see the module docs).
 #[derive(Clone, Debug)]
-enum Rows {
-    /// One byte per pattern: bit `s` set means neighbor slot `s` is
-    /// subscribed. Valid while at most [`NARROW_SLOTS`] slots exist.
-    Narrow(Vec<u8>),
-    /// One multi-word bitset per pattern, for higher degrees.
-    Wide(Vec<NeighborMask>),
+struct Shared {
+    /// Slot of the default neighbor.
+    slot: usize,
+    /// The patterns it applies to, one bit per pattern index.
+    patterns: Arc<[u64]>,
+    /// Number of set bits in `patterns`.
+    len: usize,
 }
 
-/// A dispatcher's subscription table (dense slot-indexed layout; see
-/// the module docs).
+/// A dispatcher's subscription table (shared default plus explicit
+/// rows; see the module docs).
 ///
 /// # Examples
 ///
@@ -215,133 +192,194 @@ pub struct SubscriptionTable {
     /// Slot → neighbor id, kept sorted ascending so that set-bit
     /// iteration enumerates neighbors in id order.
     slots: Vec<NodeId>,
-    /// Local-subscriber flags, one bit per pattern index.
-    local: Vec<u64>,
-    /// Per-pattern neighbor sets, indexed by [`PatternId::index`].
-    rows: Rows,
-    /// Number of pattern rows allocated (grown on demand, pre-sized by
-    /// [`SubscriptionTable::with_dims`]).
-    patterns: usize,
-    /// Number of non-empty pattern rows (`len()`).
-    known: usize,
-    /// The known-pattern index: bit `idx` is set iff pattern `idx` has
-    /// any entry, so `known == popcount(known_bits)`. Sized with
-    /// `local`.
-    known_bits: Vec<u64>,
+    /// The default route, if any.
+    shared: Option<Shared>,
+    /// Bit `idx` is set iff pattern `idx` has an explicit row.
+    explicit: Vec<u64>,
+    /// Explicit rows of the patterns below word `w` of `explicit`.
+    before: Vec<u16>,
+    /// The explicit rows, `stride` words each, in pattern order.
+    rows: Vec<u64>,
+    /// Words per row.
+    stride: usize,
+    /// Explicit rows of patterns outside the shared set. Such a row is
+    /// never empty: it is deleted when it empties.
+    outside: usize,
+    /// Empty explicit rows of patterns inside the shared set: each one
+    /// withholds the default route from its pattern.
+    emptied: usize,
 }
 
 impl Default for SubscriptionTable {
     fn default() -> Self {
         SubscriptionTable {
             slots: Vec::new(),
-            local: Vec::new(),
-            rows: Rows::Narrow(Vec::new()),
-            patterns: 0,
-            known: 0,
-            known_bits: Vec::new(),
+            shared: None,
+            explicit: Vec::new(),
+            before: Vec::new(),
+            rows: Vec::new(),
+            stride: 1,
+            outside: 0,
+            emptied: 0,
         }
     }
 }
 
 impl SubscriptionTable {
-    /// Creates an empty table that grows its pattern rows and slot
-    /// registry on demand.
+    /// Creates an empty table; rows and the slot registry grow on
+    /// demand.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty table pre-sized for `universe` patterns (one
-    /// dense row each) and `degree_hint` neighbor slots — derived from
-    /// [`crate::PatternSpace::universe`] and the overlay degree at
-    /// setup. Purely an allocation hint: the table still grows past
-    /// either dimension on demand.
-    pub fn with_dims(universe: usize, degree_hint: usize) -> Self {
-        SubscriptionTable {
-            slots: Vec::with_capacity(degree_hint.min(1024)),
-            local: vec![0; universe.div_ceil(64)],
-            rows: if degree_hint <= NARROW_SLOTS {
-                Rows::Narrow(vec![0; universe])
-            } else {
-                Rows::Wide(vec![NeighborMask::default(); universe])
-            },
-            patterns: universe,
-            known: 0,
-            known_bits: vec![0; universe.div_ceil(64)],
+    fn in_shared(&self, idx: usize) -> bool {
+        self.shared
+            .as_ref()
+            .is_some_and(|s| test_bit(&s.patterns, idx))
+    }
+
+    /// Index of pattern `idx`'s explicit row: a bit test and a popcount.
+    #[inline]
+    fn row_of(&self, idx: usize) -> Option<usize> {
+        let w = idx / 64;
+        let word = *self.explicit.get(w)?;
+        let bit = 1u64 << (idx % 64);
+        (word & bit != 0)
+            .then(|| usize::from(self.before[w]) + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.rows[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Word `w` of pattern `idx`'s entry: its explicit row's, else the
+    /// default route's where the pattern is shared.
+    #[inline]
+    fn entry_word(&self, idx: usize, w: usize) -> u64 {
+        match self.row_of(idx) {
+            Some(r) => self.rows[r * self.stride + w],
+            None => self.default_word(idx, w),
         }
     }
 
-    /// Grows the pattern dimension to cover `idx`.
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.patterns {
-            self.patterns = idx + 1;
-            if self.local.len() * 64 < self.patterns {
-                self.local.resize(self.patterns.div_ceil(64), 0);
-                self.known_bits.resize(self.patterns.div_ceil(64), 0);
+    /// Word `w` of the default route of pattern `idx`, which has no
+    /// explicit row.
+    #[inline]
+    fn default_word(&self, idx: usize, w: usize) -> u64 {
+        match &self.shared {
+            Some(s) if test_bit(&s.patterns, idx) => {
+                let (sw, bit) = slot_bit(s.slot);
+                if sw == w {
+                    bit
+                } else {
+                    0
+                }
             }
-            match &mut self.rows {
-                Rows::Narrow(rows) => rows.resize(idx + 1, 0),
-                Rows::Wide(rows) => rows.resize(idx + 1, NeighborMask::default()),
+            _ => 0,
+        }
+    }
+
+    fn knows_index(&self, idx: usize) -> bool {
+        match self.row_of(idx) {
+            Some(r) => self.row(r).iter().any(|&w| w != 0),
+            None => self.in_shared(idx),
+        }
+    }
+
+    /// One past the largest pattern index any part of the table covers.
+    fn pattern_bound(&self) -> usize {
+        let shared = self.shared.as_ref().map_or(0, |s| s.patterns.len());
+        64 * shared.max(self.explicit.len())
+    }
+
+    /// Creates the explicit row of `idx`, which has none, with the
+    /// entry's current content: the default route where the pattern is
+    /// shared, else nothing. Rows stay packed in pattern order, so a new
+    /// row moves the ones above it — O(rows), paid on set-up and
+    /// subscription changes, never on the event path; the bulk fill
+    /// creates each table's rows in ascending order, all appends.
+    fn new_row(&mut self, idx: usize) -> usize {
+        let w = idx / 64;
+        if w >= self.explicit.len() {
+            let total = (self.rows.len() / self.stride) as u16;
+            self.explicit.resize(w + 1, 0);
+            self.before.resize(w + 1, total);
+        }
+        let bit = 1u64 << (idx % 64);
+        let r = usize::from(self.before[w]) + (self.explicit[w] & (bit - 1)).count_ones() as usize;
+        self.explicit[w] |= bit;
+        for count in &mut self.before[w + 1..] {
+            *count += 1;
+        }
+        let (at, end) = (r * self.stride, self.rows.len());
+        self.rows.resize(end + self.stride, 0);
+        if at < end {
+            self.rows.copy_within(at..end, at + self.stride);
+            self.rows[at..at + self.stride].fill(0);
+        }
+        match &self.shared {
+            Some(s) if test_bit(&s.patterns, idx) => {
+                let (sw, sbit) = slot_bit(s.slot);
+                self.rows[at + sw] = sbit;
+            }
+            _ => self.outside += 1,
+        }
+        r
+    }
+
+    /// Deletes row `r` of pattern `idx`, which lies outside the shared
+    /// set.
+    fn delete_row(&mut self, idx: usize, r: usize) {
+        let w = idx / 64;
+        self.explicit[w] &= !(1u64 << (idx % 64));
+        for count in &mut self.before[w + 1..] {
+            *count -= 1;
+        }
+        self.rows.drain(r * self.stride..(r + 1) * self.stride);
+        self.outside -= 1;
+    }
+
+    /// Deletes the empty rows outside the shared set and recounts
+    /// `before`, `outside` and `emptied`: after a change to many rows
+    /// or to the default at once.
+    fn normalize(&mut self) {
+        let stride = self.stride;
+        let (mut read, mut kept) = (0, 0);
+        self.outside = 0;
+        self.emptied = 0;
+        for w in 0..self.explicit.len() {
+            self.before[w] = kept as u16;
+            let mut bits = self.explicit[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let empty = self.row(read).iter().all(|&x| x == 0);
+                let shared = self.in_shared(w * 64 + b);
+                if empty && !shared {
+                    self.explicit[w] &= !(1u64 << b);
+                } else {
+                    self.rows
+                        .copy_within(read * stride..(read + 1) * stride, kept * stride);
+                    kept += 1;
+                    self.outside += usize::from(!shared);
+                    self.emptied += usize::from(empty);
+                }
+                read += 1;
             }
         }
+        self.rows.truncate(kept * stride);
     }
 
-    fn local_test(&self, idx: usize) -> bool {
-        self.local
-            .get(idx / 64)
-            .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
-    }
-
-    fn row_is_empty(&self, idx: usize) -> bool {
-        match &self.rows {
-            Rows::Narrow(rows) => rows.get(idx).is_none_or(|&b| b == 0),
-            Rows::Wide(rows) => rows.get(idx).is_none_or(|m| m.is_empty()),
+    /// Adds a word to every row: room for slots 63 to 126.
+    fn widen(&mut self) {
+        let stride = self.stride;
+        let mut rows = Vec::with_capacity(self.rows.len() / stride * (stride + 1));
+        for row in self.rows.chunks_exact(stride) {
+            rows.extend_from_slice(row);
+            rows.push(0);
         }
-    }
-
-    fn entry_is_empty(&self, idx: usize) -> bool {
-        !self.local_test(idx) && self.row_is_empty(idx)
-    }
-
-    fn row_test(&self, idx: usize, slot: usize) -> bool {
-        match &self.rows {
-            Rows::Narrow(rows) => rows.get(idx).is_some_and(|&b| b & (1u8 << slot) != 0),
-            Rows::Wide(rows) => rows.get(idx).is_some_and(|m| m.test(slot)),
-        }
-    }
-
-    /// Set bits of one pattern row, ascending. Out-of-range patterns
-    /// yield an empty iterator.
-    fn row_bits(&self, idx: usize) -> SetBits<'_> {
-        match &self.rows {
-            Rows::Narrow(rows) => SetBits {
-                word: rows.get(idx).copied().unwrap_or(0) as u64,
-                rest: [].iter(),
-                base: 0,
-            },
-            Rows::Wide(rows) => match rows.get(idx) {
-                Some(m) => m.iter(),
-                None => SetBits {
-                    word: 0,
-                    rest: [].iter(),
-                    base: 0,
-                },
-            },
-        }
-    }
-
-    /// Converts narrow byte rows to wide mask rows (the first time a
-    /// ninth neighbor slot registers). Content-preserving.
-    fn upgrade_to_wide(&mut self) {
-        if let Rows::Narrow(rows) = &self.rows {
-            let wide = rows
-                .iter()
-                .map(|&b| NeighborMask {
-                    w0: b as u64,
-                    rest: Vec::new(),
-                })
-                .collect();
-            self.rows = Rows::Wide(wide);
-        }
+        self.rows = rows;
+        self.stride += 1;
     }
 
     /// The slot of `neighbor`, if registered.
@@ -350,212 +388,165 @@ impl SubscriptionTable {
     }
 
     /// Registers `neighbor` and returns its slot. Slots stay sorted by
-    /// node id; inserting in the middle renumbers the higher slots and
-    /// remaps every pattern row — rare (subscription setup or overlay
+    /// node id; inserting in the middle renumbers the higher slots in
+    /// every row — rare (subscription setup or overlay
     /// reconfiguration), never on the event-matching hot path.
     fn register(&mut self, neighbor: NodeId) -> usize {
-        match self.slots.binary_search(&neighbor) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                if matches!(self.rows, Rows::Narrow(_)) && self.slots.len() == NARROW_SLOTS {
-                    self.upgrade_to_wide();
-                }
-                self.slots.insert(pos, neighbor);
-                if pos + 1 < self.slots.len() {
-                    match &mut self.rows {
-                        Rows::Narrow(rows) => {
-                            // Bits at or above `pos` move up one slot.
-                            // Pre-insert bits occupy slots below the
-                            // old length (< NARROW_SLOTS), so the
-                            // shift cannot overflow the byte.
-                            let low = (1u8 << pos) - 1;
-                            for b in rows.iter_mut() {
-                                *b = (*b & low) | ((*b & !low) << 1);
-                            }
-                        }
-                        Rows::Wide(rows) => {
-                            for mask in rows.iter_mut() {
-                                mask.remap(|b| Some(if b >= pos { b + 1 } else { b }));
-                            }
-                        }
-                    }
-                }
-                pos
+        let pos = match self.slots.binary_search(&neighbor) {
+            Ok(pos) => return pos,
+            Err(pos) => pos,
+        };
+        if self.slots.len() + 2 > self.stride * 64 {
+            self.widen();
+        }
+        self.slots.insert(pos, neighbor);
+        if pos + 1 < self.slots.len() {
+            for row in self.rows.chunks_exact_mut(self.stride) {
+                insert_zero_bit(row, pos + 1);
             }
         }
+        if let Some(s) = &mut self.shared {
+            if s.slot >= pos {
+                s.slot += 1;
+            }
+        }
+        pos
     }
 
     /// Records that `pattern` is subscribed via `iface`. Returns `true`
     /// if this is new information (used to decide whether to propagate
     /// further).
     pub fn insert(&mut self, pattern: PatternId, iface: Interface) -> bool {
-        let slot = match iface {
-            Interface::Local => None,
-            Interface::Neighbor(n) => Some(self.register(n)),
+        let (w, bit) = match iface {
+            Interface::Local => (0, LOCAL),
+            Interface::Neighbor(n) => slot_bit(self.register(n)),
         };
         let idx = pattern.index();
-        self.ensure(idx);
-        let was_empty = self.entry_is_empty(idx);
-        let inserted = match slot {
-            None => {
-                let word = &mut self.local[idx / 64];
-                let bit = 1u64 << (idx % 64);
-                let new = *word & bit == 0;
-                *word |= bit;
-                new
+        let r = match self.row_of(idx) {
+            Some(r) if self.rows[r * self.stride + w] & bit != 0 => return false,
+            Some(r) => {
+                // Only a shared pattern's row is ever empty.
+                if self.row(r).iter().all(|&x| x == 0) {
+                    self.emptied -= 1;
+                }
+                r
             }
-            Some(slot) => match &mut self.rows {
-                Rows::Narrow(rows) => {
-                    let bit = 1u8 << slot;
-                    let new = rows[idx] & bit == 0;
-                    rows[idx] |= bit;
-                    new
-                }
-                Rows::Wide(rows) => {
-                    let new = !rows[idx].test(slot);
-                    rows[idx].set(slot);
-                    new
-                }
-            },
+            None if self.default_word(idx, w) & bit != 0 => return false,
+            None => self.new_row(idx),
         };
-        if inserted && was_empty {
-            self.known += 1;
-            self.known_bits[idx / 64] |= 1u64 << (idx % 64);
-        }
-        inserted
+        self.rows[r * self.stride + w] |= bit;
+        true
     }
 
-    /// Records every pattern whose bit is set in `mask` (bit `i` of
-    /// word `w` is pattern index `64·w + i`) as subscribed via
+    /// Routes every pattern set in `patterns` (bit `i` of word `w` is
+    /// pattern index `64·w + i`) but those in `except` (ascending) to
     /// `neighbor`: the final state of one [`SubscriptionTable::insert`]
-    /// per set bit, reached by one sequential sweep over the rows that
-    /// updates the known-pattern index a word at a time. An all-zero
-    /// mask changes nothing — it does not register `neighbor` either,
-    /// as zero inserts would not.
-    pub(crate) fn insert_mask(&mut self, neighbor: NodeId, mask: &[u64]) {
-        let Some(top) = mask.iter().rposition(|&w| w != 0) else {
+    /// per such pattern. On a table without a default route that state
+    /// is reached by making `neighbor` the default — keeping the `Arc`,
+    /// not copying it — and ORing it into the explicit rows of shared
+    /// patterns; every pattern in `except` must then already have a
+    /// row. An all-zero bitset changes nothing — it does not register
+    /// `neighbor` either, as zero inserts would not.
+    pub(crate) fn insert_shared(
+        &mut self,
+        neighbor: NodeId,
+        patterns: Arc<[u64]>,
+        except: &[PatternId],
+    ) {
+        let len = patterns.iter().map(|w| w.count_ones() as usize).sum();
+        if len == 0 {
             return;
-        };
-        let mask = &mask[..=top];
-        self.ensure(top * 64 + 63 - mask[top].leading_zeros() as usize);
+        }
+        if self.shared.is_some() {
+            for idx in set_bits(&patterns) {
+                let p = PatternId::new(idx as u16);
+                if except.binary_search(&p).is_err() {
+                    self.insert(p, Interface::Neighbor(neighbor));
+                }
+            }
+            return;
+        }
+        debug_assert!(except.iter().all(|p| self.row_of(p.index()).is_some()));
         let slot = self.register(neighbor);
-        match &mut self.rows {
-            Rows::Narrow(rows) => {
-                let bit = 1u8 << slot;
-                for idx in SetBits::of(mask) {
-                    rows[idx] |= bit;
-                }
-            }
-            Rows::Wide(rows) => {
-                for idx in SetBits::of(mask) {
-                    rows[idx].set(slot);
-                }
+        let (w, bit) = slot_bit(slot);
+        for (r, idx) in set_bits(&self.explicit).enumerate() {
+            let p = PatternId::new(idx as u16);
+            if test_bit(&patterns, idx) && except.binary_search(&p).is_err() {
+                self.rows[r * self.stride + w] |= bit;
             }
         }
-        for (known, &word) in self.known_bits.iter_mut().zip(mask) {
-            self.known += (word & !*known).count_ones() as usize;
-            *known |= word;
-        }
+        self.shared = Some(Shared {
+            slot,
+            patterns,
+            len,
+        });
+        self.normalize();
     }
 
     /// Removes a subscription entry. Returns `true` if it was present.
     pub fn remove(&mut self, pattern: PatternId, iface: Interface) -> bool {
-        let slot = match iface {
-            Interface::Local => None,
+        let (w, bit) = match iface {
+            Interface::Local => (0, LOCAL),
             Interface::Neighbor(n) => match self.slot_of(n) {
-                Some(slot) => Some(slot),
+                Some(slot) => slot_bit(slot),
                 None => return false,
             },
         };
         let idx = pattern.index();
-        if idx >= self.patterns {
-            return false;
-        }
-        let removed = match slot {
-            None => {
-                let word = &mut self.local[idx / 64];
-                let bit = 1u64 << (idx % 64);
-                let was = *word & bit != 0;
-                *word &= !bit;
-                was
-            }
-            Some(slot) => match &mut self.rows {
-                Rows::Narrow(rows) => {
-                    let bit = 1u8 << slot;
-                    let was = rows[idx] & bit != 0;
-                    rows[idx] &= !bit;
-                    was
-                }
-                Rows::Wide(rows) => {
-                    let was = rows[idx].test(slot);
-                    rows[idx].clear(slot);
-                    was
-                }
-            },
+        let r = match self.row_of(idx) {
+            Some(r) if self.rows[r * self.stride + w] & bit == 0 => return false,
+            Some(r) => r,
+            None if self.default_word(idx, w) & bit == 0 => return false,
+            None => self.new_row(idx),
         };
-        if removed && self.entry_is_empty(idx) {
-            self.known -= 1;
-            self.known_bits[idx / 64] &= !(1u64 << (idx % 64));
+        self.rows[r * self.stride + w] &= !bit;
+        if self.row(r).iter().all(|&x| x == 0) {
+            if self.in_shared(idx) {
+                self.emptied += 1;
+            } else {
+                self.delete_row(idx, r);
+            }
         }
-        removed
+        true
     }
 
     /// Drops every entry learned from `neighbor` (when the link to it
     /// breaks). Returns the affected patterns, in ascending pattern-id
-    /// order (dense row order).
+    /// order. If `neighbor` is the default, the default goes with it.
     pub fn remove_neighbor(&mut self, neighbor: NodeId) -> Vec<PatternId> {
         let Some(slot) = self.slot_of(neighbor) else {
             return Vec::new();
         };
-        let mut affected = Vec::new();
-        for idx in 0..self.patterns {
-            if self.row_test(idx, slot) {
-                match &mut self.rows {
-                    Rows::Narrow(rows) => rows[idx] &= !(1u8 << slot),
-                    Rows::Wide(rows) => rows[idx].clear(slot),
-                }
-                affected.push(PatternId::new(idx as u16));
-                if self.entry_is_empty(idx) {
-                    self.known -= 1;
-                    self.known_bits[idx / 64] &= !(1u64 << (idx % 64));
-                }
-            }
-        }
+        let (w, bit) = slot_bit(slot);
+        let affected: Vec<PatternId> = (0..self.pattern_bound())
+            .filter(|&idx| self.entry_word(idx, w) & bit != 0)
+            .map(|idx| PatternId::new(idx as u16))
+            .collect();
         // Retire the slot and renumber the higher ones so the registry
         // never accumulates dead neighbors across reconfigurations.
         self.slots.remove(slot);
-        match &mut self.rows {
-            Rows::Narrow(rows) => {
-                // Bits above `slot` move down one. Shifted in 16 bits:
-                // retiring slot 7 shifts by 8, which a `u8` cannot.
-                let low = (1u8 << slot) - 1;
-                for b in rows.iter_mut() {
-                    *b = (*b & low) | ((u16::from(*b) >> (slot + 1)) << slot) as u8;
-                }
-            }
-            Rows::Wide(rows) => {
-                for mask in rows.iter_mut() {
-                    mask.remap(|b| match b.cmp(&slot) {
-                        std::cmp::Ordering::Less => Some(b),
-                        std::cmp::Ordering::Equal => None,
-                        std::cmp::Ordering::Greater => Some(b - 1),
-                    });
-                }
-            }
+        for row in self.rows.chunks_exact_mut(self.stride) {
+            delete_bit(row, slot + 1);
         }
+        match &mut self.shared {
+            Some(s) if s.slot == slot => self.shared = None,
+            Some(s) if s.slot > slot => s.slot -= 1,
+            _ => {}
+        }
+        self.normalize();
         affected
     }
 
     /// `true` if a local client subscribes to `pattern`.
     pub fn has_local(&self, pattern: PatternId) -> bool {
-        self.local_test(pattern.index())
+        self.row_of(pattern.index())
+            .is_some_and(|r| self.rows[r * self.stride] & LOCAL != 0)
     }
 
     /// `true` if the table has any entry (local or remote) for
     /// `pattern`.
     pub fn knows(&self, pattern: PatternId) -> bool {
-        let idx = pattern.index();
-        idx < self.patterns && !self.entry_is_empty(idx)
+        self.knows_index(pattern.index())
     }
 
     /// The neighbor interfaces subscribed to `pattern`, excluding
@@ -573,8 +564,11 @@ impl SubscriptionTable {
         pattern: PatternId,
         exclude: Option<NodeId>,
     ) -> impl Iterator<Item = NodeId> + '_ {
-        self.row_bits(pattern.index())
-            .map(|slot| self.slots[slot])
+        let idx = pattern.index();
+        (0..self.stride)
+            .flat_map(move |w| bits(self.entry_word(idx, w), 64 * w))
+            .filter(|&bit| bit != 0)
+            .map(|bit| self.slots[bit - 1])
             .filter(move |&n| Some(n) != exclude)
     }
 
@@ -590,74 +584,69 @@ impl SubscriptionTable {
     /// Like [`SubscriptionTable::matching_neighbors`], but reuses the
     /// caller's buffer: `out` is cleared and refilled, so a dispatcher
     /// forwarding many events allocates nothing in steady state.
+    /// Returns [`SubscriptionTable::matches_locally`] for the event,
+    /// which the same OR computes.
     ///
     /// This is the per-hop hot path: an OR of the event's pattern
-    /// rows, then set-bit iteration. The union is deduplicated and in
-    /// ascending id order by construction — no sort, no dedup.
+    /// entries, a row word at a time, then set-bit iteration. The union
+    /// is deduplicated and in ascending id order by construction — no
+    /// sort, no dedup.
     pub fn matching_neighbors_into(
         &self,
         event: &Event,
         from: Option<NodeId>,
         out: &mut Vec<NodeId>,
-    ) {
+    ) -> bool {
         out.clear();
-        match &self.rows {
-            Rows::Narrow(rows) => {
-                let mut acc = 0u64;
-                for p in event.patterns() {
-                    acc |= rows.get(p.index()).copied().unwrap_or(0) as u64;
-                }
-                if let Some(f) = from {
-                    if let Some(slot) = self.slot_of(f) {
-                        acc &= !(1u64 << slot);
-                    }
-                }
-                while acc != 0 {
-                    let slot = acc.trailing_zeros() as usize;
-                    acc &= acc - 1;
-                    out.push(self.slots[slot]);
-                }
-            }
-            Rows::Wide(rows) if self.slots.len() <= 64 => {
-                // Single-word fast path: the whole neighbor set fits w0.
-                let mut acc = 0u64;
-                for p in event.patterns() {
-                    if let Some(m) = rows.get(p.index()) {
-                        acc |= m.w0;
-                    }
-                }
-                if let Some(f) = from {
-                    if let Some(slot) = self.slot_of(f) {
-                        acc &= !(1u64 << slot);
-                    }
-                }
-                while acc != 0 {
-                    let slot = acc.trailing_zeros() as usize;
-                    acc &= acc - 1;
-                    out.push(self.slots[slot]);
-                }
-            }
-            Rows::Wide(rows) => {
-                let mut acc = NeighborMask::default();
-                for p in event.patterns() {
-                    if let Some(m) = rows.get(p.index()) {
-                        acc.w0 |= m.w0;
-                        if acc.rest.len() < m.rest.len() {
-                            acc.rest.resize(m.rest.len(), 0);
-                        }
-                        for (a, &w) in acc.rest.iter_mut().zip(&m.rest) {
-                            *a |= w;
-                        }
-                    }
-                }
-                if let Some(f) = from {
-                    if let Some(slot) = self.slot_of(f) {
-                        acc.clear(slot);
-                    }
-                }
-                out.extend(acc.iter().map(|slot| self.slots[slot]));
-            }
+        // Word 0 — every neighbor while there are at most 63 — with
+        // `row_of` and `default_word` inlined, what they read per table
+        // hoisted, and no branch on where the pattern drawn happens to
+        // fall: a read past the map's end clamps to its last word and is
+        // masked out.
+        let (explicit, before): (&[u64], &[u16]) = if self.explicit.is_empty() {
+            (&[0], &[0])
+        } else {
+            (&self.explicit, &self.before[..self.explicit.len()])
+        };
+        let last = explicit.len() - 1;
+        let (shared, default) = match &self.shared {
+            Some(s) => match slot_bit(s.slot) {
+                (0, bit) => (&s.patterns[..], bit),
+                _ => (&s.patterns[..], 0),
+            },
+            None => (&[][..], 0),
+        };
+        let mut acc = 0;
+        for p in event.patterns() {
+            let (i, bit) = (p.index() / 64, 1u64 << (p.index() % 64));
+            let past_end = ((last as i64 - i as i64) >> 63) as u64;
+            let x = explicit[i.min(last)] & !past_end;
+            acc |= if x & bit != 0 {
+                let r = usize::from(before[i]) + (x & (bit - 1)).count_ones() as usize;
+                self.rows[r * self.stride]
+            } else if shared.get(i).is_some_and(|&s| s & bit != 0) {
+                default
+            } else {
+                0
+            };
         }
+        let local = acc & LOCAL != 0;
+        let mut push = |acc: u64, base: usize| {
+            for bit in bits(acc, base) {
+                let neighbor = self.slots[bit - 1];
+                if Some(neighbor) != from {
+                    out.push(neighbor);
+                }
+            }
+        };
+        push(acc & !LOCAL, 0);
+        for w in 1..self.stride {
+            let acc = event
+                .patterns()
+                .fold(0, |acc, p| acc | self.entry_word(p.index(), w));
+            push(acc, 64 * w);
+        }
+        local
     }
 
     /// `true` if the event matches a local subscription.
@@ -667,63 +656,85 @@ impl SubscriptionTable {
 
     /// Patterns with a local subscription, in order.
     pub fn local_patterns(&self) -> impl Iterator<Item = PatternId> + '_ {
-        // Set-bit order is ascending pattern-id order.
-        SetBits::of(&self.local).map(|idx| PatternId::new(idx as u16))
+        // Local patterns always have a row, and rows are in pattern
+        // order: the n-th set bit of the map is row n.
+        set_bits(&self.explicit)
+            .enumerate()
+            .filter(|&(r, _)| self.rows[r * self.stride] & LOCAL != 0)
+            .map(|(_, idx)| PatternId::new(idx as u16))
     }
 
     /// Every pattern known to the table — locally subscribed or
     /// learned through forwarding. The push algorithm draws its gossip
     /// pattern from this set ("p is selected by considering the whole
     /// subscription table") through [`SubscriptionTable::nth_known`];
-    /// this O(Π) row scan is the reference that index is checked
-    /// against.
+    /// this O(Π) per-pattern scan is the reference that index is
+    /// checked against.
     pub fn all_patterns(&self) -> impl Iterator<Item = PatternId> + '_ {
-        // Dense row order is ascending pattern-id order.
-        (0..self.patterns)
-            .filter(|&idx| !self.entry_is_empty(idx))
+        (0..self.pattern_bound())
+            .filter(|&idx| self.knows_index(idx))
             .map(|idx| PatternId::new(idx as u16))
     }
 
     /// The `k`-th known pattern in ascending pattern-id order — what
-    /// `all_patterns().nth(k)` returns — by popcount-select over the
-    /// known-pattern index: Π/64 word steps and no row is touched.
-    /// `None` when `k >= len()`.
+    /// `all_patterns().nth(k)` returns — by popcount-select over one
+    /// bitset where the known set equals it, else over the exact merge
+    /// (see the module docs). `None` when `k >= len()`.
     pub fn nth_known(&self, k: usize) -> Option<PatternId> {
-        let mut k = k;
-        for (w, &word) in self.known_bits.iter().enumerate() {
-            let ones = word.count_ones() as usize;
-            if k < ones {
-                let mut word = word;
-                for _ in 0..k {
-                    word &= word - 1;
-                }
-                let idx = w * 64 + word.trailing_zeros() as usize;
-                return Some(PatternId::new(idx as u16));
+        let shared: &[u64] = self.shared.as_ref().map_or(&[], |s| &s.patterns);
+        if self.emptied == 0 {
+            // Every explicit row is then non-empty: without explicit
+            // rows outside it the known set is the shared bitset, and
+            // without a default it is the explicit-row map.
+            if self.outside == 0 {
+                return select(shared.iter().copied(), k);
             }
-            k -= ones;
+            if shared.is_empty() {
+                return select(self.explicit.iter().copied(), k);
+            }
         }
-        None
+        let words = shared.len().max(self.explicit.len());
+        select(
+            (0..words).map(|w| {
+                let s = shared.get(w).copied().unwrap_or(0);
+                let x = self.explicit.get(w).copied().unwrap_or(0);
+                let mut known = s | x;
+                if self.emptied > 0 {
+                    let mut both = s & x;
+                    while both != 0 {
+                        let bit = both & both.wrapping_neg();
+                        both &= both - 1;
+                        let r = usize::from(self.before[w]) + (x & (bit - 1)).count_ones() as usize;
+                        if self.row(r).iter().all(|&word| word == 0) {
+                            known &= !bit;
+                        }
+                    }
+                }
+                known
+            }),
+            k,
+        )
     }
 
     /// Number of patterns known.
     pub fn len(&self) -> usize {
-        self.known
+        self.shared.as_ref().map_or(0, |s| s.len) + self.outside - self.emptied
     }
 
     /// `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.known == 0
+        self.len() == 0
     }
 }
 
 /// Semantic equality: same patterns, each with the same local flag and
 /// neighbor set. Two tables built through different insertion
-/// histories (and therefore with different slot registries, row
-/// layouts, or row capacities) compare equal when their observable
-/// content matches.
+/// histories (and therefore with different slot registries, defaults
+/// or explicit rows) compare equal when their observable content
+/// matches.
 impl PartialEq for SubscriptionTable {
     fn eq(&self, other: &Self) -> bool {
-        if self.known != other.known {
+        if self.len() != other.len() {
             return false;
         }
         self.all_patterns().eq(other.all_patterns())
@@ -768,6 +779,10 @@ mod tests {
         assert!(!t.remove(p, Interface::Local));
         assert!(t.is_empty());
         assert!(!t.knows(p));
+        assert!(
+            t.rows.is_empty(),
+            "an emptied row outside the default is deleted"
+        );
     }
 
     #[test]
@@ -858,12 +873,13 @@ mod tests {
             let target = if raw % 2 == 0 { p } else { q };
             t.insert(target, Interface::Neighbor(NodeId::new(raw)));
         }
+        assert_eq!(t.stride, 3, "131 row bits need three words");
         assert_eq!(t.neighbors_for(p, None).len(), 65);
         assert_eq!(t.neighbors_for(q, None).len(), 65);
         let union = t.matching_neighbors(&ev(&[1, 2]), None);
         assert_eq!(union.len(), 130);
         assert!(union.windows(2).all(|w| w[0] < w[1]), "ascending id order");
-        // Exclusion works past the inline word too.
+        // Exclusion works past the first word too.
         let minus = t.matching_neighbors(&ev(&[1, 2]), Some(NodeId::new(100)));
         assert_eq!(minus.len(), 129);
         assert!(!minus.contains(&NodeId::new(100)));
@@ -874,25 +890,12 @@ mod tests {
     }
 
     #[test]
-    fn with_dims_preallocates_without_changing_behavior() {
-        let mut a = SubscriptionTable::with_dims(70, 10);
-        let mut b = SubscriptionTable::new();
-        for (p, n) in [(3u16, 5u32), (69, 1), (3, 9)] {
-            assert_eq!(
-                a.insert(PatternId::new(p), Interface::Neighbor(NodeId::new(n))),
-                b.insert(PatternId::new(p), Interface::Neighbor(NodeId::new(n)))
-            );
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
     fn equality_is_semantic_not_structural() {
         // Same content via different insertion orders (and therefore
-        // different registry histories) compares equal.
+        // different registry histories) compares equal, as does the
+        // same content held as a default route instead of rows.
         let mut a = SubscriptionTable::new();
-        let mut b = SubscriptionTable::with_dims(16, 4);
+        let mut b = SubscriptionTable::new();
         for n in [3u32, 1, 2] {
             a.insert(PatternId::new(7), Interface::Neighbor(NodeId::new(n)));
         }
@@ -902,33 +905,46 @@ mod tests {
         assert_eq!(a, b);
         b.insert(PatternId::new(7), Interface::Local);
         assert_ne!(a, b);
+
+        let mut shared = SubscriptionTable::new();
+        shared.insert_shared(NodeId::new(4), Arc::from([0b1010u64]), &[]);
+        let mut rows = SubscriptionTable::new();
+        rows.insert(PatternId::new(3), Interface::Neighbor(NodeId::new(4)));
+        rows.insert(PatternId::new(1), Interface::Neighbor(NodeId::new(4)));
+        assert_eq!(shared, rows);
+        assert!(shared.rows.is_empty(), "the default route holds no row");
     }
 
     #[test]
-    fn narrow_rows_upgrade_to_wide_at_the_ninth_slot() {
+    fn rows_widen_when_a_64th_slot_registers() {
         let mut t = SubscriptionTable::new();
         let p = PatternId::new(3);
-        // Register nine neighbors out of order, crossing the upgrade
+        t.insert(p, Interface::Local);
+        // Register 70 neighbors out of order, crossing the widening
         // boundary mid-insert; content must be preserved throughout.
-        for raw in [8u32, 1, 6, 3, 9, 0, 5, 7, 2] {
+        let order: Vec<u32> = (0..70).map(|i| (i * 37) % 71).collect();
+        for &raw in &order {
+            assert_eq!(t.stride, if t.slots.len() < 64 { 1 } else { 2 });
             t.insert(p, Interface::Neighbor(NodeId::new(raw)));
         }
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
         let ids: Vec<u32> = t
             .neighbors_for_iter(p, None)
             .map(|n| n.index() as u32)
             .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 5, 6, 7, 8, 9]);
-        // And a reference table built post-upgrade agrees semantically.
+        assert_eq!(ids, sorted);
+        assert!(t.has_local(p));
+        // And a reference table built in id order agrees semantically.
         let mut r = SubscriptionTable::new();
-        for raw in 0..=9u32 {
-            if raw != 4 {
-                r.insert(p, Interface::Neighbor(NodeId::new(raw)));
-            }
+        for &raw in &sorted {
+            r.insert(p, Interface::Neighbor(NodeId::new(raw)));
         }
+        r.insert(p, Interface::Local);
         assert_eq!(t, r);
     }
 
-    /// The index invariants, checked against the row scan.
+    /// The index invariants, checked against the scan.
     fn assert_index_matches_scan(t: &SubscriptionTable, step: usize) {
         let scan: Vec<PatternId> = t.all_patterns().collect();
         assert_eq!(t.len(), scan.len(), "step {step}: len vs scan");
@@ -940,19 +956,24 @@ mod tests {
 
     #[test]
     fn known_index_tracks_the_scan_through_a_random_walk() {
-        // Every mutation that can change `known` — including the bulk
-        // `insert_mask`, mirrored bit by bit through `insert` on a twin
-        // table — on narrow rows, wide rows and rows that upgrade
-        // mid-walk, with patterns drawn past the `with_dims` universe.
+        // Every mutation that can change `len` — including the bulk
+        // `insert_shared`, mirrored bit by bit through `insert` on a
+        // twin table — on one-word rows, rows that widen mid-walk, and
+        // tables that start from a default route.
         const STEPS: usize = 10_000;
         const PATTERNS: u64 = 150;
+        let mut from_default = SubscriptionTable::new();
+        from_default.insert_shared(NodeId::new(3), Arc::from([u64::MAX, 0xf0f0, 1 << 20]), &[]);
         let layouts = [
-            (SubscriptionTable::with_dims(40, 4), 8u64, false),
-            (SubscriptionTable::with_dims(40, 12), 12, true),
-            (SubscriptionTable::new(), 12, true),
+            (SubscriptionTable::new(), 8u64, false),
+            (SubscriptionTable::new(), 70, true),
+            (from_default, 8, false),
         ];
         for (seed, (mut table, neighbors, ends_wide)) in layouts.into_iter().enumerate() {
-            let mut twin = table.clone();
+            let mut twin = SubscriptionTable::new();
+            for p in table.all_patterns() {
+                twin.insert(p, Interface::Neighbor(NodeId::new(3)));
+            }
             let mut rng = eps_sim::Rng::from_seed(seed as u64 + 1);
             for step in 0..STEPS {
                 let pattern = PatternId::new(rng.random_below(PATTERNS) as u16);
@@ -983,11 +1004,11 @@ mod tests {
                                 _ => rng.next_u64() & rng.next_u64() & rng.next_u64(),
                             })
                             .collect();
-                        table.insert_mask(neighbor, &mask);
-                        for idx in SetBits::of(&mask) {
+                        for idx in set_bits(&mask) {
                             twin.insert(PatternId::new(idx as u16), Interface::Neighbor(neighbor));
                         }
-                        assert_eq!(table, twin, "step {step}: insert_mask vs insert");
+                        table.insert_shared(neighbor, mask.into(), &[]);
+                        assert_eq!(table, twin, "step {step}: insert_shared vs insert");
                         assert_eq!(table.slots, twin.slots, "step {step}: slot registry");
                     }
                 }
@@ -995,8 +1016,42 @@ mod tests {
             }
             assert_eq!(table, twin);
             assert_index_matches_scan(&twin, STEPS);
-            assert_eq!(matches!(table.rows, Rows::Wide(_)), ends_wide);
+            assert_eq!(table.stride > 1, ends_wide);
         }
+    }
+
+    #[test]
+    fn a_default_route_is_overridden_row_by_row() {
+        let (parent, child) = (NodeId::new(1), NodeId::new(9));
+        let mut t = SubscriptionTable::new();
+        t.insert(PatternId::new(2), Interface::Local);
+        t.insert_shared(parent, Arc::from([0b1110u64]), &[]);
+        // The local row gained the default route; the others hold none.
+        assert_eq!(t.neighbors_for(PatternId::new(2), None), vec![parent]);
+        assert_eq!(t.rows.len(), 1);
+        assert_eq!(t.len(), 3);
+        // A child route adds a row on top of the default.
+        assert!(t.insert(PatternId::new(3), Interface::Neighbor(child)));
+        assert!(!t.insert(PatternId::new(1), Interface::Neighbor(parent)));
+        assert_eq!(
+            t.matching_neighbors(&ev(&[1, 3]), None),
+            vec![parent, child]
+        );
+        // Withdrawing the default from a pattern empties its entry but
+        // keeps the row, which withholds the route.
+        assert!(t.remove(PatternId::new(1), Interface::Neighbor(parent)));
+        assert!(!t.knows(PatternId::new(1)));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.nth_known(0), Some(PatternId::new(2)));
+        // Losing the default neighbor drops every route it carried.
+        assert_eq!(
+            t.remove_neighbor(parent),
+            vec![PatternId::new(2), PatternId::new(3)]
+        );
+        assert_eq!(t.neighbors_for(PatternId::new(3), None), vec![child]);
+        let known: Vec<PatternId> = t.all_patterns().collect();
+        assert_eq!(known, vec![PatternId::new(2), PatternId::new(3)]);
+        assert_index_matches_scan(&t, 0);
     }
 
     #[test]

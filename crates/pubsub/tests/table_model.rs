@@ -1,16 +1,24 @@
-//! Model-based test of the dense [`SubscriptionTable`]: the same
-//! random op sequence drives the slot-indexed/bitset implementation
-//! and a naive `BTreeMap` reference model, and every observable —
-//! return values, membership queries, and iteration order — must
-//! agree at every step. This is the guard for the dense layout's core
-//! claim: set-bit order over a sorted slot registry reproduces the
+//! Model-based test of the [`SubscriptionTable`]: the same random op
+//! sequence drives the table (a shared default route plus explicit
+//! rows over a sorted slot registry) and a naive `BTreeMap` reference
+//! model, and every observable — return values, membership queries,
+//! the known-pattern index, and iteration order — must agree at every
+//! step. Tables start either empty or as one dispatcher's table after
+//! the bulk subscription fill, so both representations are driven
+//! through every transition between them: the default neighbor
+//! dropped, routes added and withdrawn on patterns inside and outside
+//! the shared set. This is the guard for the layout's core claim:
+//! set-bit order over a sorted slot registry reproduces the
 //! ascending-id order the rest of the stack (and the golden suite)
 //! depends on.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use eps_overlay::NodeId;
-use eps_pubsub::{Event, EventId, Interface, PatternId, SubscriptionTable};
+use eps_overlay::{NodeId, Topology};
+use eps_pubsub::{
+    flood_subscriptions_direct, install_local_subscriptions, Dispatcher, DispatcherConfig, Event,
+    EventId, Interface, PatternId, PatternSpace, SubscriptionTable,
+};
 use eps_sim::check::forall;
 use eps_sim::Rng;
 
@@ -32,6 +40,18 @@ struct Model {
 }
 
 impl Model {
+    /// The model of `table`'s current content, read entry by entry.
+    fn of(table: &SubscriptionTable) -> Self {
+        let entries = table
+            .all_patterns()
+            .map(|p| {
+                let neighbors = table.neighbors_for_iter(p, None).collect();
+                (p, (table.has_local(p), neighbors))
+            })
+            .collect();
+        Model { entries }
+    }
+
     fn insert(&mut self, pattern: PatternId, iface: Interface) -> bool {
         let entry = self.entries.entry(pattern).or_default();
         match iface {
@@ -90,40 +110,84 @@ impl Model {
     }
 }
 
-/// One random op over `universe` patterns and `nodes` neighbors;
-/// neighbor inserts are three times as likely as any other kind.
-fn random_op(rng: &mut Rng, universe: u16, nodes: u32) -> Op {
-    let p = rng.random_range(0..universe);
-    let n = rng.random_range(0..nodes);
-    match rng.random_below(8) {
-        0 => Op::InsertLocal(p),
-        1..=3 => Op::InsertNeighbor(p, n),
-        4 => Op::RemoveLocal(p),
-        5 => Op::RemoveNeighbor(p, n),
-        6 => Op::DropNeighbor(n),
-        _ => Op::Match(
-            (0..rng.random_range(1..4u16))
-                .map(|_| rng.random_range(0..universe))
-                .collect(),
-            rng.random_bool(0.5).then_some(n),
-        ),
+/// Where random ops draw their patterns and neighbors from: uniformly
+/// over `universe` patterns and `nodes` neighbors, and half the time —
+/// when given — from a filled table's shared patterns and its tree
+/// neighbors, so its default route and explicit rows are hit often.
+struct Draws {
+    universe: u16,
+    nodes: u32,
+    hot_patterns: Vec<u16>,
+    hot_neighbors: Vec<u32>,
+}
+
+impl Draws {
+    fn uniform(universe: u16, nodes: u32) -> Self {
+        Draws {
+            universe,
+            nodes,
+            hot_patterns: Vec::new(),
+            hot_neighbors: Vec::new(),
+        }
+    }
+
+    fn pattern(&self, rng: &mut Rng) -> u16 {
+        match rng.choose(&self.hot_patterns) {
+            Some(&p) if rng.random_bool(0.5) => p,
+            _ => rng.random_range(0..self.universe),
+        }
+    }
+
+    fn neighbor(&self, rng: &mut Rng) -> u32 {
+        match rng.choose(&self.hot_neighbors) {
+            Some(&n) if rng.random_bool(0.5) => n,
+            _ => rng.random_range(0..self.nodes),
+        }
+    }
+
+    /// One random op; neighbor inserts are three times as likely as
+    /// any other kind.
+    fn op(&self, rng: &mut Rng) -> Op {
+        let p = self.pattern(rng);
+        let n = self.neighbor(rng);
+        match rng.random_below(8) {
+            0 => Op::InsertLocal(p),
+            1..=3 => Op::InsertNeighbor(p, n),
+            4 => Op::RemoveLocal(p),
+            5 => Op::RemoveNeighbor(p, n),
+            6 => Op::DropNeighbor(n),
+            _ => Op::Match(
+                (0..rng.random_range(1..4u16))
+                    .map(|_| self.pattern(rng))
+                    .collect(),
+                rng.random_bool(0.5).then_some(n),
+            ),
+        }
+    }
+
+    fn ops(&self, rng: &mut Rng, max_len: usize) -> Vec<Op> {
+        (0..rng.random_range(1..max_len))
+            .map(|_| self.op(rng))
+            .collect()
     }
 }
 
-fn random_ops(rng: &mut Rng, max_len: usize, universe: u16, nodes: u32) -> Vec<Op> {
-    (0..rng.random_range(1..max_len))
-        .map(|_| random_op(rng, universe, nodes))
-        .collect()
-}
-
 /// Checks every observable the rest of the stack reads, including
-/// iteration order.
+/// iteration order and the known-pattern index.
 fn assert_same_state(table: &SubscriptionTable, model: &Model, universe: u16) {
     assert_eq!(table.len(), model.entries.len());
     assert_eq!(table.is_empty(), model.entries.is_empty());
     let all: Vec<PatternId> = table.all_patterns().collect();
     let model_all: Vec<PatternId> = model.entries.keys().copied().collect();
     assert_eq!(all, model_all, "all_patterns order diverged");
+    for (k, &p) in model_all.iter().enumerate() {
+        assert_eq!(table.nth_known(k), Some(p), "nth_known({k}) diverged");
+    }
+    assert_eq!(
+        table.nth_known(model_all.len()),
+        None,
+        "nth_known past the end"
+    );
     let locals: Vec<PatternId> = table.local_patterns().collect();
     let model_locals: Vec<PatternId> = model
         .entries
@@ -147,8 +211,9 @@ fn assert_same_state(table: &SubscriptionTable, model: &Model, universe: u16) {
     }
 }
 
-fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) -> SubscriptionTable {
-    let mut model = Model::default();
+fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) {
+    let mut model = Model::of(&table);
+    assert_same_state(&table, &model, universe);
     let mut seq = 0u64;
     for op in ops {
         match op {
@@ -188,45 +253,97 @@ fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) -> Subscript
                     patterns.iter().map(|&v| (PatternId::new(v), seq)).collect();
                 let event = Event::new(EventId::new(NodeId::new(0), seq), content);
                 let from = from.map(NodeId::new);
+                let mut out = Vec::new();
+                let local = table.matching_neighbors_into(&event, from, &mut out);
                 assert_eq!(
-                    table.matching_neighbors(&event, from),
+                    out,
                     model.matching_neighbors(&event, from),
                     "matching_neighbors order diverged"
+                );
+                assert_eq!(local, table.matches_locally(&event));
+                assert_eq!(
+                    local,
+                    event
+                        .patterns()
+                        .any(|p| model.entries.get(&p).is_some_and(|e| e.0))
                 );
             }
         }
         assert_same_state(&table, &model, universe);
     }
-    table
 }
 
-/// A grow-on-demand table tracks the model exactly, op for op.
+/// Patterns of the filled cases: four bitset words, most of them
+/// subscribed somewhere and the rest not.
+const FILLED_UNIVERSE: u16 = 200;
+
+/// A random tree of 6–19 dispatchers over [`FILLED_UNIVERSE`]
+/// patterns, filled by [`flood_subscriptions_direct`]: one non-root
+/// dispatcher's table, the draws that favour its shared patterns and
+/// tree neighbors, and its default neighbor (the next hop towards
+/// node 0, where the fill roots the tree).
+fn filled_table(rng: &mut Rng) -> (SubscriptionTable, Draws, u32) {
+    let n = rng.random_range(6..20usize);
+    let topo = Topology::random_tree(n, 4, rng);
+    let space = PatternSpace::new(FILLED_UNIVERSE, 3);
+    let subs: Vec<Vec<PatternId>> = (0..n)
+        .map(|_| space.random_subscriptions(rng.random_range(1..9usize), rng))
+        .collect();
+    let mut dispatchers: Vec<Dispatcher> = topo
+        .nodes()
+        .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
+        .collect();
+    install_local_subscriptions(&mut dispatchers, &subs);
+    flood_subscriptions_direct(&mut dispatchers, &topo);
+    let node = NodeId::new(rng.random_range(1..n as u32));
+    let path = topo
+        .path(node, NodeId::new(0))
+        .expect("a tree is connected");
+    let draws = Draws {
+        hot_patterns: subs.iter().flatten().map(|p| p.value()).collect(),
+        hot_neighbors: topo
+            .neighbors(node)
+            .iter()
+            .map(|v| v.index() as u32)
+            .collect(),
+        ..Draws::uniform(FILLED_UNIVERSE, n as u32)
+    };
+    let table = dispatchers[node.index()].table().clone();
+    (table, draws, path[1].index() as u32)
+}
+
+/// A table tracks the model exactly, op for op — whether it starts
+/// empty or, in a third of the cases, as a dispatcher's filled table
+/// whose op sequence drops the default neighbor at some point.
 #[test]
-fn dense_table_matches_btreemap_model() {
-    forall("dense_table_matches_btreemap_model", 256, |rng| {
-        run_ops(SubscriptionTable::new(), &random_ops(rng, 120, 24, 40), 24);
+fn table_matches_btreemap_model() {
+    forall("table_matches_btreemap_model", 384, |rng| {
+        if rng.random_below(3) == 0 {
+            let (table, draws, default) = filled_table(rng);
+            let mut ops = draws.ops(rng, 120);
+            let at = rng.random_range(0..ops.len() + 1);
+            ops.insert(at, Op::DropNeighbor(default));
+            run_ops(table, &ops, FILLED_UNIVERSE);
+        } else {
+            run_ops(
+                SubscriptionTable::new(),
+                &Draws::uniform(24, 40).ops(rng, 120),
+                24,
+            );
+        }
     });
 }
 
-/// A preallocated table behaves identically to a grow-on-demand one
-/// over the same ops, and the two end up semantically equal — capacity
-/// hints must never change observable behavior.
-#[test]
-fn preallocated_table_matches_model_and_grown_twin() {
-    forall("preallocated_table_matches_grown_twin", 256, |rng| {
-        let ops = random_ops(rng, 120, 24, 40);
-        let grown = run_ops(SubscriptionTable::new(), &ops, 24);
-        let sized = run_ops(SubscriptionTable::with_dims(24, 40), &ops, 24);
-        assert_eq!(grown, sized);
-    });
-}
-
-/// Neighbor populations past 64 force the bitset into spill words; the
+/// Neighbor populations past 63 force rows into further words; the
 /// model must still be tracked exactly (ordering across word
 /// boundaries, slot renumbering on removal).
 #[test]
 fn wide_neighborhoods_spill_correctly() {
     forall("wide_neighborhoods_spill_correctly", 256, |rng| {
-        run_ops(SubscriptionTable::new(), &random_ops(rng, 150, 8, 200), 8);
+        run_ops(
+            SubscriptionTable::new(),
+            &Draws::uniform(8, 200).ops(rng, 150),
+            8,
+        );
     });
 }

@@ -114,14 +114,16 @@ echo "duplicates suppressed: tree=$tree_dups ba=$ba_dups ws=$ws_dups"
 echo "== tier-1: mid-scale cell (N=4000, 8192 patterns: two processes, one output) =="
 # The one place outside benchmark/ where the known-pattern index and
 # the bulk subscription fill run in a release build at a pattern
-# universe large enough to matter (128 index words, 8 KB of rows per
-# dispatcher). The same command runs in two processes and must print
-# the same result lines: the lookup-only maps are seeded per process
-# (eps_sim::hash), and this is the check that the seed never reaches
-# the output. The wall-time line goes to stderr and is not compared.
+# universe large enough to matter (128 shared-bitset words; a
+# dispatcher's own routing state is the ~20 explicit rows on its
+# patterns' subscriber subtrees). The same command runs in two
+# processes and must print the same result lines: the lookup-only
+# maps are seeded per process (eps_sim::hash), and this is the check
+# that the seed never reaches the output. The wall-time line goes to
+# stderr and is not compared.
+midscale_args=(-a push --nodes 4000 --patterns 8192 --publish-rate 2 --duration 0.3 --seed 1)
 midscale_cell() {
-    ./target/release/simulate -a push --nodes 4000 --patterns 8192 \
-        --publish-rate 2 --duration 0.3 --seed 1 2>/dev/null
+    ./target/release/simulate "${midscale_args[@]}" 2>/dev/null
 }
 midscale_a=$(midscale_cell)
 midscale_b=$(midscale_cell)
@@ -129,6 +131,20 @@ echo "$midscale_a" | grep -E 'delivery rate \(whole\)|gossip messages|setup subs
 [ "$midscale_a" = "$midscale_b" ] \
     || { echo "FAIL: mid-scale cell differs between two runs of the same command";
          diff <(echo "$midscale_a") <(echo "$midscale_b"); exit 1; }
+# Memory tripwire: the cell's peak resident set, from the kernel's
+# accounting of a finished child (there is no /usr/bin/time here). Per-
+# dispatcher state that grows with the pattern universe again — dense
+# rows, a bitset per neighbor — puts it back above 60 MB.
+midscale_peak_mb=$(python3 - "${midscale_args[@]}" <<'EOF'
+import resource, subprocess, sys
+subprocess.run(["./target/release/simulate", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+print(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f}")
+EOF
+)
+echo "mid-scale cell peak RSS: ${midscale_peak_mb} MB (limit 32 MB)"
+awk -v mb="$midscale_peak_mb" 'BEGIN {exit !(mb <= 32)}' \
+    || { echo "FAIL: mid-scale cell peaked above 32 MB"; exit 1; }
 
 echo "== tier-1: flag order (--adaptive backs off around the interval the run uses) =="
 # --adaptive brackets --gossip-interval wherever the two flags stand on
