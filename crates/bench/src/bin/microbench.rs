@@ -10,8 +10,8 @@
 //! no-alloc subscription-table matching path, per-hop event cloning,
 //! the in-tree RNG, and one miniature end-to-end scenario at the
 //! paper's Figure 2 defaults — plus one gossip-round benchmark per
-//! registered recovery strategy (so a new registry composition is
-//! benchmarked automatically). Results (median ns per iteration)
+//! recovery strategy (so a new table row is benchmarked
+//! automatically). Results (median ns per iteration)
 //! print to stderr and are written as JSON for tracking across
 //! commits: the kernel set to `--out`, the per-strategy set to
 //! `--gossip-out`.
@@ -483,7 +483,7 @@ fn gossip_node() -> Dispatcher {
         DispatcherConfig {
             cache_own_published: true,
             record_routes: true,
-            // The registry includes the summary-reconciliation family,
+            // The table includes the summary-reconciliation family,
             // whose digests read the cache's hash-range index.
             summary_index: true,
             ..DispatcherConfig::default()
@@ -502,10 +502,10 @@ fn gossip_node() -> Dispatcher {
     node
 }
 
-/// One gossip round per registered recovery strategy, on the
+/// One gossip round per recovery strategy, on the
 /// steady-state workload a loaded dispatcher sees: a warm cache for
 /// the positive digests, a replenished `Lost` buffer for the negative
-/// ones. Iterates over the registry, so hybrids registered later are
+/// ones. Iterates over `Algorithm::all`, so a new table row is
 /// picked up without touching this file.
 fn gossip_rounds() -> Vec<BenchResult> {
     const ROUNDS: u64 = 1_000;

@@ -4,72 +4,41 @@
 //! The engine owns everything the policies share — round sequencing,
 //! dispatch of incoming gossip, the out-of-band request/reply path,
 //! and the idle signal for adaptive gossip — so that a new strategy is
-//! a composition, not a new module. All six paper algorithms are
-//! engines (see [`crate::Algorithm`] for the registry that names
-//! them).
+//! a composition, not a new module. Every strategy but the
+//! no-recovery baseline is an engine (see [`crate::Algorithm`] for the
+//! table that names them).
 
 use eps_overlay::NodeId;
-use eps_pubsub::{Dispatcher, Event, EventId, LossRecord};
+use eps_pubsub::{Dispatcher, Event, EventId, LossRecord, PatternId, RangeRef};
 use eps_sim::Rng;
 
-use crate::algorithm::RecoveryAlgorithm;
 use crate::config::GossipConfig;
 use crate::message::{GossipAction, GossipMessage};
 use crate::policy::{DigestPolicy, SteeringPolicy};
 
 /// A recovery strategy assembled from a digest policy and a steering
 /// policy. The type parameters keep the composition monomorphized (no
-/// dynamic dispatch inside the per-round hot path); the registry wraps
-/// the whole engine in one `Box<dyn RecoveryAlgorithm>` at the node
-/// boundary, exactly as the hand-wired structs were.
+/// dynamic dispatch inside the per-round hot path); a
+/// [`crate::Strategy`] holds one engine per arm, inline.
 #[derive(Debug)]
 pub struct GossipEngine<D, S> {
-    name: std::sync::Arc<str>,
     config: GossipConfig,
     digest: D,
     steering: S,
 }
 
 impl<D: DigestPolicy, S: SteeringPolicy> GossipEngine<D, S> {
-    /// Composes a strategy. `name` is what [`RecoveryAlgorithm::name`]
-    /// reports — for registry-built engines it matches the registered
-    /// name.
-    pub fn new(
-        name: impl Into<std::sync::Arc<str>>,
-        config: GossipConfig,
-        digest: D,
-        steering: S,
-    ) -> Self {
+    /// Composes a strategy.
+    pub fn new(config: GossipConfig, digest: D, steering: S) -> Self {
         GossipEngine {
-            name: name.into(),
             config,
             digest,
             steering,
         }
     }
 
-    /// The digest policy (for tests and metrics).
-    pub fn digest(&self) -> &D {
-        &self.digest
-    }
-
-    /// The steering policy (for tests and metrics).
-    pub fn steering(&self) -> &S {
-        &self.steering
-    }
-
-    /// The gossip parameters this engine runs with.
-    pub fn config(&self) -> &GossipConfig {
-        &self.config
-    }
-}
-
-impl<D: DigestPolicy, S: SteeringPolicy> RecoveryAlgorithm for GossipEngine<D, S> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_round(
+    /// Called every gossip interval `T`: start a new gossip round.
+    pub fn on_round(
         &mut self,
         node: &Dispatcher,
         neighbors: &[NodeId],
@@ -80,7 +49,8 @@ impl<D: DigestPolicy, S: SteeringPolicy> RecoveryAlgorithm for GossipEngine<D, S
             .round(&mut self.digest, node, neighbors, &self.config, rng)
     }
 
-    fn on_gossip(
+    /// A gossip message arrived from tree neighbor `from`.
+    pub fn on_gossip(
         &mut self,
         node: &Dispatcher,
         from: NodeId,
@@ -103,15 +73,19 @@ impl<D: DigestPolicy, S: SteeringPolicy> RecoveryAlgorithm for GossipEngine<D, S
             .unwrap_or_default()
     }
 
-    fn on_losses(&mut self, losses: &[LossRecord]) {
+    /// The dispatcher's loss detector found gaps.
+    pub fn on_losses(&mut self, losses: &[LossRecord]) {
         self.digest.on_losses(losses);
     }
 
-    fn on_event_received(&mut self, event: &Event) {
+    /// An event arrived (on the tree or via recovery).
+    pub fn on_event_received(&mut self, event: &Event) {
         self.digest.on_event_received(event);
     }
 
-    fn on_request(
+    /// An out-of-band request for cached events arrived: answered from
+    /// the cache.
+    pub fn on_request(
         &mut self,
         node: &Dispatcher,
         from: NodeId,
@@ -120,36 +94,46 @@ impl<D: DigestPolicy, S: SteeringPolicy> RecoveryAlgorithm for GossipEngine<D, S
         // The request is the push half's evidence that its digests are
         // finding gaps (no-op for purely reactive digests).
         self.digest.note_request();
-        let events: Vec<Event> = ids
-            .iter()
-            .filter_map(|id| node.cache().get(*id).cloned())
-            .collect();
-        if events.is_empty() {
-            Vec::new()
-        } else {
-            vec![GossipAction::Reply { to: from, events }]
-        }
+        reply_from_cache(node, from, ids)
     }
 
-    fn on_range_request(
-        &mut self,
-        from: NodeId,
-        pattern: eps_pubsub::PatternId,
-        ranges: &[eps_pubsub::RangeRef],
-    ) {
+    /// A peer asks this gossiper to refine `ranges` of `pattern`'s
+    /// summary in its next round.
+    pub fn on_range_request(&mut self, from: NodeId, pattern: PatternId, ranges: &[RangeRef]) {
         self.digest.on_range_request(from, pattern, ranges);
     }
 
-    fn outstanding_losses(&self) -> usize {
+    /// Outstanding `Lost` entries (0 without a `Lost` buffer).
+    pub fn outstanding_losses(&self) -> usize {
         self.digest.outstanding_losses()
     }
 
-    fn lost_evictions(&self) -> u64 {
+    /// `Lost` entries evicted by the FIFO capacity bound.
+    pub fn lost_evictions(&self) -> u64 {
         self.digest.lost_evictions()
     }
 
-    fn is_idle(&self) -> bool {
+    /// `true` when the digest sees no evidence of recovery work.
+    pub fn is_idle(&self) -> bool {
         self.digest.is_idle()
+    }
+}
+
+/// The reply to an out-of-band request: every requested event still
+/// cached, or no action at all when none is.
+pub(crate) fn reply_from_cache(
+    node: &Dispatcher,
+    from: NodeId,
+    ids: &[EventId],
+) -> Vec<GossipAction> {
+    let events: Vec<Event> = ids
+        .iter()
+        .filter_map(|&id| node.cache().get(id).cloned())
+        .collect();
+    if events.is_empty() {
+        Vec::new()
+    } else {
+        vec![GossipAction::Reply { to: from, events }]
     }
 }
 
@@ -157,7 +141,7 @@ impl<D: DigestPolicy, S: SteeringPolicy> RecoveryAlgorithm for GossipEngine<D, S
 mod tests {
     use super::*;
     use crate::policy::{MuxSteering, NegativeDigest, PatternSteering, SourceSteering};
-    use crate::registry::Algorithm;
+    use crate::Algorithm;
     use eps_pubsub::{DispatcherConfig, PatternId};
     use eps_sim::RngFactory;
 
@@ -192,10 +176,9 @@ mod tests {
         node
     }
 
-    /// The tentpole claim, asserted: the registry's `combined-pull` is
-    /// *literally* the `P_source`-mux of source steering over pattern
-    /// steering on a negative digest — identical action sequences
-    /// under a shared seed, round for round.
+    /// The table's `combined-pull` is *literally* the `P_source`-mux
+    /// of source steering over pattern steering on a negative digest —
+    /// identical action sequences under a shared seed, round for round.
     #[test]
     fn combined_pull_equals_mux_of_the_two_pull_steerings() {
         let config = GossipConfig {
@@ -203,9 +186,8 @@ mod tests {
             max_attempts: u32::MAX,
             ..GossipConfig::default()
         };
-        let mut registry_built = Algorithm::combined_pull().build(config);
+        let mut table_built = Algorithm::combined_pull().build(config);
         let mut composed = GossipEngine::new(
-            "manual-mux",
             config,
             NegativeDigest::new(&config),
             MuxSteering::new(SourceSteering, PatternSteering),
@@ -218,9 +200,9 @@ mod tests {
         let mut rng_b = factory.stream("gossip-a");
         for seq in 0..100u64 {
             let losses = [record(0, 1, seq + 1)];
-            registry_built.on_losses(&losses);
+            table_built.on_losses(&losses);
             composed.on_losses(&losses);
-            let a = registry_built.on_round(&node, &neighbors, &mut rng_a);
+            let a = table_built.on_round(&node, &neighbors, &mut rng_a);
             let b = composed.on_round(&node, &neighbors, &mut rng_b);
             assert_eq!(a, b, "round {seq} diverged");
             // Incoming digests are handled identically too.
@@ -229,13 +211,8 @@ mod tests {
                 pattern: PatternId::new(1),
                 lost: vec![record(0, 1, seq + 1)],
             };
-            let a = registry_built.on_gossip(
-                &node,
-                NodeId::new(3),
-                msg.clone(),
-                &neighbors,
-                &mut rng_a,
-            );
+            let a =
+                table_built.on_gossip(&node, NodeId::new(3), msg.clone(), &neighbors, &mut rng_a);
             let b = composed.on_gossip(&node, NodeId::new(3), msg, &neighbors, &mut rng_b);
             assert_eq!(a, b, "gossip handling diverged at round {seq}");
         }
@@ -250,7 +227,6 @@ mod tests {
             .expect("event cached")
             .id();
         let mut engine = GossipEngine::new(
-            "test",
             GossipConfig::default(),
             NegativeDigest::new(&GossipConfig::default()),
             PatternSteering,
@@ -275,12 +251,7 @@ mod tests {
     #[test]
     fn engine_idle_signal_tracks_digest_policy() {
         let config = GossipConfig::default();
-        let mut engine = GossipEngine::new(
-            "test",
-            config,
-            NegativeDigest::new(&config),
-            PatternSteering,
-        );
+        let mut engine = GossipEngine::new(config, NegativeDigest::new(&config), PatternSteering);
         assert!(engine.is_idle());
         engine.on_losses(&[record(0, 1, 3)]);
         assert!(!engine.is_idle());
@@ -297,8 +268,7 @@ mod tests {
     fn unknown_wire_forms_are_dropped() {
         let node = pull_node();
         let config = GossipConfig::default();
-        let mut engine =
-            GossipEngine::new("test", config, NegativeDigest::new(&config), SourceSteering);
+        let mut engine = GossipEngine::new(config, NegativeDigest::new(&config), SourceSteering);
         let mut rng = RngFactory::new(1).stream("gossip");
         // Source steering does not speak RandomPull.
         let msg = GossipMessage::RandomPull {

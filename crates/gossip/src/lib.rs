@@ -16,13 +16,14 @@
 //!   recorded routes back towards the publisher, [`RandomSteering`]
 //!   walks at random under a TTL, and [`MuxSteering`] picks between
 //!   two steerings with probability `P_source`;
-//! - a [`GossipEngine`] pairs one of each and implements
-//!   [`RecoveryAlgorithm`], the boundary the harness talks to.
+//! - a [`GossipEngine`] pairs one of each.
 //!
-//! The [`Algorithm`] registry names the compositions. All six paper
-//! strategies are registry entries — e.g. combined pull is literally
-//! `NegativeDigest × Mux(Source, Pattern)` — and a new hybrid is a
-//! one-line registration, not a new module.
+//! The [`Algorithm`] table names the compositions. All six paper
+//! strategies are rows of it — e.g. combined pull is literally
+//! `NegativeDigest × Mux(Source, Pattern)` — and a new hybrid is one
+//! table row plus one [`Strategy`] arm, not a new module. A
+//! [`Strategy`], built per dispatcher, is the boundary the harness
+//! talks to.
 //!
 //! All strategies react to gossip rounds, detected losses, and
 //! incoming gossip by emitting [`GossipAction`]s, which the simulation
@@ -36,8 +37,7 @@
 //! use eps_gossip::{Algorithm, GossipConfig};
 //!
 //! // Build one instance per dispatcher.
-//! let mut algo = Algorithm::combined_pull().build(GossipConfig::default());
-//! assert_eq!(algo.name(), "combined-pull");
+//! let algo = Algorithm::combined_pull().build(GossipConfig::default());
 //! assert_eq!(algo.outstanding_losses(), 0);
 //!
 //! // Names (and aliases) resolve case-insensitively.
@@ -58,7 +58,7 @@ mod policy;
 mod registry;
 mod summary;
 
-pub use algorithm::{NoRecovery, RecoveryAlgorithm};
+pub use algorithm::Strategy;
 pub use codec::CodecError;
 pub use config::{GossipConfig, DEFAULT_LOST_CAPACITY};
 pub use engine::GossipEngine;
@@ -69,5 +69,5 @@ pub use policy::{
     Absorbed, AlternatingDigest, DigestBody, DigestPolicy, MuxSteering, NegativeDigest,
     PatternSteering, PositiveDigest, RandomSteering, SourceSteering, SteeringPolicy,
 };
-pub use registry::{Algorithm, AlgorithmBuilder, AlgorithmDef, ParseAlgorithmError};
+pub use registry::{Algorithm, ParseAlgorithmError};
 pub use summary::{SummaryDigestPolicy, SummaryMode, DETAIL_THRESHOLD, MAX_QUEUED_RANGES};

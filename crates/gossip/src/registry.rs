@@ -1,14 +1,15 @@
-//! The algorithm registry: named digest × steering compositions.
+//! The closed set of recovery strategies: one `const` table of named
+//! digest × steering compositions.
 //!
-//! The paper's six strategies are registered here as compositions of
-//! the policy stages in [`crate::policy`] — adding a strategy is one
-//! [`Algorithm::register`] call, not a new module plus call-site
-//! edits. The registry replaces the old closed `AlgorithmKind` enum
-//! everywhere it was consumed: CLI parsing, scenario configuration,
-//! node construction, experiment drivers, and benchmarks all work in
-//! terms of [`Algorithm`] handles.
+//! Each row names a composition of the policy stages in
+//! [`crate::policy`] and declares the infrastructure it needs from the
+//! dispatching layer. [`Algorithm`] is a `Copy` handle on a row — what
+//! CLI parsing, scenario configuration, node construction, experiment
+//! drivers and benchmarks all work in terms of — and
+//! [`Algorithm::build`] turns it into the per-dispatcher [`Strategy`].
+//! Adding a strategy is one row here plus one [`Strategy`] arm.
 //!
-//! Built-in entries, in the order the paper's figures list them:
+//! The rows, in the order the paper's figures list them:
 //!
 //! | name              | digest                | steering                      |
 //! |-------------------|-----------------------|-------------------------------|
@@ -23,19 +24,18 @@
 //! | `summary-pull`    | summary (pull mode)   | pattern                       |
 //!
 //! `push-pull` is the first dividend of the decomposition: a hybrid
-//! strategy registered purely by composing existing stages — no new
-//! wire format, no new algorithm struct. The `summary-*` extensions
-//! (aliases `merkle-push` / `merkle-pull`) replace the linear id list
-//! with hash-range tree aggregates, making anti-entropy wire cost
-//! sublinear in cache size; they require the dispatcher to maintain a
+//! built purely by composing existing stages — no new wire format, no
+//! new algorithm struct. The `summary-*` extensions (aliases
+//! `merkle-push` / `merkle-pull`) replace the linear id list with
+//! hash-range tree aggregates, making anti-entropy wire cost sublinear
+//! in cache size; they require the dispatcher to maintain a
 //! [`eps_pubsub::SummaryIndex`], declared via
 //! [`Algorithm::needs_summary_index`].
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::algorithm::{NoRecovery, RecoveryAlgorithm};
+use crate::algorithm::Strategy;
 use crate::config::GossipConfig;
 use crate::engine::GossipEngine;
 use crate::policy::{
@@ -44,48 +44,79 @@ use crate::policy::{
 };
 use crate::summary::SummaryDigestPolicy;
 
-/// Constructor for per-dispatcher strategy instances.
-pub type AlgorithmBuilder = dyn Fn(GossipConfig) -> Box<dyn RecoveryAlgorithm> + Send + Sync;
-
-/// One registry entry: a named recovery-strategy composition plus the
-/// infrastructure it requires from the dispatching layer.
-pub struct AlgorithmDef {
-    /// Canonical name — CSV headers, CLI, [`RecoveryAlgorithm::name`].
-    pub name: String,
-    /// Alternative names accepted by [`Algorithm::named`] and the CLI.
-    pub aliases: Vec<String>,
-    /// Whether publishers must cache their own events (source-steered
-    /// strategies pull towards the publisher, who must be able to
-    /// serve).
-    pub needs_publisher_cache: bool,
-    /// Whether event messages must record their route (source steering
-    /// reverses it).
-    pub needs_route_recording: bool,
-    /// Whether dispatchers must maintain the incremental hash-range
-    /// [`eps_pubsub::SummaryIndex`] over their event cache (the
-    /// summary-reconciliation strategies compare and refine it).
-    pub needs_summary_index: bool,
-    /// Builds a fresh per-dispatcher instance.
-    pub build: Arc<AlgorithmBuilder>,
+/// Which [`Strategy`] arm a table row builds.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Variant {
+    NoRecovery,
+    RandomPull,
+    Push,
+    SubscriberPull,
+    CombinedPull,
+    PublisherPull,
+    PushPull,
+    SummaryPush,
+    SummaryPull,
 }
 
-impl fmt::Debug for AlgorithmDef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AlgorithmDef")
-            .field("name", &self.name)
-            .field("aliases", &self.aliases)
-            .field("needs_publisher_cache", &self.needs_publisher_cache)
-            .field("needs_route_recording", &self.needs_route_recording)
-            .field("needs_summary_index", &self.needs_summary_index)
-            .finish_non_exhaustive()
+/// One table row: a named composition plus the infrastructure it
+/// requires from the dispatching layer.
+#[derive(PartialEq, Eq, Hash)]
+struct Row {
+    /// Canonical name — CSV headers, CLI, `Display`.
+    name: &'static str,
+    /// Alternative names accepted by [`Algorithm::named`] and the CLI.
+    aliases: &'static [&'static str],
+    /// Event messages must record their route (source steering
+    /// reverses it).
+    needs_route_recording: bool,
+    /// Dispatchers must maintain the hash-range summary index over
+    /// their event cache (summary reconciliation refines it).
+    needs_summary_index: bool,
+    variant: Variant,
+}
+
+const fn row(
+    name: &'static str,
+    aliases: &'static [&'static str],
+    needs_route_recording: bool,
+    needs_summary_index: bool,
+    variant: Variant,
+) -> Row {
+    Row {
+        name,
+        aliases,
+        needs_route_recording,
+        needs_summary_index,
+        variant,
     }
 }
 
-/// A cheap handle on a registered recovery strategy.
-///
-/// Equality, ordering of lookups, hashing, and `Display` all work on
-/// the canonical name, so an `Algorithm` behaves like the enum variant
-/// it replaced — except that the set of algorithms is open.
+/// Every strategy, in [`Algorithm::all`] order. The two flags are
+/// `needs_route_recording` and `needs_summary_index`.
+#[rustfmt::skip]
+const TABLE: &[Row] = &[
+    row("no-recovery",     &["none", "baseline"], false, false, Variant::NoRecovery),
+    row("random-pull",     &["random"],           false, false, Variant::RandomPull),
+    row("push",            &[],                   false, false, Variant::Push),
+    row("subscriber-pull", &["sub-pull"],         false, false, Variant::SubscriberPull),
+    row("combined-pull",   &["combined"],         true,  false, Variant::CombinedPull),
+    row("publisher-pull",  &["pub-pull"],         true,  false, Variant::PublisherPull),
+    row("push-pull",       &["hybrid"],           false, false, Variant::PushPull),
+    row("summary-push",    &["merkle-push"],      false, true,  Variant::SummaryPush),
+    row("summary-pull",    &["merkle-pull"],      false, true,  Variant::SummaryPull),
+];
+
+/// The paper's figure order (golden suite, fig3/fig5 reproductions).
+const PAPER_ORDER: [Variant; 6] = [
+    Variant::NoRecovery,
+    Variant::RandomPull,
+    Variant::Push,
+    Variant::SubscriberPull,
+    Variant::CombinedPull,
+    Variant::PublisherPull,
+];
+
+/// A `Copy` handle on one recovery strategy of the table.
 ///
 /// # Examples
 ///
@@ -94,44 +125,46 @@ impl fmt::Debug for AlgorithmDef {
 ///
 /// let algo = Algorithm::named("Combined-Pull").unwrap(); // case-insensitive
 /// assert_eq!(algo.name(), "combined-pull");
-/// let mut instance = algo.build(GossipConfig::default());
-/// assert_eq!(instance.name(), "combined-pull");
+/// let instance = algo.build(GossipConfig::default());
 /// assert!(instance.is_idle());
 /// ```
-#[derive(Clone)]
-pub struct Algorithm(Arc<AlgorithmDef>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Algorithm(&'static Row);
 
 impl Algorithm {
-    /// Looks up a registered algorithm by name or alias,
-    /// case-insensitively.
+    fn of(variant: Variant) -> Algorithm {
+        Algorithm(
+            TABLE
+                .iter()
+                .find(|row| row.variant == variant)
+                .expect("every variant has a row"),
+        )
+    }
+
+    /// Looks up an algorithm by name or alias, case-insensitively.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseAlgorithmError`] listing the registered names
+    /// Returns a [`ParseAlgorithmError`] listing the canonical names
     /// when nothing matches.
     pub fn named(name: &str) -> Result<Algorithm, ParseAlgorithmError> {
         let wanted = name.trim();
-        let entries = registry().read().expect("algorithm registry poisoned");
-        entries
+        TABLE
             .iter()
-            .find(|a| {
-                a.0.name.eq_ignore_ascii_case(wanted)
-                    || a.0.aliases.iter().any(|al| al.eq_ignore_ascii_case(wanted))
+            .find(|row| {
+                row.name.eq_ignore_ascii_case(wanted)
+                    || row.aliases.iter().any(|al| al.eq_ignore_ascii_case(wanted))
             })
-            .cloned()
+            .map(Algorithm)
             .ok_or_else(|| ParseAlgorithmError {
                 input: name.to_owned(),
-                registered: entries.iter().map(|a| a.0.name.clone()).collect(),
             })
     }
 
-    /// Every registered algorithm, in registration order (built-ins
-    /// first, in the paper's figure order).
+    /// Every algorithm, in table order (the paper's six in its figure
+    /// order, then the extensions).
     pub fn all() -> Vec<Algorithm> {
-        registry()
-            .read()
-            .expect("algorithm registry poisoned")
-            .clone()
+        TABLE.iter().map(Algorithm).collect()
     }
 
     /// The six strategies evaluated in the paper, in the order its
@@ -139,52 +172,23 @@ impl Algorithm {
     /// included — figure reproductions and the golden suite iterate
     /// over exactly these.
     pub fn paper() -> Vec<Algorithm> {
-        PAPER_ORDER
-            .iter()
-            .map(|name| Algorithm::named(name).expect("built-in algorithm registered"))
-            .collect()
-    }
-
-    /// Registers (or replaces, matching case-insensitively by name) an
-    /// algorithm definition and returns its handle.
-    pub fn register(def: AlgorithmDef) -> Algorithm {
-        let handle = Algorithm(Arc::new(def));
-        let mut entries = registry().write().expect("algorithm registry poisoned");
-        match entries
-            .iter_mut()
-            .find(|a| a.0.name.eq_ignore_ascii_case(&handle.0.name))
-        {
-            Some(slot) => *slot = handle.clone(),
-            None => entries.push(handle.clone()),
-        }
-        handle
+        PAPER_ORDER.into_iter().map(Algorithm::of).collect()
     }
 
     /// Canonical name.
-    pub fn name(&self) -> &str {
-        &self.0.name
-    }
-
-    /// Accepted alternative names.
-    pub fn aliases(&self) -> &[String] {
-        &self.0.aliases
-    }
-
-    /// Whether publishers must cache their own events for this
-    /// strategy.
-    pub fn needs_publisher_cache(&self) -> bool {
-        self.0.needs_publisher_cache
+    pub fn name(self) -> &'static str {
+        self.0.name
     }
 
     /// Whether event messages must record their route for this
     /// strategy.
-    pub fn needs_route_recording(&self) -> bool {
+    pub fn needs_route_recording(self) -> bool {
         self.0.needs_route_recording
     }
 
     /// Whether dispatchers must maintain the incremental cache summary
     /// index for this strategy.
-    pub fn needs_summary_index(&self) -> bool {
+    pub fn needs_summary_index(self) -> bool {
         self.0.needs_summary_index
     }
 
@@ -193,58 +197,101 @@ impl Algorithm {
     /// # Panics
     ///
     /// Panics if `config` fails [`GossipConfig::validate`].
-    pub fn build(&self, config: GossipConfig) -> Box<dyn RecoveryAlgorithm> {
+    pub fn build(self, config: GossipConfig) -> Strategy {
         config.validate();
-        (self.0.build)(config)
+        let cfg = &config;
+        match self.0.variant {
+            Variant::NoRecovery => Strategy::NoRecovery,
+            Variant::RandomPull => Strategy::RandomPull(GossipEngine::new(
+                config,
+                NegativeDigest::new(cfg),
+                RandomSteering,
+            )),
+            Variant::Push => Strategy::Push(GossipEngine::new(
+                config,
+                PositiveDigest::new(),
+                PatternSteering,
+            )),
+            Variant::SubscriberPull => Strategy::SubscriberPull(GossipEngine::new(
+                config,
+                NegativeDigest::new(cfg),
+                PatternSteering,
+            )),
+            Variant::CombinedPull => Strategy::CombinedPull(GossipEngine::new(
+                config,
+                NegativeDigest::new(cfg),
+                MuxSteering::new(SourceSteering, PatternSteering),
+            )),
+            Variant::PublisherPull => Strategy::PublisherPull(GossipEngine::new(
+                config,
+                NegativeDigest::new(cfg),
+                SourceSteering,
+            )),
+            Variant::PushPull => Strategy::PushPull(GossipEngine::new(
+                config,
+                AlternatingDigest::new(cfg),
+                PatternSteering,
+            )),
+            Variant::SummaryPush => Strategy::SummaryPush(GossipEngine::new(
+                config,
+                SummaryDigestPolicy::push(cfg),
+                PatternSteering,
+            )),
+            Variant::SummaryPull => Strategy::SummaryPull(GossipEngine::new(
+                config,
+                SummaryDigestPolicy::pull(cfg),
+                PatternSteering,
+            )),
+        }
     }
 
     /// The `no-recovery` baseline.
     pub fn no_recovery() -> Algorithm {
-        Algorithm::named("no-recovery").expect("built-in")
+        Algorithm::of(Variant::NoRecovery)
     }
 
     /// The paper's proactive push strategy.
     pub fn push() -> Algorithm {
-        Algorithm::named("push").expect("built-in")
+        Algorithm::of(Variant::Push)
     }
 
     /// The paper's subscriber-based pull strategy.
     pub fn subscriber_pull() -> Algorithm {
-        Algorithm::named("subscriber-pull").expect("built-in")
+        Algorithm::of(Variant::SubscriberPull)
     }
 
     /// The paper's publisher-based pull strategy.
     pub fn publisher_pull() -> Algorithm {
-        Algorithm::named("publisher-pull").expect("built-in")
+        Algorithm::of(Variant::PublisherPull)
     }
 
     /// The paper's combined pull strategy (`P_source` mux).
     pub fn combined_pull() -> Algorithm {
-        Algorithm::named("combined-pull").expect("built-in")
+        Algorithm::of(Variant::CombinedPull)
     }
 
     /// The paper's random-routing comparator.
     pub fn random_pull() -> Algorithm {
-        Algorithm::named("random-pull").expect("built-in")
+        Algorithm::of(Variant::RandomPull)
     }
 
     /// The push+pull hybrid (extension): alternating positive and
     /// negative digests on pattern steering.
     pub fn push_pull() -> Algorithm {
-        Algorithm::named("push-pull").expect("built-in")
+        Algorithm::of(Variant::PushPull)
     }
 
     /// Summary reconciliation, push mode (extension): hash-range tree
     /// digests on pattern steering, receivers fetch their deficit.
     pub fn summary_push() -> Algorithm {
-        Algorithm::named("summary-push").expect("built-in")
+        Algorithm::of(Variant::SummaryPush)
     }
 
     /// Summary reconciliation, pull mode (extension): hash-range tree
     /// digests on pattern steering, receivers serve the gossiper's
     /// deficit.
     pub fn summary_pull() -> Algorithm {
-        Algorithm::named("summary-pull").expect("built-in")
+        Algorithm::of(Variant::SummaryPull)
     }
 }
 
@@ -256,21 +303,7 @@ impl fmt::Debug for Algorithm {
 
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0.name)
-    }
-}
-
-impl PartialEq for Algorithm {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.name == other.0.name
-    }
-}
-
-impl Eq for Algorithm {}
-
-impl std::hash::Hash for Algorithm {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.name.hash(state);
+        f.write_str(self.0.name)
     }
 }
 
@@ -282,259 +315,118 @@ impl FromStr for Algorithm {
     }
 }
 
-/// Error returned when an algorithm name matches no registry entry.
+/// Error returned when an algorithm name matches no table row.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseAlgorithmError {
     input: String,
-    registered: Vec<String>,
 }
 
 impl fmt::Display for ParseAlgorithmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = TABLE.iter().map(|row| row.name).collect();
         write!(
             f,
             "unknown algorithm '{}'; registered: {}",
             self.input,
-            self.registered.join(", ")
+            names.join(", ")
         )
     }
 }
 
 impl std::error::Error for ParseAlgorithmError {}
 
-/// The paper's figure order (golden suite, fig3/fig5 reproductions).
-const PAPER_ORDER: [&str; 6] = [
-    "no-recovery",
-    "random-pull",
-    "push",
-    "subscriber-pull",
-    "combined-pull",
-    "publisher-pull",
-];
-
-fn registry() -> &'static RwLock<Vec<Algorithm>> {
-    static REGISTRY: OnceLock<RwLock<Vec<Algorithm>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(builtins()))
-}
-
-fn def(
-    name: &str,
-    aliases: &[&str],
-    needs_source_infra: bool,
-    build: impl Fn(GossipConfig) -> Box<dyn RecoveryAlgorithm> + Send + Sync + 'static,
-) -> Algorithm {
-    Algorithm(Arc::new(AlgorithmDef {
-        name: name.to_owned(),
-        aliases: aliases.iter().map(|s| (*s).to_owned()).collect(),
-        needs_publisher_cache: needs_source_infra,
-        needs_route_recording: needs_source_infra,
-        needs_summary_index: false,
-        build: Arc::new(build),
-    }))
-}
-
-fn summary_def(
-    name: &str,
-    aliases: &[&str],
-    build: impl Fn(GossipConfig) -> Box<dyn RecoveryAlgorithm> + Send + Sync + 'static,
-) -> Algorithm {
-    Algorithm(Arc::new(AlgorithmDef {
-        name: name.to_owned(),
-        aliases: aliases.iter().map(|s| (*s).to_owned()).collect(),
-        needs_publisher_cache: false,
-        needs_route_recording: false,
-        needs_summary_index: true,
-        build: Arc::new(build),
-    }))
-}
-
-fn builtins() -> Vec<Algorithm> {
-    vec![
-        def("no-recovery", &["none", "baseline"], false, |_| {
-            Box::new(NoRecovery)
-        }),
-        def("random-pull", &["random"], false, |cfg| {
-            Box::new(GossipEngine::new(
-                "random-pull",
-                cfg,
-                NegativeDigest::new(&cfg),
-                RandomSteering,
-            ))
-        }),
-        def("push", &[], false, |cfg| {
-            Box::new(GossipEngine::new(
-                "push",
-                cfg,
-                PositiveDigest::new(),
-                PatternSteering,
-            ))
-        }),
-        def("subscriber-pull", &["sub-pull"], false, |cfg| {
-            Box::new(GossipEngine::new(
-                "subscriber-pull",
-                cfg,
-                NegativeDigest::new(&cfg),
-                PatternSteering,
-            ))
-        }),
-        def("combined-pull", &["combined"], true, |cfg| {
-            Box::new(GossipEngine::new(
-                "combined-pull",
-                cfg,
-                NegativeDigest::new(&cfg),
-                MuxSteering::new(SourceSteering, PatternSteering),
-            ))
-        }),
-        def("publisher-pull", &["pub-pull"], true, |cfg| {
-            Box::new(GossipEngine::new(
-                "publisher-pull",
-                cfg,
-                NegativeDigest::new(&cfg),
-                SourceSteering,
-            ))
-        }),
-        def("push-pull", &["hybrid"], false, |cfg| {
-            Box::new(GossipEngine::new(
-                "push-pull",
-                cfg,
-                AlternatingDigest::new(&cfg),
-                PatternSteering,
-            ))
-        }),
-        summary_def("summary-push", &["merkle-push"], |cfg| {
-            Box::new(GossipEngine::new(
-                "summary-push",
-                cfg,
-                SummaryDigestPolicy::push(&cfg),
-                PatternSteering,
-            ))
-        }),
-        summary_def("summary-pull", &["merkle-pull"], |cfg| {
-            Box::new(GossipEngine::new(
-                "summary-pull",
-                cfg,
-                SummaryDigestPolicy::pull(&cfg),
-                PatternSteering,
-            ))
-        }),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The table as it stands, literally: canonical name, aliases,
+    /// route recording, summary index — in `all()` order — plus the
+    /// `paper()` order. A row edit that moves a CLI name, an alias, a
+    /// CSV header or a dispatcher requirement fails here first.
     #[test]
-    fn paper_entries_keep_the_figure_order() {
-        let names: Vec<String> = Algorithm::paper()
-            .iter()
-            .map(|a| a.name().to_owned())
+    fn the_table_is_pinned() {
+        let rows: [(&str, &[&str], bool, bool); 9] = [
+            ("no-recovery", &["none", "baseline"], false, false),
+            ("random-pull", &["random"], false, false),
+            ("push", &[], false, false),
+            ("subscriber-pull", &["sub-pull"], false, false),
+            ("combined-pull", &["combined"], true, false),
+            ("publisher-pull", &["pub-pull"], true, false),
+            ("push-pull", &["hybrid"], false, false),
+            ("summary-push", &["merkle-push"], false, true),
+            ("summary-pull", &["merkle-pull"], false, true),
+        ];
+        let all: Vec<(&str, &[&str], bool, bool)> = Algorithm::all()
+            .into_iter()
+            .map(|a| {
+                (
+                    a.name(),
+                    a.0.aliases,
+                    a.needs_route_recording(),
+                    a.needs_summary_index(),
+                )
+            })
             .collect();
-        let expected: Vec<String> = PAPER_ORDER.iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(names, expected);
-    }
+        assert_eq!(all, rows);
 
-    #[test]
-    fn names_roundtrip_through_fromstr() {
-        for algo in Algorithm::all() {
-            let parsed: Algorithm = algo.name().parse().unwrap();
-            assert_eq!(parsed, algo);
-        }
-        assert!("bogus".parse::<Algorithm>().is_err());
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive_and_knows_aliases() {
-        assert_eq!(Algorithm::named("PUSH").unwrap(), Algorithm::push());
+        let paper: Vec<&str> = Algorithm::paper()
+            .into_iter()
+            .map(Algorithm::name)
+            .collect();
         assert_eq!(
-            Algorithm::named("Combined-Pull").unwrap(),
-            Algorithm::combined_pull()
+            paper,
+            [
+                "no-recovery",
+                "random-pull",
+                "push",
+                "subscriber-pull",
+                "combined-pull",
+                "publisher-pull",
+            ]
         );
-        assert_eq!(Algorithm::named("none").unwrap(), Algorithm::no_recovery());
-        assert_eq!(Algorithm::named("HYBRID").unwrap(), Algorithm::push_pull());
-        assert_eq!(
-            Algorithm::named(" sub-pull ").unwrap(),
-            Algorithm::subscriber_pull()
-        );
-    }
 
-    #[test]
-    fn unknown_name_error_lists_registered_names() {
-        let err = Algorithm::named("bogus").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("unknown algorithm 'bogus'"), "{msg}");
-        for name in PAPER_ORDER {
-            assert!(msg.contains(name), "{msg} missing {name}");
+        for (name, aliases, ..) in rows {
+            let algo = Algorithm::named(name).unwrap();
+            assert_eq!(algo.name(), name);
+            for spelling in std::iter::once(name).chain(aliases.iter().copied()) {
+                for cased in [spelling.to_uppercase(), format!(" {spelling} ")] {
+                    assert_eq!(cased.parse::<Algorithm>().unwrap(), algo, "{cased}");
+                }
+            }
         }
-        assert!(msg.contains("push-pull"), "{msg}");
     }
 
-    #[test]
-    fn requirements_match_the_paper() {
-        assert!(Algorithm::publisher_pull().needs_publisher_cache());
-        assert!(Algorithm::combined_pull().needs_route_recording());
-        assert!(!Algorithm::push().needs_publisher_cache());
-        assert!(!Algorithm::subscriber_pull().needs_route_recording());
-        assert!(!Algorithm::no_recovery().needs_publisher_cache());
-        assert!(!Algorithm::push_pull().needs_route_recording());
-    }
-
-    #[test]
-    fn summary_entries_declare_their_index_and_stay_out_of_paper_order() {
-        for algo in [Algorithm::summary_push(), Algorithm::summary_pull()] {
-            assert!(algo.needs_summary_index());
-            assert!(!algo.needs_publisher_cache());
-            assert!(!algo.needs_route_recording());
-            assert!(
-                !Algorithm::paper().contains(&algo),
-                "extensions must not perturb paper reproductions"
-            );
-        }
-        for paper in Algorithm::paper() {
-            assert!(!paper.needs_summary_index());
-        }
-        assert_eq!(
-            Algorithm::named("merkle-push").unwrap(),
-            Algorithm::summary_push()
-        );
-        assert_eq!(
-            Algorithm::named("Merkle-Pull").unwrap(),
-            Algorithm::summary_pull()
-        );
-    }
-
+    /// Each row builds the [`Strategy`] arm of the same name, with an
+    /// empty `Lost` buffer.
     #[test]
     fn build_constructs_every_entry() {
         for algo in Algorithm::all() {
             let instance = algo.build(GossipConfig::default());
-            assert_eq!(instance.name(), algo.name());
+            let arm = match &instance {
+                Strategy::NoRecovery => "no-recovery",
+                Strategy::RandomPull(_) => "random-pull",
+                Strategy::Push(_) => "push",
+                Strategy::SubscriberPull(_) => "subscriber-pull",
+                Strategy::CombinedPull(_) => "combined-pull",
+                Strategy::PublisherPull(_) => "publisher-pull",
+                Strategy::PushPull(_) => "push-pull",
+                Strategy::SummaryPush(_) => "summary-push",
+                Strategy::SummaryPull(_) => "summary-pull",
+            };
+            assert_eq!(arm, algo.name());
             assert_eq!(instance.outstanding_losses(), 0);
             assert_eq!(instance.lost_evictions(), 0);
         }
     }
 
     #[test]
-    fn custom_compositions_register_in_one_call() {
-        let custom = Algorithm::register(AlgorithmDef {
-            name: "test-random-push".to_owned(),
-            aliases: vec!["trp".to_owned()],
-            needs_publisher_cache: false,
-            needs_route_recording: false,
-            needs_summary_index: false,
-            build: Arc::new(|cfg| {
-                Box::new(GossipEngine::new(
-                    "test-random-push",
-                    cfg,
-                    AlternatingDigest::new(&cfg),
-                    RandomSteering,
-                ))
-            }),
-        });
-        assert_eq!(Algorithm::named("TRP").unwrap(), custom);
-        let instance = custom.build(GossipConfig::default());
-        assert_eq!(instance.name(), "test-random-push");
-        assert!(Algorithm::all().iter().any(|a| a == &custom));
-        // Paper reproductions are not perturbed by extensions.
-        assert!(!Algorithm::paper().iter().any(|a| a == &custom));
+    fn unknown_name_error_lists_every_name() {
+        let err = "bogus".parse::<Algorithm>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown algorithm 'bogus'; registered: no-recovery, random-pull, push, \
+             subscriber-pull, combined-pull, publisher-pull, push-pull, summary-push, \
+             summary-pull"
+        );
     }
 }

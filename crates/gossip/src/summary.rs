@@ -85,11 +85,11 @@ pub enum SummaryMode {
 }
 
 /// The summary-reconciliation digest policy (`summary-push` /
-/// `summary-pull` in the [`crate::Algorithm`] registry, composed with
+/// `summary-pull` in the [`crate::Algorithm`] table, composed with
 /// [`crate::PatternSteering`]).
 ///
 /// Requires [`eps_pubsub::DispatcherConfig::summary_index`] on every
-/// dispatcher (the registry entries declare it via
+/// dispatcher (the table rows declare it via
 /// [`crate::Algorithm::needs_summary_index`]); building or absorbing a
 /// digest panics otherwise.
 #[derive(Clone)]

@@ -1,7 +1,5 @@
-//! Properties every registered recovery strategy must satisfy, checked
-//! over [`Algorithm::all`] — the paper's six and the extensions alike.
-//! (An integration test, so no unit test's `Algorithm::register` call
-//! can change what `all()` returns mid-run.)
+//! Properties every recovery strategy must satisfy, checked over
+//! [`Algorithm::all`] — the paper's six and the extensions alike.
 
 use eps_gossip::{Algorithm, GossipAction, GossipConfig, GossipMessage};
 use eps_overlay::NodeId;
@@ -10,12 +8,12 @@ use eps_sim::check::forall;
 use eps_sim::Rng;
 
 fn any_algorithm(rng: &mut Rng) -> Algorithm {
-    rng.choose(&Algorithm::all()).unwrap().clone()
+    *rng.choose(&Algorithm::all()).unwrap()
 }
 
 /// A dispatcher provisioned the way the harness provisions one for
 /// `kind` (the summary strategies read the cache's summary index).
-fn dispatcher_for(kind: &Algorithm, id: u32) -> Dispatcher {
+fn dispatcher_for(kind: Algorithm, id: u32) -> Dispatcher {
     Dispatcher::new(
         NodeId::new(id),
         DispatcherConfig {
@@ -63,7 +61,7 @@ fn losses_reconcile_for_every_algorithm() {
             algo.on_event_received(&event);
         }
         assert_eq!(algo.outstanding_losses(), 0, "{kind}");
-        let node = dispatcher_for(&kind, 9);
+        let node = dispatcher_for(kind, 9);
         let actions = algo.on_round(&node, &[NodeId::new(1)], rng);
         assert!(actions.is_empty(), "{kind}: unexpected {actions:?}");
     });
@@ -77,7 +75,7 @@ fn actions_are_well_formed() {
         let kind = any_algorithm(rng);
         let p = PatternId::new(1);
         let me = NodeId::new(2);
-        let mut node = dispatcher_for(&kind, 2);
+        let mut node = dispatcher_for(kind, 2);
         node.subscribe_local(p, &[]);
         node.on_subscribe(p, NodeId::new(3), &[]);
         // An ascending random subset of seqs 0..30, as tree deliveries.

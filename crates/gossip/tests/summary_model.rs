@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use eps_gossip::{
     GossipAction, GossipConfig, GossipEngine, GossipMessage, MuxSteering, PatternSteering,
-    RandomSteering, RecoveryAlgorithm, SourceSteering, SummaryDigestPolicy,
+    RandomSteering, SourceSteering, SteeringPolicy, SummaryDigestPolicy,
 };
 use eps_overlay::NodeId;
 use eps_pubsub::summary::LEVEL_COUNT;
@@ -36,16 +36,21 @@ fn pattern() -> PatternId {
     PatternId::new(1)
 }
 
-/// One side of the reconciliation: a dispatcher plus its boxed
-/// recovery engine, exactly the pairing the harness runs.
-struct Peer {
+/// One side of the reconciliation: a dispatcher plus its summary
+/// engine over steering `S`, the pairing the harness runs.
+struct Peer<S> {
     node: Dispatcher,
-    algo: Box<dyn RecoveryAlgorithm>,
+    algo: GossipEngine<SummaryDigestPolicy, S>,
 }
 
 /// A dispatcher subscribed to the test pattern both locally and on
 /// behalf of its peer, so pattern steering always has a route.
-fn peer(id: u32, peer_id: u32, capacity: usize, algo: Box<dyn RecoveryAlgorithm>) -> Peer {
+fn peer<S: SteeringPolicy>(
+    id: u32,
+    peer_id: u32,
+    capacity: usize,
+    algo: GossipEngine<SummaryDigestPolicy, S>,
+) -> Peer<S> {
     let mut node = Dispatcher::new(
         NodeId::new(id),
         DispatcherConfig {
@@ -60,31 +65,20 @@ fn peer(id: u32, peer_id: u32, capacity: usize, algo: Box<dyn RecoveryAlgorithm>
 }
 
 /// The engine composition under test: a summary digest (push or pull
-/// deficit direction) over pattern steering, optionally behind the
+/// deficit direction) over `steering` — pattern steering, or the
 /// combined-pull style mux (whose source arm has no candidates for a
 /// summary digest and falls back to the pattern arm every round).
-fn summary_engine(pull: bool, mux: bool) -> Box<dyn RecoveryAlgorithm> {
+fn summary_engine<S: SteeringPolicy>(
+    pull: bool,
+    steering: S,
+) -> GossipEngine<SummaryDigestPolicy, S> {
     let config = GossipConfig::default();
     let digest = if pull {
         SummaryDigestPolicy::pull(&config)
     } else {
         SummaryDigestPolicy::push(&config)
     };
-    if mux {
-        Box::new(GossipEngine::new(
-            "summary-mux",
-            config,
-            digest,
-            MuxSteering::new(SourceSteering, PatternSteering),
-        ))
-    } else {
-        Box::new(GossipEngine::new(
-            "summary",
-            config,
-            digest,
-            PatternSteering,
-        ))
-    }
+    GossipEngine::new(config, digest, steering)
 }
 
 /// Feeds `seqs` (ascending) as tree deliveries; what one peer receives
@@ -114,7 +108,12 @@ fn live_ids(node: &Dispatcher) -> BTreeSet<EventId> {
 /// trigger. Returns the number of reconciliation actions that flowed —
 /// digest forwards are free-running and do not count, so a zero return
 /// means the round found no divergence to work on.
-fn apply(src: &mut Peer, dst: &mut Peer, actions: Vec<GossipAction>, rng: &mut Rng) -> usize {
+fn apply<S: SteeringPolicy>(
+    src: &mut Peer<S>,
+    dst: &mut Peer<S>,
+    actions: Vec<GossipAction>,
+    rng: &mut Rng,
+) -> usize {
     let mut work = 0;
     for action in actions {
         match action {
@@ -165,7 +164,12 @@ fn round_bound(delta: usize, digest_max: usize) -> usize {
 /// Runs symmetric rounds (A gossips to B, then B to A) until a round
 /// moves nothing and the caches agree; returns the rounds used, or
 /// `None` if `max_rounds` was not enough.
-fn reconcile(a: &mut Peer, b: &mut Peer, rng: &mut Rng, max_rounds: usize) -> Option<usize> {
+fn reconcile<S: SteeringPolicy>(
+    a: &mut Peer<S>,
+    b: &mut Peer<S>,
+    rng: &mut Rng,
+    max_rounds: usize,
+) -> Option<usize> {
     for round in 1..=max_rounds {
         let opening = a.algo.on_round(&a.node, &[b.node.id()], rng);
         let mut work = apply(a, b, opening, rng);
@@ -184,39 +188,56 @@ fn subset(universe: u64, p: f64, rng: &mut Rng) -> Vec<u64> {
     (0..universe).filter(|_| rng.random_bool(p)).collect()
 }
 
+/// Two caches diverged at random over steering `S` converge to their
+/// union within [`round_bound`].
+fn converges_to_union<S: SteeringPolicy>(pull: bool, steering: fn() -> S, rng: &mut Rng) {
+    let density = rng.random_range(0.2..0.95);
+    let in_a = subset(200, density, rng);
+    let in_b = subset(200, density, rng);
+
+    // The BTreeSet reference the caches must converge to.
+    let sa: BTreeSet<u64> = in_a.iter().copied().collect();
+    let sb: BTreeSet<u64> = in_b.iter().copied().collect();
+    let union: BTreeSet<EventId> = sa
+        .union(&sb)
+        .map(|&seq| EventId::new(NodeId::new(SOURCE), seq))
+        .collect();
+    let delta = sa.symmetric_difference(&sb).count();
+
+    let mut a = peer(0, 1, 1500, summary_engine(pull, steering()));
+    let mut b = peer(1, 0, 1500, summary_engine(pull, steering()));
+    feed(&mut a.node, in_a);
+    feed(&mut b.node, in_b);
+
+    let bound = round_bound(delta, GossipConfig::default().digest_max);
+    let rounds = reconcile(&mut a, &mut b, rng, bound);
+    let label = format!(
+        "pull={pull} steering={} delta={delta}",
+        std::any::type_name::<S>()
+    );
+    assert!(rounds.is_some(), "no convergence within {bound}: {label}");
+    assert_eq!(live_ids(&a.node), union, "{label}");
+    assert_eq!(live_ids(&b.node), union, "{label}");
+    assert_eq!(
+        a.node.cache().summary_index().root(pattern()),
+        b.node.cache().summary_index().root(pattern()),
+        "{label}"
+    );
+}
+
 #[test]
 fn diverged_caches_converge_to_union_for_every_steering() {
     forall("diverged_caches_converge_to_union", 64, |rng| {
         let (pull, mux) = (rng.random_bool(0.5), rng.random_bool(0.5));
-        let density = rng.random_range(0.2..0.95);
-        let in_a = subset(200, density, rng);
-        let in_b = subset(200, density, rng);
-
-        // The BTreeSet reference the caches must converge to.
-        let sa: BTreeSet<u64> = in_a.iter().copied().collect();
-        let sb: BTreeSet<u64> = in_b.iter().copied().collect();
-        let union: BTreeSet<EventId> = sa
-            .union(&sb)
-            .map(|&seq| EventId::new(NodeId::new(SOURCE), seq))
-            .collect();
-        let delta = sa.symmetric_difference(&sb).count();
-
-        let mut a = peer(0, 1, 1500, summary_engine(pull, mux));
-        let mut b = peer(1, 0, 1500, summary_engine(pull, mux));
-        feed(&mut a.node, in_a);
-        feed(&mut b.node, in_b);
-
-        let bound = round_bound(delta, GossipConfig::default().digest_max);
-        let rounds = reconcile(&mut a, &mut b, rng, bound);
-        let label = format!("pull={pull} mux={mux} delta={delta}");
-        assert!(rounds.is_some(), "no convergence within {bound}: {label}");
-        assert_eq!(live_ids(&a.node), union, "{label}");
-        assert_eq!(live_ids(&b.node), union, "{label}");
-        assert_eq!(
-            a.node.cache().summary_index().root(pattern()),
-            b.node.cache().summary_index().root(pattern()),
-            "{label}"
-        );
+        if mux {
+            converges_to_union(
+                pull,
+                || MuxSteering::new(SourceSteering, PatternSteering),
+                rng,
+            );
+        } else {
+            converges_to_union(pull, || PatternSteering, rng);
+        }
     });
 }
 
@@ -231,8 +252,8 @@ fn eviction_churn_leaves_no_unseen_deficits() {
     forall("eviction_churn_leaves_no_unseen_deficits", 64, |rng| {
         let pull = rng.random_bool(0.5);
         let density = rng.random_range(0.3..0.95);
-        let mut a = peer(0, 1, CAPACITY, summary_engine(pull, false));
-        let mut b = peer(1, 0, CAPACITY, summary_engine(pull, false));
+        let mut a = peer(0, 1, CAPACITY, summary_engine(pull, PatternSteering));
+        let mut b = peer(1, 0, CAPACITY, summary_engine(pull, PatternSteering));
         feed(&mut a.node, subset(96, density, rng));
         feed(&mut b.node, subset(96, density, rng));
 
@@ -280,8 +301,8 @@ fn pull_goes_quiet_once_evicted_surplus_is_seen() {
     // seen view — live cache plus tombstones — both sides' aggregates
     // agree, and a window of symmetric rounds must move nothing at
     // all: no replies, no requests, no refinement traffic.
-    let mut a = peer(0, 1, 32, summary_engine(true, false));
-    let mut b = peer(1, 0, 1500, summary_engine(true, false));
+    let mut a = peer(0, 1, 32, summary_engine(true, PatternSteering));
+    let mut b = peer(1, 0, 1500, summary_engine(true, PatternSteering));
     feed(&mut a.node, 0..96);
     feed(&mut b.node, 0..96);
     assert_eq!(
@@ -318,8 +339,12 @@ fn random_steering_is_inert_for_summary_digests() {
         } else {
             SummaryDigestPolicy::push(&config)
         };
-        let engine = GossipEngine::new("summary-random", config, digest, RandomSteering);
-        let mut a = peer(0, 1, 1500, Box::new(engine));
+        let mut a = peer(
+            0,
+            1,
+            1500,
+            GossipEngine::new(config, digest, RandomSteering),
+        );
         feed(&mut a.node, subset(50, 0.5, rng));
         for _ in 0..5 {
             let actions = a.algo.on_round(&a.node, &[NodeId::new(1)], rng);

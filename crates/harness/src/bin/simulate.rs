@@ -91,7 +91,7 @@ fn main() -> ExitCode {
     let configs: Vec<ScenarioConfig> = algorithms
         .iter()
         .map(|kind| {
-            let config = config.with_algorithm(kind.clone());
+            let config = config.with_algorithm(*kind);
             config.validate();
             config
         })

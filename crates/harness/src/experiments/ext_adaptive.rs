@@ -39,7 +39,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
     for &(rate, _) in &rates {
         for kind in overhead_algorithms() {
             for &eps in &epsilons {
-                let mut fixed = base_config(opts).with_algorithm(kind.clone());
+                let mut fixed = base_config(opts).with_algorithm(kind);
                 fixed.link_error_rate = eps;
                 fixed.publish_rate = rate;
                 let mut adaptive = fixed.clone();

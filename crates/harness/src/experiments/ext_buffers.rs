@@ -49,7 +49,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
             betas.iter().flat_map(move |&beta| {
                 POLICIES
                     .iter()
-                    .map(move |&(_, policy)| (kind.clone(), beta, policy))
+                    .map(move |&(_, policy)| (*kind, beta, policy))
             })
         })
         .map(|(kind, beta, policy)| {

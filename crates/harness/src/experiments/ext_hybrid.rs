@@ -1,6 +1,6 @@
 //! Extension experiment: the push-pull hybrid, composed — not coded.
 //!
-//! `push-pull` exists only as a registry entry: an
+//! `push-pull` exists only as a strategy-table row: an
 //! [`AlternatingDigest`](eps_gossip::AlternatingDigest) (push rounds
 //! interleaved with pull rounds) steered along the subscription tree.
 //! No new wire form, no new algorithm module — the composition is the
@@ -86,7 +86,7 @@ fn lossy_panel(
     let algorithms = algorithms();
     let configs: Vec<ScenarioConfig> = algorithms
         .iter()
-        .map(|kind| config.with_algorithm(kind.clone()))
+        .map(|kind| config.with_algorithm(*kind))
         .collect();
     let results: Vec<ScenarioResult> = run_cells(opts, &configs);
 
@@ -142,14 +142,9 @@ fn beta_t_grid(opts: &ExperimentOptions) -> (CsvTable, String) {
     let configs: Vec<ScenarioConfig> = intervals
         .iter()
         .flat_map(|&t| {
-            betas.iter().flat_map({
-                let pair = pair.clone();
-                move |&beta| {
-                    pair.clone()
-                        .into_iter()
-                        .map(move |kind| (t, beta, kind.clone()))
-                }
-            })
+            betas
+                .iter()
+                .flat_map(move |&beta| pair.into_iter().map(move |kind| (t, beta, kind)))
         })
         .map(|(t, beta, kind)| ScenarioConfig {
             buffer_size: beta,

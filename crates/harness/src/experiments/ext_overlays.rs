@@ -51,7 +51,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
             algorithms.iter().map(move |kind| ScenarioConfig {
                 overlay,
                 max_degree,
-                ..base.with_algorithm(kind.clone())
+                ..base.with_algorithm(*kind)
             })
         })
         .collect();

@@ -3,7 +3,7 @@
 //!
 //! The paper's digests announce the cache *linearly*: the wire cost of
 //! a push or pull round grows O(C) with cache size C. The
-//! `summary-push` / `summary-pull` registry entries replace the id
+//! `summary-push` / `summary-pull` table rows replace the id
 //! list with hash-range tree aggregates (see [`eps_pubsub::summary`]),
 //! reaching O(log C + Δ) bits for Δ differing events. This experiment
 //! sweeps the buffer size β across two orders of magnitude and

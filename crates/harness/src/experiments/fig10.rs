@@ -38,7 +38,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
             .iter()
             .flat_map(|&eps| algorithms.iter().map(move |kind| (eps, kind)))
             .map(|(eps, kind)| {
-                let mut config = base_config(opts).with_algorithm(kind.clone());
+                let mut config = base_config(opts).with_algorithm(*kind);
                 config.link_error_rate = eps;
                 config.publish_rate = rate;
                 config

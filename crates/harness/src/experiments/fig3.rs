@@ -95,11 +95,7 @@ fn run_panels(
     let algorithms = delivery_algorithms();
     let configs: Vec<ScenarioConfig> = panels
         .iter()
-        .flat_map(|(_, _, config)| {
-            algorithms
-                .iter()
-                .map(|kind| config.with_algorithm(kind.clone()))
-        })
+        .flat_map(|(_, _, config)| algorithms.iter().map(|kind| config.with_algorithm(*kind)))
         .collect();
     let mut results = run_cells(opts, &configs).into_iter();
     panels

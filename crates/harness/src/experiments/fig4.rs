@@ -77,7 +77,7 @@ fn sweep<F: Fn(&mut ScenarioConfig, &f64)>(
         .iter()
         .flat_map(|&x| algorithms.iter().map(move |kind| (x, kind)))
         .map(|(x, kind)| {
-            let mut config = base_config(opts).with_algorithm(kind.clone());
+            let mut config = base_config(opts).with_algorithm(*kind);
             apply(&mut config, &x);
             config
         })

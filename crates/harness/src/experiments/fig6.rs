@@ -32,7 +32,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
         .iter()
         .flat_map(|&n| algorithms.iter().map(move |kind| (n, kind)))
         .map(|(n, kind)| {
-            let mut config = base_config(opts).with_algorithm(kind.clone());
+            let mut config = base_config(opts).with_algorithm(*kind);
             config.nodes = n;
             config.buffer_size = buffer_for_persistence(&config, n, 4.0);
             config

@@ -40,7 +40,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
         (50.0, "high load (50 publish/s)"),
     ];
     let cell = |rate: f64, pi_max: usize, algo: &Algorithm| {
-        let mut config = base_config(opts).with_algorithm(algo.clone());
+        let mut config = base_config(opts).with_algorithm(*algo);
         config.pi_max = pi_max;
         config.publish_rate = rate;
         config.buffer_size = 4000;

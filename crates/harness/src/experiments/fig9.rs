@@ -91,7 +91,7 @@ fn overhead_sweep<F: Fn(&mut ScenarioConfig, &f64)>(
     let algorithms = overhead_algorithms();
     let configs: Vec<ScenarioConfig> = xs
         .iter()
-        .flat_map(|&x| algorithms.iter().map(move |kind| (x, kind.clone())))
+        .flat_map(|&x| algorithms.iter().map(move |kind| (x, *kind)))
         .map(|(x, kind)| {
             let mut config = base_config(opts).with_algorithm(kind);
             apply(&mut config, &x);

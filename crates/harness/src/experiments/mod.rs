@@ -19,7 +19,7 @@
 //! | `seeds` | Sec. IV-A claim | delivery spread across seeds |
 //! | `ext-adaptive` | extension (Sec. IV-E) | adaptive gossip interval |
 //! | `ext-buffers`  | extension (ref \[13\])  | buffer replacement policies |
-//! | `ext-hybrid`   | extension (registry)   | push-pull hybrid vs combined pull |
+//! | `ext-hybrid`   | extension (composition) | push-pull hybrid vs combined pull |
 //! | `ext-overlays` | extension (arXiv 1112.0416) | tree vs BA vs WS overlays |
 //! | `ext-aggregation` | extension (arXiv 1811.07088) | routing state vs clients per dispatcher |
 //! | `ext-summary` | extension (ROADMAP item 2) | summary-reconciliation wire cost vs cache size |

@@ -24,7 +24,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
     );
     let configs: Vec<ScenarioConfig> = algorithms
         .iter()
-        .flat_map(|kind| (1..=seed_count).map(move |seed| (kind.clone(), seed)))
+        .flat_map(|kind| (1..=seed_count).map(move |seed| (*kind, seed)))
         .map(|(kind, seed)| {
             base_config(&ExperimentOptions {
                 seed: seed as u64,

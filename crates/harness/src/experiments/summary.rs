@@ -40,7 +40,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
     ));
     let configs: Vec<ScenarioConfig> = delivery_algorithms()
         .iter()
-        .map(|kind| base_config(opts).with_algorithm(kind.clone()))
+        .map(|kind| base_config(opts).with_algorithm(*kind))
         .collect();
     let mut results = run_cells(opts, &configs).into_iter();
     for kind in delivery_algorithms() {

@@ -11,7 +11,7 @@
 //! its gossip-decision RNG stream, the trace — is lent to it for the
 //! duration of one call as a [`NodeCtx`].
 
-use eps_gossip::{Envelope, GossipAction, RecoveryAlgorithm};
+use eps_gossip::{Envelope, GossipAction, Strategy};
 use eps_metrics::{DeliverySink, MessageCounters};
 use eps_overlay::NodeId;
 use eps_pubsub::{
@@ -75,12 +75,12 @@ impl NodeCtx<'_> {
 }
 
 /// One simulated dispatcher as an actor: the pub-sub [`Dispatcher`],
-/// its [`RecoveryAlgorithm`], its workload RNG, its (possibly
+/// its recovery [`Strategy`] (inline), its workload RNG, its (possibly
 /// adaptive) gossip-timer state, and its current subscription list.
 pub struct SimNode {
     id: NodeId,
     dispatcher: Dispatcher,
-    algorithm: Box<dyn RecoveryAlgorithm>,
+    algorithm: Strategy,
     workload_rng: Rng,
     gossip_delay: SimTime,
     subscriptions: Vec<PatternId>,
@@ -103,7 +103,7 @@ impl SimNode {
     pub fn new(
         id: NodeId,
         dispatcher_config: DispatcherConfig,
-        algorithm: Box<dyn RecoveryAlgorithm>,
+        algorithm: Strategy,
         workload_rng: Rng,
         gossip_interval: SimTime,
         subscriptions: Vec<PatternId>,

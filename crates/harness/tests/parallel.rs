@@ -43,7 +43,7 @@ fn parallel_cells_match_serial_cells() {
         Algorithm::combined_pull(),
     ]
     .iter()
-    .flat_map(|kind| [1u64, 2].map(|seed| small(kind.clone(), seed)))
+    .flat_map(|kind| [1u64, 2].map(|seed| small(*kind, seed)))
     .collect();
     let serial = par_map(1, &configs, run_scenario);
     for jobs in [2, 4] {

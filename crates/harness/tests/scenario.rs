@@ -24,7 +24,7 @@ fn small(algorithm: Algorithm) -> ScenarioConfig {
 #[test]
 fn lossless_network_delivers_everything() {
     forall("lossless_network_delivers_everything", 32, |rng| {
-        let kind = rng.choose(&Algorithm::all()).unwrap().clone();
+        let kind = *rng.choose(&Algorithm::all()).unwrap();
         let config = ScenarioConfig {
             seed: rng.random_below(1000),
             nodes: rng.random_range(2..30usize),
@@ -33,7 +33,7 @@ fn lossless_network_delivers_everything() {
             duration: SimTime::from_secs(2),
             warmup: SimTime::from_millis(200),
             cooldown: SimTime::from_millis(500),
-            ..small(kind.clone())
+            ..small(kind)
         };
         let result = run_scenario(&config);
         assert!(
@@ -67,7 +67,7 @@ fn recovery_beats_no_recovery() {
         Algorithm::subscriber_pull(),
         Algorithm::combined_pull(),
     ] {
-        let recovered = run_scenario(&small(kind.clone()));
+        let recovered = run_scenario(&small(kind));
         assert!(
             recovered.delivery_rate > baseline.delivery_rate,
             "{kind}: {} <= baseline {}",

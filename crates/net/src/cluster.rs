@@ -263,17 +263,14 @@ pub(crate) fn node_params(config: &NetConfig) -> NodeParams {
 pub(crate) fn bind_with_retry<S>(
     mut bind: impl FnMut() -> std::io::Result<S>,
 ) -> std::io::Result<S> {
-    let mut last = None;
-    for _ in 0..40 {
-        match bind() {
-            Ok(sock) => return Ok(sock),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(50));
-            }
+    for _ in 1..40 {
+        if let Ok(sock) = bind() {
+            return Ok(sock);
         }
+        std::thread::sleep(Duration::from_millis(50));
     }
-    Err(last.expect("at least one attempt"))
+    // The fortieth attempt's error is the one reported.
+    bind()
 }
 
 /// Merges every node's sinks into one report, through the same
@@ -360,10 +357,10 @@ pub(crate) fn aggregate_cores(
 
 /// Nearest-rank percentiles over the publish-to-deliver samples.
 fn latency_percentiles(latencies_ns: &mut [u64]) -> DeliveryLatency {
-    if latencies_ns.is_empty() {
-        return DeliveryLatency::default();
-    }
     latencies_ns.sort_unstable();
+    let Some(&max) = latencies_ns.last() else {
+        return DeliveryLatency::default();
+    };
     let at = |pct: u64| {
         let idx = ((latencies_ns.len() as u64 - 1) * pct / 100) as usize;
         Duration::from_nanos(latencies_ns[idx])
@@ -372,6 +369,6 @@ fn latency_percentiles(latencies_ns: &mut [u64]) -> DeliveryLatency {
         samples: latencies_ns.len() as u64,
         p50: at(50),
         p99: at(99),
-        max: Duration::from_nanos(*latencies_ns.last().expect("non-empty")),
+        max: Duration::from_nanos(max),
     }
 }

@@ -77,15 +77,11 @@ impl FrameReader {
     /// should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameTooLarge> {
         let avail = self.buf.len() - self.pos;
-        if avail < 4 {
+        let Some(&prefix) = self.buf[self.pos..].first_chunk::<4>() else {
             self.compact();
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        ) as usize;
+        };
+        let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME {
             return Err(FrameTooLarge { claimed: len });
         }

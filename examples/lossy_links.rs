@@ -27,7 +27,7 @@ fn main() {
         for kind in Algorithm::paper() {
             let config = ScenarioConfig {
                 link_error_rate: eps,
-                algorithm: kind.clone(),
+                algorithm: kind,
                 ..base.clone()
             };
             let result = run_scenario(&config);

@@ -38,7 +38,7 @@ fn main() {
         ] {
             let config = ScenarioConfig {
                 reconfig_interval: Some(SimTime::from_millis(rho_ms)),
-                algorithm: kind.clone(),
+                algorithm: kind,
                 ..base.clone()
             };
             let result = run_scenario(&config);

@@ -30,7 +30,7 @@ fn main() {
         Algorithm::push(),
         Algorithm::combined_pull(),
     ] {
-        let result = run_scenario(&base.with_algorithm(kind.clone()));
+        let result = run_scenario(&base.with_algorithm(kind));
         println!(
             "{:<16} {:>9.1}% {:>11.1}% {:>14.1} {:>12}",
             kind.name(),

@@ -22,8 +22,8 @@ fn base(kind: Algorithm, seed: u64) -> ScenarioConfig {
 #[test]
 fn every_algorithm_is_deterministic() {
     for kind in Algorithm::paper() {
-        let a = run_scenario(&base(kind.clone(), 7));
-        let b = run_scenario(&base(kind.clone(), 7));
+        let a = run_scenario(&base(kind, 7));
+        let b = run_scenario(&base(kind, 7));
         assert_eq!(a.delivery_rate, b.delivery_rate, "{kind}");
         assert_eq!(a.events_published, b.events_published, "{kind}");
         assert_eq!(a.event_msgs, b.event_msgs, "{kind}");

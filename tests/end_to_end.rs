@@ -52,7 +52,7 @@ fn all_algorithms_complete_and_report_sane_numbers() {
                 cooldown: SimTime::from_millis(500),
                 reconfig_interval: reconfig_ms.map(SimTime::from_millis),
                 churn_interval: churn_ms.map(SimTime::from_millis),
-                algorithm: rng.choose(&Algorithm::all()).unwrap().clone(),
+                algorithm: *rng.choose(&Algorithm::all()).unwrap(),
                 ..ScenarioConfig::default()
             };
             let kind = &config.algorithm;
@@ -86,7 +86,7 @@ fn every_recovery_strategy_beats_the_baseline() {
         if kind == Algorithm::no_recovery() {
             continue;
         }
-        let r = run(kind.clone());
+        let r = run(kind);
         assert!(
             r.delivery_rate > baseline.delivery_rate + 0.02,
             "{kind}: {} vs baseline {}",

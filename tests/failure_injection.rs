@@ -161,7 +161,7 @@ fn two_node_network_works_for_every_algorithm() {
     for kind in Algorithm::paper() {
         let r = run_scenario(&ScenarioConfig {
             nodes: 2,
-            ..base(kind.clone())
+            ..base(kind)
         });
         assert!(
             (0.0..=1.0).contains(&r.delivery_rate),

@@ -28,7 +28,7 @@ fn latencies_are_positive_and_bounded_by_the_run() {
         Algorithm::combined_pull(),
         Algorithm::random_pull(),
     ] {
-        let r = run(kind.clone());
+        let r = run(kind);
         assert!(r.events_recovered > 0, "{kind} recovered nothing");
         assert!(
             r.recovery_latency_mean > 0.0,
