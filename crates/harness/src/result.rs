@@ -231,7 +231,7 @@ pub fn assemble(
         replies: counters.reply_total(),
         events_retransmitted: counters.events_retransmitted(),
         events_recovered: counters.events_recovered(),
-        recovery_latency_mean: tracker.recovery_latency().mean(),
+        recovery_latency_mean: tracker.recovery_latency_mean(),
         recovery_latency_p95: tracker.recovery_latency_quantile(0.95).unwrap_or(0.0),
         outstanding_losses,
         lost_evictions: counters.lost_evictions(),
