@@ -57,8 +57,9 @@ pub struct NodeCtx<'a> {
     pub subscribers_of: &'a [Vec<(NodeId, ClientId)>],
     /// This node's gossip-decision RNG stream.
     pub gossip_rng: &'a mut Rng,
-    /// Delivery bookkeeping: the run's [`eps_metrics::DeliveryLog`]
-    /// in the scenario runner, the live tracker in the socket runtime.
+    /// Delivery bookkeeping: the run's [`eps_metrics::DeliveryTracker`]
+    /// in the scenario runner; in the socket runtime, a counter of the
+    /// call's expected and made deliveries.
     pub tracker: &'a mut dyn DeliverySink,
     /// Message counting.
     pub counters: &'a mut MessageCounters,

@@ -26,14 +26,11 @@
 //! - Every random draw comes from a per-node stream (gossip decisions,
 //!   link loss, workload) or a coordinator-only stream (reconfig,
 //!   churn), so no draw depends on how nodes interleave.
-//! - Deliveries are journaled ([`DeliveryLog`]) and replayed into the
-//!   tracker in sorted order after the run, which fixes the order of
-//!   every float sum.
 //!
 //! The golden suite pins the bytes.
 
 use eps_gossip::{Channel, Envelope};
-use eps_metrics::{DeliveryLog, DeliveryTracker, MessageCounters};
+use eps_metrics::{DeliveryTracker, MessageCounters};
 use eps_overlay::{plan_reconnection, NodeId, RoutingView, ShardTransport, Topology};
 use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace, PubSubMessage};
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
@@ -147,7 +144,11 @@ fn run(
             .map(|i| factory.indexed_stream("net-node", i))
             .collect(),
         send_seq: vec![0; config.nodes],
-        log: DeliveryLog::new(),
+        tracker: if config.churn_interval.is_some() {
+            DeliveryTracker::new_tolerant()
+        } else {
+            DeliveryTracker::new()
+        },
         counters: MessageCounters::new(config.nodes),
         trace,
         coordinator: KeyedEngine::new(),
@@ -181,19 +182,10 @@ fn run(
         .map(|n| n.outstanding_losses() as u64)
         .sum();
     let evictions: u64 = world.nodes.iter().map(|n| n.lost_evictions()).sum();
-    // The nodes' caches and tables are the bulk of a run's memory:
-    // free them before the replay below builds the tracker.
-    world.nodes = Vec::new();
     world.counters.count_lost_evictions(evictions);
-    let mut tracker = if config.churn_interval.is_some() {
-        DeliveryTracker::new_tolerant()
-    } else {
-        DeliveryTracker::new()
-    };
-    world.log.replay_into(&mut tracker);
     let result = assemble(
         config,
-        &tracker,
+        &world.tracker,
         &world.counters,
         outstanding,
         world.reconfigurations,
@@ -263,7 +255,9 @@ struct World<'a> {
     net_rngs: Vec<Rng>,
     /// Per-node monotone sequence for event keys.
     send_seq: Vec<u64>,
-    log: DeliveryLog,
+    /// The run's delivery accounting, lent to every node call. With
+    /// churn it tolerates deliveries to late subscribers.
+    tracker: DeliveryTracker,
     counters: MessageCounters,
     /// The run's trace, on a traced run.
     trace: Option<ScenarioTrace>,
@@ -400,7 +394,7 @@ impl World<'_> {
             space: &self.space,
             subscribers_of: &self.subscribers_of,
             gossip_rng: &mut self.gossip_rngs[i],
-            tracker: &mut self.log,
+            tracker: &mut self.tracker,
             counters: &mut self.counters,
             trace: &mut self.trace,
         };

@@ -10,9 +10,9 @@
 //! - [`MessageCounters`] — per-class message counts: event forwarding
 //!   vs. gossip vs. out-of-band requests/replies, per dispatcher and
 //!   system-wide (Figures 9–10);
-//! - [`DeliverySink`] / [`DeliveryLog`] — the recording abstraction
-//!   behind the scenario runner: the run's journal of delivery
-//!   records, replayed sorted so float sums have one order;
+//! - [`DeliverySink`] — what a node reports its publishes and
+//!   deliveries to while it runs: the tracker itself in the scenario
+//!   runner;
 //! - [`NetCounters`] — socket-layer runtime counters (connect
 //!   retries, queue drops, decode errors) for the real-socket runtime;
 //! - [`CsvTable`] / [`ascii_chart`] — result export for the harness.
@@ -30,4 +30,4 @@ pub use counters::MessageCounters;
 pub use delivery::DeliveryTracker;
 pub use export::{ascii_chart, CsvTable, Series};
 pub use net::NetCounters;
-pub use sink::{DeliveryLog, DeliverySink};
+pub use sink::DeliverySink;

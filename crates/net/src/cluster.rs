@@ -51,9 +51,9 @@ pub struct NetConfig {
     pub drain: Duration,
     /// Bounded outbound queue, in frames per link.
     pub queue_capacity: usize,
-    /// Per-node trace capacity (publish/deliver records drive both
-    /// the adaptive stop and the final result assembly; an overflow
-    /// is reported in [`NetRunReport::trace_dropped`]).
+    /// Per-node trace capacity (publish/deliver records drive the
+    /// final result assembly; an overflow is reported in
+    /// [`NetRunReport::trace_dropped`]).
     pub trace_capacity: usize,
 }
 

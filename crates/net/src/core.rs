@@ -12,10 +12,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use eps_gossip::codec;
 use eps_gossip::{Channel, Envelope};
-use eps_harness::{AdaptiveGossip, NodeCtx, Outgoing, ScenarioTrace, SimNode, TraceRecord};
-use eps_metrics::{DeliveryTracker, MessageCounters, NetCounters};
+use eps_harness::{AdaptiveGossip, NodeCtx, Outgoing, ScenarioTrace, SimNode};
+use eps_metrics::{DeliverySink, MessageCounters, NetCounters};
 use eps_overlay::NodeId;
-use eps_pubsub::{ClientId, PatternSpace, PubSubMessage};
+use eps_pubsub::{ClientId, EventId, PatternSpace, PubSubMessage};
 use eps_sim::{Rng, SimTime};
 
 /// Run-wide shared state: the stop flag and the adaptive-stop
@@ -30,6 +30,27 @@ pub(crate) struct Shared {
     pub delivered: AtomicU64,
     /// Nodes whose publish schedule is exhausted.
     pub publishers_done: AtomicU64,
+}
+
+/// What one call into a node adds to the [`Shared`] progress
+/// counters: the intended deliveries of its publishes and the
+/// deliveries it made, recovered or not.
+#[derive(Default)]
+struct Progress {
+    expected: u64,
+    delivered: u64,
+}
+
+impl DeliverySink for Progress {
+    fn published(&mut self, _id: EventId, _at: SimTime, expected_recipients: u32) {
+        self.expected += u64::from(expected_recipients);
+    }
+    fn delivered(&mut self, _id: EventId, _node: NodeId, _client: ClientId, _now: SimTime) {
+        self.delivered += 1;
+    }
+    fn recovered(&mut self, _id: EventId, _node: NodeId, _client: ClientId, _now: SimTime) {
+        self.delivered += 1;
+    }
 }
 
 /// One message the core wants on the wire: the target, which channel
@@ -91,7 +112,6 @@ pub(crate) struct NodeCore {
     gossip_rng: Rng,
     loss_rng: Rng,
 
-    pub tracker: DeliveryTracker,
     pub counters: MessageCounters,
     pub net: NetCounters,
     pub trace: Option<ScenarioTrace>,
@@ -140,7 +160,6 @@ impl NodeCore {
             duration: params.duration,
             gossip_rng,
             loss_rng: setup.loss_rng,
-            tracker: DeliveryTracker::new(),
             counters: MessageCounters::new(setup.counters_width),
             net: NetCounters::default(),
             trace: Some(ScenarioTrace::new(setup.trace_capacity)),
@@ -232,45 +251,44 @@ impl NodeCore {
             self.net.injected_drops += 1;
             return Vec::new();
         }
-        let before = self.trace_len();
-        let out = {
-            let mut ctx = NodeCtx {
-                now,
-                neighbors: &self.neighbors,
-                graph_neighbors: &self.graph_neighbors,
-                space: &self.space,
-                subscribers_of: &self.subscribers_of,
-                gossip_rng: &mut self.gossip_rng,
-                tracker: &mut self.tracker,
-                counters: &mut self.counters,
-                trace: &mut self.trace,
-            };
-            self.node.handle(from, env_msg, &mut ctx)
-        };
-        let delivered = self.delivers_since(before);
-        if delivered > 0 {
-            shared.delivered.fetch_add(delivered, Ordering::Relaxed);
-        }
+        let out = self.with_ctx(now, shared, |node, ctx| node.handle(from, env_msg, ctx));
         self.route(out)
     }
 
-    fn trace_len(&self) -> usize {
-        self.trace.as_ref().map(|t| t.len()).unwrap_or(0)
-    }
-
-    /// Deliver records appended since `before` — the increment for the
-    /// adaptive-stop counter. Scans only the new tail, so the cost per
-    /// message stays constant.
-    fn delivers_since(&self, before: usize) -> u64 {
-        self.trace
-            .as_ref()
-            .map(|t| {
-                t.records()[before.min(t.len())..]
-                    .iter()
-                    .filter(|r| matches!(r, TraceRecord::Deliver { .. }))
-                    .count() as u64
-            })
-            .unwrap_or(0)
+    /// Lends the node its context for one call and adds the call's
+    /// progress to the coordinator's convergence counters. Counting
+    /// through the sink, not the bounded trace, keeps the counters
+    /// moving after the trace is full.
+    fn with_ctx<R>(
+        &mut self,
+        now: SimTime,
+        shared: &Shared,
+        f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R,
+    ) -> R {
+        let mut progress = Progress::default();
+        let mut ctx = NodeCtx {
+            now,
+            neighbors: &self.neighbors,
+            graph_neighbors: &self.graph_neighbors,
+            space: &self.space,
+            subscribers_of: &self.subscribers_of,
+            gossip_rng: &mut self.gossip_rng,
+            tracker: &mut progress,
+            counters: &mut self.counters,
+            trace: &mut self.trace,
+        };
+        let out = f(&mut self.node, &mut ctx);
+        if progress.expected > 0 {
+            shared
+                .expected
+                .fetch_add(progress.expected, Ordering::Relaxed);
+        }
+        if progress.delivered > 0 {
+            shared
+                .delivered
+                .fetch_add(progress.delivered, Ordering::Relaxed);
+        }
+        out
     }
 
     /// Fires every timer due at virtual time `now`: at most one
@@ -282,30 +300,9 @@ impl NodeCore {
         let mut sends = Vec::new();
         if let Some(vnext) = self.publish_vnext {
             if now >= vnext {
-                let expected_before = self.tracker.expected_total();
-                let trace_before = self.trace_len();
-                let (out, delay) = {
-                    let mut ctx = NodeCtx {
-                        now,
-                        neighbors: &self.neighbors,
-                        graph_neighbors: &self.graph_neighbors,
-                        space: &self.space,
-                        subscribers_of: &self.subscribers_of,
-                        gossip_rng: &mut self.gossip_rng,
-                        tracker: &mut self.tracker,
-                        counters: &mut self.counters,
-                        trace: &mut self.trace,
-                    };
-                    self.node.tick_publish(self.publish_rate, &mut ctx)
-                };
-                let expected = self.tracker.expected_total() - expected_before;
-                if expected > 0 {
-                    shared.expected.fetch_add(expected, Ordering::Relaxed);
-                }
-                let delivered = self.delivers_since(trace_before);
-                if delivered > 0 {
-                    shared.delivered.fetch_add(delivered, Ordering::Relaxed);
-                }
+                let rate = self.publish_rate;
+                let (out, delay) =
+                    self.with_ctx(now, shared, |node, ctx| node.tick_publish(rate, ctx));
                 sends.extend(self.route(out));
                 if vnext + delay < self.duration {
                     self.publish_vnext = Some(vnext + delay);
@@ -320,21 +317,10 @@ impl NodeCore {
         // recovery needs rounds to finish the job. Documented as a
         // sim/net equivalence rule.
         while now >= self.gossip_vnext {
-            let (out, next) = {
-                let mut ctx = NodeCtx {
-                    now,
-                    neighbors: &self.neighbors,
-                    graph_neighbors: &self.graph_neighbors,
-                    space: &self.space,
-                    subscribers_of: &self.subscribers_of,
-                    gossip_rng: &mut self.gossip_rng,
-                    tracker: &mut self.tracker,
-                    counters: &mut self.counters,
-                    trace: &mut self.trace,
-                };
-                self.node
-                    .tick_gossip(self.gossip_interval, self.adaptive, &mut ctx)
-            };
+            let (interval, adaptive) = (self.gossip_interval, self.adaptive);
+            let (out, next) = self.with_ctx(now, shared, |node, ctx| {
+                node.tick_gossip(interval, adaptive, ctx)
+            });
             sends.extend(self.route(out));
             self.gossip_vnext += next;
         }

@@ -107,6 +107,25 @@ fn sixteen_node_tree_survives_forced_restarts_under_the_reactor() {
     assert_eq!(report.net.decode_errors, 0, "codec never misparses");
 }
 
+/// The coordinator's convergence check counts deliveries where they
+/// happen, not in the bounded per-node trace: once every node's trace
+/// is full, a converged run must still stop, not wait out its drain.
+#[test]
+fn a_full_trace_does_not_hold_a_converged_run_for_its_drain() {
+    let mut config = smoke_config(3, Algorithm::no_recovery(), 11);
+    config.scenario.link_error_rate = 0.0;
+    config.drain = Duration::from_secs(4);
+    config.trace_capacity = 8;
+    let started = Instant::now();
+    let report = run_reactor_cluster(config.clone(), 2).expect("reactor boots");
+    let took = started.elapsed();
+    assert!(report.trace_dropped > 0, "the traces overflowed");
+    assert!(
+        took < config.drain / 2,
+        "a lossless run converges with its workload; took {took:?}"
+    );
+}
+
 /// The scale acceptance: 1000 dispatchers in one process, two worker
 /// threads, every tree link live, full delivery. Loss injection is off
 /// so the run's byte budget stays test-sized; what this pins is the
