@@ -200,10 +200,10 @@ fn run_stage(
     let start = Instant::now();
     let report = run_reactor_cluster(config, workers).map_err(|e| format!("reactor: {e}"))?;
     let elapsed = start.elapsed();
-    if report.net.decode_errors > 0 || report.trace_dropped > 0 {
+    if report.net.decode_errors > 0 {
         return Err(format!(
-            "stage at rate {rate} corrupted: {} decode errors, {} trace drops",
-            report.net.decode_errors, report.trace_dropped
+            "stage at rate {rate} corrupted: {} decode errors",
+            report.net.decode_errors
         ));
     }
     let delivered = report.latency.samples;

@@ -37,7 +37,7 @@ mod runner;
 mod trace;
 
 pub use config::{AdaptiveGossip, ScenarioConfig};
-pub use node::{routing_stats, NodeCtx, Outgoing, SimNode};
+pub use node::{charge_send, routing_stats, NodeCtx, Outgoing, SimNode};
 pub use population::{build_population, Population};
 pub use result::{assemble, RoutingStats, ScenarioResult};
 pub use runner::{run_scenario, run_scenario_traced, run_scenario_with_stats, RunStats};

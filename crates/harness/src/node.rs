@@ -58,8 +58,8 @@ pub struct NodeCtx<'a> {
     /// This node's gossip-decision RNG stream.
     pub gossip_rng: &'a mut Rng,
     /// Delivery bookkeeping: the run's [`eps_metrics::DeliveryTracker`]
-    /// in the scenario runner; in the socket runtime, a counter of the
-    /// call's expected and made deliveries.
+    /// in the scenario runner; in the socket runtime, a sink that
+    /// locks the process's one tracker for each call.
     pub tracker: &'a mut dyn DeliverySink,
     /// Message counting.
     pub counters: &'a mut MessageCounters,
@@ -463,6 +463,25 @@ pub fn routing_stats<'a>(
         stats.routing_entries += node.dispatcher.table().len() as u64;
     }
     stats
+}
+
+/// Charges one envelope `from` puts on a wire to the send-layer
+/// counters: event and subscription traffic by message, digest,
+/// request and reply traffic by its `bits` on the wire. Gossip,
+/// request and reply *messages* are counted by the node when it
+/// decides to send them. The simulator's send layer and the socket
+/// runtime both charge through here; the socket side passes the bits
+/// of the envelope as `codec::fit` trimmed it.
+pub fn charge_send(counters: &mut MessageCounters, from: NodeId, env: &Envelope, bits: u64) {
+    match env {
+        Envelope::PubSub(PubSubMessage::Event(_)) | Envelope::CrossEvent(_) => {
+            counters.count_event(from)
+        }
+        Envelope::PubSub(_) => counters.count_subscription(from),
+        Envelope::Gossip(_) => counters.count_gossip_bits(bits),
+        Envelope::Request(_) | Envelope::RangeRequest { .. } => counters.count_request_bits(bits),
+        Envelope::Reply(_) => counters.count_reply_bits(bits),
+    }
 }
 
 fn pubsub_out(forwards: Vec<eps_pubsub::Forward>) -> Vec<Outgoing> {

@@ -32,11 +32,11 @@
 use eps_gossip::{Channel, Envelope};
 use eps_metrics::{DeliveryTracker, MessageCounters};
 use eps_overlay::{plan_reconnection, NodeId, RoutingView, ShardTransport, Topology};
-use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace, PubSubMessage};
+use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace};
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 use crate::config::ScenarioConfig;
-use crate::node::{routing_stats, NodeCtx, Outgoing, SimNode};
+use crate::node::{charge_send, routing_stats, NodeCtx, Outgoing, SimNode};
 use crate::population::{build_population, cross_targets_for, Population};
 use crate::result::{assemble, ScenarioResult};
 use crate::trace::{ScenarioTrace, TraceRecord};
@@ -410,48 +410,22 @@ impl World<'_> {
         let sender = from.index();
         for Outgoing { to, env } in out {
             let bits = env.wire_bits(payload_bits);
+            // Charged before link state is consulted: a message lost to
+            // a broken link was still sent.
+            charge_send(&mut self.counters, from, &env, bits);
             let arrival = match env.channel() {
-                Channel::Tree => {
-                    match &env {
-                        Envelope::PubSub(PubSubMessage::Event(_)) => {
-                            self.counters.count_event(from)
-                        }
-                        Envelope::PubSub(_) => self.counters.count_subscription(from),
-                        // Gossip *messages* are counted at the action
-                        // level; their wire *bits* are charged here,
-                        // where the size is known — like the message
-                        // counts, before link state is consulted (a
-                        // digest lost to a broken link was still sent).
-                        Envelope::Gossip(_) => self.counters.count_gossip_bits(bits),
-                        _ => {}
-                    }
+                // A cross-link event copy takes the tree's link model:
+                // the chord is a physical link like any other.
+                Channel::Tree | Channel::Cross => {
                     if !self.topology.has_link(from, to) {
-                        // Broken link or stale route: the message is lost.
-                        continue;
-                    }
-                    self.transport
-                        .send_link(from, to, bits, now, &mut self.net_rngs[sender])
-                }
-                Channel::Cross => {
-                    // A cross-link event copy: same link model as the
-                    // tree (the chord is a physical link like any
-                    // other), counted as an event message.
-                    self.counters.count_event(from);
-                    if !self.topology.has_link(from, to) {
-                        // Broken chord or stale cross target: lost.
+                        // Broken link, broken chord or stale route: the
+                        // message is lost.
                         continue;
                     }
                     self.transport
                         .send_link(from, to, bits, now, &mut self.net_rngs[sender])
                 }
                 Channel::OutOfBand => {
-                    match &env {
-                        Envelope::Request(_) | Envelope::RangeRequest { .. } => {
-                            self.counters.count_request_bits(bits)
-                        }
-                        Envelope::Reply(_) => self.counters.count_reply_bits(bits),
-                        _ => {}
-                    }
                     self.transport
                         .send_oob(from, to, bits, now, &mut self.net_rngs[sender])
                 }

@@ -234,9 +234,10 @@ impl MessageCounters {
     }
 
     /// Folds `other` into `self`, dispatcher by dispatcher. The
-    /// real-socket runtime keeps one `MessageCounters` per node thread
-    /// (no shared mutable state on the hot path) and merges them after
-    /// the run; both sides must track the same dispatcher count.
+    /// real-socket runtime keeps one `MessageCounters` per reactor
+    /// worker (no shared mutable state on the hot path) and merges
+    /// them after the run; both sides must track the same dispatcher
+    /// count.
     pub fn absorb(&mut self, other: &MessageCounters) {
         assert_eq!(
             self.len(),

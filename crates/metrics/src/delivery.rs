@@ -118,8 +118,7 @@ impl DeliveryTracker {
     /// observation — push has a larger recovery latency than pull —
     /// is measured through these samples.
     pub fn recovered(&mut self, id: EventId, node: NodeId, now: SimTime) {
-        if let Some(&i) = self.index.get(&id) {
-            let published = self.records[i].published;
+        if let Some(published) = self.published_at(id) {
             self.recovery_latencies_ns
                 .push(now.saturating_sub(published).as_nanos());
         }
@@ -151,6 +150,11 @@ impl DeliveryTracker {
             .map(|&ns| SimTime::from_nanos(ns).as_secs_f64())
             .collect();
         quantile(&secs, q)
+    }
+
+    /// When event `id` was published, if it is registered.
+    pub fn published_at(&self, id: EventId) -> Option<SimTime> {
+        self.index.get(&id).map(|&i| self.records[i].published)
     }
 
     /// Number of events registered.
@@ -207,15 +211,6 @@ impl DeliveryTracker {
         let mut s = Summary::new();
         for rec in &self.records {
             s.record(rec.expected as f64);
-        }
-        s
-    }
-
-    /// Summary of the number of *actual* deliveries per event.
-    pub fn deliveries_per_event(&self) -> Summary {
-        let mut s = Summary::new();
-        for rec in &self.records {
-            s.record(rec.delivered as f64);
         }
         s
     }
@@ -333,6 +328,8 @@ mod tests {
         t.published(id(0), SimTime::from_secs(1), 1);
         t.published(id(1), SimTime::from_secs(5), 1);
         t.delivered(id(0), NodeId::new(1));
+        assert_eq!(t.published_at(id(1)), Some(SimTime::from_secs(5)));
+        assert_eq!(t.published_at(id(2)), None);
         let early = t.delivery_rate(Some((SimTime::ZERO, SimTime::from_secs(2))));
         let late = t.delivery_rate(Some((SimTime::from_secs(2), SimTime::from_secs(10))));
         assert_eq!(early, 1.0);

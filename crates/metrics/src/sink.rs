@@ -14,8 +14,8 @@ use eps_sim::SimTime;
 use crate::delivery::DeliveryTracker;
 
 /// Consumer of per-event delivery bookkeeping. The [`DeliveryTracker`]
-/// is the one that computes the paper's metrics; a socket-mode node
-/// lends a counter instead, for its convergence check.
+/// is the one that computes the paper's metrics; the socket runtime
+/// lends a sink that forwards each call to its process-wide tracker.
 ///
 /// Deliveries are accounted at *client-subscription* granularity: one
 /// call per `(node, client)` an event reaches. With one client per

@@ -121,12 +121,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
         (None, false) => return Err("--peers needs --listen".into()),
     };
     print_csv(&report.result, &report.net);
-    if report.trace_dropped > 0 {
-        eprintln!(
-            "warning: {} trace records dropped; raise the trace capacity",
-            report.trace_dropped
-        );
-    }
     Ok(())
 }
 

@@ -1,7 +1,8 @@
 //! Cluster assembly and orchestration: boots an N-node tree over
 //! loopback sockets, runs the scenario's workload in wall-clock time,
-//! and aggregates the per-node sinks into the simulator's
-//! [`ScenarioResult`] schema plus the socket-layer [`NetCounters`].
+//! and assembles the run's delivery ledger and counters into the
+//! simulator's [`ScenarioResult`] schema plus the socket-layer
+//! [`NetCounters`].
 //!
 //! The population (topology, subscriptions, node actors) comes from
 //! the harness's shared `build_population`, so a [`NetConfig`] with
@@ -13,19 +14,17 @@
 //! [`aggregate_cores`], so scheduling and socket mechanics stay out of
 //! protocol state and accounting.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use eps_harness::{
     assemble, build_population, routing_stats, Population, ScenarioConfig, ScenarioResult,
-    TraceRecord,
 };
-use eps_metrics::{DeliveryTracker, MessageCounters, NetCounters};
+use eps_metrics::{MessageCounters, NetCounters};
 use eps_sim::{Rng, RngFactory};
 
-use crate::core::{CoreSetup, NodeCore, NodeParams, Shared};
+use crate::core::{CoreSetup, NodeCore, Shared};
 
 /// Where one node listens: its TCP (tree links) and UDP (out-of-band)
 /// socket addresses.
@@ -38,7 +37,9 @@ pub struct NodeAddrs {
 }
 
 /// One real-socket run: the simulator's scenario parameters plus the
-/// knobs only a socket runtime has.
+/// two knobs only a socket runtime has. Delivery accounting needs no
+/// knob: every node call writes into one unbounded tracker per
+/// process, as the simulator's runner does.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// The scenario: topology, workload, algorithm — identical
@@ -51,10 +52,6 @@ pub struct NetConfig {
     pub drain: Duration,
     /// Bounded outbound queue, in frames per link.
     pub queue_capacity: usize,
-    /// Per-node trace capacity (publish/deliver records drive the
-    /// final result assembly; an overflow is reported in
-    /// [`NetRunReport::trace_dropped`]).
-    pub trace_capacity: usize,
 }
 
 impl Default for NetConfig {
@@ -63,7 +60,6 @@ impl Default for NetConfig {
             scenario: ScenarioConfig::default(),
             drain: Duration::from_secs(2),
             queue_capacity: 1024,
-            trace_capacity: 1 << 20,
         }
     }
 }
@@ -88,7 +84,6 @@ impl NetConfig {
             "the socket runtime does not churn subscriptions"
         );
         assert!(self.queue_capacity > 0, "queues need capacity");
-        assert!(self.trace_capacity > 0, "traces need capacity");
     }
 }
 
@@ -109,7 +104,9 @@ pub struct DeliveryLatency {
 }
 
 /// What a finished cluster run reports: the simulator's result schema
-/// assembled from the same code path, plus the socket-layer counters.
+/// assembled from the same code path, from one delivery tracker per
+/// process that every node call wrote into, plus the socket-layer
+/// counters.
 #[derive(Clone, Debug)]
 pub struct NetRunReport {
     /// The shared summary schema (delivery rates, message counts,
@@ -117,8 +114,9 @@ pub struct NetRunReport {
     pub result: ScenarioResult,
     /// Socket-layer runtime counters, summed over nodes.
     pub net: NetCounters,
-    /// Trace records that did not fit `trace_capacity` (non-zero means
-    /// the result under-counts and the capacity should be raised).
+    /// Always 0: deliveries are counted in an unbounded ledger, not a
+    /// bounded trace. Kept because `benchmark/src/net.rs` reads it.
+    #[doc(hidden)]
     pub trace_dropped: u64,
     /// Publish-to-deliver latency percentiles (wall clock).
     pub latency: DeliveryLatency,
@@ -135,13 +133,15 @@ pub(crate) struct BootNode {
 
 /// A booted population slice: every socket of the slice bound (so the
 /// address registry is complete before the first dial), every core
-/// built.
+/// built, and the run-wide state they share.
 pub(crate) struct Boot {
     pub registry: Vec<NodeAddrs>,
     /// Global index of `nodes[0]`.
     pub base: usize,
     pub nodes: Vec<BootNode>,
     pub setup_subscription_msgs: u64,
+    /// The run-wide state every core of the slice reads and writes.
+    pub shared: Shared,
 }
 
 /// Builds the population and binds sockets for the slice this process
@@ -202,14 +202,10 @@ pub(crate) fn boot_population(
                 // links over UDP) is passed alongside.
                 neighbors: view.neighbors(id).to_vec(),
                 graph_neighbors: topology.neighbors(id).to_vec(),
-                space,
-                subscribers_of: subscribers_of.clone(),
                 gossip_rng: factory.indexed_stream("net-gossip", i as u64),
                 loss_rng: factory.indexed_stream("net-loss", i as u64),
-                counters_width: scenario.nodes,
-                trace_capacity: config.trace_capacity,
             },
-            node_params(config),
+            scenario,
         );
         boot_nodes.push(BootNode {
             core,
@@ -225,36 +221,25 @@ pub(crate) fn boot_population(
         base,
         nodes: boot_nodes,
         setup_subscription_msgs,
+        shared: Shared::new(scenario.clone(), space, subscribers_of),
     })
 }
 
-/// Polls the shared progress counters until the workload has finished
-/// and every intended delivery has happened, or the drain budget runs
-/// out.
-pub(crate) fn wait_for_convergence(shared: &Shared, config: &NetConfig, start: Instant) {
-    let n = config.scenario.nodes as u64;
-    let wall = Duration::from_nanos(config.scenario.duration.as_nanos());
-    let deadline = start + wall + config.drain;
+/// Polls the ledger until the workload has finished and every
+/// intended delivery has happened, or the drain budget runs out.
+pub(crate) fn wait_for_convergence(shared: &Shared, drain: Duration, start: Instant) {
+    let n = shared.scenario.nodes as u64;
+    let wall = Duration::from_nanos(shared.scenario.duration.as_nanos());
+    let deadline = start + wall + drain;
     loop {
-        let published_all = shared.publishers_done.load(Ordering::Relaxed) >= n;
-        let converged = published_all
-            && shared.delivered.load(Ordering::Relaxed) >= shared.expected.load(Ordering::Relaxed);
+        let converged = shared.publishers_done.load(Ordering::Relaxed) >= n && {
+            let ledger = shared.ledger();
+            ledger.tracker.delivered_total() >= ledger.tracker.expected_total()
+        };
         if converged || Instant::now() >= deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-pub(crate) fn node_params(config: &NetConfig) -> NodeParams {
-    let s = &config.scenario;
-    NodeParams {
-        payload_bits: s.event_payload_bits,
-        loss_rate: s.link_error_rate,
-        publish_rate: s.publish_rate,
-        gossip_interval: s.gossip_interval,
-        adaptive: s.adaptive_gossip,
-        duration: s.duration,
     }
 }
 
@@ -273,85 +258,40 @@ pub(crate) fn bind_with_retry<S>(
     bind()
 }
 
-/// Merges every node's sinks into one report, through the same
-/// `assemble` path the simulator uses: first all publishes (so the
-/// global tracker knows every event and its intended audience), then
-/// all deliveries.
+/// Assembles the report through the same `assemble` path the
+/// simulator uses: the ledger every node call wrote into, the workers'
+/// merged `counters`, and what the nodes hold at the end.
 pub(crate) fn aggregate_cores(
-    scenario: &ScenarioConfig,
+    shared: &Shared,
     cores: &[NodeCore],
+    mut counters: MessageCounters,
     setup_subscription_msgs: u64,
 ) -> NetRunReport {
-    let mut tracker = DeliveryTracker::new_tolerant();
-    let mut counters = MessageCounters::new(scenario.nodes);
     let mut net = NetCounters::default();
-    let mut trace_dropped = 0;
-    let mut outstanding = 0;
-    let mut evictions = 0;
-    let mut published_at = HashMap::new();
-    let mut latencies_ns: Vec<u64> = Vec::new();
-
     for core in cores {
-        if let Some(trace) = &core.trace {
-            trace_dropped += trace.dropped();
-            for rec in trace.records() {
-                if let TraceRecord::Publish {
-                    at,
-                    event,
-                    expected,
-                    ..
-                } = *rec
-                {
-                    tracker.published(event, at, expected);
-                    published_at.insert(event, at);
-                }
-            }
-        }
-    }
-    for core in cores {
-        if let Some(trace) = &core.trace {
-            for rec in trace.records() {
-                if let TraceRecord::Deliver {
-                    at,
-                    node,
-                    client: _,
-                    event,
-                    recovered,
-                } = *rec
-                {
-                    // One record per matching local client; the
-                    // tracker's per-(event, node) sets keep duplicate
-                    // arrivals out while each client record still
-                    // counts towards the delivered total.
-                    if recovered {
-                        tracker.recovered(event, node, at);
-                    } else {
-                        tracker.delivered(event, node);
-                    }
-                    if let Some(&pub_at) = published_at.get(&event) {
-                        latencies_ns.push(at.as_nanos().saturating_sub(pub_at.as_nanos()));
-                    }
-                }
-            }
-        }
-    }
-    for core in cores {
-        counters.absorb(&core.counters);
         net.absorb(&core.net);
-        outstanding += core.outstanding_losses();
-        evictions += core.lost_evictions();
     }
-    counters.count_lost_evictions(evictions);
+    let outstanding = cores.iter().map(NodeCore::outstanding_losses).sum();
+    counters.count_lost_evictions(cores.iter().map(NodeCore::lost_evictions).sum());
     let routing = routing_stats(
-        cores.iter().map(|core| core.sim_node()),
+        cores.iter().map(NodeCore::sim_node),
         setup_subscription_msgs,
     );
-    let result = assemble(scenario, &tracker, &counters, outstanding, 0, 0, routing);
+    let mut ledger = shared.ledger();
+    let result = assemble(
+        &shared.scenario,
+        &ledger.tracker,
+        &counters,
+        outstanding,
+        0,
+        0,
+        routing,
+    );
     NetRunReport {
         result,
         net,
-        trace_dropped,
-        latency: latency_percentiles(&mut latencies_ns),
+        trace_dropped: 0,
+        latency: latency_percentiles(&mut ledger.latencies_ns),
     }
 }
 

@@ -1,6 +1,6 @@
 //! The transport-independent half of a socket-mode node: one
-//! [`SimNode`] plus its timers, RNG streams, and metrics sinks, driven
-//! by whoever owns the sockets.
+//! [`SimNode`] plus its timers and RNG streams, driven by whoever owns
+//! the sockets, against the run-wide state in [`Shared`].
 //!
 //! Everything that touches protocol state, RNG draws, or byte
 //! accounting lives here; the epoll reactor in `reactor.rs` only
@@ -9,47 +9,96 @@
 //! behave.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use eps_gossip::codec;
 use eps_gossip::{Channel, Envelope};
-use eps_harness::{AdaptiveGossip, NodeCtx, Outgoing, ScenarioTrace, SimNode};
-use eps_metrics::{DeliverySink, MessageCounters, NetCounters};
+use eps_harness::{charge_send, NodeCtx, Outgoing, ScenarioConfig, SimNode};
+use eps_metrics::{DeliverySink, DeliveryTracker, MessageCounters, NetCounters};
 use eps_overlay::NodeId;
 use eps_pubsub::{ClientId, EventId, PatternSpace, PubSubMessage};
 use eps_sim::{Rng, SimTime};
 
-/// Run-wide shared state: the stop flag and the adaptive-stop
-/// progress counters the coordinator polls.
-#[derive(Debug, Default)]
+/// Run-wide state, held once per process and read by every node: the
+/// scenario and the population's pattern space and subscriber index,
+/// the delivery ledger every node call writes into, and the flags the
+/// coordinator polls.
 pub(crate) struct Shared {
+    pub scenario: ScenarioConfig,
+    pub space: PatternSpace,
+    /// Client subscriptions of each pattern, as `NodeCtx` takes them.
+    pub subscribers_of: Vec<Vec<(NodeId, ClientId)>>,
     /// Set once by the coordinator; every worker exits its loop.
     pub stop_all: AtomicBool,
-    /// Intended deliveries, summed over all publishes so far.
-    pub expected: AtomicU64,
-    /// Actual deliveries (first copies only, recovered or not).
-    pub delivered: AtomicU64,
     /// Nodes whose publish schedule is exhausted.
     pub publishers_done: AtomicU64,
+    ledger: Mutex<Ledger>,
 }
 
-/// What one call into a node adds to the [`Shared`] progress
-/// counters: the intended deliveries of its publishes and the
-/// deliveries it made, recovered or not.
-#[derive(Default)]
-struct Progress {
-    expected: u64,
-    delivered: u64,
+/// The run's delivery accounting: one tracker for every node of the
+/// process, plus the wall-clock publish-to-deliver latency of every
+/// client delivery.
+pub(crate) struct Ledger {
+    pub tracker: DeliveryTracker,
+    /// One sample per delivery of a known event, in nanoseconds.
+    pub latencies_ns: Vec<u64>,
 }
 
-impl DeliverySink for Progress {
-    fn published(&mut self, _id: EventId, _at: SimTime, expected_recipients: u32) {
-        self.expected += u64::from(expected_recipients);
+impl Ledger {
+    fn sample(&mut self, id: EventId, now: SimTime) {
+        if let Some(at) = self.tracker.published_at(id) {
+            self.latencies_ns.push(now.saturating_sub(at).as_nanos());
+        }
     }
-    fn delivered(&mut self, _id: EventId, _node: NodeId, _client: ClientId, _now: SimTime) {
-        self.delivered += 1;
+}
+
+impl Shared {
+    pub(crate) fn new(
+        scenario: ScenarioConfig,
+        space: PatternSpace,
+        subscribers_of: Vec<Vec<(NodeId, ClientId)>>,
+    ) -> Shared {
+        Shared {
+            scenario,
+            space,
+            subscribers_of,
+            stop_all: AtomicBool::new(false),
+            publishers_done: AtomicU64::new(0),
+            ledger: Mutex::new(Ledger {
+                tracker: DeliveryTracker::new_tolerant(),
+                latencies_ns: Vec::new(),
+            }),
+        }
     }
-    fn recovered(&mut self, _id: EventId, _node: NodeId, _client: ClientId, _now: SimTime) {
-        self.delivered += 1;
+
+    /// Locks the ledger.
+    pub(crate) fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger
+            .lock()
+            .expect("a reactor worker panicked while holding the ledger")
+    }
+}
+
+/// The sink a node call is lent: each publish and delivery goes
+/// straight into the run's ledger, one lock per call.
+struct LedgerSink<'a>(&'a Shared);
+
+impl DeliverySink for LedgerSink<'_> {
+    fn published(&mut self, id: EventId, at: SimTime, expected_recipients: u32) {
+        self.0
+            .ledger()
+            .tracker
+            .published(id, at, expected_recipients);
+    }
+    fn delivered(&mut self, id: EventId, node: NodeId, _client: ClientId, now: SimTime) {
+        let mut ledger = self.0.ledger();
+        ledger.tracker.delivered(id, node);
+        ledger.sample(id, now);
+    }
+    fn recovered(&mut self, id: EventId, node: NodeId, _client: ClientId, now: SimTime) {
+        let mut ledger = self.0.ledger();
+        ledger.tracker.recovered(id, node, now);
+        ledger.sample(id, now);
     }
 }
 
@@ -62,33 +111,21 @@ pub(crate) struct Outbound {
     pub body: Vec<u8>,
 }
 
-/// Constructor parameters that are per-node (everything scenario-wide
-/// comes from [`NodeParams`] passed alongside).
+/// What one node is booted with; everything run-wide is in [`Shared`].
 pub(crate) struct CoreSetup {
     pub node: SimNode,
     /// Routing-view neighbors (TCP tree links).
     pub neighbors: Vec<NodeId>,
     /// Physical-graph neighbors (gossip neighborhood).
     pub graph_neighbors: Vec<NodeId>,
-    pub space: PatternSpace,
-    pub subscribers_of: Vec<Vec<(NodeId, ClientId)>>,
     pub gossip_rng: Rng,
     pub loss_rng: Rng,
-    pub counters_width: usize,
-    pub trace_capacity: usize,
-}
-
-pub(crate) struct NodeParams {
-    pub payload_bits: u64,
-    pub loss_rate: f64,
-    pub publish_rate: f64,
-    pub gossip_interval: SimTime,
-    pub adaptive: Option<AdaptiveGossip>,
-    pub duration: SimTime,
 }
 
 /// The protocol state of one socket-mode node. Owns no sockets;
 /// returns [`Outbound`] batches for the runtime to put on the wire.
+/// Its message counts go to the counters of the worker that drives
+/// it, its deliveries to the ledger in [`Shared`].
 pub(crate) struct NodeCore {
     pub id: NodeId,
     node: SimNode,
@@ -99,22 +136,11 @@ pub(crate) struct NodeCore {
     /// partners from. Equal to `neighbors` on tree overlays; the
     /// extra members (cross links) are reached over UDP.
     graph_neighbors: Vec<NodeId>,
-    space: PatternSpace,
-    subscribers_of: Vec<Vec<(NodeId, ClientId)>>,
-
-    payload_bits: u64,
-    loss_rate: f64,
-    publish_rate: f64,
-    gossip_interval: SimTime,
-    adaptive: Option<AdaptiveGossip>,
-    duration: SimTime,
 
     gossip_rng: Rng,
     loss_rng: Rng,
 
-    pub counters: MessageCounters,
     pub net: NetCounters,
-    pub trace: Option<ScenarioTrace>,
 
     /// Virtual time of the next publish tick (`None` = schedule
     /// exhausted). Mirrors the simulator: the first tick is one
@@ -127,7 +153,7 @@ pub(crate) struct NodeCore {
 }
 
 impl NodeCore {
-    pub(crate) fn new(setup: CoreSetup, params: NodeParams) -> NodeCore {
+    pub(crate) fn new(setup: CoreSetup, scenario: &ScenarioConfig) -> NodeCore {
         let mut node = setup.node;
         let id = node.id();
         // The simulator seeds each publish process with one delay draw
@@ -135,14 +161,14 @@ impl NodeCore {
         // that exactly so the publication sequences coincide. At very
         // low rates the draw can land at or past `duration`: the
         // workload is over by then, so that tick never fires.
-        let publish_vnext = (params.publish_rate > 0.0)
-            .then(|| node.next_publish_delay(params.publish_rate))
-            .filter(|&first| first < params.duration);
+        let publish_vnext = (scenario.publish_rate > 0.0)
+            .then(|| node.next_publish_delay(scenario.publish_rate))
+            .filter(|&first| first < scenario.duration);
         let mut gossip_rng = setup.gossip_rng;
         // Stagger gossip phases uniformly over one interval, as the
         // simulator does (from this node's own stream — a documented
         // sim/net divergence; see DESIGN.md).
-        let gossip_vnext = params
+        let gossip_vnext = scenario
             .gossip_interval
             .mul_f64(gossip_rng.random_range(0.0..1.0));
         NodeCore {
@@ -150,19 +176,9 @@ impl NodeCore {
             node,
             neighbors: setup.neighbors,
             graph_neighbors: setup.graph_neighbors,
-            space: setup.space,
-            subscribers_of: setup.subscribers_of,
-            payload_bits: params.payload_bits,
-            loss_rate: params.loss_rate,
-            publish_rate: params.publish_rate,
-            gossip_interval: params.gossip_interval,
-            adaptive: params.adaptive,
-            duration: params.duration,
             gossip_rng,
             loss_rng: setup.loss_rng,
-            counters: MessageCounters::new(setup.counters_width),
             net: NetCounters::default(),
-            trace: Some(ScenarioTrace::new(setup.trace_capacity)),
             publish_vnext,
             publish_done_reported: false,
             gossip_vnext,
@@ -224,8 +240,10 @@ impl NodeCore {
         tree: bool,
         now: SimTime,
         shared: &Shared,
+        counters: &mut MessageCounters,
     ) -> Vec<Outbound> {
-        let env_msg = match codec::decode(body, self.payload_bits) {
+        let scenario = &shared.scenario;
+        let env_msg = match codec::decode(body, scenario.event_payload_bits) {
             Ok(m) => m,
             Err(_) => {
                 self.net.decode_errors += 1;
@@ -245,50 +263,39 @@ impl NodeCore {
                 Envelope::PubSub(PubSubMessage::Event(_)) | Envelope::Gossip(_)
             )
             || matches!(env_msg, Envelope::CrossEvent(_)))
-            && self.loss_rate > 0.0
-            && self.loss_rng.random_bool(self.loss_rate)
+            && scenario.link_error_rate > 0.0
+            && self.loss_rng.random_bool(scenario.link_error_rate)
         {
             self.net.injected_drops += 1;
             return Vec::new();
         }
-        let out = self.with_ctx(now, shared, |node, ctx| node.handle(from, env_msg, ctx));
-        self.route(out)
+        let out = self.with_ctx(now, shared, counters, |node, ctx| {
+            node.handle(from, env_msg, ctx)
+        });
+        self.route(out, shared, counters)
     }
 
-    /// Lends the node its context for one call and adds the call's
-    /// progress to the coordinator's convergence counters. Counting
-    /// through the sink, not the bounded trace, keeps the counters
-    /// moving after the trace is full.
+    /// Lends the node its context for one call: the run-wide state and
+    /// ledger from `shared`, the driving worker's `counters`.
     fn with_ctx<R>(
         &mut self,
         now: SimTime,
         shared: &Shared,
+        counters: &mut MessageCounters,
         f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R,
     ) -> R {
-        let mut progress = Progress::default();
         let mut ctx = NodeCtx {
             now,
             neighbors: &self.neighbors,
             graph_neighbors: &self.graph_neighbors,
-            space: &self.space,
-            subscribers_of: &self.subscribers_of,
+            space: &shared.space,
+            subscribers_of: &shared.subscribers_of,
             gossip_rng: &mut self.gossip_rng,
-            tracker: &mut progress,
-            counters: &mut self.counters,
-            trace: &mut self.trace,
+            tracker: &mut LedgerSink(shared),
+            counters,
+            trace: &mut None,
         };
-        let out = f(&mut self.node, &mut ctx);
-        if progress.expected > 0 {
-            shared
-                .expected
-                .fetch_add(progress.expected, Ordering::Relaxed);
-        }
-        if progress.delivered > 0 {
-            shared
-                .delivered
-                .fetch_add(progress.delivered, Ordering::Relaxed);
-        }
-        out
+        f(&mut self.node, &mut ctx)
     }
 
     /// Fires every timer due at virtual time `now`: at most one
@@ -296,15 +303,21 @@ impl NodeCore {
     /// the simulator's queue — wall-clock jitter must not change how
     /// many events a seed publishes) and as many gossip rounds as have
     /// come due. Returns the traffic they produced.
-    pub(crate) fn tick_timers(&mut self, now: SimTime, shared: &Shared) -> Vec<Outbound> {
+    pub(crate) fn tick_timers(
+        &mut self,
+        now: SimTime,
+        shared: &Shared,
+        counters: &mut MessageCounters,
+    ) -> Vec<Outbound> {
+        let scenario = &shared.scenario;
         let mut sends = Vec::new();
         if let Some(vnext) = self.publish_vnext {
             if now >= vnext {
-                let rate = self.publish_rate;
-                let (out, delay) =
-                    self.with_ctx(now, shared, |node, ctx| node.tick_publish(rate, ctx));
-                sends.extend(self.route(out));
-                if vnext + delay < self.duration {
+                let (out, delay) = self.with_ctx(now, shared, counters, |node, ctx| {
+                    node.tick_publish(scenario.publish_rate, ctx)
+                });
+                sends.extend(self.route(out, shared, counters));
+                if vnext + delay < scenario.duration {
                     self.publish_vnext = Some(vnext + delay);
                 } else {
                     self.publish_vnext = None;
@@ -317,40 +330,38 @@ impl NodeCore {
         // recovery needs rounds to finish the job. Documented as a
         // sim/net equivalence rule.
         while now >= self.gossip_vnext {
-            let (interval, adaptive) = (self.gossip_interval, self.adaptive);
-            let (out, next) = self.with_ctx(now, shared, |node, ctx| {
-                node.tick_gossip(interval, adaptive, ctx)
+            let (out, next) = self.with_ctx(now, shared, counters, |node, ctx| {
+                node.tick_gossip(scenario.gossip_interval, scenario.adaptive_gossip, ctx)
             });
-            sends.extend(self.route(out));
+            sends.extend(self.route(out, shared, counters));
             self.gossip_vnext += next;
         }
         sends
     }
 
     /// Encodes one batch of node output, charging the send-layer
-    /// counters exactly as the simulator's `World::send` does.
-    fn route(&mut self, out: Vec<Outgoing>) -> Vec<Outbound> {
+    /// counters through the simulator's own `charge_send`.
+    fn route(
+        &mut self,
+        out: Vec<Outgoing>,
+        shared: &Shared,
+        counters: &mut MessageCounters,
+    ) -> Vec<Outbound> {
+        let payload_bits = shared.scenario.event_payload_bits;
         let mut sends = Vec::with_capacity(out.len());
         for Outgoing { to, env: msg } in out {
-            // Event and subscription traffic is counted at the send
-            // layer, mirroring the simulator's `World::send` (gossip
-            // classes are counted inside the node when the action is
-            // decided).
-            match &msg {
-                Envelope::PubSub(PubSubMessage::Event(_)) | Envelope::CrossEvent(_) => {
-                    self.counters.count_event(self.id)
-                }
-                Envelope::PubSub(_) => self.counters.count_subscription(self.id),
-                _ => {}
-            }
             // Enforce the paper's digest budget before encoding; a
             // trimmed digest is re-announced by later rounds.
-            let (msg, dropped) = codec::fit(msg, self.payload_bits);
+            let (msg, dropped) = codec::fit(msg, payload_bits);
             if dropped > 0 {
                 self.net.digest_truncations += 1;
                 self.net.route_drops += dropped;
             }
-            let body = match codec::encode(&msg, self.payload_bits) {
+            // Charged on the post-fit envelope: the bits that actually
+            // hit the wire.
+            let bits = msg.wire_bits(payload_bits);
+            charge_send(counters, self.id, &msg, bits);
+            let body = match codec::encode(&msg, payload_bits) {
                 Ok(b) => b,
                 Err(_) => {
                     // Unencodable after fitting — accounting bug, not
@@ -361,23 +372,11 @@ impl NodeCore {
             };
             // The cross-validation invariant: on-the-wire bytes are
             // the simulator's wire_bits, always.
-            let bits = msg.wire_bits(self.payload_bits);
             assert_eq!(
                 body.len() as u64 * 8,
                 bits,
                 "codec framed size diverged from wire_bits"
             );
-            // Wire-bit accounting mirrors the simulator's send layer,
-            // charged on the post-fit envelope — the bits that actually
-            // hit the wire.
-            match &msg {
-                Envelope::Gossip(_) => self.counters.count_gossip_bits(bits),
-                Envelope::Request(_) | Envelope::RangeRequest { .. } => {
-                    self.counters.count_request_bits(bits)
-                }
-                Envelope::Reply(_) => self.counters.count_reply_bits(bits),
-                _ => {}
-            }
             sends.push(Outbound {
                 to,
                 channel: msg.channel(),

@@ -13,7 +13,7 @@
 //!  │ timerfd ← timer queue │   │ timerfd ← timer queue │
 //!  │ eventfd ← coordinator │   │ eventfd ← coordinator │
 //!  └───────────────────────┘   └───────────────────────┘
-//!            └───── shared convergence counters ─────┘
+//!            └─ shared run state + delivery ledger ─┘
 //! ```
 //!
 //! - **One timer queue, not sleeps.** Every protocol deadline (publish
@@ -33,7 +33,8 @@
 //!   Connecting → Up` state driven by epoll events, not thread state.
 //!
 //! The protocol state is the `NodeCore` of `core.rs`, booted by
-//! `boot_population`, reported through `aggregate_cores`; what a seed
+//! `boot_population`, reported through `aggregate_cores`; each worker
+//! counts its slice's messages in one `MessageCounters`. What a seed
 //! publishes and how bytes are accounted is decided there, not here
 //! (pinned against the simulator by `tests/crossval.rs`).
 
@@ -47,6 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use eps_gossip::Channel;
+use eps_metrics::MessageCounters;
 use eps_overlay::{LinkId, NodeId};
 use eps_sim::{KeyedEngine, Rng, SimTime};
 
@@ -362,6 +364,8 @@ struct Worker {
     timers: Timers,
     registry: Vec<NodeAddrs>,
     shared: Arc<Shared>,
+    /// Message counts of every node in the slice.
+    counters: MessageCounters,
     start: Instant,
     commands: Arc<Mutex<VecDeque<Command>>>,
     pending: Vec<Option<Pending>>,
@@ -532,6 +536,7 @@ impl Worker {
             wake_fd,
             timers: Timers::default(),
             registry,
+            counters: MessageCounters::new(shared.scenario.nodes),
             shared,
             start,
             commands,
@@ -547,7 +552,7 @@ impl Worker {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn run(mut self) -> Vec<NodeCore> {
+    fn run(mut self) -> (Vec<NodeCore>, MessageCounters) {
         let now = self.ns_now();
         for ni in 0..self.nodes.len() {
             self.nodes[ni].core.bootstrap(&self.shared);
@@ -581,7 +586,8 @@ impl Worker {
             }
             self.flush_dirty();
         }
-        self.nodes.into_iter().map(|n| n.core).collect()
+        let cores = self.nodes.into_iter().map(|n| n.core).collect();
+        (cores, self.counters)
     }
 
     // ---- timers --------------------------------------------------
@@ -615,6 +621,7 @@ impl Worker {
         let Worker {
             nodes,
             shared,
+            counters,
             registry,
             dirty,
             timers,
@@ -628,7 +635,7 @@ impl Worker {
             return;
         }
         let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-        let sends = node.core.tick_timers(now, shared);
+        let sends = node.core.tick_timers(now, shared, counters);
         dispatch_sends(node, ni, sends, registry, dirty);
         timers.insert(node.core.next_deadline().as_nanos(), TimerToken::Node(ni));
         node.timer_armed = true;
@@ -899,6 +906,7 @@ impl Worker {
             let Worker {
                 nodes,
                 shared,
+                counters,
                 registry,
                 dirty,
                 scratch,
@@ -916,7 +924,9 @@ impl Worker {
                     let body = scratch[4..n].to_vec();
                     node.core.net.bytes_received += body.len() as u64;
                     let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-                    let sends = node.core.handle_body(from, &body, false, now, shared);
+                    let sends = node
+                        .core
+                        .handle_body(from, &body, false, now, shared, counters);
                     dispatch_sends(node, ni, sends, registry, dirty);
                 }
                 Ok(_) => {
@@ -932,6 +942,7 @@ impl Worker {
         let Worker {
             nodes,
             shared,
+            counters,
             registry,
             dirty,
             scratch,
@@ -951,7 +962,9 @@ impl Worker {
             node.core.net.frames_received += 1;
             node.core.net.bytes_received += body.len() as u64;
             let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-            let sends = node.core.handle_body(peer, &body, true, now, shared);
+            let sends = node
+                .core
+                .handle_body(peer, &body, true, now, shared, counters);
             dispatch_sends(node, ni, sends, registry, dirty);
         }
         if disconnected {
@@ -1095,7 +1108,7 @@ impl Worker {
 // ---- the cluster ---------------------------------------------------
 
 struct WorkerHandle {
-    handle: Option<JoinHandle<Vec<NodeCore>>>,
+    handle: Option<JoinHandle<(Vec<NodeCore>, MessageCounters)>>,
     commands: Arc<Mutex<VecDeque<Command>>>,
     wake_fd: RawFd,
     base: usize,
@@ -1105,7 +1118,7 @@ struct WorkerHandle {
 /// A running reactor cluster: the whole population multiplexed onto a
 /// fixed pool of epoll worker threads.
 pub struct ReactorCluster {
-    config: NetConfig,
+    drain: Duration,
     registry: Vec<NodeAddrs>,
     shared: Arc<Shared>,
     start: Instant,
@@ -1136,10 +1149,11 @@ impl ReactorCluster {
             mut base,
             nodes,
             setup_subscription_msgs,
+            shared,
         } = boot_population(&config, process)?;
         let n = nodes.len();
         let workers = workers.clamp(1, n.max(1));
-        let shared = Arc::new(Shared::default());
+        let shared = Arc::new(shared);
         let start = Instant::now();
         let mut handles = Vec::with_capacity(workers);
         let mut wakes = Vec::with_capacity(workers);
@@ -1174,7 +1188,7 @@ impl ReactorCluster {
             base += len;
         }
         Ok(ReactorCluster {
-            config,
+            drain: config.drain,
             registry,
             shared,
             start,
@@ -1214,23 +1228,24 @@ impl ReactorCluster {
     /// (bounded by the drain budget), stops every worker, and
     /// assembles the report.
     pub fn finish(mut self) -> NetRunReport {
-        wait_for_convergence(&self.shared, &self.config, self.start);
+        wait_for_convergence(&self.shared, self.drain, self.start);
         self.shared.stop_all.store(true, Ordering::Relaxed);
         for worker in &self.workers {
             let _ = eventfd_signal(worker.wake_fd);
         }
-        let mut cores = Vec::with_capacity(self.config.scenario.nodes);
+        let mut cores = Vec::with_capacity(self.shared.scenario.nodes);
+        let mut counters = MessageCounters::new(self.shared.scenario.nodes);
         for worker in &mut self.workers {
-            cores.extend(
-                worker
-                    .handle
-                    .take()
-                    .expect("worker is running")
-                    .join()
-                    .expect("reactor worker panicked"),
-            );
+            let (slice, slice_counters) = worker
+                .handle
+                .take()
+                .expect("worker is running")
+                .join()
+                .expect("reactor worker panicked");
+            cores.extend(slice);
+            counters.absorb(&slice_counters);
         }
-        aggregate_cores(&self.config.scenario, &cores, self.setup_subscription_msgs)
+        aggregate_cores(&self.shared, &cores, counters, self.setup_subscription_msgs)
     }
 }
 

@@ -89,7 +89,6 @@ fn sim_and_loopback_agree_on_workload_and_convergence() {
     assert!(report.result.gossip_msgs > 0, "gossip rounds ran");
     assert!(report.result.event_msgs > 0, "event traffic counted");
     assert_eq!(report.net.decode_errors, 0, "codec never misparses");
-    assert_eq!(report.trace_dropped, 0, "trace capacity sufficed");
 }
 
 /// The cyclic-overlay cross-validation cell: a small Barabási–Albert
@@ -246,7 +245,6 @@ fn sim_and_loopback_agree_with_summary_reconciliation() {
         "summary digests were accounted in wire bits on the wire run"
     );
     assert_eq!(report.net.decode_errors, 0, "codec never misparses");
-    assert_eq!(report.trace_dropped, 0, "trace capacity sufficed");
 }
 
 /// The boot-equivalence cell: the same seed through the simulator and
@@ -281,7 +279,6 @@ fn reactor_agrees_with_sim_on_the_same_seed() {
     );
     assert!(reactor.net.injected_drops > 0, "loss injection exercised");
     assert_eq!(reactor.net.decode_errors, 0, "codec never misparses");
-    assert_eq!(reactor.trace_dropped, 0, "trace capacity sufficed");
     // Boot-derived state is bit-identical across worlds, not just
     // statistically alike.
     assert_eq!(reactor.result.routing_entries, sim.routing_entries);

@@ -82,7 +82,6 @@ fn three_process_nodes_publish_the_schedule_between_them() {
         published += report.result.events_published;
         frames_received += report.net.frames_received;
         assert_eq!(report.net.decode_errors, 0, "codec never misparses");
-        assert_eq!(report.trace_dropped, 0, "trace capacity sufficed");
         assert!(
             *took >= budget && *took < budget + Duration::from_millis(500),
             "a process node runs for duration + drain ({budget:?}); took {took:?}"

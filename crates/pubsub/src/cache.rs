@@ -60,6 +60,7 @@ impl std::fmt::Display for EvictionPolicy {
     }
 }
 
+#[derive(Clone)]
 enum PolicyState {
     Fifo {
         order: VecDeque<EventId>,
@@ -170,6 +171,7 @@ impl PolicyState {
 /// assert!(cache.get(EventId::new(NodeId::new(0), 0)).is_none());
 /// assert!(cache.get(EventId::new(NodeId::new(0), 2)).is_some());
 /// ```
+#[derive(Clone)]
 pub struct EventCache {
     capacity: usize,
     owner: Option<NodeId>,
@@ -288,43 +290,6 @@ impl std::fmt::Debug for EventCache {
             .field("inserted_total", &self.inserted_total)
             .field("evicted_total", &self.evicted_total)
             .finish()
-    }
-}
-
-impl Clone for EventCache {
-    fn clone(&self) -> Self {
-        // Policies with internal RNG state clone structurally.
-        let policy = match &self.policy {
-            PolicyState::Fifo { order } => PolicyState::Fifo {
-                order: order.clone(),
-            },
-            PolicyState::Random { live, pos, rng } => PolicyState::Random {
-                live: live.clone(),
-                pos: pos.clone(),
-                rng: rng.clone(),
-            },
-            PolicyState::SourceBiased {
-                own,
-                other,
-                own_cap,
-            } => PolicyState::SourceBiased {
-                own: own.clone(),
-                other: other.clone(),
-                own_cap: *own_cap,
-            },
-        };
-        EventCache {
-            capacity: self.capacity,
-            owner: self.owner,
-            policy,
-            events: self.events.clone(),
-            by_pattern_seq: self.by_pattern_seq.clone(),
-            by_pattern: self.by_pattern.clone(),
-            summary: self.summary.clone(),
-            tombstones: self.tombstones.clone(),
-            inserted_total: self.inserted_total,
-            evicted_total: self.evicted_total,
-        }
     }
 }
 

@@ -72,6 +72,20 @@ echo "== tier-1: net_load (reactor saturation at 1000 dispatchers) =="
 cargo run --release -p eps-bench --bin net_load -- \
     --nodes 1000 --workers 2 --rates 2 --duration 0.6 --drain 20 \
     --merge-into target/bench/BENCH_net.json
+# Memory tripwire: a reactor node peaks near 78 KB when it holds only
+# its own state (one delivery ledger, one subscriber index and one
+# counter set per process or worker). Per-node copies of run-wide
+# state — an N-wide counter set, the subscriber index, a delivery
+# journal — put it back near 164 KB.
+net_rss_per_node=$(python3 - <<'EOF'
+import json
+bench = json.load(open("target/bench/BENCH_net.json"))["benchmarks"]
+print(next(b["median_ns"] for b in bench if b["name"] == "net_load_rss_per_node_bytes"))
+EOF
+)
+echo "net_load peak RSS per node: ${net_rss_per_node} B (limit 110000 B)"
+awk -v b="$net_rss_per_node" 'BEGIN {exit !(b <= 110000)}' \
+    || { echo "FAIL: a reactor node peaked above 110 KB"; exit 1; }
 
 # --advisory-prefix keeps the client-layer matching entries (which
 # include one-shot aggregate-filter counts), the sub-µs summary
