@@ -1,9 +1,9 @@
 //! Golden determinism tests: the full [`ScenarioResult`] and the
 //! fig3-style CSV bytes are pinned for all six algorithms at two
-//! seeds, plus reconfiguration, churn, and cyclic-overlay (BA/WS)
-//! variants. Any refactor of the runner must reproduce these bytes
-//! exactly — from `run_scenario` and under `par_map` — or consciously
-//! regenerate them with
+//! seeds, plus reconfiguration, churn, cyclic-overlay (BA/WS),
+//! push-pull and adaptive-gossip variants. Any refactor of the runner
+//! must reproduce these bytes exactly — from `run_scenario` and under
+//! `par_map` — or consciously regenerate them with
 //! `UPDATE_GOLDEN=1 cargo test -p eps-harness --test golden`.
 
 use std::fmt::Write as _;
@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use eps_gossip::Algorithm;
 use eps_harness::experiments::time_series_table;
 use eps_harness::parallel::par_map;
-use eps_harness::{run_scenario, ScenarioConfig, ScenarioResult};
+use eps_harness::{run_scenario, AdaptiveGossip, ScenarioConfig, ScenarioResult};
 use eps_overlay::OverlayKind;
 use eps_sim::SimTime;
 
@@ -32,8 +32,10 @@ fn small(algorithm: Algorithm, seed: u64) -> ScenarioConfig {
 }
 
 /// The pinned cells: every algorithm on the small lossy config, plus
-/// one reconfiguration run, one churn run, and one run on each cyclic
-/// overlay (Barabási–Albert and Watts–Strogatz).
+/// one reconfiguration run, one churn run, one run on each cyclic
+/// overlay (Barabási–Albert and Watts–Strogatz), `push-pull`, and
+/// adaptive-gossip runs of push, combined pull, push-pull and
+/// summary push.
 fn cells(seed: u64) -> Vec<(String, ScenarioConfig)> {
     let mut cells: Vec<(String, ScenarioConfig)> = Algorithm::paper()
         .into_iter()
@@ -69,6 +71,24 @@ fn cells(seed: u64) -> Vec<(String, ScenarioConfig)> {
             ..small(Algorithm::combined_pull(), seed)
         },
     ));
+    // The alternating push/pull hybrid, and the adaptive-gossip idle
+    // signal of each kind of strategy state.
+    cells.push(("push-pull".to_owned(), small(Algorithm::push_pull(), seed)));
+    for algo in [
+        Algorithm::push(),
+        Algorithm::combined_pull(),
+        Algorithm::push_pull(),
+        Algorithm::summary_push(),
+    ] {
+        let base = small(algo, seed);
+        cells.push((
+            format!("adaptive-{}", algo.name()),
+            ScenarioConfig {
+                adaptive_gossip: Some(AdaptiveGossip::around(base.gossip_interval)),
+                ..base
+            },
+        ));
+    }
     cells
 }
 
