@@ -22,8 +22,7 @@ use std::sync::Arc;
 use eps_bench::mini;
 use eps_bench::timing::{bench, to_json, BenchResult};
 use eps_gossip::{
-    codec, Algorithm, DigestBody, DigestPolicy, Envelope, GossipConfig, GossipMessage,
-    NegativeDigest, PositiveDigest, SummaryDigestPolicy,
+    codec, Algorithm, Envelope, GossipConfig, GossipMessage, LostBuffer, SummaryMode, SummaryState,
 };
 use eps_harness::{build_population, run_scenario, ScenarioConfig, SimNode};
 use eps_net::frame::{frame, FrameReader};
@@ -628,7 +627,6 @@ fn digest_scaling() -> Vec<BenchResult> {
         // Linear push: every matching cached id, untruncated (positive
         // digests never shrink — the paper charges each gossip message
         // one event-size regardless).
-        let mut push = PositiveDigest::new();
         let mut sink = 0usize;
         let result = bench(
             &format!("digest_build/linear_push/c{c}"),
@@ -637,11 +635,7 @@ fn digest_scaling() -> Vec<BenchResult> {
             PATTERNS,
             || {
                 for p in 1..=4u16 {
-                    if let Some(DigestBody::Positive(ids)) =
-                        push.build_for_pattern(&node, PatternId::new(p), usize::MAX)
-                    {
-                        sink += ids.len();
-                    }
+                    sink += node.cache().ids_matching(PatternId::new(p)).len();
                 }
             },
         );
@@ -651,20 +645,14 @@ fn digest_scaling() -> Vec<BenchResult> {
         // Linear pull: a `Lost` buffer scaled with the cache (the
         // recovery window the buffer must remember grows with β), with
         // expiry disabled so repeated builds see a steady buffer.
-        let config = GossipConfig {
-            max_attempts: u32::MAX,
-            lost_capacity: Some(c),
-            ..GossipConfig::default()
-        };
-        let mut pull = NegativeDigest::new(&config);
-        let losses: Vec<LossRecord> = (0..c as u64)
-            .map(|i| LossRecord {
+        let mut lost = LostBuffer::with_capacity(u32::MAX, c);
+        for i in 0..c as u64 {
+            lost.add(LossRecord {
                 source: NodeId::new(0),
                 pattern: PatternId::new(1 + (i % PATTERNS) as u16),
                 seq: 1_000_000 + i,
-            })
-            .collect();
-        pull.on_losses(&losses);
+            });
+        }
         let mut sink = 0usize;
         let result = bench(
             &format!("digest_build/linear_pull/c{c}"),
@@ -673,11 +661,7 @@ fn digest_scaling() -> Vec<BenchResult> {
             PATTERNS,
             || {
                 for p in 1..=4u16 {
-                    if let Some(DigestBody::Negative(entries)) =
-                        pull.build_for_pattern(&node, PatternId::new(p), usize::MAX)
-                    {
-                        sink += entries.len();
-                    }
+                    sink += lost.for_pattern(PatternId::new(p), usize::MAX).len();
                 }
             },
         );
@@ -686,7 +670,7 @@ fn digest_scaling() -> Vec<BenchResult> {
 
         // Summary digest: one root aggregate per round, read straight
         // off the maintained index — O(1) in C.
-        let mut summary = SummaryDigestPolicy::push(&GossipConfig::default());
+        let mut summary = SummaryState::new(SummaryMode::Push, &GossipConfig::default());
         let mut sink = 0usize;
         let result = bench(
             &format!("summary_digest_build/c{c}"),
@@ -695,8 +679,8 @@ fn digest_scaling() -> Vec<BenchResult> {
             PATTERNS,
             || {
                 for p in 1..=4u16 {
-                    if let Some(DigestBody::Summary { ranges, .. }) =
-                        summary.build_for_pattern(&node, PatternId::new(p), 128)
+                    if let Some(GossipMessage::SummaryDigest { ranges, .. }) =
+                        summary.digest(&node, PatternId::new(p), 128)
                     {
                         sink += ranges.len();
                     }

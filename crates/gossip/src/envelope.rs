@@ -15,6 +15,7 @@
 //!   requested event id; a reply carries full event copies, with the
 //!   same fixed floor.
 
+use eps_overlay::NodeId;
 use eps_pubsub::{Event, EventId, PatternId, PubSubMessage, RangeRef, ROUTE_HOP_BITS};
 
 use crate::codec::{
@@ -64,6 +65,16 @@ pub enum Envelope {
         /// The ranges to expand.
         ranges: Vec<RangeRef>,
     },
+}
+
+/// One message a node wants put on a wire. The channel it travels on
+/// follows from the envelope ([`Envelope::channel`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Outgoing {
+    /// The destination dispatcher.
+    pub to: NodeId,
+    /// The message.
+    pub env: Envelope,
 }
 
 impl Envelope {

@@ -2,33 +2,22 @@
 //!
 //! The primary contribution of *“Epidemic Algorithms for Reliable
 //! Content-Based Publish-Subscribe: An Evaluation”* (Costa, Migliavacca,
-//! Picco, Cugola — ICDCS 2004), reproduced in full — and factored into
-//! composable **policy stages**:
+//! Picco, Cugola — ICDCS 2004), reproduced in full.
 //!
-//! - a [`DigestPolicy`] decides *what a gossip round asserts*:
-//!   [`PositiveDigest`] announces cached events (push),
-//!   [`NegativeDigest`] chases detected losses (pull), and
-//!   [`AlternatingDigest`] interleaves the two (the `push-pull`
-//!   hybrid);
-//! - a [`SteeringPolicy`] decides *where the digest travels*:
-//!   [`PatternSteering`] routes it along the subscription tree with
-//!   per-hop probability `P_forward`, [`SourceSteering`] reverses
-//!   recorded routes back towards the publisher, [`RandomSteering`]
-//!   walks at random under a TTL, and [`MuxSteering`] picks between
-//!   two steerings with probability `P_source`;
-//! - a [`GossipEngine`] pairs one of each.
+//! The [`Algorithm`] table names the strategies: the paper's six —
+//! push, subscriber-, publisher-, combined and random pull, and the
+//! no-recovery baseline — plus the `push-pull` hybrid and the two
+//! summary-reconciliation extensions. [`Algorithm::build`] turns a row
+//! into a [`Strategy`], the per-dispatcher boundary the harness talks
+//! to. A strategy keeps one of five kinds of state — none, push's
+//! in-flight requests and idle streak, a pull route's [`LostBuffer`],
+//! the hybrid's both, or a [`SummaryState`] — and every hook is one
+//! `match` over them.
 //!
-//! The [`Algorithm`] table names the compositions. All six paper
-//! strategies are rows of it — e.g. combined pull is literally
-//! `NegativeDigest × Mux(Source, Pattern)` — and a new hybrid is one
-//! table row plus one [`Strategy`] arm, not a new module. A
-//! [`Strategy`], built per dispatcher, is the boundary the harness
-//! talks to.
-//!
-//! All strategies react to gossip rounds, detected losses, and
-//! incoming gossip by emitting [`GossipAction`]s, which the simulation
-//! harness (or a real transport) carries out. Algorithms never touch
-//! the network and never mutate the dispatcher, so each is
+//! Strategies react to gossip rounds, detected losses, and incoming
+//! gossip with the [`Outgoing`] messages they want sent, which the
+//! simulation harness (or a real transport) carries out. They never
+//! touch the network and never mutate the dispatcher, so each is
 //! unit-testable in isolation.
 //!
 //! # Examples
@@ -50,7 +39,6 @@
 mod algorithm;
 pub mod codec;
 mod config;
-mod engine;
 mod envelope;
 mod lost;
 mod message;
@@ -61,13 +49,8 @@ mod summary;
 pub use algorithm::Strategy;
 pub use codec::CodecError;
 pub use config::{GossipConfig, DEFAULT_LOST_CAPACITY};
-pub use engine::GossipEngine;
-pub use envelope::{Channel, Envelope};
+pub use envelope::{Channel, Envelope, Outgoing};
 pub use lost::LostBuffer;
-pub use message::{GossipAction, GossipMessage};
-pub use policy::{
-    Absorbed, AlternatingDigest, DigestBody, DigestPolicy, MuxSteering, NegativeDigest,
-    PatternSteering, PositiveDigest, RandomSteering, SourceSteering, SteeringPolicy,
-};
+pub use message::GossipMessage;
 pub use registry::{Algorithm, ParseAlgorithmError};
-pub use summary::{SummaryDigestPolicy, SummaryMode, DETAIL_THRESHOLD, MAX_QUEUED_RANGES};
+pub use summary::{SummaryMode, SummaryState, DETAIL_THRESHOLD, MAX_QUEUED_RANGES};

@@ -1,9 +1,9 @@
-//! Gossip wire messages and the actions algorithms emit.
+//! Gossip wire messages.
 
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
-use eps_pubsub::{Event, EventId, LossRecord, PatternId, RangeDetail, RangeRef, RangeSummary};
+use eps_pubsub::{EventId, LossRecord, PatternId, RangeDetail, RangeSummary};
 
 /// A gossip message travelling the dispatching tree.
 ///
@@ -93,46 +93,6 @@ impl GossipMessage {
             | GossipMessage::SummaryDigest { gossiper, .. } => gossiper,
         }
     }
-}
-
-/// What a recovery algorithm wants done, interpreted by the harness.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum GossipAction {
-    /// Send a gossip message to a tree neighbor (travels on the
-    /// overlay link, subject to its loss and queueing).
-    Forward {
-        /// The neighboring dispatcher to hand the message to.
-        to: NodeId,
-        /// The message.
-        msg: GossipMessage,
-    },
-    /// Ask `to`, out-of-band, for copies of the identified events
-    /// (reaction to a positive push digest).
-    Request {
-        /// The dispatcher believed to hold the events (the gossiper).
-        to: NodeId,
-        /// The events to retransmit.
-        ids: Vec<EventId>,
-    },
-    /// Send copies of cached events to `to` out-of-band (reaction to a
-    /// negative digest or to a [`GossipAction::Request`]).
-    Reply {
-        /// The dispatcher that is missing the events.
-        to: NodeId,
-        /// The event copies.
-        events: Vec<Event>,
-    },
-    /// Ask the gossiper, out-of-band, to refine the given summary
-    /// ranges in its next round (reaction to a mismatching
-    /// [`GossipMessage::SummaryDigest`] aggregate).
-    RequestDetail {
-        /// The gossiper whose summary disagreed.
-        to: NodeId,
-        /// The pattern the summary was about.
-        pattern: PatternId,
-        /// The ranges to expand.
-        ranges: Vec<RangeRef>,
-    },
 }
 
 #[cfg(test)]

@@ -1,64 +1,56 @@
 //! The closed set of recovery strategies: one `const` table of named
-//! digest × steering compositions.
+//! rows.
 //!
-//! Each row names a composition of the policy stages in
-//! [`crate::policy`] and declares the infrastructure it needs from the
-//! dispatching layer. [`Algorithm`] is a `Copy` handle on a row — what
-//! CLI parsing, scenario configuration, node construction, experiment
-//! drivers and benchmarks all work in terms of — and
-//! [`Algorithm::build`] turns it into the per-dispatcher [`Strategy`].
-//! Adding a strategy is one row here plus one [`Strategy`] arm.
+//! Each row names which kind of [`Strategy`] state it builds — and,
+//! for the pull and summary kinds, the route or mode — and declares the
+//! infrastructure it needs from the dispatching layer. [`Algorithm`] is
+//! a `Copy` handle on a row — what CLI parsing, scenario configuration,
+//! node construction, experiment drivers and benchmarks all work in
+//! terms of — and [`Algorithm::build`] turns it into the per-dispatcher
+//! [`Strategy`].
 //!
 //! The rows, in the order the paper's figures list them:
 //!
-//! | name              | digest                | steering                      |
-//! |-------------------|-----------------------|-------------------------------|
-//! | `no-recovery`     | —                     | —                             |
-//! | `random-pull`     | negative              | random (TTL)                  |
-//! | `push`            | positive              | pattern                       |
-//! | `subscriber-pull` | negative              | pattern                       |
-//! | `combined-pull`   | negative              | mux(source, pattern)          |
-//! | `publisher-pull`  | negative              | source                        |
-//! | `push-pull`       | alternating pos/neg   | pattern                       |
-//! | `summary-push`    | summary (push mode)   | pattern                       |
-//! | `summary-pull`    | summary (pull mode)   | pattern                       |
+//! | name              | state     | digest steered                                |
+//! |-------------------|-----------|-----------------------------------------------|
+//! | `no-recovery`     | —         | —                                             |
+//! | `random-pull`     | pull      | to random neighbors (TTL)                     |
+//! | `push`            | push      | along a known pattern's routes                |
+//! | `subscriber-pull` | pull      | along a lost pattern's routes                 |
+//! | `combined-pull`   | pull      | publisher's route w.p. `P_source`, else as subscriber-pull |
+//! | `publisher-pull`  | pull      | back along the publisher's route              |
+//! | `push-pull`       | push-pull | push and subscriber-pull rounds, alternating  |
+//! | `summary-push`    | summary   | along a known pattern's routes                |
+//! | `summary-pull`    | summary   | along a known pattern's routes                |
 //!
-//! `push-pull` is the first dividend of the decomposition: a hybrid
-//! built purely by composing existing stages — no new wire format, no
-//! new algorithm struct. The `summary-*` extensions (aliases
-//! `merkle-push` / `merkle-pull`) replace the linear id list with
-//! hash-range tree aggregates, making anti-entropy wire cost sublinear
-//! in cache size; they require the dispatcher to maintain a
+//! `push-pull` reuses the push and pull wire forms; no new message
+//! exists for it. The `summary-*` extensions (aliases `merkle-push` /
+//! `merkle-pull`) replace the linear id list with hash-range tree
+//! aggregates, making anti-entropy wire cost sublinear in cache size;
+//! they require the dispatcher to maintain a
 //! [`eps_pubsub::SummaryIndex`], declared via
 //! [`Algorithm::needs_summary_index`].
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::algorithm::Strategy;
+use crate::algorithm::{State, Strategy};
 use crate::config::GossipConfig;
-use crate::engine::GossipEngine;
-use crate::policy::{
-    AlternatingDigest, MuxSteering, NegativeDigest, PatternSteering, PositiveDigest,
-    RandomSteering, SourceSteering,
-};
-use crate::summary::SummaryDigestPolicy;
+use crate::lost::LostBuffer;
+use crate::policy::{PullRoute, PushState};
+use crate::summary::{SummaryMode, SummaryState};
 
-/// Which [`Strategy`] arm a table row builds.
+/// Which kind of [`Strategy`] state a table row builds.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Variant {
     NoRecovery,
-    RandomPull,
     Push,
-    SubscriberPull,
-    CombinedPull,
-    PublisherPull,
+    Pull(PullRoute),
     PushPull,
-    SummaryPush,
-    SummaryPull,
+    Summary(SummaryMode),
 }
 
-/// One table row: a named composition plus the infrastructure it
+/// One table row: a named strategy plus the infrastructure it
 /// requires from the dispatching layer.
 #[derive(PartialEq, Eq, Hash)]
 struct Row {
@@ -96,24 +88,24 @@ const fn row(
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
     row("no-recovery",     &["none", "baseline"], false, false, Variant::NoRecovery),
-    row("random-pull",     &["random"],           false, false, Variant::RandomPull),
+    row("random-pull",     &["random"],           false, false, Variant::Pull(PullRoute::Random)),
     row("push",            &[],                   false, false, Variant::Push),
-    row("subscriber-pull", &["sub-pull"],         false, false, Variant::SubscriberPull),
-    row("combined-pull",   &["combined"],         true,  false, Variant::CombinedPull),
-    row("publisher-pull",  &["pub-pull"],         true,  false, Variant::PublisherPull),
+    row("subscriber-pull", &["sub-pull"],         false, false, Variant::Pull(PullRoute::Subscriber)),
+    row("combined-pull",   &["combined"],         true,  false, Variant::Pull(PullRoute::Combined)),
+    row("publisher-pull",  &["pub-pull"],         true,  false, Variant::Pull(PullRoute::Publisher)),
     row("push-pull",       &["hybrid"],           false, false, Variant::PushPull),
-    row("summary-push",    &["merkle-push"],      false, true,  Variant::SummaryPush),
-    row("summary-pull",    &["merkle-pull"],      false, true,  Variant::SummaryPull),
+    row("summary-push",    &["merkle-push"],      false, true,  Variant::Summary(SummaryMode::Push)),
+    row("summary-pull",    &["merkle-pull"],      false, true,  Variant::Summary(SummaryMode::Pull)),
 ];
 
 /// The paper's figure order (golden suite, fig3/fig5 reproductions).
 const PAPER_ORDER: [Variant; 6] = [
     Variant::NoRecovery,
-    Variant::RandomPull,
+    Variant::Pull(PullRoute::Random),
     Variant::Push,
-    Variant::SubscriberPull,
-    Variant::CombinedPull,
-    Variant::PublisherPull,
+    Variant::Pull(PullRoute::Subscriber),
+    Variant::Pull(PullRoute::Combined),
+    Variant::Pull(PullRoute::Publisher),
 ];
 
 /// A `Copy` handle on one recovery strategy of the table.
@@ -199,50 +191,23 @@ impl Algorithm {
     /// Panics if `config` fails [`GossipConfig::validate`].
     pub fn build(self, config: GossipConfig) -> Strategy {
         config.validate();
-        let cfg = &config;
-        match self.0.variant {
-            Variant::NoRecovery => Strategy::NoRecovery,
-            Variant::RandomPull => Strategy::RandomPull(GossipEngine::new(
-                config,
-                NegativeDigest::new(cfg),
-                RandomSteering,
-            )),
-            Variant::Push => Strategy::Push(GossipEngine::new(
-                config,
-                PositiveDigest::new(),
-                PatternSteering,
-            )),
-            Variant::SubscriberPull => Strategy::SubscriberPull(GossipEngine::new(
-                config,
-                NegativeDigest::new(cfg),
-                PatternSteering,
-            )),
-            Variant::CombinedPull => Strategy::CombinedPull(GossipEngine::new(
-                config,
-                NegativeDigest::new(cfg),
-                MuxSteering::new(SourceSteering, PatternSteering),
-            )),
-            Variant::PublisherPull => Strategy::PublisherPull(GossipEngine::new(
-                config,
-                NegativeDigest::new(cfg),
-                SourceSteering,
-            )),
-            Variant::PushPull => Strategy::PushPull(GossipEngine::new(
-                config,
-                AlternatingDigest::new(cfg),
-                PatternSteering,
-            )),
-            Variant::SummaryPush => Strategy::SummaryPush(GossipEngine::new(
-                config,
-                SummaryDigestPolicy::push(cfg),
-                PatternSteering,
-            )),
-            Variant::SummaryPull => Strategy::SummaryPull(GossipEngine::new(
-                config,
-                SummaryDigestPolicy::pull(cfg),
-                PatternSteering,
-            )),
-        }
+        let lost =
+            || LostBuffer::with_capacity(config.max_attempts, config.resolved_lost_capacity());
+        let state = match self.0.variant {
+            Variant::NoRecovery => State::NoRecovery,
+            Variant::Push => State::Push(PushState::default()),
+            Variant::Pull(route) => State::Pull {
+                lost: lost(),
+                route,
+            },
+            Variant::PushPull => State::PushPull {
+                push: PushState::default(),
+                lost: lost(),
+                round: 0,
+            },
+            Variant::Summary(mode) => State::Summary(SummaryState::new(mode, &config)),
+        };
+        Strategy { config, state }
     }
 
     /// The `no-recovery` baseline.
@@ -257,41 +222,42 @@ impl Algorithm {
 
     /// The paper's subscriber-based pull strategy.
     pub fn subscriber_pull() -> Algorithm {
-        Algorithm::of(Variant::SubscriberPull)
+        Algorithm::of(Variant::Pull(PullRoute::Subscriber))
     }
 
     /// The paper's publisher-based pull strategy.
     pub fn publisher_pull() -> Algorithm {
-        Algorithm::of(Variant::PublisherPull)
+        Algorithm::of(Variant::Pull(PullRoute::Publisher))
     }
 
     /// The paper's combined pull strategy (`P_source` mux).
     pub fn combined_pull() -> Algorithm {
-        Algorithm::of(Variant::CombinedPull)
+        Algorithm::of(Variant::Pull(PullRoute::Combined))
     }
 
     /// The paper's random-routing comparator.
     pub fn random_pull() -> Algorithm {
-        Algorithm::of(Variant::RandomPull)
+        Algorithm::of(Variant::Pull(PullRoute::Random))
     }
 
-    /// The push+pull hybrid (extension): alternating positive and
-    /// negative digests on pattern steering.
+    /// The push+pull hybrid (extension): push rounds and
+    /// subscriber-pull rounds, alternating.
     pub fn push_pull() -> Algorithm {
         Algorithm::of(Variant::PushPull)
     }
 
     /// Summary reconciliation, push mode (extension): hash-range tree
-    /// digests on pattern steering, receivers fetch their deficit.
+    /// digests steered like push digests, receivers fetch their
+    /// deficit.
     pub fn summary_push() -> Algorithm {
-        Algorithm::of(Variant::SummaryPush)
+        Algorithm::of(Variant::Summary(SummaryMode::Push))
     }
 
     /// Summary reconciliation, pull mode (extension): hash-range tree
-    /// digests on pattern steering, receivers serve the gossiper's
-    /// deficit.
+    /// digests steered like push digests, receivers serve the
+    /// gossiper's deficit.
     pub fn summary_pull() -> Algorithm {
-        Algorithm::of(Variant::SummaryPull)
+        Algorithm::of(Variant::Summary(SummaryMode::Pull))
     }
 }
 
@@ -396,22 +362,26 @@ mod tests {
         }
     }
 
-    /// Each row builds the [`Strategy`] arm of the same name, with an
+    /// Each row builds the [`Strategy`] state of its name, with an
     /// empty `Lost` buffer.
     #[test]
     fn build_constructs_every_entry() {
         for algo in Algorithm::all() {
             let instance = algo.build(GossipConfig::default());
-            let arm = match &instance {
-                Strategy::NoRecovery => "no-recovery",
-                Strategy::RandomPull(_) => "random-pull",
-                Strategy::Push(_) => "push",
-                Strategy::SubscriberPull(_) => "subscriber-pull",
-                Strategy::CombinedPull(_) => "combined-pull",
-                Strategy::PublisherPull(_) => "publisher-pull",
-                Strategy::PushPull(_) => "push-pull",
-                Strategy::SummaryPush(_) => "summary-push",
-                Strategy::SummaryPull(_) => "summary-pull",
+            let arm = match &instance.state {
+                State::NoRecovery => "no-recovery",
+                State::Pull { route, .. } => match route {
+                    PullRoute::Random => "random-pull",
+                    PullRoute::Subscriber => "subscriber-pull",
+                    PullRoute::Combined => "combined-pull",
+                    PullRoute::Publisher => "publisher-pull",
+                },
+                State::Push(_) => "push",
+                State::PushPull { .. } => "push-pull",
+                State::Summary(summary) => match summary.mode {
+                    SummaryMode::Push => "summary-push",
+                    SummaryMode::Pull => "summary-pull",
+                },
             };
             assert_eq!(arm, algo.name());
             assert_eq!(instance.outstanding_losses(), 0);

@@ -1,9 +1,13 @@
 //! Properties every recovery strategy must satisfy, checked over
 //! [`Algorithm::all`] — the paper's six and the extensions alike.
 
-use eps_gossip::{Algorithm, GossipAction, GossipConfig, GossipMessage};
+use std::sync::Arc;
+
+use eps_gossip::{Algorithm, Envelope, GossipConfig, GossipMessage};
 use eps_overlay::NodeId;
-use eps_pubsub::{Dispatcher, DispatcherConfig, Event, EventId, LossRecord, PatternId};
+use eps_pubsub::{
+    Dispatcher, DispatcherConfig, Event, EventId, LossRecord, PatternId, RangeRef, RangeSummary,
+};
 use eps_sim::check::forall;
 use eps_sim::Rng;
 
@@ -67,8 +71,107 @@ fn losses_reconcile_for_every_algorithm() {
     });
 }
 
-/// Gossip actions never target the node itself, and replies carry only
-/// events the node actually has cached.
+/// One message of each of the five wire forms, each something a row that
+/// speaks the form reacts to at [`wire_form_node`]: unseen ids, unserved
+/// losses, a route onward, hop budget left, a summary to pass on.
+fn every_wire_form() -> [(&'static str, GossipMessage); 5] {
+    let p = PatternId::new(1);
+    let gossiper = NodeId::new(7);
+    let lost = vec![record(0, 1, 40), record(0, 1, 41)];
+    [
+        (
+            "push",
+            GossipMessage::PushDigest {
+                gossiper,
+                pattern: p,
+                ids: Arc::new(vec![EventId::new(NodeId::new(0), 40)]),
+            },
+        ),
+        (
+            "pull",
+            GossipMessage::PullDigest {
+                gossiper,
+                pattern: p,
+                lost: lost.clone(),
+            },
+        ),
+        (
+            "source",
+            GossipMessage::SourcePull {
+                gossiper,
+                source: NodeId::new(0),
+                lost: lost.clone(),
+                route: vec![NodeId::new(3), NodeId::new(0)],
+            },
+        ),
+        (
+            "random",
+            GossipMessage::RandomPull {
+                gossiper,
+                lost,
+                ttl: 4,
+            },
+        ),
+        (
+            "summary",
+            GossipMessage::SummaryDigest {
+                gossiper,
+                pattern: p,
+                ranges: Arc::new(vec![RangeSummary::empty(RangeRef::ROOT)]),
+                details: Arc::new(vec![]),
+            },
+        ),
+    ]
+}
+
+/// The wire forms each row speaks, by [`every_wire_form`] label.
+fn native_forms(kind: Algorithm) -> &'static [&'static str] {
+    match kind.name() {
+        "no-recovery" => &[],
+        "random-pull" => &["random"],
+        "push" => &["push"],
+        "subscriber-pull" => &["pull"],
+        "combined-pull" => &["pull", "source"],
+        "publisher-pull" => &["source"],
+        "push-pull" => &["push", "pull"],
+        "summary-push" | "summary-pull" => &["summary"],
+        other => panic!("no wire forms listed for {other}"),
+    }
+}
+
+/// A dispatcher subscribed to pattern 1 locally and through neighbor 3,
+/// holding none of the events the wire forms above ask about.
+fn wire_form_node(kind: Algorithm) -> Dispatcher {
+    let mut node = dispatcher_for(kind, 2);
+    node.subscribe_local(PatternId::new(1), &[]);
+    node.on_subscribe(PatternId::new(1), NodeId::new(3), &[]);
+    node
+}
+
+/// Every row reacts to its own wire forms, and a form foreign to the
+/// row returns nothing without drawing from the gossip `Rng`.
+#[test]
+fn foreign_wire_forms_are_dropped_without_a_draw() {
+    let neighbors = [NodeId::new(1), NodeId::new(3)];
+    for kind in Algorithm::all() {
+        let node = wire_form_node(kind);
+        for (form, msg) in every_wire_form() {
+            let mut algo = kind.build(GossipConfig::default());
+            let mut rng = Rng::from_seed(5);
+            let before = rng.clone();
+            let out = algo.on_gossip(&node, NodeId::new(1), msg, &neighbors, &mut rng);
+            if native_forms(kind).contains(&form) {
+                assert!(!out.is_empty(), "{kind} ignored its own {form} form");
+            } else {
+                assert!(out.is_empty(), "{kind} reacted to a foreign {form} form");
+                assert_eq!(rng, before, "{kind} drew for a foreign {form} form");
+            }
+        }
+    }
+}
+
+/// Strategy output never targets the node itself, and replies carry
+/// only events the node actually has cached.
 #[test]
 fn actions_are_well_formed() {
     forall("actions_are_well_formed", 256, |rng| {
@@ -102,22 +205,16 @@ fn actions_are_well_formed() {
             lost: (0..30).map(|seq| record(0, 1, seq)).collect(),
         };
         actions.extend(algo.on_gossip(&node, NodeId::new(1), digest, &neighbors, rng));
-        for action in &actions {
-            let to = match action {
-                GossipAction::Forward { to, .. }
-                | GossipAction::Request { to, .. }
-                | GossipAction::RequestDetail { to, .. } => to,
-                GossipAction::Reply { to, events } => {
-                    for e in events {
-                        assert!(
-                            node.cache().contains(e.id()),
-                            "{kind} replied with an uncached event"
-                        );
-                    }
-                    to
+        for out in &actions {
+            if let Envelope::Reply(events) = &out.env {
+                for e in events {
+                    assert!(
+                        node.cache().contains(e.id()),
+                        "{kind} replied with an uncached event"
+                    );
                 }
-            };
-            assert_ne!(*to, me, "{kind} addressed itself");
+            }
+            assert_ne!(out.to, me, "{kind} addressed itself");
         }
     });
 }

@@ -1,27 +1,20 @@
-//! Two-node summary-reconciliation model: engine-driven symmetric
-//! rounds between randomly diverged caches, checked against a
-//! `BTreeSet` set-difference reference.
+//! Two-node summary-reconciliation model: symmetric rounds of the
+//! table-built `summary-push` / `summary-pull` strategies between
+//! randomly diverged caches, checked against a `BTreeSet`
+//! set-difference reference.
 //!
 //! Properties:
 //!
-//! 1. For every steering a summary digest composes with (pattern,
-//!    mux-over-source-and-pattern), two diverged caches converge to
-//!    exactly their union within the predicted round bound and then go
-//!    quiet.
+//! 1. Two diverged caches converge to exactly their union within the
+//!    predicted round bound and then go quiet.
 //! 2. Under eviction churn mid-reconciliation, exact equality is out
 //!    of reach by design (the `has_seen` filter never refetches an
 //!    evicted id), but no *unseen* deficit survives: every id live in
 //!    one cache ends up seen by the other.
-//! 3. Random steering is inert for summary digests (they are
-//!    pattern-labelled only) — composition is safe, never a panic.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use eps_gossip::{
-    GossipAction, GossipConfig, GossipEngine, GossipMessage, MuxSteering, PatternSteering,
-    RandomSteering, SourceSteering, SteeringPolicy, SummaryDigestPolicy,
-};
+use eps_gossip::{Algorithm, Envelope, GossipConfig, Outgoing, Strategy};
 use eps_overlay::NodeId;
 use eps_pubsub::summary::LEVEL_COUNT;
 use eps_pubsub::{Dispatcher, DispatcherConfig, Event, EventId, PatternId, RangeRef};
@@ -37,20 +30,16 @@ fn pattern() -> PatternId {
 }
 
 /// One side of the reconciliation: a dispatcher plus its summary
-/// engine over steering `S`, the pairing the harness runs.
-struct Peer<S> {
+/// strategy, the pairing the harness runs.
+struct Peer {
     node: Dispatcher,
-    algo: GossipEngine<SummaryDigestPolicy, S>,
+    algo: Strategy,
 }
 
 /// A dispatcher subscribed to the test pattern both locally and on
-/// behalf of its peer, so pattern steering always has a route.
-fn peer<S: SteeringPolicy>(
-    id: u32,
-    peer_id: u32,
-    capacity: usize,
-    algo: GossipEngine<SummaryDigestPolicy, S>,
-) -> Peer<S> {
+/// behalf of its peer, so its digests always have a route, running
+/// `summary-pull` (`pull`) or `summary-push`.
+fn peer(id: u32, peer_id: u32, capacity: usize, pull: bool) -> Peer {
     let mut node = Dispatcher::new(
         NodeId::new(id),
         DispatcherConfig {
@@ -61,24 +50,15 @@ fn peer<S: SteeringPolicy>(
     );
     node.subscribe_local(pattern(), &[]);
     node.on_subscribe(pattern(), NodeId::new(peer_id), &[]);
-    Peer { node, algo }
-}
-
-/// The engine composition under test: a summary digest (push or pull
-/// deficit direction) over `steering` — pattern steering, or the
-/// combined-pull style mux (whose source arm has no candidates for a
-/// summary digest and falls back to the pattern arm every round).
-fn summary_engine<S: SteeringPolicy>(
-    pull: bool,
-    steering: S,
-) -> GossipEngine<SummaryDigestPolicy, S> {
-    let config = GossipConfig::default();
-    let digest = if pull {
-        SummaryDigestPolicy::pull(&config)
+    let algorithm = if pull {
+        Algorithm::summary_pull()
     } else {
-        SummaryDigestPolicy::push(&config)
+        Algorithm::summary_push()
     };
-    GossipEngine::new(config, digest, steering)
+    Peer {
+        node,
+        algo: algorithm.build(GossipConfig::default()),
+    }
 }
 
 /// Feeds `seqs` (ascending) as tree deliveries; what one peer receives
@@ -103,49 +83,37 @@ fn live_ids(node: &Dispatcher) -> BTreeSet<EventId> {
         .collect()
 }
 
-/// Applies `actions` (emitted by `src`'s engine, all addressed to
-/// `dst` in a two-node world) and recurses into the reactions they
-/// trigger. Returns the number of reconciliation actions that flowed —
-/// digest forwards are free-running and do not count, so a zero return
-/// means the round found no divergence to work on.
-fn apply<S: SteeringPolicy>(
-    src: &mut Peer<S>,
-    dst: &mut Peer<S>,
-    actions: Vec<GossipAction>,
-    rng: &mut Rng,
-) -> usize {
+/// Delivers `out` (sent by `src`'s strategy, all addressed to `dst` in
+/// a two-node world) and recurses into the reactions it triggers.
+/// Returns the number of reconciliation messages that flowed — digest
+/// forwards are free-running and do not count, so a zero return means
+/// the round found no divergence to work on.
+fn apply(src: &mut Peer, dst: &mut Peer, out: Vec<Outgoing>, rng: &mut Rng) -> usize {
     let mut work = 0;
-    for action in actions {
-        match action {
-            GossipAction::Forward { to, msg } => {
-                assert_eq!(to, dst.node.id(), "two-node world");
-                let from = src.node.id();
+    let from = src.node.id();
+    for Outgoing { to, env } in out {
+        assert_eq!(to, dst.node.id(), "two-node world");
+        match env {
+            Envelope::Gossip(msg) => {
                 let reactions = dst.algo.on_gossip(&dst.node, from, msg, &[from], rng);
                 work += apply(dst, src, reactions, rng);
             }
-            GossipAction::RequestDetail {
-                to,
-                pattern: p,
-                ranges,
-            } => {
-                assert_eq!(to, dst.node.id(), "two-node world");
-                dst.algo.on_range_request(src.node.id(), p, &ranges);
+            Envelope::RangeRequest { pattern, ranges } => {
+                dst.algo.on_range_request(pattern, &ranges);
                 work += 1;
             }
-            GossipAction::Request { to, ids } => {
-                assert_eq!(to, dst.node.id(), "two-node world");
-                let from = src.node.id();
+            Envelope::Request(ids) => {
                 let replies = dst.algo.on_request(&dst.node, from, &ids);
                 work += 1 + apply(dst, src, replies, rng);
             }
-            GossipAction::Reply { to, events } => {
-                assert_eq!(to, dst.node.id(), "two-node world");
+            Envelope::Reply(events) => {
                 for event in events {
                     dst.node.on_recovered_event(event.clone());
                     dst.algo.on_event_received(&event);
                 }
                 work += 1;
             }
+            other => panic!("a strategy sent {other:?}"),
         }
     }
     work
@@ -164,12 +132,7 @@ fn round_bound(delta: usize, digest_max: usize) -> usize {
 /// Runs symmetric rounds (A gossips to B, then B to A) until a round
 /// moves nothing and the caches agree; returns the rounds used, or
 /// `None` if `max_rounds` was not enough.
-fn reconcile<S: SteeringPolicy>(
-    a: &mut Peer<S>,
-    b: &mut Peer<S>,
-    rng: &mut Rng,
-    max_rounds: usize,
-) -> Option<usize> {
+fn reconcile(a: &mut Peer, b: &mut Peer, rng: &mut Rng, max_rounds: usize) -> Option<usize> {
     for round in 1..=max_rounds {
         let opening = a.algo.on_round(&a.node, &[b.node.id()], rng);
         let mut work = apply(a, b, opening, rng);
@@ -188,56 +151,41 @@ fn subset(universe: u64, p: f64, rng: &mut Rng) -> Vec<u64> {
     (0..universe).filter(|_| rng.random_bool(p)).collect()
 }
 
-/// Two caches diverged at random over steering `S` converge to their
-/// union within [`round_bound`].
-fn converges_to_union<S: SteeringPolicy>(pull: bool, steering: fn() -> S, rng: &mut Rng) {
-    let density = rng.random_range(0.2..0.95);
-    let in_a = subset(200, density, rng);
-    let in_b = subset(200, density, rng);
-
-    // The BTreeSet reference the caches must converge to.
-    let sa: BTreeSet<u64> = in_a.iter().copied().collect();
-    let sb: BTreeSet<u64> = in_b.iter().copied().collect();
-    let union: BTreeSet<EventId> = sa
-        .union(&sb)
-        .map(|&seq| EventId::new(NodeId::new(SOURCE), seq))
-        .collect();
-    let delta = sa.symmetric_difference(&sb).count();
-
-    let mut a = peer(0, 1, 1500, summary_engine(pull, steering()));
-    let mut b = peer(1, 0, 1500, summary_engine(pull, steering()));
-    feed(&mut a.node, in_a);
-    feed(&mut b.node, in_b);
-
-    let bound = round_bound(delta, GossipConfig::default().digest_max);
-    let rounds = reconcile(&mut a, &mut b, rng, bound);
-    let label = format!(
-        "pull={pull} steering={} delta={delta}",
-        std::any::type_name::<S>()
-    );
-    assert!(rounds.is_some(), "no convergence within {bound}: {label}");
-    assert_eq!(live_ids(&a.node), union, "{label}");
-    assert_eq!(live_ids(&b.node), union, "{label}");
-    assert_eq!(
-        a.node.cache().summary_index().root(pattern()),
-        b.node.cache().summary_index().root(pattern()),
-        "{label}"
-    );
-}
-
+/// Two caches diverged at random converge to their union within
+/// [`round_bound`].
 #[test]
-fn diverged_caches_converge_to_union_for_every_steering() {
+fn diverged_caches_converge_to_union() {
     forall("diverged_caches_converge_to_union", 64, |rng| {
-        let (pull, mux) = (rng.random_bool(0.5), rng.random_bool(0.5));
-        if mux {
-            converges_to_union(
-                pull,
-                || MuxSteering::new(SourceSteering, PatternSteering),
-                rng,
-            );
-        } else {
-            converges_to_union(pull, || PatternSteering, rng);
-        }
+        let pull = rng.random_bool(0.5);
+        let density = rng.random_range(0.2..0.95);
+        let in_a = subset(200, density, rng);
+        let in_b = subset(200, density, rng);
+
+        // The BTreeSet reference the caches must converge to.
+        let sa: BTreeSet<u64> = in_a.iter().copied().collect();
+        let sb: BTreeSet<u64> = in_b.iter().copied().collect();
+        let union: BTreeSet<EventId> = sa
+            .union(&sb)
+            .map(|&seq| EventId::new(NodeId::new(SOURCE), seq))
+            .collect();
+        let delta = sa.symmetric_difference(&sb).count();
+
+        let mut a = peer(0, 1, 1500, pull);
+        let mut b = peer(1, 0, 1500, pull);
+        feed(&mut a.node, in_a);
+        feed(&mut b.node, in_b);
+
+        let bound = round_bound(delta, GossipConfig::default().digest_max);
+        let rounds = reconcile(&mut a, &mut b, rng, bound);
+        let label = format!("pull={pull} delta={delta}");
+        assert!(rounds.is_some(), "no convergence within {bound}: {label}");
+        assert_eq!(live_ids(&a.node), union, "{label}");
+        assert_eq!(live_ids(&b.node), union, "{label}");
+        assert_eq!(
+            a.node.cache().summary_index().root(pattern()),
+            b.node.cache().summary_index().root(pattern()),
+            "{label}"
+        );
     });
 }
 
@@ -252,8 +200,8 @@ fn eviction_churn_leaves_no_unseen_deficits() {
     forall("eviction_churn_leaves_no_unseen_deficits", 64, |rng| {
         let pull = rng.random_bool(0.5);
         let density = rng.random_range(0.3..0.95);
-        let mut a = peer(0, 1, CAPACITY, summary_engine(pull, PatternSteering));
-        let mut b = peer(1, 0, CAPACITY, summary_engine(pull, PatternSteering));
+        let mut a = peer(0, 1, CAPACITY, pull);
+        let mut b = peer(1, 0, CAPACITY, pull);
         feed(&mut a.node, subset(96, density, rng));
         feed(&mut b.node, subset(96, density, rng));
 
@@ -301,8 +249,8 @@ fn pull_goes_quiet_once_evicted_surplus_is_seen() {
     // seen view — live cache plus tombstones — both sides' aggregates
     // agree, and a window of symmetric rounds must move nothing at
     // all: no replies, no requests, no refinement traffic.
-    let mut a = peer(0, 1, 32, summary_engine(true, PatternSteering));
-    let mut b = peer(1, 0, 1500, summary_engine(true, PatternSteering));
+    let mut a = peer(0, 1, 32, true);
+    let mut b = peer(1, 0, 1500, true);
     feed(&mut a.node, 0..96);
     feed(&mut b.node, 0..96);
     assert_eq!(
@@ -324,43 +272,4 @@ fn pull_goes_quiet_once_evicted_surplus_is_seen() {
             "round {round} re-served evicted surplus"
         );
     }
-}
-
-#[test]
-fn random_steering_is_inert_for_summary_digests() {
-    // Summary digests are pattern-labelled only: random steering's
-    // build_any finds nothing to send and its absorb path rejects the
-    // wire form, so the composition is a safe no-op for arbitrary
-    // cache contents, never a panic.
-    forall("random_steering_is_inert_for_summary_digests", 64, |rng| {
-        let config = GossipConfig::default();
-        let digest = if rng.random_bool(0.5) {
-            SummaryDigestPolicy::pull(&config)
-        } else {
-            SummaryDigestPolicy::push(&config)
-        };
-        let mut a = peer(
-            0,
-            1,
-            1500,
-            GossipEngine::new(config, digest, RandomSteering),
-        );
-        feed(&mut a.node, subset(50, 0.5, rng));
-        for _ in 0..5 {
-            let actions = a.algo.on_round(&a.node, &[NodeId::new(1)], rng);
-            assert!(actions.is_empty(), "random steering sent a summary digest");
-        }
-        // An incoming summary digest is foreign to random steering too.
-        let index = a.node.cache().summary_index();
-        let msg = GossipMessage::SummaryDigest {
-            gossiper: NodeId::new(1),
-            pattern: pattern(),
-            ranges: Arc::new(vec![index.root(pattern())]),
-            details: Arc::new(vec![]),
-        };
-        let from = NodeId::new(1);
-        let reactions = a.algo.on_gossip(&a.node, from, msg, &[from], rng);
-        assert!(reactions.is_empty(), "random steering absorbed a summary");
-        assert_eq!(a.algo.outstanding_losses(), 0);
-    });
 }

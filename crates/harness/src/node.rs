@@ -11,7 +11,8 @@
 //! its gossip-decision RNG stream, the trace — is lent to it for the
 //! duration of one call as a [`NodeCtx`].
 
-use eps_gossip::{Envelope, GossipAction, Strategy};
+pub use eps_gossip::Outgoing;
+use eps_gossip::{Envelope, Strategy};
 use eps_metrics::{DeliverySink, MessageCounters};
 use eps_overlay::NodeId;
 use eps_pubsub::{
@@ -23,16 +24,6 @@ use eps_sim::{Rng, SimTime};
 use crate::config::AdaptiveGossip;
 use crate::result::RoutingStats;
 use crate::trace::{ScenarioTrace, TraceRecord};
-
-/// One message a node wants the runner to put on a wire. The channel
-/// it travels on follows from the envelope ([`Envelope::channel`]).
-#[derive(Clone, Debug)]
-pub struct Outgoing {
-    /// The destination dispatcher.
-    pub to: NodeId,
-    /// The message.
-    pub env: Envelope,
-}
 
 /// Runner-held state lent to a node for the duration of one call: the
 /// current virtual time and overlay neighborhood, the pattern space,
@@ -209,23 +200,25 @@ impl SimNode {
             Envelope::Gossip(msg) => {
                 // Gossip spreads over the whole physical
                 // neighborhood, cross links included.
-                let actions = self.algorithm.on_gossip(
+                let out = self.algorithm.on_gossip(
                     &self.dispatcher,
                     from,
                     msg,
                     ctx.graph_neighbors,
                     ctx.gossip_rng,
                 );
-                self.convert(actions, ctx.counters)
+                self.count_recovery(&out, ctx.counters);
+                out
             }
             Envelope::Request(ids) => {
-                let actions = self.algorithm.on_request(&self.dispatcher, from, &ids);
-                self.convert(actions, ctx.counters)
+                let out = self.algorithm.on_request(&self.dispatcher, from, &ids);
+                self.count_recovery(&out, ctx.counters);
+                out
             }
             Envelope::RangeRequest { pattern, ranges } => {
                 // A summary-refinement request: queued by the
                 // algorithm, answered inside its next gossip round.
-                self.algorithm.on_range_request(from, pattern, &ranges);
+                self.algorithm.on_range_request(pattern, &ranges);
                 Vec::new()
             }
             Envelope::Reply(events) => {
@@ -338,9 +331,9 @@ impl SimNode {
         adaptive: Option<AdaptiveGossip>,
         ctx: &mut NodeCtx,
     ) -> (Vec<Outgoing>, SimTime) {
-        let actions =
-            self.algorithm
-                .on_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
+        let out = self
+            .algorithm
+            .on_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
         let next = match adaptive {
             None => interval,
             Some(adaptive) => {
@@ -355,7 +348,7 @@ impl SimNode {
                 next
             }
         };
-        let out = self.convert(actions, ctx.counters);
+        self.count_recovery(&out, ctx.counters);
         (out, next)
     }
 
@@ -393,47 +386,21 @@ impl SimNode {
         (out, retracts || announces)
     }
 
-    /// Converts gossip actions into envelopes, counting each at the
-    /// moment the node decides to send it (so broken links don't
-    /// change the overhead figures).
-    fn convert(&self, actions: Vec<GossipAction>, counters: &mut MessageCounters) -> Vec<Outgoing> {
-        actions
-            .into_iter()
-            .map(|action| match action {
-                GossipAction::Forward { to, msg } => {
-                    counters.count_gossip(self.id);
-                    Outgoing {
-                        to,
-                        env: Envelope::Gossip(msg),
-                    }
+    /// Counts the recovery messages the strategy decided to send, at
+    /// the moment it decides (so broken links don't change the
+    /// overhead figures).
+    fn count_recovery(&self, out: &[Outgoing], counters: &mut MessageCounters) {
+        for Outgoing { env, .. } in out {
+            match env {
+                Envelope::Gossip(_) => counters.count_gossip(self.id),
+                Envelope::Request(_) | Envelope::RangeRequest { .. } => {
+                    counters.count_request(self.id)
                 }
-                GossipAction::Request { to, ids } => {
-                    counters.count_request(self.id);
-                    Outgoing {
-                        to,
-                        env: Envelope::Request(ids),
-                    }
-                }
-                GossipAction::Reply { to, events } => {
-                    counters.count_reply(self.id, events.len() as u64);
-                    Outgoing {
-                        to,
-                        env: Envelope::Reply(events),
-                    }
-                }
-                GossipAction::RequestDetail {
-                    to,
-                    pattern,
-                    ranges,
-                } => {
-                    counters.count_request(self.id);
-                    Outgoing {
-                        to,
-                        env: Envelope::RangeRequest { pattern, ranges },
-                    }
-                }
-            })
-            .collect()
+                Envelope::Reply(events) => counters.count_reply(self.id, events.len() as u64),
+                // Strategies emit recovery traffic only.
+                Envelope::PubSub(_) | Envelope::CrossEvent(_) => {}
+            }
+        }
     }
 }
 

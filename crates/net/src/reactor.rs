@@ -916,21 +916,22 @@ impl Worker {
             let node = &mut nodes[ni];
             let Some(udp) = &node.udp else { return };
             match udp.recv_from(scratch) {
-                Ok((n, _)) if n >= 4 => {
-                    let from = NodeId::new(u32::from_le_bytes(
-                        scratch[..4].try_into().expect("4-byte prefix"),
-                    ));
+                Ok((n, _)) => {
+                    // A datagram shorter than its sender prefix is
+                    // undecodable.
+                    let Some((prefix, body)) = scratch[..n].split_first_chunk::<4>() else {
+                        node.core.net.decode_errors += 1;
+                        continue;
+                    };
+                    let from = NodeId::new(u32::from_le_bytes(*prefix));
                     node.core.net.datagrams_received += 1;
-                    let body = scratch[4..n].to_vec();
+                    let body = body.to_vec();
                     node.core.net.bytes_received += body.len() as u64;
                     let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
                     let sends = node
                         .core
                         .handle_body(from, &body, false, now, shared, counters);
                     dispatch_sends(node, ni, sends, registry, dirty);
-                }
-                Ok(_) => {
-                    node.core.net.decode_errors += 1;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(_) => break,

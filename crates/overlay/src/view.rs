@@ -2,11 +2,11 @@
 //! derived from (and layered over) the physical overlay graph.
 //!
 //! The dispatcher stack — subscription flooding, reverse-path event
-//! forwarding, SourceSteering's recorded routes — assumes acyclicity.
+//! forwarding, publisher-pull's recorded routes — assumes acyclicity.
 //! Rather than teach every consumer about cycles, the harness derives
 //! one [`RoutingView`] per run: a deterministic BFS spanning tree of
 //! the physical [`Topology`]. Everything that *routes* (events,
-//! subscriptions, steering) reads the view; everything *physical*
+//! subscriptions, digest routes) reads the view; everything *physical*
 //! (link loss, delay, FIFO serialization, break/repair, the gossip
 //! out-of-band channel, cross-link event replication) stays on the
 //! graph.

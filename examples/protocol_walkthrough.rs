@@ -11,7 +11,7 @@
 //! cargo run --example protocol_walkthrough
 //! ```
 
-use epidemic_pubsub::gossip::{Algorithm, GossipAction, GossipConfig};
+use epidemic_pubsub::gossip::{Algorithm, Envelope, GossipConfig, Outgoing};
 use epidemic_pubsub::overlay::NodeId;
 use epidemic_pubsub::pubsub::{Dispatcher, DispatcherConfig, PatternId, PubSubMessage};
 
@@ -102,25 +102,34 @@ fn main() {
     let mut rng = eps_sim::Rng::from_seed(42);
 
     println!("gossip round at d2: negative digest steered towards {p}'s routes");
-    let actions = algo2.on_round(&d2, &[n1], &mut rng);
-    let (to, msg) = match &actions[0] {
-        GossipAction::Forward { to, msg } => (*to, msg.clone()),
+    let out = algo2.on_round(&d2, &[n1], &mut rng);
+    let (to, msg) = match &out[0] {
+        Outgoing {
+            to,
+            env: Envelope::Gossip(msg),
+        } => (*to, msg.clone()),
         other => panic!("unexpected {other:?}"),
     };
     assert_eq!(to, n1);
     println!("d1 is a pure router (not a subscriber): it cached nothing,");
     println!("so it forwards the digest along {p}'s routes towards d0");
     let mut algo0 = Algorithm::subscriber_pull().build(GossipConfig::default());
-    let actions = algo1.on_gossip(&d1, n2, msg, &[n0, n2], &mut rng);
-    let (to, msg) = match &actions[0] {
-        GossipAction::Forward { to, msg } => (*to, msg.clone()),
+    let out = algo1.on_gossip(&d1, n2, msg, &[n0, n2], &mut rng);
+    let (to, msg) = match &out[0] {
+        Outgoing {
+            to,
+            env: Envelope::Gossip(msg),
+        } => (*to, msg.clone()),
         other => panic!("unexpected {other:?}"),
     };
     assert_eq!(to, n0);
     println!("d0 (publisher and subscriber) serves the event from its cache");
-    let actions = algo0.on_gossip(&d0, n1, msg, &[n1], &mut rng);
-    let events = match &actions[0] {
-        GossipAction::Reply { to, events } => {
+    let out = algo0.on_gossip(&d0, n1, msg, &[n1], &mut rng);
+    let events = match &out[0] {
+        Outgoing {
+            to,
+            env: Envelope::Reply(events),
+        } => {
             assert_eq!(*to, n2);
             events.clone()
         }

@@ -19,6 +19,12 @@ echo "== tier-1: no SipHash table on the event path =="
 ! grep -rnE 'collections::(\{[^}]*)?Hash(Map|Set)' crates/{overlay,pubsub,gossip,metrics}/src \
     || { echo "FAIL: use eps_sim::hash::{IdMap, IdSet}, or a BTreeMap where order is output"; exit 1; }
 
+echo "== tier-1: no dynamic dispatch in the protocol crates =="
+# A strategy is one enum match and a dispatcher concrete types; a trait
+# object in either crate puts an indirect call back on the event path.
+! grep -rn 'dyn ' crates/{gossip,pubsub}/src \
+    || { echo "FAIL: no trait objects in crates/{gossip,pubsub}/src (match an enum instead)"; exit 1; }
+
 echo "== tier-1: release build =="
 # --workspace: the root package makes a bare `cargo build` compile only
 # itself (+ member libs); the member *binaries* (net_cluster below)
