@@ -1,9 +1,10 @@
 //! Golden determinism tests: the full [`ScenarioResult`] and the
 //! fig3-style CSV bytes are pinned for all six algorithms at two
 //! seeds, plus reconfiguration, churn, cyclic-overlay (BA/WS),
-//! push-pull and adaptive-gossip variants. Any refactor of the runner
-//! must reproduce these bytes exactly — from `run_scenario` and under
-//! `par_map` — or consciously regenerate them with
+//! push-pull, adaptive-gossip and low-publish-rate variants. Any
+//! refactor of the runner must reproduce these bytes exactly — from
+//! `run_scenario` and under `par_map` — or consciously regenerate them
+//! with
 //! `UPDATE_GOLDEN=1 cargo test -p eps-harness --test golden`.
 
 use std::fmt::Write as _;
@@ -35,7 +36,7 @@ fn small(algorithm: Algorithm, seed: u64) -> ScenarioConfig {
 /// one reconfiguration run, one churn run, one run on each cyclic
 /// overlay (Barabási–Albert and Watts–Strogatz), `push-pull`, and
 /// adaptive-gossip runs of push, combined pull, push-pull and
-/// summary push.
+/// summary push, and one push run at 0.5 publishes per second.
 fn cells(seed: u64) -> Vec<(String, ScenarioConfig)> {
     let mut cells: Vec<(String, ScenarioConfig)> = Algorithm::paper()
         .into_iter()
@@ -89,6 +90,15 @@ fn cells(seed: u64) -> Vec<(String, ScenarioConfig)> {
             },
         ));
     }
+    // A workload so sparse that about e⁻² of the nodes draw a first
+    // publish past the end: pins where that tick is dropped.
+    cells.push((
+        "low-rate".to_owned(),
+        ScenarioConfig {
+            publish_rate: 0.5,
+            ..small(Algorithm::push(), seed)
+        },
+    ));
     cells
 }
 
