@@ -1,15 +1,19 @@
 //! The node actor: everything one simulated dispatcher owns —
-//! protocol logic, recovery algorithm, workload RNG, gossip-timer
-//! state, and its subscription list — behind a narrow
-//! message-in/messages-out API.
+//! protocol logic, recovery algorithm, workload RNG, its clock (the
+//! publish and gossip timers), and its subscription list — behind a
+//! narrow message-in/messages-out API.
 //!
 //! A [`SimNode`] never touches the network or the event queue: it
-//! consumes an [`Envelope`] (or a timer tick) and returns the
-//! [`Outgoing`] messages it wants sent. Routing, delay, loss, and
-//! scheduling stay with the runner and its transport. Runner-held
-//! state a node needs while handling a message — the metrics sinks,
-//! its gossip-decision RNG stream, the trace — is lent to it for the
-//! duration of one call as a [`NodeCtx`].
+//! consumes an [`Envelope`] (or a timer) and returns the [`Outgoing`]
+//! messages it wants sent. Routing, delay, loss, and the queue stay
+//! with the runner and its transport. Runner-held state a node needs
+//! while handling a message — the metrics sinks, its gossip-decision
+//! RNG stream, the trace — is lent to it for the duration of one call
+//! as a [`NodeCtx`].
+//!
+//! Both worlds drive the same clock ([`SimNode::fire_timer`]) and
+//! take every protocol stream from here ([`node_streams`],
+//! [`gossip_phase`]), so they cannot drift apart on either.
 
 pub use eps_gossip::Outgoing;
 use eps_gossip::{Envelope, Strategy};
@@ -19,11 +23,47 @@ use eps_pubsub::{
     ClientId, Dispatcher, DispatcherConfig, DispatcherHost, Event, PatternId, PatternSpace,
     PubSubMessage,
 };
-use eps_sim::{Rng, SimTime};
+use eps_sim::{Rng, RngFactory, SimTime};
 
-use crate::config::AdaptiveGossip;
+use crate::config::{AdaptiveGossip, ScenarioConfig};
 use crate::result::RoutingStats;
 use crate::trace::{ScenarioTrace, TraceRecord};
+
+/// A node's two protocol streams: its gossip decisions
+/// (`gossip-node/i`, lent as [`NodeCtx::gossip_rng`]) and its link
+/// loss (`net-node/i`, drawn per send in the node's send order).
+pub fn node_streams(factory: &RngFactory, node: NodeId) -> (Rng, Rng) {
+    let i = node.index() as u64;
+    (
+        factory.indexed_stream("gossip-node", i),
+        factory.indexed_stream("net-node", i),
+    )
+}
+
+/// The instant of a node's first gossip round: uniform over one
+/// `interval`, drawn from the node's own `gossip-phase/i` stream.
+pub fn gossip_phase(factory: &RngFactory, node: NodeId, interval: SimTime) -> SimTime {
+    let mut rng = factory.indexed_stream("gossip-phase", node.index() as u64);
+    interval.mul_f64(rng.random_range(0.0..1.0))
+}
+
+/// Which of a node's two timers comes due.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Timer {
+    /// The next publication of the node's Poisson workload.
+    Publish,
+    /// The next gossip round.
+    Gossip,
+}
+
+/// A node's pending timers (`None` once that schedule is over) and
+/// the end of the run, past which rounds stop renewing.
+#[derive(Default)]
+struct Clock {
+    publish: Option<SimTime>,
+    gossip: Option<SimTime>,
+    run_end: SimTime,
+}
 
 /// Runner-held state lent to a node for the duration of one call: the
 /// current virtual time and overlay neighborhood, the pattern space,
@@ -67,13 +107,15 @@ impl NodeCtx<'_> {
 }
 
 /// One simulated dispatcher as an actor: the pub-sub [`Dispatcher`],
-/// its recovery [`Strategy`] (inline), its workload RNG, its (possibly
-/// adaptive) gossip-timer state, and its current subscription list.
+/// its recovery [`Strategy`] (inline), its workload RNG, its clock and
+/// (possibly adaptive) gossip delay, and its current subscription
+/// list.
 pub struct SimNode {
     id: NodeId,
     dispatcher: Dispatcher,
     algorithm: Strategy,
     workload_rng: Rng,
+    clock: Clock,
     gossip_delay: SimTime,
     subscriptions: Vec<PatternId>,
     /// The node's physical neighbors outside the routing view, each
@@ -105,6 +147,7 @@ impl SimNode {
             dispatcher: Dispatcher::new(id, dispatcher_config),
             algorithm,
             workload_rng,
+            clock: Clock::default(),
             gossip_delay: gossip_interval,
             subscriptions,
             cross_targets: Vec::new(),
@@ -241,10 +284,63 @@ impl SimNode {
         }
     }
 
+    /// Starts the node's clock: the first publish one workload draw
+    /// after zero, the first round at its [`gossip_phase`]. Publishes
+    /// exist only before `config.duration`, renewed rounds only before
+    /// `run_end` (`duration` in the simulator, plus the drain on
+    /// sockets).
+    pub fn start_clock(&mut self, config: &ScenarioConfig, factory: &RngFactory, run_end: SimTime) {
+        let publish = (config.publish_rate > 0.0)
+            .then(|| self.next_publish_delay(config.publish_rate))
+            .filter(|&first| first < config.duration);
+        self.clock = Clock {
+            publish,
+            gossip: Some(gossip_phase(factory, self.id, config.gossip_interval)),
+            run_end,
+        };
+    }
+
+    /// The instant and kind of the node's next timer, a publish first
+    /// on a tie; `None` once both schedules are over.
+    pub fn next_timer(&self) -> Option<(SimTime, Timer)> {
+        match (self.clock.publish, self.clock.gossip) {
+            (Some(p), Some(g)) if g < p => Some((g, Timer::Gossip)),
+            (Some(p), _) => Some((p, Timer::Publish)),
+            (None, g) => g.map(|g| (g, Timer::Gossip)),
+        }
+    }
+
+    /// Whether a publish is still scheduled.
+    pub fn is_publishing(&self) -> bool {
+        self.clock.publish.is_some()
+    }
+
+    /// Fires the node's next timer at `ctx.now` and renews it from its
+    /// *scheduled* instant, so when a caller gets round to firing it
+    /// never changes the schedule. Returns the messages it produced.
+    pub fn fire_timer(&mut self, config: &ScenarioConfig, ctx: &mut NodeCtx) -> Vec<Outgoing> {
+        let Some((at, timer)) = self.next_timer() else {
+            return Vec::new();
+        };
+        match timer {
+            Timer::Publish => {
+                let (out, delay) = self.tick_publish(config.publish_rate, ctx);
+                self.clock.publish = Some(at + delay).filter(|&next| next < config.duration);
+                out
+            }
+            Timer::Gossip => {
+                let (out, delay) =
+                    self.tick_gossip(config.gossip_interval, config.adaptive_gossip, ctx);
+                self.clock.gossip = Some(at + delay).filter(|&next| next < self.clock.run_end);
+                out
+            }
+        }
+    }
+
     /// Publishes one event of random content and returns the resulting
     /// messages plus the exponential delay until this node's next
-    /// publication (Poisson process). Renewing the tick is the
-    /// runner's job.
+    /// publication (Poisson process). [`SimNode::fire_timer`] renews
+    /// the tick.
     pub fn tick_publish(
         &mut self,
         publish_rate: f64,

@@ -6,14 +6,14 @@
 //!
 //! # The loop
 //!
-//! Node events (deliveries, publish ticks, gossip ticks) live in one
-//! [`KeyedEngine`] and pop in `(time, key)` order. Everything that
-//! mutates state all nodes read — link break, repair, subscription
-//! churn — is a coordinator event in a second, small queue. The loop
-//! runs the coordinator event if its time is at or before the earliest
-//! node event's, else it pops one node event: a coordinator event at
-//! instant `g` sees every node's state up to `g`, and node events at
-//! `g` run after it.
+//! Node events (deliveries, and one tick per node for the next timer
+//! of its clock) live in one [`KeyedEngine`] and pop in `(time, key)`
+//! order. Everything that mutates state all nodes read — link break,
+//! repair, subscription churn — is a coordinator event in a second,
+//! small queue. The loop runs the coordinator event if its time is at
+//! or before the earliest node event's, else it pops one node event: a
+//! coordinator event at instant `g` sees every node's state up to `g`,
+//! and node events at `g` run after it.
 //!
 //! # Determinism
 //!
@@ -36,7 +36,7 @@ use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace}
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 use crate::config::ScenarioConfig;
-use crate::node::{charge_send, routing_stats, NodeCtx, Outgoing, SimNode};
+use crate::node::{charge_send, node_streams, routing_stats, NodeCtx, Outgoing, SimNode, Timer};
 use crate::population::{build_population, cross_targets_for, Population};
 use crate::result::{assemble, ScenarioResult};
 use crate::trace::{ScenarioTrace, TraceRecord};
@@ -126,7 +126,9 @@ fn run(
         setup_subscription_msgs,
     } = build_population(config);
 
-    let n = config.nodes as u64;
+    let (gossip_rngs, net_rngs) = (0..config.nodes as u32)
+        .map(|i| node_streams(&factory, NodeId::new(i)))
+        .unzip();
     let mut world = World {
         config,
         topology,
@@ -137,12 +139,8 @@ fn run(
         nodes,
         engine: KeyedEngine::new(),
         transport: ShardTransport::new(config.link_spec(), config.out_of_band),
-        gossip_rngs: (0..n)
-            .map(|i| factory.indexed_stream("gossip-node", i))
-            .collect(),
-        net_rngs: (0..n)
-            .map(|i| factory.indexed_stream("net-node", i))
-            .collect(),
+        gossip_rngs,
+        net_rngs,
         send_seq: vec![0; config.nodes],
         tracker: if config.churn_interval.is_some() {
             DeliveryTracker::new_tolerant()
@@ -158,7 +156,10 @@ fn run(
         reconfigurations: 0,
         churn_events: 0,
     };
-    world.seed_ticks(&factory);
+    for i in 0..config.nodes {
+        world.nodes[i].start_clock(config, &factory, config.duration);
+        world.file_tick(NodeId::new(i as u32));
+    }
     if let Some(rho) = config.reconfig_interval {
         if rho < config.duration {
             world.schedule_coordinator(rho, CoordinatorEvent::Break);
@@ -203,9 +204,9 @@ fn run(
 
 /// Total order for same-instant events, a pure function of the event:
 /// `(class, destination, sender, per-sender sequence)`. Classes order
-/// publish ticks before gossip ticks before deliveries; the per-sender
-/// sequence makes keys unique (one monotone counter per node covers
-/// its ticks and its sends).
+/// publish ticks before gossip ticks (by the node's next timer) before
+/// deliveries; the per-sender sequence makes keys unique (one monotone
+/// counter per node covers its ticks and its sends).
 type EvtKey = (u8, u32, u32, u64);
 
 const CLASS_PUBLISH: u8 = 0;
@@ -218,8 +219,8 @@ enum NodeEvent {
         to: NodeId,
         env: Envelope,
     },
-    PublishTick(NodeId),
-    GossipTick(NodeId),
+    /// The node's next timer: one queue entry per node.
+    Tick(NodeId),
 }
 
 /// Coordinator-level events: everything that mutates state every node
@@ -247,11 +248,11 @@ struct World<'a> {
     nodes: Vec<SimNode>,
     engine: KeyedEngine<EvtKey, NodeEvent>,
     transport: ShardTransport,
-    /// Per-node gossip-decision streams (`gossip-node`), so decision
+    /// Per-node gossip-decision streams ([`node_streams`]), so decision
     /// draws are a function of the node's own event sequence only.
     gossip_rngs: Vec<Rng>,
-    /// Per-node link-loss / out-of-band streams (`net-node`), drawn in
-    /// the node's deterministic send order.
+    /// Per-node link-loss / out-of-band streams ([`node_streams`]),
+    /// drawn in the node's deterministic send order.
     net_rngs: Vec<Rng>,
     /// Per-node monotone sequence for event keys.
     send_seq: Vec<u64>,
@@ -292,27 +293,16 @@ impl World<'_> {
         }
     }
 
-    /// Schedules each node's first publish and gossip ticks. Draws
-    /// come from per-node streams: the workload stream seeded by the
-    /// population builder, and one `gossip-phase` stream per node.
-    fn seed_ticks(&mut self, factory: &RngFactory) {
-        let config = self.config;
-        for i in 0..self.nodes.len() {
-            let id = NodeId::new(i as u32);
-            if config.publish_rate > 0.0 {
-                let delay = self.nodes[i].next_publish_delay(config.publish_rate);
-                let key = self.next_key(CLASS_PUBLISH, id, id);
-                self.engine
-                    .schedule_at(delay, key, NodeEvent::PublishTick(id));
-            }
-            let phase = config.gossip_interval.mul_f64(
-                factory
-                    .indexed_stream("gossip-phase", i as u64)
-                    .random_range(0.0..1.0),
-            );
-            let key = self.next_key(CLASS_GOSSIP, id, id);
-            self.engine
-                .schedule_at(phase, key, NodeEvent::GossipTick(id));
+    /// Files `node`'s next timer, if its clock has one left, in the
+    /// class of that timer.
+    fn file_tick(&mut self, node: NodeId) {
+        if let Some((at, timer)) = self.nodes[node.index()].next_timer() {
+            let class = match timer {
+                Timer::Publish => CLASS_PUBLISH,
+                Timer::Gossip => CLASS_GOSSIP,
+            };
+            let key = self.next_key(class, node, node);
+            self.engine.schedule_at(at, key, NodeEvent::Tick(node));
         }
     }
 
@@ -338,40 +328,16 @@ impl World<'_> {
     }
 
     fn run_node_event(&mut self, t: SimTime, event: NodeEvent) {
-        let config = self.config;
         match event {
             NodeEvent::Deliver { from, to, env } => {
                 let out = self.with_ctx(to, t, |node, ctx| node.handle(from, env, ctx));
                 self.send(to, t, out);
             }
-            NodeEvent::PublishTick(node) => {
-                // The workload ends at `duration`. Renewals are gated
-                // below, but at very low publish rates a node's
-                // *first* tick can be scheduled past the end — it must
-                // not fire either, or the run would stretch far beyond
-                // its nominal length.
-                if t >= config.duration {
-                    return;
-                }
-                let (out, delay) =
-                    self.with_ctx(node, t, |n, ctx| n.tick_publish(config.publish_rate, ctx));
+            NodeEvent::Tick(node) => {
+                let config = self.config;
+                let out = self.with_ctx(node, t, |n, ctx| n.fire_timer(config, ctx));
                 self.send(node, t, out);
-                if t + delay < config.duration {
-                    let key = self.next_key(CLASS_PUBLISH, node, node);
-                    self.engine
-                        .schedule_at(t + delay, key, NodeEvent::PublishTick(node));
-                }
-            }
-            NodeEvent::GossipTick(node) => {
-                let (out, next) = self.with_ctx(node, t, |n, ctx| {
-                    n.tick_gossip(config.gossip_interval, config.adaptive_gossip, ctx)
-                });
-                self.send(node, t, out);
-                if t + next < config.duration {
-                    let key = self.next_key(CLASS_GOSSIP, node, node);
-                    self.engine
-                        .schedule_at(t + next, key, NodeEvent::GossipTick(node));
-                }
+                self.file_tick(node);
             }
         }
     }

@@ -40,9 +40,9 @@ pub struct NetCounters {
     /// zero in a healthy cluster; non-zero means version skew or
     /// corruption.
     pub decode_errors: u64,
-    /// Event/gossip frames deliberately discarded by receive-side loss
-    /// injection (the net analogue of the simulator's link error
-    /// rate ε).
+    /// Envelopes dropped at send by the simulator's own link-loss draw
+    /// (ε on tree and cross links, the out-of-band loss rate on the
+    /// recovery channel), before they are encoded or written.
     pub injected_drops: u64,
     /// Gossip digests trimmed by the codec's `fit` pass because they
     /// exceeded the one-event-payload budget the paper's accounting

@@ -24,7 +24,7 @@ use eps_harness::{
 use eps_metrics::{MessageCounters, NetCounters};
 use eps_sim::{Rng, RngFactory};
 
-use crate::core::{CoreSetup, NodeCore, Shared};
+use crate::core::{NodeCore, Shared};
 
 /// Where one node listens: its TCP (tree links) and UDP (out-of-band)
 /// socket addresses.
@@ -192,28 +192,20 @@ pub(crate) fn boot_population(
 
     let factory = RngFactory::new(scenario.seed);
     let mut boot_nodes = Vec::with_capacity(sockets.len());
-    for ((i, node), (listener, udp)) in nodes.into_iter().enumerate().skip(base).zip(sockets) {
+    for (node, (listener, udp)) in nodes.into_iter().skip(base).zip(sockets) {
         let id = node.id();
-        let core = NodeCore::new(
-            CoreSetup {
-                node,
-                // TCP tree links follow the routing view; the
-                // physical neighborhood (gossip partners, cross
-                // links over UDP) is passed alongside.
-                neighbors: view.neighbors(id).to_vec(),
-                graph_neighbors: topology.neighbors(id).to_vec(),
-                gossip_rng: factory.indexed_stream("net-gossip", i as u64),
-                loss_rng: factory.indexed_stream("net-loss", i as u64),
-            },
-            scenario,
-        );
+        // TCP tree links follow the routing view; the physical
+        // neighborhood (gossip partners, cross links over UDP) is
+        // passed alongside.
+        let neighbors = view.neighbors(id).to_vec();
+        let graph_neighbors = topology.neighbors(id).to_vec();
         boot_nodes.push(BootNode {
-            core,
+            core: NodeCore::new(node, neighbors, graph_neighbors, config, &factory),
             listener,
             udp,
             // A non-protocol stream: jittering dial retries must not
-            // perturb the gossip/loss draws the crossval suite pins.
-            dial_rng: factory.indexed_stream("net-dial", i as u64),
+            // perturb the protocol draws the simulator makes.
+            dial_rng: factory.indexed_stream("net-dial", id.index() as u64),
         });
     }
     Ok(Boot {

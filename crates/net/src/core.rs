@@ -1,23 +1,28 @@
 //! The transport-independent half of a socket-mode node: one
-//! [`SimNode`] plus its timers and RNG streams, driven by whoever owns
-//! the sockets, against the run-wide state in [`Shared`].
+//! [`SimNode`] plus its neighbor lists and RNG streams, driven by
+//! whoever owns the sockets, against the run-wide state in [`Shared`].
 //!
 //! Everything that touches protocol state, RNG draws, or byte
 //! accounting lives here; the epoll reactor in `reactor.rs` only
-//! decides how bytes and wakeups reach it, which is why a same-seed
-//! run publishes what the simulator publishes however the sockets
-//! behave.
+//! decides how bytes and wakeups reach it. The node's timers are the
+//! simulator's own clock on [`SimNode`], its streams the simulator's
+//! [`node_streams`], and its link loss is drawn on send exactly where
+//! the simulator's `World::send` draws it. So every draw follows from
+//! the node's own event order, and only wall-clock arrival order
+//! separates a socket run from a simulated one.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use eps_gossip::codec;
-use eps_gossip::{Channel, Envelope};
-use eps_harness::{charge_send, NodeCtx, Outgoing, ScenarioConfig, SimNode};
+use eps_gossip::Channel;
+use eps_harness::{charge_send, node_streams, NodeCtx, Outgoing, ScenarioConfig, SimNode};
 use eps_metrics::{DeliverySink, DeliveryTracker, MessageCounters, NetCounters};
 use eps_overlay::NodeId;
-use eps_pubsub::{ClientId, EventId, PatternSpace, PubSubMessage};
-use eps_sim::{Rng, SimTime};
+use eps_pubsub::{ClientId, EventId, PatternSpace};
+use eps_sim::{Rng, RngFactory, SimTime};
+
+use crate::cluster::NetConfig;
 
 /// Run-wide state, held once per process and read by every node: the
 /// scenario and the population's pattern space and subscriber index,
@@ -103,23 +108,13 @@ impl DeliverySink for LedgerSink<'_> {
 }
 
 /// One message the core wants on the wire: the target, which channel
-/// class it travels on, and the already-encoded (post-`fit`) body.
-/// The transport layer frames/prefixes it and does the socket work.
+/// class it travels on, and the already-encoded (post-`fit`) body of
+/// an envelope that survived the send-side loss draw. The transport
+/// layer frames/prefixes it and does the socket work.
 pub(crate) struct Outbound {
     pub to: NodeId,
     pub channel: Channel,
     pub body: Vec<u8>,
-}
-
-/// What one node is booted with; everything run-wide is in [`Shared`].
-pub(crate) struct CoreSetup {
-    pub node: SimNode,
-    /// Routing-view neighbors (TCP tree links).
-    pub neighbors: Vec<NodeId>,
-    /// Physical-graph neighbors (gossip neighborhood).
-    pub graph_neighbors: Vec<NodeId>,
-    pub gossip_rng: Rng,
-    pub loss_rng: Rng,
 }
 
 /// The protocol state of one socket-mode node. Owns no sockets;
@@ -142,50 +137,38 @@ pub(crate) struct NodeCore {
 
     pub net: NetCounters,
 
-    /// Virtual time of the next publish tick (`None` = schedule
-    /// exhausted). Mirrors the simulator: the first tick is one
-    /// workload-RNG draw after zero, each tick renews after its own
-    /// delay draw, and a tick — first or renewed — exists only if it
-    /// lands before `duration`.
-    publish_vnext: Option<SimTime>,
     publish_done_reported: bool,
-    gossip_vnext: SimTime,
 }
 
 impl NodeCore {
-    pub(crate) fn new(setup: CoreSetup, scenario: &ScenarioConfig) -> NodeCore {
-        let mut node = setup.node;
+    /// Boots `node` with its neighbor lists: starts its clock, whose
+    /// rounds run through the drain, and takes its two streams.
+    pub(crate) fn new(
+        mut node: SimNode,
+        neighbors: Vec<NodeId>,
+        graph_neighbors: Vec<NodeId>,
+        config: &NetConfig,
+        factory: &RngFactory,
+    ) -> NodeCore {
+        let scenario = &config.scenario;
+        let drain = SimTime::from_nanos(config.drain.as_nanos() as u64);
+        node.start_clock(scenario, factory, scenario.duration + drain);
         let id = node.id();
-        // The simulator seeds each publish process with one delay draw
-        // before anything else touches the workload stream; replay
-        // that exactly so the publication sequences coincide. At very
-        // low rates the draw can land at or past `duration`: the
-        // workload is over by then, so that tick never fires.
-        let publish_vnext = (scenario.publish_rate > 0.0)
-            .then(|| node.next_publish_delay(scenario.publish_rate))
-            .filter(|&first| first < scenario.duration);
-        let mut gossip_rng = setup.gossip_rng;
-        // Stagger gossip phases uniformly over one interval, as the
-        // simulator does (from this node's own stream — a documented
-        // sim/net divergence; see DESIGN.md).
-        let gossip_vnext = scenario
-            .gossip_interval
-            .mul_f64(gossip_rng.random_range(0.0..1.0));
+        let (gossip_rng, loss_rng) = node_streams(factory, id);
         NodeCore {
             id,
             node,
-            neighbors: setup.neighbors,
-            graph_neighbors: setup.graph_neighbors,
+            neighbors,
+            graph_neighbors,
             gossip_rng,
-            loss_rng: setup.loss_rng,
+            loss_rng,
             net: NetCounters::default(),
-            publish_vnext,
             publish_done_reported: false,
-            gossip_vnext,
         }
     }
 
-    /// The wrapped node actor, for end-of-run routing-state sampling.
+    /// The wrapped node actor: its clock, and its routing state at the
+    /// end of the run.
     pub(crate) fn sim_node(&self) -> &SimNode {
         &self.node
     }
@@ -206,71 +189,32 @@ impl NodeCore {
         self.node.lost_evictions()
     }
 
-    /// Reports an empty publish schedule to the convergence counters;
-    /// call once before the first poll/loop iteration.
-    pub(crate) fn bootstrap(&mut self, shared: &Shared) {
-        if self.publish_vnext.is_none() {
-            self.report_publish_done(shared);
-        }
-    }
-
-    fn report_publish_done(&mut self, shared: &Shared) {
-        if !self.publish_done_reported {
+    /// Counts this node in `publishers_done` once its publish schedule
+    /// is over: call before the first loop pass (a node may draw no
+    /// publish at all) and after every timer.
+    pub(crate) fn report_publish_done(&mut self, shared: &Shared) {
+        if !self.publish_done_reported && !self.node.is_publishing() {
             self.publish_done_reported = true;
             shared.publishers_done.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// The earliest virtual time at which a timer is due: the next
-    /// publish tick (if the schedule is live) or the next gossip round.
-    pub(crate) fn next_deadline(&self) -> SimTime {
-        match self.publish_vnext {
-            Some(p) => p.min(self.gossip_vnext),
-            None => self.gossip_vnext,
-        }
-    }
-
-    /// Handles one decoded-frame body arriving from `from`, applying
-    /// receive-side loss injection on the tree/cross channels. Returns
+    /// Handles one decoded-frame body arriving from `from`. Returns
     /// what the node wants sent in response.
     pub(crate) fn handle_body(
         &mut self,
         from: NodeId,
         body: &[u8],
-        tree: bool,
         now: SimTime,
         shared: &Shared,
         counters: &mut MessageCounters,
     ) -> Vec<Outbound> {
-        let scenario = &shared.scenario;
-        let env_msg = match codec::decode(body, scenario.event_payload_bits) {
-            Ok(m) => m,
-            Err(_) => {
-                self.net.decode_errors += 1;
-                return Vec::new();
-            }
-        };
-        // Receive-side loss injection, the net analogue of the
-        // simulator's per-link error rate ε. Applied to tree traffic
-        // and to cross-link event copies, which the simulator runs
-        // through the same lossy link model even though this runtime
-        // carries them over UDP. The out-of-band recovery channel
-        // stays lossless (the paper's default configuration, and real
-        // loopback UDP nearly is).
-        if (tree
-            && matches!(
-                env_msg,
-                Envelope::PubSub(PubSubMessage::Event(_)) | Envelope::Gossip(_)
-            )
-            || matches!(env_msg, Envelope::CrossEvent(_)))
-            && scenario.link_error_rate > 0.0
-            && self.loss_rng.random_bool(scenario.link_error_rate)
-        {
-            self.net.injected_drops += 1;
+        let Ok(env) = codec::decode(body, shared.scenario.event_payload_bits) else {
+            self.net.decode_errors += 1;
             return Vec::new();
-        }
+        };
         let out = self.with_ctx(now, shared, counters, |node, ctx| {
-            node.handle(from, env_msg, ctx)
+            node.handle(from, env, ctx)
         });
         self.route(out, shared, counters)
     }
@@ -298,56 +242,39 @@ impl NodeCore {
         f(&mut self.node, &mut ctx)
     }
 
-    /// Fires every timer due at virtual time `now`: at most one
-    /// publish tick (renewal uses the *scheduled* time, exactly like
-    /// the simulator's queue — wall-clock jitter must not change how
-    /// many events a seed publishes) and as many gossip rounds as have
-    /// come due. Returns the traffic they produced.
+    /// Fires the node's next timer at wall-clock virtual time `now`
+    /// (at or past its deadline) and returns the traffic it produced.
+    /// One timer per call, so a node behind its schedule yields to its
+    /// sockets between ticks; the clock renews from the *scheduled*
+    /// time, so wall-clock jitter never changes how many events a seed
+    /// publishes.
     pub(crate) fn tick_timers(
         &mut self,
         now: SimTime,
         shared: &Shared,
         counters: &mut MessageCounters,
     ) -> Vec<Outbound> {
-        let scenario = &shared.scenario;
-        let mut sends = Vec::new();
-        if let Some(vnext) = self.publish_vnext {
-            if now >= vnext {
-                let (out, delay) = self.with_ctx(now, shared, counters, |node, ctx| {
-                    node.tick_publish(scenario.publish_rate, ctx)
-                });
-                sends.extend(self.route(out, shared, counters));
-                if vnext + delay < scenario.duration {
-                    self.publish_vnext = Some(vnext + delay);
-                } else {
-                    self.publish_vnext = None;
-                    self.report_publish_done(shared);
-                }
-            }
-        }
-        // Gossip keeps running through the drain window (unlike the
-        // simulator, whose ticks stop renewing at `duration`): real
-        // recovery needs rounds to finish the job. Documented as a
-        // sim/net equivalence rule.
-        while now >= self.gossip_vnext {
-            let (out, next) = self.with_ctx(now, shared, counters, |node, ctx| {
-                node.tick_gossip(scenario.gossip_interval, scenario.adaptive_gossip, ctx)
-            });
-            sends.extend(self.route(out, shared, counters));
-            self.gossip_vnext += next;
-        }
-        sends
+        let out = self.with_ctx(now, shared, counters, |node, ctx| {
+            node.fire_timer(&shared.scenario, ctx)
+        });
+        self.report_publish_done(shared);
+        self.route(out, shared, counters)
     }
 
     /// Encodes one batch of node output, charging the send-layer
-    /// counters through the simulator's own `charge_send`.
+    /// counters through the simulator's own `charge_send` and drawing
+    /// link loss as the simulator's `World::send` does: one draw per
+    /// tree or cross-link envelope at ε, one per out-of-band envelope
+    /// at the out-of-band loss rate, each only when that rate is
+    /// positive. A lost envelope is counted and never encoded.
     fn route(
         &mut self,
         out: Vec<Outgoing>,
         shared: &Shared,
         counters: &mut MessageCounters,
     ) -> Vec<Outbound> {
-        let payload_bits = shared.scenario.event_payload_bits;
+        let scenario = &shared.scenario;
+        let payload_bits = scenario.event_payload_bits;
         let mut sends = Vec::with_capacity(out.len());
         for Outgoing { to, env: msg } in out {
             // Enforce the paper's digest budget before encoding; a
@@ -361,6 +288,14 @@ impl NodeCore {
             // hit the wire.
             let bits = msg.wire_bits(payload_bits);
             charge_send(counters, self.id, &msg, bits);
+            let loss_rate = match msg.channel() {
+                Channel::Tree | Channel::Cross => scenario.link_error_rate,
+                Channel::OutOfBand => scenario.out_of_band.loss_rate,
+            };
+            if loss_rate > 0.0 && self.loss_rng.random_bool(loss_rate) {
+                self.net.injected_drops += 1;
+                continue;
+            }
             let body = match codec::encode(&msg, payload_bits) {
                 Ok(b) => b,
                 Err(_) => {
@@ -384,5 +319,88 @@ impl NodeCore {
             });
         }
         sends
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use eps_gossip::Algorithm;
+    use eps_harness::{gossip_phase, run_scenario_traced, Timer, TraceRecord};
+
+    use super::*;
+    use crate::cluster::boot_population;
+
+    /// Each socket core, booted as a cluster boots it and driven alone
+    /// through its own deadlines in virtual time, fires the simulator's
+    /// schedule: the same event ids at the same instants, and one round
+    /// at every `phase + kT` before the end.
+    #[test]
+    fn every_core_fires_the_simulators_schedule() {
+        let scenario = ScenarioConfig {
+            seed: 5,
+            nodes: 8,
+            max_degree: 3,
+            publish_rate: 20.0,
+            link_error_rate: 0.0,
+            pattern_universe: 8,
+            pi_max: 2,
+            duration: SimTime::from_millis(700),
+            warmup: SimTime::from_millis(100),
+            cooldown: SimTime::from_millis(100),
+            gossip_interval: SimTime::from_millis(30),
+            algorithm: Algorithm::no_recovery(),
+            ..ScenarioConfig::default()
+        };
+        let (_, trace) = run_scenario_traced(&scenario, 1 << 16);
+        assert_eq!(trace.dropped(), 0);
+        let config = NetConfig {
+            scenario: scenario.clone(),
+            ..NetConfig::default()
+        };
+        let mut boot = boot_population(&config, None).expect("sockets bind");
+        let factory = RngFactory::new(scenario.seed);
+        let (duration, interval) = (scenario.duration, scenario.gossip_interval);
+        let mut counters = MessageCounters::new(scenario.nodes);
+        for node in &mut boot.nodes {
+            let core = &mut node.core;
+            let mut rounds = Vec::new();
+            while let Some((at, timer)) = core.sim_node().next_timer() {
+                if at >= duration {
+                    break;
+                }
+                if timer == Timer::Gossip {
+                    rounds.push(at);
+                }
+                core.tick_timers(at, &boot.shared, &mut counters);
+            }
+
+            let published: Vec<(EventId, SimTime)> = trace
+                .records()
+                .iter()
+                .filter_map(|r| match *r {
+                    TraceRecord::Publish {
+                        at, node, event, ..
+                    } if node == core.id => Some((event, at)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!published.is_empty(), "{} published nothing", core.id);
+            let ledger = boot.shared.ledger();
+            for &(event, at) in &published {
+                assert_eq!(ledger.tracker.published_at(event), Some(at), "{event}");
+            }
+            let phase = gossip_phase(&factory, core.id, interval);
+            let grid: Vec<SimTime> = (0..)
+                .map(|k| phase + interval.saturating_mul(k))
+                .take_while(|&at| at < duration)
+                .collect();
+            assert_eq!(rounds, grid, "rounds of {}", core.id);
+        }
+        let publishes = trace
+            .records()
+            .iter()
+            .filter(|r| matches!(r, TraceRecord::Publish { .. }))
+            .count();
+        assert_eq!(boot.shared.ledger().tracker.event_count(), publishes);
     }
 }

@@ -470,6 +470,16 @@ fn dispatch_sends(
     }
 }
 
+/// Files node `ni`'s next protocol deadline, if its clock has one
+/// left (rounds stop at the end of the drain).
+fn arm_node(timers: &mut Timers, node: &mut RNode, ni: usize) {
+    let next = node.core.sim_node().next_timer();
+    if let Some((at, _)) = next {
+        timers.insert(at.as_nanos(), TimerToken::Node(ni));
+    }
+    node.timer_armed = next.is_some();
+}
+
 impl Worker {
     #[allow(clippy::too_many_arguments)]
     fn new(
@@ -555,10 +565,8 @@ impl Worker {
     fn run(mut self) -> (Vec<NodeCore>, MessageCounters) {
         let now = self.ns_now();
         for ni in 0..self.nodes.len() {
-            self.nodes[ni].core.bootstrap(&self.shared);
-            let deadline = self.nodes[ni].core.next_deadline().as_nanos();
-            self.timers.insert(deadline, TimerToken::Node(ni));
-            self.nodes[ni].timer_armed = true;
+            self.nodes[ni].core.report_publish_done(&self.shared);
+            arm_node(&mut self.timers, &mut self.nodes[ni], ni);
             for li in 0..self.nodes[ni].links.len() {
                 if self.nodes[ni].links[li].dialer {
                     self.timers
@@ -637,8 +645,7 @@ impl Worker {
         let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
         let sends = node.core.tick_timers(now, shared, counters);
         dispatch_sends(node, ni, sends, registry, dirty);
-        timers.insert(node.core.next_deadline().as_nanos(), TimerToken::Node(ni));
-        node.timer_armed = true;
+        arm_node(timers, node, ni);
     }
 
     // ---- dialing -------------------------------------------------
@@ -928,9 +935,7 @@ impl Worker {
                     let body = body.to_vec();
                     node.core.net.bytes_received += body.len() as u64;
                     let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-                    let sends = node
-                        .core
-                        .handle_body(from, &body, false, now, shared, counters);
+                    let sends = node.core.handle_body(from, &body, now, shared, counters);
                     dispatch_sends(node, ni, sends, registry, dirty);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -963,9 +968,7 @@ impl Worker {
             node.core.net.frames_received += 1;
             node.core.net.bytes_received += body.len() as u64;
             let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-            let sends = node
-                .core
-                .handle_body(peer, &body, true, now, shared, counters);
+            let sends = node.core.handle_body(peer, &body, now, shared, counters);
             dispatch_sends(node, ni, sends, registry, dirty);
         }
         if disconnected {
@@ -1069,10 +1072,18 @@ impl Worker {
 
     fn resume_node(&mut self, ni: usize) {
         let addrs = self.registry[self.base + ni];
-        let listener = bind_with_retry(|| TcpListener::bind(addrs.tcp)).expect("rebind tcp");
-        let udp = bind_with_retry(|| UdpSocket::bind(addrs.udp)).expect("rebind udp");
-        listener.set_nonblocking(true).expect("nonblocking");
-        udp.set_nonblocking(true).expect("nonblocking");
+        let listener = bind_with_retry(|| {
+            let l = TcpListener::bind(addrs.tcp)?;
+            l.set_nonblocking(true)?;
+            Ok(l)
+        })
+        .expect("rebind tcp");
+        let udp = bind_with_retry(|| {
+            let u = UdpSocket::bind(addrs.udp)?;
+            u.set_nonblocking(true)?;
+            Ok(u)
+        })
+        .expect("rebind udp");
         epoll_add(
             self.ep.raw(),
             listener.as_raw_fd(),
@@ -1093,9 +1104,7 @@ impl Worker {
         node.udp = Some(udp);
         node.down = false;
         if !node.timer_armed {
-            node.timer_armed = true;
-            let deadline = node.core.next_deadline().as_nanos();
-            self.timers.insert(deadline, TimerToken::Node(ni));
+            arm_node(&mut self.timers, node, ni);
         }
         for li in 0..self.nodes[ni].links.len() {
             if self.nodes[ni].links[li].dialer {

@@ -1,9 +1,8 @@
 //! Sim-vs-wire cross-validation: the same seed, topology, and
 //! workload run once through the virtual-time simulator and once over
-//! loopback sockets. The shared population builder and the mirrored
-//! publish schedule make the two runs publish the *identical* event
-//! sequence; the shared codec makes their byte accounting identical
-//! by construction.
+//! loopback sockets. The shared population builder and the one node
+//! clock make the two runs publish the *identical* event sequence; the
+//! shared codec makes their byte accounting identical by construction.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,8 +81,8 @@ fn sim_and_loopback_agree_on_workload_and_convergence() {
         "the wire run converges to 100% with recovery on; got {:?}",
         report.result
     );
-    // The convergence above must be *earned*: the loss injector
-    // dropped frames and gossip repaired the damage.
+    // The convergence above must be *earned*: the send-side loss draw
+    // dropped envelopes and gossip repaired the damage.
     assert!(report.net.injected_drops > 0, "loss injection exercised");
     assert!(report.result.events_recovered > 0, "net recovery engaged");
     assert!(report.result.gossip_msgs > 0, "gossip rounds ran");
@@ -322,8 +321,9 @@ fn net_workload_is_seed_deterministic() {
 
 /// The duration gate on *first* publish ticks: at one event per second
 /// over a 0.6 s run, about half the nodes draw a first publish instant
-/// past the end. Those ticks must fire in neither world, or the socket
-/// run publishes events the simulator never saw (and idles through the
+/// past the end. The node clock both worlds start drops such a tick
+/// at boot, so it fires in neither; if it fired on sockets, the run
+/// would publish events the simulator never saw (and idle through the
 /// drain budget waiting for them).
 #[test]
 fn first_publish_ticks_past_the_end_fire_in_neither_world() {

@@ -106,6 +106,23 @@ fn sixteen_node_tree_survives_forced_restarts_under_the_reactor() {
     assert_eq!(report.net.decode_errors, 0, "codec never misparses");
 }
 
+/// Link loss is drawn on send, where the simulator draws it: at
+/// ε = 1 every event and digest is lost before it is encoded, so no
+/// protocol frame or datagram is ever written (the 4-byte dial hellos
+/// are not frames).
+#[test]
+fn a_lost_envelope_is_never_written() {
+    let mut config = smoke_config(3, Algorithm::push(), 11);
+    config.scenario.link_error_rate = 1.0;
+    config.drain = Duration::from_millis(300);
+    let report = run_reactor_cluster(config, 2).expect("reactor boots");
+    assert!(report.result.events_published > 0, "workload ran");
+    assert!(report.net.injected_drops > 0, "loss was drawn");
+    assert_eq!(report.net.frames_sent, 0, "no frame reached a socket");
+    assert_eq!(report.net.datagrams_sent, 0, "no datagram reached a socket");
+    assert_eq!(report.net.frames_received, 0);
+}
+
 /// The coordinator's convergence check reads the run's delivery
 /// ledger, which every node call writes into as it delivers: a
 /// lossless run has made every intended delivery when its workload

@@ -25,6 +25,17 @@ echo "== tier-1: no dynamic dispatch in the protocol crates =="
 ! grep -rn 'dyn ' crates/{gossip,pubsub}/src \
     || { echo "FAIL: no trait objects in crates/{gossip,pubsub}/src (match an enum instead)"; exit 1; }
 
+echo "== tier-1: one module names the per-node protocol streams =="
+# The simulator and the socket runtime draw each node's gossip
+# decisions, link loss and gossip phase from the same streams, named
+# once (eps_harness::node). A second file naming one of them is a
+# second schedule or a second stream layout on its way back in.
+for stream in '"gossip-node"' '"net-node"' '"gossip-phase"'; do
+    named_in=$(grep -rlF "$stream" crates || true)
+    [ "$(echo "$named_in" | grep -c .)" -le 1 ] \
+        || { echo "FAIL: $stream is named in more than one file under crates/:"; echo "$named_in"; exit 1; }
+done
+
 echo "== tier-1: release build =="
 # --workspace: the root package makes a bare `cargo build` compile only
 # itself (+ member libs); the member *binaries* (net_cluster below)
