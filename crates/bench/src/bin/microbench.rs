@@ -16,15 +16,20 @@
 //! commits: the kernel set to `--out`, the per-strategy set to
 //! `--gossip-out`.
 
+use std::collections::VecDeque;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use eps_bench::mini;
 use eps_bench::timing::{bench, to_json, BenchResult};
 use eps_gossip::{
     codec, Algorithm, Envelope, GossipConfig, GossipMessage, LostBuffer, SummaryMode, SummaryState,
 };
-use eps_harness::{build_population, run_scenario, ScenarioConfig, SimNode};
+use eps_harness::{
+    build_population, run_scenario, NodeCtx, Outgoing, Population, ScenarioConfig, SimNode,
+};
+use eps_metrics::{DeliveryTracker, MessageCounters};
 use eps_net::frame::{frame, FrameReader};
 use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
@@ -90,6 +95,7 @@ fn main() -> ExitCode {
         rng_throughput(),
         scenario_mini(),
     ]);
+    results.extend(node_event_hop());
     results.extend(topology_build());
     results.push(subscription_flood());
     let mut gossip_results = gossip_rounds();
@@ -411,10 +417,12 @@ fn seen_insert() -> BenchResult {
         })
         .collect();
     let mut fresh = 0usize;
+    let mut next_hops = Vec::new();
     let result = bench("seen_insert", 3, 25, N, || {
         let mut node = Dispatcher::new(NodeId::new(100), DispatcherConfig::default());
         for event in &events {
-            fresh += usize::from(!node.on_event(event.clone(), None).duplicate);
+            let (_, receipt) = node.on_event(event.clone(), None, &mut next_hops);
+            fresh += usize::from(!receipt.duplicate);
         }
     });
     assert_eq!(fresh as u64 % N, 0, "every id is new to a new dispatcher");
@@ -439,7 +447,7 @@ fn idmap_event_id_probe() -> BenchResult {
 }
 
 /// Per-hop event handling: clone (refcount bump) plus a recorded hop
-/// (copy-on-write route extension).
+/// (one allocation of the longer route).
 fn event_clone_hop() -> BenchResult {
     const N: u64 = 10_000;
     let event = Event::new(
@@ -456,6 +464,113 @@ fn event_clone_hop() -> BenchResult {
     });
     assert!(sink > 0);
     result
+}
+
+/// A tree event hop on a warmed Figure 2 population: ns per
+/// `SimNode::handle` of an event arriving down the dispatching tree —
+/// the most common node event of `sim_fig2` — for push and for the
+/// route-recording combined pull. Lossless floods are driven hop by
+/// hop, 2000 publishes to warm caches and seen-sets first, then 200
+/// per sample; only the `handle` calls are timed. Advisory in
+/// `scripts/tier1.sh`: a whole hop includes map growth.
+fn node_event_hop() -> Vec<BenchResult> {
+    const WARM: usize = 2_000;
+    const PER_SAMPLE: usize = 200;
+    const SAMPLES: usize = 15;
+    [
+        ("push", Algorithm::push()),
+        ("combined_pull", Algorithm::combined_pull()),
+    ]
+    .into_iter()
+    .map(|(label, algorithm)| {
+        let config = ScenarioConfig {
+            algorithm,
+            ..ScenarioConfig::default()
+        };
+        let mut hops = HopDriver::new(build_population(&config), config.publish_rate);
+        hops.flood(WARM);
+        let mut per_hop: Vec<f64> = Vec::with_capacity(SAMPLES);
+        let mut handled = 0;
+        for _ in 0..SAMPLES {
+            let (count, ns) = hops.flood(PER_SAMPLE);
+            handled += count;
+            per_hop.push(ns as f64 / count as f64);
+        }
+        per_hop.sort_unstable_by(f64::total_cmp);
+        BenchResult {
+            name: format!("node_event_hop/{label}"),
+            samples: SAMPLES,
+            iters_per_sample: handled / SAMPLES as u64,
+            median_ns: per_hop[SAMPLES / 2],
+            min_ns: per_hop[0],
+            mean_ns: per_hop.iter().sum::<f64>() / SAMPLES as f64,
+        }
+    })
+    .collect()
+}
+
+/// Drives lossless floods through a population one `SimNode` call at a
+/// time, lending each call the context a runner would.
+struct HopDriver {
+    pop: Population,
+    publish_rate: f64,
+    published: usize,
+    tracker: DeliveryTracker,
+    counters: MessageCounters,
+    gossip_rng: Rng,
+}
+
+impl HopDriver {
+    fn new(pop: Population, publish_rate: f64) -> Self {
+        let counters = MessageCounters::new(pop.nodes.len());
+        HopDriver {
+            pop,
+            publish_rate,
+            published: 0,
+            tracker: DeliveryTracker::new(),
+            counters,
+            gossip_rng: Rng::from_seed(1),
+        }
+    }
+
+    fn call<R>(&mut self, node: NodeId, f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R) -> R {
+        let pop = &mut self.pop;
+        let mut ctx = NodeCtx {
+            now: SimTime::ZERO,
+            neighbors: pop.view.neighbors(node),
+            graph_neighbors: pop.topology.neighbors(node),
+            space: &pop.space,
+            subscribers_of: &pop.subscribers_of,
+            gossip_rng: &mut self.gossip_rng,
+            tracker: &mut self.tracker,
+            counters: &mut self.counters,
+            trace: &mut None,
+        };
+        f(&mut pop.nodes[node.index()], &mut ctx)
+    }
+
+    /// Publishes `publishes` events round-robin over the population and
+    /// floods each to quiescence. Returns the `handle` calls made and
+    /// the nanoseconds they took.
+    fn flood(&mut self, publishes: usize) -> (u64, u64) {
+        let (mut handled, mut ns) = (0, 0);
+        let mut queue: VecDeque<(NodeId, NodeId, Envelope)> = VecDeque::new();
+        for _ in 0..publishes {
+            let publisher = NodeId::new((self.published % self.pop.nodes.len()) as u32);
+            self.published += 1;
+            let rate = self.publish_rate;
+            let (out, _) = self.call(publisher, |node, ctx| node.tick_publish(rate, ctx));
+            queue.extend(out.into_iter().map(|o| (o.to, publisher, o.env)));
+            while let Some((to, from, env)) = queue.pop_front() {
+                let started = Instant::now();
+                let out: Vec<Outgoing> = self.call(to, |node, ctx| node.handle(from, env, ctx));
+                ns += started.elapsed().as_nanos() as u64;
+                handled += 1;
+                queue.extend(out.into_iter().map(|o| (o.to, to, o.env)));
+            }
+        }
+        (handled, ns)
+    }
 }
 
 /// Raw RNG throughput (xoshiro256++).
@@ -480,7 +595,6 @@ fn gossip_node() -> Dispatcher {
     let mut node = Dispatcher::new(
         NodeId::new(5),
         DispatcherConfig {
-            cache_own_published: true,
             record_routes: true,
             // The table includes the summary-reconciliation family,
             // whose digests read the cache's hash-range index.
@@ -494,9 +608,10 @@ fn gossip_node() -> Dispatcher {
     }
     for seq in 0..64u64 {
         let pattern = PatternId::new(1 + (seq % 4) as u16);
+        let from = NodeId::new(1 + (seq % 4) as u32);
         let mut event = Event::new(EventId::new(NodeId::new(0), seq), vec![(pattern, seq)]);
-        event.record_hop(NodeId::new(1 + (seq % 4) as u32));
-        node.on_event(event, Some(NodeId::new(1 + (seq % 4) as u32)));
+        event.record_hop(from);
+        node.on_event(event, Some(from), &mut Vec::new());
     }
     node
 }
@@ -603,7 +718,7 @@ fn digest_node(c: usize) -> Dispatcher {
     for seq in 0..c as u64 {
         let pattern = PatternId::new(1 + (seq % 4) as u16);
         let event = Event::new(EventId::new(NodeId::new(0), seq), vec![(pattern, seq / 4)]);
-        node.on_event(event, Some(NodeId::new(1)));
+        node.on_event(event, Some(NodeId::new(1)), &mut Vec::new());
     }
     node
 }

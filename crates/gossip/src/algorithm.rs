@@ -94,9 +94,11 @@ impl Strategy {
                     .and_then(|pattern| summary.digest(node, pattern, config.digest_max))
             }
         };
-        digest.map_or_else(Vec::new, |msg| {
-            send(msg, node, None, neighbors, config.p_forward, rng)
-        })
+        let mut out = Vec::new();
+        if let Some(msg) = digest {
+            send(msg, node, None, neighbors, config.p_forward, rng, &mut out);
+        }
+        out
     }
 
     /// A gossip message arrived from tree neighbor `from`. A wire form
@@ -122,7 +124,7 @@ impl Strategy {
             ) => {
                 // Subscribed? Compare the digest with what we have seen.
                 if gossiper != node.id() && node.table().has_local(pattern) {
-                    out.extend(push.request_unseen(node, gossiper, ids.iter().copied()));
+                    push.request_unseen(node, gossiper, ids.iter().copied(), &mut out);
                 }
                 // A positive digest keeps propagating unchanged.
                 Some(GossipMessage::PushDigest {
@@ -144,7 +146,7 @@ impl Strategy {
                 },
             ) => {
                 let (found, lost) = serve_from_cache(node, &lost);
-                out.extend(reply(gossiper, found));
+                reply(gossiper, found, &mut out);
                 // A dispatcher holding everything short-circuits the
                 // propagation.
                 (!lost.is_empty()).then_some(GossipMessage::PullDigest {
@@ -166,7 +168,7 @@ impl Strategy {
                 },
             ) => {
                 let (found, lost) = serve_from_cache(node, &lost);
-                out.extend(reply(gossiper, found));
+                reply(gossiper, found, &mut out);
                 (!lost.is_empty()).then_some(GossipMessage::SourcePull {
                     gossiper,
                     source,
@@ -186,7 +188,7 @@ impl Strategy {
                 },
             ) => {
                 let (found, lost) = serve_from_cache(node, &lost);
-                out.extend(reply(gossiper, found));
+                reply(gossiper, found, &mut out);
                 // The unserved remainder walks on while the hop budget
                 // lasts.
                 (!lost.is_empty() && ttl > 1).then(|| GossipMessage::RandomPull {
@@ -204,7 +206,7 @@ impl Strategy {
                     details,
                 },
             ) => {
-                out.extend(summary.absorb(node, gossiper, pattern, &ranges, &details));
+                summary.absorb(node, gossiper, pattern, &ranges, &details, &mut out);
                 // Like a push digest, the summary keeps propagating
                 // unchanged.
                 Some(GossipMessage::SummaryDigest {
@@ -217,14 +219,8 @@ impl Strategy {
             _ => None,
         };
         if let Some(msg) = onward {
-            out.extend(send(
-                msg,
-                node,
-                Some(from),
-                neighbors,
-                self.config.p_forward,
-                rng,
-            ));
+            let p_forward = self.config.p_forward;
+            send(msg, node, Some(from), neighbors, p_forward, rng, &mut out);
         }
         out
     }
@@ -275,7 +271,9 @@ impl Strategy {
             .iter()
             .filter_map(|&id| node.cache().get(id).cloned())
             .collect();
-        reply(from, events).into_iter().collect()
+        let mut out = Vec::new();
+        reply(from, events, &mut out);
+        out
     }
 
     /// An out-of-band [`crate::Envelope::RangeRequest`] arrived: a
@@ -348,7 +346,7 @@ mod tests {
     fn every_strategy_replies_to_requests_from_cache() {
         let mut node = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
         node.subscribe_local(PatternId::new(1), &[]);
-        let (event, _) = node.publish(&[PatternId::new(1)]);
+        let (event, _) = node.publish(&[PatternId::new(1)], &mut Vec::new());
         let missing = EventId::new(NodeId::new(5), 99);
         for kind in Algorithm::all() {
             let mut algo = kind.build(GossipConfig::default());

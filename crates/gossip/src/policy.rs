@@ -87,7 +87,7 @@ impl PushState {
         self.requested.remove(&event.id());
     }
 
-    /// An out-of-band request to `gossiper` for those of `ids` this
+    /// Sends `gossiper` an out-of-band request for those of `ids` this
     /// node has never seen, skipping ids already requested (a previous
     /// reply may still be in flight); nothing when none are left.
     pub(crate) fn request_unseen(
@@ -95,19 +95,19 @@ impl PushState {
         node: &Dispatcher,
         gossiper: NodeId,
         ids: impl IntoIterator<Item = EventId>,
-    ) -> Option<Outgoing> {
+        out: &mut Vec<Outgoing>,
+    ) {
         let missing: Vec<EventId> = ids
             .into_iter()
             .filter(|&id| !node.has_seen(id) && !self.requested.contains(&id))
             .collect();
-        if missing.is_empty() {
-            return None;
+        if !missing.is_empty() {
+            self.requested.extend(missing.iter().copied());
+            out.push(Outgoing {
+                to: gossiper,
+                env: Envelope::Request(missing),
+            });
         }
-        self.requested.extend(missing.iter().copied());
-        Some(Outgoing {
-            to: gossiper,
-            env: Envelope::Request(missing),
-        })
     }
 }
 
@@ -263,7 +263,8 @@ pub(crate) fn send(
     neighbors: &[NodeId],
     p_forward: f64,
     rng: &mut Rng,
-) -> Vec<Outgoing> {
+    out: &mut Vec<Outgoing>,
+) {
     let targets = match &mut msg {
         GossipMessage::PushDigest { pattern, .. }
         | GossipMessage::PullDigest { pattern, .. }
@@ -274,8 +275,8 @@ pub(crate) fn send(
         GossipMessage::SourcePull { route, .. } => vec![route.remove(0)],
         GossipMessage::RandomPull { .. } => random_forward_targets(neighbors, from, p_forward, rng),
     };
-    let mut out = Vec::with_capacity(targets.len());
     if let Some((&last, rest)) = targets.split_last() {
+        out.reserve(targets.len());
         out.extend(rest.iter().map(|&to| Outgoing {
             to,
             env: Envelope::Gossip(msg.clone()),
@@ -285,7 +286,6 @@ pub(crate) fn send(
             env: Envelope::Gossip(msg),
         });
     }
-    out
 }
 
 /// The neighbors a pattern-labelled gossip message is forwarded to:
@@ -357,13 +357,15 @@ fn random_forward_targets(
 // Serving.
 // ---------------------------------------------------------------------------
 
-/// An out-of-band reply carrying `events` to `to`, or nothing when
+/// Sends `to` an out-of-band reply carrying `events`, or nothing when
 /// there are none.
-pub(crate) fn reply(to: NodeId, events: Vec<Event>) -> Option<Outgoing> {
-    (!events.is_empty()).then_some(Outgoing {
-        to,
-        env: Envelope::Reply(events),
-    })
+pub(crate) fn reply(to: NodeId, events: Vec<Event>, out: &mut Vec<Outgoing>) {
+    if !events.is_empty() {
+        out.push(Outgoing {
+            to,
+            env: Envelope::Reply(events),
+        });
+    }
 }
 
 /// Splits a negative digest into the events this dispatcher can serve
@@ -434,7 +436,7 @@ mod tests {
             EventId::new(NodeId::new(0), 0),
             vec![(PatternId::new(1), 4)],
         );
-        d.on_event(e.clone(), Some(NodeId::new(0)));
+        d.on_event(e.clone(), Some(NodeId::new(0)), &mut Vec::new());
         (d, e)
     }
 
@@ -445,7 +447,6 @@ mod tests {
         let mut node = Dispatcher::new(
             NodeId::new(5),
             DispatcherConfig {
-                cache_own_published: true,
                 record_routes: true,
                 ..DispatcherConfig::default()
             },
@@ -457,7 +458,7 @@ mod tests {
             vec![(PatternId::new(1), 0)],
         );
         e.record_hop(NodeId::new(3));
-        node.on_event(e, Some(NodeId::new(3)));
+        node.on_event(e, Some(NodeId::new(3)), &mut Vec::new());
         node
     }
 
@@ -490,7 +491,7 @@ mod tests {
             EventId::new(NodeId::new(0), 0),
             vec![(PatternId::new(1), 0), (PatternId::new(2), 0)],
         );
-        d.on_event(e, Some(NodeId::new(0)));
+        d.on_event(e, Some(NodeId::new(0)), &mut Vec::new());
         let records = [record(0, 1, 0), record(0, 2, 0)];
         let (found, remainder) = serve_from_cache(&d, &records);
         assert_eq!(found.len(), 1, "same event must be sent once");
@@ -533,7 +534,7 @@ mod tests {
         let p = PatternId::new(1);
         node.subscribe_local(p, &[]);
         node.on_subscribe(p, NodeId::new(2), &[]);
-        let (event, _) = node.publish(&[p]);
+        let (event, _) = node.publish(&[p], &mut Vec::new());
         let mut push = Algorithm::push().build(cfg());
         let mut rng = RngFactory::new(1).stream("gossip");
         let round = push.on_round(&node, &[], &mut rng);
@@ -677,7 +678,7 @@ mod tests {
             node.subscribe_local(p, &[]);
             node.on_subscribe(p, NodeId::new(3), &[]);
         }
-        node.publish(&patterns);
+        node.publish(&patterns, &mut Vec::new());
         let mut hybrid = Algorithm::push_pull().build(cfg());
         hybrid.on_losses(&[record(7, 2, 0)]);
         let mut rng = RngFactory::new(1).stream("gossip");
@@ -776,7 +777,7 @@ mod tests {
                 patterns.iter().map(|&p| (p, 0)).collect(),
             );
             e.record_hop(NodeId::new(1));
-            node.on_event(e, Some(NodeId::new(1)));
+            node.on_event(e, Some(NodeId::new(1)), &mut Vec::new());
         }
         let losses = [
             record(6, 9, 1),

@@ -233,9 +233,10 @@ impl SummaryState {
         })
     }
 
-    /// The local reaction to `gossiper`'s digest for `pattern`: range
-    /// refinement requests, then a fetch request (push) or a reply
-    /// serving the gossiper's provable deficit (pull).
+    /// The local reaction to `gossiper`'s digest for `pattern`, pushed
+    /// onto `out`: range refinement requests, then a fetch request
+    /// (push) or a reply serving the gossiper's provable deficit
+    /// (pull).
     pub(crate) fn absorb(
         &mut self,
         node: &Dispatcher,
@@ -243,8 +244,8 @@ impl SummaryState {
         pattern: PatternId,
         ranges: &[RangeSummary],
         details: &[RangeDetail],
-    ) -> Vec<Outgoing> {
-        let mut out = Vec::new();
+        out: &mut Vec<Outgoing>,
+    ) {
         // Push reacts only at subscribers (they are the ones with a
         // deficit worth filling); pull serves from any dispatcher on
         // the route, exactly like linear pull's cache serving.
@@ -254,8 +255,9 @@ impl SummaryState {
                 SummaryMode::Pull => true,
             };
         if !reacts {
-            return out;
+            return;
         }
+        let sent = out.len();
         let local = node.cache().summary_index();
         let mut refine: Vec<RangeRef> = Vec::new();
         let mut serve: Vec<EventId> = Vec::new();
@@ -295,11 +297,12 @@ impl SummaryState {
         match self.mode {
             // Ids the gossiper holds and we have never seen, minus
             // those already requested.
-            SummaryMode::Push => out.extend(self.push.request_unseen(
+            SummaryMode::Push => self.push.request_unseen(
                 node,
                 gossiper,
                 details.iter().flat_map(|detail| detail.ids.iter().copied()),
-            )),
+                out,
+            ),
             SummaryMode::Pull => {
                 // Our ids the gossiper's complete list lacks.
                 for detail in details {
@@ -320,15 +323,14 @@ impl SummaryState {
                 events.sort_by_key(Event::id);
                 events.dedup_by_key(|e| e.id());
                 events.truncate(self.serve_cap);
-                out.extend(reply(gossiper, events));
+                reply(gossiper, events, out);
             }
         }
-        if !out.is_empty() {
+        if out.len() > sent {
             // Reconciliation in progress counts as activity for the
             // adaptive-gossip idle signal.
             self.push.note_activity();
         }
-        out
     }
 }
 
@@ -360,8 +362,22 @@ mod tests {
                 EventId::new(NodeId::new(source), seq),
                 vec![(PatternId::new(pattern), seq)],
             );
-            node.on_event(e, Some(NodeId::new(99)));
+            node.on_event(e, Some(NodeId::new(99)), &mut Vec::new());
         }
+    }
+
+    /// `state`'s reaction to `gossiper`'s digest, as `node`.
+    fn absorbed(
+        state: &mut SummaryState,
+        node: &Dispatcher,
+        gossiper: NodeId,
+        pattern: PatternId,
+        ranges: &[RangeSummary],
+        details: &[RangeDetail],
+    ) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        state.absorb(node, gossiper, pattern, ranges, details, &mut out);
+        out
     }
 
     /// The ranges and details of a summary digest.
@@ -392,7 +408,7 @@ mod tests {
                 return round;
             }
             let (ranges, details) = parts(digest);
-            let out = sb.absorb(b, a.id(), pattern, &ranges, &details);
+            let out = absorbed(sb, b, a.id(), pattern, &ranges, &details);
             if out.is_empty() {
                 return round;
             }
@@ -470,7 +486,7 @@ mod tests {
         let ranges = [index.root(p)];
         let details = [index.tree(p).unwrap().detail(RangeRef::ROOT)];
         let mut state = SummaryState::new(SummaryMode::Push, &cfg());
-        let out = state.absorb(&receiver, gossiper.id(), p, &ranges, &details);
+        let out = absorbed(&mut state, &receiver, gossiper.id(), p, &ranges, &details);
         let requests: Vec<_> = out
             .iter()
             .filter(|o| matches!(o.env, Envelope::Request(_)))
@@ -486,7 +502,7 @@ mod tests {
             ref other => panic!("unexpected {other:?}"),
         }
         // Re-absorbing while the request is in flight asks for nothing.
-        let again = state.absorb(&receiver, gossiper.id(), p, &ranges, &details);
+        let again = absorbed(&mut state, &receiver, gossiper.id(), p, &ranges, &details);
         assert!(!again.iter().any(|o| matches!(o.env, Envelope::Request(_))));
     }
 
@@ -499,7 +515,7 @@ mod tests {
         // An empty gossiper's round: root with count 0.
         let ranges = [RangeSummary::empty(RangeRef::ROOT)];
         let mut state = SummaryState::new(SummaryMode::Pull, &cfg());
-        let out = state.absorb(&server, gossiper.id(), p, &ranges, &[]);
+        let out = absorbed(&mut state, &server, gossiper.id(), p, &ranges, &[]);
         match &out[..] {
             [Outgoing {
                 to,
@@ -522,7 +538,7 @@ mod tests {
         for mode in [SummaryMode::Push, SummaryMode::Pull] {
             let mut state = SummaryState::new(mode, &cfg());
             let ranges = [a.cache().summary_index().root(p)];
-            let out = state.absorb(&b, a.id(), p, &ranges, &[]);
+            let out = absorbed(&mut state, &b, a.id(), p, &ranges, &[]);
             assert!(out.is_empty(), "{mode:?}");
         }
     }

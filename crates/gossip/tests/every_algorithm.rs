@@ -186,6 +186,7 @@ fn actions_are_well_formed() {
             node.on_event(
                 Event::new(EventId::new(NodeId::new(0), seq), vec![(p, seq)]),
                 Some(NodeId::new(1)),
+                &mut Vec::new(),
             );
         }
         let mut algo = kind.build(GossipConfig::default());

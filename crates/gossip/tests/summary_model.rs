@@ -69,7 +69,7 @@ fn feed(node: &mut Dispatcher, seqs: impl IntoIterator<Item = u64>) {
             EventId::new(NodeId::new(SOURCE), seq),
             vec![(pattern(), seq)],
         );
-        node.on_event(event, Some(NodeId::new(99)));
+        node.on_event(event, Some(NodeId::new(99)), &mut Vec::new());
     }
 }
 

@@ -5,11 +5,11 @@
 //!
 //! A [`SimNode`] never touches the network or the event queue: it
 //! consumes an [`Envelope`] (or a timer) and returns the [`Outgoing`]
-//! messages it wants sent. Routing, delay, loss, and the queue stay
-//! with the runner and its transport. Runner-held state a node needs
-//! while handling a message — the metrics sinks, its gossip-decision
-//! RNG stream, the trace — is lent to it for the duration of one call
-//! as a [`NodeCtx`].
+//! messages it wants sent, each built once, where it is decided.
+//! Routing, delay, loss, and the queue stay with the runner and its
+//! transport. Runner-held state a node needs while handling a message
+//! — the metrics sinks, its gossip-decision RNG stream, the trace — is
+//! lent to it for the duration of one call as a [`NodeCtx`].
 //!
 //! Both worlds drive the same clock ([`SimNode::fire_timer`]) and
 //! take every protocol stream from here ([`node_streams`],
@@ -20,8 +20,8 @@ use eps_gossip::{Envelope, Strategy};
 use eps_metrics::{DeliverySink, MessageCounters};
 use eps_overlay::NodeId;
 use eps_pubsub::{
-    ClientId, Dispatcher, DispatcherConfig, DispatcherHost, Event, PatternId, PatternSpace,
-    PubSubMessage,
+    ClientId, Dispatcher, DispatcherConfig, DispatcherHost, Event, EventReceipt, PatternId,
+    PatternSpace, PubSubMessage,
 };
 use eps_sim::{Rng, RngFactory, SimTime};
 
@@ -127,6 +127,8 @@ pub struct SimNode {
     content_scratch: Vec<PatternId>,
     /// Reusable buffer for local-client fan-out on delivery.
     client_scratch: Vec<ClientId>,
+    /// Reusable buffer for an event's next hops on the tree.
+    next_hops: Vec<NodeId>,
 }
 
 impl SimNode {
@@ -153,6 +155,7 @@ impl SimNode {
             cross_targets: Vec::new(),
             content_scratch: Vec::new(),
             client_scratch: Vec::new(),
+            next_hops: Vec::new(),
         }
     }
 
@@ -207,7 +210,9 @@ impl SimNode {
     pub fn handle(&mut self, from: NodeId, env: Envelope, ctx: &mut NodeCtx) -> Vec<Outgoing> {
         match env {
             Envelope::PubSub(PubSubMessage::Event(event)) | Envelope::CrossEvent(event) => {
-                let receipt = self.dispatcher.on_event(event.clone(), Some(from));
+                let (copy, receipt) =
+                    self.dispatcher
+                        .on_event(event.clone(), Some(from), &mut self.next_hops);
                 if receipt.duplicate {
                     // A redundant arrival: on cyclic overlays the same
                     // event reaches a node both through the view and
@@ -215,30 +220,19 @@ impl SimNode {
                     ctx.counters.count_duplicate_suppressed();
                     return Vec::new();
                 }
-                if receipt.delivered {
-                    self.deliver_local(&event, false, ctx);
-                }
-                self.algorithm.on_event_received(&event);
-                if !receipt.losses.is_empty() {
-                    self.algorithm.on_losses(&receipt.losses);
-                    ctx.record(TraceRecord::LossDetected {
-                        at: ctx.now,
-                        node: self.id,
-                        count: receipt.losses.len() as u32,
-                    });
-                }
-                let mut out = pubsub_out(receipt.forwards);
-                // First sight of this event here: besides the view
-                // forwards, replicate it over interested cross links
-                // (excluding the link it just arrived on).
-                self.replicate_cross(&event, from, &mut out);
-                out
+                self.arrive(&event, &receipt, false, ctx);
+                // First sight of this event here: forward the copy
+                // with this hop recorded, and replicate the event as
+                // it arrived over interested cross links.
+                self.forward(copy, &event, from)
             }
             Envelope::PubSub(PubSubMessage::Subscribe(p)) => {
-                pubsub_out(self.dispatcher.on_subscribe(p, from, ctx.neighbors))
+                let to = self.dispatcher.on_subscribe(p, from, ctx.neighbors);
+                pubsub_to(to, PubSubMessage::Subscribe(p)).collect()
             }
             Envelope::PubSub(PubSubMessage::Unsubscribe(p)) => {
-                pubsub_out(self.dispatcher.on_unsubscribe(p, from, ctx.neighbors))
+                let to = self.dispatcher.on_unsubscribe(p, from, ctx.neighbors);
+                pubsub_to(to, PubSubMessage::Unsubscribe(p)).collect()
             }
             Envelope::Gossip(msg) => {
                 // Gossip spreads over the whole physical
@@ -267,20 +261,40 @@ impl SimNode {
             Envelope::Reply(events) => {
                 for event in events {
                     let receipt = self.dispatcher.on_recovered_event(event.clone());
-                    if receipt.duplicate {
-                        continue;
-                    }
-                    if receipt.delivered {
-                        ctx.counters.count_recovered();
-                        self.deliver_local(&event, true, ctx);
-                    }
-                    self.algorithm.on_event_received(&event);
-                    if !receipt.losses.is_empty() {
-                        self.algorithm.on_losses(&receipt.losses);
+                    if !receipt.duplicate {
+                        self.arrive(&event, &receipt, true, ctx);
                     }
                 }
                 Vec::new()
             }
+        }
+    }
+
+    /// The first arrival of `event` here, down the tree or `recovered`
+    /// in a reply: delivery to the matching local clients, the
+    /// strategy's bookkeeping, and the losses the detector found in
+    /// its sequence numbers.
+    fn arrive(
+        &mut self,
+        event: &Event,
+        receipt: &EventReceipt,
+        recovered: bool,
+        ctx: &mut NodeCtx,
+    ) {
+        if receipt.delivered {
+            if recovered {
+                ctx.counters.count_recovered();
+            }
+            self.deliver_local(event, recovered, ctx);
+        }
+        self.algorithm.on_event_received(event);
+        if !receipt.losses.is_empty() {
+            self.algorithm.on_losses(&receipt.losses);
+            ctx.record(TraceRecord::LossDetected {
+                at: ctx.now,
+                node: self.id,
+                count: receipt.losses.len() as u32,
+            });
         }
     }
 
@@ -349,7 +363,9 @@ impl SimNode {
         ctx.space
             .random_content_into(&mut self.workload_rng, &mut self.content_scratch);
         let expected = count_subscribers(ctx.subscribers_of, &self.content_scratch);
-        let (event, receipt) = self.dispatcher.publish(&self.content_scratch);
+        let (event, receipt) = self
+            .dispatcher
+            .publish(&self.content_scratch, &mut self.next_hops);
         ctx.tracker.published(event.id(), ctx.now, expected);
         ctx.record(TraceRecord::Publish {
             at: ctx.now,
@@ -360,9 +376,8 @@ impl SimNode {
         if receipt.delivered {
             self.deliver_local(&event, false, ctx);
         }
-        let mut out = pubsub_out(receipt.forwards);
         // A fresh event starts on every interested cross link too.
-        self.replicate_cross(&event, self.id, &mut out);
+        let out = self.forward(event.clone(), &event, self.id);
         let delay = self.next_publish_delay(publish_rate);
         (out, delay)
     }
@@ -392,11 +407,17 @@ impl SimNode {
         }
     }
 
-    /// Appends a [`Envelope::CrossEvent`] copy of `event` for every
-    /// cross-link partner whose stored interest matches it, except
-    /// `arrived_from` (no point echoing an event straight back).
-    /// Counting happens at the send layer, like tree event forwards.
-    fn replicate_cross(&self, event: &Event, arrived_from: NodeId, out: &mut Vec<Outgoing>) {
+    /// The messages an event leaves this node in: `copy` to each next
+    /// hop the dispatcher named, then an [`Envelope::CrossEvent`] of
+    /// `event` for every cross-link partner whose stored interest
+    /// matches it, except `arrived_from` (no point echoing an event
+    /// straight back). Counting happens at the send layer.
+    fn forward(&self, copy: Event, event: &Event, arrived_from: NodeId) -> Vec<Outgoing> {
+        let mut out = Vec::with_capacity(self.next_hops.len());
+        out.extend(self.next_hops.iter().map(|&to| Outgoing {
+            to,
+            env: Envelope::PubSub(PubSubMessage::Event(copy.clone())),
+        }));
         for (chord, interest) in &self.cross_targets {
             if *chord != arrived_from && event.matches_any(interest.iter().copied()) {
                 out.push(Outgoing {
@@ -405,6 +426,7 @@ impl SimNode {
                 });
             }
         }
+        out
     }
 
     /// Exponential inter-arrival delay for this node's Poisson publish
@@ -471,7 +493,9 @@ impl SimNode {
         let subs = self
             .dispatcher
             .client_subscribe_late(client, new, neighbors);
-        let out = pubsub_out(unsubs.into_iter().chain(subs).collect());
+        let out = pubsub_to(unsubs, PubSubMessage::Unsubscribe(old))
+            .chain(pubsub_to(subs, PubSubMessage::Subscribe(new)))
+            .collect();
         if retracts {
             self.subscriptions.retain(|&p| p != old);
         }
@@ -547,14 +571,12 @@ pub fn charge_send(counters: &mut MessageCounters, from: NodeId, env: &Envelope,
     }
 }
 
-fn pubsub_out(forwards: Vec<eps_pubsub::Forward>) -> Vec<Outgoing> {
-    forwards
-        .into_iter()
-        .map(|f| Outgoing {
-            to: f.to,
-            env: Envelope::PubSub(f.msg),
-        })
-        .collect()
+/// `msg` to each of `to`.
+fn pubsub_to(to: Vec<NodeId>, msg: PubSubMessage) -> impl Iterator<Item = Outgoing> {
+    to.into_iter().map(move |to| Outgoing {
+        to,
+        env: Envelope::PubSub(msg.clone()),
+    })
 }
 
 fn count_subscribers(subscribers_of: &[Vec<(NodeId, ClientId)>], content: &[PatternId]) -> u32 {
@@ -565,4 +587,60 @@ fn count_subscribers(subscribers_of: &[Vec<(NodeId, ClientId)>], content: &[Patt
     subscribers.sort_unstable();
     subscribers.dedup();
     subscribers.len() as u32
+}
+
+#[cfg(test)]
+mod tests {
+    use eps_gossip::{Algorithm, GossipConfig};
+    use eps_metrics::DeliveryTracker;
+    use eps_pubsub::EventId;
+
+    use super::*;
+
+    #[test]
+    fn losses_found_by_a_recovered_event_are_traced() {
+        let (id, p) = (NodeId::new(1), PatternId::new(3));
+        let mut node = SimNode::new(
+            id,
+            DispatcherConfig::default(),
+            Algorithm::subscriber_pull().build(GossipConfig::default()),
+            Rng::from_seed(1),
+            SimTime::from_millis(30),
+            vec![p],
+        );
+        node.dispatcher_mut().subscribe_local(p, &[]);
+        let mut trace = Some(ScenarioTrace::new(16));
+        let mut ctx = NodeCtx {
+            now: SimTime::from_millis(7),
+            neighbors: &[],
+            graph_neighbors: &[],
+            space: &PatternSpace::paper_default(),
+            subscribers_of: &[],
+            gossip_rng: &mut Rng::from_seed(2),
+            tracker: &mut DeliveryTracker::new(),
+            counters: &mut MessageCounters::new(2),
+            trace: &mut trace,
+        };
+        // The first event of `p` from d0 this node sees is its third:
+        // sequence numbers 0 and 1 are missing.
+        let event = Event::new(EventId::new(NodeId::new(0), 2), vec![(p, 2)]);
+        let out = node.handle(NodeId::new(0), Envelope::Reply(vec![event]), &mut ctx);
+        assert!(out.is_empty());
+        let losses: Vec<TraceRecord> = trace
+            .expect("traced")
+            .records()
+            .iter()
+            .copied()
+            .filter(|r| matches!(r, TraceRecord::LossDetected { .. }))
+            .collect();
+        assert_eq!(
+            losses,
+            [TraceRecord::LossDetected {
+                at: SimTime::from_millis(7),
+                node: id,
+                count: 2,
+            }]
+        );
+        assert_eq!(node.outstanding_losses(), 2);
+    }
 }

@@ -89,14 +89,10 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
         config.zipf_s,
     );
 
-    // Paper, Section IV-A: "each dispatcher caches only events for
-    // which it is either the publisher or a subscriber" — the
-    // publisher side of the buffering policy applies to every
-    // algorithm, not just publisher-based pull (which *requires*
-    // it). Route recording is only paid for when needed.
+    // Route recording and the summary index are only paid for when
+    // the algorithm needs them.
     let dispatcher_config = DispatcherConfig {
         cache_capacity: config.buffer_size,
-        cache_own_published: true,
         record_routes: config.algorithm.needs_route_recording(),
         summary_index: config.algorithm.needs_summary_index(),
         eviction: config.eviction,

@@ -3,9 +3,11 @@
 //! routing on the tree overlay (paper, Section II).
 //!
 //! The dispatcher is *pure* protocol logic: methods take incoming
-//! messages and return the messages to send next. The simulation
-//! harness maps those onto links; the epidemic recovery algorithms
-//! (crate `eps-gossip`) plug in on top via the state accessors.
+//! messages and name the next hops — the neighbors to send a
+//! subscription to, or to forward an event to, with the copy to
+//! forward. The harness builds the messages for those hops and maps
+//! them onto links; the epidemic recovery algorithms (crate
+//! `eps-gossip`) plug in on top via the state accessors.
 
 use std::sync::Arc;
 
@@ -162,11 +164,9 @@ impl SentSet {
 /// Static per-dispatcher configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatcherConfig {
-    /// Event cache capacity β.
+    /// Event cache capacity β. A publisher caches its own events
+    /// whether or not it subscribes to them (paper, Section IV-A).
     pub cache_capacity: usize,
-    /// Whether publishers cache their own events even when not
-    /// subscribed (required by publisher-based pull).
-    pub cache_own_published: bool,
     /// Whether event messages record the dispatchers they traverse
     /// (required by publisher-based pull; costs 32 bits per hop).
     pub record_routes: bool,
@@ -190,7 +190,6 @@ impl Default for DispatcherConfig {
     fn default() -> Self {
         DispatcherConfig {
             cache_capacity: 1500,
-            cache_own_published: false,
             record_routes: false,
             eviction: EvictionPolicy::Fifo,
             pattern_universe: 0,
@@ -210,15 +209,6 @@ pub enum PubSubMessage {
     Event(Event),
 }
 
-/// A message to hand to a neighbor on the overlay.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Forward {
-    /// The neighbor to send to.
-    pub to: NodeId,
-    /// What to send.
-    pub msg: PubSubMessage,
-}
-
 /// What happened when a dispatcher processed an incoming event.
 #[derive(Clone, Debug, Default)]
 pub struct EventReceipt {
@@ -230,8 +220,6 @@ pub struct EventReceipt {
     pub duplicate: bool,
     /// Losses newly detected from this event's sequence numbers.
     pub losses: Vec<LossRecord>,
-    /// Copies to forward on the dispatching tree.
-    pub forwards: Vec<Forward>,
 }
 
 /// Per-source reverse-route knowledge harvested from route-recording
@@ -335,14 +323,15 @@ impl SeenSet {
 ///
 /// // d1 subscribes to pattern 5 and propagates towards d0.
 /// let p = PatternId::new(5);
-/// let out = d1.subscribe_local(p, &[a]);
-/// assert_eq!(out.len(), 1);
+/// assert_eq!(d1.subscribe_local(p, &[a]), [a]);
 /// d0.on_subscribe(p, b, &[b]);
 ///
 /// // d0 publishes an event matching pattern 5: it is routed to d1.
-/// let (event, _) = d0.publish(&[p]);
-/// let receipt = d1.on_event(event, Some(a));
-/// assert!(receipt.delivered);
+/// let mut next_hops = Vec::new();
+/// let (event, _) = d0.publish(&[p], &mut next_hops);
+/// assert_eq!(next_hops, [b]);
+/// let (_, receipt) = d1.on_event(event, Some(a), &mut next_hops);
+/// assert!(receipt.delivered && next_hops.is_empty());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Dispatcher {
@@ -369,9 +358,6 @@ pub struct Dispatcher {
     late_patterns: IdSet<PatternId>,
     delivered_total: u64,
     published_total: u64,
-    /// Reusable buffer for match results, so the per-event forwarding
-    /// path does not allocate in steady state.
-    match_scratch: Vec<NodeId>,
 }
 
 impl Dispatcher {
@@ -401,7 +387,6 @@ impl Dispatcher {
             late_patterns: IdSet::default(),
             delivered_total: 0,
             published_total: 0,
-            match_scratch: Vec::new(),
         }
     }
 
@@ -459,9 +444,9 @@ impl Dispatcher {
     // Subscription forwarding (Section II).
     // ------------------------------------------------------------------
 
-    /// A local client subscribes to `pattern`; returns the subscription
-    /// messages to propagate to `neighbors`.
-    pub fn subscribe_local(&mut self, pattern: PatternId, neighbors: &[NodeId]) -> Vec<Forward> {
+    /// A local client subscribes to `pattern`; returns the neighbors
+    /// (of `neighbors`) to send `Subscribe(pattern)` to.
+    pub fn subscribe_local(&mut self, pattern: PatternId, neighbors: &[NodeId]) -> Vec<NodeId> {
         self.table.insert(pattern, Interface::Local);
         self.propagate_subscription(pattern, None, neighbors)
     }
@@ -476,7 +461,7 @@ impl Dispatcher {
         client: ClientId,
         pattern: PatternId,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         if self.clients.subscribe(client, pattern) {
             self.subscribe_local(pattern, neighbors)
         } else {
@@ -493,7 +478,7 @@ impl Dispatcher {
         client: ClientId,
         pattern: PatternId,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         if self.clients.subscribe(client, pattern) {
             self.subscribe_local_late(pattern, neighbors)
         } else {
@@ -510,7 +495,7 @@ impl Dispatcher {
         client: ClientId,
         pattern: PatternId,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         if self.clients.unsubscribe(client, pattern) {
             self.unsubscribe_local(pattern, neighbors)
         } else {
@@ -539,19 +524,20 @@ impl Dispatcher {
         &mut self,
         pattern: PatternId,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         self.detector.forget_pattern(pattern);
         self.late_patterns.insert(pattern);
         self.subscribe_local(pattern, neighbors)
     }
 
-    /// Handles a subscription propagated by neighbor `from`.
+    /// Handles a subscription propagated by neighbor `from`; returns
+    /// the neighbors to propagate `Subscribe(pattern)` to.
     pub fn on_subscribe(
         &mut self,
         pattern: PatternId,
         from: NodeId,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         self.table.insert(pattern, Interface::Neighbor(from));
         self.propagate_subscription(pattern, Some(from), neighbors)
     }
@@ -564,15 +550,11 @@ impl Dispatcher {
         pattern: PatternId,
         from: Option<NodeId>,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         neighbors
             .iter()
-            .filter(|&&n| Some(n) != from)
-            .filter(|&&n| self.subs_sent.insert(pattern, n))
-            .map(|&n| Forward {
-                to: n,
-                msg: PubSubMessage::Subscribe(pattern),
-            })
+            .copied()
+            .filter(|&n| Some(n) != from && self.subs_sent.insert(pattern, n))
             .collect()
     }
 
@@ -625,8 +607,9 @@ impl Dispatcher {
         self.subs_sent.pairs()
     }
 
-    /// A local client unsubscribes from `pattern`.
-    pub fn unsubscribe_local(&mut self, pattern: PatternId, neighbors: &[NodeId]) -> Vec<Forward> {
+    /// A local client unsubscribes from `pattern`; returns the
+    /// neighbors to send `Unsubscribe(pattern)` to.
+    pub fn unsubscribe_local(&mut self, pattern: PatternId, neighbors: &[NodeId]) -> Vec<NodeId> {
         self.table.remove(pattern, Interface::Local);
         self.propagate_unsubscription(pattern, None, neighbors)
     }
@@ -637,7 +620,7 @@ impl Dispatcher {
         pattern: PatternId,
         from: NodeId,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         self.table.remove(pattern, Interface::Neighbor(from));
         self.propagate_unsubscription(pattern, Some(from), neighbors)
     }
@@ -649,7 +632,7 @@ impl Dispatcher {
         pattern: PatternId,
         from: Option<NodeId>,
         neighbors: &[NodeId],
-    ) -> Vec<Forward> {
+    ) -> Vec<NodeId> {
         let mut out = Vec::new();
         for &n in neighbors.iter().filter(|&&n| Some(n) != from) {
             if !self.subs_sent.contains(pattern, n) {
@@ -660,10 +643,7 @@ impl Dispatcher {
                 || !self.table.neighbors_for(pattern, Some(n)).is_empty();
             if !still_needed {
                 self.subs_sent.remove(pattern, n);
-                out.push(Forward {
-                    to: n,
-                    msg: PubSubMessage::Unsubscribe(pattern),
-                });
+                out.push(n);
             }
         }
         out
@@ -687,14 +667,20 @@ impl Dispatcher {
     // ------------------------------------------------------------------
 
     /// Publishes a new event with the given content. Returns the event
-    /// (for metrics bookkeeping) and the copies to forward.
+    /// — the copy to forward, and the one for metrics bookkeeping —
+    /// and fills `next_hops` (cleared first) with the neighbors to
+    /// forward it to. The publisher caches it.
     ///
     /// # Panics
     ///
     /// Panics if `content` is empty, unsorted, or has duplicates
     /// (produce it with [`crate::PatternSpace::random_content`] or the
     /// allocation-free [`crate::PatternSpace::random_content_into`]).
-    pub fn publish(&mut self, content: &[PatternId]) -> (Event, EventReceipt) {
+    pub fn publish(
+        &mut self,
+        content: &[PatternId],
+        next_hops: &mut Vec<NodeId>,
+    ) -> (Event, EventReceipt) {
         let pattern_seqs: Vec<(PatternId, u64)> = content
             .iter()
             .map(|&p| {
@@ -715,57 +701,64 @@ impl Dispatcher {
         let late = &self.late_patterns;
         self.detector
             .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
-        let (forwards, delivered) = self.forwards_for(&event, None);
+        let delivered = self.table.matching_neighbors_into(&event, None, next_hops);
         if delivered {
             self.delivered_total += 1;
         }
-        if delivered || self.config.cache_own_published {
-            self.cache.insert(event.clone());
-        }
+        self.cache.insert(event.clone());
         let receipt = EventReceipt {
             delivered,
             duplicate: false,
             losses: Vec::new(),
-            forwards,
         };
         (event, receipt)
     }
 
     /// Handles an event arriving from neighbor `from` on the
-    /// dispatching tree.
-    pub fn on_event(&mut self, mut event: Event, from: Option<NodeId>) -> EventReceipt {
+    /// dispatching tree. Returns the copy to forward — with this hop
+    /// recorded when routes are — and fills `next_hops` (cleared
+    /// first) with the neighbors to forward it to: none for a
+    /// duplicate.
+    pub fn on_event(
+        &mut self,
+        mut event: Event,
+        from: Option<NodeId>,
+        next_hops: &mut Vec<NodeId>,
+    ) -> (Event, EventReceipt) {
         if self.config.record_routes {
             event.record_hop(self.id);
             self.routes.record(event.source(), event.route());
         }
         if !self.seen.insert(event.id()) {
-            return EventReceipt {
+            next_hops.clear();
+            let receipt = EventReceipt {
                 duplicate: true,
                 ..EventReceipt::default()
             };
+            return (event, receipt);
         }
         let table = &self.table;
         let late = &self.late_patterns;
         let losses =
             self.detector
                 .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
-        let (forwards, delivered) = self.forwards_for(&event, from);
+        let delivered = self.table.matching_neighbors_into(&event, from, next_hops);
         if delivered {
             self.delivered_total += 1;
             self.cache.insert(event.clone());
         }
-        EventReceipt {
+        let receipt = EventReceipt {
             delivered,
             duplicate: false,
             losses,
-            forwards,
-        }
+        };
+        (event, receipt)
     }
 
     /// Handles an event recovered through the out-of-band channel (a
-    /// gossip reply). Recovered events are delivered and cached but not
-    /// re-forwarded on the tree — downstream dispatchers run their own
-    /// recovery.
+    /// gossip reply). Recovered events are delivered and cached but
+    /// never forwarded on the tree — downstream dispatchers run their
+    /// own recovery.
     pub fn on_recovered_event(&mut self, event: Event) -> EventReceipt {
         if !self.seen.insert(event.id()) {
             return EventReceipt {
@@ -781,33 +774,13 @@ impl Dispatcher {
         let delivered = self.table.matches_locally(&event);
         if delivered {
             self.delivered_total += 1;
-            self.cache.insert(event.clone());
+            self.cache.insert(event);
         }
         EventReceipt {
             delivered,
             duplicate: false,
             losses,
-            forwards: Vec::new(),
         }
-    }
-
-    /// The copies of `event` to forward, and whether it matches a local
-    /// subscription.
-    fn forwards_for(&mut self, event: &Event, from: Option<NodeId>) -> (Vec<Forward>, bool) {
-        let mut scratch = std::mem::take(&mut self.match_scratch);
-        let local = self
-            .table
-            .matching_neighbors_into(event, from, &mut scratch);
-        let out = scratch
-            .iter()
-            .map(|&n| Forward {
-                to: n,
-                // An Arc refcount bump, not a deep copy of the event.
-                msg: PubSubMessage::Event(event.clone()),
-            })
-            .collect();
-        self.match_scratch = scratch;
-        (out, local)
     }
 }
 
@@ -840,8 +813,7 @@ mod tests {
         let p = PatternId::new(1);
         let nbrs = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
         let out = d.on_subscribe(p, NodeId::new(2), &nbrs);
-        let targets: Vec<NodeId> = out.iter().map(|f| f.to).collect();
-        assert_eq!(targets, vec![NodeId::new(1), NodeId::new(3)]);
+        assert_eq!(out, [NodeId::new(1), NodeId::new(3)]);
         assert!(!d.table().has_local(p));
         assert!(d.table().knows(p));
     }
@@ -856,7 +828,7 @@ mod tests {
             let mut ids = BTreeSet::new();
             let publishes = rng.random_range(1..100u64);
             for _ in 0..publishes {
-                let (event, _) = d.publish(&space.random_content(rng));
+                let (event, _) = d.publish(&space.random_content(rng), &mut Vec::new());
                 assert!(ids.insert(event.id()), "duplicate event id");
                 for &(p, seq) in event.pattern_seqs() {
                     assert_eq!(seq, next_seq[p.index()], "non-dense sequence for {p}");
@@ -872,28 +844,13 @@ mod tests {
         let mut d = Dispatcher::new(NodeId::new(0), cfg());
         let p = PatternId::new(1);
         d.subscribe_local(p, &[]);
-        let (e, receipt) = d.publish(&[p]);
+        let (e, receipt) = d.publish(&[p], &mut Vec::new());
         assert!(receipt.delivered);
         assert!(d.cache().contains(e.id()));
         assert_eq!(d.delivered_total(), 1);
-    }
-
-    #[test]
-    fn publisher_caching_is_config_gated() {
-        let p = PatternId::new(1);
-        let mut plain = Dispatcher::new(NodeId::new(0), cfg());
-        let (e, _) = plain.publish(&[p]);
-        assert!(!plain.cache().contains(e.id()));
-
-        let mut caching = Dispatcher::new(
-            NodeId::new(0),
-            DispatcherConfig {
-                cache_own_published: true,
-                ..cfg()
-            },
-        );
-        let (e, _) = caching.publish(&[p]);
-        assert!(caching.cache().contains(e.id()));
+        // A publisher caches its own events, subscribed or not.
+        let (e, _) = d.publish(&[PatternId::new(2)], &mut Vec::new());
+        assert!(d.cache().contains(e.id()));
     }
 
     #[test]
@@ -904,10 +861,11 @@ mod tests {
         d1.on_subscribe(p, NodeId::new(2), &[NodeId::new(0), NodeId::new(2)]);
         // An event from neighbor 0 matching p must be forwarded to 2 only.
         let e = Event::new(EventId::new(NodeId::new(0), 0), vec![(p, 0)]);
-        let receipt = d1.on_event(e, Some(NodeId::new(0)));
+        let mut next_hops = Vec::new();
+        let (forward, receipt) = d1.on_event(e.clone(), Some(NodeId::new(0)), &mut next_hops);
         assert!(!receipt.delivered);
-        assert_eq!(receipt.forwards.len(), 1);
-        assert_eq!(receipt.forwards[0].to, NodeId::new(2));
+        assert_eq!(next_hops, [NodeId::new(2)]);
+        assert_eq!(forward, e, "no route recording, nothing to append");
     }
 
     #[test]
@@ -916,8 +874,9 @@ mod tests {
         let p = PatternId::new(1);
         d.subscribe_local(p, &[]);
         let e = Event::new(EventId::new(NodeId::new(0), 0), vec![(p, 0)]);
-        let first = d.on_event(e.clone(), Some(NodeId::new(0)));
-        let second = d.on_event(e, Some(NodeId::new(0)));
+        let mut next_hops = Vec::new();
+        let (_, first) = d.on_event(e.clone(), Some(NodeId::new(0)), &mut next_hops);
+        let (_, second) = d.on_event(e, Some(NodeId::new(0)), &mut next_hops);
         assert!(first.delivered && !first.duplicate);
         assert!(second.duplicate && !second.delivered);
         assert_eq!(d.delivered_total(), 1);
@@ -951,7 +910,7 @@ mod tests {
         let q = PatternId::new(2);
         d.subscribe_local(p, &[]);
         let e = Event::new(EventId::new(NodeId::new(0), 7), vec![(p, 2), (q, 5)]);
-        let receipt = d.on_event(e, Some(NodeId::new(0)));
+        let (_, receipt) = d.on_event(e, Some(NodeId::new(0)), &mut Vec::new());
         assert_eq!(receipt.losses.len(), 2); // p seqs 0, 1
         assert!(receipt.losses.iter().all(|l| l.pattern == p));
     }
@@ -968,7 +927,11 @@ mod tests {
         let p = PatternId::new(1);
         let mut e = Event::new(EventId::new(NodeId::new(0), 0), vec![(p, 0)]);
         e.record_hop(NodeId::new(3));
-        d.on_event(e, Some(NodeId::new(3)));
+        let (forward, _) = d.on_event(e, Some(NodeId::new(3)), &mut Vec::new());
+        assert_eq!(
+            forward.route(),
+            d.routes().route_from(NodeId::new(0)).unwrap()
+        );
         assert_eq!(
             d.routes().route_from(NodeId::new(0)),
             Some(&[NodeId::new(0), NodeId::new(3), NodeId::new(5)][..])
@@ -989,7 +952,6 @@ mod tests {
         let e = Event::new(EventId::new(NodeId::new(0), 0), vec![(p, 0)]);
         let receipt = d.on_recovered_event(e.clone());
         assert!(receipt.delivered);
-        assert!(receipt.forwards.is_empty());
         assert!(d.cache().contains(e.id()));
         // Re-recovery is a duplicate.
         assert!(d.on_recovered_event(e).duplicate);
@@ -1001,9 +963,7 @@ mod tests {
         let p = PatternId::new(1);
         let nbrs = [NodeId::new(1)];
         d.subscribe_local(p, &nbrs);
-        let out = d.unsubscribe_local(p, &nbrs);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].msg, PubSubMessage::Unsubscribe(p));
+        assert_eq!(d.unsubscribe_local(p, &nbrs), nbrs);
         assert!(!d.table().knows(p));
     }
 
@@ -1018,9 +978,7 @@ mod tests {
         // Local unsubscription: neighbor 1 still must receive p-events
         // (for neighbor 2), so no unsubscription is sent to 1; and
         // neighbor 2 no longer needs them (only it was interested).
-        let out = d.unsubscribe_local(p, &nbrs);
-        let targets: Vec<NodeId> = out.iter().map(|f| f.to).collect();
-        assert_eq!(targets, vec![NodeId::new(2)]);
+        assert_eq!(d.unsubscribe_local(p, &nbrs), [NodeId::new(2)]);
     }
 
     #[test]
@@ -1041,8 +999,7 @@ mod tests {
         assert!(d.table().has_local(p));
         // Last client drops it: retraction propagates.
         let out = d.client_unsubscribe(ClientId::new(1), p, &nbrs);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].msg, PubSubMessage::Unsubscribe(p));
+        assert_eq!(out, nbrs);
         assert!(!d.table().has_local(p));
     }
 
@@ -1071,7 +1028,7 @@ mod tests {
         d.client_subscribe(ClientId::new(4), q, &[]);
         d.client_subscribe(ClientId::new(2), q, &[]);
         let e = Event::new(EventId::new(NodeId::new(0), 0), vec![(p, 0), (q, 0)]);
-        let receipt = d.on_event(e.clone(), Some(NodeId::new(0)));
+        let (_, receipt) = d.on_event(e.clone(), Some(NodeId::new(0)), &mut Vec::new());
         assert!(receipt.delivered);
         let mut out = Vec::new();
         d.matching_clients_into(&e, &mut out);

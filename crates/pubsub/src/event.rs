@@ -14,11 +14,11 @@
 //! dispatching tree and once per gossip retransmission. The immutable
 //! content — the pattern/sequence pairs — lives behind an [`Arc`], so
 //! a clone is a refcount bump, not a deep copy. The recorded route is
-//! a second `Arc` with copy-on-write semantics ([`Arc::make_mut`]):
-//! when route recording is off the route is shared by every copy; when
-//! it is on, only the hop that actually extends the route pays for a
-//! fresh vector.
+//! a second, immutable `Arc`: when route recording is off it is shared
+//! by every copy; when it is on, each recording hop builds the longer
+//! route in one allocation, and copies already in flight keep theirs.
 
+use std::iter;
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
@@ -93,7 +93,7 @@ pub struct Event {
     id: EventId,
     data: Arc<EventData>,
     /// Dispatchers traversed so far, starting with the source.
-    route: Arc<Vec<NodeId>>,
+    route: Arc<[NodeId]>,
 }
 
 impl Event {
@@ -115,7 +115,7 @@ impl Event {
         Event {
             id,
             data: Arc::new(EventData { pattern_seqs }),
-            route: Arc::new(vec![id.source()]),
+            route: Arc::new([id.source()]),
         }
     }
 
@@ -143,7 +143,7 @@ impl Event {
         Event {
             id,
             data: Arc::new(EventData { pattern_seqs }),
-            route: Arc::new(route),
+            route: route.into(),
         }
     }
 
@@ -194,10 +194,10 @@ impl Event {
     }
 
     /// Appends a traversed dispatcher to the recorded route (used by
-    /// publisher-based pull). Copy-on-write: copies already in flight
-    /// elsewhere keep their shorter route.
+    /// publisher-based pull): one allocation, of exactly the longer
+    /// route. Copies already in flight elsewhere keep their shorter one.
     pub fn record_hop(&mut self, node: NodeId) {
-        Arc::make_mut(&mut self.route).push(node);
+        self.route = self.route.iter().copied().chain(iter::once(node)).collect();
     }
 
     /// Approximate wire size of this event message, in bits, given the
@@ -265,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn record_hop_is_copy_on_write() {
+    fn record_hop_leaves_other_copies_alone() {
         let e = event();
         let mut hopped = e.clone();
         hopped.record_hop(NodeId::new(5));
@@ -274,15 +274,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&e.route, &hopped.route));
         assert_eq!(e.route(), &[NodeId::new(2)]);
         assert_eq!(hopped.route(), &[NodeId::new(2), NodeId::new(5)]);
-    }
-
-    #[test]
-    fn record_hop_without_aliases_mutates_in_place() {
-        let mut e = event();
-        let before = Arc::as_ptr(&e.route);
-        e.record_hop(NodeId::new(5));
-        // Sole owner: no reallocation of the Arc itself.
-        assert_eq!(before, Arc::as_ptr(&e.route));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   end-user subscriptions aggregated into the routing-level filter by
 //!   covering/merging, with refcounted retraction;
 //! - [`Dispatcher`] — the protocol logic tying it all together, pure
-//!   (message in → messages out) so it can be driven by the simulator
+//!   (message in → next hops out) so it can be driven by the simulator
 //!   or by unit tests directly;
 //! - [`flood_subscriptions`] and friends — instant assembly of the
 //!   stable subscription state the paper's workloads run on.
@@ -63,9 +63,7 @@ mod table;
 pub use cache::{EventCache, EvictionPolicy};
 pub use clients::{ClientId, ClientRegistry};
 pub use detector::{LossDetector, LossRecord};
-pub use dispatcher::{
-    Dispatcher, DispatcherConfig, EventReceipt, Forward, PubSubMessage, RouteBook,
-};
+pub use dispatcher::{Dispatcher, DispatcherConfig, EventReceipt, PubSubMessage, RouteBook};
 pub use event::{Event, EventId, ROUTE_HOP_BITS};
 pub use pattern::{PatternId, PatternSpace};
 pub use setup::{

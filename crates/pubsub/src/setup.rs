@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use eps_overlay::{NodeId, Topology};
 
-use crate::dispatcher::{Dispatcher, Forward, PubSubMessage};
+use crate::dispatcher::Dispatcher;
 use crate::pattern::PatternId;
 
 /// Access to the [`Dispatcher`] inside a larger per-node bundle.
@@ -67,8 +67,7 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
         let d = hosts[node.index()].dispatcher_mut();
         let locals: Vec<PatternId> = d.table().local_patterns().collect();
         for p in locals {
-            for Forward { to, msg } in d.subscribe_local(p, &neighbors) {
-                debug_assert!(matches!(msg, PubSubMessage::Subscribe(_)));
+            for to in d.subscribe_local(p, &neighbors) {
                 queue.push_back((to, node, p));
             }
         }
@@ -78,11 +77,11 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
     while let Some((to, from, pattern)) = queue.pop_front() {
         messages += 1;
         let neighbors: Vec<NodeId> = topology.neighbors(to).to_vec();
-        for fwd in hosts[to.index()]
+        for next in hosts[to.index()]
             .dispatcher_mut()
             .on_subscribe(pattern, from, &neighbors)
         {
-            queue.push_back((fwd.to, to, pattern));
+            queue.push_back((next, to, pattern));
         }
     }
     messages
@@ -338,7 +337,7 @@ pub fn intended_recipients<H: DispatcherHost>(hosts: &[H], content: &[PatternId]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatcher::{DispatcherConfig, EventReceipt};
+    use crate::dispatcher::DispatcherConfig;
     use crate::event::Event;
     use crate::pattern::PatternSpace;
     use eps_sim::check::forall;
@@ -382,27 +381,25 @@ mod tests {
         publisher: NodeId,
         content: &[PatternId],
     ) -> (Event, BTreeSet<NodeId>) {
-        let (event, receipt) = ds[publisher.index()].publish(content);
+        let mut next_hops = Vec::new();
+        let (event, receipt) = ds[publisher.index()].publish(content, &mut next_hops);
         let mut delivered = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        let mut absorb = |at: NodeId, receipt: EventReceipt, queue: &mut VecDeque<_>| {
+        if receipt.delivered {
+            delivered.insert(publisher);
+        }
+        let mut queue: VecDeque<_> = next_hops
+            .iter()
+            .map(|&to| (to, publisher, event.clone()))
+            .collect();
+        let mut hops = 0;
+        while let Some((at, from, e)) = queue.pop_front() {
+            hops += 1;
+            assert!(hops <= 4 * ds.len(), "routing does not terminate");
+            let (copy, receipt) = ds[at.index()].on_event(e, Some(from), &mut next_hops);
             if receipt.delivered {
                 delivered.insert(at);
             }
-            for f in receipt.forwards {
-                match f.msg {
-                    PubSubMessage::Event(e) => queue.push_back((f.to, at, e)),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        };
-        absorb(publisher, receipt, &mut queue);
-        let mut hops = 0;
-        while let Some((to, from, e)) = queue.pop_front() {
-            hops += 1;
-            assert!(hops <= 4 * ds.len(), "routing does not terminate");
-            let receipt = ds[to.index()].on_event(e, Some(from));
-            absorb(to, receipt, &mut queue);
+            queue.extend(next_hops.iter().map(|&to| (to, at, copy.clone())));
         }
         (event, delivered)
     }

@@ -13,15 +13,12 @@
 
 use epidemic_pubsub::gossip::{Algorithm, Envelope, GossipConfig, Outgoing};
 use epidemic_pubsub::overlay::NodeId;
-use epidemic_pubsub::pubsub::{Dispatcher, DispatcherConfig, PatternId, PubSubMessage};
+use epidemic_pubsub::pubsub::{Dispatcher, DispatcherConfig, PatternId};
 
 fn main() {
     let p = PatternId::new(7);
     let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
-    let config = DispatcherConfig {
-        cache_own_published: true,
-        ..DispatcherConfig::default()
-    };
+    let config = DispatcherConfig::default();
     let mut d0 = Dispatcher::new(n0, config);
     let mut d1 = Dispatcher::new(n1, config);
     let mut d2 = Dispatcher::new(n2, config);
@@ -45,47 +42,32 @@ fn main() {
     d2.on_subscribe(p, n1, &[n1]);
 
     // --- A first event flows end to end ----------------------------
-    let (e0, r) = d0.publish(&[p]);
+    // Each dispatcher names the next hops of an event and hands back
+    // the copy to forward to them.
+    let mut next_hops = Vec::new();
+    let (e0, _) = d0.publish(&[p], &mut next_hops);
     println!("d0 publishes {} (pattern seq {:?})", e0.id(), e0.seq_for(p));
-    let fwd = &r.forwards[0];
-    assert_eq!(fwd.to, n1);
-    let r = match &fwd.msg {
-        PubSubMessage::Event(e) => d1.on_event(e.clone(), Some(n0)),
-        other => panic!("unexpected {other:?}"),
-    };
-    let fwd = &r.forwards[0];
-    let r2 = match &fwd.msg {
-        PubSubMessage::Event(e) => d2.on_event(e.clone(), Some(n1)),
-        other => panic!("unexpected {other:?}"),
-    };
+    assert_eq!(next_hops, [n1]);
+    let (copy, _) = d1.on_event(e0.clone(), Some(n0), &mut next_hops);
+    assert_eq!(next_hops, [n2]);
+    let (_, r2) = d2.on_event(copy, Some(n1), &mut next_hops);
     assert!(r2.delivered);
     println!("d2 delivered {} normally\n", e0.id());
 
     // --- The second event is lost between d1 and d2 ----------------
-    let (e1, r) = d0.publish(&[p]);
+    let (e1, _) = d0.publish(&[p], &mut next_hops);
     println!("d0 publishes {}; d1 receives it...", e1.id());
-    match &r.forwards[0].msg {
-        PubSubMessage::Event(e) => {
-            d1.on_event(e.clone(), Some(n0));
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+    d1.on_event(e1, Some(n0), &mut next_hops);
     println!("...but the copy to d2 is LOST on the wire\n");
 
     // --- A third event reveals the gap ------------------------------
-    let (e2, r) = d0.publish(&[p]);
+    let (e2, _) = d0.publish(&[p], &mut next_hops);
     println!(
         "d0 publishes {}; it reaches d2 and exposes the gap",
         e2.id()
     );
-    let r = match &r.forwards[0].msg {
-        PubSubMessage::Event(e) => d1.on_event(e.clone(), Some(n0)),
-        other => panic!("unexpected {other:?}"),
-    };
-    let receipt = match &r.forwards[0].msg {
-        PubSubMessage::Event(e) => d2.on_event(e.clone(), Some(n1)),
-        other => panic!("unexpected {other:?}"),
-    };
+    let (copy, _) = d1.on_event(e2, Some(n0), &mut next_hops);
+    let (_, receipt) = d2.on_event(copy, Some(n1), &mut next_hops);
     assert_eq!(receipt.losses.len(), 1);
     println!(
         "d2's loss detector reports: missing {} (seq gap on {p})\n",
