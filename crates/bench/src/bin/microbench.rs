@@ -33,9 +33,9 @@ use eps_metrics::{DeliveryTracker, MessageCounters};
 use eps_net::frame::{frame, FrameReader};
 use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
-    rebuild_subscription_routes, ClientId, ClientRegistry, Dispatcher, DispatcherConfig,
-    DispatcherHost, Event, EventId, Interface, LossRecord, PatternId, PubSubMessage,
-    SubscriptionTable, SummaryIndex,
+    rebuild_subscription_routes, CacheIndexes, ClientId, ClientRegistry, Dispatcher,
+    DispatcherConfig, DispatcherHost, Event, EventCache, EventId, EvictionPolicy, Interface,
+    LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
 };
 use eps_sim::hash::IdMap;
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
@@ -88,7 +88,9 @@ fn main() -> ExitCode {
         table_matching_filled(),
         detector_record(),
         cache_digest_build(),
-        cache_insert_evict(),
+    ]);
+    results.extend(cache_insert_evict());
+    results.extend([
         seen_insert(),
         idmap_event_id_probe(),
         event_clone_hop(),
@@ -100,6 +102,7 @@ fn main() -> ExitCode {
     results.push(subscription_flood());
     let mut gossip_results = gossip_rounds();
     gossip_results.push(gossip_round_idle());
+    gossip_results.push(lost_clear_for_event());
     gossip_results.extend(digest_scaling());
     gossip_results.extend(table_matching_aggregated());
     let net_results = vec![
@@ -381,8 +384,10 @@ fn cache_digest_build() -> BenchResult {
 /// Steady-state insert into a full FIFO cache at β = 1500: every
 /// insert evicts the oldest event, which sits at the head of both
 /// per-pattern lists it is on (≈ 750 ids each, as at a Fig. 2
-/// subscriber of two patterns).
-fn cache_insert_evict() -> BenchResult {
+/// subscriber of two patterns). One row per index set a strategy
+/// builds: the default pair of linear-digest indexes, and each alone —
+/// `ids` for push, `seqs` for the pull routes.
+fn cache_insert_evict() -> Vec<BenchResult> {
     const N: u64 = 10_000;
     // Each event matches one of patterns {0, 1} and one of {2, 3}.
     let events: Vec<Event> = (0..N)
@@ -392,15 +397,77 @@ fn cache_insert_evict() -> BenchResult {
             Event::new(EventId::new(NodeId::new((i % 10) as u32), i), seqs.to_vec())
         })
         .collect();
-    let mut cache = eps_pubsub::EventCache::new(1_500);
-    // N > β: by the time an id comes round again it is long evicted.
-    let result = bench("cache_insert_evict/beta1500", 3, 25, N, || {
+    let ids = CacheIndexes {
+        pattern_ids: true,
+        ..CacheIndexes::NONE
+    };
+    let seqs = CacheIndexes {
+        pattern_seqs: true,
+        ..CacheIndexes::NONE
+    };
+    [
+        ("", CacheIndexes::default()),
+        ("/ids", ids),
+        ("/seqs", seqs),
+    ]
+    .into_iter()
+    .map(|(suffix, indexes)| {
+        let mut cache = EventCache::with_indexes(1_500, EvictionPolicy::Fifo, None, 0, indexes);
+        // N > β: by the time an id comes round again it is long
+        // evicted.
+        let result = bench(
+            &format!("cache_insert_evict/beta1500{suffix}"),
+            3,
+            25,
+            N,
+            || {
+                for event in &events {
+                    cache.insert(event.clone());
+                }
+            },
+        );
+        assert_eq!(cache.len(), 1_500);
+        if indexes.pattern_ids {
+            assert_eq!(cache.ids_matching(PatternId::new(0)).len(), 750);
+        }
+        result
+    })
+    .collect()
+}
+
+/// What every event arriving at a pull dispatcher costs its `Lost`
+/// buffer: `clear_for_event` for a 3-pattern event none of whose
+/// records is outstanding — the common case — against a full buffer
+/// of 1 500 entries over the Fig. 2 content space (100 sources, 70
+/// patterns).
+fn lost_clear_for_event() -> BenchResult {
+    const N: u64 = 10_000;
+    let mut lost = LostBuffer::with_capacity(u32::MAX, 1_500);
+    for i in 0..1_500u64 {
+        lost.add(LossRecord {
+            source: NodeId::new((i % 100) as u32),
+            pattern: PatternId::new((i % 70) as u16),
+            seq: i,
+        });
+    }
+    // Seqs past every outstanding record's.
+    let events: Vec<Event> = (0..N)
+        .map(|i| {
+            let mut patterns = [0, 23, 46].map(|k| ((i + k) % 70) as u16);
+            patterns.sort_unstable();
+            let seqs = patterns.map(|p| (PatternId::new(p), 2_000 + i));
+            Event::new(
+                EventId::new(NodeId::new((i % 100) as u32), i),
+                seqs.to_vec(),
+            )
+        })
+        .collect();
+    let result = bench("lost_clear_for_event/l1500", 3, 25, N, || {
         for event in &events {
-            cache.insert(event.clone());
+            lost.clear_for_event(event);
         }
     });
-    assert_eq!(cache.len(), 1_500);
-    assert_eq!(cache.ids_matching(PatternId::new(0)).len(), 750);
+    assert_eq!(lost.len(), 1_500, "no record was outstanding");
     result
 }
 
@@ -596,9 +663,9 @@ fn gossip_node() -> Dispatcher {
         NodeId::new(5),
         DispatcherConfig {
             record_routes: true,
-            // The table includes the summary-reconciliation family,
-            // whose digests read the cache's hash-range index.
-            summary_index: true,
+            // Every strategy of the table rounds on this node, so its
+            // cache keeps every index any of them reads.
+            cache_indexes: CacheIndexes::ALL,
             ..DispatcherConfig::default()
         },
     );
@@ -708,7 +775,13 @@ fn digest_node(c: usize) -> Dispatcher {
         NodeId::new(5),
         DispatcherConfig {
             cache_capacity: c,
-            summary_index: true,
+            // Linear push digests list ids; summary digests read the
+            // forest.
+            cache_indexes: CacheIndexes {
+                pattern_ids: true,
+                summary: true,
+                ..CacheIndexes::NONE
+            },
             ..DispatcherConfig::default()
         },
     );

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use eps_overlay::NodeId;
 use eps_pubsub::{Event, LossRecord, PatternId};
+use eps_sim::hash::IdMap;
 
 /// The buffer of detected-but-not-yet-recovered events.
 ///
@@ -31,21 +32,26 @@ use eps_pubsub::{Event, LossRecord, PatternId};
 /// ```
 #[derive(Clone, Debug)]
 pub struct LostBuffer {
-    entries: BTreeMap<LossRecord, Entry>,
-    /// Per-pattern secondary index over the outstanding entries; a
-    /// pattern is a key only while it has entries, so the index costs
-    /// O(distinct lost patterns), not O(Π), to keep and to walk. Each
-    /// set iterates in (source, seq) order — exactly the order a
-    /// pattern-filtered walk of `entries` (keyed (source, pattern,
-    /// seq)) would expose — so `for_pattern` and `patterns` need no
+    /// The outstanding entries. Keyed lookups only — never iterated:
+    /// every arriving event probes it once per pattern it carries,
+    /// almost always for a record that is not there, and the ordered
+    /// views below serve every walk.
+    entries: IdMap<LossRecord, Entry>,
+    /// The outstanding records by pattern; a pattern is a key only
+    /// while it has entries, so the index costs O(distinct lost
+    /// patterns), not O(Π), to keep and to walk. Each set iterates in
+    /// (source, seq) order, so `for_pattern` and `patterns` need no
     /// full-buffer scan.
     by_pattern: BTreeMap<PatternId, BTreeSet<(NodeId, u64)>>,
-    /// Outstanding-entry count per source, so `sources` is
-    /// O(#distinct sources) instead of a scan with sort + dedup.
-    source_counts: BTreeMap<NodeId, usize>,
+    /// The same records by source, each set in (pattern, seq) order:
+    /// walked in full it is (source, pattern, seq) order — what
+    /// `sources`, `for_source` and `any` expose.
+    by_source: BTreeMap<NodeId, BTreeSet<(PatternId, u64)>>,
     /// Insertion order for FIFO eviction. May hold stale pairs (entry
     /// recovered or abandoned since); the stamp tells them apart from
-    /// a re-added live entry.
+    /// a re-added live entry. Compacted once it holds more than twice
+    /// `capacity` pairs, so it stays bounded even when recoveries keep
+    /// the buffer from ever evicting.
     order: VecDeque<(LossRecord, u64)>,
     next_stamp: u64,
     capacity: usize,
@@ -84,9 +90,9 @@ impl LostBuffer {
         assert!(max_attempts > 0, "max_attempts must be positive");
         assert!(capacity > 0, "capacity must be positive");
         LostBuffer {
-            entries: BTreeMap::new(),
+            entries: IdMap::default(),
             by_pattern: BTreeMap::new(),
-            source_counts: BTreeMap::new(),
+            by_source: BTreeMap::new(),
             order: VecDeque::new(),
             next_stamp: 0,
             capacity,
@@ -133,16 +139,19 @@ impl LostBuffer {
         self.evicted_total
     }
 
-    /// Adds `record` to the secondary indexes.
+    /// Adds `record` to the ordered views.
     fn index_add(&mut self, record: &LossRecord) {
         self.by_pattern
             .entry(record.pattern)
             .or_default()
             .insert((record.source, record.seq));
-        *self.source_counts.entry(record.source).or_insert(0) += 1;
+        self.by_source
+            .entry(record.source)
+            .or_default()
+            .insert((record.pattern, record.seq));
     }
 
-    /// Removes `record` from the secondary indexes (it must have been
+    /// Removes `record` from the ordered views (it must have been
     /// indexed).
     fn index_remove(&mut self, record: &LossRecord) {
         let of_pattern = self
@@ -153,13 +162,13 @@ impl LostBuffer {
         if of_pattern.is_empty() {
             self.by_pattern.remove(&record.pattern);
         }
-        let count = self
-            .source_counts
+        let of_source = self
+            .by_source
             .get_mut(&record.source)
-            .expect("indexed record has a source count");
-        *count -= 1;
-        if *count == 0 {
-            self.source_counts.remove(&record.source);
+            .expect("indexed record has a source set");
+        of_source.remove(&(record.pattern, record.seq));
+        if of_source.is_empty() {
+            self.by_source.remove(&record.source);
         }
     }
 
@@ -177,6 +186,15 @@ impl LostBuffer {
         self.added_total += 1;
         while self.entries.len() > self.capacity {
             self.evict_oldest();
+        }
+        // Drop the stale pairs once they outnumber the capacity: at
+        // most `capacity` live pairs remain, so the next compaction is
+        // `capacity` adds away (amortised O(1)), and keeping the live
+        // pairs in place leaves every later eviction unchanged.
+        if self.order.len() > 2 * self.capacity {
+            let entries = &self.entries;
+            self.order
+                .retain(|(record, stamp)| entries.get(record).is_some_and(|e| e.stamp == *stamp));
         }
     }
 
@@ -223,14 +241,13 @@ impl LostBuffer {
 
     /// The distinct sources with outstanding entries, ascending.
     pub fn sources(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.source_counts.keys().copied()
+        self.by_source.keys().copied()
     }
 
     /// Selects up to `limit` outstanding entries for `pattern`,
     /// charging one attempt to each selected entry and dropping the
     /// ones that exhausted their budget (they are *not* returned).
-    /// Entries come back in (source, seq) order — the order a
-    /// pattern-filtered walk of the primary map would produce.
+    /// Entries come back in (source, seq) order.
     pub fn for_pattern(&mut self, pattern: PatternId, limit: usize) -> Vec<LossRecord> {
         let keys: Vec<LossRecord> = self
             .by_pattern
@@ -248,33 +265,40 @@ impl LostBuffer {
     }
 
     /// Selects up to `limit` outstanding entries from `source`,
-    /// charging attempts as in [`LostBuffer::for_pattern`]. Served by
-    /// a range query: `LossRecord` orders by (source, pattern, seq),
-    /// so one source's entries are contiguous in the primary map.
+    /// charging attempts as in [`LostBuffer::for_pattern`]. Entries
+    /// come back in (pattern, seq) order.
     pub fn for_source(&mut self, source: NodeId, limit: usize) -> Vec<LossRecord> {
-        let lo = LossRecord {
-            source,
-            pattern: PatternId::new(0),
-            seq: 0,
-        };
-        let hi = LossRecord {
-            source,
-            pattern: PatternId::new(u16::MAX),
-            seq: u64::MAX,
-        };
         let keys: Vec<LossRecord> = self
-            .entries
-            .range(lo..=hi)
+            .by_source
+            .get(&source)
+            .into_iter()
+            .flatten()
             .take(limit)
-            .map(|(&key, _)| key)
+            .map(|&(pattern, seq)| LossRecord {
+                source,
+                pattern,
+                seq,
+            })
             .collect();
         self.charge(keys)
     }
 
     /// Selects up to `limit` outstanding entries regardless of pattern
-    /// or source (used by random pull), charging attempts.
+    /// or source (used by random pull), charging attempts. Entries come
+    /// back in (source, pattern, seq) order.
     pub fn any(&mut self, limit: usize) -> Vec<LossRecord> {
-        let keys: Vec<LossRecord> = self.entries.keys().take(limit).copied().collect();
+        let keys: Vec<LossRecord> = self
+            .by_source
+            .iter()
+            .flat_map(|(&source, of_source)| {
+                of_source.iter().map(move |&(pattern, seq)| LossRecord {
+                    source,
+                    pattern,
+                    seq,
+                })
+            })
+            .take(limit)
+            .collect();
         self.charge(keys)
     }
 
@@ -516,6 +540,167 @@ mod tests {
             }
             assert_eq!(lost.len(), model.len());
             assert!(model.iter().all(|r| lost.contains(r)));
+        });
+    }
+
+    #[test]
+    fn the_eviction_queue_stays_bounded_when_recoveries_keep_up() {
+        // Every loss is recovered before the next: the buffer never
+        // fills, so it never evicts, and only compaction retires the
+        // stale queue pairs.
+        let mut lost = LostBuffer::with_capacity(10, 8);
+        for seq in 0..10_000 {
+            let r = rec(0, 1, seq);
+            lost.add(r);
+            lost.clear_for_event(&event_for(r));
+        }
+        assert_eq!(lost.evicted_total(), 0);
+        assert!(
+            lost.order.len() <= 16,
+            "{} queued pairs for {} live entries",
+            lost.order.len(),
+            lost.len()
+        );
+    }
+
+    /// The buffer as one ordered map of its outstanding entries, each
+    /// walk a filter or a prefix of it: what the ordered views must
+    /// reproduce record for record, since digest contents and eviction
+    /// order are output.
+    struct Reference {
+        /// Record → (attempts, insertion stamp).
+        entries: BTreeMap<LossRecord, (u32, u64)>,
+        next_stamp: u64,
+        capacity: usize,
+        max_attempts: u32,
+        /// Added, recovered, abandoned, evicted.
+        totals: [u64; 4],
+    }
+
+    impl Reference {
+        fn add(&mut self, record: LossRecord) {
+            if self.entries.contains_key(&record) {
+                return;
+            }
+            self.entries.insert(record, (0, self.next_stamp));
+            self.next_stamp += 1;
+            self.totals[0] += 1;
+            if self.entries.len() > self.capacity {
+                let oldest = self.entries.iter().min_by_key(|(_, &(_, stamp))| stamp);
+                let oldest = *oldest.expect("over capacity means non-empty").0;
+                self.entries.remove(&oldest);
+                self.totals[3] += 1;
+            }
+        }
+
+        fn clear_for_event(&mut self, event: &Event) {
+            for &(pattern, seq) in event.pattern_seqs() {
+                let record = LossRecord {
+                    source: event.source(),
+                    pattern,
+                    seq,
+                };
+                if self.entries.remove(&record).is_some() {
+                    self.totals[1] += 1;
+                }
+            }
+        }
+
+        fn select(&mut self, keep: impl Fn(&LossRecord) -> bool, limit: usize) -> Vec<LossRecord> {
+            let keys: Vec<LossRecord> = self
+                .entries
+                .keys()
+                .copied()
+                .filter(keep)
+                .take(limit)
+                .collect();
+            for key in &keys {
+                let attempts = &mut self.entries.get_mut(key).expect("selected").0;
+                *attempts += 1;
+                if *attempts >= self.max_attempts {
+                    self.entries.remove(key);
+                    self.totals[2] += 1;
+                }
+            }
+            keys
+        }
+
+        fn patterns(&self) -> Vec<u16> {
+            let set: BTreeSet<u16> = self.entries.keys().map(|r| r.pattern.value()).collect();
+            set.into_iter().collect()
+        }
+
+        fn sources(&self) -> Vec<usize> {
+            let set: BTreeSet<usize> = self.entries.keys().map(|r| r.source.index()).collect();
+            set.into_iter().collect()
+        }
+    }
+
+    #[test]
+    fn ordered_views_match_one_ordered_map() {
+        forall("lost_ordered_views_match_one_ordered_map", 256, |rng| {
+            let capacity = rng.random_range(1..16usize);
+            let max_attempts = rng.random_range(1..5u32);
+            let mut lost = LostBuffer::with_capacity(max_attempts, capacity);
+            let mut reference = Reference {
+                entries: BTreeMap::new(),
+                next_stamp: 0,
+                capacity,
+                max_attempts,
+                totals: [0; 4],
+            };
+            for _ in 0..rng.random_range(1..300usize) {
+                let limit = rng.random_range(1..8usize);
+                let (source, pattern) = (rng.random_range(0..4u32), rng.random_range(0..4u16));
+                match rng.random_below(5) {
+                    0 | 1 => {
+                        let r = random_rec(rng, 4, 12);
+                        lost.add(r);
+                        reference.add(r);
+                    }
+                    2 => {
+                        // A multi-pattern event clears one record per
+                        // pattern it carries.
+                        let seqs: Vec<(PatternId, u64)> = (0..4u16)
+                            .filter_map(|p| {
+                                let seq = rng.random_below(12);
+                                rng.random_bool(0.5).then_some((PatternId::new(p), seq))
+                            })
+                            .collect();
+                        if seqs.is_empty() {
+                            continue;
+                        }
+                        let event = Event::new(EventId::new(NodeId::new(source), 0), seqs);
+                        lost.clear_for_event(&event);
+                        reference.clear_for_event(&event);
+                    }
+                    3 => {
+                        let p = PatternId::new(pattern);
+                        assert_eq!(
+                            lost.for_pattern(p, limit),
+                            reference.select(|r| r.pattern == p, limit)
+                        );
+                    }
+                    _ if rng.random_bool(0.5) => {
+                        let s = NodeId::new(source);
+                        assert_eq!(
+                            lost.for_source(s, limit),
+                            reference.select(|r| r.source == s, limit)
+                        );
+                    }
+                    _ => assert_eq!(lost.any(limit), reference.select(|_| true, limit)),
+                }
+                assert_eq!(lost.len(), reference.entries.len());
+                assert_eq!(patterns(&lost), reference.patterns());
+                assert_eq!(sources(&lost), reference.sources());
+                let totals = [
+                    lost.added_total(),
+                    lost.recovered_total(),
+                    lost.abandoned_total(),
+                    lost.evicted_total(),
+                ];
+                assert_eq!(totals, reference.totals);
+            }
         });
     }
 

@@ -3,7 +3,8 @@
 //!
 //! Each row names which kind of [`Strategy`] state it builds — and,
 //! for the pull and summary kinds, the route or mode — and declares the
-//! infrastructure it needs from the dispatching layer. [`Algorithm`] is
+//! infrastructure it needs from the dispatching layer: route recording,
+//! and the event-cache indexes its digests read. [`Algorithm`] is
 //! a `Copy` handle on a row — what CLI parsing, scenario configuration,
 //! node construction, experiment drivers and benchmarks all work in
 //! terms of — and [`Algorithm::build`] turns it into the per-dispatcher
@@ -11,28 +12,36 @@
 //!
 //! The rows, in the order the paper's figures list them:
 //!
-//! | name              | state     | digest steered                                |
-//! |-------------------|-----------|-----------------------------------------------|
-//! | `no-recovery`     | —         | —                                             |
-//! | `random-pull`     | pull      | to random neighbors (TTL)                     |
-//! | `push`            | push      | along a known pattern's routes                |
-//! | `subscriber-pull` | pull      | along a lost pattern's routes                 |
-//! | `combined-pull`   | pull      | publisher's route w.p. `P_source`, else as subscriber-pull |
-//! | `publisher-pull`  | pull      | back along the publisher's route              |
-//! | `push-pull`       | push-pull | push and subscriber-pull rounds, alternating  |
-//! | `summary-push`    | summary   | along a known pattern's routes                |
-//! | `summary-pull`    | summary   | along a known pattern's routes                |
+//! | name              | state     | cache indexes | digest steered                                |
+//! |-------------------|-----------|---------------|-----------------------------------------------|
+//! | `no-recovery`     | —         | —             | —                                             |
+//! | `random-pull`     | pull      | seqs          | to random neighbors (TTL)                     |
+//! | `push`            | push      | ids           | along a known pattern's routes                |
+//! | `subscriber-pull` | pull      | seqs          | along a lost pattern's routes                 |
+//! | `combined-pull`   | pull      | seqs          | publisher's route w.p. `P_source`, else as subscriber-pull |
+//! | `publisher-pull`  | pull      | seqs          | back along the publisher's route              |
+//! | `push-pull`       | push-pull | ids + seqs    | push and subscriber-pull rounds, alternating  |
+//! | `summary-push`    | summary   | summary       | along a known pattern's routes                |
+//! | `summary-pull`    | summary   | summary       | along a known pattern's routes                |
+//!
+//! The cache indexes are [`CacheIndexes`] columns: a push digest lists
+//! a pattern's cached ids (`pattern_ids`), a pull route serves the
+//! negative digests it receives by (source, pattern, seq)
+//! (`pattern_seqs`), and summary reconciliation reads the hash-range
+//! forest (`summary`). Every event cache also answers by event id, which
+//! is all a request or a summary expansion needs.
 //!
 //! `push-pull` reuses the push and pull wire forms; no new message
 //! exists for it. The `summary-*` extensions (aliases `merkle-push` /
 //! `merkle-pull`) replace the linear id list with hash-range tree
 //! aggregates, making anti-entropy wire cost sublinear in cache size;
 //! they require the dispatcher to maintain a
-//! [`eps_pubsub::SummaryIndex`], declared via
-//! [`Algorithm::needs_summary_index`].
+//! [`eps_pubsub::SummaryIndex`], declared in their row's cache indexes.
 
 use std::fmt;
 use std::str::FromStr;
+
+use eps_pubsub::CacheIndexes;
 
 use crate::algorithm::{State, Strategy};
 use crate::config::GossipConfig;
@@ -61,9 +70,9 @@ struct Row {
     /// Event messages must record their route (source steering
     /// reverses it).
     needs_route_recording: bool,
-    /// Dispatchers must maintain the hash-range summary index over
-    /// their event cache (summary reconciliation refines it).
-    needs_summary_index: bool,
+    /// The event-cache indexes the strategy's digests read; a
+    /// dispatcher builds exactly these.
+    cache_indexes: CacheIndexes,
     variant: Variant,
 }
 
@@ -71,31 +80,51 @@ const fn row(
     name: &'static str,
     aliases: &'static [&'static str],
     needs_route_recording: bool,
-    needs_summary_index: bool,
+    cache_indexes: CacheIndexes,
     variant: Variant,
 ) -> Row {
     Row {
         name,
         aliases,
         needs_route_recording,
-        needs_summary_index,
+        cache_indexes,
         variant,
     }
 }
 
-/// Every strategy, in [`Algorithm::all`] order. The two flags are
-/// `needs_route_recording` and `needs_summary_index`.
+/// The cache index sets the rows use.
+const NONE: CacheIndexes = CacheIndexes::NONE;
+const IDS: CacheIndexes = CacheIndexes {
+    pattern_ids: true,
+    ..NONE
+};
+const SEQS: CacheIndexes = CacheIndexes {
+    pattern_seqs: true,
+    ..NONE
+};
+const IDS_SEQS: CacheIndexes = CacheIndexes {
+    pattern_ids: true,
+    pattern_seqs: true,
+    ..NONE
+};
+const SUMMARY: CacheIndexes = CacheIndexes {
+    summary: true,
+    ..NONE
+};
+
+/// Every strategy, in [`Algorithm::all`] order. The flag is
+/// `needs_route_recording`; the set after it, the cache indexes.
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
-    row("no-recovery",     &["none", "baseline"], false, false, Variant::NoRecovery),
-    row("random-pull",     &["random"],           false, false, Variant::Pull(PullRoute::Random)),
-    row("push",            &[],                   false, false, Variant::Push),
-    row("subscriber-pull", &["sub-pull"],         false, false, Variant::Pull(PullRoute::Subscriber)),
-    row("combined-pull",   &["combined"],         true,  false, Variant::Pull(PullRoute::Combined)),
-    row("publisher-pull",  &["pub-pull"],         true,  false, Variant::Pull(PullRoute::Publisher)),
-    row("push-pull",       &["hybrid"],           false, false, Variant::PushPull),
-    row("summary-push",    &["merkle-push"],      false, true,  Variant::Summary(SummaryMode::Push)),
-    row("summary-pull",    &["merkle-pull"],      false, true,  Variant::Summary(SummaryMode::Pull)),
+    row("no-recovery",     &["none", "baseline"], false, NONE,     Variant::NoRecovery),
+    row("random-pull",     &["random"],           false, SEQS,     Variant::Pull(PullRoute::Random)),
+    row("push",            &[],                   false, IDS,      Variant::Push),
+    row("subscriber-pull", &["sub-pull"],         false, SEQS,     Variant::Pull(PullRoute::Subscriber)),
+    row("combined-pull",   &["combined"],         true,  SEQS,     Variant::Pull(PullRoute::Combined)),
+    row("publisher-pull",  &["pub-pull"],         true,  SEQS,     Variant::Pull(PullRoute::Publisher)),
+    row("push-pull",       &["hybrid"],           false, IDS_SEQS, Variant::PushPull),
+    row("summary-push",    &["merkle-push"],      false, SUMMARY,  Variant::Summary(SummaryMode::Push)),
+    row("summary-pull",    &["merkle-pull"],      false, SUMMARY,  Variant::Summary(SummaryMode::Pull)),
 ];
 
 /// The paper's figure order (golden suite, fig3/fig5 reproductions).
@@ -178,10 +207,10 @@ impl Algorithm {
         self.0.needs_route_recording
     }
 
-    /// Whether dispatchers must maintain the incremental cache summary
-    /// index for this strategy.
-    pub fn needs_summary_index(self) -> bool {
-        self.0.needs_summary_index
+    /// The event-cache indexes this strategy reads, which a dispatcher
+    /// running it builds (and no others).
+    pub fn cache_indexes(self) -> CacheIndexes {
+        self.0.cache_indexes
     }
 
     /// Builds a fresh per-dispatcher instance of this strategy.
@@ -306,30 +335,30 @@ mod tests {
     use super::*;
 
     /// The table as it stands, literally: canonical name, aliases,
-    /// route recording, summary index — in `all()` order — plus the
+    /// route recording, cache indexes — in `all()` order — plus the
     /// `paper()` order. A row edit that moves a CLI name, an alias, a
     /// CSV header or a dispatcher requirement fails here first.
     #[test]
     fn the_table_is_pinned() {
-        let rows: [(&str, &[&str], bool, bool); 9] = [
-            ("no-recovery", &["none", "baseline"], false, false),
-            ("random-pull", &["random"], false, false),
-            ("push", &[], false, false),
-            ("subscriber-pull", &["sub-pull"], false, false),
-            ("combined-pull", &["combined"], true, false),
-            ("publisher-pull", &["pub-pull"], true, false),
-            ("push-pull", &["hybrid"], false, false),
-            ("summary-push", &["merkle-push"], false, true),
-            ("summary-pull", &["merkle-pull"], false, true),
+        let rows: [(&str, &[&str], bool, CacheIndexes); 9] = [
+            ("no-recovery", &["none", "baseline"], false, NONE),
+            ("random-pull", &["random"], false, SEQS),
+            ("push", &[], false, IDS),
+            ("subscriber-pull", &["sub-pull"], false, SEQS),
+            ("combined-pull", &["combined"], true, SEQS),
+            ("publisher-pull", &["pub-pull"], true, SEQS),
+            ("push-pull", &["hybrid"], false, IDS_SEQS),
+            ("summary-push", &["merkle-push"], false, SUMMARY),
+            ("summary-pull", &["merkle-pull"], false, SUMMARY),
         ];
-        let all: Vec<(&str, &[&str], bool, bool)> = Algorithm::all()
+        let all: Vec<(&str, &[&str], bool, CacheIndexes)> = Algorithm::all()
             .into_iter()
             .map(|a| {
                 (
                     a.name(),
                     a.0.aliases,
                     a.needs_route_recording(),
-                    a.needs_summary_index(),
+                    a.cache_indexes(),
                 )
             })
             .collect();
@@ -386,6 +415,24 @@ mod tests {
             assert_eq!(arm, algo.name());
             assert_eq!(instance.outstanding_losses(), 0);
             assert_eq!(instance.lost_evictions(), 0);
+        }
+    }
+
+    /// Each row's cache indexes are exactly those its kind of state
+    /// reads: push digests list a pattern's ids, pull routes serve by
+    /// (source, pattern, seq), summary reconciliation reads the forest,
+    /// and the baseline reads nothing.
+    #[test]
+    fn each_row_builds_the_indexes_its_state_reads() {
+        for algo in Algorithm::all() {
+            let reads = match algo.build(GossipConfig::default()).state {
+                State::NoRecovery => NONE,
+                State::Push(_) => IDS,
+                State::Pull { .. } => SEQS,
+                State::PushPull { .. } => IDS_SEQS,
+                State::Summary(_) => SUMMARY,
+            };
+            assert_eq!(algo.cache_indexes(), reads, "{algo}");
         }
     }
 

@@ -87,10 +87,10 @@ pub enum SummaryMode {
 /// refinements peers asked for, plus the in-flight requests and idle
 /// streak of a push digest.
 ///
-/// Requires [`eps_pubsub::DispatcherConfig::summary_index`] on every
-/// dispatcher (the table rows declare it via
-/// [`crate::Algorithm::needs_summary_index`]); building or absorbing a
-/// digest panics otherwise.
+/// Requires the summary index in every dispatcher's
+/// [`eps_pubsub::DispatcherConfig::cache_indexes`] (the table rows
+/// declare it in [`crate::Algorithm::cache_indexes`]); building or
+/// absorbing a digest panics otherwise.
 #[derive(Clone, Debug)]
 pub struct SummaryState {
     /// The transfer direction.
@@ -348,7 +348,7 @@ mod tests {
         let mut node = Dispatcher::new(
             NodeId::new(id),
             DispatcherConfig {
-                summary_index: true,
+                cache_indexes: crate::Algorithm::summary_push().cache_indexes(),
                 ..DispatcherConfig::default()
             },
         );

@@ -16,12 +16,12 @@ fn any_algorithm(rng: &mut Rng) -> Algorithm {
 }
 
 /// A dispatcher provisioned the way the harness provisions one for
-/// `kind` (the summary strategies read the cache's summary index).
+/// `kind`: with the cache indexes its row declares, and no others.
 fn dispatcher_for(kind: Algorithm, id: u32) -> Dispatcher {
     Dispatcher::new(
         NodeId::new(id),
         DispatcherConfig {
-            summary_index: kind.needs_summary_index(),
+            cache_indexes: kind.cache_indexes(),
             ..DispatcherConfig::default()
         },
     )

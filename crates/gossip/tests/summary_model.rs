@@ -44,7 +44,7 @@ fn peer(id: u32, peer_id: u32, capacity: usize, pull: bool) -> Peer {
         NodeId::new(id),
         DispatcherConfig {
             cache_capacity: capacity,
-            summary_index: true,
+            cache_indexes: Algorithm::summary_pull().cache_indexes(),
             ..DispatcherConfig::default()
         },
     );

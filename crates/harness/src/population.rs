@@ -89,12 +89,12 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
         config.zipf_s,
     );
 
-    // Route recording and the summary index are only paid for when
-    // the algorithm needs them.
+    // Route recording and each cache index are only paid for when the
+    // algorithm reads them.
     let dispatcher_config = DispatcherConfig {
         cache_capacity: config.buffer_size,
         record_routes: config.algorithm.needs_route_recording(),
-        summary_index: config.algorithm.needs_summary_index(),
+        cache_indexes: config.algorithm.cache_indexes(),
         eviction: config.eviction,
         // Lay out the per-pattern cache and loss-detector state for the
         // scenario's pattern space — never for hardcoded paper

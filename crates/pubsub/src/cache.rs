@@ -153,8 +153,67 @@ impl PolicyState {
     }
 }
 
+/// Which of the cache's optional indexes to build. Each costs memory
+/// and insert/evict time per cached event, and each serves one kind of
+/// recovery digest, so a dispatcher builds only those its strategy
+/// reads. Reading an index the cache was built without panics.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct CacheIndexes {
+    /// Pattern → cached ids in insertion order
+    /// ([`EventCache::ids_matching`]): positive (push) digests.
+    pub pattern_ids: bool,
+    /// (source, pattern, per-pattern seq) → cached event
+    /// ([`EventCache::get_by_pattern_seq`]): serving negative (pull)
+    /// digests.
+    pub pattern_seqs: bool,
+    /// The hash-range summary forest and its eviction tombstones
+    /// ([`EventCache::summary_index`]): summary reconciliation.
+    pub summary: bool,
+}
+
+impl CacheIndexes {
+    /// No optional index: lookup by event id only.
+    pub const NONE: CacheIndexes = CacheIndexes {
+        pattern_ids: false,
+        pattern_seqs: false,
+        summary: false,
+    };
+
+    /// Every index.
+    pub const ALL: CacheIndexes = CacheIndexes {
+        pattern_ids: true,
+        pattern_seqs: true,
+        summary: true,
+    };
+}
+
+impl Default for CacheIndexes {
+    /// Both linear-digest indexes, no summary forest.
+    fn default() -> Self {
+        CacheIndexes {
+            pattern_ids: true,
+            pattern_seqs: true,
+            summary: false,
+        }
+    }
+}
+
+/// The summary forest over the live ids, beside the one over the ids
+/// admitted and since evicted (re-admitting an id clears its
+/// tombstone, so the two sets stay disjoint). Together they form the
+/// *seen* view pull-mode summary reconciliation announces, so peers
+/// stop re-serving surplus this cache has already consumed; a
+/// tombstone is three words per evicted id — far below the events the
+/// cache itself holds.
+#[derive(Clone)]
+struct Summaries {
+    live: SummaryIndex,
+    tombstones: SummaryIndex,
+}
+
 /// A bounded cache of β events with constant-time lookup by event id
-/// and by (source, pattern, per-pattern sequence number).
+/// and, where [`CacheIndexes`] asks for them, by pattern and by
+/// (source, pattern, per-pattern sequence number).
 ///
 /// # Examples
 ///
@@ -181,28 +240,20 @@ pub struct EventCache {
     // only: the one walk over this map, `iter`, sorts by stamp, so the
     // map's arbitrary ordering can't leak into any output.
     events: IdMap<EventId, (u64, Event)>,
-    // Keyed lookups only — never iterated (see `events`).
-    by_pattern_seq: IdMap<(NodeId, PatternId, u64), EventId>,
-    // Per-pattern index over the live cache contents, kept exact
-    // (updated on insert and eviction), each list in insertion order:
-    // `ids_matching` — the digest-construction hot path — is a copy of
-    // one list instead of a scan of the whole cache.
-    by_pattern: PatternIndex,
-    // Hash-range summary forest over the cached ids, maintained
-    // incrementally on insert/evict (O(log C) per operation — never
-    // rebuilt per round). `None` unless the recovery algorithm needs
-    // it: the trees cost memory per cached event, so only the
-    // summary-digest family pays for them.
-    summary: Option<SummaryIndex>,
-    // Eviction tombstones: the summary forest over ids this cache has
-    // admitted and since evicted (re-admitting an id clears its
-    // tombstone, so live and tombstoned sets stay disjoint). Together
-    // with `summary` they form the *seen* view pull-mode summary
-    // reconciliation announces, so peers stop re-serving surplus this
-    // cache has already consumed. Enabled with the summary index; a
-    // tombstone is three words per evicted id — far below the events
-    // the cache itself holds.
-    tombstones: Option<SummaryIndex>,
+    // The optional indexes, each `None` unless `CacheIndexes` asked
+    // for it, each kept exact on insert and eviction.
+    //
+    // (source, pattern, seq) → the event's own sequence number (its
+    // source is in the key). Keyed lookups only — never iterated (see
+    // `events`).
+    by_pattern_seq: Option<IdMap<(NodeId, PatternId, u64), u64>>,
+    // Pattern → live ids, each list in insertion order: `ids_matching`
+    // — the push digest builder — is a copy of one list instead of a
+    // scan of the whole cache.
+    by_pattern: Option<PatternIndex>,
+    // Hash-range summary forests, maintained incrementally (O(log C)
+    // per insert/evict — never rebuilt per round).
+    summary: Option<Summaries>,
     inserted_total: u64,
     evicted_total: u64,
 }
@@ -294,34 +345,42 @@ impl std::fmt::Debug for EventCache {
 }
 
 impl EventCache {
-    /// Creates a FIFO cache holding at most `capacity` events (β). A
-    /// zero capacity caches nothing — useful for failure injection.
+    /// Creates a FIFO cache holding at most `capacity` events (β), with
+    /// the [default](CacheIndexes::default) indexes. A zero capacity
+    /// caches nothing — useful for failure injection.
     pub fn new(capacity: usize) -> Self {
         Self::with_policy(capacity, EvictionPolicy::Fifo, None)
     }
 
-    /// Creates a cache with an explicit eviction policy. `owner` is
-    /// the dispatcher holding the cache; it is required by
-    /// [`EvictionPolicy::SourceBiased`] to classify events.
+    /// Creates a cache with an explicit eviction policy and the
+    /// default indexes. `owner` is the dispatcher holding the cache; it
+    /// is required by [`EvictionPolicy::SourceBiased`] to classify
+    /// events.
     ///
     /// # Panics
     ///
     /// Panics if a source-biased policy is configured without an
     /// owner, or with a share above 1000 ‰.
     pub fn with_policy(capacity: usize, policy: EvictionPolicy, owner: Option<NodeId>) -> Self {
-        Self::with_policy_sized(capacity, policy, owner, 0)
+        Self::with_indexes(capacity, policy, owner, 0, CacheIndexes::default())
     }
 
-    /// Like [`EventCache::with_policy`], with a pattern-universe size
-    /// hint (Π) that selects the per-pattern index layout: large
-    /// universes index only the occupied patterns instead of
-    /// allocating Π dense lists. Purely a layout hint — behavior is
-    /// identical for any value; `0` means "unknown" (dense).
-    pub fn with_policy_sized(
+    /// Like [`EventCache::with_policy`], building only `indexes`, with
+    /// a pattern-universe size hint (Π) that selects the per-pattern
+    /// index layout: large universes index only the occupied patterns
+    /// instead of allocating Π dense lists. The hint is purely a layout
+    /// choice — behavior is identical for any value; `0` means
+    /// "unknown" (dense).
+    ///
+    /// # Panics
+    ///
+    /// As [`EventCache::with_policy`].
+    pub fn with_indexes(
         capacity: usize,
         policy: EvictionPolicy,
         owner: Option<NodeId>,
         universe: usize,
+        indexes: CacheIndexes,
     ) -> Self {
         if matches!(policy, EvictionPolicy::SourceBiased { .. }) {
             assert!(owner.is_some(), "a source-biased cache must know its owner");
@@ -331,10 +390,12 @@ impl EventCache {
             owner,
             policy: PolicyState::new(policy, capacity),
             events: IdMap::default(),
-            by_pattern_seq: IdMap::default(),
-            by_pattern: PatternIndex::new(universe),
-            summary: None,
-            tombstones: None,
+            by_pattern_seq: indexes.pattern_seqs.then(IdMap::default),
+            by_pattern: indexes.pattern_ids.then(|| PatternIndex::new(universe)),
+            summary: indexes.summary.then(|| Summaries {
+                live: SummaryIndex::new(),
+                tombstones: SummaryIndex::new(),
+            }),
             inserted_total: 0,
             evicted_total: 0,
         }
@@ -378,16 +439,22 @@ impl EventCache {
             self.evicted_total += 1;
         }
         let id = event.id();
-        for &(p, seq) in event.pattern_seqs() {
-            self.by_pattern_seq.insert((id.source(), p, seq), id);
-            self.by_pattern.push(p, id);
-            if let Some(summary) = &mut self.summary {
-                summary.add(p, id);
+        if let Some(seqs) = &mut self.by_pattern_seq {
+            for &(p, seq) in event.pattern_seqs() {
+                seqs.insert((id.source(), p, seq), id.seq());
             }
-            // A re-admitted id moves from tombstoned back to live, so
-            // the seen view never double-counts it.
-            if let Some(tombstones) = &mut self.tombstones {
-                tombstones.discard(p, id);
+        }
+        if let Some(lists) = &mut self.by_pattern {
+            for &(p, _) in event.pattern_seqs() {
+                lists.push(p, id);
+            }
+        }
+        if let Some(summary) = &mut self.summary {
+            for &(p, _) in event.pattern_seqs() {
+                summary.live.add(p, id);
+                // A re-admitted id moves from tombstoned back to live,
+                // so the seen view never double-counts it.
+                summary.tombstones.discard(p, id);
             }
         }
         let is_own = self.owner == Some(id.source());
@@ -397,16 +464,23 @@ impl EventCache {
     }
 
     fn forget(&mut self, id: EventId) {
-        if let Some((_, event)) = self.events.remove(&id) {
+        let Some((_, event)) = self.events.remove(&id) else {
+            return;
+        };
+        if let Some(seqs) = &mut self.by_pattern_seq {
             for &(p, seq) in event.pattern_seqs() {
-                self.by_pattern_seq.remove(&(id.source(), p, seq));
-                self.by_pattern.remove(p, id);
-                if let Some(summary) = &mut self.summary {
-                    summary.remove(p, id);
-                }
-                if let Some(tombstones) = &mut self.tombstones {
-                    tombstones.add(p, id);
-                }
+                seqs.remove(&(id.source(), p, seq));
+            }
+        }
+        if let Some(lists) = &mut self.by_pattern {
+            for &(p, _) in event.pattern_seqs() {
+                lists.remove(p, id);
+            }
+        }
+        if let Some(summary) = &mut self.summary {
+            for &(p, _) in event.pattern_seqs() {
+                summary.live.remove(p, id);
+                summary.tombstones.add(p, id);
             }
         }
     }
@@ -424,6 +498,11 @@ impl EventCache {
     /// Looks up an event by its (source, pattern, per-pattern
     /// sequence) coordinates — the identification used by the pull
     /// algorithms' negative digests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was built without
+    /// [`CacheIndexes::pattern_seqs`].
     pub fn get_by_pattern_seq(
         &self,
         source: NodeId,
@@ -431,16 +510,27 @@ impl EventCache {
         seq: u64,
     ) -> Option<&Event> {
         self.by_pattern_seq
+            .as_ref()
+            .expect("event cache built without the pattern_seqs index")
             .get(&(source, pattern, seq))
-            .and_then(|&id| self.get(id))
+            .and_then(|&event_seq| self.get(EventId::new(source, event_seq)))
     }
 
     /// Ids of all cached events matching `pattern`, in insertion order
     /// — the positive digest content of the push algorithm. Served
     /// from the exact per-pattern index: a copy of the live id list,
     /// not a scan of the whole cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was built without
+    /// [`CacheIndexes::pattern_ids`].
     pub fn ids_matching(&self, pattern: PatternId) -> Vec<EventId> {
-        self.by_pattern.get(pattern).map_or_else(Vec::new, |list| {
+        let lists = self
+            .by_pattern
+            .as_ref()
+            .expect("event cache built without the pattern_ids index");
+        lists.get(pattern).map_or_else(Vec::new, |list| {
             let (older, newer) = list.as_slices();
             [older, newer].concat()
         })
@@ -448,47 +538,29 @@ impl EventCache {
 
     /// Iterates over cached events in insertion order (a re-admitted
     /// event takes the place of its latest admission). Sorts the live
-    /// entries on every call: for tests and one-off index builds, not
-    /// for the event path.
+    /// entries on every call: for tests, not for the event path.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         let mut live: Vec<&(u64, Event)> = self.events.values().collect();
         live.sort_unstable_by_key(|(stamp, _)| *stamp);
         live.into_iter().map(|(_, event)| event)
     }
 
-    /// Turns on the hash-range summary index (see
-    /// [`crate::summary`]). From here on, every insert and eviction
-    /// updates the per-pattern trees incrementally. Events already
-    /// cached are indexed now, once — there is no per-round rebuild.
-    pub fn enable_summary_index(&mut self) {
-        let mut index = SummaryIndex::new();
-        for event in self.iter() {
-            for &(p, _) in event.pattern_seqs() {
-                index.add(p, event.id());
-            }
-        }
-        self.summary = Some(index);
-        // Evictions from here on are tombstoned; anything evicted
-        // before enabling predates the recovery algorithm entirely.
-        self.tombstones = Some(SummaryIndex::new());
+    fn summaries(&self) -> &Summaries {
+        self.summary
+            .as_ref()
+            .expect("event cache built without the summary index")
     }
 
-    /// `true` if [`EventCache::enable_summary_index`] has been called.
-    pub fn has_summary_index(&self) -> bool {
-        self.summary.is_some()
-    }
-
-    /// The hash-range summary index over the cached ids.
+    /// The hash-range summary index over the cached ids (see
+    /// [`crate::summary`]).
     ///
     /// # Panics
     ///
-    /// Panics if the index was never enabled — the summary digest
-    /// family must be registered with `needs_summary_index` so the
-    /// dispatcher turns it on at construction.
+    /// Panics if the cache was built without [`CacheIndexes::summary`]
+    /// — the summary digest family's table rows declare it, so the
+    /// dispatcher builds it at construction.
     pub fn summary_index(&self) -> &SummaryIndex {
-        self.summary
-            .as_ref()
-            .expect("summary index not enabled; the algorithm must declare needs_summary_index")
+        &self.summaries().live
     }
 
     /// The aggregate of `pattern`'s **seen** view over `range`: every
@@ -501,20 +573,15 @@ impl EventCache {
     ///
     /// # Panics
     ///
-    /// Panics if the summary index was never enabled (see
-    /// [`EventCache::summary_index`]).
+    /// As [`EventCache::summary_index`].
     pub fn seen_summary(&self, pattern: PatternId, range: RangeRef) -> RangeSummary {
-        let live = self.summary_index().summarize(pattern, range);
-        match &self.tombstones {
-            Some(tombstones) => {
-                let dead = tombstones.summarize(pattern, range);
-                RangeSummary {
-                    range,
-                    count: live.count + dead.count,
-                    hash: live.hash ^ dead.hash,
-                }
-            }
-            None => live,
+        let summaries = self.summaries();
+        let live = summaries.live.summarize(pattern, range);
+        let dead = summaries.tombstones.summarize(pattern, range);
+        RangeSummary {
+            range,
+            count: live.count + dead.count,
+            hash: live.hash ^ dead.hash,
         }
     }
 
@@ -524,20 +591,20 @@ impl EventCache {
     ///
     /// # Panics
     ///
-    /// Panics if the summary index was never enabled.
+    /// As [`EventCache::summary_index`].
     pub fn seen_ids_in(&self, pattern: PatternId, range: RangeRef) -> Vec<EventId> {
-        let mut ids = self.summary_index().ids_in(pattern, range);
-        if let Some(tombstones) = &self.tombstones {
-            ids.extend(tombstones.ids_in(pattern, range));
-        }
+        let summaries = self.summaries();
+        let mut ids = summaries.live.ids_in(pattern, range);
+        ids.extend(summaries.tombstones.ids_in(pattern, range));
         ids
     }
 
-    /// Evicted ids currently tombstoned under `pattern`.
+    /// Evicted ids currently tombstoned under `pattern` (0 without the
+    /// summary index).
     pub fn tombstoned(&self, pattern: PatternId) -> u64 {
-        self.tombstones
+        self.summary
             .as_ref()
-            .map_or(0, |t| t.root(pattern).count)
+            .map_or(0, |s| s.tombstones.root(pattern).count)
     }
 }
 
@@ -783,7 +850,8 @@ mod tests {
             EvictionPolicy::Random { seed: 7 },
             EvictionPolicy::SourceBiased { own_permille: 300 },
         ] {
-            let mut c = EventCache::with_policy(2, policy, Some(NodeId::new(9)));
+            let owner = Some(NodeId::new(9));
+            let mut c = EventCache::with_indexes(2, policy, owner, 0, CacheIndexes::ALL);
             let mut model = Vec::new();
             // 2 evicts 0, then 0 comes back and evicts 1 (oldest-first
             // policies; random eviction picks its own victims).
@@ -797,38 +865,54 @@ mod tests {
             for seq in [1, 2, 0] {
                 insert_modelled(&mut c, &mut model, ev(0, seq, &[(1, seq)]));
             }
-            // The summary index is built from the same walk.
-            c.enable_summary_index();
+            // The summary index followed every re-admission.
             assert_eq!(c.summary_index().root(PatternId::new(1)).count, 2);
         }
+    }
+
+    fn any_policy(rng: &mut eps_sim::Rng) -> EvictionPolicy {
+        match rng.random_below(3) {
+            0 => EvictionPolicy::Fifo,
+            1 => EvictionPolicy::Random {
+                seed: rng.next_u64(),
+            },
+            _ => EvictionPolicy::SourceBiased { own_permille: 400 },
+        }
+    }
+
+    /// A random walk's event: its content is a function of its id, as
+    /// on the wire, and a walk draws from few ids (sources 0..3, seqs
+    /// 0..16), so evicted ones keep coming back.
+    fn walk_event(source: u32, seq: u64) -> Event {
+        let own = ((seq % 5) as u16, seq);
+        match seq % 2 {
+            0 => ev(source, seq, &[own]),
+            _ => ev(source, seq, &[own, (5, seq)]),
+        }
+    }
+
+    /// Every (source, seq) coordinate a walk can name.
+    fn walk_coordinates() -> impl Iterator<Item = (NodeId, u64)> {
+        (0..3).flat_map(|s| (0..16).map(move |q| (NodeId::new(s), q)))
     }
 
     #[test]
     fn indexes_agree_with_iteration_on_random_walks() {
         forall("cache_indexes_agree_with_iteration", 128, |rng| {
             let owner = NodeId::new(0);
-            let policy = match rng.random_below(3) {
-                0 => EvictionPolicy::Fifo,
-                1 => EvictionPolicy::Random {
-                    seed: rng.next_u64(),
-                },
-                _ => EvictionPolicy::SourceBiased { own_permille: 400 },
-            };
+            let policy = any_policy(rng);
             let universe = [8, DENSE_UNIVERSE_MAX + 1][rng.random_below(2) as usize];
             let capacity = rng.random_range(1..12usize);
-            let mut c = EventCache::with_policy_sized(capacity, policy, Some(owner), universe);
-            // An event's content is a function of its id, as on the
-            // wire; few ids, so evicted ones keep coming back.
-            let event = |source: u32, seq: u64| {
-                let own = ((seq % 5) as u16, seq);
-                match seq % 2 {
-                    0 => ev(source, seq, &[own]),
-                    _ => ev(source, seq, &[own, (5, seq)]),
-                }
-            };
+            let mut c = EventCache::with_indexes(
+                capacity,
+                policy,
+                Some(owner),
+                universe,
+                CacheIndexes::default(),
+            );
             let mut model = Vec::new();
             for _ in 0..rng.random_range(1..100u32) {
-                let arrival = event(rng.random_below(3) as u32, rng.random_below(16));
+                let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
                 insert_modelled(&mut c, &mut model, arrival);
                 assert!(c.len() <= capacity);
                 let live: Vec<&Event> = c.iter().collect();
@@ -836,8 +920,7 @@ mod tests {
                     let listed = live.iter().filter(|e| e.matches(p));
                     let listed: Vec<EventId> = listed.map(|e| e.id()).collect();
                     assert_eq!(c.ids_matching(p), listed, "{policy} {p}");
-                    for (source, seq) in (0..3).flat_map(|s| (0..16).map(move |q| (s, q))) {
-                        let source = NodeId::new(source);
+                    for (source, seq) in walk_coordinates() {
                         let found = c.get_by_pattern_seq(source, p, seq);
                         let scanned = live
                             .iter()
@@ -849,13 +932,125 @@ mod tests {
         });
     }
 
+    /// The eight index sets: every combination of the three columns.
+    fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
+        (0..8u8).map(|bits| CacheIndexes {
+            pattern_ids: bits & 1 != 0,
+            pattern_seqs: bits & 2 != 0,
+            summary: bits & 4 != 0,
+        })
+    }
+
+    #[test]
+    fn every_index_set_answers_like_the_all_index_cache() {
+        // Leaving an index out changes what the cache can answer, never
+        // what it holds: the same walk, under every eviction policy and
+        // with re-admissions, leaves every index set with the same
+        // events and the same answers from each index it keeps.
+        forall(
+            "every_index_set_answers_like_the_all_index_cache",
+            64,
+            |rng| {
+                let policy = any_policy(rng);
+                let capacity = rng.random_range(1..12usize);
+                let build = |indexes| {
+                    EventCache::with_indexes(capacity, policy, Some(NodeId::new(0)), 8, indexes)
+                };
+                let mut all = build(CacheIndexes::ALL);
+                let mut caches: Vec<(CacheIndexes, EventCache)> =
+                    every_index_set().map(|kept| (kept, build(kept))).collect();
+                for _ in 0..rng.random_range(1..100u32) {
+                    let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
+                    all.insert(arrival.clone());
+                    let resident: Vec<EventId> = all.iter().map(Event::id).collect();
+                    for (kept, c) in &mut caches {
+                        let kept = *kept;
+                        c.insert(arrival.clone());
+                        assert_eq!(c.len(), all.len(), "{policy} {kept:?}");
+                        assert_eq!(c.evicted_total(), all.evicted_total(), "{policy} {kept:?}");
+                        let iterated: Vec<EventId> = c.iter().map(Event::id).collect();
+                        assert_eq!(iterated, resident, "{policy} {kept:?}");
+                        for (source, seq) in walk_coordinates() {
+                            let id = EventId::new(source, seq);
+                            assert_eq!(c.contains(id), all.contains(id));
+                            assert_eq!(c.get(id), all.get(id));
+                        }
+                        for p in (0..7).map(PatternId::new) {
+                            if kept.pattern_ids {
+                                assert_eq!(c.ids_matching(p), all.ids_matching(p), "{kept:?} {p}");
+                            }
+                            if kept.pattern_seqs {
+                                for (source, seq) in walk_coordinates() {
+                                    assert_eq!(
+                                        c.get_by_pattern_seq(source, p, seq),
+                                        all.get_by_pattern_seq(source, p, seq),
+                                        "{kept:?} {p}"
+                                    );
+                                }
+                            }
+                            if kept.summary {
+                                let root = |c: &EventCache| {
+                                    (c.summary_index().root(p), c.seen_summary(p, RangeRef::ROOT))
+                                };
+                                assert_eq!(root(c), root(&all), "{kept:?} {p}");
+                                assert_eq!(c.tombstoned(p), all.tombstoned(p), "{kept:?} {p}");
+                            }
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    fn indexed(capacity: usize, indexes: CacheIndexes) -> EventCache {
+        EventCache::with_indexes(capacity, EvictionPolicy::Fifo, None, 0, indexes)
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern_ids")]
+    fn ids_matching_names_its_missing_index() {
+        let without = CacheIndexes {
+            pattern_ids: false,
+            ..CacheIndexes::ALL
+        };
+        let _ = indexed(8, without).ids_matching(PatternId::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern_seqs")]
+    fn get_by_pattern_seq_names_its_missing_index() {
+        let without = CacheIndexes {
+            pattern_seqs: false,
+            ..CacheIndexes::ALL
+        };
+        let _ = indexed(8, without).get_by_pattern_seq(NodeId::new(0), PatternId::new(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "summary index")]
+    fn summary_index_names_its_missing_index() {
+        let without = CacheIndexes {
+            summary: false,
+            ..CacheIndexes::ALL
+        };
+        let _ = indexed(8, without).summary_index();
+    }
+
     #[test]
     fn sparse_pattern_index_matches_dense_behavior() {
         // Same operation sequence against a dense-hinted and a
         // sparse-hinted cache: every observable must agree.
-        let mut dense = EventCache::with_policy_sized(3, EvictionPolicy::Fifo, None, 70);
-        let mut sparse =
-            EventCache::with_policy_sized(3, EvictionPolicy::Fifo, None, DENSE_UNIVERSE_MAX + 1);
+        let sized = |universe| {
+            EventCache::with_indexes(
+                3,
+                EvictionPolicy::Fifo,
+                None,
+                universe,
+                CacheIndexes::default(),
+            )
+        };
+        let mut dense = sized(70);
+        let mut sparse = sized(DENSE_UNIVERSE_MAX + 1);
         for seq in 0..10 {
             let e = ev(
                 (seq % 2) as u32,
@@ -881,10 +1076,7 @@ mod tests {
 
     #[test]
     fn summary_index_tracks_insert_and_eviction_exactly() {
-        use crate::summary::RangeRef;
-
-        let mut c = EventCache::new(3);
-        c.enable_summary_index();
+        let mut c = indexed(3, CacheIndexes::ALL);
         for seq in 0..10 {
             c.insert(ev(0, seq, &[(1, seq), ((seq % 2) as u16 + 2, seq)]));
             // After every operation the tree must agree with the exact
@@ -903,28 +1095,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn enable_summary_index_indexes_existing_contents() {
-        let mut c = EventCache::new(8);
-        for seq in 0..5 {
-            c.insert(ev(0, seq, &[(1, seq)]));
-        }
-        assert!(!c.has_summary_index());
-        c.enable_summary_index();
-        assert_eq!(c.summary_index().root(PatternId::new(1)).count, 5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn summary_index_panics_when_disabled() {
-        let c = EventCache::new(8);
-        let _ = c.summary_index();
-    }
+    const SUMMARY_ONLY: CacheIndexes = CacheIndexes {
+        summary: true,
+        ..CacheIndexes::NONE
+    };
 
     #[test]
     fn seen_view_unions_live_and_tombstoned_ids() {
-        let mut c = EventCache::new(2);
-        c.enable_summary_index();
+        let mut c = indexed(2, SUMMARY_ONLY);
         let p = PatternId::new(1);
         for seq in 0..5 {
             c.insert(ev(0, seq, &[(1, seq)]));
@@ -945,8 +1123,7 @@ mod tests {
 
     #[test]
     fn readmitting_an_evicted_id_clears_its_tombstone() {
-        let mut c = EventCache::new(1);
-        c.enable_summary_index();
+        let mut c = indexed(1, SUMMARY_ONLY);
         let p = PatternId::new(1);
         c.insert(ev(0, 0, &[(1, 0)]));
         c.insert(ev(0, 1, &[(1, 1)])); // evicts seq 0

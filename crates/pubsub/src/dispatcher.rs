@@ -14,7 +14,7 @@ use std::sync::Arc;
 use eps_overlay::NodeId;
 use eps_sim::hash::{IdMap, IdSet};
 
-use crate::cache::{EventCache, EvictionPolicy};
+use crate::cache::{CacheIndexes, EventCache, EvictionPolicy};
 use crate::clients::{ClientId, ClientRegistry};
 use crate::detector::{LossDetector, LossRecord};
 use crate::event::{Event, EventId};
@@ -179,11 +179,11 @@ pub struct DispatcherConfig {
     /// the loss detector's per-pattern layouts. `0` means "unknown" —
     /// behavior is identical either way.
     pub pattern_universe: usize,
-    /// Whether the event cache maintains the incremental hash-range
-    /// summary index (required by the summary-reconciliation digests;
-    /// costs O(log C) per insert/evict and per-event tree memory, so
-    /// off unless the algorithm declares it).
-    pub summary_index: bool,
+    /// Which optional indexes the event cache builds: each costs
+    /// memory and insert/evict time per cached event, so a dispatcher
+    /// builds only those its recovery strategy reads. The default keeps
+    /// both linear-digest indexes and no summary forest.
+    pub cache_indexes: CacheIndexes,
 }
 
 impl Default for DispatcherConfig {
@@ -193,7 +193,7 @@ impl Default for DispatcherConfig {
             record_routes: false,
             eviction: EvictionPolicy::Fifo,
             pattern_universe: 0,
-            summary_index: false,
+            cache_indexes: CacheIndexes::default(),
         }
     }
 }
@@ -363,15 +363,13 @@ pub struct Dispatcher {
 impl Dispatcher {
     /// Creates a dispatcher with empty state.
     pub fn new(id: NodeId, config: DispatcherConfig) -> Self {
-        let mut cache = EventCache::with_policy_sized(
+        let cache = EventCache::with_indexes(
             config.cache_capacity,
             config.eviction,
             Some(id),
             config.pattern_universe,
+            config.cache_indexes,
         );
-        if config.summary_index {
-            cache.enable_summary_index();
-        }
         Dispatcher {
             id,
             config,

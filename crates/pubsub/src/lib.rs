@@ -12,7 +12,8 @@
 //!   and hop-by-hop route recording (for publisher-based pull);
 //! - [`SubscriptionTable`]/[`Interface`] — subscription-forwarding
 //!   state: pattern → interfaces, with events routed on reverse paths;
-//! - [`EventCache`] — the β-bounded FIFO buffer of cached events;
+//! - [`EventCache`] — the β-bounded FIFO buffer of cached events,
+//!   building only the [`CacheIndexes`] its recovery strategy reads;
 //! - [`LossDetector`]/[`LossRecord`] — sequence-gap loss detection;
 //! - [`ClientId`]/[`ClientRegistry`] — the client layer: per-broker
 //!   end-user subscriptions aggregated into the routing-level filter by
@@ -60,7 +61,7 @@ mod setup;
 pub mod summary;
 mod table;
 
-pub use cache::{EventCache, EvictionPolicy};
+pub use cache::{CacheIndexes, EventCache, EvictionPolicy};
 pub use clients::{ClientId, ClientRegistry};
 pub use detector::{LossDetector, LossRecord};
 pub use dispatcher::{Dispatcher, DispatcherConfig, EventReceipt, PubSubMessage, RouteBook};
