@@ -14,7 +14,7 @@
 use eps_overlay::{NodeId, RoutingView, Topology};
 use eps_pubsub::{
     flood_subscriptions_direct, install_client_subscriptions, ClientId, DispatcherConfig,
-    PatternId, PatternSpace,
+    DispatcherHost, PatternId, PatternSpace,
 };
 use eps_sim::RngFactory;
 
@@ -36,14 +36,10 @@ pub struct Population {
     /// The content model events and subscriptions are drawn from.
     pub space: PatternSpace,
     /// One node actor per dispatcher, indexed by [`NodeId::index`].
+    /// Each dispatcher holds its clients' subscriptions and, as its
+    /// table's local patterns, their *aggregate* filter (the distinct
+    /// union): what routing and cross-link replication see.
     pub nodes: Vec<SimNode>,
-    /// Each dispatcher's initial *aggregate* filter (the distinct
-    /// union of its clients' patterns), indexed like `nodes`. This is
-    /// what routing and cross-link replication see; with one client
-    /// per node it coincides with that client's subscription list.
-    pub subscriptions: Vec<Vec<PatternId>>,
-    /// Per-client initial subscriptions: `[node][client] -> patterns`.
-    pub client_subscriptions: Vec<Vec<Vec<PatternId>>>,
     /// Current client-subscriptions of each pattern, indexed by
     /// [`eps_pubsub::PatternId::index`]; each entry is a sorted list
     /// of `(node, client)` pairs.
@@ -64,12 +60,18 @@ pub fn cross_targets_for(
     node: NodeId,
     graph: &Topology,
     view: &RoutingView,
-    subscriptions: &[Vec<PatternId>],
+    nodes: &[SimNode],
 ) -> Vec<(NodeId, Vec<PatternId>)> {
     view.cross_neighbors(graph, node)
         .into_iter()
-        .map(|c| (c, subscriptions[c.index()].clone()))
+        .map(|c| (c, local_patterns(&nodes[c.index()])))
         .collect()
+}
+
+/// A node's current aggregate filter: its dispatcher's local patterns,
+/// ascending.
+pub(crate) fn local_patterns(node: &SimNode) -> Vec<PatternId> {
+    node.dispatcher().table().local_patterns().collect()
 }
 
 /// Builds the population a scenario (simulated or networked) starts
@@ -124,20 +126,6 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
                 .collect()
         })
         .collect();
-    // The broker-level aggregate each dispatcher routes on: distinct
-    // union of its clients' patterns (identical to the single client's
-    // list when there is one, which `random_subscriptions` already
-    // returns sorted and distinct).
-    let subscriptions: Vec<Vec<PatternId>> = client_subscriptions
-        .iter()
-        .map(|per_client| {
-            let mut union: Vec<PatternId> = per_client.iter().flatten().copied().collect();
-            union.sort_unstable();
-            union.dedup();
-            union
-        })
-        .collect();
-
     let mut nodes: Vec<SimNode> = topology
         .nodes()
         .map(|id| {
@@ -147,10 +135,11 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
                 config.algorithm.build(gossip_config),
                 factory.indexed_stream("workload", id.index() as u64),
                 config.gossip_interval,
-                subscriptions[id.index()].clone(),
             )
         })
         .collect();
+    // The broker-level aggregate each dispatcher routes on is the
+    // distinct union of its clients' patterns, kept by its table.
     install_client_subscriptions(&mut nodes, &client_subscriptions);
     // Closed-form fixpoint: O(Π·N) installs instead of a
     // message-at-a-time flood, the setup-time bottleneck at
@@ -162,7 +151,7 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
     // distinct patterns, never raw client-subscription volume.
     let setup_subscription_msgs = flood_subscriptions_direct(&mut nodes, view.tree());
     for id in topology.nodes() {
-        let targets = cross_targets_for(id, &topology, &view, &subscriptions);
+        let targets = cross_targets_for(id, &topology, &view, &nodes);
         nodes[id.index()].set_cross_targets(targets);
     }
 
@@ -181,8 +170,6 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
         view,
         space,
         nodes,
-        subscriptions,
-        client_subscriptions,
         subscribers_of,
         setup_subscription_msgs,
     }
@@ -191,7 +178,18 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eps_pubsub::DispatcherHost;
+
+    /// Every client's subscriptions, `[node][client] -> patterns`.
+    fn client_subscriptions(pop: &Population, config: &ScenarioConfig) -> Vec<Vec<Vec<PatternId>>> {
+        pop.nodes
+            .iter()
+            .map(|node| {
+                (0..config.clients_per_node as u32)
+                    .map(|c| node.client_patterns(ClientId::new(c)))
+                    .collect()
+            })
+            .collect()
+    }
 
     #[test]
     fn same_seed_same_population() {
@@ -201,7 +199,10 @@ mod tests {
         };
         let a = build_population(&config);
         let b = build_population(&config);
-        assert_eq!(a.subscriptions, b.subscriptions);
+        assert_eq!(
+            a.nodes.iter().map(local_patterns).collect::<Vec<_>>(),
+            b.nodes.iter().map(local_patterns).collect::<Vec<_>>()
+        );
         assert_eq!(a.subscribers_of, b.subscribers_of);
         let links_a: Vec<_> = a.topology.links().collect();
         let links_b: Vec<_> = b.topology.links().collect();
@@ -219,8 +220,9 @@ mod tests {
         assert!(pop.topology.is_tree());
         assert!(pop.setup_subscription_msgs > 0);
         // The subscribers index matches the installed subscriptions.
-        for (i, per_client) in pop.client_subscriptions.iter().enumerate() {
+        for (i, per_client) in client_subscriptions(&pop, &config).iter().enumerate() {
             for (c, subs) in per_client.iter().enumerate() {
+                assert!(!subs.is_empty());
                 for &p in subs {
                     assert!(pop.subscribers_of[p.index()]
                         .contains(&(NodeId::new(i as u32), ClientId::new(c as u32))));
@@ -237,9 +239,9 @@ mod tests {
         };
         let pop = build_population(&config);
         // The aggregate IS the single client's list.
-        for (union, per_client) in pop.subscriptions.iter().zip(&pop.client_subscriptions) {
+        for (node, per_client) in pop.nodes.iter().zip(client_subscriptions(&pop, &config)) {
             assert_eq!(per_client.len(), 1);
-            assert_eq!(union, &per_client[0]);
+            assert_eq!(local_patterns(node), per_client[0]);
         }
     }
 
@@ -251,30 +253,23 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let pop = build_population(&config);
-        for (i, union) in pop.subscriptions.iter().enumerate() {
-            let mut expected: Vec<PatternId> = pop.client_subscriptions[i]
-                .iter()
-                .flatten()
-                .copied()
-                .collect();
+        let clients = client_subscriptions(&pop, &config);
+        for (node, per_client) in pop.nodes.iter().zip(&clients) {
+            let mut expected: Vec<PatternId> = per_client.iter().flatten().copied().collect();
             expected.sort_unstable();
             expected.dedup();
-            assert_eq!(union, &expected);
             // The dispatcher's routing filter holds exactly the union.
-            let aggregate: Vec<PatternId> = pop.nodes[i]
-                .dispatcher()
-                .clients()
-                .aggregate_patterns()
-                .collect();
-            assert_eq!(&aggregate, union);
+            assert_eq!(local_patterns(node), expected);
+            let aggregate: Vec<PatternId> =
+                node.dispatcher().clients().aggregate_patterns().collect();
+            assert_eq!(aggregate, expected);
         }
         // More clients than patterns per node: aggregation must have
         // compressed at least one node's filter below the raw count.
-        let raw: usize = pop.client_subscriptions.iter().flatten().flatten().count();
-        let aggregated: usize = pop.subscriptions.iter().map(Vec::len).sum();
+        let raw: usize = clients.iter().flatten().flatten().count();
+        let aggregated: usize = pop.nodes.iter().map(|n| local_patterns(n).len()).sum();
         assert!(aggregated < raw);
     }
-
     #[test]
     fn zipf_population_skews_subscriptions() {
         let uniform = build_population(&ScenarioConfig {

@@ -37,7 +37,7 @@ use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 use crate::config::ScenarioConfig;
 use crate::node::{charge_send, node_streams, routing_stats, NodeCtx, Outgoing, SimNode, Timer};
-use crate::population::{build_population, cross_targets_for, Population};
+use crate::population::{build_population, cross_targets_for, local_patterns, Population};
 use crate::result::{assemble, ScenarioResult};
 use crate::trace::{ScenarioTrace, TraceRecord};
 
@@ -120,8 +120,6 @@ fn run(
         view,
         space,
         nodes,
-        subscriptions: _,
-        client_subscriptions: _,
         subscribers_of,
         setup_subscription_msgs,
     } = build_population(config);
@@ -446,15 +444,9 @@ impl World<'_> {
             // split.
             self.view = RoutingView::derive(&self.topology);
             rebuild_subscription_routes(&mut self.nodes, self.view.tree());
-            let interests: Vec<Vec<PatternId>> = self
-                .nodes
-                .iter()
-                .map(|n| n.subscriptions().to_vec())
-                .collect();
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                let id = NodeId::new(i as u32);
-                let targets = cross_targets_for(id, &self.topology, &self.view, &interests);
-                node.set_cross_targets(targets);
+            for id in self.topology.nodes() {
+                let targets = cross_targets_for(id, &self.topology, &self.view, &self.nodes);
+                self.nodes[id.index()].set_cross_targets(targets);
             }
         }
         if let Some((a, b)) = reconnected {
@@ -507,7 +499,7 @@ impl World<'_> {
                     // interest to filter their replication; refresh
                     // it, charging one subscription message per cross
                     // link.
-                    let interest = self.nodes[node.index()].subscriptions().to_vec();
+                    let interest = local_patterns(&self.nodes[node.index()]);
                     for chord in self.view.cross_neighbors(&self.topology, node) {
                         self.counters.count_subscription(node);
                         self.nodes[chord.index()].update_cross_partner(node, interest.clone());

@@ -160,8 +160,6 @@ pub(crate) fn boot_population(
         view,
         space,
         nodes,
-        subscriptions: _,
-        client_subscriptions: _,
         subscribers_of,
         setup_subscription_msgs,
     } = build_population(scenario);

@@ -44,7 +44,10 @@ impl DispatcherHost for Dispatcher {
 /// Dispatcher `i` must correspond to topology node `i`. Local
 /// subscriptions must already be recorded (e.g. via
 /// [`Dispatcher::subscribe_local`] with an empty neighbor list, or by
-/// calling this right after [`install_local_subscriptions`]).
+/// calling this right after [`install_local_subscriptions`]), and no
+/// neighbor routes (a fresh or [`Dispatcher::reset_routing_state`]
+/// table): recording a local pattern with no neighbors sends nothing,
+/// so the flood starts by announcing each one to every neighbor.
 ///
 /// Returns the number of subscription messages that the protocol would
 /// have exchanged (useful for accounting).
@@ -61,13 +64,10 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
     let mut queue: VecDeque<(NodeId, NodeId, PatternId)> = VecDeque::new();
     let mut messages = 0u64;
 
-    // Seed: every dispatcher re-announces its local patterns.
+    // Seed: every dispatcher announces its local patterns.
     for node in topology.nodes() {
-        let neighbors: Vec<NodeId> = topology.neighbors(node).to_vec();
-        let d = hosts[node.index()].dispatcher_mut();
-        let locals: Vec<PatternId> = d.table().local_patterns().collect();
-        for p in locals {
-            for to in d.subscribe_local(p, &neighbors) {
+        for p in hosts[node.index()].dispatcher().table().local_patterns() {
+            for &to in topology.neighbors(node) {
                 queue.push_back((to, node, p));
             }
         }
@@ -109,24 +109,25 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
 ///
 /// 1. *Upward, pattern-major.* `cnt(v) > 0` holds only on the paths
 ///    from `p`'s subscribers to the root, so each pattern walks those
-///    paths (O(subscribers · depth), not O(N)), installs `u → v` and
-///    marks `v → u` as sent there, and notes the nodes with
-///    `cnt(v) = total` — every subscriber of `p` is at or below them.
+///    paths (O(subscribers · depth), not O(N)), installs `u → v` there,
+///    and notes the nodes with `cnt(v) = total` — every subscriber of
+///    `p` is at or below them.
 /// 2. *Downward, node-major.* `total − cnt(v) > 0` holds for every
 ///    subscribed pattern except those just noted for `v` — a handful
 ///    per node — so it is one bitset of all subscribed patterns, built
 ///    once and shared as one `Arc`, minus `v`'s exceptions: the default
-///    route of `v`'s table towards `u` and `u`'s forwarding memory for
-///    `v`, an `Arc` clone each instead of Π/64 words ORed into every
-///    dispatcher's state.
+///    route of `v`'s table towards `u`, an `Arc` clone instead of Π/64
+///    words ORed into every dispatcher's table. The parent `u` keeps
+///    nothing for it: what a dispatcher has sent is read off its own
+///    table.
 ///
 /// The order of the passes, and of the writes inside them, cannot show
-/// in the result: tables and forwarding memory are *sets* of (pattern,
-/// neighbor) pairs, read and compared only through their contents
-/// (neighbors in id order, patterns in index order), and every pair is
-/// written by exactly one of the two predicates. The resulting
-/// per-dispatcher state (tables *and* unsubscription-gating forwarding
-/// memory) is identical to what [`flood_subscriptions`] produces, and
+/// in the result: tables are *sets* of (pattern, neighbor) pairs, read
+/// and compared only through their contents (neighbors in id order,
+/// patterns in index order), and every pair is written by exactly one
+/// of the two predicates. The resulting tables are identical to what
+/// [`flood_subscriptions`] produces — and with them which subscriptions
+/// each dispatcher has sent, the state that gates unsubscription — and
 /// the returned message count is the count the flood would have
 /// exchanged; the equivalence is pinned by tests and by the golden
 /// suite. Only the layout differs: a table keeps explicit rows just
@@ -218,7 +219,6 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
         for &i in touched.iter().filter(|&&i| i != root.index()) {
             let (v, u) = (NodeId::new(i as u32), parent[i]);
             hosts[u.index()].dispatcher_mut().install_route(p, v);
-            hosts[i].dispatcher_mut().mark_subscription_sent(p, u);
             messages += 1;
             if cnt[i] == total {
                 enclosing.push((i, p));
@@ -233,8 +233,7 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
     // Pass 2, node-major: the downward half (`total − cnt(v) > 0`) of
     // the edge above `v` holds for every subscribed pattern except the
     // few whose subscribers all sit in `v`'s subtree, so it is the
-    // shared bitset minus those: `v`'s default route towards its parent
-    // and the parent's forwarding memory for `v`.
+    // shared bitset minus those: `v`'s default route towards its parent.
     let subscribed: Arc<[u64]> = subscribed.into();
     enclosing.sort_unstable();
     let mut rest = enclosing.as_slice();
@@ -247,11 +246,6 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
         hosts[i]
             .dispatcher_mut()
             .install_shared_routes(Arc::clone(&subscribed), &excluded, u);
-        hosts[u.index()].dispatcher_mut().mark_shared_sent(
-            Arc::clone(&subscribed),
-            &excluded,
-            NodeId::new(i as u32),
-        );
         messages += (subscribers.len() - excluded.len()) as u64;
     }
     messages
@@ -556,9 +550,8 @@ mod tests {
     /// Runs the direct fill over a copy of `installed` (local
     /// subscriptions recorded, nothing propagated) and the
     /// message-at-a-time flood over another, and requires the same
-    /// tables, the same forwarding memory and the same message count —
-    /// and the same again after a second fill over the filled state,
-    /// which must change nothing.
+    /// tables and the same message count — and the same again after a
+    /// second fill over the filled state, which must change nothing.
     fn assert_equals_message_flood(case: &str, installed: &[Dispatcher], topo: &Topology) {
         let mut flooded = installed.to_vec();
         let mut filled = installed.to_vec();
@@ -569,11 +562,6 @@ mod tests {
             for node in topo.nodes() {
                 let (f, d) = (&flooded[node.index()], &filled[node.index()]);
                 assert_eq!(f.table(), d.table(), "{case}, {round}: table of {node}");
-                assert_eq!(
-                    f.sent_pairs(),
-                    d.sent_pairs(),
-                    "{case}, {round}: forwarding memory of {node}"
-                );
             }
         }
     }
@@ -670,7 +658,6 @@ mod tests {
         for node in swapped.nodes() {
             let (f, d) = (&flooded[node.index()], &ds[node.index()]);
             assert_eq!(f.table(), d.table(), "rebuild: table of {node}");
-            assert_eq!(f.sent_pairs(), d.sent_pairs(), "rebuild: memory of {node}");
         }
     }
 
