@@ -52,12 +52,6 @@ impl LinkSpec {
         }
     }
 
-    /// A fully reliable variant of the same link (used in the
-    /// reconfiguration scenarios, where links do not lose messages).
-    pub fn reliable_10mbps() -> Self {
-        Self::ethernet_10mbps(0.0)
-    }
-
     /// Time to clock `bits` onto the wire.
     pub fn serialization_delay(&self, bits: u64) -> SimTime {
         let ns = (bits as u128 * 1_000_000_000u128) / self.bandwidth_bps as u128;
@@ -147,15 +141,6 @@ impl LinkTable {
     /// Total messages lost in transit.
     pub fn lost(&self) -> u64 {
         self.lost
-    }
-
-    /// Observed loss ratio.
-    pub fn loss_ratio(&self) -> f64 {
-        if self.transmitted == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.transmitted as f64
-        }
     }
 }
 
@@ -283,13 +268,13 @@ mod tests {
         for _ in 0..20_000 {
             table.transmit(&spec, a, b, 100, SimTime::ZERO, &mut rng);
         }
-        let ratio = table.loss_ratio();
+        let ratio = table.lost() as f64 / table.transmitted() as f64;
         assert!((ratio - 0.1).abs() < 0.01, "observed loss {ratio}");
     }
 
     #[test]
     fn zero_loss_never_drops() {
-        let spec = LinkSpec::reliable_10mbps();
+        let spec = LinkSpec::ethernet_10mbps(0.0);
         let mut table = LinkTable::new();
         let mut rng = RngFactory::new(7).stream("loss");
         for _ in 0..1000 {

@@ -583,30 +583,6 @@ impl Topology {
         None
     }
 
-    /// Renders the topology in Graphviz DOT format, for visualising
-    /// overlays in examples and debugging sessions.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use eps_overlay::Topology;
-    /// use eps_sim::RngFactory;
-    ///
-    /// let topo = Topology::random_tree(4, 4, &mut RngFactory::new(1).stream("t"));
-    /// let dot = topo.to_dot();
-    /// assert!(dot.starts_with("graph overlay {"));
-    /// assert_eq!(dot.matches(" -- ").count(), 3);
-    /// ```
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("graph overlay {\n  node [shape=circle];\n");
-        for link in self.links() {
-            let _ = writeln!(out, "  {} -- {};", link.a().index(), link.b().index());
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Mean shortest-path length (in hops) over all ordered node pairs.
     /// Useful for calibrating loss compounding.
     pub fn mean_path_hops(&self) -> f64 {

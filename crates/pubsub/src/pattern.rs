@@ -132,11 +132,6 @@ impl PatternSpace {
         space
     }
 
-    /// The Zipf exponent, or 0 for the uniform model.
-    pub fn zipf_exponent(&self) -> f64 {
-        self.zipf.map_or(0.0, |z| z.exponent())
-    }
-
     /// Number of patterns in the universe (Π).
     pub fn universe(&self) -> u16 {
         self.universe
@@ -334,7 +329,6 @@ mod tests {
     #[test]
     fn zipf_content_is_sorted_distinct_and_skewed() {
         let s = PatternSpace::with_zipf(70, 3, 1.5);
-        assert!((s.zipf_exponent() - 1.5).abs() < 1e-12);
         let mut rng = RngFactory::new(13).stream("content");
         let mut low = 0usize;
         let mut total = 0usize;

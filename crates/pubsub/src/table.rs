@@ -130,16 +130,6 @@ fn insert_zero_bit(row: &mut [u64], bit: usize) {
     row[k] = (row[k] & low) | ((row[k] & !low) << 1);
 }
 
-/// Deletes bit `bit` of a row: the bits above it move down one.
-fn delete_bit(row: &mut [u64], bit: usize) {
-    let (k, low) = (bit / 64, (1u64 << (bit % 64)) - 1);
-    row[k] = (row[k] & low) | ((row[k] >> 1) & !low);
-    for i in k + 1..row.len() {
-        row[i - 1] |= row[i] << 63;
-        row[i] >>= 1;
-    }
-}
-
 /// The set bits of `word`, ascending, each offset by `base`.
 fn bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -510,33 +500,6 @@ impl SubscriptionTable {
         true
     }
 
-    /// Drops every entry learned from `neighbor` (when the link to it
-    /// breaks). Returns the affected patterns, in ascending pattern-id
-    /// order. If `neighbor` is the default, the default goes with it.
-    pub fn remove_neighbor(&mut self, neighbor: NodeId) -> Vec<PatternId> {
-        let Some(slot) = self.slot_of(neighbor) else {
-            return Vec::new();
-        };
-        let (w, bit) = slot_bit(slot);
-        let affected: Vec<PatternId> = (0..self.pattern_bound())
-            .filter(|&idx| self.entry_word(idx, w) & bit != 0)
-            .map(|idx| PatternId::new(idx as u16))
-            .collect();
-        // Retire the slot and renumber the higher ones so the registry
-        // never accumulates dead neighbors across reconfigurations.
-        self.slots.remove(slot);
-        for row in self.rows.chunks_exact_mut(self.stride) {
-            delete_bit(row, slot + 1);
-        }
-        match &mut self.shared {
-            Some(s) if s.slot == slot => self.shared = None,
-            Some(s) if s.slot > slot => s.slot -= 1,
-            _ => {}
-        }
-        self.normalize();
-        affected
-    }
-
     /// `true` if a local client subscribes to `pattern`.
     pub fn has_local(&self, pattern: PatternId) -> bool {
         self.row_of(pattern.index())
@@ -821,19 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_neighbor_drops_all_its_entries() {
-        let mut t = SubscriptionTable::new();
-        let n = NodeId::new(4);
-        t.insert(PatternId::new(1), Interface::Neighbor(n));
-        t.insert(PatternId::new(2), Interface::Neighbor(n));
-        t.insert(PatternId::new(2), Interface::Local);
-        let affected = t.remove_neighbor(n);
-        assert_eq!(affected, vec![PatternId::new(1), PatternId::new(2)]);
-        assert!(!t.knows(PatternId::new(1)));
-        assert!(t.has_local(PatternId::new(2)));
-    }
-
-    #[test]
     fn pattern_views_are_ordered() {
         let mut t = SubscriptionTable::new();
         t.insert(PatternId::new(5), Interface::Local);
@@ -883,10 +833,6 @@ mod tests {
         let minus = t.matching_neighbors(&ev(&[1, 2]), Some(NodeId::new(100)));
         assert_eq!(minus.len(), 129);
         assert!(!minus.contains(&NodeId::new(100)));
-        // Removing a low slot renumbers the spilled bits correctly.
-        let affected = t.remove_neighbor(NodeId::new(0));
-        assert_eq!(affected, vec![p]);
-        assert_eq!(t.matching_neighbors(&ev(&[1, 2]), None).len(), 129);
     }
 
     #[test]
@@ -983,18 +929,12 @@ mod tests {
                 } else {
                     Interface::Neighbor(neighbor)
                 };
-                match rng.random_below(16) {
+                match rng.random_below(15) {
                     0..=6 => {
                         assert_eq!(table.insert(pattern, iface), twin.insert(pattern, iface));
                     }
                     7..=12 => {
                         assert_eq!(table.remove(pattern, iface), twin.remove(pattern, iface));
-                    }
-                    13 => {
-                        assert_eq!(
-                            table.remove_neighbor(neighbor),
-                            twin.remove_neighbor(neighbor)
-                        );
                     }
                     _ => {
                         // Sparse three-word masks, sometimes all-zero.
@@ -1043,19 +983,11 @@ mod tests {
         assert!(!t.knows(PatternId::new(1)));
         assert_eq!(t.len(), 2);
         assert_eq!(t.nth_known(0), Some(PatternId::new(2)));
-        // Losing the default neighbor drops every route it carried.
-        assert_eq!(
-            t.remove_neighbor(parent),
-            vec![PatternId::new(2), PatternId::new(3)]
-        );
-        assert_eq!(t.neighbors_for(PatternId::new(3), None), vec![child]);
-        let known: Vec<PatternId> = t.all_patterns().collect();
-        assert_eq!(known, vec![PatternId::new(2), PatternId::new(3)]);
         assert_index_matches_scan(&t, 0);
     }
 
     #[test]
-    fn narrow_mid_insert_renumbers_and_removal_collapses() {
+    fn narrow_mid_insert_renumbers_the_higher_slots() {
         let mut t = SubscriptionTable::new();
         let p = PatternId::new(0);
         let q = PatternId::new(1);
@@ -1067,11 +999,6 @@ mod tests {
             t.neighbors_for(p, None),
             vec![NodeId::new(10), NodeId::new(20)]
         );
-        assert_eq!(t.neighbors_for(q, None), vec![NodeId::new(30)]);
-        // Removing the lowest slot shifts the others down.
-        let affected = t.remove_neighbor(NodeId::new(10));
-        assert_eq!(affected, vec![p]);
-        assert_eq!(t.neighbors_for(p, None), vec![NodeId::new(20)]);
         assert_eq!(t.neighbors_for(q, None), vec![NodeId::new(30)]);
     }
 }

@@ -310,11 +310,6 @@ impl RngFactory {
         RngFactory { master }
     }
 
-    /// The master seed this factory was created with.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Returns the RNG stream with the given name. Calling twice with
     /// the same name returns identical streams.
     pub fn stream(&self, name: &str) -> Rng {

@@ -103,17 +103,6 @@ impl SimTime {
         );
         SimTime((self.0 as f64 * factor).round() as u64)
     }
-
-    /// Integer division of durations, yielding how many times `rhs`
-    /// fits into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    pub fn div_duration(self, rhs: SimTime) -> u64 {
-        assert!(rhs.0 != 0, "division by zero duration");
-        self.0 / rhs.0
-    }
 }
 
 impl Add for SimTime {
@@ -211,13 +200,6 @@ mod tests {
     fn mul_f64_rounds() {
         let t = SimTime::from_nanos(10);
         assert_eq!(t.mul_f64(1.26).as_nanos(), 13);
-    }
-
-    #[test]
-    fn div_duration_counts_intervals() {
-        let total = SimTime::from_secs(25);
-        let step = SimTime::from_millis(30);
-        assert_eq!(total.div_duration(step), 833);
     }
 
     #[test]
