@@ -266,6 +266,11 @@ awk -v s="$summary_delivery" -v l="$linear_delivery" 'BEGIN {exit !(s >= l)}' \
 echo "== tier-1: end-to-end benchmark smoke (benchmark/, every workload once) =="
 bash benchmark/run.sh --smoke
 
+echo "== tier-1: benchmark package unit tests (stats, metrics, spans) =="
+# benchmark/ is its own package outside the workspace, so the
+# workspace test run above does not reach its tests.
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
+
 echo "== tier-1: docs build =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
