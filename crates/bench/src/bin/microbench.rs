@@ -90,13 +90,9 @@ fn main() -> ExitCode {
         cache_digest_build(),
     ]);
     results.extend(cache_insert_evict());
-    results.extend([
-        seen_insert(),
-        idmap_event_id_probe(),
-        event_clone_hop(),
-        rng_throughput(),
-        scenario_mini(),
-    ]);
+    results.extend([seen_insert(), idmap_event_id_probe()]);
+    results.extend(cache_get());
+    results.extend([event_clone_hop(), rng_throughput(), scenario_mini()]);
     results.extend(node_event_hop());
     results.extend(topology_build());
     results.push(subscription_flood());
@@ -511,6 +507,35 @@ fn idmap_event_id_probe() -> BenchResult {
     });
     assert!(sink > 0);
     result
+}
+
+/// `EventCache::get` on a β = 1500 cache after four cache-fulls of
+/// churn, for a resident id (`hit`) and for one never admitted
+/// (`miss`): the id-index probe beside `idmap_event_id_probe`'s map.
+/// Every insert pays a `miss` first, to reject a duplicate.
+fn cache_get() -> Vec<BenchResult> {
+    const N: u64 = 10_000;
+    let id = |i: u64| EventId::new(NodeId::new((i % 100) as u32), i / 100);
+    let mut cache = EventCache::new(1_500);
+    for i in 0..6_000 {
+        cache.insert(Event::new(id(i), vec![(PatternId::new(1), i)]));
+    }
+    // Live: ids 4 500..6 000; `miss` asks for 6 000..7 500.
+    [("hit", 4_500), ("miss", 6_000)]
+        .into_iter()
+        .map(|(kind, first)| {
+            let mut found = 0u64;
+            let result = bench(&format!("cache_get/beta1500/{kind}"), 3, 25, N, || {
+                for i in 0..N {
+                    found += u64::from(cache.get(id(first + i % 1_500)).is_some());
+                }
+            });
+            // Each hit run finds all N ids; no miss run finds any.
+            assert_eq!(found % N, 0, "{kind}");
+            assert_eq!(found > 0, kind == "hit", "{kind}");
+            result
+        })
+        .collect()
 }
 
 /// Per-hop event handling: clone (refcount bump) plus a recorded hop

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use eps_overlay::NodeId;
-use eps_sim::hash::IdMap;
+use eps_sim::hash::{IdMap, SlotIndex};
 use eps_sim::Rng;
 
 use crate::event::{Event, EventId};
@@ -60,22 +60,17 @@ impl std::fmt::Display for EvictionPolicy {
     }
 }
 
+/// Each policy's victim choice, over ring slots.
 #[derive(Clone)]
 enum PolicyState {
-    Fifo {
-        order: VecDeque<EventId>,
-    },
-    Random {
-        live: Vec<EventId>,
-        /// Keyed lookups only — never iterated, so the map's
-        /// arbitrary ordering can't leak into any output (victims are
-        /// drawn from `live` by RNG index).
-        pos: IdMap<EventId, usize>,
-        rng: Rng,
-    },
+    /// The ring is the order: the oldest event sits in the slot after
+    /// the one written last.
+    Fifo { next: usize },
+    /// The slots in the order draws index them, from the first eviction.
+    Random { live: Vec<u32>, rng: Rng },
     SourceBiased {
-        own: VecDeque<EventId>,
-        other: VecDeque<EventId>,
+        own: VecDeque<u32>,
+        other: VecDeque<u32>,
         own_cap: usize,
     },
 }
@@ -83,12 +78,9 @@ enum PolicyState {
 impl PolicyState {
     fn new(policy: EvictionPolicy, capacity: usize) -> Self {
         match policy {
-            EvictionPolicy::Fifo => PolicyState::Fifo {
-                order: VecDeque::new(),
-            },
+            EvictionPolicy::Fifo => PolicyState::Fifo { next: 0 },
             EvictionPolicy::Random { seed } => PolicyState::Random {
                 live: Vec::new(),
-                pos: IdMap::default(),
                 rng: Rng::from_seed(seed),
             },
             EvictionPolicy::SourceBiased { own_permille } => {
@@ -105,36 +97,33 @@ impl PolicyState {
         }
     }
 
-    fn note_insert(&mut self, id: EventId, is_own: bool) {
-        match self {
-            PolicyState::Fifo { order } => order.push_back(id),
-            PolicyState::Random { live, pos, .. } => {
-                pos.insert(id, live.len());
-                live.push(id);
-            }
-            PolicyState::SourceBiased { own, other, .. } => {
-                if is_own {
-                    own.push_back(id);
-                } else {
-                    other.push_back(id);
-                }
-            }
+    fn note_insert(&mut self, slot: u32, is_own: bool) {
+        if let PolicyState::SourceBiased { own, other, .. } = self {
+            let class = if is_own { own } else { other };
+            class.push_back(slot);
         }
     }
 
-    /// Picks and removes the eviction victim. Must only be called on a
-    /// non-empty cache.
-    fn pick_victim(&mut self) -> EventId {
+    /// Picks the eviction victim's slot, where the new event goes. Must
+    /// only be called on a full cache of `capacity` events.
+    fn pick_victim(&mut self, capacity: usize) -> u32 {
         match self {
-            PolicyState::Fifo { order } => order.pop_front().expect("full cache has a FIFO head"),
-            PolicyState::Random { live, pos, rng } => {
-                let idx = rng.random_range(0..live.len());
-                let id = live.swap_remove(idx);
-                pos.remove(&id);
-                if let Some(&moved) = live.get(idx) {
-                    pos.insert(moved, idx);
+            PolicyState::Fifo { next } => {
+                let victim = *next;
+                *next = if victim + 1 == capacity {
+                    0
+                } else {
+                    victim + 1
+                };
+                victim as u32
+            }
+            PolicyState::Random { live, rng } => {
+                // A swap-remove of the victim, then a push of its slot.
+                if live.is_empty() {
+                    *live = (0..capacity as u32).collect();
                 }
-                id
+                live.swap(rng.random_range(0..capacity), capacity - 1);
+                live[capacity - 1]
             }
             PolicyState::SourceBiased {
                 own,
@@ -235,18 +224,18 @@ pub struct EventCache {
     capacity: usize,
     owner: Option<NodeId>,
     policy: PolicyState,
-    // Each cached event beside its insertion stamp (`inserted_total`
-    // when it was admitted, so unique and increasing). Keyed lookups
-    // only: the one walk over this map, `iter`, sorts by stamp, so the
-    // map's arbitrary ordering can't leak into any output.
-    events: IdMap<EventId, (u64, Event)>,
+    // The ring: each event stored once, beside its admission stamp
+    // (which only `iter` reads), in the slot the indexes name. It grows
+    // geometrically to exactly `capacity` slots; once full, each
+    // victim's slot takes the new event.
+    slots: Vec<(u64, Event)>,
+    // Event id → slot.
+    ids: SlotIndex,
     // The optional indexes, each `None` unless `CacheIndexes` asked
     // for it, each kept exact on insert and eviction.
     //
-    // (source, pattern, seq) → the event's own sequence number (its
-    // source is in the key). Keyed lookups only — never iterated (see
-    // `events`).
-    by_pattern_seq: Option<IdMap<(NodeId, PatternId, u64), u64>>,
+    // (source, pattern, seq) → slot.
+    by_pattern_seq: Option<SlotIndex>,
     // Pattern → live ids, each list in insertion order: `ids_matching`
     // — the push digest builder — is a copy of one list instead of a
     // scan of the whole cache.
@@ -255,7 +244,6 @@ pub struct EventCache {
     // per insert/evict — never rebuilt per round).
     summary: Option<Summaries>,
     inserted_total: u64,
-    evicted_total: u64,
 }
 
 /// The per-pattern id index of one cache.
@@ -337,9 +325,9 @@ impl std::fmt::Debug for EventCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventCache")
             .field("capacity", &self.capacity)
-            .field("len", &self.events.len())
+            .field("len", &self.slots.len())
             .field("inserted_total", &self.inserted_total)
-            .field("evicted_total", &self.evicted_total)
+            .field("evicted_total", &self.evicted_total())
             .finish()
     }
 }
@@ -349,32 +337,21 @@ impl EventCache {
     /// the [default](CacheIndexes::default) indexes. A zero capacity
     /// caches nothing — useful for failure injection.
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, EvictionPolicy::Fifo, None)
+        Self::with_indexes(capacity, Default::default(), None, 0, Default::default())
     }
 
-    /// Creates a cache with an explicit eviction policy and the
-    /// default indexes. `owner` is the dispatcher holding the cache; it
-    /// is required by [`EvictionPolicy::SourceBiased`] to classify
-    /// events.
+    /// Creates a cache with an explicit eviction policy, building only
+    /// `indexes`. `owner` is the dispatcher holding the cache; it is
+    /// required by [`EvictionPolicy::SourceBiased`] to classify events.
+    /// The pattern-universe size hint (Π) selects the per-pattern index
+    /// layout: large universes index only the occupied patterns instead
+    /// of allocating Π dense lists. The hint is purely a layout choice —
+    /// behavior is identical for any value; `0` means "unknown" (dense).
     ///
     /// # Panics
     ///
     /// Panics if a source-biased policy is configured without an
     /// owner, or with a share above 1000 ‰.
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy, owner: Option<NodeId>) -> Self {
-        Self::with_indexes(capacity, policy, owner, 0, CacheIndexes::default())
-    }
-
-    /// Like [`EventCache::with_policy`], building only `indexes`, with
-    /// a pattern-universe size hint (Π) that selects the per-pattern
-    /// index layout: large universes index only the occupied patterns
-    /// instead of allocating Π dense lists. The hint is purely a layout
-    /// choice — behavior is identical for any value; `0` means
-    /// "unknown" (dense).
-    ///
-    /// # Panics
-    ///
-    /// As [`EventCache::with_policy`].
     pub fn with_indexes(
         capacity: usize,
         policy: EvictionPolicy,
@@ -389,15 +366,15 @@ impl EventCache {
             capacity,
             owner,
             policy: PolicyState::new(policy, capacity),
-            events: IdMap::default(),
-            by_pattern_seq: indexes.pattern_seqs.then(IdMap::default),
+            slots: Vec::new(),
+            ids: SlotIndex::default(),
+            by_pattern_seq: indexes.pattern_seqs.then(SlotIndex::default),
             by_pattern: indexes.pattern_ids.then(|| PatternIndex::new(universe)),
             summary: indexes.summary.then(|| Summaries {
                 live: SummaryIndex::new(),
                 tombstones: SummaryIndex::new(),
             }),
             inserted_total: 0,
-            evicted_total: 0,
         }
     }
 
@@ -408,12 +385,12 @@ impl EventCache {
 
     /// Number of events currently cached.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.slots.len()
     }
 
     /// `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.slots.is_empty()
     }
 
     /// Total insertions ever performed.
@@ -423,62 +400,68 @@ impl EventCache {
 
     /// Total evictions ever performed.
     pub fn evicted_total(&self) -> u64 {
-        self.evicted_total
+        // Every admission past the β-th evicted one event.
+        self.inserted_total - self.slots.len() as u64
     }
 
     /// Inserts an event, evicting per policy if full. Re-inserting an
     /// already-cached event is a no-op (the buffer is not an LRU: a
     /// duplicate arrival does not extend an event's life).
     pub fn insert(&mut self, event: Event) {
-        if self.capacity == 0 || self.events.contains_key(&event.id()) {
+        let id = event.id();
+        let hash = self.ids.hash(id);
+        if self.capacity == 0 || self.slot_of(id, hash).is_some() {
             return;
         }
-        if self.events.len() == self.capacity {
-            let victim = self.policy.pick_victim();
+        let len = self.slots.len();
+        let entry = (self.inserted_total, event);
+        let slot = if len == self.capacity {
+            let victim = self.policy.pick_victim(self.capacity);
             self.forget(victim);
-            self.evicted_total += 1;
-        }
-        let id = event.id();
-        if let Some(seqs) = &mut self.by_pattern_seq {
-            for &(p, seq) in event.pattern_seqs() {
-                seqs.insert((id.source(), p, seq), id.seq());
+            self.slots[victim as usize] = entry;
+            victim
+        } else {
+            if len == self.slots.capacity() {
+                self.slots
+                    .reserve_exact(len.max(4).min(self.capacity - len));
             }
-        }
-        if let Some(lists) = &mut self.by_pattern {
-            for &(p, _) in event.pattern_seqs() {
+            self.slots.push(entry);
+            u32::try_from(len).expect("a cache holds fewer than 2³² events")
+        };
+        let event = &self.slots[slot as usize].1;
+        self.ids.insert(hash, slot);
+        for &(p, seq) in event.pattern_seqs() {
+            if let Some(seqs) = &mut self.by_pattern_seq {
+                seqs.insert(seqs.hash((id.source(), p, seq)), slot);
+            }
+            if let Some(lists) = &mut self.by_pattern {
                 lists.push(p, id);
             }
-        }
-        if let Some(summary) = &mut self.summary {
-            for &(p, _) in event.pattern_seqs() {
+            if let Some(summary) = &mut self.summary {
                 summary.live.add(p, id);
                 // A re-admitted id moves from tombstoned back to live,
                 // so the seen view never double-counts it.
                 summary.tombstones.discard(p, id);
             }
         }
-        let is_own = self.owner == Some(id.source());
-        self.policy.note_insert(id, is_own);
-        self.events.insert(id, (self.inserted_total, event));
+        self.policy
+            .note_insert(slot, self.owner == Some(id.source()));
         self.inserted_total += 1;
     }
 
-    fn forget(&mut self, id: EventId) {
-        let Some((_, event)) = self.events.remove(&id) else {
-            return;
-        };
-        if let Some(seqs) = &mut self.by_pattern_seq {
-            for &(p, seq) in event.pattern_seqs() {
-                seqs.remove(&(id.source(), p, seq));
+    /// Drops the event in `slot` from every index.
+    fn forget(&mut self, slot: u32) {
+        let event = &self.slots[slot as usize].1;
+        let id = event.id();
+        self.ids.remove(self.ids.hash(id), slot);
+        for &(p, seq) in event.pattern_seqs() {
+            if let Some(seqs) = &mut self.by_pattern_seq {
+                seqs.remove(seqs.hash((id.source(), p, seq)), slot);
             }
-        }
-        if let Some(lists) = &mut self.by_pattern {
-            for &(p, _) in event.pattern_seqs() {
+            if let Some(lists) = &mut self.by_pattern {
                 lists.remove(p, id);
             }
-        }
-        if let Some(summary) = &mut self.summary {
-            for &(p, _) in event.pattern_seqs() {
+            if let Some(summary) = &mut self.summary {
                 summary.live.remove(p, id);
                 summary.tombstones.add(p, id);
             }
@@ -487,12 +470,21 @@ impl EventCache {
 
     /// Looks up an event by id.
     pub fn get(&self, id: EventId) -> Option<&Event> {
-        self.events.get(&id).map(|(_, event)| event)
+        let slot = self.slot_of(id, self.ids.hash(id))?;
+        Some(self.event(slot))
+    }
+
+    fn slot_of(&self, id: EventId, hash: u64) -> Option<u32> {
+        self.ids.find(hash, |s| self.event(s).id() == id)
+    }
+
+    fn event(&self, slot: u32) -> &Event {
+        &self.slots[slot as usize].1
     }
 
     /// `true` if the event is cached.
     pub fn contains(&self, id: EventId) -> bool {
-        self.events.contains_key(&id)
+        self.get(id).is_some()
     }
 
     /// Looks up an event by its (source, pattern, per-pattern
@@ -509,11 +501,15 @@ impl EventCache {
         pattern: PatternId,
         seq: u64,
     ) -> Option<&Event> {
-        self.by_pattern_seq
+        let seqs = self
+            .by_pattern_seq
             .as_ref()
-            .expect("event cache built without the pattern_seqs index")
-            .get(&(source, pattern, seq))
-            .and_then(|&event_seq| self.get(EventId::new(source, event_seq)))
+            .expect("event cache built without the pattern_seqs index");
+        let slot = seqs.find(seqs.hash((source, pattern, seq)), |s| {
+            let event = self.event(s);
+            event.source() == source && event.seq_for(pattern) == Some(seq)
+        })?;
+        Some(self.event(slot))
     }
 
     /// Ids of all cached events matching `pattern`, in insertion order
@@ -540,7 +536,7 @@ impl EventCache {
     /// event takes the place of its latest admission). Sorts the live
     /// entries on every call: for tests, not for the event path.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        let mut live: Vec<&(u64, Event)> = self.events.values().collect();
+        let mut live: Vec<&(u64, Event)> = self.slots.iter().collect();
         live.sort_unstable_by_key(|(stamp, _)| *stamp);
         live.into_iter().map(|(_, event)| event)
     }
@@ -612,6 +608,10 @@ impl EventCache {
 mod tests {
     use super::*;
     use eps_sim::check::forall;
+
+    fn with_policy(capacity: usize, policy: EvictionPolicy, owner: Option<NodeId>) -> EventCache {
+        EventCache::with_indexes(capacity, policy, owner, 0, CacheIndexes::default())
+    }
 
     fn ev(source: u32, seq: u64, patterns: &[(u16, u64)]) -> Event {
         Event::new(
@@ -729,7 +729,7 @@ mod tests {
             EvictionPolicy::Random { seed: 7 },
             EvictionPolicy::SourceBiased { own_permille: 300 },
         ] {
-            let mut c = EventCache::with_policy(7, policy, Some(NodeId::new(0)));
+            let mut c = with_policy(7, policy, Some(NodeId::new(0)));
             for seq in 0..100 {
                 c.insert(ev((seq % 3) as u32, seq, &[(1, seq)]));
                 assert!(c.len() <= 7, "{policy} exceeded capacity");
@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn random_eviction_is_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut c = EventCache::with_policy(5, EvictionPolicy::Random { seed }, None);
+            let mut c = with_policy(5, EvictionPolicy::Random { seed }, None);
             for seq in 0..50 {
                 c.insert(ev(0, seq, &[(1, seq)]));
             }
@@ -766,7 +766,7 @@ mod tests {
 
     #[test]
     fn random_eviction_spreads_over_ages() {
-        let mut c = EventCache::with_policy(50, EvictionPolicy::Random { seed: 3 }, None);
+        let mut c = with_policy(50, EvictionPolicy::Random { seed: 3 }, None);
         for seq in 0..500 {
             c.insert(ev(0, seq, &[(1, seq)]));
         }
@@ -778,7 +778,7 @@ mod tests {
     #[test]
     fn source_biased_protects_own_events() {
         let owner = NodeId::new(9);
-        let mut c = EventCache::with_policy(
+        let mut c = with_policy(
             10,
             EvictionPolicy::SourceBiased { own_permille: 500 },
             Some(owner),
@@ -803,7 +803,7 @@ mod tests {
     #[test]
     fn source_biased_own_overflow_evicts_own() {
         let owner = NodeId::new(9);
-        let mut c = EventCache::with_policy(
+        let mut c = with_policy(
             10,
             EvictionPolicy::SourceBiased { own_permille: 200 },
             Some(owner),
@@ -824,8 +824,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn source_biased_without_owner_panics() {
-        let _ =
-            EventCache::with_policy(10, EvictionPolicy::SourceBiased { own_permille: 500 }, None);
+        let _ = with_policy(10, EvictionPolicy::SourceBiased { own_permille: 500 }, None);
     }
 
     /// Inserts `event` and keeps `model` — the live ids, oldest
