@@ -35,7 +35,7 @@ use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
     rebuild_subscription_routes, CacheIndexes, ClientId, ClientRegistry, Dispatcher,
     DispatcherConfig, DispatcherHost, Event, EventCache, EventId, EvictionPolicy, Interface,
-    LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
+    LossDetector, LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
 };
 use eps_sim::hash::IdMap;
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
@@ -154,9 +154,11 @@ fn measured(name: &str, value: f64) -> BenchResult {
 /// dispatchers at the Figure 2 content model, and 4000 at Π = 8192,
 /// the `sim_scale` content model, where routing state is most of it.
 /// These are the numbers a 10⁵–10⁶ dispatcher run's memory scales
-/// with. Values are **bytes**, not nanoseconds (the names carry the
-/// unit); the JSON shape is the common `{name, median_ns}` one so
-/// `bench_compare` tracks them across commits like any other entry.
+/// with. Then the loss detector a Figure 2 dispatcher fills while it
+/// runs ([`loss_detector_heap`]). Values are **bytes**, not nanoseconds
+/// (the names carry the unit); the JSON shape is the common
+/// `{name, median_ns}` one so `bench_compare` tracks them across
+/// commits like any other entry.
 fn node_memory() -> Vec<BenchResult> {
     let mut out = vec![measured(
         "simnode_size_of_bytes",
@@ -190,7 +192,40 @@ fn node_memory() -> Vec<BenchResult> {
         }
         built.push(population);
     }
+    out.extend(loss_detector_heap());
     out
+}
+
+/// Resident-set growth per loss detector in the state a Figure 2
+/// dispatcher reaches: 100 sources, each seen on the 2 of Π = 70
+/// patterns the dispatcher subscribes to. Read, like the population
+/// rows, over many detectors kept alive at once (so it is not lost to
+/// page granularity), from the same `VmRSS` counter.
+fn loss_detector_heap() -> Option<BenchResult> {
+    const DETECTORS: u64 = 500;
+    const SOURCES: u32 = 100;
+    let before = resident_bytes()?;
+    let detectors: Vec<LossDetector> = (0..DETECTORS)
+        .map(|d| {
+            let mut det = LossDetector::new();
+            let tracked = [(d % 35) as u16, 35 + (d % 35) as u16].map(PatternId::new);
+            for source in 0..SOURCES {
+                let event = Event::new(
+                    EventId::new(NodeId::new(source), 0),
+                    tracked.map(|p| (p, 0)).to_vec(),
+                );
+                det.observe(&event, |_| true);
+            }
+            det
+        })
+        .collect();
+    let after = resident_bytes()?;
+    let streams: usize = detectors.iter().map(LossDetector::stream_count).sum();
+    assert_eq!(streams as u64, DETECTORS * u64::from(SOURCES) * 2);
+    Some(measured(
+        "loss_detector_heap_bytes/fig2",
+        (after - before).max(0.0) / DETECTORS as f64,
+    ))
 }
 
 /// Schedule N events at pseudo-random times, then pop them all: the
@@ -336,7 +371,7 @@ fn detector_record() -> BenchResult {
         .collect();
     let mut sink = 0usize;
     let result = bench("detector_record", 3, 25, N, || {
-        let mut det = eps_pubsub::LossDetector::with_universe(70);
+        let mut det = LossDetector::new();
         for event in &events {
             det.observe(event, |_| true);
         }
@@ -381,8 +416,9 @@ fn cache_digest_build() -> BenchResult {
 /// insert evicts the oldest event, which sits at the head of both
 /// per-pattern lists it is on (≈ 750 ids each, as at a Fig. 2
 /// subscriber of two patterns). One row per index set a strategy
-/// builds: the default pair of linear-digest indexes, and each alone —
-/// `ids` for push, `seqs` for the pull routes.
+/// builds: the default set (push-pull's: the id index and both
+/// linear-digest indexes), push's `ids` (the id index and the
+/// per-pattern id lists) and the pull routes' `seqs` alone.
 fn cache_insert_evict() -> Vec<BenchResult> {
     const N: u64 = 10_000;
     // Each event matches one of patterns {0, 1} and one of {2, 3}.
@@ -394,6 +430,7 @@ fn cache_insert_evict() -> Vec<BenchResult> {
         })
         .collect();
     let ids = CacheIndexes {
+        ids: true,
         pattern_ids: true,
         ..CacheIndexes::NONE
     };
@@ -803,6 +840,7 @@ fn digest_node(c: usize) -> Dispatcher {
             // Linear push digests list ids; summary digests read the
             // forest.
             cache_indexes: CacheIndexes {
+                ids: true,
                 pattern_ids: true,
                 summary: true,
                 ..CacheIndexes::NONE

@@ -37,7 +37,8 @@ pub struct Strategy {
 #[derive(Debug)]
 pub(crate) enum State {
     /// `no-recovery`: no gossip at all. It still answers out-of-band
-    /// requests from its cache, like every strategy.
+    /// requests from its cache, like every strategy whose cache keeps
+    /// the id index.
     NoRecovery,
     /// `push`: positive digests of cached events.
     Push(PushState),
@@ -254,13 +255,18 @@ impl Strategy {
     /// An out-of-band request for specific cached events arrived (the
     /// reaction to a push digest): answered from the cache. The
     /// proactive strategies also take it as their activity signal for
-    /// adaptive gossip.
+    /// adaptive gossip. A dispatcher whose cache keeps no id index (the
+    /// pull rows) drops it, as [`Strategy::on_gossip`] drops a foreign
+    /// wire form: no messages, no RNG draw.
     pub fn on_request(
         &mut self,
         node: &Dispatcher,
         from: NodeId,
         ids: &[EventId],
     ) -> Vec<Outgoing> {
+        if !node.cache().indexes().ids {
+            return Vec::new();
+        }
         if let State::Push(push)
         | State::PushPull { push, .. }
         | State::Summary(SummaryState { push, .. }) = &mut self.state

@@ -12,24 +12,27 @@
 //!
 //! The rows, in the order the paper's figures list them:
 //!
-//! | name              | state     | cache indexes | digest steered                                |
-//! |-------------------|-----------|---------------|-----------------------------------------------|
-//! | `no-recovery`     | —         | —             | —                                             |
-//! | `random-pull`     | pull      | seqs          | to random neighbors (TTL)                     |
-//! | `push`            | push      | ids           | along a known pattern's routes                |
-//! | `subscriber-pull` | pull      | seqs          | along a lost pattern's routes                 |
-//! | `combined-pull`   | pull      | seqs          | publisher's route w.p. `P_source`, else as subscriber-pull |
-//! | `publisher-pull`  | pull      | seqs          | back along the publisher's route              |
-//! | `push-pull`       | push-pull | ids + seqs    | push and subscriber-pull rounds, alternating  |
-//! | `summary-push`    | summary   | summary       | along a known pattern's routes                |
-//! | `summary-pull`    | summary   | summary       | along a known pattern's routes                |
+//! | name              | state     | cache indexes        | digest steered                                |
+//! |-------------------|-----------|----------------------|-----------------------------------------------|
+//! | `no-recovery`     | —         | ids                  | —                                             |
+//! | `random-pull`     | pull      | seqs                 | to random neighbors (TTL)                     |
+//! | `push`            | push      | ids + lists          | along a known pattern's routes                |
+//! | `subscriber-pull` | pull      | seqs                 | along a lost pattern's routes                 |
+//! | `combined-pull`   | pull      | seqs                 | publisher's route w.p. `P_source`, else as subscriber-pull |
+//! | `publisher-pull`  | pull      | seqs                 | back along the publisher's route              |
+//! | `push-pull`       | push-pull | ids + lists + seqs   | push and subscriber-pull rounds, alternating  |
+//! | `summary-push`    | summary   | ids + summary        | along a known pattern's routes                |
+//! | `summary-pull`    | summary   | ids + summary        | along a known pattern's routes                |
 //!
-//! The cache indexes are [`CacheIndexes`] columns: a push digest lists
-//! a pattern's cached ids (`pattern_ids`), a pull route serves the
-//! negative digests it receives by (source, pattern, seq)
-//! (`pattern_seqs`), and summary reconciliation reads the hash-range
-//! forest (`summary`). Every event cache also answers by event id, which
-//! is all a request or a summary expansion needs.
+//! The cache indexes are [`CacheIndexes`] columns: a request or a
+//! summary expansion names events by id (`ids`), a push digest lists a
+//! pattern's cached ids (`pattern_ids`, "lists"), a pull route serves
+//! the negative digests it receives by (source, pattern, seq)
+//! (`pattern_seqs`, "seqs"), and summary reconciliation reads the
+//! hash-range forest (`summary`). The pull rows build no id index: no
+//! one sends them a request, and a request that reaches one anyway is
+//! dropped ([`Strategy::on_request`]). `no-recovery` keeps the id index
+//! so that it still answers requests, like every strategy that can.
 //!
 //! `push-pull` reuses the push and pull wire forms; no new message
 //! exists for it. The `summary-*` extensions (aliases `merkle-push` /
@@ -93,38 +96,40 @@ const fn row(
 }
 
 /// The cache index sets the rows use.
-const NONE: CacheIndexes = CacheIndexes::NONE;
 const IDS: CacheIndexes = CacheIndexes {
+    ids: true,
+    ..CacheIndexes::NONE
+};
+const IDS_LISTS: CacheIndexes = CacheIndexes {
     pattern_ids: true,
-    ..NONE
+    ..IDS
 };
 const SEQS: CacheIndexes = CacheIndexes {
     pattern_seqs: true,
-    ..NONE
+    ..CacheIndexes::NONE
 };
-const IDS_SEQS: CacheIndexes = CacheIndexes {
-    pattern_ids: true,
+const IDS_LISTS_SEQS: CacheIndexes = CacheIndexes {
     pattern_seqs: true,
-    ..NONE
+    ..IDS_LISTS
 };
-const SUMMARY: CacheIndexes = CacheIndexes {
+const IDS_SUMMARY: CacheIndexes = CacheIndexes {
     summary: true,
-    ..NONE
+    ..IDS
 };
 
 /// Every strategy, in [`Algorithm::all`] order. The flag is
 /// `needs_route_recording`; the set after it, the cache indexes.
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
-    row("no-recovery",     &["none", "baseline"], false, NONE,     Variant::NoRecovery),
-    row("random-pull",     &["random"],           false, SEQS,     Variant::Pull(PullRoute::Random)),
-    row("push",            &[],                   false, IDS,      Variant::Push),
-    row("subscriber-pull", &["sub-pull"],         false, SEQS,     Variant::Pull(PullRoute::Subscriber)),
-    row("combined-pull",   &["combined"],         true,  SEQS,     Variant::Pull(PullRoute::Combined)),
-    row("publisher-pull",  &["pub-pull"],         true,  SEQS,     Variant::Pull(PullRoute::Publisher)),
-    row("push-pull",       &["hybrid"],           false, IDS_SEQS, Variant::PushPull),
-    row("summary-push",    &["merkle-push"],      false, SUMMARY,  Variant::Summary(SummaryMode::Push)),
-    row("summary-pull",    &["merkle-pull"],      false, SUMMARY,  Variant::Summary(SummaryMode::Pull)),
+    row("no-recovery",     &["none", "baseline"], false, IDS,            Variant::NoRecovery),
+    row("random-pull",     &["random"],           false, SEQS,           Variant::Pull(PullRoute::Random)),
+    row("push",            &[],                   false, IDS_LISTS,      Variant::Push),
+    row("subscriber-pull", &["sub-pull"],         false, SEQS,           Variant::Pull(PullRoute::Subscriber)),
+    row("combined-pull",   &["combined"],         true,  SEQS,           Variant::Pull(PullRoute::Combined)),
+    row("publisher-pull",  &["pub-pull"],         true,  SEQS,           Variant::Pull(PullRoute::Publisher)),
+    row("push-pull",       &["hybrid"],           false, IDS_LISTS_SEQS, Variant::PushPull),
+    row("summary-push",    &["merkle-push"],      false, IDS_SUMMARY,    Variant::Summary(SummaryMode::Push)),
+    row("summary-pull",    &["merkle-pull"],      false, IDS_SUMMARY,    Variant::Summary(SummaryMode::Pull)),
 ];
 
 /// The paper's figure order (golden suite, fig3/fig5 reproductions).
@@ -341,15 +346,15 @@ mod tests {
     #[test]
     fn the_table_is_pinned() {
         let rows: [(&str, &[&str], bool, CacheIndexes); 9] = [
-            ("no-recovery", &["none", "baseline"], false, NONE),
+            ("no-recovery", &["none", "baseline"], false, IDS),
             ("random-pull", &["random"], false, SEQS),
-            ("push", &[], false, IDS),
+            ("push", &[], false, IDS_LISTS),
             ("subscriber-pull", &["sub-pull"], false, SEQS),
             ("combined-pull", &["combined"], true, SEQS),
             ("publisher-pull", &["pub-pull"], true, SEQS),
-            ("push-pull", &["hybrid"], false, IDS_SEQS),
-            ("summary-push", &["merkle-push"], false, SUMMARY),
-            ("summary-pull", &["merkle-pull"], false, SUMMARY),
+            ("push-pull", &["hybrid"], false, IDS_LISTS_SEQS),
+            ("summary-push", &["merkle-push"], false, IDS_SUMMARY),
+            ("summary-pull", &["merkle-pull"], false, IDS_SUMMARY),
         ];
         let all: Vec<(&str, &[&str], bool, CacheIndexes)> = Algorithm::all()
             .into_iter()
@@ -421,16 +426,17 @@ mod tests {
     /// Each row's cache indexes are exactly those its kind of state
     /// reads: push digests list a pattern's ids, pull routes serve by
     /// (source, pattern, seq), summary reconciliation reads the forest,
-    /// and the baseline reads nothing.
+    /// and every kind that answers requests or expands summaries looks
+    /// events up by id.
     #[test]
     fn each_row_builds_the_indexes_its_state_reads() {
         for algo in Algorithm::all() {
             let reads = match algo.build(GossipConfig::default()).state {
-                State::NoRecovery => NONE,
-                State::Push(_) => IDS,
+                State::NoRecovery => IDS,
+                State::Push(_) => IDS_LISTS,
                 State::Pull { .. } => SEQS,
-                State::PushPull { .. } => IDS_SEQS,
-                State::Summary(_) => SUMMARY,
+                State::PushPull { .. } => IDS_LISTS_SEQS,
+                State::Summary(_) => IDS_SUMMARY,
             };
             assert_eq!(algo.cache_indexes(), reads, "{algo}");
         }

@@ -210,7 +210,7 @@ fn actions_are_well_formed() {
             if let Envelope::Reply(events) = &out.env {
                 for e in events {
                     assert!(
-                        node.cache().contains(e.id()),
+                        node.cache().holds(e),
                         "{kind} replied with an uncached event"
                     );
                 }

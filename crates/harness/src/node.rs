@@ -635,6 +635,67 @@ mod tests {
     }
 
     #[test]
+    fn only_rows_with_an_id_index_answer_requests() {
+        // Each row's node caches three events of `p`, then is asked for
+        // two of them and one it never saw. Rows whose cache keeps the
+        // id index reply with exactly the cached two; the pull rows
+        // keep none and drop the request. No row draws from its gossip
+        // stream.
+        let (source, requester, p) = (NodeId::new(0), NodeId::new(2), PatternId::new(3));
+        for kind in Algorithm::all() {
+            let config = DispatcherConfig {
+                record_routes: kind.needs_route_recording(),
+                cache_indexes: kind.cache_indexes(),
+                ..DispatcherConfig::default()
+            };
+            let mut node = SimNode::new(
+                NodeId::new(1),
+                config,
+                kind.build(GossipConfig::default()),
+                Rng::from_seed(1),
+                SimTime::from_millis(30),
+            );
+            node.dispatcher_mut().subscribe_local(p, &[]);
+            let events: Vec<Event> = (0..3)
+                .map(|seq| Event::new(EventId::new(source, seq), vec![(p, seq)]))
+                .collect();
+            let mut rng = Rng::from_seed(2);
+            let before = rng.clone();
+            let mut ctx = NodeCtx {
+                now: SimTime::from_millis(7),
+                neighbors: &[],
+                graph_neighbors: &[],
+                space: &PatternSpace::paper_default(),
+                subscribers_of: &[],
+                gossip_rng: &mut rng,
+                tracker: &mut DeliveryTracker::new(),
+                counters: &mut MessageCounters::new(3),
+                trace: &mut None,
+            };
+            for event in &events {
+                let env = Envelope::PubSub(PubSubMessage::Event(event.clone()));
+                assert!(node.handle(source, env, &mut ctx).is_empty(), "{kind}");
+            }
+            let asked = vec![events[0].id(), EventId::new(source, 9), events[2].id()];
+            let out = node.handle(requester, Envelope::Request(asked), &mut ctx);
+            if kind.cache_indexes().ids {
+                let reply = Envelope::Reply(vec![events[0].clone(), events[2].clone()]);
+                assert_eq!(
+                    out,
+                    [Outgoing {
+                        to: requester,
+                        env: reply
+                    }],
+                    "{kind}"
+                );
+            } else {
+                assert!(out.is_empty(), "{kind} answered a request: {out:?}");
+            }
+            assert_eq!(rng, before, "{kind} drew for a request");
+        }
+    }
+
+    #[test]
     fn cross_link_copies_carry_the_recorded_hop() {
         // d1 records routes and has one interested cross partner, d2.
         let (source, id, chord) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));

@@ -142,12 +142,18 @@ impl PolicyState {
     }
 }
 
-/// Which of the cache's optional indexes to build. Each costs memory
-/// and insert/evict time per cached event, and each serves one kind of
-/// recovery digest, so a dispatcher builds only those its strategy
-/// reads. Reading an index the cache was built without panics.
+/// Which of the cache's indexes to build. Each costs memory and
+/// insert/evict time per cached event, and each serves one kind of
+/// lookup, so a dispatcher builds only those its strategy reads.
+/// Reading an index the cache was built without panics. A cache needs
+/// `ids` or `pattern_seqs`: either one tells a duplicate arrival from a
+/// new event ([`EventCache::holds`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheIndexes {
+    /// Event id → cached event ([`EventCache::get`]): serving
+    /// out-of-band requests and summary expansions, which name events
+    /// by id.
+    pub ids: bool,
     /// Pattern → cached ids in insertion order
     /// ([`EventCache::ids_matching`]): positive (push) digests.
     pub pattern_ids: bool,
@@ -161,8 +167,11 @@ pub struct CacheIndexes {
 }
 
 impl CacheIndexes {
-    /// No optional index: lookup by event id only.
+    /// No index at all: the base a set is spelled from
+    /// (`CacheIndexes { ids: true, ..CacheIndexes::NONE }`). A cache
+    /// cannot be built from it alone.
     pub const NONE: CacheIndexes = CacheIndexes {
+        ids: false,
         pattern_ids: false,
         pattern_seqs: false,
         summary: false,
@@ -170,6 +179,7 @@ impl CacheIndexes {
 
     /// Every index.
     pub const ALL: CacheIndexes = CacheIndexes {
+        ids: true,
         pattern_ids: true,
         pattern_seqs: true,
         summary: true,
@@ -177,12 +187,11 @@ impl CacheIndexes {
 }
 
 impl Default for CacheIndexes {
-    /// Both linear-digest indexes, no summary forest.
+    /// The id index and both linear-digest indexes, no summary forest.
     fn default() -> Self {
         CacheIndexes {
-            pattern_ids: true,
-            pattern_seqs: true,
             summary: false,
+            ..CacheIndexes::ALL
         }
     }
 }
@@ -200,8 +209,8 @@ struct Summaries {
     tombstones: SummaryIndex,
 }
 
-/// A bounded cache of β events with constant-time lookup by event id
-/// and, where [`CacheIndexes`] asks for them, by pattern and by
+/// A bounded cache of β events with constant-time lookup, where
+/// [`CacheIndexes`] asks for it, by event id, by pattern and by
 /// (source, pattern, per-pattern sequence number).
 ///
 /// # Examples
@@ -229,11 +238,11 @@ pub struct EventCache {
     // geometrically to exactly `capacity` slots; once full, each
     // victim's slot takes the new event.
     slots: Vec<(u64, Event)>,
-    // Event id → slot.
-    ids: SlotIndex,
-    // The optional indexes, each `None` unless `CacheIndexes` asked
-    // for it, each kept exact on insert and eviction.
+    // The indexes, each `None` unless `CacheIndexes` asked for it, each
+    // kept exact on insert and eviction.
     //
+    // Event id → slot.
+    ids: Option<SlotIndex>,
     // (source, pattern, seq) → slot.
     by_pattern_seq: Option<SlotIndex>,
     // Pattern → live ids, each list in insertion order: `ids_matching`
@@ -350,8 +359,9 @@ impl EventCache {
     ///
     /// # Panics
     ///
-    /// Panics if a source-biased policy is configured without an
-    /// owner, or with a share above 1000 ‰.
+    /// Panics if `indexes` has neither `ids` nor `pattern_seqs`, or if
+    /// a source-biased policy is configured without an owner, or with a
+    /// share above 1000 ‰.
     pub fn with_indexes(
         capacity: usize,
         policy: EvictionPolicy,
@@ -359,6 +369,10 @@ impl EventCache {
         universe: usize,
         indexes: CacheIndexes,
     ) -> Self {
+        assert!(
+            indexes.ids || indexes.pattern_seqs,
+            "an event cache needs the ids or the pattern_seqs index to find duplicates"
+        );
         if matches!(policy, EvictionPolicy::SourceBiased { .. }) {
             assert!(owner.is_some(), "a source-biased cache must know its owner");
         }
@@ -367,7 +381,7 @@ impl EventCache {
             owner,
             policy: PolicyState::new(policy, capacity),
             slots: Vec::new(),
-            ids: SlotIndex::default(),
+            ids: indexes.ids.then(SlotIndex::default),
             by_pattern_seq: indexes.pattern_seqs.then(SlotIndex::default),
             by_pattern: indexes.pattern_ids.then(|| PatternIndex::new(universe)),
             summary: indexes.summary.then(|| Summaries {
@@ -375,6 +389,16 @@ impl EventCache {
                 tombstones: SummaryIndex::new(),
             }),
             inserted_total: 0,
+        }
+    }
+
+    /// The indexes this cache was built with.
+    pub fn indexes(&self) -> CacheIndexes {
+        CacheIndexes {
+            ids: self.ids.is_some(),
+            pattern_ids: self.by_pattern.is_some(),
+            pattern_seqs: self.by_pattern_seq.is_some(),
+            summary: self.summary.is_some(),
         }
     }
 
@@ -408,11 +432,10 @@ impl EventCache {
     /// already-cached event is a no-op (the buffer is not an LRU: a
     /// duplicate arrival does not extend an event's life).
     pub fn insert(&mut self, event: Event) {
-        let id = event.id();
-        let hash = self.ids.hash(id);
-        if self.capacity == 0 || self.slot_of(id, hash).is_some() {
+        if self.capacity == 0 || self.holds(&event) {
             return;
         }
+        let id = event.id();
         let len = self.slots.len();
         let entry = (self.inserted_total, event);
         let slot = if len == self.capacity {
@@ -429,7 +452,9 @@ impl EventCache {
             u32::try_from(len).expect("a cache holds fewer than 2³² events")
         };
         let event = &self.slots[slot as usize].1;
-        self.ids.insert(hash, slot);
+        if let Some(ids) = &mut self.ids {
+            ids.insert(ids.hash(id), slot);
+        }
         for &(p, seq) in event.pattern_seqs() {
             if let Some(seqs) = &mut self.by_pattern_seq {
                 seqs.insert(seqs.hash((id.source(), p, seq)), slot);
@@ -453,7 +478,9 @@ impl EventCache {
     fn forget(&mut self, slot: u32) {
         let event = &self.slots[slot as usize].1;
         let id = event.id();
-        self.ids.remove(self.ids.hash(id), slot);
+        if let Some(ids) = &mut self.ids {
+            ids.remove(ids.hash(id), slot);
+        }
         for &(p, seq) in event.pattern_seqs() {
             if let Some(seqs) = &mut self.by_pattern_seq {
                 seqs.remove(seqs.hash((id.source(), p, seq)), slot);
@@ -468,14 +495,31 @@ impl EventCache {
         }
     }
 
-    /// Looks up an event by id.
-    pub fn get(&self, id: EventId) -> Option<&Event> {
-        let slot = self.slot_of(id, self.ids.hash(id))?;
-        Some(self.event(slot))
+    /// `true` if `event` is cached. Asks the id index, or else the
+    /// (source, pattern, seq) index under the event's first pattern: a
+    /// source numbers each pattern's events densely, so those
+    /// coordinates name one event.
+    pub fn holds(&self, event: &Event) -> bool {
+        if self.ids.is_some() {
+            return self.contains(event.id());
+        }
+        let (pattern, seq) = event.pattern_seqs()[0];
+        self.get_by_pattern_seq(event.source(), pattern, seq)
+            .is_some()
     }
 
-    fn slot_of(&self, id: EventId, hash: u64) -> Option<u32> {
-        self.ids.find(hash, |s| self.event(s).id() == id)
+    /// Looks up an event by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was built without [`CacheIndexes::ids`].
+    pub fn get(&self, id: EventId) -> Option<&Event> {
+        let ids = self
+            .ids
+            .as_ref()
+            .expect("event cache built without the ids index");
+        let slot = ids.find(ids.hash(id), |s| self.event(s).id() == id)?;
+        Some(self.event(slot))
     }
 
     fn event(&self, slot: u32) -> &Event {
@@ -483,6 +527,10 @@ impl EventCache {
     }
 
     /// `true` if the event is cached.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventCache::get`].
     pub fn contains(&self, id: EventId) -> bool {
         self.get(id).is_some()
     }
@@ -931,21 +979,27 @@ mod tests {
         });
     }
 
-    /// The eight index sets: every combination of the three columns.
+    /// The twelve index sets a cache can be built with: every
+    /// combination of the four columns that has `ids` or
+    /// `pattern_seqs`.
     fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
-        (0..8u8).map(|bits| CacheIndexes {
-            pattern_ids: bits & 1 != 0,
-            pattern_seqs: bits & 2 != 0,
-            summary: bits & 4 != 0,
-        })
+        let sets = (0..16u8).map(|bits| CacheIndexes {
+            ids: bits & 1 != 0,
+            pattern_ids: bits & 2 != 0,
+            pattern_seqs: bits & 4 != 0,
+            summary: bits & 8 != 0,
+        });
+        sets.filter(|set| set.ids || set.pattern_seqs)
     }
 
     #[test]
     fn every_index_set_answers_like_the_all_index_cache() {
         // Leaving an index out changes what the cache can answer, never
         // what it holds: the same walk, under every eviction policy and
-        // with re-admissions, leaves every index set with the same
-        // events and the same answers from each index it keeps.
+        // with re-admissions (duplicates found by id or, without the id
+        // index, by (source, pattern, seq)), leaves every index set
+        // with the same events and the same answers from each index it
+        // keeps.
         forall(
             "every_index_set_answers_like_the_all_index_cache",
             64,
@@ -971,8 +1025,12 @@ mod tests {
                         assert_eq!(iterated, resident, "{policy} {kept:?}");
                         for (source, seq) in walk_coordinates() {
                             let id = EventId::new(source, seq);
-                            assert_eq!(c.contains(id), all.contains(id));
-                            assert_eq!(c.get(id), all.get(id));
+                            let held = all.contains(id);
+                            assert_eq!(c.holds(&walk_event(source.value(), seq)), held);
+                            if kept.ids {
+                                assert_eq!(c.contains(id), held);
+                                assert_eq!(c.get(id), all.get(id));
+                            }
                         }
                         for p in (0..7).map(PatternId::new) {
                             if kept.pattern_ids {
@@ -1003,6 +1061,27 @@ mod tests {
 
     fn indexed(capacity: usize, indexes: CacheIndexes) -> EventCache {
         EventCache::with_indexes(capacity, EvictionPolicy::Fifo, None, 0, indexes)
+    }
+
+    #[test]
+    #[should_panic(expected = "ids index")]
+    fn get_names_its_missing_index() {
+        let without = CacheIndexes {
+            ids: false,
+            ..CacheIndexes::ALL
+        };
+        let _ = indexed(8, without).contains(EventId::new(NodeId::new(0), 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ids or the pattern_seqs index")]
+    fn a_cache_needs_an_index_that_finds_duplicates() {
+        let neither = CacheIndexes {
+            ids: false,
+            pattern_seqs: false,
+            ..CacheIndexes::ALL
+        };
+        let _ = indexed(8, neither);
     }
 
     #[test]
@@ -1094,14 +1173,15 @@ mod tests {
         }
     }
 
-    const SUMMARY_ONLY: CacheIndexes = CacheIndexes {
+    const IDS_SUMMARY: CacheIndexes = CacheIndexes {
+        ids: true,
         summary: true,
         ..CacheIndexes::NONE
     };
 
     #[test]
     fn seen_view_unions_live_and_tombstoned_ids() {
-        let mut c = indexed(2, SUMMARY_ONLY);
+        let mut c = indexed(2, IDS_SUMMARY);
         let p = PatternId::new(1);
         for seq in 0..5 {
             c.insert(ev(0, seq, &[(1, seq)]));
@@ -1122,7 +1202,7 @@ mod tests {
 
     #[test]
     fn readmitting_an_evicted_id_clears_its_tombstone() {
-        let mut c = indexed(1, SUMMARY_ONLY);
+        let mut c = indexed(1, IDS_SUMMARY);
         let p = PatternId::new(1);
         c.insert(ev(0, 0, &[(1, 0)]));
         c.insert(ev(0, 1, &[(1, 1)])); // evicts seq 0

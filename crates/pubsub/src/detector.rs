@@ -7,22 +7,32 @@
 //! (source, p) stream; a jump reveals exactly which events were lost
 //! (paper, Section III-B).
 //!
-//! # Dense layout
+//! # Row layout
 //!
-//! Expectations live in per-source dense rows indexed by
-//! [`PatternId::index`], not a `HashMap<(NodeId, PatternId), u64>`:
-//! observing an event costs one source-slot lookup plus an array index
-//! per pattern. A cell value of `0` means "never received"; occupied
-//! cells store the next expected sequence number, which is always
-//! `seq + 1 ≥ 1`, so the sentinel never collides with real state and
-//! [`LossDetector::expected`] keeps its "zero if nothing received"
-//! contract for free.
+//! Expectations live in one row per source, not a
+//! `HashMap<(NodeId, PatternId), u64>`: observing an event costs one
+//! source-slot lookup plus a cell lookup per pattern. A cell value of
+//! `0` means "never received"; occupied cells store the next expected
+//! sequence number, which is always `seq + 1 ≥ 1`, so the sentinel
+//! never collides with real state and [`LossDetector::expected`] keeps
+//! its "zero if nothing received" contract for free.
+//!
+//! A row's layout follows its occupancy, not the pattern universe. It
+//! starts sparse — its occupied cells only, sorted by pattern — and
+//! turns dense, one cell per pattern index up to the highest it
+//! tracks, once at least half of those cells would be occupied; a write
+//! that would leave a dense row less than half full turns it back. A
+//! dispatcher tracks only the patterns it subscribes to locally, so at
+//! the paper's Π = 70 a row holds its two or so streams instead of 70
+//! cells, while a row tracking most patterns keeps its direct index.
+//! Keyed lookups only — never iterated — so the layout cannot change
+//! any observable output.
 
 use eps_overlay::NodeId;
 use eps_sim::hash::IdMap;
 
 use crate::event::Event;
-use crate::pattern::{PatternId, DENSE_UNIVERSE_MAX};
+use crate::pattern::PatternId;
 
 /// Coordinates of one detected missing event: enough information to
 /// request it from any dispatcher that may have cached it.
@@ -63,12 +73,7 @@ impl std::fmt::Display for LossRecord {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LossDetector {
-    /// Initial row width in patterns (the universe size hint); rows
-    /// still grow past it if a larger pattern index is observed.
-    width: usize,
-    /// Source slot → per-pattern expectation row. A cell holding `0`
-    /// (dense) or absent (sparse) = stream never received; otherwise
-    /// the next expected sequence number (always ≥ 1, see the module
+    /// Source slot → per-pattern expectation row (see the module
     /// docs).
     rows: Vec<Row>,
     /// Source → row slot. Lookup-only (never iterated), so the
@@ -79,17 +84,14 @@ pub struct LossDetector {
     detected_total: u64,
 }
 
-/// One source's expectation row.
-///
-/// Dense rows (Π cells up front) are optimal at the paper's Π = 70,
-/// but at large universes a dispatcher only tracks the streams of its
-/// locally subscribed patterns — a handful out of Π — so rows past
-/// [`DENSE_UNIVERSE_MAX`] store only occupied cells, sorted by pattern
-/// index. Keyed lookups only — never iterated — so the layout cannot
-/// change any observable output.
+/// One source's expectation row, laid out by its occupancy (see the
+/// module docs).
 #[derive(Clone, Debug)]
 enum Row {
-    Dense(Vec<u64>),
+    /// One cell per pattern index below `cells.len()`, `occupied` of
+    /// them non-zero: at least half.
+    Dense { cells: Vec<u64>, occupied: usize },
+    /// The occupied cells only, sorted by pattern value.
     Sparse(Vec<(u16, u64)>),
 }
 
@@ -97,7 +99,7 @@ impl Row {
     /// The cell value; `0` means "stream never received".
     fn get(&self, pattern: PatternId) -> u64 {
         match self {
-            Row::Dense(cells) => cells.get(pattern.index()).copied().unwrap_or(0),
+            Row::Dense { cells, .. } => cells.get(pattern.index()).copied().unwrap_or(0),
             Row::Sparse(cells) => cells
                 .binary_search_by_key(&pattern.value(), |&(p, _)| p)
                 .map(|i| cells[i].1)
@@ -105,29 +107,78 @@ impl Row {
         }
     }
 
-    /// Stores a non-zero expectation.
-    fn set(&mut self, pattern: PatternId, value: u64) {
+    /// The occupied cell of `pattern`, if the row has one.
+    #[inline]
+    fn occupied_mut(&mut self, pattern: PatternId) -> Option<&mut u64> {
         match self {
-            Row::Dense(cells) => {
-                let idx = pattern.index();
-                if idx >= cells.len() {
-                    cells.resize(idx + 1, 0);
+            Row::Dense { cells, .. } => cells.get_mut(pattern.index()).filter(|cell| **cell != 0),
+            Row::Sparse(cells) => cells
+                .binary_search_by_key(&pattern.value(), |&(p, _)| p)
+                .ok()
+                .map(|i| &mut cells[i].1),
+        }
+    }
+
+    /// Stores a non-zero expectation in `pattern`'s vacant cell,
+    /// changing the layout where the new occupancy calls for it.
+    fn occupy(&mut self, pattern: PatternId, value: u64) {
+        match self {
+            Row::Dense { cells, occupied } => {
+                let (idx, grown) = (pattern.index(), *occupied + 1);
+                if let Some(cell) = cells.get_mut(idx) {
+                    *cell = value;
+                    *occupied = grown;
+                    return;
                 }
+                let width = idx + 1;
+                if 2 * grown < width {
+                    // Widening would leave the row less than half full.
+                    let mut sparse = occupied_cells(cells, grown);
+                    sparse.push((pattern.value(), value));
+                    *self = Row::Sparse(sparse);
+                    return;
+                }
+                if width > cells.capacity() {
+                    // Doubling, but never past two cells per occupied
+                    // one.
+                    let target = width.max((2 * cells.len()).min(2 * grown));
+                    cells.reserve_exact(target - cells.len());
+                }
+                cells.resize(width, 0);
                 cells[idx] = value;
+                *occupied = grown;
             }
-            Row::Sparse(cells) => match cells.binary_search_by_key(&pattern.value(), |&(p, _)| p) {
-                Ok(i) => cells[i].1 = value,
-                Err(i) => cells.insert(i, (pattern.value(), value)),
-            },
+            Row::Sparse(cells) => {
+                let i = cells.partition_point(|&(p, _)| p < pattern.value());
+                if cells.len() == cells.capacity() {
+                    cells.reserve_exact(1);
+                }
+                cells.insert(i, (pattern.value(), value));
+                let width = cells.last().map_or(0, |&(p, _)| usize::from(p) + 1);
+                if 2 * cells.len() >= width {
+                    let mut dense = vec![0; width];
+                    for &(p, v) in cells.iter() {
+                        dense[usize::from(p)] = v;
+                    }
+                    *self = Row::Dense {
+                        cells: dense,
+                        occupied: cells.len(),
+                    };
+                }
+            }
         }
     }
 
     /// Clears the cell; returns `true` if it held an expectation.
     fn forget(&mut self, pattern: PatternId) -> bool {
         match self {
-            Row::Dense(cells) => match cells.get_mut(pattern.index()) {
+            Row::Dense { cells, occupied } => match cells.get_mut(pattern.index()) {
                 Some(cell) if *cell != 0 => {
                     *cell = 0;
+                    *occupied -= 1;
+                    if 2 * *occupied < cells.len() {
+                        *self = Row::Sparse(occupied_cells(cells, *occupied));
+                    }
                     true
                 }
                 _ => false,
@@ -143,33 +194,30 @@ impl Row {
     }
 }
 
+/// A dense row's occupied cells in the sparse layout, in a vector of
+/// `capacity`.
+fn occupied_cells(cells: &[u64], capacity: usize) -> Vec<(u16, u64)> {
+    let mut sparse = Vec::with_capacity(capacity);
+    for (p, &v) in cells.iter().enumerate() {
+        if v != 0 {
+            let p = u16::try_from(p).expect("a dense row is indexed by u16 patterns");
+            sparse.push((p, v));
+        }
+    }
+    sparse
+}
+
 impl LossDetector {
-    /// Creates a detector with no history whose rows grow on demand.
+    /// Creates a detector with no history.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a detector pre-sizing each source's expectation row for
-    /// `universe` patterns (from [`crate::PatternSpace::universe`]).
-    /// Purely an allocation hint — behavior is identical to
-    /// [`LossDetector::new`].
-    pub fn with_universe(universe: usize) -> Self {
-        LossDetector {
-            width: universe,
-            ..Self::default()
-        }
     }
 
     /// The row slot for `source`, registering it on first use.
     fn slot_for(&mut self, source: NodeId) -> usize {
         let rows = &mut self.rows;
-        let width = self.width;
         *self.source_slots.entry(source).or_insert_with(|| {
-            rows.push(if width > DENSE_UNIVERSE_MAX {
-                Row::Sparse(Vec::new())
-            } else {
-                Row::Dense(vec![0; width])
-            });
+            rows.push(Row::Sparse(Vec::new()));
             rows.len() - 1
         })
     }
@@ -221,31 +269,29 @@ impl LossDetector {
                 }
             };
             let row = &mut self.rows[s];
-            let expected = row.get(pattern);
-            if expected == 0 {
-                // Stream never received before.
-                self.streams += 1;
-                if is_late(pattern) {
-                    row.set(pattern, seq + 1);
-                    continue;
+            match row.occupied_mut(pattern) {
+                Some(expected) => {
+                    if seq >= *expected {
+                        losses.extend((*expected..seq).map(|missing| LossRecord {
+                            source,
+                            pattern,
+                            seq: missing,
+                        }));
+                        *expected = seq + 1;
+                    }
                 }
-                for missing in 0..seq {
-                    losses.push(LossRecord {
-                        source,
-                        pattern,
-                        seq: missing,
-                    });
+                None => {
+                    // Stream never received before.
+                    self.streams += 1;
+                    if !is_late(pattern) {
+                        losses.extend((0..seq).map(|missing| LossRecord {
+                            source,
+                            pattern,
+                            seq: missing,
+                        }));
+                    }
+                    row.occupy(pattern, seq + 1);
                 }
-                row.set(pattern, seq + 1);
-            } else if seq >= expected {
-                for missing in expected..seq {
-                    losses.push(LossRecord {
-                        source,
-                        pattern,
-                        seq: missing,
-                    });
-                }
-                row.set(pattern, seq + 1);
             }
         }
         self.detected_total += losses.len() as u64;
@@ -286,6 +332,8 @@ impl LossDetector {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::event::EventId;
     use eps_sim::check::forall;
@@ -378,7 +426,7 @@ mod tests {
 
     #[test]
     fn forget_pattern_resets_streams_and_count() {
-        let mut det = LossDetector::with_universe(8);
+        let mut det = LossDetector::new();
         det.observe(&ev(0, 0, &[(1, 0), (2, 0)]), |_| true);
         det.observe(&ev(7, 0, &[(1, 4)]), |_| true);
         assert_eq!(det.stream_count(), 3);
@@ -392,41 +440,131 @@ mod tests {
         assert_eq!(losses.len(), 3);
     }
 
-    #[test]
-    fn sparse_rows_match_dense_behavior() {
-        // The same observation sequence against a dense-width and a
-        // sparse-width detector must agree on every observable,
-        // including late baselining and pattern forgetting.
-        let mut dense = LossDetector::with_universe(70);
-        let mut sparse = LossDetector::with_universe(DENSE_UNIVERSE_MAX + 1);
-        let steps: Vec<Event> = vec![
-            ev(0, 0, &[(1, 2), (3, 0)]),
-            ev(7, 1, &[(1, 4)]),
-            ev(0, 2, &[(1, 1)]), // late arrival
-            ev(0, 3, &[(3, 5), (9, 0)]),
-        ];
-        for (i, e) in steps.iter().enumerate() {
-            let late = |p: PatternId| p == PatternId::new(9);
-            let a = dense.observe_with(e, |_| true, late);
-            let b = sparse.observe_with(e, |_| true, late);
-            assert_eq!(a, b, "step {i}");
+    /// A reference detector: the next expected seq of every stream in
+    /// an explicit map, with the observation rules spelled out.
+    #[derive(Default)]
+    struct Model {
+        expected: BTreeMap<(NodeId, PatternId), u64>,
+        detected: u64,
+    }
+
+    impl Model {
+        fn observe(
+            &mut self,
+            event: &Event,
+            relevant: &[PatternId],
+            late: &[PatternId],
+        ) -> Vec<LossRecord> {
+            let mut losses = Vec::new();
+            let source = event.source();
+            for &(pattern, seq) in event.pattern_seqs() {
+                if !relevant.contains(&pattern) {
+                    continue;
+                }
+                let from = match self.expected.get(&(source, pattern)) {
+                    None if late.contains(&pattern) => seq,
+                    None => 0,
+                    Some(&next) if seq >= next => next,
+                    Some(_) => continue,
+                };
+                losses.extend((from..seq).map(|seq| LossRecord {
+                    source,
+                    pattern,
+                    seq,
+                }));
+                self.expected.insert((source, pattern), seq + 1);
+            }
+            self.detected += losses.len() as u64;
+            losses
         }
-        dense.forget_pattern(PatternId::new(1));
-        sparse.forget_pattern(PatternId::new(1));
-        assert_eq!(dense.stream_count(), sparse.stream_count());
-        assert_eq!(dense.detected_total(), sparse.detected_total());
-        for (src, p) in [(0u32, 1u16), (0, 3), (0, 9), (7, 1)] {
-            assert_eq!(
-                dense.expected(NodeId::new(src), PatternId::new(p)),
-                sparse.expected(NodeId::new(src), PatternId::new(p)),
-                "expected({src}, {p})"
-            );
+
+        fn forget_pattern(&mut self, pattern: PatternId) {
+            self.expected.retain(|&(_, p), _| p != pattern);
+        }
+    }
+
+    /// Cells a row holds, and how many of them are occupied.
+    fn held_and_occupied(row: &Row) -> (usize, usize) {
+        match row {
+            Row::Dense { cells, occupied } => {
+                assert_eq!(*occupied, cells.iter().filter(|&&v| v != 0).count());
+                (cells.len(), *occupied)
+            }
+            Row::Sparse(cells) => (cells.len(), cells.len()),
         }
     }
 
     #[test]
-    fn rows_grow_past_the_universe_hint() {
-        let mut det = LossDetector::with_universe(2);
+    fn rows_answer_like_a_map_of_streams() {
+        // Random observations, late baselines and forgotten patterns,
+        // over a narrow pattern range (rows fill up and turn dense) and
+        // a narrow range mixed with a wide one (a far pattern turns a
+        // dense row sparse again), against an explicit map.
+        forall("rows_answer_like_a_map_of_streams", 256, |rng| {
+            let wide = rng.random_bool(0.5);
+            let draw_pattern = |rng: &mut eps_sim::Rng| {
+                let value = if wide && rng.random_bool(0.2) {
+                    rng.random_range(0..8192u16)
+                } else {
+                    rng.random_range(0..8u16)
+                };
+                PatternId::new(value)
+            };
+            let mut det = LossDetector::new();
+            let mut model = Model::default();
+            let mut touched: Vec<(NodeId, PatternId)> = Vec::new();
+            for step in 0..rng.random_range(1..120u32) {
+                if rng.random_bool(0.1) {
+                    let pattern = draw_pattern(rng);
+                    det.forget_pattern(pattern);
+                    model.forget_pattern(pattern);
+                } else {
+                    let source = NodeId::new(rng.random_below(3) as u32);
+                    let mut patterns: Vec<PatternId> = (0..rng.random_range(1..4usize))
+                        .map(|_| draw_pattern(rng))
+                        .collect();
+                    patterns.sort_unstable();
+                    patterns.dedup();
+                    let pattern_seqs = patterns
+                        .iter()
+                        .map(|&p| (p, rng.random_below(12)))
+                        .collect();
+                    let event = Event::new(EventId::new(source, u64::from(step)), pattern_seqs);
+                    let relevant: Vec<PatternId> = patterns
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.random_bool(0.8))
+                        .collect();
+                    let late: Vec<PatternId> = patterns
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.random_bool(0.2))
+                        .collect();
+                    let got =
+                        det.observe_with(&event, |p| relevant.contains(&p), |p| late.contains(&p));
+                    assert_eq!(got, model.observe(&event, &relevant, &late), "step {step}");
+                    touched.extend(patterns.iter().map(|&p| (source, p)));
+                }
+                assert_eq!(det.stream_count(), model.expected.len(), "step {step}");
+                assert_eq!(det.detected_total(), model.detected, "step {step}");
+                for &(source, pattern) in &touched {
+                    let want = model.expected.get(&(source, pattern)).copied().unwrap_or(0);
+                    assert_eq!(det.expected(source, pattern), want, "{source}/{pattern}");
+                }
+                for row in &det.rows {
+                    let (held, occupied) = held_and_occupied(row);
+                    assert!(
+                        held <= 2 * occupied,
+                        "{held} cells for {occupied} streams: {row:?}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn rows_grow_to_any_pattern_index() {
+        let mut det = LossDetector::new();
         let losses = det.observe(&ev(0, 0, &[(500, 1)]), |_| true);
         assert_eq!(losses.len(), 1);
         assert_eq!(det.expected(NodeId::new(0), PatternId::new(500)), 2);

@@ -42,14 +42,14 @@ pub struct DispatcherConfig {
     /// investigation).
     pub eviction: EvictionPolicy,
     /// Pattern-universe size (Π, from
-    /// [`crate::PatternSpace::universe`]): picks the event cache's and
-    /// the loss detector's per-pattern layouts. `0` means "unknown" —
-    /// behavior is identical either way.
+    /// [`crate::PatternSpace::universe`]): picks the event cache's
+    /// per-pattern layout. `0` means "unknown" — behavior is identical
+    /// either way.
     pub pattern_universe: usize,
-    /// Which optional indexes the event cache builds: each costs
-    /// memory and insert/evict time per cached event, so a dispatcher
-    /// builds only those its recovery strategy reads. The default keeps
-    /// both linear-digest indexes and no summary forest.
+    /// Which indexes the event cache builds: each costs memory and
+    /// insert/evict time per cached event, so a dispatcher builds only
+    /// those its recovery strategy reads. The default keeps the id
+    /// index and both linear-digest indexes, and no summary forest.
     pub cache_indexes: CacheIndexes,
 }
 
@@ -241,7 +241,7 @@ impl Dispatcher {
             table: SubscriptionTable::new(),
             clients: ClientRegistry::new(),
             cache,
-            detector: LossDetector::with_universe(config.pattern_universe),
+            detector: LossDetector::new(),
             routes: RouteBook::default(),
             seen: SeenSet::default(),
             next_event_seq: 0,

@@ -125,55 +125,86 @@ fn check_bytes(label: &str, indexes: CacheIndexes, limit: f64, steady: bool) {
 
 /// The pull routes' set: lookup by (source, pattern, seq) only.
 #[test]
-fn a_pull_cache_holds_at_most_235_bytes_per_event() {
+fn a_pull_cache_holds_at_most_213_bytes_per_event() {
     let seqs = CacheIndexes {
         pattern_seqs: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("pattern_seqs only", seqs, 235.0, true);
+    check_bytes("pattern_seqs only", seqs, 213.0, true);
 }
 
-/// Push's set: the per-pattern id lists only. Their deques may keep
-/// capacity a pattern's list once needed, so they are not held steady.
+/// Push's set: the id index and the per-pattern id lists. The lists'
+/// deques may keep capacity a pattern's list once needed, so they are
+/// not held steady.
 #[test]
 fn a_push_cache_holds_at_most_290_bytes_per_event() {
     let ids = CacheIndexes {
+        ids: true,
         pattern_ids: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("pattern_ids only", ids, 290.0, false);
+    check_bytes("ids and pattern_ids", ids, 290.0, false);
 }
 
-/// The events themselves and the id index.
+/// No-recovery's set: the events themselves and the id index.
 #[test]
 fn a_cache_without_optional_indexes_holds_at_most_190_bytes_per_event() {
-    check_bytes("no index", CacheIndexes::NONE, 190.0, true);
+    let ids = CacheIndexes {
+        ids: true,
+        ..CacheIndexes::NONE
+    };
+    check_bytes("ids only", ids, 190.0, true);
 }
 
-/// The default pair (push-pull's set) costs the events plus each of
-/// its two indexes: neither index pays for the other.
+/// Live heap bytes per cached event after one cache-full, for a set of
+/// the id index, the per-pattern id lists and the seq index.
+fn bytes_with(ids: bool, pattern_ids: bool, pattern_seqs: bool) -> f64 {
+    bytes_per_cached_event(CacheIndexes {
+        ids,
+        pattern_ids,
+        pattern_seqs,
+        summary: false,
+    })[0]
+}
+
+/// The default pair of linear-digest indexes (push-pull's set, beside
+/// the id index) costs the events and the id index plus each of its
+/// two indexes: neither index pays for the other.
 #[test]
 fn the_default_pair_costs_its_two_indexes() {
-    let only = |pattern_ids, pattern_seqs| {
-        bytes_per_cached_event(CacheIndexes {
-            pattern_ids,
-            pattern_seqs,
-            summary: false,
-        })[0]
-    };
     let (none, ids, seqs, both) = (
-        only(false, false),
-        only(true, false),
-        only(false, true),
-        only(true, true),
+        bytes_with(true, false, false),
+        bytes_with(true, true, false),
+        bytes_with(true, false, true),
+        bytes_with(true, true, true),
     );
-    eprintln!("no index: {none:.0} B, default pair: {both:.0} B per cached event");
+    eprintln!("id index only: {none:.0} B, default pair: {both:.0} B per cached event");
     assert!(none < ids && none < seqs, "an index costs something");
     let apart = (ids - none) + (seqs - none);
     assert!(
         (both - none - apart).abs() <= 1.0,
         "{both:.0} B vs {none:.0} + {apart:.0} B"
     );
+}
+
+/// The pull routes' set leaves the id index out, and saves what that
+/// index costs beside any other: its buckets, 4 096 of 8 B for β = 1500
+/// ids at a load of at most 5/8, whether the per-pattern id lists are
+/// kept too or not.
+#[test]
+fn a_pull_cache_builds_no_id_index() {
+    let saved = bytes_with(true, false, true) - bytes_with(false, false, true);
+    let beside_lists = bytes_with(true, true, true) - bytes_with(false, true, true);
+    eprintln!(
+        "the id index costs {saved:.1} B per cached event ({beside_lists:.1} B beside the lists)"
+    );
+    let buckets = 4096.0 * 8.0 / BETA as f64;
+    for cost in [saved, beside_lists] {
+        assert!(
+            (cost - buckets).abs() <= 1.0,
+            "{cost:.1} B vs {buckets:.1} B"
+        );
+    }
 }
 
 /// Allocations `build` makes, keeping what it built alive meanwhile.
@@ -185,13 +216,16 @@ fn allocations_of<T>(build: impl FnOnce() -> T) -> usize {
     calls
 }
 
-/// The eight index sets: every combination of the three columns.
+/// The twelve index sets a cache can be built with: every combination
+/// of the four columns that has `ids` or `pattern_seqs`.
 fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
-    (0..8u8).map(|bits| CacheIndexes {
-        pattern_ids: bits & 1 != 0,
-        pattern_seqs: bits & 2 != 0,
-        summary: bits & 4 != 0,
-    })
+    let sets = (0..16u8).map(|bits| CacheIndexes {
+        ids: bits & 1 != 0,
+        pattern_ids: bits & 2 != 0,
+        pattern_seqs: bits & 4 != 0,
+        summary: bits & 8 != 0,
+    });
+    sets.filter(|set| set.ids || set.pattern_seqs)
 }
 
 #[test]
