@@ -198,9 +198,10 @@ fn node_memory() -> Vec<BenchResult> {
 
 /// Resident-set growth per loss detector in the state a Figure 2
 /// dispatcher reaches: 100 sources, each seen on the 2 of Π = 70
-/// patterns the dispatcher subscribes to. Read, like the population
-/// rows, over many detectors kept alive at once (so it is not lost to
-/// page granularity), from the same `VmRSS` counter.
+/// patterns the dispatcher subscribes to: 200 streams in one map. Read,
+/// like the population entries, over many detectors kept alive at once
+/// (so it is not lost to page granularity), from the same `VmRSS`
+/// counter.
 fn loss_detector_heap() -> Option<BenchResult> {
     const DETECTORS: u64 = 500;
     const SOURCES: u32 = 100;
@@ -445,7 +446,7 @@ fn cache_insert_evict() -> Vec<BenchResult> {
     ]
     .into_iter()
     .map(|(suffix, indexes)| {
-        let mut cache = EventCache::with_indexes(1_500, EvictionPolicy::Fifo, None, 0, indexes);
+        let mut cache = EventCache::with_indexes(1_500, EvictionPolicy::Fifo, None, indexes);
         // N > β: by the time an id comes round again it is long
         // evicted.
         let result = bench(
@@ -799,13 +800,7 @@ fn gossip_round_idle() -> BenchResult {
     const ROUNDS: u64 = 1_000;
     const UNIVERSE: usize = 8_192;
     const KNOWN: usize = 5_000;
-    let mut node = Dispatcher::new(
-        NodeId::new(5),
-        DispatcherConfig {
-            pattern_universe: UNIVERSE,
-            ..DispatcherConfig::default()
-        },
-    );
+    let mut node = Dispatcher::new(NodeId::new(5), DispatcherConfig::default());
     for i in 0..KNOWN {
         let pattern = PatternId::new((i * UNIVERSE / KNOWN) as u16);
         node.on_subscribe(pattern, NodeId::new(1 + (i % 4) as u32), &[]);

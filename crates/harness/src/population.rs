@@ -98,10 +98,6 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
         record_routes: config.algorithm.needs_route_recording(),
         cache_indexes: config.algorithm.cache_indexes(),
         eviction: config.eviction,
-        // Lay out the per-pattern cache and loss-detector state for the
-        // scenario's pattern space — never for hardcoded paper
-        // constants.
-        pattern_universe: space.universe() as usize,
     };
 
     // Tie the `Lost` capacity bound to the event-buffer size β

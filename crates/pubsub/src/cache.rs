@@ -23,7 +23,7 @@ use eps_sim::hash::{IdMap, SlotIndex};
 use eps_sim::Rng;
 
 use crate::event::{Event, EventId};
-use crate::pattern::{PatternId, DENSE_UNIVERSE_MAX};
+use crate::pattern::PatternId;
 use crate::summary::{RangeRef, RangeSummary, SummaryIndex};
 
 /// Which cached event to sacrifice when the buffer is full.
@@ -233,11 +233,10 @@ pub struct EventCache {
     capacity: usize,
     owner: Option<NodeId>,
     policy: PolicyState,
-    // The ring: each event stored once, beside its admission stamp
-    // (which only `iter` reads), in the slot the indexes name. It grows
-    // geometrically to exactly `capacity` slots; once full, each
-    // victim's slot takes the new event.
-    slots: Vec<(u64, Event)>,
+    // The ring: each event stored once, in the slot the indexes name.
+    // It grows geometrically to exactly `capacity` slots; once full,
+    // each victim's slot takes the new event.
+    slots: Vec<Event>,
     // The indexes, each `None` unless `CacheIndexes` asked for it, each
     // kept exact on insert and eviction.
     //
@@ -247,27 +246,13 @@ pub struct EventCache {
     by_pattern_seq: Option<SlotIndex>,
     // Pattern → live ids, each list in insertion order: `ids_matching`
     // — the push digest builder — is a copy of one list instead of a
-    // scan of the whole cache.
-    by_pattern: Option<PatternIndex>,
+    // scan of the whole cache. Only patterns with a live event have a
+    // list; the map is probed, never iterated.
+    by_pattern: Option<IdMap<PatternId, VecDeque<EventId>>>,
     // Hash-range summary forests, maintained incrementally (O(log C)
     // per insert/evict — never rebuilt per round).
     summary: Option<Summaries>,
     inserted_total: u64,
-}
-
-/// The per-pattern id index of one cache.
-///
-/// Dense-indexed by [`PatternId::index`] for small universes; at large
-/// universes (past [`DENSE_UNIVERSE_MAX`]) a cache of β events can
-/// only ever touch a few hundred patterns, so a `Vec` of Π empty
-/// `Vec`s per node would dominate the 10⁵–10⁶-node memory budget and a
-/// map over the occupied patterns is used instead. Keyed lookups only
-/// — never iterated, so the switch cannot change any observable
-/// output; within a pattern, ids keep insertion order in both layouts.
-#[derive(Clone)]
-enum PatternIndex {
-    Dense(Vec<VecDeque<EventId>>),
-    Sparse(IdMap<u16, VecDeque<EventId>>),
 }
 
 /// Drops `id` from one pattern's list. Under FIFO eviction the victim
@@ -279,54 +264,6 @@ fn unlist(list: &mut VecDeque<EventId>, id: EventId) {
         list.pop_front();
     } else {
         list.retain(|&x| x != id);
-    }
-}
-
-impl PatternIndex {
-    fn new(universe: usize) -> Self {
-        if universe > DENSE_UNIVERSE_MAX {
-            PatternIndex::Sparse(IdMap::default())
-        } else {
-            PatternIndex::Dense(Vec::new())
-        }
-    }
-
-    fn push(&mut self, pattern: PatternId, id: EventId) {
-        match self {
-            PatternIndex::Dense(lists) => {
-                let idx = pattern.index();
-                if idx >= lists.len() {
-                    lists.resize_with(idx + 1, VecDeque::new);
-                }
-                lists[idx].push_back(id);
-            }
-            PatternIndex::Sparse(lists) => lists.entry(pattern.value()).or_default().push_back(id),
-        }
-    }
-
-    fn remove(&mut self, pattern: PatternId, id: EventId) {
-        match self {
-            PatternIndex::Dense(lists) => {
-                if let Some(list) = lists.get_mut(pattern.index()) {
-                    unlist(list, id);
-                }
-            }
-            PatternIndex::Sparse(lists) => {
-                if let Some(list) = lists.get_mut(&pattern.value()) {
-                    unlist(list, id);
-                    if list.is_empty() {
-                        lists.remove(&pattern.value());
-                    }
-                }
-            }
-        }
-    }
-
-    fn get(&self, pattern: PatternId) -> Option<&VecDeque<EventId>> {
-        match self {
-            PatternIndex::Dense(lists) => lists.get(pattern.index()),
-            PatternIndex::Sparse(lists) => lists.get(&pattern.value()),
-        }
     }
 }
 
@@ -346,16 +283,12 @@ impl EventCache {
     /// the [default](CacheIndexes::default) indexes. A zero capacity
     /// caches nothing — useful for failure injection.
     pub fn new(capacity: usize) -> Self {
-        Self::with_indexes(capacity, Default::default(), None, 0, Default::default())
+        Self::with_indexes(capacity, Default::default(), None, Default::default())
     }
 
     /// Creates a cache with an explicit eviction policy, building only
     /// `indexes`. `owner` is the dispatcher holding the cache; it is
     /// required by [`EvictionPolicy::SourceBiased`] to classify events.
-    /// The pattern-universe size hint (Π) selects the per-pattern index
-    /// layout: large universes index only the occupied patterns instead
-    /// of allocating Π dense lists. The hint is purely a layout choice —
-    /// behavior is identical for any value; `0` means "unknown" (dense).
     ///
     /// # Panics
     ///
@@ -366,7 +299,6 @@ impl EventCache {
         capacity: usize,
         policy: EvictionPolicy,
         owner: Option<NodeId>,
-        universe: usize,
         indexes: CacheIndexes,
     ) -> Self {
         assert!(
@@ -383,7 +315,7 @@ impl EventCache {
             slots: Vec::new(),
             ids: indexes.ids.then(SlotIndex::default),
             by_pattern_seq: indexes.pattern_seqs.then(SlotIndex::default),
-            by_pattern: indexes.pattern_ids.then(|| PatternIndex::new(universe)),
+            by_pattern: indexes.pattern_ids.then(IdMap::default),
             summary: indexes.summary.then(|| Summaries {
                 live: SummaryIndex::new(),
                 tombstones: SummaryIndex::new(),
@@ -437,21 +369,20 @@ impl EventCache {
         }
         let id = event.id();
         let len = self.slots.len();
-        let entry = (self.inserted_total, event);
         let slot = if len == self.capacity {
             let victim = self.policy.pick_victim(self.capacity);
             self.forget(victim);
-            self.slots[victim as usize] = entry;
+            self.slots[victim as usize] = event;
             victim
         } else {
             if len == self.slots.capacity() {
                 self.slots
                     .reserve_exact(len.max(4).min(self.capacity - len));
             }
-            self.slots.push(entry);
+            self.slots.push(event);
             u32::try_from(len).expect("a cache holds fewer than 2³² events")
         };
-        let event = &self.slots[slot as usize].1;
+        let event = &self.slots[slot as usize];
         if let Some(ids) = &mut self.ids {
             ids.insert(ids.hash(id), slot);
         }
@@ -460,7 +391,7 @@ impl EventCache {
                 seqs.insert(seqs.hash((id.source(), p, seq)), slot);
             }
             if let Some(lists) = &mut self.by_pattern {
-                lists.push(p, id);
+                lists.entry(p).or_default().push_back(id);
             }
             if let Some(summary) = &mut self.summary {
                 summary.live.add(p, id);
@@ -476,7 +407,7 @@ impl EventCache {
 
     /// Drops the event in `slot` from every index.
     fn forget(&mut self, slot: u32) {
-        let event = &self.slots[slot as usize].1;
+        let event = &self.slots[slot as usize];
         let id = event.id();
         if let Some(ids) = &mut self.ids {
             ids.remove(ids.hash(id), slot);
@@ -486,7 +417,12 @@ impl EventCache {
                 seqs.remove(seqs.hash((id.source(), p, seq)), slot);
             }
             if let Some(lists) = &mut self.by_pattern {
-                lists.remove(p, id);
+                if let Some(list) = lists.get_mut(&p) {
+                    unlist(list, id);
+                    if list.is_empty() {
+                        lists.remove(&p);
+                    }
+                }
             }
             if let Some(summary) = &mut self.summary {
                 summary.live.remove(p, id);
@@ -523,7 +459,7 @@ impl EventCache {
     }
 
     fn event(&self, slot: u32) -> &Event {
-        &self.slots[slot as usize].1
+        &self.slots[slot as usize]
     }
 
     /// `true` if the event is cached.
@@ -574,19 +510,18 @@ impl EventCache {
             .by_pattern
             .as_ref()
             .expect("event cache built without the pattern_ids index");
-        lists.get(pattern).map_or_else(Vec::new, |list| {
+        lists.get(&pattern).map_or_else(Vec::new, |list| {
             let (older, newer) = list.as_slices();
             [older, newer].concat()
         })
     }
 
-    /// Iterates over cached events in insertion order (a re-admitted
-    /// event takes the place of its latest admission). Sorts the live
-    /// entries on every call: for tests, not for the event path.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        let mut live: Vec<&(u64, Event)> = self.slots.iter().collect();
-        live.sort_unstable_by_key(|(stamp, _)| *stamp);
-        live.into_iter().map(|(_, event)| event)
+    /// The cached events in slot order, which is admission order only
+    /// until the first eviction: for tests, which keep their own
+    /// admission-ordered model where order matters.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.slots.iter()
     }
 
     fn summaries(&self) -> &Summaries {
@@ -658,7 +593,7 @@ mod tests {
     use eps_sim::check::forall;
 
     fn with_policy(capacity: usize, policy: EvictionPolicy, owner: Option<NodeId>) -> EventCache {
-        EventCache::with_indexes(capacity, policy, owner, 0, CacheIndexes::default())
+        EventCache::with_indexes(capacity, policy, owner, CacheIndexes::default())
     }
 
     fn ev(source: u32, seq: u64, patterns: &[(u16, u64)]) -> Event {
@@ -788,16 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_is_insertion_order() {
-        let mut c = EventCache::new(3);
-        for seq in 0..3 {
-            c.insert(ev(0, seq, &[(1, seq)]));
-        }
-        let seqs: Vec<u64> = c.iter().map(|e| e.id().seq()).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn random_eviction_is_deterministic_per_seed() {
         let run = |seed: u64| {
             let mut c = with_policy(5, EvictionPolicy::Random { seed }, None);
@@ -877,6 +802,7 @@ mod tests {
 
     /// Inserts `event` and keeps `model` — the live ids, oldest
     /// admission first — in step, by asking the cache what it evicted.
+    /// The cache holds each of them once, and nothing else.
     fn insert_modelled(c: &mut EventCache, model: &mut Vec<EventId>, event: Event) {
         let id = event.id();
         if !c.contains(id) {
@@ -884,8 +810,11 @@ mod tests {
             model.retain(|&m| c.contains(m));
             model.push(id);
         }
-        let live: Vec<EventId> = c.iter().map(Event::id).collect();
-        assert_eq!(&live, model);
+        let mut live: Vec<EventId> = c.iter().map(Event::id).collect();
+        let mut listed = model.clone();
+        live.sort_unstable();
+        listed.sort_unstable();
+        assert_eq!(live, listed);
         assert_eq!(c.len(), model.len());
     }
 
@@ -898,7 +827,7 @@ mod tests {
             EvictionPolicy::SourceBiased { own_permille: 300 },
         ] {
             let owner = Some(NodeId::new(9));
-            let mut c = EventCache::with_indexes(2, policy, owner, 0, CacheIndexes::ALL);
+            let mut c = EventCache::with_indexes(2, policy, owner, CacheIndexes::ALL);
             let mut model = Vec::new();
             // 2 evicts 0, then 0 comes back and evicts 1 (oldest-first
             // policies; random eviction picks its own victims).
@@ -948,21 +877,19 @@ mod tests {
         forall("cache_indexes_agree_with_iteration", 128, |rng| {
             let owner = NodeId::new(0);
             let policy = any_policy(rng);
-            let universe = [8, DENSE_UNIVERSE_MAX + 1][rng.random_below(2) as usize];
             let capacity = rng.random_range(1..12usize);
-            let mut c = EventCache::with_indexes(
-                capacity,
-                policy,
-                Some(owner),
-                universe,
-                CacheIndexes::default(),
-            );
+            let mut c =
+                EventCache::with_indexes(capacity, policy, Some(owner), CacheIndexes::default());
             let mut model = Vec::new();
             for _ in 0..rng.random_range(1..100u32) {
                 let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
                 insert_modelled(&mut c, &mut model, arrival);
                 assert!(c.len() <= capacity);
-                let live: Vec<&Event> = c.iter().collect();
+                // The live events, oldest admission first.
+                let live: Vec<Event> = model
+                    .iter()
+                    .map(|id| walk_event(id.source().value(), id.seq()))
+                    .collect();
                 for p in (0..7).map(PatternId::new) {
                     let listed = live.iter().filter(|e| e.matches(p));
                     let listed: Vec<EventId> = listed.map(|e| e.id()).collect();
@@ -1007,14 +934,16 @@ mod tests {
                 let policy = any_policy(rng);
                 let capacity = rng.random_range(1..12usize);
                 let build = |indexes| {
-                    EventCache::with_indexes(capacity, policy, Some(NodeId::new(0)), 8, indexes)
+                    EventCache::with_indexes(capacity, policy, Some(NodeId::new(0)), indexes)
                 };
                 let mut all = build(CacheIndexes::ALL);
+                let mut model = Vec::new();
                 let mut caches: Vec<(CacheIndexes, EventCache)> =
                     every_index_set().map(|kept| (kept, build(kept))).collect();
                 for _ in 0..rng.random_range(1..100u32) {
                     let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
-                    all.insert(arrival.clone());
+                    insert_modelled(&mut all, &mut model, arrival.clone());
+                    // Every index set fills the same slots of its ring.
                     let resident: Vec<EventId> = all.iter().map(Event::id).collect();
                     for (kept, c) in &mut caches {
                         let kept = *kept;
@@ -1060,7 +989,7 @@ mod tests {
     }
 
     fn indexed(capacity: usize, indexes: CacheIndexes) -> EventCache {
-        EventCache::with_indexes(capacity, EvictionPolicy::Fifo, None, 0, indexes)
+        EventCache::with_indexes(capacity, EvictionPolicy::Fifo, None, indexes)
     }
 
     #[test]
@@ -1112,44 +1041,6 @@ mod tests {
             ..CacheIndexes::ALL
         };
         let _ = indexed(8, without).summary_index();
-    }
-
-    #[test]
-    fn sparse_pattern_index_matches_dense_behavior() {
-        // Same operation sequence against a dense-hinted and a
-        // sparse-hinted cache: every observable must agree.
-        let sized = |universe| {
-            EventCache::with_indexes(
-                3,
-                EvictionPolicy::Fifo,
-                None,
-                universe,
-                CacheIndexes::default(),
-            )
-        };
-        let mut dense = sized(70);
-        let mut sparse = sized(DENSE_UNIVERSE_MAX + 1);
-        for seq in 0..10 {
-            let e = ev(
-                (seq % 2) as u32,
-                seq,
-                &[(1, seq), ((seq % 3) as u16 + 2, seq)],
-            );
-            dense.insert(e.clone());
-            sparse.insert(e);
-        }
-        for p in 0..6u16 {
-            assert_eq!(
-                dense.ids_matching(PatternId::new(p)),
-                sparse.ids_matching(PatternId::new(p)),
-                "pattern {p}"
-            );
-        }
-        assert_eq!(dense.len(), sparse.len());
-        assert_eq!(dense.evicted_total(), sparse.evicted_total());
-        let d: Vec<EventId> = dense.iter().map(Event::id).collect();
-        let s: Vec<EventId> = sparse.iter().map(Event::id).collect();
-        assert_eq!(d, s);
     }
 
     #[test]

@@ -7,26 +7,18 @@
 //! (source, p) stream; a jump reveals exactly which events were lost
 //! (paper, Section III-B).
 //!
-//! # Row layout
+//! # Layout
 //!
-//! Expectations live in one row per source, not a
-//! `HashMap<(NodeId, PatternId), u64>`: observing an event costs one
-//! source-slot lookup plus a cell lookup per pattern. A cell value of
-//! `0` means "never received"; occupied cells store the next expected
-//! sequence number, which is always `seq + 1 ≥ 1`, so the sentinel
-//! never collides with real state and [`LossDetector::expected`] keeps
-//! its "zero if nothing received" contract for free.
-//!
-//! A row's layout follows its occupancy, not the pattern universe. It
-//! starts sparse — its occupied cells only, sorted by pattern — and
-//! turns dense, one cell per pattern index up to the highest it
-//! tracks, once at least half of those cells would be occupied; a write
-//! that would leave a dense row less than half full turns it back. A
-//! dispatcher tracks only the patterns it subscribes to locally, so at
-//! the paper's Π = 70 a row holds its two or so streams instead of 70
-//! cells, while a row tracking most patterns keeps its direct index.
-//! Keyed lookups only — never iterated — so the layout cannot change
-//! any observable output.
+//! Expectations live in one map keyed by exactly that stream:
+//! (source, pattern) → the next expected sequence number, `seq + 1` of
+//! the latest in-order arrival. A stream with no entry was never
+//! received, so [`LossDetector::expected`] answers zero for it. A
+//! dispatcher tracks only the patterns it subscribes to locally, so the
+//! map holds a few streams per source. The map is probed, and filtered
+//! in place by [`LossDetector::forget_pattern`]; it is never iterated
+//! into an output, so its per-process hash order cannot change one.
+
+use std::collections::hash_map::Entry;
 
 use eps_overlay::NodeId;
 use eps_sim::hash::IdMap;
@@ -73,153 +65,16 @@ impl std::fmt::Display for LossRecord {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LossDetector {
-    /// Source slot → per-pattern expectation row (see the module
-    /// docs).
-    rows: Vec<Row>,
-    /// Source → row slot. Lookup-only (never iterated), so the
-    /// map's arbitrary ordering can't leak into any output.
-    source_slots: IdMap<NodeId, usize>,
-    /// Number of occupied cells across all rows (`stream_count`).
-    streams: usize,
+    /// (source, pattern) → the stream's next expected sequence number
+    /// (see the module docs).
+    expected: IdMap<(NodeId, PatternId), u64>,
     detected_total: u64,
-}
-
-/// One source's expectation row, laid out by its occupancy (see the
-/// module docs).
-#[derive(Clone, Debug)]
-enum Row {
-    /// One cell per pattern index below `cells.len()`, `occupied` of
-    /// them non-zero: at least half.
-    Dense { cells: Vec<u64>, occupied: usize },
-    /// The occupied cells only, sorted by pattern value.
-    Sparse(Vec<(u16, u64)>),
-}
-
-impl Row {
-    /// The cell value; `0` means "stream never received".
-    fn get(&self, pattern: PatternId) -> u64 {
-        match self {
-            Row::Dense { cells, .. } => cells.get(pattern.index()).copied().unwrap_or(0),
-            Row::Sparse(cells) => cells
-                .binary_search_by_key(&pattern.value(), |&(p, _)| p)
-                .map(|i| cells[i].1)
-                .unwrap_or(0),
-        }
-    }
-
-    /// The occupied cell of `pattern`, if the row has one.
-    #[inline]
-    fn occupied_mut(&mut self, pattern: PatternId) -> Option<&mut u64> {
-        match self {
-            Row::Dense { cells, .. } => cells.get_mut(pattern.index()).filter(|cell| **cell != 0),
-            Row::Sparse(cells) => cells
-                .binary_search_by_key(&pattern.value(), |&(p, _)| p)
-                .ok()
-                .map(|i| &mut cells[i].1),
-        }
-    }
-
-    /// Stores a non-zero expectation in `pattern`'s vacant cell,
-    /// changing the layout where the new occupancy calls for it.
-    fn occupy(&mut self, pattern: PatternId, value: u64) {
-        match self {
-            Row::Dense { cells, occupied } => {
-                let (idx, grown) = (pattern.index(), *occupied + 1);
-                if let Some(cell) = cells.get_mut(idx) {
-                    *cell = value;
-                    *occupied = grown;
-                    return;
-                }
-                let width = idx + 1;
-                if 2 * grown < width {
-                    // Widening would leave the row less than half full.
-                    let mut sparse = occupied_cells(cells, grown);
-                    sparse.push((pattern.value(), value));
-                    *self = Row::Sparse(sparse);
-                    return;
-                }
-                if width > cells.capacity() {
-                    // Doubling, but never past two cells per occupied
-                    // one.
-                    let target = width.max((2 * cells.len()).min(2 * grown));
-                    cells.reserve_exact(target - cells.len());
-                }
-                cells.resize(width, 0);
-                cells[idx] = value;
-                *occupied = grown;
-            }
-            Row::Sparse(cells) => {
-                let i = cells.partition_point(|&(p, _)| p < pattern.value());
-                if cells.len() == cells.capacity() {
-                    cells.reserve_exact(1);
-                }
-                cells.insert(i, (pattern.value(), value));
-                let width = cells.last().map_or(0, |&(p, _)| usize::from(p) + 1);
-                if 2 * cells.len() >= width {
-                    let mut dense = vec![0; width];
-                    for &(p, v) in cells.iter() {
-                        dense[usize::from(p)] = v;
-                    }
-                    *self = Row::Dense {
-                        cells: dense,
-                        occupied: cells.len(),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Clears the cell; returns `true` if it held an expectation.
-    fn forget(&mut self, pattern: PatternId) -> bool {
-        match self {
-            Row::Dense { cells, occupied } => match cells.get_mut(pattern.index()) {
-                Some(cell) if *cell != 0 => {
-                    *cell = 0;
-                    *occupied -= 1;
-                    if 2 * *occupied < cells.len() {
-                        *self = Row::Sparse(occupied_cells(cells, *occupied));
-                    }
-                    true
-                }
-                _ => false,
-            },
-            Row::Sparse(cells) => match cells.binary_search_by_key(&pattern.value(), |&(p, _)| p) {
-                Ok(i) => {
-                    cells.remove(i);
-                    true
-                }
-                Err(_) => false,
-            },
-        }
-    }
-}
-
-/// A dense row's occupied cells in the sparse layout, in a vector of
-/// `capacity`.
-fn occupied_cells(cells: &[u64], capacity: usize) -> Vec<(u16, u64)> {
-    let mut sparse = Vec::with_capacity(capacity);
-    for (p, &v) in cells.iter().enumerate() {
-        if v != 0 {
-            let p = u16::try_from(p).expect("a dense row is indexed by u16 patterns");
-            sparse.push((p, v));
-        }
-    }
-    sparse
 }
 
 impl LossDetector {
     /// Creates a detector with no history.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The row slot for `source`, registering it on first use.
-    fn slot_for(&mut self, source: NodeId) -> usize {
-        let rows = &mut self.rows;
-        *self.source_slots.entry(source).or_insert_with(|| {
-            rows.push(Row::Sparse(Vec::new()));
-            rows.len() - 1
-        })
     }
 
     /// Observes a received event. `is_relevant` says which patterns
@@ -253,46 +108,34 @@ impl LossDetector {
     ) -> Vec<LossRecord> {
         let mut losses = Vec::new();
         let source = event.source();
-        // The source's row slot, resolved lazily so an event with no
-        // relevant patterns registers nothing (as before).
-        let mut slot: Option<usize> = None;
         for &(pattern, seq) in event.pattern_seqs() {
             if !is_relevant(pattern) {
                 continue;
             }
-            let s = match slot {
-                Some(s) => s,
-                None => {
-                    let s = self.slot_for(source);
-                    slot = Some(s);
-                    s
+            let from = match self.expected.entry((source, pattern)) {
+                Entry::Occupied(mut expected) => {
+                    let from = *expected.get();
+                    if seq < from {
+                        continue;
+                    }
+                    expected.insert(seq + 1);
+                    from
+                }
+                // Stream never received before.
+                Entry::Vacant(stream) => {
+                    stream.insert(seq + 1);
+                    if is_late(pattern) {
+                        seq
+                    } else {
+                        0
+                    }
                 }
             };
-            let row = &mut self.rows[s];
-            match row.occupied_mut(pattern) {
-                Some(expected) => {
-                    if seq >= *expected {
-                        losses.extend((*expected..seq).map(|missing| LossRecord {
-                            source,
-                            pattern,
-                            seq: missing,
-                        }));
-                        *expected = seq + 1;
-                    }
-                }
-                None => {
-                    // Stream never received before.
-                    self.streams += 1;
-                    if !is_late(pattern) {
-                        losses.extend((0..seq).map(|missing| LossRecord {
-                            source,
-                            pattern,
-                            seq: missing,
-                        }));
-                    }
-                    row.occupy(pattern, seq + 1);
-                }
-            }
+            losses.extend((from..seq).map(|missing| LossRecord {
+                source,
+                pattern,
+                seq: missing,
+            }));
         }
         self.detected_total += losses.len() as u64;
         losses
@@ -303,20 +146,13 @@ impl LossDetector {
     /// re-subscription does not inherit stale expectations and report
     /// the unsubscribed gap as losses.
     pub fn forget_pattern(&mut self, pattern: PatternId) {
-        for row in &mut self.rows {
-            if row.forget(pattern) {
-                self.streams -= 1;
-            }
-        }
+        self.expected.retain(|&(_, p), _| p != pattern);
     }
 
     /// The next expected sequence number for a (source, pattern)
     /// stream; zero if nothing was ever received.
     pub fn expected(&self, source: NodeId, pattern: PatternId) -> u64 {
-        self.source_slots
-            .get(&source)
-            .map(|&s| self.rows[s].get(pattern))
-            .unwrap_or(0)
+        self.expected.get(&(source, pattern)).copied().unwrap_or(0)
     }
 
     /// Total number of losses ever detected.
@@ -326,7 +162,7 @@ impl LossDetector {
 
     /// Number of (source, pattern) streams being tracked.
     pub fn stream_count(&self) -> usize {
-        self.streams
+        self.expected.len()
     }
 }
 
@@ -392,6 +228,15 @@ mod tests {
         assert_eq!(losses.len(), 3);
         assert!(losses.iter().all(|l| l.pattern == relevant));
         assert_eq!(det.expected(NodeId::new(0), PatternId::new(2)), 0);
+    }
+
+    #[test]
+    fn an_event_with_no_relevant_pattern_registers_no_stream() {
+        let mut det = LossDetector::new();
+        let losses = det.observe(&ev(4, 0, &[(1, 3), (2, 5)]), |_| false);
+        assert!(losses.is_empty());
+        assert_eq!(det.stream_count(), 0);
+        assert_eq!(det.expected.capacity(), 0, "the map allocated");
     }
 
     #[test]
@@ -483,24 +328,12 @@ mod tests {
         }
     }
 
-    /// Cells a row holds, and how many of them are occupied.
-    fn held_and_occupied(row: &Row) -> (usize, usize) {
-        match row {
-            Row::Dense { cells, occupied } => {
-                assert_eq!(*occupied, cells.iter().filter(|&&v| v != 0).count());
-                (cells.len(), *occupied)
-            }
-            Row::Sparse(cells) => (cells.len(), cells.len()),
-        }
-    }
-
     #[test]
-    fn rows_answer_like_a_map_of_streams() {
+    fn detector_answers_like_a_map_of_streams() {
         // Random observations, late baselines and forgotten patterns,
-        // over a narrow pattern range (rows fill up and turn dense) and
-        // a narrow range mixed with a wide one (a far pattern turns a
-        // dense row sparse again), against an explicit map.
-        forall("rows_answer_like_a_map_of_streams", 256, |rng| {
+        // over a narrow pattern range and a narrow range mixed with a
+        // wide one, against an explicit ordered map.
+        forall("detector_answers_like_a_map_of_streams", 256, |rng| {
             let wide = rng.random_bool(0.5);
             let draw_pattern = |rng: &mut eps_sim::Rng| {
                 let value = if wide && rng.random_bool(0.2) {
@@ -551,19 +384,12 @@ mod tests {
                     let want = model.expected.get(&(source, pattern)).copied().unwrap_or(0);
                     assert_eq!(det.expected(source, pattern), want, "{source}/{pattern}");
                 }
-                for row in &det.rows {
-                    let (held, occupied) = held_and_occupied(row);
-                    assert!(
-                        held <= 2 * occupied,
-                        "{held} cells for {occupied} streams: {row:?}"
-                    );
-                }
             }
         });
     }
 
     #[test]
-    fn rows_grow_to_any_pattern_index() {
+    fn streams_of_any_pattern_index_are_tracked() {
         let mut det = LossDetector::new();
         let losses = det.observe(&ev(0, 0, &[(500, 1)]), |_| true);
         assert_eq!(losses.len(), 1);

@@ -41,11 +41,6 @@ pub struct DispatcherConfig {
     /// (the paper uses FIFO; alternatives support its buffer-policy
     /// investigation).
     pub eviction: EvictionPolicy,
-    /// Pattern-universe size (Π, from
-    /// [`crate::PatternSpace::universe`]): picks the event cache's
-    /// per-pattern layout. `0` means "unknown" — behavior is identical
-    /// either way.
-    pub pattern_universe: usize,
     /// Which indexes the event cache builds: each costs memory and
     /// insert/evict time per cached event, so a dispatcher builds only
     /// those its recovery strategy reads. The default keeps the id
@@ -59,7 +54,6 @@ impl Default for DispatcherConfig {
             cache_capacity: 1500,
             record_routes: false,
             eviction: EvictionPolicy::Fifo,
-            pattern_universe: 0,
             cache_indexes: CacheIndexes::default(),
         }
     }
@@ -232,7 +226,6 @@ impl Dispatcher {
             config.cache_capacity,
             config.eviction,
             Some(id),
-            config.pattern_universe,
             config.cache_indexes,
         );
         Dispatcher {

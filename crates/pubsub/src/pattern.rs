@@ -8,15 +8,6 @@
 
 use eps_sim::{Rng, Zipf};
 
-/// Largest pattern universe (Π) for which the event cache's
-/// per-pattern index stays dense-indexed. Past this, it would cost
-/// O(Π) per dispatcher regardless of occupancy, so it switches to a
-/// sparse layout holding only occupied patterns — a pure layout change,
-/// with behavior identical on both sides of the threshold. The paper's
-/// Π = 70 stays dense; the threshold only engages for the large-Π
-/// large-N scaling runs.
-pub(crate) const DENSE_UNIVERSE_MAX: usize = 4096;
-
 /// A content pattern: a single number out of the pattern universe.
 ///
 /// # Examples

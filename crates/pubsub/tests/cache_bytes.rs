@@ -3,9 +3,10 @@
 //! counting global allocator pins the live heap bytes per cached event
 //! of each index set a strategy builds — the events themselves plus
 //! the indexes kept over them — after one cache-full and after four.
-//! It also pins that building a cache or a dispatcher allocates
-//! nothing: a population of them costs no set-up time before its
-//! first event.
+//! It also pins the live heap of a loss detector in the two shapes a
+//! dispatcher's detector takes, and that building a cache or a
+//! dispatcher allocates nothing: a population of them costs no set-up
+//! time before its first event.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,7 +14,7 @@ use std::cell::Cell;
 use eps_overlay::NodeId;
 use eps_pubsub::{
     CacheIndexes, Dispatcher, DispatcherConfig, Event, EventCache, EventId, EvictionPolicy,
-    PatternSpace,
+    LossDetector, PatternId, PatternSpace,
 };
 use eps_sim::Rng;
 
@@ -79,13 +80,8 @@ fn bytes_per_cached_event(indexes: CacheIndexes) -> [f64; 2] {
     let mut content = Vec::with_capacity(space.max_patterns_per_event());
     let mut counters = vec![0u64; SOURCES * universe];
     let before = LIVE.with(Cell::get);
-    let mut cache = EventCache::with_indexes(
-        BETA,
-        EvictionPolicy::Fifo,
-        Some(NodeId::new(0)),
-        universe,
-        indexes,
-    );
+    let mut cache =
+        EventCache::with_indexes(BETA, EvictionPolicy::Fifo, Some(NodeId::new(0)), indexes);
     let mut fill = |cache: &mut EventCache, k: usize| {
         let source = k % SOURCES;
         space.random_content_into(&mut rng, &mut content);
@@ -125,35 +121,35 @@ fn check_bytes(label: &str, indexes: CacheIndexes, limit: f64, steady: bool) {
 
 /// The pull routes' set: lookup by (source, pattern, seq) only.
 #[test]
-fn a_pull_cache_holds_at_most_213_bytes_per_event() {
+fn a_pull_cache_holds_at_most_205_bytes_per_event() {
     let seqs = CacheIndexes {
         pattern_seqs: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("pattern_seqs only", seqs, 213.0, true);
+    check_bytes("pattern_seqs only", seqs, 205.0, true);
 }
 
 /// Push's set: the id index and the per-pattern id lists. The lists'
 /// deques may keep capacity a pattern's list once needed, so they are
 /// not held steady.
 #[test]
-fn a_push_cache_holds_at_most_290_bytes_per_event() {
+fn a_push_cache_holds_at_most_283_bytes_per_event() {
     let ids = CacheIndexes {
         ids: true,
         pattern_ids: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("ids and pattern_ids", ids, 290.0, false);
+    check_bytes("ids and pattern_ids", ids, 283.0, false);
 }
 
 /// No-recovery's set: the events themselves and the id index.
 #[test]
-fn a_cache_without_optional_indexes_holds_at_most_190_bytes_per_event() {
+fn a_cache_without_optional_indexes_holds_at_most_182_bytes_per_event() {
     let ids = CacheIndexes {
         ids: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("ids only", ids, 190.0, true);
+    check_bytes("ids only", ids, 182.0, true);
 }
 
 /// Live heap bytes per cached event after one cache-full, for a set of
@@ -207,6 +203,49 @@ fn a_pull_cache_builds_no_id_index() {
     }
 }
 
+/// Live heap bytes of a loss detector that has seen the first event of
+/// every stream of `sources` sources on the patterns `tracked` returns
+/// for each.
+fn detector_bytes(sources: u32, tracked: impl Fn(u32) -> Vec<PatternId>) -> isize {
+    let before = LIVE.with(Cell::get);
+    let mut det = LossDetector::new();
+    let mut streams = 0;
+    for source in 0..sources {
+        let patterns = tracked(source);
+        streams += patterns.len();
+        let event = Event::new(
+            EventId::new(NodeId::new(source), 0),
+            patterns.into_iter().map(|p| (p, 0)).collect(),
+        );
+        assert!(det.observe(&event, |_| true).is_empty());
+    }
+    assert_eq!(det.stream_count(), streams);
+    LIVE.with(Cell::get) - before
+}
+
+/// A Figure 2 dispatcher's detector: 100 sources, each seen on the 2
+/// of Π = 70 patterns the dispatcher subscribes to — 200 streams in a
+/// map of 256 buckets, 4 368 B. The bound adds 5 %.
+#[test]
+fn a_fig2_detector_holds_at_most_4586_bytes() {
+    let bytes = detector_bytes(SOURCES as u32, |_| {
+        vec![PatternId::new(3), PatternId::new(41)]
+    });
+    eprintln!("Fig. 2 detector: {bytes} B");
+    assert!(bytes <= 4_586, "{bytes} B");
+}
+
+/// The 100-client cell's detector: 40 sources, each seen on all 70
+/// patterns, which 100 clients per dispatcher subscribe to between
+/// them — 2 800 streams in a map of 4 096 buckets, 69 648 B. The bound
+/// adds 5 %.
+#[test]
+fn a_detector_tracking_every_pattern_holds_at_most_73130_bytes() {
+    let bytes = detector_bytes(40, |_| (0..70).map(PatternId::new).collect());
+    eprintln!("100-client detector: {bytes} B");
+    assert!(bytes <= 73_130, "{bytes} B");
+}
+
 /// Allocations `build` makes, keeping what it built alive meanwhile.
 fn allocations_of<T>(build: impl FnOnce() -> T) -> usize {
     let before = ALLOCS.with(Cell::get);
@@ -235,27 +274,19 @@ fn building_a_cache_or_a_dispatcher_allocates_nothing() {
         EvictionPolicy::Random { seed: 7 },
         EvictionPolicy::SourceBiased { own_permille: 300 },
     ];
-    // A small and a large pattern universe: both per-pattern layouts.
-    for universe in [70, 100_000] {
-        for indexes in every_index_set() {
-            for eviction in policies {
-                let owner = NodeId::new(0);
-                let cache = allocations_of(|| {
-                    EventCache::with_indexes(BETA, eviction, Some(owner), universe, indexes)
-                });
-                assert_eq!(cache, 0, "cache {indexes:?} {eviction} Π = {universe}");
-                let config = DispatcherConfig {
-                    eviction,
-                    pattern_universe: universe,
-                    cache_indexes: indexes,
-                    ..DispatcherConfig::default()
-                };
-                let dispatcher = allocations_of(|| Dispatcher::new(owner, config));
-                assert_eq!(
-                    dispatcher, 0,
-                    "dispatcher {indexes:?} {eviction} Π = {universe}"
-                );
-            }
+    for indexes in every_index_set() {
+        for eviction in policies {
+            let owner = NodeId::new(0);
+            let cache =
+                allocations_of(|| EventCache::with_indexes(BETA, eviction, Some(owner), indexes));
+            assert_eq!(cache, 0, "cache {indexes:?} {eviction}");
+            let config = DispatcherConfig {
+                eviction,
+                cache_indexes: indexes,
+                ..DispatcherConfig::default()
+            };
+            let dispatcher = allocations_of(|| Dispatcher::new(owner, config));
+            assert_eq!(dispatcher, 0, "dispatcher {indexes:?} {eviction}");
         }
     }
 }

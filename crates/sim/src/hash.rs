@@ -2,7 +2,8 @@
 //!
 //! The simulator's keys are small tuples of integers (`EventId`,
 //! `(source, pattern, seq)`, link endpoints), and every map keyed by
-//! them is probed but never iterated, so the hash function cannot be
+//! them is probed but never iterated (at most filtered by a `retain`
+//! that no visiting order can change), so the hash function cannot be
 //! observed in any output. std's SipHash spends more on such a key than
 //! the rest of the probe; [`IdHasher`] spends one 64×64→128-bit
 //! multiply per integer written, folding the high half back into the
@@ -98,6 +99,9 @@ impl BuildHasher for IdState {
 }
 
 /// A `HashMap` on [`IdHasher`]; for maps that are probed, never iterated.
+/// A `retain` whose predicate reads only the entry it is handed is
+/// allowed too: it removes the same entries in any visiting order, so
+/// the order never reaches a result.
 pub type IdMap<K, V> = HashMap<K, V, IdState>;
 
 /// A `HashSet` on [`IdHasher`]; for sets that are probed, never iterated.

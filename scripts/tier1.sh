@@ -178,16 +178,34 @@ echo "mid-scale cell peak RSS: ${midscale_peak_mb} MB (limit 32 MB)"
 awk -v mb="$midscale_peak_mb" 'BEGIN {exit !(mb <= 32)}' \
     || { echo "FAIL: mid-scale cell peaked above 32 MB"; exit 1; }
 
+echo "== tier-1: churn cell (subscription swaps: two processes, one output) =="
+# A mid-run subscription drops the pattern's loss-detector streams with
+# a retain over a map seeded per process (eps_sim::hash), so the walk
+# visits them in a different order in every process. It only removes
+# entries, and this is the check that its order never reaches the
+# output: the same command, in two processes, prints the same report.
+churn_cell() {
+    ./target/release/simulate -a push -a combined-pull --nodes 60 --duration 2 \
+        --rho 0.2 --churn 0.3 --seed 1 2>/dev/null
+}
+churn_a=$(churn_cell)
+churn_b=$(churn_cell)
+echo "$churn_a" | grep -E 'subscription swaps'
+[ "$churn_a" = "$churn_b" ] \
+    || { echo "FAIL: churn cell differs between two runs of the same command";
+         diff <(echo "$churn_a") <(echo "$churn_b"); exit 1; }
+
 echo "== tier-1: Fig. 2 cell memory (combined pull at full size) =="
 # The paper's cell, where each dispatcher's recovery state is the
 # largest it keeps. An event cache builds only the indexes its strategy
 # reads — combined pull serves by (source, pattern, seq), so it keeps
 # neither an event-id index nor per-pattern id lists — and stores each
-# event once, in a ring of beta slots its seq index points into; each
-# loss-detector row holds the two or so patterns its dispatcher
-# subscribes to. The cell peaks near 41 MB. Pi-wide detector rows put
-# back about 5 MB and an id index on pull caches about 3 MB (together
-# near 49 MB); the limit sits midway, at 45 MB.
+# event once, with no admission stamp, in a ring of beta slots its seq
+# index points into; the loss detector is one map of the (source,
+# pattern) streams its dispatcher tracks. The cell peaks near 39.5 MB.
+# An id index on pull caches puts back about 3 MB, an admission stamp
+# beside each cached event about 1.2 MB, and a detector row per source
+# over the pattern universe about 5 MB; the limit stays at 45 MB.
 fig2_peak_mb=$(python3 - -a combined-pull --duration 6 --seed 1 <<'EOF'
 import resource, subprocess, sys
 subprocess.run(["./target/release/simulate", *sys.argv[1:]],
