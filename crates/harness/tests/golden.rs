@@ -1,7 +1,8 @@
 //! Golden determinism tests: the full [`ScenarioResult`] and the
 //! fig3-style CSV bytes are pinned for all six algorithms at two
 //! seeds, plus reconfiguration, churn, cyclic-overlay (BA/WS),
-//! push-pull, adaptive-gossip and low-publish-rate variants. Any
+//! push-pull, adaptive-gossip and low-publish-rate variants, and a
+//! sparse family in which nearly every gossip round sends nothing. Any
 //! refactor of the runner must reproduce these bytes exactly — from
 //! `run_scenario` and under `par_map` — or consciously regenerate them
 //! with
@@ -348,6 +349,53 @@ fn render_summary(seed: u64, results: &[ScenarioResult]) -> Vec<(String, String)
     )]
 }
 
+/// The sparse cells: 200 dispatchers over 4096 patterns publishing one
+/// event per second each, where almost every gossip round finds
+/// nothing to send — push, summary push and push-pull draw patterns
+/// with empty caches, the pull routes have empty `Lost` buffers, and
+/// `no-recovery` never sends. Each cell pins the draws, streak and
+/// delay updates those silent rounds make.
+fn sparse_cells(seed: u64) -> Vec<(String, ScenarioConfig)> {
+    let sparse = |algorithm| ScenarioConfig {
+        seed,
+        nodes: 200,
+        pattern_universe: 4096,
+        publish_rate: 1.0,
+        duration: SimTime::from_secs(2),
+        warmup: SimTime::from_millis(300),
+        cooldown: SimTime::from_millis(300),
+        algorithm,
+        ..ScenarioConfig::default()
+    };
+    let mut cells: Vec<(String, ScenarioConfig)> = [
+        Algorithm::push(),
+        Algorithm::summary_push(),
+        Algorithm::push_pull(),
+        Algorithm::combined_pull(),
+        Algorithm::publisher_pull(),
+        Algorithm::no_recovery(),
+    ]
+    .into_iter()
+    .map(|algo| (algo.name().to_owned(), sparse(algo)))
+    .collect();
+    let base = sparse(Algorithm::push());
+    cells.push((
+        "adaptive-push".to_owned(),
+        ScenarioConfig {
+            adaptive_gossip: Some(AdaptiveGossip::around(base.gossip_interval)),
+            ..base
+        },
+    ));
+    cells
+}
+
+fn render_sparse(seed: u64, results: &[ScenarioResult]) -> Vec<(String, String)> {
+    vec![(
+        format!("results_sparse_seed{seed}.txt"),
+        report(sparse_cells, dump, seed, results),
+    )]
+}
+
 /// The base family; its reconfiguration and churn cells run
 /// coordinator events between node events.
 #[test]
@@ -359,6 +407,13 @@ fn scenario_output_matches_golden_bytes() {
 #[test]
 fn summary_reconciliation_output_matches_golden_bytes() {
     check_family(summary_cells, render_summary);
+}
+
+/// Mostly silent gossip rounds, at a scale where rounds that send
+/// nothing outnumber the ones that do.
+#[test]
+fn sparse_output_matches_golden_bytes() {
+    check_family(sparse_cells, render_sparse);
 }
 
 /// The aggregation layer, with churn at client granularity.
