@@ -27,7 +27,8 @@ use eps_gossip::{
     codec, Algorithm, Envelope, GossipConfig, GossipMessage, LostBuffer, SummaryMode, SummaryState,
 };
 use eps_harness::{
-    build_population, run_scenario, NodeCtx, Outgoing, Population, ScenarioConfig, SimNode,
+    build_population, gossip_phase, run_scenario, NodeCtx, Outgoing, Population, ScenarioConfig,
+    SimNode, Timer,
 };
 use eps_metrics::{DeliveryTracker, MessageCounters};
 use eps_net::frame::{frame, FrameReader};
@@ -94,6 +95,7 @@ fn main() -> ExitCode {
     results.extend(cache_get());
     results.extend([event_clone_hop(), rng_throughput(), scenario_mini()]);
     results.extend(node_event_hop());
+    results.extend(node_clock());
     results.extend(topology_build());
     results.push(subscription_flood());
     let mut gossip_results = gossip_rounds();
@@ -637,6 +639,97 @@ fn node_event_hop() -> Vec<BenchResult> {
         }
     })
     .collect()
+}
+
+/// The node clock at scale, on the `sim_scale` population (N = 4000,
+/// Π = 8192, push, a 300 ms run): `node_clock_replan/push_sparse` is
+/// one plan — a look-ahead from the next round to the end of the run —
+/// at a parked node whose cache holds events of two patterns it knows,
+/// so every step draws and finds nothing; `node_clock_catch_up/push`
+/// is one catch-up over one interval at a parked node with an empty
+/// cache: one replayed round, and the plan after it.
+fn node_clock() -> Vec<BenchResult> {
+    const ROUNDS: u64 = 1_000;
+    let config = ScenarioConfig {
+        nodes: 4_000,
+        pattern_universe: 8_192,
+        publish_rate: 2.0,
+        algorithm: Algorithm::push(),
+        duration: SimTime::from_millis(300),
+        ..ScenarioConfig::default()
+    };
+    let factory = RngFactory::new(config.seed);
+    let mut pop = build_population(&config);
+    let (mut tracker, mut counters) = (DeliveryTracker::new(), MessageCounters::new(config.nodes));
+    let mut gossip_rng = Rng::from_seed(1);
+    let mut call =
+        |pop: &mut Population, node: NodeId, now, f: &mut dyn FnMut(&mut SimNode, &mut NodeCtx)| {
+            let mut ctx = NodeCtx {
+                now,
+                neighbors: pop.view.neighbors(node),
+                graph_neighbors: pop.topology.neighbors(node),
+                space: &pop.space,
+                subscribers_of: &pop.subscribers_of,
+                gossip_rng: &mut gossip_rng,
+                tracker: &mut tracker,
+                counters: &mut counters,
+                trace: &mut None,
+            };
+            f(&mut pop.nodes[node.index()], &mut ctx);
+        };
+
+    // Two events, one of each local pattern, arrive at d1 before its
+    // clock starts; every plan then runs the whole run out.
+    let (sparse, source) = (NodeId::new(1), NodeId::new(0));
+    let patterns = pop.nodes[sparse.index()].client_patterns(ClientId::new(0));
+    assert_eq!(patterns.len(), 2, "d1 subscribes to two patterns");
+    for &p in &patterns {
+        let env = Envelope::PubSub(PubSubMessage::Event(Event::new(
+            EventId::new(source, u64::from(p.value())),
+            vec![(p, 0)],
+        )));
+        call(&mut pop, sparse, SimTime::ZERO, &mut |node, ctx| {
+            node.handle(source, env.clone(), ctx);
+        });
+    }
+    pop.nodes[sparse.index()].start_clock(&config, &factory, config.duration);
+    call(&mut pop, sparse, SimTime::ZERO, &mut |node, ctx| {
+        node.catch_up(ctx)
+    });
+    let phase = gossip_phase(&factory, sparse, config.gossip_interval);
+    assert_ne!(
+        pop.nodes[sparse.index()].next_timer(),
+        Some((phase, Timer::Gossip)),
+        "d1 is parked"
+    );
+    let replan = bench("node_clock_replan/push_sparse", 2, 15, ROUNDS, || {
+        for _ in 0..ROUNDS {
+            call(&mut pop, sparse, SimTime::ZERO, &mut |node, ctx| {
+                node.catch_up(ctx)
+            });
+        }
+    });
+
+    // d2 has an empty cache and rounds until far past the benchmark:
+    // each catch-up moves one interval on.
+    let empty = NodeId::new(2);
+    let interval = config.gossip_interval;
+    pop.nodes[empty.index()].start_clock(&config, &factory, SimTime::from_secs(1_000_000));
+    let mut now = gossip_phase(&factory, empty, interval);
+    call(&mut pop, empty, now, &mut |node, ctx| node.catch_up(ctx));
+    let before = pop.nodes[empty.index()].rounds_replayed();
+    let catch_up = bench("node_clock_catch_up/push", 2, 15, ROUNDS, || {
+        for _ in 0..ROUNDS {
+            now += interval;
+            call(&mut pop, empty, now, &mut |node, ctx| node.catch_up(ctx));
+        }
+    });
+    assert_eq!(
+        pop.nodes[empty.index()].rounds_replayed() - before,
+        17 * ROUNDS,
+        "one replayed round per catch-up"
+    );
+    vec![replan, catch_up]
 }
 
 /// Drives lossless floods through a population one `SimNode` call at a

@@ -46,7 +46,7 @@ mod policy;
 mod registry;
 mod summary;
 
-pub use algorithm::Strategy;
+pub use algorithm::{Lookahead, Round, Strategy};
 pub use codec::CodecError;
 pub use config::{GossipConfig, DEFAULT_LOST_CAPACITY};
 pub use envelope::{Channel, Envelope, Outgoing};

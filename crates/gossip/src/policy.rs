@@ -43,20 +43,17 @@ pub(crate) enum PullRoute {
     Combined,
 }
 
-/// The proactive side's state, kept by push, the push half of
-/// `push-pull` and summary reconciliation: the ids requested and still
-/// in flight, and the idle streak adaptive gossip backs off on.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PushState {
-    /// Membership checks only — never iterated, so the set's arbitrary
-    /// ordering can't leak into any output.
-    requested: IdSet<EventId>,
+/// The idle streak adaptive gossip backs off on: activity since the
+/// last round, and the activity-free rounds before it. A `Copy` value,
+/// so a look-ahead can run it forward on a copy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Streak {
     requests_since_round: u64,
     idle_rounds: u32,
 }
 
-impl PushState {
-    /// Called at the start of each of this state's gossip rounds.
+impl Streak {
+    /// Called at the start of each of its state's gossip rounds.
     pub(crate) fn begin_round(&mut self) {
         if self.requests_since_round > 0 {
             self.idle_rounds = 0;
@@ -66,19 +63,37 @@ impl PushState {
         self.requests_since_round = 0;
     }
 
-    /// Someone is missing events (an out-of-band request, or
-    /// reconciliation in progress): evidence that proactive rounds are
-    /// earning their keep.
-    pub(crate) fn note_activity(&mut self) {
-        self.requests_since_round += 1;
-    }
-
     /// `true` after a streak of activity-free rounds. A single quiet
     /// interval is common noise (requests only come back when *this*
     /// node's digest found a gap at a subscriber), so one is not enough
     /// to slow down.
-    pub(crate) fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(self) -> bool {
         self.idle_rounds >= 3 && self.requests_since_round == 0
+    }
+}
+
+/// The proactive side's state, kept by push, the push half of
+/// `push-pull` and summary reconciliation: the ids requested and still
+/// in flight, and the idle streak.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PushState {
+    /// Membership checks only — never iterated, so the set's arbitrary
+    /// ordering can't leak into any output.
+    requested: IdSet<EventId>,
+    pub(crate) streak: Streak,
+}
+
+impl PushState {
+    /// Called at the start of each of this state's gossip rounds.
+    pub(crate) fn begin_round(&mut self) {
+        self.streak.begin_round();
+    }
+
+    /// Someone is missing events (an out-of-band request, or
+    /// reconciliation in progress): evidence that proactive rounds are
+    /// earning their keep.
+    pub(crate) fn note_activity(&mut self) {
+        self.streak.requests_since_round += 1;
     }
 
     /// The event arrived (via the tree or a reply): stop tracking its

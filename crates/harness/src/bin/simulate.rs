@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use eps_gossip::Algorithm;
 use eps_harness::parallel::{default_jobs, par_map};
-use eps_harness::{run_scenario, AdaptiveGossip, ScenarioConfig};
+use eps_harness::{run_scenario_with_stats, AdaptiveGossip, ScenarioConfig};
 use eps_sim::SimTime;
 
 fn main() -> ExitCode {
@@ -98,9 +98,15 @@ fn main() -> ExitCode {
         .collect();
     let started = std::time::Instant::now();
     let worker_count = jobs.unwrap_or_else(default_jobs).max(1);
-    let results = par_map(worker_count, &configs, run_scenario);
+    let results = par_map(worker_count, &configs, run_scenario_with_stats);
     let elapsed = started.elapsed().as_secs_f64();
-    for (kind, r) in algorithms.iter().zip(results) {
+    let (events, elided) = results.iter().fold((0, 0), |(events, elided), (_, stats)| {
+        (
+            events + stats.events_processed,
+            elided + stats.rounds_elided,
+        )
+    });
+    for (kind, (r, _)) in algorithms.iter().zip(results) {
         println!("== {} ==", kind.name());
         println!("  delivery rate (window) {:>10.3}", r.delivery_rate);
         println!("  delivery rate (whole)  {:>10.3}", r.overall_delivery_rate);
@@ -145,7 +151,9 @@ fn main() -> ExitCode {
         println!("  routing entries        {:>10}", r.routing_entries);
         println!("  setup subscription msgs{:>10}", r.setup_subscription_msgs);
     }
-    eprintln!("total wall time {elapsed:.1}s");
+    eprintln!(
+        "total wall time {elapsed:.1}s, events processed {events}, gossip rounds elided {elided}"
+    );
     ExitCode::SUCCESS
 }
 

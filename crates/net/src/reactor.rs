@@ -335,8 +335,10 @@ struct RNode {
     links: Vec<RLink>,
     /// Mid-restart: sockets closed, waiting for the `Resume` timer.
     down: bool,
-    /// A `Node` entry currently sits in the queue (exactly one may).
-    timer_armed: bool,
+    /// The deadline of the node's live `Node` entry. An entry filed
+    /// earlier, when the node's next timer moved earlier, supersedes a
+    /// later one, which then fires nothing.
+    armed_at: Option<u64>,
 }
 
 /// An accepted connection whose 4-byte hello has not fully arrived.
@@ -471,13 +473,18 @@ fn dispatch_sends(
 }
 
 /// Files node `ni`'s next protocol deadline, if its clock has one
-/// left (rounds stop at the end of the drain).
+/// left (rounds stop at the end of the drain) before its live entry:
+/// after a timer, and after every frame, which can make a parked round
+/// send.
 fn arm_node(timers: &mut Timers, node: &mut RNode, ni: usize) {
-    let next = node.core.sim_node().next_timer();
-    if let Some((at, _)) = next {
-        timers.insert(at.as_nanos(), TimerToken::Node(ni));
+    let Some((at, _)) = node.core.sim_node().next_timer() else {
+        return;
+    };
+    let at = at.as_nanos();
+    if node.armed_at.is_none_or(|armed| at < armed) {
+        timers.insert(at, TimerToken::Node(ni));
+        node.armed_at = Some(at);
     }
-    node.timer_armed = next.is_some();
 }
 
 impl Worker {
@@ -535,7 +542,7 @@ impl Worker {
                 udp: Some(boot.udp),
                 links,
                 down: false,
-                timer_armed: false,
+                armed_at: None,
             });
         }
         Ok(Worker {
@@ -565,8 +572,13 @@ impl Worker {
     fn run(mut self) -> (Vec<NodeCore>, MessageCounters) {
         let now = self.ns_now();
         for ni in 0..self.nodes.len() {
-            self.nodes[ni].core.report_publish_done(&self.shared);
-            arm_node(&mut self.timers, &mut self.nodes[ni], ni);
+            let node = &mut self.nodes[ni];
+            node.core.report_publish_done(&self.shared);
+            // Plans the clock: rounds that would send nothing never
+            // wake the worker.
+            node.core
+                .catch_up(SimTime::from_nanos(now), &self.shared, &mut self.counters);
+            arm_node(&mut self.timers, node, ni);
             for li in 0..self.nodes[ni].links.len() {
                 if self.nodes[ni].links[li].dialer {
                     self.timers
@@ -637,13 +649,19 @@ impl Worker {
             ..
         } = self;
         let node = &mut nodes[ni];
-        node.timer_armed = false;
+        let now = start.elapsed().as_nanos() as u64;
+        if node.armed_at.is_none_or(|armed| armed > now) {
+            // Superseded by an earlier entry, which has fired.
+            return;
+        }
+        node.armed_at = None;
         if node.down {
             // The Resume entry re-arms the node timer.
             return;
         }
-        let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-        let sends = node.core.tick_timers(now, shared, counters);
+        let sends = node
+            .core
+            .tick_timers(SimTime::from_nanos(now), shared, counters);
         dispatch_sends(node, ni, sends, registry, dirty);
         arm_node(timers, node, ni);
     }
@@ -918,6 +936,7 @@ impl Worker {
                 dirty,
                 scratch,
                 start,
+                timers,
                 ..
             } = self;
             let node = &mut nodes[ni];
@@ -937,6 +956,7 @@ impl Worker {
                     let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
                     let sends = node.core.handle_body(from, &body, now, shared, counters);
                     dispatch_sends(node, ni, sends, registry, dirty);
+                    arm_node(timers, node, ni);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(_) => break,
@@ -953,6 +973,7 @@ impl Worker {
             dirty,
             scratch,
             start,
+            timers,
             ..
         } = self;
         let node = &mut nodes[ni];
@@ -970,6 +991,7 @@ impl Worker {
             let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
             let sends = node.core.handle_body(peer, &body, now, shared, counters);
             dispatch_sends(node, ni, sends, registry, dirty);
+            arm_node(timers, node, ni);
         }
         if disconnected {
             self.link_down(ni, li);
@@ -1103,9 +1125,7 @@ impl Worker {
         node.listener = Some(listener);
         node.udp = Some(udp);
         node.down = false;
-        if !node.timer_armed {
-            arm_node(&mut self.timers, node, ni);
-        }
+        arm_node(&mut self.timers, node, ni);
         for li in 0..self.nodes[ni].links.len() {
             if self.nodes[ni].links[li].dialer {
                 self.timers
