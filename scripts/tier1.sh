@@ -163,6 +163,17 @@ echo "$midscale_a" | grep -E 'delivery rate \(whole\)|gossip messages|setup subs
 [ "$midscale_a" = "$midscale_b" ] \
     || { echo "FAIL: mid-scale cell differs between two runs of the same command";
          diff <(echo "$midscale_a") <(echo "$midscale_b"); exit 1; }
+# Event-count tripwire, from the stderr line: 39 998 of the cell's
+# 40 000 gossip rounds send nothing, and the node clock parks them and
+# replays them at the node's next input instead of popping a tick for
+# each. The loop processed 68 409 events when every round was a tick
+# and processes 28 412 with silent rounds parked; the limit sits
+# halfway. Rounds firing again one tick each put it back near 68 000.
+midscale_events=$(./target/release/simulate "${midscale_args[@]}" 2>&1 >/dev/null \
+    | sed -n 's/.*events processed \([0-9]*\).*/\1/p')
+echo "mid-scale cell events processed: ${midscale_events} (limit 48410)"
+[ -n "$midscale_events" ] && [ "$midscale_events" -le 48410 ] \
+    || { echo "FAIL: mid-scale cell processed more than 48410 events"; exit 1; }
 # Memory tripwire: the cell's peak resident set, from the kernel's
 # accounting of a finished child (there is no /usr/bin/time here). Per-
 # dispatcher state that grows with the pattern universe again — dense
