@@ -72,4 +72,4 @@ pub use setup::{
     install_local_subscriptions, intended_recipients, rebuild_subscription_routes, DispatcherHost,
 };
 pub use summary::{CacheSummary, RangeDetail, RangeRef, RangeSummary, SummaryIndex};
-pub use table::{Interface, SubscriptionTable};
+pub use table::{Interface, KnownPatterns, SubscriptionTable};
