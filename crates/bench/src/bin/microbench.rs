@@ -1009,7 +1009,7 @@ fn digest_scaling() -> Vec<BenchResult> {
 
         // Summary digest: one root aggregate per round, read straight
         // off the maintained index — O(1) in C.
-        let mut summary = SummaryState::new(SummaryMode::Push, &GossipConfig::default());
+        let mut summary = SummaryState::new(SummaryMode::Push);
         let mut sink = 0usize;
         let result = bench(
             &format!("summary_digest_build/c{c}"),
@@ -1019,7 +1019,7 @@ fn digest_scaling() -> Vec<BenchResult> {
             || {
                 for p in 1..=4u16 {
                     if let Some(GossipMessage::SummaryDigest { ranges, .. }) =
-                        summary.digest(&node, PatternId::new(p), 128)
+                        summary.digest(&node, PatternId::new(p))
                     {
                         sink += ranges.len();
                     }

@@ -86,15 +86,14 @@ impl Strategy {
                     push.begin_round();
                     push_digest(node, rng)
                 } else {
-                    pattern_pull_digest(lost, node, config.digest_max, rng)
+                    pattern_pull_digest(lost, node, rng)
                 }
             }
             State::Summary(summary) => {
                 summary.push.begin_round();
                 // Proactive, like push: any pattern this dispatcher
                 // routes is worth a round.
-                draw_known_pattern(node, rng)
-                    .and_then(|pattern| summary.digest(node, pattern, config.digest_max))
+                draw_known_pattern(node, rng).and_then(|pattern| summary.digest(node, pattern))
             }
         };
         let mut out = Vec::new();

@@ -21,17 +21,6 @@ pub struct GossipConfig {
     /// publisher-based variant instead of the subscriber-based one
     /// (the paper's `P_source`).
     pub p_source: f64,
-    /// Maximum number of entries carried by one negative digest. The
-    /// paper assumes gossip messages are the same size as event
-    /// messages, which bounds how much a digest can carry.
-    pub digest_max: usize,
-    /// Hop budget for the random-pull baseline, which has no routing
-    /// information to decide when to stop.
-    pub random_ttl: u32,
-    /// A `Lost` entry is given up after being gossiped this many times
-    /// without the event being recovered (it has likely been evicted
-    /// from every cache).
-    pub max_attempts: u32,
     /// Capacity bound on the `Lost` buffer; the oldest entries are
     /// evicted FIFO beyond it (visible as `lost_evictions` in the
     /// metrics). `None` ties the bound to the event-cache size β: the
@@ -42,6 +31,21 @@ pub struct GossipConfig {
     pub lost_capacity: Option<usize>,
 }
 
+/// Maximum number of entries carried by one negative digest, and of
+/// events a summary-pull gossiper serves per absorbed digest. The paper
+/// assumes gossip messages are the same size as event messages, which
+/// bounds how much a digest can carry.
+pub const DIGEST_MAX: usize = 128;
+
+/// Hop budget for the random-pull baseline, which has no routing
+/// information to decide when to stop.
+pub const RANDOM_TTL: u32 = 8;
+
+/// A `Lost` entry is given up after being gossiped this many times
+/// without the event being recovered (it has likely been evicted from
+/// every cache).
+pub const MAX_ATTEMPTS: u32 = 20;
+
 /// Fallback `Lost` capacity when the harness has not tied it to β:
 /// the paper's default buffer size (Table I, β = 1500).
 pub const DEFAULT_LOST_CAPACITY: usize = 1500;
@@ -51,9 +55,6 @@ impl Default for GossipConfig {
         GossipConfig {
             p_forward: 0.5,
             p_source: 0.5,
-            digest_max: 128,
-            random_ttl: 8,
-            max_attempts: 20,
             lost_capacity: None,
         }
     }
@@ -64,8 +65,8 @@ impl GossipConfig {
     ///
     /// # Panics
     ///
-    /// Panics if probabilities are outside `[0, 1]`, the digest is
-    /// empty, or the TTL is zero.
+    /// Panics if probabilities are outside `[0, 1]` or the `Lost`
+    /// capacity is set to zero.
     pub fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.p_forward),
@@ -77,9 +78,6 @@ impl GossipConfig {
             "p_source out of range: {}",
             self.p_source
         );
-        assert!(self.digest_max > 0, "digest_max must be positive");
-        assert!(self.random_ttl > 0, "random_ttl must be positive");
-        assert!(self.max_attempts > 0, "max_attempts must be positive");
         assert!(
             self.lost_capacity != Some(0),
             "lost_capacity must be positive when set"
@@ -107,16 +105,6 @@ mod tests {
     fn invalid_probability_panics() {
         GossipConfig {
             p_forward: 1.5,
-            ..GossipConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_digest_panics() {
-        GossipConfig {
-            digest_max: 0,
             ..GossipConfig::default()
         }
         .validate();

@@ -48,7 +48,7 @@ mod summary;
 
 pub use algorithm::{Lookahead, Round, Strategy};
 pub use codec::CodecError;
-pub use config::{GossipConfig, DEFAULT_LOST_CAPACITY};
+pub use config::{GossipConfig, DEFAULT_LOST_CAPACITY, DIGEST_MAX, MAX_ATTEMPTS, RANDOM_TTL};
 pub use envelope::{Channel, Envelope, Outgoing};
 pub use lost::LostBuffer;
 pub use message::GossipMessage;

@@ -16,7 +16,7 @@ use eps_pubsub::{Dispatcher, Event, EventId, LossRecord, PatternId};
 use eps_sim::hash::IdSet;
 use eps_sim::Rng;
 
-use crate::config::GossipConfig;
+use crate::config::{GossipConfig, DIGEST_MAX, RANDOM_TTL};
 use crate::envelope::{Envelope, Outgoing};
 use crate::lost::LostBuffer;
 use crate::message::GossipMessage;
@@ -151,14 +151,14 @@ pub(crate) fn push_digest(node: &Dispatcher, rng: &mut Rng) -> Option<GossipMess
 /// A pull strategy's round digest: outstanding `Lost` entries steered
 /// by `route`, or `None` to skip the round.
 ///
-/// **Truncation contract.** When more than `digest_max` entries are
-/// outstanding, the digest carries the *first* `digest_max` in (source,
+/// **Truncation contract.** When more than [`DIGEST_MAX`] entries are
+/// outstanding, the digest carries the *first* `DIGEST_MAX` in (source,
 /// seq) order — the oldest losses per source — deterministically, never
 /// a random or insertion-ordered subset. Oldest-first matters because
 /// caches evict FIFO: the oldest losses are the ones closest to
 /// becoming unrecoverable, so they go on the wire first. The newer
 /// entries are *deferred*, never hidden: selection charges one attempt
-/// to each selected entry, and entries that exhaust `max_attempts` are
+/// to each selected entry, and entries that exhaust `MAX_ATTEMPTS` are
 /// dropped from the buffer, so every over-limit entry surfaces in a
 /// later round once the entries ahead of it are recovered or abandoned
 /// (pinned by a regression test in this module).
@@ -170,18 +170,17 @@ pub(crate) fn pull_digest(
     config: &GossipConfig,
     rng: &mut Rng,
 ) -> Option<GossipMessage> {
-    let limit = config.digest_max;
     match route {
-        PullRoute::Subscriber => pattern_pull_digest(lost, node, limit, rng),
-        PullRoute::Publisher => source_pull_digest(lost, node, limit, rng),
+        PullRoute::Subscriber => pattern_pull_digest(lost, node, rng),
+        PullRoute::Publisher => source_pull_digest(lost, node, rng),
         PullRoute::Random => {
             if lost.is_empty() || neighbors.is_empty() {
                 return None;
             }
             Some(GossipMessage::RandomPull {
                 gossiper: node.id(),
-                lost: lost.any(limit),
-                ttl: config.random_ttl,
+                lost: lost.any(DIGEST_MAX),
+                ttl: RANDOM_TTL,
             })
         }
         // No work: skip without consuming the coin draw.
@@ -191,11 +190,11 @@ pub(crate) fn pull_digest(
         // wasting the round.
         PullRoute::Combined => {
             let towards_source = if rng.random_bool(config.p_source) {
-                source_pull_digest(lost, node, limit, rng)
+                source_pull_digest(lost, node, rng)
             } else {
                 None
             };
-            towards_source.or_else(|| pattern_pull_digest(lost, node, limit, rng))
+            towards_source.or_else(|| pattern_pull_digest(lost, node, rng))
         }
     }
 }
@@ -207,7 +206,6 @@ pub(crate) fn pull_digest(
 pub(crate) fn pattern_pull_digest(
     lost: &mut LostBuffer,
     node: &Dispatcher,
-    limit: usize,
     rng: &mut Rng,
 ) -> Option<GossipMessage> {
     let n = lost.patterns().len();
@@ -218,7 +216,7 @@ pub(crate) fn pattern_pull_digest(
     Some(GossipMessage::PullDigest {
         gossiper: node.id(),
         pattern,
-        lost: lost.for_pattern(pattern, limit),
+        lost: lost.for_pattern(pattern, DIGEST_MAX),
     })
 }
 
@@ -232,7 +230,6 @@ pub(crate) fn pattern_pull_digest(
 fn source_pull_digest(
     lost: &mut LostBuffer,
     node: &Dispatcher,
-    limit: usize,
     rng: &mut Rng,
 ) -> Option<GossipMessage> {
     // Only sources we know a route back to are actionable.
@@ -248,7 +245,7 @@ fn source_pull_digest(
     Some(GossipMessage::SourcePull {
         gossiper: node.id(),
         source,
-        lost: lost.for_source(source, limit),
+        lost: lost.for_source(source, DIGEST_MAX),
         route: node
             .routes()
             .route_to(source)
@@ -425,6 +422,7 @@ pub(crate) fn draw_known_pattern(node: &Dispatcher, rng: &mut Rng) -> Option<Pat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_ATTEMPTS;
     use crate::Algorithm;
     use eps_pubsub::DispatcherConfig;
     use eps_sim::RngFactory;
@@ -645,15 +643,11 @@ mod tests {
         // limit digests carry the oldest (lowest (source, seq)) entries,
         // and every deferred newer entry still reaches the wire in a
         // later round.
-        let config = GossipConfig {
-            max_attempts: 2,
-            digest_max: 4,
-            ..cfg()
-        };
+        let losses = DIGEST_MAX as u64 + 10;
         let mut node = Dispatcher::new(NodeId::new(1), DispatcherConfig::default());
         node.on_subscribe(PatternId::new(1), NodeId::new(2), &[]);
-        let mut pull = Algorithm::subscriber_pull().build(config);
-        for seq in 0..10 {
+        let mut pull = Algorithm::subscriber_pull().build(cfg());
+        for seq in 0..losses {
             pull.on_losses(&[record(0, 1, seq)]);
         }
         let mut rng = RngFactory::new(1).stream("gossip");
@@ -667,7 +661,7 @@ mod tests {
         };
         assert_eq!(
             carried(&mut pull),
-            [0, 1, 2, 3],
+            (0..DIGEST_MAX as u64).collect::<Vec<_>>(),
             "truncation must keep the oldest first"
         );
         // Keep gossiping without any recovery: attempts expire the
@@ -677,7 +671,7 @@ mod tests {
         while pull.outstanding_losses() > 0 {
             seen_on_wire.extend(carried(&mut pull));
         }
-        for seq in 0..10 {
+        for seq in 0..losses {
             assert!(
                 seen_on_wire.contains(&seq),
                 "deferred entry seq {seq} never reached the wire: {seen_on_wire:?}"
@@ -767,11 +761,10 @@ mod tests {
         // `Rng::choose` draw over the candidate list in ascending order
         // (what the golden files were recorded with), and leave the
         // generator in that state. At `P_forward = 1` forwarding draws
-        // nothing, so the round's label is its only draw.
-        let config = GossipConfig {
-            max_attempts: u32::MAX,
-            ..cfg()
-        };
+        // nothing, so the round's label is its only draw. Every round
+        // charges each selected loss one attempt, so over `MAX_ATTEMPTS`
+        // rounds none is abandoned and the candidate lists stay fixed.
+        let config = cfg();
         let mut node = Dispatcher::new(
             NodeId::new(5),
             DispatcherConfig {
@@ -817,7 +810,7 @@ mod tests {
         };
         let mut rng = RngFactory::new(4).stream("gossip");
         let mut reference = rng.clone();
-        for _ in 0..50 {
+        for _ in 0..MAX_ATTEMPTS {
             assert_eq!(
                 label(push.on_round(&node, &[], &mut rng)),
                 reference.choose(&known).map(|p| p.value() as u32)
@@ -855,7 +848,7 @@ mod tests {
         for o in &out {
             assert!(matches!(
                 &o.env,
-                Envelope::Gossip(GossipMessage::RandomPull { ttl, .. }) if *ttl == cfg().random_ttl
+                Envelope::Gossip(GossipMessage::RandomPull { ttl, .. }) if *ttl == RANDOM_TTL
             ));
         }
         // An unserved digest walks on with one hop less of budget, and
@@ -882,7 +875,6 @@ mod tests {
         let node = routed_node();
         let config = GossipConfig {
             p_source: 0.5,
-            max_attempts: u32::MAX,
             ..cfg()
         };
         let mut combined = Algorithm::combined_pull().build(config);

@@ -47,7 +47,7 @@ use std::str::FromStr;
 use eps_pubsub::CacheIndexes;
 
 use crate::algorithm::{State, Strategy};
-use crate::config::GossipConfig;
+use crate::config::{GossipConfig, MAX_ATTEMPTS};
 use crate::lost::LostBuffer;
 use crate::policy::{PullRoute, PushState};
 use crate::summary::{SummaryMode, SummaryState};
@@ -225,8 +225,7 @@ impl Algorithm {
     /// Panics if `config` fails [`GossipConfig::validate`].
     pub fn build(self, config: GossipConfig) -> Strategy {
         config.validate();
-        let lost =
-            || LostBuffer::with_capacity(config.max_attempts, config.resolved_lost_capacity());
+        let lost = || LostBuffer::with_capacity(MAX_ATTEMPTS, config.resolved_lost_capacity());
         let state = match self.0.variant {
             Variant::NoRecovery => State::NoRecovery,
             Variant::Push => State::Push(PushState::default()),
@@ -239,7 +238,7 @@ impl Algorithm {
                 lost: Box::new(lost()),
                 round: 0,
             },
-            Variant::Summary(mode) => State::Summary(SummaryState::new(mode, &config)),
+            Variant::Summary(mode) => State::Summary(SummaryState::new(mode)),
         };
         Strategy { config, state }
     }

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use eps_overlay::NodeId;
 use eps_pubsub::{Dispatcher, Event, EventId, PatternId, RangeDetail, RangeRef, RangeSummary};
 
-use crate::config::GossipConfig;
+use crate::config::DIGEST_MAX;
 use crate::envelope::{Envelope, Outgoing};
 use crate::message::GossipMessage;
 use crate::policy::{reply, PushState};
@@ -103,21 +103,17 @@ pub struct SummaryState {
     /// Push mode's in-flight requests, and the idle streak both modes
     /// keep like a linear push digest.
     pub(crate) push: PushState,
-    /// Pull mode: cap on events served per absorbed digest
-    /// (`digest_max`, mirroring the entry bound of negative digests).
-    serve_cap: usize,
 }
 
 impl SummaryState {
-    /// Fresh state for `mode`, serving at most `config.digest_max`
-    /// events per absorbed digest.
-    pub fn new(mode: SummaryMode, config: &GossipConfig) -> Self {
+    /// Fresh state for `mode`, serving at most [`DIGEST_MAX`] events
+    /// per absorbed digest.
+    pub fn new(mode: SummaryMode) -> Self {
         SummaryState {
             mode,
             detail_out: BTreeMap::new(),
             queued: 0,
             push: PushState::default(),
-            serve_cap: config.digest_max,
         }
     }
 
@@ -184,16 +180,12 @@ impl SummaryState {
     }
 
     /// The round digest for `pattern`: its root aggregate plus queued
-    /// refinements while `limit` entries last, or `None` when a push
-    /// round has nothing to announce and nobody waits on a refinement.
+    /// refinements while [`DIGEST_MAX`] entries last, or `None` when a
+    /// push round has nothing to announce and nobody waits on a
+    /// refinement.
     /// (Pull rounds still go out empty: "I have nothing" is exactly
     /// what invites peers to serve their surplus.)
-    pub fn digest(
-        &mut self,
-        node: &Dispatcher,
-        pattern: PatternId,
-        limit: usize,
-    ) -> Option<GossipMessage> {
+    pub fn digest(&mut self, node: &Dispatcher, pattern: PatternId) -> Option<GossipMessage> {
         let root = self.view_summarize(node, pattern, RangeRef::ROOT);
         if self.mode == SummaryMode::Push && root.count == 0 && self.queued == 0 {
             return None;
@@ -201,10 +193,9 @@ impl SummaryState {
         let mut ranges = vec![root];
         let mut details: Vec<RangeDetail> = Vec::new();
         // Drain queued refinements while the entry budget lasts. The
-        // last expansion may overshoot `limit` by one fanout of
-        // children — a soft cap, guaranteeing progress even with a
-        // tiny digest_max.
-        while ranges.len() + details.len() < limit {
+        // last expansion may overshoot `DIGEST_MAX` by one fanout of
+        // children — a soft cap.
+        while ranges.len() + details.len() < DIGEST_MAX {
             let Some(range) = self.pop_queued(pattern) else {
                 break;
             };
@@ -315,14 +306,14 @@ impl SummaryState {
                     );
                 }
                 // One deduplicated reply (an event can appear under
-                // several patterns/leaves), capped at `serve_cap`.
+                // several patterns/leaves), capped at `DIGEST_MAX`.
                 let mut events: Vec<Event> = serve
                     .iter()
                     .filter_map(|&id| node.cache().get(id).cloned())
                     .collect();
                 events.sort_by_key(Event::id);
                 events.dedup_by_key(|e| e.id());
-                events.truncate(self.serve_cap);
+                events.truncate(DIGEST_MAX);
                 reply(gossiper, events, out);
             }
         }
@@ -339,10 +330,6 @@ mod tests {
     use eps_pubsub::DispatcherConfig;
 
     use super::*;
-
-    fn cfg() -> GossipConfig {
-        GossipConfig::default()
-    }
 
     fn summary_node(id: u32, pattern: u16) -> Dispatcher {
         let mut node = Dispatcher::new(
@@ -403,7 +390,7 @@ mod tests {
         max_rounds: usize,
     ) -> usize {
         for round in 1..=max_rounds {
-            let digest = sa.digest(a, pattern, cfg().digest_max);
+            let digest = sa.digest(a, pattern);
             if digest.is_none() {
                 return round;
             }
@@ -442,8 +429,8 @@ mod tests {
     fn round_digest_is_root_only_until_peers_ask() {
         let mut node = summary_node(0, 1);
         feed(&mut node, 1, 7, 0..100);
-        let mut state = SummaryState::new(SummaryMode::Push, &cfg());
-        let (ranges, details) = parts(state.digest(&node, PatternId::new(1), 128));
+        let mut state = SummaryState::new(SummaryMode::Push);
+        let (ranges, details) = parts(state.digest(&node, PatternId::new(1)));
         assert_eq!(ranges.len(), 1, "unprompted rounds carry the root only");
         assert_eq!(ranges[0].range, RangeRef::ROOT);
         assert_eq!(ranges[0].count, 100);
@@ -455,10 +442,10 @@ mod tests {
         let mut node = summary_node(0, 1);
         feed(&mut node, 1, 7, 0..100);
         let p = PatternId::new(1);
-        let mut state = SummaryState::new(SummaryMode::Push, &cfg());
+        let mut state = SummaryState::new(SummaryMode::Push);
         state.on_range_request(p, &[RangeRef::ROOT]);
         assert_eq!(state.queued_ranges(), 1);
-        let (ranges, details) = parts(state.digest(&node, p, 128));
+        let (ranges, details) = parts(state.digest(&node, p));
         // Root (always) + its 16 children (100 > threshold).
         assert_eq!(ranges.len(), 1 + 16);
         let total: u64 = ranges[1..].iter().map(|r| r.count).sum();
@@ -468,9 +455,9 @@ mod tests {
         // A small range refines straight to a detail list.
         let mut small = summary_node(1, 1);
         feed(&mut small, 1, 7, 0..5);
-        let mut state = SummaryState::new(SummaryMode::Push, &cfg());
+        let mut state = SummaryState::new(SummaryMode::Push);
         state.on_range_request(p, &[RangeRef::ROOT]);
-        let (ranges, details) = parts(state.digest(&small, p, 128));
+        let (ranges, details) = parts(state.digest(&small, p));
         assert_eq!(ranges.len(), 1);
         assert_eq!(details.len(), 1);
         assert_eq!(details[0].ids.len(), 5);
@@ -485,7 +472,7 @@ mod tests {
         let index = gossiper.cache().summary_index();
         let ranges = [index.root(p)];
         let details = [index.tree(p).unwrap().detail(RangeRef::ROOT)];
-        let mut state = SummaryState::new(SummaryMode::Push, &cfg());
+        let mut state = SummaryState::new(SummaryMode::Push);
         let out = absorbed(&mut state, &receiver, gossiper.id(), p, &ranges, &details);
         let requests: Vec<_> = out
             .iter()
@@ -514,7 +501,7 @@ mod tests {
         let p = PatternId::new(1);
         // An empty gossiper's round: root with count 0.
         let ranges = [RangeSummary::empty(RangeRef::ROOT)];
-        let mut state = SummaryState::new(SummaryMode::Pull, &cfg());
+        let mut state = SummaryState::new(SummaryMode::Pull);
         let out = absorbed(&mut state, &server, gossiper.id(), p, &ranges, &[]);
         match &out[..] {
             [Outgoing {
@@ -536,7 +523,7 @@ mod tests {
         feed(&mut b, 1, 7, 0..50);
         let p = PatternId::new(1);
         for mode in [SummaryMode::Push, SummaryMode::Pull] {
-            let mut state = SummaryState::new(mode, &cfg());
+            let mut state = SummaryState::new(mode);
             let ranges = [a.cache().summary_index().root(p)];
             let out = absorbed(&mut state, &b, a.id(), p, &ranges, &[]);
             assert!(out.is_empty(), "{mode:?}");
@@ -554,8 +541,8 @@ mod tests {
         feed(&mut a, 1, 7, 0..200);
         feed(&mut b, 1, 7, (0..200).filter(|s| !missing.contains(s)));
         let p = PatternId::new(1);
-        let mut sa = SummaryState::new(SummaryMode::Push, &cfg());
-        let mut sb = SummaryState::new(SummaryMode::Push, &cfg());
+        let mut sa = SummaryState::new(SummaryMode::Push);
+        let mut sb = SummaryState::new(SummaryMode::Push);
         let rounds = reconcile(&mut a, &mut b, &mut sa, &mut sb, p, 16);
         assert!(rounds < 16, "did not converge: {rounds} rounds");
         assert_eq!(
@@ -574,8 +561,8 @@ mod tests {
         feed(&mut a, 1, 7, (0..200).filter(|s| !missing.contains(s)));
         feed(&mut b, 1, 7, 0..200);
         let p = PatternId::new(1);
-        let mut sa = SummaryState::new(SummaryMode::Pull, &cfg());
-        let mut sb = SummaryState::new(SummaryMode::Pull, &cfg());
+        let mut sa = SummaryState::new(SummaryMode::Pull);
+        let mut sb = SummaryState::new(SummaryMode::Pull);
         let rounds = reconcile(&mut a, &mut b, &mut sa, &mut sb, p, 16);
         assert!(rounds < 16, "did not converge: {rounds} rounds");
         assert_eq!(
@@ -587,7 +574,7 @@ mod tests {
 
     #[test]
     fn queued_ranges_are_bounded() {
-        let mut state = SummaryState::new(SummaryMode::Push, &cfg());
+        let mut state = SummaryState::new(SummaryMode::Push);
         let p = PatternId::new(1);
         // 16^3 level-3 ranges exceed the queue bound.
         for i in 0..(MAX_QUEUED_RANGES as u32 + 100) {

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use eps_gossip::{Algorithm, Envelope, GossipConfig, Outgoing, Strategy};
+use eps_gossip::{Algorithm, Envelope, GossipConfig, Outgoing, Strategy, DIGEST_MAX};
 use eps_overlay::NodeId;
 use eps_pubsub::summary::LEVEL_COUNT;
 use eps_pubsub::{Dispatcher, DispatcherConfig, Event, EventId, PatternId, RangeRef};
@@ -175,7 +175,7 @@ fn diverged_caches_converge_to_union() {
         feed(&mut a.node, in_a);
         feed(&mut b.node, in_b);
 
-        let bound = round_bound(delta, GossipConfig::default().digest_max);
+        let bound = round_bound(delta, DIGEST_MAX);
         let rounds = reconcile(&mut a, &mut b, rng, bound);
         let label = format!("pull={pull} delta={delta}");
         assert!(rounds.is_some(), "no convergence within {bound}: {label}");
@@ -216,7 +216,7 @@ fn eviction_churn_leaves_no_unseen_deficits() {
         // side ever saw them leave a permanent seen-set divergence
         // that keeps refinement traffic alive — so run to the
         // bound and check coverage rather than quiescence.
-        let bound = round_bound(128, GossipConfig::default().digest_max);
+        let bound = round_bound(128, DIGEST_MAX);
         for _ in 0..bound {
             let opening = a.algo.on_round(&a.node, &[b.node.id()], rng);
             apply(&mut a, &mut b, opening, rng);

@@ -1,10 +1,21 @@
 //! Scenario configuration: the paper's Figure 2 parameters plus the
-//! knobs the evaluation sweeps.
+//! knobs the evaluation sweeps, and the constants no run varies.
 
 use eps_gossip::{Algorithm, GossipConfig};
 use eps_overlay::{LinkSpec, OutOfBandSpec, OverlayKind, BA_ATTACHMENTS};
 use eps_pubsub::EvictionPolicy;
 use eps_sim::SimTime;
+
+/// Time to repair a broken link (0.1 s in the paper, after its
+/// reference \[7\]).
+pub const REPAIR_DELAY: SimTime = SimTime::from_millis(100);
+
+/// Bin width of the delivery-rate time series.
+pub const SERIES_BIN: SimTime = SimTime::from_millis(100);
+
+/// Maximum patterns matched by one event (3 in the paper, footnote 5):
+/// an event's content is this many uniform draws, deduplicated.
+pub const MAX_PATTERNS_PER_EVENT: usize = 3;
 
 /// Adaptive gossip-interval control (an extension the paper suggests
 /// in Section IV-E, citing its reference \[14\]): a dispatcher whose
@@ -87,8 +98,6 @@ pub struct ScenarioConfig {
     pub overlay: OverlayKind,
     /// Pattern universe size `Π`.
     pub pattern_universe: u16,
-    /// Maximum patterns matched by one event (3 in the paper).
-    pub max_patterns_per_event: usize,
     /// Subscriptions per dispatcher `π_max`. With more than one client
     /// per dispatcher this bounds each *client's* subscription count;
     /// the dispatcher's routing filter is the aggregate of its clients.
@@ -111,8 +120,6 @@ pub struct ScenarioConfig {
     /// Interval `ρ` between topological reconfigurations
     /// (`None` = `ρ` = ∞, the lossy-link scenarios).
     pub reconfig_interval: Option<SimTime>,
-    /// Time to repair a broken link (0.1 s in the paper).
-    pub repair_delay: SimTime,
     /// Event-cache capacity `β`.
     pub buffer_size: usize,
     /// Gossip interval `T`.
@@ -134,8 +141,6 @@ pub struct ScenarioConfig {
     pub event_payload_bits: u64,
     /// The out-of-band unicast channel used for recovery traffic.
     pub out_of_band: OutOfBandSpec,
-    /// Bin width of the delivery-rate time series.
-    pub series_bin: SimTime,
     /// Buffer replacement policy (the paper uses FIFO).
     pub eviction: EvictionPolicy,
     /// Optional adaptive gossip-interval control; `None` keeps the
@@ -157,14 +162,12 @@ impl Default for ScenarioConfig {
             max_degree: 4,
             overlay: OverlayKind::Tree,
             pattern_universe: 70,
-            max_patterns_per_event: 3,
             pi_max: 2,
             clients_per_node: 1,
             zipf_s: 0.0,
             publish_rate: 50.0,
             link_error_rate: 0.1,
             reconfig_interval: None,
-            repair_delay: SimTime::from_millis(100),
             buffer_size: 1500,
             gossip_interval: SimTime::from_millis(30),
             algorithm: Algorithm::no_recovery(),
@@ -174,7 +177,6 @@ impl Default for ScenarioConfig {
             cooldown: SimTime::from_secs(2),
             event_payload_bits: 1024,
             out_of_band: OutOfBandSpec::default(),
-            series_bin: SimTime::from_millis(100),
             eviction: EvictionPolicy::Fifo,
             adaptive_gossip: None,
             churn_interval: None,
@@ -212,10 +214,6 @@ impl ScenarioConfig {
             "pi_max cannot exceed the pattern universe"
         );
         assert!(
-            self.max_patterns_per_event > 0,
-            "events must carry patterns"
-        );
-        assert!(
             self.clients_per_node > 0,
             "each dispatcher needs at least one client"
         );
@@ -244,10 +242,6 @@ impl ScenarioConfig {
         assert!(
             self.warmup + self.cooldown < self.duration,
             "measurement window is empty"
-        );
-        assert!(
-            self.series_bin > SimTime::ZERO,
-            "series bin must be positive"
         );
         assert!(self.event_payload_bits > 0, "events must have a size");
         self.gossip.validate();
@@ -286,6 +280,16 @@ impl ScenarioConfig {
     /// (2.85 at the defaults, as the paper notes).
     pub fn subscribers_per_pattern(&self) -> f64 {
         (self.nodes * self.pi_max) as f64 / self.pattern_universe as f64
+    }
+
+    /// Probability that a dispatcher's `π_max` subscriptions match an
+    /// event, `1 − (1 − π_max/Π)^k` with `k` = [`MAX_PATTERNS_PER_EVENT`]
+    /// uniform content draws: each draw misses all of them with
+    /// probability `1 − π_max/Π`. `N` times it is the expected number
+    /// of dispatchers an event is for (the paper's Figure 7 curve).
+    pub fn match_probability(&self) -> f64 {
+        1.0 - (1.0 - self.pi_max as f64 / self.pattern_universe as f64)
+            .powi(MAX_PATTERNS_PER_EVENT as i32)
     }
 
     /// A copy configured for a different recovery strategy.

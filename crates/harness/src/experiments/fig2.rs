@@ -3,6 +3,7 @@
 use eps_metrics::CsvTable;
 
 use super::common::{base_config, ExperimentOptions, ExperimentOutput};
+use crate::config::MAX_PATTERNS_PER_EVENT;
 
 /// Emits the parameter table, echoing the configured defaults so the
 /// reproduction's Figure 2 is generated from the same source of truth
@@ -47,7 +48,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
         ),
         (
             "max patterns per event (footnote 5)",
-            config.max_patterns_per_event.to_string(),
+            MAX_PATTERNS_PER_EVENT.to_string(),
             "3",
         ),
         (

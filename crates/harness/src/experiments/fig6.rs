@@ -13,10 +13,7 @@ use crate::config::ScenarioConfig;
 /// given event persists in the buffer for a constant time of about
 /// 4 s" — a conservative linear scaling).
 pub fn buffer_for_persistence(config: &ScenarioConfig, n: usize, seconds: f64) -> usize {
-    let p_match = 1.0
-        - (1.0 - config.pi_max as f64 / config.pattern_universe as f64)
-            .powi(config.max_patterns_per_event as i32);
-    let insert_rate = config.publish_rate * (1.0 + n as f64 * p_match);
+    let insert_rate = config.publish_rate * (1.0 + n as f64 * config.match_probability());
     (seconds * insert_rate).round() as usize
 }
 

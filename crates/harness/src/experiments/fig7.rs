@@ -43,10 +43,7 @@ pub fn run(opts: &ExperimentOptions) -> ExperimentOutput {
         .collect();
     let results = run_cells(opts, &configs);
     for ((&pi_max, config), result) in pi_values.iter().zip(&configs).zip(results) {
-        let expected = config.nodes as f64
-            * (1.0
-                - (1.0 - pi_max as f64 / config.pattern_universe as f64)
-                    .powi(config.max_patterns_per_event as i32));
+        let expected = config.nodes as f64 * config.match_probability();
         measured.push(result.receivers_per_event);
         analytical.push(expected);
         table.push_row(vec![

@@ -36,7 +36,9 @@ mod result;
 mod runner;
 mod trace;
 
-pub use config::{AdaptiveGossip, ScenarioConfig};
+pub use config::{
+    AdaptiveGossip, ScenarioConfig, MAX_PATTERNS_PER_EVENT, REPAIR_DELAY, SERIES_BIN,
+};
 pub use node::{
     charge_send, gossip_phase, node_streams, routing_stats, NodeCtx, Outgoing, SimNode, Timer,
 };

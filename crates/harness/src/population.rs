@@ -18,7 +18,7 @@ use eps_pubsub::{
 };
 use eps_sim::RngFactory;
 
-use crate::config::ScenarioConfig;
+use crate::config::{ScenarioConfig, MAX_PATTERNS_PER_EVENT};
 use crate::node::SimNode;
 
 /// A fully assembled, quiescent population: subscriptions are
@@ -87,7 +87,7 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
     let view = RoutingView::derive(&topology);
     let space = PatternSpace::with_zipf(
         config.pattern_universe,
-        config.max_patterns_per_event,
+        MAX_PATTERNS_PER_EVENT,
         config.zipf_s,
     );
 

@@ -3,7 +3,7 @@
 
 use eps_metrics::{DeliveryTracker, MessageCounters};
 
-use crate::config::ScenarioConfig;
+use crate::config::{ScenarioConfig, SERIES_BIN};
 
 /// What one simulation run measured. All delivery rates are in
 /// `[0, 1]`; the headline [`ScenarioResult::delivery_rate`] is
@@ -200,7 +200,7 @@ pub fn assemble(
     routing: RoutingStats,
 ) -> ScenarioResult {
     let window = config.measure_window();
-    let series_raw = tracker.rate_series(config.series_bin);
+    let series_raw = tracker.rate_series(SERIES_BIN);
     let series: Vec<(f64, f64)> = series_raw
         .bins()
         .iter()

@@ -46,7 +46,7 @@ use eps_overlay::{plan_reconnection, NodeId, RoutingView, ShardTransport, Topolo
 use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace};
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
-use crate::config::ScenarioConfig;
+use crate::config::{ScenarioConfig, REPAIR_DELAY};
 use crate::node::{charge_send, node_streams, routing_stats, NodeCtx, Outgoing, SimNode, Timer};
 use crate::population::{build_population, cross_targets_for, local_patterns, Population};
 use crate::result::{assemble, ScenarioResult};
@@ -483,7 +483,7 @@ impl World<'_> {
             self.transport.reset_link(link.a(), link.b());
             self.reconfigurations += 1;
             self.record(TraceRecord::LinkBroken { at: now, link });
-            self.schedule_coordinator(now + self.config.repair_delay, CoordinatorEvent::Repair);
+            self.schedule_coordinator(now + REPAIR_DELAY, CoordinatorEvent::Repair);
         }
         if let Some(rho) = self.config.reconfig_interval {
             if now + rho < self.config.duration {

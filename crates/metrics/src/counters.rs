@@ -3,13 +3,15 @@
 
 use eps_overlay::NodeId;
 
-/// Per-class, per-dispatcher message counts.
+/// Per-class message totals over a run.
 ///
 /// The paper presents overhead two ways: the number of gossip messages
-/// sent *by each dispatcher* (load on a node), and the ratio between
+/// sent *per dispatcher* (load on a node), and the ratio between
 /// gossip and event messages dispatched in the *overall system*
-/// (impact on bandwidth). This type records both, plus the out-of-band
-/// request/reply traffic so it can be reported separately.
+/// (impact on bandwidth). Both are ratios of run totals, so this type
+/// keeps one count per class — its size does not grow with the
+/// dispatcher count — plus the out-of-band request/reply traffic so it
+/// can be reported separately.
 ///
 /// # Examples
 ///
@@ -27,11 +29,12 @@ use eps_overlay::NodeId;
 /// ```
 #[derive(Clone, Debug)]
 pub struct MessageCounters {
-    event_sent: Vec<u64>,
-    gossip_sent: Vec<u64>,
-    request_sent: Vec<u64>,
-    reply_sent: Vec<u64>,
-    subscription_sent: Vec<u64>,
+    dispatchers: usize,
+    event_sent: u64,
+    gossip_sent: u64,
+    request_sent: u64,
+    reply_sent: u64,
+    subscription_sent: u64,
     events_retransmitted: u64,
     events_recovered: u64,
     lost_evictions: u64,
@@ -45,11 +48,12 @@ impl MessageCounters {
     /// Creates counters for `n` dispatchers.
     pub fn new(n: usize) -> Self {
         MessageCounters {
-            event_sent: vec![0; n],
-            gossip_sent: vec![0; n],
-            request_sent: vec![0; n],
-            reply_sent: vec![0; n],
-            subscription_sent: vec![0; n],
+            dispatchers: n,
+            event_sent: 0,
+            gossip_sent: 0,
+            request_sent: 0,
+            reply_sent: 0,
+            subscription_sent: 0,
             events_retransmitted: 0,
             events_recovered: 0,
             lost_evictions: 0,
@@ -62,39 +66,54 @@ impl MessageCounters {
 
     /// Number of dispatchers tracked.
     pub fn len(&self) -> usize {
-        self.event_sent.len()
+        self.dispatchers
     }
 
     /// `true` if tracking no dispatchers.
     pub fn is_empty(&self) -> bool {
-        self.event_sent.is_empty()
+        self.dispatchers == 0
+    }
+
+    /// Debug builds check that `from` is one of the tracked
+    /// dispatchers; the totals do not keep who sent what.
+    fn check_sender(&self, from: NodeId) {
+        debug_assert!(
+            from.index() < self.dispatchers,
+            "{from:?} is not one of the {} dispatchers counted",
+            self.dispatchers
+        );
     }
 
     /// An event message was sent on an overlay link by `from`.
     pub fn count_event(&mut self, from: NodeId) {
-        self.event_sent[from.index()] += 1;
+        self.check_sender(from);
+        self.event_sent += 1;
     }
 
     /// A gossip message was sent on an overlay link by `from`.
     pub fn count_gossip(&mut self, from: NodeId) {
-        self.gossip_sent[from.index()] += 1;
+        self.check_sender(from);
+        self.gossip_sent += 1;
     }
 
     /// An out-of-band retransmission request was sent by `from`.
     pub fn count_request(&mut self, from: NodeId) {
-        self.request_sent[from.index()] += 1;
+        self.check_sender(from);
+        self.request_sent += 1;
     }
 
     /// An out-of-band reply carrying `events` event copies was sent by
     /// `from`.
     pub fn count_reply(&mut self, from: NodeId, events: u64) {
-        self.reply_sent[from.index()] += 1;
+        self.check_sender(from);
+        self.reply_sent += 1;
         self.events_retransmitted += events;
     }
 
     /// A subscription/unsubscription message was sent by `from`.
     pub fn count_subscription(&mut self, from: NodeId) {
-        self.subscription_sent[from.index()] += 1;
+        self.check_sender(from);
+        self.subscription_sent += 1;
     }
 
     /// `bits` of gossip-digest traffic were put on an overlay link.
@@ -139,27 +158,27 @@ impl MessageCounters {
 
     /// Total event messages on overlay links.
     pub fn event_total(&self) -> u64 {
-        self.event_sent.iter().sum()
+        self.event_sent
     }
 
     /// Total gossip messages on overlay links.
     pub fn gossip_total(&self) -> u64 {
-        self.gossip_sent.iter().sum()
+        self.gossip_sent
     }
 
     /// Total out-of-band requests.
     pub fn request_total(&self) -> u64 {
-        self.request_sent.iter().sum()
+        self.request_sent
     }
 
     /// Total out-of-band replies.
     pub fn reply_total(&self) -> u64 {
-        self.reply_sent.iter().sum()
+        self.reply_sent
     }
 
     /// Total subscription messages.
     pub fn subscription_total(&self) -> u64 {
-        self.subscription_sent.iter().sum()
+        self.subscription_sent
     }
 
     /// Total event copies retransmitted out-of-band.
@@ -209,10 +228,10 @@ impl MessageCounters {
 
     /// Mean gossip messages sent per dispatcher (Fig. 9 / 10, left).
     pub fn gossip_per_dispatcher(&self) -> f64 {
-        if self.gossip_sent.is_empty() {
+        if self.dispatchers == 0 {
             0.0
         } else {
-            self.gossip_total() as f64 / self.gossip_sent.len() as f64
+            self.gossip_sent as f64 / self.dispatchers as f64
         }
     }
 
@@ -227,13 +246,7 @@ impl MessageCounters {
         }
     }
 
-    /// Per-dispatcher gossip counts (for distribution checks: gossip
-    /// load should be evenly spread).
-    pub fn gossip_by_dispatcher(&self) -> &[u64] {
-        &self.gossip_sent
-    }
-
-    /// Folds `other` into `self`, dispatcher by dispatcher. The
+    /// Folds `other` into `self`, class by class. The
     /// real-socket runtime keeps one `MessageCounters` per reactor
     /// worker (no shared mutable state on the hot path) and merges
     /// them after the run; both sides must track the same dispatcher
@@ -244,25 +257,11 @@ impl MessageCounters {
             other.len(),
             "absorb requires counters over the same dispatcher set"
         );
-        for (a, b) in self.event_sent.iter_mut().zip(&other.event_sent) {
-            *a += b;
-        }
-        for (a, b) in self.gossip_sent.iter_mut().zip(&other.gossip_sent) {
-            *a += b;
-        }
-        for (a, b) in self.request_sent.iter_mut().zip(&other.request_sent) {
-            *a += b;
-        }
-        for (a, b) in self.reply_sent.iter_mut().zip(&other.reply_sent) {
-            *a += b;
-        }
-        for (a, b) in self
-            .subscription_sent
-            .iter_mut()
-            .zip(&other.subscription_sent)
-        {
-            *a += b;
-        }
+        self.event_sent += other.event_sent;
+        self.gossip_sent += other.gossip_sent;
+        self.request_sent += other.request_sent;
+        self.reply_sent += other.reply_sent;
+        self.subscription_sent += other.subscription_sent;
         self.events_retransmitted += other.events_retransmitted;
         self.events_recovered += other.events_recovered;
         self.lost_evictions += other.lost_evictions;
@@ -308,7 +307,6 @@ mod tests {
             c.count_gossip(NodeId::new(0));
         }
         c.count_event(NodeId::new(1));
-        assert_eq!(c.gossip_by_dispatcher(), &[4, 0]);
         assert_eq!(c.gossip_per_dispatcher(), 2.0);
         assert_eq!(c.gossip_event_ratio(), 4.0);
     }
@@ -348,7 +346,6 @@ mod tests {
         assert_eq!(a.events_recovered(), 1);
         assert_eq!(a.lost_evictions(), 2);
         assert_eq!(a.duplicate_suppressed(), 1);
-        assert_eq!(a.gossip_by_dispatcher(), &[0, 1]);
         assert_eq!(a.gossip_wire_bits(), 1024);
         assert_eq!(a.request_wire_bits(), 300);
         assert_eq!(a.reply_wire_bits(), 2000);
@@ -360,6 +357,13 @@ mod tests {
     fn absorb_rejects_mismatched_sizes() {
         let mut a = MessageCounters::new(2);
         a.absorb(&MessageCounters::new(3));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not one of the 2 dispatchers")]
+    fn senders_outside_the_dispatcher_set_are_rejected() {
+        MessageCounters::new(2).count_event(NodeId::new(2));
     }
 
     #[test]

@@ -1149,7 +1149,6 @@ struct WorkerHandle {
 /// fixed pool of epoll worker threads.
 pub struct ReactorCluster {
     drain: Duration,
-    registry: Vec<NodeAddrs>,
     shared: Arc<Shared>,
     start: Instant,
     workers: Vec<WorkerHandle>,
@@ -1219,18 +1218,12 @@ impl ReactorCluster {
         }
         Ok(ReactorCluster {
             drain: config.drain,
-            registry,
             shared,
             start,
             workers: handles,
             _wakes: wakes,
             setup_subscription_msgs,
         })
-    }
-
-    /// The bound addresses, indexed by node id.
-    pub fn addrs(&self) -> &[NodeAddrs] {
-        &self.registry
     }
 
     /// Asks the owning worker to stop node `index`, keep it down for

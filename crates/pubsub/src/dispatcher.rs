@@ -214,7 +214,6 @@ pub struct Dispatcher {
     /// arbitrary ordering can't leak into any output.
     late_patterns: IdSet<PatternId>,
     delivered_total: u64,
-    published_total: u64,
 }
 
 impl Dispatcher {
@@ -239,7 +238,6 @@ impl Dispatcher {
             pattern_counters: IdMap::default(),
             late_patterns: IdSet::default(),
             delivered_total: 0,
-            published_total: 0,
         }
     }
 
@@ -283,9 +281,11 @@ impl Dispatcher {
         self.delivered_total
     }
 
-    /// Total events published by this dispatcher.
+    /// Total events published by this dispatcher: its next event's
+    /// sequence number, since a source numbers its events densely from
+    /// zero.
     pub fn published_total(&self) -> u64 {
-        self.published_total
+        self.next_event_seq
     }
 
     // ------------------------------------------------------------------
@@ -509,7 +509,6 @@ impl Dispatcher {
             .collect();
         let id = EventId::new(self.id, self.next_event_seq);
         self.next_event_seq += 1;
-        self.published_total += 1;
         let event = Event::new(id, pattern_seqs);
         self.seen.insert(id);
         // The source sees its own event: advance loss detection for

@@ -36,6 +36,39 @@ for stream in '"gossip-node"' '"net-node"' '"gossip-phase"'; do
         || { echo "FAIL: $stream is named in more than one file under crates/:"; echo "$named_in"; exit 1; }
 done
 
+echo "== tier-1: every config field is set somewhere =="
+# A public config field that nothing outside its own file assigns is a
+# setting no run changes: it belongs in a named constant. An assignment
+# is `field:` in a struct literal or `.field =`. The check is lenient:
+# a same-named field or parameter elsewhere hides a miss, but it never
+# fails on a field that something sets.
+config_structs=(
+    "ScenarioConfig crates/harness/src/config.rs"
+    "AdaptiveGossip crates/harness/src/config.rs"
+    "GossipConfig crates/gossip/src/config.rs"
+    "DispatcherConfig crates/pubsub/src/dispatcher.rs"
+    "NetConfig crates/net/src/cluster.rs"
+)
+unset_fields=()
+for entry in "${config_structs[@]}"; do
+    read -r name file <<<"$entry"
+    fields=$(awk -v start="pub struct $name {" '
+        index($0, start) == 1 {inside = 1; next}
+        inside && /^}/ {exit}
+        inside && match($0, /^    pub [a-z_0-9]+:/) {print substr($0, 9, RLENGTH - 9)}
+    ' "$file")
+    [ -n "$fields" ] || { echo "FAIL: no pub fields found for $name in $file"; exit 1; }
+    for field in $fields; do
+        grep -rlE --include='*.rs' "(\b$field\s*:([^:]|$)|\.$field\s*=([^=]|$))" \
+            crates src tests examples benchmark/src --exclude-dir=target \
+            | grep -vxF "$file" | grep -q . \
+            || unset_fields+=("$name::$field ($file)")
+    done
+done
+[ "${#unset_fields[@]}" -eq 0 ] \
+    || { echo "FAIL: config fields no file outside their struct's assigns (make them constants):";
+         printf '  %s\n' "${unset_fields[@]}"; exit 1; }
+
 echo "== tier-1: release build =="
 # --workspace: the root package makes a bare `cargo build` compile only
 # itself (+ member libs); the member *binaries* (net_cluster below)
@@ -91,10 +124,10 @@ cargo run --release -p eps-bench --bin net_load -- \
     --nodes 1000 --workers 2 --rates 2 --duration 0.6 --drain 20 \
     --merge-into target/bench/BENCH_net.json
 # Memory tripwire: a reactor node peaks near 78 KB when it holds only
-# its own state (one delivery ledger, one subscriber index and one
-# counter set per process or worker). Per-node copies of run-wide
-# state — an N-wide counter set, the subscriber index, a delivery
-# journal — put it back near 164 KB.
+# its own state (one delivery ledger and one subscriber index per
+# process, and per worker a counter set of run totals whose size does
+# not grow with N). Per-node copies of run-wide state — the subscriber
+# index, a delivery journal — put it back near 164 KB.
 net_rss_per_node=$(python3 - <<'EOF'
 import json
 bench = json.load(open("target/bench/BENCH_net.json"))["benchmarks"]

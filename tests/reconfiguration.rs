@@ -97,7 +97,7 @@ fn overlapping_reconfigurations_fragment_and_heal() {
     assert!(breaks > 100, "expected an overlapping storm, got {breaks}");
     // Every break is eventually matched by a reconnection (the 0.1 s
     // repair delay means the last few may still be pending at the
-    // instant ticks stop, never more than repair_delay/rho + 1 worth).
+    // instant ticks stop, never more than REPAIR_DELAY/rho + 1 worth).
     assert!(adds >= breaks - 5, "breaks {breaks} vs adds {adds}");
     assert!(
         r.delivery_rate > 0.8,
