@@ -926,7 +926,7 @@ fn digest_node(c: usize) -> Dispatcher {
         DispatcherConfig {
             cache_capacity: c,
             // Linear push digests list ids; summary digests read the
-            // forest.
+            // summary index.
             cache_indexes: CacheIndexes {
                 ids: true,
                 pattern_ids: true,
@@ -1030,9 +1030,9 @@ fn digest_scaling() -> Vec<BenchResult> {
         out.push(result);
 
         // Index maintenance at resident size C: one add + remove pair
-        // per churned id (each is LEVEL_COUNT map updates; XOR makes
-        // removal restore the aggregates exactly, so the loop is
-        // state-preserving).
+        // per churned id (each is one ordered-map update and one root
+        // update; XOR makes removal restore the root aggregate exactly,
+        // so the loop is state-preserving).
         const CHURN: u64 = 1_000;
         let mut index = SummaryIndex::new();
         let pattern = PatternId::new(1);

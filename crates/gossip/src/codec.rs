@@ -63,7 +63,7 @@
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
-use eps_pubsub::summary::LEAF_LEVEL;
+use eps_pubsub::summary::{FANOUT_BITS, LEAF_LEVEL};
 use eps_pubsub::{
     Event, EventId, LossRecord, PatternId, PubSubMessage, RangeDetail, RangeRef, RangeSummary,
     ROUTE_HOP_BITS,
@@ -657,7 +657,7 @@ impl Cursor<'_> {
         if level > LEAF_LEVEL {
             return Err(CodecError::Malformed("range level too deep"));
         }
-        if u64::from(index) >= 1u64 << (4 * u32::from(level)) {
+        if u64::from(index) >= 1u64 << (FANOUT_BITS * u32::from(level)) {
             return Err(CodecError::Malformed("range index out of range for level"));
         }
         Ok(RangeRef::new(level, index))

@@ -12,24 +12,25 @@
 //!
 //! The rows, in the order the paper's figures list them:
 //!
-//! | name              | state     | cache indexes        | digest steered                                |
-//! |-------------------|-----------|----------------------|-----------------------------------------------|
-//! | `no-recovery`     | —         | ids                  | —                                             |
-//! | `random-pull`     | pull      | seqs                 | to random neighbors (TTL)                     |
-//! | `push`            | push      | ids + lists          | along a known pattern's routes                |
-//! | `subscriber-pull` | pull      | seqs                 | along a lost pattern's routes                 |
-//! | `combined-pull`   | pull      | seqs                 | publisher's route w.p. `P_source`, else as subscriber-pull |
-//! | `publisher-pull`  | pull      | seqs                 | back along the publisher's route              |
-//! | `push-pull`       | push-pull | ids + lists + seqs   | push and subscriber-pull rounds, alternating  |
-//! | `summary-push`    | summary   | ids + summary        | along a known pattern's routes                |
-//! | `summary-pull`    | summary   | ids + summary        | along a known pattern's routes                |
+//! | name              | state     | cache indexes              | digest steered                                |
+//! |-------------------|-----------|----------------------------|-----------------------------------------------|
+//! | `no-recovery`     | —         | ids                        | —                                             |
+//! | `random-pull`     | pull      | seqs                       | to random neighbors (TTL)                     |
+//! | `push`            | push      | ids + lists                | along a known pattern's routes                |
+//! | `subscriber-pull` | pull      | seqs                       | along a lost pattern's routes                 |
+//! | `combined-pull`   | pull      | seqs                       | publisher's route w.p. `P_source`, else as subscriber-pull |
+//! | `publisher-pull`  | pull      | seqs                       | back along the publisher's route              |
+//! | `push-pull`       | push-pull | ids + lists + seqs         | push and subscriber-pull rounds, alternating  |
+//! | `summary-push`    | summary   | ids + summary              | along a known pattern's routes                |
+//! | `summary-pull`    | summary   | ids + summary + tombstones | along a known pattern's routes                |
 //!
 //! The cache indexes are [`CacheIndexes`] columns: a request or a
 //! summary expansion names events by id (`ids`), a push digest lists a
 //! pattern's cached ids (`pattern_ids`, "lists"), a pull route serves
 //! the negative digests it receives by (source, pattern, seq)
 //! (`pattern_seqs`, "seqs"), and summary reconciliation reads the
-//! hash-range forest (`summary`). The pull rows build no id index: no
+//! hash-range index (`summary`); pull-mode summary reconciliation also
+//! reads the eviction tombstones of its seen view (`tombstones`). The pull rows build no id index: no
 //! one sends them a request, and a request that reaches one anyway is
 //! dropped ([`Strategy::on_request`]). `no-recovery` keeps the id index
 //! so that it still answers requests, like every strategy that can.
@@ -116,6 +117,10 @@ const IDS_SUMMARY: CacheIndexes = CacheIndexes {
     summary: true,
     ..IDS
 };
+const IDS_SEEN: CacheIndexes = CacheIndexes {
+    tombstones: true,
+    ..IDS_SUMMARY
+};
 
 /// Every strategy, in [`Algorithm::all`] order. The flag is
 /// `needs_route_recording`; the set after it, the cache indexes.
@@ -129,7 +134,7 @@ const TABLE: &[Row] = &[
     row("publisher-pull",  &["pub-pull"],         true,  SEQS,           Variant::Pull(PullRoute::Publisher)),
     row("push-pull",       &["hybrid"],           false, IDS_LISTS_SEQS, Variant::PushPull),
     row("summary-push",    &["merkle-push"],      false, IDS_SUMMARY,    Variant::Summary(SummaryMode::Push)),
-    row("summary-pull",    &["merkle-pull"],      false, IDS_SUMMARY,    Variant::Summary(SummaryMode::Pull)),
+    row("summary-pull",    &["merkle-pull"],      false, IDS_SEEN,       Variant::Summary(SummaryMode::Pull)),
 ];
 
 /// The paper's figure order (golden suite, fig3/fig5 reproductions).
@@ -353,7 +358,7 @@ mod tests {
             ("publisher-pull", &["pub-pull"], true, SEQS),
             ("push-pull", &["hybrid"], false, IDS_LISTS_SEQS),
             ("summary-push", &["merkle-push"], false, IDS_SUMMARY),
-            ("summary-pull", &["merkle-pull"], false, IDS_SUMMARY),
+            ("summary-pull", &["merkle-pull"], false, IDS_SEEN),
         ];
         let all: Vec<(&str, &[&str], bool, CacheIndexes)> = Algorithm::all()
             .into_iter()
@@ -424,8 +429,9 @@ mod tests {
 
     /// Each row's cache indexes are exactly those its kind of state
     /// reads: push digests list a pattern's ids, pull routes serve by
-    /// (source, pattern, seq), summary reconciliation reads the forest,
-    /// and every kind that answers requests or expands summaries looks
+    /// (source, pattern, seq), summary reconciliation reads the summary
+    /// index and, in pull mode, the tombstones of its seen view, and
+    /// every kind that answers requests or expands summaries looks
     /// events up by id.
     #[test]
     fn each_row_builds_the_indexes_its_state_reads() {
@@ -435,7 +441,10 @@ mod tests {
                 State::Push(_) => IDS_LISTS,
                 State::Pull { .. } => SEQS,
                 State::PushPull { .. } => IDS_LISTS_SEQS,
-                State::Summary(_) => IDS_SUMMARY,
+                State::Summary(summary) => match summary.mode {
+                    SummaryMode::Push => IDS_SUMMARY,
+                    SummaryMode::Pull => IDS_SEEN,
+                },
             };
             assert_eq!(algo.cache_indexes(), reads, "{algo}");
         }

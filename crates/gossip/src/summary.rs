@@ -87,10 +87,10 @@ pub enum SummaryMode {
 /// refinements peers asked for, plus the in-flight requests and idle
 /// streak of a push digest.
 ///
-/// Requires the summary index in every dispatcher's
-/// [`eps_pubsub::DispatcherConfig::cache_indexes`] (the table rows
-/// declare it in [`crate::Algorithm::cache_indexes`]); building or
-/// absorbing a digest panics otherwise.
+/// Requires the summary index, and in pull mode the tombstones index,
+/// in every dispatcher's [`eps_pubsub::DispatcherConfig::cache_indexes`]
+/// (the table rows declare them in [`crate::Algorithm::cache_indexes`]);
+/// building or absorbing a digest panics otherwise.
 #[derive(Clone, Debug)]
 pub struct SummaryState {
     /// The transfer direction.
@@ -331,11 +331,13 @@ mod tests {
 
     use super::*;
 
+    /// A dispatcher subscribed to `pattern`, with the pull row's cache
+    /// indexes: a superset of the push row's, so it serves both modes.
     fn summary_node(id: u32, pattern: u16) -> Dispatcher {
         let mut node = Dispatcher::new(
             NodeId::new(id),
             DispatcherConfig {
-                cache_indexes: crate::Algorithm::summary_push().cache_indexes(),
+                cache_indexes: crate::Algorithm::summary_pull().cache_indexes(),
                 ..DispatcherConfig::default()
             },
         );
@@ -471,7 +473,10 @@ mod tests {
         let p = PatternId::new(1);
         let index = gossiper.cache().summary_index();
         let ranges = [index.root(p)];
-        let details = [index.tree(p).unwrap().detail(RangeRef::ROOT)];
+        let details = [RangeDetail {
+            range: RangeRef::ROOT,
+            ids: index.ids_in(p, RangeRef::ROOT),
+        }];
         let mut state = SummaryState::new(SummaryMode::Push);
         let out = absorbed(&mut state, &receiver, gossiper.id(), p, &ranges, &details);
         let requests: Vec<_> = out

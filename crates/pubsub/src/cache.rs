@@ -161,9 +161,13 @@ pub struct CacheIndexes {
     /// ([`EventCache::get_by_pattern_seq`]): serving negative (pull)
     /// digests.
     pub pattern_seqs: bool,
-    /// The hash-range summary forest and its eviction tombstones
+    /// The hash-range summary index over the live ids
     /// ([`EventCache::summary_index`]): summary reconciliation.
     pub summary: bool,
+    /// A second summary index, over the ids admitted and since evicted
+    /// ([`EventCache::seen_summary`]): pull-mode summary
+    /// reconciliation, which announces what the cache has seen.
+    pub tombstones: bool,
 }
 
 impl CacheIndexes {
@@ -175,6 +179,7 @@ impl CacheIndexes {
         pattern_ids: false,
         pattern_seqs: false,
         summary: false,
+        tombstones: false,
     };
 
     /// Every index.
@@ -183,30 +188,19 @@ impl CacheIndexes {
         pattern_ids: true,
         pattern_seqs: true,
         summary: true,
+        tombstones: true,
     };
 }
 
 impl Default for CacheIndexes {
-    /// The id index and both linear-digest indexes, no summary forest.
+    /// The id index and both linear-digest indexes, no summary index.
     fn default() -> Self {
         CacheIndexes {
             summary: false,
+            tombstones: false,
             ..CacheIndexes::ALL
         }
     }
-}
-
-/// The summary forest over the live ids, beside the one over the ids
-/// admitted and since evicted (re-admitting an id clears its
-/// tombstone, so the two sets stay disjoint). Together they form the
-/// *seen* view pull-mode summary reconciliation announces, so peers
-/// stop re-serving surplus this cache has already consumed; a
-/// tombstone is three words per evicted id — far below the events the
-/// cache itself holds.
-#[derive(Clone)]
-struct Summaries {
-    live: SummaryIndex,
-    tombstones: SummaryIndex,
 }
 
 /// A bounded cache of β events with constant-time lookup, where
@@ -249,9 +243,17 @@ pub struct EventCache {
     // scan of the whole cache. Only patterns with a live event have a
     // list; the map is probed, never iterated.
     by_pattern: Option<IdMap<PatternId, VecDeque<EventId>>>,
-    // Hash-range summary forests, maintained incrementally (O(log C)
-    // per insert/evict — never rebuilt per round).
-    summary: Option<Summaries>,
+    // Hash-range summary index over the live ids, maintained
+    // incrementally (O(log C) per insert/evict — never rebuilt per
+    // round).
+    summary: Option<SummaryIndex>,
+    // The same index over the ids admitted and since evicted.
+    // Re-admitting an id clears its tombstone, so the two sets stay
+    // disjoint; together they form the *seen* view pull-mode summary
+    // reconciliation announces, so peers stop re-serving surplus this
+    // cache has already consumed. A tombstone is one ordered-map entry
+    // per evicted (id, pattern) pair, kept for the life of the cache.
+    tombstones: Option<SummaryIndex>,
     inserted_total: u64,
 }
 
@@ -316,10 +318,8 @@ impl EventCache {
             ids: indexes.ids.then(SlotIndex::default),
             by_pattern_seq: indexes.pattern_seqs.then(SlotIndex::default),
             by_pattern: indexes.pattern_ids.then(IdMap::default),
-            summary: indexes.summary.then(|| Summaries {
-                live: SummaryIndex::new(),
-                tombstones: SummaryIndex::new(),
-            }),
+            summary: indexes.summary.then(SummaryIndex::new),
+            tombstones: indexes.tombstones.then(SummaryIndex::new),
             inserted_total: 0,
         }
     }
@@ -331,6 +331,7 @@ impl EventCache {
             pattern_ids: self.by_pattern.is_some(),
             pattern_seqs: self.by_pattern_seq.is_some(),
             summary: self.summary.is_some(),
+            tombstones: self.tombstones.is_some(),
         }
     }
 
@@ -394,10 +395,12 @@ impl EventCache {
                 lists.entry(p).or_default().push_back(id);
             }
             if let Some(summary) = &mut self.summary {
-                summary.live.add(p, id);
+                summary.add(p, id);
+            }
+            if let Some(tombstones) = &mut self.tombstones {
                 // A re-admitted id moves from tombstoned back to live,
                 // so the seen view never double-counts it.
-                summary.tombstones.discard(p, id);
+                tombstones.discard(p, id);
             }
         }
         self.policy
@@ -425,8 +428,10 @@ impl EventCache {
                 }
             }
             if let Some(summary) = &mut self.summary {
-                summary.live.remove(p, id);
-                summary.tombstones.add(p, id);
+                summary.remove(p, id);
+            }
+            if let Some(tombstones) = &mut self.tombstones {
+                tombstones.add(p, id);
             }
         }
     }
@@ -527,7 +532,7 @@ impl EventCache {
     pub fn has_pattern(&self, pattern: PatternId) -> bool {
         match &self.by_pattern {
             Some(lists) => lists.contains_key(&pattern),
-            None => self.summaries().live.tree(pattern).is_some(),
+            None => self.summary_index().root(pattern).count > 0,
         }
     }
 
@@ -539,12 +544,6 @@ impl EventCache {
         self.slots.iter()
     }
 
-    fn summaries(&self) -> &Summaries {
-        self.summary
-            .as_ref()
-            .expect("event cache built without the summary index")
-    }
-
     /// The hash-range summary index over the cached ids (see
     /// [`crate::summary`]).
     ///
@@ -554,7 +553,15 @@ impl EventCache {
     /// — the summary digest family's table rows declare it, so the
     /// dispatcher builds it at construction.
     pub fn summary_index(&self) -> &SummaryIndex {
-        &self.summaries().live
+        self.summary
+            .as_ref()
+            .expect("event cache built without the summary index")
+    }
+
+    fn tombstones(&self) -> &SummaryIndex {
+        self.tombstones
+            .as_ref()
+            .expect("event cache built without the tombstones index")
     }
 
     /// The aggregate of `pattern`'s **seen** view over `range`: every
@@ -567,11 +574,12 @@ impl EventCache {
     ///
     /// # Panics
     ///
-    /// As [`EventCache::summary_index`].
+    /// Panics if the cache was built without [`CacheIndexes::summary`]
+    /// or [`CacheIndexes::tombstones`] — the `summary-pull` row
+    /// declares both.
     pub fn seen_summary(&self, pattern: PatternId, range: RangeRef) -> RangeSummary {
-        let summaries = self.summaries();
-        let live = summaries.live.summarize(pattern, range);
-        let dead = summaries.tombstones.summarize(pattern, range);
+        let live = self.summary_index().summarize(pattern, range);
+        let dead = self.tombstones().summarize(pattern, range);
         RangeSummary {
             range,
             count: live.count + dead.count,
@@ -585,20 +593,21 @@ impl EventCache {
     ///
     /// # Panics
     ///
-    /// As [`EventCache::summary_index`].
+    /// As [`EventCache::seen_summary`].
     pub fn seen_ids_in(&self, pattern: PatternId, range: RangeRef) -> Vec<EventId> {
-        let summaries = self.summaries();
-        let mut ids = summaries.live.ids_in(pattern, range);
-        ids.extend(summaries.tombstones.ids_in(pattern, range));
+        let mut ids = self.summary_index().ids_in(pattern, range);
+        ids.extend(self.tombstones().ids_in(pattern, range));
         ids
     }
 
-    /// Evicted ids currently tombstoned under `pattern` (0 without the
-    /// summary index).
+    /// Evicted ids currently tombstoned under `pattern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was built without
+    /// [`CacheIndexes::tombstones`].
     pub fn tombstoned(&self, pattern: PatternId) -> u64 {
-        self.summary
-            .as_ref()
-            .map_or(0, |s| s.tombstones.root(pattern).count)
+        self.tombstones().root(pattern).count
     }
 }
 
@@ -921,15 +930,15 @@ mod tests {
         });
     }
 
-    /// The twelve index sets a cache can be built with: every
-    /// combination of the four columns that has `ids` or
-    /// `pattern_seqs`.
+    /// The 24 index sets a cache can be built with: every combination
+    /// of the five columns that has `ids` or `pattern_seqs`.
     fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
-        let sets = (0..16u8).map(|bits| CacheIndexes {
+        let sets = (0..32u8).map(|bits| CacheIndexes {
             ids: bits & 1 != 0,
             pattern_ids: bits & 2 != 0,
             pattern_seqs: bits & 4 != 0,
             summary: bits & 8 != 0,
+            tombstones: bits & 16 != 0,
         });
         sets.filter(|set| set.ids || set.pattern_seqs)
     }
@@ -990,11 +999,15 @@ mod tests {
                                 }
                             }
                             if kept.summary {
-                                let root = |c: &EventCache| {
-                                    (c.summary_index().root(p), c.seen_summary(p, RangeRef::ROOT))
-                                };
+                                let root = |c: &EventCache| c.summary_index().root(p);
                                 assert_eq!(root(c), root(&all), "{kept:?} {p}");
+                            }
+                            if kept.tombstones {
                                 assert_eq!(c.tombstoned(p), all.tombstoned(p), "{kept:?} {p}");
+                            }
+                            if kept.summary && kept.tombstones {
+                                let seen = |c: &EventCache| c.seen_summary(p, RangeRef::ROOT);
+                                assert_eq!(seen(c), seen(&all), "{kept:?} {p}");
                             }
                         }
                     }
@@ -1059,6 +1072,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "tombstones index")]
+    fn the_seen_view_names_its_missing_index() {
+        let without = CacheIndexes {
+            tombstones: false,
+            ..CacheIndexes::ALL
+        };
+        let _ = indexed(8, without).seen_summary(PatternId::new(1), RangeRef::ROOT);
+    }
+
+    #[test]
     fn summary_index_tracks_insert_and_eviction_exactly() {
         let mut c = indexed(3, CacheIndexes::ALL);
         for seq in 0..10 {
@@ -1079,15 +1102,16 @@ mod tests {
         }
     }
 
-    const IDS_SUMMARY: CacheIndexes = CacheIndexes {
+    const IDS_SUMMARY_TOMBSTONES: CacheIndexes = CacheIndexes {
         ids: true,
         summary: true,
+        tombstones: true,
         ..CacheIndexes::NONE
     };
 
     #[test]
     fn seen_view_unions_live_and_tombstoned_ids() {
-        let mut c = indexed(2, IDS_SUMMARY);
+        let mut c = indexed(2, IDS_SUMMARY_TOMBSTONES);
         let p = PatternId::new(1);
         for seq in 0..5 {
             c.insert(ev(0, seq, &[(1, seq)]));
@@ -1108,7 +1132,7 @@ mod tests {
 
     #[test]
     fn readmitting_an_evicted_id_clears_its_tombstone() {
-        let mut c = indexed(1, IDS_SUMMARY);
+        let mut c = indexed(1, IDS_SUMMARY_TOMBSTONES);
         let p = PatternId::new(1);
         c.insert(ev(0, 0, &[(1, 0)]));
         c.insert(ev(0, 1, &[(1, 1)])); // evicts seq 0

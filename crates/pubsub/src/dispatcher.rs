@@ -42,7 +42,7 @@ pub struct DispatcherConfig {
     /// Which indexes the event cache builds: each costs memory and
     /// insert/evict time per cached event, so a dispatcher builds only
     /// those its recovery strategy reads. The default keeps the id
-    /// index and both linear-digest indexes, and no summary forest.
+    /// index and both linear-digest indexes, and no summary index.
     pub cache_indexes: CacheIndexes,
 }
 

@@ -71,5 +71,5 @@ pub use setup::{
     flood_subscriptions, flood_subscriptions_direct, install_client_subscriptions,
     install_local_subscriptions, intended_recipients, rebuild_subscription_routes, DispatcherHost,
 };
-pub use summary::{CacheSummary, RangeDetail, RangeRef, RangeSummary, SummaryIndex};
+pub use summary::{RangeDetail, RangeRef, RangeSummary, SummaryIndex};
 pub use table::{Interface, KnownPatterns, SubscriptionTable};

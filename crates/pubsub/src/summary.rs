@@ -5,24 +5,30 @@
 //! provides the substrate for *summary reconciliation*: every cached
 //! [`EventId`] is hashed by a fixed 64-bit mixer into a key space that
 //! is carved into a radix tree of ranges (fanout 16, six levels). Each
-//! range keeps an order-independent aggregate — the count of resident
+//! range has an order-independent aggregate — the count of resident
 //! ids and the XOR of their mixed hashes — so two caches can compare a
 //! single root [`RangeSummary`] in O(1) bytes and recurse only into the
 //! ranges that differ, reaching O(log C + Δ) for Δ differing events.
 //!
-//! The aggregates are *incremental*: inserting or evicting one event
-//! touches exactly one range per level ([`LEVEL_COUNT`] = 6 map
-//! updates), so the index is maintained by [`crate::EventCache`] on
-//! insert/evict with no per-round rebuild. XOR makes removal the same
-//! operation as insertion, and makes the aggregate independent of
-//! insertion order — the property that lets two independently grown
-//! caches agree byte-for-byte on identical content.
+//! XOR makes removal the same operation as insertion, and makes the
+//! aggregate independent of insertion order — the property that lets
+//! two independently grown caches agree byte-for-byte on identical
+//! content. So only the root aggregate is stored: [`SummaryIndex`]
+//! keeps it per pattern, updated in O(1) on every cache insert and
+//! evict, and every round's root digest is a read. Below the root
+//! nothing is stored. The resident ids sit in one ordered map keyed by
+//! (pattern, leaf range, admission number), so any deeper range of a
+//! pattern is a contiguous run of that map, in (leaf, insertion)
+//! order, and its aggregate is a count and an XOR over the run. Deeper
+//! ranges are asked for only after a root mismatch.
 //!
-//! All range storage is in `BTreeMap`s, so every exposed iteration
-//! (children of a range, ids inside a range) is deterministically
-//! ordered — a requirement for the byte-identical golden runs.
+//! Every exposed iteration (children of a range, ids inside a range)
+//! follows the map's order, never a hash map's — a requirement for the
+//! byte-identical golden runs.
 
 use std::collections::BTreeMap;
+
+use eps_sim::hash::IdMap;
 
 use crate::event::EventId;
 use crate::pattern::PatternId;
@@ -165,7 +171,7 @@ impl RangeSummary {
 }
 
 /// A fully expanded range: the complete list of event ids a gossiper
-/// holds inside it, in cache insertion order. Sent when a range is
+/// holds inside it, in (leaf, insertion) order. Sent when a range is
 /// small enough that listing beats further recursion — including the
 /// empty list, which tells the receiver the gossiper has *nothing*
 /// there (pull mode needs that to reply with its surplus).
@@ -177,157 +183,67 @@ pub struct RangeDetail {
     pub ids: Vec<EventId>,
 }
 
-/// Per-range aggregate storage.
+/// A range's count and XOR of mixed hashes.
 #[derive(Clone, Copy, Default, Debug)]
 struct RangeAgg {
     count: u64,
     hash: u64,
 }
 
-/// The incremental hash-range tree over one pattern's cached ids.
-///
-/// Insert and remove cost [`LEVEL_COUNT`] map updates each — O(log C)
-/// — which is the whole point: the index rides along with the cache
-/// instead of being rebuilt per gossip round.
-#[derive(Clone, Default, Debug)]
-pub struct CacheSummary {
-    /// Aggregates per level, keyed by range index. Only non-empty
-    /// ranges are stored.
-    levels: [BTreeMap<u32, RangeAgg>; LEVEL_COUNT],
-    /// Resident ids per leaf range, in insertion order.
-    leaves: BTreeMap<u32, Vec<EventId>>,
-}
-
-impl CacheSummary {
-    /// Adds an id to the tree. The caller must not add the same id
-    /// twice without removing it in between.
-    pub fn add(&mut self, id: EventId) {
-        let h = mix_event_id(id);
-        for level in 0..LEVEL_COUNT {
-            let agg = self.levels[level]
-                .entry(index_at(h, level as u8))
-                .or_default();
-            agg.count += 1;
-            agg.hash ^= h;
-        }
-        self.leaves
-            .entry(index_at(h, LEAF_LEVEL))
-            .or_default()
-            .push(id);
+impl RangeAgg {
+    fn add(&mut self, hash: u64) {
+        self.count += 1;
+        self.hash ^= hash;
     }
 
-    /// Removes an id previously added. Removing an id that is not
-    /// resident is a no-op on the leaf list but would corrupt the
-    /// aggregates, so it panics in debug builds.
-    pub fn remove(&mut self, id: EventId) {
-        let h = mix_event_id(id);
-        let leaf = index_at(h, LEAF_LEVEL);
-        let Some(ids) = self.leaves.get_mut(&leaf) else {
-            debug_assert!(false, "removing {id} from a summary that lacks it");
-            return;
-        };
-        let Some(pos) = ids.iter().position(|&x| x == id) else {
-            debug_assert!(false, "removing {id} from a summary that lacks it");
-            return;
-        };
-        ids.remove(pos);
-        if ids.is_empty() {
-            self.leaves.remove(&leaf);
-        }
-        for level in 0..LEVEL_COUNT {
-            let idx = index_at(h, level as u8);
-            let slot = self.levels[level]
-                .get_mut(&idx)
-                .expect("aggregate present for resident id");
-            slot.count -= 1;
-            slot.hash ^= h;
-            if slot.count == 0 {
-                self.levels[level].remove(&idx);
-            }
-        }
-    }
-
-    /// `true` if `id` is resident in the tree.
-    pub fn contains(&self, id: EventId) -> bool {
-        self.leaves
-            .get(&index_at(mix_event_id(id), LEAF_LEVEL))
-            .is_some_and(|ids| ids.contains(&id))
-    }
-
-    /// Total ids in the tree.
-    pub fn len(&self) -> u64 {
-        self.levels[0].get(&0).map_or(0, |agg| agg.count)
-    }
-
-    /// `true` if the tree holds no ids.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The aggregate summary of one range (the empty summary for a
-    /// range holding no ids).
-    pub fn summarize(&self, range: RangeRef) -> RangeSummary {
-        match self.levels[range.level() as usize].get(&range.index()) {
-            Some(agg) => RangeSummary {
-                range,
-                count: agg.count,
-                hash: agg.hash,
-            },
-            None => RangeSummary::empty(range),
-        }
-    }
-
-    /// The root summary.
-    pub fn root(&self) -> RangeSummary {
-        self.summarize(RangeRef::ROOT)
-    }
-
-    /// The non-empty children of a range, in ascending index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is a leaf.
-    pub fn children(&self, range: RangeRef) -> Vec<RangeSummary> {
-        assert!(!range.is_leaf(), "leaf ranges have no children");
-        let level = range.level() + 1;
-        let start = range.index() << FANOUT_BITS;
-        self.levels[level as usize]
-            .range(start..start + FANOUT)
-            .map(|(&index, agg)| RangeSummary {
-                range: RangeRef { level, index },
-                count: agg.count,
-                hash: agg.hash,
-            })
-            .collect()
-    }
-
-    /// Every resident id inside `range`, ordered by (leaf index,
-    /// insertion order) — deterministic for equal content regardless of
-    /// how the tree was grown.
-    pub fn ids_in(&self, range: RangeRef) -> Vec<EventId> {
-        let (start, end) = range.leaf_span();
-        self.leaves
-            .range(start..end)
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect()
-    }
-
-    /// Expands a range into its complete id list.
-    pub fn detail(&self, range: RangeRef) -> RangeDetail {
-        RangeDetail {
+    fn summary(self, range: RangeRef) -> RangeSummary {
+        RangeSummary {
             range,
-            ids: self.ids_in(range),
+            count: self.count,
+            hash: self.hash,
         }
     }
 }
 
-/// The per-pattern forest maintained by [`crate::EventCache`]: one
-/// [`CacheSummary`] tree per pattern that has at least one cached
-/// event. An event carrying k patterns is resident in k trees, exactly
-/// mirroring [`crate::EventCache::ids_matching`].
+/// The hash-range trees maintained by [`crate::EventCache`], one per
+/// pattern with at least one cached event. An event carrying k
+/// patterns is resident in k trees, exactly mirroring
+/// [`crate::EventCache::ids_matching`].
+///
+/// Insert and remove are one ordered-map update plus one root update
+/// each — the index rides along with the cache instead of being
+/// rebuilt per gossip round.
 #[derive(Clone, Default, Debug)]
 pub struct SummaryIndex {
-    trees: BTreeMap<PatternId, CacheSummary>,
+    /// Allocated on the first add: an index that has never recorded an
+    /// id is one pointer wide, so every cache can carry the field and
+    /// building one allocates nothing.
+    maps: Option<Box<Maps>>,
+}
+
+#[derive(Clone, Default, Debug)]
+struct Maps {
+    /// Every resident (pattern, id) pair, keyed by (pattern, leaf range
+    /// index, admission number): a range is a run of this map, in leaf
+    /// then insertion order.
+    ids: BTreeMap<(PatternId, u32, u64), EventId>,
+    /// Each pattern's root aggregate. Only patterns with a resident id
+    /// have one; the map is probed, never iterated.
+    roots: IdMap<PatternId, RangeAgg>,
+    /// Admissions so far, numbering the next one.
+    admitted: u64,
+}
+
+impl Maps {
+    /// The map key of a recorded pair: a scan of its leaf's run, which
+    /// averages well under one id below 10⁶ resident ids.
+    fn key_of(&self, pattern: PatternId, id: EventId) -> Option<(PatternId, u32, u64)> {
+        let leaf = index_at(mix_event_id(id), LEAF_LEVEL);
+        self.ids
+            .range((pattern, leaf, 0)..=(pattern, leaf, u64::MAX))
+            .find(|&(_, &x)| x == id)
+            .map(|(&key, _)| key)
+    }
 }
 
 impl SummaryIndex {
@@ -336,71 +252,109 @@ impl SummaryIndex {
         SummaryIndex::default()
     }
 
-    /// Records `id` under `pattern`.
+    /// Records `id` under `pattern`. The caller must not add the same
+    /// pair twice without removing it in between.
     pub fn add(&mut self, pattern: PatternId, id: EventId) {
-        self.trees.entry(pattern).or_default().add(id);
+        let maps = self.maps.get_or_insert_with(Box::default);
+        let h = mix_event_id(id);
+        maps.ids
+            .insert((pattern, index_at(h, LEAF_LEVEL), maps.admitted), id);
+        maps.admitted += 1;
+        maps.roots.entry(pattern).or_default().add(h);
     }
 
-    /// Removes `id` from `pattern`'s tree.
+    /// Removes `id` from `pattern`'s tree. Removing a pair that is not
+    /// recorded is a no-op that panics in debug builds.
     pub fn remove(&mut self, pattern: PatternId, id: EventId) {
-        if let Some(tree) = self.trees.get_mut(&pattern) {
-            tree.remove(id);
-            if tree.is_empty() {
-                self.trees.remove(&pattern);
-            }
-        } else {
-            debug_assert!(false, "removing {id} from absent pattern tree");
-        }
+        let removed = self.discard(pattern, id);
+        debug_assert!(removed, "removing {id} from a summary that lacks it");
     }
 
     /// Removes `id` from `pattern`'s tree if it is recorded there;
     /// returns whether anything was removed. Unlike
     /// [`SummaryIndex::remove`], an absent id is a clean no-op.
     pub fn discard(&mut self, pattern: PatternId, id: EventId) -> bool {
-        if self.contains(pattern, id) {
-            self.remove(pattern, id);
-            true
-        } else {
-            false
+        let Some(maps) = self.maps.as_deref_mut() else {
+            return false;
+        };
+        let Some(key) = maps.key_of(pattern, id) else {
+            return false;
+        };
+        maps.ids.remove(&key);
+        let root = maps
+            .roots
+            .get_mut(&pattern)
+            .expect("root aggregate present for resident id");
+        // XOR is its own inverse.
+        root.count -= 1;
+        root.hash ^= mix_event_id(id);
+        if root.count == 0 {
+            maps.roots.remove(&pattern);
         }
+        true
     }
 
     /// `true` if `id` is recorded under `pattern`.
     pub fn contains(&self, pattern: PatternId, id: EventId) -> bool {
-        self.trees.get(&pattern).is_some_and(|t| t.contains(id))
+        self.maps
+            .as_ref()
+            .is_some_and(|maps| maps.key_of(pattern, id).is_some())
     }
 
-    /// The tree for `pattern`, if any event for it is cached.
-    pub fn tree(&self, pattern: PatternId) -> Option<&CacheSummary> {
-        self.trees.get(&pattern)
+    /// The resident ids of `pattern` inside `range`, in (leaf index,
+    /// insertion) order.
+    fn run(&self, pattern: PatternId, range: RangeRef) -> impl Iterator<Item = EventId> + '_ {
+        let (start, end) = range.leaf_span();
+        self.maps
+            .iter()
+            .flat_map(move |maps| maps.ids.range((pattern, start, 0)..(pattern, end, 0)))
+            .map(|(_, &id)| id)
     }
 
     /// The root summary for `pattern` (empty if nothing is cached).
     pub fn root(&self, pattern: PatternId) -> RangeSummary {
-        self.trees
-            .get(&pattern)
-            .map_or(RangeSummary::empty(RangeRef::ROOT), |t| t.root())
+        let maps = self.maps.as_ref();
+        let agg = maps.and_then(|maps| maps.roots.get(&pattern));
+        agg.copied().unwrap_or_default().summary(RangeRef::ROOT)
     }
 
-    /// The aggregate of one range of `pattern`'s tree.
+    /// The aggregate of one range of `pattern`'s tree (the empty
+    /// summary for a range holding no ids).
     pub fn summarize(&self, pattern: PatternId, range: RangeRef) -> RangeSummary {
-        self.trees
-            .get(&pattern)
-            .map_or(RangeSummary::empty(range), |t| t.summarize(range))
+        if range == RangeRef::ROOT {
+            return self.root(pattern);
+        }
+        let mut agg = RangeAgg::default();
+        for id in self.run(pattern, range) {
+            agg.add(mix_event_id(id));
+        }
+        agg.summary(range)
     }
 
-    /// Non-empty children of a range of `pattern`'s tree.
+    /// The non-empty children of a range of `pattern`'s tree, in
+    /// ascending index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is a leaf.
     pub fn children(&self, pattern: PatternId, range: RangeRef) -> Vec<RangeSummary> {
-        self.trees
-            .get(&pattern)
-            .map_or_else(Vec::new, |t| t.children(range))
+        assert!(!range.is_leaf(), "leaf ranges have no children");
+        let mut aggs = [RangeAgg::default(); FANOUT as usize];
+        for id in self.run(pattern, range) {
+            let h = mix_event_id(id);
+            aggs[(index_at(h, range.level() + 1) % FANOUT) as usize].add(h);
+        }
+        (0..FANOUT)
+            .zip(aggs)
+            .filter(|(_, agg)| agg.count > 0)
+            .map(|(i, agg)| agg.summary(range.child(i)))
+            .collect()
     }
 
-    /// Resident ids of `pattern` inside `range`.
+    /// Every resident id of `pattern` inside `range`, ordered by (leaf
+    /// index, insertion order).
     pub fn ids_in(&self, pattern: PatternId, range: RangeRef) -> Vec<EventId> {
-        self.trees
-            .get(&pattern)
-            .map_or_else(Vec::new, |t| t.ids_in(range))
+        self.run(pattern, range).collect()
     }
 }
 
@@ -416,12 +370,16 @@ fn index_at(hash: u64, level: u8) -> u32 {
 #[cfg(test)]
 mod tests {
     use eps_overlay::NodeId;
+    use eps_sim::check::forall;
 
     use super::*;
 
     fn id(source: u32, seq: u64) -> EventId {
         EventId::new(NodeId::new(source), seq)
     }
+
+    /// The pattern the single-pattern tests file everything under.
+    const P: PatternId = PatternId::new(1);
 
     #[test]
     fn mixer_is_deterministic_and_spreads() {
@@ -456,33 +414,33 @@ mod tests {
 
     #[test]
     fn add_then_remove_restores_empty() {
-        let mut tree = CacheSummary::default();
+        let mut index = SummaryIndex::new();
         for s in 0..20 {
-            tree.add(id(4, s));
+            index.add(P, id(4, s));
         }
-        assert_eq!(tree.len(), 20);
+        assert_eq!(index.root(P).count, 20);
         for s in 0..20 {
-            tree.remove(id(4, s));
+            index.remove(P, id(4, s));
         }
-        assert!(tree.is_empty());
-        assert_eq!(tree.root(), RangeSummary::empty(RangeRef::ROOT));
-        assert!(tree.leaves.is_empty());
-        assert!(tree.levels.iter().all(BTreeMap::is_empty));
+        assert_eq!(index.root(P), RangeSummary::empty(RangeRef::ROOT));
+        let maps = index.maps.unwrap();
+        assert!(maps.ids.is_empty());
+        assert!(maps.roots.is_empty());
     }
 
     #[test]
     fn children_aggregate_to_parent() {
-        let mut tree = CacheSummary::default();
+        let mut index = SummaryIndex::new();
         for s in 0..100 {
-            tree.add(id(9, s));
+            index.add(P, id(9, s));
         }
         let mut ranges = vec![RangeRef::ROOT];
         while let Some(range) = ranges.pop() {
             if range.is_leaf() {
                 continue;
             }
-            let parent = tree.summarize(range);
-            let children = tree.children(range);
+            let parent = index.summarize(P, range);
+            let children = index.children(P, range);
             let count: u64 = children.iter().map(|c| c.count).sum();
             let hash = children.iter().fold(0u64, |acc, c| acc ^ c.hash);
             assert_eq!(count, parent.count);
@@ -493,22 +451,24 @@ mod tests {
 
     #[test]
     fn summaries_are_order_independent() {
-        let mut fwd = CacheSummary::default();
-        let mut rev = CacheSummary::default();
+        let mut fwd = SummaryIndex::new();
+        let mut rev = SummaryIndex::new();
         for s in 0..50 {
-            fwd.add(id(2, s));
+            fwd.add(P, id(2, s));
         }
         for s in (0..50).rev() {
-            rev.add(id(2, s));
+            rev.add(P, id(2, s));
         }
-        assert_eq!(fwd.root(), rev.root());
-        assert_eq!(fwd.children(RangeRef::ROOT), rev.children(RangeRef::ROOT));
-        // …and ids_in is deterministic for equal content regardless of
-        // growth order only per-leaf up to insertion order; after full
-        // reconciliation both caches hold equal sets, which is what the
-        // aggregates certify.
-        let mut a = fwd.ids_in(RangeRef::ROOT);
-        let mut b = rev.ids_in(RangeRef::ROOT);
+        assert_eq!(fwd.root(P), rev.root(P));
+        assert_eq!(
+            fwd.children(P, RangeRef::ROOT),
+            rev.children(P, RangeRef::ROOT)
+        );
+        // ids_in keeps insertion order within a leaf, so only the sets
+        // agree; after full reconciliation both caches hold equal sets,
+        // which is what the aggregates certify.
+        let mut a = fwd.ids_in(P, RangeRef::ROOT);
+        let mut b = rev.ids_in(P, RangeRef::ROOT);
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -516,35 +476,38 @@ mod tests {
 
     #[test]
     fn single_differing_id_shows_in_exactly_one_child_per_level() {
-        let mut a = CacheSummary::default();
-        let mut b = CacheSummary::default();
+        let mut a = SummaryIndex::new();
+        let mut b = SummaryIndex::new();
         for s in 0..200 {
-            a.add(id(5, s));
-            b.add(id(5, s));
+            a.add(P, id(5, s));
+            b.add(P, id(5, s));
         }
         let extra = id(6, 999);
-        a.add(extra);
+        a.add(P, extra);
         let mut range = RangeRef::ROOT;
         // Recursing on the single mismatching child reaches the leaf
         // holding the extra id — the O(log C) search path.
         while !range.is_leaf() {
             let diff: Vec<RangeRef> = (0..FANOUT)
                 .map(|i| range.child(i))
-                .filter(|&r| a.summarize(r) != b.summarize(r))
+                .filter(|&r| a.summarize(P, r) != b.summarize(P, r))
                 .collect();
             assert_eq!(diff.len(), 1, "one differing child per level");
             range = diff[0];
         }
-        assert!(a.ids_in(range).contains(&extra));
-        assert!(!b.ids_in(range).contains(&extra));
+        assert!(a.ids_in(P, range).contains(&extra));
+        assert!(!b.ids_in(P, range).contains(&extra));
     }
 
     #[test]
-    fn detail_reports_empty_ranges() {
-        let tree = CacheSummary::default();
-        let d = tree.detail(RangeRef::ROOT);
-        assert_eq!(d.range, RangeRef::ROOT);
-        assert!(d.ids.is_empty());
+    fn empty_ranges_list_no_ids() {
+        let index = SummaryIndex::new();
+        assert!(index.ids_in(P, RangeRef::ROOT).is_empty());
+        assert_eq!(
+            index.summarize(P, RangeRef::new(2, 7)),
+            RangeSummary::empty(RangeRef::new(2, 7))
+        );
+        assert!(index.children(P, RangeRef::ROOT).is_empty());
     }
 
     #[test]
@@ -559,19 +522,21 @@ mod tests {
         assert_eq!(index.root(q).count, 1);
         index.remove(q, id(1, 0));
         assert_eq!(index.root(q).count, 0);
-        assert!(index.tree(q).is_none());
-        assert!(index.tree(p).is_some());
+        let roots = &index.maps.as_ref().unwrap().roots;
+        assert!(!roots.contains_key(&q));
+        assert!(roots.contains_key(&p));
         assert_eq!(index.ids_in(p, RangeRef::ROOT).len(), 2);
+        assert!(index.ids_in(q, RangeRef::ROOT).is_empty());
     }
 
     #[test]
     fn ids_in_orders_by_leaf_then_insertion() {
-        let mut tree = CacheSummary::default();
+        let mut index = SummaryIndex::new();
         let ids: Vec<EventId> = (0..30).map(|s| id(11, s)).collect();
         for &e in &ids {
-            tree.add(e);
+            index.add(P, e);
         }
-        let listed = tree.ids_in(RangeRef::ROOT);
+        let listed = index.ids_in(P, RangeRef::ROOT);
         assert_eq!(listed.len(), 30);
         // Within one leaf, insertion order is preserved.
         let mut per_leaf: BTreeMap<u32, Vec<EventId>> = BTreeMap::new();
@@ -583,5 +548,127 @@ mod tests {
         }
         let expected: Vec<EventId> = per_leaf.into_values().flatten().collect();
         assert_eq!(listed, expected);
+    }
+
+    /// Ids of source 0 that share a leaf range with at least one other,
+    /// grouped by leaf: among the first 8 000 seqs, where the 2²⁰
+    /// leaves make a shared leaf a birthday coincidence.
+    fn leaf_mates() -> Vec<EventId> {
+        let mut by_leaf: BTreeMap<u32, Vec<EventId>> = BTreeMap::new();
+        for seq in 0..8_000 {
+            let e = id(0, seq);
+            by_leaf
+                .entry(index_at(mix_event_id(e), LEAF_LEVEL))
+                .or_default()
+                .push(e);
+        }
+        let mates: Vec<EventId> = by_leaf
+            .into_values()
+            .filter(|ids| ids.len() > 1)
+            .take(6)
+            .flatten()
+            .collect();
+        assert!(mates.len() >= 12, "too few shared leaves: {mates:?}");
+        mates
+    }
+
+    /// Checks every query of `index` on `pattern` against `reference`,
+    /// every recorded (pattern, id) pair in the order it was added: the
+    /// root, two ranges at every level (one around an id of `pool`, one
+    /// anywhere), and membership of every id of `pool`. A range's ids
+    /// are its pairs stably sorted by leaf, so ids sharing a leaf keep
+    /// insertion order.
+    fn assert_answers_like(
+        index: &SummaryIndex,
+        reference: &[(PatternId, EventId)],
+        pattern: PatternId,
+        pool: &[EventId],
+        rng: &mut eps_sim::Rng,
+    ) {
+        let listed = |range: RangeRef| {
+            let mut ids: Vec<EventId> = reference
+                .iter()
+                .filter(|&&(q, e)| q == pattern && range.contains(mix_event_id(e)))
+                .map(|&(_, e)| e)
+                .collect();
+            ids.sort_by_key(|&e| index_at(mix_event_id(e), LEAF_LEVEL));
+            ids
+        };
+        let summary = |range: RangeRef| {
+            let ids = listed(range);
+            RangeSummary {
+                range,
+                count: ids.len() as u64,
+                hash: ids.iter().fold(0, |acc, &e| acc ^ mix_event_id(e)),
+            }
+        };
+        assert_eq!(index.root(pattern), summary(RangeRef::ROOT));
+        for level in 0..=LEAF_LEVEL {
+            let near = mix_event_id(*rng.choose(pool).unwrap());
+            let anywhere = RangeRef::of(rng.next_u64(), level);
+            for range in [RangeRef::of(near, level), anywhere] {
+                assert_eq!(index.summarize(pattern, range), summary(range), "{range}");
+                assert_eq!(index.ids_in(pattern, range), listed(range), "{range}");
+                if !range.is_leaf() {
+                    let children: Vec<RangeSummary> = (0..FANOUT)
+                        .map(|i| summary(range.child(i)))
+                        .filter(|c| c.count > 0)
+                        .collect();
+                    assert_eq!(index.children(pattern, range), children, "{range}");
+                }
+            }
+        }
+        for &e in pool {
+            assert_eq!(
+                index.contains(pattern, e),
+                reference.contains(&(pattern, e))
+            );
+        }
+    }
+
+    #[test]
+    fn the_index_answers_like_a_list_in_insertion_order() {
+        // Random adds, removes and discards over a small pool, so ids
+        // are discarded and re-admitted, and pairs of the pool share a
+        // leaf; after every step each pattern answers like the list.
+        let mates = leaf_mates();
+        forall(
+            "the_index_answers_like_a_list_in_insertion_order",
+            64,
+            |rng| {
+                let mut pool = mates.clone();
+                let strangers =
+                    (0..10).map(|_| id(rng.random_below(3) as u32, rng.next_u64() >> 24));
+                pool.extend(strangers);
+                let patterns: Vec<PatternId> = (1..4).map(PatternId::new).collect();
+                let mut index = SummaryIndex::new();
+                let mut reference: Vec<(PatternId, EventId)> = Vec::new();
+                for _ in 0..rng.random_range(1..120u32) {
+                    let p = *rng.choose(&patterns).unwrap();
+                    let e = *rng.choose(&pool).unwrap();
+                    let at = reference.iter().position(|&pair| pair == (p, e));
+                    match (rng.random_below(3), at) {
+                        (0, None) => {
+                            index.add(p, e);
+                            reference.push((p, e));
+                        }
+                        (1, Some(at)) => {
+                            index.remove(p, e);
+                            reference.remove(at);
+                        }
+                        (2, _) => {
+                            assert_eq!(index.discard(p, e), at.is_some());
+                            if let Some(at) = at {
+                                reference.remove(at);
+                            }
+                        }
+                        _ => continue,
+                    }
+                    for &p in &patterns {
+                        assert_answers_like(&index, &reference, p, &pool, rng);
+                    }
+                }
+            },
+        );
     }
 }

@@ -152,6 +152,37 @@ fn a_cache_without_optional_indexes_holds_at_most_182_bytes_per_event() {
     check_bytes("ids only", ids, 182.0, true);
 }
 
+/// Summary-pull's set: the id index, the summary index and its
+/// eviction tombstones. The tombstones grow with every eviction for the
+/// life of the cache, so only the first fill is pinned: one entry of an
+/// ordered map per (id, pattern) pair and no per-level aggregates.
+#[test]
+fn a_summary_pull_cache_holds_at_most_330_bytes_per_event_after_one_fill() {
+    let seen = CacheIndexes {
+        ids: true,
+        summary: true,
+        tombstones: true,
+        ..CacheIndexes::NONE
+    };
+    let [once, churned] = bytes_per_cached_event(seen);
+    eprintln!("ids, summary and tombstones: {once:.1} B after one fill, {churned:.1} B after four");
+    assert!(once <= 330.0, "{once:.0} B per cached event");
+}
+
+/// Summary-push's set: the id index and the summary index, which keeps
+/// no tombstones, so churn does not grow it. The map's nodes split and
+/// merge as ids come and go, so after four fills it sits a few bytes
+/// above one fill; it is not held steady.
+#[test]
+fn a_summary_push_cache_holds_at_most_340_bytes_per_event() {
+    let live = CacheIndexes {
+        ids: true,
+        summary: true,
+        ..CacheIndexes::NONE
+    };
+    check_bytes("ids and summary", live, 340.0, false);
+}
+
 /// Live heap bytes per cached event after one cache-full, for a set of
 /// the id index, the per-pattern id lists and the seq index.
 fn bytes_with(ids: bool, pattern_ids: bool, pattern_seqs: bool) -> f64 {
@@ -159,7 +190,7 @@ fn bytes_with(ids: bool, pattern_ids: bool, pattern_seqs: bool) -> f64 {
         ids,
         pattern_ids,
         pattern_seqs,
-        summary: false,
+        ..CacheIndexes::NONE
     })[0]
 }
 
@@ -255,14 +286,15 @@ fn allocations_of<T>(build: impl FnOnce() -> T) -> usize {
     calls
 }
 
-/// The twelve index sets a cache can be built with: every combination
-/// of the four columns that has `ids` or `pattern_seqs`.
+/// The 24 index sets a cache can be built with: every combination of
+/// the five columns that has `ids` or `pattern_seqs`.
 fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
-    let sets = (0..16u8).map(|bits| CacheIndexes {
+    let sets = (0..32u8).map(|bits| CacheIndexes {
         ids: bits & 1 != 0,
         pattern_ids: bits & 2 != 0,
         pattern_seqs: bits & 4 != 0,
         summary: bits & 8 != 0,
+        tombstones: bits & 16 != 0,
     });
     sets.filter(|set| set.ids || set.pattern_seqs)
 }

@@ -261,6 +261,27 @@ echo "Fig. 2 cell peak RSS: ${fig2_peak_mb} MB (limit 45 MB)"
 awk -v mb="$fig2_peak_mb" 'BEGIN {exit !(mb <= 45)}' \
     || { echo "FAIL: the Fig. 2 combined-pull cell peaked above 45 MB"; exit 1; }
 
+echo "== tier-1: Fig. 2 cell memory (summary rows at full size) =="
+# The same cell under both summary rows, one after the other (--jobs 1,
+# so the peak is the larger run's, on any core count). A summary index
+# stores one ordered-map entry per cached (id, pattern) pair plus a
+# root aggregate per pattern, and only summary-pull keeps eviction
+# tombstones. summary-pull peaks near 51 MB, summary-push near 46 MB.
+# Per-level aggregate maps put back about 110 MB (the cell peaked at
+# 164.6 MB with six of them). Tombstones on summary-push grow its index
+# by one entry per evicted pair: about 3 MB on this 6 s cell, 73 MB on
+# a 20 s one. The limit is 60 MB.
+summary_peak_mb=$(python3 - -a summary-push -a summary-pull --duration 6 --seed 1 --jobs 1 <<'EOF'
+import resource, subprocess, sys
+subprocess.run(["./target/release/simulate", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+print(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f}")
+EOF
+)
+echo "Fig. 2 summary cells peak RSS: ${summary_peak_mb} MB (limit 60 MB)"
+awk -v mb="$summary_peak_mb" 'BEGIN {exit !(mb <= 60)}' \
+    || { echo "FAIL: a Fig. 2 summary cell peaked above 60 MB"; exit 1; }
+
 echo "== tier-1: flag order (--adaptive backs off around the interval the run uses) =="
 # --adaptive brackets --gossip-interval wherever the two flags stand on
 # the command line: both orders must print the same report.
