@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     results.extend(node_event_hop());
     results.extend(node_clock());
     results.extend(topology_build());
-    results.push(subscription_flood());
+    results.extend(subscription_flood());
     let mut gossip_results = gossip_rounds();
     gossip_results.push(gossip_round_idle());
     gossip_results.push(lost_clear_for_event());
@@ -1214,27 +1214,34 @@ fn topology_build() -> Vec<BenchResult> {
     out
 }
 
-/// Installing the flooded routing state on 4000 dispatchers at
-/// Π = 8192 (about 2 × 10⁷ table entries and as many forwarding-memory
-/// marks): what a population of that shape pays in set-up after its
-/// tree is built. One [`rebuild_subscription_routes`] per iteration —
-/// reset every dispatcher's routing state, then the closed-form fill —
-/// on the same population, so no clone is timed.
-fn subscription_flood() -> BenchResult {
-    let mut population = build_population(&ScenarioConfig {
-        nodes: 4_000,
-        pattern_universe: 8_192,
-        ..ScenarioConfig::default()
-    });
-    let mut messages = 0u64;
-    let result = bench("subscription_flood/n4000_pi8192", 1, 5, 1, || {
-        messages = rebuild_subscription_routes(&mut population.nodes, population.view.tree());
-    });
-    assert_eq!(
-        messages, population.setup_subscription_msgs,
-        "rebuilding an unchanged tree repeats the set-up flood"
-    );
-    result
+/// Installing the flooded routing state at Π = 8192 on 4000
+/// dispatchers (about 2 × 10⁷ routes) and on 10⁵ (the scale check's
+/// population, about 8 × 10⁸, three samples): what a population of that
+/// shape pays in set-up after its tree is built. One
+/// [`rebuild_subscription_routes`] per iteration — reset every
+/// dispatcher's routing state, then the closed-form fill — on the same
+/// population, so no clone is timed.
+fn subscription_flood() -> Vec<BenchResult> {
+    [(4_000, "n4000_pi8192", 5), (100_000, "n100000", 3)]
+        .into_iter()
+        .map(|(nodes, name, samples)| {
+            let mut population = build_population(&ScenarioConfig {
+                nodes,
+                pattern_universe: 8_192,
+                ..ScenarioConfig::default()
+            });
+            let mut messages = 0u64;
+            let result = bench(&format!("subscription_flood/{name}"), 1, samples, 1, || {
+                messages =
+                    rebuild_subscription_routes(&mut population.nodes, population.view.tree());
+            });
+            assert_eq!(
+                messages, population.setup_subscription_msgs,
+                "rebuilding an unchanged tree repeats the set-up flood"
+            );
+            result
+        })
+        .collect()
 }
 
 /// The wire codec's one-payload budget, matching the scenario default.

@@ -100,12 +100,16 @@ fn main() -> ExitCode {
     let worker_count = jobs.unwrap_or_else(default_jobs).max(1);
     let results = par_map(worker_count, &configs, run_scenario_with_stats);
     let elapsed = started.elapsed().as_secs_f64();
-    let (events, elided) = results.iter().fold((0, 0), |(events, elided), (_, stats)| {
-        (
-            events + stats.events_processed,
-            elided + stats.rounds_elided,
-        )
-    });
+    let (setup, events, elided) =
+        results
+            .iter()
+            .fold((0.0, 0, 0), |(setup, events, elided), (_, stats)| {
+                (
+                    setup + stats.setup_wall.as_secs_f64(),
+                    events + stats.events_processed,
+                    elided + stats.rounds_elided,
+                )
+            });
     for (kind, (r, _)) in algorithms.iter().zip(results) {
         println!("== {} ==", kind.name());
         println!("  delivery rate (window) {:>10.3}", r.delivery_rate);
@@ -152,7 +156,8 @@ fn main() -> ExitCode {
         println!("  setup subscription msgs{:>10}", r.setup_subscription_msgs);
     }
     eprintln!(
-        "total wall time {elapsed:.1}s, events processed {events}, gossip rounds elided {elided}"
+        "total wall time {elapsed:.1}s (set-up {setup:.2}s), events processed {events}, \
+         gossip rounds elided {elided}"
     );
     ExitCode::SUCCESS
 }

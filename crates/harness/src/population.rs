@@ -137,14 +137,15 @@ pub fn build_population(config: &ScenarioConfig) -> Population {
     // The broker-level aggregate each dispatcher routes on is the
     // distinct union of its clients' patterns, kept by its table.
     install_client_subscriptions(&mut nodes, &client_subscriptions);
-    // Closed-form fixpoint: O(Π·N) installs instead of a
-    // message-at-a-time flood, the setup-time bottleneck at
-    // 10⁵–10⁶ nodes. State-identical to the flood (pinned by the
-    // eps-pubsub equivalence test and the golden suite). Routing
-    // state lives on the view, which is a tree by construction even
-    // when the physical graph is cyclic. The returned message count is
-    // the flood's wire cost — aggregated filters only, so it measures
-    // distinct patterns, never raw client-subscription volume.
+    // Closed-form fixpoint: one walk of each pattern's subscriber paths
+    // and one write per table instead of a message-at-a-time flood,
+    // the setup-time bottleneck at 10⁵–10⁶ nodes. State-identical to
+    // the flood (pinned by the eps-pubsub equivalence tests and the
+    // golden suite). Routing state lives on the view, which is a tree
+    // by construction even when the physical graph is cyclic. The
+    // returned message count is the flood's wire cost — aggregated
+    // filters only, so it measures distinct patterns, never raw
+    // client-subscription volume.
     let setup_subscription_msgs = flood_subscriptions_direct(&mut nodes, view.tree());
     for id in topology.nodes() {
         let targets = cross_targets_for(id, &topology, &view, &nodes);

@@ -24,7 +24,7 @@ use crate::clients::{ClientId, ClientRegistry};
 use crate::detector::{LossDetector, LossRecord};
 use crate::event::{Event, EventId};
 use crate::pattern::PatternId;
-use crate::table::{Interface, PatternBits, SubscriptionTable};
+use crate::table::{Interface, SubscriptionTable};
 
 /// Static per-dispatcher configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -447,26 +447,11 @@ impl Dispatcher {
             .collect()
     }
 
-    /// Installs a routing-table entry as if a `Subscribe(pattern)` had
-    /// arrived from `from`, without propagating anything. Used by the
-    /// direct subscription fill ([`crate::flood_subscriptions`]'s
-    /// closed-form equivalent for trees) to reach the flooded fixpoint
-    /// without exchanging messages.
-    pub(crate) fn install_route(&mut self, pattern: PatternId, from: NodeId) {
-        self.table.insert(pattern, Interface::Neighbor(from));
-    }
-
-    /// [`Dispatcher::install_route`] for every pattern whose bit is set
-    /// in `patterns` (bit `i` of word `w` is pattern index `64·w + i`)
-    /// but those in `except` (ascending, each already routed some
-    /// other way), keeping the `Arc` as the table's default route.
-    pub(crate) fn install_shared_routes(
-        &mut self,
-        patterns: PatternBits,
-        except: &[PatternId],
-        from: NodeId,
-    ) {
-        self.table.insert_shared(from, patterns, except);
+    /// The routing table, for the direct subscription fill
+    /// ([`crate::flood_subscriptions_direct`]) to write its routes into
+    /// as if a `Subscribe` had arrived for each, propagating nothing.
+    pub(crate) fn table_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.table
     }
 
     /// Clears all routing state learned from neighbors, keeping local

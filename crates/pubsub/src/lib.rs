@@ -21,14 +21,14 @@
 //! - [`Dispatcher`] — the protocol logic tying it all together, pure
 //!   (message in → next hops out) so it can be driven by the simulator
 //!   or by unit tests directly;
-//! - [`flood_subscriptions`] and friends — instant assembly of the
-//!   stable subscription state the paper's workloads run on.
+//! - [`flood_subscriptions_direct`] and friends — instant assembly of
+//!   the stable subscription state the paper's workloads run on.
 //!
 //! # Examples
 //!
 //! ```
 //! use eps_pubsub::{Dispatcher, DispatcherConfig, PatternId, PatternSpace};
-//! use eps_pubsub::{flood_subscriptions, install_local_subscriptions};
+//! use eps_pubsub::{flood_subscriptions_direct, install_local_subscriptions};
 //! use eps_overlay::Topology;
 //! use eps_sim::RngFactory;
 //!
@@ -44,7 +44,7 @@
 //!     .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
 //!     .collect();
 //! install_local_subscriptions(&mut dispatchers, &subs);
-//! flood_subscriptions(&mut dispatchers, &topo);
+//! flood_subscriptions_direct(&mut dispatchers, &topo);
 //! // Every dispatcher now routes events towards all subscribers.
 //! ```
 
@@ -68,8 +68,8 @@ pub use dispatcher::{Dispatcher, DispatcherConfig, EventReceipt, PubSubMessage, 
 pub use event::{Event, EventId, ROUTE_HOP_BITS};
 pub use pattern::{PatternId, PatternSpace};
 pub use setup::{
-    flood_subscriptions, flood_subscriptions_direct, install_client_subscriptions,
-    install_local_subscriptions, intended_recipients, rebuild_subscription_routes, DispatcherHost,
+    flood_subscriptions_direct, install_client_subscriptions, install_local_subscriptions,
+    intended_recipients, rebuild_subscription_routes, DispatcherHost,
 };
 pub use summary::{RangeDetail, RangeRef, RangeSummary, SummaryIndex};
 pub use table::{Interface, KnownPatterns, SubscriptionTable};

@@ -1,11 +1,11 @@
 //! Network assembly helpers: instant subscription flooding.
 //!
 //! The paper's simulations run "with stable subscription information
-//! (i.e., no (un)subscriptions are being issued)". These helpers run
-//! the subscription-forwarding protocol to quiescence *outside* of
-//! virtual time, producing the stable routing state the event workload
-//! then runs on. The same mechanism rebuilds routes after a
-//! topological reconfiguration completes.
+//! (i.e., no (un)subscriptions are being issued)". These helpers compute
+//! the state the subscription-forwarding protocol reaches at quiescence
+//! *outside* of virtual time, in closed form, producing the stable
+//! routing state the event workload then runs on. The same fill rebuilds
+//! routes after a topological reconfiguration completes.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -37,58 +37,92 @@ impl DispatcherHost for Dispatcher {
     }
 }
 
-/// Runs the subscription-forwarding protocol to quiescence: every
-/// dispatcher's *local* subscriptions are propagated through the tree
-/// until no new table entries appear.
-///
-/// Dispatcher `i` must correspond to topology node `i`. Local
-/// subscriptions must already be recorded (e.g. via
-/// [`Dispatcher::subscribe_local`] with an empty neighbor list, or by
-/// calling this right after [`install_local_subscriptions`]), and no
-/// neighbor routes (a fresh or [`Dispatcher::reset_routing_state`]
-/// table): recording a local pattern with no neighbors sends nothing,
-/// so the flood starts by announcing each one to every neighbor.
-///
-/// Returns the number of subscription messages that the protocol would
-/// have exchanged (useful for accounting).
+/// Roots every component of an acyclic `topology` at its lowest node
+/// id, by BFS in stored neighbor order (a tree at node 0): each node's
+/// parent (a root is its own) and its component's root.
 ///
 /// # Panics
 ///
-/// Panics if `dispatchers.len() != topology.len()`.
-pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topology) -> u64 {
-    assert_eq!(
-        hosts.len(),
-        topology.len(),
-        "one dispatcher per topology node"
-    );
-    let mut queue: VecDeque<(NodeId, NodeId, PatternId)> = VecDeque::new();
-    let mut messages = 0u64;
-
-    // Seed: every dispatcher announces its local patterns.
-    for node in topology.nodes() {
-        for p in hosts[node.index()].dispatcher().table().local_patterns() {
-            for &to in topology.neighbors(node) {
-                queue.push_back((to, node, p));
+/// Panics if the topology has a cycle.
+fn root_forest(topology: &Topology) -> (Vec<u32>, Vec<u32>) {
+    let n = topology.len();
+    let (mut parent, mut root) = (vec![u32::MAX; n], vec![0; n]);
+    let mut queue: VecDeque<NodeId> = VecDeque::new();
+    let mut components = 0;
+    for r in 0..n as u32 {
+        if parent[r as usize] == u32::MAX {
+            components += 1;
+            (parent[r as usize], root[r as usize]) = (r, r);
+            queue.push_back(NodeId::new(r));
+        }
+        while let Some(v) = queue.pop_front() {
+            for &w in topology.neighbors(v) {
+                if parent[w.index()] == u32::MAX {
+                    (parent[w.index()], root[w.index()]) = (v.index() as u32, r);
+                    queue.push_back(w);
+                }
             }
         }
     }
-
-    // Propagate to quiescence.
-    while let Some((to, from, pattern)) = queue.pop_front() {
-        messages += 1;
-        let neighbors: Vec<NodeId> = topology.neighbors(to).to_vec();
-        for next in hosts[to.index()]
-            .dispatcher_mut()
-            .on_subscribe(pattern, from, &neighbors)
-        {
-            queue.push_back((next, to, pattern));
-        }
-    }
-    messages
+    assert_eq!(
+        topology.link_count() + components,
+        n,
+        "direct subscription fill requires an acyclic overlay"
+    );
+    (parent, root)
 }
 
-/// Computes the fixpoint of [`flood_subscriptions`] for a *tree*
-/// overlay in closed form, without exchanging any messages.
+/// Walks, pattern by pattern, the paths from each pattern's subscribers
+/// up to their roots (`locals`: sorted (pattern, subscriber) pairs), in
+/// O(subscribers · depth) per pattern, and calls `visit(p, v, enclosing)`
+/// once for every node `v` on them — `cnt(v) > 0` — with `enclosing`
+/// when all subscribers of `v`'s component lie in `v`'s subtree.
+fn walk_paths(
+    locals: &[(PatternId, NodeId)],
+    (parent, root): (&[u32], &[u32]),
+    mut visit: impl FnMut(PatternId, usize, bool),
+) {
+    let mut cnt: Vec<u32> = vec![0; parent.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    for subs in locals.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, s) in subs {
+            let mut v = s.index();
+            loop {
+                touched.extend((cnt[v] == 0).then_some(v));
+                cnt[v] += 1;
+                if parent[v] as usize == v {
+                    break;
+                }
+                v = parent[v] as usize;
+            }
+        }
+        for &v in &touched {
+            visit(subs[0].0, v, cnt[v] == cnt[root[v] as usize]);
+        }
+        for v in touched.drain(..) {
+            cnt[v] = 0;
+        }
+    }
+}
+
+/// Turns per-node counts into the start of each node's bucket; returns
+/// the total. Writing an entry at `starts[v]` and incrementing it leaves
+/// `starts[v]` at the end of `v`'s bucket, the start of `v + 1`'s.
+fn bucket_starts(counts: &mut [u32]) -> usize {
+    let mut total = 0;
+    for count in counts {
+        (*count, total) = (total, total + *count);
+    }
+    total as usize
+}
+
+/// Computes, without exchanging any messages, the routing state the
+/// subscription-forwarding protocol reaches at quiescence on an
+/// *acyclic* overlay — a tree or a forest — when every dispatcher
+/// announces its local subscriptions to every neighbor: each table, and
+/// with it which subscriptions each dispatcher has sent (the state that
+/// gates unsubscription). Returns the number of subscription messages
+/// that flood would have exchanged.
 ///
 /// On a tree the flooded state has an exact characterization. Root the
 /// tree anywhere and let `cnt(v)` be the number of subscribers of
@@ -103,36 +137,30 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
 ///
 /// (A dispatcher sends on an edge exactly when it has interest from
 /// any other interface, which on a tree means a subscriber on its side
-/// of that edge; the subscription-forwarding fixpoint follows by
-/// induction along each path.) This computes those predicates directly,
-/// in two passes that follow how each one is distributed:
+/// of that edge; the fixpoint follows by induction along each path.) A
+/// forest floods each component on its own: each gets its own root and
+/// its own `total`. The fill computes both predicates directly:
 ///
 /// 1. *Upward, pattern-major.* `cnt(v) > 0` holds only on the paths
 ///    from `p`'s subscribers to the root, so each pattern walks those
-///    paths (O(subscribers · depth), not O(N)), installs `u → v` there,
-///    and notes the nodes with `cnt(v) = total` — every subscriber of
-///    `p` is at or below them.
-/// 2. *Downward, node-major.* `total − cnt(v) > 0` holds for every
-///    subscribed pattern except those just noted for `v` — a handful
-///    per node — so it is one bitset of all subscribed patterns, built
-///    once and shared as one `Arc`, minus `v`'s exceptions: the default
-///    route of `v`'s table towards `u`, an `Arc` clone instead of Π/64
-///    words ORed into every dispatcher's table. The parent `u` keeps
-///    nothing for it: what a dispatcher has sent is read off its own
-///    table.
+///    paths (O(subscribers · depth), not O(N)): each node on them is a
+///    child route `(p, v)` of its parent and, where `cnt(v) = total`,
+///    an exception of its own. A first walk counts them per node, a
+///    second writes them into per-node buckets of two exact-size
+///    arrays, each bucket in pattern order.
+/// 2. *Node-major.* `total − cnt(v) > 0` holds for every pattern of
+///    `v`'s component but `v`'s few exceptions: one bitset, built once
+///    per component and shared as one `Arc`, is the default route of
+///    every table towards its parent. Each table is then written once,
+///    from its local rows, its bucket and that default
+///    ([`crate::SubscriptionTable`] explains the layout).
 ///
-/// The order of the passes, and of the writes inside them, cannot show
-/// in the result: tables are *sets* of (pattern, neighbor) pairs, read
-/// and compared only through their contents (neighbors in id order,
-/// patterns in index order), and every pair is written by exactly one
-/// of the two predicates. The resulting tables are identical to what
-/// [`flood_subscriptions`] produces — and with them which subscriptions
-/// each dispatcher has sent, the state that gates unsubscription — and
-/// the returned message count is the count the flood would have
-/// exchanged; the equivalence is pinned by tests and by the golden
-/// suite. Only the layout differs: a table keeps explicit rows just
-/// where its dispatcher lies on a pattern's subscriber subtree (see
-/// [`crate::SubscriptionTable`]).
+/// Neither the order of the passes nor that of the writes shows in the
+/// result: tables are *sets* of (pattern, neighbor) pairs, read only
+/// through their contents, and each pair comes from one predicate. The
+/// tables equal a message-at-a-time flood's and the count is the one it
+/// would exchange; the tests pin both, and filling a filled table again
+/// changes nothing.
 ///
 /// Local subscriptions must already be recorded (e.g. via
 /// [`install_local_subscriptions`]); dispatcher `i` must correspond to
@@ -140,113 +168,75 @@ pub fn flood_subscriptions<H: DispatcherHost>(hosts: &mut [H], topology: &Topolo
 ///
 /// # Panics
 ///
-/// Panics if `hosts.len() != topology.len()` or the topology is not a
-/// tree.
+/// Panics if `hosts.len() != topology.len()` or the topology has a
+/// cycle.
 pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: &Topology) -> u64 {
     assert_eq!(
         hosts.len(),
         topology.len(),
         "one dispatcher per topology node"
     );
-    assert!(
-        topology.is_tree(),
-        "direct subscription fill requires a tree overlay"
-    );
     let n = hosts.len();
-    if n == 0 {
-        return 0;
-    }
-
-    // Parent of every node, rooting the tree at node 0 (BFS).
-    let root = NodeId::new(0);
-    let mut parent: Vec<NodeId> = vec![root; n];
-    let mut visited = vec![false; n];
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    visited[0] = true;
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        for &w in topology.neighbors(v) {
-            if !visited[w.index()] {
-                visited[w.index()] = true;
-                parent[w.index()] = v;
-                queue.push_back(w);
-            }
-        }
-    }
-
-    // Subscribers of each pattern, patterns in ascending order.
-    let mut subscribers: BTreeMap<PatternId, Vec<NodeId>> = BTreeMap::new();
+    let (parent, root) = root_forest(topology);
+    let forest = (&parent[..], &root[..]);
+    let mut locals: Vec<(PatternId, NodeId)> = Vec::new();
     for (i, h) in hosts.iter().enumerate() {
-        for p in h.dispatcher().table().local_patterns() {
-            subscribers
-                .entry(p)
-                .or_default()
-                .push(NodeId::new(i as u32));
-        }
+        let node = NodeId::new(i as u32);
+        locals.extend(h.dispatcher().table().local_patterns().map(|p| (p, node)));
     }
+    locals.sort_unstable();
 
-    // Pass 1, pattern-major, over each pattern's subscriber subtrees
-    // only: the upward half (`cnt(v) > 0`) of every edge, and the
-    // (node, pattern) pairs whose downward half is *missing*. Scratch
-    // subtree counts are reset via the touched list, so a pattern
-    // costs O(subscribers · depth), not O(N).
-    let mut cnt: Vec<u32> = vec![0; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let words = subscribers
-        .keys()
-        .next_back()
-        .map_or(0, |p| p.index() / 64 + 1);
-    let mut subscribed: Vec<u64> = vec![0; words];
-    let mut enclosing: Vec<(usize, PatternId)> = Vec::new();
-    let mut messages = 0u64;
-    for (&p, subs) in &subscribers {
-        subscribed[p.index() / 64] |= 1u64 << (p.index() % 64);
-        let total = subs.len() as u32;
-        for &s in subs {
-            let mut v = s;
-            loop {
-                if cnt[v.index()] == 0 {
-                    touched.push(v.index());
-                }
-                cnt[v.index()] += 1;
-                if v == root {
-                    break;
-                }
-                v = parent[v.index()];
+    // Pass 1, pattern-major: count, then bucket, each node's child
+    // routes (kept by its parent) and exceptions (its own), and the
+    // patterns subscribed in each component with more than one node.
+    let (mut child_end, mut except_end) = (vec![0u32; n], vec![0u32; n]);
+    walk_paths(&locals, forest, |_, v, enclosing| {
+        if parent[v] as usize != v {
+            child_end[parent[v] as usize] += 1;
+            except_end[v] += u32::from(enclosing);
+        }
+    });
+    let mut children = vec![(PatternId::new(0), NodeId::new(0)); bucket_starts(&mut child_end)];
+    let mut excepts = vec![PatternId::new(0); bucket_starts(&mut except_end)];
+    let words = locals.last().map_or(0, |(p, _)| p.index() / 64 + 1);
+    let mut subscribed: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    walk_paths(&locals, forest, |p, v, enclosing| {
+        let u = parent[v] as usize;
+        if u != v {
+            children[child_end[u] as usize] = (p, NodeId::new(v as u32));
+            child_end[u] += 1;
+            if enclosing {
+                excepts[except_end[v] as usize] = p;
+                except_end[v] += 1;
             }
+        } else if topology.degree(NodeId::new(v as u32)) > 0 {
+            let bits = subscribed.entry(v as u32).or_insert_with(|| vec![0; words]);
+            bits[p.index() / 64] |= 1 << (p.index() % 64);
         }
-        // Each non-root node is the child endpoint of exactly one edge.
-        for &i in touched.iter().filter(|&&i| i != root.index()) {
-            let (v, u) = (NodeId::new(i as u32), parent[i]);
-            hosts[u.index()].dispatcher_mut().install_route(p, v);
-            messages += 1;
-            if cnt[i] == total {
-                enclosing.push((i, p));
-            }
-        }
-        for &i in &touched {
-            cnt[i] = 0;
-        }
-        touched.clear();
-    }
+    });
+    drop(locals);
+    let subscribed: BTreeMap<u32, PatternBits> = (subscribed.into_iter())
+        .map(|(r, bits)| (r, PatternBits::from(bits)))
+        .collect();
 
-    // Pass 2, node-major: the downward half (`total − cnt(v) > 0`) of
-    // the edge above `v` holds for every subscribed pattern except the
-    // few whose subscribers all sit in `v`'s subtree, so it is the
-    // shared bitset minus those: `v`'s default route towards its parent.
-    let subscribed = PatternBits::from(subscribed);
-    enclosing.sort_unstable();
-    let mut rest = enclosing.as_slice();
-    let mut excluded: Vec<PatternId> = Vec::new();
-    for (i, &u) in parent.iter().enumerate().skip(1) {
-        let here = rest.partition_point(|&(node, _)| node == i);
-        excluded.clear();
-        excluded.extend(rest[..here].iter().map(|&(_, p)| p));
-        rest = &rest[here..];
-        hosts[i]
-            .dispatcher_mut()
-            .install_shared_routes(subscribed.clone(), &excluded, u);
-        messages += (subscribers.len() - excluded.len()) as u64;
+    // Pass 2, node-major: each table written once, from its bucket of
+    // child routes and its default route towards its parent — the
+    // component's patterns minus its exceptions.
+    let mut messages = children.len() as u64;
+    let (mut c, mut e) = (0, 0);
+    for (v, h) in hosts.iter_mut().enumerate() {
+        let (own, except) = (
+            &children[c..child_end[v] as usize],
+            &excepts[e..except_end[v] as usize],
+        );
+        (c, e) = (child_end[v] as usize, except_end[v] as usize);
+        let default = (subscribed.get(&root[v]))
+            .filter(|_| parent[v] as usize != v)
+            .map(|bits| (NodeId::new(parent[v]), bits, except));
+        if let Some((_, bits, except)) = default {
+            messages += (bits.count() - except.len()) as u64;
+        }
+        h.dispatcher_mut().table_mut().fill(own, default);
     }
     messages
 }
@@ -294,8 +284,11 @@ pub fn install_client_subscriptions<H: DispatcherHost>(
 }
 
 /// Rebuilds all subscription routes from scratch for a (possibly
-/// reconfigured) topology: clears neighbor-derived state on every
-/// dispatcher, then re-floods local subscriptions.
+/// reconfigured) acyclic topology: clears neighbor-derived state on
+/// every dispatcher, then fills the flooded routes of the local
+/// subscriptions in closed form ([`flood_subscriptions_direct`]). While
+/// overlapping breaks are unrepaired the topology is a forest, and each
+/// component gets the routes of its own subscribers.
 ///
 /// This models the *completed* state of the reconfiguration protocol
 /// of the paper's reference \[7\]; the disruption window between a link
@@ -304,13 +297,7 @@ pub fn rebuild_subscription_routes<H: DispatcherHost>(hosts: &mut [H], topology:
     for h in hosts.iter_mut() {
         h.dispatcher_mut().reset_routing_state();
     }
-    if topology.is_tree() {
-        // The closed form reaches the same fixpoint without the
-        // message-at-a-time simulation (see its docs).
-        flood_subscriptions_direct(hosts, topology)
-    } else {
-        flood_subscriptions(hosts, topology)
-    }
+    flood_subscriptions_direct(hosts, topology)
 }
 
 /// Computes, for each event-content pattern set, which dispatchers
@@ -337,6 +324,35 @@ mod tests {
     use eps_sim::check::forall;
     use eps_sim::{Rng, RngFactory};
     use std::collections::BTreeSet;
+
+    /// The oracle of the direct fill: the subscription-forwarding
+    /// protocol run message at a time to quiescence, every dispatcher's
+    /// *local* subscriptions propagated until no new table entries
+    /// appear. Local subscriptions must already be recorded with no
+    /// neighbor routes (recording a local pattern with no neighbors
+    /// sends nothing, so the flood starts by announcing each one to
+    /// every neighbor). Returns the number of subscription messages
+    /// exchanged.
+    fn flood_subscriptions(hosts: &mut [Dispatcher], topology: &Topology) -> u64 {
+        assert_eq!(hosts.len(), topology.len());
+        let mut queue: VecDeque<(NodeId, NodeId, PatternId)> = VecDeque::new();
+        for node in topology.nodes() {
+            for p in hosts[node.index()].table().local_patterns() {
+                for &to in topology.neighbors(node) {
+                    queue.push_back((to, node, p));
+                }
+            }
+        }
+        let mut messages = 0u64;
+        while let Some((to, from, pattern)) = queue.pop_front() {
+            messages += 1;
+            let neighbors = topology.neighbors(to);
+            for next in hosts[to.index()].on_subscribe(pattern, from, neighbors) {
+                queue.push_back((next, to, pattern));
+            }
+        }
+        messages
+    }
 
     fn build(n: usize, seed: u64) -> (Vec<Dispatcher>, Topology) {
         let factory = RngFactory::new(seed);
@@ -611,8 +627,8 @@ mod tests {
             );
         }
 
-        // A degree-12 tree: dispatchers 1 and 2 have twelve neighbors,
-        // so their tables use the wide row layout.
+        // A degree-12 tree: dispatchers 1 and 2 have twelve neighbors
+        // (rows stay one word: a second starts at the 64th neighbor).
         let mut wide = Topology::new(40, 12);
         for i in 1..40u32 {
             wide.add_link(NodeId::new((i - 1) / 11), NodeId::new(i))
@@ -659,6 +675,102 @@ mod tests {
             let (f, d) = (&flooded[node.index()], &ds[node.index()]);
             assert_eq!(f.table(), d.table(), "rebuild: table of {node}");
         }
+    }
+
+    #[test]
+    fn direct_fill_equals_message_flood_on_a_wide_hub() {
+        // Hub 1 has 75 tree neighbors: its leaves 2..=75 and its parent
+        // 100 (the tree is rooted at 0, behind 100), whose slot sorts
+        // after every leaf's — so the hub's rows are two words long and
+        // its default route lives in the second.
+        let mut hub = Topology::new(101, 80);
+        hub.add_link(NodeId::new(0), NodeId::new(100)).unwrap();
+        hub.add_link(NodeId::new(100), NodeId::new(1)).unwrap();
+        for leaf in 2..=75u32 {
+            hub.add_link(NodeId::new(1), NodeId::new(leaf)).unwrap();
+        }
+        for deep in 76..100u32 {
+            hub.add_link(NodeId::new(deep - 74), NodeId::new(deep))
+                .unwrap();
+        }
+        assert!(hub.is_tree());
+        assert_eq!(hub.degree(NodeId::new(1)), 75);
+        let space = PatternSpace::new(12, 3);
+        let mut rng = RngFactory::new(8).stream("subscriptions");
+        let everywhere = PatternId::new(11);
+        let mut ds = fresh(&hub);
+        for d in ds.iter_mut() {
+            d.subscribe_local(everywhere, &[]);
+            for p in space.random_subscriptions(2, &mut rng) {
+                d.subscribe_local(p, &[]);
+            }
+        }
+        assert_equals_message_flood("wide hub", &ds, &hub);
+        flood_subscriptions_direct(&mut ds, &hub);
+        assert_eq!(ds[1].table().neighbors_for(everywhere, None).len(), 75);
+    }
+
+    #[test]
+    fn direct_fill_equals_message_flood_on_a_forest() {
+        // Overlapping breaks leave the routing view a forest: each
+        // component floods its own subscribers, and a pattern subscribed
+        // in one component is unknown in the others. Three breaks cut a
+        // random tree into four parts; a fifth is a lone node.
+        let factory = RngFactory::new(9);
+        let mut forest = Topology::random_tree(40, 4, &mut factory.stream("topology"));
+        let mut rng = factory.stream("breaks");
+        for _ in 0..3 {
+            let links: Vec<_> = forest.links().collect();
+            forest.remove_link(*rng.choose(&links).unwrap()).unwrap();
+        }
+        let lone = forest
+            .nodes()
+            .find(|&v| forest.degree(v) == 1)
+            .expect("a forest of 40 nodes has a leaf");
+        let link = forest
+            .links()
+            .find(|l| l.a() == lone || l.b() == lone)
+            .unwrap();
+        forest.remove_link(link).unwrap();
+        assert_eq!(forest.link_count(), 35, "five components");
+        let space = PatternSpace::new(12, 3);
+        let mut subs_rng = factory.stream("subscriptions");
+        let mut ds = fresh(&forest);
+        for d in ds.iter_mut() {
+            for p in space.random_subscriptions(2, &mut subs_rng) {
+                d.subscribe_local(p, &[]);
+            }
+        }
+        // A pattern only the lone node subscribes stays local to it.
+        ds[lone.index()].subscribe_local(PatternId::new(40), &[]);
+        assert_equals_message_flood("forest", &ds, &forest);
+
+        // Rebuilding on the forest from the old tree's routes.
+        let tree = Topology::random_tree(40, 4, &mut factory.stream("topology"));
+        flood_subscriptions_direct(&mut ds, &tree);
+        let mut flooded = ds.clone();
+        for d in flooded.iter_mut() {
+            d.reset_routing_state();
+        }
+        let flood_msgs = flood_subscriptions(&mut flooded, &forest);
+        assert_eq!(rebuild_subscription_routes(&mut ds, &forest), flood_msgs);
+        for node in forest.nodes() {
+            let (f, d) = (&flooded[node.index()], &ds[node.index()]);
+            assert_eq!(f.table(), d.table(), "forest rebuild: table of {node}");
+        }
+        for v in forest.nodes().filter(|&v| v != lone) {
+            assert!(!ds[v.index()].table().knows(PatternId::new(40)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "acyclic")]
+    fn direct_fill_refuses_a_cycle() {
+        let mut ring = Topology::new(3, 2);
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            ring.add_link(NodeId::new(a), NodeId::new(b)).unwrap();
+        }
+        flood_subscriptions_direct(&mut fresh(&ring), &ring);
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! - the **shared default**: one neighbor slot and an `Arc` bitset of
 //!   the patterns it applies to. The bulk fill
 //!   ([`crate::flood_subscriptions_direct`]) builds the bitset of all
-//!   subscribed patterns once and hands the same allocation to every
-//!   dispatcher, so a pattern in it with no explicit row costs a table
-//!   nothing;
+//!   subscribed patterns once (per component of a forest) and hands the
+//!   same allocation to every dispatcher, so a pattern in it with no
+//!   explicit row costs a table nothing;
 //! - **explicit rows**, only where the entry is something else: a local
 //!   subscriber, a route towards a child, no route to the default. On a
 //!   filled tree that is the dispatcher's share of each pattern's
 //!   subscriber subtree — 20 rows per dispatcher on average at
-//!   N = 4000, Π = 8192. A table built one
+//!   N = 4000, Π = 8192 — and the fill writes them, map and counts in
+//!   one pass per table, each sized exactly. A table built one
 //!   [`SubscriptionTable::insert`] at a time (the message-at-a-time
 //!   flood) has no default and holds every entry as a row.
 //!
@@ -165,7 +166,7 @@ impl PatternBits {
     }
 
     /// Set bits in all.
-    fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         match (self.last(), self.before().last()) {
             (Some(word), Some(&below)) => below as usize + word.count_ones() as usize,
             _ => 0,
@@ -362,7 +363,7 @@ impl SubscriptionTable {
     /// shared, else nothing. Rows stay packed in pattern order, so a new
     /// row moves the ones above it — O(rows), paid on set-up and
     /// subscription changes, never on the event path; the bulk fill
-    /// creates each table's rows in ascending order, all appends.
+    /// writes each table's rows at once ([`SubscriptionTable::fill`]).
     fn new_row(&mut self, idx: usize) -> usize {
         let w = idx / 64;
         if w >= self.explicit.len() {
@@ -402,37 +403,6 @@ impl SubscriptionTable {
         }
         self.rows.drain(r * self.stride..(r + 1) * self.stride);
         self.outside -= 1;
-    }
-
-    /// Deletes the empty rows outside the shared set and recounts
-    /// `before`, `outside` and `emptied`: after a change to many rows
-    /// or to the default at once.
-    fn normalize(&mut self) {
-        let stride = self.stride;
-        let (mut read, mut kept) = (0, 0);
-        self.outside = 0;
-        self.emptied = 0;
-        for w in 0..self.explicit.len() {
-            self.before[w] = kept as u16;
-            let mut bits = self.explicit[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let empty = self.row(read).iter().all(|&x| x == 0);
-                let shared = self.in_shared(w * 64 + b);
-                if empty && !shared {
-                    self.explicit[w] &= !(1u64 << b);
-                } else {
-                    self.rows
-                        .copy_within(read * stride..(read + 1) * stride, kept * stride);
-                    kept += 1;
-                    self.outside += usize::from(!shared);
-                    self.emptied += usize::from(empty);
-                }
-                read += 1;
-            }
-        }
-        self.rows.truncate(kept * stride);
     }
 
     /// Adds a word to every row: room for slots 63 to 126.
@@ -503,44 +473,102 @@ impl SubscriptionTable {
         true
     }
 
-    /// Routes every pattern set in `patterns` (bit `i` of word `w` is
-    /// pattern index `64·w + i`) but those in `except` (ascending) to
-    /// `neighbor`: the final state of one [`SubscriptionTable::insert`]
-    /// per such pattern. On a table without a default route that state
-    /// is reached by making `neighbor` the default — keeping the `Arc`,
-    /// not copying it — and ORing it into the explicit rows of shared
-    /// patterns; every pattern in `except` must then already have a
-    /// row. An all-zero bitset changes nothing — it does not register
-    /// `neighbor` either, as zero inserts would not.
-    pub(crate) fn insert_shared(
+    /// Adds the routes of one closed-form fill: a route to `c` for every
+    /// `(p, c)` of `children` (ascending by pattern) and, given
+    /// `default = (parent, patterns, except)`, a route to `parent` for
+    /// every pattern set in `patterns` (bit `i` of word `w` is pattern
+    /// index `64·w + i`) but those of `except` (ascending). The content
+    /// is the final state of one [`SubscriptionTable::insert`] per
+    /// route; an all-zero bitset adds no route and registers no slot.
+    ///
+    /// A table with no neighbor routes yet (fresh, or reset) is written
+    /// once, each part sized exactly: `patterns` becomes its default,
+    /// keeping the `Arc`, and its rows are its local patterns and the
+    /// children's. A pattern of both `except` and `patterns` must be one
+    /// of those: its row withholds the default. A table with routes
+    /// (filled before) takes them one insert at a time.
+    pub(crate) fn fill(
         &mut self,
-        neighbor: NodeId,
-        patterns: PatternBits,
-        except: &[PatternId],
+        children: &[(PatternId, NodeId)],
+        default: Option<(NodeId, &PatternBits, &[PatternId])>,
     ) {
-        if patterns.count() == 0 {
+        let default = default.filter(|&(_, patterns, _)| patterns.count() > 0);
+        let (patterns, except): (&[u64], &[PatternId]) =
+            default.map_or((&[], &[]), |(_, patterns, except)| (patterns, except));
+        if !self.slots.is_empty() {
+            let defaults = (default.into_iter())
+                .flat_map(|(parent, ..)| {
+                    set_bits(patterns).map(move |idx| (PatternId::new(idx as u16), parent))
+                })
+                .filter(|(p, _)| except.binary_search(p).is_err());
+            for (p, n) in children.iter().copied().chain(defaults) {
+                self.insert(p, Interface::Neighbor(n));
+            }
             return;
         }
-        if self.shared.is_some() {
-            for idx in set_bits(&patterns) {
-                let p = PatternId::new(idx as u16);
-                if except.binary_search(&p).is_err() {
-                    self.insert(p, Interface::Neighbor(neighbor));
+        let mut slots: Vec<NodeId> = (children.iter().map(|&(_, child)| child))
+            .chain(default.map(|(parent, ..)| parent))
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots.shrink_to_fit();
+        let slot_of = |n: NodeId| slots.binary_search(&n).expect("registered above");
+        let stride = (slots.len() + 1).div_ceil(64);
+        let parent = default.map(|(parent, ..)| slot_bit(slot_of(parent)));
+
+        // The row map: the local patterns (a table without slots has no
+        // other rows) and the children's, with its counts.
+        let words =
+            (self.explicit.len()).max(children.last().map_or(0, |(p, _)| p.index() / 64 + 1));
+        let mut explicit = Vec::with_capacity(words);
+        explicit.extend_from_slice(&self.explicit);
+        explicit.resize(words, 0);
+        for (p, _) in children {
+            explicit[p.index() / 64] |= 1 << (p.index() % 64);
+        }
+        let mut total = 0;
+        let before = (explicit.iter())
+            .map(|&x| {
+                let here = total as u16;
+                total += if x == 0 { 0 } else { x.count_ones() as usize };
+                here
+            })
+            .collect();
+
+        // Each row: the local flag, the children's routes, the parent's.
+        let mut rows = vec![0; total * stride];
+        let (mut c, mut e, mut outside) = (0, 0, 0);
+        for (row, idx) in rows.chunks_exact_mut(stride).zip(set_bits(&explicit)) {
+            if test_bit(&self.explicit, idx) {
+                row[0] = LOCAL;
+            }
+            while let Some(&(_, child)) = children.get(c).filter(|(p, _)| p.index() == idx) {
+                let (w, bit) = slot_bit(slot_of(child));
+                row[w] |= bit;
+                c += 1;
+            }
+            while except.get(e).is_some_and(|p| p.index() < idx) {
+                e += 1;
+            }
+            let shared = test_bit(patterns, idx);
+            match parent {
+                Some((w, bit)) if shared && except.get(e).is_none_or(|p| p.index() != idx) => {
+                    row[w] |= bit;
                 }
-            }
-            return;
-        }
-        debug_assert!(except.iter().all(|p| self.row_of(p.index()).is_some()));
-        let slot = self.register(neighbor);
-        let (w, bit) = slot_bit(slot);
-        for (r, idx) in set_bits(&self.explicit).enumerate() {
-            let p = PatternId::new(idx as u16);
-            if test_bit(&patterns, idx) && except.binary_search(&p).is_err() {
-                self.rows[r * self.stride + w] |= bit;
+                _ => outside += usize::from(!shared),
             }
         }
-        self.shared = Some(Shared { slot, patterns });
-        self.normalize();
+        debug_assert!(
+            (except.iter())
+                .all(|p| !test_bit(patterns, p.index()) || test_bit(&explicit, p.index())),
+            "an excepted shared pattern has a row to withhold the default"
+        );
+        self.shared = default.map(|(parent, patterns, _)| Shared {
+            slot: slot_of(parent),
+            patterns: patterns.clone(),
+        });
+        (self.slots, self.explicit, self.before, self.rows) = (slots, explicit, before, rows);
+        (self.stride, self.outside) = (stride, outside);
     }
 
     /// Removes a subscription entry. Returns `true` if it was present.
@@ -801,6 +829,7 @@ impl Eq for SubscriptionTable {}
 mod tests {
     use super::*;
     use crate::event::EventId;
+    use eps_sim::check::forall;
 
     fn ev(patterns: &[u16]) -> Event {
         Event::new(
@@ -938,7 +967,8 @@ mod tests {
         assert_ne!(a, b);
 
         let mut shared = SubscriptionTable::new();
-        shared.insert_shared(NodeId::new(4), PatternBits::from(vec![0b1010u64]), &[]);
+        let bits = PatternBits::from(vec![0b1010u64]);
+        shared.fill(&[], Some((NodeId::new(4), &bits, &[])));
         let mut rows = SubscriptionTable::new();
         rows.insert(PatternId::new(3), Interface::Neighbor(NodeId::new(4)));
         rows.insert(PatternId::new(1), Interface::Neighbor(NodeId::new(4)));
@@ -991,17 +1021,14 @@ mod tests {
     #[test]
     fn known_index_tracks_the_scan_through_a_random_walk() {
         // Every mutation that can change `len` — including the bulk
-        // `insert_shared`, mirrored bit by bit through `insert` on a
-        // twin table — on one-word rows, rows that widen mid-walk, and
-        // tables that start from a default route.
+        // `fill` of a default route, mirrored bit by bit through
+        // `insert` on a twin table — on one-word rows, rows that widen
+        // mid-walk, and tables that start from a default route.
         const STEPS: usize = 10_000;
         const PATTERNS: u64 = 150;
         let mut from_default = SubscriptionTable::new();
-        from_default.insert_shared(
-            NodeId::new(3),
-            PatternBits::from(vec![u64::MAX, 0xf0f0, 1 << 20]),
-            &[],
-        );
+        let bits = PatternBits::from(vec![u64::MAX, 0xf0f0, 1 << 20]);
+        from_default.fill(&[], Some((NodeId::new(3), &bits, &[])));
         let layouts = [
             (SubscriptionTable::new(), 8u64, false),
             (SubscriptionTable::new(), 70, true),
@@ -1039,8 +1066,8 @@ mod tests {
                         for idx in set_bits(&mask) {
                             twin.insert(PatternId::new(idx as u16), Interface::Neighbor(neighbor));
                         }
-                        table.insert_shared(neighbor, mask.into(), &[]);
-                        assert_eq!(table, twin, "step {step}: insert_shared vs insert");
+                        table.fill(&[], Some((neighbor, &mask.into(), &[])));
+                        assert_eq!(table, twin, "step {step}: fill vs insert");
                         assert_eq!(table.slots, twin.slots, "step {step}: slot registry");
                     }
                 }
@@ -1052,12 +1079,176 @@ mod tests {
         }
     }
 
+    /// Random routes of one fill into `table`: child routes in pattern
+    /// order over `neighbors` neighbors, and a default — absent,
+    /// all-zero, or a random bitset with exceptions. An exception the
+    /// bitset holds has a row or a child route, as in the fill; others
+    /// are drawn anywhere.
+    type Fill = (
+        Vec<(PatternId, NodeId)>,
+        Option<(NodeId, PatternBits, Vec<PatternId>)>,
+    );
+
+    fn random_fill(
+        rng: &mut eps_sim::Rng,
+        table: &SubscriptionTable,
+        patterns: u64,
+        neighbors: u64,
+        routes: u64,
+    ) -> Fill {
+        let mut children: Vec<(PatternId, NodeId)> = (0..rng.random_below(routes + 1))
+            .map(|_| {
+                let p = PatternId::new(rng.random_below(patterns) as u16);
+                (p, NodeId::new(rng.random_below(neighbors) as u32))
+            })
+            .collect();
+        children.sort_by_key(|&(p, _)| p);
+        let words = patterns.div_ceil(64) as usize;
+        let default = match rng.random_below(4) {
+            0 => None,
+            k => {
+                let bits: Vec<u64> = (0..words)
+                    .map(|_| {
+                        if k == 1 {
+                            0
+                        } else {
+                            rng.next_u64() & rng.next_u64()
+                        }
+                    })
+                    .collect();
+                let with_rows: Vec<PatternId> = (children.iter().map(|&(p, _)| p))
+                    .chain(table.local_patterns())
+                    .collect();
+                let mut except: Vec<PatternId> = (0..rng.random_below(8))
+                    .map(|_| match rng.random_below(2) {
+                        0 if !with_rows.is_empty() => *rng.choose(&with_rows).unwrap(),
+                        _ => PatternId::new(rng.random_below(patterns) as u16),
+                    })
+                    .filter(|p| {
+                        !test_bit(&bits, p.index())
+                            || with_rows.contains(p)
+                            || table.row_of(p.index()).is_some()
+                    })
+                    .collect();
+                except.sort_unstable();
+                except.dedup();
+                let parent = NodeId::new(rng.random_below(neighbors) as u32);
+                Some((parent, PatternBits::from(bits), except))
+            }
+        };
+        (children, default)
+    }
+
+    /// Applies `fill` to `table` through the builder and to `twin`
+    /// through one `insert` per route.
+    fn apply(table: &mut SubscriptionTable, twin: &mut SubscriptionTable, fill: &Fill) {
+        let (children, default) = fill;
+        let default = default
+            .as_ref()
+            .map(|(parent, bits, except)| (*parent, bits, &except[..]));
+        table.fill(children, default);
+        for &(p, child) in children {
+            twin.insert(p, Interface::Neighbor(child));
+        }
+        if let Some((parent, bits, except)) = default {
+            for idx in set_bits(bits) {
+                let p = PatternId::new(idx as u16);
+                if except.binary_search(&p).is_err() {
+                    twin.insert(p, Interface::Neighbor(parent));
+                }
+            }
+        }
+    }
+
+    /// Asserts that `table` and `twin` hold the same content and the
+    /// same known-pattern index.
+    fn assert_twins(table: &SubscriptionTable, twin: &SubscriptionTable, case: &str) {
+        assert_eq!(table, twin, "{case}: fill vs insert");
+        assert_index_matches_scan(table, 0);
+        for k in 0..=twin.len() {
+            assert_eq!(
+                table.nth_known(k),
+                twin.nth_known(k),
+                "{case}: nth_known({k})"
+            );
+        }
+    }
+
+    #[test]
+    fn fill_equals_the_inserts_it_replaces() {
+        // The builder writes the table in one pass where the fill made
+        // one insert per route: the same content from an empty table, a
+        // table of local subscriptions and an already-filled table (its
+        // own default kept, maybe towards another neighbor, some of its
+        // routes withdrawn), on one-word rows and on rows that need a
+        // second word (a 64th neighbor); then both keep agreeing under
+        // inserts and removes.
+        const PATTERNS: u64 = 200;
+        let mut two_words = 0;
+        forall("fill_equals_the_inserts_it_replaces", 384, |rng| {
+            let wide = rng.random_below(3) == 0;
+            let (neighbors, routes) = if wide { (90, 240) } else { (8, 40) };
+            let mut table = SubscriptionTable::new();
+            for _ in 0..rng.random_below(7) {
+                table.insert(
+                    PatternId::new(rng.random_below(PATTERNS) as u16),
+                    Interface::Local,
+                );
+            }
+            let mut twin = table.clone();
+            let start = rng.random_below(3);
+            if start == 0 {
+                table = SubscriptionTable::new();
+                twin = SubscriptionTable::new();
+            } else if start == 2 {
+                let first = random_fill(rng, &table, PATTERNS, neighbors, routes);
+                apply(&mut table, &mut twin, &first);
+                assert_twins(&table, &twin, "first fill");
+                for _ in 0..rng.random_below(6) {
+                    let p = PatternId::new(rng.random_below(PATTERNS) as u16);
+                    let n = NodeId::new(rng.random_below(neighbors) as u32);
+                    assert_eq!(
+                        table.remove(p, Interface::Neighbor(n)),
+                        twin.remove(p, Interface::Neighbor(n))
+                    );
+                }
+            }
+            let fill = random_fill(rng, &table, PATTERNS, neighbors, routes);
+            apply(&mut table, &mut twin, &fill);
+            assert_twins(&table, &twin, "fill");
+            if table.slots.len() >= 64 {
+                assert_eq!(table.stride, 2, "64 slots and the local bit need two words");
+                two_words += 1;
+            }
+            for _ in 0..20 {
+                let p = PatternId::new(rng.random_below(PATTERNS) as u16);
+                let iface = match rng.random_below(neighbors + 1) {
+                    0 => Interface::Local,
+                    n => Interface::Neighbor(NodeId::new(n as u32 - 1)),
+                };
+                if rng.random_below(2) == 0 {
+                    assert_eq!(table.insert(p, iface), twin.insert(p, iface));
+                } else {
+                    assert_eq!(table.remove(p, iface), twin.remove(p, iface));
+                }
+            }
+            assert_twins(&table, &twin, "after inserts and removes");
+            // Filling a filled table: its own default is kept.
+            apply(&mut table, &mut twin, &fill);
+            assert_twins(&table, &twin, "second fill");
+        });
+        assert!(two_words > 32, "{two_words} cases reach two-word rows");
+    }
+
     #[test]
     fn a_default_route_is_overridden_row_by_row() {
         let (parent, child) = (NodeId::new(1), NodeId::new(9));
         let mut t = SubscriptionTable::new();
         t.insert(PatternId::new(2), Interface::Local);
-        t.insert_shared(parent, PatternBits::from(vec![0b1110u64]), &[]);
+        t.fill(
+            &[],
+            Some((parent, &PatternBits::from(vec![0b1110u64]), &[])),
+        );
         // The local row gained the default route; the others hold none.
         assert_eq!(t.neighbors_for(PatternId::new(2), None), vec![parent]);
         assert_eq!(t.rows.len(), 1);
