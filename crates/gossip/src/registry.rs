@@ -432,7 +432,9 @@ mod tests {
     /// (source, pattern, seq), summary reconciliation reads the summary
     /// index and, in pull mode, the tombstones of its seen view, and
     /// every kind that answers requests or expands summaries looks
-    /// events up by id.
+    /// events up by id. A dispatcher detects losses exactly where its
+    /// cache has the seq index, so this also pins that only the rows
+    /// with a `Lost` buffer — pull and push-pull — detect them.
     #[test]
     fn each_row_builds_the_indexes_its_state_reads() {
         for algo in Algorithm::all() {

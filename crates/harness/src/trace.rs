@@ -36,7 +36,10 @@ pub enum TraceRecord {
         /// than normal dispatching.
         recovered: bool,
     },
-    /// A dispatcher's detector reported sequence gaps.
+    /// A dispatcher's detector reported sequence gaps. Only strategies
+    /// that keep a `Lost` buffer — the pull rows and `push-pull` —
+    /// detect losses: under `no-recovery`, `push` and `summary-*` a
+    /// trace carries no such record.
     LossDetected {
         /// Virtual time.
         at: SimTime,

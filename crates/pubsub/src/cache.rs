@@ -159,7 +159,9 @@ pub struct CacheIndexes {
     pub pattern_ids: bool,
     /// (source, pattern, per-pattern seq) → cached event
     /// ([`EventCache::get_by_pattern_seq`]): serving negative (pull)
-    /// digests.
+    /// digests. A strategy that serves by seq is one that keeps a
+    /// `Lost` buffer, so a dispatcher whose cache has this index also
+    /// detects losses, and one without it detects none.
     pub pattern_seqs: bool,
     /// The hash-range summary index over the live ids
     /// ([`EventCache::summary_index`]): summary reconciliation.

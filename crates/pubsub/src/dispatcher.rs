@@ -77,7 +77,9 @@ pub struct EventReceipt {
     /// The event had already been received (through another path or a
     /// recovery); it was neither delivered nor forwarded again.
     pub duplicate: bool,
-    /// Losses newly detected from this event's sequence numbers.
+    /// Losses newly detected from this event's sequence numbers; none
+    /// where the dispatcher detects no losses (its cache has no
+    /// [`CacheIndexes::pattern_seqs`] index).
     pub losses: Vec<LossRecord>,
 }
 
@@ -203,7 +205,9 @@ pub struct Dispatcher {
     /// registry drive (un)propagation on the tree.
     clients: ClientRegistry,
     cache: EventCache,
-    detector: LossDetector,
+    /// Present where the cache serves by seq
+    /// ([`CacheIndexes::pattern_seqs`]): only then is a loss read.
+    detector: Option<LossDetector>,
     routes: RouteBook,
     seen: SeenSet,
     next_event_seq: u64,
@@ -231,7 +235,7 @@ impl Dispatcher {
             table: SubscriptionTable::new(),
             clients: ClientRegistry::new(),
             cache,
-            detector: LossDetector::new(),
+            detector: config.cache_indexes.pattern_seqs.then(LossDetector::new),
             routes: RouteBook::default(),
             seen: SeenSet::default(),
             next_event_seq: 0,
@@ -259,11 +263,6 @@ impl Dispatcher {
     /// The event cache.
     pub fn cache(&self) -> &EventCache {
         &self.cache
-    }
-
-    /// The loss detector.
-    pub fn detector(&self) -> &LossDetector {
-        &self.detector
     }
 
     /// Routes harvested from received events (publisher-based pull).
@@ -372,8 +371,10 @@ impl Dispatcher {
         pattern: PatternId,
         neighbors: &[NodeId],
     ) -> Vec<NodeId> {
-        self.detector.forget_pattern(pattern);
-        self.late_patterns.insert(pattern);
+        if let Some(detector) = &mut self.detector {
+            detector.forget_pattern(pattern);
+            self.late_patterns.insert(pattern);
+        }
         self.subscribe_local(pattern, neighbors)
     }
 
@@ -499,10 +500,7 @@ impl Dispatcher {
         // The source sees its own event: advance loss detection for
         // locally subscribed patterns so the source never "detects"
         // its own publications as lost.
-        let table = &self.table;
-        let late = &self.late_patterns;
-        self.detector
-            .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
+        self.observe(&event);
         let delivered = self.table.matching_neighbors_into(&event, None, next_hops);
         if delivered {
             self.delivered_total += 1;
@@ -514,6 +512,16 @@ impl Dispatcher {
             losses: Vec::new(),
         };
         (event, receipt)
+    }
+
+    /// The losses `event`'s sequence numbers reveal on the locally
+    /// subscribed patterns; none where the dispatcher detects none.
+    fn observe(&mut self, event: &Event) -> Vec<LossRecord> {
+        let Some(detector) = &mut self.detector else {
+            return Vec::new();
+        };
+        let (table, late) = (&self.table, &self.late_patterns);
+        detector.observe_with(event, |p| table.has_local(p), |p| late.contains(&p))
     }
 
     /// Handles an event arriving from neighbor `from` on the
@@ -539,11 +547,7 @@ impl Dispatcher {
             };
             return (event, receipt);
         }
-        let table = &self.table;
-        let late = &self.late_patterns;
-        let losses =
-            self.detector
-                .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
+        let losses = self.observe(&event);
         let delivered = self.table.matching_neighbors_into(&event, from, next_hops);
         if delivered {
             self.delivered_total += 1;
@@ -568,11 +572,7 @@ impl Dispatcher {
                 ..EventReceipt::default()
             };
         }
-        let table = &self.table;
-        let late = &self.late_patterns;
-        let losses =
-            self.detector
-                .observe_with(&event, |p| table.has_local(p), |p| late.contains(&p));
+        let losses = self.observe(&event);
         let delivered = self.table.matches_locally(&event);
         if delivered {
             self.delivered_total += 1;

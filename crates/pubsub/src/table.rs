@@ -37,11 +37,16 @@
 //! bit `s + 1` neighbor slot `s`, `stride` words long (one until a 64th
 //! neighbor registers). Each neighbor's slot lives in a registry kept
 //! sorted by [`NodeId`], so slot order **is** id order. Rows are packed
-//! in pattern order behind a Π-bit map of the patterns that have one,
-//! with the count of rows before each map word, so finding a pattern's
-//! row is a bit test and a popcount. Matching an event is an OR of at
-//! most `max_patterns_per_event` rows followed by set-bit iteration —
-//! no tree walk, no sort, no dedup, no allocation.
+//! in pattern order behind a map of the patterns that have one, sized
+//! by the rows rather than by Π: a presence bitset over the Π/64 words
+//! of the pattern bitset (one word per 4096 patterns), only the
+//! non-empty pattern words, in order, and a 16-bit rank per word of
+//! each level, all in one allocation. At N = 4000, Π = 8192 that is 2
+//! presence words and ≈ 10 pattern words, ≈ 120 B, where a Π-bit map
+//! with a count per word cost ≈ 1 KB. Finding a pattern's row is a bit
+//! test and a popcount at each level — no search. Matching an event is
+//! an OR of at most `max_patterns_per_event` rows followed by set-bit
+//! iteration — no tree walk, no sort, no dedup, no allocation.
 //!
 //! # The known-pattern index
 //!
@@ -228,6 +233,164 @@ pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
         .flat_map(|(w, &word)| bits(word, 64 * w))
 }
 
+/// Which patterns have an explicit row, and where it is: a two-level
+/// rank map sized by the rows a table holds, not by Π. A presence
+/// bitset over the Π/64 words of the pattern bitset marks the words
+/// that hold a row — one presence word per 4096 patterns, at most 16 —
+/// and only those words are kept, in order, each with the count of
+/// rows before it. Finding a row is a bit test and a popcount at each
+/// level, with no search.
+#[derive(Clone, Debug, Default)]
+struct RowMap {
+    /// `presence` presence words, then the `words` non-empty map words,
+    /// then their row counts as `u16`s packed four to a word. Empty —
+    /// no allocation — while no pattern has a row.
+    buf: Box<[u64]>,
+    /// Presence words: one per 4096 patterns, up to the highest row's.
+    presence: u32,
+    /// Non-empty map words.
+    words: u32,
+}
+
+impl RowMap {
+    /// The map whose non-empty words are `entries`: (map word index,
+    /// word), ascending by index, no word zero.
+    fn from_words(entries: &[(usize, u64)]) -> Self {
+        let Some(&(top, _)) = entries.last() else {
+            return RowMap::default();
+        };
+        let (p, k) = (top / 64 + 1, entries.len());
+        let mut map = RowMap {
+            buf: vec![0; p + k + k.div_ceil(4)].into(),
+            presence: p as u32,
+            words: k as u32,
+        };
+        let mut rows = 0;
+        for (at, &(w, word)) in entries.iter().enumerate() {
+            map.buf[w / 64] |= 1 << (w % 64);
+            map.buf[p + at] = word;
+            map.set_rows_before(at, rows);
+            rows += word.count_ones() as usize;
+        }
+        map
+    }
+
+    /// Rows of the patterns below the non-empty word at position `at`.
+    #[inline]
+    fn rows_before(&self, at: usize) -> usize {
+        let i = (self.presence + self.words) as usize + at / 4;
+        usize::from((self.buf[i] >> (at % 4 * 16)) as u16)
+    }
+
+    fn set_rows_before(&mut self, at: usize, rows: usize) {
+        debug_assert!(rows <= usize::from(u16::MAX));
+        let (i, shift) = ((self.presence + self.words) as usize + at / 4, at % 4 * 16);
+        self.buf[i] = (self.buf[i] & !(0xffff << shift)) | (rows as u64) << shift;
+    }
+
+    /// Map word `w` — zero where no pattern of it has a row — and its
+    /// position among the non-empty words: the set presence bits before
+    /// its own. A map word is read only where its presence bit is set.
+    /// Presence words are sparse, so the bits below the one tested are
+    /// mostly none or one, counted without a popcount (a dozen
+    /// instructions on x86-64 without `popcnt`): over 12 alternating
+    /// `microbench` runs on a 2-vCPU Xeon, `table_matching` 41.8 →
+    /// 34.1 ns and `table_matching_dense` 42.2 → 37.0 ns in the median,
+    /// each faster in 9 of 12 pairs.
+    #[inline]
+    fn find(&self, w: usize) -> (usize, u64) {
+        let (p, pw, bit) = (self.presence as usize, w / 64, w % 64);
+        let Some(&present) = self.buf[..p].get(pw) else {
+            return (0, 0);
+        };
+        if (present >> bit) & 1 == 0 {
+            return (0, 0);
+        }
+        let below = present & ((1 << bit) - 1);
+        let here = if below & below.wrapping_sub(1) == 0 {
+            usize::from(below != 0)
+        } else {
+            below.count_ones() as usize
+        };
+        let at = here
+            + (self.buf[..pw].iter())
+                .map(|x| x.count_ones() as usize)
+                .sum::<usize>();
+        (at, self.buf[p + at])
+    }
+
+    /// Index of pattern `idx`'s row, if it has one.
+    #[inline]
+    fn row_of(&self, idx: usize) -> Option<usize> {
+        let (at, word) = self.find(idx / 64);
+        let bit = 1u64 << (idx % 64);
+        (word & bit != 0).then(|| self.rows_before(at) + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    /// The non-empty words with their indexes, ascending.
+    fn entries(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let p = self.presence as usize;
+        let words = &self.buf[p..p + self.words as usize];
+        set_bits(&self.buf[..p]).zip(words.iter().copied())
+    }
+
+    /// The patterns with a row, ascending: the `r`-th has row `r`.
+    fn patterns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.entries().flat_map(|(w, word)| bits(word, 64 * w))
+    }
+
+    /// One past the highest map word with a row.
+    fn word_bound(&self) -> usize {
+        match self.presence as usize {
+            0 => 0,
+            p => 64 * p - self.buf[p - 1].leading_zeros() as usize,
+        }
+    }
+
+    /// Gives pattern `idx`, which has no row, one, and returns its
+    /// index. A pattern in a word that already holds a row sets a bit
+    /// and moves the row counts after it; one in a new word rebuilds the
+    /// map.
+    fn insert(&mut self, idx: usize) -> usize {
+        let (w, bit) = (idx / 64, 1u64 << (idx % 64));
+        let (at, word) = self.find(w);
+        if word == 0 {
+            let mut entries = Vec::with_capacity(self.words as usize + 1);
+            entries.extend(self.entries());
+            let at = entries.partition_point(|&(v, _)| v < w);
+            entries.insert(at, (w, bit));
+            *self = RowMap::from_words(&entries);
+            return self.rows_before(at);
+        }
+        self.buf[self.presence as usize + at] |= bit;
+        self.shift_rows(at, 1);
+        self.rows_before(at) + (word & (bit - 1)).count_ones() as usize
+    }
+
+    /// Takes pattern `idx`'s row out of the map.
+    fn remove(&mut self, idx: usize) {
+        let (w, bit) = (idx / 64, 1u64 << (idx % 64));
+        let (at, word) = self.find(w);
+        debug_assert!(word & bit != 0, "pattern {idx} has a row");
+        if word == bit {
+            let mut entries: Vec<(usize, u64)> = self.entries().collect();
+            entries.remove(at);
+            *self = RowMap::from_words(&entries);
+        } else {
+            self.buf[self.presence as usize + at] &= !bit;
+            self.shift_rows(at, -1);
+        }
+    }
+
+    /// Adds `delta` to the rows before every non-empty word after the
+    /// one at position `at`.
+    fn shift_rows(&mut self, at: usize, delta: isize) {
+        for i in at + 1..self.words as usize {
+            self.set_rows_before(i, self.rows_before(i).wrapping_add_signed(delta));
+        }
+    }
+}
+
 /// The shared default route of a table (see the module docs).
 #[derive(Clone, Debug)]
 struct Shared {
@@ -260,10 +423,8 @@ pub struct SubscriptionTable {
     slots: Vec<NodeId>,
     /// The default route, if any.
     shared: Option<Shared>,
-    /// Bit `idx` is set iff pattern `idx` has an explicit row.
-    explicit: Vec<u64>,
-    /// Explicit rows of the patterns below word `w` of `explicit`.
-    before: Vec<u16>,
+    /// The patterns with an explicit row.
+    map: RowMap,
     /// The explicit rows, `stride` words each, in pattern order.
     rows: Vec<u64>,
     /// Words per row.
@@ -281,8 +442,7 @@ impl Default for SubscriptionTable {
         SubscriptionTable {
             slots: Vec::new(),
             shared: None,
-            explicit: Vec::new(),
-            before: Vec::new(),
+            map: RowMap::default(),
             rows: Vec::new(),
             stride: 1,
             outside: 0,
@@ -304,16 +464,6 @@ impl SubscriptionTable {
             .is_some_and(|s| test_bit(&s.patterns, idx))
     }
 
-    /// Index of pattern `idx`'s explicit row: a bit test and a popcount.
-    #[inline]
-    fn row_of(&self, idx: usize) -> Option<usize> {
-        let w = idx / 64;
-        let word = *self.explicit.get(w)?;
-        let bit = 1u64 << (idx % 64);
-        (word & bit != 0)
-            .then(|| usize::from(self.before[w]) + (word & (bit - 1)).count_ones() as usize)
-    }
-
     fn row(&self, r: usize) -> &[u64] {
         &self.rows[r * self.stride..(r + 1) * self.stride]
     }
@@ -322,7 +472,7 @@ impl SubscriptionTable {
     /// default route's where the pattern is shared.
     #[inline]
     fn entry_word(&self, idx: usize, w: usize) -> u64 {
-        match self.row_of(idx) {
+        match self.map.row_of(idx) {
             Some(r) => self.rows[r * self.stride + w],
             None => self.default_word(idx, w),
         }
@@ -346,7 +496,7 @@ impl SubscriptionTable {
     }
 
     fn knows_index(&self, idx: usize) -> bool {
-        match self.row_of(idx) {
+        match self.map.row_of(idx) {
             Some(r) => self.row(r).iter().any(|&w| w != 0),
             None => self.in_shared(idx),
         }
@@ -355,7 +505,7 @@ impl SubscriptionTable {
     /// One past the largest pattern index any part of the table covers.
     fn pattern_bound(&self) -> usize {
         let shared = self.shared.as_ref().map_or(0, |s| s.patterns.len());
-        64 * shared.max(self.explicit.len())
+        64 * shared.max(self.map.word_bound())
     }
 
     /// Creates the explicit row of `idx`, which has none, with the
@@ -365,18 +515,7 @@ impl SubscriptionTable {
     /// subscription changes, never on the event path; the bulk fill
     /// writes each table's rows at once ([`SubscriptionTable::fill`]).
     fn new_row(&mut self, idx: usize) -> usize {
-        let w = idx / 64;
-        if w >= self.explicit.len() {
-            let total = (self.rows.len() / self.stride) as u16;
-            self.explicit.resize(w + 1, 0);
-            self.before.resize(w + 1, total);
-        }
-        let bit = 1u64 << (idx % 64);
-        let r = usize::from(self.before[w]) + (self.explicit[w] & (bit - 1)).count_ones() as usize;
-        self.explicit[w] |= bit;
-        for count in &mut self.before[w + 1..] {
-            *count += 1;
-        }
+        let r = self.map.insert(idx);
         let (at, end) = (r * self.stride, self.rows.len());
         self.rows.resize(end + self.stride, 0);
         if at < end {
@@ -396,11 +535,7 @@ impl SubscriptionTable {
     /// Deletes row `r` of pattern `idx`, which lies outside the shared
     /// set.
     fn delete_row(&mut self, idx: usize, r: usize) {
-        let w = idx / 64;
-        self.explicit[w] &= !(1u64 << (idx % 64));
-        for count in &mut self.before[w + 1..] {
-            *count -= 1;
-        }
+        self.map.remove(idx);
         self.rows.drain(r * self.stride..(r + 1) * self.stride);
         self.outside -= 1;
     }
@@ -457,7 +592,7 @@ impl SubscriptionTable {
             Interface::Neighbor(n) => slot_bit(self.register(n)),
         };
         let idx = pattern.index();
-        let r = match self.row_of(idx) {
+        let r = match self.map.row_of(idx) {
             Some(r) if self.rows[r * self.stride + w] & bit != 0 => return false,
             Some(r) => {
                 // Only a shared pattern's row is ever empty.
@@ -517,29 +652,33 @@ impl SubscriptionTable {
         let parent = default.map(|(parent, ..)| slot_bit(slot_of(parent)));
 
         // The row map: the local patterns (a table without slots has no
-        // other rows) and the children's, with its counts.
-        let words =
-            (self.explicit.len()).max(children.last().map_or(0, |(p, _)| p.index() / 64 + 1));
-        let mut explicit = Vec::with_capacity(words);
-        explicit.extend_from_slice(&self.explicit);
-        explicit.resize(words, 0);
+        // other rows) and the children's, merged word by word.
+        let mut words = Vec::with_capacity(self.map.words as usize + children.len());
+        let mut add = |(w, word): (usize, u64)| match words.last_mut() {
+            Some((last, x)) if *last == w => *x |= word,
+            _ => words.push((w, word)),
+        };
+        let mut local_words = self.map.entries().peekable();
         for (p, _) in children {
-            explicit[p.index() / 64] |= 1 << (p.index() % 64);
+            let w = p.index() / 64;
+            while let Some(local) = local_words.next_if(|&(v, _)| v <= w) {
+                add(local);
+            }
+            add((w, 1 << (p.index() % 64)));
         }
-        let mut total = 0;
-        let before = (explicit.iter())
-            .map(|&x| {
-                let here = total as u16;
-                total += if x == 0 { 0 } else { x.count_ones() as usize };
-                here
-            })
-            .collect();
+        local_words.for_each(add);
+        let map = RowMap::from_words(&words);
+        let total = words
+            .iter()
+            .map(|(_, x)| x.count_ones() as usize)
+            .sum::<usize>();
 
         // Each row: the local flag, the children's routes, the parent's.
         let mut rows = vec![0; total * stride];
         let (mut c, mut e, mut outside) = (0, 0, 0);
-        for (row, idx) in rows.chunks_exact_mut(stride).zip(set_bits(&explicit)) {
-            if test_bit(&self.explicit, idx) {
+        let mut locals = self.map.patterns().peekable();
+        for (row, idx) in rows.chunks_exact_mut(stride).zip(map.patterns()) {
+            if locals.next_if_eq(&idx).is_some() {
                 row[0] = LOCAL;
             }
             while let Some(&(_, child)) = children.get(c).filter(|(p, _)| p.index() == idx) {
@@ -558,16 +697,17 @@ impl SubscriptionTable {
                 _ => outside += usize::from(!shared),
             }
         }
+        drop(locals);
         debug_assert!(
             (except.iter())
-                .all(|p| !test_bit(patterns, p.index()) || test_bit(&explicit, p.index())),
+                .all(|p| !test_bit(patterns, p.index()) || map.row_of(p.index()).is_some()),
             "an excepted shared pattern has a row to withhold the default"
         );
         self.shared = default.map(|(parent, patterns, _)| Shared {
             slot: slot_of(parent),
             patterns: patterns.clone(),
         });
-        (self.slots, self.explicit, self.before, self.rows) = (slots, explicit, before, rows);
+        (self.slots, self.map, self.rows) = (slots, map, rows);
         (self.stride, self.outside) = (stride, outside);
     }
 
@@ -581,7 +721,7 @@ impl SubscriptionTable {
             },
         };
         let idx = pattern.index();
-        let r = match self.row_of(idx) {
+        let r = match self.map.row_of(idx) {
             Some(r) if self.rows[r * self.stride + w] & bit == 0 => return false,
             Some(r) => r,
             None if self.default_word(idx, w) & bit == 0 => return false,
@@ -600,7 +740,8 @@ impl SubscriptionTable {
 
     /// `true` if a local client subscribes to `pattern`.
     pub fn has_local(&self, pattern: PatternId) -> bool {
-        self.row_of(pattern.index())
+        self.map
+            .row_of(pattern.index())
             .is_some_and(|r| self.rows[r * self.stride] & LOCAL != 0)
     }
 
@@ -660,16 +801,8 @@ impl SubscriptionTable {
     ) -> bool {
         out.clear();
         // Word 0 — every neighbor while there are at most 63 — with
-        // `row_of` and `default_word` inlined, what they read per table
-        // hoisted, and no branch on where the pattern drawn happens to
-        // fall: a read past the map's end clamps to its last word and is
-        // masked out.
-        let (explicit, before): (&[u64], &[u16]) = if self.explicit.is_empty() {
-            (&[0], &[0])
-        } else {
-            (&self.explicit, &self.before[..self.explicit.len()])
-        };
-        let last = explicit.len() - 1;
+        // `row_of` and `default_word` inlined and the default's slot
+        // hoisted.
         let (shared, default) = match &self.shared {
             Some(s) => match slot_bit(s.slot) {
                 (0, bit) => (&s.patterns[..], bit),
@@ -680,10 +813,9 @@ impl SubscriptionTable {
         let mut acc = 0;
         for p in event.patterns() {
             let (i, bit) = (p.index() / 64, 1u64 << (p.index() % 64));
-            let past_end = ((last as i64 - i as i64) >> 63) as u64;
-            let x = explicit[i.min(last)] & !past_end;
+            let (at, x) = self.map.find(i);
             acc |= if x & bit != 0 {
-                let r = usize::from(before[i]) + (x & (bit - 1)).count_ones() as usize;
+                let r = self.map.rows_before(at) + (x & (bit - 1)).count_ones() as usize;
                 self.rows[r * self.stride]
             } else if shared.get(i).is_some_and(|&s| s & bit != 0) {
                 default
@@ -718,8 +850,9 @@ impl SubscriptionTable {
     /// Patterns with a local subscription, in order.
     pub fn local_patterns(&self) -> impl Iterator<Item = PatternId> + '_ {
         // Local patterns always have a row, and rows are in pattern
-        // order: the n-th set bit of the map is row n.
-        set_bits(&self.explicit)
+        // order: the n-th pattern of the map has row n.
+        self.map
+            .patterns()
             .enumerate()
             .filter(|&(r, _)| self.rows[r * self.stride] & LOCAL != 0)
             .map(|(_, idx)| PatternId::new(idx as u16))
@@ -772,17 +905,17 @@ impl SubscriptionTable {
     /// default), plus the explicit-row map, minus the empty rows.
     fn known_words(&self) -> impl Iterator<Item = u64> + '_ {
         let shared: &[u64] = self.shared.as_ref().map_or(&[], |s| &s.patterns);
-        let words = shared.len().max(self.explicit.len());
+        let words = shared.len().max(self.map.word_bound());
         (0..words).map(move |w| {
             let s = shared.get(w).copied().unwrap_or(0);
-            let x = self.explicit.get(w).copied().unwrap_or(0);
+            let (at, x) = self.map.find(w);
             let mut known = s | x;
             if self.emptied > 0 {
                 let mut both = s & x;
                 while both != 0 {
                     let bit = both & both.wrapping_neg();
                     both &= both - 1;
-                    let r = usize::from(self.before[w]) + (x & (bit - 1)).count_ones() as usize;
+                    let r = self.map.rows_before(at) + (x & (bit - 1)).count_ones() as usize;
                     if self.row(r).iter().all(|&word| word == 0) {
                         known &= !bit;
                     }
@@ -1127,7 +1260,7 @@ mod tests {
                     .filter(|p| {
                         !test_bit(&bits, p.index())
                             || with_rows.contains(p)
-                            || table.row_of(p.index()).is_some()
+                            || table.map.row_of(p.index()).is_some()
                     })
                     .collect();
                 except.sort_unstable();
@@ -1267,6 +1400,75 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.nth_known(0), Some(PatternId::new(2)));
         assert_index_matches_scan(&t, 0);
+    }
+
+    /// Asserts that `map` is the rank map of the pattern bitset `dense`
+    /// (1024 words: every u16 pattern), exactly sized.
+    fn assert_map_of(map: &RowMap, dense: &[u64], probes: &[usize], case: &str) {
+        let mut before = vec![0; dense.len() + 1];
+        for (w, word) in dense.iter().enumerate() {
+            before[w + 1] = before[w] + word.count_ones() as usize;
+        }
+        let rank = |idx: usize| {
+            before[idx / 64] + (dense[idx / 64] & ((1 << (idx % 64)) - 1)).count_ones() as usize
+        };
+        let set: Vec<usize> = set_bits(dense).collect();
+        assert_eq!(map.patterns().collect::<Vec<_>>(), set, "{case}: patterns");
+        for &idx in set.iter().chain(probes) {
+            let expected = test_bit(dense, idx).then(|| rank(idx));
+            assert_eq!(map.row_of(idx), expected, "{case}: row_of({idx})");
+        }
+        let top = dense.iter().rposition(|&w| w != 0);
+        assert_eq!(
+            map.word_bound(),
+            top.map_or(0, |w| w + 1),
+            "{case}: word bound"
+        );
+        let (p, k) = (
+            top.map_or(0, |w| w / 64 + 1),
+            dense.iter().filter(|&&w| w != 0).count(),
+        );
+        assert_eq!(map.buf.len(), p + k + k.div_ceil(4), "{case}: bytes");
+    }
+
+    #[test]
+    fn row_map_ranks_match_a_dense_bitset() {
+        // Rows inserted and removed one at a time, and the map rebuilt
+        // whole as the fill builds it, at both ends of the u16 universe
+        // (map words 0 and 1023, presence words 0 and 15) and anywhere
+        // between: every row index is the dense bitset's rank.
+        forall("row_map_ranks_match_a_dense_bitset", 128, |rng| {
+            let draw = |rng: &mut eps_sim::Rng| match rng.random_below(3) {
+                0 => rng.random_below(130) as usize,
+                1 => 65_535 - rng.random_below(130) as usize,
+                _ => rng.random_below(65_536) as usize,
+            };
+            let mut dense = vec![0u64; 1024];
+            let mut map = RowMap::default();
+            for step in 0..rng.random_range(1..160usize) {
+                let idx = draw(rng);
+                let bit = 1u64 << (idx % 64);
+                if test_bit(&dense, idx) {
+                    map.remove(idx);
+                    dense[idx / 64] &= !bit;
+                } else {
+                    let r = map.insert(idx);
+                    dense[idx / 64] |= bit;
+                    assert_eq!(map.row_of(idx), Some(r), "step {step}: inserted row");
+                }
+                if rng.random_below(8) == 0 {
+                    let entries: Vec<(usize, u64)> = (dense.iter().copied().enumerate())
+                        .filter(|&(_, w)| w != 0)
+                        .collect();
+                    map = RowMap::from_words(&entries);
+                }
+                let probes: Vec<usize> = (0..8)
+                    .map(|_| draw(rng))
+                    .chain([0, 63, 64, 4095, 4096, 65_535])
+                    .collect();
+                assert_map_of(&map, &dense, &probes, &format!("step {step}"));
+            }
+        });
     }
 
     #[test]

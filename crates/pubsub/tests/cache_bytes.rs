@@ -6,15 +6,19 @@
 //! It also pins the live heap of a loss detector in the two shapes a
 //! dispatcher's detector takes, and that building a cache or a
 //! dispatcher allocates nothing: a population of them costs no set-up
-//! time before its first event.
+//! time before its first event. Last, it pins the row map of a filled
+//! subscription table at Π = 8192: sized by the rows the table holds,
+//! not by the pattern universe.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{BTreeSet, VecDeque};
 
-use eps_overlay::NodeId;
+use eps_overlay::{NodeId, Topology};
 use eps_pubsub::{
-    CacheIndexes, Dispatcher, DispatcherConfig, Event, EventCache, EventId, EvictionPolicy,
-    LossDetector, PatternId, PatternSpace,
+    flood_subscriptions_direct, install_local_subscriptions, CacheIndexes, Dispatcher,
+    DispatcherConfig, Event, EventCache, EventId, EvictionPolicy, LossDetector, PatternId,
+    PatternSpace, SubscriptionTable,
 };
 use eps_sim::Rng;
 
@@ -321,4 +325,69 @@ fn building_a_cache_or_a_dispatcher_allocates_nothing() {
             assert_eq!(dispatcher, 0, "dispatcher {indexes:?} {eviction}");
         }
     }
+}
+
+/// Live heap bytes of `table`'s row map: a clone's heap — its slot
+/// registry, row map and rows; the default route's bitset is shared,
+/// not copied — less the rows and the registry, read off its content.
+/// A filled table's rows are its patterns with a local subscriber or a
+/// route other than the default one towards `parent` (the root has no
+/// default), one word each below 63 neighbors; its slots are the
+/// neighbors it routes to.
+fn row_map_bytes(table: &SubscriptionTable, parent: Option<NodeId>) -> isize {
+    let (mut rows, mut slots) = (0, BTreeSet::new());
+    for p in table.all_patterns() {
+        let neighbors = table.neighbors_for(p, None);
+        if table.has_local(p) || neighbors.as_slice() != parent.as_slice() {
+            rows += 1;
+        }
+        slots.extend(neighbors);
+    }
+    assert!(slots.len() < 63, "one-word rows");
+    let before = LIVE.with(Cell::get);
+    let copy = table.clone();
+    let bytes = LIVE.with(Cell::get) - before;
+    drop(copy);
+    bytes - 8 * rows - (slots.len() * std::mem::size_of::<NodeId>()) as isize
+}
+
+/// The tables of an N = 4000, Π = 8192 tree (the `sim_scale` content
+/// model: two patterns per dispatcher, degree at most 4) keep only
+/// their non-empty pattern words. A dispatcher there holds ≈ 20 rows in
+/// ≈ 10 words of the pattern bitset, ≈ 120 B of row map, though the
+/// few near the root hold hundreds of rows; a dense map — a bit per
+/// pattern up to the highest row and a count per word — costs ≈ 1 KB
+/// nearly everywhere. Pinned as the mean over every 100th dispatcher,
+/// rooted as the fill roots the tree (at node 0).
+#[test]
+fn a_filled_pi_8192_table_keeps_a_row_map_of_at_most_256_bytes() {
+    const NODES: usize = 4000;
+    let mut rng = Rng::from_seed(1);
+    let topology = Topology::random_tree(NODES, 4, &mut rng);
+    let space = PatternSpace::new(8192, 3);
+    let subscriptions: Vec<Vec<PatternId>> = (0..NODES)
+        .map(|_| space.random_subscriptions(2, &mut rng))
+        .collect();
+    let mut dispatchers: Vec<Dispatcher> = (topology.nodes())
+        .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
+        .collect();
+    install_local_subscriptions(&mut dispatchers, &subscriptions);
+    flood_subscriptions_direct(&mut dispatchers, &topology);
+    let mut parent = vec![None; NODES];
+    let mut queue = VecDeque::from([NodeId::new(0)]);
+    while let Some(v) = queue.pop_front() {
+        for &w in topology.neighbors(v) {
+            if w.index() != 0 && parent[w.index()].is_none() {
+                parent[w.index()] = Some(v);
+                queue.push_back(w);
+            }
+        }
+    }
+    let sizes: Vec<isize> = (0..NODES)
+        .step_by(100)
+        .map(|v| row_map_bytes(dispatchers[v].table(), parent[v]))
+        .collect();
+    let mean = sizes.iter().sum::<isize>() as f64 / sizes.len() as f64;
+    eprintln!("row map bytes, every 100th dispatcher: {sizes:?}, mean {mean:.0} B");
+    assert!(mean <= 256.0, "{mean:.0} B of row map per dispatcher");
 }

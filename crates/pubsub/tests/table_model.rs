@@ -323,3 +323,188 @@ fn wide_neighborhoods_spill_correctly() {
         );
     });
 }
+
+/// A pattern at either end of the u16 universe — word 0 or word 1023
+/// of the pattern bitset, presence word 0 or 15 of a table's row map —
+/// or, a third of the time, anywhere between.
+fn edge_pattern(rng: &mut Rng) -> u16 {
+    match rng.random_below(3) {
+        0 => rng.random_below(64) as u16,
+        1 => u16::MAX - rng.random_below(64) as u16,
+        _ => rng.random_below(1 << 16) as u16,
+    }
+}
+
+/// The dense reference: every u16 pattern's entry — local flag and
+/// neighbor set — indexed by pattern, and the patterns ever written, to
+/// walk in order.
+struct Dense {
+    entries: Vec<(bool, BTreeSet<NodeId>)>,
+    written: BTreeSet<u16>,
+}
+
+impl Dense {
+    fn new() -> Self {
+        Dense {
+            entries: vec![(false, BTreeSet::new()); 1 << 16],
+            written: BTreeSet::new(),
+        }
+    }
+
+    fn entry(&mut self, p: u16) -> &mut (bool, BTreeSet<NodeId>) {
+        self.written.insert(p);
+        &mut self.entries[usize::from(p)]
+    }
+
+    /// Adds the routes a flood gives `node` on the tree `topo`: towards
+    /// each neighbor, every pattern a dispatcher on its side subscribes
+    /// to (`locals`, by node).
+    fn flood(&mut self, topo: &Topology, locals: &[BTreeSet<u16>], node: NodeId) {
+        for &p in &locals[node.index()] {
+            self.entry(p).0 = true;
+        }
+        for &n in topo.neighbors(node) {
+            let mut side = vec![(n, node)];
+            while let Some((v, from)) = side.pop() {
+                for &p in &locals[v.index()] {
+                    self.entry(p).1.insert(n);
+                }
+                let next = topo.neighbors(v).iter().filter(|&&w| w != from);
+                side.extend(next.map(|&w| (w, v)));
+            }
+        }
+    }
+
+    fn known(&self) -> Vec<PatternId> {
+        let entries = &self.entries;
+        (self.written.iter())
+            .filter(|&&p| entries[usize::from(p)].0 || !entries[usize::from(p)].1.is_empty())
+            .map(|&p| PatternId::new(p))
+            .collect()
+    }
+
+    /// Checks every lookup the rest of the stack makes on `table`
+    /// against the reference, on the known patterns and `probes`.
+    fn check(&self, table: &SubscriptionTable, probes: &[u16], rng: &mut Rng, case: &str) {
+        let known = self.known();
+        assert_eq!(table.len(), known.len(), "{case}: len");
+        let index = table.known_patterns();
+        for (k, &p) in known.iter().enumerate() {
+            assert_eq!(index.nth(k), Some(p), "{case}: known_patterns().nth({k})");
+        }
+        assert_eq!(index.nth(known.len()), None, "{case}: past the end");
+        for k in [
+            0,
+            known.len(),
+            rng.random_below(known.len() as u64 + 1) as usize,
+        ] {
+            let expected = known.get(k).copied();
+            assert_eq!(table.nth_known(k), expected, "{case}: nth_known({k})");
+        }
+        let locals: Vec<PatternId> = (known.iter().copied())
+            .filter(|p| self.entries[p.index()].0)
+            .collect();
+        assert_eq!(
+            table.local_patterns().collect::<Vec<_>>(),
+            locals,
+            "{case}: local_patterns"
+        );
+        for p in known
+            .iter()
+            .map(|p| p.value())
+            .chain(probes.iter().copied())
+        {
+            let (local, neighbors) = &self.entries[usize::from(p)];
+            let pattern = PatternId::new(p);
+            assert_eq!(table.has_local(pattern), *local, "{case}: has_local({p})");
+            assert_eq!(
+                table.neighbors_for(pattern, None),
+                neighbors.iter().copied().collect::<Vec<_>>(),
+                "{case}: neighbors_for({p})"
+            );
+        }
+    }
+}
+
+/// A filled table's row map holds only its non-empty pattern words:
+/// one dispatcher of a random tree whose subscriptions sit at both ends
+/// of the u16 universe tracks a dense reference through the fill,
+/// random (un)subscriptions — local and from neighbors, tree neighbors
+/// or not — and a second fill, which adds the flood's routes one insert
+/// at a time.
+#[test]
+fn a_filled_table_matches_a_dense_reference_at_both_ends_of_the_universe() {
+    forall(
+        "a_filled_table_matches_a_dense_reference_at_both_ends_of_the_universe",
+        96,
+        |rng| {
+            let n = rng.random_range(6..20usize);
+            let topo = Topology::random_tree(n, 4, rng);
+            let mut locals: Vec<BTreeSet<u16>> = (0..n)
+                .map(|_| {
+                    (0..rng.random_range(1..9usize))
+                        .map(|_| edge_pattern(rng))
+                        .collect()
+                })
+                .collect();
+            let subs: Vec<Vec<PatternId>> = (locals.iter())
+                .map(|ps| ps.iter().map(|&p| PatternId::new(p)).collect())
+                .collect();
+            let mut dispatchers: Vec<Dispatcher> = topo
+                .nodes()
+                .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
+                .collect();
+            install_local_subscriptions(&mut dispatchers, &subs);
+            flood_subscriptions_direct(&mut dispatchers, &topo);
+            let node = NodeId::new(rng.random_below(n as u64) as u32);
+            let mut dense = Dense::new();
+            dense.flood(&topo, &locals, node);
+            let mut probes: Vec<u16> = (0..16).map(|_| edge_pattern(rng)).collect();
+            probes.extend([0, 63, 64, 4095, 4096, u16::MAX]);
+            dense.check(dispatchers[node.index()].table(), &probes, rng, "fill");
+
+            for step in 0..rng.random_range(1..40usize) {
+                let p = match rng.choose(&probes) {
+                    Some(&p) if rng.random_bool(0.5) => p,
+                    _ => edge_pattern(rng),
+                };
+                let from = match rng.choose(topo.neighbors(node)) {
+                    Some(&v) if rng.random_bool(0.7) => v,
+                    _ => NodeId::new(rng.random_below(n as u64 + 3) as u32),
+                };
+                let d = &mut dispatchers[node.index()];
+                match rng.random_below(4) {
+                    0 => {
+                        d.subscribe_local(PatternId::new(p), &[]);
+                        dense.entry(p).0 = true;
+                        locals[node.index()].insert(p);
+                    }
+                    1 => {
+                        d.unsubscribe_local(PatternId::new(p), &[]);
+                        dense.entry(p).0 = false;
+                        locals[node.index()].remove(&p);
+                    }
+                    2 => {
+                        d.on_subscribe(PatternId::new(p), from, &[]);
+                        dense.entry(p).1.insert(from);
+                    }
+                    _ => {
+                        d.on_unsubscribe(PatternId::new(p), from, &[]);
+                        dense.entry(p).1.remove(&from);
+                    }
+                }
+                probes.push(p);
+                dense.check(d.table(), &probes, rng, &format!("step {step}"));
+            }
+
+            flood_subscriptions_direct(&mut dispatchers, &topo);
+            dense.flood(&topo, &locals, node);
+            dense.check(
+                dispatchers[node.index()].table(),
+                &probes,
+                rng,
+                "second fill",
+            );
+        },
+    );
+}

@@ -208,9 +208,11 @@ echo "mid-scale cell events processed: ${midscale_events} (limit 48410)"
 [ -n "$midscale_events" ] && [ "$midscale_events" -le 48410 ] \
     || { echo "FAIL: mid-scale cell processed more than 48410 events"; exit 1; }
 # Memory tripwire: the cell's peak resident set, from the kernel's
-# accounting of a finished child (there is no /usr/bin/time here). Per-
-# dispatcher state that grows with the pattern universe again — dense
-# rows, a bitset per neighbor — puts it back above 60 MB.
+# accounting of a finished child (there is no /usr/bin/time here). Each
+# table's row map keeps only its non-empty pattern words (≈ 120 B at
+# Π = 8192), and the cell peaks near 14.6 MB. A dense row map — a bit
+# per pattern and a count per map word, ≈ 1 KB per dispatcher — put it
+# at 18.0 MB; the limit sits halfway.
 midscale_peak_mb=$(python3 - "${midscale_args[@]}" <<'EOF'
 import resource, subprocess, sys
 subprocess.run(["./target/release/simulate", *sys.argv[1:]],
@@ -218,9 +220,25 @@ subprocess.run(["./target/release/simulate", *sys.argv[1:]],
 print(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f}")
 EOF
 )
-echo "mid-scale cell peak RSS: ${midscale_peak_mb} MB (limit 32 MB)"
-awk -v mb="$midscale_peak_mb" 'BEGIN {exit !(mb <= 32)}' \
-    || { echo "FAIL: mid-scale cell peaked above 32 MB"; exit 1; }
+echo "mid-scale cell peak RSS: ${midscale_peak_mb} MB (limit 16.3 MB)"
+awk -v mb="$midscale_peak_mb" 'BEGIN {exit !(mb <= 16.3)}' \
+    || { echo "FAIL: mid-scale cell peaked above 16.3 MB"; exit 1; }
+
+echo "== tier-1: N = 1e5 cell memory (push, 8192 patterns) =="
+# The scale check at N = 10^5, where routing state is most of each
+# dispatcher's memory. It peaks near 187 MB with sparse row maps; a
+# dense row map put it at 281.9 MB, and the limit sits halfway.
+scale_peak_mb=$(python3 - -a push --nodes 100000 --patterns 8192 \
+    --publish-rate 0.01 --duration 1 --seed 1 <<'EOF'
+import resource, subprocess, sys
+subprocess.run(["./target/release/simulate", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+print(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f}")
+EOF
+)
+echo "N = 1e5 cell peak RSS: ${scale_peak_mb} MB (limit 234 MB)"
+awk -v mb="$scale_peak_mb" 'BEGIN {exit !(mb <= 234)}' \
+    || { echo "FAIL: the N = 1e5 push cell peaked above 234 MB"; exit 1; }
 
 echo "== tier-1: churn cell (subscription swaps: two processes, one output) =="
 # A mid-run subscription drops the pattern's loss-detector streams with
