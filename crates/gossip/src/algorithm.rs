@@ -190,10 +190,10 @@ impl Strategy {
                 GossipMessage::PullDigest {
                     gossiper,
                     pattern,
-                    lost,
+                    mut lost,
                 },
             ) => {
-                let (found, lost) = serve_from_cache(node, &lost);
+                let found = serve_from_cache(node, &mut lost);
                 reply(gossiper, found, &mut out);
                 // A dispatcher holding everything short-circuits the
                 // propagation.
@@ -211,11 +211,11 @@ impl Strategy {
                 GossipMessage::SourcePull {
                     gossiper,
                     source,
-                    lost,
+                    mut lost,
                     route,
                 },
             ) => {
-                let (found, lost) = serve_from_cache(node, &lost);
+                let found = serve_from_cache(node, &mut lost);
                 reply(gossiper, found, &mut out);
                 (!lost.is_empty()).then_some(GossipMessage::SourcePull {
                     gossiper,
@@ -231,11 +231,11 @@ impl Strategy {
                 },
                 GossipMessage::RandomPull {
                     gossiper,
-                    lost,
+                    mut lost,
                     ttl,
                 },
             ) => {
-                let (found, lost) = serve_from_cache(node, &lost);
+                let found = serve_from_cache(node, &mut lost);
                 reply(gossiper, found, &mut out);
                 // The unserved remainder walks on while the hop budget
                 // lasts.

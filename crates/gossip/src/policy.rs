@@ -380,28 +380,23 @@ pub(crate) fn reply(to: NodeId, events: Vec<Event>, out: &mut Vec<Outgoing>) {
     }
 }
 
-/// Splits a negative digest into the events this dispatcher can serve
-/// from its cache and the remainder it cannot.
-pub(crate) fn serve_from_cache(
-    node: &Dispatcher,
-    lost: &[LossRecord],
-) -> (Vec<Event>, Vec<LossRecord>) {
+/// Serves a negative digest from this dispatcher's cache: returns the
+/// events it holds and leaves in `lost` the records it cannot serve,
+/// in their order, so the onward digest reuses the vector.
+pub(crate) fn serve_from_cache(node: &Dispatcher, lost: &mut Vec<LossRecord>) -> Vec<Event> {
     let mut found = Vec::new();
-    let mut remainder = Vec::new();
-    for &record in lost {
-        match node
+    lost.retain(|record| {
+        let event = node
             .cache()
-            .get_by_pattern_seq(record.source, record.pattern, record.seq)
-        {
-            Some(event) => found.push(event.clone()),
-            None => remainder.push(record),
-        }
-    }
+            .get_by_pattern_seq(record.source, record.pattern, record.seq);
+        found.extend(event.cloned());
+        event.is_none()
+    });
     // One event can cover several records (it matches several
     // patterns); do not send duplicates.
     found.sort_by_key(|e| e.id());
     found.dedup_by_key(|e| e.id());
-    (found, remainder)
+    found
 }
 
 /// The proactive digests' pattern draw (paper: "p is selected by
@@ -490,10 +485,11 @@ mod tests {
         let (d, e) = node_with_cached_event();
         let hit = record(0, 1, 4);
         let miss = record(0, 1, 7);
-        let (found, remainder) = serve_from_cache(&d, &[hit, miss]);
+        let mut lost = vec![hit, miss];
+        let found = serve_from_cache(&d, &mut lost);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].id(), e.id());
-        assert_eq!(remainder, vec![miss]);
+        assert_eq!(lost, vec![miss]);
     }
 
     #[test]
@@ -505,10 +501,10 @@ mod tests {
             vec![(PatternId::new(1), 0), (PatternId::new(2), 0)],
         );
         d.on_event(e, Some(NodeId::new(0)), &mut Vec::new());
-        let records = [record(0, 1, 0), record(0, 2, 0)];
-        let (found, remainder) = serve_from_cache(&d, &records);
+        let mut records = vec![record(0, 1, 0), record(0, 2, 0)];
+        let found = serve_from_cache(&d, &mut records);
         assert_eq!(found.len(), 1, "same event must be sent once");
-        assert!(remainder.is_empty());
+        assert!(records.is_empty());
     }
 
     #[test]
