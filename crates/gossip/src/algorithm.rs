@@ -44,13 +44,16 @@ pub(crate) enum State {
     Push(PushState),
     /// The four negative-digest rows: detected losses accumulate in the
     /// `Lost` buffer, a round chases them along `route`, and
-    /// dispatchers on the way serve what their caches hold.
-    Pull { lost: LostBuffer, route: PullRoute },
+    /// dispatchers on the way serve what their caches hold. Both kinds
+    /// that keep a `Lost` buffer box it: inline, it made them the
+    /// largest kinds, and every strategy of every kind that size.
+    Pull {
+        lost: Box<LostBuffer>,
+        route: PullRoute,
+    },
     /// `push-pull`: push rounds and subscriber-pull rounds alternate,
     /// push first; received digests of either kind are handled
-    /// whatever the phase. Its `Lost` buffer is boxed: inline, beside
-    /// the push state, it made this the largest kind, and every
-    /// strategy of every kind that size.
+    /// whatever the phase.
     PushPull {
         push: PushState,
         lost: Box<LostBuffer>,
@@ -277,8 +280,7 @@ impl Strategy {
     /// record them in their `Lost` buffer).
     pub fn on_losses(&mut self, losses: &[LossRecord]) {
         let lost = match &mut self.state {
-            State::Pull { lost, .. } => lost,
-            State::PushPull { lost, .. } => &mut **lost,
+            State::Pull { lost, .. } | State::PushPull { lost, .. } => &mut **lost,
             State::NoRecovery | State::Push(_) | State::Summary(_) => return,
         };
         for &record in losses {
@@ -345,8 +347,7 @@ impl Strategy {
     /// The `Lost` buffer, for strategies that keep one.
     fn lost(&self) -> Option<&LostBuffer> {
         match &self.state {
-            State::Pull { lost, .. } => Some(lost),
-            State::PushPull { lost, .. } => Some(lost),
+            State::Pull { lost, .. } | State::PushPull { lost, .. } => Some(lost),
             State::NoRecovery | State::Push(_) | State::Summary(_) => None,
         }
     }

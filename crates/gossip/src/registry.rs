@@ -235,7 +235,7 @@ impl Algorithm {
             Variant::NoRecovery => State::NoRecovery,
             Variant::Push => State::Push(PushState::default()),
             Variant::Pull(route) => State::Pull {
-                lost: lost(),
+                lost: Box::new(lost()),
                 route,
             },
             Variant::PushPull => State::PushPull {

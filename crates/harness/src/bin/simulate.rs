@@ -155,11 +155,24 @@ fn main() -> ExitCode {
         println!("  routing entries        {:>10}", r.routing_entries);
         println!("  setup subscription msgs{:>10}", r.setup_subscription_msgs);
     }
+    // The process's own peak, where procfs reports it: a parent that
+    // measures the child's peak through `getrusage` also counts the
+    // image it forked from.
+    let peak = peak_rss_mb().map_or_else(String::new, |mb| format!(", peak rss {mb:.1} MB"));
     eprintln!(
         "total wall time {elapsed:.1}s (set-up {setup:.2}s), events processed {events}, \
-         gossip rounds elided {elided}"
+         gossip rounds elided {elided}{peak}"
     );
     ExitCode::SUCCESS
+}
+
+/// This process's peak resident set (`VmHWM`) in MiB; `None` on
+/// platforms without procfs.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {

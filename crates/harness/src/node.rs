@@ -81,20 +81,32 @@ pub enum Timer {
     Gossip,
 }
 
-/// A node's pending timers (`None` once that schedule is over), how
+/// A timer instant that never comes: a schedule that is over.
+const NEVER: SimTime = SimTime::MAX;
+
+/// `at` if it comes before `end`, else [`NEVER`].
+fn before(at: SimTime, end: SimTime) -> SimTime {
+    if at < end {
+        at
+    } else {
+        NEVER
+    }
+}
+
+/// A node's pending timers ([`NEVER`] once that schedule is over), how
 /// its rounds renew, and the end of the run, past which they stop.
-#[derive(Default)]
 struct Clock {
-    publish: Option<SimTime>,
+    publish: SimTime,
     /// The next round on the node's schedule, whether it will be fired
     /// or replayed.
-    gossip: Option<SimTime>,
+    gossip: SimTime,
     /// The round the clock fires: the first from `gossip` on that may
     /// send. The rounds before it are parked.
-    fire: Option<SimTime>,
+    fire: SimTime,
     /// Adaptive control of the delay between rounds; without it the
-    /// delay stays the node's `gossip_delay`, the interval `T`.
-    adaptive: Option<AdaptiveGossip>,
+    /// delay stays the node's `gossip_delay`, the interval `T`. Boxed:
+    /// only `--adaptive` runs set it.
+    adaptive: Option<Box<AdaptiveGossip>>,
     run_end: SimTime,
     /// What the parked rounds read, as the plan that parked them found
     /// it: the sizes of the table and of the neighborhood. Every input
@@ -102,6 +114,28 @@ struct Clock {
     /// finds the same; debug builds check it.
     #[cfg(debug_assertions)]
     planned_on: Option<(usize, usize)>,
+}
+
+impl Default for Clock {
+    /// A clock not yet started: no timer pending.
+    fn default() -> Self {
+        Clock {
+            publish: NEVER,
+            gossip: NEVER,
+            fire: NEVER,
+            adaptive: None,
+            run_end: SimTime::ZERO,
+            #[cfg(debug_assertions)]
+            planned_on: None,
+        }
+    }
+}
+
+impl Clock {
+    /// The run's adaptive control, if it has one.
+    fn adaptive(&self) -> Option<AdaptiveGossip> {
+        self.adaptive.as_deref().copied()
+    }
 }
 
 /// Runner-held state lent to a node for the duration of one call: the
@@ -371,16 +405,23 @@ impl SimNode {
     /// sockets). The first round fires unless a [`SimNode::catch_up`]
     /// plans the clock first.
     pub fn start_clock(&mut self, config: &ScenarioConfig, factory: &RngFactory, run_end: SimTime) {
-        let publish = (config.publish_rate > 0.0)
-            .then(|| self.next_publish_delay(config.publish_rate))
-            .filter(|&first| first < config.duration);
-        let gossip = Some(gossip_phase(factory, self.id, config.gossip_interval))
-            .filter(|&first| first < run_end);
+        let publish = if config.publish_rate > 0.0 {
+            before(
+                self.next_publish_delay(config.publish_rate),
+                config.duration,
+            )
+        } else {
+            NEVER
+        };
+        let gossip = before(
+            gossip_phase(factory, self.id, config.gossip_interval),
+            run_end,
+        );
         self.clock = Clock {
             publish,
             gossip,
             fire: gossip,
-            adaptive: config.adaptive_gossip,
+            adaptive: config.adaptive_gossip.map(Box::new),
             run_end,
             ..Clock::default()
         };
@@ -390,16 +431,17 @@ impl SimNode {
     /// on a tie; `None` once both schedules are over. Its next round is
     /// the one the clock fires: parked rounds are no timer.
     pub fn next_timer(&self) -> Option<(SimTime, Timer)> {
-        match (self.clock.publish, self.clock.fire) {
-            (Some(p), Some(g)) if g < p => Some((g, Timer::Gossip)),
-            (Some(p), _) => Some((p, Timer::Publish)),
-            (None, g) => g.map(|g| (g, Timer::Gossip)),
+        let (publish, gossip) = (self.clock.publish, self.clock.fire);
+        if gossip < publish {
+            Some((gossip, Timer::Gossip))
+        } else {
+            (publish != NEVER).then_some((publish, Timer::Publish))
         }
     }
 
     /// Whether a publish is still scheduled.
     pub fn is_publishing(&self) -> bool {
-        self.clock.publish.is_some()
+        self.clock.publish != NEVER
     }
 
     /// Fires the node's next timer, if it is due at `ctx.now`, after
@@ -415,11 +457,12 @@ impl SimNode {
         let out = match timer {
             Timer::Publish => {
                 let (out, delay) = self.tick_publish(config.publish_rate, ctx);
-                self.clock.publish = Some(at + delay).filter(|&next| next < config.duration);
+                self.clock.publish = before(at + delay, config.duration);
                 out
             }
             Timer::Gossip => {
-                let (out, delay) = self.tick_gossip(self.gossip_delay, self.clock.adaptive, ctx);
+                let adaptive = self.clock.adaptive();
+                let (out, delay) = self.tick_gossip(self.gossip_delay, adaptive, ctx);
                 self.renew_round(at, delay);
                 out
             }
@@ -443,8 +486,9 @@ impl SimNode {
     /// Runs the parked rounds due before `until` — or at it too, if
     /// `inclusive` — in order, up to the round the clock fires.
     fn replay(&mut self, until: SimTime, inclusive: bool, ctx: &mut NodeCtx) {
-        while let Some(at) = self.clock.gossip {
-            if at > until || (at == until && !inclusive) || Some(at) == self.clock.fire {
+        loop {
+            let at = self.clock.gossip;
+            if at == NEVER || at > until || (at == until && !inclusive) || at == self.clock.fire {
                 break;
             }
             #[cfg(debug_assertions)]
@@ -456,7 +500,7 @@ impl SimNode {
             );
             self.algorithm
                 .silent_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
-            let delay = self.end_round(self.gossip_delay, self.clock.adaptive);
+            let delay = self.end_round(self.gossip_delay, self.clock.adaptive());
             self.renew_round(at, delay);
             self.replayed += 1;
         }
@@ -464,7 +508,7 @@ impl SimNode {
 
     /// Renews the round schedule after the round at `at`.
     fn renew_round(&mut self, at: SimTime, delay: SimTime) {
-        self.clock.gossip = Some(at + delay).filter(|&next| next < self.clock.run_end);
+        self.clock.gossip = before(at + delay, self.clock.run_end);
     }
 
     /// Plans the clock again after a change to what the coming rounds
@@ -487,24 +531,27 @@ impl SimNode {
 
     /// Steps a look-ahead from the next round on the schedule to the
     /// first that may send — the delays adapting as the rounds before
-    /// it would adapt them — and returns its instant.
-    fn planned(&self, ctx: &NodeCtx) -> Option<SimTime> {
+    /// it would adapt them — and returns its instant, or [`NEVER`].
+    fn planned(&self, ctx: &NodeCtx) -> SimTime {
         let clock = &self.clock;
-        let mut at = clock.gossip?;
+        let mut at = clock.gossip;
+        if at == NEVER {
+            return NEVER;
+        }
         let mut ahead =
             self.algorithm
                 .lookahead(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
         let mut delay = self.gossip_delay;
         loop {
             match ahead.step() {
-                Round::Sends => return Some(at),
-                Round::Never => return None,
+                Round::Sends => return at,
+                Round::Never => return NEVER,
                 Round::Silent => {
                     // Without adaptive control `delay` is the interval.
-                    delay = round_delay(delay, clock.adaptive, delay, ahead.is_idle());
+                    delay = round_delay(delay, clock.adaptive(), delay, ahead.is_idle());
                     at += delay;
                     if at >= clock.run_end {
-                        return None;
+                        return NEVER;
                     }
                 }
             }
@@ -783,6 +830,24 @@ mod tests {
             trace,
         };
         f(&mut ctx)
+    }
+
+    /// Every dispatcher of a population carries a `SimNode` inline, so
+    /// at N = 10⁵ each byte of it is 0.1 MB. What only some strategies,
+    /// eviction policies or options use is boxed (the `Lost` buffer,
+    /// the eviction state, the loss detector, the route book, adaptive
+    /// control).
+    #[test]
+    fn a_node_is_at_most_800_bytes_inline() {
+        use std::mem::size_of;
+        // Debug builds add the plan check's `Clock::planned_on`.
+        let check = if cfg!(debug_assertions) {
+            size_of::<Option<(usize, usize)>>()
+        } else {
+            0
+        };
+        let size = size_of::<SimNode>() - check;
+        assert!(size <= 800, "SimNode is {size} B in a release build");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! table write flipped.
 
 use eps_overlay::NodeId;
-use eps_sim::hash::{IdMap, IdSet};
+use eps_sim::hash::{IdMap, IdSet, IdState};
 
 use crate::cache::{CacheIndexes, EventCache, EvictionPolicy};
 use crate::clients::{ClientId, ClientRegistry};
@@ -91,6 +91,11 @@ pub struct RouteBook {
     /// arbitrary ordering can't leak into any output.
     routes: IdMap<NodeId, Vec<NodeId>>,
 }
+
+/// What a dispatcher without a route book reads: no routes.
+static NO_ROUTES: RouteBook = RouteBook {
+    routes: IdMap::with_hasher(IdState),
+};
 
 impl RouteBook {
     /// Stores the route of the most recently received event from
@@ -205,19 +210,40 @@ pub struct Dispatcher {
     /// registry drive (un)propagation on the tree.
     clients: ClientRegistry,
     cache: EventCache,
-    /// Present where the cache serves by seq
+    /// Kept only where the cache serves by seq
     /// ([`CacheIndexes::pattern_seqs`]): only then is a loss read.
-    detector: Option<LossDetector>,
-    routes: RouteBook,
+    /// Boxed at its first use, so a dispatcher that detects no losses
+    /// carries one word for it, and building one allocates nothing.
+    losses: Option<Box<Losses>>,
+    /// Written only where events record their routes, boxed at the
+    /// first; reads before it see [`NO_ROUTES`].
+    routes: Option<Box<RouteBook>>,
     seen: SeenSet,
     next_event_seq: u64,
     /// Publication sequence counters of the patterns this dispatcher
     /// has published on. Keyed lookups only — never iterated.
     pattern_counters: IdMap<u16, u64>,
+    delivered_total: u64,
+}
+
+/// A loss-detecting dispatcher's detector, with the patterns it
+/// subscribed to mid-run: the two are only read together.
+#[derive(Clone, Debug, Default)]
+struct Losses {
+    detector: LossDetector,
     /// Membership checks only — never iterated, so the set's
     /// arbitrary ordering can't leak into any output.
-    late_patterns: IdSet<PatternId>,
-    delivered_total: u64,
+    late: IdSet<PatternId>,
+}
+
+/// A dispatcher's loss state, boxed at its first use; `None` where
+/// `config` detects no losses.
+fn losses<'a>(
+    config: &DispatcherConfig,
+    losses: &'a mut Option<Box<Losses>>,
+) -> Option<&'a mut Losses> {
+    let detects = config.cache_indexes.pattern_seqs;
+    detects.then(|| &mut **losses.get_or_insert_default())
 }
 
 impl Dispatcher {
@@ -235,12 +261,11 @@ impl Dispatcher {
             table: SubscriptionTable::new(),
             clients: ClientRegistry::new(),
             cache,
-            detector: config.cache_indexes.pattern_seqs.then(LossDetector::new),
-            routes: RouteBook::default(),
+            losses: None,
+            routes: None,
             seen: SeenSet::default(),
             next_event_seq: 0,
             pattern_counters: IdMap::default(),
-            late_patterns: IdSet::default(),
             delivered_total: 0,
         }
     }
@@ -267,7 +292,7 @@ impl Dispatcher {
 
     /// Routes harvested from received events (publisher-based pull).
     pub fn routes(&self) -> &RouteBook {
-        &self.routes
+        self.routes.as_deref().unwrap_or(&NO_ROUTES)
     }
 
     /// `true` if the event id has been received or published here.
@@ -371,9 +396,9 @@ impl Dispatcher {
         pattern: PatternId,
         neighbors: &[NodeId],
     ) -> Vec<NodeId> {
-        if let Some(detector) = &mut self.detector {
-            detector.forget_pattern(pattern);
-            self.late_patterns.insert(pattern);
+        if let Some(losses) = losses(&self.config, &mut self.losses) {
+            losses.detector.forget_pattern(pattern);
+            losses.late.insert(pattern);
         }
         self.subscribe_local(pattern, neighbors)
     }
@@ -517,10 +542,10 @@ impl Dispatcher {
     /// The losses `event`'s sequence numbers reveal on the locally
     /// subscribed patterns; none where the dispatcher detects none.
     fn observe(&mut self, event: &Event) -> Vec<LossRecord> {
-        let Some(detector) = &mut self.detector else {
+        let table = &self.table;
+        let Some(Losses { detector, late }) = losses(&self.config, &mut self.losses) else {
             return Vec::new();
         };
-        let (table, late) = (&self.table, &self.late_patterns);
         detector.observe_with(event, |p| table.has_local(p), |p| late.contains(&p))
     }
 
@@ -537,7 +562,8 @@ impl Dispatcher {
     ) -> (Event, EventReceipt) {
         if self.config.record_routes {
             event.record_hop(self.id);
-            self.routes.record(event.source(), event.route());
+            let routes = self.routes.get_or_insert_default();
+            routes.record(event.source(), event.route());
         }
         if !self.seen.insert(event.id()) {
             next_hops.clear();

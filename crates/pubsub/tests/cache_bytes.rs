@@ -218,6 +218,40 @@ fn the_default_pair_costs_its_two_indexes() {
     );
 }
 
+/// The (event, pattern) entries a β = 1500 cache of Figure 2 events
+/// lists after one fill: the content [`bytes_per_cached_event`] draws.
+fn entries_after_one_fill() -> usize {
+    let space = PatternSpace::paper_default();
+    let mut rng = Rng::from_seed(1);
+    let mut content = Vec::new();
+    (0..BETA)
+        .map(|_| {
+            space.random_content_into(&mut rng, &mut content);
+            content.len()
+        })
+        .sum()
+}
+
+/// Push's per-pattern lists hold ring slots, 4 B each. On a filled
+/// Figure 2 push cache they cost what the slots take in their deques —
+/// under twice their 4 B each, as a deque that only grows keeps
+/// capacity below twice its length past its first four — plus one map
+/// entry per pattern in a table of 128 buckets (Π = 70). Lists of
+/// 16-byte event ids cost more than twice the bound.
+#[test]
+fn a_push_cache_lists_4_byte_slots() {
+    let lists = (bytes_with(true, true, false) - bytes_with(true, false, false)) * BETA as f64;
+    let entries = entries_after_one_fill();
+    let universe = usize::from(PatternSpace::paper_default().universe());
+    let map = 128 * (std::mem::size_of::<(PatternId, VecDeque<u32>)>() + 1) + 16;
+    let bound = 2 * 4 * entries + 4 * 4 * universe + map;
+    eprintln!(
+        "push lists: {lists:.0} B for {entries} entries, {:.1} B each (bound {bound} B)",
+        lists / entries as f64
+    );
+    assert!(lists <= bound as f64, "{lists:.0} B > {bound} B");
+}
+
 /// The pull routes' set leaves the id index out, and saves what that
 /// index costs beside any other: its buckets, 4 096 of 8 B for β = 1500
 /// ids at a load of at most 5/8, whether the per-pattern id lists are

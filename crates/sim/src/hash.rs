@@ -74,19 +74,17 @@ impl Hasher for IdHasher {
 
 /// Builds [`IdHasher`]s that all start from the process's one seed, so
 /// every [`IdMap`] in a process hashes alike (and differently from the
-/// next process).
-#[derive(Clone, Copy, Debug)]
-pub struct IdState {
-    seed: u64,
-}
+/// next process). It is zero-sized: each hasher reads the seed from
+/// one process-wide cell instead of every map keeping a copy, which is
+/// 8 B on each of the maps and indexes a dispatcher holds.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdState;
 
-impl Default for IdState {
-    fn default() -> Self {
-        static SEED: OnceLock<u64> = OnceLock::new();
-        IdState {
-            seed: *SEED.get_or_init(|| RandomState::new().hash_one(0u64)),
-        }
-    }
+/// The process's seed, drawn once from std's per-process random keys.
+#[inline]
+fn seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0u64))
 }
 
 impl BuildHasher for IdState {
@@ -94,7 +92,7 @@ impl BuildHasher for IdState {
 
     #[inline]
     fn build_hasher(&self) -> IdHasher {
-        IdHasher { state: self.seed }
+        IdHasher { state: seed() }
     }
 }
 
@@ -141,13 +139,12 @@ const EMPTY: u64 = u64::MAX;
 pub struct SlotIndex {
     buckets: Vec<u64>,
     len: usize,
-    state: IdState,
 }
 
 impl SlotIndex {
     /// The hash this index files `key` under.
     pub fn hash(&self, key: impl Hash) -> u64 {
-        self.state.hash_one(key)
+        IdState.hash_one(key)
     }
 
     /// The first bucket from `i` on that is empty or that `stop` accepts
@@ -233,7 +230,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn hash_of(seed: u64, key: impl Hash) -> u64 {
-        IdState { seed }.hash_one(key)
+        let mut hasher = IdHasher { state: seed };
+        key.hash(&mut hasher);
+        hasher.finish()
     }
 
     /// What hashbrown needs of 4096 hashes: the group index (low 7
@@ -280,6 +279,14 @@ mod tests {
             });
             spreads("bytes", &|i| hash_of(seed, format!("event-{i}")));
         });
+    }
+
+    #[test]
+    fn a_map_keeps_no_copy_of_the_seed() {
+        assert_eq!(std::mem::size_of::<IdState>(), 0);
+        let plain = std::mem::size_of::<HashMap<u64, u64, ()>>();
+        assert_eq!(std::mem::size_of::<IdMap<u64, u64>>(), plain);
+        assert_eq!(std::mem::size_of::<SlotIndex>(), 32);
     }
 
     #[test]
