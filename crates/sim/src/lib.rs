@@ -81,5 +81,5 @@ mod time;
 
 pub use keyed::KeyedEngine;
 pub use rng::{Rng, RngFactory, SampleRange, Zipf};
-pub use stats::{quantile, RatioBin, RatioSeries, Summary};
+pub use stats::{quantile, quantile_in_place, RatioBin, RatioSeries, Summary};
 pub use time::SimTime;

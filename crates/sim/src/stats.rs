@@ -114,17 +114,41 @@ impl Summary {
 ///
 /// Panics if `q` is outside `[0, 1]` or any sample is NaN.
 pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
+    quantile_in_place(&mut samples.to_vec(), q, |x| x)
+}
+
+/// The `q`-quantile of `samples` as [`quantile`] computes it, with
+/// each sample read as `value(sample)`, where `value` must be
+/// monotone: the two order statistics it interpolates between are
+/// selected in place (`samples` is left reordered) instead of sorted
+/// for, and converted after. A monotone `value` maps the k-th smallest
+/// sample to the k-th smallest value, so this is bit for bit the
+/// quantile of the converted samples, with no converted copy.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]` or two samples do not compare
+/// (a NaN).
+pub fn quantile_in_place<T: PartialOrd + Copy>(
+    samples: &mut [T],
+    q: f64,
+    value: impl Fn(T) -> f64,
+) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     if samples.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in quantile"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let order = |a: &T, b: &T| a.partial_cmp(b).expect("NaN sample in quantile");
+    let pos = q * (samples.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
     let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    let (below, &mut high, _) = samples.select_nth_unstable_by(hi, order);
+    // `lo` is `hi` or the rank just below it: the largest of `below`.
+    let low = match below.iter().max_by(|a, b| order(a, b)) {
+        Some(&max) if lo < hi => max,
+        _ => high,
+    };
+    Some(value(low) * (1.0 - frac) + value(high) * frac)
 }
 
 /// A ratio series binned over virtual time: each bin accumulates a
@@ -292,6 +316,66 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
         assert_eq!(quantile(&xs, 0.5), Some(2.5));
         assert_eq!(quantile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn the_selected_quantile_is_the_sorted_one_bit_for_bit() {
+        // The quantile of the samples in seconds, by sorting for it.
+        let sorted = |ns: &[u64], q: f64| {
+            let mut secs: Vec<f64> = ns
+                .iter()
+                .map(|&n| SimTime::from_nanos(n).as_secs_f64())
+                .collect();
+            secs.sort_by(f64::total_cmp);
+            let pos = q * (secs.len().checked_sub(1)?) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            let frac = pos - lo as f64;
+            Some(secs[lo] * (1.0 - frac) + secs[hi] * frac)
+        };
+        let check = |ns: &[u64], q: f64| {
+            let selected = quantile_in_place(&mut ns.to_vec(), q, |n| {
+                SimTime::from_nanos(n).as_secs_f64()
+            });
+            assert_eq!(
+                selected.map(f64::to_bits),
+                sorted(ns, q).map(f64::to_bits),
+                "{ns:?} q {q}"
+            );
+            let secs: Vec<f64> = ns
+                .iter()
+                .map(|&n| SimTime::from_nanos(n).as_secs_f64())
+                .collect();
+            assert_eq!(
+                quantile(&secs, q).map(f64::to_bits),
+                selected.map(f64::to_bits)
+            );
+        };
+        let qs = [0.0, 0.25, 0.5, 0.95, 1.0];
+        // n = 0, 1 and 2, and ties.
+        for ns in [
+            &[][..],
+            &[7],
+            &[9, 2],
+            &[5, 5],
+            &[3, 3, 3, 1, 3],
+            &[4, 1, 4, 1, 4, 1],
+        ] {
+            qs.iter().for_each(|&q| check(ns, q));
+        }
+        forall("selected_quantile_matches_sort", 200, |rng| {
+            // Few distinct values (ties) or wide ones (rounding to f64).
+            let spread = [4, 1 << 20, u64::MAX >> 8][rng.random_below(3) as usize];
+            let n = rng.random_range(1..60usize);
+            let ns: Vec<u64> = (0..n).map(|_| rng.random_below(spread)).collect();
+            check(&ns, rng.random_range(0.0..1.0));
+            qs.iter().for_each(|&q| check(&ns, q));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN sample in quantile")]
+    fn a_nan_sample_panics() {
+        let _ = quantile(&[1.0, f64::NAN, 2.0], 0.5);
     }
 
     #[test]
