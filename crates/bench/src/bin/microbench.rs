@@ -2,8 +2,9 @@
 //! with no external dependencies.
 //!
 //! ```text
-//! microbench [--out FILE] [--gossip-out FILE]
-//!     # defaults: BENCH_kernel.json, BENCH_gossip.json
+//! microbench [--out FILE] [--gossip-out FILE] [--net-out FILE]
+//!     # --out defaults to BENCH_kernel.json; the other two sets are
+//!     # written only where their flag names a file
 //! ```
 //!
 //! Covers the event-queue kernel (schedule/pop), the
@@ -14,7 +15,7 @@
 //! automatically). Results (median ns per iteration)
 //! print to stderr and are written as JSON for tracking across
 //! commits: the kernel set to `--out`, the per-strategy set to
-//! `--gossip-out`.
+//! `--gossip-out` and the codec and framing set to `--net-out`.
 
 use std::collections::VecDeque;
 use std::process::ExitCode;
@@ -43,8 +44,8 @@ use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_kernel.json");
-    let mut gossip_out_path = String::from("BENCH_gossip.json");
-    let mut net_out_path = String::from("BENCH_net.json");
+    let mut gossip_out_path = None;
+    let mut net_out_path = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -57,14 +58,14 @@ fn main() -> ExitCode {
                 }
             },
             "--gossip-out" => match iter.next() {
-                Some(path) => gossip_out_path = path.clone(),
+                Some(path) => gossip_out_path = Some(path.clone()),
                 None => {
                     eprintln!("error: --gossip-out needs a file path");
                     return ExitCode::FAILURE;
                 }
             },
             "--net-out" => match iter.next() {
-                Some(path) => net_out_path = path.clone(),
+                Some(path) => net_out_path = Some(path.clone()),
                 None => {
                     eprintln!("error: --net-out needs a file path");
                     return ExitCode::FAILURE;
@@ -116,11 +117,12 @@ fn main() -> ExitCode {
         );
     }
     for (path, set) in [
-        (&out_path, &results),
-        (&gossip_out_path, &gossip_results),
-        (&net_out_path, &net_results),
+        (Some(out_path), &results),
+        (gossip_out_path, &gossip_results),
+        (net_out_path, &net_results),
     ] {
-        if let Err(e) = std::fs::write(path, to_json(set)) {
+        let Some(path) = path else { continue };
+        if let Err(e) = std::fs::write(&path, to_json(set)) {
             eprintln!("error: writing {path}: {e}");
             return ExitCode::FAILURE;
         }

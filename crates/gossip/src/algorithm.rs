@@ -6,7 +6,7 @@
 //! bodies of the wire forms that state speaks.
 
 use eps_overlay::NodeId;
-use eps_pubsub::{Dispatcher, Event, EventId, KnownPatterns, LossRecord, PatternId, RangeRef};
+use eps_pubsub::{Dispatcher, Event, EventId, LossRecord, PatternId, RangeRef};
 use eps_sim::Rng;
 
 use crate::config::GossipConfig;
@@ -422,7 +422,6 @@ impl Strategy {
             rng: rng.clone(),
             streak: self.streak(),
             round: self.phase(),
-            known: None,
         }
     }
 }
@@ -456,9 +455,6 @@ pub struct Lookahead<'a> {
     rng: Rng,
     streak: Streak,
     round: u64,
-    /// The table's known patterns, the draws' outcomes, taken at the
-    /// first draw.
-    known: Option<KnownPatterns<'a>>,
 }
 
 impl Lookahead<'_> {
@@ -534,8 +530,7 @@ impl Lookahead<'_> {
             return Round::Never;
         }
         let k = self.rng.random_below(table.len() as u64) as usize;
-        let known = self.known.get_or_insert_with(|| table.known_patterns());
-        if known.nth(k).is_some_and(|p| cache.has_pattern(p)) {
+        if table.nth_known(k).is_some_and(|p| cache.has_pattern(p)) {
             Round::Sends
         } else {
             Round::Silent

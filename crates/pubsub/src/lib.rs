@@ -72,4 +72,4 @@ pub use setup::{
     intended_recipients, rebuild_subscription_routes, DispatcherHost,
 };
 pub use summary::{RangeDetail, RangeRef, RangeSummary, SummaryIndex};
-pub use table::{Interface, KnownPatterns, SubscriptionTable};
+pub use table::{Interface, SubscriptionTable};

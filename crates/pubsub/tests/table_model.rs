@@ -165,20 +165,13 @@ fn assert_same_state(table: &SubscriptionTable, model: &Model, universe: u16) {
     let all: Vec<PatternId> = table.all_patterns().collect();
     let model_all: Vec<PatternId> = model.entries.keys().copied().collect();
     assert_eq!(all, model_all, "all_patterns order diverged");
-    let known = table.known_patterns();
     for (k, &p) in model_all.iter().enumerate() {
         assert_eq!(table.nth_known(k), Some(p), "nth_known({k}) diverged");
-        assert_eq!(known.nth(k), Some(p), "known_patterns().nth({k}) diverged");
     }
     assert_eq!(
         table.nth_known(model_all.len()),
         None,
         "nth_known past the end"
-    );
-    assert_eq!(
-        known.nth(model_all.len()),
-        None,
-        "known_patterns past the end"
     );
     let locals: Vec<PatternId> = table.local_patterns().collect();
     let model_locals: Vec<PatternId> = model
@@ -203,10 +196,22 @@ fn assert_same_state(table: &SubscriptionTable, model: &Model, universe: u16) {
     }
 }
 
-fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) {
+/// Runs `ops` on `table` and the model in step. `shared` is the
+/// table's shared default set; returns whether some step left the
+/// table with delta rows of both kinds at once — a known pattern
+/// outside `shared` (an explicit row there) and a pattern of `shared`
+/// not known (an emptied row) — where the known-pattern select walks
+/// both corrections.
+fn run_ops(
+    mut table: SubscriptionTable,
+    ops: &[Op],
+    universe: u16,
+    shared: &BTreeSet<PatternId>,
+) -> bool {
     let mut model = Model::of(&table);
     assert_same_state(&table, &model, universe);
     let mut seq = 0u64;
+    let mut both_deltas = false;
     for op in ops {
         match op {
             Op::InsertLocal(p) => {
@@ -254,7 +259,10 @@ fn run_ops(mut table: SubscriptionTable, ops: &[Op], universe: u16) {
             }
         }
         assert_same_state(&table, &model, universe);
+        both_deltas |= model.entries.keys().any(|p| !shared.contains(p))
+            && shared.iter().any(|p| !model.entries.contains_key(p));
     }
+    both_deltas
 }
 
 /// Patterns of the filled cases: four bitset words, most of them
@@ -263,9 +271,10 @@ const FILLED_UNIVERSE: u16 = 200;
 
 /// A random tree of 6–19 dispatchers over [`FILLED_UNIVERSE`]
 /// patterns, filled by [`flood_subscriptions_direct`]: one non-root
-/// dispatcher's table, and the draws that favour its shared patterns
-/// and tree neighbors — its default neighbor among them.
-fn filled_table(rng: &mut Rng) -> (SubscriptionTable, Draws) {
+/// dispatcher's table, its shared default set (every subscribed
+/// pattern), and the draws that favour those patterns and its tree
+/// neighbors — its default neighbor among them.
+fn filled_table(rng: &mut Rng) -> (SubscriptionTable, BTreeSet<PatternId>, Draws) {
     let n = rng.random_range(6..20usize);
     let topo = Topology::random_tree(n, 4, rng);
     let space = PatternSpace::new(FILLED_UNIVERSE, 3);
@@ -289,25 +298,33 @@ fn filled_table(rng: &mut Rng) -> (SubscriptionTable, Draws) {
         ..Draws::uniform(FILLED_UNIVERSE, n as u32)
     };
     let table = dispatchers[node.index()].table().clone();
-    (table, draws)
+    (table, subs.into_iter().flatten().collect(), draws)
 }
 
 /// A table tracks the model exactly, op for op — whether it starts
-/// empty or, in a third of the cases, as a dispatcher's filled table.
+/// empty or, in a third of the cases, as a dispatcher's filled table,
+/// which many cases move off its shared default both ways at once.
 #[test]
 fn table_matches_btreemap_model() {
+    let mut both_deltas = 0;
     forall("table_matches_btreemap_model", 384, |rng| {
         if rng.random_below(3) == 0 {
-            let (table, draws) = filled_table(rng);
-            run_ops(table, &draws.ops(rng, 120), FILLED_UNIVERSE);
+            let (table, shared, draws) = filled_table(rng);
+            let ops = draws.ops(rng, 120);
+            both_deltas += usize::from(run_ops(table, &ops, FILLED_UNIVERSE, &shared));
         } else {
             run_ops(
                 SubscriptionTable::new(),
                 &Draws::uniform(24, 40).ops(rng, 120),
                 24,
+                &BTreeSet::new(),
             );
         }
     });
+    assert!(
+        both_deltas > 64,
+        "{both_deltas} cases reach both delta kinds"
+    );
 }
 
 /// Neighbor populations past 63 force rows into further words; the
@@ -320,6 +337,7 @@ fn wide_neighborhoods_spill_correctly() {
             SubscriptionTable::new(),
             &Draws::uniform(8, 200).ops(rng, 150),
             8,
+            &BTreeSet::new(),
         );
     });
 }
@@ -385,19 +403,10 @@ impl Dense {
 
     /// Checks every lookup the rest of the stack makes on `table`
     /// against the reference, on the known patterns and `probes`.
-    fn check(&self, table: &SubscriptionTable, probes: &[u16], rng: &mut Rng, case: &str) {
+    fn check(&self, table: &SubscriptionTable, probes: &[u16], case: &str) {
         let known = self.known();
         assert_eq!(table.len(), known.len(), "{case}: len");
-        let index = table.known_patterns();
-        for (k, &p) in known.iter().enumerate() {
-            assert_eq!(index.nth(k), Some(p), "{case}: known_patterns().nth({k})");
-        }
-        assert_eq!(index.nth(known.len()), None, "{case}: past the end");
-        for k in [
-            0,
-            known.len(),
-            rng.random_below(known.len() as u64 + 1) as usize,
-        ] {
+        for k in 0..=known.len() {
             let expected = known.get(k).copied();
             assert_eq!(table.nth_known(k), expected, "{case}: nth_known({k})");
         }
@@ -461,7 +470,7 @@ fn a_filled_table_matches_a_dense_reference_at_both_ends_of_the_universe() {
             dense.flood(&topo, &locals, node);
             let mut probes: Vec<u16> = (0..16).map(|_| edge_pattern(rng)).collect();
             probes.extend([0, 63, 64, 4095, 4096, u16::MAX]);
-            dense.check(dispatchers[node.index()].table(), &probes, rng, "fill");
+            dense.check(dispatchers[node.index()].table(), &probes, "fill");
 
             for step in 0..rng.random_range(1..40usize) {
                 let p = match rng.choose(&probes) {
@@ -494,17 +503,12 @@ fn a_filled_table_matches_a_dense_reference_at_both_ends_of_the_universe() {
                     }
                 }
                 probes.push(p);
-                dense.check(d.table(), &probes, rng, &format!("step {step}"));
+                dense.check(d.table(), &probes, &format!("step {step}"));
             }
 
             flood_subscriptions_direct(&mut dispatchers, &topo);
             dense.flood(&topo, &locals, node);
-            dense.check(
-                dispatchers[node.index()].table(),
-                &probes,
-                rng,
-                "second fill",
-            );
+            dense.check(dispatchers[node.index()].table(), &probes, "second fill");
         },
     );
 }
