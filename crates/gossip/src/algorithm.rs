@@ -1,9 +1,11 @@
 //! The per-dispatcher recovery strategy the harness talks to.
 //!
-//! A [`Strategy`] holds its gossip configuration and one of five kinds
-//! of state, one per kind the [`crate::Algorithm`] table builds. Every
-//! hook is one `match` over them, calling the round and forwarding
-//! bodies of the wire forms that state speaks.
+//! A [`Strategy`] holds its gossip configuration, its [`Pace`] and one
+//! of five kinds of state, one per kind the [`crate::Algorithm`] table
+//! builds. Every hook is one `match` over them, calling the round and
+//! forwarding bodies of the wire forms that state speaks. Every round —
+//! run, replayed or looked ahead — first moves the pace with
+//! [`Pace::advance`].
 
 use eps_overlay::NodeId;
 use eps_pubsub::{Dispatcher, Event, EventId, LossRecord, PatternId, RangeRef};
@@ -14,8 +16,8 @@ use crate::envelope::Outgoing;
 use crate::lost::LostBuffer;
 use crate::message::GossipMessage;
 use crate::policy::{
-    draw_known_pattern, pattern_pull_digest, pull_digest, push_digest, reply, send,
-    serve_from_cache, PullRoute, PushState, Streak,
+    pattern_pull_digest, pull_digest, push_digest, reply, send, serve_from_cache, Pace, PullRoute,
+    PushState, Turn,
 };
 use crate::summary::{SummaryMode, SummaryState};
 
@@ -30,6 +32,8 @@ use crate::summary::{SummaryMode, SummaryState};
 #[derive(Clone, Debug)]
 pub struct Strategy {
     pub(crate) config: GossipConfig,
+    /// What every round changes, whatever the kind.
+    pub(crate) pace: Pace,
     pub(crate) state: State,
 }
 
@@ -51,13 +55,12 @@ pub(crate) enum State {
         lost: Box<LostBuffer>,
         route: PullRoute,
     },
-    /// `push-pull`: push rounds and subscriber-pull rounds alternate,
-    /// push first; received digests of either kind are handled
-    /// whatever the phase.
+    /// `push-pull`: push rounds and subscriber-pull rounds alternate
+    /// (its [`Pace`] keeps the phase); received digests of either kind
+    /// are handled whatever the phase.
     PushPull {
         push: PushState,
         lost: Box<LostBuffer>,
-        round: u64,
     },
     /// `summary-push` / `summary-pull`: hash-range tree digests,
     /// steered like push digests.
@@ -72,32 +75,22 @@ impl Strategy {
         neighbors: &[NodeId],
         rng: &mut Rng,
     ) -> Vec<Outgoing> {
+        let turn = self.pace.advance(node.table(), rng);
         let config = &self.config;
         let digest = match &mut self.state {
             State::NoRecovery => None,
-            State::Push(push) => {
-                push.begin_round();
-                push_digest(node, rng)
-            }
             State::Pull { lost, route } => pull_digest(*route, lost, node, neighbors, config, rng),
-            State::PushPull { push, lost, round } => {
-                let push_phase = round.is_multiple_of(2);
-                *round += 1;
-                if push_phase {
-                    // The idle streak of the push half counts *its*
-                    // rounds.
-                    push.begin_round();
-                    push_digest(node, rng)
-                } else {
-                    pattern_pull_digest(lost, node, rng)
-                }
+            State::PushPull { lost, .. } if turn == Turn::Pull => {
+                pattern_pull_digest(lost, node, rng)
             }
-            State::Summary(summary) => {
-                summary.push.begin_round();
-                // Proactive, like push: any pattern this dispatcher
-                // routes is worth a round.
-                draw_known_pattern(node, rng).and_then(|pattern| summary.digest(node, pattern))
-            }
+            State::Push(_) | State::PushPull { .. } => turn
+                .pattern(node.table())
+                .and_then(|p| push_digest(node, p)),
+            // Proactive, like push: any pattern this dispatcher routes
+            // is worth a round.
+            State::Summary(summary) => turn
+                .pattern(node.table())
+                .and_then(|pattern| summary.digest(node, pattern)),
         };
         let mut out = Vec::new();
         if let Some(msg) = digest {
@@ -107,44 +100,22 @@ impl Strategy {
     }
 
     /// Runs a round that sends nothing — one a [`Lookahead`] stepped
-    /// through as silent — for its effects alone: the draws on `rng`
-    /// and the streak and phase updates of [`Strategy::on_round`],
-    /// without the digest lookups that would find nothing to send.
-    /// Debug builds run `on_round` on a copy beside it and check that
-    /// it sends nothing and ends in the same state.
+    /// through as silent — for its effects alone: the advance of the
+    /// idle streak, push-pull's phase and the gossip stream every round
+    /// makes, without the digest lookups that would find nothing to
+    /// send. Debug builds run `on_round` on a copy beside it and check
+    /// that it sends nothing and ends in the same state.
     pub fn silent_round(&mut self, node: &Dispatcher, neighbors: &[NodeId], rng: &mut Rng) {
         #[cfg(debug_assertions)]
         let (mut twin, mut twin_rng) = (self.clone(), rng.clone());
-        let draw = |rng: &mut Rng| {
-            // `draw_known_pattern`'s one draw, when the table knows
-            // any pattern.
-            let known = node.table().len() as u64;
-            if known > 0 {
-                rng.random_below(known);
-            }
-        };
-        match &mut self.state {
-            State::NoRecovery | State::Pull { .. } => {}
-            State::Push(push) | State::Summary(SummaryState { push, .. }) => {
-                push.begin_round();
-                draw(rng);
-            }
-            State::PushPull { push, round, .. } => {
-                let push_phase = round.is_multiple_of(2);
-                *round += 1;
-                if push_phase {
-                    push.begin_round();
-                    draw(rng);
-                }
-            }
-        }
+        self.pace.advance(node.table(), rng);
         #[cfg(debug_assertions)]
         {
             let sent = twin.on_round(node, neighbors, &mut twin_rng);
             assert!(sent.is_empty(), "a silent round sent {sent:?}");
             assert_eq!(
-                (twin_rng, twin.streak(), twin.phase()),
-                (rng.clone(), self.streak(), self.phase()),
+                (twin_rng, twin.pace),
+                (rng.clone(), self.pace),
                 "a silent round's effects"
             );
         }
@@ -258,6 +229,11 @@ impl Strategy {
                 },
             ) => {
                 summary.absorb(node, gossiper, pattern, &ranges, &details, &mut out);
+                if !out.is_empty() {
+                    // Reconciliation in progress counts as activity for
+                    // the adaptive-gossip idle signal.
+                    self.pace.note_activity();
+                }
                 // Like a push digest, the summary keeps propagating
                 // unchanged.
                 Some(GossipMessage::SummaryDigest {
@@ -319,12 +295,7 @@ impl Strategy {
         if !node.cache().indexes().ids {
             return Vec::new();
         }
-        if let State::Push(push)
-        | State::PushPull { push, .. }
-        | State::Summary(SummaryState { push, .. }) = &mut self.state
-        {
-            push.note_activity();
-        }
+        self.pace.note_activity();
         let events = ids
             .iter()
             .filter_map(|&id| node.cache().get(id).cloned())
@@ -341,6 +312,9 @@ impl Strategy {
     pub fn on_range_request(&mut self, pattern: PatternId, ranges: &[RangeRef]) {
         if let State::Summary(summary) = &mut self.state {
             summary.on_range_request(pattern, ranges);
+            // A peer asking for refinement is direct evidence the
+            // digests are finding divergence.
+            self.pace.note_activity();
         }
     }
 
@@ -373,38 +347,17 @@ impl Strategy {
     /// requested anything since its last rounds; summary
     /// reconciliation when, besides, no refinement is queued.
     pub fn is_idle(&self) -> bool {
-        self.is_idle_with(self.streak())
+        self.is_idle_with(self.pace)
     }
 
-    /// [`Strategy::is_idle`] with `streak` in place of the proactive
-    /// half's own.
-    fn is_idle_with(&self, streak: Streak) -> bool {
-        match &self.state {
-            State::NoRecovery => true,
-            State::Push(_) => streak.is_idle(),
-            State::Pull { lost, .. } => lost.is_empty(),
-            State::PushPull { lost, .. } => streak.is_idle() && lost.is_empty(),
-            State::Summary(summary) => streak.is_idle() && summary.queued_ranges() == 0,
-        }
-    }
-
-    /// The proactive half's idle streak (a fresh one for the kinds
-    /// without).
-    fn streak(&self) -> Streak {
-        match &self.state {
-            State::Push(push)
-            | State::PushPull { push, .. }
-            | State::Summary(SummaryState { push, .. }) => push.streak,
-            State::NoRecovery | State::Pull { .. } => Streak::default(),
-        }
-    }
-
-    /// Push-pull's phase counter (0 for the other kinds).
-    fn phase(&self) -> u64 {
-        match self.state {
-            State::PushPull { round, .. } => round,
-            _ => 0,
-        }
+    /// [`Strategy::is_idle`] at `pace` in place of the strategy's own.
+    fn is_idle_with(&self, pace: Pace) -> bool {
+        pace.is_idle()
+            && match &self.state {
+                State::NoRecovery | State::Push(_) => true,
+                State::Pull { lost, .. } | State::PushPull { lost, .. } => lost.is_empty(),
+                State::Summary(summary) => summary.queued_ranges() == 0,
+            }
     }
 
     /// A look-ahead over this strategy's next rounds from its current
@@ -420,8 +373,7 @@ impl Strategy {
             node,
             neighbors,
             rng: rng.clone(),
-            streak: self.streak(),
-            round: self.phase(),
+            pace: self.pace,
         }
     }
 }
@@ -440,7 +392,7 @@ pub enum Round {
 
 /// A strategy's next rounds, run ahead on copies of what a round that
 /// sends nothing changes: the gossip stream, the idle streak and
-/// push-pull's phase counter. Silent rounds are those whose digest
+/// push-pull's phase. Silent rounds are those whose digest
 /// [`Strategy::on_round`] skips — push, summary push and push-pull's
 /// push phase when the drawn pattern has no cached event, the pull
 /// routes when `Lost` is empty or has no routable target, and
@@ -453,22 +405,19 @@ pub struct Lookahead<'a> {
     node: &'a Dispatcher,
     neighbors: &'a [NodeId],
     rng: Rng,
-    streak: Streak,
-    round: u64,
+    pace: Pace,
 }
 
 impl Lookahead<'_> {
-    /// Finds what the next round does and, if it sends nothing, runs
-    /// it on the copies: the same draws and the same streak and phase
-    /// updates as [`Strategy::on_round`].
+    /// Finds what the next round does and, if it sends nothing, has run
+    /// it on the copies: [`Strategy::on_round`]'s own advance, then the
+    /// lookups its digest would make.
     pub fn step(&mut self) -> Round {
         let node = self.node;
+        let turn = self.pace.advance(node.table(), &mut self.rng);
         match &self.strategy.state {
             State::NoRecovery => Round::Never,
-            State::Push(_) => {
-                self.streak.begin_round();
-                self.draw()
-            }
+            State::Push(_) => self.cached(turn),
             State::Pull { lost, route } => {
                 let routable = !lost.is_empty()
                     && match route {
@@ -484,56 +433,44 @@ impl Lookahead<'_> {
                     Round::Never
                 }
             }
-            State::PushPull { lost, .. } => {
-                let push_phase = self.round.is_multiple_of(2);
-                self.round += 1;
-                if !push_phase {
-                    return if lost.is_empty() {
-                        Round::Silent
-                    } else {
-                        Round::Sends
-                    };
-                }
-                self.streak.begin_round();
-                match self.draw() {
-                    // The pull phase still has work.
-                    Round::Never if !lost.is_empty() => Round::Silent,
-                    round => round,
-                }
-            }
-            State::Summary(summary) => {
-                self.streak.begin_round();
-                if node.table().is_empty() {
-                    Round::Never
-                } else if summary.mode == SummaryMode::Pull || summary.queued_ranges() > 0 {
-                    // Pull rounds go out empty; queued refinements go
-                    // out whatever the pattern.
+            State::PushPull { lost, .. } => match (turn, self.cached(turn)) {
+                (Turn::Pull, _) if lost.is_empty() => Round::Silent,
+                (Turn::Pull, _) => Round::Sends,
+                // The pull phase still has work.
+                (_, Round::Never) if !lost.is_empty() => Round::Silent,
+                (_, round) => round,
+            },
+            State::Summary(summary) => match turn {
+                Turn::Push(None) | Turn::Pull => Round::Never,
+                // Pull rounds go out empty; queued refinements go out
+                // whatever the pattern.
+                _ if summary.mode == SummaryMode::Pull || summary.queued_ranges() > 0 => {
                     Round::Sends
-                } else {
-                    self.draw()
                 }
-            }
+                _ => self.cached(turn),
+            },
         }
     }
 
     /// [`Strategy::is_idle`] on the copies: what adaptive gossip reads
     /// after the round.
     pub fn is_idle(&self) -> bool {
-        self.strategy.is_idle_with(self.streak)
+        self.strategy.is_idle_with(self.pace)
     }
 
-    /// A proactive round's pattern draw ([`draw_known_pattern`]) on the
-    /// copy: the round sends iff the pattern has a cached event.
-    fn draw(&mut self) -> Round {
+    /// What a proactive round that drew `turn` does: it sends iff the
+    /// drawn pattern has a cached event.
+    fn cached(&self, turn: Turn) -> Round {
         let (table, cache) = (self.node.table(), self.node.cache());
-        if table.is_empty() || cache.is_empty() {
-            return Round::Never;
-        }
-        let k = self.rng.random_below(table.len() as u64) as usize;
-        if table.nth_known(k).is_some_and(|p| cache.has_pattern(p)) {
-            Round::Sends
-        } else {
-            Round::Silent
+        match turn {
+            Turn::Push(Some(k)) if !cache.is_empty() => {
+                if table.nth_known(k).is_some_and(|p| cache.has_pattern(p)) {
+                    Round::Sends
+                } else {
+                    Round::Silent
+                }
+            }
+            _ => Round::Never,
         }
     }
 }
@@ -601,8 +538,9 @@ mod tests {
 
     /// For every strategy, on a dispatcher that knows 400 patterns and
     /// caches an event of one: the rounds a look-ahead steps through
-    /// as silent send nothing and leave the idle signal where it says,
-    /// a round it finds sending does send, and after `Never` no round
+    /// as silent send nothing and leave its copies — the gossip stream
+    /// and the pace — where `on_round` leaves the strategy's own, a
+    /// round it finds sending does send, and after `Never` no round
     /// sends. Checked against `on_round` on a copy, with no `Lost`
     /// entry, with one whose source has no known route, and with one
     /// whose source has.
@@ -637,22 +575,25 @@ mod tests {
                 strategy.on_losses(&losses);
                 let mut ahead = strategy.lookahead(&node, &neighbors, &rng);
                 let (mut twin, mut twin_rng) = (strategy.clone(), rng.clone());
-                let mut round =
-                    |twin: &mut Strategy| twin.on_round(&node, &neighbors, &mut twin_rng);
                 for _ in 0..5_000 {
-                    match ahead.step() {
+                    let step = ahead.step();
+                    let sent = twin.on_round(&node, &neighbors, &mut twin_rng);
+                    match step {
                         Round::Silent => {
-                            assert!(round(&mut twin).is_empty(), "{kind}");
+                            assert!(sent.is_empty(), "{kind}");
+                            assert_eq!((&ahead.rng, ahead.pace), (&twin_rng, twin.pace), "{kind}");
                             assert_eq!(ahead.is_idle(), twin.is_idle(), "{kind}");
                             silent += 1;
                         }
                         Round::Sends => {
-                            assert!(!round(&mut twin).is_empty(), "{kind}");
+                            assert!(!sent.is_empty(), "{kind}");
                             break;
                         }
                         Round::Never => {
+                            assert!(sent.is_empty(), "{kind}");
                             for _ in 0..100 {
-                                assert!(round(&mut twin).is_empty(), "{kind}");
+                                let sent = twin.on_round(&node, &neighbors, &mut twin_rng);
+                                assert!(sent.is_empty(), "{kind}");
                             }
                             break;
                         }

@@ -10,9 +10,11 @@
 //! summary-reconciliation extensions. [`Algorithm::build`] turns a row
 //! into a [`Strategy`], the per-dispatcher boundary the harness talks
 //! to. A strategy keeps one of five kinds of state — none, push's
-//! in-flight requests and idle streak, a pull route's [`LostBuffer`],
-//! the hybrid's both, or a [`SummaryState`] — and every hook is one
-//! `match` over them.
+//! in-flight requests, a pull route's [`LostBuffer`], the hybrid's
+//! both, or a [`SummaryState`] — and every hook is one `match` over
+//! them. What every gossip round changes, whatever the kind — the idle
+//! streak and the hybrid's phase — is one value beside it, moved
+//! through a round by one function.
 //!
 //! Strategies react to gossip rounds, detected losses, and incoming
 //! gossip with the [`Outgoing`] messages they want sent, which the

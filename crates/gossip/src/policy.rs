@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
-use eps_pubsub::{Dispatcher, Event, EventId, LossRecord, PatternId};
+use eps_pubsub::{Dispatcher, Event, EventId, LossRecord, PatternId, SubscriptionTable};
 use eps_sim::hash::IdSet;
 use eps_sim::Rng;
 
@@ -43,59 +43,122 @@ pub(crate) enum PullRoute {
     Combined,
 }
 
-/// The idle streak adaptive gossip backs off on: activity since the
-/// last round, and the activity-free rounds before it. A `Copy` value,
-/// so a look-ahead can run it forward on a copy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Streak {
-    requests_since_round: u64,
+/// What every gossip round changes, whatever it sends: push-pull's
+/// phase and the idle streak adaptive gossip backs off on. One `Copy`
+/// value per strategy, moved through a round by [`Pace::advance`] alone,
+/// so a look-ahead runs the same rounds on a copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Pace {
+    schedule: Schedule,
+    /// Activity since the last proactive round.
+    active: bool,
+    /// The activity-free proactive rounds before it.
     idle_rounds: u32,
 }
 
-impl Streak {
-    /// Called at the start of each of its state's gossip rounds.
-    pub(crate) fn begin_round(&mut self) {
-        if self.requests_since_round > 0 {
-            self.idle_rounds = 0;
-        } else {
-            self.idle_rounds = self.idle_rounds.saturating_add(1);
+/// Which of a strategy's rounds are proactive: they draw a pattern and
+/// count towards the idle streak.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Schedule {
+    /// None: the pull routes and `no-recovery`. Their streak is never
+    /// stepped and reads idle; whether they are idle is their `Lost`
+    /// buffer's business.
+    Pull,
+    /// Every round: push and summary reconciliation.
+    Push,
+    /// `push-pull`: push and pull rounds alternate, push first.
+    Alternate { pull_next: bool },
+}
+
+/// What a round is, as [`Pace::advance`] moved it on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Turn {
+    /// A pull round, or `no-recovery`'s: nothing drawn.
+    Pull,
+    /// A proactive round, and the index among the patterns the table
+    /// knows of the one it drew; `None` when the table knows none.
+    Push(Option<usize>),
+}
+
+impl Pace {
+    /// A fresh pace on `schedule`, its streak not yet idle.
+    pub(crate) fn new(schedule: Schedule) -> Self {
+        Pace {
+            schedule,
+            active: false,
+            idle_rounds: 0,
         }
-        self.requests_since_round = 0;
     }
 
-    /// `true` after a streak of activity-free rounds. A single quiet
-    /// interval is common noise (requests only come back when *this*
-    /// node's digest found a gap at a subscriber), so one is not enough
-    /// to slow down.
-    pub(crate) fn is_idle(self) -> bool {
-        self.idle_rounds >= 3 && self.requests_since_round == 0
-    }
-}
-
-/// The proactive side's state, kept by push, the push half of
-/// `push-pull` and summary reconciliation: the ids requested and still
-/// in flight, and the idle streak.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PushState {
-    /// Membership checks only — never iterated, so the set's arbitrary
-    /// ordering can't leak into any output.
-    requested: IdSet<EventId>,
-    pub(crate) streak: Streak,
-}
-
-impl PushState {
-    /// Called at the start of each of this state's gossip rounds.
-    pub(crate) fn begin_round(&mut self) {
-        self.streak.begin_round();
+    /// Moves the pace through one round: push-pull's phase step, then,
+    /// in a proactive round, the streak's step and the pattern draw
+    /// (paper: "p is selected by considering the whole subscription
+    /// table"), one [`Rng::random_below`] draw over the patterns `table`
+    /// knows, none when it knows none. Every round of every strategy,
+    /// run, replayed or looked ahead, goes through here.
+    pub(crate) fn advance(&mut self, table: &SubscriptionTable, rng: &mut Rng) -> Turn {
+        match &mut self.schedule {
+            Schedule::Pull => return Turn::Pull,
+            Schedule::Push => {}
+            Schedule::Alternate { pull_next } => {
+                let pull = *pull_next;
+                *pull_next = !pull;
+                if pull {
+                    // The streak counts the push half's rounds only.
+                    return Turn::Pull;
+                }
+            }
+        }
+        self.idle_rounds = if self.active {
+            0
+        } else {
+            self.idle_rounds.saturating_add(1)
+        };
+        self.active = false;
+        let known = table.len() as u64;
+        Turn::Push((known > 0).then(|| rng.random_below(known) as usize))
     }
 
     /// Someone is missing events (an out-of-band request, or
     /// reconciliation in progress): evidence that proactive rounds are
     /// earning their keep.
     pub(crate) fn note_activity(&mut self) {
-        self.streak.requests_since_round += 1;
+        self.active = true;
     }
 
+    /// `true` for the strategies without proactive rounds, and for the
+    /// others after a streak of activity-free rounds. A single quiet
+    /// interval is common noise (requests only come back when *this*
+    /// node's digest found a gap at a subscriber), so one is not enough
+    /// to slow down.
+    pub(crate) fn is_idle(self) -> bool {
+        self.schedule == Schedule::Pull || (self.idle_rounds >= 3 && !self.active)
+    }
+}
+
+impl Turn {
+    /// The pattern a proactive round drew, through the table's
+    /// known-pattern index instead of a per-round copy of all of them.
+    pub(crate) fn pattern(self, table: &SubscriptionTable) -> Option<PatternId> {
+        let Turn::Push(Some(k)) = self else {
+            return None;
+        };
+        let pattern = table.nth_known(k);
+        debug_assert_eq!(pattern, table.all_patterns().nth(k), "index vs scan");
+        pattern
+    }
+}
+
+/// The proactive side's in-flight requests, kept by push, the push half
+/// of `push-pull` and summary reconciliation.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PushState {
+    /// Membership checks only — never iterated, so the set's arbitrary
+    /// ordering can't leak into any output.
+    requested: IdSet<EventId>,
+}
+
+impl PushState {
     /// The event arrived (via the tree or a reply): stop tracking its
     /// id so the set stays bounded by the in-flight requests.
     pub(crate) fn on_event_received(&mut self, event: &Event) {
@@ -131,12 +194,11 @@ impl PushState {
 // ---------------------------------------------------------------------------
 
 /// Push's round digest (paper, Section III-B, "Push"): all the cached
-/// events matching a pattern drawn from the *whole* subscription table
+/// events matching `pattern`, drawn from the *whole* subscription table
 /// — being on the route towards a subscriber is enough, which speeds up
-/// convergence. `None` skips the round: nothing is known, or nothing is
-/// cached for the pattern and an empty digest would be pure overhead.
-pub(crate) fn push_digest(node: &Dispatcher, rng: &mut Rng) -> Option<GossipMessage> {
-    let pattern = draw_known_pattern(node, rng)?;
+/// convergence. `None` skips the round: nothing is cached for the
+/// pattern, and an empty digest would be pure overhead.
+pub(crate) fn push_digest(node: &Dispatcher, pattern: PatternId) -> Option<GossipMessage> {
     let ids = node.cache().ids_matching(pattern);
     if ids.is_empty() {
         return None;
@@ -397,21 +459,6 @@ pub(crate) fn serve_from_cache(node: &Dispatcher, lost: &mut Vec<LossRecord>) ->
     found.sort_by_key(|e| e.id());
     found.dedup_by_key(|e| e.id());
     found
-}
-
-/// The proactive digests' pattern draw (paper: "p is selected by
-/// considering the whole subscription table"): uniform over every
-/// pattern the table knows, through its known-pattern index instead of
-/// a per-round copy of all of them.
-pub(crate) fn draw_known_pattern(node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
-    let table = node.table();
-    if table.is_empty() {
-        return None;
-    }
-    let k = rng.random_below(table.len() as u64) as usize;
-    let pattern = table.nth_known(k);
-    debug_assert_eq!(pattern, table.all_patterns().nth(k), "index vs scan");
-    pattern
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ use eps_pubsub::CacheIndexes;
 use crate::algorithm::{State, Strategy};
 use crate::config::{GossipConfig, MAX_ATTEMPTS};
 use crate::lost::LostBuffer;
-use crate::policy::{PullRoute, PushState};
+use crate::policy::{Pace, PullRoute, PushState, Schedule};
 use crate::summary::{SummaryMode, SummaryState};
 
 /// Which kind of [`Strategy`] state a table row builds.
@@ -231,21 +231,30 @@ impl Algorithm {
     pub fn build(self, config: GossipConfig) -> Strategy {
         config.validate();
         let lost = || LostBuffer::with_capacity(MAX_ATTEMPTS, config.resolved_lost_capacity());
-        let state = match self.0.variant {
-            Variant::NoRecovery => State::NoRecovery,
-            Variant::Push => State::Push(PushState::default()),
-            Variant::Pull(route) => State::Pull {
-                lost: Box::new(lost()),
-                route,
-            },
-            Variant::PushPull => State::PushPull {
-                push: PushState::default(),
-                lost: Box::new(lost()),
-                round: 0,
-            },
-            Variant::Summary(mode) => State::Summary(SummaryState::new(mode)),
+        let (schedule, state) = match self.0.variant {
+            Variant::NoRecovery => (Schedule::Pull, State::NoRecovery),
+            Variant::Push => (Schedule::Push, State::Push(PushState::default())),
+            Variant::Pull(route) => (
+                Schedule::Pull,
+                State::Pull {
+                    lost: Box::new(lost()),
+                    route,
+                },
+            ),
+            Variant::PushPull => (
+                Schedule::Alternate { pull_next: false },
+                State::PushPull {
+                    push: PushState::default(),
+                    lost: Box::new(lost()),
+                },
+            ),
+            Variant::Summary(mode) => (Schedule::Push, State::Summary(SummaryState::new(mode))),
         };
-        Strategy { config, state }
+        Strategy {
+            config,
+            pace: Pace::new(schedule),
+            state,
+        }
     }
 
     /// The `no-recovery` baseline.

@@ -84,8 +84,8 @@ pub enum SummaryMode {
 
 /// A dispatcher's summary-reconciliation state (the `summary-push` /
 /// `summary-pull` rows of the [`crate::Algorithm`] table): the
-/// refinements peers asked for, plus the in-flight requests and idle
-/// streak of a push digest.
+/// refinements peers asked for, plus the in-flight requests of a push
+/// digest.
 ///
 /// Requires the summary index, and in pull mode the tombstones index,
 /// in every dispatcher's [`eps_pubsub::DispatcherConfig::cache_indexes`]
@@ -100,8 +100,7 @@ pub struct SummaryState {
     detail_out: BTreeMap<PatternId, BTreeSet<RangeRef>>,
     /// Total queued ranges (bounded by [`MAX_QUEUED_RANGES`]).
     queued: usize,
-    /// Push mode's in-flight requests, and the idle streak both modes
-    /// keep like a linear push digest.
+    /// Push mode's in-flight requests.
     pub(crate) push: PushState,
 }
 
@@ -134,9 +133,6 @@ impl SummaryState {
                 self.queued += 1;
             }
         }
-        // A peer asking for refinement is direct evidence the digests
-        // are finding divergence.
-        self.push.note_activity();
     }
 
     /// The view this state's digests announce and compare: push works
@@ -248,7 +244,6 @@ impl SummaryState {
         if !reacts {
             return;
         }
-        let sent = out.len();
         let local = node.cache().summary_index();
         let mut refine: Vec<RangeRef> = Vec::new();
         let mut serve: Vec<EventId> = Vec::new();
@@ -316,11 +311,6 @@ impl SummaryState {
                 events.truncate(DIGEST_MAX);
                 reply(gossiper, events, out);
             }
-        }
-        if out.len() > sent {
-            // Reconciliation in progress counts as activity for the
-            // adaptive-gossip idle signal.
-            self.push.note_activity();
         }
     }
 }

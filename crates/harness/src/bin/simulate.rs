@@ -160,7 +160,7 @@ fn main() -> ExitCode {
     // image it forked from.
     let peak = peak_rss_mb().map_or_else(String::new, |mb| format!(", peak rss {mb:.1} MB"));
     eprintln!(
-        "total wall time {elapsed:.1}s (set-up {setup:.2}s), events processed {events}, \
+        "total wall time {elapsed:.3}s (set-up {setup:.3}s), events processed {events}, \
          gossip rounds elided {elided}{peak}"
     );
     ExitCode::SUCCESS

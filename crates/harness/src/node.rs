@@ -17,12 +17,14 @@
 //!
 //! # Parked rounds
 //!
-//! Most rounds at scale send nothing, and what such a round does — its
-//! draws on the gossip stream, the idle streak, push-pull's phase, the
-//! adaptive delay — follows from state that only an input can change.
-//! So the clock does not fire them: after each fired round and each
-//! input, a [`eps_gossip::Lookahead`] steps through the coming rounds
-//! on copies of that state to the first one that may send, and
+//! Most rounds at scale send nothing, and what such a round does
+//! follows from state that only an input can change: the strategy's
+//! one advance through a round (push-pull's phase, the idle streak,
+//! the pattern draw on the gossip stream) and the adaptive delay after
+//! it. So the clock does not fire them: after each fired round and each
+//! input, a [`eps_gossip::Lookahead`] runs that advance on copies
+//! through the coming rounds to the first one that may send, stepping
+//! the delay by the same rule a round run steps it by, and
 //! [`SimNode::next_timer`] names that one. The silent rounds before it
 //! are *parked*: every entry point ([`SimNode::handle`],
 //! [`SimNode::fire_timer`], [`SimNode::catch_up`]) first replays, for
@@ -31,14 +33,14 @@
 //! order is publish, round, delivery: a publish or a catch-up at `t`
 //! replays the rounds before `t`, a delivery those at `t` as well.
 //!
-//! The replay is [`Strategy::silent_round`], which makes a round's
-//! draws and updates without its digest lookups. Replaying through
-//! `Strategy::on_round` instead, with `silent_round` deleted, keeps
-//! `simulate` output byte-equal on four cells but was measured slower:
-//! the N = 10⁵ push cell went from 1.03 s to 1.33 s median (6
-//! alternating pairs, 0/6 faster), and the N = 4000, Π = 8192, 1 s push
-//! cell from 0.132 s to 0.140 s (10 pairs, 2/10 faster, inside the
-//! 0.117–0.167 s quartiles of the runs with `silent_round`).
+//! The replay is [`Strategy::silent_round`]: the same advance, without
+//! the digest lookups. Replaying through `Strategy::on_round` instead,
+//! with `silent_round` deleted, keeps `simulate` output byte-equal on
+//! four cells but was measured slower: the N = 10⁵ push cell went from
+//! 1.03 s to 1.33 s median (6 alternating pairs, 0/6 faster), and the
+//! N = 4000, Π = 8192, 1 s push cell from 0.132 s to 0.140 s (10 pairs,
+//! 2/10 faster, inside the 0.117–0.167 s quartiles of the runs with
+//! `silent_round`).
 
 pub use eps_gossip::Outgoing;
 use eps_gossip::{Envelope, Round, Strategy};
@@ -135,6 +137,18 @@ impl Clock {
     /// The run's adaptive control, if it has one.
     fn adaptive(&self) -> Option<AdaptiveGossip> {
         self.adaptive.as_deref().copied()
+    }
+}
+
+/// The delay after a round, from `delay`, the one before it: the same
+/// without `adaptive` control (the interval `T`), else backed off while
+/// the strategy is `idle` and the floor once it is not. Rounds run and
+/// rounds planned ahead adapt through this one rule.
+fn next_delay(delay: SimTime, adaptive: Option<AdaptiveGossip>, idle: bool) -> SimTime {
+    match adaptive {
+        None => delay,
+        Some(adaptive) if idle => delay.mul_f64(adaptive.backoff).min(adaptive.max_interval),
+        Some(adaptive) => adaptive.min_interval,
     }
 }
 
@@ -500,7 +514,7 @@ impl SimNode {
             );
             self.algorithm
                 .silent_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
-            let delay = self.end_round(self.gossip_delay, self.clock.adaptive());
+            let delay = self.end_round(self.clock.adaptive());
             self.renew_round(at, delay);
             self.replayed += 1;
         }
@@ -547,8 +561,7 @@ impl SimNode {
                 Round::Sends => return at,
                 Round::Never => return NEVER,
                 Round::Silent => {
-                    // Without adaptive control `delay` is the interval.
-                    delay = round_delay(delay, clock.adaptive(), delay, ahead.is_idle());
+                    delay = next_delay(delay, clock.adaptive(), ahead.is_idle());
                     at += delay;
                     if at >= clock.run_end {
                         return NEVER;
@@ -645,7 +658,8 @@ impl SimNode {
     }
 
     /// Runs one gossip round and returns the resulting messages plus
-    /// the delay until this node's next round.
+    /// the delay until this node's next round: `interval`, the one the
+    /// node was built with, unless `adaptive` control adapts it.
     ///
     /// With adaptive control (extension, paper Sec. IV-E): while the
     /// strategy sees no evidence of recovery work (empty `Lost` buffer
@@ -657,27 +671,20 @@ impl SimNode {
         adaptive: Option<AdaptiveGossip>,
         ctx: &mut NodeCtx,
     ) -> (Vec<Outgoing>, SimTime) {
+        debug_assert!(adaptive.is_some() || interval == self.gossip_delay);
         let out = self
             .algorithm
             .on_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
         self.count_recovery(&out, ctx.counters);
-        (out, self.end_round(interval, adaptive))
+        (out, self.end_round(adaptive))
     }
 
     /// Counts a round run and returns the delay until the next one,
     /// adapting it.
-    fn end_round(&mut self, interval: SimTime, adaptive: Option<AdaptiveGossip>) -> SimTime {
+    fn end_round(&mut self, adaptive: Option<AdaptiveGossip>) -> SimTime {
         self.rounds += 1;
-        let next = round_delay(
-            interval,
-            adaptive,
-            self.gossip_delay,
-            self.algorithm.is_idle(),
-        );
-        if adaptive.is_some() {
-            self.gossip_delay = next;
-        }
-        next
+        self.gossip_delay = next_delay(self.gossip_delay, adaptive, self.algorithm.is_idle());
+        self.gossip_delay
     }
 
     /// Swaps one local client's subscription `old` for `new` and
@@ -774,22 +781,6 @@ pub fn charge_send(counters: &mut MessageCounters, from: NodeId, env: &Envelope,
     }
 }
 
-/// The delay after a round: `interval`, or under adaptive control the
-/// `current` delay backed off while the strategy is `idle`, else the
-/// floor.
-fn round_delay(
-    interval: SimTime,
-    adaptive: Option<AdaptiveGossip>,
-    current: SimTime,
-    idle: bool,
-) -> SimTime {
-    match adaptive {
-        None => interval,
-        Some(adaptive) if idle => current.mul_f64(adaptive.backoff).min(adaptive.max_interval),
-        Some(adaptive) => adaptive.min_interval,
-    }
-}
-
 /// `msg` to each of `to`.
 fn pubsub_to(to: Vec<NodeId>, msg: PubSubMessage) -> impl Iterator<Item = Outgoing> {
     to.into_iter().map(move |to| Outgoing {
@@ -848,6 +839,108 @@ mod tests {
         };
         let size = size_of::<SimNode>() - check;
         assert!(size <= 800, "SimNode is {size} B in a release build");
+    }
+
+    /// A push node under adaptive control whose silent rounds are
+    /// parked and replayed ends where a twin that fires every round at
+    /// its scheduled instant ends: the same delay, round count and
+    /// gossip-stream position. The plan steps through the delays the
+    /// replay then sets, by one rule; requests along the way snap both
+    /// back to the floor.
+    #[test]
+    fn parked_rounds_adapt_like_fired_ones() {
+        let t = SimTime::from_millis(30);
+        let config = ScenarioConfig {
+            publish_rate: 0.0,
+            gossip_interval: t,
+            adaptive_gossip: Some(AdaptiveGossip::around(t)),
+            ..ScenarioConfig::default()
+        };
+        let (factory, end) = (RngFactory::new(config.seed), SimTime::from_secs(30));
+        let (neighbor, cached) = (NodeId::new(2), PatternId::new(7));
+        // 40 known patterns, one with a cached event: most rounds are
+        // silent, and one in about 40 sends.
+        let build = || {
+            let kind = Algorithm::push();
+            let config = DispatcherConfig {
+                cache_indexes: kind.cache_indexes(),
+                ..DispatcherConfig::default()
+            };
+            let mut node = SimNode::new(
+                NodeId::new(1),
+                config,
+                kind.build(GossipConfig::default()),
+                Rng::from_seed(1),
+                t,
+            );
+            let dispatcher = node.dispatcher_mut();
+            for i in 0..40 {
+                dispatcher.on_subscribe(PatternId::new(i), neighbor, &[]);
+            }
+            dispatcher.subscribe_local(cached, &[]);
+            let event = Event::new(EventId::new(NodeId::new(0), 0), vec![(cached, 0)]);
+            dispatcher.on_event(event, Some(neighbor), &mut Vec::new());
+            node
+        };
+        let at = |now, rng: &mut Rng, f: &mut dyn FnMut(&mut NodeCtx)| {
+            f(&mut NodeCtx {
+                now,
+                neighbors: &[],
+                graph_neighbors: &[],
+                space: &PatternSpace::paper_default(),
+                subscribers_of: &[],
+                gossip_rng: rng,
+                tracker: &mut DeliveryTracker::new(),
+                counters: &mut MessageCounters::new(3),
+                trace: &mut None,
+            })
+        };
+        let requests = [4, 9, 13, 21].map(SimTime::from_secs);
+        let request = || Envelope::Request(vec![EventId::new(NodeId::new(0), 9)]);
+
+        let (mut parked, mut parked_rng) = (build(), Rng::from_seed(2));
+        parked.start_clock(&config, &factory, end);
+        at(SimTime::ZERO, &mut parked_rng, &mut |ctx| {
+            parked.catch_up(ctx)
+        });
+        let mut pending = requests.iter().copied().peekable();
+        loop {
+            let next = parked.next_timer().map(|(round, _)| round);
+            // At one instant, the round before the delivery.
+            if let Some(r) = pending.next_if(|&r| next.is_none_or(|round| r < round)) {
+                at(r, &mut parked_rng, &mut |ctx| {
+                    parked.handle(neighbor, request(), ctx);
+                });
+            } else if let Some(round) = next {
+                at(round, &mut parked_rng, &mut |ctx| {
+                    parked.fire_timer(&config, ctx);
+                });
+            } else {
+                break;
+            }
+        }
+        at(end, &mut parked_rng, &mut |ctx| parked.catch_up(ctx));
+
+        let (mut twin, mut twin_rng) = (build(), Rng::from_seed(2));
+        let mut round = gossip_phase(&factory, twin.id(), t);
+        let mut pending = requests.iter().copied().peekable();
+        while round < end {
+            while let Some(r) = pending.next_if(|&r| r < round) {
+                at(r, &mut twin_rng, &mut |ctx| {
+                    twin.handle(neighbor, request(), ctx);
+                });
+            }
+            at(round, &mut twin_rng, &mut |ctx| {
+                round += twin.tick_gossip(t, config.adaptive_gossip, ctx).1;
+            });
+        }
+
+        assert!(parked.rounds_replayed() > parked.gossip_rounds() / 2);
+        assert!(parked.rounds_replayed() < parked.gossip_rounds());
+        assert_eq!(
+            (parked.gossip_delay, parked.gossip_rounds(), parked_rng),
+            (twin.gossip_delay, twin.gossip_rounds(), twin_rng)
+        );
     }
 
     #[test]

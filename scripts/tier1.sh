@@ -200,8 +200,11 @@ midscale_args=(-a push --nodes 4000 --patterns 8192 --publish-rate 2 --duration 
 # /bin/true read 13.7 MB through python3, so no cell could be seen
 # below that.)
 simulate_peak_mb() {
-    ./target/release/simulate "$@" 2>&1 >/dev/null \
-        | sed -n 's/.*peak rss \([0-9.]*\) MB.*/\1/p'
+    ./target/release/simulate "$@" 2>&1 >/dev/null | peak_mb_in
+}
+# The `peak rss` of the stderr summary line on standard input.
+peak_mb_in() {
+    sed -n 's/.*peak rss \([0-9.]*\) MB.*/\1/p'
 }
 # Fails unless a peak was read and is at most the limit in MB.
 check_peak() {
@@ -240,14 +243,26 @@ echo "mid-scale cell events processed: ${midscale_events} (limit 48410)"
 # near 18 MB.)
 check_peak "mid-scale cell" "$(simulate_peak_mb "${midscale_args[@]}")" 13.6
 
-echo "== tier-1: N = 1e5 cell memory (push, 8192 patterns) =="
-# The scale check at N = 10^5, where per-dispatcher state is most of
-# the memory: each node inline, its routing rows, its seen set. It
-# peaks near 153.5 MB with nodes of at most 800 B; with 1 120-byte
-# nodes it peaked at 184.7 MB, and the limit sits halfway. (A dense
-# row map put it near 282 MB.)
-check_peak "N = 1e5 push cell" "$(simulate_peak_mb -a push --nodes 100000 --patterns 8192 \
-    --publish-rate 0.01 --duration 1 --seed 1)" 169
+echo "== tier-1: N = 1e5 cell (push, 8192 patterns): memory, plan and replay =="
+# One run, its stderr summary line read twice. Memory: the scale check
+# at N = 10^5, where per-dispatcher state is most of the memory: each
+# node inline, its routing rows, its seen set. It peaks near 153.5 MB
+# with nodes of at most 800 B; with 1 120-byte nodes it peaked at
+# 184.7 MB, and the limit sits halfway. (A dense row map put it near
+# 282 MB.)
+scale_summary=$(./target/release/simulate -a push --nodes 100000 --patterns 8192 \
+    --publish-rate 0.01 --duration 1 --seed 1 2>&1 >/dev/null)
+echo "$scale_summary"
+check_peak "N = 1e5 push cell" "$(echo "$scale_summary" | peak_mb_in)" 169
+# Plan and replay at scale, in a release build (the golden files cover
+# debug builds at small N): both counts are deterministic, and a round
+# parked, replayed or fired differently moves one of them. Nearly every
+# one of the cell's 3.4 M rounds sends nothing and is replayed, not
+# popped from the queue.
+for count in 'events processed 81984,' 'gossip rounds elided 3333342,'; do
+    echo "$scale_summary" | grep -qF "$count" \
+        || { echo "FAIL: N = 1e5 push cell no longer reads '${count}'"; exit 1; }
+done
 
 echo "== tier-1: churn cell (subscription swaps: two processes, one output) =="
 # A mid-run subscription drops the pattern's loss-detector streams with
