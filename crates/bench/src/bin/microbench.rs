@@ -37,7 +37,8 @@ use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
     rebuild_subscription_routes, CacheIndexes, ClientId, ClientRegistry, Dispatcher,
     DispatcherConfig, DispatcherHost, Event, EventCache, EventId, EvictionPolicy, Interface,
-    LossDetector, LossRecord, PatternId, PubSubMessage, SubscriptionTable, SummaryIndex,
+    LossDetector, LossRecord, PatternId, PatternSpace, PubSubMessage, SubscriptionTable,
+    SummaryIndex,
 };
 use eps_sim::hash::IdMap;
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
@@ -94,11 +95,14 @@ fn main() -> ExitCode {
     results.extend(cache_insert_evict());
     results.extend([seen_insert(), idmap_event_id_probe()]);
     results.extend(cache_get());
+    results.push(cache_get_by_pattern_seq());
     results.extend([event_clone_hop(), rng_throughput(), scenario_mini()]);
     results.extend(node_event_hop());
     results.extend(node_clock());
     results.extend(topology_build());
     results.extend(subscription_flood());
+    // Last: its floods leave a heap no timed row should run on.
+    results.extend(fig2_heap());
     let mut gossip_results = gossip_rounds();
     gossip_results.push(gossip_round_idle());
     gossip_results.extend(lost_clear_for_event());
@@ -231,6 +235,50 @@ fn loss_detector_heap() -> Option<BenchResult> {
         "loss_detector_heap_bytes/fig2",
         (after - before).max(0.0) / DETECTORS as f64,
     ))
+}
+
+/// Heap bytes per dispatcher of three lines of the Figure 2 heap, read
+/// with the structures' own `heap_bytes` methods (capacities, not
+/// lengths) on a Figure 2 population driven through the 6 s cell's
+/// volume of lossless floods, 30 000 publishes, after which every
+/// cache index has the size a full cache needs: combined pull's
+/// (source, pattern, seq) index, push's id index and the seen set
+/// (push's; a lossless flood marks the same ids under any strategy).
+/// A table's size follows from its entry count alone, so the rows are
+/// deterministic. Values are bytes.
+fn fig2_heap() -> Vec<BenchResult> {
+    const PUBLISHES: usize = 30_000;
+    let flooded = |algorithm| {
+        let config = ScenarioConfig {
+            algorithm,
+            ..ScenarioConfig::default()
+        };
+        let mut hops = HopDriver::new(build_population(&config), config.publish_rate);
+        hops.flood(PUBLISHES);
+        hops.pop
+    };
+    let mean = |pop: &Population, bytes: fn(&Dispatcher) -> usize| {
+        let total: usize = pop.nodes.iter().map(|node| bytes(node.dispatcher())).sum();
+        total as f64 / pop.nodes.len() as f64
+    };
+    let (push, combined) = (
+        flooded(Algorithm::push()),
+        flooded(Algorithm::combined_pull()),
+    );
+    vec![
+        measured(
+            "heap/fig2_combined/seq_index",
+            mean(&combined, |d| d.cache().heap_bytes().pattern_seqs),
+        ),
+        measured(
+            "heap/fig2_push/id_index",
+            mean(&push, |d| d.cache().heap_bytes().ids),
+        ),
+        measured(
+            "heap/fig2/seen_set",
+            mean(&push, Dispatcher::seen_heap_bytes),
+        ),
+    ]
 }
 
 /// Schedule N events at pseudo-random times, then pop them all: the
@@ -610,6 +658,54 @@ fn cache_get() -> Vec<BenchResult> {
             result
         })
         .collect()
+}
+
+/// `EventCache::get_by_pattern_seq` on a β = 1500 pull cache (the seq
+/// index alone) after four cache-fulls of Figure 2 content — 100
+/// sources round-robin, 1–3 of Π = 70 patterns per event — for random
+/// (source, pattern, seq) keys that no cached event has: the probe
+/// `serve_from_cache` makes for each entry of a pull digest, which
+/// misses for almost all of them. Unlike `cache_get/beta1500/miss`,
+/// whose ids come in sequence, each key lands in a random run.
+fn cache_get_by_pattern_seq() -> BenchResult {
+    const N: u64 = 10_000;
+    let space = PatternSpace::paper_default();
+    let universe = usize::from(space.universe());
+    let mut rng = Rng::from_seed(9);
+    let seqs = CacheIndexes {
+        pattern_seqs: true,
+        ..CacheIndexes::NONE
+    };
+    let mut cache = EventCache::with_indexes(1_500, EvictionPolicy::Fifo, None, seqs);
+    let mut content = Vec::new();
+    let mut counters = vec![0u64; 100 * universe];
+    for k in 0..6_000u64 {
+        let source = (k % 100) as usize;
+        space.random_content_into(&mut rng, &mut content);
+        let pattern_seqs = content.iter().map(|&p| {
+            let counter = &mut counters[source * universe + p.index()];
+            *counter += 1;
+            (p, *counter - 1)
+        });
+        let id = EventId::new(NodeId::new(source as u32), k / 100);
+        cache.insert(Event::new(id, pattern_seqs.collect()));
+    }
+    // No (source, pattern) stream reached seq 100.
+    let keys: Vec<(NodeId, PatternId, u64)> = (0..N)
+        .map(|_| {
+            let source = NodeId::new(rng.random_below(100) as u32);
+            let pattern = PatternId::new(rng.random_below(universe as u64) as u16);
+            (source, pattern, 100 + rng.random_below(1 << 20))
+        })
+        .collect();
+    let mut found = 0u64;
+    let result = bench("cache_get_by_pattern_seq/beta1500/miss", 3, 25, N, || {
+        for &(source, pattern, seq) in &keys {
+            found += u64::from(cache.get_by_pattern_seq(source, pattern, seq).is_some());
+        }
+    });
+    assert_eq!(found, 0, "every key misses");
+    result
 }
 
 /// Per-hop event handling: clone (refcount bump) plus a recorded hop

@@ -378,7 +378,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             for _ in 0..n {
                 let source = cur.node()?;
                 let seq = cur.varint()?;
-                ids.push(EventId::new(source, seq));
+                ids.push(event_id(source, seq)?);
             }
             Envelope::Gossip(GossipMessage::PushDigest {
                 gossiper,
@@ -431,7 +431,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             for _ in 0..n {
                 let source = NodeId::new(cur.u32_le()?);
                 let seq = cur.u64_le()?;
-                ids.push(EventId::new(source, seq));
+                ids.push(event_id(source, seq)?);
             }
             Envelope::Request(ids)
         }
@@ -466,7 +466,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
                 for _ in 0..nids {
                     let source = NodeId::new(cur.u32_le()?);
                     let seq = cur.u64_le()?;
-                    ids.push(EventId::new(source, seq));
+                    ids.push(event_id(source, seq)?);
                 }
                 details.push(RangeDetail { range, ids });
             }
@@ -576,6 +576,15 @@ fn put_losses(out: &mut Vec<u8>, lost: &[LossRecord]) {
         put_varint(out, u64::from(rec.pattern.value()));
         put_varint(out, rec.seq);
     }
+}
+
+/// The id of `source`'s event `seq`, if a dispatcher can mark it seen
+/// (seq at most [`EventId::MAX_SEQ`]).
+fn event_id(source: NodeId, seq: u64) -> Result<EventId, CodecError> {
+    if seq > EventId::MAX_SEQ {
+        return Err(CodecError::Malformed("event seq exceeds EventId::MAX_SEQ"));
+    }
+    Ok(EventId::new(source, seq))
 }
 
 struct Cursor<'a> {
@@ -705,7 +714,7 @@ impl Cursor<'_> {
             }
             pattern_seqs.push((pattern, pseq));
         }
-        let id = EventId::new(route[0], seq);
+        let id = event_id(route[0], seq)?;
         Ok(Event::from_wire(id, pattern_seqs, route))
     }
 
@@ -792,7 +801,7 @@ mod tests {
                 ttl: 8,
             }),
             Envelope::Request(vec![]),
-            Envelope::Request(vec![EventId::new(NodeId::new(7), u64::MAX)]),
+            Envelope::Request(vec![EventId::new(NodeId::new(7), EventId::MAX_SEQ)]),
             Envelope::Reply(vec![]),
             Envelope::Reply(vec![event(0, 1), event(5, 2)]),
             Envelope::Gossip(GossipMessage::SummaryDigest {
@@ -1046,6 +1055,51 @@ mod tests {
             decode(&buf, P).unwrap_err(),
             CodecError::Malformed("event patterns not strictly sorted")
         );
+    }
+
+    /// One envelope of each kind that carries an event id, all naming
+    /// `seq`.
+    fn envelopes_naming(seq: u64) -> Vec<Envelope> {
+        let id = EventId::new(NodeId::new(3), seq);
+        let event = Event::new(id, vec![(PatternId::new(2), 0)]);
+        vec![
+            Envelope::PubSub(PubSubMessage::Event(event.clone())),
+            Envelope::CrossEvent(event.clone()),
+            Envelope::Gossip(GossipMessage::PushDigest {
+                gossiper: NodeId::new(1),
+                pattern: PatternId::new(2),
+                ids: Arc::new(vec![id]),
+            }),
+            Envelope::Request(vec![id]),
+            Envelope::Reply(vec![event]),
+            Envelope::Gossip(GossipMessage::SummaryDigest {
+                gossiper: NodeId::new(1),
+                pattern: PatternId::new(2),
+                ranges: Arc::new(vec![]),
+                details: Arc::new(vec![RangeDetail {
+                    range: RangeRef::ROOT,
+                    ids: vec![id],
+                }]),
+            }),
+        ]
+    }
+
+    #[test]
+    fn an_id_past_the_largest_seq_is_malformed() {
+        // A dispatcher's seen set keys a word by `seq >> 6` in 32 bits:
+        // an id it cannot mark is refused where it enters.
+        for env in envelopes_naming(EventId::MAX_SEQ) {
+            let bytes = encode(&env, P).unwrap();
+            assert_eq!(decode(&bytes, P), Ok(env));
+        }
+        for env in envelopes_naming(EventId::MAX_SEQ + 1) {
+            let bytes = encode(&env, P).unwrap();
+            assert_eq!(
+                decode(&bytes, P),
+                Err(CodecError::Malformed("event seq exceeds EventId::MAX_SEQ")),
+                "{env:?}"
+            );
+        }
     }
 
     // ---- properties over random envelopes -------------------------

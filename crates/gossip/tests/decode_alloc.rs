@@ -103,10 +103,14 @@ fn ids(n: u32) -> Vec<EventId> {
 }
 
 /// One frame of every wire kind, each list non-empty, so every list
-/// count in the codec has a byte to damage.
+/// count in the codec has a byte to damage; then an event, a push
+/// digest, a request and a reply that name a seq past
+/// `EventId::MAX_SEQ`, which decode to an error.
 fn frames() -> Vec<Vec<u8>> {
     let gossiper = NodeId::new(2);
     let pattern = PatternId::new(5);
+    let far = EventId::new(NodeId::new(3), EventId::MAX_SEQ + 1);
+    let far_event = Event::new(far, vec![(pattern, 0)]);
     let envelopes = [
         Envelope::PubSub(PubSubMessage::Subscribe(pattern)),
         Envelope::PubSub(PubSubMessage::Unsubscribe(pattern)),
@@ -152,6 +156,14 @@ fn frames() -> Vec<Vec<u8>> {
             pattern,
             ranges: vec![RangeRef::ROOT, RangeRef::new(1, 15)],
         },
+        Envelope::PubSub(PubSubMessage::Event(far_event.clone())),
+        Envelope::Gossip(GossipMessage::PushDigest {
+            gossiper,
+            pattern,
+            ids: Arc::new(vec![far]),
+        }),
+        Envelope::Request(vec![far]),
+        Envelope::Reply(vec![far_event]),
     ];
     envelopes
         .iter()

@@ -419,4 +419,48 @@ mod tests {
             .count();
         assert_eq!(boot.shared.ledger().tracker.event_count(), publishes);
     }
+
+    /// A frame naming an event id past [`EventId::MAX_SEQ`] — which a
+    /// seen set cannot mark — is a counted decode error at the node it
+    /// reaches, and nothing else: the node sends nothing, and the run
+    /// learns of no event.
+    #[test]
+    fn an_id_past_the_largest_seq_is_a_counted_decode_error() {
+        use eps_gossip::{Envelope, GossipMessage};
+        use eps_pubsub::{Event, PatternId, PubSubMessage};
+        use std::sync::Arc;
+
+        let config = NetConfig {
+            scenario: ScenarioConfig {
+                nodes: 2,
+                pattern_universe: 4,
+                ..ScenarioConfig::default()
+            },
+            ..NetConfig::default()
+        };
+        let mut boot = boot_population(&config, None).expect("sockets bind");
+        let mut counters = MessageCounters::new(2);
+        let (from, pattern) = (NodeId::new(1), PatternId::new(0));
+        let far = EventId::new(from, EventId::MAX_SEQ + 1);
+        let event = Event::new(far, vec![(pattern, 0)]);
+        let frames = [
+            Envelope::PubSub(PubSubMessage::Event(event.clone())),
+            Envelope::Gossip(GossipMessage::PushDigest {
+                gossiper: from,
+                pattern,
+                ids: Arc::new(vec![far]),
+            }),
+            Envelope::Request(vec![far]),
+            Envelope::Reply(vec![event]),
+        ];
+        let payload_bits = config.scenario.event_payload_bits;
+        let core = &mut boot.nodes[0].core;
+        for (k, env) in frames.iter().enumerate() {
+            let body = codec::encode(env, payload_bits).expect("the frame encodes");
+            let sends = core.handle_body(from, &body, SimTime::ZERO, &boot.shared, &mut counters);
+            assert!(sends.is_empty(), "{env:?}");
+            assert_eq!(core.net.decode_errors, k as u64 + 1, "{env:?}");
+        }
+        assert_eq!(boot.shared.ledger().tracker.event_count(), 0);
+    }
 }

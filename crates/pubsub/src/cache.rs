@@ -207,6 +207,20 @@ impl Default for CacheIndexes {
     }
 }
 
+/// Heap bytes of a cache's ring and of its two slot indexes, counted by
+/// capacity, not length ([`EventCache::heap_bytes`]). An index the cache
+/// was built without counts zero.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CacheHeap {
+    /// The ring's inline events; the content and routes they share
+    /// behind `Arc`s are not counted.
+    pub ring: usize,
+    /// The event-id index ([`CacheIndexes::ids`]).
+    pub ids: usize,
+    /// The (source, pattern, seq) index ([`CacheIndexes::pattern_seqs`]).
+    pub pattern_seqs: usize,
+}
+
 /// A bounded cache of β events with constant-time lookup, where
 /// [`CacheIndexes`] asks for it, by event id, by pattern and by
 /// (source, pattern, per-pattern sequence number).
@@ -276,6 +290,25 @@ fn unlist(list: &mut VecDeque<u32>, slot: u32) {
     }
 }
 
+/// The hash the id index files `slot`'s event under.
+fn id_keys(slots: &[Event], slot: u32) -> [u64; 1] {
+    [SlotIndex::hash(slots[slot as usize].id())]
+}
+
+/// The hashes the (source, pattern, seq) index files `slot`'s event
+/// under, one per pattern.
+fn seq_keys(slots: &[Event], slot: u32) -> impl ExactSizeIterator<Item = u64> + '_ {
+    let event = &slots[slot as usize];
+    let source = event.source();
+    (event.pattern_seqs().iter()).map(move |&(p, seq)| SlotIndex::hash((source, p, seq)))
+}
+
+/// The ring's slots other than `slot`: those whose events an index
+/// holds while it files or forgets `slot`'s.
+fn others(slots: &[Event], slot: u32) -> impl Iterator<Item = u32> {
+    (0..slots.len() as u32).filter(move |&s| s != slot)
+}
+
 impl std::fmt::Debug for EventCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventCache")
@@ -322,8 +355,8 @@ impl EventCache {
             owner,
             policy: PolicyState::new(policy, capacity),
             slots: Vec::new(),
-            ids: indexes.ids.then(SlotIndex::default),
-            by_pattern_seq: indexes.pattern_seqs.then(SlotIndex::default),
+            ids: indexes.ids.then(|| SlotIndex::new(capacity)),
+            by_pattern_seq: indexes.pattern_seqs.then(|| SlotIndex::new(capacity)),
             by_pattern: indexes.pattern_ids.then(IdMap::default),
             summary: indexes.summary.then(SummaryIndex::new),
             tombstones: indexes.tombstones.then(SummaryIndex::new),
@@ -368,6 +401,16 @@ impl EventCache {
         self.inserted_total - self.slots.len() as u64
     }
 
+    /// Heap bytes of the ring and of the slot indexes, by capacity.
+    pub fn heap_bytes(&self) -> CacheHeap {
+        let index = |index: &Option<SlotIndex>| index.as_ref().map_or(0, SlotIndex::heap_bytes);
+        CacheHeap {
+            ring: self.slots.capacity() * std::mem::size_of::<Event>(),
+            ids: index(&self.ids),
+            pattern_seqs: index(&self.by_pattern_seq),
+        }
+    }
+
     /// Inserts an event, evicting per policy if full. Re-inserting an
     /// already-cached event is a no-op (the buffer is not an LRU: a
     /// duplicate arrival does not extend an event's life).
@@ -390,14 +433,14 @@ impl EventCache {
             self.slots.push(event);
             u32::try_from(len).expect("a cache holds fewer than 2³² events")
         };
-        let event = &self.slots[slot as usize];
+        let slots = &self.slots;
         if let Some(ids) = &mut self.ids {
-            ids.insert(ids.hash(id), slot);
+            ids.insert(slot, |s| id_keys(slots, s), others(slots, slot));
         }
-        for &(p, seq) in event.pattern_seqs() {
-            if let Some(seqs) = &mut self.by_pattern_seq {
-                seqs.insert(seqs.hash((id.source(), p, seq)), slot);
-            }
+        if let Some(seqs) = &mut self.by_pattern_seq {
+            seqs.insert(slot, |s| seq_keys(slots, s), others(slots, slot));
+        }
+        for &(p, _) in slots[slot as usize].pattern_seqs() {
             if let Some(lists) = &mut self.by_pattern {
                 lists.entry(p).or_default().push_back(slot);
             }
@@ -417,15 +460,16 @@ impl EventCache {
 
     /// Drops the event in `slot` from every index.
     fn forget(&mut self, slot: u32) {
-        let event = &self.slots[slot as usize];
-        let id = event.id();
+        let slots = &self.slots;
         if let Some(ids) = &mut self.ids {
-            ids.remove(ids.hash(id), slot);
+            ids.remove(slot, |s| id_keys(slots, s), others(slots, slot));
         }
-        for &(p, seq) in event.pattern_seqs() {
-            if let Some(seqs) = &mut self.by_pattern_seq {
-                seqs.remove(seqs.hash((id.source(), p, seq)), slot);
-            }
+        if let Some(seqs) = &mut self.by_pattern_seq {
+            seqs.remove(slot, |s| seq_keys(slots, s), others(slots, slot));
+        }
+        let event = &slots[slot as usize];
+        let id = event.id();
+        for &(p, _) in event.pattern_seqs() {
             if let Some(lists) = &mut self.by_pattern {
                 if let Some(list) = lists.get_mut(&p) {
                     unlist(list, slot);
@@ -466,7 +510,7 @@ impl EventCache {
             .ids
             .as_ref()
             .expect("event cache built without the ids index");
-        let slot = ids.find(ids.hash(id), |s| self.event(s).id() == id)?;
+        let slot = ids.find(SlotIndex::hash(id), |s| self.event(s).id() == id)?;
         Some(self.event(slot))
     }
 
@@ -501,7 +545,7 @@ impl EventCache {
             .by_pattern_seq
             .as_ref()
             .expect("event cache built without the pattern_seqs index");
-        let slot = seqs.find(seqs.hash((source, pattern, seq)), |s| {
+        let slot = seqs.find(SlotIndex::hash((source, pattern, seq)), |s| {
             let event = self.event(s);
             event.source() == source && event.seq_for(pattern) == Some(seq)
         })?;
@@ -915,11 +959,16 @@ mod tests {
         forall("cache_indexes_agree_with_iteration", 128, |rng| {
             let owner = NodeId::new(0);
             let policy = any_policy(rng);
-            let capacity = rng.random_range(1..12usize);
+            // Small caches churn; one that holds most of the walk's 48
+            // ids grows each index from 8 buckets to 128.
+            let capacity = match rng.random_bool(0.5) {
+                true => rng.random_range(1..12usize),
+                false => rng.random_range(40..49usize),
+            };
             let mut c =
                 EventCache::with_indexes(capacity, policy, Some(owner), CacheIndexes::default());
             let mut model = Vec::new();
-            for _ in 0..rng.random_range(1..100u32) {
+            for _ in 0..rng.random_range(1..200u32) {
                 let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
                 insert_modelled(&mut c, &mut model, arrival);
                 assert!(c.len() <= capacity);

@@ -17,7 +17,7 @@
 //! table write flipped.
 
 use eps_overlay::NodeId;
-use eps_sim::hash::{IdMap, IdSet, IdState};
+use eps_sim::hash::{map_heap_bytes, IdMap, IdSet, IdState};
 
 use crate::cache::{CacheIndexes, EventCache, EvictionPolicy};
 use crate::clients::{ClientId, ClientRegistry};
@@ -142,20 +142,32 @@ impl RouteBook {
 ///
 /// A source numbers its events densely from zero (`next_event_seq`),
 /// so where traffic is dense this holds 64× fewer entries than a set
-/// of ids, and where it is sparse, one 24-byte entry per event instead
-/// of 16. One map for all sources, not a bit vector per source: that
-/// would be one heap block per (dispatcher, source) pair, which at
-/// N = 4000 costs more than the map saves. Membership only — never
-/// iterated.
+/// of ids, and where it is sparse, one 16-byte entry per event, as a
+/// set of ids would. A word's key is one `u64`: the source in the high
+/// 32 bits and `seq >> 6` in the low 32, so a seq must be at most
+/// [`EventId::MAX_SEQ`]. One map for all sources, not a bit vector per
+/// source: that would be one heap block per (dispatcher, source) pair,
+/// which at N = 4000 costs more than the map saves. Membership only —
+/// never iterated.
 #[derive(Clone, Debug, Default)]
 struct SeenSet {
-    words: IdMap<(NodeId, u64), u64>,
+    words: IdMap<u64, u64>,
 }
 
 impl SeenSet {
     /// The key of the word holding `id`'s bit, and the bit.
-    fn locate(id: EventId) -> ((NodeId, u64), u64) {
-        ((id.source(), id.seq() >> 6), 1 << (id.seq() & 63))
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id`'s seq is past [`EventId::MAX_SEQ`]: its word
+    /// would alias another's. The codec refuses such ids off the wire.
+    fn locate(id: EventId) -> (u64, u64) {
+        let seq = id.seq();
+        assert!(seq <= EventId::MAX_SEQ, "{id}: seq past EventId::MAX_SEQ");
+        (
+            u64::from(id.source().value()) << 32 | seq >> 6,
+            1 << (seq & 63),
+        )
     }
 
     /// Marks `id`; returns `true` if it was not marked before.
@@ -298,6 +310,12 @@ impl Dispatcher {
     /// `true` if the event id has been received or published here.
     pub fn has_seen(&self, id: EventId) -> bool {
         self.seen.contains(id)
+    }
+
+    /// Heap bytes of the seen set (the ids [`Dispatcher::has_seen`]
+    /// answers for), by capacity.
+    pub fn seen_heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.seen.words)
     }
 
     /// Total events delivered to local clients.

@@ -51,6 +51,12 @@ pub struct EventId {
 }
 
 impl EventId {
+    /// The largest sequence number a dispatcher can mark seen: its seen
+    /// set keys 64 seqs of one source to a word, by `seq >> 6` in 32
+    /// bits. A source publishing 10⁶ events a second reaches it after
+    /// three days. The wire codec refuses an id past it.
+    pub const MAX_SEQ: u64 = (1 << 38) - 1;
+
     /// Creates an event id.
     pub const fn new(source: NodeId, seq: u64) -> Self {
         EventId { source, seq }

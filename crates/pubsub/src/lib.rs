@@ -61,7 +61,7 @@ mod setup;
 pub mod summary;
 mod table;
 
-pub use cache::{CacheIndexes, EventCache, EvictionPolicy};
+pub use cache::{CacheHeap, CacheIndexes, EventCache, EvictionPolicy};
 pub use clients::{ClientId, ClientRegistry};
 pub use detector::{LossDetector, LossRecord};
 pub use dispatcher::{Dispatcher, DispatcherConfig, EventReceipt, PubSubMessage, RouteBook};

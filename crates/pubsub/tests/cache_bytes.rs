@@ -72,21 +72,35 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Live heap bytes per cached event of a β = 1500 FIFO cache building
-/// `indexes`, filled with Figure 2 events: 100 sources publishing
-/// round-robin, each event matching 1–3 of Π = 70 patterns (2.96 on
-/// average) with per-(source, pattern) sequence numbers, as a
-/// publisher assigns them. Read after one cache-full and again after
-/// four, when three β of evictions have churned every index.
+/// `indexes`, filled with Figure 2 events ([`fig2_events`]). Read after
+/// one cache-full and again after four, when three β of evictions have
+/// churned every index.
 fn bytes_per_cached_event(indexes: CacheIndexes) -> [f64; 2] {
+    let mut events = fig2_events();
+    let before = LIVE.with(Cell::get);
+    let mut cache =
+        EventCache::with_indexes(BETA, EvictionPolicy::Fifo, Some(NodeId::new(0)), indexes);
+    let per_event = |cache: &EventCache| {
+        assert_eq!(cache.len(), BETA);
+        (LIVE.with(Cell::get) - before) as f64 / BETA as f64
+    };
+    events.by_ref().take(BETA).for_each(|e| cache.insert(e));
+    let once = per_event(&cache);
+    events.by_ref().take(3 * BETA).for_each(|e| cache.insert(e));
+    [once, per_event(&cache)]
+}
+
+/// Figure 2 events: 100 sources publishing round-robin, each event
+/// matching 1–3 of Π = 70 patterns (2.96 on average) with
+/// per-(source, pattern) sequence numbers, as a publisher assigns
+/// them.
+fn fig2_events() -> impl Iterator<Item = Event> {
     let space = PatternSpace::paper_default();
     let universe = usize::from(space.universe());
     let mut rng = Rng::from_seed(1);
     let mut content = Vec::with_capacity(space.max_patterns_per_event());
     let mut counters = vec![0u64; SOURCES * universe];
-    let before = LIVE.with(Cell::get);
-    let mut cache =
-        EventCache::with_indexes(BETA, EvictionPolicy::Fifo, Some(NodeId::new(0)), indexes);
-    let mut fill = |cache: &mut EventCache, k: usize| {
+    (0..).map(move |k: usize| {
         let source = k % SOURCES;
         space.random_content_into(&mut rng, &mut content);
         let seqs = content.iter().map(|&p| {
@@ -95,16 +109,8 @@ fn bytes_per_cached_event(indexes: CacheIndexes) -> [f64; 2] {
             (p, *counter - 1)
         });
         let id = EventId::new(NodeId::new(source as u32), (k / SOURCES) as u64);
-        cache.insert(Event::new(id, seqs.collect()));
-    };
-    let per_event = |cache: &EventCache| {
-        assert_eq!(cache.len(), BETA);
-        (LIVE.with(Cell::get) - before) as f64 / BETA as f64
-    };
-    (0..BETA).for_each(|k| fill(&mut cache, k));
-    let once = per_event(&cache);
-    (BETA..4 * BETA).for_each(|k| fill(&mut cache, k));
-    [once, per_event(&cache)]
+        Event::new(id, seqs.collect())
+    })
 }
 
 /// Reports and checks one index set: at most `limit` bytes per cached
@@ -125,35 +131,35 @@ fn check_bytes(label: &str, indexes: CacheIndexes, limit: f64, steady: bool) {
 
 /// The pull routes' set: lookup by (source, pattern, seq) only.
 #[test]
-fn a_pull_cache_holds_at_most_205_bytes_per_event() {
+fn a_pull_cache_holds_at_most_176_bytes_per_event() {
     let seqs = CacheIndexes {
         pattern_seqs: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("pattern_seqs only", seqs, 205.0, true);
+    check_bytes("pattern_seqs only", seqs, 176.0, true);
 }
 
 /// Push's set: the id index and the per-pattern id lists. The lists'
 /// deques may keep capacity a pattern's list once needed, so they are
 /// not held steady.
 #[test]
-fn a_push_cache_holds_at_most_283_bytes_per_event() {
+fn a_push_cache_holds_at_most_192_bytes_per_event() {
     let ids = CacheIndexes {
         ids: true,
         pattern_ids: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("ids and pattern_ids", ids, 283.0, false);
+    check_bytes("ids and pattern_ids", ids, 192.0, false);
 }
 
 /// No-recovery's set: the events themselves and the id index.
 #[test]
-fn a_cache_without_optional_indexes_holds_at_most_182_bytes_per_event() {
+fn a_cache_without_optional_indexes_holds_at_most_165_bytes_per_event() {
     let ids = CacheIndexes {
         ids: true,
         ..CacheIndexes::NONE
     };
-    check_bytes("ids only", ids, 182.0, true);
+    check_bytes("ids only", ids, 165.0, true);
 }
 
 /// Summary-pull's set: the id index, the summary index and its
@@ -253,7 +259,7 @@ fn a_push_cache_lists_4_byte_slots() {
 }
 
 /// The pull routes' set leaves the id index out, and saves what that
-/// index costs beside any other: its buckets, 4 096 of 8 B for β = 1500
+/// index costs beside any other: its buckets, 4 096 of 4 B for β = 1500
 /// ids at a load of at most 5/8, whether the per-pattern id lists are
 /// kept too or not.
 #[test]
@@ -263,12 +269,100 @@ fn a_pull_cache_builds_no_id_index() {
     eprintln!(
         "the id index costs {saved:.1} B per cached event ({beside_lists:.1} B beside the lists)"
     );
-    let buckets = 4096.0 * 8.0 / BETA as f64;
+    let buckets = 4096.0 * 4.0 / BETA as f64;
     for cost in [saved, beside_lists] {
         assert!(
             (cost - buckets).abs() <= 1.0,
             "{cost:.1} B vs {buckets:.1} B"
         );
+    }
+}
+
+/// `EventCache::heap_bytes` reads each index's buckets by capacity:
+/// on a filled Figure 2 cache, 4 096 of 4 B for the id index and
+/// 8 192 of 4 B for the seq index (≈ 4 440 entries at a load of at
+/// most 5/8), which is what each costs the heap; and β inline events
+/// for the ring.
+#[test]
+fn heap_bytes_reads_each_index_at_4_bytes_a_bucket() {
+    let both = CacheIndexes {
+        ids: true,
+        pattern_seqs: true,
+        ..CacheIndexes::NONE
+    };
+    let mut cache = EventCache::with_indexes(BETA, EvictionPolicy::Fifo, None, both);
+    fig2_events().take(4 * BETA).for_each(|e| cache.insert(e));
+    let heap = cache.heap_bytes();
+    let ring = BETA * std::mem::size_of::<Event>();
+    assert_eq!(
+        (heap.ring, heap.ids, heap.pattern_seqs),
+        (ring, 4096 * 4, 8192 * 4)
+    );
+    for (index, reported) in [(true, heap.ids), (false, heap.pattern_seqs)] {
+        let without = CacheIndexes {
+            ids: !index,
+            pattern_seqs: index,
+            ..CacheIndexes::NONE
+        };
+        let saved =
+            (bytes_per_cached_event(both)[1] - bytes_per_cached_event(without)[1]) * BETA as f64;
+        assert!(
+            (saved - reported as f64).abs() < 1.0,
+            "{saved} B vs {reported} B"
+        );
+    }
+}
+
+/// Live heap bytes of a dispatcher that has marked `events` seen, and
+/// what its `seen_heap_bytes` reports. The
+/// dispatcher subscribes to nothing and keeps no seq index, so marking
+/// an id is all it does with an event: its seen set is all it holds.
+fn seen_bytes(events: &[EventId]) -> (isize, usize) {
+    let config = DispatcherConfig {
+        cache_indexes: CacheIndexes {
+            ids: true,
+            ..CacheIndexes::NONE
+        },
+        ..DispatcherConfig::default()
+    };
+    let mut next_hops = Vec::new();
+    let before = LIVE.with(Cell::get);
+    let mut dispatcher = Dispatcher::new(NodeId::new(SOURCES as u32), config);
+    for &id in events {
+        let event = Event::new(id, vec![(PatternId::new(1), id.seq())]);
+        let (_, receipt) = dispatcher.on_event(event, None, &mut next_hops);
+        assert!(!receipt.duplicate && !receipt.delivered);
+    }
+    let bytes = LIVE.with(Cell::get) - before;
+    assert_eq!(dispatcher.cache().len(), 0);
+    (bytes, dispatcher.seen_heap_bytes())
+}
+
+/// A seen set keys each word of 64 seqs by one packed `u64`, 16 B an
+/// entry with its word, where a (source, word) tuple took 24. At the
+/// Figure 2 shape — 100 sources, 300 dense seqs each, as a dispatcher
+/// sees in the 6 s cell — 500 words in 1 024 buckets: 0.58 B per seen
+/// event (0.85 B with tuple keys). At the `sim_scale` shape — one event
+/// from each of 4 000 sources — 4 000 entries in 8 192 buckets:
+/// 34.8 B per seen event (51.2 B with tuple keys). Either way
+/// `seen_heap_bytes` reads exactly the bytes the set holds.
+#[test]
+fn a_seen_set_holds_16_byte_entries() {
+    let fig2 = (0..300 * SOURCES as u64)
+        .map(|k| EventId::new(NodeId::new((k % SOURCES as u64) as u32), k / SOURCES as u64));
+    let scale = (0..4000).map(|source| EventId::new(NodeId::new(source), 0));
+    for (shape, events, limit) in [
+        ("Fig. 2", fig2.collect::<Vec<_>>(), 0.6),
+        ("sim_scale", scale.collect(), 36.0),
+    ] {
+        let (bytes, reported) = seen_bytes(&events);
+        let per_event = bytes as f64 / events.len() as f64;
+        eprintln!("{shape} seen set: {bytes} B, {per_event:.2} B per seen event");
+        assert!(
+            per_event <= limit,
+            "{shape}: {per_event:.2} B per seen event"
+        );
+        assert_eq!(bytes, reported as isize, "{shape}");
     }
 }
 

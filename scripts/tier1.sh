@@ -101,13 +101,15 @@ echo "== tier-1: bench compare (kernel gated at 25%, rest advisory) =="
 # files time whole protocol rounds and end-to-end runs, which are too
 # noisy on shared machines to fail CI; those stay advisory, as do the
 # one-build-per-iteration topology_build and subscription_flood
-# entries inside the kernel file, and node_event_hop, whose whole-hop
-# timings include map growth. Shared hosts occasionally time-slice the vCPU (steal),
+# entries inside the kernel file, node_event_hop, whose whole-hop
+# timings include map growth, and cache_get_by_pattern_seq, whose
+# baseline is one session's reading, not a record across hosts. Shared hosts occasionally time-slice the vCPU (steal),
 # uniformly doubling every measurement — on a strict failure,
 # re-measure once before declaring a real regression.
 if ! cargo run --release -p eps-bench --bin bench_compare -- \
     --strict --threshold 25 --advisory-prefix topology_build \
     --advisory-prefix subscription_flood --advisory-prefix node_event_hop \
+    --advisory-prefix cache_get_by_pattern_seq \
     BENCH_kernel.json target/bench/BENCH_kernel.json; then
     echo "kernel bench regressed; re-measuring once (transient host steal?)"
     sleep 5
@@ -118,6 +120,7 @@ if ! cargo run --release -p eps-bench --bin bench_compare -- \
     cargo run --release -p eps-bench --bin bench_compare -- \
         --strict --threshold 25 --advisory-prefix topology_build \
         --advisory-prefix subscription_flood --advisory-prefix node_event_hop \
+        --advisory-prefix cache_get_by_pattern_seq \
         BENCH_kernel.json target/bench/BENCH_kernel.json
 fi
 echo "== tier-1: net_load (reactor saturation at 1000 dispatchers) =="
@@ -290,26 +293,30 @@ echo "== tier-1: Fig. 2 cell memory (combined pull at full size) =="
 # index points into; the loss detector is one map of the (source,
 # pattern) streams its dispatcher tracks; the Lost buffer is one ordered
 # map whose eviction queue is compacted at twice its live entries.
-# The cell peaks near 32.2 MB (34.7 MB before the run's delivery
-# tracker indexed events by source and seq and the recovery-latency
-# quantile stopped copying its samples twice). A Lost buffer with a
-# hash primary under two B-tree views, or a queue compacted only at
-# twice the capacity, each puts back about 2-3 MB; an id index on pull
-# caches about 3 MB,
-# an admission stamp beside each cached event about 1.2 MB, and a
-# detector row per source over the pattern universe about 5 MB. The
-# limit, 33.5 MB, sits halfway between the cell's peak and the 34.7 MB,
-# so either of those two changes undone trips it.
+# The seq index keeps a 4-byte bucket (slot and hash tag) and the seen
+# set a 16-byte entry (one packed u64 key and its word of 64 seqs): the
+# cell peaks near 28.5 MB, and with 8-byte buckets and 24-byte entries
+# it peaked near 32.3 MB (34.7 MB before the run's delivery tracker
+# indexed events by source and seq). A Lost buffer with a hash primary
+# under two B-tree views, or a queue compacted only at twice the
+# capacity, each puts back about 2-3 MB; an id index on pull caches
+# about 1.6 MB, an admission stamp beside each cached event about
+# 1.2 MB, and a detector row per source over the pattern universe
+# about 5 MB. The limit, 30.5 MB, sits halfway between the cell's peak
+# and the 32.3 MB, so 8-byte buckets or 24-byte seen entries trip it.
 check_peak "Fig. 2 combined-pull cell" \
-    "$(simulate_peak_mb -a combined-pull --duration 6 --seed 1)" 33.5
+    "$(simulate_peak_mb -a combined-pull --duration 6 --seed 1)" 30.5
 
 echo "== tier-1: Fig. 2 cell memory (push at full size) =="
 # The same cell under push, whose caches keep the event-id index and
 # per-pattern lists for the positive digest. A list holds 4-byte ring
-# slots, not 16-byte event ids: the cell peaks near 23.9 MB, and with
-# lists of ids it peaked at 34.5 MB. The limit sits halfway.
+# slots, not 16-byte event ids, the id index a 4-byte bucket and the
+# seen set a 16-byte entry: the cell peaks near 21.6 MB. With 8-byte
+# buckets and 24-byte seen entries it peaked near 24.0 MB, and with
+# lists of ids at 34.5 MB. The limit, 23 MB, sits halfway between the
+# first two.
 check_peak "Fig. 2 push cell" \
-    "$(simulate_peak_mb -a push --duration 6 --seed 1)" 29
+    "$(simulate_peak_mb -a push --duration 6 --seed 1)" 23
 
 echo "== tier-1: Fig. 2 cell memory (summary rows at full size) =="
 # The same cell under both summary rows, one after the other (--jobs 1,
