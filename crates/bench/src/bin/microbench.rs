@@ -471,11 +471,15 @@ fn cache_digest_build() -> BenchResult {
 /// subscriber of two patterns). One row per index set a strategy
 /// builds: the default set (push-pull's: the id index and both
 /// linear-digest indexes), push's `ids` (the id index and the
-/// per-pattern id lists) and the pull routes' `seqs` alone.
+/// per-pattern id lists) and the pull routes' `seqs` alone. A cache
+/// admits an id at most once, so each of the 28 runs inserts its own
+/// 10 000 events.
 fn cache_insert_evict() -> Vec<BenchResult> {
     const N: u64 = 10_000;
+    const WARMUP: usize = 3;
+    const SAMPLES: usize = 25;
     // Each event matches one of patterns {0, 1} and one of {2, 3}.
-    let events: Vec<Event> = (0..N)
+    let events: Vec<Event> = (0..N * (WARMUP + SAMPLES) as u64)
         .map(|i| {
             let patterns = [(i % 2) as u16, 2 + (i / 2 % 2) as u16];
             let seqs = patterns.map(|p| (PatternId::new(p), i));
@@ -499,15 +503,14 @@ fn cache_insert_evict() -> Vec<BenchResult> {
     .into_iter()
     .map(|(suffix, indexes)| {
         let mut cache = EventCache::with_indexes(1_500, EvictionPolicy::Fifo, None, indexes);
-        // N > β: by the time an id comes round again it is long
-        // evicted.
+        let mut runs = events.chunks(N as usize);
         let result = bench(
             &format!("cache_insert_evict/beta1500{suffix}"),
-            3,
-            25,
+            WARMUP,
+            SAMPLES,
             N,
             || {
-                for event in &events {
+                for event in runs.next().expect("one batch of events a run") {
                     cache.insert(event.clone());
                 }
             },
@@ -634,7 +637,6 @@ fn idmap_event_id_probe() -> BenchResult {
 /// `EventCache::get` on a β = 1500 cache after four cache-fulls of
 /// churn, for a resident id (`hit`) and for one never admitted
 /// (`miss`): the id-index probe beside `idmap_event_id_probe`'s map.
-/// Every insert pays a `miss` first, to reject a duplicate.
 fn cache_get() -> Vec<BenchResult> {
     const N: u64 = 10_000;
     let id = |i: u64| EventId::new(NodeId::new((i % 100) as u32), i / 100);

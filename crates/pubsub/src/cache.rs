@@ -147,9 +147,10 @@ impl PolicyState {
 /// Which of the cache's indexes to build. Each costs memory and
 /// insert/evict time per cached event, and each serves one kind of
 /// lookup, so a dispatcher builds only those its strategy reads.
-/// Reading an index the cache was built without panics. A cache needs
-/// `ids` or `pattern_seqs`: either one tells a duplicate arrival from a
-/// new event ([`EventCache::holds`]).
+/// Reading an index the cache was built without panics. Every set,
+/// [`CacheIndexes::NONE`] included, makes a valid cache: none of them
+/// filters duplicates, which the dispatcher's seen set does before an
+/// event reaches the cache ([`EventCache::insert`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheIndexes {
     /// Event id → cached event ([`EventCache::get`]): serving
@@ -177,7 +178,7 @@ pub struct CacheIndexes {
 impl CacheIndexes {
     /// No index at all: the base a set is spelled from
     /// (`CacheIndexes { ids: true, ..CacheIndexes::NONE }`). A cache
-    /// cannot be built from it alone.
+    /// built from it alone keeps only its ring.
     pub const NONE: CacheIndexes = CacheIndexes {
         ids: false,
         pattern_ids: false,
@@ -268,12 +269,12 @@ pub struct EventCache {
     // incrementally (O(log C) per insert/evict — never rebuilt per
     // round).
     summary: Option<SummaryIndex>,
-    // The same index over the ids admitted and since evicted.
-    // Re-admitting an id clears its tombstone, so the two sets stay
-    // disjoint; together they form the *seen* view pull-mode summary
-    // reconciliation announces, so peers stop re-serving surplus this
-    // cache has already consumed. A tombstone is one ordered-map entry
-    // per evicted (id, pattern) pair, kept for the life of the cache.
+    // The same index over the ids admitted and since evicted. An id is
+    // admitted once, so the two sets are disjoint; together they form
+    // the *seen* view pull-mode summary reconciliation announces, so
+    // peers stop re-serving surplus this cache has already consumed. A
+    // tombstone is one ordered-map entry per evicted (id, pattern)
+    // pair, kept for the life of the cache.
     tombstones: Option<SummaryIndex>,
     inserted_total: u64,
 }
@@ -334,19 +335,14 @@ impl EventCache {
     ///
     /// # Panics
     ///
-    /// Panics if `indexes` has neither `ids` nor `pattern_seqs`, or if
-    /// a source-biased policy is configured without an owner, or with a
-    /// share above 1000 ‰.
+    /// Panics if a source-biased policy is configured without an
+    /// owner, or with a share above 1000 ‰.
     pub fn with_indexes(
         capacity: usize,
         policy: EvictionPolicy,
         owner: Option<NodeId>,
         indexes: CacheIndexes,
     ) -> Self {
-        assert!(
-            indexes.ids || indexes.pattern_seqs,
-            "an event cache needs the ids or the pattern_seqs index to find duplicates"
-        );
         if matches!(policy, EvictionPolicy::SourceBiased { .. }) {
             assert!(owner.is_some(), "a source-biased cache must know its owner");
         }
@@ -411,14 +407,21 @@ impl EventCache {
         }
     }
 
-    /// Inserts an event, evicting per policy if full. Re-inserting an
-    /// already-cached event is a no-op (the buffer is not an LRU: a
-    /// duplicate arrival does not extend an event's life).
+    /// Inserts an event, evicting per policy if full.
+    ///
+    /// An id is admitted at most once in the cache's life: the caller
+    /// filters duplicates, as the dispatcher's seen set does, so the
+    /// cache never probes for one. A debug build checks that the id is
+    /// not live where the cache keeps the id index.
     pub fn insert(&mut self, event: Event) {
-        if self.capacity == 0 || self.holds(&event) {
+        if self.capacity == 0 {
             return;
         }
         let id = event.id();
+        debug_assert!(
+            self.ids.is_none() || self.get(id).is_none(),
+            "{id} admitted to the cache twice"
+        );
         let len = self.slots.len();
         let slot = if len == self.capacity {
             let victim = self.policy.pick_victim(self.capacity);
@@ -446,11 +449,6 @@ impl EventCache {
             }
             if let Some(summary) = &mut self.summary {
                 summary.add(p, id);
-            }
-            if let Some(tombstones) = &mut self.tombstones {
-                // A re-admitted id moves from tombstoned back to live,
-                // so the seen view never double-counts it.
-                tombstones.discard(p, id);
             }
         }
         self.policy
@@ -487,24 +485,15 @@ impl EventCache {
         }
     }
 
-    /// `true` if `event` is cached. Asks the id index, or else the
-    /// (source, pattern, seq) index under the event's first pattern: a
-    /// source numbers each pattern's events densely, so those
-    /// coordinates name one event.
-    pub fn holds(&self, event: &Event) -> bool {
-        if self.ids.is_some() {
-            return self.contains(event.id());
-        }
-        let (pattern, seq) = event.pattern_seqs()[0];
-        self.get_by_pattern_seq(event.source(), pattern, seq)
-            .is_some()
-    }
-
     /// Looks up an event by id.
     ///
     /// # Panics
     ///
     /// Panics if the cache was built without [`CacheIndexes::ids`].
+    // Inlined into callers in other crates: out of line,
+    // `cache_get/beta1500/{hit,miss}` read ≈ 1.3× as long on a 2-vCPU
+    // Xeon, slower in 12 of 12 alternating `microbench` pairs.
+    #[inline]
     pub fn get(&self, id: EventId) -> Option<&Event> {
         let ids = self
             .ids
@@ -535,6 +524,10 @@ impl EventCache {
     ///
     /// Panics if the cache was built without
     /// [`CacheIndexes::pattern_seqs`].
+    // Inlined, as `get` is: out of line the serving probe
+    // (`cache_get_by_pattern_seq/beta1500/miss`) read ≈ 1.4× as long,
+    // slower in 12 of 12 pairs.
+    #[inline]
     pub fn get_by_pattern_seq(
         &self,
         source: NodeId,
@@ -624,8 +617,8 @@ impl EventCache {
 
     /// The aggregate of `pattern`'s **seen** view over `range`: every
     /// id this cache has ever admitted — the live residents plus the
-    /// eviction tombstones. The two sets are disjoint (re-admitting an
-    /// evicted id clears its tombstone), so counts add and hashes XOR.
+    /// eviction tombstones. The two sets are disjoint (an id is
+    /// admitted at most once), so counts add and hashes XOR.
     /// Pull-mode summary reconciliation announces and compares this
     /// view: a peer must not serve surplus the cache has already
     /// consumed and evicted.
@@ -673,6 +666,7 @@ impl EventCache {
 mod tests {
     use super::*;
     use eps_sim::check::forall;
+    use std::collections::BTreeSet;
 
     fn with_policy(capacity: usize, policy: EvictionPolicy, owner: Option<NodeId>) -> EventCache {
         EventCache::with_indexes(capacity, policy, owner, CacheIndexes::default())
@@ -707,17 +701,6 @@ mod tests {
                 assert_eq!(c.contains(id), seq >= first_kept);
             }
         });
-    }
-
-    #[test]
-    fn reinsert_does_not_refresh_position() {
-        let mut c = EventCache::new(2);
-        c.insert(ev(0, 0, &[(1, 0)]));
-        c.insert(ev(0, 1, &[(1, 1)]));
-        c.insert(ev(0, 0, &[(1, 0)])); // no-op
-        c.insert(ev(0, 2, &[(1, 2)])); // evicts seq 0
-        assert!(!c.contains(EventId::new(NodeId::new(0), 0)));
-        assert!(c.contains(EventId::new(NodeId::new(0), 1)));
     }
 
     #[test]
@@ -882,12 +865,20 @@ mod tests {
         let _ = with_policy(10, EvictionPolicy::SourceBiased { own_permille: 500 }, None);
     }
 
-    /// Inserts `event` and keeps `model` — the live ids, oldest
-    /// admission first — in step, by asking the cache what it evicted.
-    /// The cache holds each of them once, and nothing else.
-    fn insert_modelled(c: &mut EventCache, model: &mut Vec<EventId>, event: Event) {
+    /// Admits `event` unless `seen` holds its id, as a dispatcher's seen
+    /// set does, and keeps `model` — the live ids, oldest admission
+    /// first — in step, by asking the cache what it evicted. The cache
+    /// holds each of them once, and nothing else. Returns whether the
+    /// event was admitted.
+    fn insert_modelled(
+        c: &mut EventCache,
+        model: &mut Vec<EventId>,
+        seen: &mut BTreeSet<EventId>,
+        event: Event,
+    ) -> bool {
         let id = event.id();
-        if !c.contains(id) {
+        let fresh = seen.insert(id);
+        if fresh {
             c.insert(event);
             model.retain(|&m| c.contains(m));
             model.push(id);
@@ -898,34 +889,7 @@ mod tests {
         listed.sort_unstable();
         assert_eq!(live, listed);
         assert_eq!(c.len(), model.len());
-    }
-
-    #[test]
-    fn a_readmitted_event_iterates_once_at_its_new_place() {
-        let id = |seq| EventId::new(NodeId::new(0), seq);
-        for policy in [
-            EvictionPolicy::Fifo,
-            EvictionPolicy::Random { seed: 7 },
-            EvictionPolicy::SourceBiased { own_permille: 300 },
-        ] {
-            let owner = Some(NodeId::new(9));
-            let mut c = EventCache::with_indexes(2, policy, owner, CacheIndexes::ALL);
-            let mut model = Vec::new();
-            // 2 evicts 0, then 0 comes back and evicts 1 (oldest-first
-            // policies; random eviction picks its own victims).
-            for seq in [0, 1, 2, 0] {
-                insert_modelled(&mut c, &mut model, ev(0, seq, &[(1, seq)]));
-            }
-            if !matches!(policy, EvictionPolicy::Random { .. }) {
-                assert_eq!(model, vec![id(2), id(0)], "{policy}");
-            }
-            // Whatever was evicted so far, one of these re-admits it.
-            for seq in [1, 2, 0] {
-                insert_modelled(&mut c, &mut model, ev(0, seq, &[(1, seq)]));
-            }
-            // The summary index followed every re-admission.
-            assert_eq!(c.summary_index().root(PatternId::new(1)).count, 2);
-        }
+        fresh
     }
 
     fn any_policy(rng: &mut eps_sim::Rng) -> EvictionPolicy {
@@ -940,7 +904,8 @@ mod tests {
 
     /// A random walk's event: its content is a function of its id, as
     /// on the wire, and a walk draws from few ids (sources 0..3, seqs
-    /// 0..16), so evicted ones keep coming back.
+    /// 0..16), so later draws mostly repeat an id, which the walk's seen
+    /// set drops.
     fn walk_event(source: u32, seq: u64) -> Event {
         let own = ((seq % 5) as u16, seq);
         match seq % 2 {
@@ -967,10 +932,10 @@ mod tests {
             };
             let mut c =
                 EventCache::with_indexes(capacity, policy, Some(owner), CacheIndexes::default());
-            let mut model = Vec::new();
+            let (mut model, mut seen) = (Vec::new(), BTreeSet::new());
             for _ in 0..rng.random_range(1..200u32) {
                 let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
-                insert_modelled(&mut c, &mut model, arrival);
+                insert_modelled(&mut c, &mut model, &mut seen, arrival);
                 assert!(c.len() <= capacity);
                 // The live events, oldest admission first.
                 let live: Vec<Event> = model
@@ -1054,27 +1019,25 @@ mod tests {
         assert!(mid_list[1] > 100 && mid_list[2] > 100, "{mid_list:?}");
     }
 
-    /// The 24 index sets a cache can be built with: every combination
-    /// of the five columns that has `ids` or `pattern_seqs`.
+    /// The 32 index sets a cache can be built with: every combination
+    /// of the five columns.
     fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
-        let sets = (0..32u8).map(|bits| CacheIndexes {
+        (0..32u8).map(|bits| CacheIndexes {
             ids: bits & 1 != 0,
             pattern_ids: bits & 2 != 0,
             pattern_seqs: bits & 4 != 0,
             summary: bits & 8 != 0,
             tombstones: bits & 16 != 0,
-        });
-        sets.filter(|set| set.ids || set.pattern_seqs)
+        })
     }
 
     #[test]
     fn every_index_set_answers_like_the_all_index_cache() {
         // Leaving an index out changes what the cache can answer, never
-        // what it holds: the same walk, under every eviction policy and
-        // with re-admissions (duplicates found by id or, without the id
-        // index, by (source, pattern, seq)), leaves every index set
-        // with the same events and the same answers from each index it
-        // keeps.
+        // what it holds: the same walk of fresh ids (a test-side seen
+        // set drops the repeats, as a dispatcher's does), under every
+        // eviction policy, leaves every index set with the same events
+        // and the same answers from each index it keeps.
         forall(
             "every_index_set_answers_like_the_all_index_cache",
             64,
@@ -1085,12 +1048,14 @@ mod tests {
                     EventCache::with_indexes(capacity, policy, Some(NodeId::new(0)), indexes)
                 };
                 let mut all = build(CacheIndexes::ALL);
-                let mut model = Vec::new();
+                let (mut model, mut seen) = (Vec::new(), BTreeSet::new());
                 let mut caches: Vec<(CacheIndexes, EventCache)> =
                     every_index_set().map(|kept| (kept, build(kept))).collect();
                 for _ in 0..rng.random_range(1..100u32) {
                     let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
-                    insert_modelled(&mut all, &mut model, arrival.clone());
+                    if !insert_modelled(&mut all, &mut model, &mut seen, arrival.clone()) {
+                        continue;
+                    }
                     // Every index set fills the same slots of its ring.
                     let resident: Vec<EventId> = all.iter().map(Event::id).collect();
                     for (kept, c) in &mut caches {
@@ -1100,13 +1065,10 @@ mod tests {
                         assert_eq!(c.evicted_total(), all.evicted_total(), "{policy} {kept:?}");
                         let iterated: Vec<EventId> = c.iter().map(Event::id).collect();
                         assert_eq!(iterated, resident, "{policy} {kept:?}");
-                        for (source, seq) in walk_coordinates() {
-                            let id = EventId::new(source, seq);
-                            let held = all.contains(id);
-                            assert_eq!(c.holds(&walk_event(source.value(), seq)), held);
-                            if kept.ids {
-                                assert_eq!(c.contains(id), held);
-                                assert_eq!(c.get(id), all.get(id));
+                        if kept.ids {
+                            for (source, seq) in walk_coordinates() {
+                                let id = EventId::new(source, seq);
+                                assert_eq!(c.get(id), all.get(id), "{kept:?} {id}");
                             }
                         }
                         for p in (0..7).map(PatternId::new) {
@@ -1152,17 +1114,6 @@ mod tests {
             ..CacheIndexes::ALL
         };
         let _ = indexed(8, without).contains(EventId::new(NodeId::new(0), 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "ids or the pattern_seqs index")]
-    fn a_cache_needs_an_index_that_finds_duplicates() {
-        let neither = CacheIndexes {
-            ids: false,
-            pattern_seqs: false,
-            ..CacheIndexes::ALL
-        };
-        let _ = indexed(8, neither);
     }
 
     #[test]
@@ -1252,19 +1203,6 @@ mod tests {
             .iter()
             .fold(0u64, |acc, &id| acc ^ crate::summary::mix_event_id(id));
         assert_eq!(root.hash, hash, "disjoint sets XOR into the union hash");
-    }
-
-    #[test]
-    fn readmitting_an_evicted_id_clears_its_tombstone() {
-        let mut c = indexed(1, IDS_SUMMARY_TOMBSTONES);
-        let p = PatternId::new(1);
-        c.insert(ev(0, 0, &[(1, 0)]));
-        c.insert(ev(0, 1, &[(1, 1)])); // evicts seq 0
-        assert_eq!(c.tombstoned(p), 1);
-        c.insert(ev(0, 0, &[(1, 0)])); // readmits seq 0, evicts seq 1
-        assert_eq!(c.tombstoned(p), 1, "seq 1 tombstoned, seq 0 revived");
-        assert_eq!(c.seen_summary(p, RangeRef::ROOT).count, 2);
-        assert!(c.contains(EventId::new(NodeId::new(0), 0)));
     }
 
     #[test]

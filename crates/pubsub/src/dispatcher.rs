@@ -516,7 +516,9 @@ impl Dispatcher {
     /// Publishes a new event with the given content. Returns the event
     /// — the copy to forward, and the one for metrics bookkeeping —
     /// and fills `next_hops` (cleared first) with the neighbors to
-    /// forward it to. The publisher caches it.
+    /// forward it to. The publisher caches it, unless a copy with its
+    /// id arrived first: a socket peer can forge an id ahead of its
+    /// source, and the cache admits each id once.
     ///
     /// # Panics
     ///
@@ -539,7 +541,7 @@ impl Dispatcher {
         let id = EventId::new(self.id, self.next_event_seq);
         self.next_event_seq += 1;
         let event = Event::new(id, pattern_seqs);
-        self.seen.insert(id);
+        let fresh = self.seen.insert(id);
         // The source sees its own event: advance loss detection for
         // locally subscribed patterns so the source never "detects"
         // its own publications as lost.
@@ -548,7 +550,9 @@ impl Dispatcher {
         if delivered {
             self.delivered_total += 1;
         }
-        self.cache.insert(event.clone());
+        if fresh {
+            self.cache.insert(event.clone());
+        }
         let receipt = EventReceipt {
             delivered,
             duplicate: false,

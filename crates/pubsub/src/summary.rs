@@ -266,19 +266,13 @@ impl SummaryIndex {
     /// Removes `id` from `pattern`'s tree. Removing a pair that is not
     /// recorded is a no-op that panics in debug builds.
     pub fn remove(&mut self, pattern: PatternId, id: EventId) {
-        let removed = self.discard(pattern, id);
-        debug_assert!(removed, "removing {id} from a summary that lacks it");
-    }
-
-    /// Removes `id` from `pattern`'s tree if it is recorded there;
-    /// returns whether anything was removed. Unlike
-    /// [`SummaryIndex::remove`], an absent id is a clean no-op.
-    pub fn discard(&mut self, pattern: PatternId, id: EventId) -> bool {
-        let Some(maps) = self.maps.as_deref_mut() else {
-            return false;
-        };
-        let Some(key) = maps.key_of(pattern, id) else {
-            return false;
+        let key = self
+            .maps
+            .as_deref()
+            .and_then(|maps| maps.key_of(pattern, id));
+        debug_assert!(key.is_some(), "removing {id} from a summary that lacks it");
+        let (Some(key), Some(maps)) = (key, self.maps.as_deref_mut()) else {
+            return;
         };
         maps.ids.remove(&key);
         let root = maps
@@ -291,14 +285,6 @@ impl SummaryIndex {
         if root.count == 0 {
             maps.roots.remove(&pattern);
         }
-        true
-    }
-
-    /// `true` if `id` is recorded under `pattern`.
-    pub fn contains(&self, pattern: PatternId, id: EventId) -> bool {
-        self.maps
-            .as_ref()
-            .is_some_and(|maps| maps.key_of(pattern, id).is_some())
     }
 
     /// The resident ids of `pattern` inside `range`, in (leaf index,
@@ -619,8 +605,9 @@ mod tests {
             }
         }
         for &e in pool {
+            let leaf = RangeRef::of(mix_event_id(e), LEAF_LEVEL);
             assert_eq!(
-                index.contains(pattern, e),
+                index.ids_in(pattern, leaf).contains(&e),
                 reference.contains(&(pattern, e))
             );
         }
@@ -628,9 +615,9 @@ mod tests {
 
     #[test]
     fn the_index_answers_like_a_list_in_insertion_order() {
-        // Random adds, removes and discards over a small pool, so ids
-        // are discarded and re-admitted, and pairs of the pool share a
-        // leaf; after every step each pattern answers like the list.
+        // Random adds and removes over a small pool, so ids are removed
+        // and re-added, and pairs of the pool share a leaf; after every
+        // step each pattern answers like the list.
         let mates = leaf_mates();
         forall(
             "the_index_answers_like_a_list_in_insertion_order",
@@ -647,22 +634,15 @@ mod tests {
                     let p = *rng.choose(&patterns).unwrap();
                     let e = *rng.choose(&pool).unwrap();
                     let at = reference.iter().position(|&pair| pair == (p, e));
-                    match (rng.random_below(3), at) {
-                        (0, None) => {
+                    match at {
+                        None => {
                             index.add(p, e);
                             reference.push((p, e));
                         }
-                        (1, Some(at)) => {
+                        Some(at) => {
                             index.remove(p, e);
                             reference.remove(at);
                         }
-                        (2, _) => {
-                            assert_eq!(index.discard(p, e), at.is_some());
-                            if let Some(at) = at {
-                                reference.remove(at);
-                            }
-                        }
-                        _ => continue,
                     }
                     for &p in &patterns {
                         assert_answers_like(&index, &reference, p, &pool, rng);

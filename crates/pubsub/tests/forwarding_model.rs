@@ -14,13 +14,17 @@
 //! - every operation names the same neighbors, in the same order;
 //! - the quiet tables equal the model's, and a fresh
 //!   [`flood_subscriptions_direct`] of the same local patterns.
+//!
+//! A second test checks the event side of a dispatcher against a model
+//! of what its cache admits: each event id once, whatever mix of copies
+//! arrives.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use eps_overlay::{plan_reconfiguration, NodeId, Topology};
 use eps_pubsub::{
     flood_subscriptions_direct, install_local_subscriptions, rebuild_subscription_routes, ClientId,
-    Dispatcher, DispatcherConfig, PatternId,
+    Dispatcher, DispatcherConfig, Event, EventId, PatternId,
 };
 use eps_sim::check::forall;
 use eps_sim::Rng;
@@ -333,6 +337,125 @@ fn derived_forwarding_memory_equals_an_explicit_one() {
             for _ in 0..rng.random_range(1..60u32) {
                 let case = net.step(rng);
                 net.assert_quiet(&case);
+            }
+        },
+    );
+}
+
+/// One arrival at, or action of, the dispatcher under test.
+enum Step {
+    /// A copy from a neighbor: the tree's, or a cross link's, which
+    /// brings a second copy on a cyclic overlay.
+    Hop(NodeId, Event),
+    /// A copy in a recovery reply.
+    Recovered(Event),
+    /// The dispatcher publishes its next event.
+    Publish,
+}
+
+#[test]
+fn a_dispatcher_admits_each_event_id_to_its_cache_once() {
+    // Remote events reach the dispatcher one to three times each, by any
+    // route, in any order, and a forged copy of some of its own next ids
+    // (a socket peer can name an id ahead of its source) arrives before
+    // the publish that takes the id, sometimes long enough before it to
+    // be evicted. The seen set is the one duplicate filter: the cache
+    // admits every delivered id exactly once, and the publish after a
+    // forgery admits nothing.
+    forall(
+        "a_dispatcher_admits_each_event_id_to_its_cache_once",
+        256,
+        |rng| {
+            let me = NodeId::new(0);
+            let (tree, cross) = (NodeId::new(1), NodeId::new(2));
+            let patterns: Vec<PatternId> = (0..4).map(PatternId::new).collect();
+            let config = DispatcherConfig {
+                cache_capacity: rng.random_range(1..16usize),
+                ..DispatcherConfig::default()
+            };
+            let mut d = Dispatcher::new(me, config);
+            // Patterns 0 and 1 are local: their events are delivered and
+            // cached. Patterns 2 and 3 only pass through.
+            d.subscribe_local(patterns[0], &[]);
+            d.subscribe_local(patterns[1], &[]);
+            let local = |e: &Event| e.matches(patterns[0]) || e.matches(patterns[1]);
+            let mut sources: Vec<Dispatcher> = (3..6)
+                .map(|s| Dispatcher::new(NodeId::new(s), DispatcherConfig::default()))
+                .collect();
+            let mut steps = Vec::new();
+            for _ in 0..rng.random_range(1..60u32) {
+                let bits = 1 + rng.random_below(15);
+                let content: Vec<PatternId> = (patterns.iter().enumerate())
+                    .filter(|&(i, _)| bits >> i & 1 != 0)
+                    .map(|(_, &p)| p)
+                    .collect();
+                let source = rng.random_below(sources.len() as u64) as usize;
+                let (event, _) = sources[source].publish(&content, &mut Vec::new());
+                for _ in 0..rng.random_range(1..4u32) {
+                    let copy = match rng.random_below(3) {
+                        0 => Step::Hop(tree, event.clone()),
+                        1 => Step::Hop(cross, event.clone()),
+                        _ => Step::Recovered(event.clone()),
+                    };
+                    steps.insert(rng.random_range(0..steps.len() + 1), copy);
+                }
+            }
+            let publishes = rng.random_range(1..6usize);
+            for _ in 0..publishes {
+                steps.insert(rng.random_range(0..steps.len() + 1), Step::Publish);
+            }
+            // A forged copy of own seq k, on pattern 0, goes anywhere
+            // before the k-th publish.
+            for k in 0..publishes {
+                if rng.random_bool(0.5) {
+                    let publish = (steps.iter().enumerate())
+                        .filter(|(_, step)| matches!(step, Step::Publish))
+                        .nth(k)
+                        .map(|(at, _)| at)
+                        .expect("one step per publish");
+                    let id = EventId::new(me, k as u64);
+                    let forged = Event::new(id, vec![(patterns[0], 1_000 + k as u64)]);
+                    let copy = match rng.random_bool(0.5) {
+                        true => Step::Hop(tree, forged),
+                        false => Step::Recovered(forged),
+                    };
+                    steps.insert(rng.random_range(0..publish + 1), copy);
+                }
+            }
+            // The ids the cache must have admitted, each once: every
+            // local event and every own one.
+            let mut admitted: BTreeSet<EventId> = BTreeSet::new();
+            for step in steps {
+                if let Step::Hop(_, e) | Step::Recovered(e) = &step {
+                    if local(e) {
+                        admitted.insert(e.id());
+                    }
+                }
+                match step {
+                    Step::Hop(from, e) => {
+                        d.on_event(e, Some(from), &mut Vec::new());
+                    }
+                    Step::Recovered(e) => {
+                        d.on_recovered_event(e);
+                    }
+                    Step::Publish => {
+                        let before = d.cache().inserted_total();
+                        let forged = d.has_seen(EventId::new(me, d.published_total()));
+                        let (e, _) = d.publish(&patterns[..1], &mut Vec::new());
+                        if forged {
+                            let after = d.cache().inserted_total();
+                            assert_eq!(after, before, "{} admitted twice", e.id());
+                        }
+                        admitted.insert(e.id());
+                    }
+                }
+                assert_eq!(d.cache().inserted_total(), admitted.len() as u64);
+                for &p in &patterns {
+                    let ids = d.cache().ids_matching(p);
+                    let distinct: BTreeSet<EventId> = ids.iter().copied().collect();
+                    assert_eq!(distinct.len(), ids.len(), "{p} lists an id twice");
+                    assert!(distinct.is_subset(&admitted), "{p} lists an unadmitted id");
+                }
             }
         },
     );
