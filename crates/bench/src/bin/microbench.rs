@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! microbench [--out FILE] [--gossip-out FILE] [--net-out FILE]
-//!     # --out defaults to BENCH_kernel.json; the other two sets are
-//!     # written only where their flag names a file
+//!     # each set is written only where its flag names a file, so no
+//!     # run rewrites a committed baseline
 //! ```
 //!
 //! Covers the event-queue kernel (schedule/pop), the
@@ -15,7 +15,8 @@
 //! automatically). Results (median ns per iteration)
 //! print to stderr and are written as JSON for tracking across
 //! commits: the kernel set to `--out`, the per-strategy set to
-//! `--gossip-out` and the codec and framing set to `--net-out`.
+//! `--gossip-out` and the codec and framing set to `--net-out`. A bare
+//! run writes nothing.
 
 use std::collections::VecDeque;
 use std::process::ExitCode;
@@ -44,7 +45,7 @@ use eps_sim::hash::IdMap;
 use eps_sim::{KeyedEngine, Rng, RngFactory, SimTime};
 
 fn main() -> ExitCode {
-    let mut out_path = String::from("BENCH_kernel.json");
+    let mut out_path = None;
     let mut gossip_out_path = None;
     let mut net_out_path = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,7 +53,7 @@ fn main() -> ExitCode {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--out" => match iter.next() {
-                Some(path) => out_path = path.clone(),
+                Some(path) => out_path = Some(path.clone()),
                 None => {
                     eprintln!("error: --out needs a file path");
                     return ExitCode::FAILURE;
@@ -121,7 +122,7 @@ fn main() -> ExitCode {
         );
     }
     for (path, set) in [
-        (Some(out_path), &results),
+        (out_path, &results),
         (gossip_out_path, &gossip_results),
         (net_out_path, &net_results),
     ] {
@@ -237,14 +238,16 @@ fn loss_detector_heap() -> Option<BenchResult> {
     ))
 }
 
-/// Heap bytes per dispatcher of three lines of the Figure 2 heap, read
+/// Heap bytes per dispatcher of four lines of the Figure 2 heap, read
 /// with the structures' own `heap_bytes` methods (capacities, not
 /// lengths) on a Figure 2 population driven through the 6 s cell's
 /// volume of lossless floods, 30 000 publishes, after which every
 /// cache index has the size a full cache needs: combined pull's
-/// (source, pattern, seq) index, push's id index and the seen set
-/// (push's; a lossless flood marks the same ids under any strategy).
-/// A table's size follows from its entry count alone, so the rows are
+/// (source, pattern, seq) index and recorded routes (its route book
+/// and each distinct route its book and cache hold), push's id index
+/// and the seen set (push's; a lossless flood marks the same ids under
+/// any strategy). A table's size follows from its entry count alone,
+/// and the routes from the tree and the cached events, so the rows are
 /// deterministic. Values are bytes.
 fn fig2_heap() -> Vec<BenchResult> {
     const PUBLISHES: usize = 30_000;
@@ -269,6 +272,10 @@ fn fig2_heap() -> Vec<BenchResult> {
         measured(
             "heap/fig2_combined/seq_index",
             mean(&combined, |d| d.cache().heap_bytes().pattern_seqs),
+        ),
+        measured(
+            "heap/fig2_combined/routes",
+            mean(&combined, Dispatcher::route_heap_bytes),
         ),
         measured(
             "heap/fig2_push/id_index",

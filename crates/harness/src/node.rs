@@ -324,7 +324,7 @@ impl SimNode {
             Envelope::PubSub(PubSubMessage::Event(event)) | Envelope::CrossEvent(event) => {
                 let (copy, receipt) =
                     self.dispatcher
-                        .on_event(event.clone(), Some(from), &mut self.next_hops);
+                        .on_event(event, Some(from), &mut self.next_hops);
                 if receipt.duplicate {
                     // A redundant arrival: on cyclic overlays the same
                     // event reaches a node both through the view and
@@ -333,7 +333,7 @@ impl SimNode {
                     return (Vec::new(), chasing);
                 }
                 let changed = chasing || receipt.delivered || !receipt.losses.is_empty();
-                self.arrive(&event, &receipt, false, ctx);
+                self.arrive(&copy, &receipt, false, ctx);
                 // First sight of this event here: forward the copy
                 // with this hop recorded, on the tree and over
                 // interested cross links.

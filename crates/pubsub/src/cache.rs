@@ -588,10 +588,9 @@ impl EventCache {
     }
 
     /// The cached events in slot order, which is admission order only
-    /// until the first eviction: for tests, which keep their own
-    /// admission-ordered model where order matters.
-    #[cfg(test)]
-    fn iter(&self) -> impl Iterator<Item = &Event> {
+    /// until the first eviction: tests keep their own admission-ordered
+    /// model where order matters.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.slots.iter()
     }
 

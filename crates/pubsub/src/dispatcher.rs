@@ -16,6 +16,10 @@
 //! `p`, so an (un)subscription goes to the neighbors whose answer its
 //! table write flipped.
 
+use std::collections::hash_map::Entry;
+use std::iter;
+use std::sync::Arc;
+
 use eps_overlay::NodeId;
 use eps_sim::hash::{map_heap_bytes, IdMap, IdSet, IdState};
 
@@ -85,11 +89,16 @@ pub struct EventReceipt {
 
 /// Per-source reverse-route knowledge harvested from route-recording
 /// events (the `Routes` buffer of publisher-based pull).
+///
+/// The book owns each recorded route: one shared allocation per source,
+/// the path from that source to this dispatcher, which the event copies
+/// that followed it carry too. On an unchanged tree every event of a
+/// source follows the same path, so one allocation serves them all.
 #[derive(Clone, Debug, Default)]
 pub struct RouteBook {
     /// Keyed lookups only — this map is never iterated, so its
     /// arbitrary ordering can't leak into any output.
-    routes: IdMap<NodeId, Vec<NodeId>>,
+    routes: IdMap<NodeId, Arc<[NodeId]>>,
 }
 
 /// What a dispatcher without a route book reads: no routes.
@@ -98,18 +107,29 @@ static NO_ROUTES: RouteBook = RouteBook {
 };
 
 impl RouteBook {
-    /// Stores the route of the most recently received event from
-    /// `source` (path from the source to this dispatcher, inclusive),
-    /// overwriting the previous one in place.
-    pub fn record(&mut self, source: NodeId, route: &[NodeId]) {
-        let stored = self.routes.entry(source).or_default();
-        stored.clear();
-        stored.extend_from_slice(route);
+    /// Records that an event which followed `route` (source first)
+    /// reached `hop`, and returns the route it leaves with: `route`
+    /// then `hop`. Where the source's entry already spells that path,
+    /// the entry is shared; otherwise the longer route is allocated
+    /// once and replaces the entry. The comparison reads the path once,
+    /// as the copy it saves would.
+    fn record_hop(&mut self, route: &[NodeId], hop: NodeId) -> Arc<[NodeId]> {
+        let spells = |stored: &[NodeId]| stored.split_last() == Some((&hop, route));
+        let appended = || route.iter().copied().chain(iter::once(hop)).collect();
+        match self.routes.entry(route[0]) {
+            Entry::Occupied(mut entry) => {
+                if !spells(entry.get()) {
+                    entry.insert(appended());
+                }
+                Arc::clone(entry.get())
+            }
+            Entry::Vacant(entry) => Arc::clone(entry.insert(appended())),
+        }
     }
 
     /// The last known route *from* `source` to this dispatcher.
     pub fn route_from(&self, source: NodeId) -> Option<&[NodeId]> {
-        self.routes.get(&source).map(Vec::as_slice)
+        self.routes.get(&source).map(|route| &route[..])
     }
 
     /// The reverse route: from this dispatcher back *towards*
@@ -316,6 +336,35 @@ impl Dispatcher {
     /// answers for), by capacity.
     pub fn seen_heap_bytes(&self) -> usize {
         map_heap_bytes(&self.seen.words)
+    }
+
+    /// Heap bytes of the recorded routes this dispatcher holds: the
+    /// boxed route book and its map, by capacity, and each distinct
+    /// route allocation that the book and the cache's ring hold,
+    /// counted once. A route the book interns ends at this dispatcher,
+    /// and the copies forwarded with it record their own at the next
+    /// hop, so a sum over a lossless population counts each allocation
+    /// once; a recovered event's route was recorded elsewhere and
+    /// counts there too.
+    pub fn route_heap_bytes(&self) -> usize {
+        let book = self.routes.as_deref();
+        let mut held: Vec<&Arc<[NodeId]>> = book
+            .into_iter()
+            .flat_map(|book| book.routes.values())
+            .chain(self.cache.iter().map(Event::shared_route))
+            .collect();
+        held.sort_unstable_by_key(|route| Arc::as_ptr(route).cast::<NodeId>());
+        held.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        // An `Arc<[NodeId]>` allocation: the strong and weak counts,
+        // then the hops, padded to the counts' alignment.
+        let allocation = |route: &&Arc<[NodeId]>| {
+            (2 * size_of::<usize>() + route.len() * size_of::<NodeId>())
+                .next_multiple_of(align_of::<usize>())
+        };
+        let book_bytes = book.map_or(0, |book| {
+            size_of::<RouteBook>() + map_heap_bytes(&book.routes)
+        });
+        book_bytes + held.iter().map(allocation).sum::<usize>()
     }
 
     /// Total events delivered to local clients.
@@ -573,9 +622,9 @@ impl Dispatcher {
 
     /// Handles an event arriving from neighbor `from` on the
     /// dispatching tree. Returns the copy to forward — with this hop
-    /// recorded when routes are — and fills `next_hops` (cleared
-    /// first) with the neighbors to forward it to: none for a
-    /// duplicate.
+    /// recorded when routes are, as the route book's shared entry for
+    /// its source — and fills `next_hops` (cleared first) with the
+    /// neighbors to forward it to: none for a duplicate.
     pub fn on_event(
         &mut self,
         mut event: Event,
@@ -583,9 +632,15 @@ impl Dispatcher {
         next_hops: &mut Vec<NodeId>,
     ) -> (Event, EventReceipt) {
         if self.config.record_routes {
-            event.record_hop(self.id);
             let routes = self.routes.get_or_insert_default();
-            routes.record(event.source(), event.route());
+            let route = routes.record_hop(event.route(), self.id);
+            debug_assert!(
+                route.split_last() == Some((&self.id, event.route())),
+                "{}: the shared route is not the arriving one plus {}",
+                event.id(),
+                self.id
+            );
+            event.set_route(route);
         }
         if !self.seen.insert(event.id()) {
             next_hops.clear();
@@ -790,6 +845,77 @@ mod tests {
             d.routes().route_to(NodeId::new(0)),
             Some(vec![NodeId::new(3), NodeId::new(0)])
         );
+    }
+
+    #[test]
+    fn a_route_book_shares_each_sources_path_until_it_changes() {
+        forall("a_route_book_shares_each_sources_path", 128, |rng| {
+            let me = NodeId::new(9);
+            let config = DispatcherConfig {
+                record_routes: true,
+                ..cfg()
+            };
+            let mut d = Dispatcher::new(me, config);
+            let p = PatternId::new(1);
+            d.subscribe_local(p, &[]);
+            // A path from `source` through up to three of ten upstream
+            // dispatchers, none of them this one.
+            let path = |rng: &mut eps_sim::Rng, source: NodeId| -> Vec<NodeId> {
+                let hops = (0..rng.random_below(4)).map(|_| rng.random_range(10..20u32));
+                iter::once(source).chain(hops.map(NodeId::new)).collect()
+            };
+            // Each source's tree path, and its next fresh seq.
+            let mut tree: Vec<Vec<NodeId>> = (0..3).map(|s| vec![NodeId::new(s)]).collect();
+            let mut next_seq = [0u64; 3];
+            // Every copy that left, with the route it left with.
+            let mut in_flight: Vec<(Event, Vec<NodeId>)> = Vec::new();
+            for _ in 0..rng.random_range(1..120u32) {
+                let s = rng.random_below(3) as usize;
+                let source = NodeId::new(s as u32);
+                let followed = match rng.random_below(6) {
+                    // A reconfiguration: the tree path changes.
+                    0 => {
+                        tree[s] = path(rng, source);
+                        tree[s].clone()
+                    }
+                    // A cross-link copy, off the tree path.
+                    1 => path(rng, source),
+                    _ => tree[s].clone(),
+                };
+                // A duplicate re-sends an id that already arrived.
+                let seq = match next_seq[s] {
+                    sent if sent > 0 && rng.random_below(4) == 0 => rng.random_below(sent),
+                    _ => {
+                        next_seq[s] += 1;
+                        next_seq[s] - 1
+                    }
+                };
+                let mut event = Event::new(EventId::new(source, seq), vec![(p, seq)]);
+                for &hop in &followed[1..] {
+                    event.record_hop(hop);
+                }
+                let mut expected = event.clone();
+                expected.record_hop(me);
+                let before = d.routes().routes.get(&source).cloned();
+                let from = *followed.last().unwrap();
+                let (copy, _) = d.on_event(event, Some(from), &mut Vec::new());
+                assert_eq!(copy.route(), expected.route(), "leaves with this hop added");
+                assert_eq!(d.routes().route_from(source), Some(expected.route()));
+                let entry = &d.routes().routes[&source];
+                assert!(Arc::ptr_eq(copy.shared_route(), entry), "shares the entry");
+                if let Some(before) = before {
+                    assert_eq!(
+                        Arc::ptr_eq(&before, entry),
+                        before[..] == *expected.route(),
+                        "one allocation per path: {before:?} then {entry:?}"
+                    );
+                }
+                for (copy, route) in &in_flight {
+                    assert_eq!(copy.route(), route, "a copy in flight keeps its route");
+                }
+                in_flight.push((copy, expected.route().to_vec()));
+            }
+        });
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //! content — the pattern/sequence pairs — lives behind an [`Arc`], so
 //! a clone is a refcount bump, not a deep copy. The recorded route is
 //! a second, immutable `Arc`: when route recording is off it is shared
-//! by every copy; when it is on, each recording hop builds the longer
-//! route in one allocation, and copies already in flight keep theirs.
+//! by every copy. When it is on, the recording dispatcher's route book
+//! owns the route from each source to it, and an arriving event leaves
+//! with a clone of that entry whenever the entry already spells its
+//! route plus this hop — every event of a source after the first,
+//! while the tree is unchanged. Only a changed path (a first arrival, a
+//! reconfiguration, a cross-link copy) allocates the longer route, once,
+//! and copies already in flight keep theirs.
 
 use std::iter;
 use std::sync::Arc;
@@ -199,11 +204,25 @@ impl Event {
         &self.route
     }
 
-    /// Appends a traversed dispatcher to the recorded route (used by
-    /// publisher-based pull): one allocation, of exactly the longer
-    /// route. Copies already in flight elsewhere keep their shorter one.
+    /// Appends a traversed dispatcher to the recorded route: one
+    /// allocation, of exactly the longer route. Copies already in
+    /// flight elsewhere keep their shorter one. A recording dispatcher
+    /// shares its route book's copy of the longer route instead.
     pub fn record_hop(&mut self, node: NodeId) {
         self.route = self.route.iter().copied().chain(iter::once(node)).collect();
+    }
+
+    /// Replaces the recorded route with a shared one: the route book's
+    /// entry for this event's source, which spells this route plus the
+    /// recording hop. Copies already in flight keep their own route.
+    pub(crate) fn set_route(&mut self, route: Arc<[NodeId]>) {
+        self.route = route;
+    }
+
+    /// The recorded route's shared allocation, for reading which copies
+    /// share it.
+    pub(crate) fn shared_route(&self) -> &Arc<[NodeId]> {
+        &self.route
     }
 
     /// Approximate wire size of this event message, in bits, given the

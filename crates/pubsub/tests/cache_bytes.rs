@@ -519,3 +519,63 @@ fn a_filled_pi_8192_table_keeps_a_row_map_of_at_most_256_bytes() {
     eprintln!("row map bytes, every 100th dispatcher: {sizes:?}, mean {mean:.0} B");
     assert!(mean <= 256.0, "{mean:.0} B of row map per dispatcher");
 }
+
+/// Live heap bytes of a combined-pull dispatcher — a seq-index cache
+/// and a loss detector — that every Figure 2 pattern is subscribed at,
+/// after 4β arrivals of [`fig2_events`], and what its
+/// `route_heap_bytes` reports. Each event arrives along its source's
+/// tree path, which moves once, halfway through; every 31st arrival is
+/// a cross-link copy off that path. The test keeps no copy.
+fn route_bytes(record_routes: bool) -> (isize, usize) {
+    let config = DispatcherConfig {
+        record_routes,
+        cache_indexes: CacheIndexes {
+            pattern_seqs: true,
+            ..CacheIndexes::NONE
+        },
+        ..DispatcherConfig::default()
+    };
+    let universe = PatternSpace::paper_default().universe();
+    let upstream = |source: u32, k: usize| match k {
+        k if k % 31 == 30 => vec![190 + source % 5],
+        k if k < 2 * BETA => vec![100 + source % 7],
+        _ => vec![110 + source % 3, 120 + source % 4],
+    };
+    let mut events = fig2_events().enumerate();
+    let mut next_hops = Vec::new();
+    let before = LIVE.with(Cell::get);
+    let mut dispatcher = Dispatcher::new(NodeId::new(200), config);
+    for p in 0..universe {
+        dispatcher.subscribe_local(PatternId::new(p), &[]);
+    }
+    for (k, mut event) in events.by_ref().take(4 * BETA) {
+        let hops = upstream(event.source().value(), k);
+        for &hop in &hops {
+            event.record_hop(NodeId::new(hop));
+        }
+        let from = NodeId::new(hops[hops.len() - 1]);
+        let (_, receipt) = dispatcher.on_event(event, Some(from), &mut next_hops);
+        assert!(receipt.delivered);
+    }
+    assert_eq!(dispatcher.cache().len(), BETA);
+    let bytes = LIVE.with(Cell::get) - before;
+    (bytes, dispatcher.route_heap_bytes())
+}
+
+/// `Dispatcher::route_heap_bytes` reads what recorded routes cost the
+/// heap: recording adds to a dispatcher exactly the book and the route
+/// allocations it reports beyond the routes its cached events arrived
+/// with. The book shares each source's path with the events that
+/// followed it, so the routes cost under half of one allocation per
+/// cached event.
+#[test]
+fn route_heap_bytes_reads_the_book_and_each_shared_route_once() {
+    let (recording, reported) = route_bytes(true);
+    let (plain, arrived) = route_bytes(false);
+    eprintln!(
+        "routes: {reported} B recorded, {arrived} B as arrived ({} B live with, {} B without)",
+        recording, plain
+    );
+    assert_eq!(recording - plain, reported as isize - arrived as isize);
+    assert!(2 * reported < arrived, "{reported} B vs {arrived} B");
+}

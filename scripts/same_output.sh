@@ -41,6 +41,9 @@ scale="-a push --nodes 4000 --patterns 8192 --publish-rate 2 --duration 1"
 small="-a push -a combined-pull --duration 2 --seed 1"
 cells+=("$scale" "$scale --churn 0.01" "$small --overlay ba --rho 0.5"
     "$small --clients 5 --zipf 1.2" "$small --adaptive" "$small --beta 0")
+# Reconfigurations on the tree, under both route-recording rows: each
+# moved path is recorded afresh.
+cells+=("-a combined-pull -a publisher-pull --duration 2 --seed 1 --overlay tree --rho 0.5")
 
 differ=0
 for cell in "${cells[@]}"; do

@@ -294,18 +294,24 @@ echo "== tier-1: Fig. 2 cell memory (combined pull at full size) =="
 # pattern) streams its dispatcher tracks; the Lost buffer is one ordered
 # map whose eviction queue is compacted at twice its live entries.
 # The seq index keeps a 4-byte bucket (slot and hash tag) and the seen
-# set a 16-byte entry (one packed u64 key and its word of 64 seqs): the
-# cell peaks near 28.5 MB, and with 8-byte buckets and 24-byte entries
-# it peaked near 32.3 MB (34.7 MB before the run's delivery tracker
+# set a 16-byte entry (one packed u64 key and its word of 64 seqs). The
+# recorded routes are shared, not copied: a dispatcher's route book
+# keeps one path per source, and every event that followed that path
+# carries the book's copy, so the routes line is about 1.2 MB, not 8 MB
+# (microbench's heap/fig2_combined/routes row, 12 235 B a dispatcher;
+# 80 655 B when each forwarded copy built its own route and the book
+# copied it again). The cell peaks near 24.0 MB; with a route copy per
+# hop it peaked near 28.5 MB, with 8-byte buckets and 24-byte seen
+# entries near 32.3 MB (34.7 MB before the run's delivery tracker
 # indexed events by source and seq). A Lost buffer with a hash primary
 # under two B-tree views, or a queue compacted only at twice the
 # capacity, each puts back about 2-3 MB; an id index on pull caches
 # about 1.6 MB, an admission stamp beside each cached event about
 # 1.2 MB, and a detector row per source over the pattern universe
-# about 5 MB. The limit, 30.5 MB, sits halfway between the cell's peak
-# and the 32.3 MB, so 8-byte buckets or 24-byte seen entries trip it.
+# about 5 MB. The limit, 26.3 MB, sits halfway between the cell's peak
+# and the 28.5 MB, so a route copied at every hop again trips it.
 check_peak "Fig. 2 combined-pull cell" \
-    "$(simulate_peak_mb -a combined-pull --duration 6 --seed 1)" 30.5
+    "$(simulate_peak_mb -a combined-pull --duration 6 --seed 1)" 26.3
 
 echo "== tier-1: Fig. 2 cell memory (push at full size) =="
 # The same cell under push, whose caches keep the event-id index and
