@@ -4,15 +4,18 @@
 //! dependencies.
 //!
 //! ```text
-//! scenario_bench [--out FILE] [--large]    # default: BENCH_scenario.json
+//! scenario_bench [--out FILE] [--large]
+//!     # written only where --out names a file, so no run rewrites a
+//!     # committed baseline
 //! ```
 //!
 //! Where `microbench` isolates kernels, this binary times whole
 //! scenario runs — queue, transport, dispatching, recovery, metrics
 //! assembly — so a regression anywhere in the stack shows up even if
 //! every kernel looks fine in isolation. Results (median ns per run)
-//! print to stderr and are written as JSON; `scripts/tier1.sh` diffs
-//! them against the committed baseline via `bench_compare`.
+//! print to stderr and are written as JSON to `--out`; a bare run
+//! writes nothing. `scripts/tier1.sh` diffs them against the committed
+//! baseline via `bench_compare`.
 //!
 //! `--large` additionally runs the runner at 100 000
 //! dispatchers (a dense Figure 2-style content model), reporting
@@ -36,14 +39,14 @@ use eps_sim::SimTime;
 const LARGE_NODES: usize = 100_000;
 
 fn main() -> ExitCode {
-    let mut out_path = String::from("BENCH_scenario.json");
+    let mut out_path = None;
     let mut large = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--out" => match iter.next() {
-                Some(path) => out_path = path.clone(),
+                Some(path) => out_path = Some(path.clone()),
                 None => {
                     eprintln!("error: --out needs a file path");
                     return ExitCode::FAILURE;
@@ -96,11 +99,13 @@ fn main() -> ExitCode {
             r.name, r.median_ns, r.min_ns, r.samples
         );
     }
-    if let Err(e) = std::fs::write(&out_path, to_json(&results)) {
-        eprintln!("error: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
+    if let Some(out_path) = out_path {
+        if let Err(e) = std::fs::write(&out_path, to_json(&results)) {
+            eprintln!("error: writing {out_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {out_path}");
     }
-    eprintln!("wrote {out_path}");
     ExitCode::SUCCESS
 }
 

@@ -565,8 +565,8 @@ mod tests {
                 node.on_subscribe(PatternId::new(i), neighbor, &[]);
             }
             node.subscribe_local(cached, &[]);
-            let mut event = Event::new(EventId::new(source, 0), vec![(cached, 0)]);
-            event.record_hop(neighbor);
+            let id = EventId::new(source, 0);
+            let event = Event::from_wire(id, vec![(cached, 0)], vec![source, neighbor]);
             node.on_event(event, Some(neighbor), &mut Vec::new());
             let mut strategy = kind.build(GossipConfig::default());
             let neighbors = [neighbor];

@@ -181,13 +181,10 @@ const MAX_LIST: u64 = 1 << 20;
 const EVENT_BODY_MIN_BITS: u64 = 3 * 8 + ROUTE_HOP_BITS + 2 * 8;
 
 /// The exact encoded size of `env` in bytes — by construction equal
-/// to [`Envelope::wire_bits`]` / 8`.
-///
-/// # Errors
-///
+/// to [`Envelope::wire_bits`]` / 8` — or
 /// [`CodecError::UnalignedPayload`] if `payload_bits` is not a
 /// multiple of 8 (every accounted constant already is).
-pub fn encoded_len(env: &Envelope, payload_bits: u64) -> Result<usize, CodecError> {
+fn encoded_len(env: &Envelope, payload_bits: u64) -> Result<usize, CodecError> {
     if payload_bits == 0 || !payload_bits.is_multiple_of(8) {
         return Err(CodecError::UnalignedPayload(payload_bits));
     }
@@ -195,18 +192,7 @@ pub fn encoded_len(env: &Envelope, payload_bits: u64) -> Result<usize, CodecErro
 }
 
 /// Encodes `env` into a fresh buffer of exactly
-/// [`encoded_len`]`(env, payload_bits)` bytes.
-///
-/// # Errors
-///
-/// See [`encode_into`].
-pub fn encode(env: &Envelope, payload_bits: u64) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    encode_into(env, payload_bits, &mut out)?;
-    Ok(out)
-}
-
-/// Encodes `env` into `out` (cleared first), zero-padding up to the
+/// [`Envelope::wire_bits`]` / 8` bytes, zero-padding up to the
 /// accounted size.
 ///
 /// # Errors
@@ -216,7 +202,15 @@ pub fn encode(env: &Envelope, payload_bits: u64) -> Result<Vec<u8>, CodecError> 
 /// the paper's one-event-payload bound and must be trimmed with
 /// [`fit`] first; [`CodecError::UnalignedPayload`] on a payload size
 /// that is not a whole number of bytes.
-pub fn encode_into(env: &Envelope, payload_bits: u64, out: &mut Vec<u8>) -> Result<(), CodecError> {
+pub fn encode(env: &Envelope, payload_bits: u64) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    encode_into(env, payload_bits, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode`] into `out` (cleared first), so [`fit`]'s retries reuse
+/// one buffer.
+fn encode_into(env: &Envelope, payload_bits: u64, out: &mut Vec<u8>) -> Result<(), CodecError> {
     let target = encoded_len(env, payload_bits)?;
     out.clear();
     out.push(WIRE_VERSION);
@@ -695,9 +689,16 @@ impl Cursor<'_> {
         if hops == 0 {
             return Err(CodecError::Malformed("event route is empty"));
         }
-        let mut route = Vec::with_capacity(self.capacity(hops, ROUTE_HOP_BITS));
-        for _ in 0..hops {
-            route.push(NodeId::new(self.u32_le()?));
+        // A one-hop route is the id's source, which the event holds
+        // without allocating: only a longer route is collected.
+        let source = NodeId::new(self.u32_le()?);
+        let mut route = Vec::new();
+        if hops > 1 {
+            route.reserve_exact(1 + self.capacity(hops - 1, ROUTE_HOP_BITS));
+            route.push(source);
+            for _ in 1..hops {
+                route.push(NodeId::new(self.u32_le()?));
+            }
         }
         let npat = self.list_len()?;
         if npat == 0 {
@@ -714,8 +715,12 @@ impl Cursor<'_> {
             }
             pattern_seqs.push((pattern, pseq));
         }
-        let id = event_id(route[0], seq)?;
-        Ok(Event::from_wire(id, pattern_seqs, route))
+        let id = event_id(source, seq)?;
+        Ok(if route.is_empty() {
+            Event::new(id, pattern_seqs)
+        } else {
+            Event::from_wire(id, pattern_seqs, route)
+        })
     }
 
     fn rest_is_zero(&self) -> bool {
@@ -725,6 +730,8 @@ impl Cursor<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::iter;
+
     use eps_sim::check::forall;
     use eps_sim::Rng;
 
@@ -733,16 +740,16 @@ mod tests {
     const P: u64 = 1024;
 
     fn event(hops: u32, patterns: u16) -> Event {
-        let mut e = Event::new(
-            EventId::new(NodeId::new(3), 41),
+        let source = NodeId::new(3);
+        Event::from_wire(
+            EventId::new(source, 41),
             (0..patterns)
                 .map(|p| (PatternId::new(p * 2), u64::from(p) + 7))
                 .collect(),
-        );
-        for h in 0..hops {
-            e.record_hop(NodeId::new(100 + h));
-        }
-        e
+            iter::once(source)
+                .chain((0..hops).map(|h| NodeId::new(100 + h)))
+                .collect(),
+        )
     }
 
     fn losses(n: u64) -> Vec<LossRecord> {
@@ -1144,11 +1151,9 @@ mod tests {
             .collect();
         pattern_seqs.sort_unstable();
         pattern_seqs.dedup_by_key(|&mut (pattern, _)| pattern);
-        let mut event = Event::new(random_id(rng), pattern_seqs);
-        for hop in random_route(rng) {
-            event.record_hop(hop);
-        }
-        event
+        let id = random_id(rng);
+        let route = iter::once(id.source()).chain(random_route(rng)).collect();
+        Event::from_wire(id, pattern_seqs, route)
     }
 
     fn random_range_ref(rng: &mut Rng) -> RangeRef {

@@ -146,14 +146,11 @@ mod tests {
     use super::*;
 
     fn event_with_route(hops: u32) -> Event {
-        let mut e = Event::new(
+        Event::from_wire(
             EventId::new(NodeId::new(0), 0),
             vec![(PatternId::new(1), 0)],
-        );
-        for h in 0..hops {
-            e.record_hop(NodeId::new(h + 1));
-        }
-        e
+            (0..=hops).map(NodeId::new).collect(),
+        )
     }
 
     #[test]

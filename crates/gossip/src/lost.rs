@@ -54,9 +54,6 @@ pub struct LostBuffer {
     next_stamp: u64,
     capacity: usize,
     max_attempts: u32,
-    added_total: u64,
-    recovered_total: u64,
-    abandoned_total: u64,
     evicted_total: u64,
 }
 
@@ -151,9 +148,6 @@ impl LostBuffer {
             next_stamp: 0,
             capacity,
             max_attempts,
-            added_total: 0,
-            recovered_total: 0,
-            abandoned_total: 0,
             evicted_total: 0,
         }
     }
@@ -171,21 +165,6 @@ impl LostBuffer {
     /// `true` if nothing is outstanding.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total entries ever added.
-    pub fn added_total(&self) -> u64 {
-        self.added_total
-    }
-
-    /// Total entries cleared because the event arrived.
-    pub fn recovered_total(&self) -> u64 {
-        self.recovered_total
-    }
-
-    /// Total entries dropped after exhausting their attempts.
-    pub fn abandoned_total(&self) -> u64 {
-        self.abandoned_total
     }
 
     /// Total entries evicted by the FIFO capacity bound.
@@ -222,7 +201,6 @@ impl LostBuffer {
         count(&mut self.patterns, record.pattern, true);
         count(&mut self.sources, record.source, true);
         self.order.push_back((key, stamp));
-        self.added_total += 1;
         if self.entries.len() > self.capacity {
             self.evict_oldest();
         }
@@ -251,8 +229,8 @@ impl LostBuffer {
     pub fn clear_for_event(&mut self, event: &Event) {
         for &(pattern, seq) in event.pattern_seqs() {
             let outstanding = self.patterns.binary_search_by_key(&pattern, |&(p, _)| p);
-            if outstanding.is_ok() && self.remove(pack(pattern, event.source(), seq), None) {
-                self.recovered_total += 1;
+            if outstanding.is_ok() {
+                self.remove(pack(pattern, event.source(), seq), None);
             }
         }
     }
@@ -312,7 +290,6 @@ impl LostBuffer {
     fn abandon(&mut self, exhausted: Vec<u128>) {
         for key in exhausted {
             self.remove(key, None);
-            self.abandoned_total += 1;
         }
     }
 }
@@ -357,7 +334,6 @@ mod tests {
         lost.add(rec(0, 1, 2));
         lost.add(rec(0, 1, 2));
         assert_eq!(lost.len(), 1);
-        assert_eq!(lost.added_total(), 1);
     }
 
     #[test]
@@ -373,7 +349,6 @@ mod tests {
         lost.clear_for_event(&event);
         assert_eq!(lost.len(), 1);
         assert!(lost.contains(&rec(0, 1, 3)));
-        assert_eq!(lost.recovered_total(), 2);
     }
 
     #[test]
@@ -416,8 +391,9 @@ mod tests {
                 assert_eq!(lost.len(), entries, "dropped before attempt {attempt}");
                 assert_eq!(lost.any(entries).len(), entries);
             }
+            // Abandoned, every one: none was evicted.
             assert!(lost.is_empty());
-            assert_eq!(lost.abandoned_total(), entries as u64);
+            assert_eq!(lost.evicted_total(), 0);
         });
     }
 
@@ -596,8 +572,7 @@ mod tests {
         next_stamp: u64,
         capacity: usize,
         max_attempts: u32,
-        /// Added, recovered, abandoned, evicted.
-        totals: [u64; 4],
+        evicted: u64,
     }
 
     impl Reference {
@@ -607,12 +582,11 @@ mod tests {
             }
             self.entries.insert(record, (0, self.next_stamp));
             self.next_stamp += 1;
-            self.totals[0] += 1;
             if self.entries.len() > self.capacity {
                 let oldest = self.entries.iter().min_by_key(|(_, &(_, stamp))| stamp);
                 let oldest = *oldest.expect("over capacity means non-empty").0;
                 self.entries.remove(&oldest);
-                self.totals[3] += 1;
+                self.evicted += 1;
             }
         }
 
@@ -623,9 +597,7 @@ mod tests {
                     pattern,
                     seq,
                 };
-                if self.entries.remove(&record).is_some() {
-                    self.totals[1] += 1;
-                }
+                self.entries.remove(&record);
             }
         }
 
@@ -642,7 +614,6 @@ mod tests {
                 *attempts += 1;
                 if *attempts >= self.max_attempts {
                     self.entries.remove(key);
-                    self.totals[2] += 1;
                 }
             }
             keys
@@ -670,7 +641,7 @@ mod tests {
                 next_stamp: 0,
                 capacity,
                 max_attempts,
-                totals: [0; 4],
+                evicted: 0,
             };
             for _ in 0..rng.random_range(1..300usize) {
                 let limit = rng.random_range(1..8usize);
@@ -722,13 +693,7 @@ mod tests {
                 );
                 assert_eq!(patterns(&lost), reference.patterns());
                 assert_eq!(sources(&lost), reference.sources());
-                let totals = [
-                    lost.added_total(),
-                    lost.recovered_total(),
-                    lost.abandoned_total(),
-                    lost.evicted_total(),
-                ];
-                assert_eq!(totals, reference.totals);
+                assert_eq!(lost.evicted_total(), reference.evicted);
             }
         });
     }
@@ -745,23 +710,25 @@ mod tests {
             |rng| {
                 let cap = rng.random_range(1..12usize);
                 let mut lost = LostBuffer::with_capacity(rng.random_range(1..4u32), cap);
+                // Fresh records added; entries gone by a clear or a
+                // selection (recovered or abandoned).
+                let (mut added, mut cleared) = (0, 0);
                 for _ in 0..rng.random_range(0..200usize) {
                     let r = random_rec(rng, 3, 30);
+                    let before = lost.len() as u64;
                     match rng.random_below(3) {
-                        0 => lost.add(r),
+                        0 => {
+                            added += u64::from(!lost.contains(&r));
+                            lost.add(r);
+                        }
                         1 => lost.clear_for_event(&event_for(r)),
                         _ => drop(lost.any(3)),
                     }
+                    cleared += before.saturating_sub(lost.len() as u64);
                     assert!(lost.len() <= cap, "len {} exceeds {cap}", lost.len());
                 }
                 assert_eq!(lost.capacity(), cap);
-                assert_eq!(
-                    lost.added_total(),
-                    lost.len() as u64
-                        + lost.recovered_total()
-                        + lost.abandoned_total()
-                        + lost.evicted_total()
-                );
+                assert_eq!(added, lost.len() as u64 + cleared + lost.evicted_total());
             },
         );
     }

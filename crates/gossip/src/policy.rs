@@ -508,11 +508,11 @@ mod tests {
         );
         node.subscribe_local(PatternId::new(1), &[]);
         node.on_subscribe(PatternId::new(1), NodeId::new(3), &[]);
-        let mut e = Event::new(
+        let e = Event::from_wire(
             EventId::new(NodeId::new(0), 0),
             vec![(PatternId::new(1), 0)],
+            vec![NodeId::new(0), NodeId::new(3)],
         );
-        e.record_hop(NodeId::new(3));
         node.on_event(e, Some(NodeId::new(3)), &mut Vec::new());
         node
     }
@@ -823,11 +823,11 @@ mod tests {
         // Cached events matching every pattern, and routes back to
         // sources 2 and 6 — none to 4.
         for source in [6u32, 2] {
-            let mut e = Event::new(
+            let e = Event::from_wire(
                 EventId::new(NodeId::new(source), 0),
                 patterns.iter().map(|&p| (p, 0)).collect(),
+                vec![NodeId::new(source), NodeId::new(1)],
             );
-            e.record_hop(NodeId::new(1));
             node.on_event(e, Some(NodeId::new(1)), &mut Vec::new());
         }
         let losses = [

@@ -59,12 +59,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Bytes `f` allocates, dropping what it returns.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATED.with(Cell::get);
+    drop(f());
+    ALLOCATED.with(Cell::get) - before
+}
+
 /// Decodes `frame`, asserting the allocation bound; returns the bytes
 /// allocated.
 fn decode_within_bound(frame: &[u8]) -> usize {
-    let before = ALLOCATED.with(Cell::get);
-    drop(decode(frame, PAYLOAD_BITS));
-    let used = ALLOCATED.with(Cell::get) - before;
+    let used = allocated_by(|| decode(frame, PAYLOAD_BITS));
     assert!(
         used <= BYTES_PER_INPUT_BYTE * frame.len(),
         "decoding {} bytes allocated {used} bytes: {frame:02x?}",
@@ -74,16 +79,16 @@ fn decode_within_bound(frame: &[u8]) -> usize {
 }
 
 fn event(hops: u32, patterns: u16) -> Event {
-    let mut e = Event::new(
-        EventId::new(NodeId::new(3), 41),
+    let source = NodeId::new(3);
+    Event::from_wire(
+        EventId::new(source, 41),
         (0..patterns)
             .map(|p| (PatternId::new(p * 2), u64::from(p) + 7))
             .collect(),
-    );
-    for h in 0..hops {
-        e.record_hop(NodeId::new(100 + h));
-    }
-    e
+        std::iter::once(source)
+            .chain((0..hops).map(|h| NodeId::new(100 + h)))
+            .collect(),
+    )
 }
 
 fn losses(n: u64) -> Vec<LossRecord> {
@@ -209,4 +214,20 @@ fn damaged_frames_allocate_no_more_than_the_input_justifies() {
         let cut = rng.random_range(1..damaged.len() + 1);
         decode_within_bound(&damaged[..cut]);
     });
+}
+
+/// A one-hop route is the event's source: a decoded event that has not
+/// left its source allocates what its source's `Event::new` and the
+/// pattern list allocate, and nothing for a route.
+#[test]
+fn a_decoded_one_hop_event_allocates_no_route() {
+    let event = event(0, 3);
+    let frame = encode(
+        &Envelope::PubSub(PubSubMessage::Event(event.clone())),
+        PAYLOAD_BITS,
+    )
+    .expect("fits");
+    let built = allocated_by(|| Event::new(event.id(), event.pattern_seqs().to_vec()));
+    let decoded = allocated_by(|| decode(&frame, PAYLOAD_BITS).expect("decodes"));
+    assert_eq!(decoded, built);
 }

@@ -258,7 +258,10 @@ fn pull_goes_quiet_once_evicted_surplus_is_seen() {
         64,
         "the small cache churned"
     );
-    assert_eq!(a.node.cache().tombstoned(pattern()), 64);
+    // The seen view over the live residents: the 64 evicted ids.
+    let cache = a.node.cache();
+    let seen = cache.seen_summary(pattern(), RangeRef::ROOT).count;
+    assert_eq!(seen - cache.summary_index().root(pattern()).count, 64);
 
     let mut rng = Rng::from_seed(31);
     for round in 0..12 {

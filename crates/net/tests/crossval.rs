@@ -361,15 +361,11 @@ fn first_publish_ticks_past_the_end_fire_in_neither_world() {
 #[test]
 fn framed_sizes_equal_wire_bits_for_every_message_class() {
     let payload_bits = 1024;
-    let event = {
-        let mut e = Event::new(
-            EventId::new(NodeId::new(2), 9),
-            vec![(PatternId::new(3), 4), (PatternId::new(8), 1)],
-        );
-        e.record_hop(NodeId::new(1));
-        e.record_hop(NodeId::new(4));
-        e
-    };
+    let event = Event::from_wire(
+        EventId::new(NodeId::new(2), 9),
+        vec![(PatternId::new(3), 4), (PatternId::new(8), 1)],
+        [2, 1, 4].map(NodeId::new).to_vec(),
+    );
     let samples: Vec<Envelope> = vec![
         Envelope::PubSub(eps_pubsub::PubSubMessage::Subscribe(PatternId::new(5))),
         Envelope::PubSub(eps_pubsub::PubSubMessage::Unsubscribe(PatternId::new(5))),

@@ -47,7 +47,6 @@ use crate::topology::Topology;
 #[derive(Clone, Debug)]
 pub struct RoutingView {
     tree: Topology,
-    identity: bool,
 }
 
 impl RoutingView {
@@ -62,7 +61,6 @@ impl RoutingView {
         if graph.is_tree() {
             return RoutingView {
                 tree: graph.clone(),
-                identity: true,
             };
         }
         let mut tree = Topology::new(graph.len(), graph.max_degree());
@@ -79,10 +77,7 @@ impl RoutingView {
                 }
             }
         }
-        RoutingView {
-            tree,
-            identity: false,
-        }
+        RoutingView { tree }
     }
 
     /// The spanning tree itself, in the shape every routing consumer
@@ -95,12 +90,6 @@ impl RoutingView {
     /// events and subscriptions flow over.
     pub fn neighbors(&self, n: NodeId) -> &[NodeId] {
         self.tree.neighbors(n)
-    }
-
-    /// `true` if the view is a verbatim clone of the physical graph
-    /// (i.e. the graph was a tree): no cross links exist.
-    pub fn is_identity(&self) -> bool {
-        self.identity
     }
 
     /// The cross (chord) neighbors of `n`: physically adjacent nodes
@@ -135,7 +124,6 @@ mod tests {
             let n = rng.random_range(1..120usize);
             let tree = Topology::random_tree(n, rng.random_range(2..6usize), rng);
             let view = RoutingView::derive(&tree);
-            assert!(view.is_identity());
             assert_eq!(view.tree().link_count(), tree.link_count());
             for n in tree.nodes() {
                 assert_eq!(view.neighbors(n), tree.neighbors(n), "order preserved");
@@ -152,7 +140,10 @@ mod tests {
             let (kind, n, degree_floor) = OverlayKind::draw(rng, 120);
             let graph = Topology::build(kind, n, degree_floor + 1, rng);
             let view = RoutingView::derive(&graph);
-            assert_eq!(view.is_identity(), graph.is_tree(), "{kind}");
+            let verbatim = graph
+                .nodes()
+                .all(|n| view.neighbors(n) == graph.neighbors(n));
+            assert_eq!(verbatim, graph.is_tree(), "{kind}");
             assert!(view.tree().is_tree());
             assert_eq!(view.tree().len(), n);
             assert!(view.tree().links().all(|l| graph.has_link(l.a(), l.b())));

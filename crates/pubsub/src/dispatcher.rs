@@ -341,17 +341,17 @@ impl Dispatcher {
     /// Heap bytes of the recorded routes this dispatcher holds: the
     /// boxed route book and its map, by capacity, and each distinct
     /// route allocation that the book and the cache's ring hold,
-    /// counted once. A route the book interns ends at this dispatcher,
-    /// and the copies forwarded with it record their own at the next
-    /// hop, so a sum over a lossless population counts each allocation
-    /// once; a recovered event's route was recorded elsewhere and
-    /// counts there too.
+    /// counted once (a one-hop route has none). A route the book
+    /// interns ends at this dispatcher, and the copies forwarded with
+    /// it record their own at the next hop, so a sum over a lossless
+    /// population counts each allocation once; a recovered event's
+    /// route was recorded elsewhere and counts there too.
     pub fn route_heap_bytes(&self) -> usize {
         let book = self.routes.as_deref();
         let mut held: Vec<&Arc<[NodeId]>> = book
             .into_iter()
             .flat_map(|book| book.routes.values())
-            .chain(self.cache.iter().map(Event::shared_route))
+            .chain(self.cache.iter().filter_map(Event::shared_route))
             .collect();
         held.sort_unstable_by_key(|route| Arc::as_ptr(route).cast::<NodeId>());
         held.dedup_by(|a, b| Arc::ptr_eq(a, b));
@@ -370,13 +370,6 @@ impl Dispatcher {
     /// Total events delivered to local clients.
     pub fn delivered_total(&self) -> u64 {
         self.delivered_total
-    }
-
-    /// Total events published by this dispatcher: its next event's
-    /// sequence number, since a source numbers its events densely from
-    /// zero.
-    pub fn published_total(&self) -> u64 {
-        self.next_event_seq
     }
 
     // ------------------------------------------------------------------
@@ -408,20 +401,25 @@ impl Dispatcher {
     }
 
     /// [`Dispatcher::client_subscribe`] for a *mid-run* subscription
-    /// (client churn): a 0→1 transition goes through
-    /// [`Dispatcher::subscribe_local_late`] so loss detection starts
-    /// from the first event actually received.
+    /// (subscription or client churn). On a 0→1 transition, loss
+    /// detection for the pattern's streams starts from the first event
+    /// actually received: the subscriber is not owed the streams'
+    /// history, and any stale expectations from an earlier
+    /// subscription are dropped.
     pub fn client_subscribe_late(
         &mut self,
         client: ClientId,
         pattern: PatternId,
         neighbors: &[NodeId],
     ) -> Vec<NodeId> {
-        if self.clients.subscribe(client, pattern) {
-            self.subscribe_local_late(pattern, neighbors)
-        } else {
-            Vec::new()
+        if !self.clients.subscribe(client, pattern) {
+            return Vec::new();
         }
+        if let Some(losses) = losses(&self.config, &mut self.losses) {
+            losses.detector.forget_pattern(pattern);
+            losses.late.insert(pattern);
+        }
+        self.subscribe_local(pattern, neighbors)
     }
 
     /// An identified local client unsubscribes from `pattern`.
@@ -452,24 +450,6 @@ impl Dispatcher {
         self.clients.matching_clients_into(event, out);
     }
 
-    /// A local client subscribes to `pattern` *mid-run* (subscription
-    /// churn). Unlike [`Dispatcher::subscribe_local`], loss detection
-    /// for this pattern's streams starts from the first event actually
-    /// received: the subscriber is not owed the streams' history, and
-    /// any stale expectations from an earlier subscription are
-    /// dropped.
-    pub fn subscribe_local_late(
-        &mut self,
-        pattern: PatternId,
-        neighbors: &[NodeId],
-    ) -> Vec<NodeId> {
-        if let Some(losses) = losses(&self.config, &mut self.losses) {
-            losses.detector.forget_pattern(pattern);
-            losses.late.insert(pattern);
-        }
-        self.subscribe_local(pattern, neighbors)
-    }
-
     /// Handles a subscription propagated by neighbor `from`; returns
     /// the neighbors to propagate `Subscribe(pattern)` to.
     pub fn on_subscribe(
@@ -485,7 +465,7 @@ impl Dispatcher {
 
     /// A local client unsubscribes from `pattern`; returns the
     /// neighbors to send `Unsubscribe(pattern)` to.
-    pub fn unsubscribe_local(&mut self, pattern: PatternId, neighbors: &[NodeId]) -> Vec<NodeId> {
+    fn unsubscribe_local(&mut self, pattern: PatternId, neighbors: &[NodeId]) -> Vec<NodeId> {
         self.write_route(pattern, neighbors, |t| t.remove(pattern, Interface::Local))
     }
 
@@ -731,16 +711,15 @@ mod tests {
             let mut d = Dispatcher::new(NodeId::new(0), cfg());
             let mut next_seq = [0u64; 20];
             let mut ids = BTreeSet::new();
-            let publishes = rng.random_range(1..100u64);
-            for _ in 0..publishes {
+            for publishes in 0..rng.random_range(1..100u64) {
                 let (event, _) = d.publish(&space.random_content(rng), &mut Vec::new());
                 assert!(ids.insert(event.id()), "duplicate event id");
+                assert_eq!(event.id().seq(), publishes, "non-dense event sequence");
                 for &(p, seq) in event.pattern_seqs() {
                     assert_eq!(seq, next_seq[p.index()], "non-dense sequence for {p}");
                     next_seq[p.index()] += 1;
                 }
             }
-            assert_eq!(d.published_total(), publishes);
         });
     }
 
@@ -830,8 +809,8 @@ mod tests {
             },
         );
         let p = PatternId::new(1);
-        let mut e = Event::new(EventId::new(NodeId::new(0), 0), vec![(p, 0)]);
-        e.record_hop(NodeId::new(3));
+        let route = vec![NodeId::new(0), NodeId::new(3)];
+        let e = Event::from_wire(EventId::new(NodeId::new(0), 0), vec![(p, 0)], route);
         let (forward, _) = d.on_event(e, Some(NodeId::new(3)), &mut Vec::new());
         assert_eq!(
             forward.route(),
@@ -890,30 +869,28 @@ mod tests {
                         next_seq[s] - 1
                     }
                 };
-                let mut event = Event::new(EventId::new(source, seq), vec![(p, seq)]);
-                for &hop in &followed[1..] {
-                    event.record_hop(hop);
-                }
-                let mut expected = event.clone();
-                expected.record_hop(me);
+                let id = EventId::new(source, seq);
+                let event = Event::from_wire(id, vec![(p, seq)], followed.clone());
+                let expected: Vec<NodeId> = followed.iter().copied().chain([me]).collect();
                 let before = d.routes().routes.get(&source).cloned();
                 let from = *followed.last().unwrap();
                 let (copy, _) = d.on_event(event, Some(from), &mut Vec::new());
-                assert_eq!(copy.route(), expected.route(), "leaves with this hop added");
-                assert_eq!(d.routes().route_from(source), Some(expected.route()));
+                assert_eq!(copy.route(), expected, "leaves with this hop added");
+                assert_eq!(d.routes().route_from(source), Some(&expected[..]));
                 let entry = &d.routes().routes[&source];
-                assert!(Arc::ptr_eq(copy.shared_route(), entry), "shares the entry");
+                let shared = copy.shared_route().is_some_and(|r| Arc::ptr_eq(r, entry));
+                assert!(shared, "shares the entry");
                 if let Some(before) = before {
                     assert_eq!(
                         Arc::ptr_eq(&before, entry),
-                        before[..] == *expected.route(),
+                        before[..] == expected,
                         "one allocation per path: {before:?} then {entry:?}"
                     );
                 }
                 for (copy, route) in &in_flight {
                     assert_eq!(copy.route(), route, "a copy in flight keeps its route");
                 }
-                in_flight.push((copy, expected.route().to_vec()));
+                in_flight.push((copy, expected));
             }
         });
     }

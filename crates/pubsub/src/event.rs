@@ -13,17 +13,18 @@
 //! An event is forwarded (and therefore cloned) once per hop of the
 //! dispatching tree and once per gossip retransmission. The immutable
 //! content — the pattern/sequence pairs — lives behind an [`Arc`], so
-//! a clone is a refcount bump, not a deep copy. The recorded route is
-//! a second, immutable `Arc`: when route recording is off it is shared
-//! by every copy. When it is on, the recording dispatcher's route book
-//! owns the route from each source to it, and an arriving event leaves
-//! with a clone of that entry whenever the entry already spells its
-//! route plus this hop — every event of a source after the first,
-//! while the tree is unchanged. Only a changed path (a first arrival, a
-//! reconfiguration, a cross-link copy) allocates the longer route, once,
-//! and copies already in flight keep theirs.
+//! a clone is a refcount bump, not a deep copy. An event at its source
+//! holds no route allocation: its route is `[source]`, which the id
+//! already names, and every strategy that records nothing carries it
+//! that way to the end. Only a recording dispatcher makes routes: its
+//! route book owns the route from each source to it, and an arriving
+//! event leaves with a clone of that entry whenever the entry already
+//! spells its route plus this hop — every event of a source after the
+//! first, while the tree is unchanged. Only a changed path (a first
+//! arrival, a reconfiguration, a cross-link copy) allocates the longer
+//! route, once, and copies already in flight keep theirs.
 
-use std::iter;
+use std::slice;
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
@@ -97,14 +98,16 @@ struct EventData {
 /// Contains the content (the patterns it matches), the per-pattern
 /// sequence numbers assigned at the source, and the route recorded so
 /// far. Cloned at every forwarding hop, as a real message would be —
-/// but the clone only bumps two reference counts (see the module
-/// docs).
+/// but the clone bumps at most two reference counts (see the
+/// module docs).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Event {
     id: EventId,
     data: Arc<EventData>,
-    /// Dispatchers traversed so far, starting with the source.
-    route: Arc<[NodeId]>,
+    /// Dispatchers traversed so far, starting with the source; `None`
+    /// is the one-hop route `[source]`, so that route is never
+    /// allocated and has one representation.
+    route: Option<Arc<[NodeId]>>,
 }
 
 impl Event {
@@ -126,13 +129,14 @@ impl Event {
         Event {
             id,
             data: Arc::new(EventData { pattern_seqs }),
-            route: Arc::new([id.source()]),
+            route: None,
         }
     }
 
     /// Reconstructs an event received off a wire, with an explicit
-    /// recorded route (a fresh event's route is just `[source]`; a
-    /// forwarded copy carries every dispatcher it traversed).
+    /// recorded route (a fresh event's route is just `[source]`, held
+    /// with no allocation as [`Event::new`] holds it; a forwarded copy
+    /// carries every dispatcher it traversed).
     ///
     /// # Panics
     ///
@@ -154,7 +158,7 @@ impl Event {
         Event {
             id,
             data: Arc::new(EventData { pattern_seqs }),
-            route: route.into(),
+            route: (route.len() > 1).then(|| route.into()),
         }
     }
 
@@ -201,28 +205,24 @@ impl Event {
 
     /// The route recorded so far (source first).
     pub fn route(&self) -> &[NodeId] {
-        &self.route
-    }
-
-    /// Appends a traversed dispatcher to the recorded route: one
-    /// allocation, of exactly the longer route. Copies already in
-    /// flight elsewhere keep their shorter one. A recording dispatcher
-    /// shares its route book's copy of the longer route instead.
-    pub fn record_hop(&mut self, node: NodeId) {
-        self.route = self.route.iter().copied().chain(iter::once(node)).collect();
+        match &self.route {
+            Some(route) => route,
+            None => slice::from_ref(&self.id.source),
+        }
     }
 
     /// Replaces the recorded route with a shared one: the route book's
     /// entry for this event's source, which spells this route plus the
     /// recording hop. Copies already in flight keep their own route.
     pub(crate) fn set_route(&mut self, route: Arc<[NodeId]>) {
-        self.route = route;
+        debug_assert!(route.len() > 1, "a one-hop route is not allocated");
+        self.route = Some(route);
     }
 
     /// The recorded route's shared allocation, for reading which copies
-    /// share it.
-    pub(crate) fn shared_route(&self) -> &Arc<[NodeId]> {
-        &self.route
+    /// share it; `None` for the one-hop route, which has none.
+    pub(crate) fn shared_route(&self) -> Option<&Arc<[NodeId]>> {
+        self.route.as_ref()
     }
 
     /// Approximate wire size of this event message, in bits, given the
@@ -230,7 +230,7 @@ impl Event {
     /// messages have the same size; route recording adds
     /// [`ROUTE_HOP_BITS`] per recorded hop on top.
     pub fn wire_bits(&self, payload_bits: u64) -> u64 {
-        payload_bits + ROUTE_HOP_BITS * self.route.len() as u64
+        payload_bits + ROUTE_HOP_BITS * self.route().len() as u64
     }
 }
 
@@ -243,6 +243,13 @@ mod tests {
             EventId::new(NodeId::new(2), 9),
             vec![(PatternId::new(3), 1), (PatternId::new(10), 4)],
         )
+    }
+
+    /// `e` as it arrives after the further `hops`.
+    fn hopped(e: &Event, hops: &[u32]) -> Event {
+        let route = e.route().iter().copied();
+        let route = route.chain(hops.iter().map(|&h| NodeId::new(h))).collect();
+        Event::from_wire(e.id(), e.pattern_seqs().to_vec(), route)
     }
 
     #[test]
@@ -273,40 +280,50 @@ mod tests {
 
     #[test]
     fn route_starts_at_source_and_records_hops() {
-        let mut e = event();
+        let e = event();
         assert_eq!(e.route(), &[NodeId::new(2)]);
-        e.record_hop(NodeId::new(5));
-        e.record_hop(NodeId::new(7));
+        let e = hopped(&e, &[5, 7]);
         assert_eq!(e.route(), &[NodeId::new(2), NodeId::new(5), NodeId::new(7)]);
     }
 
     #[test]
-    fn clone_shares_content_and_route() {
+    fn a_source_event_holds_no_route_allocation() {
+        // The one-hop route is the id's source, whichever way the event
+        // was made, so the two compare equal and neither allocates it.
         let e = event();
-        let copy = e.clone();
-        // A per-hop clone must be a refcount bump, not a deep copy.
-        assert!(Arc::ptr_eq(&e.data, &copy.data));
-        assert!(Arc::ptr_eq(&e.route, &copy.route));
+        let rebuilt = Event::from_wire(e.id(), e.pattern_seqs().to_vec(), vec![e.source()]);
+        assert!(e.shared_route().is_none() && rebuilt.shared_route().is_none());
+        assert_eq!(rebuilt, e);
+        assert_eq!(size_of::<Event>(), 40);
     }
 
     #[test]
-    fn record_hop_leaves_other_copies_alone() {
+    fn clone_shares_content_and_route() {
+        let e = hopped(&event(), &[5]);
+        let copy = e.clone();
+        // A per-hop clone must be a refcount bump, not a deep copy.
+        assert!(Arc::ptr_eq(&e.data, &copy.data));
+        assert!(Arc::ptr_eq(
+            e.shared_route().unwrap(),
+            copy.shared_route().unwrap()
+        ));
+    }
+
+    #[test]
+    fn set_route_leaves_other_copies_alone() {
         let e = event();
         let mut hopped = e.clone();
-        hopped.record_hop(NodeId::new(5));
+        hopped.set_route(Arc::from([NodeId::new(2), NodeId::new(5)]));
         // The content stays shared; only the route diverges.
         assert!(Arc::ptr_eq(&e.data, &hopped.data));
-        assert!(!Arc::ptr_eq(&e.route, &hopped.route));
         assert_eq!(e.route(), &[NodeId::new(2)]);
         assert_eq!(hopped.route(), &[NodeId::new(2), NodeId::new(5)]);
     }
 
     #[test]
     fn wire_bits_grows_with_route() {
-        let mut e = event();
-        let base = e.wire_bits(1000);
-        e.record_hop(NodeId::new(5));
-        assert_eq!(e.wire_bits(1000), base + 32);
+        let e = event();
+        assert_eq!(hopped(&e, &[5]).wire_bits(1000), e.wire_bits(1000) + 32);
     }
 
     #[test]
@@ -331,8 +348,7 @@ mod tests {
 
     #[test]
     fn from_wire_reconstructs_forwarded_copies() {
-        let mut original = event();
-        original.record_hop(NodeId::new(5));
+        let original = hopped(&event(), &[5]);
         let rebuilt = Event::from_wire(
             original.id(),
             original.pattern_seqs().to_vec(),

@@ -23,11 +23,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use eps_overlay::{plan_reconfiguration, NodeId, Topology};
 use eps_pubsub::{
-    flood_subscriptions_direct, install_local_subscriptions, rebuild_subscription_routes, ClientId,
-    Dispatcher, DispatcherConfig, Event, EventId, PatternId,
+    flood_subscriptions_direct, install_client_subscriptions, install_local_subscriptions,
+    rebuild_subscription_routes, ClientId, Dispatcher, DispatcherConfig, Event, EventId, PatternId,
 };
 use eps_sim::check::forall;
 use eps_sim::Rng;
+
+/// The client through which a dispatcher's own local subscriptions
+/// go: the first, as [`install_client_subscriptions`] numbers them.
+const LOCAL: ClientId = ClientId::new(0);
 
 /// One dispatcher of the reference model.
 #[derive(Clone, Default)]
@@ -242,13 +246,17 @@ impl Net {
         }
         let node = NodeId::new(rng.random_below(self.real.len() as u64) as u32);
         let neighbors = self.neighbors(node);
-        let client = ClientId::new(rng.random_below(3) as u32);
+        // Ops 0–3 are the dispatcher's own local (un)subscriptions,
+        // through a client of their own; ops 4–7 are mid-run ones of
+        // three other clients.
+        let client = match op {
+            0..=3 => LOCAL,
+            _ => ClientId::new(1 + rng.random_below(3) as u32),
+        };
         let (real, model) = (&mut self.real[node.index()], &mut self.model[node.index()]);
-        // Unsubscriptions mostly name a pattern the dispatcher (or the
-        // client) holds.
+        // Unsubscriptions mostly name a pattern the client holds.
         let held: Vec<PatternId> = match op {
-            2..=3 => model.local.iter().copied().collect(),
-            6..=7 => real.clients().patterns_of(client).collect(),
+            2..=3 | 6..=7 => real.clients().patterns_of(client).collect(),
             _ => Vec::new(),
         };
         let pattern = match rng.choose(&held) {
@@ -256,26 +264,22 @@ impl Net {
             _ => self.patterns[rng.random_below(self.patterns.len() as u64) as usize],
         };
         let (name, msg, got, want) = match op {
-            0..=1 => (
-                "subscribe_local",
-                Msg::Subscribe,
-                real.subscribe_local(pattern, &neighbors),
-                model.subscribe(pattern, None, &neighbors),
-            ),
-            2..=3 => (
-                "unsubscribe_local",
-                Msg::Unsubscribe,
-                real.unsubscribe_local(pattern, &neighbors),
-                model.unsubscribe(pattern, None, &neighbors),
-            ),
-            4..=5 => {
+            0..=1 | 4..=5 => {
                 let want = if model.client_subscribe(client, pattern) {
                     model.subscribe(pattern, None, &neighbors)
                 } else {
                     Vec::new()
                 };
-                let got = real.client_subscribe_late(client, pattern, &neighbors);
-                ("client_subscribe_late", Msg::Subscribe, got, want)
+                match op {
+                    0..=1 => {
+                        let got = real.client_subscribe(client, pattern, &neighbors);
+                        ("client_subscribe", Msg::Subscribe, got, want)
+                    }
+                    _ => {
+                        let got = real.client_subscribe_late(client, pattern, &neighbors);
+                        ("client_subscribe_late", Msg::Subscribe, got, want)
+                    }
+                }
             }
             _ => {
                 let want = if model.client_unsubscribe(client, pattern) {
@@ -287,7 +291,7 @@ impl Net {
                 ("client_unsubscribe", Msg::Unsubscribe, got, want)
             }
         };
-        let case = format!("{name}({pattern}) at {node}");
+        let case = format!("{name}({pattern}) of {client} at {node}");
         assert_eq!(got, want, "{case}");
         self.deliver(node, got, msg, pattern);
         case
@@ -317,19 +321,21 @@ fn derived_forwarding_memory_equals_an_explicit_one() {
                 topo,
                 patterns,
             };
-            // Initial subscriptions, filled in bulk.
-            let initial: Vec<Vec<PatternId>> = (0..n)
+            // Initial subscriptions of each dispatcher's own client,
+            // filled in bulk.
+            let initial: Vec<Vec<Vec<PatternId>>> = (0..n)
                 .map(|_| {
-                    net.patterns
-                        .iter()
-                        .copied()
+                    vec![(net.patterns.iter().copied())
                         .filter(|_| rng.random_below(3) == 0)
-                        .collect()
+                        .collect()]
                 })
                 .collect();
-            install_local_subscriptions(&mut net.real, &initial);
-            for (m, subs) in net.model.iter_mut().zip(&initial) {
-                m.local.extend(subs.iter().copied());
+            install_client_subscriptions(&mut net.real, &initial);
+            for (m, subs) in net.model.iter_mut().zip(initial.iter().flatten()) {
+                for &p in subs {
+                    m.client_subscribe(LOCAL, p);
+                    m.local.insert(p);
+                }
             }
             flood_subscriptions_direct(&mut net.real, &net.topo);
             net.model_flood();
@@ -425,6 +431,10 @@ fn a_dispatcher_admits_each_event_id_to_its_cache_once() {
             // The ids the cache must have admitted, each once: every
             // local event and every own one.
             let mut admitted: BTreeSet<EventId> = BTreeSet::new();
+            let mut published = 0;
+            // The cache's admissions: those it still holds and those it
+            // evicted.
+            let inserted = |d: &Dispatcher| d.cache().evicted_total() + d.cache().len() as u64;
             for step in steps {
                 if let Step::Hop(_, e) | Step::Recovered(e) = &step {
                     if local(e) {
@@ -439,17 +449,18 @@ fn a_dispatcher_admits_each_event_id_to_its_cache_once() {
                         d.on_recovered_event(e);
                     }
                     Step::Publish => {
-                        let before = d.cache().inserted_total();
-                        let forged = d.has_seen(EventId::new(me, d.published_total()));
+                        let before = inserted(&d);
+                        let forged = d.has_seen(EventId::new(me, published));
                         let (e, _) = d.publish(&patterns[..1], &mut Vec::new());
+                        published += 1;
                         if forged {
-                            let after = d.cache().inserted_total();
+                            let after = inserted(&d);
                             assert_eq!(after, before, "{} admitted twice", e.id());
                         }
                         admitted.insert(e.id());
                     }
                 }
-                assert_eq!(d.cache().inserted_total(), admitted.len() as u64);
+                assert_eq!(inserted(&d), admitted.len() as u64);
                 for &p in &patterns {
                     let ids = d.cache().ids_matching(p);
                     let distinct: BTreeSet<EventId> = ids.iter().copied().collect();

@@ -16,8 +16,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use eps_overlay::{NodeId, Topology};
 use eps_pubsub::{
-    flood_subscriptions_direct, install_local_subscriptions, Dispatcher, DispatcherConfig, Event,
-    EventId, Interface, PatternId, PatternSpace, SubscriptionTable,
+    flood_subscriptions_direct, install_client_subscriptions, install_local_subscriptions,
+    ClientId, Dispatcher, DispatcherConfig, Event, EventId, Interface, PatternId, PatternSpace,
+    SubscriptionTable,
 };
 use eps_sim::check::forall;
 use eps_sim::Rng;
@@ -456,14 +457,16 @@ fn a_filled_table_matches_a_dense_reference_at_both_ends_of_the_universe() {
                         .collect()
                 })
                 .collect();
-            let subs: Vec<Vec<PatternId>> = (locals.iter())
-                .map(|ps| ps.iter().map(|&p| PatternId::new(p)).collect())
+            // One client per dispatcher, whose (un)subscriptions below
+            // set and clear the table's local bits.
+            let clients: Vec<Vec<Vec<PatternId>>> = (locals.iter())
+                .map(|ps| vec![ps.iter().map(|&p| PatternId::new(p)).collect()])
                 .collect();
             let mut dispatchers: Vec<Dispatcher> = topo
                 .nodes()
                 .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
                 .collect();
-            install_local_subscriptions(&mut dispatchers, &subs);
+            install_client_subscriptions(&mut dispatchers, &clients);
             flood_subscriptions_direct(&mut dispatchers, &topo);
             let node = NodeId::new(rng.random_below(n as u64) as u32);
             let mut dense = Dense::new();
@@ -484,12 +487,12 @@ fn a_filled_table_matches_a_dense_reference_at_both_ends_of_the_universe() {
                 let d = &mut dispatchers[node.index()];
                 match rng.random_below(4) {
                     0 => {
-                        d.subscribe_local(PatternId::new(p), &[]);
+                        d.client_subscribe(ClientId::new(0), PatternId::new(p), &[]);
                         dense.entry(p).0 = true;
                         locals[node.index()].insert(p);
                     }
                     1 => {
-                        d.unsubscribe_local(PatternId::new(p), &[]);
+                        d.client_unsubscribe(ClientId::new(0), PatternId::new(p), &[]);
                         dense.entry(p).0 = false;
                         locals[node.index()].remove(&p);
                     }

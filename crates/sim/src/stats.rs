@@ -63,7 +63,7 @@ impl Summary {
     }
 
     /// Population variance, or 0.0 when fewer than two samples.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -235,28 +235,6 @@ impl RatioSeries {
     pub fn bins(&self) -> &[RatioBin] {
         &self.bins
     }
-
-    /// Overall ratio across all bins.
-    pub fn total_ratio(&self) -> f64 {
-        let num: f64 = self.bins.iter().map(|b| b.numerator).sum();
-        let den: f64 = self.bins.iter().map(|b| b.denominator).sum();
-        if den == 0.0 {
-            1.0
-        } else {
-            num / den
-        }
-    }
-
-    /// The minimum per-bin ratio over bins with a nonzero denominator,
-    /// or `None` if no bin has samples. Captures the "negative spikes"
-    /// the paper discusses for reconfiguration scenarios.
-    pub fn min_ratio(&self) -> Option<f64> {
-        self.bins
-            .iter()
-            .filter(|b| b.denominator > 0.0)
-            .map(|b| b.ratio())
-            .min_by(|a, b| a.partial_cmp(b).expect("ratio is never NaN"))
-    }
 }
 
 #[cfg(test)]
@@ -390,12 +368,12 @@ mod tests {
     }
 
     #[test]
-    fn ratio_series_total_and_min() {
+    fn ratio_series_ratios_per_bin() {
         let mut s = RatioSeries::new(SimTime::from_secs(1));
         s.add(SimTime::from_millis(100), 8.0, 10.0);
         s.add(SimTime::from_millis(1100), 2.0, 10.0);
-        assert!((s.total_ratio() - 0.5).abs() < 1e-12);
-        assert!((s.min_ratio().unwrap() - 0.2).abs() < 1e-12);
+        let ratios: Vec<f64> = s.bins().iter().map(RatioBin::ratio).collect();
+        assert_eq!(ratios, [0.8, 0.2]);
     }
 
     #[test]
@@ -432,8 +410,10 @@ mod tests {
             let bins_den: f64 = series.bins().iter().map(|b| b.denominator).sum();
             assert_eq!(bins_num, num_total);
             assert_eq!(bins_den, den_total);
-            assert!((0.0..=1.0).contains(&series.total_ratio()));
-            assert!(series.min_ratio().unwrap() <= series.total_ratio() + 1e-12);
+            let total = bins_num / bins_den;
+            assert!((0.0..=1.0).contains(&total));
+            let nonempty = series.bins().iter().filter(|b| b.denominator > 0.0);
+            assert!(nonempty.map(RatioBin::ratio).any(|r| r <= total + 1e-12));
         });
     }
 }

@@ -75,6 +75,54 @@ done
     || { echo "FAIL: config fields no file outside their struct's assigns (make them constants):";
          printf '  %s\n' "${unset_fields[@]}"; exit 1; }
 
+echo "== tier-1: every pub fn is named outside its own file =="
+# The library's surface is what some binary calls. A `pub fn` in a
+# library crate that no other file names is surface only its own tests
+# use: delete it, make it private, or move it under #[cfg(test)]. Named
+# means the word appears in another .rs file under crates/*/src (the
+# bench binaries included), src/, examples/ or benchmark/src; tests do
+# not count. The check is lenient, like the config-field one: a
+# same-named item elsewhere hides a miss, but it never fails on a
+# function something calls. Each allowed name carries its reason, and an
+# entry nothing needs any more fails too.
+pub_fn_allowed=(
+    "mean_path_hops: ROADMAP items 16 and 18 check the overlay and the oracles against it"
+)
+unnamed=$(find crates/*/src src examples benchmark/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { files[++nfiles] = FILENAME }
+    FILENAME ~ /^crates\/(sim|overlay|pubsub|gossip|metrics|harness|net)\/src\// &&
+        match($0, /^[ \t]*pub fn [a-z_0-9]+/) {
+        name = substr($0, RSTART, RLENGTH)
+        sub(/.*pub fn /, "", name)
+        decl[++ndecl] = FILENAME ":" FNR " " name
+    }
+    {
+        n = split($0, words, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) named[words[i], FILENAME] = 1
+    }
+    END {
+        for (d = 1; d <= ndecl; d++) {
+            split(decl[d], parts, " ")
+            file = parts[1]
+            sub(/:[0-9]+$/, "", file)
+            used = 0
+            for (f = 1; f <= nfiles && !used; f++)
+                used = files[f] != file && (parts[2], files[f]) in named
+            if (!used) print decl[d]
+        }
+    }')
+failed=()
+while read -r at name; do
+    [ -n "$name" ] || continue
+    printf '%s\n' "${pub_fn_allowed[@]}" | grep -q "^$name: ." || failed+=("$at $name")
+done <<<"$unnamed"
+for entry in "${pub_fn_allowed[@]}"; do
+    grep -q " ${entry%%:*}$" <<<"$unnamed" || failed+=("allow-list entry nothing needs: ${entry%%:*}")
+done
+[ "${#failed[@]}" -eq 0 ] \
+    || { echo "FAIL: pub fns no file outside their own names (delete them, or make them private or #[cfg(test)]):";
+         printf '  %s\n' "${failed[@]}"; exit 1; }
+
 echo "== tier-1: release build =="
 # --workspace: the root package makes a bare `cargo build` compile only
 # itself (+ member libs); the member *binaries* (net_cluster below)
@@ -298,9 +346,10 @@ echo "== tier-1: Fig. 2 cell memory (combined pull at full size) =="
 # recorded routes are shared, not copied: a dispatcher's route book
 # keeps one path per source, and every event that followed that path
 # carries the book's copy, so the routes line is about 1.2 MB, not 8 MB
-# (microbench's heap/fig2_combined/routes row, 12 235 B a dispatcher;
-# 80 655 B when each forwarded copy built its own route and the book
-# copied it again). The cell peaks near 24.0 MB; with a route copy per
+# (microbench's heap/fig2_combined/routes row, 8 361 B a dispatcher, as
+# an event at its source holds no route allocation; 12 235 B while each
+# published a one-hop route, 80 655 B when each forwarded copy built its
+# own route and the book copied it again). The cell peaks near 24.0 MB; with a route copy per
 # hop it peaked near 28.5 MB, with 8-byte buckets and 24-byte seen
 # entries near 32.3 MB (34.7 MB before the run's delivery tracker
 # indexed events by source and seq). A Lost buffer with a hash primary
