@@ -361,7 +361,7 @@ fn table_matching_dense() -> BenchResult {
     let events = matching_workload(&mut built);
     let mut table = SubscriptionTable::new();
     for p in built.all_patterns().collect::<Vec<_>>().into_iter().rev() {
-        for n in built.neighbors_for_iter(p, None) {
+        for n in built.neighbors_for(p, None) {
             table.insert(p, Interface::Neighbor(n));
         }
         if built.has_local(p) {

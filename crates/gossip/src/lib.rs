@@ -32,7 +32,7 @@
 //! assert_eq!(algo.outstanding_losses(), 0);
 //!
 //! // Names (and aliases) resolve case-insensitively.
-//! assert_eq!(Algorithm::named("Hybrid").unwrap().name(), "push-pull");
+//! assert_eq!("Hybrid".parse::<Algorithm>().unwrap().name(), "push-pull");
 //! ```
 
 #![warn(missing_docs)]

@@ -363,17 +363,9 @@ pub(crate) fn send(
 }
 
 /// The neighbors a pattern-labelled gossip message is forwarded to:
-/// the neighbors subscribed to `pattern` (excluding the arrival
-/// interface), each kept with probability `p_forward` — the paper's
-/// "random subset of the neighbors subscribed to p".
-///
-/// If every coin flip comes up empty while candidates exist, one
-/// random candidate is used instead: `P_forward` prunes *fan-out* to
-/// limit overhead, but a digest on a single-path route would otherwise
-/// die off as `P_forward^hops` and never reach a subscriber more than
-/// a couple of hops away. (The paper does not report its `P_forward`
-/// value or the exact subset rule; this interpretation reproduces its
-/// delivery curves.)
+/// a [`forward_subset`] of the neighbors subscribed to `pattern`
+/// (excluding the arrival interface) — the paper's "random subset of
+/// the neighbors subscribed to p".
 pub(crate) fn pattern_forward_targets(
     node: &Dispatcher,
     pattern: PatternId,
@@ -381,47 +373,40 @@ pub(crate) fn pattern_forward_targets(
     p_forward: f64,
     rng: &mut Rng,
 ) -> Vec<NodeId> {
-    let candidates = node.table().neighbors_for(pattern, from);
-    if candidates.is_empty() {
-        return candidates;
-    }
-    let picked: Vec<NodeId> = candidates
-        .iter()
-        .copied()
-        .filter(|_| p_forward >= 1.0 || rng.random_bool(p_forward))
-        .collect();
-    if picked.is_empty() {
-        vec![candidates[rng.random_range(0..candidates.len())]]
-    } else {
-        picked
-    }
+    forward_subset(node.table().neighbors_for(pattern, from), p_forward, rng)
 }
 
-/// Random forwarding ignores subscription tables entirely: every
-/// neighbor except the arrival interface is kept with probability
-/// `p_forward`; if the coin flips all come up empty, one random
-/// neighbor is used so a round is never silently wasted.
+/// Random forwarding ignores subscription tables entirely: a
+/// [`forward_subset`] of every neighbor but the arrival interface.
 fn random_forward_targets(
     neighbors: &[NodeId],
     from: Option<NodeId>,
     p_forward: f64,
     rng: &mut Rng,
 ) -> Vec<NodeId> {
-    let candidates: Vec<NodeId> = neighbors
-        .iter()
-        .copied()
-        .filter(|&n| Some(n) != from)
-        .collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let picked: Vec<NodeId> = candidates
-        .iter()
-        .copied()
+    let candidates = neighbors.iter().copied().filter(|&n| Some(n) != from);
+    forward_subset(candidates, p_forward, rng)
+}
+
+/// A random subset of `candidates`: one coin per candidate, in order,
+/// each kept with probability `p_forward`. If every coin comes up empty
+/// while candidates exist, one drawn uniformly is used instead:
+/// `P_forward` prunes *fan-out* to limit overhead, but a digest on a
+/// single-path route would otherwise die off as `P_forward^hops` and
+/// never reach a subscriber more than a couple of hops away. (The paper
+/// does not report its `P_forward` value or the exact subset rule; this
+/// interpretation reproduces its delivery curves.)
+fn forward_subset(
+    candidates: impl Iterator<Item = NodeId> + Clone,
+    p_forward: f64,
+    rng: &mut Rng,
+) -> Vec<NodeId> {
+    let picked: Vec<NodeId> = (candidates.clone())
         .filter(|_| p_forward >= 1.0 || rng.random_bool(p_forward))
         .collect();
-    if picked.is_empty() {
-        vec![candidates[rng.random_range(0..candidates.len())]]
+    let n = candidates.clone().count();
+    if picked.is_empty() && n > 0 {
+        candidates.skip(rng.random_range(0..n)).take(1).collect()
     } else {
         picked
     }

@@ -69,7 +69,8 @@ enum Variant {
 struct Row {
     /// Canonical name — CSV headers, CLI, `Display`.
     name: &'static str,
-    /// Alternative names accepted by [`Algorithm::named`] and the CLI.
+    /// Alternative names `Algorithm`'s `FromStr` (and so the CLI)
+    /// accepts.
     aliases: &'static [&'static str],
     /// Event messages must record their route (source steering
     /// reverses it).
@@ -154,7 +155,7 @@ const PAPER_ORDER: [Variant; 6] = [
 /// ```
 /// use eps_gossip::{Algorithm, GossipConfig};
 ///
-/// let algo = Algorithm::named("Combined-Pull").unwrap(); // case-insensitive
+/// let algo: Algorithm = "Combined-Pull".parse().unwrap(); // case-insensitive
 /// assert_eq!(algo.name(), "combined-pull");
 /// let instance = algo.build(GossipConfig::default());
 /// assert!(instance.is_idle());
@@ -170,26 +171,6 @@ impl Algorithm {
                 .find(|row| row.variant == variant)
                 .expect("every variant has a row"),
         )
-    }
-
-    /// Looks up an algorithm by name or alias, case-insensitively.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseAlgorithmError`] listing the canonical names
-    /// when nothing matches.
-    pub fn named(name: &str) -> Result<Algorithm, ParseAlgorithmError> {
-        let wanted = name.trim();
-        TABLE
-            .iter()
-            .find(|row| {
-                row.name.eq_ignore_ascii_case(wanted)
-                    || row.aliases.iter().any(|al| al.eq_ignore_ascii_case(wanted))
-            })
-            .map(Algorithm)
-            .ok_or_else(|| ParseAlgorithmError {
-                input: name.to_owned(),
-            })
     }
 
     /// Every algorithm, in table order (the paper's six in its figure
@@ -320,11 +301,23 @@ impl fmt::Display for Algorithm {
     }
 }
 
+/// Looks up an algorithm by name or alias, case-insensitively; the
+/// error lists the canonical names when nothing matches.
 impl FromStr for Algorithm {
     type Err = ParseAlgorithmError;
 
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Algorithm::named(s)
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        let wanted = name.trim();
+        TABLE
+            .iter()
+            .find(|row| {
+                row.name.eq_ignore_ascii_case(wanted)
+                    || row.aliases.iter().any(|al| al.eq_ignore_ascii_case(wanted))
+            })
+            .map(Algorithm)
+            .ok_or_else(|| ParseAlgorithmError {
+                input: name.to_owned(),
+            })
     }
 }
 
@@ -399,7 +392,7 @@ mod tests {
         );
 
         for (name, aliases, ..) in rows {
-            let algo = Algorithm::named(name).unwrap();
+            let algo: Algorithm = name.parse().unwrap();
             assert_eq!(algo.name(), name);
             for spelling in std::iter::once(name).chain(aliases.iter().copied()) {
                 for cased in [spelling.to_uppercase(), format!(" {spelling} ")] {

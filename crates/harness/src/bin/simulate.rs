@@ -192,6 +192,8 @@ fn print_usage() {
          topology), ba (Barabasi-Albert scale-free), ws (Watts-Strogatz\n\
          small-world); events route on the BFS view, cross links carry\n\
          redundant copies that are counted as 'duplicates suppressed'\n\
+         --max-degree bounds every node's degree, 2 to 63 (a routing-table row\n\
+         holds 63 neighbors)\n\
          --patterns sets the pattern universe size Pi (content-model density);\n\
          --patterns-per-node is an alias for --pi-max\n\
          --clients attaches C end-user clients to each dispatcher (default 1);\n\

@@ -3,7 +3,7 @@
 
 use eps_gossip::{Algorithm, GossipConfig};
 use eps_overlay::{LinkSpec, OutOfBandSpec, OverlayKind, BA_ATTACHMENTS};
-use eps_pubsub::EvictionPolicy;
+use eps_pubsub::{EvictionPolicy, MAX_NEIGHBORS};
 use eps_sim::SimTime;
 
 /// Time to repair a broken link (0.1 s in the paper, after its
@@ -89,7 +89,8 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Number of dispatchers `N`.
     pub nodes: usize,
-    /// Maximum overlay degree (4 in every paper configuration).
+    /// Maximum overlay degree (4 in every paper configuration; at most
+    /// [`MAX_NEIGHBORS`], the neighbors a routing-table row holds).
     pub max_degree: usize,
     /// Shape of the physical overlay graph. The paper's scenarios use
     /// acyclic overlays (`Tree`); the cyclic kinds route events on a
@@ -193,6 +194,12 @@ impl ScenarioConfig {
     pub fn validate(&self) {
         assert!(self.nodes > 0, "need at least one dispatcher");
         assert!(self.max_degree >= 2, "degree bound must be at least 2");
+        assert!(
+            self.max_degree <= MAX_NEIGHBORS,
+            "max_degree {} is above MAX_NEIGHBORS = {MAX_NEIGHBORS}: a routing-table row is one \
+             u64, the local flag and a bit per neighbor",
+            self.max_degree
+        );
         match self.overlay {
             OverlayKind::Tree => {}
             OverlayKind::BarabasiAlbert => assert!(
@@ -357,6 +364,25 @@ mod tests {
                 latency: SimTime::ZERO,
                 ..OutOfBandSpec::default()
             },
+            ..ScenarioConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    fn a_degree_bound_of_the_row_width_is_accepted() {
+        ScenarioConfig {
+            max_degree: MAX_NEIGHBORS,
+            ..ScenarioConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_degree 64 is above MAX_NEIGHBORS = 63")]
+    fn a_degree_bound_above_the_row_width_is_rejected() {
+        ScenarioConfig {
+            max_degree: MAX_NEIGHBORS + 1,
             ..ScenarioConfig::default()
         }
         .validate();

@@ -121,19 +121,30 @@ struct Clock {
 impl Default for Clock {
     /// A clock not yet started: no timer pending.
     fn default() -> Self {
-        Clock {
-            publish: NEVER,
-            gossip: NEVER,
-            fire: NEVER,
-            adaptive: None,
-            run_end: SimTime::ZERO,
-            #[cfg(debug_assertions)]
-            planned_on: None,
-        }
+        Clock::started(NEVER, NEVER, None, SimTime::ZERO)
     }
 }
 
 impl Clock {
+    /// A clock whose first publish and first round are due at `publish`
+    /// and `gossip`, with nothing parked yet.
+    fn started(
+        publish: SimTime,
+        gossip: SimTime,
+        adaptive: Option<Box<AdaptiveGossip>>,
+        run_end: SimTime,
+    ) -> Clock {
+        Clock {
+            publish,
+            gossip,
+            fire: gossip,
+            adaptive,
+            run_end,
+            #[cfg(debug_assertions)]
+            planned_on: None,
+        }
+    }
+
     /// The run's adaptive control, if it has one.
     fn adaptive(&self) -> Option<AdaptiveGossip> {
         self.adaptive.as_deref().copied()
@@ -431,14 +442,8 @@ impl SimNode {
             gossip_phase(factory, self.id, config.gossip_interval),
             run_end,
         );
-        self.clock = Clock {
-            publish,
-            gossip,
-            fire: gossip,
-            adaptive: config.adaptive_gossip.map(Box::new),
-            run_end,
-            ..Clock::default()
-        };
+        let adaptive = config.adaptive_gossip.map(Box::new);
+        self.clock = Clock::started(publish, gossip, adaptive, run_end);
     }
 
     /// The instant and kind of the node's next timer, a publish first

@@ -36,9 +36,11 @@ pub struct NetCounters {
     /// Messages dropped because a link's bounded outbound queue was
     /// full — backpressure made visible instead of unbounded memory.
     pub queue_drops: u64,
-    /// Received frames or datagrams the wire codec rejected. Always
-    /// zero in a healthy cluster; non-zero means version skew or
-    /// corruption.
+    /// Received frames or datagrams the wire codec rejected, and tree
+    /// messages (subscriptions, events, gossip) that arrived as a
+    /// datagram, whose sender prefix nothing verifies, not on a tree
+    /// link. Always zero in a healthy cluster; non-zero means version
+    /// skew, corruption or a forged datagram.
     pub decode_errors: u64,
     /// Envelopes dropped at send by the simulator's own link-loss draw
     /// (ε on tree and cross links, the out-of-band loss rate on the

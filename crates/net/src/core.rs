@@ -107,6 +107,15 @@ impl DeliverySink for LedgerSink<'_> {
     }
 }
 
+/// How a frame body reached a node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Arrival {
+    /// On a tree link, whose peer the hello check verified.
+    Link,
+    /// As a UDP datagram, whose 4-byte sender prefix nothing verifies.
+    Datagram,
+}
+
 /// One message the core wants on the wire: the target, which channel
 /// class it travels on, and the already-encoded (post-`fit`) body of
 /// an envelope that survived the send-side loss draw. The transport
@@ -199,19 +208,28 @@ impl NodeCore {
         }
     }
 
-    /// Handles one decoded-frame body arriving from `from`. Returns
-    /// what the node wants sent in response.
+    /// Handles one decoded-frame body arriving from `from` by way of
+    /// `arrival`. Returns what the node wants sent in response.
+    ///
+    /// Tree messages (subscriptions, events, gossip) travel only on tree
+    /// links. One that arrives as a datagram names a sender nothing
+    /// verified, and would write that sender's routes: it is counted as
+    /// a decode error and dropped.
     pub(crate) fn handle_body(
         &mut self,
         from: NodeId,
+        arrival: Arrival,
         body: &[u8],
         now: SimTime,
         shared: &Shared,
         counters: &mut MessageCounters,
     ) -> Vec<Outbound> {
-        let Ok(env) = codec::decode(body, shared.scenario.event_payload_bits) else {
-            self.net.decode_errors += 1;
-            return Vec::new();
+        let env = match codec::decode(body, shared.scenario.event_payload_bits) {
+            Ok(env) if arrival == Arrival::Link || env.channel() != Channel::Tree => env,
+            _ => {
+                self.net.decode_errors += 1;
+                return Vec::new();
+            }
         };
         let out = self.with_ctx(now, shared, counters, |node, ctx| {
             node.handle(from, env, ctx)
@@ -457,10 +475,93 @@ mod tests {
         let core = &mut boot.nodes[0].core;
         for (k, env) in frames.iter().enumerate() {
             let body = codec::encode(env, payload_bits).expect("the frame encodes");
-            let sends = core.handle_body(from, &body, SimTime::ZERO, &boot.shared, &mut counters);
+            let sends = core.handle_body(
+                from,
+                Arrival::Link,
+                &body,
+                SimTime::ZERO,
+                &boot.shared,
+                &mut counters,
+            );
             assert!(sends.is_empty(), "{env:?}");
             assert_eq!(core.net.decode_errors, k as u64 + 1, "{env:?}");
         }
         assert_eq!(boot.shared.ledger().tracker.event_count(), 0);
+    }
+
+    /// A tree message that arrives as a datagram is a counted decode
+    /// error and nothing else, whoever its sender prefix names: forged
+    /// (un)subscriptions, events and gossip from 70 made-up senders and
+    /// from the node's real neighbors leave its table as it was, send
+    /// nothing and deliver nothing. An out-of-band datagram still
+    /// reaches the node.
+    #[test]
+    fn a_tree_message_in_a_datagram_is_a_counted_decode_error() {
+        use eps_gossip::{Envelope, GossipMessage};
+        use eps_pubsub::{DispatcherHost, Event, PatternId, PubSubMessage};
+        use std::sync::Arc;
+
+        let config = NetConfig {
+            scenario: ScenarioConfig {
+                nodes: 6,
+                pattern_universe: 4,
+                ..ScenarioConfig::default()
+            },
+            ..NetConfig::default()
+        };
+        let payload_bits = config.scenario.event_payload_bits;
+        let mut boot = boot_population(&config, None).expect("sockets bind");
+        let mut counters = MessageCounters::new(6);
+        let core = &mut boot.nodes[0].core;
+        let before = core.sim_node().dispatcher().table().clone();
+        assert!(!before.is_empty(), "the node has routes to lose");
+        let made_up = (1000..1070).map(NodeId::new);
+        let senders: Vec<NodeId> = core.neighbors().iter().copied().chain(made_up).collect();
+        let mut forged = 0;
+        for &from in &senders {
+            for p in (0..4).map(PatternId::new) {
+                let event = Event::new(EventId::new(from, 1), vec![(p, 1)]);
+                let frames = [
+                    Envelope::PubSub(PubSubMessage::Subscribe(p)),
+                    Envelope::PubSub(PubSubMessage::Unsubscribe(p)),
+                    Envelope::PubSub(PubSubMessage::Event(event.clone())),
+                    Envelope::Gossip(GossipMessage::PushDigest {
+                        gossiper: from,
+                        pattern: p,
+                        ids: Arc::new(vec![event.id()]),
+                    }),
+                ];
+                for env in &frames {
+                    let body = codec::encode(env, payload_bits).expect("the frame encodes");
+                    let sends = core.handle_body(
+                        from,
+                        Arrival::Datagram,
+                        &body,
+                        SimTime::ZERO,
+                        &boot.shared,
+                        &mut counters,
+                    );
+                    forged += 1;
+                    assert!(sends.is_empty(), "{env:?}");
+                    assert_eq!(core.net.decode_errors, forged, "{env:?}");
+                }
+            }
+        }
+        assert_eq!(core.sim_node().dispatcher().table(), &before);
+        assert_eq!(boot.shared.ledger().tracker.event_count(), 0);
+
+        let request = codec::encode(&Envelope::Request(Vec::new()), payload_bits).unwrap();
+        core.handle_body(
+            senders[0],
+            Arrival::Datagram,
+            &request,
+            SimTime::ZERO,
+            &boot.shared,
+            &mut counters,
+        );
+        assert_eq!(
+            core.net.decode_errors, forged,
+            "an out-of-band datagram is no error"
+        );
     }
 }

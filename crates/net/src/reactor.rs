@@ -56,7 +56,7 @@ use crate::cluster::{
     aggregate_cores, bind_with_retry, boot_population, wait_for_convergence, Boot, BootNode,
     NetConfig, NetRunReport, NodeAddrs,
 };
-use crate::core::{NodeCore, Outbound, Shared};
+use crate::core::{Arrival, NodeCore, Outbound, Shared};
 use crate::frame::FrameReader;
 use crate::syscalls::{
     drain_counter, epoll_add, epoll_create, epoll_mod, epoll_wait, eventfd_create, eventfd_signal,
@@ -954,7 +954,14 @@ impl Worker {
                     let body = body.to_vec();
                     node.core.net.bytes_received += body.len() as u64;
                     let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-                    let sends = node.core.handle_body(from, &body, now, shared, counters);
+                    let sends = (node.core).handle_body(
+                        from,
+                        Arrival::Datagram,
+                        &body,
+                        now,
+                        shared,
+                        counters,
+                    );
                     dispatch_sends(node, ni, sends, registry, dirty);
                     arm_node(timers, node, ni);
                 }
@@ -989,7 +996,7 @@ impl Worker {
             node.core.net.frames_received += 1;
             node.core.net.bytes_received += body.len() as u64;
             let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-            let sends = node.core.handle_body(peer, &body, now, shared, counters);
+            let sends = (node.core).handle_body(peer, Arrival::Link, &body, now, shared, counters);
             dispatch_sends(node, ni, sends, registry, dirty);
             arm_node(timers, node, ni);
         }

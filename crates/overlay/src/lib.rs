@@ -6,8 +6,9 @@
 //!
 //! - [`Topology`] — an undirected, degree-bounded graph: the paper's
 //!   unrooted tree ([`Topology::random_tree`], max degree 4), plus the
-//!   cyclic complex-network builders [`Topology::barabasi_albert`] and
-//!   [`Topology::watts_strogatz`] selected via [`OverlayKind`];
+//!   cyclic complex-network builders (Barabási–Albert and
+//!   Watts–Strogatz) that [`Topology::build`] selects via
+//!   [`OverlayKind`];
 //! - [`RoutingView`] — the spanning tree a run routes on, derived from
 //!   the physical graph (identity on tree inputs, deterministic BFS
 //!   otherwise);

@@ -107,11 +107,6 @@ impl LinkId {
         }
     }
 
-    /// `true` if `n` is one of the endpoints.
-    pub fn touches(self, n: NodeId) -> bool {
-        self.a == n || self.b == n
-    }
-
     /// The endpoint that initiates the TCP connection for this link in
     /// the real-socket runtime. Fixing the dialer to the lower id (and
     /// the acceptor to the higher) gives every link exactly one
@@ -119,12 +114,6 @@ impl LinkId {
     /// same role from the id pair alone, with no negotiation.
     pub fn dialer(self) -> NodeId {
         self.a
-    }
-
-    /// The endpoint that accepts the TCP connection for this link; see
-    /// [`LinkId::dialer`].
-    pub fn acceptor(self) -> NodeId {
-        self.b
     }
 }
 
@@ -160,15 +149,13 @@ mod tests {
         let l = LinkId::new(NodeId::new(1), NodeId::new(9));
         assert_eq!(l.other(NodeId::new(1)), NodeId::new(9));
         assert_eq!(l.other(NodeId::new(9)), NodeId::new(1));
-        assert!(l.touches(NodeId::new(9)));
-        assert!(!l.touches(NodeId::new(2)));
     }
 
     #[test]
     fn dialer_is_the_lower_endpoint_either_way_round() {
         let l = LinkId::new(NodeId::new(7), NodeId::new(3));
         assert_eq!(l.dialer(), NodeId::new(3));
-        assert_eq!(l.acceptor(), NodeId::new(7));
+        assert_eq!(l.other(l.dialer()), NodeId::new(7));
         assert_eq!(
             l.dialer(),
             LinkId::new(NodeId::new(3), NodeId::new(7)).dialer()

@@ -45,11 +45,9 @@ pub enum OverlayKind {
     /// Incremental random spanning tree ([`Topology::random_tree`]).
     #[default]
     Tree,
-    /// Degree-capped Barabási–Albert preferential attachment
-    /// ([`Topology::barabasi_albert`]).
+    /// Degree-capped Barabási–Albert preferential attachment.
     BarabasiAlbert,
-    /// Watts–Strogatz small-world ring rewiring
-    /// ([`Topology::watts_strogatz`]).
+    /// Watts–Strogatz small-world ring rewiring.
     WattsStrogatz,
 }
 
@@ -100,9 +98,9 @@ impl std::str::FromStr for OverlayKind {
     }
 }
 
-/// Attachment edges each new node brings in
-/// [`Topology::barabasi_albert`] — the classic BA `m`, giving a mean
-/// degree of `2m = 4` (the paper's tree degree bound).
+/// Attachment edges each new node brings in a Barabási–Albert overlay
+/// — the classic BA `m`, giving a mean degree of `2m = 4` (the paper's
+/// tree degree bound).
 pub const BA_ATTACHMENTS: usize = 2;
 
 /// Bounded retries for one preferential (or fallback uniform) target
@@ -251,10 +249,11 @@ impl Topology {
     }
 
     /// Builds the overlay of the given kind: [`Topology::random_tree`]
-    /// for [`OverlayKind::Tree`], [`Topology::barabasi_albert`] with
-    /// two attachments per node for [`OverlayKind::BarabasiAlbert`],
-    /// and [`Topology::watts_strogatz`] at the default rewiring
-    /// probability [`WS_BETA`] for [`OverlayKind::WattsStrogatz`].
+    /// for [`OverlayKind::Tree`], a degree-capped Barabási–Albert graph
+    /// with [`BA_ATTACHMENTS`] per node for
+    /// [`OverlayKind::BarabasiAlbert`], and a Watts–Strogatz rewiring at
+    /// the default probability [`WS_BETA`] for
+    /// [`OverlayKind::WattsStrogatz`].
     ///
     /// # Panics
     ///
@@ -285,7 +284,7 @@ impl Topology {
     /// Panics under the same conditions as [`Topology::new`], or if
     /// `max_degree < 2 * BA_ATTACHMENTS` (the cap must admit the mean
     /// degree, or late nodes cannot attach).
-    pub fn barabasi_albert(n: usize, max_degree: usize, rng: &mut Rng) -> Self {
+    fn barabasi_albert(n: usize, max_degree: usize, rng: &mut Rng) -> Self {
         assert!(
             max_degree >= 2 * BA_ATTACHMENTS,
             "degree cap must be at least the BA mean degree {}",
@@ -367,7 +366,7 @@ impl Topology {
     /// `n < 5` (the `±2` lattice needs five distinct nodes) or
     /// `max_degree < 5` (rewiring needs headroom above the lattice
     /// degree of 4).
-    pub fn watts_strogatz(n: usize, max_degree: usize, beta: f64, rng: &mut Rng) -> Self {
+    fn watts_strogatz(n: usize, max_degree: usize, beta: f64, rng: &mut Rng) -> Self {
         assert!(n >= 5, "the ±2 ring lattice needs at least 5 nodes");
         assert!(
             max_degree >= 5,

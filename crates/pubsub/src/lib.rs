@@ -11,7 +11,8 @@
 //!   per-(source, pattern) sequence numbers (for pull loss detection)
 //!   and hop-by-hop route recording (for publisher-based pull);
 //! - [`SubscriptionTable`]/[`Interface`] — subscription-forwarding
-//!   state: pattern → interfaces, with events routed on reverse paths;
+//!   state: pattern → interfaces, with events routed on reverse paths,
+//!   to at most [`MAX_NEIGHBORS`] neighbors;
 //! - [`EventCache`] — the β-bounded FIFO buffer of cached events,
 //!   building only the [`CacheIndexes`] its recovery strategy reads;
 //! - [`LossDetector`]/[`LossRecord`] — sequence-gap loss detection;
@@ -28,7 +29,7 @@
 //!
 //! ```
 //! use eps_pubsub::{Dispatcher, DispatcherConfig, PatternId, PatternSpace};
-//! use eps_pubsub::{flood_subscriptions_direct, install_local_subscriptions};
+//! use eps_pubsub::flood_subscriptions_direct;
 //! use eps_overlay::Topology;
 //! use eps_sim::RngFactory;
 //!
@@ -43,7 +44,11 @@
 //!     .nodes()
 //!     .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
 //!     .collect();
-//! install_local_subscriptions(&mut dispatchers, &subs);
+//! for (d, patterns) in dispatchers.iter_mut().zip(&subs) {
+//!     for &p in patterns {
+//!         d.subscribe_local(p, &[]);
+//!     }
+//! }
 //! flood_subscriptions_direct(&mut dispatchers, &topo);
 //! // Every dispatcher now routes events towards all subscribers.
 //! ```
@@ -68,8 +73,8 @@ pub use dispatcher::{Dispatcher, DispatcherConfig, EventReceipt, PubSubMessage, 
 pub use event::{Event, EventId, ROUTE_HOP_BITS};
 pub use pattern::{PatternId, PatternSpace};
 pub use setup::{
-    flood_subscriptions_direct, install_client_subscriptions, install_local_subscriptions,
-    intended_recipients, rebuild_subscription_routes, DispatcherHost,
+    flood_subscriptions_direct, install_client_subscriptions, rebuild_subscription_routes,
+    DispatcherHost,
 };
 pub use summary::{RangeDetail, RangeRef, RangeSummary, SummaryIndex};
-pub use table::{Interface, SubscriptionTable};
+pub use table::{Interface, SubscriptionTable, MAX_NEIGHBORS};

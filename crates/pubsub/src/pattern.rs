@@ -127,11 +127,6 @@ impl PatternSpace {
         self.universe
     }
 
-    /// Maximum number of patterns a single event can match.
-    pub fn max_patterns_per_event(&self) -> usize {
-        self.max_patterns_per_event
-    }
-
     /// Iterator over every pattern in the universe.
     pub fn patterns(&self) -> impl Iterator<Item = PatternId> {
         (0..self.universe).map(PatternId::new)
@@ -224,7 +219,7 @@ mod tests {
     fn paper_default_matches_figure_2() {
         let s = PatternSpace::paper_default();
         assert_eq!(s.universe(), 70);
-        assert_eq!(s.max_patterns_per_event(), 3);
+        assert_eq!(s.max_patterns_per_event, 3);
         let n_pi = s.subscribers_per_pattern(100, 2);
         assert!((n_pi - 2.857).abs() < 0.01, "N_pi = {n_pi}");
     }

@@ -159,17 +159,21 @@ fn bucket_starts(counts: &mut [u32]) -> usize {
 /// result: tables are *sets* of (pattern, neighbor) pairs, read only
 /// through their contents, and each pair comes from one predicate. The
 /// tables equal a message-at-a-time flood's and the count is the one it
-/// would exchange; the tests pin both, and filling a filled table again
-/// changes nothing.
+/// would exchange; the tests pin both, and a rebuild
+/// ([`rebuild_subscription_routes`]) of a filled population changes
+/// nothing.
 ///
 /// Local subscriptions must already be recorded (e.g. via
-/// [`install_local_subscriptions`]); dispatcher `i` must correspond to
+/// [`install_client_subscriptions`]), and no route learned from a
+/// neighbor (a filled population is rebuilt through
+/// [`rebuild_subscription_routes`]); dispatcher `i` must correspond to
 /// topology node `i`.
 ///
 /// # Panics
 ///
-/// Panics if `hosts.len() != topology.len()` or the topology has a
-/// cycle.
+/// Panics if `hosts.len() != topology.len()`, the topology has a cycle,
+/// a table already holds a neighbor, or a table would route to more
+/// than [`crate::MAX_NEIGHBORS`] neighbors.
 pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: &Topology) -> u64 {
     assert_eq!(
         hosts.len(),
@@ -241,29 +245,11 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
     messages
 }
 
-/// Records `subscriptions[i]` as the local subscriptions of dispatcher
-/// `i` without propagating anything.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn install_local_subscriptions<H: DispatcherHost>(
-    hosts: &mut [H],
-    subscriptions: &[Vec<PatternId>],
-) {
-    assert_eq!(hosts.len(), subscriptions.len());
-    for (h, subs) in hosts.iter_mut().zip(subscriptions) {
-        for &p in subs {
-            h.dispatcher_mut().subscribe_local(p, &[]);
-        }
-    }
-}
-
 /// Records `clients[i][c]` as the subscriptions of client `c` of
 /// dispatcher `i` without propagating anything. The dispatcher's
 /// aggregate filter (its table's `Local` bits) becomes the union of
-/// its clients' patterns; with one client per dispatcher this is
-/// exactly [`install_local_subscriptions`].
+/// its clients' patterns; with one client per dispatcher these are
+/// exactly its patterns.
 ///
 /// # Panics
 ///
@@ -298,21 +284,6 @@ pub fn rebuild_subscription_routes<H: DispatcherHost>(hosts: &mut [H], topology:
         h.dispatcher_mut().reset_routing_state();
     }
     flood_subscriptions_direct(hosts, topology)
-}
-
-/// Computes, for each event-content pattern set, which dispatchers
-/// would receive it in a loss-free network: the dispatchers locally
-/// subscribed to at least one of the content's patterns.
-///
-/// Used by the metrics layer to know the intended recipients of every
-/// published event.
-pub fn intended_recipients<H: DispatcherHost>(hosts: &[H], content: &[PatternId]) -> Vec<NodeId> {
-    hosts
-        .iter()
-        .map(DispatcherHost::dispatcher)
-        .filter(|d| content.iter().any(|&p| d.table().has_local(p)))
-        .map(|d| d.id())
-        .collect()
 }
 
 #[cfg(test)]
@@ -371,7 +342,11 @@ mod tests {
         config: DispatcherConfig,
     ) -> Vec<Dispatcher> {
         let mut ds: Vec<Dispatcher> = topo.nodes().map(|id| Dispatcher::new(id, config)).collect();
-        install_local_subscriptions(&mut ds, subs);
+        for (d, patterns) in ds.iter_mut().zip(subs) {
+            for &p in patterns {
+                d.subscribe_local(p, &[]);
+            }
+        }
         flood_subscriptions(&mut ds, topo);
         ds
     }
@@ -455,7 +430,7 @@ mod tests {
                 if cur == subscriber {
                     break;
                 }
-                let next = ds[cur.index()].table().neighbors_for(p, prev);
+                let next: Vec<NodeId> = ds[cur.index()].table().neighbors_for(p, prev).collect();
                 assert_eq!(next.len(), 1, "tree route must be unique at {cur}");
                 prev = Some(cur);
                 cur = next[0];
@@ -516,27 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn install_and_intended_recipients() {
-        let (mut ds, topo) = build(10, 4);
-        let subs: Vec<Vec<PatternId>> = (0..10)
-            .map(|i| {
-                if i % 2 == 0 {
-                    vec![PatternId::new(1)]
-                } else {
-                    vec![PatternId::new(2)]
-                }
-            })
-            .collect();
-        install_local_subscriptions(&mut ds, &subs);
-        flood_subscriptions(&mut ds, &topo);
-        let rx = intended_recipients(&ds, &[PatternId::new(1)]);
-        assert_eq!(rx.len(), 5);
-        assert!(rx.iter().all(|n| n.index() % 2 == 0));
-        let both = intended_recipients(&ds, &[PatternId::new(1), PatternId::new(2)]);
-        assert_eq!(both.len(), 10);
-    }
-
-    #[test]
     fn rebuild_after_reconfiguration_restores_routes() {
         let (mut ds, mut topo) = build(25, 5);
         let p = PatternId::new(3);
@@ -567,13 +521,17 @@ mod tests {
     /// subscriptions recorded, nothing propagated) and the
     /// message-at-a-time flood over another, and requires the same
     /// tables and the same message count — and the same again after a
-    /// second fill over the filled state, which must change nothing.
+    /// rebuild of the filled state, which must change nothing.
     fn assert_equals_message_flood(case: &str, installed: &[Dispatcher], topo: &Topology) {
         let mut flooded = installed.to_vec();
         let mut filled = installed.to_vec();
         let flood_msgs = flood_subscriptions(&mut flooded, topo);
-        for round in ["fill", "second fill"] {
-            let direct_msgs = flood_subscriptions_direct(&mut filled, topo);
+        for round in ["fill", "rebuild"] {
+            let direct_msgs = if round == "fill" {
+                flood_subscriptions_direct(&mut filled, topo)
+            } else {
+                rebuild_subscription_routes(&mut filled, topo)
+            };
             assert_eq!(flood_msgs, direct_msgs, "{case}, {round}: message count");
             for node in topo.nodes() {
                 let (f, d) = (&flooded[node.index()], &filled[node.index()]);
@@ -627,8 +585,7 @@ mod tests {
             );
         }
 
-        // A degree-12 tree: dispatchers 1 and 2 have twelve neighbors
-        // (rows stay one word: a second starts at the 64th neighbor).
+        // A degree-12 tree: dispatchers 1 and 2 have twelve neighbors.
         let mut wide = Topology::new(40, 12);
         for i in 1..40u32 {
             wide.add_link(NodeId::new((i - 1) / 11), NodeId::new(i))
@@ -679,22 +636,22 @@ mod tests {
 
     #[test]
     fn direct_fill_equals_message_flood_on_a_wide_hub() {
-        // Hub 1 has 75 tree neighbors: its leaves 2..=75 and its parent
-        // 100 (the tree is rooted at 0, behind 100), whose slot sorts
-        // after every leaf's — so the hub's rows are two words long and
-        // its default route lives in the second.
-        let mut hub = Topology::new(101, 80);
+        // Hub 1 has 63 tree neighbors, as many as a row holds: its
+        // leaves 2..=63 and its parent 100 (the tree is rooted at 0,
+        // behind 100), whose slot sorts after every leaf's — so the
+        // hub's default route is the row's top bit.
+        let mut hub = Topology::new(101, crate::MAX_NEIGHBORS);
         hub.add_link(NodeId::new(0), NodeId::new(100)).unwrap();
         hub.add_link(NodeId::new(100), NodeId::new(1)).unwrap();
-        for leaf in 2..=75u32 {
+        for leaf in 2..=63u32 {
             hub.add_link(NodeId::new(1), NodeId::new(leaf)).unwrap();
         }
-        for deep in 76..100u32 {
-            hub.add_link(NodeId::new(deep - 74), NodeId::new(deep))
+        for deep in 64..100u32 {
+            hub.add_link(NodeId::new(deep - 62), NodeId::new(deep))
                 .unwrap();
         }
         assert!(hub.is_tree());
-        assert_eq!(hub.degree(NodeId::new(1)), 75);
+        assert_eq!(hub.degree(NodeId::new(1)), crate::MAX_NEIGHBORS);
         let space = PatternSpace::new(12, 3);
         let mut rng = RngFactory::new(8).stream("subscriptions");
         let everywhere = PatternId::new(11);
@@ -707,7 +664,10 @@ mod tests {
         }
         assert_equals_message_flood("wide hub", &ds, &hub);
         flood_subscriptions_direct(&mut ds, &hub);
-        assert_eq!(ds[1].table().neighbors_for(everywhere, None).len(), 75);
+        assert_eq!(
+            ds[1].table().neighbors_for(everywhere, None).count(),
+            crate::MAX_NEIGHBORS
+        );
     }
 
     #[test]

@@ -29,14 +29,19 @@
 //!   filled tree that is the dispatcher's share of each pattern's
 //!   subscriber subtree — 20 rows per dispatcher on average at
 //!   N = 4000, Π = 8192 — and the fill writes them, map and counts in
-//!   one pass per table, each sized exactly. A table built one
-//!   [`SubscriptionTable::insert`] at a time (the message-at-a-time
+//!   one pass per table, each sized exactly. The fill writes a table
+//!   with no neighbor yet: a fresh one, or one whose routes
+//!   [`crate::Dispatcher::reset_routing_state`] cleared. A table built
+//!   one [`SubscriptionTable::insert`] at a time (the message-at-a-time
 //!   flood) has no default and holds every entry as a row.
 //!
-//! A row is a bitset over the interfaces: bit 0 is the local flag and
-//! bit `s + 1` neighbor slot `s`, `stride` words long (one until a 64th
-//! neighbor registers). Each neighbor's slot lives in a registry kept
-//! sorted by [`NodeId`], so slot order **is** id order. Rows are packed
+//! A row is one `u64` over the interfaces: bit 0 is the local flag and
+//! bit `s + 1` neighbor slot `s`, so a table routes to at most
+//! [`MAX_NEIGHBORS`] = 63 neighbors. The paper's trees have degree 4;
+//! `ScenarioConfig::validate` refuses a degree bound above the row's
+//! width, and registering a 64th neighbor panics. Each neighbor's slot
+//! lives in a registry kept sorted by [`NodeId`], so slot order **is**
+//! id order. Rows are packed
 //! in pattern order behind a map of the patterns that have one, sized
 //! by the rows rather than by Π: a presence bitset over the Π/64 words
 //! of the pattern bitset (one word per 4096 patterns), only the
@@ -92,13 +97,25 @@ pub enum Interface {
     Neighbor(NodeId),
 }
 
+/// The most neighbors one table routes to: a row is one `u64`, the
+/// local flag and one bit per neighbor slot.
+pub const MAX_NEIGHBORS: usize = 63;
+
 /// Row bit of [`Interface::Local`]; neighbor slot `s` is bit `s + 1`.
 const LOCAL: u64 = 1;
 
-/// Word and mask of neighbor slot `slot` in a row.
-fn slot_bit(slot: usize) -> (usize, u64) {
-    let bit = slot + 1;
-    (bit / 64, 1 << (bit % 64))
+/// Row bit of neighbor slot `slot`.
+fn slot_bit(slot: usize) -> u64 {
+    1 << (slot + 1)
+}
+
+/// Panics unless `slots` neighbor slots fit in a row.
+fn assert_fits(slots: usize) {
+    assert!(
+        slots <= MAX_NEIGHBORS,
+        "a table routes to at most MAX_NEIGHBORS = {MAX_NEIGHBORS} neighbors (a row is one \
+         u64: the local flag and a bit per neighbor), not {slots}"
+    );
 }
 
 /// Bit `idx` of a bitset (bit `i` of word `w` is `64·w + i`); `false`
@@ -189,18 +206,15 @@ impl PatternBits {
     }
 }
 
-/// Opens a zero at bit `bit` of a row: the bits at and above it move up
-/// one. The row's top bit must be clear.
-fn insert_zero_bit(row: &mut [u64], bit: usize) {
-    let (k, low) = (bit / 64, (1u64 << (bit % 64)) - 1);
-    for i in (k + 1..row.len()).rev() {
-        row[i] = (row[i] << 1) | (row[i - 1] >> 63);
-    }
-    row[k] = (row[k] & low) | ((row[k] & !low) << 1);
+/// `row` with a zero opened at bit `bit`: the bits at and above it move
+/// up one. The row's top bit must be clear.
+fn insert_zero_bit(row: u64, bit: usize) -> u64 {
+    let low = (1u64 << bit) - 1;
+    (row & low) | ((row & !low) << 1)
 }
 
 /// The set bits of `word`, ascending, each offset by `base`.
-fn bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+fn bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> + Clone {
     std::iter::from_fn(move || {
         (word != 0).then(|| {
             let bit = word.trailing_zeros() as usize;
@@ -411,9 +425,9 @@ struct Delta {
 /// table.insert(p, Interface::Local);
 /// table.insert(p, Interface::Neighbor(NodeId::new(7)));
 /// assert!(table.has_local(p));
-/// assert_eq!(table.neighbors_for(p, None), vec![NodeId::new(7)]);
+/// assert!(table.neighbors_for(p, None).eq([NodeId::new(7)]));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SubscriptionTable {
     /// Slot → neighbor id, kept sorted ascending so that set-bit
     /// iteration enumerates neighbors in id order.
@@ -422,26 +436,11 @@ pub struct SubscriptionTable {
     shared: Option<Shared>,
     /// The patterns with an explicit row.
     map: RowMap,
-    /// The explicit rows, `stride` words each, in pattern order.
+    /// The explicit rows, in pattern order.
     rows: Vec<u64>,
-    /// Words per row.
-    stride: usize,
     /// The delta rows, made at the first; a table with no default keeps
     /// none (every row is one).
     delta: Option<Box<Delta>>,
-}
-
-impl Default for SubscriptionTable {
-    fn default() -> Self {
-        SubscriptionTable {
-            slots: Vec::new(),
-            shared: None,
-            map: RowMap::default(),
-            rows: Vec::new(),
-            stride: 1,
-            delta: None,
-        }
-    }
 }
 
 impl SubscriptionTable {
@@ -457,42 +456,27 @@ impl SubscriptionTable {
             .is_some_and(|s| test_bit(&s.patterns, idx))
     }
 
-    fn row(&self, r: usize) -> &[u64] {
-        &self.rows[r * self.stride..(r + 1) * self.stride]
-    }
-
-    /// Word `w` of pattern `idx`'s entry: its explicit row's, else the
-    /// default route's where the pattern is shared.
+    /// Pattern `idx`'s entry: its explicit row, else the default route
+    /// where the pattern is shared.
     #[inline]
-    fn entry_word(&self, idx: usize, w: usize) -> u64 {
+    fn entry(&self, idx: usize) -> u64 {
         match self.map.row_of(idx) {
-            Some(r) => self.rows[r * self.stride + w],
-            None => self.default_word(idx, w),
+            Some(r) => self.rows[r],
+            None => self.default_entry(idx),
         }
     }
 
-    /// Word `w` of the default route of pattern `idx`, which has no
-    /// explicit row.
+    /// The default route of pattern `idx`, which has no explicit row.
     #[inline]
-    fn default_word(&self, idx: usize, w: usize) -> u64 {
+    fn default_entry(&self, idx: usize) -> u64 {
         match &self.shared {
-            Some(s) if test_bit(&s.patterns, idx) => {
-                let (sw, bit) = slot_bit(s.slot);
-                if sw == w {
-                    bit
-                } else {
-                    0
-                }
-            }
+            Some(s) if test_bit(&s.patterns, idx) => slot_bit(s.slot),
             _ => 0,
         }
     }
 
     fn knows_index(&self, idx: usize) -> bool {
-        match self.map.row_of(idx) {
-            Some(r) => self.row(r).iter().any(|&w| w != 0),
-            None => self.in_shared(idx),
-        }
+        self.entry(idx) != 0
     }
 
     /// One past the largest pattern index any part of the table covers.
@@ -509,19 +493,11 @@ impl SubscriptionTable {
     /// writes each table's rows at once ([`SubscriptionTable::fill`]).
     fn new_row(&mut self, idx: usize) -> usize {
         let r = self.map.insert(idx);
-        let (at, end) = (r * self.stride, self.rows.len());
-        self.rows.resize(end + self.stride, 0);
-        if at < end {
-            self.rows.copy_within(at..end, at + self.stride);
-            self.rows[at..at + self.stride].fill(0);
+        let row = self.default_entry(idx);
+        if row == 0 {
+            self.flip_delta(idx);
         }
-        match &self.shared {
-            Some(s) if test_bit(&s.patterns, idx) => {
-                let (sw, sbit) = slot_bit(s.slot);
-                self.rows[at + sw] = sbit;
-            }
-            _ => self.flip_delta(idx),
-        }
+        self.rows.insert(r, row);
         r
     }
 
@@ -529,7 +505,7 @@ impl SubscriptionTable {
     /// set.
     fn delete_row(&mut self, idx: usize, r: usize) {
         self.map.remove(idx);
-        self.rows.drain(r * self.stride..(r + 1) * self.stride);
+        self.rows.remove(r);
         self.flip_delta(idx);
     }
 
@@ -552,18 +528,6 @@ impl SubscriptionTable {
         }
     }
 
-    /// Adds a word to every row: room for slots 63 to 126.
-    fn widen(&mut self) {
-        let stride = self.stride;
-        let mut rows = Vec::with_capacity(self.rows.len() / stride * (stride + 1));
-        for row in self.rows.chunks_exact(stride) {
-            rows.extend_from_slice(row);
-            rows.push(0);
-        }
-        self.rows = rows;
-        self.stride += 1;
-    }
-
     /// The slot of `neighbor`, if registered.
     fn slot_of(&self, neighbor: NodeId) -> Option<usize> {
         self.slots.binary_search(&neighbor).ok()
@@ -573,18 +537,20 @@ impl SubscriptionTable {
     /// node id; inserting in the middle renumbers the higher slots in
     /// every row — rare (subscription setup or overlay
     /// reconfiguration), never on the event-matching hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a neighbor past the [`MAX_NEIGHBORS`]th.
     fn register(&mut self, neighbor: NodeId) -> usize {
         let pos = match self.slots.binary_search(&neighbor) {
             Ok(pos) => return pos,
             Err(pos) => pos,
         };
-        if self.slots.len() + 2 > self.stride * 64 {
-            self.widen();
-        }
+        assert_fits(self.slots.len() + 1);
         self.slots.insert(pos, neighbor);
         if pos + 1 < self.slots.len() {
-            for row in self.rows.chunks_exact_mut(self.stride) {
-                insert_zero_bit(row, pos + 1);
+            for row in &mut self.rows {
+                *row = insert_zero_bit(*row, pos + 1);
             }
         }
         if let Some(s) = &mut self.shared {
@@ -599,68 +565,65 @@ impl SubscriptionTable {
     /// if this is new information (used to decide whether to propagate
     /// further).
     pub fn insert(&mut self, pattern: PatternId, iface: Interface) -> bool {
-        let (w, bit) = match iface {
-            Interface::Local => (0, LOCAL),
+        let bit = match iface {
+            Interface::Local => LOCAL,
             Interface::Neighbor(n) => slot_bit(self.register(n)),
         };
         let idx = pattern.index();
         let r = match self.map.row_of(idx) {
-            Some(r) if self.rows[r * self.stride + w] & bit != 0 => return false,
+            Some(r) if self.rows[r] & bit != 0 => return false,
             Some(r) => {
                 // Only a shared pattern's row is ever empty.
-                if self.row(r).iter().all(|&x| x == 0) {
+                if self.rows[r] == 0 {
                     self.flip_delta(idx);
                 }
                 r
             }
-            None if self.default_word(idx, w) & bit != 0 => return false,
+            None if self.default_entry(idx) & bit != 0 => return false,
             None => self.new_row(idx),
         };
-        self.rows[r * self.stride + w] |= bit;
+        self.rows[r] |= bit;
         true
     }
 
-    /// Adds the routes of one closed-form fill: a route to `c` for every
-    /// `(p, c)` of `children` (ascending by pattern) and, given
-    /// `default = (parent, patterns, except)`, a route to `parent` for
-    /// every pattern set in `patterns` (bit `i` of word `w` is pattern
-    /// index `64·w + i`) but those of `except` (ascending). The content
-    /// is the final state of one [`SubscriptionTable::insert`] per
-    /// route; an all-zero bitset adds no route and registers no slot.
+    /// Writes the routes of one closed-form fill into a table with no
+    /// neighbor yet (fresh, or reset): a route to `c` for every `(p, c)`
+    /// of `children` (ascending by pattern) and, given `default =
+    /// (parent, patterns, except)`, a route to `parent` for every
+    /// pattern set in `patterns` (bit `i` of word `w` is pattern index
+    /// `64·w + i`) but those of `except` (ascending). The content is the
+    /// final state of one [`SubscriptionTable::insert`] per route; an
+    /// all-zero bitset adds no route and registers no slot.
     ///
-    /// A table with no neighbor routes yet (fresh, or reset) is written
-    /// once, each part sized exactly: `patterns` becomes its default,
-    /// keeping the `Arc`, and its rows are its local patterns and the
-    /// children's. A pattern of both `except` and `patterns` must be one
-    /// of those: its row withholds the default. A table with routes
-    /// (filled before) takes them one insert at a time.
+    /// The table is written once, each part sized exactly: `patterns`
+    /// becomes its default, keeping the `Arc`, and its rows are its
+    /// local patterns and the children's. A pattern of both `except` and
+    /// `patterns` must be one of those: its row withholds the default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has a neighbor slot, or the fill names more
+    /// than [`MAX_NEIGHBORS`] neighbors.
     pub(crate) fn fill(
         &mut self,
         children: &[(PatternId, NodeId)],
         default: Option<(NodeId, &PatternBits, &[PatternId])>,
     ) {
+        assert!(
+            self.slots.is_empty(),
+            "a fill writes a table with no neighbor: a fresh one, or one reset_routing_state cleared"
+        );
         let default = default.filter(|&(_, patterns, _)| patterns.count() > 0);
         let (patterns, except): (&[u64], &[PatternId]) =
             default.map_or((&[], &[]), |(_, patterns, except)| (patterns, except));
-        if !self.slots.is_empty() {
-            let defaults = (default.into_iter())
-                .flat_map(|(parent, ..)| {
-                    set_bits(patterns).map(move |idx| (PatternId::new(idx as u16), parent))
-                })
-                .filter(|(p, _)| except.binary_search(p).is_err());
-            for (p, n) in children.iter().copied().chain(defaults) {
-                self.insert(p, Interface::Neighbor(n));
-            }
-            return;
-        }
         let mut slots: Vec<NodeId> = (children.iter().map(|&(_, child)| child))
             .chain(default.map(|(parent, ..)| parent))
             .collect();
         slots.sort_unstable();
         slots.dedup();
         slots.shrink_to_fit();
+        assert_fits(slots.len());
         let slot_of = |n: NodeId| slots.binary_search(&n).expect("registered above");
-        let stride = (slots.len() + 1).div_ceil(64);
         let parent = default.map(|(parent, ..)| slot_bit(slot_of(parent)));
 
         // The row map: the local patterns (a table without slots has no
@@ -686,16 +649,15 @@ impl SubscriptionTable {
             .sum::<usize>();
 
         // Each row: the local flag, the children's routes, the parent's.
-        let mut rows = vec![0; total * stride];
+        let mut rows = vec![0; total];
         let (mut c, mut e, mut outside) = (0, 0, Vec::new());
         let mut locals = self.map.patterns().peekable();
-        for (row, idx) in rows.chunks_exact_mut(stride).zip(map.patterns()) {
+        for (row, idx) in rows.iter_mut().zip(map.patterns()) {
             if locals.next_if_eq(&idx).is_some() {
-                row[0] = LOCAL;
+                *row = LOCAL;
             }
             while let Some(&(_, child)) = children.get(c).filter(|(p, _)| p.index() == idx) {
-                let (w, bit) = slot_bit(slot_of(child));
-                row[w] |= bit;
+                *row |= slot_bit(slot_of(child));
                 c += 1;
             }
             while except.get(e).is_some_and(|p| p.index() < idx) {
@@ -703,8 +665,8 @@ impl SubscriptionTable {
             }
             let shared = test_bit(patterns, idx);
             match parent {
-                Some((w, bit)) if shared && except.get(e).is_none_or(|p| p.index() != idx) => {
-                    row[w] |= bit;
+                Some(bit) if shared && except.get(e).is_none_or(|p| p.index() != idx) => {
+                    *row |= bit;
                 }
                 Some(_) if !shared => outside.push(idx),
                 _ => {}
@@ -721,14 +683,13 @@ impl SubscriptionTable {
             patterns: patterns.clone(),
         });
         (self.slots, self.map, self.rows) = (slots, map, rows);
-        (self.stride, self.delta) = (stride, None);
         outside.into_iter().for_each(|idx| self.flip_delta(idx));
     }
 
     /// Removes a subscription entry. Returns `true` if it was present.
     pub fn remove(&mut self, pattern: PatternId, iface: Interface) -> bool {
-        let (w, bit) = match iface {
-            Interface::Local => (0, LOCAL),
+        let bit = match iface {
+            Interface::Local => LOCAL,
             Interface::Neighbor(n) => match self.slot_of(n) {
                 Some(slot) => slot_bit(slot),
                 None => return false,
@@ -736,13 +697,13 @@ impl SubscriptionTable {
         };
         let idx = pattern.index();
         let r = match self.map.row_of(idx) {
-            Some(r) if self.rows[r * self.stride + w] & bit == 0 => return false,
+            Some(r) if self.rows[r] & bit == 0 => return false,
             Some(r) => r,
-            None if self.default_word(idx, w) & bit == 0 => return false,
+            None if self.default_entry(idx) & bit == 0 => return false,
             None => self.new_row(idx),
         };
-        self.rows[r * self.stride + w] &= !bit;
-        if self.row(r).iter().all(|&x| x == 0) {
+        self.rows[r] &= !bit;
+        if self.rows[r] == 0 {
             if self.in_shared(idx) {
                 self.flip_delta(idx);
             } else {
@@ -756,7 +717,7 @@ impl SubscriptionTable {
     pub fn has_local(&self, pattern: PatternId) -> bool {
         self.map
             .row_of(pattern.index())
-            .is_some_and(|r| self.rows[r * self.stride] & LOCAL != 0)
+            .is_some_and(|r| self.rows[r] & LOCAL != 0)
     }
 
     /// `true` if the table has any entry (local or remote) for
@@ -768,22 +729,12 @@ impl SubscriptionTable {
     /// The neighbor interfaces subscribed to `pattern`, excluding
     /// `exclude` (typically the message's arrival interface), in id
     /// order.
-    pub fn neighbors_for(&self, pattern: PatternId, exclude: Option<NodeId>) -> Vec<NodeId> {
-        self.neighbors_for_iter(pattern, exclude).collect()
-    }
-
-    /// Allocation-free variant of [`SubscriptionTable::neighbors_for`]:
-    /// iterates the subscribed neighbor interfaces in id order without
-    /// materializing a `Vec`.
-    pub fn neighbors_for_iter(
+    pub fn neighbors_for(
         &self,
         pattern: PatternId,
         exclude: Option<NodeId>,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        let idx = pattern.index();
-        (0..self.stride)
-            .flat_map(move |w| bits(self.entry_word(idx, w), 64 * w))
-            .filter(|&bit| bit != 0)
+    ) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        bits(self.entry(pattern.index()) & !LOCAL, 0)
             .map(|bit| self.slots[bit - 1])
             .filter(move |&n| Some(n) != exclude)
     }
@@ -797,9 +748,8 @@ impl SubscriptionTable {
     /// which the same OR computes.
     ///
     /// This is the per-hop hot path: an OR of the event's pattern
-    /// entries, a row word at a time, then set-bit iteration. The union
-    /// is deduplicated and in ascending id order by construction — no
-    /// sort, no dedup.
+    /// entries, then set-bit iteration. The union is deduplicated and in
+    /// ascending id order by construction — no sort, no dedup.
     pub fn matching_neighbors_into(
         &self,
         event: &Event,
@@ -807,14 +757,10 @@ impl SubscriptionTable {
         out: &mut Vec<NodeId>,
     ) -> bool {
         out.clear();
-        // Word 0 — every neighbor while there are at most 63 — with
-        // `row_of` and `default_word` inlined and the default's slot
+        // `row_of` and `default_entry` inlined, the default's bit
         // hoisted.
         let (shared, default) = match &self.shared {
-            Some(s) => match slot_bit(s.slot) {
-                (0, bit) => (&s.patterns[..], bit),
-                _ => (&s.patterns[..], 0),
-            },
+            Some(s) => (&s.patterns[..], slot_bit(s.slot)),
             None => (&[][..], 0),
         };
         let mut acc = 0;
@@ -823,30 +769,20 @@ impl SubscriptionTable {
             let (at, x) = self.map.find(i);
             acc |= if x & bit != 0 {
                 let r = self.map.rows_before(at) + (x & (bit - 1)).count_ones() as usize;
-                self.rows[r * self.stride]
+                self.rows[r]
             } else if shared.get(i).is_some_and(|&s| s & bit != 0) {
                 default
             } else {
                 0
             };
         }
-        let local = acc & LOCAL != 0;
-        let mut push = |acc: u64, base: usize| {
-            for bit in bits(acc, base) {
-                let neighbor = self.slots[bit - 1];
-                if Some(neighbor) != from {
-                    out.push(neighbor);
-                }
+        for bit in bits(acc & !LOCAL, 0) {
+            let neighbor = self.slots[bit - 1];
+            if Some(neighbor) != from {
+                out.push(neighbor);
             }
-        };
-        push(acc & !LOCAL, 0);
-        for w in 1..self.stride {
-            let acc = event
-                .patterns()
-                .fold(0, |acc, p| acc | self.entry_word(p.index(), w));
-            push(acc, 64 * w);
         }
-        local
+        acc & LOCAL != 0
     }
 
     /// `true` if the event matches a local subscription.
@@ -861,7 +797,7 @@ impl SubscriptionTable {
         self.map
             .patterns()
             .enumerate()
-            .filter(|&(r, _)| self.rows[r * self.stride] & LOCAL != 0)
+            .filter(|&(r, _)| self.rows[r] & LOCAL != 0)
             .map(|(_, idx)| PatternId::new(idx as u16))
     }
 
@@ -909,7 +845,7 @@ impl SubscriptionTable {
     /// Number of patterns known.
     pub fn len(&self) -> usize {
         let Some(shared) = &self.shared else {
-            return self.rows.len() / self.stride;
+            return self.rows.len();
         };
         let (delta, outside) =
             (self.delta.as_ref()).map_or((0, 0), |d| (d.patterns.len(), d.outside));
@@ -935,9 +871,7 @@ impl PartialEq for SubscriptionTable {
         self.all_patterns().eq(other.all_patterns())
             && self.all_patterns().all(|p| {
                 self.has_local(p) == other.has_local(p)
-                    && self
-                        .neighbors_for_iter(p, None)
-                        .eq(other.neighbors_for_iter(p, None))
+                    && self.neighbors_for(p, None).eq(other.neighbors_for(p, None))
             })
     }
 }
@@ -962,6 +896,11 @@ mod tests {
         let mut out = Vec::new();
         t.matching_neighbors_into(e, from, &mut out);
         out
+    }
+
+    /// The neighbors `t` routes `p` to, but `exclude`.
+    fn routes(t: &SubscriptionTable, p: PatternId, exclude: Option<NodeId>) -> Vec<NodeId> {
+        t.neighbors_for(p, exclude).collect()
     }
 
     #[test]
@@ -995,11 +934,8 @@ mod tests {
         t.insert(p, Interface::Neighbor(NodeId::new(1)));
         t.insert(p, Interface::Neighbor(NodeId::new(2)));
         t.insert(p, Interface::Local);
-        assert_eq!(
-            t.neighbors_for(p, Some(NodeId::new(1))),
-            vec![NodeId::new(2)]
-        );
-        assert_eq!(t.neighbors_for(p, None).len(), 2);
+        assert_eq!(routes(&t, p, Some(NodeId::new(1))), vec![NodeId::new(2)]);
+        assert_eq!(t.neighbors_for(p, None).count(), 2);
     }
 
     #[test]
@@ -1047,32 +983,57 @@ mod tests {
         for raw in [9u32, 2, 7, 0, 5] {
             t.insert(p, Interface::Neighbor(NodeId::new(raw)));
         }
-        let ids: Vec<u32> = t
-            .neighbors_for_iter(p, None)
-            .map(|n| n.index() as u32)
-            .collect();
+        let ids: Vec<u32> = t.neighbors_for(p, None).map(|n| n.index() as u32).collect();
         assert_eq!(ids, vec![0, 2, 5, 7, 9]);
     }
 
     #[test]
-    fn degree_above_64_spills_into_extra_words() {
+    fn a_row_holds_63_neighbors_in_id_order() {
+        // 63 neighbors registered out of order fill the row to its top
+        // bit; every registration renumbers the slots above it.
         let mut t = SubscriptionTable::new();
-        let p = PatternId::new(1);
-        let q = PatternId::new(2);
-        for raw in 0..130u32 {
+        let (p, q) = (PatternId::new(1), PatternId::new(2));
+        t.insert(p, Interface::Local);
+        let order: Vec<u32> = (0..MAX_NEIGHBORS as u32).map(|i| (i * 37) % 67).collect();
+        for &raw in &order {
             let target = if raw % 2 == 0 { p } else { q };
             t.insert(target, Interface::Neighbor(NodeId::new(raw)));
         }
-        assert_eq!(t.stride, 3, "131 row bits need three words");
-        assert_eq!(t.neighbors_for(p, None).len(), 65);
-        assert_eq!(t.neighbors_for(q, None).len(), 65);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
         let union = matching(&t, &ev(&[1, 2]), None);
-        assert_eq!(union.len(), 130);
-        assert!(union.windows(2).all(|w| w[0] < w[1]), "ascending id order");
-        // Exclusion works past the first word too.
-        let minus = matching(&t, &ev(&[1, 2]), Some(NodeId::new(100)));
-        assert_eq!(minus.len(), 129);
-        assert!(!minus.contains(&NodeId::new(100)));
+        assert_eq!(
+            union,
+            sorted.iter().map(|&n| NodeId::new(n)).collect::<Vec<_>>()
+        );
+        assert!(t.has_local(p) && !t.has_local(q));
+        let top = NodeId::new(*sorted.last().unwrap());
+        assert!(!matching(&t, &ev(&[1, 2]), Some(top)).contains(&top));
+        // A reference table built in id order agrees semantically.
+        let mut r = SubscriptionTable::new();
+        for &raw in &sorted {
+            let target = if raw % 2 == 0 { p } else { q };
+            r.insert(target, Interface::Neighbor(NodeId::new(raw)));
+        }
+        r.insert(p, Interface::Local);
+        assert_eq!(t, r);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_NEIGHBORS = 63 neighbors")]
+    fn registering_a_64th_neighbor_panics() {
+        let mut t = SubscriptionTable::new();
+        for raw in 0..=MAX_NEIGHBORS as u32 {
+            t.insert(PatternId::new(0), Interface::Neighbor(NodeId::new(raw)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a fill writes a table with no neighbor")]
+    fn a_fill_refuses_a_table_with_a_neighbor() {
+        let mut t = SubscriptionTable::new();
+        t.insert(PatternId::new(0), Interface::Neighbor(NodeId::new(1)));
+        t.fill(&[(PatternId::new(1), NodeId::new(2))], None);
     }
 
     #[test]
@@ -1102,35 +1063,6 @@ mod tests {
         assert!(shared.rows.is_empty(), "the default route holds no row");
     }
 
-    #[test]
-    fn rows_widen_when_a_64th_slot_registers() {
-        let mut t = SubscriptionTable::new();
-        let p = PatternId::new(3);
-        t.insert(p, Interface::Local);
-        // Register 70 neighbors out of order, crossing the widening
-        // boundary mid-insert; content must be preserved throughout.
-        let order: Vec<u32> = (0..70).map(|i| (i * 37) % 71).collect();
-        for &raw in &order {
-            assert_eq!(t.stride, if t.slots.len() < 64 { 1 } else { 2 });
-            t.insert(p, Interface::Neighbor(NodeId::new(raw)));
-        }
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        let ids: Vec<u32> = t
-            .neighbors_for_iter(p, None)
-            .map(|n| n.index() as u32)
-            .collect();
-        assert_eq!(ids, sorted);
-        assert!(t.has_local(p));
-        // And a reference table built in id order agrees semantically.
-        let mut r = SubscriptionTable::new();
-        for &raw in &sorted {
-            r.insert(p, Interface::Neighbor(NodeId::new(raw)));
-        }
-        r.insert(p, Interface::Local);
-        assert_eq!(t, r);
-    }
-
     /// The index invariants, checked against the scan.
     fn assert_index_matches_scan(t: &SubscriptionTable, step: usize) {
         let scan: Vec<PatternId> = t.all_patterns().collect();
@@ -1143,62 +1075,31 @@ mod tests {
 
     #[test]
     fn known_index_tracks_the_scan_through_a_random_walk() {
-        // Every mutation that can change `len` — including the bulk
-        // `fill` of a default route, mirrored bit by bit through
-        // `insert` on a twin table — on one-word rows, rows that widen
-        // mid-walk, and tables that start from a default route.
+        // Every mutation that can change `len`, on a table that starts
+        // empty and on one that starts from a default route.
         const STEPS: usize = 10_000;
         const PATTERNS: u64 = 150;
         let mut from_default = SubscriptionTable::new();
         let bits = PatternBits::from(vec![u64::MAX, 0xf0f0, 1 << 20]);
         from_default.fill(&[], Some((NodeId::new(3), &bits, &[])));
-        let layouts = [
-            (SubscriptionTable::new(), 8u64, false),
-            (SubscriptionTable::new(), 70, true),
-            (from_default, 8, false),
-        ];
-        for (seed, (mut table, neighbors, ends_wide)) in layouts.into_iter().enumerate() {
-            let mut twin = SubscriptionTable::new();
-            for p in table.all_patterns() {
-                twin.insert(p, Interface::Neighbor(NodeId::new(3)));
-            }
+        for (seed, mut table) in [SubscriptionTable::new(), from_default]
+            .into_iter()
+            .enumerate()
+        {
             let mut rng = eps_sim::Rng::from_seed(seed as u64 + 1);
             for step in 0..STEPS {
                 let pattern = PatternId::new(rng.random_below(PATTERNS) as u16);
-                let neighbor = NodeId::new(rng.random_below(neighbors) as u32);
-                let iface = if rng.random_below(4) == 0 {
-                    Interface::Local
-                } else {
-                    Interface::Neighbor(neighbor)
+                let iface = match rng.random_below(4) {
+                    0 => Interface::Local,
+                    _ => Interface::Neighbor(NodeId::new(rng.random_below(8) as u32)),
                 };
-                match rng.random_below(15) {
-                    0..=6 => {
-                        assert_eq!(table.insert(pattern, iface), twin.insert(pattern, iface));
-                    }
-                    7..=12 => {
-                        assert_eq!(table.remove(pattern, iface), twin.remove(pattern, iface));
-                    }
-                    _ => {
-                        // Sparse three-word masks, sometimes all-zero.
-                        let mask: Vec<u64> = (0..3)
-                            .map(|_| match rng.random_below(3) {
-                                0 => 0,
-                                _ => rng.next_u64() & rng.next_u64() & rng.next_u64(),
-                            })
-                            .collect();
-                        for idx in set_bits(&mask) {
-                            twin.insert(PatternId::new(idx as u16), Interface::Neighbor(neighbor));
-                        }
-                        table.fill(&[], Some((neighbor, &mask.into(), &[])));
-                        assert_eq!(table, twin, "step {step}: fill vs insert");
-                        assert_eq!(table.slots, twin.slots, "step {step}: slot registry");
-                    }
+                if rng.random_below(2) == 0 {
+                    table.insert(pattern, iface);
+                } else {
+                    table.remove(pattern, iface);
                 }
                 assert_index_matches_scan(&table, step);
             }
-            assert_eq!(table, twin);
-            assert_index_matches_scan(&twin, STEPS);
-            assert_eq!(table.stride > 1, ends_wide);
         }
     }
 
@@ -1300,17 +1201,17 @@ mod tests {
     #[test]
     fn fill_equals_the_inserts_it_replaces() {
         // The builder writes the table in one pass where the fill made
-        // one insert per route: the same content from an empty table, a
-        // table of local subscriptions and an already-filled table (its
-        // own default kept, maybe towards another neighbor, some of its
-        // routes withdrawn), on one-word rows and on rows that need a
-        // second word (a 64th neighbor); then both keep agreeing under
-        // inserts and removes.
+        // one insert per route: the same content from an empty table and
+        // from a table of local subscriptions, with a few neighbors or
+        // with all 63 a row holds; then both keep agreeing under inserts
+        // and removes.
         const PATTERNS: u64 = 200;
-        let mut two_words = 0;
+        let mut full_rows = 0;
         forall("fill_equals_the_inserts_it_replaces", 384, |rng| {
-            let wide = rng.random_below(3) == 0;
-            let (neighbors, routes) = if wide { (90, 240) } else { (8, 40) };
+            let (neighbors, routes) = match rng.random_below(3) {
+                0 => (MAX_NEIGHBORS as u64, 400),
+                _ => (8, 40),
+            };
             let mut table = SubscriptionTable::new();
             for _ in 0..rng.random_below(7) {
                 table.insert(
@@ -1319,30 +1220,10 @@ mod tests {
                 );
             }
             let mut twin = table.clone();
-            let start = rng.random_below(3);
-            if start == 0 {
-                table = SubscriptionTable::new();
-                twin = SubscriptionTable::new();
-            } else if start == 2 {
-                let first = random_fill(rng, &table, PATTERNS, neighbors, routes);
-                apply(&mut table, &mut twin, &first);
-                assert_twins(&table, &twin, "first fill");
-                for _ in 0..rng.random_below(6) {
-                    let p = PatternId::new(rng.random_below(PATTERNS) as u16);
-                    let n = NodeId::new(rng.random_below(neighbors) as u32);
-                    assert_eq!(
-                        table.remove(p, Interface::Neighbor(n)),
-                        twin.remove(p, Interface::Neighbor(n))
-                    );
-                }
-            }
             let fill = random_fill(rng, &table, PATTERNS, neighbors, routes);
             apply(&mut table, &mut twin, &fill);
             assert_twins(&table, &twin, "fill");
-            if table.slots.len() >= 64 {
-                assert_eq!(table.stride, 2, "64 slots and the local bit need two words");
-                two_words += 1;
-            }
+            full_rows += usize::from(table.slots.len() == MAX_NEIGHBORS);
             for _ in 0..20 {
                 let p = PatternId::new(rng.random_below(PATTERNS) as u16);
                 let iface = match rng.random_below(neighbors + 1) {
@@ -1356,11 +1237,8 @@ mod tests {
                 }
             }
             assert_twins(&table, &twin, "after inserts and removes");
-            // Filling a filled table: its own default is kept.
-            apply(&mut table, &mut twin, &fill);
-            assert_twins(&table, &twin, "second fill");
         });
-        assert!(two_words > 32, "{two_words} cases reach two-word rows");
+        assert!(full_rows > 32, "{full_rows} cases fill every slot of a row");
     }
 
     #[test]
@@ -1373,7 +1251,7 @@ mod tests {
             Some((parent, &PatternBits::from(vec![0b1110u64]), &[])),
         );
         // The local row gained the default route; the others hold none.
-        assert_eq!(t.neighbors_for(PatternId::new(2), None), vec![parent]);
+        assert_eq!(routes(&t, PatternId::new(2), None), vec![parent]);
         assert_eq!(t.rows.len(), 1);
         assert_eq!(t.len(), 3);
         // A child route adds a row on top of the default.
@@ -1467,10 +1345,7 @@ mod tests {
         t.insert(q, Interface::Neighbor(NodeId::new(30)));
         // Mid-insert between the two registered slots.
         t.insert(p, Interface::Neighbor(NodeId::new(20)));
-        assert_eq!(
-            t.neighbors_for(p, None),
-            vec![NodeId::new(10), NodeId::new(20)]
-        );
-        assert_eq!(t.neighbors_for(q, None), vec![NodeId::new(30)]);
+        assert_eq!(routes(&t, p, None), vec![NodeId::new(10), NodeId::new(20)]);
+        assert_eq!(routes(&t, q, None), vec![NodeId::new(30)]);
     }
 }

@@ -23,8 +23,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use eps_overlay::{plan_reconfiguration, NodeId, Topology};
 use eps_pubsub::{
-    flood_subscriptions_direct, install_client_subscriptions, install_local_subscriptions,
-    rebuild_subscription_routes, ClientId, Dispatcher, DispatcherConfig, Event, EventId, PatternId,
+    flood_subscriptions_direct, install_client_subscriptions, rebuild_subscription_routes,
+    ClientId, Dispatcher, DispatcherConfig, Event, EventId, PatternId,
 };
 use eps_sim::check::forall;
 use eps_sim::Rng;
@@ -189,7 +189,11 @@ impl Net {
             .nodes()
             .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
             .collect();
-        install_local_subscriptions(&mut fresh, &locals);
+        for (d, patterns) in fresh.iter_mut().zip(&locals) {
+            for &p in patterns {
+                d.subscribe_local(p, &[]);
+            }
+        }
         flood_subscriptions_direct(&mut fresh, &self.topo);
         for node in self.topo.nodes() {
             let (d, m) = (&self.real[node.index()], &self.model[node.index()]);
@@ -211,7 +215,7 @@ impl Net {
                     .map(|&(_, n)| n)
                     .collect();
                 assert_eq!(
-                    d.table().neighbors_for(p, None),
+                    d.table().neighbors_for(p, None).collect::<Vec<_>>(),
                     want,
                     "{case}: routes of {p} at {node}"
                 );

@@ -15,7 +15,7 @@
 //!   named, independent, seed-stable random streams, so parameter
 //!   sweeps do not perturb unrelated random choices (and the build
 //!   needs no external crates);
-//! - [`Summary`], [`RatioSeries`], [`quantile`] — the statistics
+//! - [`Summary`], [`RatioSeries`], [`quantile_in_place`] — the statistics
 //!   helpers used to build the paper's delivery-rate and overhead
 //!   figures;
 //! - [`hash::IdMap`] / [`hash::IdSet`] — hash tables on a seeded
@@ -81,5 +81,5 @@ mod time;
 
 pub use keyed::KeyedEngine;
 pub use rng::{Rng, RngFactory, SampleRange, Zipf};
-pub use stats::{quantile, quantile_in_place, RatioBin, RatioSeries, Summary};
+pub use stats::{quantile_in_place, RatioBin, RatioSeries, Summary};
 pub use time::SimTime;

@@ -210,11 +210,6 @@ impl Zipf {
         Zipf { n, s, t }
     }
 
-    /// Number of ranks `n`.
-    pub fn ranks(&self) -> u64 {
-        self.n as u64
-    }
-
     /// The exponent `s`.
     pub fn exponent(&self) -> f64 {
         self.s

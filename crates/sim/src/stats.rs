@@ -107,18 +107,9 @@ impl Summary {
     }
 }
 
-/// Computes the `q`-quantile (0.0 ..= 1.0) of a sample set using linear
-/// interpolation. Returns `None` for an empty slice.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]` or any sample is NaN.
-pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
-    quantile_in_place(&mut samples.to_vec(), q, |x| x)
-}
-
-/// The `q`-quantile of `samples` as [`quantile`] computes it, with
-/// each sample read as `value(sample)`, where `value` must be
+/// The `q`-quantile (0.0 ..= 1.0) of `samples` by linear interpolation
+/// between the two order statistics around it — `None` for an empty
+/// slice — with each sample read as `value(sample)`, where `value` must be
 /// monotone: the two order statistics it interpolates between are
 /// selected in place (`samples` is left reordered) instead of sorted
 /// for, and converted after. A monotone `value` maps the k-th smallest
@@ -285,6 +276,11 @@ mod tests {
             assert_eq!(a.min(), whole.min());
             assert_eq!(a.max(), whole.max());
         });
+    }
+
+    /// The `q`-quantile of plain samples.
+    fn quantile(samples: &[f64], q: f64) -> Option<f64> {
+        quantile_in_place(&mut samples.to_vec(), q, |x| x)
     }
 
     #[test]

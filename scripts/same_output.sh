@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Same-output check for a change that must not move a byte: builds
-# BASE's `simulate` in a git worktree under target/ab/ (same lockfile, no
-# new dependency), runs every cell below on BASE and on the working tree,
-# and names each cell whose stdout differs. Exits 1 if any does.
+# BASE's `simulate` from a `git archive` of it under target/ab/ (same
+# lockfile, no new dependency), runs every cell below on BASE and on the
+# working tree, and names each cell whose stdout differs. Exits 1 if any
+# does.
 #
 #   scripts/same_output.sh BASE        # BASE: any commit, e.g. HEAD~1
 #
@@ -15,13 +16,12 @@ base=$(git rev-parse --verify "${1:?usage: scripts/same_output.sh BASE}^{commit}
 tree=target/ab/$base
 out=$(mktemp -d)
 cleanup() {
-    git worktree remove --force "$tree" 2>/dev/null || true
-    rm -rf "$out"
+    rm -rf "$tree" "$out"
 }
 trap cleanup EXIT
 cleanup
-mkdir -p "$out"
-git worktree add --quiet --detach "$tree" "$base"
+mkdir -p "$out" "$tree"
+git archive "$base" | tar -x -C "$tree"
 cargo build --quiet --release --locked --manifest-path "$tree/Cargo.toml" \
     --target-dir target/ab/target -p eps-harness --bin simulate
 cargo build --quiet --release --locked -p eps-harness --bin simulate

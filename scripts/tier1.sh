@@ -80,8 +80,10 @@ echo "== tier-1: every pub fn is named outside its own file =="
 # library crate that no other file names is surface only its own tests
 # use: delete it, make it private, or move it under #[cfg(test)]. Named
 # means the word appears in another .rs file under crates/*/src (the
-# bench binaries included), src/, examples/ or benchmark/src; tests do
-# not count. The check is lenient, like the config-field one: a
+# bench binaries included), src/, examples/ or benchmark/src, on a line
+# that is code: tests do not count, nor do comments (`//`, `///`, `//!`)
+# or `use`/`pub use` statements, so a re-export or a doc link alone
+# keeps nothing public. The check is lenient, like the config-field one: a
 # same-named item elsewhere hides a miss, but it never fails on a
 # function something calls. Each allowed name carries its reason, and an
 # entry nothing needs any more fails too.
@@ -89,13 +91,16 @@ pub_fn_allowed=(
     "mean_path_hops: ROADMAP items 16 and 18 check the overlay and the oracles against it"
 )
 unnamed=$(find crates/*/src src examples benchmark/src -name '*.rs' | sort | xargs awk '
-    FNR == 1 { files[++nfiles] = FILENAME }
+    FNR == 1 { files[++nfiles] = FILENAME; in_use = 0 }
     FILENAME ~ /^crates\/(sim|overlay|pubsub|gossip|metrics|harness|net)\/src\// &&
         match($0, /^[ \t]*pub fn [a-z_0-9]+/) {
         name = substr($0, RSTART, RLENGTH)
         sub(/.*pub fn /, "", name)
         decl[++ndecl] = FILENAME ":" FNR " " name
     }
+    # A use statement runs to its semicolon.
+    in_use || /^[ \t]*(pub(\([a-z]+\))? )?use / { in_use = !/;/; next }
+    /^[ \t]*\/\// { next }
     {
         n = split($0, words, /[^A-Za-z0-9_]+/)
         for (i = 1; i <= n; i++) named[words[i], FILENAME] = 1
@@ -143,34 +148,18 @@ echo "== tier-1: scenario bench (end-to-end runs per algorithm) =="
 cargo run --release -p eps-bench --bin scenario_bench -- \
     --out target/bench/BENCH_scenario.json
 
-echo "== tier-1: bench compare (kernel gated at 25%, rest advisory) =="
-# The kernel microbenches are tight, allocation-free loops — stable
-# enough to gate hard with generous headroom. The gossip/scenario/net
-# files time whole protocol rounds and end-to-end runs, which are too
-# noisy on shared machines to fail CI; those stay advisory, as do the
-# one-build-per-iteration topology_build and subscription_flood
-# entries inside the kernel file, node_event_hop, whose whole-hop
-# timings include map growth, and cache_get_by_pattern_seq, whose
-# baseline is one session's reading, not a record across hosts. Shared hosts occasionally time-slice the vCPU (steal),
-# uniformly doubling every measurement — on a strict failure,
-# re-measure once before declaring a real regression.
-if ! cargo run --release -p eps-bench --bin bench_compare -- \
-    --strict --threshold 25 --advisory-prefix topology_build \
-    --advisory-prefix subscription_flood --advisory-prefix node_event_hop \
-    --advisory-prefix cache_get_by_pattern_seq \
-    BENCH_kernel.json target/bench/BENCH_kernel.json; then
-    echo "kernel bench regressed; re-measuring once (transient host steal?)"
-    sleep 5
-    cargo run --release -p eps-bench --bin microbench -- \
-        --out target/bench/BENCH_kernel.json \
-        --gossip-out target/bench/BENCH_gossip.json \
-        --net-out target/bench/BENCH_net.json
-    cargo run --release -p eps-bench --bin bench_compare -- \
-        --strict --threshold 25 --advisory-prefix topology_build \
-        --advisory-prefix subscription_flood --advisory-prefix node_event_hop \
-        --advisory-prefix cache_get_by_pattern_seq \
-        BENCH_kernel.json target/bench/BENCH_kernel.json
-fi
+echo "== tier-1: kernel bench (paired against its last re-baseline: gated at 25%) =="
+# Absolute medians against the committed file are a record of host
+# drift, not a gate: on a shared 2-vCPU host an unchanged tree read
+# 12-13 kernel rows at 1.3-2.5x their committed values. The gate is the
+# paired compare: the kernel rows of the commit that last re-baselined
+# BENCH_kernel.json and of this tree, run alternately in this session:
+# over ten pairs, the median of each gated row's per-pair ratio at most
+# 1.25, and no gated row gone (scripts/ab.sh; one release build of that
+# commit and twenty microbench runs, about two to three minutes).
+cargo run --release -p eps-bench --bin bench_compare -- \
+    BENCH_kernel.json target/bench/BENCH_kernel.json
+scripts/ab.sh
 echo "== tier-1: net_load (reactor saturation at 1000 dispatchers) =="
 # One stage at the committed baseline rate: the full sweep is for
 # finding the saturation knee offline; CI re-measures the knee stage
@@ -464,9 +453,12 @@ cargo test --offline --manifest-path benchmark/Cargo.toml -q
 echo "== tier-1: docs build =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "== tier-1: clippy (warnings are errors) =="
+echo "== tier-1: clippy (warnings are errors, debug and release profiles) =="
+# The two profiles compile different code: fields and checks under
+# cfg(debug_assertions) exist only in the first.
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets --release -- -D warnings
 else
     echo "clippy not installed; skipping lint pass"
 fi
