@@ -30,8 +30,8 @@ use eps_gossip::{
     codec, Algorithm, Envelope, GossipConfig, GossipMessage, LostBuffer, SummaryMode, SummaryState,
 };
 use eps_harness::{
-    build_population, gossip_phase, run_scenario, NodeCtx, Outgoing, Population, ScenarioConfig,
-    SimNode, Timer,
+    build_population, gossip_phase, run_scenario, NodeCtx, Population, ScenarioConfig, SimNode,
+    Timer,
 };
 use eps_metrics::{DeliveryTracker, MessageCounters};
 use eps_net::frame::{frame, FrameReader};
@@ -753,11 +753,11 @@ fn route_book_hit() -> BenchResult {
 }
 
 /// A tree event hop on a warmed Figure 2 population: ns per
-/// `SimNode::handle` of an event arriving down the dispatching tree —
+/// `SimNode::handle_into` of a tree event into a reused outbox —
 /// the most common node event of `sim_fig2` — for push and for the
 /// route-recording combined pull. Lossless floods are driven hop by
 /// hop, 2000 publishes to warm caches and seen-sets first, then 200
-/// per sample; only the `handle` calls are timed. Advisory in
+/// per sample; only the `handle_into` calls are timed. Advisory in
 /// `scripts/tier1.sh`: a whole hop includes map growth.
 fn node_event_hop() -> Vec<BenchResult> {
     const WARM: usize = 2_000;
@@ -927,11 +927,12 @@ impl HopDriver {
     }
 
     /// Publishes `publishes` events round-robin over the population and
-    /// floods each to quiescence. Returns the `handle` calls made and
-    /// the nanoseconds they took.
+    /// floods each to quiescence. Returns the `handle_into` calls made
+    /// and the nanoseconds they took.
     fn flood(&mut self, publishes: usize) -> (u64, u64) {
         let (mut handled, mut ns) = (0, 0);
         let mut queue: VecDeque<(NodeId, NodeId, Envelope)> = VecDeque::new();
+        let mut outbox = Vec::new();
         for _ in 0..publishes {
             let publisher = NodeId::new((self.published % self.pop.nodes.len()) as u32);
             self.published += 1;
@@ -940,10 +941,10 @@ impl HopDriver {
             queue.extend(out.into_iter().map(|o| (o.to, publisher, o.env)));
             while let Some((to, from, env)) = queue.pop_front() {
                 let started = Instant::now();
-                let out: Vec<Outgoing> = self.call(to, |node, ctx| node.handle(from, env, ctx));
+                self.call(to, |n, ctx| n.handle_into(from, env, ctx, &mut outbox));
                 ns += started.elapsed().as_nanos() as u64;
                 handled += 1;
-                queue.extend(out.into_iter().map(|o| (o.to, to, o.env)));
+                queue.extend(outbox.drain(..).map(|o| (o.to, to, o.env)));
             }
         }
         (handled, ns)
@@ -1000,7 +1001,8 @@ fn gossip_node() -> Dispatcher {
 /// One gossip round per recovery strategy, on the
 /// steady-state workload a loaded dispatcher sees: a warm cache for
 /// the positive digests, a replenished `Lost` buffer for the negative
-/// ones. Iterates over `Algorithm::all`, so a new table row is
+/// ones, each round appended to one buffer and cleared, as a runner's
+/// outbox is. Iterates over `Algorithm::all`, so a new table row is
 /// picked up without touching this file.
 fn gossip_rounds() -> Vec<BenchResult> {
     const ROUNDS: u64 = 1_000;
@@ -1017,7 +1019,7 @@ fn gossip_rounds() -> Vec<BenchResult> {
         .into_iter()
         .map(|algo| {
             let mut strategy = algo.build(eps_gossip::GossipConfig::default());
-            let mut sink = 0usize;
+            let (mut sink, mut out) = (0usize, Vec::new());
             let result = bench(
                 &format!("gossip_round/{}", algo.name()),
                 2,
@@ -1027,7 +1029,8 @@ fn gossip_rounds() -> Vec<BenchResult> {
                     let mut rng = Rng::from_seed(7);
                     for _ in 0..ROUNDS {
                         strategy.on_losses(&losses);
-                        sink += strategy.on_round(&node, &neighbors, &mut rng).len();
+                        strategy.on_round(&node, &neighbors, &mut rng, &mut out);
+                        sink += out.drain(..).count();
                     }
                 },
             );
@@ -1059,11 +1062,12 @@ fn gossip_round_idle() -> BenchResult {
     assert_eq!(node.table().len(), KNOWN);
     let neighbors: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
     let mut strategy = Algorithm::push().build(GossipConfig::default());
-    let mut emitted = 0usize;
+    let (mut emitted, mut out) = (0usize, Vec::new());
     let result = bench("gossip_round_idle/push/pi8192", 2, 15, ROUNDS, || {
         let mut rng = Rng::from_seed(7);
         for _ in 0..ROUNDS {
-            emitted += strategy.on_round(&node, &neighbors, &mut rng).len();
+            strategy.on_round(&node, &neighbors, &mut rng, &mut out);
+            emitted += out.drain(..).count();
         }
     });
     assert_eq!(emitted, 0, "an empty cache has nothing to announce");

@@ -23,8 +23,8 @@ use crate::summary::{SummaryMode, SummaryState};
 
 /// One dispatcher's recovery strategy, built by
 /// [`crate::Algorithm::build`]: reacts to gossip rounds, loss
-/// detections, and incoming gossip traffic with the [`Outgoing`]
-/// messages it wants sent.
+/// detections, and incoming gossip traffic by appending the
+/// [`Outgoing`] messages it wants sent to the caller's `out`.
 ///
 /// A strategy never mutates the dispatcher: recovered events are
 /// applied by the harness through [`Dispatcher::on_recovered_event`],
@@ -74,7 +74,8 @@ impl Strategy {
         node: &Dispatcher,
         neighbors: &[NodeId],
         rng: &mut Rng,
-    ) -> Vec<Outgoing> {
+        out: &mut Vec<Outgoing>,
+    ) {
         let turn = self.pace.advance(node.table(), rng);
         let config = &self.config;
         let digest = match &mut self.state {
@@ -92,11 +93,9 @@ impl Strategy {
                 .pattern(node.table())
                 .and_then(|pattern| summary.digest(node, pattern)),
         };
-        let mut out = Vec::new();
         if let Some(msg) = digest {
-            send(msg, node, None, neighbors, config.p_forward, rng, &mut out);
+            send(msg, node, None, neighbors, config.p_forward, rng, out);
         }
-        out
     }
 
     /// Runs a round that sends nothing — one a [`Lookahead`] stepped
@@ -111,7 +110,8 @@ impl Strategy {
         self.pace.advance(node.table(), rng);
         #[cfg(debug_assertions)]
         {
-            let sent = twin.on_round(node, neighbors, &mut twin_rng);
+            let mut sent = Vec::new();
+            twin.on_round(node, neighbors, &mut twin_rng, &mut sent);
             assert!(sent.is_empty(), "a silent round sent {sent:?}");
             assert_eq!(
                 (twin_rng, twin.pace),
@@ -133,8 +133,8 @@ impl Strategy {
         msg: GossipMessage,
         neighbors: &[NodeId],
         rng: &mut Rng,
-    ) -> Vec<Outgoing> {
-        let mut out = Vec::new();
+        out: &mut Vec<Outgoing>,
+    ) {
         let onward = match (&mut self.state, msg) {
             (
                 State::Push(push) | State::PushPull { push, .. },
@@ -146,7 +146,7 @@ impl Strategy {
             ) => {
                 // Subscribed? Compare the digest with what we have seen.
                 if gossiper != node.id() && node.table().has_local(pattern) {
-                    push.request_unseen(node, gossiper, ids.iter().copied(), &mut out);
+                    push.request_unseen(node, gossiper, ids.iter().copied(), out);
                 }
                 // A positive digest keeps propagating unchanged.
                 Some(GossipMessage::PushDigest {
@@ -168,7 +168,7 @@ impl Strategy {
                 },
             ) => {
                 let found = serve_from_cache(node, &mut lost);
-                reply(gossiper, found, &mut out);
+                reply(gossiper, found, out);
                 // A dispatcher holding everything short-circuits the
                 // propagation.
                 (!lost.is_empty()).then_some(GossipMessage::PullDigest {
@@ -190,7 +190,7 @@ impl Strategy {
                 },
             ) => {
                 let found = serve_from_cache(node, &mut lost);
-                reply(gossiper, found, &mut out);
+                reply(gossiper, found, out);
                 (!lost.is_empty()).then_some(GossipMessage::SourcePull {
                     gossiper,
                     source,
@@ -210,7 +210,7 @@ impl Strategy {
                 },
             ) => {
                 let found = serve_from_cache(node, &mut lost);
-                reply(gossiper, found, &mut out);
+                reply(gossiper, found, out);
                 // The unserved remainder walks on while the hop budget
                 // lasts.
                 (!lost.is_empty() && ttl > 1).then(|| GossipMessage::RandomPull {
@@ -228,8 +228,9 @@ impl Strategy {
                     details,
                 },
             ) => {
-                summary.absorb(node, gossiper, pattern, &ranges, &details, &mut out);
-                if !out.is_empty() {
+                let sent = out.len();
+                summary.absorb(node, gossiper, pattern, &ranges, &details, out);
+                if out.len() > sent {
                     // Reconciliation in progress counts as activity for
                     // the adaptive-gossip idle signal.
                     self.pace.note_activity();
@@ -247,9 +248,8 @@ impl Strategy {
         };
         if let Some(msg) = onward {
             let p_forward = self.config.p_forward;
-            send(msg, node, Some(from), neighbors, p_forward, rng, &mut out);
+            send(msg, node, Some(from), neighbors, p_forward, rng, out);
         }
-        out
     }
 
     /// The dispatcher's loss detector found gaps (pull strategies
@@ -291,18 +291,17 @@ impl Strategy {
         node: &Dispatcher,
         from: NodeId,
         ids: &[EventId],
-    ) -> Vec<Outgoing> {
+        out: &mut Vec<Outgoing>,
+    ) {
         if !node.cache().indexes().ids {
-            return Vec::new();
+            return;
         }
         self.pace.note_activity();
         let events = ids
             .iter()
             .filter_map(|&id| node.cache().get(id).cloned())
             .collect();
-        let mut out = Vec::new();
-        reply(from, events, &mut out);
-        out
+        reply(from, events, out);
     }
 
     /// An out-of-band [`crate::Envelope::RangeRequest`] arrived: a
@@ -486,8 +485,9 @@ mod tests {
     fn no_recovery_does_nothing() {
         let mut algo = Algorithm::no_recovery().build(GossipConfig::default());
         let node = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
-        let mut rng = RngFactory::new(1).stream("gossip");
-        assert!(algo.on_round(&node, &[], &mut rng).is_empty());
+        let (mut rng, mut out) = (RngFactory::new(1).stream("gossip"), Vec::new());
+        algo.on_round(&node, &[], &mut rng, &mut out);
+        assert!(out.is_empty());
         assert!(algo.is_idle());
         assert_eq!(algo.lost_evictions(), 0);
     }
@@ -500,7 +500,8 @@ mod tests {
         let missing = EventId::new(NodeId::new(5), 99);
         for kind in Algorithm::all() {
             let mut algo = kind.build(GossipConfig::default());
-            let out = algo.on_request(&node, NodeId::new(9), &[event.id(), missing]);
+            let mut out = Vec::new();
+            algo.on_request(&node, NodeId::new(9), &[event.id(), missing], &mut out);
             assert_eq!(
                 out,
                 [Outgoing {
@@ -510,9 +511,9 @@ mod tests {
                 "{kind}"
             );
             // A request for nothing we hold produces no reply at all.
-            assert!(algo
-                .on_request(&node, NodeId::new(9), &[missing])
-                .is_empty());
+            out.clear();
+            algo.on_request(&node, NodeId::new(9), &[missing], &mut out);
+            assert!(out.is_empty());
         }
     }
 
@@ -575,9 +576,10 @@ mod tests {
                 strategy.on_losses(&losses);
                 let mut ahead = strategy.lookahead(&node, &neighbors, &rng);
                 let (mut twin, mut twin_rng) = (strategy.clone(), rng.clone());
+                let mut sent = Vec::new();
                 for _ in 0..5_000 {
                     let step = ahead.step();
-                    let sent = twin.on_round(&node, &neighbors, &mut twin_rng);
+                    twin.on_round(&node, &neighbors, &mut twin_rng, &mut sent);
                     match step {
                         Round::Silent => {
                             assert!(sent.is_empty(), "{kind}");
@@ -592,14 +594,14 @@ mod tests {
                         Round::Never => {
                             assert!(sent.is_empty(), "{kind}");
                             for _ in 0..100 {
-                                let sent = twin.on_round(&node, &neighbors, &mut twin_rng);
+                                twin.on_round(&node, &neighbors, &mut twin_rng, &mut sent);
                                 assert!(sent.is_empty(), "{kind}");
                             }
                             break;
                         }
                     }
                 }
-                strategy.on_round(&node, &neighbors, &mut rng);
+                strategy.on_round(&node, &neighbors, &mut rng, &mut Vec::new());
             }
         }
         assert!(silent > 1_000, "only {silent} silent rounds");
@@ -612,7 +614,7 @@ mod tests {
         let mut rng = RngFactory::new(1).stream("gossip");
         assert!(!algo.is_idle());
         for _ in 0..3 {
-            algo.on_round(&node, &[], &mut rng);
+            algo.on_round(&node, &[], &mut rng, &mut Vec::new());
         }
         assert!(algo.is_idle());
         // The request itself is activity; the refinement it queues
@@ -620,7 +622,7 @@ mod tests {
         algo.on_range_request(PatternId::new(1), &[RangeRef::ROOT]);
         for _ in 0..4 {
             assert!(!algo.is_idle());
-            algo.on_round(&node, &[], &mut rng);
+            algo.on_round(&node, &[], &mut rng, &mut Vec::new());
         }
         assert!(!algo.is_idle(), "queued work keeps the strategy busy");
     }

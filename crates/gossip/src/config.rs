@@ -61,27 +61,19 @@ impl Default for GossipConfig {
 }
 
 impl GossipConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if probabilities are outside `[0, 1]` or the `Lost`
-    /// capacity is set to zero.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.p_forward),
-            "p_forward out of range: {}",
-            self.p_forward
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.p_source),
-            "p_source out of range: {}",
-            self.p_source
-        );
-        assert!(
-            self.lost_capacity != Some(0),
-            "lost_capacity must be positive when set"
-        );
+    /// Checks the configuration: `Err` describes a probability outside
+    /// `[0, 1]` or a `Lost` capacity set to zero.
+    pub fn check(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.p_forward) {
+            return Err(format!("p_forward out of range: {}", self.p_forward));
+        }
+        if !(0.0..=1.0).contains(&self.p_source) {
+            return Err(format!("p_source out of range: {}", self.p_source));
+        }
+        if self.lost_capacity == Some(0) {
+            return Err("lost_capacity must be positive when set".to_owned());
+        }
+        Ok(())
     }
 
     /// The effective `Lost` buffer capacity: the configured bound, or
@@ -97,27 +89,25 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        GossipConfig::default().validate();
+        assert_eq!(GossipConfig::default().check(), Ok(()));
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "p_forward out of range: 1.5")]
     fn invalid_probability_panics() {
-        GossipConfig {
+        crate::Algorithm::push().build(GossipConfig {
             p_forward: 1.5,
             ..GossipConfig::default()
-        }
-        .validate();
+        });
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "lost_capacity must be positive when set")]
     fn zero_lost_capacity_panics() {
-        GossipConfig {
+        crate::Algorithm::push().build(GossipConfig {
             lost_capacity: Some(0),
             ..GossipConfig::default()
-        }
-        .validate();
+        });
     }
 
     #[test]

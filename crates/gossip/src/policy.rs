@@ -454,6 +454,33 @@ mod tests {
     use eps_pubsub::DispatcherConfig;
     use eps_sim::RngFactory;
 
+    /// One round of `strategy`, into a vector of its own.
+    fn round(
+        strategy: &mut crate::Strategy,
+        node: &Dispatcher,
+        neighbors: &[NodeId],
+        rng: &mut Rng,
+    ) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        strategy.on_round(node, neighbors, rng, &mut out);
+        out
+    }
+
+    /// `strategy`'s reaction to `msg` from `from`, into a vector of its
+    /// own.
+    fn receive(
+        strategy: &mut crate::Strategy,
+        node: &Dispatcher,
+        from: NodeId,
+        msg: GossipMessage,
+        neighbors: &[NodeId],
+        rng: &mut Rng,
+    ) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        strategy.on_gossip(node, from, msg, neighbors, rng, &mut out);
+        out
+    }
+
     fn cfg() -> GossipConfig {
         GossipConfig {
             p_forward: 1.0,
@@ -578,8 +605,8 @@ mod tests {
         let (event, _) = node.publish(&[p], &mut Vec::new());
         let mut push = Algorithm::push().build(cfg());
         let mut rng = RngFactory::new(1).stream("gossip");
-        let round = push.on_round(&node, &[], &mut rng);
-        match gossip(&round)[..] {
+        let announced = round(&mut push, &node, &[], &mut rng);
+        match gossip(&announced)[..] {
             [(to, GossipMessage::PushDigest { ids, .. })] => {
                 assert_eq!(to, NodeId::new(2));
                 assert_eq!(**ids, vec![event.id()]);
@@ -594,7 +621,14 @@ mod tests {
             pattern: p,
             ids: Arc::new(vec![unseen]),
         };
-        let out = push.on_gossip(&node, NodeId::new(5), digest.clone(), &[], &mut rng);
+        let out = receive(
+            &mut push,
+            &node,
+            NodeId::new(5),
+            digest.clone(),
+            &[],
+            &mut rng,
+        );
         assert_eq!(
             out[0],
             Outgoing {
@@ -604,7 +638,7 @@ mod tests {
         );
         assert_eq!(gossip(&out), [(NodeId::new(2), &digest)]);
         // The same id is not requested twice while in flight.
-        let again = push.on_gossip(&node, NodeId::new(5), digest, &[], &mut rng);
+        let again = receive(&mut push, &node, NodeId::new(5), digest, &[], &mut rng);
         assert!(!again.iter().any(|o| matches!(o.env, Envelope::Request(_))));
     }
 
@@ -615,12 +649,12 @@ mod tests {
         let mut rng = RngFactory::new(1).stream("gossip");
         assert!(!push.is_idle());
         for _ in 0..3 {
-            push.on_round(&node, &[], &mut rng);
+            round(&mut push, &node, &[], &mut rng);
         }
         assert!(push.is_idle());
-        push.on_request(&node, NodeId::new(3), &[]);
+        push.on_request(&node, NodeId::new(3), &[], &mut Vec::new());
         assert!(!push.is_idle());
-        push.on_round(&node, &[], &mut rng);
+        round(&mut push, &node, &[], &mut rng);
         assert!(!push.is_idle(), "a request resets the streak");
     }
 
@@ -637,7 +671,8 @@ mod tests {
             lost,
         };
         let mut rng = RngFactory::new(1).stream("gossip");
-        let out = pull.on_gossip(
+        let out = receive(
+            &mut pull,
             &node,
             NodeId::new(9),
             digest(vec![record(0, 1, 4), record(0, 1, 9)]),
@@ -654,7 +689,8 @@ mod tests {
         );
         // A dispatcher holding everything short-circuits the
         // propagation.
-        let out = pull.on_gossip(
+        let out = receive(
+            &mut pull,
             &node,
             NodeId::new(9),
             digest(vec![record(0, 1, 4)]),
@@ -680,7 +716,7 @@ mod tests {
         }
         let mut rng = RngFactory::new(1).stream("gossip");
         let mut carried = |pull: &mut crate::Strategy| -> Vec<u64> {
-            match gossip(&pull.on_round(&node, &[], &mut rng))[..] {
+            match gossip(&round(pull, &node, &[], &mut rng))[..] {
                 [(_, GossipMessage::PullDigest { lost, .. })] => {
                     lost.iter().map(|r| r.seq).collect()
                 }
@@ -719,15 +755,15 @@ mod tests {
         let mut hybrid = Algorithm::push_pull().build(cfg());
         hybrid.on_losses(&[record(7, 2, 0)]);
         let mut rng = RngFactory::new(1).stream("gossip");
-        for round in 0..4 {
-            let out = hybrid.on_round(&node, &[], &mut rng);
+        for k in 0..4 {
+            let out = round(&mut hybrid, &node, &[], &mut rng);
             match gossip(&out)[..] {
-                [(_, GossipMessage::PushDigest { .. })] => assert_eq!(round % 2, 0),
+                [(_, GossipMessage::PushDigest { .. })] => assert_eq!(k % 2, 0),
                 [(_, GossipMessage::PullDigest { pattern, .. })] => {
-                    assert_eq!(round % 2, 1);
+                    assert_eq!(k % 2, 1);
                     assert_eq!(*pattern, PatternId::new(2));
                 }
-                ref other => panic!("round {round}: unexpected {other:?}"),
+                ref other => panic!("round {k}: unexpected {other:?}"),
             }
         }
     }
@@ -738,14 +774,14 @@ mod tests {
         let mut pull = Algorithm::subscriber_pull().build(cfg());
         let mut rng = RngFactory::new(1).stream("gossip");
         assert!(
-            pull.on_round(&node, &[], &mut rng).is_empty(),
+            round(&mut pull, &node, &[], &mut rng).is_empty(),
             "nothing lost, no round"
         );
         let p = PatternId::new(1);
         node.subscribe_local(p, &[]);
         node.on_subscribe(p, NodeId::new(2), &[]);
         pull.on_losses(&[record(7, 1, 0)]);
-        let out = pull.on_round(&node, &[], &mut rng);
+        let out = round(&mut pull, &node, &[], &mut rng);
         assert!(
             matches!(
                 gossip(&out)[..],
@@ -761,7 +797,7 @@ mod tests {
         let mut pull = Algorithm::publisher_pull().build(cfg());
         pull.on_losses(&[record(0, 1, 5)]);
         let mut rng = RngFactory::new(1).stream("gossip");
-        let out = pull.on_round(&node, &[], &mut rng);
+        let out = round(&mut pull, &node, &[], &mut rng);
         match gossip(&out)[..] {
             [(to, GossipMessage::SourcePull { source, route, .. })] => {
                 assert_eq!(to, NodeId::new(3), "first hop back towards the source");
@@ -778,7 +814,7 @@ mod tests {
         let mut pull = Algorithm::publisher_pull().build(cfg());
         pull.on_losses(&[record(7, 1, 0)]);
         let mut rng = RngFactory::new(1).stream("gossip");
-        assert!(pull.on_round(&node, &[], &mut rng).is_empty());
+        assert!(round(&mut pull, &node, &[], &mut rng).is_empty());
         // The entry stays outstanding for later (e.g. combined pull).
         assert_eq!(pull.outstanding_losses(), 1);
     }
@@ -840,22 +876,22 @@ mod tests {
         let mut reference = rng.clone();
         for _ in 0..MAX_ATTEMPTS {
             assert_eq!(
-                label(push.on_round(&node, &[], &mut rng)),
+                label(round(&mut push, &node, &[], &mut rng)),
                 reference.choose(&known).map(|p| p.value() as u32)
             );
             assert_eq!(
-                label(subscriber.on_round(&node, &[], &mut rng)),
+                label(round(&mut subscriber, &node, &[], &mut rng)),
                 reference.choose(&lost).map(|p| p.value() as u32)
             );
             assert_eq!(
-                label(publisher.on_round(&node, &[], &mut rng)),
+                label(round(&mut publisher, &node, &[], &mut rng)),
                 reference.choose(&routable).map(|s| s.index() as u32)
             );
         }
         // No candidates, no draw.
         let empty = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
-        assert_eq!(label(push.on_round(&empty, &[], &mut rng)), None);
-        assert_eq!(label(publisher.on_round(&empty, &[], &mut rng)), None);
+        assert_eq!(label(round(&mut push, &empty, &[], &mut rng)), None);
+        assert_eq!(label(round(&mut publisher, &empty, &[], &mut rng)), None);
         assert_eq!(rng, reference);
     }
 
@@ -865,13 +901,13 @@ mod tests {
         let mut random = Algorithm::random_pull().build(cfg());
         let mut rng = RngFactory::new(1).stream("gossip");
         let nbrs = [NodeId::new(1), NodeId::new(2)];
-        assert!(random.on_round(&node, &nbrs, &mut rng).is_empty());
+        assert!(round(&mut random, &node, &nbrs, &mut rng).is_empty());
         random.on_losses(&[record(1, 1, 0)]);
         assert!(
-            random.on_round(&node, &[], &mut rng).is_empty(),
+            round(&mut random, &node, &[], &mut rng).is_empty(),
             "no neighbors, no round"
         );
-        let out = random.on_round(&node, &nbrs, &mut rng);
+        let out = round(&mut random, &node, &nbrs, &mut rng);
         assert_eq!(out.len(), 2);
         for o in &out {
             assert!(matches!(
@@ -886,7 +922,7 @@ mod tests {
             lost: vec![record(3, 1, 0)],
             ttl,
         };
-        let out = random.on_gossip(&node, NodeId::new(2), walk(4), &nbrs, &mut rng);
+        let out = receive(&mut random, &node, NodeId::new(2), walk(4), &nbrs, &mut rng);
         assert_eq!(
             out,
             [Outgoing {
@@ -894,7 +930,7 @@ mod tests {
                 env: Envelope::Gossip(walk(3)),
             }]
         );
-        let out = random.on_gossip(&node, NodeId::new(2), walk(1), &nbrs, &mut rng);
+        let out = receive(&mut random, &node, NodeId::new(2), walk(1), &nbrs, &mut rng);
         assert!(out.is_empty(), "ttl=1 must not forward further");
     }
 
@@ -910,7 +946,7 @@ mod tests {
         let (mut saw_pull, mut saw_source) = (false, false);
         for seq in 0..200u64 {
             combined.on_losses(&[record(0, 1, seq + 1)]);
-            for (_, msg) in gossip(&combined.on_round(&node, &[], &mut rng)) {
+            for (_, msg) in gossip(&round(&mut combined, &node, &[], &mut rng)) {
                 match msg {
                     GossipMessage::PullDigest { .. } => saw_pull = true,
                     GossipMessage::SourcePull { .. } => saw_source = true,
@@ -935,7 +971,7 @@ mod tests {
         let mut combined = Algorithm::combined_pull().build(config);
         combined.on_losses(&[record(0, 1, 5)]);
         let mut rng = RngFactory::new(9).stream("gossip");
-        let out = combined.on_round(&node, &[], &mut rng);
+        let out = round(&mut combined, &node, &[], &mut rng);
         assert!(
             matches!(gossip(&out)[..], [(_, GossipMessage::PullDigest { .. })]),
             "expected subscriber fallback, got {out:?}"
@@ -948,7 +984,7 @@ mod tests {
         let mut combined = Algorithm::combined_pull().build(cfg());
         let mut rng = RngFactory::new(9).stream("gossip");
         let before = rng.clone();
-        assert!(combined.on_round(&node, &[], &mut rng).is_empty());
+        assert!(round(&mut combined, &node, &[], &mut rng).is_empty());
         assert_eq!(rng, before, "no work, no coin draw");
     }
 }

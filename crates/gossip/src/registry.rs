@@ -208,9 +208,9 @@ impl Algorithm {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`GossipConfig::validate`].
+    /// Panics if `config` fails [`GossipConfig::check`].
     pub fn build(self, config: GossipConfig) -> Strategy {
-        config.validate();
+        config.check().unwrap_or_else(|message| panic!("{message}"));
         let lost = || LostBuffer::with_capacity(MAX_ATTEMPTS, config.resolved_lost_capacity());
         let (schedule, state) = match self.0.variant {
             Variant::NoRecovery => (Schedule::Pull, State::NoRecovery),

@@ -66,7 +66,8 @@ fn losses_reconcile_for_every_algorithm() {
         }
         assert_eq!(algo.outstanding_losses(), 0, "{kind}");
         let node = dispatcher_for(kind, 9);
-        let actions = algo.on_round(&node, &[NodeId::new(1)], rng);
+        let mut actions = Vec::new();
+        algo.on_round(&node, &[NodeId::new(1)], rng, &mut actions);
         assert!(actions.is_empty(), "{kind}: unexpected {actions:?}");
     });
 }
@@ -159,7 +160,8 @@ fn foreign_wire_forms_are_dropped_without_a_draw() {
             let mut algo = kind.build(GossipConfig::default());
             let mut rng = Rng::from_seed(5);
             let before = rng.clone();
-            let out = algo.on_gossip(&node, NodeId::new(1), msg, &neighbors, &mut rng);
+            let mut out = Vec::new();
+            algo.on_gossip(&node, NodeId::new(1), msg, &neighbors, &mut rng, &mut out);
             if native_forms(kind).contains(&form) {
                 assert!(!out.is_empty(), "{kind} ignored its own {form} form");
             } else {
@@ -197,7 +199,8 @@ fn actions_are_well_formed() {
         lost.dedup();
         algo.on_losses(&lost);
         let neighbors = [NodeId::new(1), NodeId::new(3)];
-        let mut actions = algo.on_round(&node, &neighbors, rng);
+        let mut actions = Vec::new();
+        algo.on_round(&node, &neighbors, rng, &mut actions);
         // Also exercise the digest-handling path with a foreign pull
         // digest covering the cached range.
         let digest = GossipMessage::PullDigest {
@@ -205,7 +208,7 @@ fn actions_are_well_formed() {
             pattern: p,
             lost: (0..30).map(|seq| record(0, 1, seq)).collect(),
         };
-        actions.extend(algo.on_gossip(&node, NodeId::new(1), digest, &neighbors, rng));
+        algo.on_gossip(&node, NodeId::new(1), digest, &neighbors, rng, &mut actions);
         for out in &actions {
             if let Envelope::Reply(events) = &out.env {
                 for e in events {

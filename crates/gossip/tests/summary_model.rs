@@ -95,7 +95,9 @@ fn apply(src: &mut Peer, dst: &mut Peer, out: Vec<Outgoing>, rng: &mut Rng) -> u
         assert_eq!(to, dst.node.id(), "two-node world");
         match env {
             Envelope::Gossip(msg) => {
-                let reactions = dst.algo.on_gossip(&dst.node, from, msg, &[from], rng);
+                let mut reactions = Vec::new();
+                dst.algo
+                    .on_gossip(&dst.node, from, msg, &[from], rng, &mut reactions);
                 work += apply(dst, src, reactions, rng);
             }
             Envelope::RangeRequest { pattern, ranges } => {
@@ -103,7 +105,8 @@ fn apply(src: &mut Peer, dst: &mut Peer, out: Vec<Outgoing>, rng: &mut Rng) -> u
                 work += 1;
             }
             Envelope::Request(ids) => {
-                let replies = dst.algo.on_request(&dst.node, from, &ids);
+                let mut replies = Vec::new();
+                dst.algo.on_request(&dst.node, from, &ids, &mut replies);
                 work += 1 + apply(dst, src, replies, rng);
             }
             Envelope::Reply(events) => {
@@ -117,6 +120,13 @@ fn apply(src: &mut Peer, dst: &mut Peer, out: Vec<Outgoing>, rng: &mut Rng) -> u
         }
     }
     work
+}
+
+/// One gossip round of `peer`, whose one neighbor is `other`.
+fn round_of(peer: &mut Peer, other: NodeId, rng: &mut Rng) -> Vec<Outgoing> {
+    let mut out = Vec::new();
+    peer.algo.on_round(&peer.node, &[other], rng, &mut out);
+    out
 }
 
 /// The predicted convergence bound for symmetric two-node summary
@@ -134,9 +144,9 @@ fn round_bound(delta: usize, digest_max: usize) -> usize {
 /// `None` if `max_rounds` was not enough.
 fn reconcile(a: &mut Peer, b: &mut Peer, rng: &mut Rng, max_rounds: usize) -> Option<usize> {
     for round in 1..=max_rounds {
-        let opening = a.algo.on_round(&a.node, &[b.node.id()], rng);
+        let opening = round_of(a, b.node.id(), rng);
         let mut work = apply(a, b, opening, rng);
-        let reply_round = b.algo.on_round(&b.node, &[a.node.id()], rng);
+        let reply_round = round_of(b, a.node.id(), rng);
         work += apply(b, a, reply_round, rng);
         if work == 0 && live_ids(&a.node) == live_ids(&b.node) {
             return Some(round);
@@ -218,9 +228,9 @@ fn eviction_churn_leaves_no_unseen_deficits() {
         // bound and check coverage rather than quiescence.
         let bound = round_bound(128, DIGEST_MAX);
         for _ in 0..bound {
-            let opening = a.algo.on_round(&a.node, &[b.node.id()], rng);
+            let opening = round_of(&mut a, b.node.id(), rng);
             apply(&mut a, &mut b, opening, rng);
-            let reply_round = b.algo.on_round(&b.node, &[a.node.id()], rng);
+            let reply_round = round_of(&mut b, a.node.id(), rng);
             apply(&mut b, &mut a, reply_round, rng);
         }
 
@@ -265,9 +275,9 @@ fn pull_goes_quiet_once_evicted_surplus_is_seen() {
 
     let mut rng = Rng::from_seed(31);
     for round in 0..12 {
-        let opening = a.algo.on_round(&a.node, &[b.node.id()], &mut rng);
+        let opening = round_of(&mut a, b.node.id(), &mut rng);
         let work = apply(&mut a, &mut b, opening, &mut rng);
-        let reply_round = b.algo.on_round(&b.node, &[a.node.id()], &mut rng);
+        let reply_round = round_of(&mut b, a.node.id(), &mut rng);
         let reply_work = apply(&mut b, &mut a, reply_round, &mut rng);
         assert_eq!(
             work + reply_work,

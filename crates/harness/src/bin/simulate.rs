@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use eps_gossip::Algorithm;
 use eps_harness::parallel::{default_jobs, par_map};
-use eps_harness::{run_scenario_with_stats, AdaptiveGossip, ScenarioConfig};
+use eps_harness::{run_scenario_with_stats, ScenarioConfig};
 use eps_sim::SimTime;
 
 fn main() -> ExitCode {
@@ -76,25 +76,15 @@ fn main() -> ExitCode {
     if algorithms.is_empty() {
         algorithms.push(Algorithm::combined_pull());
     }
-    if adaptive {
-        // Built after the loop so the back-off brackets the interval
-        // the run uses, wherever `--gossip-interval` stood.
-        config.adaptive_gossip = Some(AdaptiveGossip::around(config.gossip_interval));
-    }
-    // Short runs: shrink the default measurement margins so the
-    // window stays non-empty.
-    if config.warmup + config.cooldown >= config.duration {
-        config.warmup = config.duration.mul_f64(0.125);
-        config.cooldown = config.duration.mul_f64(0.25);
+    if let Err(err) = config.finish_flags(adaptive) {
+        eprintln!("error: {err}");
+        print_usage();
+        return ExitCode::FAILURE;
     }
 
     let configs: Vec<ScenarioConfig> = algorithms
         .iter()
-        .map(|kind| {
-            let config = config.with_algorithm(*kind);
-            config.validate();
-            config
-        })
+        .map(|kind| config.with_algorithm(*kind))
         .collect();
     let started = std::time::Instant::now();
     let worker_count = jobs.unwrap_or_else(default_jobs).max(1);

@@ -13,6 +13,15 @@ pub const REPAIR_DELAY: SimTime = SimTime::from_millis(100);
 /// Bin width of the delivery-rate time series.
 pub const SERIES_BIN: SimTime = SimTime::from_millis(100);
 
+/// `Err` with the formatted message unless `ok`.
+macro_rules! ensure {
+    ($ok:expr, $($message:tt)+) => {
+        if !$ok {
+            return Err(format!($($message)+));
+        }
+    };
+}
+
 /// Maximum patterns matched by one event (3 in the paper, footnote 5):
 /// an event's content is this many uniform draws, deduplicated.
 pub const MAX_PATTERNS_PER_EVENT: usize = 3;
@@ -41,24 +50,6 @@ impl AdaptiveGossip {
             max_interval: t.saturating_mul(8),
             backoff: 2.0,
         }
-    }
-
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive intervals, an inverted range, or a
-    /// backoff not greater than 1.
-    pub fn validate(&self) {
-        assert!(
-            self.min_interval > SimTime::ZERO,
-            "min interval must be positive"
-        );
-        assert!(
-            self.max_interval >= self.min_interval,
-            "max interval below min"
-        );
-        assert!(self.backoff > 1.0, "backoff must exceed 1");
     }
 }
 
@@ -186,15 +177,12 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// Checks internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the first violated constraint.
-    pub fn validate(&self) {
-        assert!(self.nodes > 0, "need at least one dispatcher");
-        assert!(self.max_degree >= 2, "degree bound must be at least 2");
-        assert!(
+    /// Checks internal consistency: the first violated constraint, if
+    /// any, described.
+    pub fn check(&self) -> Result<(), String> {
+        ensure!(self.nodes > 0, "need at least one dispatcher");
+        ensure!(self.max_degree >= 2, "degree bound must be at least 2");
+        ensure!(
             self.max_degree <= MAX_NEIGHBORS,
             "max_degree {} is above MAX_NEIGHBORS = {MAX_NEIGHBORS}: a routing-table row is one \
              u64, the local flag and a bit per neighbor",
@@ -202,72 +190,97 @@ impl ScenarioConfig {
         );
         match self.overlay {
             OverlayKind::Tree => {}
-            OverlayKind::BarabasiAlbert => assert!(
+            OverlayKind::BarabasiAlbert => ensure!(
                 self.max_degree >= 2 * BA_ATTACHMENTS,
                 "a Barabási–Albert overlay needs max_degree >= {}",
                 2 * BA_ATTACHMENTS
             ),
             OverlayKind::WattsStrogatz => {
-                assert!(self.nodes >= 5, "a Watts–Strogatz overlay needs >= 5 nodes");
-                assert!(
+                ensure!(self.nodes >= 5, "a Watts–Strogatz overlay needs >= 5 nodes");
+                ensure!(
                     self.max_degree >= 5,
                     "a Watts–Strogatz overlay needs max_degree >= 5"
                 );
             }
         }
-        assert!(self.pattern_universe > 0, "need a pattern universe");
-        assert!(
+        ensure!(self.pattern_universe > 0, "need a pattern universe");
+        ensure!(
             self.pi_max <= self.pattern_universe as usize,
             "pi_max cannot exceed the pattern universe"
         );
-        assert!(
+        ensure!(
             self.clients_per_node > 0,
             "each dispatcher needs at least one client"
         );
-        assert!(
+        ensure!(
             self.zipf_s >= 0.0 && self.zipf_s.is_finite(),
             "zipf exponent must be a finite non-negative number"
         );
-        assert!(
+        ensure!(
             self.publish_rate >= 0.0 && self.publish_rate.is_finite(),
             "publish rate must be a finite non-negative number"
         );
-        assert!(
+        ensure!(
             (0.0..=1.0).contains(&self.link_error_rate),
             "link error rate out of range"
         );
-        assert!(
+        ensure!(
             self.link_spec().propagation.min(self.out_of_band.latency) > SimTime::ZERO,
             "out_of_band.latency must be positive: a message arrives strictly after it \
              was sent, or same-instant key order could run an effect before its cause"
         );
-        assert!(
+        ensure!(
             self.gossip_interval > SimTime::ZERO,
             "gossip interval must be positive"
         );
-        assert!(self.duration > SimTime::ZERO, "duration must be positive");
-        assert!(
+        ensure!(self.duration > SimTime::ZERO, "duration must be positive");
+        ensure!(
             self.warmup + self.cooldown < self.duration,
             "measurement window is empty"
         );
-        assert!(self.event_payload_bits > 0, "events must have a size");
-        self.gossip.validate();
-        if let Some(adaptive) = &self.adaptive_gossip {
-            adaptive.validate();
+        ensure!(self.event_payload_bits > 0, "events must have a size");
+        self.gossip.check()?;
+        if let Some(a) = &self.adaptive_gossip {
+            ensure!(
+                SimTime::ZERO < a.min_interval
+                    && a.min_interval <= a.max_interval
+                    && a.backoff > 1.0,
+                "adaptive gossip needs 0 < min interval <= max interval and a backoff above 1"
+            );
         }
         if let Some(rho) = self.reconfig_interval {
-            assert!(
+            ensure!(
                 rho > SimTime::ZERO,
                 "reconfiguration interval must be positive"
             );
         }
         if let Some(churn) = self.churn_interval {
-            assert!(churn > SimTime::ZERO, "churn interval must be positive");
-            assert!(
+            ensure!(churn > SimTime::ZERO, "churn interval must be positive");
+            ensure!(
                 (self.pi_max as u16) < self.pattern_universe,
                 "churn needs a spare pattern to swap in"
             );
         }
+        Ok(())
+    }
+
+    /// [`ScenarioConfig::check`], panicking with its description.
+    pub fn validate(&self) {
+        self.check().unwrap_or_else(|message| panic!("{message}"));
+    }
+
+    /// What is left once a command line's flags are all read, in any
+    /// order: adaptive control around the final interval if `adaptive`,
+    /// a short run's margins (warm-up ⅛, cool-down ¼), then the check.
+    pub fn finish_flags(&mut self, adaptive: bool) -> Result<(), String> {
+        if adaptive {
+            self.adaptive_gossip = Some(AdaptiveGossip::around(self.gossip_interval));
+        }
+        if self.warmup + self.cooldown >= self.duration {
+            self.warmup = self.duration.mul_f64(0.125);
+            self.cooldown = self.duration.mul_f64(0.25);
+        }
+        self.check()
     }
 
     /// The overlay link model: the paper's 10 Mbit/s Ethernet-like
@@ -386,6 +399,39 @@ mod tests {
             ..ScenarioConfig::default()
         }
         .validate();
+    }
+
+    /// The adaptive bracket is built around the interval the flags
+    /// leave, and a short run keeps a non-empty measurement window.
+    #[test]
+    fn finished_flags_bracket_the_final_interval() {
+        let mut config = ScenarioConfig {
+            gossip_interval: SimTime::from_millis(100),
+            duration: SimTime::from_secs(2),
+            ..ScenarioConfig::default()
+        };
+        assert_eq!(config.finish_flags(true), Ok(()));
+        let adaptive = config.adaptive_gossip.expect("adaptive control");
+        assert_eq!(
+            (adaptive.min_interval, adaptive.max_interval),
+            (SimTime::from_millis(100), SimTime::from_millis(800))
+        );
+        assert_eq!(
+            (config.warmup, config.cooldown),
+            (SimTime::from_millis(250), SimTime::from_millis(500))
+        );
+    }
+
+    #[test]
+    fn a_check_describes_what_a_validate_panics_with() {
+        let config = ScenarioConfig {
+            nodes: 0,
+            ..ScenarioConfig::default()
+        };
+        assert_eq!(
+            config.check(),
+            Err("need at least one dispatcher".to_owned())
+        );
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! a narrow message-in/messages-out API.
 //!
 //! A [`SimNode`] never touches the network or the event queue: it
-//! consumes an [`Envelope`] (or a timer) and returns the [`Outgoing`]
-//! messages it wants sent, each built once, where it is decided.
-//! Routing, delay, loss, and the queue stay with the runner and its
-//! transport. Runner-held state a node needs while handling a message
+//! consumes an [`Envelope`] (or a timer) and appends the [`Outgoing`]
+//! messages it wants sent to the caller's `out`, each built once, where
+//! it is decided. Each runner owns one such outbox and reuses it, so a
+//! forwarding hop allocates nothing for its output. Routing, delay,
+//! loss, and the queue stay with the runner and its transport.
+//! Runner-held state a node needs while handling a message
 //! — the metrics sinks, its gossip-decision RNG stream, the trace — is
 //! lent to it for the duration of one call as a [`NodeCtx`].
 //!
@@ -26,7 +28,7 @@
 //! through the coming rounds to the first one that may send, stepping
 //! the delay by the same rule a round run steps it by, and
 //! [`SimNode::next_timer`] names that one. The silent rounds before it
-//! are *parked*: every entry point ([`SimNode::handle`],
+//! are *parked*: every entry point ([`SimNode::handle_into`],
 //! [`SimNode::fire_timer`], [`SimNode::catch_up`]) first replays, for
 //! real, the parked rounds due before it, so each input meets the
 //! state it would have met had every round fired. At one instant the
@@ -309,29 +311,48 @@ impl SimNode {
         self.replayed.into()
     }
 
-    /// Handles one arriving message and returns the messages to send
-    /// in response, after replaying the parked rounds due at or before
-    /// `ctx.now`.
-    pub fn handle(&mut self, from: NodeId, env: Envelope, ctx: &mut NodeCtx) -> Vec<Outgoing> {
+    /// Handles one arriving message, after replaying the parked rounds
+    /// due at or before `ctx.now`, and appends the messages to send in
+    /// response to `out`.
+    pub fn handle_into(
+        &mut self,
+        from: NodeId,
+        env: Envelope,
+        ctx: &mut NodeCtx,
+        out: &mut Vec<Outgoing>,
+    ) {
         self.replay(ctx.now, true, ctx);
-        let (out, changed) = self.receive(from, env, ctx);
-        if changed {
+        if self.receive(from, env, ctx, out) {
             self.settle(ctx);
         } else if self.clock.fire != self.clock.gossip {
             debug_assert_eq!(self.clock.fire, self.planned(ctx), "{} plan", self.id);
         }
+    }
+
+    /// [`SimNode::handle_into`] into a vector of its own, for
+    /// `benchmark/src/driver.rs` (it goes with ROADMAP item 7).
+    pub fn handle(&mut self, from: NodeId, env: Envelope, ctx: &mut NodeCtx) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        self.handle_into(from, env, ctx, &mut out);
         out
     }
 
-    /// [`SimNode::handle`]'s message proper, and whether it may have
-    /// changed what the coming rounds do. Only an event passing
-    /// through provably changes nothing a round reads: neither cached
-    /// nor revealing a loss, at a node chasing none (a strategy reads
-    /// the routes and sequence numbers events carry only while it
-    /// chases losses).
-    fn receive(&mut self, from: NodeId, env: Envelope, ctx: &mut NodeCtx) -> (Vec<Outgoing>, bool) {
+    /// [`SimNode::handle_into`]'s message proper: appends its response
+    /// to `out` and returns whether it may have changed what the coming
+    /// rounds do. Only an event passing through provably changes
+    /// nothing a round reads: neither cached nor revealing a loss, at a
+    /// node chasing none (a strategy reads the routes and sequence
+    /// numbers events carry only while it chases losses).
+    fn receive(
+        &mut self,
+        from: NodeId,
+        env: Envelope,
+        ctx: &mut NodeCtx,
+        out: &mut Vec<Outgoing>,
+    ) -> bool {
         let chasing = self.algorithm.outstanding_losses() > 0;
-        let out = match env {
+        let sent = out.len();
+        match env {
             Envelope::PubSub(PubSubMessage::Event(event)) | Envelope::CrossEvent(event) => {
                 let (copy, receipt) =
                     self.dispatcher
@@ -341,46 +362,43 @@ impl SimNode {
                     // event reaches a node both through the view and
                     // over a cross link; suppress and count it.
                     ctx.counters.count_duplicate_suppressed();
-                    return (Vec::new(), chasing);
+                    return chasing;
                 }
                 let changed = chasing || receipt.delivered || !receipt.losses.is_empty();
                 self.arrive(&copy, &receipt, false, ctx);
                 // First sight of this event here: forward the copy
                 // with this hop recorded, on the tree and over
                 // interested cross links.
-                return (self.forward(copy, from), changed);
+                self.forward(copy, from, out);
+                return changed;
             }
             Envelope::PubSub(PubSubMessage::Subscribe(p)) => {
                 let to = self.dispatcher.on_subscribe(p, from, ctx.neighbors);
-                pubsub_to(to, PubSubMessage::Subscribe(p)).collect()
+                pubsub_to(to, PubSubMessage::Subscribe(p), out);
             }
             Envelope::PubSub(PubSubMessage::Unsubscribe(p)) => {
                 let to = self.dispatcher.on_unsubscribe(p, from, ctx.neighbors);
-                pubsub_to(to, PubSubMessage::Unsubscribe(p)).collect()
+                pubsub_to(to, PubSubMessage::Unsubscribe(p), out);
             }
             Envelope::Gossip(msg) => {
                 // Gossip spreads over the whole physical
                 // neighborhood, cross links included.
-                let out = self.algorithm.on_gossip(
+                self.algorithm.on_gossip(
                     &self.dispatcher,
                     from,
                     msg,
                     ctx.graph_neighbors,
                     ctx.gossip_rng,
+                    out,
                 );
-                self.count_recovery(&out, ctx.counters);
-                out
             }
             Envelope::Request(ids) => {
-                let out = self.algorithm.on_request(&self.dispatcher, from, &ids);
-                self.count_recovery(&out, ctx.counters);
-                out
+                self.algorithm.on_request(&self.dispatcher, from, &ids, out);
             }
             Envelope::RangeRequest { pattern, ranges } => {
                 // A summary-refinement request: queued by the
                 // algorithm, answered inside its next gossip round.
                 self.algorithm.on_range_request(pattern, &ranges);
-                Vec::new()
             }
             Envelope::Reply(events) => {
                 for event in events {
@@ -389,10 +407,10 @@ impl SimNode {
                         self.arrive(&event, &receipt, true, ctx);
                     }
                 }
-                Vec::new()
             }
-        };
-        (out, true)
+        }
+        self.count_recovery(&out[sent..], ctx.counters);
+        true
     }
 
     /// The first arrival of `event` here, down the tree or `recovered`
@@ -466,30 +484,31 @@ impl SimNode {
     /// Fires the node's next timer, if it is due at `ctx.now`, after
     /// replaying the parked rounds before it, and renews it from its
     /// *scheduled* instant, so when a caller gets round to firing it
-    /// never changes the schedule. Returns the messages it produced;
-    /// a timer not yet due neither fires nor draws.
-    pub fn fire_timer(&mut self, config: &ScenarioConfig, ctx: &mut NodeCtx) -> Vec<Outgoing> {
+    /// never changes the schedule. Appends the messages it produced to
+    /// `out`; a timer not yet due neither fires nor draws.
+    pub fn fire_timer(
+        &mut self,
+        config: &ScenarioConfig,
+        ctx: &mut NodeCtx,
+        out: &mut Vec<Outgoing>,
+    ) {
         let Some((at, timer)) = self.next_timer().filter(|&(at, _)| at <= ctx.now) else {
-            return Vec::new();
+            return;
         };
         self.replay(at, false, ctx);
-        let out = match timer {
+        match timer {
             Timer::Publish => {
-                let (out, delay) = self.tick_publish(config.publish_rate, ctx);
+                let delay = self.publish(config.publish_rate, ctx, out);
                 self.clock.publish = before(at + delay, config.duration);
-                out
             }
             Timer::Gossip => {
-                let adaptive = self.clock.adaptive();
-                let (out, delay) = self.tick_gossip(self.gossip_delay, adaptive, ctx);
+                let delay = self.round(self.clock.adaptive(), ctx, out);
                 self.renew_round(at, delay);
-                out
             }
-        };
+        }
         // A publisher caches its event; a fired round moves the
         // schedule on.
         self.settle(ctx);
-        out
     }
 
     /// Replays the parked rounds due before `ctx.now` and plans the
@@ -576,15 +595,22 @@ impl SimNode {
         }
     }
 
-    /// Publishes one event of random content and returns the resulting
-    /// messages plus the exponential delay until this node's next
-    /// publication (Poisson process). [`SimNode::fire_timer`] renews
-    /// the tick.
+    /// A publish and the delay until the next, into a vector of its
+    /// own, for `benchmark/src/driver.rs` (it goes with ROADMAP item 7).
     pub fn tick_publish(
         &mut self,
         publish_rate: f64,
         ctx: &mut NodeCtx,
     ) -> (Vec<Outgoing>, SimTime) {
+        let mut out = Vec::new();
+        let delay = self.publish(publish_rate, ctx, &mut out);
+        (out, delay)
+    }
+
+    /// Publishes one event of random content, appends the resulting
+    /// messages to `out` and returns the exponential delay until this
+    /// node's next publication (Poisson process).
+    fn publish(&mut self, rate: f64, ctx: &mut NodeCtx, out: &mut Vec<Outgoing>) -> SimTime {
         ctx.space
             .random_content_into(&mut self.workload_rng, &mut self.content_scratch);
         let expected = count_subscribers(ctx.subscribers_of, &self.content_scratch);
@@ -602,9 +628,8 @@ impl SimNode {
             self.deliver_local(&event, false, ctx);
         }
         // A fresh event starts on every interested cross link too.
-        let out = self.forward(event, self.id);
-        let delay = self.next_publish_delay(publish_rate);
-        (out, delay)
+        self.forward(event, self.id, out);
+        self.next_publish_delay(rate)
     }
 
     /// Accounts one delivery per matching local client: the event is
@@ -632,14 +657,13 @@ impl SimNode {
         }
     }
 
-    /// The messages an event leaves this node in: `event` — the copy
-    /// with this hop recorded — to each next hop the dispatcher named,
-    /// then as an [`Envelope::CrossEvent`] to every cross-link partner
-    /// whose stored interest matches it, except `arrived_from` (no
-    /// point echoing an event straight back). Counting happens at the
-    /// send layer.
-    fn forward(&self, event: Event, arrived_from: NodeId) -> Vec<Outgoing> {
-        let mut out = Vec::with_capacity(self.next_hops.len());
+    /// Appends the messages an event leaves this node in to `out`:
+    /// `event` — the copy with this hop recorded — to each next hop the
+    /// dispatcher named, then as an [`Envelope::CrossEvent`] to every
+    /// cross-link partner whose stored interest matches it, except
+    /// `arrived_from` (no point echoing an event straight back).
+    /// Counting happens at the send layer.
+    fn forward(&self, event: Event, arrived_from: NodeId, out: &mut Vec<Outgoing>) {
         out.extend(self.next_hops.iter().map(|&to| Outgoing {
             to,
             env: Envelope::PubSub(PubSubMessage::Event(event.clone())),
@@ -652,7 +676,6 @@ impl SimNode {
                 });
             }
         }
-        out
     }
 
     /// Exponential inter-arrival delay for this node's Poisson publish
@@ -662,14 +685,10 @@ impl SimNode {
         SimTime::from_secs_f64(-(1.0 - u).ln() / publish_rate)
     }
 
-    /// Runs one gossip round and returns the resulting messages plus
-    /// the delay until this node's next round: `interval`, the one the
-    /// node was built with, unless `adaptive` control adapts it.
-    ///
-    /// With adaptive control (extension, paper Sec. IV-E): while the
-    /// strategy sees no evidence of recovery work (empty `Lost` buffer
-    /// for pull, no incoming requests for push), the timer backs off
-    /// exponentially; any sign of work snaps it back.
+    /// A round and the delay until the next, into a vector of its own,
+    /// for `benchmark/src/driver.rs` (it goes with ROADMAP item 7): the
+    /// delay is `interval`, the one the node was built with, unless
+    /// `adaptive` control adapts it.
     pub fn tick_gossip(
         &mut self,
         interval: SimTime,
@@ -677,11 +696,29 @@ impl SimNode {
         ctx: &mut NodeCtx,
     ) -> (Vec<Outgoing>, SimTime) {
         debug_assert!(adaptive.is_some() || interval == self.gossip_delay);
-        let out = self
-            .algorithm
-            .on_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng);
-        self.count_recovery(&out, ctx.counters);
-        (out, self.end_round(adaptive))
+        let mut out = Vec::new();
+        let delay = self.round(adaptive, ctx, &mut out);
+        (out, delay)
+    }
+
+    /// Runs one gossip round, appends the resulting messages to `out`
+    /// and returns the delay until this node's next round.
+    ///
+    /// With adaptive control (extension, paper Sec. IV-E): while the
+    /// strategy sees no evidence of recovery work (empty `Lost` buffer
+    /// for pull, no incoming requests for push), the timer backs off
+    /// exponentially; any sign of work snaps it back.
+    fn round(
+        &mut self,
+        adaptive: Option<AdaptiveGossip>,
+        ctx: &mut NodeCtx,
+        out: &mut Vec<Outgoing>,
+    ) -> SimTime {
+        let sent = out.len();
+        self.algorithm
+            .on_round(&self.dispatcher, ctx.graph_neighbors, ctx.gossip_rng, out);
+        self.count_recovery(&out[sent..], ctx.counters);
+        self.end_round(adaptive)
     }
 
     /// Counts a round run and returns the delay until the next one,
@@ -692,8 +729,8 @@ impl SimNode {
         self.gossip_delay
     }
 
-    /// Swaps one local client's subscription `old` for `new` and
-    /// returns the (un)subscription messages to propagate, plus
+    /// Swaps one local client's subscription `old` for `new`, appends
+    /// the (un)subscription messages to propagate to `out`, and returns
     /// whether the dispatcher's aggregate filter actually changed.
     /// Routing state is only touched on refcount transitions: the
     /// unsubscribe retracts `old` from the tree only when this client
@@ -708,22 +745,22 @@ impl SimNode {
         old: PatternId,
         new: PatternId,
         neighbors: &[NodeId],
-    ) -> (Vec<Outgoing>, bool) {
+        out: &mut Vec<Outgoing>,
+    ) -> bool {
         let retracts = self.dispatcher.clients().refcount(old) == 1;
         let announces = !self.dispatcher.clients().covers(new);
         let unsubs = self.dispatcher.client_unsubscribe(client, old, neighbors);
         let subs = self
             .dispatcher
             .client_subscribe_late(client, new, neighbors);
-        let out = pubsub_to(unsubs, PubSubMessage::Unsubscribe(old))
-            .chain(pubsub_to(subs, PubSubMessage::Subscribe(new)))
-            .collect();
-        (out, retracts || announces)
+        pubsub_to(unsubs, PubSubMessage::Unsubscribe(old), out);
+        pubsub_to(subs, PubSubMessage::Subscribe(new), out);
+        retracts || announces
     }
 
     /// Counts the recovery messages the strategy decided to send, at
     /// the moment it decides (so broken links don't change the
-    /// overhead figures).
+    /// overhead figures): `out` is what one call appended.
     fn count_recovery(&self, out: &[Outgoing], counters: &mut MessageCounters) {
         for Outgoing { env, .. } in out {
             match env {
@@ -732,7 +769,7 @@ impl SimNode {
                     counters.count_request(self.id)
                 }
                 Envelope::Reply(events) => counters.count_reply(self.id, events.len() as u64),
-                // Strategies emit recovery traffic only.
+                // Counted at the send layer alone.
                 Envelope::PubSub(_) | Envelope::CrossEvent(_) => {}
             }
         }
@@ -786,12 +823,12 @@ pub fn charge_send(counters: &mut MessageCounters, from: NodeId, env: &Envelope,
     }
 }
 
-/// `msg` to each of `to`.
-fn pubsub_to(to: Vec<NodeId>, msg: PubSubMessage) -> impl Iterator<Item = Outgoing> {
-    to.into_iter().map(move |to| Outgoing {
+/// Appends `msg` to each of `to` to `out`.
+fn pubsub_to(to: Vec<NodeId>, msg: PubSubMessage, out: &mut Vec<Outgoing>) {
+    out.extend(to.into_iter().map(|to| Outgoing {
         to,
         env: Envelope::PubSub(msg.clone()),
-    })
+    }));
 }
 
 fn count_subscribers(subscribers_of: &[Vec<(NodeId, ClientId)>], content: &[PatternId]) -> u32 {
@@ -914,11 +951,11 @@ mod tests {
             // At one instant, the round before the delivery.
             if let Some(r) = pending.next_if(|&r| next.is_none_or(|round| r < round)) {
                 at(r, &mut parked_rng, &mut |ctx| {
-                    parked.handle(neighbor, request(), ctx);
+                    parked.handle_into(neighbor, request(), ctx, &mut Vec::new());
                 });
             } else if let Some(round) = next {
                 at(round, &mut parked_rng, &mut |ctx| {
-                    parked.fire_timer(&config, ctx);
+                    parked.fire_timer(&config, ctx, &mut Vec::new());
                 });
             } else {
                 break;
@@ -1044,6 +1081,68 @@ mod tests {
             }
             assert_eq!(rng, before, "{kind} drew for a request");
         }
+    }
+
+    /// A call appends to the outbox it is lent and counts only what it
+    /// appended: a request answered into an outbox that already holds a
+    /// reply leaves that reply where it was, and moves the request and
+    /// reply counters as the same request answered into an empty outbox
+    /// does.
+    #[test]
+    fn a_call_appends_to_the_outbox_and_counts_only_its_own() {
+        let (source, requester, p) = (NodeId::new(0), NodeId::new(2), PatternId::new(3));
+        let event = Event::new(EventId::new(source, 0), vec![(p, 0)]);
+        let answer = |out: &mut Vec<Outgoing>| {
+            let kind = Algorithm::push();
+            let config = DispatcherConfig {
+                cache_indexes: kind.cache_indexes(),
+                ..DispatcherConfig::default()
+            };
+            let mut node = SimNode::new(
+                NodeId::new(1),
+                config,
+                kind.build(GossipConfig::default()),
+                Rng::from_seed(1),
+                SimTime::from_millis(30),
+            );
+            node.dispatcher_mut().subscribe_local(p, &[]);
+            let mut counters = MessageCounters::new(3);
+            let mut ctx = NodeCtx {
+                now: SimTime::from_millis(7),
+                neighbors: &[],
+                graph_neighbors: &[],
+                space: &PatternSpace::paper_default(),
+                subscribers_of: &[],
+                gossip_rng: &mut Rng::from_seed(2),
+                tracker: &mut DeliveryTracker::new(),
+                counters: &mut counters,
+                trace: &mut None,
+            };
+            let env = Envelope::PubSub(PubSubMessage::Event(event.clone()));
+            node.handle_into(source, env, &mut ctx, &mut Vec::new());
+            node.handle_into(
+                requester,
+                Envelope::Request(vec![event.id()]),
+                &mut ctx,
+                out,
+            );
+            (
+                counters.request_total(),
+                counters.reply_total(),
+                counters.events_retransmitted(),
+            )
+        };
+        let mut alone = Vec::new();
+        let counted_alone = answer(&mut alone);
+        assert_eq!(counted_alone, (0, 1, 1));
+        let held = Outgoing {
+            to: NodeId::new(9),
+            env: Envelope::Reply(vec![Event::new(EventId::new(source, 5), vec![(p, 5)])]),
+        };
+        let mut outbox = vec![held.clone()];
+        assert_eq!(answer(&mut outbox), counted_alone);
+        assert_eq!(outbox[0], held);
+        assert_eq!(outbox[1..], alone[..]);
     }
 
     #[test]

@@ -154,6 +154,7 @@ fn run(
         nodes,
         engine: KeyedEngine::new(),
         armed: vec![SimTime::MAX; config.nodes],
+        outbox: Vec::new(),
         transport: ShardTransport::new(config.link_spec(), config.out_of_band),
         gossip_rngs,
         net_rngs,
@@ -271,6 +272,8 @@ struct World<'a> {
     engine: KeyedEngine<EvtKey, NodeEvent>,
     /// The instant of each node's live tick (`SimTime::MAX`: none).
     armed: Vec<SimTime>,
+    /// What a node call appends, until [`World::send`] drains it.
+    outbox: Vec<Outgoing>,
     transport: ShardTransport,
     /// Per-node gossip-decision streams ([`node_streams`]), so decision
     /// draws are a function of the node's own event sequence only.
@@ -339,7 +342,7 @@ impl World<'_> {
     /// Has `node` replay its parked rounds before `now`, plans its
     /// clock, and files its next timer.
     fn catch_up(&mut self, node: NodeId, now: SimTime) {
-        self.with_ctx(node, now, |n, ctx| n.catch_up(ctx));
+        self.with_ctx(node, now, |n, ctx, _| n.catch_up(ctx));
         self.file_tick(node);
     }
 
@@ -389,8 +392,8 @@ impl World<'_> {
     fn run_node_event(&mut self, t: SimTime, event: NodeEvent) {
         match event {
             NodeEvent::Deliver { from, to, env } => {
-                let out = self.with_ctx(to, t, |node, ctx| node.handle(from, env, ctx));
-                self.send(to, t, out);
+                self.with_ctx(to, t, |n, ctx, out| n.handle_into(from, env, ctx, out));
+                self.send(to, t);
                 self.file_tick(to);
             }
             NodeEvent::Tick(node) => {
@@ -400,18 +403,19 @@ impl World<'_> {
                 }
                 self.armed[node.index()] = SimTime::MAX;
                 let config = self.config;
-                let out = self.with_ctx(node, t, |n, ctx| n.fire_timer(config, ctx));
-                self.send(node, t, out);
+                self.with_ctx(node, t, |n, ctx, out| n.fire_timer(config, ctx, out));
+                self.send(node, t);
                 self.file_tick(node);
             }
         }
     }
 
+    /// One call into `node` at `now`, lent its context and the outbox.
     fn with_ctx<R>(
         &mut self,
         node: NodeId,
         now: SimTime,
-        f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R,
+        f: impl FnOnce(&mut SimNode, &mut NodeCtx, &mut Vec<Outgoing>) -> R,
     ) -> R {
         let i = node.index();
         let mut ctx = NodeCtx {
@@ -429,17 +433,18 @@ impl World<'_> {
             counters: &mut self.counters,
             trace: &mut self.trace,
         };
-        f(&mut self.nodes[i], &mut ctx)
+        f(&mut self.nodes[i], &mut ctx, &mut self.outbox)
     }
 
-    /// Puts a node's outgoing messages on the wire: counts them,
+    /// Puts the outbox on the wire, as sent by `from`: counts it,
     /// routes tree traffic over existing overlay links only, asks the
     /// transport when (and whether) each arrives — loss drawn from the
     /// *sender's* stream — and schedules the arrival.
-    fn send(&mut self, from: NodeId, now: SimTime, out: Vec<Outgoing>) {
+    fn send(&mut self, from: NodeId, now: SimTime) {
         let payload_bits = self.config.event_payload_bits;
         let sender = from.index();
-        for Outgoing { to, env } in out {
+        let mut out = std::mem::take(&mut self.outbox);
+        for Outgoing { to, env } in out.drain(..) {
             let bits = env.wire_bits(payload_bits);
             // Charged before link state is consulted: a message lost to
             // a broken link was still sent.
@@ -467,6 +472,7 @@ impl World<'_> {
                     .schedule_at(at, key, NodeEvent::Deliver { from, to, env });
             }
         }
+        self.outbox = out;
     }
 
     fn handle_break(&mut self, now: SimTime) {
@@ -568,10 +574,10 @@ impl World<'_> {
                 };
                 // Only the churned node's own rounds read what changes:
                 // its partners' copies of its interest filter events.
-                let (out, aggregate_changed) = self.change_nodes(&[node], now, |w| {
-                    w.nodes[node.index()].apply_churn(client, old, new, &neighbors)
+                let aggregate_changed = self.change_nodes(&[node], now, |w| {
+                    w.nodes[node.index()].apply_churn(client, old, new, &neighbors, &mut w.outbox)
                 });
-                self.send(node, now, out);
+                self.send(node, now);
                 if aggregate_changed && !self.tree_overlay {
                     // Cross-link partners keep a copy of this node's
                     // interest to filter their replication; refresh

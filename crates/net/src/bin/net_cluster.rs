@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use eps_gossip::Algorithm;
-use eps_harness::{AdaptiveGossip, ScenarioResult};
+use eps_harness::ScenarioResult;
 use eps_metrics::NetCounters;
 use eps_net::{run_process_node, run_reactor_cluster, NetConfig, NodeAddrs, ReactorCluster};
 use eps_sim::SimTime;
@@ -51,6 +51,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let mut peers: Vec<SocketAddr> = Vec::new();
     let mut listen: Option<SocketAddr> = None;
     let mut workers: Option<usize> = None;
+    let mut adaptive = false;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -70,10 +71,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 config.scenario.gossip_interval = SimTime::from_secs_f64(parse(&value()?)?)
             }
             "--duration" => config.scenario.duration = SimTime::from_secs_f64(parse(&value()?)?),
-            "--adaptive" => {
-                config.scenario.adaptive_gossip =
-                    Some(AdaptiveGossip::around(config.scenario.gossip_interval))
-            }
+            "--adaptive" => adaptive = true,
             "--drain" => config.drain = Duration::from_secs_f64(parse(&value()?)?),
             "--queue-capacity" => config.queue_capacity = parse(&value()?)?,
             "--restart" => restarts.push(parse(&value()?)?),
@@ -91,13 +89,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    // Short runs: shrink the default measurement margins so the
-    // window stays non-empty (same rule as the `simulate` binary).
-    let s = &mut config.scenario;
-    if s.warmup + s.cooldown >= s.duration {
-        s.warmup = s.duration.mul_f64(0.125);
-        s.cooldown = s.duration.mul_f64(0.25);
-    }
+    config.scenario.finish_flags(adaptive)?;
 
     let report = match (listen, peers.is_empty()) {
         (None, true) => {

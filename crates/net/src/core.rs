@@ -127,7 +127,8 @@ pub(crate) struct Outbound {
 }
 
 /// The protocol state of one socket-mode node. Owns no sockets;
-/// returns [`Outbound`] batches for the runtime to put on the wire.
+/// appends [`Outbound`]s to a batch the runtime owns and puts on the
+/// wire.
 /// Its message counts go to the counters of the worker that drives
 /// it, its deliveries to the ledger in [`Shared`].
 pub(crate) struct NodeCore {
@@ -143,6 +144,8 @@ pub(crate) struct NodeCore {
 
     gossip_rng: Rng,
     loss_rng: Rng,
+    /// What a node call appends, until [`NodeCore::route`] drains it.
+    outbox: Vec<Outgoing>,
 
     pub net: NetCounters,
 
@@ -171,6 +174,7 @@ impl NodeCore {
             graph_neighbors,
             gossip_rng,
             loss_rng,
+            outbox: Vec::new(),
             net: NetCounters::default(),
             publish_done_reported: false,
         }
@@ -209,12 +213,14 @@ impl NodeCore {
     }
 
     /// Handles one decoded-frame body arriving from `from` by way of
-    /// `arrival`. Returns what the node wants sent in response.
+    /// `arrival`, and appends what the node wants sent in response to
+    /// `sends`.
     ///
     /// Tree messages (subscriptions, events, gossip) travel only on tree
     /// links. One that arrives as a datagram names a sender nothing
     /// verified, and would write that sender's routes: it is counted as
     /// a decode error and dropped.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_body(
         &mut self,
         from: NodeId,
@@ -223,28 +229,29 @@ impl NodeCore {
         now: SimTime,
         shared: &Shared,
         counters: &mut MessageCounters,
-    ) -> Vec<Outbound> {
+        sends: &mut Vec<Outbound>,
+    ) {
         let env = match codec::decode(body, shared.scenario.event_payload_bits) {
             Ok(env) if arrival == Arrival::Link || env.channel() != Channel::Tree => env,
             _ => {
                 self.net.decode_errors += 1;
-                return Vec::new();
+                return;
             }
         };
-        let out = self.with_ctx(now, shared, counters, |node, ctx| {
-            node.handle(from, env, ctx)
+        self.with_ctx(now, shared, counters, |node, ctx, out| {
+            node.handle_into(from, env, ctx, out)
         });
-        self.route(out, shared, counters)
+        self.route(shared, counters, sends);
     }
 
-    /// Lends the node its context for one call: the run-wide state and
-    /// ledger from `shared`, the driving worker's `counters`.
+    /// Lends the node its context for one call (the run-wide state and
+    /// ledger from `shared`, the worker's `counters`) and the outbox.
     fn with_ctx<R>(
         &mut self,
         now: SimTime,
         shared: &Shared,
         counters: &mut MessageCounters,
-        f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R,
+        f: impl FnOnce(&mut SimNode, &mut NodeCtx, &mut Vec<Outgoing>) -> R,
     ) -> R {
         let mut ctx = NodeCtx {
             now,
@@ -257,26 +264,26 @@ impl NodeCore {
             counters,
             trace: &mut None,
         };
-        f(&mut self.node, &mut ctx)
+        f(&mut self.node, &mut ctx, &mut self.outbox)
     }
 
     /// Fires the node's next timer, if it is due at wall-clock virtual
-    /// time `now`, and returns the traffic it produced. One timer per
-    /// call, so a node behind its schedule yields to its sockets
-    /// between ticks; the clock renews from the *scheduled* time, so
-    /// wall-clock jitter never changes how many events a seed
-    /// publishes.
+    /// time `now`, into `sends`. One timer per call, so a node behind
+    /// its schedule yields to its sockets between ticks; the clock
+    /// renews from the *scheduled* time, so wall-clock jitter never
+    /// changes how many events a seed publishes.
     pub(crate) fn tick_timers(
         &mut self,
         now: SimTime,
         shared: &Shared,
         counters: &mut MessageCounters,
-    ) -> Vec<Outbound> {
-        let out = self.with_ctx(now, shared, counters, |node, ctx| {
-            node.fire_timer(&shared.scenario, ctx)
+        sends: &mut Vec<Outbound>,
+    ) {
+        self.with_ctx(now, shared, counters, |node, ctx, out| {
+            node.fire_timer(&shared.scenario, ctx, out)
         });
         self.report_publish_done(shared);
-        self.route(out, shared, counters)
+        self.route(shared, counters, sends);
     }
 
     /// Replays the node's parked rounds due before `now` and plans its
@@ -288,10 +295,10 @@ impl NodeCore {
         shared: &Shared,
         counters: &mut MessageCounters,
     ) {
-        self.with_ctx(now, shared, counters, |node, ctx| node.catch_up(ctx));
+        self.with_ctx(now, shared, counters, |node, ctx, _| node.catch_up(ctx));
     }
 
-    /// Encodes one batch of node output, charging the send-layer
+    /// Encodes the outbox into `sends`, charging the send-layer
     /// counters through the simulator's own `charge_send` and drawing
     /// link loss as the simulator's `World::send` does: one draw per
     /// tree or cross-link envelope at ε, one per out-of-band envelope
@@ -299,14 +306,13 @@ impl NodeCore {
     /// positive. A lost envelope is counted and never encoded.
     fn route(
         &mut self,
-        out: Vec<Outgoing>,
         shared: &Shared,
         counters: &mut MessageCounters,
-    ) -> Vec<Outbound> {
+        sends: &mut Vec<Outbound>,
+    ) {
         let scenario = &shared.scenario;
         let payload_bits = scenario.event_payload_bits;
-        let mut sends = Vec::with_capacity(out.len());
-        for Outgoing { to, env: msg } in out {
+        for Outgoing { to, env: msg } in self.outbox.drain(..) {
             // Enforce the paper's digest budget before encoding; a
             // trimmed digest is re-announced by later rounds.
             let (msg, dropped) = codec::fit(msg, payload_bits);
@@ -348,7 +354,6 @@ impl NodeCore {
                 body,
             });
         }
-        sends
     }
 }
 
@@ -392,14 +397,14 @@ mod tests {
         let mut boot = boot_population(&config, None).expect("sockets bind");
         let factory = RngFactory::new(scenario.seed);
         let (duration, interval) = (scenario.duration, scenario.gossip_interval);
-        let mut counters = MessageCounters::new(scenario.nodes);
+        let (mut counters, mut sends) = (MessageCounters::new(scenario.nodes), Vec::new());
         for node in &mut boot.nodes {
             let core = &mut node.core;
             while let Some((at, _)) = core.sim_node().next_timer() {
                 if at >= duration {
                     break;
                 }
-                core.tick_timers(at, &boot.shared, &mut counters);
+                core.tick_timers(at, &boot.shared, &mut counters, &mut sends);
             }
             core.catch_up(duration, &boot.shared, &mut counters);
 
@@ -457,7 +462,7 @@ mod tests {
             ..NetConfig::default()
         };
         let mut boot = boot_population(&config, None).expect("sockets bind");
-        let mut counters = MessageCounters::new(2);
+        let (mut counters, mut sends) = (MessageCounters::new(2), Vec::new());
         let (from, pattern) = (NodeId::new(1), PatternId::new(0));
         let far = EventId::new(from, EventId::MAX_SEQ + 1);
         let event = Event::new(far, vec![(pattern, 0)]);
@@ -475,13 +480,14 @@ mod tests {
         let core = &mut boot.nodes[0].core;
         for (k, env) in frames.iter().enumerate() {
             let body = codec::encode(env, payload_bits).expect("the frame encodes");
-            let sends = core.handle_body(
+            core.handle_body(
                 from,
                 Arrival::Link,
                 &body,
                 SimTime::ZERO,
                 &boot.shared,
                 &mut counters,
+                &mut sends,
             );
             assert!(sends.is_empty(), "{env:?}");
             assert_eq!(core.net.decode_errors, k as u64 + 1, "{env:?}");
@@ -511,7 +517,7 @@ mod tests {
         };
         let payload_bits = config.scenario.event_payload_bits;
         let mut boot = boot_population(&config, None).expect("sockets bind");
-        let mut counters = MessageCounters::new(6);
+        let (mut counters, mut sends) = (MessageCounters::new(6), Vec::new());
         let core = &mut boot.nodes[0].core;
         let before = core.sim_node().dispatcher().table().clone();
         assert!(!before.is_empty(), "the node has routes to lose");
@@ -533,13 +539,14 @@ mod tests {
                 ];
                 for env in &frames {
                     let body = codec::encode(env, payload_bits).expect("the frame encodes");
-                    let sends = core.handle_body(
+                    core.handle_body(
                         from,
                         Arrival::Datagram,
                         &body,
                         SimTime::ZERO,
                         &boot.shared,
                         &mut counters,
+                        &mut sends,
                     );
                     forged += 1;
                     assert!(sends.is_empty(), "{env:?}");
@@ -558,6 +565,7 @@ mod tests {
             SimTime::ZERO,
             &boot.shared,
             &mut counters,
+            &mut sends,
         );
         assert_eq!(
             core.net.decode_errors, forged,

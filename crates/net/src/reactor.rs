@@ -375,6 +375,8 @@ struct Worker {
     /// Links touched since the last batched flush.
     dirty: Vec<(usize, usize)>,
     fired: Vec<TimerToken>,
+    /// What a node call encoded, until [`dispatch_sends`] drains it.
+    sends: Vec<Outbound>,
     scratch: Vec<u8>,
 }
 
@@ -420,18 +422,18 @@ pub(crate) fn drain_stream(
     (bodies, disconnected, corrupt)
 }
 
-/// Routes one node's outbound batch: tree frames into the link write
-/// buffers (marking them for the batched flush), cross/out-of-band
-/// envelopes as UDP datagrams. Free function so callers can hold the
-/// node and the worker-level dirty list at once.
+/// Routes one node's outbound batch, draining it: tree frames into the
+/// link write buffers (marking them for the batched flush),
+/// cross/out-of-band envelopes as UDP datagrams. Free function so
+/// callers can hold the node and the worker-level dirty list at once.
 fn dispatch_sends(
     node: &mut RNode,
     ni: usize,
-    sends: Vec<Outbound>,
+    sends: &mut Vec<Outbound>,
     registry: &[NodeAddrs],
     dirty: &mut Vec<(usize, usize)>,
 ) {
-    for send in sends {
+    for send in sends.drain(..) {
         match send.channel {
             Channel::Tree => {
                 let Some(li) = node.links.iter().position(|l| l.peer == send.to) else {
@@ -561,6 +563,7 @@ impl Worker {
             free_pending: Vec::new(),
             dirty: Vec::new(),
             fired: Vec::new(),
+            sends: Vec::new(),
             scratch: vec![0u8; 64 * 1024],
         })
     }
@@ -646,6 +649,7 @@ impl Worker {
             dirty,
             timers,
             start,
+            sends,
             ..
         } = self;
         let node = &mut nodes[ni];
@@ -659,9 +663,7 @@ impl Worker {
             // The Resume entry re-arms the node timer.
             return;
         }
-        let sends = node
-            .core
-            .tick_timers(SimTime::from_nanos(now), shared, counters);
+        (node.core).tick_timers(SimTime::from_nanos(now), shared, counters, sends);
         dispatch_sends(node, ni, sends, registry, dirty);
         arm_node(timers, node, ni);
     }
@@ -937,6 +939,7 @@ impl Worker {
                 scratch,
                 start,
                 timers,
+                sends,
                 ..
             } = self;
             let node = &mut nodes[ni];
@@ -951,16 +954,16 @@ impl Worker {
                     };
                     let from = NodeId::new(u32::from_le_bytes(*prefix));
                     node.core.net.datagrams_received += 1;
-                    let body = body.to_vec();
                     node.core.net.bytes_received += body.len() as u64;
                     let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-                    let sends = (node.core).handle_body(
+                    (node.core).handle_body(
                         from,
                         Arrival::Datagram,
-                        &body,
+                        body,
                         now,
                         shared,
                         counters,
+                        sends,
                     );
                     dispatch_sends(node, ni, sends, registry, dirty);
                     arm_node(timers, node, ni);
@@ -981,6 +984,7 @@ impl Worker {
             scratch,
             start,
             timers,
+            sends,
             ..
         } = self;
         let node = &mut nodes[ni];
@@ -996,7 +1000,7 @@ impl Worker {
             node.core.net.frames_received += 1;
             node.core.net.bytes_received += body.len() as u64;
             let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-            let sends = (node.core).handle_body(peer, Arrival::Link, &body, now, shared, counters);
+            (node.core).handle_body(peer, Arrival::Link, &body, now, shared, counters, sends);
             dispatch_sends(node, ni, sends, registry, dirty);
             arm_node(timers, node, ni);
         }

@@ -84,7 +84,9 @@ fn main() {
     let mut rng = eps_sim::Rng::from_seed(42);
 
     println!("gossip round at d2: negative digest steered towards {p}'s routes");
-    let out = algo2.on_round(&d2, &[n1], &mut rng);
+    // Each hook appends what it sends to the caller's outbox.
+    let mut out = Vec::new();
+    algo2.on_round(&d2, &[n1], &mut rng, &mut out);
     let (to, msg) = match &out[0] {
         Outgoing {
             to,
@@ -96,7 +98,8 @@ fn main() {
     println!("d1 is a pure router (not a subscriber): it cached nothing,");
     println!("so it forwards the digest along {p}'s routes towards d0");
     let mut algo0 = Algorithm::subscriber_pull().build(GossipConfig::default());
-    let out = algo1.on_gossip(&d1, n2, msg, &[n0, n2], &mut rng);
+    out.clear();
+    algo1.on_gossip(&d1, n2, msg, &[n0, n2], &mut rng, &mut out);
     let (to, msg) = match &out[0] {
         Outgoing {
             to,
@@ -106,7 +109,8 @@ fn main() {
     };
     assert_eq!(to, n0);
     println!("d0 (publisher and subscriber) serves the event from its cache");
-    let out = algo0.on_gossip(&d0, n1, msg, &[n1], &mut rng);
+    out.clear();
+    algo0.on_gossip(&d0, n1, msg, &[n1], &mut rng, &mut out);
     let events = match &out[0] {
         Outgoing {
             to,
