@@ -81,56 +81,3 @@ pub enum GossipMessage {
         details: Arc<Vec<RangeDetail>>,
     },
 }
-
-impl GossipMessage {
-    /// The dispatcher that initiated this gossip round.
-    pub fn gossiper(&self) -> NodeId {
-        match *self {
-            GossipMessage::PushDigest { gossiper, .. }
-            | GossipMessage::PullDigest { gossiper, .. }
-            | GossipMessage::SourcePull { gossiper, .. }
-            | GossipMessage::RandomPull { gossiper, .. }
-            | GossipMessage::SummaryDigest { gossiper, .. } => gossiper,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gossiper_is_exposed_for_all_kinds() {
-        let g = NodeId::new(3);
-        let msgs = [
-            GossipMessage::PushDigest {
-                gossiper: g,
-                pattern: PatternId::new(0),
-                ids: Arc::new(vec![]),
-            },
-            GossipMessage::PullDigest {
-                gossiper: g,
-                pattern: PatternId::new(0),
-                lost: vec![],
-            },
-            GossipMessage::SourcePull {
-                gossiper: g,
-                source: NodeId::new(1),
-                lost: vec![],
-                route: vec![],
-            },
-            GossipMessage::RandomPull {
-                gossiper: g,
-                lost: vec![],
-                ttl: 3,
-            },
-            GossipMessage::SummaryDigest {
-                gossiper: g,
-                pattern: PatternId::new(0),
-                ranges: Arc::new(vec![]),
-                details: Arc::new(vec![]),
-            },
-        ];
-        assert!(msgs.iter().all(|m| m.gossiper() == g));
-    }
-}

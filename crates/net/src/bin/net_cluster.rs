@@ -90,6 +90,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
     }
     config.scenario.finish_flags(adaptive)?;
+    config.check()?;
 
     let report = match (listen, peers.is_empty()) {
         (None, true) => {

@@ -65,25 +65,31 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
-    /// Checks internal consistency.
+    /// Checks internal consistency: the scenario's own rules
+    /// ([`ScenarioConfig::check`]), then the socket runtime's. It
+    /// supports neither topological reconfiguration nor subscription
+    /// churn (the overlay tree is fixed at boot), and its queues need
+    /// room. Returns the first violated rule.
+    pub fn check(&self) -> Result<(), String> {
+        self.scenario.check()?;
+        if self.scenario.reconfig_interval.is_some() {
+            Err("the socket runtime does not reconfigure the overlay".into())
+        } else if self.scenario.churn_interval.is_some() {
+            Err("the socket runtime does not churn subscriptions".into())
+        } else if self.queue_capacity == 0 {
+            Err("queues need capacity".into())
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Checks internal consistency, as [`NetConfig::check`] does.
     ///
     /// # Panics
     ///
-    /// Panics on the first violated constraint. Beyond the scenario's
-    /// own rules, the socket runtime supports neither topological
-    /// reconfiguration nor subscription churn (the overlay tree is
-    /// fixed at boot).
+    /// Panics with the first violated rule's message.
     pub fn validate(&self) {
-        self.scenario.validate();
-        assert!(
-            self.scenario.reconfig_interval.is_none(),
-            "the socket runtime does not reconfigure the overlay"
-        );
-        assert!(
-            self.scenario.churn_interval.is_none(),
-            "the socket runtime does not churn subscriptions"
-        );
-        assert!(self.queue_capacity > 0, "queues need capacity");
+        self.check().unwrap_or_else(|message| panic!("{message}"));
     }
 }
 

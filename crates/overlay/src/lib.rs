@@ -5,37 +5,38 @@
 //! al., ICDCS 2004). It models the overlay the dispatchers live on:
 //!
 //! - [`Topology`] — an undirected, degree-bounded graph: the paper's
-//!   unrooted tree ([`Topology::random_tree`], max degree 4), plus the
-//!   cyclic complex-network builders (Barabási–Albert and
-//!   Watts–Strogatz) that [`Topology::build`] selects via
-//!   [`OverlayKind`];
+//!   unrooted random tree (max degree 4), or one of the cyclic
+//!   complex-network overlays (Barabási–Albert and Watts–Strogatz),
+//!   built by [`Topology::build`] for an [`OverlayKind`]; every walk of
+//!   it is one [`Topology::breadth_first`];
 //! - [`RoutingView`] — the spanning tree a run routes on, derived from
 //!   the physical graph (identity on tree inputs, deterministic BFS
 //!   otherwise);
-//! - [`LinkSpec`]/[`LinkTable`] — 10 Mbit/s store-and-forward links
-//!   with FIFO serialization and per-message Bernoulli loss `ε`;
-//! - [`OutOfBandSpec`] — the direct unicast channel used by the gossip
+//! - [`ShardTransport`] — when a message arrives, if at all: over
+//!   [`LinkSpec`]'s 10 Mbit/s store-and-forward links, with FIFO
+//!   serialization and per-message Bernoulli loss `ε`, or over
+//!   [`OutOfBandSpec`]'s direct unicast channel, used by the gossip
 //!   algorithms for requests, replies and retransmissions;
-//! - [`plan_reconfiguration`] — the topological-reconfiguration event
-//!   generator (break a random link, replace it after the repair delay
-//!   with one that keeps the overlay connected).
+//! - [`plan_reconnection`] — the repair half of a topological
+//!   reconfiguration (a random link breaks; after the repair delay a
+//!   link joining two components replaces it).
 //!
 //! # Examples
 //!
 //! ```
-//! use eps_overlay::{LinkSpec, LinkTable, Topology};
+//! use eps_overlay::{LinkSpec, OutOfBandSpec, OverlayKind, ShardTransport, Topology};
 //! use eps_sim::{RngFactory, SimTime};
 //!
 //! let factory = RngFactory::new(42);
-//! let topo = Topology::random_tree(100, 4, &mut factory.stream("topology"));
+//! let topo = Topology::build(OverlayKind::Tree, 100, 4, &mut factory.stream("topology"));
 //! let spec = LinkSpec::ethernet_10mbps(0.1);
-//! let mut links = LinkTable::new();
+//! let mut transport = ShardTransport::new(spec, OutOfBandSpec::default());
 //! let mut loss_rng = factory.stream("loss");
 //!
 //! // Send 1 kbit along the first link of the tree.
 //! let link = topo.links().next().unwrap();
-//! let t = links.transmit(&spec, link.a(), link.b(), 1000, SimTime::ZERO, &mut loss_rng);
-//! println!("outcome: {t:?}");
+//! let arrival = transport.send_link(link.a(), link.b(), 1000, SimTime::ZERO, &mut loss_rng);
+//! println!("arrives at {arrival:?} (None: lost)");
 //! ```
 
 #![warn(missing_docs)]
@@ -48,9 +49,9 @@ mod topology;
 mod transport;
 mod view;
 
-pub use link::{LinkSpec, LinkTable, OutOfBandSpec, Transmission};
+pub use link::{LinkSpec, OutOfBandSpec};
 pub use node::{LinkId, NodeId};
-pub use reconfig::{plan_reconfiguration, plan_reconnection, ReconfigPlan};
-pub use topology::{OverlayKind, Topology, TopologyError, BA_ATTACHMENTS, WS_BETA};
+pub use reconfig::plan_reconnection;
+pub use topology::{OverlayKind, Topology, TopologyError, Walk, BA_ATTACHMENTS, WS_BETA};
 pub use transport::ShardTransport;
 pub use view::RoutingView;

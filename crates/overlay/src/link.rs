@@ -17,11 +17,15 @@ use crate::node::NodeId;
 /// # Examples
 ///
 /// ```
-/// use eps_overlay::LinkSpec;
+/// use eps_overlay::{LinkSpec, NodeId, OutOfBandSpec, ShardTransport};
+/// use eps_sim::{RngFactory, SimTime};
 ///
-/// let spec = LinkSpec::ethernet_10mbps(0.1);
-/// // 1000 bits at 10 Mbit/s take 100 µs to serialize.
-/// assert_eq!(spec.serialization_delay(1000).as_nanos(), 100_000);
+/// let spec = LinkSpec::ethernet_10mbps(0.0);
+/// let mut transport = ShardTransport::new(spec, OutOfBandSpec::default());
+/// let mut rng = RngFactory::new(1).stream("loss");
+/// // 1000 bits: 100 µs to serialize at 10 Mbit/s, 50 µs to propagate.
+/// let at = transport.send_link(NodeId::new(0), NodeId::new(1), 1000, SimTime::ZERO, &mut rng);
+/// assert_eq!(at, Some(SimTime::from_micros(150)));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkSpec {
@@ -53,29 +57,9 @@ impl LinkSpec {
     }
 
     /// Time to clock `bits` onto the wire.
-    pub fn serialization_delay(&self, bits: u64) -> SimTime {
+    pub(crate) fn serialization_delay(&self, bits: u64) -> SimTime {
         let ns = (bits as u128 * 1_000_000_000u128) / self.bandwidth_bps as u128;
         SimTime::from_nanos(ns as u64)
-    }
-}
-
-/// Outcome of pushing one message onto a link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transmission {
-    /// The message will arrive at the far end at the given time.
-    Arrives(SimTime),
-    /// The message was lost in transit (it still occupied the sender's
-    /// queue, as a corrupted frame would).
-    Lost,
-}
-
-impl Transmission {
-    /// The arrival time, if the message was not lost.
-    pub fn arrival(self) -> Option<SimTime> {
-        match self {
-            Transmission::Arrives(t) => Some(t),
-            Transmission::Lost => None,
-        }
     }
 }
 
@@ -85,24 +69,20 @@ impl Transmission {
 /// for a switched Ethernet segment). A message enqueued while the
 /// direction is busy starts serializing when the previous one ends.
 #[derive(Clone, Debug, Default)]
-pub struct LinkTable {
+pub(crate) struct LinkTable {
     /// Keyed lookups only — never iterated, so the map's
     /// arbitrary ordering can't leak into any output.
     busy_until: IdMap<(NodeId, NodeId), SimTime>,
-    lost: u64,
 }
 
 impl LinkTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Simulates sending `bits` from `from` to `to` at time `now`.
     ///
-    /// Returns when the message arrives, or [`Transmission::Lost`] with
-    /// probability `spec.loss_rate`. Loss is decided by `rng`, which
-    /// the caller supplies so that the loss stream is deterministic.
+    /// Returns when the message arrives, or `None` with probability
+    /// `spec.loss_rate`: a lost message still occupied the sender's
+    /// queue, as a corrupted frame would. Loss is decided by `rng`,
+    /// which the caller supplies so that the loss stream is
+    /// deterministic.
     pub fn transmit(
         &mut self,
         spec: &LinkSpec,
@@ -111,17 +91,13 @@ impl LinkTable {
         bits: u64,
         now: SimTime,
         rng: &mut Rng,
-    ) -> Transmission {
+    ) -> Option<SimTime> {
         let queue = self.busy_until.entry((from, to)).or_insert(SimTime::ZERO);
         let start = (*queue).max(now);
         let done = start + spec.serialization_delay(bits);
         *queue = done;
-        if spec.loss_rate > 0.0 && rng.random_bool(spec.loss_rate) {
-            self.lost += 1;
-            Transmission::Lost
-        } else {
-            Transmission::Arrives(done + spec.propagation)
-        }
+        let lost = spec.loss_rate > 0.0 && rng.random_bool(spec.loss_rate);
+        (!lost).then(|| done + spec.propagation)
     }
 
     /// Clears queue state for both directions of a broken link so a
@@ -129,11 +105,6 @@ impl LinkTable {
     pub fn reset_link(&mut self, a: NodeId, b: NodeId) {
         self.busy_until.remove(&(a, b));
         self.busy_until.remove(&(b, a));
-    }
-
-    /// Total messages lost in transit.
-    pub fn lost(&self) -> u64 {
-        self.lost
     }
 }
 
@@ -210,65 +181,68 @@ mod tests {
         // and never before `now` + propagation).
         forall("fifo_queueing_serializes_back_to_back_sends", 256, |rng| {
             let spec = LinkSpec::ethernet_10mbps(0.0);
-            let mut table = LinkTable::new();
+            let mut table = LinkTable::default();
             let (a, b) = (NodeId::new(0), NodeId::new(1));
             let now = SimTime::from_nanos(rng.random_below(1_000_000));
             let sends = rng.random_range(1..50u64);
             let mut clocked = now;
             for _ in 0..sends {
                 let bits = rng.random_range(1..100_000u64);
-                let t = table.transmit(&spec, a, b, bits, now, rng).arrival();
+                let t = table.transmit(&spec, a, b, bits, now, rng);
                 clocked += spec.serialization_delay(bits);
                 assert_eq!(t, Some(clocked + spec.propagation));
             }
-            assert_eq!(table.lost(), 0);
         });
     }
 
     #[test]
     fn directions_are_independent() {
         let spec = LinkSpec::ethernet_10mbps(0.0);
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::default();
         let mut rng = RngFactory::new(1).stream("loss");
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let fwd = table.transmit(&spec, a, b, 1000, SimTime::ZERO, &mut rng);
         let back = table.transmit(&spec, b, a, 1000, SimTime::ZERO, &mut rng);
-        assert_eq!(fwd.arrival(), back.arrival());
+        assert_eq!(fwd, back);
     }
 
     #[test]
     fn idle_link_restarts_from_now() {
         let spec = LinkSpec::ethernet_10mbps(0.0);
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::default();
         let mut rng = RngFactory::new(1).stream("loss");
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         table.transmit(&spec, a, b, 1000, SimTime::ZERO, &mut rng);
         let later = SimTime::from_secs(1);
         let t = table.transmit(&spec, a, b, 1000, later, &mut rng);
         assert_eq!(
-            t.arrival().unwrap(),
-            later + spec.serialization_delay(1000) + spec.propagation
+            t,
+            Some(later + spec.serialization_delay(1000) + spec.propagation)
         );
     }
 
     #[test]
     fn loss_rate_is_respected_statistically() {
         let spec = LinkSpec::ethernet_10mbps(0.1);
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::default();
         let mut rng = RngFactory::new(7).stream("loss");
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         const SENDS: u64 = 20_000;
-        for _ in 0..SENDS {
-            table.transmit(&spec, a, b, 100, SimTime::ZERO, &mut rng);
-        }
-        let ratio = table.lost() as f64 / SENDS as f64;
+        let lost = (0..SENDS)
+            .filter(|_| {
+                table
+                    .transmit(&spec, a, b, 100, SimTime::ZERO, &mut rng)
+                    .is_none()
+            })
+            .count();
+        let ratio = lost as f64 / SENDS as f64;
         assert!((ratio - 0.1).abs() < 0.01, "observed loss {ratio}");
     }
 
     #[test]
     fn zero_loss_never_drops() {
         let spec = LinkSpec::ethernet_10mbps(0.0);
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::default();
         let mut rng = RngFactory::new(7).stream("loss");
         for _ in 0..1000 {
             let t = table.transmit(
@@ -279,24 +253,20 @@ mod tests {
                 SimTime::ZERO,
                 &mut rng,
             );
-            assert!(matches!(t, Transmission::Arrives(_)));
+            assert!(t.is_some());
         }
-        assert_eq!(table.lost(), 0);
     }
 
     #[test]
     fn reset_link_clears_queue() {
         let spec = LinkSpec::ethernet_10mbps(0.0);
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::default();
         let mut rng = RngFactory::new(1).stream("loss");
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         table.transmit(&spec, a, b, 1_000_000, SimTime::ZERO, &mut rng);
         table.reset_link(a, b);
         let t = table.transmit(&spec, a, b, 1000, SimTime::ZERO, &mut rng);
-        assert_eq!(
-            t.arrival().unwrap(),
-            spec.serialization_delay(1000) + spec.propagation
-        );
+        assert_eq!(t, Some(spec.serialization_delay(1000) + spec.propagation));
     }
 
     #[test]

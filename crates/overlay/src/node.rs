@@ -92,21 +92,6 @@ impl LinkId {
         self.b
     }
 
-    /// Given one endpoint, returns the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of this link.
-    pub fn other(self, from: NodeId) -> NodeId {
-        if from == self.a {
-            self.b
-        } else if from == self.b {
-            self.a
-        } else {
-            panic!("{from} is not an endpoint of {self}");
-        }
-    }
-
     /// The endpoint that initiates the TCP connection for this link in
     /// the real-socket runtime. Fixing the dialer to the lower id (and
     /// the acceptor to the higher) gives every link exactly one
@@ -145,17 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn link_other_endpoint() {
-        let l = LinkId::new(NodeId::new(1), NodeId::new(9));
-        assert_eq!(l.other(NodeId::new(1)), NodeId::new(9));
-        assert_eq!(l.other(NodeId::new(9)), NodeId::new(1));
-    }
-
-    #[test]
     fn dialer_is_the_lower_endpoint_either_way_round() {
         let l = LinkId::new(NodeId::new(7), NodeId::new(3));
         assert_eq!(l.dialer(), NodeId::new(3));
-        assert_eq!(l.other(l.dialer()), NodeId::new(7));
         assert_eq!(
             l.dialer(),
             LinkId::new(NodeId::new(3), NodeId::new(7)).dialer()
@@ -166,11 +143,5 @@ mod tests {
     #[should_panic]
     fn self_link_panics() {
         let _ = LinkId::new(NodeId::new(3), NodeId::new(3));
-    }
-
-    #[test]
-    #[should_panic]
-    fn other_panics_for_non_endpoint() {
-        LinkId::new(NodeId::new(0), NodeId::new(1)).other(NodeId::new(2));
     }
 }

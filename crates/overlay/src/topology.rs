@@ -1,8 +1,6 @@
 //! The overlay topology: an undirected graph of dispatchers, normally
 //! maintained as an unrooted tree (the paper's dispatching tree).
 
-use std::collections::VecDeque;
-
 use eps_sim::Rng;
 
 use crate::node::{LinkId, NodeId};
@@ -42,7 +40,7 @@ impl std::error::Error for TopologyError {}
 /// small-world ring rewiring.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OverlayKind {
-    /// Incremental random spanning tree ([`Topology::random_tree`]).
+    /// Incremental random spanning tree.
     #[default]
     Tree,
     /// Degree-capped Barabási–Albert preferential attachment.
@@ -174,18 +172,19 @@ impl SpareSet {
 /// An undirected overlay graph with an optional per-node degree bound.
 ///
 /// The dispatching overlay of the paper is an *unrooted tree* with
-/// degree at most four; [`Topology::random_tree`] builds exactly that.
+/// degree at most four; [`Topology::build`] of [`OverlayKind::Tree`]
+/// builds exactly that.
 /// During reconfiguration the graph transiently has two components
 /// (after a link breaks) before a replacement link restores a tree.
 ///
 /// # Examples
 ///
 /// ```
-/// use eps_overlay::Topology;
+/// use eps_overlay::{OverlayKind, Topology};
 /// use eps_sim::RngFactory;
 ///
 /// let mut rng = RngFactory::new(1).stream("topology");
-/// let topo = Topology::random_tree(100, 4, &mut rng);
+/// let topo = Topology::build(OverlayKind::Tree, 100, 4, &mut rng);
 /// assert!(topo.is_tree());
 /// assert!(topo.nodes().all(|n| topo.degree(n) <= 4));
 /// ```
@@ -221,14 +220,12 @@ impl Topology {
     /// node that still has spare degree — the same incremental growth
     /// model used in the simulations of the paper's reference \[7\].
     /// The spare-degree candidates are kept in an indexed set drawn
-    /// from in O(1), so construction is O(N) overall (the previous
-    /// rejection-free scan of all attached nodes per step was O(N²) —
-    /// minutes at 10⁵ nodes).
+    /// from in O(1), so construction is O(N) overall.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Topology::new`].
-    pub fn random_tree(n: usize, max_degree: usize, rng: &mut Rng) -> Self {
+    fn random_tree(n: usize, max_degree: usize, rng: &mut Rng) -> Self {
         let mut topo = Topology::new(n, max_degree);
         let mut spare = SpareSet::empty(n);
         spare.insert(0);
@@ -248,9 +245,9 @@ impl Topology {
         topo
     }
 
-    /// Builds the overlay of the given kind: [`Topology::random_tree`]
-    /// for [`OverlayKind::Tree`], a degree-capped Barabási–Albert graph
-    /// with [`BA_ATTACHMENTS`] per node for
+    /// Builds the overlay of the given kind: a random tree grown one
+    /// node at a time for [`OverlayKind::Tree`], a degree-capped
+    /// Barabási–Albert graph with [`BA_ATTACHMENTS`] per node for
     /// [`OverlayKind::BarabasiAlbert`], and a Watts–Strogatz rewiring at
     /// the default probability [`WS_BETA`] for
     /// [`OverlayKind::WattsStrogatz`].
@@ -522,28 +519,37 @@ impl Topology {
         Ok(())
     }
 
-    /// The set of nodes reachable from `start` (including it), in BFS
-    /// order.
-    pub fn component_of(&self, start: NodeId) -> Vec<NodeId> {
-        let mut seen = vec![false; self.len()];
-        let mut queue = VecDeque::from([start]);
-        let mut out = Vec::new();
-        seen[start.index()] = true;
-        while let Some(n) = queue.pop_front() {
-            out.push(n);
-            for &m in self.neighbors(n) {
-                if !seen[m.index()] {
-                    seen[m.index()] = true;
-                    queue.push_back(m);
+    /// Walks the graph breadth first, neighbours in stored order,
+    /// opening a new tree at each of `starts` not yet reached: every
+    /// graph walk of the overlay (the fill's rooting, the routing view,
+    /// the repair planner, connectivity) reads this one order.
+    pub fn breadth_first(&self, starts: impl IntoIterator<Item = NodeId>) -> Walk {
+        let mut parent = vec![UNREACHED; self.len()];
+        let mut order = Vec::with_capacity(self.len());
+        let mut head = 0;
+        for start in starts {
+            if parent[start.index()] != UNREACHED {
+                continue;
+            }
+            parent[start.index()] = start;
+            order.push(start);
+            // `order` is the queue: `head` is its front.
+            while let Some(&v) = order.get(head) {
+                head += 1;
+                for &w in self.neighbors(v) {
+                    if parent[w.index()] == UNREACHED {
+                        parent[w.index()] = v;
+                        order.push(w);
+                    }
                 }
             }
         }
-        out
+        Walk { order, parent }
     }
 
     /// `true` if every node is reachable from every other.
-    pub fn is_connected(&self) -> bool {
-        self.component_of(NodeId::new(0)).len() == self.len()
+    pub(crate) fn is_connected(&self) -> bool {
+        self.breadth_first(self.nodes()).trees().count() == 1
     }
 
     /// `true` if the graph is a tree: connected with exactly `n - 1`
@@ -552,73 +558,57 @@ impl Topology {
         self.link_count == self.len() - 1 && self.is_connected()
     }
 
-    /// Shortest path from `a` to `b` (inclusive of both), or `None` if
-    /// disconnected.
-    pub fn path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        if a == b {
-            return Some(vec![a]);
-        }
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.len()];
-        let mut queue = VecDeque::from([a]);
-        prev[a.index()] = Some(a);
-        while let Some(n) = queue.pop_front() {
-            for &m in self.neighbors(n) {
-                if prev[m.index()].is_none() {
-                    prev[m.index()] = Some(n);
-                    if m == b {
-                        let mut path = vec![b];
-                        let mut cur = b;
-                        while cur != a {
-                            cur = prev[cur.index()].expect("predecessor chain is complete");
-                            path.push(cur);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(m);
-                }
+    /// Mean shortest-path length (in hops) over all ordered pairs of
+    /// connected nodes: a walk from each node sums its depths.
+    pub fn mean_path_hops(&self) -> f64 {
+        let (mut total, mut pairs) = (0u64, 0u64);
+        let mut depth = vec![0u64; self.len()];
+        for a in self.nodes() {
+            let walk = self.breadth_first([a]);
+            depth[a.index()] = 0;
+            for &v in &walk.order[1..] {
+                depth[v.index()] = depth[walk.parent[v.index()].index()] + 1;
+                total += depth[v.index()];
             }
+            pairs += walk.order.len() as u64 - 1;
         }
-        None
+        total as f64 / pairs.max(1) as f64
+    }
+}
+
+/// The parent a node no start reaches keeps.
+const UNREACHED: NodeId = NodeId::new(u32::MAX);
+
+/// One breadth-first walk of a [`Topology`]
+/// ([`Topology::breadth_first`]).
+#[derive(Clone, Debug)]
+pub struct Walk {
+    /// The nodes reached, in visit order: each tree's start, then its
+    /// nodes by depth, each node's unreached neighbours in stored
+    /// order.
+    pub order: Vec<NodeId>,
+    /// Each node's parent, indexed by node: the neighbour it was
+    /// reached from, itself for a start that opened a tree, and an id
+    /// out of range for a node no start reaches.
+    pub parent: Vec<NodeId>,
+}
+
+impl Walk {
+    /// The starts that opened a tree, in walk order: one per component
+    /// the starts reach.
+    pub fn trees(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (self.order.iter().copied()).filter(|v| self.parent[v.index()] == *v)
     }
 
-    /// Mean shortest-path length (in hops) over all ordered node pairs.
-    /// Useful for calibrating loss compounding.
-    pub fn mean_path_hops(&self) -> f64 {
-        let n = self.len();
-        if n < 2 {
-            return 0.0;
+    /// Each node's root, the start of its tree, indexed by node like
+    /// [`Walk::parent`] (a node no start reaches keeps its entry).
+    pub fn roots(&self) -> Vec<NodeId> {
+        let mut root = self.parent.clone();
+        // A parent is visited before its children.
+        for &v in &self.order {
+            root[v.index()] = root[root[v.index()].index()];
         }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for a in self.nodes() {
-            // BFS distances from a.
-            let mut dist: Vec<Option<u32>> = vec![None; n];
-            dist[a.index()] = Some(0);
-            let mut queue = VecDeque::from([a]);
-            while let Some(x) = queue.pop_front() {
-                let d = dist[x.index()].expect("popped nodes have distances");
-                for &m in self.neighbors(x) {
-                    if dist[m.index()].is_none() {
-                        dist[m.index()] = Some(d + 1);
-                        queue.push_back(m);
-                    }
-                }
-            }
-            for b in self.nodes() {
-                if b != a {
-                    if let Some(d) = dist[b.index()] {
-                        total += d as u64;
-                        pairs += 1;
-                    }
-                }
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        }
+        root
     }
 }
 
@@ -704,8 +694,8 @@ mod tests {
         let link = t.links().next().unwrap();
         t.remove_link(link).unwrap();
         assert!(!t.is_connected());
-        let comp_a = t.component_of(link.a());
-        let comp_b = t.component_of(link.b());
+        let comp_a = t.breadth_first([link.a()]).order;
+        let comp_b = t.breadth_first([link.b()]).order;
         assert_eq!(comp_a.len() + comp_b.len(), 20);
         assert!(matches!(
             t.remove_link(link),
@@ -713,46 +703,94 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn path_endpoints_and_adjacency() {
-        // Tree paths run hop by hop between their endpoints, visit no
-        // node twice, and read the same in both directions.
-        forall("path_endpoints_and_adjacency", 256, |rng| {
-            let n = rng.random_range(2..150usize);
-            let t = Topology::random_tree(n, 4, rng);
-            let a = NodeId::new(rng.random_below(n as u64) as u32);
-            let b = NodeId::new(rng.random_below(n as u64) as u32);
-            let path = t.path(a, b).unwrap();
-            assert_eq!(*path.first().unwrap(), a);
-            assert_eq!(*path.last().unwrap(), b);
-            for w in path.windows(2) {
-                assert!(t.has_link(w[0], w[1]));
+    /// The path from `a` to `b` (both included) along the parents of a
+    /// walk from `a`, or `None` if the walk does not reach `b`.
+    fn path(t: &Topology, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+        let walk = t.breadth_first([a]);
+        walk.order.contains(&b).then(|| {
+            let mut path = vec![b];
+            while path[path.len() - 1] != a {
+                path.push(walk.parent[path[path.len() - 1].index()]);
             }
-            let mut distinct = path.clone();
-            distinct.sort();
-            distinct.dedup();
-            assert_eq!(distinct.len(), path.len());
-            let mut reverse = t.path(b, a).unwrap();
-            reverse.reverse();
-            assert_eq!(reverse, path);
+            path.reverse();
+            path
+        })
+    }
+
+    #[test]
+    fn a_walk_visits_every_node_once_and_roots_a_tree_per_component() {
+        // Any built graph, with links removed at random: starting from
+        // every node visits each node once, each parent is a neighbour
+        // visited earlier, and one tree opens per component.
+        forall("a_walk_visits_every_node_once", 256, |rng| {
+            let (kind, n, degree_floor) = OverlayKind::draw(rng, 120);
+            let mut topo = Topology::build(kind, n, degree_floor + 1, rng);
+            for _ in 0..rng.random_range(0..n) {
+                let Some(link) = rng.choose_iter(topo.links()) else {
+                    break;
+                };
+                topo.remove_link(link).unwrap();
+            }
+            let walk = topo.breadth_first(topo.nodes());
+            let mut sorted = walk.order.clone();
+            sorted.sort();
+            assert_eq!(sorted, topo.nodes().collect::<Vec<_>>(), "{kind}");
+            let mut seen = vec![false; n];
+            for &v in &walk.order {
+                let p = walk.parent[v.index()];
+                assert!(p == v || (seen[p.index()] && topo.has_link(p, v)), "{kind}");
+                seen[v.index()] = true;
+            }
+            // Components by union-find over the links.
+            let mut up: Vec<usize> = (0..n).collect();
+            fn find(up: &mut [usize], x: usize) -> usize {
+                let mut r = x;
+                while up[r] != r {
+                    r = up[r];
+                }
+                up[x] = r;
+                r
+            }
+            let mut components = n;
+            for l in topo.links() {
+                let (ra, rb) = (find(&mut up, l.a().index()), find(&mut up, l.b().index()));
+                if ra != rb {
+                    up[ra] = rb;
+                    components -= 1;
+                }
+            }
+            assert_eq!(walk.trees().count(), components, "{kind}");
+            assert_eq!(topo.is_connected(), components == 1, "{kind}");
         });
     }
 
     #[test]
-    fn path_to_self_is_singleton() {
-        let t = Topology::random_tree(5, 4, &mut rng());
-        assert_eq!(
-            t.path(NodeId::new(2), NodeId::new(2)),
-            Some(vec![NodeId::new(2)])
-        );
-    }
-
-    #[test]
-    fn path_is_none_across_components() {
+    fn parents_trace_the_tree_path_between_any_two_nodes() {
+        // On a tree, the parents of a walk from `a` lead from `b` back
+        // to `a` hop by hop, visit no node twice, and read the same as
+        // those of a walk from `b`.
+        forall("parents_trace_the_tree_path", 256, |rng| {
+            let n = rng.random_range(1..150usize);
+            let t = Topology::random_tree(n, 4, rng);
+            let a = NodeId::new(rng.random_below(n as u64) as u32);
+            let b = NodeId::new(rng.random_below(n as u64) as u32);
+            let route = path(&t, a, b).unwrap();
+            assert_eq!((route[0], route[route.len() - 1]), (a, b));
+            for w in route.windows(2) {
+                assert!(t.has_link(w[0], w[1]));
+            }
+            let mut distinct = route.clone();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), route.len());
+            let mut reverse = path(&t, b, a).unwrap();
+            reverse.reverse();
+            assert_eq!(reverse, route);
+        });
         let mut t = Topology::new(2, 2);
-        assert_eq!(t.path(NodeId::new(0), NodeId::new(1)), None);
+        assert_eq!(path(&t, NodeId::new(0), NodeId::new(1)), None);
         t.add_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert!(t.path(NodeId::new(0), NodeId::new(1)).is_some());
+        assert!(path(&t, NodeId::new(0), NodeId::new(1)).is_some());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl ShardTransport {
         ShardTransport {
             spec,
             oob,
-            links: LinkTable::new(),
+            links: LinkTable::default(),
         }
     }
 
@@ -55,9 +55,7 @@ impl ShardTransport {
         now: SimTime,
         rng: &mut Rng,
     ) -> Option<SimTime> {
-        self.links
-            .transmit(&self.spec, from, to, bits, now, rng)
-            .arrival()
+        self.links.transmit(&self.spec, from, to, bits, now, rng)
     }
 
     /// Sends `bits` from `from` to `to` on the out-of-band unicast
@@ -79,11 +77,6 @@ impl ShardTransport {
     /// so a later replacement link starts fresh.
     pub fn reset_link(&mut self, a: NodeId, b: NodeId) {
         self.links.reset_link(a, b);
-    }
-
-    /// The link-layer statistics (messages transmitted and lost).
-    pub fn links(&self) -> &LinkTable {
-        &self.links
     }
 }
 
@@ -108,18 +101,15 @@ mod tests {
     fn link_sends_match_the_raw_link_table() {
         // Same spec, same RNG stream → identical arrivals and losses.
         let mut t = transport(0.1);
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::default();
         let (mut rng, mut table_rng) = (loss_rng(), loss_rng());
         let spec = LinkSpec::ethernet_10mbps(0.1);
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         for i in 0..200u64 {
             let now = SimTime::from_micros(i * 13);
-            let expected = table
-                .transmit(&spec, a, b, 1000, now, &mut table_rng)
-                .arrival();
+            let expected = table.transmit(&spec, a, b, 1000, now, &mut table_rng);
             assert_eq!(t.send_link(a, b, 1000, now, &mut rng), expected);
         }
-        assert_eq!(t.links().lost(), table.lost());
     }
 
     #[test]
@@ -155,6 +145,5 @@ mod tests {
                 None
             );
         }
-        assert_eq!(t.links().lost(), 100);
     }
 }

@@ -16,11 +16,10 @@
 //! - **Identity on trees.** When the physical graph already is a tree,
 //!   the view is a verbatim clone — same links *and the same neighbor
 //!   order* — so every pinned tree-overlay golden stays byte-identical.
-//! - **Deterministic BFS otherwise.** The spanning tree is a BFS from
-//!   node 0 that visits neighbors in stored adjacency order, which the
-//!   deterministic builders fix per seed.
-
-use std::collections::VecDeque;
+//! - **Deterministic BFS otherwise.** The spanning tree is node 0's
+//!   tree of [`Topology::breadth_first`] (neighbors in stored adjacency
+//!   order, which the deterministic builders fix per seed), its links
+//!   added in visit order.
 
 use crate::node::NodeId;
 use crate::topology::Topology;
@@ -64,18 +63,10 @@ impl RoutingView {
             };
         }
         let mut tree = Topology::new(graph.len(), graph.max_degree());
-        let mut seen = vec![false; graph.len()];
-        seen[0] = true;
-        let mut queue = VecDeque::from([NodeId::new(0)]);
-        while let Some(v) = queue.pop_front() {
-            for &w in graph.neighbors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    tree.add_link(v, w)
-                        .expect("a BFS tree never exceeds the graph's degree bound");
-                    queue.push_back(w);
-                }
-            }
+        let walk = graph.breadth_first([NodeId::new(0)]);
+        for &w in &walk.order[1..] {
+            tree.add_link(walk.parent[w.index()], w)
+                .expect("a BFS tree never exceeds the graph's degree bound");
         }
         RoutingView { tree }
     }
@@ -122,7 +113,7 @@ mod tests {
     fn view_of_a_tree_is_a_verbatim_clone() {
         forall("view_of_a_tree_is_a_verbatim_clone", 128, |rng| {
             let n = rng.random_range(1..120usize);
-            let tree = Topology::random_tree(n, rng.random_range(2..6usize), rng);
+            let tree = Topology::build(OverlayKind::Tree, n, rng.random_range(2..6usize), rng);
             let view = RoutingView::derive(&tree);
             assert_eq!(view.tree().link_count(), tree.link_count());
             for n in tree.nodes() {

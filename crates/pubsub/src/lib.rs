@@ -30,11 +30,11 @@
 //! ```
 //! use eps_pubsub::{Dispatcher, DispatcherConfig, PatternId, PatternSpace};
 //! use eps_pubsub::flood_subscriptions_direct;
-//! use eps_overlay::Topology;
+//! use eps_overlay::{OverlayKind, Topology};
 //! use eps_sim::RngFactory;
 //!
 //! let factory = RngFactory::new(7);
-//! let topo = Topology::random_tree(10, 4, &mut factory.stream("topology"));
+//! let topo = Topology::build(OverlayKind::Tree, 10, 4, &mut factory.stream("topology"));
 //! let space = PatternSpace::paper_default();
 //! let mut subs_rng = factory.stream("subscriptions");
 //! let subs: Vec<Vec<PatternId>> = (0..10)

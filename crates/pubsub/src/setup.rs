@@ -7,7 +7,7 @@
 //! routing state the event workload then runs on. The same fill rebuilds
 //! routes after a topological reconfiguration completes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use eps_overlay::{NodeId, Topology};
 
@@ -38,38 +38,22 @@ impl DispatcherHost for Dispatcher {
 }
 
 /// Roots every component of an acyclic `topology` at its lowest node
-/// id, by BFS in stored neighbor order (a tree at node 0): each node's
-/// parent (a root is its own) and its component's root.
+/// id, by [`Topology::breadth_first`] from every node in id order (a
+/// tree at node 0): each node's parent (a root is its own) and its
+/// component's root.
 ///
 /// # Panics
 ///
 /// Panics if the topology has a cycle.
-fn root_forest(topology: &Topology) -> (Vec<u32>, Vec<u32>) {
-    let n = topology.len();
-    let (mut parent, mut root) = (vec![u32::MAX; n], vec![0; n]);
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut components = 0;
-    for r in 0..n as u32 {
-        if parent[r as usize] == u32::MAX {
-            components += 1;
-            (parent[r as usize], root[r as usize]) = (r, r);
-            queue.push_back(NodeId::new(r));
-        }
-        while let Some(v) = queue.pop_front() {
-            for &w in topology.neighbors(v) {
-                if parent[w.index()] == u32::MAX {
-                    (parent[w.index()], root[w.index()]) = (v.index() as u32, r);
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
+fn root_forest(topology: &Topology) -> (Vec<NodeId>, Vec<NodeId>) {
+    let walk = topology.breadth_first(topology.nodes());
     assert_eq!(
-        topology.link_count() + components,
-        n,
+        topology.link_count() + walk.trees().count(),
+        topology.len(),
         "direct subscription fill requires an acyclic overlay"
     );
-    (parent, root)
+    let root = walk.roots();
+    (walk.parent, root)
 }
 
 /// Walks, pattern by pattern, the paths from each pattern's subscribers
@@ -79,7 +63,7 @@ fn root_forest(topology: &Topology) -> (Vec<u32>, Vec<u32>) {
 /// when all subscribers of `v`'s component lie in `v`'s subtree.
 fn walk_paths(
     locals: &[(PatternId, NodeId)],
-    (parent, root): (&[u32], &[u32]),
+    (parent, root): (&[NodeId], &[NodeId]),
     mut visit: impl FnMut(PatternId, usize, bool),
 ) {
     let mut cnt: Vec<u32> = vec![0; parent.len()];
@@ -90,14 +74,14 @@ fn walk_paths(
             loop {
                 touched.extend((cnt[v] == 0).then_some(v));
                 cnt[v] += 1;
-                if parent[v] as usize == v {
+                if parent[v].index() == v {
                     break;
                 }
-                v = parent[v] as usize;
+                v = parent[v].index();
             }
         }
         for &v in &touched {
-            visit(subs[0].0, v, cnt[v] == cnt[root[v] as usize]);
+            visit(subs[0].0, v, cnt[v] == cnt[root[v].index()]);
         }
         for v in touched.drain(..) {
             cnt[v] = 0;
@@ -195,8 +179,8 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
     // patterns subscribed in each component with more than one node.
     let (mut child_end, mut except_end) = (vec![0u32; n], vec![0u32; n]);
     walk_paths(&locals, forest, |_, v, enclosing| {
-        if parent[v] as usize != v {
-            child_end[parent[v] as usize] += 1;
+        if parent[v].index() != v {
+            child_end[parent[v].index()] += 1;
             except_end[v] += u32::from(enclosing);
         }
     });
@@ -205,7 +189,7 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
     let words = locals.last().map_or(0, |(p, _)| p.index() / 64 + 1);
     let mut subscribed: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     walk_paths(&locals, forest, |p, v, enclosing| {
-        let u = parent[v] as usize;
+        let u = parent[v].index();
         if u != v {
             children[child_end[u] as usize] = (p, NodeId::new(v as u32));
             child_end[u] += 1;
@@ -234,9 +218,9 @@ pub fn flood_subscriptions_direct<H: DispatcherHost>(hosts: &mut [H], topology: 
             &excepts[e..except_end[v] as usize],
         );
         (c, e) = (child_end[v] as usize, except_end[v] as usize);
-        let default = (subscribed.get(&root[v]))
-            .filter(|_| parent[v] as usize != v)
-            .map(|bits| (NodeId::new(parent[v]), bits, except));
+        let default = (subscribed.get(&root[v].value()))
+            .filter(|_| parent[v].index() != v)
+            .map(|bits| (parent[v], bits, except));
         if let Some((_, bits, except)) = default {
             messages += (bits.count() - except.len()) as u64;
         }
@@ -292,9 +276,25 @@ mod tests {
     use crate::dispatcher::DispatcherConfig;
     use crate::event::Event;
     use crate::pattern::PatternSpace;
+    use eps_overlay::{plan_reconnection, OverlayKind};
     use eps_sim::check::forall;
     use eps_sim::{Rng, RngFactory};
     use std::collections::BTreeSet;
+
+    fn tree(n: usize, rng: &mut Rng) -> Topology {
+        Topology::build(OverlayKind::Tree, n, 4, rng)
+    }
+
+    /// `topo` with a random link broken and the runner's repair
+    /// ([`plan_reconnection`]) in its place.
+    fn reconfigured(topo: &Topology, rng: &mut Rng) -> Topology {
+        let mut topo = topo.clone();
+        let broken = rng.choose_iter(topo.links()).expect("a link to break");
+        topo.remove_link(broken).unwrap();
+        let (x, y) = plan_reconnection(&topo, rng).expect("a break disconnects a tree");
+        topo.add_link(x, y).unwrap();
+        topo
+    }
 
     /// The oracle of the direct fill: the subscription-forwarding
     /// protocol run message at a time to quiescence, every dispatcher's
@@ -306,28 +306,29 @@ mod tests {
     /// exchanged.
     fn flood_subscriptions(hosts: &mut [Dispatcher], topology: &Topology) -> u64 {
         assert_eq!(hosts.len(), topology.len());
-        let mut queue: VecDeque<(NodeId, NodeId, PatternId)> = VecDeque::new();
+        let mut sent: Vec<(NodeId, NodeId, PatternId)> = Vec::new();
         for node in topology.nodes() {
             for p in hosts[node.index()].table().local_patterns() {
                 for &to in topology.neighbors(node) {
-                    queue.push_back((to, node, p));
+                    sent.push((to, node, p));
                 }
             }
         }
-        let mut messages = 0u64;
-        while let Some((to, from, pattern)) = queue.pop_front() {
-            messages += 1;
+        // `sent` is the FIFO: each message is handled in send order.
+        let mut handled = 0;
+        while let Some(&(to, from, pattern)) = sent.get(handled) {
+            handled += 1;
             let neighbors = topology.neighbors(to);
             for next in hosts[to.index()].on_subscribe(pattern, from, neighbors) {
-                queue.push_back((next, to, pattern));
+                sent.push((next, to, pattern));
             }
         }
-        messages
+        sent.len() as u64
     }
 
     fn build(n: usize, seed: u64) -> (Vec<Dispatcher>, Topology) {
         let factory = RngFactory::new(seed);
-        let topo = Topology::random_tree(n, 4, &mut factory.stream("topology"));
+        let topo = tree(n, &mut factory.stream("topology"));
         let dispatchers: Vec<Dispatcher> = topo
             .nodes()
             .map(|id| Dispatcher::new(id, DispatcherConfig::default()))
@@ -372,19 +373,20 @@ mod tests {
         if receipt.delivered {
             delivered.insert(publisher);
         }
-        let mut queue: VecDeque<_> = next_hops
+        let mut hops: Vec<_> = next_hops
             .iter()
             .map(|&to| (to, publisher, event.clone()))
             .collect();
-        let mut hops = 0;
-        while let Some((at, from, e)) = queue.pop_front() {
-            hops += 1;
-            assert!(hops <= 4 * ds.len(), "routing does not terminate");
+        // `hops` is the FIFO: each hop is taken in send order.
+        let mut taken = 0;
+        while let Some((at, from, e)) = hops.get(taken).cloned() {
+            taken += 1;
+            assert!(taken <= 4 * ds.len(), "routing does not terminate");
             let (copy, receipt) = ds[at.index()].on_event(e, Some(from), &mut next_hops);
             if receipt.delivered {
                 delivered.insert(at);
             }
-            queue.extend(next_hops.iter().map(|&to| (to, at, copy.clone())));
+            hops.extend(next_hops.iter().map(|&to| (to, at, copy.clone())));
         }
         (event, delivered)
     }
@@ -395,7 +397,7 @@ mod tests {
     fn flood_reaches_every_dispatcher() {
         forall("flood_reaches_every_dispatcher", 128, |rng| {
             let n = rng.random_range(2..50usize);
-            let topo = Topology::random_tree(n, 4, rng);
+            let topo = tree(n, rng);
             let pi_max = rng.random_range(1..5usize);
             let subs = random_subs(rng, n, pi_max);
             let ds = flooded(&topo, &subs, DispatcherConfig::default());
@@ -448,7 +450,7 @@ mod tests {
         // dispatchers subscribed to one of its patterns, once each.
         forall("event_from_any_node_reaches_all_subscribers", 128, |rng| {
             let n = rng.random_range(2..40usize);
-            let topo = Topology::random_tree(n, 4, rng);
+            let topo = tree(n, rng);
             let subs = random_subs(rng, n, 2);
             let mut ds = flooded(&topo, &subs, DispatcherConfig::default());
             let publisher = NodeId::new(rng.random_below(n as u64) as u32);
@@ -473,7 +475,7 @@ mod tests {
         // tree; the route each receiver recorded is the tree path.
         forall("recorded_routes_match_tree_paths", 128, |rng| {
             let n = rng.random_range(2..40usize);
-            let topo = Topology::random_tree(n, 4, rng);
+            let topo = tree(n, rng);
             let config = DispatcherConfig {
                 record_routes: true,
                 ..DispatcherConfig::default()
@@ -482,9 +484,15 @@ mod tests {
             let mut ds = flooded(&topo, &vec![vec![p]; n], config);
             let publisher = NodeId::new(rng.random_below(n as u64) as u32);
             publish_and_route(&mut ds, publisher, &[p]);
+            let walk = topo.breadth_first([publisher]);
             for node in topo.nodes().filter(|&node| node != publisher) {
                 let recorded = ds[node.index()].routes().route_from(publisher);
-                let expected = topo.path(publisher, node).unwrap();
+                // The tree path, up the parents from `node`.
+                let mut expected = vec![node];
+                while expected[expected.len() - 1] != publisher {
+                    expected.push(walk.parent[expected[expected.len() - 1].index()]);
+                }
+                expected.reverse();
                 assert_eq!(recorded, Some(&expected[..]));
             }
         });
@@ -492,17 +500,13 @@ mod tests {
 
     #[test]
     fn rebuild_after_reconfiguration_restores_routes() {
-        let (mut ds, mut topo) = build(25, 5);
+        let (mut ds, topo) = build(25, 5);
         let p = PatternId::new(3);
         ds[11].subscribe_local(p, &[]);
         flood_subscriptions(&mut ds, &topo);
 
         // Reconfigure: break one link, replace it.
-        let mut rng = RngFactory::new(5).stream("reconfig");
-        let plan = eps_overlay::plan_reconfiguration(&topo, &mut rng).unwrap();
-        topo.remove_link(plan.broken).unwrap();
-        topo.add_link(plan.replacement.0, plan.replacement.1)
-            .unwrap();
+        let topo = reconfigured(&topo, &mut RngFactory::new(5).stream("reconfig"));
         rebuild_subscription_routes(&mut ds, &topo);
 
         // Routes must again lead everywhere.
@@ -547,7 +551,7 @@ mod tests {
         // Random trees and subscription draws.
         for seed in 1..=6u64 {
             let factory = RngFactory::new(seed);
-            let topo = Topology::random_tree(40, 4, &mut factory.stream("topology"));
+            let topo = tree(40, &mut factory.stream("topology"));
             let mut subs_rng = factory.stream("subscriptions");
             let mut ds = fresh(&topo);
             for d in ds.iter_mut() {
@@ -564,7 +568,7 @@ mod tests {
         // carries it downwards), alone and beside a widely subscribed
         // pattern — at word boundaries of the pattern bitset.
         let factory = RngFactory::new(7);
-        let topo = Topology::random_tree(40, 4, &mut factory.stream("topology"));
+        let topo = tree(40, &mut factory.stream("topology"));
         let leaf = topo
             .nodes()
             .find(|&v| v.index() != 0 && topo.degree(v) == 1)
@@ -616,13 +620,7 @@ mod tests {
         // Rebuilding after a link swap: dispatchers that carry the old
         // tree's routes must end where a flood of the new tree does.
         flood_subscriptions_direct(&mut ds, &topo);
-        let plan = eps_overlay::plan_reconfiguration(&topo, &mut factory.stream("reconfig"))
-            .expect("a 40-node tree has a link to swap");
-        let mut swapped = topo.clone();
-        swapped.remove_link(plan.broken).unwrap();
-        swapped
-            .add_link(plan.replacement.0, plan.replacement.1)
-            .unwrap();
+        let swapped = reconfigured(&topo, &mut factory.stream("reconfig"));
         let mut installed = fresh(&swapped);
         install_client_subscriptions(&mut installed, &clients);
         let mut flooded = installed;
@@ -677,7 +675,7 @@ mod tests {
         // in one component is unknown in the others. Three breaks cut a
         // random tree into four parts; a fifth is a lone node.
         let factory = RngFactory::new(9);
-        let mut forest = Topology::random_tree(40, 4, &mut factory.stream("topology"));
+        let mut forest = tree(40, &mut factory.stream("topology"));
         let mut rng = factory.stream("breaks");
         for _ in 0..3 {
             let links: Vec<_> = forest.links().collect();
@@ -706,8 +704,8 @@ mod tests {
         assert_equals_message_flood("forest", &ds, &forest);
 
         // Rebuilding on the forest from the old tree's routes.
-        let tree = Topology::random_tree(40, 4, &mut factory.stream("topology"));
-        flood_subscriptions_direct(&mut ds, &tree);
+        let whole = tree(40, &mut factory.stream("topology"));
+        flood_subscriptions_direct(&mut ds, &whole);
         let mut flooded = ds.clone();
         for d in flooded.iter_mut() {
             d.reset_routing_state();

@@ -56,7 +56,7 @@ pub const LEVEL_COUNT: usize = LEAF_LEVEL as usize + 1;
 /// source land in unrelated ranges, so hot publishers do not skew the
 /// tree. Both sides of a reconciliation must use this exact function;
 /// it is part of the wire contract of the summary digests.
-pub fn mix_event_id(id: EventId) -> u64 {
+pub(crate) fn mix_event_id(id: EventId) -> u64 {
     let mut z = ((id.source().value() as u64) << 32) ^ id.seq();
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

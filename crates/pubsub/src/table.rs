@@ -722,7 +722,8 @@ impl SubscriptionTable {
 
     /// `true` if the table has any entry (local or remote) for
     /// `pattern`.
-    pub fn knows(&self, pattern: PatternId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn knows(&self, pattern: PatternId) -> bool {
         self.knows_index(pattern.index())
     }
 

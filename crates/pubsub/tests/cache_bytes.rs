@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 use std::iter;
 
-use eps_overlay::{NodeId, Topology};
+use eps_overlay::{NodeId, OverlayKind, Topology};
 use eps_pubsub::{
     flood_subscriptions_direct, CacheIndexes, Dispatcher, DispatcherConfig, Event, EventCache,
     EventId, EvictionPolicy, LossDetector, PatternId, PatternSpace, SubscriptionTable,
@@ -535,7 +535,7 @@ fn row_map_bytes(table: &SubscriptionTable, parent: Option<NodeId>) -> isize {
 fn a_filled_pi_8192_table_keeps_a_row_map_of_at_most_256_bytes() {
     const NODES: usize = 4000;
     let mut rng = Rng::from_seed(1);
-    let topology = Topology::random_tree(NODES, 4, &mut rng);
+    let topology = Topology::build(OverlayKind::Tree, NODES, 4, &mut rng);
     let space = PatternSpace::new(8192, 3);
     let subscriptions: Vec<Vec<PatternId>> = (0..NODES)
         .map(|_| space.random_subscriptions(2, &mut rng))

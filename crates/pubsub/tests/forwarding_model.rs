@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use eps_overlay::{plan_reconfiguration, NodeId, Topology};
+use eps_overlay::{plan_reconnection, NodeId, OverlayKind, Topology};
 use eps_pubsub::{
     flood_subscriptions_direct, install_client_subscriptions, rebuild_subscription_routes,
     ClientId, Dispatcher, DispatcherConfig, Event, EventId, PatternId,
@@ -226,11 +226,12 @@ impl Net {
     /// Rebuilds every route, after swapping a link when `swap` holds.
     fn rebuild(&mut self, swap: bool, rng: &mut Rng) {
         if swap {
-            if let Some(plan) = plan_reconfiguration(&self.topo, rng) {
-                self.topo.remove_link(plan.broken).unwrap();
-                self.topo
-                    .add_link(plan.replacement.0, plan.replacement.1)
-                    .unwrap();
+            // The runner's reconfiguration: a link breaks and a repair
+            // joins the two sides.
+            if let Some(broken) = rng.choose_iter(self.topo.links()) {
+                self.topo.remove_link(broken).unwrap();
+                let (x, y) = plan_reconnection(&self.topo, rng).expect("a break splits a tree");
+                self.topo.add_link(x, y).unwrap();
             }
         }
         for d in &mut self.real {
@@ -309,7 +310,7 @@ fn derived_forwarding_memory_equals_an_explicit_one() {
         256,
         |rng| {
             let n = rng.random_range(2..13usize);
-            let topo = Topology::random_tree(n, rng.random_range(2..5usize), rng);
+            let topo = Topology::build(OverlayKind::Tree, n, rng.random_range(2..5usize), rng);
             // A handful of patterns out of 150, across bitset words.
             let mut patterns: Vec<PatternId> = (0..rng.random_range(1..7u64))
                 .map(|_| PatternId::new(rng.random_below(150) as u16))

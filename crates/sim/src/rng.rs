@@ -65,7 +65,7 @@ impl Rng {
 
     /// A uniform `f64` in `[0, 1)` with 53 random bits of mantissa.
     #[inline]
-    pub fn random_f64(&mut self) -> f64 {
+    pub(crate) fn random_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -208,11 +208,6 @@ impl Zipf {
             (n.powf(1.0 - s) - s) / (1.0 - s)
         };
         Zipf { n, s, t }
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// Inverse CDF of the envelope density `max(1, x)^−s / t` at

@@ -44,6 +44,11 @@ cells+=("$scale" "$scale --churn 0.01" "$small --overlay ba --rho 0.5"
 # Reconfigurations on the tree, under both route-recording rows: each
 # moved path is recorded afresh.
 cells+=("-a combined-pull -a publisher-pull --duration 2 --seed 1 --overlay tree --rho 0.5")
+# The walks of the overlay: the Watts-Strogatz routing view re-derived
+# after breaks, overlapping tree breaks (rho below the repair delay)
+# that leave forests of more than two components for the repair
+# planner, and the preferential-attachment overlay under them.
+cells+=("$small --overlay ws --max-degree 6 --rho 0.5" "$small --rho 0.03" "$small --overlay ba --rho 0.03")
 
 differ=0
 for cell in "${cells[@]}"; do

@@ -207,7 +207,12 @@ fn facade_reexports_compose() {
     use epidemic_pubsub::pubsub::{Dispatcher, DispatcherConfig};
     use epidemic_pubsub::sim::RngFactory;
 
-    let topo = Topology::random_tree(10, 4, &mut RngFactory::new(1).stream("t"));
+    let topo = Topology::build(
+        OverlayKind::Tree,
+        10,
+        4,
+        &mut RngFactory::new(1).stream("t"),
+    );
     let d = Dispatcher::new(topo.nodes().next().unwrap(), DispatcherConfig::default());
     assert_eq!(d.id().index(), 0);
 }
