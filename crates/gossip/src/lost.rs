@@ -152,11 +152,6 @@ impl LostBuffer {
         }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of outstanding entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -727,7 +722,6 @@ mod tests {
                     cleared += before.saturating_sub(lost.len() as u64);
                     assert!(lost.len() <= cap, "len {} exceeds {cap}", lost.len());
                 }
-                assert_eq!(lost.capacity(), cap);
                 assert_eq!(added, lost.len() as u64 + cleared + lost.evicted_total());
             },
         );

@@ -12,28 +12,29 @@
 //!
 //! The rows, in the order the paper's figures list them:
 //!
-//! | name              | state     | cache indexes              | digest steered                                |
-//! |-------------------|-----------|----------------------------|-----------------------------------------------|
-//! | `no-recovery`     | —         | ids                        | —                                             |
-//! | `random-pull`     | pull      | seqs                       | to random neighbors (TTL)                     |
-//! | `push`            | push      | ids + lists                | along a known pattern's routes                |
-//! | `subscriber-pull` | pull      | seqs                       | along a lost pattern's routes                 |
-//! | `combined-pull`   | pull      | seqs                       | publisher's route w.p. `P_source`, else as subscriber-pull |
-//! | `publisher-pull`  | pull      | seqs                       | back along the publisher's route              |
-//! | `push-pull`       | push-pull | ids + lists + seqs         | push and subscriber-pull rounds, alternating  |
-//! | `summary-push`    | summary   | ids + summary              | along a known pattern's routes                |
-//! | `summary-pull`    | summary   | ids + summary + tombstones | along a known pattern's routes                |
+//! | name              | state     | cache indexes      | digest steered                                |
+//! |-------------------|-----------|--------------------|-----------------------------------------------|
+//! | `no-recovery`     | —         | ids                | —                                             |
+//! | `random-pull`     | pull      | seqs               | to random neighbors (TTL)                     |
+//! | `push`            | push      | ids + lists        | along a known pattern's routes                |
+//! | `subscriber-pull` | pull      | seqs               | along a lost pattern's routes                 |
+//! | `combined-pull`   | pull      | seqs               | publisher's route w.p. `P_source`, else as subscriber-pull |
+//! | `publisher-pull`  | pull      | seqs               | back along the publisher's route              |
+//! | `push-pull`       | push-pull | ids + lists + seqs | push and subscriber-pull rounds, alternating  |
+//! | `summary-push`    | summary   | ids + summary      | along a known pattern's routes                |
+//! | `summary-pull`    | summary   | ids + seen         | along a known pattern's routes                |
 //!
 //! The cache indexes are [`CacheIndexes`] columns: a request or a
 //! summary expansion names events by id (`ids`), a push digest lists a
 //! pattern's cached ids (`pattern_ids`, "lists"), a pull route serves
 //! the negative digests it receives by (source, pattern, seq)
-//! (`pattern_seqs`, "seqs"), and summary reconciliation reads the
-//! hash-range index (`summary`); pull-mode summary reconciliation also
-//! reads the eviction tombstones of its seen view (`tombstones`). The pull rows build no id index: no
-//! one sends them a request, and a request that reaches one anyway is
-//! dropped ([`Strategy::on_request`]). `no-recovery` keeps the id index
-//! so that it still answers requests, like every strategy that can.
+//! (`pattern_seqs`, "seqs"), and summary reconciliation reads one
+//! hash-range index: over the live ids in push mode (`summary`), over
+//! every id ever admitted in pull mode (`seen`). The pull rows build no
+//! id index: no one sends them a request, and a request that reaches
+//! one anyway is dropped ([`Strategy::on_request`]). `no-recovery`
+//! keeps the id index so that it still answers requests, like every
+//! strategy that can.
 //!
 //! `push-pull` reuses the push and pull wire forms; no new message
 //! exists for it. The `summary-*` extensions (aliases `merkle-push` /
@@ -118,10 +119,7 @@ const IDS_SUMMARY: CacheIndexes = CacheIndexes {
     summary: true,
     ..IDS
 };
-const IDS_SEEN: CacheIndexes = CacheIndexes {
-    tombstones: true,
-    ..IDS_SUMMARY
-};
+const IDS_SEEN: CacheIndexes = CacheIndexes { seen: true, ..IDS };
 
 /// Every strategy, in [`Algorithm::all`] order. The flag is
 /// `needs_route_recording`; the set after it, the cache indexes.
@@ -431,8 +429,8 @@ mod tests {
 
     /// Each row's cache indexes are exactly those its kind of state
     /// reads: push digests list a pattern's ids, pull routes serve by
-    /// (source, pattern, seq), summary reconciliation reads the summary
-    /// index and, in pull mode, the tombstones of its seen view, and
+    /// (source, pattern, seq), summary reconciliation reads the live
+    /// summary index in push mode and the seen one in pull mode, and
     /// every kind that answers requests or expands summaries looks
     /// events up by id. A dispatcher detects losses exactly where its
     /// cache has the seq index, so this also pins that only the rows

@@ -37,22 +37,26 @@
 //!   matter here: they are how a gossiper says "I have nothing in this
 //!   range", letting any dispatcher on the route serve its surplus.
 //!
-//! Pull rounds announce the gossiper's **seen** view — the live cache
-//! plus its eviction tombstones ([`eps_pubsub::EventCache::seen_summary`])
+//! Each mode reads one index of the cache. Push rounds announce the
+//! live cache ([`eps_pubsub::EventCache::summary_index`]): their digests
+//! invite fetches, which only resident events can serve. Pull rounds
+//! announce the gossiper's **seen** view — every id its cache has
+//! admitted, resident or evicted ([`eps_pubsub::EventCache::seen_index`])
 //! — and receivers compare their own seen view against it. An id the
 //! gossiper consumed and then evicted is still part of its announced
 //! aggregates, so peers stop re-serving that surplus round after round
 //! (the gossiper's `has_seen` filter would discard every copy anyway).
-//! Serving itself stays strictly live: only resident events can back a
-//! [`crate::Envelope::Reply`]. A cache that never evicts has an empty
-//! tombstone set, making the seen view bit-identical to the live one —
-//! the pre-tombstone wire behavior.
+//! Serving itself stays strictly live: a seen id backs a
+//! [`crate::Envelope::Reply`] only while its event is resident. A cache
+//! that never evicts has a seen view equal to its live one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
-use eps_pubsub::{Dispatcher, Event, EventId, PatternId, RangeDetail, RangeRef, RangeSummary};
+use eps_pubsub::{
+    Dispatcher, Event, EventId, PatternId, RangeDetail, RangeRef, RangeSummary, SummaryIndex,
+};
 
 use crate::config::DIGEST_MAX;
 use crate::envelope::{Envelope, Outgoing};
@@ -87,10 +91,11 @@ pub enum SummaryMode {
 /// refinements peers asked for, plus the in-flight requests of a push
 /// digest.
 ///
-/// Requires the summary index, and in pull mode the tombstones index,
-/// in every dispatcher's [`eps_pubsub::DispatcherConfig::cache_indexes`]
-/// (the table rows declare them in [`crate::Algorithm::cache_indexes`]);
-/// building or absorbing a digest panics otherwise.
+/// Requires the summary index in push mode, and the seen index in pull
+/// mode, in every dispatcher's
+/// [`eps_pubsub::DispatcherConfig::cache_indexes`] (the table rows
+/// declare them in [`crate::Algorithm::cache_indexes`]); building or
+/// absorbing a digest panics otherwise.
 #[derive(Clone, Debug)]
 pub struct SummaryState {
     /// The transfer direction.
@@ -135,29 +140,13 @@ impl SummaryState {
         }
     }
 
-    /// The view this state's digests announce and compare: push works
-    /// on the live cache (its digests invite fetches, which only
-    /// resident events can serve); pull works on the *seen* view —
-    /// live plus eviction tombstones — so peers stop re-serving
-    /// surplus the cache has already consumed and evicted.
-    fn view_summarize(
-        &self,
-        node: &Dispatcher,
-        pattern: PatternId,
-        range: RangeRef,
-    ) -> RangeSummary {
+    /// The index this state's digests announce and compare (see the
+    /// module docs): the live one in push mode, the seen one in pull
+    /// mode.
+    fn summary_index<'a>(&self, node: &'a Dispatcher) -> &'a SummaryIndex {
         match self.mode {
-            SummaryMode::Push => node.cache().summary_index().summarize(pattern, range),
-            SummaryMode::Pull => node.cache().seen_summary(pattern, range),
-        }
-    }
-
-    /// The complete id list of `range` under the mode's view (see
-    /// [`SummaryState::view_summarize`]).
-    fn view_ids_in(&self, node: &Dispatcher, pattern: PatternId, range: RangeRef) -> Vec<EventId> {
-        match self.mode {
-            SummaryMode::Push => node.cache().summary_index().ids_in(pattern, range),
-            SummaryMode::Pull => node.cache().seen_ids_in(pattern, range),
+            SummaryMode::Push => node.cache().summary_index(),
+            SummaryMode::Pull => node.cache().seen_index(),
         }
     }
 
@@ -182,7 +171,8 @@ impl SummaryState {
     /// (Pull rounds still go out empty: "I have nothing" is exactly
     /// what invites peers to serve their surplus.)
     pub fn digest(&mut self, node: &Dispatcher, pattern: PatternId) -> Option<GossipMessage> {
-        let root = self.view_summarize(node, pattern, RangeRef::ROOT);
+        let index = self.summary_index(node);
+        let root = index.root(pattern);
         if self.mode == SummaryMode::Push && root.count == 0 && self.queued == 0 {
             return None;
         }
@@ -195,21 +185,18 @@ impl SummaryState {
             let Some(range) = self.pop_queued(pattern) else {
                 break;
             };
-            let summary = self.view_summarize(node, pattern, range);
-            if range.is_leaf() || summary.count <= DETAIL_THRESHOLD {
+            if range.is_leaf() || index.summarize(pattern, range).count <= DETAIL_THRESHOLD {
                 // Small enough to list outright — including the
                 // empty list, which pull receivers need to see.
                 details.push(RangeDetail {
                     range,
-                    ids: self.view_ids_in(node, pattern, range),
+                    ids: index.ids_in(pattern, range),
                 });
             } else {
                 // Refine by one level. All children are included —
                 // empty ones too — so receivers can tell "gossiper
                 // holds nothing here" from "not yet refined".
-                for i in 0..eps_pubsub::summary::FANOUT {
-                    ranges.push(self.view_summarize(node, pattern, range.child(i)));
-                }
+                ranges.extend(index.children(pattern, range));
             }
         }
         Some(GossipMessage::SummaryDigest {
@@ -244,15 +231,15 @@ impl SummaryState {
         if !reacts {
             return;
         }
-        let local = node.cache().summary_index();
+        let local = self.summary_index(node);
         let mut refine: Vec<RangeRef> = Vec::new();
         let mut serve: Vec<EventId> = Vec::new();
         for summary in ranges {
             // Pull compares seen view against seen view, so two caches
             // that merely evicted differently — but saw the same ids —
             // have nothing to exchange. Serving below stays live-only:
-            // `local.ids_in` lists residents.
-            let ours = self.view_summarize(node, pattern, summary.range);
+            // the reply keeps the ids whose events are resident.
+            let ours = local.summarize(pattern, summary.range);
             if ours.count == summary.count && ours.hash == summary.hash {
                 continue; // Identical content in this range.
             }
@@ -321,13 +308,16 @@ mod tests {
 
     use super::*;
 
-    /// A dispatcher subscribed to `pattern`, with the pull row's cache
-    /// indexes: a superset of the push row's, so it serves both modes.
+    /// A dispatcher subscribed to `pattern`, with both summary rows'
+    /// cache indexes, so it serves both modes.
     fn summary_node(id: u32, pattern: u16) -> Dispatcher {
         let mut node = Dispatcher::new(
             NodeId::new(id),
             DispatcherConfig {
-                cache_indexes: crate::Algorithm::summary_pull().cache_indexes(),
+                cache_indexes: eps_pubsub::CacheIndexes {
+                    summary: true,
+                    ..crate::Algorithm::summary_pull().cache_indexes()
+                },
                 ..DispatcherConfig::default()
             },
         );

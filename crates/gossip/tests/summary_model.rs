@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use eps_gossip::{Algorithm, Envelope, GossipConfig, Outgoing, Strategy, DIGEST_MAX};
 use eps_overlay::NodeId;
 use eps_pubsub::summary::LEVEL_COUNT;
-use eps_pubsub::{Dispatcher, DispatcherConfig, Event, EventId, PatternId, RangeRef};
+use eps_pubsub::{CacheIndexes, Dispatcher, DispatcherConfig, Event, EventId, PatternId, RangeRef};
 use eps_sim::check::forall;
 use eps_sim::Rng;
 
@@ -38,13 +38,17 @@ struct Peer {
 
 /// A dispatcher subscribed to the test pattern both locally and on
 /// behalf of its peer, so its digests always have a route, running
-/// `summary-pull` (`pull`) or `summary-push`.
+/// `summary-pull` (`pull`) or `summary-push`. Its cache keeps both rows'
+/// indexes, so the tests read the live ids in either mode.
 fn peer(id: u32, peer_id: u32, capacity: usize, pull: bool) -> Peer {
     let mut node = Dispatcher::new(
         NodeId::new(id),
         DispatcherConfig {
             cache_capacity: capacity,
-            cache_indexes: Algorithm::summary_pull().cache_indexes(),
+            cache_indexes: CacheIndexes {
+                summary: true,
+                ..Algorithm::summary_pull().cache_indexes()
+            },
             ..DispatcherConfig::default()
         },
     );
@@ -221,11 +225,11 @@ fn eviction_churn_leaves_no_unseen_deficits() {
         feed(&mut a.node, 1_000..1_000 + rng.random_range(1..24u64));
         feed(&mut b.node, 2_000..2_000 + rng.random_range(1..24u64));
 
-        // Eviction tombstones keep pull from re-serving surplus a
-        // peer has already seen, but ids evicted before the other
-        // side ever saw them leave a permanent seen-set divergence
-        // that keeps refinement traffic alive — so run to the
-        // bound and check coverage rather than quiescence.
+        // The seen view keeps pull from re-serving surplus a peer has
+        // already seen, but ids evicted before the other side ever saw
+        // them leave a permanent seen-set divergence that keeps
+        // refinement traffic alive — so run to the bound and check
+        // coverage rather than quiescence.
         let bound = round_bound(128, DIGEST_MAX);
         for _ in 0..bound {
             let opening = round_of(&mut a, b.node.id(), rng);
@@ -252,25 +256,22 @@ fn eviction_churn_leaves_no_unseen_deficits() {
 #[test]
 fn pull_goes_quiet_once_evicted_surplus_is_seen() {
     // A consumed every event but its small cache evicted two thirds of
-    // them; B holds all of them live. Before eviction tombstones, A's
-    // pull rounds announced only the live residue, so B proved a
-    // "deficit" and re-served the evicted surplus every round forever
-    // (A's `has_seen` filter discarded each copy on arrival). With the
-    // seen view — live cache plus tombstones — both sides' aggregates
-    // agree, and a window of symmetric rounds must move nothing at
-    // all: no replies, no requests, no refinement traffic.
+    // them; B holds all of them live. Were A's pull rounds to announce
+    // only the live residue, B would prove a "deficit" and re-serve the
+    // evicted surplus every round forever (A's `has_seen` filter
+    // discarding each copy on arrival). They announce the seen view —
+    // every id ever admitted — so both sides' aggregates agree, and a
+    // window of symmetric rounds must move nothing at all: no replies,
+    // no requests, no refinement traffic.
     let mut a = peer(0, 1, 32, true);
     let mut b = peer(1, 0, 1500, true);
     feed(&mut a.node, 0..96);
     feed(&mut b.node, 0..96);
-    assert_eq!(
-        a.node.cache().evicted_total(),
-        64,
-        "the small cache churned"
-    );
-    // The seen view over the live residents: the 64 evicted ids.
+    // The small cache churned: its seen view holds the 64 evicted ids
+    // beside its 32 residents.
     let cache = a.node.cache();
-    let seen = cache.seen_summary(pattern(), RangeRef::ROOT).count;
+    assert_eq!(cache.len(), 32);
+    let seen = cache.seen_index().root(pattern()).count;
     assert_eq!(seen - cache.summary_index().root(pattern()).count, 64);
 
     let mut rng = Rng::from_seed(31);

@@ -54,7 +54,7 @@ use eps_pubsub::{
 };
 use eps_sim::{Rng, RngFactory, SimTime};
 
-use crate::config::{AdaptiveGossip, ScenarioConfig};
+use crate::config::{AdaptiveGossip, ScenarioConfig, MAX_PATTERNS_PER_EVENT};
 use crate::result::RoutingStats;
 use crate::trace::{ScenarioTrace, TraceRecord};
 
@@ -831,14 +831,26 @@ fn pubsub_to(to: Vec<NodeId>, msg: PubSubMessage, out: &mut Vec<Outgoing>) {
     }));
 }
 
+/// The distinct `(node, client)` pairs subscribed to some pattern of
+/// `content`: a merge of the patterns' sorted lists, which allocates
+/// nothing.
 fn count_subscribers(subscribers_of: &[Vec<(NodeId, ClientId)>], content: &[PatternId]) -> u32 {
-    let mut subscribers: Vec<(NodeId, ClientId)> = content
-        .iter()
-        .flat_map(|p| subscribers_of[p.index()].iter().copied())
-        .collect();
-    subscribers.sort_unstable();
-    subscribers.dedup();
-    subscribers.len() as u32
+    assert!(content.len() <= MAX_PATTERNS_PER_EVENT, "{content:?}");
+    let mut lists: [&[(NodeId, ClientId)]; MAX_PATTERNS_PER_EVENT] = Default::default();
+    for (list, p) in lists.iter_mut().zip(content) {
+        *list = &subscribers_of[p.index()];
+        debug_assert!(list.is_sorted(), "{p}'s subscribers are unsorted");
+    }
+    let mut count = 0;
+    while let Some(&least) = lists.iter().filter_map(|list| list.first()).min() {
+        count += 1;
+        for list in &mut lists {
+            while list.first() == Some(&least) {
+                *list = &list[1..];
+            }
+        }
+    }
+    count
 }
 
 #[cfg(test)]
@@ -1174,5 +1186,32 @@ mod tests {
         // d2's reverse route to the source starts at its neighbor d1.
         assert_eq!(*to, chord);
         assert_eq!(copy.route(), [source, id]);
+    }
+
+    #[test]
+    fn subscribers_count_like_a_deduplicated_union() {
+        eps_sim::check::forall("subscribers_count_like_a_union", 256, |rng| {
+            // Sorted lists over few pairs, so the lists overlap.
+            let draw = |rng: &mut Rng| -> Vec<(NodeId, ClientId)> {
+                let pairs = (0..rng.random_below(6)).map(|_| {
+                    let node = NodeId::new(rng.random_below(4) as u32);
+                    (node, ClientId::new(rng.random_below(2) as u32))
+                });
+                let mut list: Vec<_> = pairs.collect();
+                list.sort_unstable();
+                list.dedup();
+                list
+            };
+            let subscribers_of: Vec<_> = (0..5).map(|_| draw(rng)).collect();
+            let k = rng.random_below(MAX_PATTERNS_PER_EVENT as u64 + 1) as u16;
+            let content: Vec<PatternId> = (1..=k).map(PatternId::new).collect();
+            let union: std::collections::BTreeSet<_> = (content.iter())
+                .flat_map(|p| subscribers_of[p.index()].iter())
+                .collect();
+            assert_eq!(
+                count_subscribers(&subscribers_of, &content) as usize,
+                union.len()
+            );
+        });
     }
 }

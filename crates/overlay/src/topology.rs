@@ -50,15 +50,6 @@ pub enum OverlayKind {
 }
 
 impl OverlayKind {
-    /// All overlay kinds, tree first.
-    pub fn all() -> [OverlayKind; 3] {
-        [
-            OverlayKind::Tree,
-            OverlayKind::BarabasiAlbert,
-            OverlayKind::WattsStrogatz,
-        ]
-    }
-
     /// The canonical short name (the `--overlay` CLI value).
     pub fn name(self) -> &'static str {
         match self {
@@ -623,6 +614,15 @@ mod tests {
     }
 
     impl OverlayKind {
+        /// All overlay kinds, tree first.
+        pub(crate) fn all() -> [OverlayKind; 3] {
+            [
+                OverlayKind::Tree,
+                OverlayKind::BarabasiAlbert,
+                OverlayKind::WattsStrogatz,
+            ]
+        }
+
         /// A kind drawn uniformly, a size up to `n_extra` nodes above
         /// the smallest its builder admits, and the smallest admissible
         /// degree bound: BA needs room for `2 * BA_ATTACHMENTS` links

@@ -24,7 +24,7 @@ use eps_sim::Rng;
 
 use crate::event::{Event, EventId};
 use crate::pattern::PatternId;
-use crate::summary::{RangeRef, RangeSummary, SummaryIndex};
+use crate::summary::SummaryIndex;
 
 /// Which cached event to sacrifice when the buffer is full.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -167,12 +167,13 @@ pub struct CacheIndexes {
     /// detects losses, and one without it detects none.
     pub pattern_seqs: bool,
     /// The hash-range summary index over the live ids
-    /// ([`EventCache::summary_index`]): summary reconciliation.
+    /// ([`EventCache::summary_index`]): push-mode summary
+    /// reconciliation.
     pub summary: bool,
-    /// A second summary index, over the ids admitted and since evicted
-    /// ([`EventCache::seen_summary`]): pull-mode summary
+    /// The same index over every id the cache has admitted, live or
+    /// evicted ([`EventCache::seen_index`]): pull-mode summary
     /// reconciliation, which announces what the cache has seen.
-    pub tombstones: bool,
+    pub seen: bool,
 }
 
 impl CacheIndexes {
@@ -184,7 +185,7 @@ impl CacheIndexes {
         pattern_ids: false,
         pattern_seqs: false,
         summary: false,
-        tombstones: false,
+        seen: false,
     };
 
     /// Every index.
@@ -193,7 +194,7 @@ impl CacheIndexes {
         pattern_ids: true,
         pattern_seqs: true,
         summary: true,
-        tombstones: true,
+        seen: true,
     };
 }
 
@@ -202,7 +203,7 @@ impl Default for CacheIndexes {
     fn default() -> Self {
         CacheIndexes {
             summary: false,
-            tombstones: false,
+            seen: false,
             ..CacheIndexes::ALL
         }
     }
@@ -269,14 +270,12 @@ pub struct EventCache {
     // incrementally (O(log C) per insert/evict — never rebuilt per
     // round).
     summary: Option<SummaryIndex>,
-    // The same index over the ids admitted and since evicted. An id is
-    // admitted once, so the two sets are disjoint; together they form
-    // the *seen* view pull-mode summary reconciliation announces, so
-    // peers stop re-serving surplus this cache has already consumed. A
-    // tombstone is one ordered-map entry per evicted (id, pattern)
-    // pair, kept for the life of the cache.
-    tombstones: Option<SummaryIndex>,
-    inserted_total: u64,
+    // The same index over every admitted (id, pattern) pair: added to
+    // on insert, never removed from. It is the *seen* view pull-mode
+    // summary reconciliation announces, so peers stop re-serving
+    // surplus this cache has already consumed; one ordered-map entry
+    // per pair, kept for the life of the cache.
+    seen: Option<SummaryIndex>,
 }
 
 /// Drops `slot` from one pattern's list. Under FIFO eviction the
@@ -315,8 +314,6 @@ impl std::fmt::Debug for EventCache {
         f.debug_struct("EventCache")
             .field("capacity", &self.capacity)
             .field("len", &self.slots.len())
-            .field("inserted_total", &self.inserted_total)
-            .field("evicted_total", &self.evicted_total())
             .finish()
     }
 }
@@ -355,8 +352,7 @@ impl EventCache {
             by_pattern_seq: indexes.pattern_seqs.then(|| SlotIndex::new(capacity)),
             by_pattern: indexes.pattern_ids.then(IdMap::default),
             summary: indexes.summary.then(SummaryIndex::new),
-            tombstones: indexes.tombstones.then(SummaryIndex::new),
-            inserted_total: 0,
+            seen: indexes.seen.then(SummaryIndex::new),
         }
     }
 
@@ -367,13 +363,8 @@ impl EventCache {
             pattern_ids: self.by_pattern.is_some(),
             pattern_seqs: self.by_pattern_seq.is_some(),
             summary: self.summary.is_some(),
-            tombstones: self.tombstones.is_some(),
+            seen: self.seen.is_some(),
         }
-    }
-
-    /// The configured capacity (β).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of events currently cached.
@@ -384,12 +375,6 @@ impl EventCache {
     /// `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Total evictions ever performed.
-    pub fn evicted_total(&self) -> u64 {
-        // Every admission past the β-th evicted one event.
-        self.inserted_total - self.slots.len() as u64
     }
 
     /// Heap bytes of the ring and of the slot indexes, by capacity.
@@ -445,10 +430,12 @@ impl EventCache {
             if let Some(summary) = &mut self.summary {
                 summary.add(p, id);
             }
+            if let Some(seen) = &mut self.seen {
+                seen.add(p, id);
+            }
         }
         self.policy
             .note_insert(slot, self.owner == Some(id.source()));
-        self.inserted_total += 1;
     }
 
     /// Drops the event in `slot` from every index.
@@ -473,9 +460,6 @@ impl EventCache {
             }
             if let Some(summary) = &mut self.summary {
                 summary.remove(p, id);
-            }
-            if let Some(tombstones) = &mut self.tombstones {
-                tombstones.add(p, id);
             }
         }
     }
@@ -595,60 +579,34 @@ impl EventCache {
     /// # Panics
     ///
     /// Panics if the cache was built without [`CacheIndexes::summary`]
-    /// — the summary digest family's table rows declare it, so the
-    /// dispatcher builds it at construction.
+    /// — the `summary-push` row declares it, so the dispatcher builds it
+    /// at construction.
     pub fn summary_index(&self) -> &SummaryIndex {
         self.summary
             .as_ref()
             .expect("event cache built without the summary index")
     }
 
-    fn tombstones(&self) -> &SummaryIndex {
-        self.tombstones
+    /// The hash-range summary index over every id this cache has ever
+    /// admitted, resident or since evicted: the **seen** view pull-mode
+    /// summary reconciliation announces and compares, so a peer does
+    /// not serve surplus the cache has already consumed and evicted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was built without [`CacheIndexes::seen`] —
+    /// the `summary-pull` row declares it.
+    pub fn seen_index(&self) -> &SummaryIndex {
+        self.seen
             .as_ref()
-            .expect("event cache built without the tombstones index")
-    }
-
-    /// The aggregate of `pattern`'s **seen** view over `range`: every
-    /// id this cache has ever admitted — the live residents plus the
-    /// eviction tombstones. The two sets are disjoint (an id is
-    /// admitted at most once), so counts add and hashes XOR.
-    /// Pull-mode summary reconciliation announces and compares this
-    /// view: a peer must not serve surplus the cache has already
-    /// consumed and evicted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache was built without [`CacheIndexes::summary`]
-    /// or [`CacheIndexes::tombstones`] — the `summary-pull` row
-    /// declares both.
-    pub fn seen_summary(&self, pattern: PatternId, range: RangeRef) -> RangeSummary {
-        let live = self.summary_index().summarize(pattern, range);
-        let dead = self.tombstones().summarize(pattern, range);
-        RangeSummary {
-            range,
-            count: live.count + dead.count,
-            hash: live.hash ^ dead.hash,
-        }
-    }
-
-    /// The complete seen-view id list of `range` under `pattern`: the
-    /// live residents (in leaf/insertion order) followed by the
-    /// tombstoned ids — the pull-mode expansion of a small range.
-    ///
-    /// # Panics
-    ///
-    /// As [`EventCache::seen_summary`].
-    pub fn seen_ids_in(&self, pattern: PatternId, range: RangeRef) -> Vec<EventId> {
-        let mut ids = self.summary_index().ids_in(pattern, range);
-        ids.extend(self.tombstones().ids_in(pattern, range));
-        ids
+            .expect("event cache built without the seen index")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::RangeRef;
     use eps_sim::check::forall;
     use std::collections::BTreeSet;
 
@@ -679,7 +637,6 @@ mod tests {
             }
             let first_kept = count.saturating_sub(capacity as u64);
             assert_eq!(c.len() as u64, count - first_kept);
-            assert_eq!(c.evicted_total(), first_kept);
             for seq in 0..count {
                 let id = EventId::new(NodeId::new(0), seq);
                 assert_eq!(c.contains(id), seq >= first_kept);
@@ -751,7 +708,6 @@ mod tests {
         let mut c = EventCache::new(0);
         c.insert(ev(0, 0, &[(1, 0)]));
         assert!(c.is_empty());
-        assert_eq!(c.evicted_total() + c.len() as u64, 0);
     }
 
     #[test]
@@ -766,8 +722,7 @@ mod tests {
                 c.insert(ev((seq % 3) as u32, seq, &[(1, seq)]));
                 assert!(c.len() <= 7, "{policy} exceeded capacity");
             }
-            assert_eq!(c.evicted_total() + c.len() as u64, 100, "{policy}");
-            assert_eq!(c.evicted_total(), 93, "{policy}");
+            assert_eq!(c.len(), 7, "{policy}");
         }
     }
 
@@ -1011,7 +966,7 @@ mod tests {
             pattern_ids: bits & 2 != 0,
             pattern_seqs: bits & 4 != 0,
             summary: bits & 8 != 0,
-            tombstones: bits & 16 != 0,
+            seen: bits & 16 != 0,
         })
     }
 
@@ -1046,7 +1001,6 @@ mod tests {
                         let kept = *kept;
                         c.insert(arrival.clone());
                         assert_eq!(c.len(), all.len(), "{policy} {kept:?}");
-                        assert_eq!(c.evicted_total(), all.evicted_total(), "{policy} {kept:?}");
                         let iterated: Vec<EventId> = c.iter().map(Event::id).collect();
                         assert_eq!(iterated, resident, "{policy} {kept:?}");
                         if kept.ids {
@@ -1072,13 +1026,9 @@ mod tests {
                                 let root = |c: &EventCache| c.summary_index().root(p);
                                 assert_eq!(root(c), root(&all), "{kept:?} {p}");
                             }
-                            if kept.tombstones {
-                                let dead = |c: &EventCache| c.tombstones().root(p).count;
-                                assert_eq!(dead(c), dead(&all), "{kept:?} {p}");
-                            }
-                            if kept.summary && kept.tombstones {
-                                let seen = |c: &EventCache| c.seen_summary(p, RangeRef::ROOT);
-                                assert_eq!(seen(c), seen(&all), "{kept:?} {p}");
+                            if kept.seen {
+                                let root = |c: &EventCache| c.seen_index().root(p);
+                                assert_eq!(root(c), root(&all), "{kept:?} {p}");
                             }
                         }
                     }
@@ -1132,16 +1082,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tombstones index")]
-    fn the_seen_view_names_its_missing_index() {
-        let without = CacheIndexes {
-            tombstones: false,
-            ..CacheIndexes::ALL
-        };
-        let _ = indexed(8, without).seen_summary(PatternId::new(1), RangeRef::ROOT);
-    }
-
-    #[test]
     fn summary_index_tracks_insert_and_eviction_exactly() {
         let mut c = indexed(3, CacheIndexes::ALL);
         for seq in 0..10 {
@@ -1162,32 +1102,38 @@ mod tests {
         }
     }
 
-    const IDS_SUMMARY_TOMBSTONES: CacheIndexes = CacheIndexes {
-        ids: true,
-        summary: true,
-        tombstones: true,
-        ..CacheIndexes::NONE
-    };
-
     #[test]
-    fn seen_view_unions_live_and_tombstoned_ids() {
-        let mut c = indexed(2, IDS_SUMMARY_TOMBSTONES);
-        let p = PatternId::new(1);
-        for seq in 0..5 {
-            c.insert(ev(0, seq, &[(1, seq)]));
-        }
-        // 3 evicted, 2 live; the seen view covers all 5.
-        assert_eq!(c.tombstones().root(p).count, 3);
-        let root = c.seen_summary(p, RangeRef::ROOT);
-        assert_eq!(root.count, 5);
-        let mut ids = c.seen_ids_in(p, RangeRef::ROOT);
-        ids.sort();
-        let expected: Vec<EventId> = (0..5).map(|s| EventId::new(NodeId::new(0), s)).collect();
-        assert_eq!(ids, expected);
-        let hash = expected
-            .iter()
-            .fold(0u64, |acc, &id| acc ^ crate::summary::mix_event_id(id));
-        assert_eq!(root.hash, hash, "disjoint sets XOR into the union hash");
+    fn the_seen_index_holds_every_admitted_pair() {
+        // Under every policy, churning or not, the seen index holds
+        // exactly the (id, pattern) pairs ever admitted, and the live
+        // index the resident ones among them.
+        forall("the_seen_index_holds_every_admitted_pair", 128, |rng| {
+            let policy = any_policy(rng);
+            let capacity = rng.random_range(1..24usize);
+            let mut c =
+                EventCache::with_indexes(capacity, policy, Some(NodeId::new(0)), CacheIndexes::ALL);
+            let (mut model, mut seen) = (Vec::new(), BTreeSet::new());
+            for _ in 0..rng.random_range(1..100u32) {
+                let arrival = walk_event(rng.random_below(3) as u32, rng.random_below(16));
+                insert_modelled(&mut c, &mut model, &mut seen, arrival);
+                for p in (0..7).map(PatternId::new) {
+                    let of_p = |id: &&EventId| walk_event(id.source().value(), id.seq()).matches(p);
+                    let admitted: BTreeSet<EventId> = seen.iter().filter(of_p).copied().collect();
+                    let resident: BTreeSet<EventId> = model.iter().filter(of_p).copied().collect();
+                    // Each pair once: the count, the list and the set agree.
+                    let listed = |index: &SummaryIndex| -> BTreeSet<EventId> {
+                        let ids = index.ids_in(p, RangeRef::ROOT);
+                        let set: BTreeSet<EventId> = ids.iter().copied().collect();
+                        assert_eq!(index.root(p).count, ids.len() as u64, "{policy} {p}");
+                        assert_eq!(set.len(), ids.len(), "{policy} {p}");
+                        set
+                    };
+                    assert_eq!(listed(c.seen_index()), admitted, "{policy} {p}");
+                    assert_eq!(listed(c.summary_index()), resident, "{policy} {p}");
+                    assert!(resident.is_subset(&admitted));
+                }
+            }
+        });
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! received, so [`LossDetector::expected`] answers zero for it. A
 //! dispatcher tracks only the patterns it subscribes to locally, so the
 //! map holds a few streams per source. The map is probed, and filtered
-//! in place by [`LossDetector::forget_pattern`]; it is never iterated
-//! into an output, so its per-process hash order cannot change one.
+//! in place by [`LossDetector::restart`]; it is never iterated into an
+//! output, so its per-process hash order cannot change one.
 
 use std::collections::hash_map::Entry;
 
 use eps_overlay::NodeId;
-use eps_sim::hash::IdMap;
+use eps_sim::hash::{IdMap, IdSet};
 
 use crate::event::Event;
 use crate::pattern::PatternId;
@@ -68,6 +68,10 @@ pub struct LossDetector {
     /// (source, pattern) → the stream's next expected sequence number
     /// (see the module docs).
     expected: IdMap<(NodeId, PatternId), u64>,
+    /// The patterns [restarted](LossDetector::restart) mid-run, whose
+    /// streams start at their first observation. Membership checks
+    /// only — never iterated.
+    late: IdSet<PatternId>,
     detected_total: u64,
 }
 
@@ -90,22 +94,6 @@ impl LossDetector {
         event: &Event,
         is_relevant: F,
     ) -> Vec<LossRecord> {
-        self.observe_with(event, is_relevant, |_| false)
-    }
-
-    /// Like [`LossDetector::observe`], but streams of a pattern for
-    /// which `is_late` returns `true` are *baselined* on their first
-    /// observation: the expectation starts at the observed sequence
-    /// number instead of zero, reporting no losses. This is the
-    /// correct semantics for subscriptions issued mid-run — the new
-    /// subscriber never received (and was never owed) the stream's
-    /// history.
-    pub fn observe_with<F: Fn(PatternId) -> bool, L: Fn(PatternId) -> bool>(
-        &mut self,
-        event: &Event,
-        is_relevant: F,
-        is_late: L,
-    ) -> Vec<LossRecord> {
         let mut losses = Vec::new();
         let source = event.source();
         for &(pattern, seq) in event.pattern_seqs() {
@@ -124,7 +112,7 @@ impl LossDetector {
                 // Stream never received before.
                 Entry::Vacant(stream) => {
                     stream.insert(seq + 1);
-                    if is_late(pattern) {
+                    if self.late.contains(&pattern) {
                         seq
                     } else {
                         0
@@ -141,12 +129,17 @@ impl LossDetector {
         losses
     }
 
-    /// Drops all expectations for `pattern` (all sources). Called when
-    /// a local subscription is cancelled so that a later
-    /// re-subscription does not inherit stale expectations and report
-    /// the unsubscribed gap as losses.
-    pub fn forget_pattern(&mut self, pattern: PatternId) {
+    /// Restarts detection on `pattern` for a subscription issued
+    /// mid-run: drops its expectations (all sources), so no stale one
+    /// from an earlier subscription reports the unsubscribed gap as
+    /// losses, and from now on *baselines* each of its streams on
+    /// first observation — the expectation starts at the observed
+    /// sequence number instead of zero, reporting no losses. The new
+    /// subscriber never received, and was never owed, the streams'
+    /// history.
+    pub fn restart(&mut self, pattern: PatternId) {
         self.expected.retain(|&(_, p), _| p != pattern);
+        self.late.insert(pattern);
     }
 
     /// The next expected sequence number for a (source, pattern)
@@ -168,7 +161,7 @@ impl LossDetector {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
     use crate::event::EventId;
@@ -270,19 +263,21 @@ mod tests {
     }
 
     #[test]
-    fn forget_pattern_resets_streams_and_count() {
+    fn restart_resets_streams_and_baselines_them() {
         let mut det = LossDetector::new();
         det.observe(&ev(0, 0, &[(1, 0), (2, 0)]), |_| true);
         det.observe(&ev(7, 0, &[(1, 4)]), |_| true);
         assert_eq!(det.stream_count(), 3);
-        det.forget_pattern(PatternId::new(1));
+        det.restart(PatternId::new(1));
         assert_eq!(det.stream_count(), 1);
         assert_eq!(det.expected(NodeId::new(0), PatternId::new(1)), 0);
         assert_eq!(det.expected(NodeId::new(7), PatternId::new(1)), 0);
         assert_eq!(det.expected(NodeId::new(0), PatternId::new(2)), 1);
-        // A fresh observation re-baselines from scratch.
-        let losses = det.observe(&ev(0, 1, &[(1, 3)]), |_| true);
-        assert_eq!(losses.len(), 3);
+        // A restarted stream starts where it is first seen, and counts
+        // gaps from there on; other patterns' new streams start at 0.
+        assert!(det.observe(&ev(0, 1, &[(1, 3)]), |_| true).is_empty());
+        assert_eq!(det.observe(&ev(0, 2, &[(1, 6)]), |_| true).len(), 2);
+        assert_eq!(det.observe(&ev(9, 0, &[(2, 2)]), |_| true).len(), 2);
     }
 
     /// A reference detector: the next expected seq of every stream in
@@ -290,16 +285,12 @@ mod tests {
     #[derive(Default)]
     struct Model {
         expected: BTreeMap<(NodeId, PatternId), u64>,
+        late: BTreeSet<PatternId>,
         detected: u64,
     }
 
     impl Model {
-        fn observe(
-            &mut self,
-            event: &Event,
-            relevant: &[PatternId],
-            late: &[PatternId],
-        ) -> Vec<LossRecord> {
+        fn observe(&mut self, event: &Event, relevant: &[PatternId]) -> Vec<LossRecord> {
             let mut losses = Vec::new();
             let source = event.source();
             for &(pattern, seq) in event.pattern_seqs() {
@@ -307,7 +298,7 @@ mod tests {
                     continue;
                 }
                 let from = match self.expected.get(&(source, pattern)) {
-                    None if late.contains(&pattern) => seq,
+                    None if self.late.contains(&pattern) => seq,
                     None => 0,
                     Some(&next) if seq >= next => next,
                     Some(_) => continue,
@@ -323,16 +314,17 @@ mod tests {
             losses
         }
 
-        fn forget_pattern(&mut self, pattern: PatternId) {
+        fn restart(&mut self, pattern: PatternId) {
             self.expected.retain(|&(_, p), _| p != pattern);
+            self.late.insert(pattern);
         }
     }
 
     #[test]
     fn detector_answers_like_a_map_of_streams() {
-        // Random observations, late baselines and forgotten patterns,
-        // over a narrow pattern range and a narrow range mixed with a
-        // wide one, against an explicit ordered map.
+        // Random observations and restarted patterns, over a narrow
+        // pattern range and a narrow range mixed with a wide one,
+        // against an explicit ordered map and set.
         forall("detector_answers_like_a_map_of_streams", 256, |rng| {
             let wide = rng.random_bool(0.5);
             let draw_pattern = |rng: &mut eps_sim::Rng| {
@@ -349,8 +341,8 @@ mod tests {
             for step in 0..rng.random_range(1..120u32) {
                 if rng.random_bool(0.1) {
                     let pattern = draw_pattern(rng);
-                    det.forget_pattern(pattern);
-                    model.forget_pattern(pattern);
+                    det.restart(pattern);
+                    model.restart(pattern);
                 } else {
                     let source = NodeId::new(rng.random_below(3) as u32);
                     let mut patterns: Vec<PatternId> = (0..rng.random_range(1..4usize))
@@ -368,14 +360,8 @@ mod tests {
                         .copied()
                         .filter(|_| rng.random_bool(0.8))
                         .collect();
-                    let late: Vec<PatternId> = patterns
-                        .iter()
-                        .copied()
-                        .filter(|_| rng.random_bool(0.2))
-                        .collect();
-                    let got =
-                        det.observe_with(&event, |p| relevant.contains(&p), |p| late.contains(&p));
-                    assert_eq!(got, model.observe(&event, &relevant, &late), "step {step}");
+                    let got = det.observe(&event, |p| relevant.contains(&p));
+                    assert_eq!(got, model.observe(&event, &relevant), "step {step}");
                     touched.extend(patterns.iter().map(|&p| (source, p)));
                 }
                 assert_eq!(det.stream_count(), model.expected.len(), "step {step}");

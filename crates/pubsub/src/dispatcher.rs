@@ -21,7 +21,7 @@ use std::iter;
 use std::sync::Arc;
 
 use eps_overlay::NodeId;
-use eps_sim::hash::{map_heap_bytes, IdMap, IdSet, IdState};
+use eps_sim::hash::{map_heap_bytes, IdMap, IdState};
 
 use crate::cache::{CacheIndexes, EventCache, EvictionPolicy};
 use crate::clients::{ClientId, ClientRegistry};
@@ -246,7 +246,7 @@ pub struct Dispatcher {
     /// ([`CacheIndexes::pattern_seqs`]): only then is a loss read.
     /// Boxed at its first use, so a dispatcher that detects no losses
     /// carries one word for it, and building one allocates nothing.
-    losses: Option<Box<Losses>>,
+    losses: Option<Box<LossDetector>>,
     /// Written only where events record their routes, boxed at the
     /// first; reads before it see [`NO_ROUTES`].
     routes: Option<Box<RouteBook>>,
@@ -255,25 +255,14 @@ pub struct Dispatcher {
     /// Publication sequence counters of the patterns this dispatcher
     /// has published on. Keyed lookups only — never iterated.
     pattern_counters: IdMap<u16, u64>,
-    delivered_total: u64,
 }
 
-/// A loss-detecting dispatcher's detector, with the patterns it
-/// subscribed to mid-run: the two are only read together.
-#[derive(Clone, Debug, Default)]
-struct Losses {
-    detector: LossDetector,
-    /// Membership checks only — never iterated, so the set's
-    /// arbitrary ordering can't leak into any output.
-    late: IdSet<PatternId>,
-}
-
-/// A dispatcher's loss state, boxed at its first use; `None` where
+/// A dispatcher's loss detector, boxed at its first use; `None` where
 /// `config` detects no losses.
 fn losses<'a>(
     config: &DispatcherConfig,
-    losses: &'a mut Option<Box<Losses>>,
-) -> Option<&'a mut Losses> {
+    losses: &'a mut Option<Box<LossDetector>>,
+) -> Option<&'a mut LossDetector> {
     let detects = config.cache_indexes.pattern_seqs;
     detects.then(|| &mut **losses.get_or_insert_default())
 }
@@ -298,7 +287,6 @@ impl Dispatcher {
             seen: SeenSet::default(),
             next_event_seq: 0,
             pattern_counters: IdMap::default(),
-            delivered_total: 0,
         }
     }
 
@@ -367,11 +355,6 @@ impl Dispatcher {
         book_bytes + held.iter().map(allocation).sum::<usize>()
     }
 
-    /// Total events delivered to local clients.
-    pub fn delivered_total(&self) -> u64 {
-        self.delivered_total
-    }
-
     // ------------------------------------------------------------------
     // Subscription forwarding (Section II).
     // ------------------------------------------------------------------
@@ -415,9 +398,8 @@ impl Dispatcher {
         if !self.clients.subscribe(client, pattern) {
             return Vec::new();
         }
-        if let Some(losses) = losses(&self.config, &mut self.losses) {
-            losses.detector.forget_pattern(pattern);
-            losses.late.insert(pattern);
+        if let Some(detector) = losses(&self.config, &mut self.losses) {
+            detector.restart(pattern);
         }
         self.subscribe_local(pattern, neighbors)
     }
@@ -571,9 +553,6 @@ impl Dispatcher {
         // its own publications as lost.
         self.observe(&event);
         let delivered = self.table.matching_neighbors_into(&event, None, next_hops);
-        if delivered {
-            self.delivered_total += 1;
-        }
         if fresh {
             self.cache.insert(event.clone());
         }
@@ -589,10 +568,10 @@ impl Dispatcher {
     /// subscribed patterns; none where the dispatcher detects none.
     fn observe(&mut self, event: &Event) -> Vec<LossRecord> {
         let table = &self.table;
-        let Some(Losses { detector, late }) = losses(&self.config, &mut self.losses) else {
+        let Some(detector) = losses(&self.config, &mut self.losses) else {
             return Vec::new();
         };
-        detector.observe_with(event, |p| table.has_local(p), |p| late.contains(&p))
+        detector.observe(event, |p| table.has_local(p))
     }
 
     /// Handles an event arriving from neighbor `from` on the
@@ -628,7 +607,6 @@ impl Dispatcher {
         let losses = self.observe(&event);
         let delivered = self.table.matching_neighbors_into(&event, from, next_hops);
         if delivered {
-            self.delivered_total += 1;
             self.cache.insert(event.clone());
         }
         let receipt = EventReceipt {
@@ -653,7 +631,6 @@ impl Dispatcher {
         let losses = self.observe(&event);
         let delivered = self.table.matches_locally(&event);
         if delivered {
-            self.delivered_total += 1;
             self.cache.insert(event);
         }
         EventReceipt {
@@ -726,7 +703,6 @@ mod tests {
         let (e, receipt) = d.publish(&[p], &mut Vec::new());
         assert!(receipt.delivered);
         assert!(d.cache().contains(e.id()));
-        assert_eq!(d.delivered_total(), 1);
         // A publisher caches its own events, subscribed or not.
         let (e, _) = d.publish(&[PatternId::new(2)], &mut Vec::new());
         assert!(d.cache().contains(e.id()));
@@ -758,7 +734,6 @@ mod tests {
         let (_, second) = d.on_event(e, Some(NodeId::new(0)), &mut next_hops);
         assert!(first.delivered && !first.duplicate);
         assert!(second.duplicate && !second.delivered);
-        assert_eq!(d.delivered_total(), 1);
     }
 
     #[test]

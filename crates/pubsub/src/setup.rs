@@ -361,7 +361,7 @@ mod tests {
 
     /// Publishes `content` at `publisher` and hand-routes the event
     /// over the tree with no loss; returns it with the set of
-    /// dispatchers that delivered it.
+    /// dispatchers that delivered it, each of which delivered it once.
     fn publish_and_route(
         ds: &mut [Dispatcher],
         publisher: NodeId,
@@ -384,7 +384,7 @@ mod tests {
             assert!(taken <= 4 * ds.len(), "routing does not terminate");
             let (copy, receipt) = ds[at.index()].on_event(e, Some(from), &mut next_hops);
             if receipt.delivered {
-                delivered.insert(at);
+                assert!(delivered.insert(at), "{at} delivered {} twice", copy.id());
             }
             hops.extend(next_hops.iter().map(|&to| (to, at, copy.clone())));
         }
@@ -462,9 +462,7 @@ mod tests {
                 .collect();
             assert_eq!(delivered, expected, "event {} mis-routed", event.id());
             for d in &ds {
-                let subscribed = expected.contains(&d.id());
-                assert_eq!(d.delivered_total(), u64::from(subscribed));
-                assert!(!subscribed || d.has_seen(event.id()));
+                assert!(!expected.contains(&d.id()) || d.has_seen(event.id()));
             }
         });
     }

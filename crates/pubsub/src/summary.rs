@@ -14,13 +14,16 @@
 //! aggregate independent of insertion order — the property that lets
 //! two independently grown caches agree byte-for-byte on identical
 //! content. So only the root aggregate is stored: [`SummaryIndex`]
-//! keeps it per pattern, updated in O(1) on every cache insert and
-//! evict, and every round's root digest is a read. Below the root
-//! nothing is stored. The resident ids sit in one ordered map keyed by
-//! (pattern, leaf range, admission number), so any deeper range of a
-//! pattern is a contiguous run of that map, in (leaf, insertion)
-//! order, and its aggregate is a count and an XOR over the run. Deeper
-//! ranges are asked for only after a root mismatch.
+//! keeps it per pattern, updated in O(1) on every add and remove, and
+//! every round's root digest is a read. Below the root nothing is
+//! stored. The recorded ids sit in one ordered map keyed by (pattern,
+//! leaf range, admission number), so any deeper range of a pattern is
+//! a contiguous run of that map, in (leaf, admission) order, and its
+//! aggregate is a count and an XOR over the run. Deeper ranges are
+//! asked for only after a root mismatch. A cache keeps one index over
+//! its live ids and, for pull-mode reconciliation, one over every id it
+//! ever admitted, which eviction never removes from
+//! ([`crate::CacheIndexes`]).
 //!
 //! Every exposed iteration (children of a range, ids inside a range)
 //! follows the map's order, never a hash map's — a requirement for the
@@ -171,7 +174,9 @@ impl RangeSummary {
 }
 
 /// A fully expanded range: the complete list of event ids a gossiper
-/// holds inside it, in (leaf, insertion) order. Sent when a range is
+/// holds inside it, in (leaf, admission) order of the index it was read
+/// from (the live index in push mode, the seen index in pull mode);
+/// receivers read the list as a set. Sent when a range is
 /// small enough that listing beats further recursion — including the
 /// empty list, which tells the receiver the gossiper has *nothing*
 /// there (pull mode needs that to reply with its surplus).
@@ -317,24 +322,21 @@ impl SummaryIndex {
         agg.summary(range)
     }
 
-    /// The non-empty children of a range of `pattern`'s tree, in
-    /// ascending index order.
+    /// The aggregates of all [`FANOUT`] children of a range of
+    /// `pattern`'s tree, empty ones included, in index order: one pass
+    /// over the range's run.
     ///
     /// # Panics
     ///
     /// Panics if `range` is a leaf.
-    pub fn children(&self, pattern: PatternId, range: RangeRef) -> Vec<RangeSummary> {
+    pub fn children(&self, pattern: PatternId, range: RangeRef) -> [RangeSummary; FANOUT as usize] {
         assert!(!range.is_leaf(), "leaf ranges have no children");
         let mut aggs = [RangeAgg::default(); FANOUT as usize];
         for id in self.run(pattern, range) {
             let h = mix_event_id(id);
             aggs[(index_at(h, range.level() + 1) % FANOUT) as usize].add(h);
         }
-        (0..FANOUT)
-            .zip(aggs)
-            .filter(|(_, agg)| agg.count > 0)
-            .map(|(i, agg)| agg.summary(range.child(i)))
-            .collect()
+        std::array::from_fn(|i| aggs[i].summary(range.child(i as u32)))
     }
 
     /// Every resident id of `pattern` inside `range`, ordered by (leaf
@@ -431,7 +433,8 @@ mod tests {
             let hash = children.iter().fold(0u64, |acc, c| acc ^ c.hash);
             assert_eq!(count, parent.count);
             assert_eq!(hash, parent.hash);
-            ranges.extend(children.iter().map(|c| c.range));
+            let occupied = children.iter().filter(|c| c.count > 0);
+            ranges.extend(occupied.map(|c| c.range));
         }
     }
 
@@ -493,7 +496,8 @@ mod tests {
             index.summarize(P, RangeRef::new(2, 7)),
             RangeSummary::empty(RangeRef::new(2, 7))
         );
-        assert!(index.children(P, RangeRef::ROOT).is_empty());
+        let children = index.children(P, RangeRef::ROOT);
+        assert!(children.iter().all(|c| c.count == 0 && c.hash == 0));
     }
 
     #[test]
@@ -596,11 +600,12 @@ mod tests {
                 assert_eq!(index.summarize(pattern, range), summary(range), "{range}");
                 assert_eq!(index.ids_in(pattern, range), listed(range), "{range}");
                 if !range.is_leaf() {
-                    let children: Vec<RangeSummary> = (0..FANOUT)
-                        .map(|i| summary(range.child(i)))
-                        .filter(|c| c.count > 0)
-                        .collect();
-                    assert_eq!(index.children(pattern, range), children, "{range}");
+                    let children = index.children(pattern, range);
+                    for (i, child) in (0..FANOUT).zip(children) {
+                        let range = range.child(i);
+                        assert_eq!(child, summary(range), "{range}");
+                        assert_eq!(child, index.summarize(pattern, range), "{range}");
+                    }
                 }
             }
         }

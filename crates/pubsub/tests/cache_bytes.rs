@@ -163,25 +163,24 @@ fn a_cache_without_optional_indexes_holds_at_most_141_bytes_per_event() {
     check_bytes("ids only", ids, 141.0, true);
 }
 
-/// Summary-pull's set: the id index, the summary index and its
-/// eviction tombstones. The tombstones grow with every eviction for the
-/// life of the cache, so only the first fill is pinned: one entry of an
-/// ordered map per (id, pattern) pair and no per-level aggregates.
+/// Summary-pull's set: the id index and the seen index. The seen index
+/// keeps every admitted (id, pattern) pair for the life of the cache,
+/// so it grows with every admission and only the first fill is pinned:
+/// one entry of an ordered map per pair and no per-level aggregates.
 #[test]
 fn a_summary_pull_cache_holds_at_most_306_bytes_per_event_after_one_fill() {
     let seen = CacheIndexes {
         ids: true,
-        summary: true,
-        tombstones: true,
+        seen: true,
         ..CacheIndexes::NONE
     };
     let [once, churned] = bytes_per_cached_event(seen);
-    eprintln!("ids, summary and tombstones: {once:.1} B after one fill, {churned:.1} B after four");
+    eprintln!("ids and seen: {once:.1} B after one fill, {churned:.1} B after four");
     assert!(once <= 306.0, "{once:.0} B per cached event");
 }
 
 /// Summary-push's set: the id index and the summary index, which keeps
-/// no tombstones, so churn does not grow it. The map's nodes split and
+/// only the live ids, so churn does not grow it. The map's nodes split and
 /// merge as ids come and go, so after four fills it sits a few bytes
 /// above one fill; it is not held steady.
 #[test]
@@ -472,7 +471,7 @@ fn every_index_set() -> impl Iterator<Item = CacheIndexes> {
         pattern_ids: bits & 2 != 0,
         pattern_seqs: bits & 4 != 0,
         summary: bits & 8 != 0,
-        tombstones: bits & 16 != 0,
+        seen: bits & 16 != 0,
     });
     sets.filter(|set| set.ids || set.pattern_seqs)
 }

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use eps_overlay::{plan_reconnection, NodeId, OverlayKind, Topology};
 use eps_pubsub::{
     flood_subscriptions_direct, install_client_subscriptions, rebuild_subscription_routes,
-    ClientId, Dispatcher, DispatcherConfig, Event, EventId, PatternId,
+    CacheIndexes, ClientId, Dispatcher, DispatcherConfig, Event, EventId, PatternId, RangeRef,
 };
 use eps_sim::check::forall;
 use eps_sim::Rng;
@@ -380,8 +380,10 @@ fn a_dispatcher_admits_each_event_id_to_its_cache_once() {
             let me = NodeId::new(0);
             let (tree, cross) = (NodeId::new(1), NodeId::new(2));
             let patterns: Vec<PatternId> = (0..4).map(PatternId::new).collect();
+            // The seen index keeps every admission, evicted or not.
             let config = DispatcherConfig {
                 cache_capacity: rng.random_range(1..16usize),
+                cache_indexes: CacheIndexes::ALL,
                 ..DispatcherConfig::default()
             };
             let mut d = Dispatcher::new(me, config);
@@ -433,17 +435,17 @@ fn a_dispatcher_admits_each_event_id_to_its_cache_once() {
                     steps.insert(rng.random_range(0..publish + 1), copy);
                 }
             }
-            // The ids the cache must have admitted, each once: every
-            // local event and every own one.
-            let mut admitted: BTreeSet<EventId> = BTreeSet::new();
-            let mut published = 0;
-            // The cache's admissions: those it still holds and those it
-            // evicted.
-            let inserted = |d: &Dispatcher| d.cache().evicted_total() + d.cache().len() as u64;
+            // The (pattern, id) pairs the cache must have admitted, each
+            // once: every local event's and every own one's. A forged
+            // copy and the publish that takes its id both name pattern 0.
+            let mut admitted: BTreeSet<(PatternId, EventId)> = BTreeSet::new();
+            let admit = |admitted: &mut BTreeSet<_>, e: &Event| {
+                admitted.extend(e.pattern_seqs().iter().map(|&(p, _)| (p, e.id())));
+            };
             for step in steps {
                 if let Step::Hop(_, e) | Step::Recovered(e) = &step {
                     if local(e) {
-                        admitted.insert(e.id());
+                        admit(&mut admitted, e);
                     }
                 }
                 match step {
@@ -454,23 +456,24 @@ fn a_dispatcher_admits_each_event_id_to_its_cache_once() {
                         d.on_recovered_event(e);
                     }
                     Step::Publish => {
-                        let before = inserted(&d);
-                        let forged = d.has_seen(EventId::new(me, published));
                         let (e, _) = d.publish(&patterns[..1], &mut Vec::new());
-                        published += 1;
-                        if forged {
-                            let after = inserted(&d);
-                            assert_eq!(after, before, "{} admitted twice", e.id());
-                        }
-                        admitted.insert(e.id());
+                        admit(&mut admitted, &e);
                     }
                 }
-                assert_eq!(inserted(&d), admitted.len() as u64);
                 for &p in &patterns {
-                    let ids = d.cache().ids_matching(p);
-                    let distinct: BTreeSet<EventId> = ids.iter().copied().collect();
-                    assert_eq!(distinct.len(), ids.len(), "{p} lists an id twice");
-                    assert!(distinct.is_subset(&admitted), "{p} lists an unadmitted id");
+                    let distinct = |ids: &[EventId], what: &str| -> BTreeSet<EventId> {
+                        let set: BTreeSet<EventId> = ids.iter().copied().collect();
+                        assert_eq!(set.len(), ids.len(), "{p} {what} an id twice");
+                        set
+                    };
+                    let seen = d.cache().seen_index();
+                    let ids = seen.ids_in(p, RangeRef::ROOT);
+                    assert_eq!(seen.root(p).count, ids.len() as u64, "{p}");
+                    let ever = distinct(&ids, "admitted");
+                    let expected = admitted.iter().filter(|&&(q, _)| q == p);
+                    assert!(ever.iter().eq(expected.map(|(_, id)| id)), "{p}");
+                    let listed = distinct(&d.cache().ids_matching(p), "lists");
+                    assert!(listed.is_subset(&ever), "{p} lists an unadmitted id");
                 }
             }
         },

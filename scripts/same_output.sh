@@ -49,6 +49,13 @@ cells+=("-a combined-pull -a publisher-pull --duration 2 --seed 1 --overlay tree
 # that leave forests of more than two components for the repair
 # planner, and the preferential-attachment overlay under them.
 cells+=("$small --overlay ws --max-degree 6 --rho 0.5" "$small --rho 0.03" "$small --overlay ba --rho 0.03")
+# Subscription churn under the rows that detect losses (a mid-run
+# subscription restarts its streams' loss detection), with several
+# clients a dispatcher, and under both summary rows.
+churn="--churn 0.05 --duration 4 --seed 1"
+cells+=("-a combined-pull -a push-pull -a subscriber-pull $churn"
+    "-a combined-pull --clients 3 --churn 0.02 --duration 4 --seed 3"
+    "-a summary-pull -a summary-push $churn")
 
 differ=0
 for cell in "${cells[@]}"; do

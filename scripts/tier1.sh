@@ -371,13 +371,15 @@ check_peak "Fig. 2 push cell" \
 echo "== tier-1: Fig. 2 cell memory (summary rows at full size) =="
 # The same cell under both summary rows, one after the other (--jobs 1,
 # so the peak is the larger run's, on any core count). A summary index
-# stores one ordered-map entry per cached (id, pattern) pair plus a
-# root aggregate per pattern, and only summary-pull keeps eviction
-# tombstones. summary-pull peaks near 49 MB, summary-push near 46 MB.
-# Per-level aggregate maps put back about 110 MB (the cell peaked at
-# 164.6 MB with six of them). Tombstones on summary-push grow its index
-# by one entry per evicted pair: about 3 MB on this 6 s cell, 73 MB on
-# a 20 s one. The limit is 60 MB.
+# stores one ordered-map entry per (id, pattern) pair it holds plus a
+# root aggregate per pattern. summary-push keeps one over its live ids;
+# summary-pull keeps one over every id its cache ever admitted (its
+# seen index), which eviction never shrinks. summary-pull peaks near
+# 45 MB, summary-push near 41 MB. Per-level aggregate maps put back
+# about 110 MB (the cell peaked at 164.6 MB with six of them). Evicted
+# pairs kept on summary-push, which never reads them, grew its index by
+# one entry each: about 3 MB on this 6 s cell, 73 MB on a 20 s one. The
+# limit is 60 MB.
 check_peak "Fig. 2 summary cells" \
     "$(simulate_peak_mb -a summary-push -a summary-pull --duration 6 --seed 1 --jobs 1)" 60
 

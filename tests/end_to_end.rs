@@ -32,7 +32,12 @@ fn all_algorithms_complete_and_report_sane_numbers() {
         "all_algorithms_complete_and_report_sane_numbers",
         96,
         |rng| {
-            let overlay = *rng.choose(&OverlayKind::all()).unwrap();
+            let overlays = [
+                OverlayKind::Tree,
+                OverlayKind::BarabasiAlbert,
+                OverlayKind::WattsStrogatz,
+            ];
+            let overlay = *rng.choose(&overlays).unwrap();
             // Watts–Strogatz needs its ring lattice: five nodes.
             let nodes = rng.random_range(if overlay.is_tree() { 2 } else { 5 }..40usize);
             // Each on in half the cases, at a drawn interval.
